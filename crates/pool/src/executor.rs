@@ -217,8 +217,16 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
 
+    /// Serialises the tests: every executor writes the process-global
+    /// `pool.queue_depth` gauge, which one test asserts exactly.
+    fn gauge_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn saturated_queue_rejects_and_reports_depth() {
+        let _g = gauge_lock();
         let rejected_before = adsafe_trace::counter("pool.tasks_rejected").get();
         let exec = Executor::new(1, 2);
         // Block the single worker so queued jobs cannot drain.
@@ -266,6 +274,7 @@ mod tests {
 
     #[test]
     fn retry_hint_scales_with_backlog_per_worker() {
+        let _g = gauge_lock();
         let exec = Executor::new(2, 64);
         assert_eq!(exec.retry_hint_secs(), 1, "an empty queue drains immediately");
         // Block both workers, then queue a backlog.
@@ -297,6 +306,7 @@ mod tests {
 
     #[test]
     fn panicking_job_does_not_kill_the_worker() {
+        let _g = gauge_lock();
         let exec = Executor::new(1, 8);
         let done = Arc::new(AtomicUsize::new(0));
         exec.try_submit(|| panic!("job bug")).ok().unwrap();
@@ -312,6 +322,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_jobs() {
+        let _g = gauge_lock();
         let exec = Executor::new(2, 64);
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..40 {
@@ -328,6 +339,7 @@ mod tests {
 
     #[test]
     fn queue_wait_is_stamped_and_readable_inside_the_job() {
+        let _g = gauge_lock();
         let hist = adsafe_trace::histogram("pool.queue_wait");
         let count_before = hist.count();
         let exec = Executor::new(1, 8);
@@ -361,6 +373,7 @@ mod tests {
 
     #[test]
     fn zero_workers_resolves_to_parallelism() {
+        let _g = gauge_lock();
         let exec = Executor::new(0, 1);
         assert!(exec.workers() >= 1);
         exec.shutdown();

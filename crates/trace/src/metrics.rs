@@ -73,7 +73,15 @@ impl Gauge {
 }
 
 /// Number of log₂ buckets: values up to 2⁶³ land in a bucket.
-const BUCKETS: usize = 64;
+pub(crate) const BUCKETS: usize = 64;
+
+/// The log₂ bucket `v` lands in: its bit length (0 for `v == 0`),
+/// clamped to the last bucket. Shared with the allocation profiler's
+/// per-thread size-class counters (`alloc.rs`).
+#[inline]
+pub(crate) fn bucket_of(v: u64) -> usize {
+    ((u64::BITS - v.leading_zeros()) as usize).min(BUCKETS - 1)
+}
 
 /// A histogram with log₂-scale buckets (bucket *b* counts values whose
 /// bit length is *b*, i.e. `2^(b-1) ≤ v < 2^b`; bucket 0 counts zeros).
@@ -92,9 +100,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram. `const` so a histogram can live in a
-    /// `static` without lazy initialisation — the allocation profiler
-    /// (`alloc.rs`) records into one from inside the global allocator,
-    /// where a lazily-initialised cell could recurse.
+    /// `static` without lazy initialisation.
     pub const fn new() -> Self {
         Histogram {
             buckets: [const { AtomicU64::new(0) }; BUCKETS],
@@ -105,8 +111,7 @@ impl Histogram {
 
     /// Records one value.
     pub fn record(&self, v: u64) {
-        let b = (u64::BITS - v.leading_zeros()) as usize; // bit length; 0 for v == 0
-        self.buckets[b.min(BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
@@ -482,12 +487,22 @@ pub fn counter_delta(
         .collect()
 }
 
+/// Serialises the tests that write to the process-global registry, so
+/// a test rendering it twice never sees another test's writes land in
+/// between.
+#[cfg(test)]
+pub(crate) fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn counters_accumulate() {
+        let _r = registry_lock();
         let c = counter("test.metrics.counter_a");
         let base = c.get();
         c.add(3);
@@ -499,6 +514,7 @@ mod tests {
 
     #[test]
     fn concurrent_increments_never_lose_updates() {
+        let _r = registry_lock();
         let name = "test.metrics.concurrent";
         let base = counter(name).get();
         let threads = 8;
@@ -541,6 +557,7 @@ mod tests {
 
     #[test]
     fn gauges_are_settable_and_saturate() {
+        let _r = registry_lock();
         let g = gauge("test.metrics.gauge_a");
         g.set(5);
         assert_eq!(g.get(), 5);
@@ -555,6 +572,7 @@ mod tests {
 
     #[test]
     fn render_text_is_stable_and_complete() {
+        let _r = registry_lock();
         counter("test.metrics.render_c").add(2);
         gauge("test.metrics.render_g").set(7);
         histogram("test.metrics.render_h").record(100);
@@ -569,6 +587,7 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_is_well_formed() {
+        let _r = registry_lock();
         counter("test.metrics.prom-c").add(4);
         gauge("test.metrics.prom_g").set(9);
         let h = histogram("test.metrics.prom_h");
@@ -751,6 +770,7 @@ mod tests {
 
     #[test]
     fn labeled_keys_are_canonical_and_escaped() {
+        let _r = registry_lock();
         assert_eq!(
             labeled("serve.latency", &[("status", "200"), ("endpoint", "assess")]),
             "serve.latency{endpoint=\"assess\",status=\"200\"}",
@@ -770,6 +790,7 @@ mod tests {
 
     #[test]
     fn prometheus_renders_labeled_series_under_one_type_line() {
+        let _r = registry_lock();
         counter(&labeled("test.metrics.plabel", &[("endpoint", "assess")])).add(3);
         counter(&labeled("test.metrics.plabel", &[("endpoint", "healthz")])).add(1);
         let h = histogram(&labeled("test.metrics.plabelh", &[("endpoint", "assess")]));
@@ -798,6 +819,7 @@ mod tests {
 
     #[test]
     fn render_text_prints_labeled_keys_verbatim() {
+        let _r = registry_lock();
         counter(&labeled("test.metrics.tlabel", &[("code", "200")])).add(2);
         let text = render_text();
         assert!(text.contains("counter test.metrics.tlabel{code=\"200\"} 2"), "{text}");
@@ -805,6 +827,7 @@ mod tests {
 
     #[test]
     fn delta_reports_only_changes() {
+        let _r = registry_lock();
         let before = counter_snapshot();
         counter("test.metrics.delta").add(7);
         let after = counter_snapshot();

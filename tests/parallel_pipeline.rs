@@ -4,8 +4,9 @@
 //! invalidation path (content change, fingerprint change, corruption)
 //! must fall back to a correct cold analysis.
 //!
-//! Counter assertions share the process-global metrics registry, so
-//! counter-sensitive tests serialise on [`counter_lock`].
+//! Counter assertions diff the process-global metrics registry, and
+//! any assessment writes to it, so every test that assesses
+//! serialises on [`counter_lock`].
 
 use adsafe::render::deterministic_report_markdown;
 use adsafe::trace::alloc;
@@ -22,8 +23,9 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 #[global_allocator]
 static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 
-/// Serialises tests that assert on global counter deltas: a concurrent
-/// assessment in another test thread would pollute the delta window.
+/// Serialises every test that assesses: an assessment in another test
+/// thread would pollute the delta window of the tests that assert on
+/// global counter deltas.
 fn counter_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -123,6 +125,7 @@ fn counter(report: &AssessmentReport, name: &str) -> u64 {
 
 #[test]
 fn reports_byte_identical_across_worker_counts() {
+    let _g = counter_lock();
     let spec = adsafe::corpus::ApolloSpec::test_scale();
     let corpus = adsafe::corpus::generate(&spec);
     let run = |jobs: usize| {
@@ -318,6 +321,7 @@ fn shared_store_makes_repeat_runs_warm() {
 
 #[test]
 fn memory_profiling_never_changes_report_bytes() {
+    let _g = counter_lock();
     let spec = adsafe::corpus::ApolloSpec::test_scale();
     let corpus = adsafe::corpus::generate(&spec);
     let run = |jobs: usize| {
@@ -398,6 +402,7 @@ proptest! {
     /// exactly the serial analysis — diagnostics, modules, evidence.
     #[test]
     fn any_worker_count_matches_serial(jobs in 0usize..9, files in 1usize..7) {
+        let _g = counter_lock();
         let serial = assess_samples(files, AssessmentOptions::default());
         let parallel = assess_samples(
             files,
