@@ -1,7 +1,8 @@
-//! Query-engine perf baseline: compiles a five-rule pack repeatedly
-//! (front-end throughput) and runs the full assessment over the
-//! test-scale Apollo corpus with the pack active, then writes the
-//! native-vs-query phase split and VM counters as `BENCH_query.json`
+//! Query-engine perf baseline: compiles the bundled five-rule pack
+//! repeatedly (front-end throughput) and runs the full assessment over
+//! the test-scale Apollo corpus with the default rules (natives plus
+//! the bundled pack), then writes the native-vs-query phase split and
+//! VM counters as `BENCH_query.json`
 //! (schema `adsafe-bench-pipeline/1`, so `adsafe trace-compare` gates
 //! it with the standard 2x comparator).
 //!
@@ -15,7 +16,6 @@ use adsafe::corpus::{generate, ApolloSpec};
 use adsafe::rulequery::RulePack;
 use adsafe::trace::bench::BenchBaseline;
 use adsafe::{assess_corpus, AssessmentOptions};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Best-of runs, discarding warm-up noise.
@@ -23,19 +23,8 @@ const RUNS: usize = 3;
 /// Pack compilations per front-end timing loop.
 const COMPILES: usize = 200;
 
-/// The five parity rules under `q-` ids, so they coexist with the
-/// native checkers in one assessment (bundled ids are reserved).
-const PACK: &str = r#"
-rule "q-multi-exit" { iso t8r1 function where multi_exit -> warn "function `{name}` has {returns} return statements / early exits" }
-rule "q-recursion" { iso t8r10 function where recursive -> violation "function `{name}` participates in recursion" }
-rule "q-function-length" { iso t3r2 function where nloc > 100 -> warn "function `{name}` is {nloc} lines (limit 100)" }
-rule "q-nesting-depth" { iso t1r1 function where nesting > 5 -> warn "function `{name}` nests {nesting} levels deep (limit 5)" }
-rule "q-param-count" { iso t3r3 function where params > 6 -> info "function `{name}` takes {params} parameters (limit 6)" }
-"#;
-
 fn compile_pack() -> RulePack {
-    let native = adsafe::query::native_rule_ids();
-    let pack = RulePack::from_sources(&[("bench.aq".into(), PACK.into())], &native);
+    let pack = RulePack::builtin();
     assert!(pack.faults.is_empty(), "{:?}", pack.faults);
     assert_eq!(pack.rules.len(), 5);
     pack
@@ -63,13 +52,7 @@ fn main() {
     // Back end: the pipeline's native/query phase split and VM effort.
     let mut best: Option<(f64, f64, f64, u64, u64)> = None;
     for run in 0..RUNS {
-        let report = assess_corpus(
-            &files,
-            AssessmentOptions {
-                rules: Some(Arc::new(compile_pack())),
-                ..AssessmentOptions::default()
-            },
-        );
+        let report = assess_corpus(&files, AssessmentOptions::default());
         let phase_ms = |name: &str| {
             report
                 .trace
@@ -85,8 +68,12 @@ fn main() {
         let native_ms = phase_ms("checks.native");
         let query_ms = phase_ms("checks.query");
         let steps = counter("query.vm.steps");
-        let diags =
-            report.diagnostics.iter().filter(|d| d.check_id.starts_with("q-")).count() as u64;
+        let bundled = &adsafe::query::bundled_rules().rules;
+        let diags = report
+            .diagnostics
+            .iter()
+            .filter(|d| bundled.iter().any(|r| r.id == d.check_id))
+            .count() as u64;
         eprintln!(
             "  run {}: {total_ms:.2} ms total, native {native_ms:.2} ms, \
              query {query_ms:.2} ms, {steps} VM steps, {diags} query findings",

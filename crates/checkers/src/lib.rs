@@ -29,7 +29,6 @@ pub mod diag;
 pub mod misra;
 pub mod misra_expr;
 pub mod naming;
-pub mod structure;
 pub mod style;
 pub mod typing;
 pub mod unit_design;
@@ -49,6 +48,16 @@ pub enum CheckScope {
     /// The rule reads cross-file state (`cx.graph`,
     /// `cx.global_names`) and must see the whole program at once.
     Program,
+}
+
+impl CheckScope {
+    /// `"file"` or `"program"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            CheckScope::File => "file",
+            CheckScope::Program => "program",
+        }
+    }
 }
 
 /// A static-analysis rule.
@@ -78,8 +87,6 @@ pub fn default_checks() -> Vec<Box<dyn Check>> {
     vec![
         // MISRA-style language subset
         Box::new(misra::GotoCheck),
-        Box::new(misra::MultiExitCheck),
-        Box::new(misra::RecursionCheck),
         Box::new(misra::DynamicMemoryCheck),
         Box::new(misra::CommaOperatorCheck),
         Box::new(misra::UnionCheck),
@@ -107,10 +114,6 @@ pub fn default_checks() -> Vec<Box<dyn Check>> {
         Box::new(naming::TypeNamingCheck),
         Box::new(naming::VariableNamingCheck),
         Box::new(naming::MacroNamingCheck),
-        // structural size (Table 3 rows 2-3)
-        Box::new(structure::FunctionLengthCheck),
-        Box::new(structure::NestingDepthCheck),
-        Box::new(structure::ParamCountCheck),
         // CUDA
         Box::new(cuda_rules::KernelPointerCheck),
         Box::new(cuda_rules::DeviceAllocBalanceCheck),
@@ -211,7 +214,7 @@ mod tests {
             .filter(|c| c.scope() == CheckScope::Program)
             .map(|c| c.id())
             .collect();
-        assert_eq!(program, ["misra-17.2-recursion", "design-global-use"]);
+        assert_eq!(program, ["design-global-use"]);
     }
 
     #[test]

@@ -51,80 +51,6 @@ impl Check for GotoCheck {
     }
 }
 
-/// MISRA 15.5: a function should have a single point of exit at the end.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MultiExitCheck;
-
-impl Check for MultiExitCheck {
-    fn id(&self) -> &'static str {
-        "misra-15.5-multi-exit"
-    }
-    fn description(&self) -> &'static str {
-        "functions shall have a single point of exit at the end"
-    }
-    fn iso_refs(&self) -> &'static [&'static str] {
-        &["Part6.Table8.Row1"]
-    }
-    fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for (e, f) in cx.functions() {
-            let m = adsafe_metrics::function_metrics(e.file, f);
-            if m.multi_exit {
-                out.push(
-                    Diagnostic::new(
-                        self.id(),
-                        Severity::Warning,
-                        f.sig.span,
-                        format!(
-                            "function `{}` has {} return statements / early exits",
-                            f.sig.name, m.return_count
-                        ),
-                    )
-                    .in_function(&f.sig.qualified_name),
-                );
-            }
-        }
-        out
-    }
-}
-
-/// MISRA 17.2: functions shall not call themselves, directly or indirectly.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RecursionCheck;
-
-impl Check for RecursionCheck {
-    fn id(&self) -> &'static str {
-        "misra-17.2-recursion"
-    }
-    fn description(&self) -> &'static str {
-        "no direct or indirect recursion"
-    }
-    fn iso_refs(&self) -> &'static [&'static str] {
-        &["Part6.Table8.Row10"]
-    }
-    fn scope(&self) -> crate::CheckScope {
-        crate::CheckScope::Program
-    }
-    fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        let recursive = cx.graph.recursive_functions();
-        let mut out = Vec::new();
-        for (_, f) in cx.functions() {
-            if recursive.contains(&f.sig.qualified_name) {
-                out.push(
-                    Diagnostic::new(
-                        self.id(),
-                        Severity::Violation,
-                        f.sig.span,
-                        format!("function `{}` participates in recursion", f.sig.name),
-                    )
-                    .in_function(&f.sig.qualified_name),
-                );
-            }
-        }
-        out
-    }
-}
-
 /// MISRA 21.3 / ISO 26262-6 Table 8 row 2: no dynamic memory after init.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DynamicMemoryCheck;
@@ -439,22 +365,6 @@ mod tests {
     #[test]
     fn goto_free_clean() {
         assert!(diags_for(&GotoCheck, "void f() { return; }").is_empty());
-    }
-
-    #[test]
-    fn multi_exit_flagged() {
-        let d = diags_for(&MultiExitCheck, "int f(int x) { if (x) return 1; return 0; }");
-        assert_eq!(d.len(), 1);
-        assert!(diags_for(&MultiExitCheck, "int f(int x) { return x; }").is_empty());
-    }
-
-    #[test]
-    fn recursion_flagged() {
-        let d = diags_for(
-            &RecursionCheck,
-            "int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }",
-        );
-        assert_eq!(d.len(), 1);
     }
 
     #[test]

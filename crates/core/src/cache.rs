@@ -10,10 +10,11 @@
 //! (e.g. the expected include-guard macro).
 //!
 //! The whole cache carries a *fingerprint* in `meta.json`: a hash over
-//! every registered rule id and description, the crate version, and the
-//! facts schema tag. When the fingerprint of the running binary differs
-//! — a rule was added, reworded, or the schema changed — the directory
-//! is wiped and rebuilt rather than partially trusted.
+//! every native rule id and description, the bundled query pack's text,
+//! the crate version, and the facts schema tag. When the fingerprint of
+//! the running binary differs — a rule was added, reworded, or
+//! re-thresholded, or the schema changed — the directory is wiped and
+//! rebuilt rather than partially trusted.
 //!
 //! ## Fault behaviour
 //!
@@ -91,10 +92,16 @@ pub fn content_hash(path: &str, text: &str) -> u64 {
     fnv1a(h, text.as_bytes())
 }
 
-/// Fingerprint of the analysing build: rule set, crate version, facts
-/// schema. Two builds with equal fingerprints produce interchangeable
-/// facts records.
+/// Fingerprint of the analysing build: the rules that run (natives and
+/// the bundled pack), crate version, facts schema. Two builds with equal
+/// fingerprints produce interchangeable facts records.
 pub fn ruleset_fingerprint() -> String {
+    fingerprint_with(adsafe_query::BUILTIN_PACK)
+}
+
+/// [`ruleset_fingerprint`] with `bundled` standing in for the bundled
+/// pack's source text.
+fn fingerprint_with(bundled: &str) -> String {
     let mut h = FNV_OFFSET;
     for c in adsafe_checkers::default_checks() {
         h = fnv1a(h, c.id().as_bytes());
@@ -102,6 +109,8 @@ pub fn ruleset_fingerprint() -> String {
         h = fnv1a(h, c.description().as_bytes());
         h = fnv1a(h, b"\n");
     }
+    h = fnv1a(h, bundled.as_bytes());
+    h = fnv1a(h, &[0]);
     h = fnv1a(h, env!("CARGO_PKG_VERSION").as_bytes());
     h = fnv1a(h, &[0]);
     h = fnv1a(h, FACTS_SCHEMA.as_bytes());
@@ -360,6 +369,56 @@ mod tests {
         let cache2 = FactsCache::open(&dir);
         assert!(matches!(cache2.load(h, FileId(0)), CacheLookup::Miss));
         // meta.json was rewritten with the current fingerprint.
+        let meta = fs::read_to_string(dir.join("meta.json")).unwrap();
+        assert!(meta.contains(&ruleset_fingerprint()));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fingerprint_covers_the_bundled_rule_text() {
+        assert_eq!(fingerprint_with(adsafe_query::BUILTIN_PACK), ruleset_fingerprint());
+        let retuned = adsafe_query::BUILTIN_PACK.replace("nloc > 100", "nloc > 120");
+        assert_ne!(retuned, adsafe_query::BUILTIN_PACK);
+        assert_ne!(fingerprint_with(&retuned), ruleset_fingerprint());
+    }
+
+    /// A cache written by the build that still ran the five rules as
+    /// native checkers: its entry replays a native `misra-15.5-multi-exit`
+    /// finding. The fingerprint differs, so the directory is wiped on
+    /// open and the run carries exactly one finding per multi-exit
+    /// function — never the replayed copy next to the query's.
+    #[test]
+    fn native_twin_cache_is_wiped_not_replayed() {
+        const SRC: &str = "int f(int x) {\n  if (x) return 1;\n  return 0;\n}\n";
+        const PARENT_META: &str =
+            "{\"schema\":\"adsafe-cache/1\",\"fingerprint\":\"6e91dc5a2e42952f\"}";
+        const PARENT_ENTRY: &str = r#"{"schema":"adsafe-facts/1","recovery":0,"loc":[4,4,0,0,0],"implicit":0,"globals":[],"functions":[{"name":"f","qual":"f","cc":2,"nloc":4,"params":1,"nest":1,"returns":2,"multi":true,"goto":0,"stmts":3,"gpu":false,"sig":[0,12],"callees":[],"idents":["x"],"unres":[],"uninit":0,"shadow":0,"ptr":0,"dyn":0,"opaque":0,"kernel":false,"kptr":0,"alloc":0,"named":true,"validates":true}],"diags":[["misra-15.5-multi-exit","warning",0,12,"function `f` has 2 return statements / early exits","f"]]}"#;
+        let dir = temp_dir("native-twin");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("meta.json"), PARENT_META).unwrap();
+        let entry = dir.join(format!("{:016x}.json", content_hash("m/a.cc", SRC)));
+        fs::write(&entry, PARENT_ENTRY).unwrap();
+        assert_ne!(ruleset_fingerprint(), "6e91dc5a2e42952f");
+
+        let run = || {
+            let mut a = crate::Assessment::new().with_options(crate::AssessmentOptions {
+                cache_dir: Some(dir.clone()),
+                ..crate::AssessmentOptions::default()
+            });
+            a.add_file("m", "m/a.cc", SRC);
+            a.run()
+        };
+        for pass in ["wiped", "warm"] {
+            let report = run();
+            // A replayed entry naming a retired native id would surface
+            // as a corrupt-entry fault; a wiped cache leaves none.
+            assert!(report.faults.is_empty(), "{pass}: {:?}", report.faults);
+            let multi = report.diagnostics_for("misra-15.5-multi-exit");
+            assert_eq!(multi.len(), 1, "{pass}: {multi:?}");
+            assert_eq!(multi[0].function.as_deref(), Some("f"));
+            let stored = fs::read_to_string(&entry).unwrap();
+            assert!(!stored.contains("misra-15.5-multi-exit"), "{pass}: {stored}");
+        }
         let meta = fs::read_to_string(dir.join("meta.json")).unwrap();
         assert!(meta.contains(&ruleset_fingerprint()));
         let _ = fs::remove_dir_all(&dir);

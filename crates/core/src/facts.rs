@@ -4,8 +4,8 @@
 //! [`FileFacts`] is the unit of incrementality. For a *fresh* file the
 //! pipeline parses it and calls [`extract_facts`]; for a *cached* file
 //! it deserialises the same record from `.adsafe-cache/` and skips the
-//! parse entirely. Everything cross-file — the call graph, recursion
-//! and global-use diagnostics, module metrics, the ISO 26262-6 Table 8
+//! parse entirely. Everything cross-file — the call graph, global-use
+//! diagnostics, query-rule rows, module metrics, the ISO 26262-6 Table 8
 //! unit statistics, the validation ratio, GPU evidence — is *always*
 //! recomputed from facts records, for fresh and cached files alike,
 //! through the `*_from_facts` functions below. Fresh and warm runs
@@ -191,29 +191,6 @@ pub fn global_names(records: &[FactsRecord<'_>]) -> HashSet<String> {
         .iter()
         .flat_map(|(_, _, facts)| facts.globals.iter().map(|g| g.name.clone()))
         .collect()
-}
-
-/// `misra-17.2-recursion` diagnostics from facts — same order and
-/// content as `RecursionCheck::run` over the whole-program context.
-pub fn recursion_diags(records: &[FactsRecord<'_>], graph: &CallGraph) -> Vec<Diagnostic> {
-    let recursive = graph.recursive_functions();
-    let mut out = Vec::new();
-    for (id, _, facts) in records {
-        for f in &facts.functions {
-            if recursive.contains(&f.metrics.qualified_name) {
-                out.push(
-                    Diagnostic::new(
-                        "misra-17.2-recursion",
-                        Severity::Violation,
-                        Span::new(*id, f.sig_start, f.sig_end),
-                        format!("function `{}` participates in recursion", f.metrics.name),
-                    )
-                    .in_function(&f.metrics.qualified_name),
-                );
-            }
-        }
-    }
-    out
 }
 
 /// `design-global-use` diagnostics from facts — same order and content
@@ -740,7 +717,6 @@ mod tests {
             }
             let expected = check.run(&cx);
             let got = match check.id() {
-                "misra-17.2-recursion" => recursion_diags(&recs, &cx.graph),
                 "design-global-use" => global_use_diags(&recs, &cx.global_names),
                 other => panic!("unexpected program-scoped rule {other}"),
             };

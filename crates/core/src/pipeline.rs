@@ -24,9 +24,10 @@
 //! ## Parallelism and incrementality
 //!
 //! The parse and metrics phases parallelise per file / per module, and
-//! the checks phase shards per (rule × file), on the work-stealing
-//! [`Pool`] ([`AssessmentOptions::jobs`]; the default of 1 runs
-//! everything inline on the caller thread). With
+//! the checks phase shards native rules per (rule × file), on the
+//! work-stealing [`Pool`] ([`AssessmentOptions::jobs`]; the default of
+//! 1 runs everything inline on the caller thread). Query rules run in
+//! one facts-row pass per file on the caller thread. With
 //! [`AssessmentOptions::cache_dir`] set, per-file
 //! [`FileFacts`](crate::facts::FileFacts) records are reused across
 //! runs keyed by content hash, skipping parse, file-local checks, and
@@ -141,10 +142,13 @@ pub struct AssessmentOptions {
     /// every fault record, and the report. Empty (the default) means
     /// the run has no ledger identity; nothing references it.
     pub run_id: String,
-    /// Query rules to evaluate alongside the native set. `None` (the
-    /// default) skips the query pass entirely. Query diagnostics join
-    /// the report but never the facts cache, and never feed compliance
-    /// evidence (which counts native ids only).
+    /// A user rule pack, evaluated after the native set and the bundled
+    /// pack. `None` (the default) runs those two alone. The bundled
+    /// rules feed compliance evidence like native ones do; a user pack
+    /// cannot take a native or bundled id (see
+    /// [`crate::query::load_rule_pack`]), so its findings join the
+    /// report without moving a verdict. No query finding enters the
+    /// facts cache.
     pub rules: Option<std::sync::Arc<adsafe_query::RulePack>>,
 }
 
@@ -443,15 +447,18 @@ impl Assessment {
         let graph = facts::call_graph(&records);
         let globals = facts::global_names(&records);
         let checks = default_checks();
+        let query_rules: Vec<&adsafe_query::CompiledRule> =
+            crate::query::query_rules(self.options.rules.as_deref()).collect();
         let deadline = PhaseDeadline::new(&budgets);
         let mut skipped: HashSet<&'static str> = HashSet::new();
         let mut deadline_cut = false;
-        for c in &checks {
+        let rule_ids = checks.iter().map(|c| c.id()).chain(query_rules.iter().map(|r| r.id));
+        for id in rule_ids {
             if !deadline_cut && deadline.exceeded() {
                 deadline_cut = true;
                 log.push(Fault {
                     phase: FaultPhase::Checks,
-                    path: c.id().to_string(),
+                    path: id.to_string(),
                     severity: FaultSeverity::Degraded,
                     cause: FaultCause::DeadlineExceeded { budget_ms: budgets.budget_ms() },
                     recovery: Recovery::SkippedItem,
@@ -459,22 +466,22 @@ impl Assessment {
                 });
             }
             if deadline_cut {
-                skipped.insert(c.id());
+                skipped.insert(id);
                 continue;
             }
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
                 failpoints::hit("pipeline::check");
-                failpoints::hit(&format!("pipeline::check::{}", c.id()));
+                failpoints::hit(&format!("pipeline::check::{id}"));
             })) {
                 log.push(Fault {
                     phase: FaultPhase::Checks,
-                    path: c.id().to_string(),
+                    path: id.to_string(),
                     severity: FaultSeverity::Degraded,
                     cause: classify_panic(&panic_message(&*payload)),
                     recovery: Recovery::SkippedItem,
                     run_id: String::new(),
                 });
-                skipped.insert(c.id());
+                skipped.insert(id);
             }
         }
 
@@ -575,10 +582,10 @@ impl Assessment {
             }
         }
 
-        // Program-scoped rules run once, from facts, on the caller
-        // thread — they need the whole program, not a shard. The set is
-        // pinned by a test in adsafe-checkers; a future program-scoped
-        // rule must be given a facts replay here.
+        // Program-scoped native rules run once, from facts, on the
+        // caller thread — they need the whole program, not a shard. The
+        // set is pinned by a test in adsafe-checkers; a future
+        // program-scoped rule must be given a facts replay here.
         for c in &checks {
             if c.scope() != CheckScope::Program || skipped.contains(c.id()) {
                 continue;
@@ -586,7 +593,6 @@ impl Assessment {
             let id = c.id();
             let _sp = adsafe_trace::span(format!("check.{id}"), "checks");
             let result = catch_unwind(AssertUnwindSafe(|| match id {
-                "misra-17.2-recursion" => facts::recursion_diags(&records, &graph),
                 "design-global-use" => facts::global_use_diags(&records, &globals),
                 _ => Vec::new(),
             }));
@@ -620,109 +626,45 @@ impl Assessment {
         drop(native_span);
 
         // Query rules, evaluated from facts — fresh and cached files
-        // alike, no reparse. File-scope rules shard (rule × file) over
-        // the pool exactly like native rules; program-scope rules (the
-        // ones touching `recursive`) run once on the caller thread over
-        // all records. Query diagnostics join the report but never the
-        // cache write-back buckets and never compliance evidence.
+        // alike, no reparse — in one pass per file that builds each
+        // selector's rows once and runs every non-gated rule over them.
+        // The pass runs on the caller thread: it is cheap (≈8 ms for the
+        // bundled pack over the paper-scale corpus), and one more round
+        // of scoped pool threads per run made the allocator open fresh
+        // arenas, raising a repeated cold run's peak RSS by ~100 MB.
+        // Query diagnostics join the report and the evidence, but never
+        // the cache write-back buckets: they are recomputed every run.
         let query_span = adsafe_trace::span("phase.checks.query", "phase");
-        if let Some(pack) = self.options.rules.as_deref().filter(|p| !p.rules.is_empty()) {
-            let file_rules: Vec<&adsafe_query::CompiledRule> = pack
-                .rules
-                .iter()
-                .filter(|r| r.scope == CheckScope::File)
-                .collect();
-            let qtasks: Vec<(usize, usize)> = file_rules
-                .iter()
-                .enumerate()
-                .flat_map(|(qi, _)| (0..loaded.len()).map(move |li| (qi, li)))
-                .collect();
-            let qresults = pool.map(qtasks.clone(), |_, (qi, li)| {
-                let rule = file_rules[qi];
-                let l = &loaded[li];
-                let _sp = adsafe_trace::span(format!("check.{}", rule.id), "checks");
-                let t0 = adsafe_trace::now_us();
-                let rows = crate::query::rows_from_facts(
-                    rule.selector,
-                    l.id,
-                    &self.files[l.file_idx].module,
-                    &l.facts,
-                    &[],
-                );
-                let (diags, steps) = rule.eval_rows(&rows);
-                adsafe_trace::counter("query.vm.steps").add(steps);
-                adsafe_trace::histogram(&adsafe_trace::labeled(
-                    "checks.query",
-                    &[("rule", rule.id)],
-                ))
-                .record(adsafe_trace::now_us().saturating_sub(t0));
-                diags
-            });
-            let mut per_rule: HashMap<&'static str, u64> = HashMap::new();
-            for (&(qi, li), res) in qtasks.iter().zip(&qresults) {
-                match res {
-                    Ok(diags) => {
-                        *per_rule.entry(file_rules[qi].id).or_default() += diags.len() as u64;
-                        diagnostics.extend(diags.iter().cloned());
-                    }
-                    Err(payload) => log.push(Fault {
-                        phase: FaultPhase::Checks,
-                        path: format!(
-                            "{} on {}",
-                            file_rules[qi].id, self.files[loaded[li].file_idx].path
-                        ),
-                        severity: FaultSeverity::Degraded,
-                        cause: classify_panic(&panic_message(&**payload)),
-                        recovery: Recovery::SkippedItem,
-                        run_id: String::new(),
-                    }),
-                }
-            }
-            for rule in pack.rules.iter().filter(|r| r.scope == CheckScope::Program) {
-                let _sp = adsafe_trace::span(format!("check.{}", rule.id), "checks");
-                let t0 = adsafe_trace::now_us();
-                let recursive = graph.recursive_functions();
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let mut diags = Vec::new();
-                    let mut steps = 0u64;
-                    for l in &loaded {
-                        let rows = crate::query::rows_from_facts(
-                            rule.selector,
-                            l.id,
-                            &self.files[l.file_idx].module,
-                            &l.facts,
-                            &recursive,
-                        );
-                        let (d, s) = rule.eval_rows(&rows);
-                        diags.extend(d);
-                        steps += s;
-                    }
-                    (diags, steps)
-                }));
-                match result {
+        let recursive = graph.recursive_functions();
+        let live: Vec<&adsafe_query::CompiledRule> =
+            query_rules.into_iter().filter(|r| !skipped.contains(r.id)).collect();
+        let mut per_rule = vec![0u64; live.len()];
+        let mut steps_total = 0u64;
+        for l in &loaded {
+            let file = &self.files[l.file_idx];
+            let outcomes =
+                crate::query::eval_file(&live, l.id, &file.module, &l.facts, &recursive);
+            for (qi, outcome) in outcomes.into_iter().enumerate() {
+                match outcome {
                     Ok((diags, steps)) => {
-                        adsafe_trace::counter("query.vm.steps").add(steps);
-                        *per_rule.entry(rule.id).or_default() += diags.len() as u64;
+                        steps_total += steps;
+                        per_rule[qi] += diags.len() as u64;
                         diagnostics.extend(diags);
                     }
-                    Err(payload) => log.push(Fault {
+                    Err(msg) => log.push(Fault {
                         phase: FaultPhase::Checks,
-                        path: rule.id.to_string(),
+                        path: format!("{} on {}", live[qi].id, file.path),
                         severity: FaultSeverity::Degraded,
-                        cause: classify_panic(&panic_message(&*payload)),
+                        cause: classify_panic(&msg),
                         recovery: Recovery::SkippedItem,
                         run_id: String::new(),
                     }),
                 }
-                adsafe_trace::histogram(&adsafe_trace::labeled(
-                    "checks.query",
-                    &[("rule", rule.id)],
-                ))
-                .record(adsafe_trace::now_us().saturating_sub(t0));
             }
-            for (id, n) in per_rule {
-                adsafe_trace::counter(&format!("checks.rule.{id}.diags")).add(n);
-            }
+        }
+        adsafe_trace::counter("query.vm.steps").add(steps_total);
+        for (rule, n) in live.iter().zip(per_rule) {
+            adsafe_trace::counter(&format!("checks.rule.{}.diags", rule.id)).add(n);
         }
         drop(query_span);
 

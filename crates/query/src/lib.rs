@@ -16,18 +16,18 @@
 //! rule never takes down its neighbours), typechecked against the facts
 //! schema ([`schema`], [`typeck`]), and lowered ([`compile`]) to a
 //! compact forward-jump register bytecode ([`bytecode`]) evaluated by a
-//! defensive VM ([`vm`]) over per-file fact rows ([`rows`]). File-scope
-//! queries shard across the worker pool exactly like native rules;
-//! queries touching program-scope facts (`recursive`) lower to a
-//! whole-program pass. [`rule::QueryRule`] adapts a compiled rule to
-//! the native `Check` trait, and [`rule::RulePack`] loads packs with
-//! per-rule fault containment.
+//! defensive VM ([`vm`]) over per-file fact rows laid out by [`rows`].
+//! Rules touching program-scope facts (`recursive`) are marked
+//! program-scoped; every other rule is file-scoped. [`rule::RulePack`]
+//! loads packs with per-rule fault containment.
+//!
+//! Rules are data: the bundled pack ([`BUILTIN_PACK`]) carries five
+//! rules of the default set, and the `adsafe` pipeline evaluates it and
+//! any user pack in one facts-row pass per file.
 //!
 //! Determinism contract: compilation is pure, evaluation is pure over
 //! the row set, rows derive from facts in file order — so query
-//! diagnostics are byte-stable across worker counts and cache states,
-//! and the bundled pack ([`rule::RulePack::builtin`]) is CI-gated to
-//! stay byte-identical with the native rules it mirrors.
+//! diagnostics are byte-stable across worker counts and cache states.
 
 #![warn(missing_docs)]
 
@@ -45,8 +45,8 @@ pub mod vm;
 pub use ast::{RuleDecl, Selector, SeverityKw};
 pub use bytecode::Program;
 pub use parser::{parse_pack, ParseError};
-pub use rows::{rows_from_context, FileRow, FunctionRow, GlobalRow};
-pub use rule::{intern_static, CompiledRule, PackFault, QueryRule, RulePack, BUILTIN_PACK};
+pub use rows::{FileRow, FunctionRow, GlobalRow};
+pub use rule::{intern_static, CompiledRule, PackFault, RulePack, BUILTIN_PACK};
 pub use vm::{Row, Value};
 
 /// Pretty-prints a pack of rule declarations in canonical form.

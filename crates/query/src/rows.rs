@@ -1,20 +1,15 @@
-//! Row builders: the single place that maps facts onto the schema's
+//! Row layouts: the single place that maps facts onto the schema's
 //! positional layout.
 //!
-//! Two embedders feed the VM. The parallel pipeline in `adsafe-core`
-//! builds rows from cached-or-fresh `FileFacts` records (so query rules
-//! cover cached files without reparsing), and [`rows_from_context`]
-//! builds the *same* rows from a live [`CheckContext`] for the
-//! standalone `Check`-trait path (`adsafe rules check`, tests). Both go
-//! through the named-field structs below — field order is fixed by
-//! `into_row`, so the two paths cannot drift on layout, and a parity
-//! test pins that they cannot drift on values either.
+//! The only row builder, `rows_from_facts` in `adsafe-core`, fills the
+//! named-field structs below from cached-or-fresh `FileFacts` records,
+//! so query rules cover cached files without reparsing. Field order is
+//! fixed by `into_row`, and [`layout_matches_schema`] pins it against
+//! the schema tables.
 
 use crate::ast::Selector;
 use crate::schema::{self, Ty};
 use crate::vm::{Row, Value};
-use adsafe_checkers::{Check as _, CheckContext};
-use adsafe_lang::ast::Storage;
 use adsafe_lang::Span;
 
 /// One `function` row, by name. See [`crate::schema::FUNCTION_FIELDS`].
@@ -186,99 +181,6 @@ impl FileRow<'_> {
     }
 }
 
-/// Builds rows for `selector` from a live [`CheckContext`] — the AST
-/// path. Mirrors `extract_facts` in `adsafe-core` helper-for-helper so
-/// it agrees with the facts path on every value.
-pub fn rows_from_context(selector: Selector, cx: &CheckContext<'_>) -> Vec<Row> {
-    match selector {
-        Selector::Function => {
-            let recursive = cx.graph.recursive_functions();
-            cx.functions()
-                .map(|(e, f)| {
-                    let m = adsafe_metrics::function_metrics(e.file, f);
-                    let unit = adsafe_checkers::unit_design::function_unit_facts(f);
-                    let val = adsafe_checkers::defensive::validation_facts(f);
-                    FunctionRow {
-                        name: &m.name,
-                        qualified: &m.qualified_name,
-                        module: e.module,
-                        cc: m.cyclomatic,
-                        nloc: m.nloc,
-                        params: m.param_count,
-                        nesting: m.max_nesting,
-                        returns: m.return_count,
-                        multi_exit: m.multi_exit,
-                        gotos: m.goto_count,
-                        stmts: m.stmt_count,
-                        is_gpu: m.is_gpu,
-                        is_kernel: f.sig.quals.cuda_global,
-                        ptr_params: f
-                            .sig
-                            .params
-                            .iter()
-                            .filter(|p| p.ty.is_pointer_like())
-                            .count(),
-                        alloc_calls: adsafe_lang::cuda::profile_function(f).alloc_calls(),
-                        uninit_reads: unit.maybe_uninit_reads,
-                        shadowed: unit.shadowed_declarations,
-                        pointer_uses: unit.pointer_uses,
-                        alloc_sites: unit.dynamic_alloc_sites,
-                        opaque_stmts: unit.opaque_stmts,
-                        has_named_params: val.has_named_params,
-                        validates: val.validates,
-                        recursive: recursive.contains(&m.qualified_name),
-                        span: f.sig.span,
-                    }
-                    .into_row()
-                })
-                .collect()
-        }
-        Selector::Global => cx
-            .entries
-            .iter()
-            .flat_map(|e| {
-                e.unit.global_vars().into_iter().map(|g| {
-                    GlobalRow {
-                        name: &g.name,
-                        module: e.module,
-                        is_const: g.ty.is_const,
-                        is_extern: g.storage == Storage::Extern,
-                        span: Span::new(e.file.id(), 0, 0),
-                    }
-                    .into_row()
-                })
-            })
-            .collect(),
-        Selector::File => cx
-            .entries
-            .iter()
-            .map(|e| {
-                let loc = adsafe_metrics::count_file(e.file);
-                let implicit = adsafe_checkers::typing::ImplicitConversionCheck
-                    .run(&CheckContext::file_local(
-                        cx.sm,
-                        adsafe_checkers::FileEntry { file: e.file, unit: e.unit, module: "" },
-                    ))
-                    .len();
-                FileRow {
-                    module: e.module,
-                    physical: loc.physical,
-                    nloc: loc.nloc,
-                    comment: loc.comment,
-                    blank: loc.blank,
-                    directive: loc.directive,
-                    recovery: e.unit.recovery_count,
-                    implicit_conversions: implicit,
-                    functions: e.unit.functions().len(),
-                    globals: e.unit.global_vars().len(),
-                    span: Span::new(e.file.id(), 0, 0),
-                }
-                .into_row()
-            })
-            .collect(),
-    }
-}
-
 /// Pins row layout against the schema tables: every builder emits
 /// exactly the declared fields, in order, with the declared types.
 pub fn layout_matches_schema(selector: Selector, row: &Row) -> Result<(), String> {
@@ -302,62 +204,4 @@ pub fn layout_matches_schema(selector: Selector, row: &Row) -> Result<(), String
         }
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use adsafe_checkers::AnalysisSet;
-
-    const SRC: &str = "\
-const int kLimit = 10;\n\
-int shared_state;\n\
-__global__ void kern(float* p) { p[0] = 1.0f; }\n\
-int twice(int x) { if (x > 0) { return 2 * x; } return 0; }\n";
-
-    #[test]
-    fn every_selector_matches_its_schema_layout() {
-        let mut set = AnalysisSet::new();
-        set.add("demo", "demo.cu", SRC);
-        let cx = set.context();
-        for sel in [Selector::Function, Selector::Global, Selector::File] {
-            let rows = rows_from_context(sel, &cx);
-            assert!(!rows.is_empty(), "{sel:?}");
-            for row in &rows {
-                layout_matches_schema(sel, row).unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn function_rows_carry_metrics_and_anchors() {
-        let mut set = AnalysisSet::new();
-        set.add("demo", "demo.cu", SRC);
-        let cx = set.context();
-        let rows = rows_from_context(Selector::Function, &cx);
-        let twice = rows
-            .iter()
-            .find(|r| r.vals[0] == Value::Str("twice".into()))
-            .expect("twice present");
-        assert_eq!(twice.vals[7], Value::Int(2), "two returns");
-        assert_eq!(twice.vals[8], Value::Bool(true), "multi-exit");
-        assert!(twice.function.is_some());
-        let kern = rows
-            .iter()
-            .find(|r| r.vals[0] == Value::Str("kern".into()))
-            .expect("kernel present");
-        assert_eq!(kern.vals[12], Value::Bool(true), "is_kernel");
-    }
-
-    #[test]
-    fn global_rows_see_constness() {
-        let mut set = AnalysisSet::new();
-        set.add("demo", "demo.cu", SRC);
-        let cx = set.context();
-        let rows = rows_from_context(Selector::Global, &cx);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].vals[0], Value::Str("kLimit".into()));
-        assert_eq!(rows[0].vals[2], Value::Bool(true));
-        assert_eq!(rows[1].vals[2], Value::Bool(false));
-    }
 }

@@ -1,8 +1,7 @@
-//! Compiled rules, rule packs, and the [`Check`]-trait adapter.
+//! Compiled rules and rule packs.
 //!
 //! A [`CompiledRule`] is a fully lowered query: interned `'static` id
-//! (the `Check` trait and `Diagnostic` both demand `&'static str`
-//! check ids), severity, ISO refs, bytecode predicate, and message
+//! (`Diagnostic` demands a `&'static str` check id), severity, ISO refs, bytecode predicate, and message
 //! template. [`RulePack::from_sources`] turns `.aq` source files into
 //! rules with *containment* semantics: every malformed rule, type
 //! error, or duplicate id becomes a [`PackFault`] naming file and
@@ -13,15 +12,14 @@ use crate::ast::{RuleDecl, Selector, SeverityKw};
 use crate::bytecode::Program;
 use crate::compile::compile_predicate;
 use crate::parser::parse_pack;
-use crate::rows::rows_from_context;
 use crate::typeck::{self, TemplatePart};
 use crate::vm::{self, Row};
-use adsafe_checkers::{Check, CheckContext, CheckScope, Diagnostic, Severity};
+use adsafe_checkers::{CheckScope, Diagnostic, Severity};
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
 
 /// Interns a string into the process-lifetime pool, so query rules can
-/// satisfy the `&'static str` ids the `Check` trait requires. The pool
+/// satisfy the `&'static str` ids diagnostics require. The pool
 /// deduplicates, so repeated pack loads (e.g. one per daemon request)
 /// leak each distinct id/description at most once.
 pub fn intern_static(s: &str) -> &'static str {
@@ -140,9 +138,9 @@ impl RulePack {
     }
 
     /// Loads rules from `(label, source)` pairs in order. `reserved`
-    /// ids (the native rule set) and ids already claimed by an earlier
-    /// rule are rejected per rule, with a fault, so a pack can never
-    /// shadow a native rule or double-count a query rule.
+    /// ids (the native and bundled rule sets) and ids already claimed by
+    /// an earlier rule are rejected per rule, with a fault, so a pack
+    /// can never shadow a default rule or double-count a query rule.
     pub fn from_sources(sources: &[(String, String)], reserved: &[&str]) -> Self {
         let mut pack = RulePack::empty();
         let mut taken: HashSet<String> =
@@ -158,13 +156,13 @@ impl RulePack {
             }
             for decl in decls {
                 if taken.contains(&decl.id) {
-                    let native = reserved.contains(&decl.id.as_str());
+                    let built_in = reserved.contains(&decl.id.as_str());
                     pack.faults.push(PackFault {
                         file: label.clone(),
                         line: decl.line,
-                        detail: if native {
+                        detail: if built_in {
                             format!(
-                                "rule id `{}` collides with a native rule; skipped",
+                                "rule id `{}` collides with a built-in rule; skipped",
                                 decl.id
                             )
                         } else {
@@ -189,11 +187,9 @@ impl RulePack {
         pack
     }
 
-    /// The bundled pack: native rules re-expressed as queries, used by
-    /// the CI parity gate. Loaded with no reserved ids — it *must*
-    /// collide with the natives, that is its job — so it is only ever
-    /// evaluated standalone (`adsafe rules check`), never inside an
-    /// assessment next to the native set.
+    /// The bundled pack: rules of the default set written as queries.
+    /// Loaded with no reserved ids — its ids are the ones reserved
+    /// against user packs.
     pub fn builtin() -> Self {
         let pack = RulePack::from_sources(
             &[("<builtin>".to_string(), BUILTIN_PACK.to_string())],
@@ -204,49 +200,12 @@ impl RulePack {
     }
 }
 
-/// Source of the bundled parity pack.
+/// Source of the bundled pack.
 pub const BUILTIN_PACK: &str = include_str!("../rules/builtin.aq");
-
-/// [`Check`]-trait adapter: a compiled query rule that slots into the
-/// native rule machinery (contexts, sharding, `rules list` ordering).
-#[derive(Debug, Clone)]
-pub struct QueryRule(pub CompiledRule);
-
-impl Check for QueryRule {
-    fn id(&self) -> &'static str {
-        self.0.id
-    }
-
-    fn description(&self) -> &'static str {
-        self.0.desc
-    }
-
-    fn iso_refs(&self) -> &'static [&'static str] {
-        self.0.iso
-    }
-
-    fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        let t0 = adsafe_trace::now_us();
-        let rows = rows_from_context(self.0.selector, cx);
-        let (diags, steps) = self.0.eval_rows(&rows);
-        adsafe_trace::counter("query.vm.steps").add(steps);
-        adsafe_trace::histogram(&adsafe_trace::labeled(
-            "checks.query",
-            &[("rule", self.0.id)],
-        ))
-        .record(adsafe_trace::now_us().saturating_sub(t0));
-        diags
-    }
-
-    fn scope(&self) -> CheckScope {
-        self.0.scope
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adsafe_checkers::AnalysisSet;
 
     #[test]
     fn interning_dedupes_and_outlives() {
@@ -270,7 +229,7 @@ mod tests {
                 "structure-param-count",
             ]
         );
-        // Recursion is the program-scope demonstration; the rest shard.
+        // Recursion reads the call graph; the rest are file-scoped.
         for r in &pack.rules {
             let want = if r.id == "misra-17.2-recursion" {
                 CheckScope::Program
@@ -295,7 +254,7 @@ mod tests {
         assert_eq!(pack.rules.len(), 1);
         assert_eq!(pack.rules[0].id, "fresh");
         assert_eq!(pack.faults.len(), 2);
-        assert!(pack.faults[0].detail.contains("collides with a native rule"));
+        assert!(pack.faults[0].detail.contains("collides with a built-in rule"));
         assert!(pack.faults[1].detail.contains("duplicate rule id"));
         assert_eq!(pack.faults[1].line, 3);
     }
@@ -308,35 +267,5 @@ mod tests {
         assert_eq!(pack.rules.len(), 1);
         assert_eq!(pack.faults.len(), 1);
         assert!(pack.faults[0].detail.contains("bad-type"));
-    }
-
-    #[test]
-    fn query_rule_runs_through_the_check_trait() {
-        let pack = RulePack::from_sources(
-            &[(
-                "p.aq".to_string(),
-                "rule \"q-multi-exit\" { desc \"d\" iso t8r1 function where multi_exit \
-                 -> warn \"function `{name}` has {returns} return statements / early exits\" }"
-                    .to_string(),
-            )],
-            &[],
-        );
-        assert!(pack.faults.is_empty(), "{:?}", pack.faults);
-        let rule = QueryRule(pack.rules[0].clone());
-        let mut set = AnalysisSet::new();
-        set.add(
-            "demo",
-            "demo.cc",
-            "int f(int x) { if (x > 0) { return 1; } return 0; }\nint g() { return 7; }\n",
-        );
-        let cx = set.context();
-        let diags = rule.run(&cx);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].check_id, "q-multi-exit");
-        assert_eq!(
-            diags[0].message,
-            "function `f` has 2 return statements / early exits"
-        );
-        assert_eq!(diags[0].function.as_deref(), Some("f"));
     }
 }

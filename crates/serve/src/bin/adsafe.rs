@@ -17,8 +17,8 @@
 //! adsafe history [<dir>] [--last N] [--cache-dir PATH]  # run ledger
 //! adsafe diff [<dir>] <run-a> <run-b> [--cache-dir PATH] # drift gate
 //! adsafe check <file> [<file>...]          # rule findings only
-//! adsafe rules list|explain <id>|check <dir> [--rules PATH] [--builtin]
-//!              [--native] [--only ID]      # rule inventory & query packs
+//! adsafe rules list|explain <id>|check <dir> [--rules PATH] [--only ID]
+//!                                          # rule inventory & query packs
 //! adsafe gen --out DIR [--loc N] [--seed S] # synthetic Apollo-shaped corpus
 //! adsafe tables                            # print the Part-6 tables
 //! adsafe trace-compare <baseline> <current> # perf regression gate
@@ -142,7 +142,7 @@ fn main() {
                  adsafe history [<dir>] [--last N] [--cache-dir PATH]\n  \
                  adsafe diff [<dir>] <run-a> <run-b> [--cache-dir PATH]\n  \
                  adsafe check <file> [<file>...]\n  \
-                 adsafe rules list|explain <id>|check <dir> [--rules PATH] [--builtin] [--native] [--only ID]\n  \
+                 adsafe rules list|explain <id>|check <dir> [--rules PATH] [--only ID]\n  \
                  adsafe gen --out DIR [--loc N] [--seed S]\n  adsafe tables\n  \
                  adsafe trace-compare <baseline.json> <current.json>",
                 "", "", "", "", "", ""
@@ -1136,19 +1136,10 @@ fn cmd_check(args: &[String]) -> i32 {
     }
 }
 
-/// Loads the query-rule pack selected by the `rules` subcommand flags:
-/// `--builtin` picks the bundled parity pack (which reuses native ids
-/// and therefore never mixes with native rules), `--rules PATH` loads
-/// a pack file or a directory of `*.aq` files, and with neither the
+/// Loads the user rule pack for the `rules` subcommands: `--rules PATH`
+/// loads a pack file or a directory of `*.aq` files; without it the
 /// `.adsafe-rules` packs under `root` (when given) are discovered.
-fn load_cli_pack(
-    rules: Option<&Path>,
-    builtin: bool,
-    root: Option<&Path>,
-) -> adsafe::rulequery::RulePack {
-    if builtin {
-        return adsafe::rulequery::RulePack::builtin();
-    }
+fn load_cli_pack(rules: Option<&Path>, root: Option<&Path>) -> adsafe::rulequery::RulePack {
     let paths = match rules {
         Some(p) => adsafe::query::resolve_rules_arg(p),
         None => root.map(adsafe::query::discover_rule_paths).unwrap_or_default(),
@@ -1165,13 +1156,6 @@ fn print_pack_faults(pack: &adsafe::rulequery::RulePack) {
         } else {
             eprintln!("rules: {}:{}: {}", f.file, f.line, f.detail);
         }
-    }
-}
-
-fn scope_name(scope: adsafe::checkers::CheckScope) -> &'static str {
-    match scope {
-        adsafe::checkers::CheckScope::File => "file",
-        adsafe::checkers::CheckScope::Program => "program",
     }
 }
 
@@ -1197,16 +1181,12 @@ fn cmd_rules(args: &[String]) -> i32 {
 /// in `positional`.
 struct RulesFlags {
     rules: Option<PathBuf>,
-    builtin: bool,
-    native: bool,
     only: Option<String>,
     positional: Vec<String>,
 }
 
 fn parse_rules_flags(args: &[String]) -> Result<RulesFlags, i32> {
     let mut rules: Option<PathBuf> = None;
-    let mut builtin = false;
-    let mut native = false;
     let mut only: Option<String> = None;
     let mut positional = Vec::new();
     let mut i = 0;
@@ -1222,8 +1202,6 @@ fn parse_rules_flags(args: &[String]) -> Result<RulesFlags, i32> {
                     }
                 }
             }
-            "--builtin" => builtin = true,
-            "--native" => native = true,
             "--only" => {
                 i += 1;
                 match args.get(i) {
@@ -1242,44 +1220,33 @@ fn parse_rules_flags(args: &[String]) -> Result<RulesFlags, i32> {
         }
         i += 1;
     }
-    if rules.is_some() && builtin {
-        eprintln!("rules: --rules and --builtin are mutually exclusive");
-        return Err(EXIT_USAGE);
-    }
-    Ok(RulesFlags { rules, builtin, native, only, positional })
+    Ok(RulesFlags { rules, only, positional })
 }
 
 /// `adsafe rules list`: one stable line per rule — origin, scope, id,
-/// ISO references, description. Native rules first (registration
-/// order), then query rules in pack order.
+/// ISO references, description — in inventory order: natives, then the
+/// bundled pack, then user packs.
 fn cmd_rules_list(args: &[String]) -> i32 {
-    let RulesFlags { rules, builtin, positional, .. } = match parse_rules_flags(args) {
+    let RulesFlags { rules, positional, .. } = match parse_rules_flags(args) {
         Ok(v) => v,
         Err(code) => return code,
     };
     let root = positional.first().map(PathBuf::from);
-    let pack = load_cli_pack(rules.as_deref(), builtin, root.as_deref());
+    let pack = load_cli_pack(rules.as_deref(), root.as_deref());
     print_pack_faults(&pack);
-    let natives = adsafe::checkers::default_checks();
-    for c in &natives {
+    let inventory = adsafe::query::rule_inventory(&pack);
+    for r in &inventory {
         println!(
-            "native  {:<8} {:<34} {:<24} {}",
-            scope_name(c.scope()),
-            c.id(),
-            c.iso_refs().join(","),
-            c.description()
-        );
-    }
-    for r in &pack.rules {
-        println!(
-            "query   {:<8} {:<34} {:<24} {}",
-            scope_name(r.scope),
+            "{:<7} {:<8} {:<34} {:<24} {}",
+            r.origin(),
+            r.scope.name(),
             r.id,
             r.iso.join(","),
             r.desc
         );
     }
-    println!("{} native rule(s), {} query rule(s)", natives.len(), pack.rules.len());
+    let queries = inventory.iter().filter(|r| r.query.is_some()).count();
+    println!("{} native rule(s), {queries} query rule(s)", inventory.len() - queries);
     EXIT_OK
 }
 
@@ -1287,7 +1254,7 @@ fn cmd_rules_list(args: &[String]) -> i32 {
 /// additionally print the canonical source form and the compiled
 /// bytecode disassembly.
 fn cmd_rules_explain(args: &[String]) -> i32 {
-    let RulesFlags { rules, builtin, positional, .. } = match parse_rules_flags(args) {
+    let RulesFlags { rules, positional, .. } = match parse_rules_flags(args) {
         Ok(v) => v,
         Err(code) => return code,
     };
@@ -1295,36 +1262,31 @@ fn cmd_rules_explain(args: &[String]) -> i32 {
         eprintln!("rules: explain needs a rule id");
         return EXIT_USAGE;
     };
-    if let Some(c) = adsafe::checkers::default_checks().into_iter().find(|c| c.id() == id) {
-        println!("rule:   {}", c.id());
-        println!("origin: native");
-        println!("scope:  {}", scope_name(c.scope()));
-        println!("iso:    {}", c.iso_refs().join(", "));
-        println!("desc:   {}", c.description());
-        return EXIT_OK;
-    }
-    let pack = load_cli_pack(rules.as_deref(), builtin, Some(Path::new(".")));
+    let pack = load_cli_pack(rules.as_deref(), Some(Path::new(".")));
     print_pack_faults(&pack);
-    let Some(r) = pack.rules.iter().find(|r| r.id == id.as_str()) else {
+    let inventory = adsafe::query::rule_inventory(&pack);
+    let Some(r) = inventory.iter().find(|r| r.id == id.as_str()) else {
         eprintln!("rules: no rule named `{id}` (try `adsafe rules list`)");
         return EXIT_USAGE;
     };
     println!("rule:   {}", r.id);
-    println!("origin: query");
-    println!("scope:  {}", scope_name(r.scope));
+    println!("origin: {}", r.origin());
+    println!("scope:  {}", r.scope.name());
     println!("iso:    {}", r.iso.join(", "));
     println!("desc:   {}", r.desc);
-    println!("\nsource:\n{}", r.decl);
-    println!("bytecode:\n{}", r.program);
+    if let Some(q) = r.query {
+        println!("\nsource:\n{}", q.decl);
+        println!("bytecode:\n{}", q.program);
+    }
     EXIT_OK
 }
 
-/// `adsafe rules check <dir>`: run rules directly over a source tree
-/// and print rendered diagnostics in the canonical deterministic
-/// order. `--native` runs the native checkers; otherwise the selected
-/// query pack runs. The CI parity gate diffs the two outputs.
+/// `adsafe rules check <dir>`: run the assessment pipeline over a source
+/// tree — native rules, the bundled pack, and any user pack — and print
+/// its rendered diagnostics (only rule `--only ID`'s when given) in the
+/// canonical deterministic order. No cache, no ledger.
 fn cmd_rules_check(args: &[String]) -> i32 {
-    let RulesFlags { rules, builtin, native, only, positional } = match parse_rules_flags(args) {
+    let RulesFlags { rules, only, positional } = match parse_rules_flags(args) {
         Ok(v) => v,
         Err(code) => return code,
     };
@@ -1343,52 +1305,34 @@ fn cmd_rules_check(args: &[String]) -> i32 {
         eprintln!("rules: no C/C++/CUDA sources under `{dir}`");
         return EXIT_IO;
     }
-    let mut set = adsafe::checkers::AnalysisSet::new();
+    let pack = load_cli_pack(rules.as_deref(), Some(&root));
+    print_pack_faults(&pack);
+    let mut assessment = Assessment::new().with_options(AssessmentOptions {
+        rules: Some(std::sync::Arc::new(pack)),
+        ..AssessmentOptions::default()
+    });
+    // The pipeline numbers files in the order they are added; this
+    // source map mirrors it so diagnostics render with their paths.
+    let mut sm = adsafe::lang::SourceMap::new();
     for f in &files {
         match std::fs::read(f) {
-            Ok(bytes) => set.add(
-                &module_of(&root, f),
-                &f.display().to_string(),
-                &String::from_utf8_lossy(&bytes),
-            ),
+            Ok(bytes) => {
+                let path = f.display().to_string();
+                assessment.add_file_bytes(&module_of(&root, f), &path, &bytes);
+                sm.add_file(path, String::from_utf8_lossy(&bytes).into_owned());
+            }
             Err(e) => eprintln!("  skipping unreadable {}: {e}", f.display()),
         }
     }
-    let cx = set.context();
-    let mut diagnostics = Vec::new();
-    if native {
-        for c in adsafe::checkers::default_checks() {
-            if only.as_deref().is_some_and(|id| id != c.id()) {
-                continue;
-            }
-            diagnostics.extend(c.run(&cx));
-        }
-    } else {
-        let pack = load_cli_pack(rules.as_deref(), builtin, Some(&root));
-        print_pack_faults(&pack);
-        if pack.rules.is_empty() {
-            eprintln!(
-                "rules: no query rules loaded (use --rules PATH, --builtin, or \
-                 {}/.adsafe-rules/*.aq)",
-                dir
-            );
-        }
-        for r in &pack.rules {
-            if only.as_deref().is_some_and(|id| id != r.id) {
-                continue;
-            }
-            use adsafe::checkers::Check as _;
-            diagnostics.extend(adsafe::rulequery::QueryRule(r.clone()).run(&cx));
+    let report = assessment.run();
+    let mut n = 0;
+    for d in &report.diagnostics {
+        if only.as_deref().is_none_or(|id| id == d.check_id) {
+            println!("{}", d.render(&sm));
+            n += 1;
         }
     }
-    // Same canonical order the pipeline uses, so outputs diff cleanly.
-    diagnostics.sort_by(|a, b| {
-        (a.check_id, a.span.file, a.span.start).cmp(&(b.check_id, b.span.file, b.span.start))
-    });
-    for d in &diagnostics {
-        println!("{}", d.render(&set.sm));
-    }
-    println!("{} findings", diagnostics.len());
+    println!("{n} findings");
     EXIT_OK
 }
 

@@ -79,9 +79,10 @@ pub struct ServeConfig {
     /// in-memory ring (`GET /requests`, `GET /trace/recent`) retains
     /// before evicting oldest-first. Clamped to at least 1.
     pub recorder_cap: usize,
-    /// Query-rule pack (a `.aq` file or a directory of them) loaded at
-    /// startup and evaluated alongside the native rules on every
-    /// `/assess`. `None` = native rules only.
+    /// User query-rule pack (a `.aq` file or a directory of them)
+    /// loaded at startup and evaluated after the default rules (natives
+    /// and the bundled pack) on every `/assess`. `None` = default rules
+    /// only.
     pub rules: Option<PathBuf>,
 }
 
@@ -143,9 +144,9 @@ struct Shared {
     /// Connection ID allocator (1-based; doubles as the Chrome trace
     /// `tid` track in `/trace/recent`).
     next_conn: AtomicU64,
-    /// Query-rule pack loaded once at startup (empty when the daemon
-    /// was started without `--rules`); shared by every `/assess` and
-    /// listed by `GET /rules`.
+    /// User query-rule pack loaded once at startup (empty when the
+    /// daemon was started without `--rules`); shared by every `/assess`
+    /// and listed by `GET /rules` after the default rules.
     rules: Arc<adsafe::rulequery::RulePack>,
 }
 
@@ -843,47 +844,34 @@ fn runs_index(shared: &Arc<Shared>) -> Response {
     Response::json(200, out)
 }
 
-/// `GET /rules`: every rule this daemon evaluates on `/assess` —
-/// native checkers first (registration order), then the loaded query
-/// pack (pack order) — with ids, scopes, ISO references, and any
+/// `GET /rules`: every rule this daemon evaluates on `/assess`, in
+/// [`adsafe::query::rule_inventory`] order (natives, bundled pack, the
+/// loaded user pack) — with ids, scopes, ISO references, and any
 /// contained pack-loading faults. The order is stable across requests.
 fn rules_listing(shared: &Arc<Shared>) -> Response {
     use std::fmt::Write as _;
-    let scope_name = |s: adsafe::checkers::CheckScope| match s {
-        adsafe::checkers::CheckScope::File => "file",
-        adsafe::checkers::CheckScope::Program => "program",
-    };
     let mut out = String::from("{\"rules\":[");
-    let mut first = true;
-    let entry = |out: &mut String,
-                 first: &mut bool,
-                 id: &str,
-                 origin: &str,
-                 scope: &str,
-                 iso: &[&str],
-                 desc: &str| {
-        if !*first {
+    for (i, r) in adsafe::query::rule_inventory(&shared.rules).iter().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        *first = false;
         out.push_str("{\"id\":");
-        write_escaped(out, id);
-        let _ = write!(out, ",\"origin\":\"{origin}\",\"scope\":\"{scope}\",\"iso\":[");
-        for (i, r) in iso.iter().enumerate() {
-            if i > 0 {
+        write_escaped(&mut out, r.id);
+        let _ = write!(
+            out,
+            ",\"origin\":\"{}\",\"scope\":\"{}\",\"iso\":[",
+            r.origin(),
+            r.scope.name()
+        );
+        for (j, iso) in r.iso.iter().enumerate() {
+            if j > 0 {
                 out.push(',');
             }
-            write_escaped(out, r);
+            write_escaped(&mut out, iso);
         }
         out.push_str("],\"desc\":");
-        write_escaped(out, desc);
+        write_escaped(&mut out, r.desc);
         out.push('}');
-    };
-    for c in adsafe::checkers::default_checks() {
-        entry(&mut out, &mut first, c.id(), "native", scope_name(c.scope()), c.iso_refs(), c.description());
-    }
-    for r in &shared.rules.rules {
-        entry(&mut out, &mut first, r.id, "query", scope_name(r.scope), r.iso, r.desc);
     }
     out.push_str("],\"pack_faults\":[");
     for (i, f) in shared.rules.faults.iter().enumerate() {

@@ -196,6 +196,79 @@ fn failpoint_checker_panic_targeted_rule_keeps_other_rules() {
     assert!(!r.diagnostics_for("typing-explicit-cast").is_empty());
 }
 
+/// A recursive, multi-exit, goto-bearing file: native and bundled
+/// rules both fire on it.
+const GATED_SRC: &str = "int odd(int n) { if (n == 0) return 0; return odd(n - 1); }\n\
+int jump(int x) { if (x) goto out; out: return x; }\n";
+
+/// Cache entries (everything but `meta.json`) under `dir`.
+fn cache_entries(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir)
+        .map(|d| d.flatten().filter(|e| e.file_name() != "meta.json" && e.path().is_file()).count())
+        .unwrap_or(0)
+}
+
+#[test]
+fn failpoint_gates_a_bundled_rule_like_a_native_one() {
+    let _g = failpoints::Armed::new(
+        "pipeline::check::misra-17.2-recursion",
+        Action::Panic("recursion rule bug".into()),
+    );
+    let dir = std::env::temp_dir().join(format!("adsafe-gate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = AssessmentOptions { cache_dir: Some(dir.clone()), ..AssessmentOptions::default() };
+    let r = run_scenario("bundled-gate", options, |a| {
+        a.add_file("m", "m/a.cc", GATED_SRC);
+    });
+    let f = r.faults.iter().find(|f| f.path == "misra-17.2-recursion").expect("gate fault");
+    assert_eq!(f.phase, adsafe::FaultPhase::Checks);
+    assert!(r.diagnostics_for("misra-17.2-recursion").is_empty());
+    // Other bundled and native rules still fired.
+    assert_eq!(r.diagnostics_for("misra-15.5-multi-exit").len(), 1);
+    assert_eq!(r.diagnostics_for("misra-15.1-goto").len(), 1);
+    // A gated rule blocks cache write-back, whichever kind it is.
+    assert_eq!(cache_entries(&dir), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn checks_deadline_cuts_bundled_rules_like_natives() {
+    // Every rule gate sleeps, so the checks phase overruns its budget
+    // part-way through the natives; the bundled rules gate after them.
+    let _g = failpoints::Armed::new("pipeline::check", Action::Delay(Duration::from_millis(3)));
+    let options = AssessmentOptions {
+        budgets: Budgets { phase_deadline: Some(Duration::from_millis(20)) },
+        ..AssessmentOptions::default()
+    };
+    let r = run_scenario("checks-deadline", options, |a| {
+        a.add_file("m", "m/a.cc", GATED_SRC);
+    });
+    assert!(r.faults.iter().any(|f| f.phase == adsafe::FaultPhase::Checks
+        && matches!(f.cause, adsafe::FaultCause::DeadlineExceeded { .. })));
+    for rule in &adsafe::query::bundled_rules().rules {
+        assert!(r.diagnostics_for(rule.id).is_empty(), "{} ran past the cut", rule.id);
+    }
+}
+
+#[test]
+fn query_rule_panic_costs_one_rule_on_one_file() {
+    // A panic action fires once: the rule dies on the first file only.
+    let _g = failpoints::Armed::new(
+        "pipeline::query::misra-15.5-multi-exit",
+        Action::Panic("query rule bug".into()),
+    );
+    let r = run_scenario("query-panic", AssessmentOptions::default(), |a| {
+        a.add_file("m", "m/a.cc", GATED_SRC);
+        a.add_file("m", "m/b.cc", GATED_SRC);
+    });
+    let f = r.faults.iter().find(|f| f.phase == adsafe::FaultPhase::Checks).expect("fault");
+    assert_eq!(f.path, "misra-15.5-multi-exit on healthy/base.cc");
+    assert!(matches!(f.cause, adsafe::FaultCause::Injected(_)));
+    // The rule survived on the other files; other rules on every file.
+    assert_eq!(r.diagnostics_for("misra-15.5-multi-exit").len(), 2);
+    assert_eq!(r.diagnostics_for("misra-17.2-recursion").len(), 2);
+}
+
 #[test]
 fn failpoint_metrics_panic_falls_back_to_estimates() {
     let _g = failpoints::Armed::new("pipeline::metrics::m", Action::Panic("metrics bug".into()));

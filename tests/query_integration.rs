@@ -1,21 +1,22 @@
-//! End-to-end integration of the query-rule subsystem: native/query
-//! parity on both evaluation paths (live AST and cached facts),
-//! byte-identical reports across worker counts and cache states with
-//! packs active, pack-fault containment, and parser robustness
-//! properties.
+//! End-to-end integration of the query-rule subsystem: the bundled
+//! rules reproduce the retired native checkers' findings (exact counts
+//! and rendered findings recorded from them) on both the per-file pass
+//! and the pipeline, byte-identical reports across worker counts and
+//! cache states with packs active, pack-fault containment, and parser
+//! robustness properties.
 
-use adsafe::checkers::{default_checks, AnalysisSet, Check, CheckScope};
+use adsafe::checkers::{AnalysisSet, CheckScope, Diagnostic};
 use adsafe::corpus::{generate, ApolloSpec};
+use adsafe::facts::{self, FactsRecord};
+use adsafe::lang::SourceMap;
 use adsafe::rulequery::ast::{CmpOp, Expr};
-use adsafe::rulequery::{
-    parse_pack, pretty_pack, QueryRule, RuleDecl, RulePack, Selector, SeverityKw,
-};
+use adsafe::rulequery::{parse_pack, pretty_pack, RuleDecl, RulePack, Selector, SeverityKw};
 use adsafe::{render, Assessment, AssessmentOptions};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// A file that makes the nesting-depth and param-count rules fire —
-/// the generated corpus exercises the other three parity rules.
+/// the generated corpus exercises the other three bundled rules.
 fn stress_source() -> String {
     let mut s = String::from(
         "int deep(int a, int b, int c, int d, int e, int f, int g) {\n\
@@ -39,48 +40,112 @@ fn corpus_sources() -> Vec<(String, String, String)> {
     out
 }
 
-fn corpus_set() -> AnalysisSet {
+/// The pipeline's file numbering for [`corpus_sources`], for rendering.
+fn corpus_source_map() -> SourceMap {
+    let mut sm = SourceMap::new();
+    for (_, path, text) in corpus_sources() {
+        sm.add_file(path, text);
+    }
+    sm
+}
+
+/// What the retired native checkers reported on [`corpus_sources`]:
+/// `(id, finding count, first finding rendered with its function)`.
+const NATIVE_FINDINGS: [(&str, usize, &str); 5] = [
+    (
+        "misra-15.5-multi-exit",
+        185,
+        "perception/perception_00.cc:32:3 warning [misra-15.5-multi-exit] function \
+         `PerceptionWalk0Up` has 2 return statements / early exits \
+         | fn=Some(\"apollo::perception::PerceptionWalk0Up\")",
+    ),
+    (
+        "misra-17.2-recursion",
+        12,
+        "perception/perception_00.cc:32:3 violation [misra-17.2-recursion] function \
+         `PerceptionWalk0Up` participates in recursion \
+         | fn=Some(\"apollo::perception::PerceptionWalk0Up\")",
+    ),
+    (
+        "structure-function-length",
+        16,
+        "perception/perception_00.cc:523:3 warning [structure-function-length] function \
+         `PerceptionFn8` is 142 lines (limit 100) | fn=Some(\"apollo::perception::PerceptionFn8\")",
+    ),
+    (
+        "structure-nesting-depth",
+        1,
+        "stress/stress.cc:1:1 warning [structure-nesting-depth] function `deep` nests 6 \
+         levels deep (limit 5) | fn=Some(\"deep\")",
+    ),
+    (
+        "structure-param-count",
+        1,
+        "stress/stress.cc:1:1 info [structure-param-count] function `deep` takes 7 \
+         parameters (limit 6) | fn=Some(\"deep\")",
+    ),
+];
+
+/// Asserts that `diags` (in canonical order) holds exactly the recorded
+/// native findings for each bundled rule id.
+fn assert_native_findings(diags: &[&Diagnostic], sm: &SourceMap) {
+    for (id, count, first) in NATIVE_FINDINGS {
+        let mine: Vec<&&Diagnostic> = diags.iter().filter(|d| d.check_id == id).collect();
+        assert_eq!(mine.len(), count, "{id}");
+        assert_eq!(format!("{} | fn={:?}", mine[0].render(sm), mine[0].function), first);
+    }
+}
+
+/// The bundled pack, evaluated by the per-file pass over facts, yields
+/// exactly what the native checkers it replaced reported — counts,
+/// rendered findings and function attribution — and each rule carries
+/// the native checker's description and ISO references.
+#[test]
+fn builtin_pack_matches_native_checkers_byte_for_byte() {
+    let pack = RulePack::builtin();
+    assert!(pack.faults.is_empty(), "bundled pack must load clean: {:?}", pack.faults);
+    let meta: Vec<(&str, CheckScope, &[&str], &str)> =
+        pack.rules.iter().map(|r| (r.id, r.scope, r.iso, r.desc)).collect();
+    assert_eq!(
+        meta,
+        [
+            ("misra-15.5-multi-exit", CheckScope::File, &["Part6.Table8.Row1"][..],
+             "functions shall have a single point of exit at the end"),
+            ("misra-17.2-recursion", CheckScope::Program, &["Part6.Table8.Row10"][..],
+             "no direct or indirect recursion"),
+            ("structure-function-length", CheckScope::File, &["Part6.Table3.Row2"][..],
+             "functions shall be of restricted size"),
+            ("structure-nesting-depth", CheckScope::File, &["Part6.Table1.Row1"][..],
+             "statement nesting shall be limited"),
+            ("structure-param-count", CheckScope::File, &["Part6.Table3.Row3"][..],
+             "interfaces (parameter lists) shall be of restricted size"),
+        ]
+    );
+
     let mut set = AnalysisSet::new();
     for (module, path, text) in corpus_sources() {
         set.add(&module, &path, &text);
     }
-    set
-}
-
-/// The five bundled parity rules produce byte-identical diagnostics to
-/// their native twins on the live-AST path (`adsafe rules check`), and
-/// each actually fires on the test corpus — zero-finding parity would
-/// prove nothing.
-#[test]
-fn builtin_pack_matches_native_checkers_byte_for_byte() {
-    let set = corpus_set();
-    let cx = set.context();
-    let pack = RulePack::builtin();
-    assert!(pack.faults.is_empty(), "bundled pack must load clean: {:?}", pack.faults);
-    assert_eq!(pack.rules.len(), 5);
-    let natives = default_checks();
-    for rule in &pack.rules {
-        let native = natives
-            .iter()
-            .find(|c| c.id() == rule.id)
-            .expect("every parity rule shadows a native checker");
-        assert_eq!(native.scope(), rule.scope, "{}", rule.id);
-        assert_eq!(native.iso_refs(), rule.iso, "{}", rule.id);
-        assert_eq!(native.description(), rule.desc, "{}", rule.id);
-        let native_diags = native.run(&cx);
-        let query_diags = QueryRule(rule.clone()).run(&cx);
-        assert!(!native_diags.is_empty(), "{} never fired — weak corpus", rule.id);
-        let rendered = |ds: &[adsafe::checkers::Diagnostic]| -> Vec<String> {
-            ds.iter()
-                .map(|d| format!("{} | fn={:?}", d.render(&set.sm), d.function))
-                .collect()
-        };
-        assert_eq!(rendered(&native_diags), rendered(&query_diags), "{}", rule.id);
+    let facts: Vec<_> = set
+        .parsed()
+        .map(|(id, module, parsed)| (*id, module, facts::extract_facts(&set.sm, *id, parsed)))
+        .collect();
+    let records: Vec<FactsRecord> = facts.iter().map(|(id, m, f)| (*id, *m, f)).collect();
+    let recursive = facts::call_graph(&records).recursive_functions();
+    let rules: Vec<_> = pack.rules.iter().collect();
+    let mut diags = Vec::new();
+    for (id, module, f) in &records {
+        for outcome in adsafe::query::eval_file(&rules, *id, module, f, &recursive) {
+            diags.extend(outcome.expect("no rule panics").0);
+        }
     }
+    diags.sort_by_key(|d| (d.check_id, d.span.file, d.span.start));
+    let refs: Vec<&Diagnostic> = diags.iter().collect();
+    assert_native_findings(&refs, &set.sm);
 }
 
-/// A pack of `q-` prefixed clones of the parity rules, loaded the way
-/// the CLI loads user packs (native ids reserved).
+/// A pack of `q-` prefixed clones of the bundled rules, loaded the way
+/// the CLI loads user packs (native and bundled ids reserved).
 const MIRROR_PACK: &str = r#"
 rule "q-multi-exit" {
   iso t8r1
@@ -110,8 +175,8 @@ rule "q-param-count" {
 "#;
 
 fn mirror_pack() -> RulePack {
-    let native = adsafe::query::native_rule_ids();
-    let pack = RulePack::from_sources(&[("mirror.aq".into(), MIRROR_PACK.into())], &native);
+    let reserved = adsafe::query::reserved_rule_ids();
+    let pack = RulePack::from_sources(&[("mirror.aq".into(), MIRROR_PACK.into())], &reserved);
     assert!(pack.faults.is_empty(), "{:?}", pack.faults);
     assert_eq!(pack.rules.len(), 5);
     pack
@@ -134,40 +199,35 @@ fn run_report(
     a.run()
 }
 
-/// The pipeline's facts path (what `adsafe assess --rules` runs) emits
-/// the same findings for a query rule as the native checker it mirrors
-/// — same spans, severities, messages, and function attribution.
+/// Through the pipeline (what `adsafe assess` runs), the bundled rules
+/// report exactly the retired native checkers' findings, and a user
+/// pack's `q-` clones of them report the same findings under their own
+/// ids.
 #[test]
 fn pipeline_query_rules_mirror_native_findings() {
     let report = run_report(2, Some(Arc::new(mirror_pack())), None);
-    let pairs = [
+    let sm = corpus_source_map();
+    let diags: Vec<&Diagnostic> = report.diagnostics.iter().collect();
+    assert_native_findings(&diags, &sm);
+    let mirror_ids = [
         ("misra-15.5-multi-exit", "q-multi-exit"),
         ("misra-17.2-recursion", "q-recursion"),
         ("structure-function-length", "q-function-length"),
         ("structure-nesting-depth", "q-nesting-depth"),
         ("structure-param-count", "q-param-count"),
     ];
-    for (native_id, query_id) in pairs {
-        let key = |d: &adsafe::checkers::Diagnostic| {
-            format!("{} {:?} {} {:?}", d.severity, d.span, d.message, d.function)
-        };
-        let mut native: Vec<_> = report
-            .diagnostics
-            .iter()
-            .filter(|d| d.check_id == native_id)
-            .map(key)
-            .collect();
-        let mut query: Vec<_> = report
-            .diagnostics
-            .iter()
-            .filter(|d| d.check_id == query_id)
-            .map(key)
-            .collect();
-        native.sort();
-        query.sort();
-        assert!(!native.is_empty(), "{native_id} never fired");
-        assert_eq!(native, query, "{native_id} vs {query_id}");
-    }
+    let renamed: Vec<Diagnostic> = report
+        .diagnostics
+        .iter()
+        .filter_map(|d| {
+            let (bundled, _) = mirror_ids.iter().find(|(_, q)| *q == d.check_id)?;
+            let mut d = d.clone();
+            d.check_id = bundled;
+            Some(d)
+        })
+        .collect();
+    let renamed: Vec<&Diagnostic> = renamed.iter().collect();
+    assert_native_findings(&renamed, &sm);
 }
 
 /// With a pack active, the deterministic report is byte-identical
@@ -200,8 +260,9 @@ fn query_reports_are_deterministic_across_jobs_and_cache() {
     );
 }
 
-/// Query rules are report-side only: enabling a pack must not change
-/// the compliance verdicts (the paper's evidence stays native).
+/// User query rules are report-side only: enabling a pack must not
+/// change the compliance verdicts (evidence counts native and bundled
+/// ids, which a user pack cannot take).
 #[test]
 fn query_rules_never_move_compliance_verdicts() {
     let without = run_report(2, None, None);
@@ -257,25 +318,29 @@ rule \"q-also-good\" { function where params > 6 -> info \"params {params}\" }\n
     assert!(report.faults.iter().any(|f| f.to_string().contains("rule pack invalid at line 2")));
 }
 
-/// Duplicate ids and collisions with native rule ids are skipped with
-/// distinct fault messages.
+/// Duplicate ids and collisions with reserved ids — native and bundled
+/// alike — are skipped with distinct fault messages.
 #[test]
 fn duplicate_and_native_colliding_ids_are_skipped() {
     let src = "\
+rule \"misra-15.1-goto\" { function where gotos > 0 -> warn }\n\
 rule \"misra-15.5-multi-exit\" { function where multi_exit -> warn }\n\
 rule \"q-dup\" { function where is_gpu -> info }\n\
 rule \"q-dup\" { function where is_kernel -> info }\n";
-    let pack =
-        RulePack::from_sources(&[("p.aq".into(), src.into())], &adsafe::query::native_rule_ids());
+    let pack = RulePack::from_sources(
+        &[("p.aq".into(), src.into())],
+        &adsafe::query::reserved_rule_ids(),
+    );
     assert_eq!(pack.rules.len(), 1);
     assert_eq!(pack.rules[0].id, "q-dup");
-    assert_eq!(pack.faults.len(), 2);
-    assert!(pack.faults[0].detail.contains("collides with a native rule"));
-    assert!(pack.faults[1].detail.contains("duplicate rule id"));
+    assert_eq!(pack.faults.len(), 3);
+    assert!(pack.faults[0].detail.contains("collides with a built-in rule"), "native id");
+    assert!(pack.faults[1].detail.contains("collides with a built-in rule"), "bundled id");
+    assert!(pack.faults[2].detail.contains("duplicate rule id"));
 }
 
-/// Program-scope query rules (anything touching `recursive`) are
-/// evaluated whole-program, exactly like the native recursion checker.
+/// Query rules touching `recursive` are program-scoped; the rest are
+/// file-scoped.
 #[test]
 fn recursive_predicate_lowers_to_program_scope() {
     let pack = mirror_pack();

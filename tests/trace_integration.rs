@@ -98,9 +98,13 @@ fn pipeline_emits_phase_file_and_rule_spans() {
         .map(|e| e.name.as_str())
         .collect::<std::collections::BTreeSet<_>>()
         .len();
-    // One span name per registered rule (the out-of-trait macro pass
-    // shares `check.naming-macro` with the registered rule of that id).
-    assert_eq!(n_rules, adsafe::checkers::default_checks().len());
+    // One span name per native and bundled rule (the out-of-trait macro
+    // pass shares `check.naming-macro` with the registered rule of that
+    // id).
+    assert_eq!(
+        n_rules,
+        adsafe::checkers::default_checks().len() + adsafe::query::bundled_rules().rules.len()
+    );
     assert_well_formed(&t.events);
     // Counter deltas picked up the per-tier file counts.
     assert!(t
