@@ -39,11 +39,12 @@ impl<'a> CheckContext<'a> {
     }
 
     /// A context over a single file, with no cross-file state (empty
-    /// call graph, empty global-name set). This is what the parallel
-    /// pipeline hands to [`CheckScope::File`](crate::CheckScope::File)
-    /// rules when sharding (rule × file): file-scoped rules only look
-    /// at `entries`, so skipping graph/global derivation keeps shards
-    /// cheap. Program-scoped rules must never see one of these.
+    /// call graph, empty global-name set). The pipeline builds one per
+    /// file, in that file's task, and runs every
+    /// [`CheckScope::File`](crate::CheckScope::File) rule over it:
+    /// file-scoped rules only look at `entries`, so skipping
+    /// graph/global derivation keeps the task cheap. Program-scoped
+    /// rules must never see one of these.
     pub fn file_local(sm: &'a SourceMap, entry: FileEntry<'a>) -> Self {
         CheckContext {
             sm,

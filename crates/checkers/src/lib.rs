@@ -42,8 +42,8 @@ pub use unit_design::{unit_design_stats, UnitDesignStats};
 pub enum CheckScope {
     /// The rule only reads `cx.entries` — it can run over a
     /// [`CheckContext::file_local`] context, one file at a time, which
-    /// is what lets the parallel pipeline shard it (rule × file) and
-    /// cache its diagnostics per file.
+    /// is what lets the pipeline run every such rule in one task per
+    /// file and cache its diagnostics per file.
     File,
     /// The rule reads cross-file state (`cx.graph`,
     /// `cx.global_names`) and must see the whole program at once.
@@ -124,8 +124,25 @@ pub fn default_checks() -> Vec<Box<dyn Check>> {
 
 /// Runs every check in `checks` and returns all diagnostics, ordered by
 /// check then by source position.
+///
+/// File-major: every [`CheckScope::File`] rule runs over one entry's
+/// [`CheckContext::file_local`] context before the next entry, so each
+/// file's tree is walked by all of its rules while it is still in
+/// cache; [`CheckScope::Program`] rules then see the whole context.
+/// A file-scoped rule's per-file outputs concatenate to its
+/// whole-context output, so the sorted result equals running each rule
+/// over `cx` in turn.
 pub fn run_checks(checks: &[Box<dyn Check>], cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-    let mut out: Vec<Diagnostic> = checks.iter().flat_map(|c| c.run(cx)).collect();
+    let mut out = Vec::new();
+    for e in &cx.entries {
+        let local = CheckContext::file_local(cx.sm, *e);
+        for c in checks.iter().filter(|c| c.scope() == CheckScope::File) {
+            out.extend(c.run(&local));
+        }
+    }
+    for c in checks.iter().filter(|c| c.scope() == CheckScope::Program) {
+        out.extend(c.run(cx));
+    }
     out.sort_by_key(|d| (d.check_id, d.span.file, d.span.start));
     out
 }
@@ -221,7 +238,7 @@ mod tests {
     fn file_scoped_rules_agree_with_file_local_contexts() {
         // Running a File-scoped rule over per-file contexts and
         // concatenating must equal running it over the full context —
-        // the invariant (rule × file) sharding rests on.
+        // the invariant the one-task-per-file checks phase rests on.
         let mut set = AnalysisSet::new();
         set.add(
             "m",
@@ -272,6 +289,25 @@ mod tests {
         let mut sorted = diags.clone();
         sorted.sort_by_key(|d| (d.check_id, d.span.file, d.span.start));
         assert_eq!(diags, sorted);
+    }
+
+    #[test]
+    fn file_major_run_checks_equals_rule_major_reference() {
+        let mut set = AnalysisSet::new();
+        set.add(
+            "m",
+            "a.cc",
+            "int g;\nint f(int* p) { if (*p) goto x; g = 2; x: return (int)1.5; }\n",
+        );
+        set.add("m", "b.cc", "extern int g;\nvoid h(float* q) { g = 3; *q = 1.0f; }\n");
+        set.add("n", "c.cu", "__global__ void k(float* x) { x[0] = 010; }\n");
+        let cx = set.context();
+        let checks = default_checks();
+        let mut reference: Vec<Diagnostic> = checks.iter().flat_map(|c| c.run(&cx)).collect();
+        reference.sort_by_key(|d| (d.check_id, d.span.file, d.span.start));
+        let got = run_checks(&checks, &cx);
+        assert!(got.iter().filter(|d| d.check_id == "design-global-use").count() >= 2);
+        assert_eq!(got, reference);
     }
 
     struct PanickingCheck;

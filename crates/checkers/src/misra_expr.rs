@@ -6,7 +6,6 @@
 use crate::diag::{Diagnostic, Severity};
 use crate::{Check, CheckContext};
 use adsafe_lang::ast::{BinOp, Expr, ExprKind, StmtKind, UnOp};
-use adsafe_lang::token::TokenKind;
 use adsafe_lang::visit::{walk_exprs, walk_stmts};
 
 /// MISRA 7.1: octal constants shall not be used (`052` reads as 42).
@@ -24,31 +23,20 @@ impl Check for OctalLiteralCheck {
         &["Part6.Table1.Row2"]
     }
     fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        // Token-level scan: the AST normalises literal values, so the
-        // octal spelling is only visible in the source text.
-        for e in &cx.entries {
-            let pre = adsafe_lang::preprocess::preprocess(e.file.id(), e.file.text());
-            for t in adsafe_lang::lexer::lex(e.file.id(), &pre.text) {
-                if t.kind != TokenKind::IntLit {
-                    continue;
-                }
-                let lexeme = &pre.text[t.span.start as usize..t.span.end as usize];
-                let digits = lexeme.trim_end_matches(['u', 'U', 'l', 'L']);
-                if digits.len() > 1
-                    && digits.starts_with('0')
-                    && digits.bytes().all(|b| b.is_ascii_digit())
-                {
-                    out.push(Diagnostic::new(
-                        self.id(),
-                        Severity::Warning,
-                        t.span,
-                        format!("octal constant `{lexeme}`"),
-                    ));
-                }
-            }
-        }
-        out
+        // The AST normalises literal values, so the parse records the
+        // octal spellings while it lexes.
+        cx.entries
+            .iter()
+            .flat_map(|e| &e.unit.octal_literals)
+            .map(|o| {
+                Diagnostic::new(
+                    self.id(),
+                    Severity::Warning,
+                    o.span,
+                    format!("octal constant `{}`", o.lexeme),
+                )
+            })
+            .collect()
     }
 }
 

@@ -24,7 +24,8 @@
 //! ## Parallelism and incrementality
 //!
 //! The parse and metrics phases parallelise per file / per module, and
-//! the checks phase shards native rules per (rule × file), on the
+//! the checks phase runs one task per file — every file-local native
+//! rule over that file while its AST is still in cache — on the
 //! work-stealing [`Pool`] ([`AssessmentOptions::jobs`]; the default of
 //! 1 runs everything inline on the caller thread). Query rules run in
 //! one facts-row pass per file on the caller thread. With
@@ -44,7 +45,7 @@ use crate::fault::{
     failpoints, panic_message, Fault, FaultCause, FaultLog, FaultPhase, FaultSeverity, Recovery,
 };
 use adsafe_checkers::{
-    default_checks, run_one_check, CheckContext, CheckScope, Diagnostic, FileEntry,
+    default_checks, run_one_check, Check, CheckContext, CheckScope, Diagnostic, FileEntry,
 };
 use adsafe_iso26262::{
     assess, observations, Asil, ComplianceReport, Evidence, GpuEvidence, Observation,
@@ -240,20 +241,6 @@ struct LoadedFile {
     cache_ok: bool,
 }
 
-/// One (rule × file) or macro-pass shard of the checks phase.
-#[derive(Debug, Clone, Copy)]
-enum ShardTask {
-    /// `(check index, loaded-file index)`.
-    Rule(usize, usize),
-    /// Macro-naming pass over one loaded file.
-    Macro(usize),
-}
-
-enum ShardOut {
-    Rule(Result<Vec<Diagnostic>, adsafe_checkers::CheckFailure>),
-    Macro(Vec<Diagnostic>),
-}
-
 /// The assessment driver. Add files, then [`Assessment::run`].
 #[derive(Debug, Default)]
 pub struct Assessment {
@@ -435,7 +422,7 @@ impl Assessment {
             .map(|l| (l.id, self.files[l.file_idx].module.as_str(), &l.facts))
             .collect();
 
-        // Phase 2: checkers, sharded (rule × file) with per-shard
+        // Phase 2: checkers, one pool task per fresh file with per-rule
         // isolation. Rule gates (failpoints, deadline) run on the
         // caller thread first so a gated rule is skipped wholesale.
         let phase_span = adsafe_trace::span("phase.checks", "phase");
@@ -473,118 +460,81 @@ impl Assessment {
                 failpoints::hit("pipeline::check");
                 failpoints::hit(&format!("pipeline::check::{id}"));
             })) {
-                log.push(Fault {
-                    phase: FaultPhase::Checks,
-                    path: id.to_string(),
-                    severity: FaultSeverity::Degraded,
-                    cause: classify_panic(&panic_message(&*payload)),
-                    recovery: Recovery::SkippedItem,
-                    run_id: String::new(),
-                });
+                log.push(check_fault(id.to_string(), &panic_message(&*payload)));
                 skipped.insert(id);
             }
         }
 
-        // Shard list: file-local rules × fresh files (cached files carry
-        // their file-local diagnostics in the facts record), then the
-        // macro-naming pass per fresh file.
-        let fresh_idx: Vec<usize> = (0..loaded.len())
-            .filter(|&li| loaded[li].parsed.is_some())
+        // One task per fresh file (cached files carry their file-local
+        // diagnostics in the facts record): every non-gated file-local
+        // rule in registry order over one file-local context, then the
+        // macro-naming pass, so the file's AST stays in cache across
+        // all of its rules. A task's diagnostics come out in the order
+        // cached entries replay them, so they are the file's cache
+        // write-back bucket as they stand.
+        let file_rules: Vec<&dyn Check> = checks
+            .iter()
+            .map(|c| c.as_ref())
+            .filter(|c| c.scope() == CheckScope::File && !skipped.contains(c.id()))
             .collect();
-        let mut tasks: Vec<ShardTask> = Vec::new();
-        for (ci, c) in checks.iter().enumerate() {
-            if c.scope() != CheckScope::File || skipped.contains(c.id()) {
-                continue;
-            }
-            for &li in &fresh_idx {
-                tasks.push(ShardTask::Rule(ci, li));
-            }
-        }
-        for &li in &fresh_idx {
-            tasks.push(ShardTask::Macro(li));
-        }
-        let task_list = tasks.clone();
-        let shard_results = pool.map(tasks, |_, t| {
-            let li = match t {
-                ShardTask::Rule(_, li) | ShardTask::Macro(li) => li,
-            };
+        let fresh: Vec<usize> =
+            (0..loaded.len()).filter(|&li| loaded[li].parsed.is_some()).collect();
+        let results = pool.map(fresh.clone(), |_, li| {
             let l = &loaded[li];
-            let parsed = l.parsed.as_deref().expect("shards only target fresh files");
-            match t {
-                ShardTask::Rule(ci, _) => {
-                    let entry = FileEntry {
-                        file: sm.file(l.id),
-                        unit: &parsed.unit,
-                        module: &self.files[l.file_idx].module,
-                    };
-                    let cx = CheckContext::file_local(&sm, entry);
-                    ShardOut::Rule(run_one_check(checks[ci].as_ref(), &cx))
-                }
-                ShardTask::Macro(_) => {
-                    let _sp = adsafe_trace::span("check.naming-macro", "checks");
-                    ShardOut::Macro(adsafe_checkers::naming::check_macros(&parsed.pp))
+            let parsed = l.parsed.as_deref().expect("only fresh files are checked");
+            let file = &self.files[l.file_idx];
+            let entry =
+                FileEntry { file: sm.file(l.id), unit: &parsed.unit, module: &file.module };
+            let cx = CheckContext::file_local(&sm, entry);
+            let mut diags = Vec::new();
+            let mut faults = Vec::new();
+            for &check in &file_rules {
+                match run_one_check(&Failpointed { check, path: &file.path }, &cx) {
+                    Ok(d) => diags.extend(d),
+                    Err(e) => faults.push(check_fault(e.check_id.to_string(), &e.message)),
                 }
             }
+            let _sp = adsafe_trace::span("check.naming-macro", "checks");
+            match catch_unwind(AssertUnwindSafe(|| {
+                adsafe_checkers::naming::check_macros(&parsed.pp)
+            })) {
+                Ok(d) => diags.extend(d),
+                Err(payload) => {
+                    faults.push(check_fault(file.path.clone(), &panic_message(&*payload)))
+                }
+            }
+            (diags, faults)
         });
 
         let mut diagnostics: Vec<Diagnostic> = Vec::new();
-        // Per-file diagnostic buckets for cache write-back, filled in
-        // rule-registry order (then macros) — the order cached entries
-        // replay them in.
-        let mut buckets: HashMap<usize, Vec<Diagnostic>> = HashMap::new();
-        let mut checks_ok: Vec<bool> = vec![true; loaded.len()];
-        for (t, res) in task_list.iter().zip(shard_results) {
-            match (t, res) {
-                (ShardTask::Rule(_, li), Ok(ShardOut::Rule(Ok(diags)))) => {
-                    buckets.entry(*li).or_default().extend(diags.iter().cloned());
+        // Cache write-back: only fully-clean fresh files (tier-1 parse,
+        // no rule fault) from a run where no rule was gated or cut — a
+        // cached entry must replay the complete file-local rule set,
+        // and recoverable faults (resync, panics) must recur on warm
+        // runs rather than being papered over.
+        let write_back = cache.is_some() && skipped.is_empty();
+        let mut buckets: Vec<(usize, Vec<Diagnostic>)> = Vec::new();
+        for (li, res) in fresh.into_iter().zip(results) {
+            match res {
+                Ok((diags, faults)) => {
+                    if write_back && loaded[li].cache_ok && faults.is_empty() {
+                        buckets.push((li, diags.clone()));
+                    }
                     diagnostics.extend(diags);
+                    for f in faults {
+                        log.push(f);
+                    }
                 }
-                (ShardTask::Rule(_, li), Ok(ShardOut::Rule(Err(failure)))) => {
-                    checks_ok[*li] = false;
-                    log.push(Fault {
-                        phase: FaultPhase::Checks,
-                        path: failure.check_id.to_string(),
-                        severity: FaultSeverity::Degraded,
-                        cause: FaultCause::Panic(failure.message),
-                        recovery: Recovery::SkippedItem,
-                        run_id: String::new(),
-                    });
+                Err(payload) => {
+                    let path = self.files[loaded[li].file_idx].path.clone();
+                    log.push(check_fault(path, &panic_message(&*payload)));
                 }
-                (ShardTask::Macro(li), Ok(ShardOut::Macro(diags))) => {
-                    buckets.entry(*li).or_default().extend(diags.iter().cloned());
-                    diagnostics.extend(diags);
-                }
-                (ShardTask::Rule(ci, li), Err(payload)) => {
-                    checks_ok[*li] = false;
-                    log.push(Fault {
-                        phase: FaultPhase::Checks,
-                        path: checks[*ci].id().to_string(),
-                        severity: FaultSeverity::Degraded,
-                        cause: classify_panic(&panic_message(&*payload)),
-                        recovery: Recovery::SkippedItem,
-                        run_id: String::new(),
-                    });
-                }
-                (ShardTask::Macro(li), Err(payload)) => {
-                    checks_ok[*li] = false;
-                    log.push(Fault {
-                        phase: FaultPhase::Checks,
-                        path: self.files[loaded[*li].file_idx].path.clone(),
-                        severity: FaultSeverity::Degraded,
-                        cause: classify_panic(&panic_message(&*payload)),
-                        recovery: Recovery::SkippedItem,
-                        run_id: String::new(),
-                    });
-                }
-                // A task cannot return the other variant's output.
-                (ShardTask::Rule(..), Ok(ShardOut::Macro(_)))
-                | (ShardTask::Macro(_), Ok(ShardOut::Rule(_))) => unreachable!(),
             }
         }
 
         // Program-scoped native rules run once, from facts, on the
-        // caller thread — they need the whole program, not a shard. The
-        // set is pinned by a test in adsafe-checkers; a future
+        // caller thread — they need the whole program, not one file.
+        // The set is pinned by a test in adsafe-checkers; a future
         // program-scoped rule must be given a facts replay here.
         for c in &checks {
             if c.scope() != CheckScope::Program || skipped.contains(c.id()) {
@@ -602,14 +552,7 @@ impl Assessment {
                         .add(diags.len() as u64);
                     diagnostics.extend(diags);
                 }
-                Err(payload) => log.push(Fault {
-                    phase: FaultPhase::Checks,
-                    path: id.to_string(),
-                    severity: FaultSeverity::Degraded,
-                    cause: FaultCause::Panic(panic_message(&*payload)),
-                    recovery: Recovery::SkippedItem,
-                    run_id: String::new(),
-                }),
+                Err(payload) => log.push(check_fault(id.to_string(), &panic_message(&*payload))),
             }
         }
 
@@ -651,14 +594,9 @@ impl Assessment {
                         per_rule[qi] += diags.len() as u64;
                         diagnostics.extend(diags);
                     }
-                    Err(msg) => log.push(Fault {
-                        phase: FaultPhase::Checks,
-                        path: format!("{} on {}", live[qi].id, file.path),
-                        severity: FaultSeverity::Degraded,
-                        cause: classify_panic(&msg),
-                        recovery: Recovery::SkippedItem,
-                        run_id: String::new(),
-                    }),
+                    Err(msg) => {
+                        log.push(check_fault(format!("{} on {}", live[qi].id, file.path), &msg))
+                    }
                 }
             }
         }
@@ -668,8 +606,8 @@ impl Assessment {
         }
         drop(query_span);
 
-        // One canonical order for the *complete* list — shards, macro
-        // findings, program-scoped rules, and cached replays — so
+        // One canonical order for the *complete* list — per-file tasks,
+        // program-scoped rules, cached replays, and query rules — so
         // repeated runs over the same corpus render byte-identical
         // reports regardless of worker count or cache state. The sort
         // is stable, and no two merge sources share a (rule, file)
@@ -679,20 +617,12 @@ impl Assessment {
         note_phase_overrun(&mut log, FaultPhase::Checks, deadline.start, &budgets);
         drop(phase_span);
 
-        // Cache write-back: only fully-clean fresh files (tier-1 parse,
-        // no shard fault) from a run where no rule was gated or cut —
-        // a cached entry must replay the complete file-local rule set,
-        // and recoverable faults (resync, panics) must recur on warm
-        // runs rather than being papered over.
         if let Some(c) = cache {
-            if skipped.is_empty() {
-                for (li, l) in loaded.iter().enumerate() {
-                    if l.parsed.is_some() && l.cache_ok && checks_ok[li] {
-                        let mut entry = l.facts.clone();
-                        entry.diags = buckets.remove(&li).unwrap_or_default();
-                        c.store_entry(l.hash, &self.files[l.file_idx].path, &entry);
-                    }
-                }
+            for (li, diags) in buckets {
+                let l = &loaded[li];
+                let mut entry = l.facts.clone();
+                entry.diags = diags;
+                c.store_entry(l.hash, &self.files[l.file_idx].path, &entry);
             }
         }
 
@@ -1129,6 +1059,43 @@ fn classify_panic(msg: &str) -> FaultCause {
         FaultCause::Injected(msg.to_string())
     } else {
         FaultCause::Panic(msg.to_string())
+    }
+}
+
+/// A rule lost to a contained panic: a degraded checks-phase fault
+/// whose cause keeps a failpoint's identity.
+fn check_fault(path: String, msg: &str) -> Fault {
+    Fault {
+        phase: FaultPhase::Checks,
+        path,
+        severity: FaultSeverity::Degraded,
+        cause: classify_panic(msg),
+        recovery: Recovery::SkippedItem,
+        run_id: String::new(),
+    }
+}
+
+/// A file-local rule that first fires the failpoint
+/// `pipeline::check::<id>::<path>`, inside the rule's own containment
+/// in [`run_one_check`], so an injected fault costs one (rule, file).
+struct Failpointed<'a> {
+    check: &'a dyn Check,
+    path: &'a str,
+}
+
+impl Check for Failpointed<'_> {
+    fn id(&self) -> &'static str {
+        self.check.id()
+    }
+    fn description(&self) -> &'static str {
+        self.check.description()
+    }
+    fn iso_refs(&self) -> &'static [&'static str] {
+        self.check.iso_refs()
+    }
+    fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
+        failpoints::hit(&format!("pipeline::check::{}::{}", self.check.id(), self.path));
+        self.check.run(cx)
     }
 }
 

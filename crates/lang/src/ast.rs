@@ -15,6 +15,19 @@ pub struct TranslationUnit {
     pub decls: Vec<Decl>,
     /// Number of parse recoveries performed (opaque regions).
     pub recovery_count: usize,
+    /// Integer literals spelled in octal, in source order, recorded
+    /// while lexing: the tree normalises literal values, so the
+    /// spelling MISRA 7.1 forbids is only visible in the tokens.
+    pub octal_literals: Vec<OctalLiteral>,
+}
+
+/// An integer literal spelled in octal (`052` reads as 42).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OctalLiteral {
+    /// Where the literal sits in the preprocessed text.
+    pub span: Span,
+    /// The literal as written, suffix included (`017u`).
+    pub lexeme: String,
 }
 
 impl TranslationUnit {

@@ -5,6 +5,7 @@
 //! unexpected byte becomes part of the previous recovery or is skipped),
 //! and records enough to rebuild lexemes from spans.
 
+use crate::ast::OctalLiteral;
 use crate::source::{FileId, Span};
 use crate::token::{Kw, Punct, Token, TokenKind};
 
@@ -12,6 +13,23 @@ use crate::token::{Kw, Punct, Token, TokenKind};
 /// single [`TokenKind::Eof`] token.
 pub fn lex(file: FileId, text: &str) -> Vec<Token> {
     Lexer { file, text: text.as_bytes(), pos: 0 }.run()
+}
+
+/// The integer literals among `toks` (lexed from `text`) spelled in
+/// octal: a leading `0`, more than one digit, all decimal digits once
+/// `u`/`l` suffixes are trimmed.
+pub(crate) fn octal_literals(text: &str, toks: &[Token]) -> Vec<OctalLiteral> {
+    toks.iter()
+        .filter(|t| t.kind == TokenKind::IntLit)
+        .filter_map(|t| {
+            let lexeme = &text[t.span.start as usize..t.span.end as usize];
+            let digits = lexeme.trim_end_matches(['u', 'U', 'l', 'L']);
+            let octal = digits.len() > 1
+                && digits.starts_with('0')
+                && digits.bytes().all(|b| b.is_ascii_digit());
+            octal.then(|| OctalLiteral { span: t.span, lexeme: lexeme.to_string() })
+        })
+        .collect()
 }
 
 struct Lexer<'a> {

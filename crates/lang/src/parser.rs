@@ -8,7 +8,7 @@
 //! node. It never panics and never rejects input.
 
 use crate::ast::*;
-use crate::lexer::lex;
+use crate::lexer::{lex, octal_literals};
 use crate::preprocess::{preprocess, PpInfo};
 use crate::source::{FileId, Span};
 use crate::token::{Kw, Punct, Token, TokenKind};
@@ -30,15 +30,18 @@ pub fn parse_source(file: FileId, src: &str) -> ParsedFile {
         let _s = adsafe_trace::span("parse.preprocess", "parse");
         preprocess(file, src)
     };
-    let toks = {
+    let (toks, octal_literals) = {
         let _s = adsafe_trace::span("parse.lex", "parse");
-        lex(file, &pre.text)
+        let toks = lex(file, &pre.text);
+        let octal = octal_literals(&pre.text, &toks);
+        (toks, octal)
     };
     adsafe_trace::counter("parse.lexer.tokens").add(toks.len() as u64);
-    let unit = {
+    let mut unit = {
         let _s = adsafe_trace::span("parse.syntax", "parse");
         Parser::new(file, &pre.text, &toks).parse_unit()
     };
+    unit.octal_literals = octal_literals;
     if unit.recovery_count > 0 {
         adsafe_trace::counter("parse.parser.resyncs").add(unit.recovery_count as u64);
     }
@@ -260,7 +263,12 @@ impl<'a> Parser<'a> {
                 self.bump();
             }
         }
-        TranslationUnit { decls, recovery_count: self.recovery_count }
+        // `parse_source` fills in the octal literals from its lex.
+        TranslationUnit {
+            decls,
+            recovery_count: self.recovery_count,
+            octal_literals: Vec::new(),
+        }
     }
 
     fn prescan_type_names(&mut self) {

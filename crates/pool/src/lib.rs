@@ -1,7 +1,8 @@
 //! # adsafe-pool — a zero-dependency work-stealing thread pool
 //!
-//! The assessment pipeline fans file- and (rule × file)-grained tasks
-//! out over cores with [`Pool::map`]: every task runs under
+//! The assessment pipeline fans per-file and per-module tasks (one task
+//! per file for parsing and again for checking) out over cores with
+//! [`Pool::map`]: every task runs under
 //! `catch_unwind` (preserving the pipeline's fault-isolation
 //! semantics), and results come back **indexed by input position**, so
 //! callers can merge them in stable input order no matter which worker

@@ -270,6 +270,45 @@ fn query_rule_panic_costs_one_rule_on_one_file() {
 }
 
 #[test]
+fn native_rule_panic_in_a_file_task_costs_one_rule_on_one_file() {
+    // Failpoints are thread-local, so the per-file tasks must run on
+    // this thread: jobs 1 (the default).
+    let src = format!("{GATED_SRC}int cast(float v) {{ return (int)v; }}\n");
+    let _g = failpoints::Armed::new(
+        "pipeline::check::misra-15.1-goto::m/a.cc",
+        Action::Panic("goto rule bug".into()),
+    );
+    let dir = std::env::temp_dir().join(format!("adsafe-file-task-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = AssessmentOptions { cache_dir: Some(dir.clone()), ..AssessmentOptions::default() };
+    let r = run_scenario("file-task-panic", options, |a| {
+        a.add_file("m", "m/a.cc", &src);
+        a.add_file("m", "m/b.cc", &src);
+    });
+    let faults: Vec<_> =
+        r.faults.iter().filter(|f| f.phase == adsafe::FaultPhase::Checks).collect();
+    assert_eq!(faults.len(), 1, "{faults:?}");
+    assert_eq!(faults[0].path, "misra-15.1-goto");
+    assert!(matches!(faults[0].cause, adsafe::FaultCause::Injected(_)), "{:?}", faults[0]);
+    // File ids follow insertion order, after `healthy/base.cc`.
+    let (a, b) = (adsafe::lang::FileId(1), adsafe::lang::FileId(2));
+    // The rule survived on the other file ...
+    let gotos = r.diagnostics_for("misra-15.1-goto");
+    assert_eq!(gotos.len(), 1);
+    assert_eq!(gotos[0].span.file, b);
+    // ... and every other rule survived on the armed file.
+    assert!(r.diagnostics_for("typing-explicit-cast").iter().any(|d| d.span.file == a));
+    assert!(r.diagnostics_for("misra-15.5-multi-exit").iter().any(|d| d.span.file == a));
+    // The armed file lost a rule, so it is not written back; the
+    // others are.
+    let entry = |path: &str| dir.join(format!("{:016x}.json", adsafe::content_hash(path, &src)));
+    assert!(!entry("m/a.cc").exists());
+    assert!(entry("m/b.cc").exists());
+    assert_eq!(cache_entries(&dir), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn failpoint_metrics_panic_falls_back_to_estimates() {
     let _g = failpoints::Armed::new("pipeline::metrics::m", Action::Panic("metrics bug".into()));
     let r = run_scenario("metrics-panic", AssessmentOptions::default(), |a| {

@@ -3,10 +3,11 @@
 //! and rendered findings recorded from them) on both the per-file pass
 //! and the pipeline, byte-identical reports across worker counts and
 //! cache states with packs active, pack-fault containment, and parser
-//! robustness properties.
+//! robustness properties. The native checkers' pipeline findings are
+//! pinned against a rule-major reference on the same sources.
 
-use adsafe::checkers::{AnalysisSet, CheckScope, Diagnostic};
-use adsafe::corpus::{generate, ApolloSpec};
+use adsafe::checkers::{default_checks, AnalysisSet, CheckScope, Diagnostic, Severity};
+use adsafe::corpus::{corrupt, generate, ApolloSpec, Corruption};
 use adsafe::facts::{self, FactsRecord};
 use adsafe::lang::SourceMap;
 use adsafe::rulequery::ast::{CmpOp, Expr};
@@ -38,6 +39,126 @@ fn corpus_sources() -> Vec<(String, String, String)> {
         .collect();
     out.push(("stress".into(), "stress/stress.cc".into(), stress_source()));
     out
+}
+
+/// Integer literals spelled every way MISRA 7.1 cares about, in code,
+/// in a directive, and in a disabled region; the directive's macro name
+/// is one the macro-naming pass flags.
+const EDGE_SOURCE: &str = "#define fileMode 0755\n\
+int f(int x) { return x + 010 + 017u + 0 + 00 + 08 + 0x1F + 0L; }\n\
+float g() { return 0.5f + 01.5; }\n\
+#if 0\nint dead = 012;\n#endif\n";
+
+/// [`corpus_sources`] plus [`EDGE_SOURCE`], clean and then under each
+/// `faultinject` corruption (invalid UTF-8 replaced lossily, as the
+/// pipeline ingests it).
+fn source_sets() -> Vec<(&'static str, Vec<(String, String, String)>)> {
+    let mut clean = corpus_sources();
+    clean.push(("stress".into(), "stress/edge.cc".into(), EDGE_SOURCE.into()));
+    let mut sets = vec![("clean", clean.clone())];
+    for kind in Corruption::ALL {
+        let corrupted = clean
+            .iter()
+            .map(|(module, path, text)| {
+                let bytes = corrupt(7, kind, path, text);
+                (module.clone(), path.clone(), String::from_utf8_lossy(&bytes).into_owned())
+            })
+            .collect();
+        sets.push((kind.name(), corrupted));
+    }
+    sets
+}
+
+/// Parses `sources` into a set numbered like the pipeline numbers them.
+/// A file whose parse or facts extraction panics is left out, as the
+/// pipeline leaves it out of the checks (it falls to token-only
+/// metrics).
+fn analysis_set(sources: &[(String, String, String)]) -> AnalysisSet {
+    let mut set = AnalysisSet::new();
+    for (module, path, text) in sources {
+        let id = set.sm.add_file(path, text);
+        let sm = &set.sm;
+        let parsed = std::panic::catch_unwind(|| {
+            let parsed = adsafe::lang::parse_source(id, sm.file(id).text());
+            facts::extract_facts(sm, id, &parsed);
+            parsed
+        });
+        if let Ok(parsed) = parsed {
+            set.add_parsed(module, id, parsed);
+        }
+    }
+    set
+}
+
+/// `misra-7.1-octal` reads the literals recorded during the parse's
+/// lex; a second preprocess + lex of every file finds the same ones.
+#[test]
+fn octal_rule_matches_a_second_lex() {
+    for (name, sources) in source_sets() {
+        let set = analysis_set(&sources);
+        let mut relexed = Vec::new();
+        for (&id, _, _) in set.parsed() {
+            let pre = adsafe::lang::preprocess::preprocess(id, set.sm.file(id).text());
+            for t in adsafe::lang::lexer::lex(id, &pre.text) {
+                let lexeme = &pre.text[t.span.start as usize..t.span.end as usize];
+                let digits = lexeme.trim_end_matches(['u', 'U', 'l', 'L']);
+                if t.kind == adsafe::lang::token::TokenKind::IntLit
+                    && digits.len() > 1
+                    && digits.starts_with('0')
+                    && digits.bytes().all(|b| b.is_ascii_digit())
+                {
+                    relexed.push(Diagnostic::new(
+                        "misra-7.1-octal",
+                        Severity::Warning,
+                        t.span,
+                        format!("octal constant `{lexeme}`"),
+                    ));
+                }
+            }
+        }
+        if name == "clean" {
+            assert_eq!(relexed.len(), 4, "010, 017u, 00 and 08");
+        }
+        let rule = default_checks().into_iter().find(|c| c.id() == "misra-7.1-octal").unwrap();
+        assert_eq!(rule.run(&set.context()), relexed, "{name}");
+    }
+}
+
+/// The pipeline's native findings — one task per file, program-scoped
+/// rules replayed from facts — equal a rule-major reference: each
+/// native rule over the whole-program context, plus the macro-naming
+/// pass, canonically sorted. At several worker counts, on clean and
+/// corrupted sources.
+#[test]
+fn pipeline_native_findings_equal_a_rule_major_reference() {
+    let checks = default_checks();
+    let canonical = |d: &Diagnostic| (d.check_id, d.span.file, d.span.start);
+    for (name, sources) in source_sets() {
+        let set = analysis_set(&sources);
+        let cx = set.context();
+        let mut reference: Vec<Diagnostic> = checks.iter().flat_map(|c| c.run(&cx)).collect();
+        for (_, _, parsed) in set.parsed() {
+            reference.extend(adsafe::checkers::naming::check_macros(&parsed.pp));
+        }
+        reference.sort_by_key(canonical);
+        if name == "clean" {
+            assert!(reference.iter().any(|d| d.check_id == "naming-macro"));
+        }
+        for jobs in [1, 2, 4] {
+            let mut a =
+                Assessment::new().with_options(AssessmentOptions { jobs, ..Default::default() });
+            for (module, path, text) in &sources {
+                a.add_file(module, path, text);
+            }
+            let report = a.run();
+            let native: Vec<Diagnostic> = report
+                .diagnostics
+                .into_iter()
+                .filter(|d| checks.iter().any(|c| c.id() == d.check_id))
+                .collect();
+            assert!(native == reference, "{name} at jobs {jobs}");
+        }
+    }
 }
 
 /// The pipeline's file numbering for [`corpus_sources`], for rendering.
