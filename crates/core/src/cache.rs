@@ -29,13 +29,17 @@ use crate::facts::{FileFacts, FACTS_SCHEMA};
 use adsafe_lang::FileId;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Result of a cache lookup for one file.
 #[derive(Debug)]
 pub enum CacheLookup {
     /// A valid entry was found: skip parse, checks, and metrics
-    /// extraction for this file.
-    Hit(FileFacts),
+    /// extraction for this file. The record may be shared with a
+    /// resident store (and with other runs), so its diagnostic spans
+    /// can name another run's `FileId`: a consumer that emits them
+    /// rebinds each span to its own file.
+    Hit(Arc<FileFacts>),
     /// No entry (or the cache is disabled/unusable).
     Miss,
     /// An entry exists but cannot be trusted; the payload says why.
@@ -48,13 +52,31 @@ pub enum CacheLookup {
 /// `adsafe serve` daemon keeps warm across requests. Implementations
 /// must be callable from parallel parse workers (`&self`, `Sync`).
 pub trait FactsStore: Sync {
-    /// Looks up the facts for `hash`, rebinding spans to `file`.
+    /// Looks up the facts for `hash`. A record decoded from disk has
+    /// its diagnostic spans bound to `file`; a resident record is
+    /// returned as stored, spans and all (see [`CacheLookup::Hit`]).
     fn load(&self, hash: u64, file: FileId) -> CacheLookup;
+
+    /// [`load`](Self::load) for the source file at `path`. Stores that
+    /// keep a path → hash index record `path` against an entry they
+    /// promote from a backing disk cache, so targeted invalidation
+    /// finds it; the default ignores `path`.
+    fn load_at(&self, hash: u64, file: FileId, path: &str) -> CacheLookup {
+        let _ = path;
+        self.load(hash, file)
+    }
 
     /// Records the facts for `hash` (best-effort; failures are
     /// silent). `path` lets stores keep a path → hash index for
     /// targeted invalidation; the disk cache ignores it.
     fn store_entry(&self, hash: u64, path: &str, facts: &FileFacts);
+
+    /// [`store_entry`](Self::store_entry) for a record the caller
+    /// already holds shared: a resident store keeps the `Arc` itself
+    /// instead of copying the record.
+    fn store_shared(&self, hash: u64, path: &str, facts: Arc<FileFacts>) {
+        self.store_entry(hash, path, &facts);
+    }
 
     /// If the store could not be brought up (unwritable directory,
     /// clobbered `meta.json`, …), the reason — the pipeline logs it as
@@ -183,7 +205,7 @@ impl FactsCache {
         match FileFacts::from_json(&text, file) {
             Ok(facts) => {
                 adsafe_trace::counter("cache.hits").incr();
-                CacheLookup::Hit(facts)
+                CacheLookup::Hit(Arc::new(facts))
             }
             Err(detail) => {
                 adsafe_trace::counter("cache.corrupt").incr();
@@ -281,7 +303,7 @@ mod tests {
         let h = content_hash("m/a.cc", "text");
         cache.store(h, &facts);
         match cache.load(h, FileId(0)) {
-            CacheLookup::Hit(f) => assert_eq!(f, facts),
+            CacheLookup::Hit(f) => assert_eq!(*f, facts),
             other => panic!("expected hit, got {other:?}"),
         }
         assert!(matches!(
@@ -346,7 +368,7 @@ mod tests {
         let h = content_hash("m/raw.cc", "text");
         assert!(cache.store_raw(h, &facts.to_json()));
         match cache.load(h, FileId(0)) {
-            CacheLookup::Hit(f) => assert_eq!(f, facts),
+            CacheLookup::Hit(f) => assert_eq!(*f, facts),
             other => panic!("expected hit, got {other:?}"),
         }
         cache.evict(h);

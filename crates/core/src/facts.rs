@@ -3,10 +3,11 @@
 //!
 //! [`FileFacts`] is the unit of incrementality. For a *fresh* file the
 //! pipeline parses it and calls [`extract_facts`]; for a *cached* file
-//! it deserialises the same record from `.adsafe-cache/` and skips the
-//! parse entirely. Everything cross-file — the call graph, global-use
-//! diagnostics, query-rule rows, module metrics, the ISO 26262-6 Table 8
-//! unit statistics, the validation ratio, GPU evidence — is *always*
+//! it deserialises the same record from `.adsafe-cache/` (or shares the
+//! decoded record a resident store holds) and skips the parse entirely.
+//! Everything cross-file — the call graph, global-use diagnostics,
+//! query-rule rows, module metrics, the ISO 26262-6 Table 8 unit
+//! statistics, the validation ratio, GPU evidence — is *always*
 //! recomputed from facts records, for fresh and cached files alike,
 //! through the `*_from_facts` functions below. Fresh and warm runs
 //! therefore produce byte-identical reports by construction: they run
@@ -25,8 +26,8 @@ use adsafe_lang::symbols::analyze_function;
 use adsafe_lang::visit::walk_exprs;
 use adsafe_lang::{CallGraph, FileId, ParsedFile, SourceMap, Span};
 use adsafe_metrics::{
-    count_file, function_metrics, pairwise_cohesion, ComplexityHistogram, FunctionMetrics,
-    LocCounts, ModuleMetrics,
+    count_file, function_metrics, ComplexityHistogram, FunctionMetrics, LocCounts,
+    ModuleMetrics, TouchedGlobals,
 };
 use adsafe_trace::json::{write_escaped, Json};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -234,7 +235,7 @@ pub fn module_metrics_from_facts(name: &str, files: &[&FileFacts]) -> ModuleMetr
     let mut functions: Vec<FunctionMetrics> = Vec::new();
     let mut histogram = ComplexityHistogram::default();
     let mut global_count = 0usize;
-    let mut global_names: HashSet<&str> = HashSet::new();
+    let mut global_index: HashMap<&str, usize> = HashMap::new();
 
     for facts in files {
         loc.physical += facts.loc.physical;
@@ -244,7 +245,8 @@ pub fn module_metrics_from_facts(name: &str, files: &[&FileFacts]) -> ModuleMetr
         loc.directive += facts.loc.directive;
         for g in &facts.globals {
             global_count += 1;
-            global_names.insert(g.name.as_str());
+            let next = global_index.len();
+            global_index.entry(g.name.as_str()).or_insert(next);
         }
         for f in &facts.functions {
             histogram.add(f.metrics.cyclomatic);
@@ -252,19 +254,11 @@ pub fn module_metrics_from_facts(name: &str, files: &[&FileFacts]) -> ModuleMetr
         }
     }
 
-    let touched: Vec<HashSet<String>> = files
-        .iter()
-        .flat_map(|facts| {
-            facts.functions.iter().map(|f| {
-                f.idents
-                    .iter()
-                    .filter(|n| global_names.contains(n.as_str()))
-                    .cloned()
-                    .collect::<HashSet<String>>()
-            })
-        })
-        .collect();
-    let cohesion = pairwise_cohesion(&touched);
+    let mut touched = TouchedGlobals::new(global_index.len());
+    for f in files.iter().flat_map(|facts| &facts.functions) {
+        touched.push(f.idents.iter().filter_map(|n| global_index.get(n.as_str()).copied()));
+    }
+    let cohesion = touched.cohesion();
 
     let mean_params = if functions.is_empty() {
         0.0
@@ -364,8 +358,8 @@ fn check_id_for(name: &str) -> Option<&'static str> {
 
 impl FileFacts {
     /// Serialises to the `adsafe-facts/1` JSON form. Diagnostic spans
-    /// drop their [`FileId`] — it is reassigned at load time from the
-    /// current run's source map.
+    /// drop their [`FileId`] — [`from_json`](Self::from_json) binds them
+    /// to the loading run's file.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push('{');
@@ -437,24 +431,19 @@ impl FileFacts {
             blank: as_usize(&loc_arr[3])?,
             directive: as_usize(&loc_arr[4])?,
         };
-        let mut globals = Vec::new();
-        for g in req_arr(&v, "globals")? {
+        let globals = read_all(req_arr(&v, "globals")?, |g| {
             let t = g.as_arr().ok_or("global not an array")?;
             if t.len() != 3 {
                 return Err("global arity".to_string());
             }
-            globals.push(GlobalFacts {
+            Ok(GlobalFacts {
                 name: req_str_v(&t[0])?,
                 is_const: as_bool(&t[1])?,
                 is_extern: as_bool(&t[2])?,
-            });
-        }
-        let mut functions = Vec::new();
-        for f in req_arr(&v, "functions")? {
-            functions.push(read_function(f)?);
-        }
-        let mut diags = Vec::new();
-        for d in req_arr(&v, "diags")? {
+            })
+        })?;
+        let functions = read_all(req_arr(&v, "functions")?, read_function)?;
+        let diags = read_all(req_arr(&v, "diags")?, |d| {
             let t = d.as_arr().ok_or("diag not an array")?;
             if t.len() != 6 {
                 return Err("diag arity".to_string());
@@ -475,8 +464,8 @@ impl FileFacts {
                 Json::Str(s) => diag = diag.in_function(s),
                 _ => return Err("bad diag function".to_string()),
             }
-            diags.push(diag);
-        }
+            Ok(diag)
+        })?;
         Ok(FileFacts {
             recovery_count: req_usize(&v, "recovery")?,
             loc,
@@ -555,22 +544,15 @@ fn read_function(v: &Json) -> Result<FunctionFacts, String> {
     if sig.len() != 2 {
         return Err("sig arity".to_string());
     }
-    let mut callees = Vec::new();
-    for c in req_arr(v, "callees")? {
-        callees.push(req_str_v(c)?);
-    }
-    let mut idents = Vec::new();
-    for n in req_arr(v, "idents")? {
-        idents.push(req_str_v(n)?);
-    }
-    let mut unresolved = Vec::new();
-    for u in req_arr(v, "unres")? {
+    let callees = read_all(req_arr(v, "callees")?, req_str_v)?;
+    let idents = read_all(req_arr(v, "idents")?, req_str_v)?;
+    let unresolved = read_all(req_arr(v, "unres")?, |u| {
         let t = u.as_arr().ok_or("unres not an array")?;
         if t.len() != 3 {
             return Err("unres arity".to_string());
         }
-        unresolved.push((req_str_v(&t[0])?, as_u32(&t[1])?, as_u32(&t[2])?));
-    }
+        Ok((req_str_v(&t[0])?, as_u32(&t[1])?, as_u32(&t[2])?))
+    })?;
     Ok(FunctionFacts {
         metrics: FunctionMetrics {
             name: req_str(v, "name")?,
@@ -605,6 +587,20 @@ fn read_function(v: &Json) -> Result<FunctionFacts, String> {
             validates: req_bool(v, "validates")?,
         },
     })
+}
+
+/// Reads every element of `arr` into a vector of exactly `arr.len()`:
+/// a decoded record may stay resident in a facts store, charged at its
+/// encoded length, so it carries no growth slack.
+fn read_all<T>(
+    arr: &[Json],
+    read: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut out = Vec::with_capacity(arr.len());
+    for v in arr {
+        out.push(read(v)?);
+    }
+    Ok(out)
 }
 
 fn req_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {

@@ -58,6 +58,7 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Wall-clock budgets for the analysis phases.
@@ -223,8 +224,9 @@ struct ParseOutcome {
 enum ParseKind {
     /// Parsed this run; facts extracted, diagnostics pending.
     Fresh(Box<ParsedFile>, FileFacts),
-    /// Served from the facts cache; diagnostics included.
-    Cached(FileFacts),
+    /// Served from the facts cache; diagnostics included, their spans
+    /// not yet bound to this run's `FileId`.
+    Cached(Arc<FileFacts>),
     /// Tier 3: token-only estimate (carried in `estimate`).
     Estimated,
     /// Tier 4: nothing recoverable.
@@ -235,7 +237,7 @@ enum ParseKind {
 struct LoadedFile {
     file_idx: usize,
     id: FileId,
-    facts: FileFacts,
+    facts: Arc<FileFacts>,
     parsed: Option<Box<ParsedFile>>, // `Some` iff fresh
     hash: u64,
     cache_ok: bool,
@@ -263,11 +265,11 @@ impl Assessment {
 
     /// Adds one source file under a module.
     pub fn add_file(&mut self, module: &str, path: &str, text: &str) -> &mut Self {
-        self.files.push(RawFile {
-            module: module.to_string(),
-            path: path.to_string(),
-            text: text.to_string(),
-        });
+        self.push_file(module, path, text.to_string())
+    }
+
+    fn push_file(&mut self, module: &str, path: &str, text: String) -> &mut Self {
+        self.files.push(RawFile { module: module.to_string(), path: path.to_string(), text });
         self
     }
 
@@ -287,8 +289,7 @@ impl Assessment {
                 run_id: String::new(),
             });
         }
-        let owned = text.into_owned();
-        self.add_file(module, path, &owned)
+        self.push_file(module, path, text.into_owned())
     }
 
     /// Records a fault observed before the pipeline ran (e.g. a torn
@@ -384,7 +385,7 @@ impl Assessment {
                         estimates.push((self.files[i].module.clone(), est));
                     }
                     let (facts, parsed) = match o.kind {
-                        ParseKind::Fresh(p, facts) => (facts, Some(p)),
+                        ParseKind::Fresh(p, facts) => (Arc::new(facts), Some(p)),
                         ParseKind::Cached(facts) => (facts, None),
                         ParseKind::Estimated | ParseKind::Dropped => continue,
                     };
@@ -419,7 +420,7 @@ impl Assessment {
         // every cross-file assembly below, fresh and cached alike.
         let records: Vec<FactsRecord<'_>> = loaded
             .iter()
-            .map(|l| (l.id, self.files[l.file_idx].module.as_str(), &l.facts))
+            .map(|l| (l.id, self.files[l.file_idx].module.as_str(), &*l.facts))
             .collect();
 
         // Phase 2: checkers, one pool task per fresh file with per-rule
@@ -558,11 +559,18 @@ impl Assessment {
 
         // Cached files replay their stored file-local diagnostics —
         // filtered by `skipped` so a gated rule stays silent on warm
-        // runs too.
+        // runs too. This is the one place cached diagnostics enter a
+        // run, so it is where their spans are bound to this run's
+        // `FileId`: a resident record keeps the ids of the run that
+        // built it.
         for l in &loaded {
             if l.parsed.is_none() {
                 diagnostics.extend(
-                    l.facts.diags.iter().filter(|d| !skipped.contains(d.check_id)).cloned(),
+                    l.facts.diags.iter().filter(|d| !skipped.contains(d.check_id)).map(|d| {
+                        let mut d = d.clone();
+                        d.span.file = l.id;
+                        d
+                    }),
                 );
             }
         }
@@ -620,9 +628,8 @@ impl Assessment {
         if let Some(c) = cache {
             for (li, diags) in buckets {
                 let l = &loaded[li];
-                let mut entry = l.facts.clone();
-                entry.diags = diags;
-                c.store_entry(l.hash, &self.files[l.file_idx].path, &entry);
+                let entry = Arc::new(FileFacts { diags, ..FileFacts::clone(&l.facts) });
+                c.store_shared(l.hash, &self.files[l.file_idx].path, entry);
             }
         }
 
@@ -647,7 +654,7 @@ impl Assessment {
                 let files: Vec<&FileFacts> = loaded
                     .iter()
                     .filter(|l| self.files[l.file_idx].module == m)
-                    .map(|l| &l.facts)
+                    .map(|l| &*l.facts)
                     .collect();
                 facts::module_metrics_from_facts(m, &files)
             }))
@@ -936,7 +943,7 @@ fn parse_one(
     }
     if let Some(c) = cache {
         out.hash = content_hash(&rf.path, text);
-        match c.load(out.hash, id) {
+        match c.load_at(out.hash, id, &rf.path) {
             CacheLookup::Hit(facts) => {
                 adsafe_trace::counter("parse.cached.files").incr();
                 out.kind = ParseKind::Cached(facts);

@@ -7,13 +7,19 @@
 //! performs zero parse-phase work: every file resolves to a resident
 //! entry keyed by content hash.
 //!
-//! Entries are held in the same serialised form the disk cache uses
-//! (`FileFacts::to_json`), for two reasons: loading must rebind
-//! diagnostic spans to the *current* run's `FileId` (exactly what
-//! `FileFacts::from_json` does), and memory and disk then share one
-//! validation path — an entry that round-trips from memory is
-//! byte-for-byte the entry that would round-trip from disk, which is
-//! what keeps served reports identical to CLI reports.
+//! Entries are held decoded, as shared `Arc<FileFacts>` records: a
+//! resident hit is an `Arc::clone` under the read lock, with no copy
+//! and no decode. A record's diagnostic spans keep whatever `FileId`
+//! the run that built it assigned; the pipeline rebinds them to the
+//! current run's `FileId` in the one place cached diagnostics enter a
+//! run (the replay loop), on the clones it makes anyway. JSON now
+//! appears only at the disk boundary: promotion decodes with
+//! `FileFacts::from_json` (and its validation), write-back and
+//! eviction demotion encode with `FileFacts::to_json`. Memory and disk
+//! therefore no longer share a decoder; their parity — the same
+//! report and the same diagnostics, spans included, from a resident
+//! hit as from a disk round trip — is pinned by a differential test
+//! (`tests/query_integration.rs`).
 //!
 //! With a backing directory ([`MemoryFactsStore::open`] with
 //! `Some(dir)`), misses fall through to the disk cache (promoting hits
@@ -25,20 +31,23 @@
 //! A secondary path → hash index supports targeted invalidation
 //! (`POST /invalidate`): dropping a path removes the resident entry
 //! *and* evicts the disk entry, so the next request re-analyses from
-//! source.
+//! source. Entries promoted from disk carry the path they were looked
+//! up under ([`FactsStore::load_at`]), so invalidation finds them too.
 //!
 //! With a byte budget ([`MemoryFactsStore::open_budgeted`]), the store
 //! degrades gracefully under memory pressure instead of growing
 //! without bound: crossing the watermark evicts least-recently-used
 //! entries (dirty ones are demoted to the disk backing first, so no
-//! warm-start data is lost) until the store is back under budget.
-//! Evictions are counted in `store.evictions`, released bytes in
-//! `store.evicted_bytes`, and summarised as a non-degrading Info
-//! [`Fault`](crate::Fault) via [`take_eviction_fault`]
-//! (MemoryFactsStore::take_eviction_fault) — which the daemon surfaces
-//! through `/healthz`, *not* the assessment report: report bytes must
-//! stay a function of the assessed code alone, never of how much other
-//! traffic the store has absorbed.
+//! warm-start data is lost) until the store is back under budget. An
+//! entry's size is its encoded JSON length, measured once at insert —
+//! the bytes the disk cache stores; a decoded record takes about 1.1×
+//! that on the heap at paper scale. Evictions are counted in
+//! `store.evictions`, released bytes in `store.evicted_bytes`, and
+//! summarised as a non-degrading Info [`Fault`](crate::Fault) via
+//! [`take_eviction_fault`] (MemoryFactsStore::take_eviction_fault) —
+//! which the daemon surfaces through `/healthz`, *not* the assessment
+//! report: report bytes must stay a function of the assessed code
+//! alone, never of how much other traffic the store has absorbed.
 
 use crate::cache::{CacheLookup, FactsCache, FactsStore};
 use crate::facts::FileFacts;
@@ -47,16 +56,18 @@ use adsafe_lang::FileId;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
-/// One resident entry: the serialised facts, whether it still needs
+/// One resident entry: the decoded facts, their encoded JSON length
+/// (the entry's size for byte accounting), whether it still needs
 /// writing back to the disk cache, and when it was last used (a
 /// logical-clock stamp driving LRU eviction; atomic so hits under the
 /// read lock can refresh recency without write-lock contention).
 #[derive(Debug)]
 struct Entry {
     path: String,
-    json: String,
+    facts: Arc<FileFacts>,
+    size: u64,
     dirty: bool,
     last_use: AtomicU64,
 }
@@ -68,7 +79,7 @@ struct Entry {
 pub struct MemoryFactsStore {
     entries: RwLock<HashMap<u64, Entry>>,
     disk: Option<FactsCache>,
-    /// Total serialised-JSON bytes resident, maintained incrementally
+    /// Total encoded-JSON bytes resident, maintained incrementally
     /// (always mutated under the `entries` write lock, so it tracks the
     /// map exactly). Backs the `store.facts.bytes` gauge and
     /// `/healthz`, making resident growth visible before it hurts.
@@ -95,9 +106,9 @@ impl MemoryFactsStore {
     }
 
     /// [`open`](Self::open) with an LRU byte budget: whenever resident
-    /// serialised bytes exceed `budget`, least-recently-used entries
-    /// are evicted (dirty ones demoted to disk first) until the store
-    /// is back under. `0` means unbounded.
+    /// bytes (entries' encoded JSON lengths) exceed `budget`,
+    /// least-recently-used entries are evicted (dirty ones demoted to
+    /// disk first) until the store is back under. `0` means unbounded.
     pub fn open_budgeted(dir: Option<&Path>, budget: u64) -> MemoryFactsStore {
         MemoryFactsStore {
             entries: RwLock::new(HashMap::new()),
@@ -142,11 +153,11 @@ impl MemoryFactsStore {
             let Some(e) = map.remove(&h) else { break };
             if e.dirty {
                 if let Some(d) = &self.disk {
-                    let _ = d.store_raw(h, &e.json);
+                    let _ = d.store_raw(h, &e.facts.to_json());
                 }
             }
-            released += e.json.len() as u64;
-            self.bytes.fetch_sub(e.json.len() as u64, Ordering::Relaxed);
+            released += e.size;
+            self.bytes.fetch_sub(e.size, Ordering::Relaxed);
             evicted += 1;
         }
         if evicted > 0 {
@@ -184,7 +195,8 @@ impl MemoryFactsStore {
         self.entries.read().expect("facts store poisoned").len()
     }
 
-    /// Total serialised bytes resident in memory.
+    /// Total size of the resident entries: the sum of their encoded
+    /// JSON lengths, each measured once at insert.
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
     }
@@ -197,14 +209,25 @@ impl MemoryFactsStore {
         adsafe_trace::gauge("store.facts.bytes").set(self.bytes.load(Ordering::Relaxed));
     }
 
-    /// Adjusts the byte total for an insert that displaced `old`.
-    fn account_insert(&self, inserted: usize, displaced: Option<usize>) {
-        let delta = inserted as i64 - displaced.unwrap_or(0) as i64;
-        if delta >= 0 {
-            self.bytes.fetch_add(delta as u64, Ordering::Relaxed);
-        } else {
-            self.bytes.fetch_sub((-delta) as u64, Ordering::Relaxed);
+    /// Inserts `facts` for `hash` (displacing any previous entry),
+    /// charges its encoded size — measured before the write lock is
+    /// taken — and sweeps the budget.
+    fn insert(&self, hash: u64, path: &str, facts: Arc<FileFacts>, dirty: bool) {
+        let size = facts.to_json().len() as u64;
+        let mut map = self.entries.write().expect("facts store poisoned");
+        let entry = Entry {
+            path: path.to_string(),
+            facts,
+            size,
+            dirty,
+            last_use: AtomicU64::new(self.tick()),
+        };
+        if let Some(old) = map.insert(hash, entry) {
+            self.bytes.fetch_sub(old.size, Ordering::Relaxed);
         }
+        self.bytes.fetch_add(size, Ordering::Relaxed);
+        self.enforce_budget(&mut map, hash);
+        self.set_gauges(map.len());
     }
 
     /// Whether no entries are resident.
@@ -223,7 +246,7 @@ impl MemoryFactsStore {
             .collect();
         for h in &victims {
             if let Some(e) = map.remove(h) {
-                self.bytes.fetch_sub(e.json.len() as u64, Ordering::Relaxed);
+                self.bytes.fetch_sub(e.size, Ordering::Relaxed);
             }
             if let Some(d) = &self.disk {
                 d.evict(*h);
@@ -234,8 +257,8 @@ impl MemoryFactsStore {
         victims.len()
     }
 
-    /// Drops every resident entry (disk entries are left for the
-    /// fingerprint machinery); returns how many were dropped.
+    /// Drops every resident entry and evicts each one's backing disk
+    /// entry; returns how many resident entries were dropped.
     pub fn invalidate_all(&self) -> usize {
         let mut map = self.entries.write().expect("facts store poisoned");
         let n = map.len();
@@ -258,7 +281,7 @@ impl MemoryFactsStore {
         let mut map = self.entries.write().expect("facts store poisoned");
         let mut written = 0;
         for (hash, entry) in map.iter_mut() {
-            if entry.dirty && disk.store_raw(*hash, &entry.json) {
+            if entry.dirty && disk.store_raw(*hash, &entry.facts.to_json()) {
                 entry.dirty = false;
                 written += 1;
             }
@@ -268,52 +291,29 @@ impl MemoryFactsStore {
 }
 
 impl FactsStore for MemoryFactsStore {
+    /// [`load_at`](FactsStore::load_at) with no path: an entry it
+    /// promotes from disk is not found by path invalidation.
     fn load(&self, hash: u64, file: FileId) -> CacheLookup {
-        let resident = {
+        self.load_at(hash, file, "")
+    }
+
+    fn load_at(&self, hash: u64, file: FileId, path: &str) -> CacheLookup {
+        {
             let map = self.entries.read().expect("facts store poisoned");
-            map.get(&hash).map(|e| {
+            if let Some(e) = map.get(&hash) {
                 // Refresh recency under the read lock: a hit must not
                 // leave the entry looking LRU-stale.
                 e.last_use.store(self.tick(), Ordering::Relaxed);
-                e.json.clone()
-            })
-        };
-        if let Some(json) = resident {
-            return match FileFacts::from_json(&json, file) {
-                Ok(facts) => {
-                    adsafe_trace::counter("cache.hits").incr();
-                    adsafe_trace::counter("store.memory_hits").incr();
-                    CacheLookup::Hit(facts)
-                }
-                Err(detail) => {
-                    // Evict the unusable entry; the cold path rebuilds it.
-                    adsafe_trace::counter("cache.corrupt").incr();
-                    let mut map = self.entries.write().expect("facts store poisoned");
-                    if let Some(e) = map.remove(&hash) {
-                        self.bytes.fetch_sub(e.json.len() as u64, Ordering::Relaxed);
-                    }
-                    self.set_gauges(map.len());
-                    CacheLookup::Corrupt(detail)
-                }
-            };
+                adsafe_trace::counter("cache.hits").incr();
+                adsafe_trace::counter("store.memory_hits").incr();
+                return CacheLookup::Hit(Arc::clone(&e.facts));
+            }
         }
         match &self.disk {
             // The disk cache emits its own hit/miss/corrupt counters.
             Some(disk) => match disk.load(hash, file) {
                 CacheLookup::Hit(facts) => {
-                    let mut map = self.entries.write().expect("facts store poisoned");
-                    let json = facts.to_json();
-                    let inserted = json.len();
-                    let entry = Entry {
-                        path: String::new(),
-                        json,
-                        dirty: false,
-                        last_use: AtomicU64::new(self.tick()),
-                    };
-                    let old = map.insert(hash, entry).map(|e| e.json.len());
-                    self.account_insert(inserted, old);
-                    self.enforce_budget(&mut map, hash);
-                    self.set_gauges(map.len());
+                    self.insert(hash, path, Arc::clone(&facts), false);
                     CacheLookup::Hit(facts)
                 }
                 other => other,
@@ -326,20 +326,12 @@ impl FactsStore for MemoryFactsStore {
     }
 
     fn store_entry(&self, hash: u64, path: &str, facts: &FileFacts) {
-        let mut map = self.entries.write().expect("facts store poisoned");
-        let json = facts.to_json();
-        let inserted = json.len();
-        let entry = Entry {
-            path: path.to_string(),
-            json,
-            dirty: true,
-            last_use: AtomicU64::new(self.tick()),
-        };
-        let old = map.insert(hash, entry).map(|e| e.json.len());
-        self.account_insert(inserted, old);
-        self.enforce_budget(&mut map, hash);
+        self.store_shared(hash, path, Arc::new(facts.clone()));
+    }
+
+    fn store_shared(&self, hash: u64, path: &str, facts: Arc<FileFacts>) {
+        self.insert(hash, path, facts, true);
         adsafe_trace::counter("cache.stores").incr();
-        self.set_gauges(map.len());
     }
 
     fn disabled_detail(&self) -> Option<String> {
@@ -373,7 +365,7 @@ mod tests {
         store.store_entry(h, "m/a.cc", &facts);
         assert_eq!(store.len(), 1);
         match store.load(h, FileId(7)) {
-            CacheLookup::Hit(f) => assert_eq!(f, facts),
+            CacheLookup::Hit(f) => assert_eq!(*f, facts),
             other => panic!("expected hit, got {other:?}"),
         }
         assert!(matches!(store.load(h ^ 1, FileId(0)), CacheLookup::Miss));
@@ -381,6 +373,23 @@ mod tests {
         assert_eq!(store.invalidate_paths(&["m/a.cc".to_string()]), 1);
         assert!(store.is_empty());
         assert!(matches!(store.load(h, FileId(0)), CacheLookup::Miss));
+    }
+
+    #[test]
+    fn resident_hits_share_one_record() {
+        let store = MemoryFactsStore::open(None);
+        let h = content_hash("m/a.cc", "text");
+        store.store_entry(h, "m/a.cc", &FileFacts { recovery_count: 1, ..FileFacts::default() });
+        let load = |file| match store.load(h, file) {
+            CacheLookup::Hit(f) => f,
+            other => panic!("expected hit, got {other:?}"),
+        };
+        // A hit is a refcount bump: no copy, no decode, whatever the
+        // caller's FileId.
+        assert!(Arc::ptr_eq(&load(FileId(0)), &load(FileId(5))));
+        let shared = Arc::new(FileFacts::default());
+        store.store_shared(h, "m/a.cc", Arc::clone(&shared));
+        assert!(Arc::ptr_eq(&load(FileId(1)), &shared), "a shared store keeps the caller's Arc");
     }
 
     #[test]
@@ -417,10 +426,16 @@ mod tests {
             assert_eq!(store.flush(), 1);
             assert_eq!(store.flush(), 0, "clean entries are not rewritten");
         }
-        // A fresh store (fresh process) promotes the disk entry.
+        // A fresh store (fresh process) promotes the disk entry, under
+        // the path it was looked up by.
         let store2 = MemoryFactsStore::open(Some(&dir));
-        assert!(matches!(store2.load(h, FileId(2)), CacheLookup::Hit(_)));
+        assert!(matches!(store2.load_at(h, FileId(2), "m/b.cc"), CacheLookup::Hit(_)));
         assert_eq!(store2.len(), 1, "disk hit was promoted into memory");
+        assert_eq!(store2.invalidate_paths(&["m/b.cc".to_string()]), 1);
+        assert!(
+            matches!(store2.load(h, FileId(2)), CacheLookup::Miss),
+            "the disk entry goes with the promoted one"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

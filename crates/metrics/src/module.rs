@@ -9,7 +9,7 @@ use crate::loc::{count_file, LocCounts};
 use adsafe_lang::ast::TranslationUnit;
 use adsafe_lang::visit::walk_exprs;
 use adsafe_lang::{CallGraph, SourceFile};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Aggregated metrics for one software module (e.g. `perception`).
 #[derive(Debug, Clone)]
@@ -60,7 +60,7 @@ pub fn module_metrics(name: &str, files: &[(&SourceFile, &TranslationUnit)]) -> 
     let mut functions = Vec::new();
     let mut histogram = ComplexityHistogram::default();
     let mut global_count = 0usize;
-    let mut global_names: HashSet<String> = HashSet::new();
+    let mut global_index: HashMap<&str, usize> = HashMap::new();
 
     for (file, unit) in files {
         let c = count_file(file);
@@ -71,7 +71,8 @@ pub fn module_metrics(name: &str, files: &[(&SourceFile, &TranslationUnit)]) -> 
         loc.directive += c.directive;
         for g in unit.global_vars() {
             global_count += 1;
-            global_names.insert(g.name.clone());
+            let next = global_index.len();
+            global_index.entry(g.name.as_str()).or_insert(next);
         }
         for f in unit.functions() {
             let m = function_metrics(file, f);
@@ -82,21 +83,19 @@ pub fn module_metrics(name: &str, files: &[(&SourceFile, &TranslationUnit)]) -> 
 
     // Cohesion: for each function, the set of module globals it touches;
     // cohesion = fraction of function pairs sharing at least one global.
-    let mut touched: Vec<HashSet<String>> = Vec::new();
+    let mut touched = TouchedGlobals::new(global_index.len());
     for (_, unit) in files {
         for f in unit.functions() {
-            let mut set = HashSet::new();
+            let mut row = Vec::new();
             walk_exprs(f, |e| {
                 if let adsafe_lang::ast::ExprKind::Ident(n) = &e.kind {
-                    if global_names.contains(n) {
-                        set.insert(n.clone());
-                    }
+                    row.extend(global_index.get(n.as_str()));
                 }
             });
-            touched.push(set);
+            touched.push(row);
         }
     }
-    let cohesion = pairwise_cohesion(&touched);
+    let cohesion = touched.cohesion();
 
     let mean_params = if functions.is_empty() {
         0.0
@@ -117,30 +116,58 @@ pub fn module_metrics(name: &str, files: &[(&SourceFile, &TranslationUnit)]) -> 
     }
 }
 
-/// LCOM-style pairwise cohesion over per-function touched-global sets:
-/// the fraction of function pairs sharing at least one accessed module
-/// global (1.0 when there are fewer than two functions). Public so the
-/// incremental pipeline can recompute cohesion from cached per-function
-/// ident sets with exactly this formula.
-pub fn pairwise_cohesion(touched: &[HashSet<String>]) -> f64 {
-    let n = touched.len();
-    if n < 2 {
-        return 1.0;
+/// Which module globals each function touches, one bitset row per
+/// function over the module's indexed global names — the input of
+/// LCOM-style pairwise cohesion. Functions that touch no global share
+/// nothing with any other, so they are counted but get no row.
+#[derive(Debug, Clone)]
+pub struct TouchedGlobals {
+    words: usize,
+    functions: usize,
+    rows: Vec<u64>,
+}
+
+impl TouchedGlobals {
+    /// An empty set of rows over a module with `globals` distinct
+    /// global names, indexed `0..globals`.
+    pub fn new(globals: usize) -> Self {
+        TouchedGlobals { words: globals.div_ceil(64), functions: 0, rows: Vec::new() }
     }
-    let mut share = 0usize;
-    let mut pairs = 0usize;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            pairs += 1;
-            if !touched[i].is_disjoint(&touched[j]) {
-                share += 1;
-            }
+
+    /// Adds one function touching the globals at `indices` (each below
+    /// the `globals` given to [`new`](Self::new); repeats are fine).
+    pub fn push(&mut self, indices: impl IntoIterator<Item = usize>) {
+        self.functions += 1;
+        let mut indices = indices.into_iter().peekable();
+        if indices.peek().is_none() {
+            return;
+        }
+        let start = self.rows.len();
+        self.rows.resize(start + self.words, 0);
+        for i in indices {
+            self.rows[start + i / 64] |= 1 << (i % 64);
         }
     }
-    if pairs == 0 {
-        1.0
-    } else {
-        share as f64 / pairs as f64
+
+    /// The fraction of function pairs sharing at least one accessed
+    /// global (1.0 when there are fewer than two functions). Pairs are
+    /// counted over every function, empty rows included.
+    pub fn cohesion(&self) -> f64 {
+        let n = self.functions;
+        if n < 2 {
+            return 1.0;
+        }
+        let mut share = 0usize;
+        if self.words > 0 {
+            let rows: Vec<&[u64]> = self.rows.chunks_exact(self.words).collect();
+            for (i, a) in rows.iter().enumerate() {
+                share += rows[i + 1..]
+                    .iter()
+                    .filter(|b| a.iter().zip(b.iter()).any(|(x, y)| x & y != 0))
+                    .count();
+            }
+        }
+        share as f64 / (n * (n - 1) / 2) as f64
     }
 }
 
@@ -169,6 +196,8 @@ pub fn coupling(
 mod tests {
     use super::*;
     use adsafe_lang::{parse_source, SourceMap};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn module_from(srcs: &[(&str, &str)]) -> ModuleMetrics {
         let mut sm = SourceMap::new();
@@ -223,6 +252,64 @@ mod tests {
             "int g1; int g2;\nvoid f1() { g1 = 1; }\nvoid f2() { g2 = 2; }\n",
         )]);
         assert_eq!(m2.cohesion, 0.0);
+    }
+
+    /// The definition, pair by pair: the reference the bitset kernel
+    /// must reproduce bit for bit.
+    fn naive_cohesion(sets: &[Vec<usize>]) -> f64 {
+        let sets: Vec<std::collections::HashSet<usize>> =
+            sets.iter().map(|s| s.iter().copied().collect()).collect();
+        let n = sets.len();
+        if n < 2 {
+            return 1.0;
+        }
+        let (mut share, mut pairs) = (0usize, 0usize);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                pairs += 1;
+                if !sets[i].is_disjoint(&sets[j]) {
+                    share += 1;
+                }
+            }
+        }
+        share as f64 / pairs as f64
+    }
+
+    fn kernel_cohesion(globals: usize, sets: &[Vec<usize>]) -> f64 {
+        let mut t = TouchedGlobals::new(globals);
+        for s in sets {
+            t.push(s.iter().copied());
+        }
+        t.cohesion()
+    }
+
+    #[test]
+    fn cohesion_kernel_edge_cases() {
+        assert_eq!(kernel_cohesion(0, &[]), 1.0);
+        assert_eq!(kernel_cohesion(3, &[vec![1]]), 1.0);
+        assert_eq!(kernel_cohesion(0, &[vec![], vec![]]), 0.0);
+        assert_eq!(kernel_cohesion(2, &[vec![], vec![0], vec![0, 0]]), 1.0 / 3.0);
+        // Globals past the first word share only within their word.
+        let wide = [vec![130], vec![2, 130], vec![66], vec![]];
+        assert_eq!(kernel_cohesion(131, &wide), naive_cohesion(&wide));
+        assert_eq!(kernel_cohesion(131, &wide), 1.0 / 6.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn cohesion_kernel_matches_the_pairwise_definition(
+            globals in 1usize..200,
+            raw in vec(vec(0usize..1000, 0..4), 0..30),
+        ) {
+            let sets: Vec<Vec<usize>> =
+                raw.iter().map(|s| s.iter().map(|i| i % globals).collect()).collect();
+            prop_assert_eq!(
+                kernel_cohesion(globals, &sets).to_bits(),
+                naive_cohesion(&sets).to_bits()
+            );
+        }
     }
 
     #[test]

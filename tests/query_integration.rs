@@ -4,7 +4,9 @@
 //! and the pipeline, byte-identical reports across worker counts and
 //! cache states with packs active, pack-fault containment, and parser
 //! robustness properties. The native checkers' pipeline findings are
-//! pinned against a rule-major reference on the same sources.
+//! pinned against a rule-major reference on the same sources, and a
+//! resident facts store's replay against a cold run and a disk-cache
+//! round trip.
 
 use adsafe::checkers::{default_checks, AnalysisSet, CheckScope, Diagnostic, Severity};
 use adsafe::corpus::{corrupt, generate, ApolloSpec, Corruption};
@@ -12,7 +14,7 @@ use adsafe::facts::{self, FactsRecord};
 use adsafe::lang::SourceMap;
 use adsafe::rulequery::ast::{CmpOp, Expr};
 use adsafe::rulequery::{parse_pack, pretty_pack, RuleDecl, RulePack, Selector, SeverityKw};
-use adsafe::{render, Assessment, AssessmentOptions};
+use adsafe::{render, Assessment, AssessmentOptions, AssessmentReport, MemoryFactsStore};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -157,6 +159,83 @@ fn pipeline_native_findings_equal_a_rule_major_reference() {
                 .filter(|d| checks.iter().any(|c| c.id() == d.check_id))
                 .collect();
             assert!(native == reference, "{name} at jobs {jobs}");
+        }
+    }
+}
+
+/// A resident store hands back the records an earlier run built, whose
+/// diagnostic spans still name that run's `FileId`s; the pipeline's
+/// replay must rebind them. With one file prepended, every cached
+/// file's id shifts, and a warm run from the resident store must equal
+/// both a cold run and a warm run from the disk cache (a JSON round
+/// trip): diagnostics, spans included, and report bytes. Report bytes
+/// alone would not catch a missed rebinding — a stale id can leave the
+/// rendered report unchanged while the diagnostics differ. Runs on
+/// [`corpus_sources`] clean and with every third file under each
+/// `faultinject` corruption, so cached replays mix with files that
+/// re-parse (a degraded file is never cached).
+#[test]
+fn resident_replay_rebinds_file_ids() {
+    let run = |sources: &[(String, String, String)],
+               jobs: usize,
+               cache_dir: Option<std::path::PathBuf>,
+               store: Option<&Arc<MemoryFactsStore>>| {
+        let mut a = Assessment::new().with_options(AssessmentOptions {
+            jobs,
+            cache_dir,
+            store: store.cloned(),
+            ..AssessmentOptions::default()
+        });
+        for (module, path, text) in sources {
+            a.add_file(module, path, text);
+        }
+        a.run()
+    };
+    let memory_hits = |r: &AssessmentReport| {
+        r.trace.counters.iter().find(|(n, _)| n == "store.memory_hits").map_or(0, |(_, v)| *v)
+    };
+    let first: (String, String, String) =
+        ("aaa".into(), "aaa/first.cc".into(), "int First(int x) { return x; }\n".into());
+    let mut sets = vec![("clean", corpus_sources())];
+    for kind in Corruption::ALL {
+        let mut sources = corpus_sources();
+        for (_, path, text) in sources.iter_mut().step_by(3) {
+            let bytes = corrupt(7, kind, path, text);
+            *text = String::from_utf8_lossy(&bytes).into_owned();
+        }
+        sets.push((kind.name(), sources));
+    }
+    for (name, sources) in sets {
+        let shifted: Vec<_> =
+            std::iter::once(first.clone()).chain(sources.iter().cloned()).collect();
+        for jobs in [1, 0] {
+            let cold = run(&shifted, jobs, None, None);
+            let cold_bytes = render::deterministic_report_markdown(&cold);
+
+            let dir = std::env::temp_dir()
+                .join(format!("adsafe-rebind-{}-{name}-{jobs}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            run(&sources, jobs, Some(dir.clone()), None);
+            let disk = run(&shifted, jobs, Some(dir.clone()), None);
+            let _ = std::fs::remove_dir_all(&dir);
+
+            let store = Arc::new(MemoryFactsStore::open(None));
+            run(&sources, jobs, None, Some(&store));
+            let resident = run(&shifted, jobs, None, Some(&store));
+            // Only this test in the binary uses a resident store, so the
+            // global counter delta is this run's.
+            assert!(memory_hits(&resident) > 0, "{name} at jobs {jobs}: no resident replay");
+
+            for (label, warm) in [("disk", &disk), ("resident", &resident)] {
+                assert!(
+                    warm.diagnostics == cold.diagnostics,
+                    "{name} at jobs {jobs}: {label} replay diagnostics differ from cold"
+                );
+                assert!(
+                    render::deterministic_report_markdown(warm) == cold_bytes,
+                    "{name} at jobs {jobs}: {label} replay report differs from cold"
+                );
+            }
         }
     }
 }

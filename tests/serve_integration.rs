@@ -511,6 +511,44 @@ fn graceful_shutdown_flushes_the_facts_store_to_disk() {
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
+/// Entries a restarted daemon promotes from its disk cache are keyed by
+/// path like fresh ones: invalidating a path drops the promoted entry
+/// and its disk copy, so the next request re-analyses that file instead
+/// of replaying stale facts.
+#[test]
+fn invalidate_reaches_entries_promoted_from_disk() {
+    let _g = serve_lock();
+    let corpus = corpus_dir("promoted");
+    let cache_dir = temp_dir("promoted-cache");
+    let config = || ServeConfig { cache_dir: Some(cache_dir.clone()), ..ServeConfig::default() };
+    let server = start_server(config());
+    assert_eq!(request(server.addr(), "POST", "/assess", &assess_body(&corpus, "")).status, 200);
+    assert_eq!(server.stop().flushed_entries as u64, CORPUS_FILES);
+
+    let server = start_server(config());
+    let addr = server.addr();
+    let promoted = request(addr, "POST", "/assess", &assess_body(&corpus, ""));
+    assert_eq!(promoted.header("x-adsafe-cache-hits"), Some(CORPUS_FILES.to_string().as_str()));
+    let changed = corpus.join("control/pid.cc");
+    let resp = request(
+        addr,
+        "POST",
+        "/invalidate",
+        &format!("{{\"paths\":[\"{}\"]}}", changed.display()),
+    );
+    assert_eq!(resp.body_text(), "{\"dropped\":1}");
+    let warm = request(addr, "POST", "/assess", &assess_body(&corpus, ""));
+    assert_eq!(
+        warm.header("x-adsafe-cache-hits"),
+        Some((CORPUS_FILES - 1).to_string().as_str()),
+        "the invalidated path re-analyses; its disk entry is gone too"
+    );
+    assert_eq!(warm.body, promoted.body);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&corpus);
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
 #[test]
 fn healthz_and_routing_basics() {
     let _g = serve_lock();
