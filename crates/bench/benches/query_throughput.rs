@@ -53,21 +53,11 @@ fn main() {
     let mut best: Option<(f64, f64, f64, u64, u64)> = None;
     for run in 0..RUNS {
         let report = assess_corpus(&files, AssessmentOptions::default());
-        let phase_ms = |name: &str| {
-            report
-                .trace
-                .phases
-                .iter()
-                .find(|p| p.name == name)
-                .map_or(0.0, |p| p.wall_us as f64 / 1000.0)
-        };
-        let counter = |name: &str| {
-            report.trace.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
-        };
+        let phase_ms = |name: &str| report.trace.phase_ms(name).unwrap_or(0.0);
         let total_ms = report.trace.total_us as f64 / 1000.0;
         let native_ms = phase_ms("checks.native");
         let query_ms = phase_ms("checks.query");
-        let steps = counter("query.vm.steps");
+        let steps = report.trace.counter("query.vm.steps");
         let bundled = &adsafe::query::bundled_rules().rules;
         let diags = report
             .diagnostics

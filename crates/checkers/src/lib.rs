@@ -180,25 +180,6 @@ pub fn run_one_check(
     result
 }
 
-/// Runs every check with per-rule panic isolation: one buggy rule is
-/// reported as a [`CheckFailure`] and skipped; every other rule's
-/// diagnostics survive, ordered as in [`run_checks`].
-pub fn run_checks_isolated(
-    checks: &[Box<dyn Check>],
-    cx: &CheckContext<'_>,
-) -> (Vec<Diagnostic>, Vec<CheckFailure>) {
-    let mut out = Vec::new();
-    let mut failures = Vec::new();
-    for c in checks {
-        match run_one_check(c.as_ref(), cx) {
-            Ok(diags) => out.extend(diags),
-            Err(failure) => failures.push(failure),
-        }
-    }
-    out.sort_by_key(|d| (d.check_id, d.span.file, d.span.start));
-    (out, failures)
-}
-
 fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -332,17 +313,20 @@ mod tests {
         let mut set = AnalysisSet::new();
         set.add("m", "t.cc", "int g;\nint f() { goto x; x: return 1; }\n");
         let cx = set.context();
-        let mut checks = default_checks();
+        let checks = default_checks();
         let clean = run_checks(&checks, &cx);
-        checks.insert(0, Box::new(PanickingCheck));
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let (diags, failures) = run_checks_isolated(&checks, &cx);
+        let failure = run_one_check(&PanickingCheck, &cx).expect_err("the panic is contained");
+        // Rules run after the contained panic are unaffected.
+        let mut diags: Vec<Diagnostic> = Vec::new();
+        for c in &checks {
+            diags.extend(run_one_check(c.as_ref(), &cx).expect("healthy rules never fail"));
+        }
         std::panic::set_hook(prev);
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].check_id, "test-panicking-rule");
-        assert!(failures[0].message.contains("index out of range"));
-        // Every healthy rule's diagnostics survive, in the same order.
+        assert_eq!(failure.check_id, "test-panicking-rule");
+        assert!(failure.message.contains("index out of range"));
+        diags.sort_by_key(|d| (d.check_id, d.span.file, d.span.start));
         assert_eq!(diags, clean);
     }
 }

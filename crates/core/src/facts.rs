@@ -13,14 +13,14 @@
 //! therefore produce byte-identical reports by construction: they run
 //! the exact same assembly code over the exact same inputs.
 //!
-//! The serialised form (`adsafe-facts/1`) is hand-written JSON parsed
+//! The serialised form (`adsafe-facts/2`) is hand-written JSON parsed
 //! back with [`adsafe_trace::json::Json`]; any structural mismatch is
 //! surfaced as an error so the cache layer can fall back to the cold
 //! path with a [`crate::FaultCause::CacheCorrupt`] fault.
 
 use adsafe_checkers::defensive::ValidationFacts;
 use adsafe_checkers::unit_design::{FunctionUnitFacts, UnitDesignStats};
-use adsafe_checkers::{Check, CheckContext, Diagnostic, FileEntry, Severity};
+use adsafe_checkers::{Diagnostic, Severity};
 use adsafe_lang::ast::Storage;
 use adsafe_lang::symbols::analyze_function;
 use adsafe_lang::visit::walk_exprs;
@@ -37,7 +37,7 @@ use std::sync::OnceLock;
 /// Version tag of the serialised facts record. Bump on any schema
 /// change: it participates in the cache fingerprint, so old entries are
 /// invalidated wholesale instead of being misread.
-pub const FACTS_SCHEMA: &str = "adsafe-facts/1";
+pub const FACTS_SCHEMA: &str = "adsafe-facts/2";
 
 /// One file-scope variable definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,9 +90,6 @@ pub struct FileFacts {
     pub globals: Vec<GlobalFacts>,
     /// Per-function facts, in definition order.
     pub functions: Vec<FunctionFacts>,
-    /// Implicit narrowing conversions (Table 8 row 7), measured
-    /// file-locally at extraction time.
-    pub implicit_conversions: usize,
     /// File-local diagnostics: every [`adsafe_checkers::CheckScope::File`]
     /// rule's findings plus the preprocessor macro-naming pass, in
     /// rule-registry order. Cross-file rule diagnostics are *not*
@@ -152,16 +149,11 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
             }
         })
         .collect();
-    let entry = FileEntry { file, unit: &parsed.unit, module: "" };
-    let implicit_conversions = adsafe_checkers::typing::ImplicitConversionCheck
-        .run(&CheckContext::file_local(sm, entry))
-        .len();
     FileFacts {
         recovery_count: parsed.unit.recovery_count,
         loc: count_file(file),
         globals,
         functions,
-        implicit_conversions,
         diags: Vec::new(),
     }
 }
@@ -280,7 +272,10 @@ pub fn module_metrics_from_facts(name: &str, files: &[&FileFacts]) -> ModuleMetr
 }
 
 /// ISO 26262-6 Table 8 statistics from facts — same numbers as
-/// `adsafe_checkers::unit_design_stats` over the whole-program context.
+/// `adsafe_checkers::unit_design_stats` over the whole-program context,
+/// except `implicit_conversions`, which stays 0: the pipeline counts
+/// the `typing-implicit-conversion` rule's diagnostics instead, as it
+/// does for explicit casts.
 pub fn unit_stats_from_facts(records: &[FactsRecord<'_>], graph: &CallGraph) -> UnitDesignStats {
     let mut s = UnitDesignStats::default();
     let recursive = graph.recursive_functions();
@@ -291,7 +286,6 @@ pub fn unit_stats_from_facts(records: &[FactsRecord<'_>], graph: &CallGraph) -> 
             .iter()
             .filter(|g| !g.is_const && !g.is_extern)
             .count();
-        s.implicit_conversions += facts.implicit_conversions;
         for f in &facts.functions {
             s.function_count += 1;
             if f.metrics.multi_exit {
@@ -357,7 +351,7 @@ fn check_id_for(name: &str) -> Option<&'static str> {
 }
 
 impl FileFacts {
-    /// Serialises to the `adsafe-facts/1` JSON form. Diagnostic spans
+    /// Serialises to the `adsafe-facts/2` JSON form. Diagnostic spans
     /// drop their [`FileId`] — [`from_json`](Self::from_json) binds them
     /// to the loading run's file.
     pub fn to_json(&self) -> String {
@@ -367,14 +361,13 @@ impl FileFacts {
         write_escaped(&mut out, FACTS_SCHEMA);
         let _ = write!(
             out,
-            ",\"recovery\":{},\"loc\":[{},{},{},{},{}],\"implicit\":{}",
+            ",\"recovery\":{},\"loc\":[{},{},{},{},{}]",
             self.recovery_count,
             self.loc.physical,
             self.loc.nloc,
             self.loc.comment,
             self.loc.blank,
-            self.loc.directive,
-            self.implicit_conversions
+            self.loc.directive
         );
         out.push_str(",\"globals\":[");
         for (i, g) in self.globals.iter().enumerate() {
@@ -471,7 +464,6 @@ impl FileFacts {
             loc,
             globals,
             functions,
-            implicit_conversions: req_usize(&v, "implicit")?,
             diags,
         })
     }
@@ -658,14 +650,15 @@ fn as_u32(v: &Json) -> Result<u32, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adsafe_checkers::{default_checks, AnalysisSet, CheckScope};
+    use adsafe_checkers::{default_checks, AnalysisSet, Check, CheckContext, CheckScope};
 
     const SRC_A: &str = "int g_total;\n\
         int rec(int n) { if (n <= 0) return 0; return rec(n - 1); }\n\
         int use_g(int* p) { if (p) { g_total += *p; } return g_total; }\n";
     const SRC_B: &str = "const int kMax = 9;\n\
         __global__ void scale(float* d, int n) { d[0] = (float)n; }\n\
-        void driver(int x) { int u; int y = u + x; { int y = 2; (void)y; } }\n";
+        void driver(int x) { int u; int y = u + x; { int y = 2; (void)y; } }\n\
+        void narrow(double d) { int k = d; (void)k; }\n";
 
     fn corpus() -> AnalysisSet {
         let mut set = AnalysisSet::new();
@@ -738,10 +731,17 @@ mod tests {
         let cx = set.context();
         let facts = facts_of(&set);
         let recs = records(&facts);
+        let reference = adsafe_checkers::unit_design_stats(&cx);
         assert_eq!(
-            unit_stats_from_facts(&recs, &cx.graph),
-            adsafe_checkers::unit_design_stats(&cx)
+            UnitDesignStats {
+                implicit_conversions: reference.implicit_conversions,
+                ..unit_stats_from_facts(&recs, &cx.graph)
+            },
+            reference
         );
+        // The pipeline counts the rule's own findings instead.
+        let findings = adsafe_checkers::typing::ImplicitConversionCheck.run(&cx);
+        assert_eq!((reference.implicit_conversions, findings.len()), (1, 1));
         let legacy = adsafe_checkers::defensive::validation_ratio(&cx);
         let got = validation_ratio_from_facts(&recs);
         assert!((legacy - got).abs() < 1e-15, "{legacy} vs {got}");
@@ -779,7 +779,7 @@ mod tests {
             "null",
             r#"{"schema":"other/9"}"#,
             &good.replace("\"recovery\"", "\"recoverz\""),
-            &good.replace("adsafe-facts/1", "adsafe-facts/0"),
+            &good.replace(FACTS_SCHEMA, "adsafe-facts/0"),
         ] {
             assert!(FileFacts::from_json(bad, *id).is_err(), "accepted: {bad:.40}");
         }

@@ -21,6 +21,11 @@
 //! A report produced through any tier below 1 carries
 //! [`AssessmentReport::degraded`]` == true`.
 //!
+//! [`Assessment`] holds the one copy of the ingested text, in its
+//! [`SourceMap`] under add-order `FileId`s; `run` borrows it. A file's
+//! content hash (facts-cache key, corpus-digest input) is computed at
+//! most once, by [`Assessment::content_hashes`] or the cache lookup.
+//!
 //! ## Parallelism and incrementality
 //!
 //! The parse and metrics phases parallelise per file / per module, and
@@ -58,7 +63,7 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Wall-clock budgets for the analysis phases.
@@ -203,24 +208,24 @@ impl AssessmentReport {
     }
 }
 
-/// One source file queued for assessment.
-#[derive(Debug, Clone)]
+/// Per-file ingest state beside the file's text in the source map.
+#[derive(Debug)]
 struct RawFile {
     module: String,
-    path: String,
-    text: String,
+    hash: OnceLock<u64>, // `content_hash(path, text)`, on first need
 }
 
 /// Per-file result of the parse phase, produced by one (possibly
 /// worker-side) task and merged on the caller thread in file order.
+#[derive(Default)]
 struct ParseOutcome {
     kind: ParseKind,
     faults: Vec<Fault>,
     estimate: Option<TokenEstimate>,
-    hash: u64,
     cache_ok: bool,
 }
 
+#[derive(Default)]
 enum ParseKind {
     /// Parsed this run; facts extracted, diagnostics pending.
     Fresh(Box<ParsedFile>, FileFacts),
@@ -230,6 +235,7 @@ enum ParseKind {
     /// Tier 3: token-only estimate (carried in `estimate`).
     Estimated,
     /// Tier 4: nothing recoverable.
+    #[default]
     Dropped,
 }
 
@@ -239,14 +245,15 @@ struct LoadedFile {
     id: FileId,
     facts: Arc<FileFacts>,
     parsed: Option<Box<ParsedFile>>, // `Some` iff fresh
-    hash: u64,
     cache_ok: bool,
 }
 
 /// The assessment driver. Add files, then [`Assessment::run`].
 #[derive(Debug, Default)]
 pub struct Assessment {
+    sources: SourceMap,
     files: Vec<RawFile>,
+    faults: Vec<Fault>, // `add_fault`'s, ahead of `ingest_faults`
     ingest_faults: Vec<Fault>,
     options: AssessmentOptions,
 }
@@ -269,7 +276,8 @@ impl Assessment {
     }
 
     fn push_file(&mut self, module: &str, path: &str, text: String) -> &mut Self {
-        self.files.push(RawFile { module: module.to_string(), path: path.to_string(), text });
+        self.sources.add_file(path, text);
+        self.files.push(RawFile { module: module.to_string(), hash: OnceLock::new() });
         self
     }
 
@@ -292,11 +300,30 @@ impl Assessment {
         self.push_file(module, path, text.into_owned())
     }
 
+    /// The ingested sources in add order (a file's `FileId` is its
+    /// position): the map [`run`](Self::run)'s diagnostics render against.
+    pub fn sources(&self) -> &SourceMap {
+        &self.sources
+    }
+
+    /// Every file's `content_hash(path, text)` in add order, for the
+    /// corpus digest; computed at most once, shared with cache lookups.
+    pub fn content_hashes(&self) -> Vec<u64> {
+        (0..self.files.len()).map(|i| self.file_hash(i)).collect()
+    }
+
+    fn file_hash(&self, i: usize) -> u64 {
+        *self.files[i].hash.get_or_init(|| {
+            let file = &self.sources.files()[i];
+            content_hash(file.path(), file.text())
+        })
+    }
+
     /// Records a fault observed before the pipeline ran (e.g. a torn
-    /// ledger line noticed while reserving the run ID). The fault rides
-    /// on the report exactly like an ingest fault.
+    /// ledger line noticed while reserving the run ID). Such faults lead
+    /// the report's log in the order recorded, ahead of ingest faults.
     pub fn add_fault(&mut self, fault: Fault) -> &mut Self {
-        self.ingest_faults.push(fault);
+        self.faults.push(fault);
         self
     }
 
@@ -325,7 +352,7 @@ impl Assessment {
 
         let mut log = FaultLog::new();
         log.set_run_id(&self.options.run_id);
-        for f in &self.ingest_faults {
+        for f in self.faults.iter().chain(&self.ingest_faults) {
             log.push(f.clone());
         }
         let budgets = self.options.budgets;
@@ -360,17 +387,14 @@ impl Assessment {
             });
         }
 
-        // Phase 1: parse, descending the ladder per file. File ids are
-        // assigned serially (so they are identical run-to-run and
+        // Phase 1: parse, descending the ladder per file. File ids were
+        // assigned in add order (so they are identical run-to-run and
         // across worker counts); the per-file work fans out.
         let phase_span = adsafe_trace::span("phase.parse", "phase");
-        let mut sm = SourceMap::new();
-        let ids: Vec<FileId> =
-            self.files.iter().map(|rf| sm.add_file(&rf.path, &rf.text)).collect();
-        let sm = sm;
+        let sm = &self.sources;
         let deadline = PhaseDeadline::new(&budgets);
         let outcomes = pool.map((0..self.files.len()).collect(), |_, i| {
-            parse_one(&sm, ids[i], &self.files[i], &deadline, &budgets, cache)
+            self.parse_one(i, &deadline, &budgets, cache)
         });
 
         let mut loaded: Vec<LoadedFile> = Vec::new();
@@ -391,10 +415,9 @@ impl Assessment {
                     };
                     loaded.push(LoadedFile {
                         file_idx: i,
-                        id: ids[i],
+                        id: sm.files()[i].id(),
                         facts,
                         parsed,
-                        hash: o.hash,
                         cache_ok: o.cache_ok,
                     });
                 }
@@ -404,7 +427,7 @@ impl Assessment {
                     adsafe_trace::counter("parse.dropped.files").incr();
                     log.push(Fault {
                         phase: FaultPhase::Parse,
-                        path: self.files[i].path.clone(),
+                        path: sm.files()[i].path().to_string(),
                         severity: FaultSeverity::Lost,
                         cause: classify_panic(&panic_message(&*payload)),
                         recovery: Recovery::Dropped,
@@ -483,14 +506,14 @@ impl Assessment {
         let results = pool.map(fresh.clone(), |_, li| {
             let l = &loaded[li];
             let parsed = l.parsed.as_deref().expect("only fresh files are checked");
-            let file = &self.files[l.file_idx];
-            let entry =
-                FileEntry { file: sm.file(l.id), unit: &parsed.unit, module: &file.module };
-            let cx = CheckContext::file_local(&sm, entry);
+            let file = sm.file(l.id);
+            let module = &self.files[l.file_idx].module;
+            let entry = FileEntry { file, unit: &parsed.unit, module };
+            let cx = CheckContext::file_local(sm, entry);
             let mut diags = Vec::new();
             let mut faults = Vec::new();
             for &check in &file_rules {
-                match run_one_check(&Failpointed { check, path: &file.path }, &cx) {
+                match run_one_check(&Failpointed { check, path: file.path() }, &cx) {
                     Ok(d) => diags.extend(d),
                     Err(e) => faults.push(check_fault(e.check_id.to_string(), &e.message)),
                 }
@@ -501,7 +524,7 @@ impl Assessment {
             })) {
                 Ok(d) => diags.extend(d),
                 Err(payload) => {
-                    faults.push(check_fault(file.path.clone(), &panic_message(&*payload)))
+                    faults.push(check_fault(file.path().to_string(), &panic_message(&*payload)))
                 }
             }
             (diags, faults)
@@ -527,7 +550,7 @@ impl Assessment {
                     }
                 }
                 Err(payload) => {
-                    let path = self.files[loaded[li].file_idx].path.clone();
+                    let path = sm.file(loaded[li].id).path().to_string();
                     log.push(check_fault(path, &panic_message(&*payload)));
                 }
             }
@@ -592,9 +615,8 @@ impl Assessment {
         let mut per_rule = vec![0u64; live.len()];
         let mut steps_total = 0u64;
         for l in &loaded {
-            let file = &self.files[l.file_idx];
-            let outcomes =
-                crate::query::eval_file(&live, l.id, &file.module, &l.facts, &recursive);
+            let module = &self.files[l.file_idx].module;
+            let outcomes = crate::query::eval_file(&live, l.id, module, &l.facts, &recursive);
             for (qi, outcome) in outcomes.into_iter().enumerate() {
                 match outcome {
                     Ok((diags, steps)) => {
@@ -603,7 +625,8 @@ impl Assessment {
                         diagnostics.extend(diags);
                     }
                     Err(msg) => {
-                        log.push(check_fault(format!("{} on {}", live[qi].id, file.path), &msg))
+                        let path = sm.file(l.id).path();
+                        log.push(check_fault(format!("{} on {}", live[qi].id, path), &msg))
                     }
                 }
             }
@@ -629,7 +652,7 @@ impl Assessment {
             for (li, diags) in buckets {
                 let l = &loaded[li];
                 let entry = Arc::new(FileFacts { diags, ..FileFacts::clone(&l.facts) });
-                c.store_shared(l.hash, &self.files[l.file_idx].path, entry);
+                c.store_shared(self.file_hash(l.file_idx), sm.file(l.id).path(), entry);
             }
         }
 
@@ -872,7 +895,7 @@ impl Assessment {
             module_locs: modules.iter().map(|m| (m.name.clone(), m.loc.nloc)).collect(),
             misra_violations,
             explicit_casts: count("typing-explicit-cast"),
-            implicit_conversions: unit.implicit_conversions,
+            implicit_conversions: count("typing-implicit-conversion"),
             validation_ratio: facts::validation_ratio_from_facts(records),
             unchecked_calls: count("defensive-unchecked-return"),
             global_definitions: unit.global_definitions,
@@ -897,131 +920,125 @@ impl Assessment {
             coverage: self.options.coverage,
         }
     }
-}
 
-/// The per-file parse task: cache lookup, parse + facts extraction
-/// under panic containment, degradation ladder on failure. Runs on a
-/// worker when `jobs > 1`, inline otherwise; all counters are global,
-/// and trace spans are absorbed back into the caller's buffer.
-fn parse_one(
-    sm: &SourceMap,
-    id: FileId,
-    rf: &RawFile,
-    deadline: &PhaseDeadline,
-    budgets: &Budgets,
-    cache: Option<&dyn FactsStore>,
-) -> ParseOutcome {
-    let _file_span =
-        adsafe_trace::span_with("parse.file", "parse", vec![("path", rf.path.clone())]);
-    let text = sm.file(id).text();
-    let mut out = ParseOutcome {
-        kind: ParseKind::Dropped,
-        faults: Vec::new(),
-        estimate: None,
-        hash: 0,
-        cache_ok: false,
-    };
-    if deadline.exceeded() {
-        if deadline.trip_once() {
-            out.faults.push(Fault {
-                phase: FaultPhase::Parse,
-                path: rf.path.clone(),
-                severity: FaultSeverity::Degraded,
-                cause: FaultCause::DeadlineExceeded { budget_ms: budgets.budget_ms() },
-                recovery: Recovery::TokenMetrics,
-                run_id: String::new(),
-            });
-        }
-        // Past the deadline: token-only estimation (cheap, total)
-        // keeps every remaining file contributing evidence.
-        if let Ok(est) = catch_unwind(AssertUnwindSafe(|| token_estimate(id, text))) {
-            adsafe_trace::counter("parse.tier3.files").incr();
-            out.estimate = Some(est);
-            out.kind = ParseKind::Estimated;
-        }
-        return out;
-    }
-    if let Some(c) = cache {
-        out.hash = content_hash(&rf.path, text);
-        match c.load_at(out.hash, id, &rf.path) {
-            CacheLookup::Hit(facts) => {
-                adsafe_trace::counter("parse.cached.files").incr();
-                out.kind = ParseKind::Cached(facts);
-                return out;
-            }
-            CacheLookup::Corrupt(detail) => {
-                // Cold path from here on; the entry was evicted and a
-                // clean one will be written back after checks.
+    /// The per-file parse task: cache lookup, parse + facts extraction
+    /// under panic containment, degradation ladder on failure. Runs on a
+    /// worker when `jobs > 1`, inline otherwise; all counters are global,
+    /// and trace spans are absorbed back into the caller's buffer.
+    fn parse_one(
+        &self,
+        i: usize,
+        deadline: &PhaseDeadline,
+        budgets: &Budgets,
+        cache: Option<&dyn FactsStore>,
+    ) -> ParseOutcome {
+        let sm = &self.sources;
+        let file = &sm.files()[i];
+        let (id, path, text) = (file.id(), file.path(), file.text());
+        let _file_span =
+            adsafe_trace::span_with("parse.file", "parse", vec![("path", path.to_string())]);
+        let mut out = ParseOutcome::default();
+        if deadline.exceeded() {
+            if deadline.trip_once() {
                 out.faults.push(Fault {
                     phase: FaultPhase::Parse,
-                    path: rf.path.clone(),
-                    severity: FaultSeverity::Info,
-                    cause: FaultCause::CacheCorrupt { detail },
-                    recovery: Recovery::Noted,
-                    run_id: String::new(),
-                });
-            }
-            CacheLookup::Miss => {}
-        }
-    }
-    let parsed = catch_unwind(AssertUnwindSafe(|| {
-        failpoints::hit("pipeline::parse_file");
-        failpoints::hit(&format!("pipeline::parse_file::{}", rf.path));
-        let p = adsafe_lang::parse_source(id, text);
-        let facts = facts::extract_facts(sm, id, &p);
-        (p, facts)
-    }));
-    match parsed {
-        Ok((p, facts)) => {
-            let regions = p.unit.recovery_count;
-            if regions > 0 {
-                adsafe_trace::counter("parse.tier2.files").incr();
-                out.faults.push(Fault {
-                    phase: FaultPhase::Parse,
-                    path: rf.path.clone(),
+                    path: path.to_string(),
                     severity: FaultSeverity::Degraded,
-                    cause: FaultCause::ParseResync { regions },
-                    recovery: Recovery::ResyncParse,
+                    cause: FaultCause::DeadlineExceeded { budget_ms: budgets.budget_ms() },
+                    recovery: Recovery::TokenMetrics,
                     run_id: String::new(),
                 });
-            } else {
-                adsafe_trace::counter("parse.tier1.files").incr();
-                out.cache_ok = true;
             }
-            out.kind = ParseKind::Fresh(Box::new(p), facts);
+            // Past the deadline: token-only estimation (cheap, total)
+            // keeps every remaining file contributing evidence.
+            if let Ok(est) = catch_unwind(AssertUnwindSafe(|| token_estimate(id, text))) {
+                adsafe_trace::counter("parse.tier3.files").incr();
+                out.estimate = Some(est);
+                out.kind = ParseKind::Estimated;
+            }
+            return out;
         }
-        Err(payload) => {
-            let cause = classify_panic(&panic_message(&*payload));
-            match catch_unwind(AssertUnwindSafe(|| token_estimate(id, text))) {
-                Ok(est) => {
-                    adsafe_trace::counter("parse.tier3.files").incr();
-                    out.estimate = Some(est);
-                    out.kind = ParseKind::Estimated;
+        if let Some(c) = cache {
+            match c.load_at(self.file_hash(i), id, path) {
+                CacheLookup::Hit(facts) => {
+                    adsafe_trace::counter("parse.cached.files").incr();
+                    out.kind = ParseKind::Cached(facts);
+                    return out;
+                }
+                CacheLookup::Corrupt(detail) => {
+                    // Cold path from here on; the entry was evicted and a
+                    // clean one will be written back after checks.
                     out.faults.push(Fault {
                         phase: FaultPhase::Parse,
-                        path: rf.path.clone(),
+                        path: path.to_string(),
+                        severity: FaultSeverity::Info,
+                        cause: FaultCause::CacheCorrupt { detail },
+                        recovery: Recovery::Noted,
+                        run_id: String::new(),
+                    });
+                }
+                CacheLookup::Miss => {}
+            }
+        }
+        let parsed = catch_unwind(AssertUnwindSafe(|| {
+            failpoints::hit("pipeline::parse_file");
+            failpoints::hit(&format!("pipeline::parse_file::{path}"));
+            let p = adsafe_lang::parse_source(id, text);
+            let facts = facts::extract_facts(sm, id, &p);
+            (p, facts)
+        }));
+        match parsed {
+            Ok((p, facts)) => {
+                let regions = p.unit.recovery_count;
+                if regions > 0 {
+                    adsafe_trace::counter("parse.tier2.files").incr();
+                    out.faults.push(Fault {
+                        phase: FaultPhase::Parse,
+                        path: path.to_string(),
                         severity: FaultSeverity::Degraded,
-                        cause,
-                        recovery: Recovery::TokenMetrics,
+                        cause: FaultCause::ParseResync { regions },
+                        recovery: Recovery::ResyncParse,
                         run_id: String::new(),
                     });
+                } else {
+                    adsafe_trace::counter("parse.tier1.files").incr();
+                    out.cache_ok = true;
                 }
-                Err(payload2) => {
-                    let _ = payload2;
-                    adsafe_trace::counter("parse.dropped.files").incr();
-                    out.faults.push(Fault {
-                        phase: FaultPhase::Parse,
-                        path: rf.path.clone(),
-                        severity: FaultSeverity::Lost,
-                        cause,
-                        recovery: Recovery::Dropped,
-                        run_id: String::new(),
-                    });
+                out.kind = ParseKind::Fresh(Box::new(p), facts);
+            }
+            Err(payload) => {
+                let cause = classify_panic(&panic_message(&*payload));
+                match catch_unwind(AssertUnwindSafe(|| token_estimate(id, text))) {
+                    Ok(est) => {
+                        adsafe_trace::counter("parse.tier3.files").incr();
+                        out.estimate = Some(est);
+                        out.kind = ParseKind::Estimated;
+                        out.faults.push(Fault {
+                            phase: FaultPhase::Parse,
+                            path: path.to_string(),
+                            severity: FaultSeverity::Degraded,
+                            cause,
+                            recovery: Recovery::TokenMetrics,
+                            run_id: String::new(),
+                        });
+                    }
+                    Err(payload2) => {
+                        let _ = payload2;
+                        adsafe_trace::counter("parse.dropped.files").incr();
+                        out.faults.push(Fault {
+                            phase: FaultPhase::Parse,
+                            path: path.to_string(),
+                            severity: FaultSeverity::Lost,
+                            cause,
+                            recovery: Recovery::Dropped,
+                            run_id: String::new(),
+                        });
+                    }
                 }
             }
         }
+        out
     }
-    out
 }
 
 /// Records how far past its budget a phase actually ran.
@@ -1251,12 +1268,15 @@ mod tests {
     fn non_utf8_input_is_ingestible() {
         let mut a = Assessment::new();
         a.add_file_bytes("m", "weird.cc", b"int f() { return 1; }\n\xff\xfe\x00junk\n");
+        // U+FFFD on a disabled line keeps its three bytes: tier 1 parse.
+        a.add_file_bytes("m", "pp.cc", b"#if 0\n\xff\n#endif\nint g() { return 2; }\n");
         let r = a.run();
         assert!(r.degraded);
         assert!(r.faults.iter().any(|f| {
             f.phase == FaultPhase::Ingest && matches!(f.cause, FaultCause::NonUtf8 { .. })
         }));
-        assert_eq!(r.modules[0].file_count, 1);
+        assert!(r.faults.iter().all(|f| f.path != "pp.cc" || f.phase == FaultPhase::Ingest));
+        assert_eq!((r.modules[0].file_count, r.modules[0].absorbed_files), (2, 0));
     }
 
     #[test]

@@ -104,7 +104,6 @@ pub fn rows_from_facts(
             blank: facts.loc.blank,
             directive: facts.loc.directive,
             recovery: facts.recovery_count,
-            implicit_conversions: facts.implicit_conversions,
             functions: facts.functions.len(),
             globals: facts.globals.len(),
             span: Span::new(id, 0, 0),

@@ -26,6 +26,19 @@ impl Asil {
     /// All ASILs with recommendations in the Part-6 tables (QM excluded).
     pub const TABLE_LEVELS: [Asil; 4] = [Asil::A, Asil::B, Asil::C, Asil::D];
 
+    /// Parses a level as the CLI's `--asil` and the daemon's `asil`
+    /// field take it: `A`, `B`, `C`, `D` or `QM`, in any case.
+    pub fn from_level(s: &str) -> Option<Asil> {
+        match s.to_ascii_uppercase().as_str() {
+            "A" => Some(Asil::A),
+            "B" => Some(Asil::B),
+            "C" => Some(Asil::C),
+            "D" => Some(Asil::D),
+            "QM" => Some(Asil::Qm),
+            _ => None,
+        }
+    }
+
     /// Index into a 4-column recommendation row (A..D).
     pub(crate) fn column(self) -> Option<usize> {
         match self {
@@ -99,6 +112,12 @@ mod tests {
         assert!(Asil::A < Asil::D);
         assert_eq!(Asil::D.column(), Some(3));
         assert_eq!(Asil::Qm.column(), None);
+    }
+
+    #[test]
+    fn levels_parse_in_any_case() {
+        let got: Vec<_> = ["a", "Qm", "d", "ASIL-D"].into_iter().map(Asil::from_level).collect();
+        assert_eq!(got, [Some(Asil::A), Some(Asil::Qm), Some(Asil::D), None]);
     }
 
     #[test]

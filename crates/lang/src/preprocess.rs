@@ -334,10 +334,10 @@ fn process_directives(file: FileId, src: &str, info: &mut PpInfo) -> String {
     out
 }
 
+/// Blanks `line` byte for byte (newlines kept): a multi-byte character
+/// becomes as many spaces as it has bytes, so later spans stay put.
 fn push_blanked(out: &mut String, line: &str) {
-    for ch in line.chars() {
-        out.push(if ch == '\n' { '\n' } else { ' ' });
-    }
+    out.extend(line.bytes().map(|b| if b == b'\n' { '\n' } else { ' ' }));
 }
 
 fn first_word(s: &str) -> &str {
@@ -488,6 +488,17 @@ mod tests {
         assert!(!p.text.contains("ab"));
         assert!(!p.text.contains("int a;"));
         assert!(p.text.contains("always"));
+    }
+
+    #[test]
+    fn multi_byte_text_in_disabled_and_directive_lines_keeps_spans() {
+        let src = "#if 0\nbad \u{fffd} byte\n#endif // \u{fffd}\n\
+                   #define M \"\u{fffd}\"\nint after;\n";
+        let p = pp(src);
+        assert_eq!(p.text.len(), src.len());
+        let at = src.find("int after;").unwrap();
+        assert_eq!(&p.text[at..at + 10], "int after;");
+        assert!(!p.text.contains('\u{fffd}'));
     }
 
     #[test]

@@ -108,9 +108,6 @@ impl RunRecord {
         files: u64,
         exit_code: i32,
     ) -> RunRecord {
-        let counter_of = |name: &str| {
-            report.trace.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
-        };
         let e = &report.evidence;
         let mut metrics = vec![
             ("blocking_count".to_string(), report.compliance.blocking_count() as f64),
@@ -153,8 +150,8 @@ impl RunRecord {
                 .map(|(p, n)| (p.name().to_string(), n as u64))
                 .collect(),
             worst_severity: report.faults.worst().map(|s| s.name().to_string()),
-            cache_hits: counter_of("cache.hits"),
-            cache_stores: counter_of("cache.stores"),
+            cache_hits: report.trace.counter("cache.hits"),
+            cache_stores: report.trace.counter("cache.stores"),
             verdicts: report
                 .compliance
                 .verdicts

@@ -149,8 +149,6 @@ pub struct FileRow<'a> {
     pub directive: usize,
     /// Parser resync regions.
     pub recovery: usize,
-    /// Implicit narrowing conversions.
-    pub implicit_conversions: usize,
     /// Function definitions.
     pub functions: usize,
     /// File-scope variables.
@@ -171,7 +169,6 @@ impl FileRow<'_> {
                 Value::Int(self.blank as i64),
                 Value::Int(self.directive as i64),
                 Value::Int(self.recovery as i64),
-                Value::Int(self.implicit_conversions as i64),
                 Value::Int(self.functions as i64),
                 Value::Int(self.globals as i64),
             ],

@@ -74,7 +74,6 @@ pub const FILE_FIELDS: &[(&str, Ty)] = &[
     ("blank", Ty::Int),                // blank lines
     ("directive", Ty::Int),            // preprocessor directive lines
     ("recovery", Ty::Int),             // parser resync regions
-    ("implicit_conversions", Ty::Int), // narrowing-conversion count
     ("functions", Ty::Int),            // function definitions
     ("globals", Ty::Int),              // file-scope variables
 ];

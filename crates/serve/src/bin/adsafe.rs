@@ -91,9 +91,9 @@
 
 use adsafe::iso26262::Asil;
 use adsafe::{render, Assessment, AssessmentOptions};
-use adsafe_ledger::{corpus_digest, Ledger, RunDiff, RunRecord};
+use adsafe_ledger::{Ledger, RunDiff, RunRecord};
 use adsafe_serve::exit_code_for;
-use adsafe_serve::fsutil::{collect_sources, module_of};
+use adsafe_serve::fsutil::ingest_dir;
 use adsafe_serve::{ServeConfig, Server};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -151,17 +151,6 @@ fn main() {
         }
     };
     std::process::exit(code);
-}
-
-fn parse_asil(s: &str) -> Option<Asil> {
-    match s.to_ascii_uppercase().as_str() {
-        "A" => Some(Asil::A),
-        "B" => Some(Asil::B),
-        "C" => Some(Asil::C),
-        "D" => Some(Asil::D),
-        "QM" => Some(Asil::Qm),
-        _ => None,
-    }
 }
 
 /// Prints the one-line fault summary (count per phase, worst severity)
@@ -247,7 +236,7 @@ fn cmd_assess(args: &[String]) -> i32 {
             }
             "--asil" => {
                 i += 1;
-                match args.get(i).and_then(|s| parse_asil(s)) {
+                match args.get(i).and_then(|s| Asil::from_level(s)) {
                     Some(a) => asil = a,
                     None => {
                         eprintln!("assess: --asil needs A|B|C|D|QM");
@@ -298,34 +287,22 @@ fn cmd_assess(args: &[String]) -> i32 {
         return EXIT_USAGE;
     }
 
-    let mut files = Vec::new();
-    collect_sources(&root, &mut files);
-    if files.is_empty() {
+    let mut assessment = Assessment::new();
+    let ingested = ingest_dir(&root, &mut assessment);
+    if ingested.found == 0 {
         eprintln!("assess: no C/C++/CUDA sources under `{dir}`");
         return EXIT_IO;
     }
     if !quiet {
-        eprintln!("assessing {} files under {dir} at {asil} ...", files.len());
+        eprintln!("assessing {} files under {dir} at {asil} ...", ingested.found);
     }
-
-    // Read everything up front so the corpus digest (which salts the
-    // run ID) covers exactly the bytes the pipeline will see.
-    let mut sources: Vec<(String, String, Vec<u8>)> = Vec::new();
-    let mut hashes: Vec<u64> = Vec::new();
-    for f in &files {
-        // Raw bytes: non-UTF-8 content is the pipeline's problem (it
-        // records an ingest fault and degrades), not a reason to skip.
-        match std::fs::read(f) {
-            Ok(bytes) => {
-                let path = f.display().to_string();
-                hashes.push(adsafe::content_hash(&path, &String::from_utf8_lossy(&bytes)));
-                sources.push((module_of(&root, f), path, bytes));
-            }
-            Err(e) => eprintln!("  skipping unreadable {}: {e}", f.display()),
-        }
+    // Non-UTF-8 content is the pipeline's problem (it records an ingest
+    // fault and degrades), not a reason to skip; unreadable files are.
+    for (f, e) in &ingested.unreadable {
+        eprintln!("  skipping unreadable {}: {e}", f.display());
     }
-    if sources.is_empty() {
-        eprintln!("assess: none of the {} sources could be read", files.len());
+    if assessment.sources().is_empty() {
+        eprintln!("assess: none of the {} sources could be read", ingested.found);
         return EXIT_IO;
     }
 
@@ -343,11 +320,6 @@ fn cmd_assess(args: &[String]) -> i32 {
                 None
             }
         });
-    let digest = corpus_digest(&hashes);
-    let (run_id, seq) = match &ledger {
-        Some(l) => l.reserve(&digest),
-        None => (String::new(), 0),
-    };
 
     // Query-rule packs: an explicit `--rules` path wins; otherwise any
     // `ROOT/.adsafe-rules/*.aq` packs load automatically. Pack faults
@@ -360,10 +332,11 @@ fn cmd_assess(args: &[String]) -> i32 {
     if !quiet && !pack.rules.is_empty() {
         eprintln!("loaded {} query rule(s) from {} pack file(s)", pack.rules.len(), rule_paths.len());
     }
-    let pack_faults: Vec<_> = pack.faults.iter().map(adsafe::query::pack_fault).collect();
+    let (run_id, seq, digest) =
+        adsafe_serve::reserve_run(&mut assessment, ledger.as_ref(), &pack.faults);
 
     let cache_dir = use_cache.then(|| base_cache_dir.clone());
-    let mut assessment = Assessment::new().with_options(AssessmentOptions {
+    let assessment = assessment.with_options(AssessmentOptions {
         asil,
         jobs,
         cache_dir,
@@ -371,17 +344,6 @@ fn cmd_assess(args: &[String]) -> i32 {
         rules: Some(std::sync::Arc::new(pack)),
         ..AssessmentOptions::default()
     });
-    for f in pack_faults {
-        assessment.add_fault(f);
-    }
-    if let Some(l) = &ledger {
-        for torn in l.torn_lines() {
-            assessment.add_fault(adsafe_serve::ledger_torn_fault(&l.file(), torn));
-        }
-    }
-    for (module, path, bytes) in &sources {
-        assessment.add_file_bytes(module, path, bytes);
-    }
     if mem_profile {
         adsafe::trace::alloc::set_profiling(true);
     }
@@ -395,7 +357,7 @@ fn cmd_assess(args: &[String]) -> i32 {
             seq,
             &root.display().to_string(),
             &digest,
-            sources.len() as u64,
+            assessment.sources().len() as u64,
             exit_code,
         );
         match l.append(&record) {
@@ -1299,36 +1261,26 @@ fn cmd_rules_check(args: &[String]) -> i32 {
         eprintln!("rules: `{dir}` is not a directory");
         return EXIT_USAGE;
     }
-    let mut files = Vec::new();
-    collect_sources(&root, &mut files);
-    if files.is_empty() {
+    let mut assessment = Assessment::new();
+    let ingested = ingest_dir(&root, &mut assessment);
+    if ingested.found == 0 {
         eprintln!("rules: no C/C++/CUDA sources under `{dir}`");
         return EXIT_IO;
     }
     let pack = load_cli_pack(rules.as_deref(), Some(&root));
     print_pack_faults(&pack);
-    let mut assessment = Assessment::new().with_options(AssessmentOptions {
+    for (f, e) in &ingested.unreadable {
+        eprintln!("  skipping unreadable {}: {e}", f.display());
+    }
+    let assessment = assessment.with_options(AssessmentOptions {
         rules: Some(std::sync::Arc::new(pack)),
         ..AssessmentOptions::default()
     });
-    // The pipeline numbers files in the order they are added; this
-    // source map mirrors it so diagnostics render with their paths.
-    let mut sm = adsafe::lang::SourceMap::new();
-    for f in &files {
-        match std::fs::read(f) {
-            Ok(bytes) => {
-                let path = f.display().to_string();
-                assessment.add_file_bytes(&module_of(&root, f), &path, &bytes);
-                sm.add_file(path, String::from_utf8_lossy(&bytes).into_owned());
-            }
-            Err(e) => eprintln!("  skipping unreadable {}: {e}", f.display()),
-        }
-    }
     let report = assessment.run();
     let mut n = 0;
     for d in &report.diagnostics {
         if only.as_deref().is_none_or(|id| id == d.check_id) {
-            println!("{}", d.render(&sm));
+            println!("{}", d.render(assessment.sources()));
             n += 1;
         }
     }

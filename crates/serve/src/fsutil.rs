@@ -1,7 +1,9 @@
-//! Source discovery shared by the CLI and the daemon: both walk a
-//! corpus directory the same way, so a served assessment sees exactly
-//! the file set (and module grouping) a CLI run would.
+//! Source ingest shared by the CLI and the daemon: `adsafe assess`,
+//! `adsafe rules check` and `POST /assess` all load a tree through
+//! [`ingest_dir`], so every front door sees the same file set, module
+//! grouping and bytes — and records the same corpus digest.
 
+use adsafe::Assessment;
 use std::path::{Path, PathBuf};
 
 /// File extensions the assessment ingests.
@@ -25,6 +27,35 @@ pub fn collect_sources(root: &Path, out: &mut Vec<PathBuf>) {
             out.push(path);
         }
     }
+}
+
+/// What [`ingest_dir`] found under a corpus root.
+#[derive(Debug)]
+pub struct Ingested {
+    /// Sources [`collect_sources`] found.
+    pub found: usize,
+    /// Sources that could not be read (the rest were added), in order.
+    pub unreadable: Vec<(PathBuf, std::io::Error)>,
+}
+
+/// Adds every readable source under `root` ([`collect_sources`] order)
+/// to `assessment` under its [`module_of`] module. Each file is read
+/// once; the assessment decodes it (lossily, with an ingest fault for
+/// invalid UTF-8), keeps the one copy of its text, and hashes it at
+/// most once. Unreadable files are skipped and reported.
+pub fn ingest_dir(root: &Path, assessment: &mut Assessment) -> Ingested {
+    let mut files = Vec::new();
+    collect_sources(root, &mut files);
+    let mut ingested = Ingested { found: files.len(), unreadable: Vec::new() };
+    for f in files {
+        match std::fs::read(&f) {
+            Ok(bytes) => {
+                assessment.add_file_bytes(&module_of(root, &f), &f.display().to_string(), &bytes);
+            }
+            Err(e) => ingested.unreadable.push((f, e)),
+        }
+    }
+    ingested
 }
 
 /// Maps a file to its module: the top-level directory under `root`,

@@ -52,23 +52,35 @@ pub mod top;
 
 pub use server::{Server, ServeConfig, ServeStats};
 
-/// The Info-severity, non-degrading fault recorded when a ledger line
-/// could not be parsed (torn by a crash mid-append, or hand-edited).
-/// Shared by the CLI and the daemon so both render identically.
-pub fn ledger_torn_fault(
-    ledger_file: &std::path::Path,
-    torn: &adsafe_ledger::TornLine,
-) -> adsafe::Fault {
-    adsafe::Fault {
-        phase: adsafe::FaultPhase::Ingest,
-        path: ledger_file.display().to_string(),
-        severity: adsafe::FaultSeverity::Info,
-        cause: adsafe::FaultCause::LedgerTorn {
-            detail: format!("line {}: {}", torn.line, torn.detail),
-        },
-        recovery: adsafe::Recovery::Noted,
-        run_id: String::new(),
+/// The step `adsafe assess` and `POST /assess` share between ingest and
+/// run: records the pack's load faults, then one Info (non-degrading)
+/// fault per torn ledger line, on `assessment`, and reserves the run ID
+/// from the corpus digest of its content hashes. Returns `(run_id, seq,
+/// digest)`; `("", 0, "")` without a ledger.
+pub fn reserve_run(
+    assessment: &mut adsafe::Assessment,
+    ledger: Option<&adsafe_ledger::Ledger>,
+    pack_faults: &[adsafe::rulequery::PackFault],
+) -> (String, u64, String) {
+    for pf in pack_faults {
+        assessment.add_fault(adsafe::query::pack_fault(pf));
     }
+    let Some(ledger) = ledger else { return (String::new(), 0, String::new()) };
+    for torn in ledger.torn_lines() {
+        assessment.add_fault(adsafe::Fault {
+            phase: adsafe::FaultPhase::Ingest,
+            path: ledger.file().display().to_string(),
+            severity: adsafe::FaultSeverity::Info,
+            cause: adsafe::FaultCause::LedgerTorn {
+                detail: format!("line {}: {}", torn.line, torn.detail),
+            },
+            recovery: adsafe::Recovery::Noted,
+            run_id: String::new(),
+        });
+    }
+    let digest = adsafe_ledger::corpus_digest(&assessment.content_hashes());
+    let (run_id, seq) = ledger.reserve(&digest);
+    (run_id, seq, digest)
 }
 
 /// Exit codes shared by the CLI and the daemon's `X-Adsafe-Exit-Code`

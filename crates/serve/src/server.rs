@@ -25,12 +25,12 @@
 //! flushes the facts store's dirty entries to its disk backing.
 
 use crate::conn::{DeadlineReader, ReadBudget, Trip};
-use crate::fsutil::{collect_sources, module_of};
+use crate::fsutil::ingest_dir;
 use crate::http::{self, ReadError, Request, Response};
 use adsafe::fault::failpoints;
 use adsafe::iso26262::Asil;
 use adsafe::{render, Assessment, AssessmentOptions, MemoryFactsStore};
-use adsafe_ledger::{corpus_digest, Ledger, RunRecord};
+use adsafe_ledger::{Ledger, RunRecord};
 use adsafe_pool::Executor;
 use adsafe_trace::json::{write_escaped, Json};
 use adsafe_trace::{labeled, FlightRecorder, PhaseTiming, RequestRecord};
@@ -642,7 +642,7 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
     };
     let asil = match json.get("asil") {
         None => Asil::D,
-        Some(v) => match v.as_str().and_then(parse_asil) {
+        Some(v) => match v.as_str().and_then(Asil::from_level) {
             Some(a) => a,
             None => return Response::text(400, "`asil` must be A|B|C|D|QM\n"),
         },
@@ -684,34 +684,17 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
     if !root.is_dir() {
         return Response::text(400, format!("`{dir}` is not a directory\n"));
     }
-    let mut files = Vec::new();
-    collect_sources(&root, &mut files);
-    if files.is_empty() {
+    let mut assessment = Assessment::new();
+    let ingested = ingest_dir(&root, &mut assessment);
+    if ingested.found == 0 {
         return Response::text(400, format!("no C/C++/CUDA sources under `{dir}`\n"));
     }
-    // Read all sources first: their content hashes (in stable file
-    // order, over the same lossy text the pipeline analyses) form the
-    // corpus digest that salts the run ID.
-    let mut sources: Vec<(String, String, Vec<u8>)> = Vec::new();
-    let mut hashes: Vec<u64> = Vec::new();
-    for f in &files {
-        if let Ok(bytes) = std::fs::read(f) {
-            let path = f.display().to_string();
-            hashes.push(adsafe::content_hash(&path, &String::from_utf8_lossy(&bytes)));
-            sources.push((module_of(&root, f), path, bytes));
-        }
-    }
-    let digest = corpus_digest(&hashes);
+    // Pack-loading faults from startup repeat on every request that
+    // uses the pack: each response's fault list stands alone.
     let ledger = shared.ledger_for(&root);
-    let (run_id, seq) = match &ledger {
-        Some(l) => {
-            let (id, seq) = l.reserve(&digest);
-            (id, seq)
-        }
-        None => (String::new(), 0),
-    };
-
-    let mut assessment = Assessment::new().with_options(AssessmentOptions {
+    let (run_id, seq, digest) =
+        crate::reserve_run(&mut assessment, ledger.as_deref(), &shared.rules.faults);
+    let assessment = assessment.with_options(AssessmentOptions {
         asil,
         jobs,
         store: Some(Arc::clone(&shared.store)),
@@ -719,19 +702,6 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
         rules: Some(Arc::clone(&shared.rules)),
         ..AssessmentOptions::default()
     });
-    // Pack-loading faults from startup repeat on every request that
-    // uses the pack: each response's fault list stands alone.
-    for pf in &shared.rules.faults {
-        assessment.add_fault(adsafe::query::pack_fault(pf));
-    }
-    if let Some(l) = &ledger {
-        for torn in l.torn_lines() {
-            assessment.add_fault(crate::ledger_torn_fault(&l.file(), torn));
-        }
-    }
-    for (module, path, bytes) in &sources {
-        assessment.add_file_bytes(module, path, bytes);
-    }
     let report = assessment.run();
     drop(armed);
     // The pipeline drains its own span events into the report, so the
@@ -755,7 +725,7 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
             seq,
             &root.display().to_string(),
             &digest,
-            sources.len() as u64,
+            assessment.sources().len() as u64,
             exit_code,
         );
         if l.append(&record).is_ok() {
@@ -780,9 +750,6 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
     }
     adsafe_trace::counter("serve.assessments").incr();
 
-    let counter_of = |name: &str| {
-        report.trace.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
-    };
     // Digest of the per-request trace: the run's counter deltas, which
     // distinguish cold from warm and serial from parallel requests.
     let mut digest_input = String::new();
@@ -808,7 +775,7 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
     }
     .with_header("X-Adsafe-Exit-Code", exit_code.to_string())
     .with_header("X-Adsafe-Degraded", report.degraded.to_string())
-    .with_header("X-Adsafe-Cache-Hits", counter_of("cache.hits").to_string())
+    .with_header("X-Adsafe-Cache-Hits", report.trace.counter("cache.hits").to_string())
     .with_header("X-Adsafe-Trace-Digest", digest);
     if !run_id.is_empty() {
         resp = resp.with_header("X-Adsafe-Run-Id", run_id);
@@ -972,15 +939,4 @@ fn healthz(shared: &Arc<Shared>) -> Response {
     }
     out.push('}');
     Response::json(200, out)
-}
-
-fn parse_asil(s: &str) -> Option<Asil> {
-    match s.to_ascii_uppercase().as_str() {
-        "A" => Some(Asil::A),
-        "B" => Some(Asil::B),
-        "C" => Some(Asil::C),
-        "D" => Some(Asil::D),
-        "QM" => Some(Asil::Qm),
-        _ => None,
-    }
 }

@@ -99,6 +99,11 @@ impl TraceSummary {
         self.phase_mem.iter().find(|p| p.name == phase).map(|p| p.bytes)
     }
 
+    /// This run's increment of counter `name` (0 if it never moved).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+    }
+
     /// Wall time of `phase` in milliseconds, if that phase ran.
     pub fn phase_ms(&self, phase: &str) -> Option<f64> {
         self.phases.iter().find(|p| p.name == phase).map(|p| p.wall_us as f64 / 1000.0)
@@ -158,6 +163,8 @@ mod tests {
         assert_eq!(s.slowest_files[0], ("slow.cc".to_string(), 400));
         assert_eq!(s.slowest_rules[0], ("misra-15.1-goto".to_string(), 100));
         assert_eq!(s.counters.len(), 1);
+        assert_eq!(s.counter("parse.files"), 2);
+        assert_eq!(s.counter("never.moved"), 0);
     }
 
     #[test]

@@ -72,18 +72,14 @@ fn exit_code(report: &adsafe::AssessmentReport) -> i32 {
 /// Assesses `sources` under the ledger's identity and appends the
 /// resulting record, mirroring what `adsafe assess` does.
 fn record_run(ledger: &Ledger, sources: &[(&str, &str, &str)]) -> RunRecord {
-    let hashes: Vec<u64> =
-        sources.iter().map(|(_, path, text)| adsafe::content_hash(path, text)).collect();
-    let digest = corpus_digest(&hashes);
-    let (run, seq) = ledger.reserve(&digest);
-    let mut assessment = Assessment::new().with_options(AssessmentOptions {
-        run_id: run.clone(),
-        ..AssessmentOptions::default()
-    });
+    let mut assessment = Assessment::new();
     for (module, path, text) in sources {
         assessment.add_file_bytes(module, path, text.as_bytes());
     }
-    let report = assessment.run();
+    let digest = corpus_digest(&assessment.content_hashes());
+    let (run, seq) = ledger.reserve(&digest);
+    let options = AssessmentOptions { run_id: run.clone(), ..AssessmentOptions::default() };
+    let report = assessment.with_options(options).run();
     let record = RunRecord::from_report(
         &report,
         &run,
@@ -185,7 +181,7 @@ fn torn_final_line_is_skipped_and_reported_as_info_fault() {
     assert_eq!(torn.len(), 1);
 
     // The tear surfaces as an Info fault that does not degrade the
-    // assessment (same construction as adsafe_serve::ledger_torn_fault).
+    // assessment (same construction as adsafe_serve::reserve_run).
     let torn_fault = Fault {
         phase: FaultPhase::Ingest,
         path: dir.join(LEDGER_FILE).display().to_string(),

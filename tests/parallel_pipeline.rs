@@ -114,15 +114,6 @@ fn assess_samples(files: usize, options: AssessmentOptions) -> AssessmentReport 
     a.run()
 }
 
-fn counter(report: &AssessmentReport, name: &str) -> u64 {
-    report
-        .trace
-        .counters
-        .iter()
-        .find(|(n, _)| n == name)
-        .map_or(0, |(_, v)| *v)
-}
-
 #[test]
 fn reports_byte_identical_across_worker_counts() {
     let _g = counter_lock();
@@ -162,12 +153,12 @@ fn warm_cache_run_skips_every_file_and_renders_identically() {
     };
     let n = sample_files().len() as u64;
     let cold = assess_samples(usize::MAX, opts());
-    assert_eq!(counter(&cold, "cache.misses"), n);
-    assert_eq!(counter(&cold, "cache.stores"), n);
+    assert_eq!(cold.trace.counter("cache.misses"), n);
+    assert_eq!(cold.trace.counter("cache.stores"), n);
     let warm = assess_samples(usize::MAX, opts());
-    assert_eq!(counter(&warm, "cache.hits"), n, "warm run must hit every file");
-    assert_eq!(counter(&warm, "parse.cached.files"), n);
-    assert_eq!(counter(&warm, "parse.tier1.files"), 0, "warm run must not re-parse");
+    assert_eq!(warm.trace.counter("cache.hits"), n, "warm run must hit every file");
+    assert_eq!(warm.trace.counter("parse.cached.files"), n);
+    assert_eq!(warm.trace.counter("parse.tier1.files"), 0, "warm run must not re-parse");
     assert_eq!(
         deterministic_report_markdown(&warm),
         deterministic_report_markdown(&cold)
@@ -195,9 +186,9 @@ fn content_change_invalidates_only_the_changed_file() {
         }
     }
     let r = a.run();
-    assert_eq!(counter(&r, "cache.hits"), n - 1);
-    assert_eq!(counter(&r, "cache.misses"), 1);
-    assert_eq!(counter(&r, "parse.tier1.files"), 1, "only the changed file re-parses");
+    assert_eq!(r.trace.counter("cache.hits"), n - 1);
+    assert_eq!(r.trace.counter("cache.misses"), 1);
+    assert_eq!(r.trace.counter("parse.tier1.files"), 1, "only the changed file re-parses");
     // The new global shows up in the evidence even though every other
     // file came from the cache.
     assert_eq!(
@@ -224,9 +215,9 @@ fn fingerprint_mismatch_invalidates_the_whole_cache() {
     )
     .unwrap();
     let r = assess_samples(usize::MAX, opts());
-    assert_eq!(counter(&r, "cache.hits"), 0, "stale fingerprint must not serve entries");
-    assert_eq!(counter(&r, "cache.misses"), n);
-    assert_eq!(counter(&r, "cache.stores"), n, "wiped cache is repopulated");
+    assert_eq!(r.trace.counter("cache.hits"), 0, "stale fingerprint must not serve entries");
+    assert_eq!(r.trace.counter("cache.misses"), n);
+    assert_eq!(r.trace.counter("cache.stores"), n, "wiped cache is repopulated");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -250,7 +241,7 @@ fn corrupt_cache_entry_recovers_via_cold_path() {
     let r = assess_samples(usize::MAX, opts());
     // The corruption is logged as an Info fault and re-analysed from
     // source — never a panic, never a degraded report.
-    assert_eq!(counter(&r, "cache.corrupt"), 1);
+    assert_eq!(r.trace.counter("cache.corrupt"), 1);
     let fault = r
         .faults
         .iter()
@@ -264,8 +255,8 @@ fn corrupt_cache_entry_recovers_via_cold_path() {
     );
     // The bad entry was evicted and rewritten: next run is fully warm.
     let warm = assess_samples(usize::MAX, opts());
-    assert_eq!(counter(&warm, "cache.corrupt"), 0);
-    assert_eq!(counter(&warm, "cache.hits"), sample_files().len() as u64);
+    assert_eq!(warm.trace.counter("cache.corrupt"), 0);
+    assert_eq!(warm.trace.counter("cache.hits"), sample_files().len() as u64);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -281,7 +272,7 @@ fn unusable_cache_dir_falls_through_to_cold_analysis() {
         usize::MAX,
         AssessmentOptions { cache_dir: Some(path.clone()), ..AssessmentOptions::default() },
     );
-    assert_eq!(counter(&r, "cache.disabled"), 1);
+    assert_eq!(r.trace.counter("cache.disabled"), 1);
     let fault = r
         .faults
         .iter()
@@ -308,11 +299,11 @@ fn shared_store_makes_repeat_runs_warm() {
     };
     let n = sample_files().len() as u64;
     let cold = assess_samples(usize::MAX, opts());
-    assert_eq!(counter(&cold, "cache.misses"), n);
-    assert_eq!(counter(&cold, "cache.stores"), n);
+    assert_eq!(cold.trace.counter("cache.misses"), n);
+    assert_eq!(cold.trace.counter("cache.stores"), n);
     let warm = assess_samples(usize::MAX, opts());
-    assert_eq!(counter(&warm, "cache.hits"), n, "resident store must serve every file");
-    assert_eq!(counter(&warm, "parse.tier1.files"), 0, "warm run must not re-parse");
+    assert_eq!(warm.trace.counter("cache.hits"), n, "resident store must serve every file");
+    assert_eq!(warm.trace.counter("parse.tier1.files"), 0, "warm run must not re-parse");
     assert_eq!(
         deterministic_report_markdown(&warm),
         deterministic_report_markdown(&cold)

@@ -14,7 +14,7 @@ use adsafe::facts::{self, FactsRecord};
 use adsafe::lang::SourceMap;
 use adsafe::rulequery::ast::{CmpOp, Expr};
 use adsafe::rulequery::{parse_pack, pretty_pack, RuleDecl, RulePack, Selector, SeverityKw};
-use adsafe::{render, Assessment, AssessmentOptions, AssessmentReport, MemoryFactsStore};
+use adsafe::{render, Assessment, AssessmentOptions, MemoryFactsStore};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -191,9 +191,6 @@ fn resident_replay_rebinds_file_ids() {
         }
         a.run()
     };
-    let memory_hits = |r: &AssessmentReport| {
-        r.trace.counters.iter().find(|(n, _)| n == "store.memory_hits").map_or(0, |(_, v)| *v)
-    };
     let first: (String, String, String) =
         ("aaa".into(), "aaa/first.cc".into(), "int First(int x) { return x; }\n".into());
     let mut sets = vec![("clean", corpus_sources())];
@@ -224,7 +221,7 @@ fn resident_replay_rebinds_file_ids() {
             let resident = run(&shifted, jobs, None, Some(&store));
             // Only this test in the binary uses a resident store, so the
             // global counter delta is this run's.
-            assert!(memory_hits(&resident) > 0, "{name} at jobs {jobs}: no resident replay");
+            assert!(resident.trace.counter("store.memory_hits") > 0, "{name} at jobs {jobs}: no resident replay");
 
             for (label, warm) in [("disk", &disk), ("resident", &resident)] {
                 assert!(
@@ -238,15 +235,6 @@ fn resident_replay_rebinds_file_ids() {
             }
         }
     }
-}
-
-/// The pipeline's file numbering for [`corpus_sources`], for rendering.
-fn corpus_source_map() -> SourceMap {
-    let mut sm = SourceMap::new();
-    for (_, path, text) in corpus_sources() {
-        sm.add_file(path, text);
-    }
-    sm
 }
 
 /// What the retired native checkers reported on [`corpus_sources`]:
@@ -382,11 +370,11 @@ fn mirror_pack() -> RulePack {
     pack
 }
 
-fn run_report(
+fn corpus_assessment(
     jobs: usize,
     rules: Option<Arc<RulePack>>,
     cache_dir: Option<std::path::PathBuf>,
-) -> adsafe::AssessmentReport {
+) -> Assessment {
     let mut a = Assessment::new().with_options(AssessmentOptions {
         jobs,
         rules,
@@ -396,7 +384,15 @@ fn run_report(
     for (module, path, text) in corpus_sources() {
         a.add_file(&module, &path, &text);
     }
-    a.run()
+    a
+}
+
+fn run_report(
+    jobs: usize,
+    rules: Option<Arc<RulePack>>,
+    cache_dir: Option<std::path::PathBuf>,
+) -> adsafe::AssessmentReport {
+    corpus_assessment(jobs, rules, cache_dir).run()
 }
 
 /// Through the pipeline (what `adsafe assess` runs), the bundled rules
@@ -405,10 +401,11 @@ fn run_report(
 /// ids.
 #[test]
 fn pipeline_query_rules_mirror_native_findings() {
-    let report = run_report(2, Some(Arc::new(mirror_pack())), None);
-    let sm = corpus_source_map();
+    let assessment = corpus_assessment(2, Some(Arc::new(mirror_pack())), None);
+    let report = assessment.run();
+    let sm = assessment.sources();
     let diags: Vec<&Diagnostic> = report.diagnostics.iter().collect();
-    assert_native_findings(&diags, &sm);
+    assert_native_findings(&diags, sm);
     let mirror_ids = [
         ("misra-15.5-multi-exit", "q-multi-exit"),
         ("misra-17.2-recursion", "q-recursion"),
@@ -427,7 +424,7 @@ fn pipeline_query_rules_mirror_native_findings() {
         })
         .collect();
     let renamed: Vec<&Diagnostic> = renamed.iter().collect();
-    assert_native_findings(&renamed, &sm);
+    assert_native_findings(&renamed, sm);
 }
 
 /// With a pack active, the deterministic report is byte-identical

@@ -574,6 +574,46 @@ fn healthz_and_routing_basics() {
     server.stop();
 }
 
+/// One digest for one tree: the shared ingest path hashes what the
+/// front doors hashed before it — `content_hash(path,
+/// from_utf8_lossy(bytes))` per readable file, in file order — and the
+/// CLI and the daemon record that digest and file count.
+#[test]
+fn cli_and_daemon_record_the_lossy_text_digest() {
+    let _g = serve_lock();
+    let corpus = corpus_dir("digest");
+    std::fs::write(corpus.join("control/raw.cc"), b"int Raw();\n\xff\xfe\n").unwrap();
+    std::os::unix::fs::symlink(corpus.join("missing"), corpus.join("control/gone.cc")).unwrap();
+    let mut files = Vec::new();
+    adsafe_serve::fsutil::collect_sources(&corpus, &mut files);
+    let formula: Vec<u64> = files
+        .iter()
+        .filter_map(|f| Some((f.display().to_string(), std::fs::read(f).ok()?)))
+        .map(|(path, bytes)| adsafe::content_hash(&path, &String::from_utf8_lossy(&bytes)))
+        .collect();
+    let mut assessment = adsafe::Assessment::new();
+    let ingested = adsafe_serve::fsutil::ingest_dir(&corpus, &mut assessment);
+    assert_eq!((ingested.found, ingested.unreadable.len(), formula.len()), (5, 1, 4));
+    assert_eq!(assessment.content_hashes(), formula);
+
+    let cli = std::process::Command::new(env!("CARGO_BIN_EXE_adsafe"))
+        .args(["assess", &corpus.display().to_string(), "--jobs", "1", "--no-cache", "-q"])
+        .output()
+        .expect("running the adsafe CLI");
+    assert!(String::from_utf8_lossy(&cli.stderr).contains("skipping unreadable"));
+    let server = start_server(ServeConfig::default());
+    assert_eq!(request(server.addr(), "POST", "/assess", &assess_body(&corpus, "")).status, 200);
+    server.stop();
+    let ledger = std::fs::read_to_string(corpus.join(".adsafe-cache/ledger/runs.jsonl")).unwrap();
+    let rows: Vec<(String, u64)> = ledger
+        .lines()
+        .map(|l| adsafe_ledger::RunRecord::from_json(l).expect("ledger row parses"))
+        .map(|r| (r.corpus_digest, r.files))
+        .collect();
+    let row = (adsafe_ledger::corpus_digest(&formula), 4);
+    assert_eq!(rows, [row.clone(), row], "one CLI row, one daemon row");
+}
+
 #[test]
 fn every_assessment_gets_a_run_id_and_a_ledger_record() {
     let _g = serve_lock();

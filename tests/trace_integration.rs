@@ -107,10 +107,7 @@ fn pipeline_emits_phase_file_and_rule_spans() {
     );
     assert_well_formed(&t.events);
     // Counter deltas picked up the per-tier file counts.
-    assert!(t
-        .counters
-        .iter()
-        .any(|(n, v)| n == "parse.tier1.files" && *v >= 2));
+    assert!(t.counter("parse.tier1.files") >= 2);
 }
 
 #[test]
@@ -192,11 +189,7 @@ fn phase_overrun_is_noted_with_magnitude() {
     assert!(actual_ms >= 30, "overrun magnitude lost: {actual_ms} ms");
     // A note alone must not mark the evidence degraded.
     assert!(!r.degraded, "{:?}", r.faults);
-    assert!(r
-        .trace
-        .counters
-        .iter()
-        .any(|(n, v)| n == "parse.budget.overrun_ms" && *v >= 25));
+    assert!(r.trace.counter("parse.budget.overrun_ms") >= 25);
 }
 
 #[test]
