@@ -18,11 +18,15 @@
 //!
 //! ## Fault behaviour
 //!
-//! The cache is an accelerator, never a correctness dependency: any I/O
-//! error degrades to a miss, and a syntactically present but unreadable
-//! entry is reported as [`CacheLookup::Corrupt`] so the pipeline can
-//! log a [`crate::FaultCause::CacheCorrupt`] fault and re-analyse from
-//! source. Counters: `cache.hits`, `cache.misses`, `cache.corrupt`,
+//! The cache is an accelerator, never a correctness dependency: an
+//! entry that cannot be opened or read is a miss. An entry that can be
+//! read but is not exactly what
+//! [`FileFacts::to_json`](crate::facts::FileFacts::to_json) writes —
+//! invalid UTF-8, truncated, reformatted, reordered, or from another
+//! schema — is reported as [`CacheLookup::Corrupt`] and evicted, so the
+//! pipeline logs a [`crate::FaultCause::CacheCorrupt`] fault,
+//! re-analyses the file from source and writes a clean entry back.
+//! Counters: `cache.hits`, `cache.misses`, `cache.corrupt`,
 //! `cache.stores`.
 
 use crate::facts::{FileFacts, FACTS_SCHEMA};
@@ -195,14 +199,17 @@ impl FactsCache {
             return CacheLookup::Miss;
         }
         let path = self.entry_path(hash);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
+        let bytes = match fs::read(&path) {
+            Ok(b) => b,
             Err(_) => {
                 adsafe_trace::counter("cache.misses").incr();
                 return CacheLookup::Miss;
             }
         };
-        match FileFacts::from_json(&text, file) {
+        let decoded = String::from_utf8(bytes)
+            .map_err(|e| format!("entry is not UTF-8: {}", e.utf8_error()))
+            .and_then(|text| FileFacts::from_json(&text, file));
+        match decoded {
             Ok(facts) => {
                 adsafe_trace::counter("cache.hits").incr();
                 CacheLookup::Hit(Arc::new(facts))
@@ -321,6 +328,20 @@ mod tests {
         fs::write(dir.join(format!("{h:016x}.json")), "{not json").unwrap();
         assert!(matches!(cache.load(h, FileId(0)), CacheLookup::Corrupt(_)));
         // The bad entry was evicted → second lookup is a plain miss.
+        assert!(matches!(cache.load(h, FileId(0)), CacheLookup::Miss));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_utf8_entry_is_corrupt_not_a_silent_miss() {
+        let dir = temp_dir("non-utf8");
+        let cache = FactsCache::open(&dir);
+        let h = content_hash("m/a.cc", "text");
+        fs::write(dir.join(format!("{h:016x}.json")), [0xFF; 16]).unwrap();
+        match cache.load(h, FileId(0)) {
+            CacheLookup::Corrupt(detail) => assert!(detail.contains("UTF-8"), "{detail}"),
+            other => panic!("expected corrupt, got {other:?}"),
+        }
         assert!(matches!(cache.load(h, FileId(0)), CacheLookup::Miss));
         let _ = fs::remove_dir_all(&dir);
     }

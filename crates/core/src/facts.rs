@@ -13,10 +13,14 @@
 //! therefore produce byte-identical reports by construction: they run
 //! the exact same assembly code over the exact same inputs.
 //!
-//! The serialised form (`adsafe-facts/2`) is hand-written JSON parsed
-//! back with [`adsafe_trace::json::Json`]; any structural mismatch is
-//! surfaced as an error so the cache layer can fall back to the cold
-//! path with a [`crate::FaultCause::CacheCorrupt`] fault.
+//! The serialised form (`adsafe-facts/2`) is hand-written JSON. It is
+//! read back in one pass straight from the bytes, with no intermediate
+//! JSON tree, and the reader accepts only the exact shape
+//! [`FileFacts::to_json`] writes: keys in writer order, no whitespace,
+//! canonical integers and escapes. Anything else — even JSON that
+//! means the same record — is an error, so the cache layer treats the
+//! entry as corrupt and falls back to the cold path with a
+//! [`crate::FaultCause::CacheCorrupt`] fault.
 
 use adsafe_checkers::defensive::ValidationFacts;
 use adsafe_checkers::unit_design::{FunctionUnitFacts, UnitDesignStats};
@@ -29,7 +33,8 @@ use adsafe_metrics::{
     count_file, function_metrics, ComplexityHistogram, FunctionMetrics, LocCounts,
     ModuleMetrics, TouchedGlobals,
 };
-use adsafe_trace::json::{write_escaped, Json};
+use adsafe_trace::json::write_escaped;
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -329,7 +334,8 @@ pub fn validation_ratio_from_facts(records: &[FactsRecord<'_>]) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Serialisation (hand-written JSON; parsed back with trace::json).
+// Serialisation (hand-written JSON, read back by a cursor that accepts
+// only the writer's exact shape).
 // ---------------------------------------------------------------------
 
 /// The interned rule-id table: serialised diagnostics name their rule
@@ -407,65 +413,42 @@ impl FileFacts {
         out
     }
 
-    /// Parses a serialised record, rebinding all spans to `file`.
+    /// Parses a record in exactly the shape [`to_json`](Self::to_json)
+    /// writes, rebinding all spans to `file`. Any other byte string —
+    /// inserted whitespace, reordered or duplicated keys, `1.0` for an
+    /// integer, a non-canonical escape, trailing bytes — is an error,
+    /// which the cache reports as a corrupt entry. Accepted input
+    /// therefore re-encodes to the same bytes.
     pub fn from_json(text: &str, file: FileId) -> Result<FileFacts, String> {
-        let v = Json::parse(text)?;
-        if v.get("schema").and_then(Json::as_str) != Some(FACTS_SCHEMA) {
+        let mut r = Reader { src: text, pos: 0 };
+        if r.then(r#"{"schema":"#, Reader::str)? != FACTS_SCHEMA {
             return Err("schema mismatch".to_string());
         }
-        let loc_arr = req_arr(&v, "loc")?;
-        if loc_arr.len() != 5 {
-            return Err("loc arity".to_string());
-        }
-        let loc = LocCounts {
-            physical: as_usize(&loc_arr[0])?,
-            nloc: as_usize(&loc_arr[1])?,
-            comment: as_usize(&loc_arr[2])?,
-            blank: as_usize(&loc_arr[3])?,
-            directive: as_usize(&loc_arr[4])?,
+        // Fields are read in writer order: a struct expression
+        // evaluates its fields in the order they are written.
+        let facts = FileFacts {
+            recovery_count: r.then(r#","recovery":"#, Reader::int)?,
+            loc: LocCounts {
+                physical: r.then(r#","loc":["#, Reader::int)?,
+                nloc: r.then(",", Reader::int)?,
+                comment: r.then(",", Reader::int)?,
+                blank: r.then(",", Reader::int)?,
+                directive: r.then(",", Reader::int)?,
+            },
+            globals: r.then(r#"],"globals":"#, |r| r.list(&mut Vec::new(), read_global))?,
+            functions: {
+                let (mut names, mut unres) = (Vec::new(), Vec::new());
+                r.then(r#","functions":"#, |r| {
+                    r.list(&mut Vec::new(), |r| read_function(r, &mut names, &mut unres))
+                })?
+            },
+            diags: r.then(r#","diags":"#, |r| r.list(&mut Vec::new(), |r| read_diag(r, file)))?,
         };
-        let globals = read_all(req_arr(&v, "globals")?, |g| {
-            let t = g.as_arr().ok_or("global not an array")?;
-            if t.len() != 3 {
-                return Err("global arity".to_string());
-            }
-            Ok(GlobalFacts {
-                name: req_str_v(&t[0])?,
-                is_const: as_bool(&t[1])?,
-                is_extern: as_bool(&t[2])?,
-            })
-        })?;
-        let functions = read_all(req_arr(&v, "functions")?, read_function)?;
-        let diags = read_all(req_arr(&v, "diags")?, |d| {
-            let t = d.as_arr().ok_or("diag not an array")?;
-            if t.len() != 6 {
-                return Err("diag arity".to_string());
-            }
-            let id_name = req_str_v(&t[0])?;
-            let check_id =
-                check_id_for(&id_name).ok_or_else(|| format!("unknown check id `{id_name}`"))?;
-            let severity = match t[1].as_str() {
-                Some("info") => Severity::Info,
-                Some("warning") => Severity::Warning,
-                Some("violation") => Severity::Violation,
-                _ => return Err("bad severity".to_string()),
-            };
-            let span = Span::new(file, as_u32(&t[2])?, as_u32(&t[3])?);
-            let mut diag = Diagnostic::new(check_id, severity, span, req_str_v(&t[4])?);
-            match &t[5] {
-                Json::Null => {}
-                Json::Str(s) => diag = diag.in_function(s),
-                _ => return Err("bad diag function".to_string()),
-            }
-            Ok(diag)
-        })?;
-        Ok(FileFacts {
-            recovery_count: req_usize(&v, "recovery")?,
-            loc,
-            globals,
-            functions,
-            diags,
-        })
+        r.lit("}")?;
+        if r.pos != text.len() {
+            return Err(format!("trailing bytes at byte {}", r.pos));
+        }
+        Ok(facts)
     }
 }
 
@@ -531,126 +514,438 @@ fn write_function(out: &mut String, f: &FunctionFacts) {
     );
 }
 
-fn read_function(v: &Json) -> Result<FunctionFacts, String> {
-    let sig = req_arr(v, "sig")?;
-    if sig.len() != 2 {
-        return Err("sig arity".to_string());
-    }
-    let callees = read_all(req_arr(v, "callees")?, req_str_v)?;
-    let idents = read_all(req_arr(v, "idents")?, req_str_v)?;
-    let unresolved = read_all(req_arr(v, "unres")?, |u| {
-        let t = u.as_arr().ok_or("unres not an array")?;
-        if t.len() != 3 {
-            return Err("unres arity".to_string());
-        }
-        Ok((req_str_v(&t[0])?, as_u32(&t[1])?, as_u32(&t[2])?))
-    })?;
-    Ok(FunctionFacts {
-        metrics: FunctionMetrics {
-            name: req_str(v, "name")?,
-            qualified_name: req_str(v, "qual")?,
-            cyclomatic: req_u32(v, "cc")?,
-            nloc: req_usize(v, "nloc")?,
-            param_count: req_usize(v, "params")?,
-            max_nesting: req_usize(v, "nest")?,
-            return_count: req_usize(v, "returns")?,
-            multi_exit: req_bool(v, "multi")?,
-            goto_count: req_usize(v, "goto")?,
-            stmt_count: req_usize(v, "stmts")?,
-            is_gpu: req_bool(v, "gpu")?,
-        },
-        sig_start: as_u32(&sig[0])?,
-        sig_end: as_u32(&sig[1])?,
-        callees,
-        idents,
-        unresolved,
+fn read_global(r: &mut Reader<'_>) -> Result<GlobalFacts, String> {
+    let g = GlobalFacts {
+        name: r.then("[", Reader::string)?,
+        is_const: r.then(",", Reader::boolean)?,
+        is_extern: r.then(",", Reader::boolean)?,
+    };
+    r.lit("]")?;
+    Ok(g)
+}
+
+/// Reads one [`write_function`] object. `names` and `unres` are scratch
+/// buffers shared by every function of the record.
+fn read_function(
+    r: &mut Reader<'_>,
+    names: &mut Vec<String>,
+    unres: &mut Vec<(String, u32, u32)>,
+) -> Result<FunctionFacts, String> {
+    let metrics = FunctionMetrics {
+        name: r.then(r#"{"name":"#, Reader::string)?,
+        qualified_name: r.then(r#","qual":"#, Reader::string)?,
+        cyclomatic: r.then(r#","cc":"#, Reader::int)?,
+        nloc: r.then(r#","nloc":"#, Reader::int)?,
+        param_count: r.then(r#","params":"#, Reader::int)?,
+        max_nesting: r.then(r#","nest":"#, Reader::int)?,
+        return_count: r.then(r#","returns":"#, Reader::int)?,
+        multi_exit: r.then(r#","multi":"#, Reader::boolean)?,
+        goto_count: r.then(r#","goto":"#, Reader::int)?,
+        stmt_count: r.then(r#","stmts":"#, Reader::int)?,
+        is_gpu: r.then(r#","gpu":"#, Reader::boolean)?,
+    };
+    let (sig_start, sig_end) = r.span(r#","sig":["#)?;
+    let f = FunctionFacts {
+        metrics,
+        sig_start,
+        sig_end,
+        callees: r.then(r#"],"callees":"#, |r| r.list(names, Reader::string))?,
+        idents: r.then(r#","idents":"#, |r| r.list(names, Reader::string))?,
+        unresolved: r.then(r#","unres":"#, |r| {
+            r.list(unres, |r| {
+                let name = r.then("[", Reader::string)?;
+                let (start, end) = r.span(",")?;
+                r.lit("]")?;
+                Ok((name, start, end))
+            })
+        })?,
         unit: FunctionUnitFacts {
-            maybe_uninit_reads: req_usize(v, "uninit")?,
-            shadowed_declarations: req_usize(v, "shadow")?,
-            pointer_uses: req_usize(v, "ptr")?,
-            dynamic_alloc_sites: req_usize(v, "dyn")?,
-            opaque_stmts: req_usize(v, "opaque")?,
+            maybe_uninit_reads: r.then(r#","uninit":"#, Reader::int)?,
+            shadowed_declarations: r.then(r#","shadow":"#, Reader::int)?,
+            pointer_uses: r.then(r#","ptr":"#, Reader::int)?,
+            dynamic_alloc_sites: r.then(r#","dyn":"#, Reader::int)?,
+            opaque_stmts: r.then(r#","opaque":"#, Reader::int)?,
         },
-        is_kernel: req_bool(v, "kernel")?,
-        ptr_params: req_usize(v, "kptr")?,
-        alloc_calls: req_usize(v, "alloc")?,
+        is_kernel: r.then(r#","kernel":"#, Reader::boolean)?,
+        ptr_params: r.then(r#","kptr":"#, Reader::int)?,
+        alloc_calls: r.then(r#","alloc":"#, Reader::int)?,
         validation: ValidationFacts {
-            has_named_params: req_bool(v, "named")?,
-            validates: req_bool(v, "validates")?,
+            has_named_params: r.then(r#","named":"#, Reader::boolean)?,
+            validates: r.then(r#","validates":"#, Reader::boolean)?,
         },
-    })
+    };
+    r.lit("}")?;
+    Ok(f)
 }
 
-/// Reads every element of `arr` into a vector of exactly `arr.len()`:
-/// a decoded record may stay resident in a facts store, charged at its
-/// encoded length, so it carries no growth slack.
-fn read_all<T>(
-    arr: &[Json],
-    read: impl Fn(&Json) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    let mut out = Vec::with_capacity(arr.len());
-    for v in arr {
-        out.push(read(v)?);
+fn read_diag(r: &mut Reader<'_>, file: FileId) -> Result<Diagnostic, String> {
+    let id = r.then("[", Reader::str)?;
+    let check_id = check_id_for(&id).ok_or_else(|| format!("unknown check id `{id}`"))?;
+    let severity = match &*r.then(",", Reader::str)? {
+        "info" => Severity::Info,
+        "warning" => Severity::Warning,
+        "violation" => Severity::Violation,
+        _ => return Err("bad severity".to_string()),
+    };
+    let (start, end) = r.span(",")?;
+    let span = Span::new(file, start, end);
+    let message = r.then(",", Reader::string)?;
+    r.lit(",")?;
+    let function = if r.eat("null") { None } else { Some(r.string()?) };
+    r.lit("]")?;
+    Ok(Diagnostic { check_id, severity, span, message, function })
+}
+
+/// A cursor over one serialised record. It accepts only the bytes the
+/// writer produces: no whitespace, unsigned decimal integers without
+/// leading zeros, and strings escaped exactly as [`write_escaped`] does.
+struct Reader<'a> {
+    src: &'a str,
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn eat(&mut self, lit: &str) -> bool {
+        let hit = self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes());
+        if hit {
+            self.pos += lit.len();
+        }
+        hit
     }
-    Ok(out)
-}
 
-fn req_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    v.get(key).and_then(Json::as_arr).ok_or_else(|| format!("missing array `{key}`"))
-}
+    fn lit(&mut self, lit: &str) -> Result<(), String> {
+        if self.eat(lit) {
+            Ok(())
+        } else {
+            Err(format!("expected `{lit}` at byte {}", self.pos))
+        }
+    }
 
-fn req_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string `{key}`"))
-}
+    /// Expects `lit`, then reads the value that follows it.
+    fn then<T>(
+        &mut self,
+        lit: &str,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
+        self.lit(lit)?;
+        read(self)
+    }
 
-fn req_str_v(v: &Json) -> Result<String, String> {
-    v.as_str().map(str::to_string).ok_or_else(|| "expected string".to_string())
-}
+    /// Reads `[item,item,…]` into a vector of exactly its length: a
+    /// decoded record may stay resident in a facts store, charged at
+    /// its encoded length, so it carries no growth slack. `scratch`
+    /// absorbs the growth instead and can be reused.
+    fn list<T>(
+        &mut self,
+        scratch: &mut Vec<T>,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.lit("[")?;
+        scratch.clear();
+        if !self.eat("]") {
+            loop {
+                scratch.push(item(self)?);
+                if self.eat("]") {
+                    break;
+                }
+                self.lit(",")?;
+            }
+        }
+        let mut out = Vec::with_capacity(scratch.len());
+        out.append(scratch);
+        Ok(out)
+    }
 
-fn req_usize(v: &Json, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .ok_or_else(|| format!("missing number `{key}`"))
-        .and_then(as_usize)
-}
+    /// Expects `lit`, then reads `start,end` with `start <= end`.
+    fn span(&mut self, lit: &str) -> Result<(u32, u32), String> {
+        let at = self.pos;
+        let (start, end) = (self.then(lit, Reader::int)?, self.then(",", Reader::int)?);
+        if start > end {
+            return Err(format!("inverted span at byte {at}"));
+        }
+        Ok((start, end))
+    }
 
-fn req_u32(v: &Json, key: &str) -> Result<u32, String> {
-    v.get(key).ok_or_else(|| format!("missing number `{key}`")).and_then(as_u32)
-}
+    fn boolean(&mut self) -> Result<bool, String> {
+        if self.eat("true") {
+            Ok(true)
+        } else if self.eat("false") {
+            Ok(false)
+        } else {
+            Err(format!("expected bool at byte {}", self.pos))
+        }
+    }
 
-fn req_bool(v: &Json, key: &str) -> Result<bool, String> {
-    match v.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(format!("missing bool `{key}`")),
+    /// An unsigned decimal integer, parsed exactly into the caller's
+    /// type; overflow is an error, not a rounding.
+    fn int<T: TryFrom<u64>>(&mut self) -> Result<T, String> {
+        let start = self.pos;
+        let digits = self.src.as_bytes()[start..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        let text = &self.src[start..start + digits];
+        if digits == 0 || (digits > 1 && text.starts_with('0')) {
+            return Err(format!("expected integer at byte {start}"));
+        }
+        self.pos += digits;
+        text.bytes()
+            .try_fold(0u64, |n, d| n.checked_mul(10)?.checked_add(u64::from(d - b'0')))
+            .and_then(|n| T::try_from(n).ok())
+            .ok_or_else(|| format!("integer out of range at byte {start}"))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.str().map(Cow::into_owned)
+    }
+
+    /// A string value: borrowed from the input when it holds no escape
+    /// (the common case), unescaped into an exactly sized copy
+    /// otherwise.
+    fn str(&mut self) -> Result<Cow<'a, str>, String> {
+        let b = self.src.as_bytes();
+        let open = self.pos;
+        if b.get(open) != Some(&b'"') {
+            return Err(format!("expected string at byte {open}"));
+        }
+        let mut out = String::new();
+        let (mut run, mut i) = (open + 1, open + 1);
+        loop {
+            match b.get(i) {
+                Some(b'"') => break,
+                Some(b'\\') => {
+                    out.push_str(&self.src[run..i]);
+                    let (c, len) = unescape(&b[i..])
+                        .ok_or_else(|| format!("bad escape at byte {i}"))?;
+                    out.push(c);
+                    i += len;
+                    run = i;
+                }
+                Some(&c) if c >= 0x20 => i += 1,
+                _ => return Err(format!("unterminated string at byte {open}")),
+            }
+        }
+        self.pos = i + 1;
+        if run == open + 1 {
+            return Ok(Cow::Borrowed(&self.src[run..i]));
+        }
+        out.push_str(&self.src[run..i]);
+        out.shrink_to_fit();
+        Ok(Cow::Owned(out))
     }
 }
 
-fn as_bool(v: &Json) -> Result<bool, String> {
-    match v {
-        Json::Bool(b) => Ok(*b),
-        _ => Err("expected bool".to_string()),
-    }
-}
-
-fn as_usize(v: &Json) -> Result<usize, String> {
-    let n = v.as_f64().ok_or("expected number")?;
-    if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-        return Err("expected non-negative integer".to_string());
-    }
-    Ok(n as usize)
-}
-
-fn as_u32(v: &Json) -> Result<u32, String> {
-    let n = as_usize(v)?;
-    u32::try_from(n).map_err(|_| "integer out of range".to_string())
+/// Decodes the escape at the start of `b` if it is one [`write_escaped`]
+/// emits — `\"`, `\\`, `\n`, `\r`, `\t`, or `\u00xx` (lower-case hex)
+/// for any other control character — with its length in bytes.
+fn unescape(b: &[u8]) -> Option<(char, usize)> {
+    let hex = |d: &u8| match d {
+        b'0'..=b'9' => Some(d - b'0'),
+        b'a'..=b'f' => Some(d - b'a' + 10),
+        _ => None,
+    };
+    let c = match *b.get(1)? {
+        b'"' => '"',
+        b'\\' => '\\',
+        b'n' => '\n',
+        b'r' => '\r',
+        b't' => '\t',
+        b'u' if b.get(2..4)? == b"00" => {
+            let c = char::from(hex(b.get(4)?)? * 16 + hex(b.get(5)?)?);
+            let canonical = c < ' ' && !matches!(c, '\n' | '\r' | '\t');
+            return canonical.then_some((c, 6));
+        }
+        _ => return None,
+    };
+    Some((c, 2))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use adsafe_checkers::{default_checks, AnalysisSet, Check, CheckContext, CheckScope};
+
+    /// The tree decoder [`FileFacts::from_json`] replaced, kept as the
+    /// differential reference: it parses a generic [`Json`] tree, then
+    /// copies the fields out by key, so it tolerates whitespace, any key
+    /// order, duplicate keys and integral floats.
+    mod reference {
+        use super::super::*;
+        use adsafe_trace::json::Json;
+
+        pub(super) fn from_json(text: &str, file: FileId) -> Result<FileFacts, String> {
+            let v = Json::parse(text)?;
+            if v.get("schema").and_then(Json::as_str) != Some(FACTS_SCHEMA) {
+                return Err("schema mismatch".to_string());
+            }
+            let loc_arr = req_arr(&v, "loc")?;
+            if loc_arr.len() != 5 {
+                return Err("loc arity".to_string());
+            }
+            let loc = LocCounts {
+                physical: as_usize(&loc_arr[0])?,
+                nloc: as_usize(&loc_arr[1])?,
+                comment: as_usize(&loc_arr[2])?,
+                blank: as_usize(&loc_arr[3])?,
+                directive: as_usize(&loc_arr[4])?,
+            };
+            let globals = read_all(req_arr(&v, "globals")?, |g| {
+                let t = g.as_arr().ok_or("global not an array")?;
+                if t.len() != 3 {
+                    return Err("global arity".to_string());
+                }
+                Ok(GlobalFacts {
+                    name: req_str_v(&t[0])?,
+                    is_const: as_bool(&t[1])?,
+                    is_extern: as_bool(&t[2])?,
+                })
+            })?;
+            let functions = read_all(req_arr(&v, "functions")?, read_function)?;
+            let diags = read_all(req_arr(&v, "diags")?, |d| {
+                let t = d.as_arr().ok_or("diag not an array")?;
+                if t.len() != 6 {
+                    return Err("diag arity".to_string());
+                }
+                let id_name = req_str_v(&t[0])?;
+                let check_id =
+                    check_id_for(&id_name).ok_or_else(|| format!("unknown check id `{id_name}`"))?;
+                let severity = match t[1].as_str() {
+                    Some("info") => Severity::Info,
+                    Some("warning") => Severity::Warning,
+                    Some("violation") => Severity::Violation,
+                    _ => return Err("bad severity".to_string()),
+                };
+                let span = Span::new(file, as_u32(&t[2])?, as_u32(&t[3])?);
+                let mut diag = Diagnostic::new(check_id, severity, span, req_str_v(&t[4])?);
+                match &t[5] {
+                    Json::Null => {}
+                    Json::Str(s) => diag = diag.in_function(s),
+                    _ => return Err("bad diag function".to_string()),
+                }
+                Ok(diag)
+            })?;
+            Ok(FileFacts {
+                recovery_count: req_usize(&v, "recovery")?,
+                loc,
+                globals,
+                functions,
+                diags,
+            })
+        }
+
+        fn read_function(v: &Json) -> Result<FunctionFacts, String> {
+            let sig = req_arr(v, "sig")?;
+            if sig.len() != 2 {
+                return Err("sig arity".to_string());
+            }
+            let callees = read_all(req_arr(v, "callees")?, req_str_v)?;
+            let idents = read_all(req_arr(v, "idents")?, req_str_v)?;
+            let unresolved = read_all(req_arr(v, "unres")?, |u| {
+                let t = u.as_arr().ok_or("unres not an array")?;
+                if t.len() != 3 {
+                    return Err("unres arity".to_string());
+                }
+                Ok((req_str_v(&t[0])?, as_u32(&t[1])?, as_u32(&t[2])?))
+            })?;
+            Ok(FunctionFacts {
+                metrics: FunctionMetrics {
+                    name: req_str(v, "name")?,
+                    qualified_name: req_str(v, "qual")?,
+                    cyclomatic: req_u32(v, "cc")?,
+                    nloc: req_usize(v, "nloc")?,
+                    param_count: req_usize(v, "params")?,
+                    max_nesting: req_usize(v, "nest")?,
+                    return_count: req_usize(v, "returns")?,
+                    multi_exit: req_bool(v, "multi")?,
+                    goto_count: req_usize(v, "goto")?,
+                    stmt_count: req_usize(v, "stmts")?,
+                    is_gpu: req_bool(v, "gpu")?,
+                },
+                sig_start: as_u32(&sig[0])?,
+                sig_end: as_u32(&sig[1])?,
+                callees,
+                idents,
+                unresolved,
+                unit: FunctionUnitFacts {
+                    maybe_uninit_reads: req_usize(v, "uninit")?,
+                    shadowed_declarations: req_usize(v, "shadow")?,
+                    pointer_uses: req_usize(v, "ptr")?,
+                    dynamic_alloc_sites: req_usize(v, "dyn")?,
+                    opaque_stmts: req_usize(v, "opaque")?,
+                },
+                is_kernel: req_bool(v, "kernel")?,
+                ptr_params: req_usize(v, "kptr")?,
+                alloc_calls: req_usize(v, "alloc")?,
+                validation: ValidationFacts {
+                    has_named_params: req_bool(v, "named")?,
+                    validates: req_bool(v, "validates")?,
+                },
+            })
+        }
+
+        fn read_all<T>(
+            arr: &[Json],
+            read: impl Fn(&Json) -> Result<T, String>,
+        ) -> Result<Vec<T>, String> {
+            let mut out = Vec::with_capacity(arr.len());
+            for v in arr {
+                out.push(read(v)?);
+            }
+            Ok(out)
+        }
+
+        fn req_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
+            v.get(key).and_then(Json::as_arr).ok_or_else(|| format!("missing array `{key}`"))
+        }
+
+        fn req_str(v: &Json, key: &str) -> Result<String, String> {
+            v.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("missing string `{key}`"))
+        }
+
+        fn req_str_v(v: &Json) -> Result<String, String> {
+            v.as_str().map(str::to_string).ok_or_else(|| "expected string".to_string())
+        }
+
+        fn req_usize(v: &Json, key: &str) -> Result<usize, String> {
+            v.get(key)
+                .ok_or_else(|| format!("missing number `{key}`"))
+                .and_then(as_usize)
+        }
+
+        fn req_u32(v: &Json, key: &str) -> Result<u32, String> {
+            v.get(key).ok_or_else(|| format!("missing number `{key}`")).and_then(as_u32)
+        }
+
+        fn req_bool(v: &Json, key: &str) -> Result<bool, String> {
+            match v.get(key) {
+                Some(Json::Bool(b)) => Ok(*b),
+                _ => Err(format!("missing bool `{key}`")),
+            }
+        }
+
+        fn as_bool(v: &Json) -> Result<bool, String> {
+            match v {
+                Json::Bool(b) => Ok(*b),
+                _ => Err("expected bool".to_string()),
+            }
+        }
+
+        fn as_usize(v: &Json) -> Result<usize, String> {
+            let n = v.as_f64().ok_or("expected number")?;
+            if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
+                return Err("expected non-negative integer".to_string());
+            }
+            Ok(n as usize)
+        }
+
+        fn as_u32(v: &Json) -> Result<u32, String> {
+            let n = as_usize(v)?;
+            u32::try_from(n).map_err(|_| "integer out of range".to_string())
+        }
+    }
 
     const SRC_A: &str = "int g_total;\n\
         int rec(int n) { if (n <= 0) return 0; return rec(n - 1); }\n\
@@ -747,23 +1042,73 @@ mod tests {
         assert!((legacy - got).abs() < 1e-15, "{legacy} vs {got}");
     }
 
+    /// `set`'s records with every file-local rule's real diagnostics
+    /// attached, encoded.
+    fn entries_with_diags(set: &AnalysisSet) -> Vec<(FileId, FileFacts, String)> {
+        let cx = set.context();
+        facts_of(set)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (id, _, mut facts))| {
+                let entry = cx.entries[i];
+                for check in default_checks() {
+                    if check.scope() == CheckScope::File {
+                        facts
+                            .diags
+                            .extend(check.run(&CheckContext::file_local(&set.sm, entry)));
+                    }
+                }
+                let json = facts.to_json();
+                (id, facts, json)
+            })
+            .collect()
+    }
+
+    fn sample_entries() -> Vec<(FileId, FileFacts, String)> {
+        entries_with_diags(&corpus())
+    }
+
     #[test]
     fn json_round_trip_is_lossless() {
-        let set = corpus();
-        let cx = set.context();
-        for (i, (id, _, mut facts)) in facts_of(&set).into_iter().enumerate() {
-            // Attach some real diagnostics to exercise diag serde.
-            let entry = cx.entries[i];
-            for check in default_checks() {
-                if check.scope() == CheckScope::File {
-                    facts
-                        .diags
-                        .extend(check.run(&CheckContext::file_local(&set.sm, entry)));
-                }
-            }
-            let json = facts.to_json();
+        for (id, facts, json) in sample_entries() {
+            assert!(!facts.diags.is_empty());
             let back = FileFacts::from_json(&json, id).expect("round trip parses");
             assert_eq!(back, facts);
+            assert_eq!(back.to_json(), json);
+        }
+    }
+
+    /// Every vector and string of a decoded record is exactly sized:
+    /// the resident store charges a record its encoded length.
+    #[test]
+    fn decoded_records_carry_no_growth_slack() {
+        let mut facts = FileFacts::default();
+        facts.globals.push(GlobalFacts {
+            name: "tab\there \"q\" \u{1}".into(),
+            is_const: false,
+            is_extern: true,
+        });
+        for (_, f, _) in sample_entries() {
+            facts.functions.extend(f.functions);
+            facts.diags.extend(f.diags.into_iter().map(|mut d| {
+                d.span.file = FileId(0);
+                d
+            }));
+        }
+        let back = FileFacts::from_json(&facts.to_json(), FileId(0)).unwrap();
+        assert_eq!(back, facts);
+        assert_eq!(back.globals.capacity(), back.globals.len());
+        assert_eq!(back.globals[0].name.capacity(), back.globals[0].name.len());
+        assert_eq!(back.functions.capacity(), back.functions.len());
+        assert_eq!(back.diags.capacity(), back.diags.len());
+        for f in &back.functions {
+            assert_eq!(f.callees.capacity(), f.callees.len());
+            assert_eq!(f.idents.capacity(), f.idents.len());
+            assert_eq!(f.unresolved.capacity(), f.unresolved.len());
+            assert_eq!(f.metrics.name.capacity(), f.metrics.name.len());
+        }
+        for d in &back.diags {
+            assert_eq!(d.message.capacity(), d.message.len());
         }
     }
 
@@ -780,8 +1125,28 @@ mod tests {
             r#"{"schema":"other/9"}"#,
             &good.replace("\"recovery\"", "\"recoverz\""),
             &good.replace(FACTS_SCHEMA, "adsafe-facts/0"),
+            &good.replace(r#""recovery":0"#, r#""recovery":99999999999999999999"#),
+            &good.replace(r#""sig":["#, r#""sig":[4294967296"#),
         ] {
             assert!(FileFacts::from_json(bad, *id).is_err(), "accepted: {bad:.40}");
+        }
+        // Shapes the tree decoder accepted but the writer never produces:
+        // each is now a corrupt entry, re-analysed instead of trusted.
+        let (head, body) = good.split_at(1);
+        let unclosed = &good[..good.len() - 1];
+        for bad in [
+            format!("{head} {body}"),
+            good.replace(',', ", "),
+            format!("{good}\n"),
+            format!(r#"{},"recovery":0}}"#, unclosed.replacen(r#","recovery":0"#, "", 1)),
+            good.replacen(r#""recovery":0"#, r#""recovery":1.0"#, 1),
+            good.replacen(r#""recovery":0"#, r#""recovery":00"#, 1),
+            good.replacen(r#""recovery":0"#, r#""recovery":0,"recovery":0"#, 1),
+            good.replacen("adsafe-facts/2", r"adsafe-facts\/2", 1),
+            good.replacen(r#"{"name":"rec""#, r#"{"name":"\u0072ec""#, 1),
+        ] {
+            assert!(reference::from_json(&bad, *id).is_ok(), "reference rejected: {bad:.60}");
+            assert!(FileFacts::from_json(&bad, *id).is_err(), "accepted: {bad:.60}");
         }
         // Unknown rule id → corrupt, not a bogus static str.
         let mut with_diag = facts.clone();
@@ -793,5 +1158,141 @@ mod tests {
         ));
         let tampered = with_diag.to_json().replace("misra-15.1-goto", "not-a-rule");
         assert!(FileFacts::from_json(&tampered, *id).is_err());
+    }
+
+    /// Asserts the cursor decoder and the tree reference decode `entry`
+    /// to equal records, and that the record re-encodes to `entry`.
+    fn assert_decoders_agree(entry: &str) {
+        let new = FileFacts::from_json(entry, FileId(3))
+            .unwrap_or_else(|e| panic!("{e}: {entry:.80}"));
+        assert_eq!(reference::from_json(entry, FileId(3)).as_ref(), Ok(&new));
+        assert_eq!(new.to_json(), entry);
+    }
+
+    /// The entries an assessment writes to its disk cache for the files
+    /// `add` registers.
+    fn cache_entries(tag: &str, add: impl FnOnce(&mut crate::Assessment)) -> Vec<String> {
+        let dir = std::env::temp_dir()
+            .join(format!("adsafe-facts-entries-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut a = crate::Assessment::new().with_options(crate::AssessmentOptions {
+            cache_dir: Some(dir.clone()),
+            ..crate::AssessmentOptions::default()
+        });
+        add(&mut a);
+        a.run();
+        let mut entries: Vec<String> = std::fs::read_dir(&dir)
+            .expect("cache dir written")
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json") && !p.ends_with("meta.json"))
+            .map(|p| std::fs::read_to_string(p).expect("entry readable"))
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        entries.sort();
+        entries
+    }
+
+    /// Cache entries for the generated test-scale corpus, written once.
+    fn generated_entries() -> &'static [String] {
+        static ENTRIES: OnceLock<Vec<String>> = OnceLock::new();
+        ENTRIES.get_or_init(|| {
+            let files = adsafe_corpus::generate(&adsafe_corpus::ApolloSpec::test_scale());
+            cache_entries("generated", |a| {
+                for f in &files {
+                    a.add_file(&f.module, &f.path, &f.text);
+                }
+            })
+        })
+    }
+
+    #[test]
+    fn decoder_matches_the_reference_on_generated_cache_entries() {
+        let entries = generated_entries();
+        assert!(entries.len() > 4, "{} entries", entries.len());
+        assert!(entries.iter().any(|e| !e.ends_with(r#""diags":[]}"#)));
+        for entry in entries {
+            assert_decoders_agree(entry);
+        }
+    }
+
+    /// Fault-injected files mostly parse degraded, and the pipeline
+    /// caches only clean parses, so their records are built here:
+    /// resync-parsed facts with every file-local rule's findings.
+    #[test]
+    fn decoder_matches_the_reference_on_fault_injected_records() {
+        use adsafe_corpus::faultinject::{corrupt, Corruption};
+        let files = adsafe_corpus::generate(&adsafe_corpus::ApolloSpec::test_scale());
+        let mut resynced = 0;
+        for kind in Corruption::ALL {
+            let mut set = AnalysisSet::new();
+            for f in files.iter().take(6) {
+                let bytes = corrupt(7, kind, &f.path, &f.text);
+                set.add(&f.module, &f.path, &String::from_utf8_lossy(&bytes));
+            }
+            let entries = entries_with_diags(&set);
+            assert!(
+                entries.iter().any(|(_, f, _)| !f.diags.is_empty()),
+                "{}: no file-local diagnostics",
+                kind.name()
+            );
+            for (_, facts, entry) in &entries {
+                resynced += usize::from(facts.recovery_count > 0);
+                assert_decoders_agree(entry);
+            }
+        }
+        assert!(resynced > 0, "no record carries recovery regions");
+    }
+
+    /// Every strict prefix of an entry is rejected, and a single-byte
+    /// change is either rejected or decodes to exactly what the tree
+    /// reference decodes — and re-encodes to the changed bytes.
+    fn check_prefix_and_mutation(entry: &str, at: usize, byte: u8) -> Result<(), String> {
+        if let Some(prefix) = entry.get(..at) {
+            if FileFacts::from_json(prefix, FileId(0)).is_ok() {
+                return Err(format!("accepted the {at}-byte prefix"));
+            }
+        }
+        let mut bytes = entry.as_bytes().to_vec();
+        bytes[at] = byte;
+        let Ok(mutated) = String::from_utf8(bytes) else { return Ok(()) };
+        if let Ok(new) = FileFacts::from_json(&mutated, FileId(0)) {
+            if reference::from_json(&mutated, FileId(0)).as_ref() != Ok(&new) {
+                return Err(format!("byte {at} := {byte:#04x}: reference disagrees"));
+            }
+            if new.to_json() != mutated {
+                return Err(format!("byte {at} := {byte:#04x}: re-encodes differently"));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn every_prefix_and_structural_mutation_of_the_samples_is_safe() {
+        for (_, _, entry) in sample_entries() {
+            for at in 0..entry.len() {
+                for byte in *b" 0.-\"\\,:[]{}en" {
+                    check_prefix_and_mutation(&entry, at, byte).unwrap();
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prefixes_and_byte_mutations_never_slip_past_the_reference(
+            pick in 0usize..1 << 16,
+            at in 0usize..1 << 24,
+            byte in 0u8..128,
+        ) {
+            let entries = generated_entries();
+            let entry = &entries[pick % entries.len()];
+            let at = at % entry.len();
+            if let Err(e) = check_prefix_and_mutation(entry, at, byte) {
+                return Err(proptest::TestCaseError::fail(e));
+            }
+        }
     }
 }

@@ -180,13 +180,23 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash as one slice.
+        let run = *pos;
+        while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+            *pos += 1;
+        }
+        // SAFETY: `b` is the bytes of a `&str`, and the run starts just
+        // after an ASCII byte (a quote or a decoded escape) and ends at
+        // one or at the end of input, so it is whole UTF-8.
+        out.push_str(unsafe { std::str::from_utf8_unchecked(&b[run..*pos]) });
         match b.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // A backslash: decode one escape.
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -211,14 +221,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     other => return Err(format!("bad escape {other:?}")),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let s = &b[*pos..];
-                let text = unsafe { std::str::from_utf8_unchecked(s) };
-                let c = text.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -258,6 +260,17 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("123 45").is_err());
         assert!(Json::parse(r#""unterminated"#).is_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_inverts_write_escaped(s in "[\u{0}-\u{7f}\u{a0}é—µ\u{fffd}😀]{0,48}") {
+            let mut out = String::new();
+            write_escaped(&mut out, &s);
+            proptest::prop_assert_eq!(Json::parse(&out), Ok(Json::Str(s)));
+        }
     }
 
     #[test]

@@ -260,6 +260,52 @@ fn corrupt_cache_entry_recovers_via_cold_path() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The cache reader accepts only the exact bytes the writer produces:
+/// an entry that still parses as JSON but was reformatted (one space
+/// after its opening brace) is corrupt, re-analysed and rewritten —
+/// never trusted.
+#[test]
+fn reformatted_cache_entry_is_reanalysed_and_rewritten() {
+    let _g = counter_lock();
+    let dir = temp_cache_dir("reformatted");
+    let opts = || AssessmentOptions {
+        cache_dir: Some(dir.clone()),
+        ..AssessmentOptions::default()
+    };
+    let cold = assess_samples(usize::MAX, opts());
+    let entry = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "json") && !p.ends_with("meta.json"))
+        .expect("cache entries were written");
+    let text = std::fs::read_to_string(&entry).unwrap();
+    let reformatted = text.replacen('{', "{ ", 1);
+    std::fs::write(&entry, &reformatted).unwrap();
+    let r = assess_samples(usize::MAX, opts());
+    assert_eq!(r.trace.counter("cache.corrupt"), 1);
+    assert_eq!(r.faults.len(), 1, "{:?}", r.faults);
+    let fault = r.faults.iter().next().expect("one fault");
+    assert!(matches!(fault.cause, FaultCause::CacheCorrupt { .. }), "{fault:?}");
+    assert_eq!(fault.severity, FaultSeverity::Info);
+    assert!(!r.degraded);
+    // Same report as the cold run, plus the one logged fault.
+    assert_eq!(
+        deterministic_report_markdown(&r),
+        format!(
+            "{}\n{}",
+            deterministic_report_markdown(&cold),
+            adsafe::render::fault_summary(&r)
+        )
+    );
+    assert_eq!(std::fs::read_to_string(&entry).unwrap(), text, "entry rewritten clean");
+    let warm = assess_samples(usize::MAX, opts());
+    assert_eq!(warm.trace.counter("cache.corrupt"), 0);
+    assert_eq!(warm.trace.counter("cache.hits"), sample_files().len() as u64);
+    assert_eq!(deterministic_report_markdown(&warm), deterministic_report_markdown(&cold));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unusable_cache_dir_falls_through_to_cold_analysis() {
     let _g = counter_lock();
