@@ -194,7 +194,7 @@ pub struct AssessmentReport {
     /// rests on partially estimated or incomplete measurements.
     pub degraded: bool,
     /// Self-observability: per-phase wall time, slowest files and
-    /// rules, counter deltas, and the raw span events of this run.
+    /// rules, counters, and the raw span events of this run.
     pub trace: TraceSummary,
     /// The ledger run ID this report was produced under (empty when
     /// the run was not recorded).
@@ -334,12 +334,11 @@ impl Assessment {
     /// The whole run executes under an `assessment.run` trace span with
     /// one `phase.*` span per pipeline phase and one `parse.file` span
     /// per input; the drained events become the report's
-    /// [`AssessmentReport::trace`] summary. Worker-side spans are
-    /// absorbed into the caller's buffer when `jobs > 1`.
+    /// [`AssessmentReport::trace`] summary, with the counter
+    /// increments and allocations of the run's own trace scope. Worker
+    /// scopes are absorbed into the caller's when `jobs > 1`.
     pub fn run(&self) -> AssessmentReport {
-        let counters_before = adsafe_trace::counter_snapshot();
-        let mem_before = adsafe_trace::alloc::phase_stats();
-        let trace_mark = adsafe_trace::mark();
+        let scope = adsafe_trace::mark();
         let run_span = if self.options.run_id.is_empty() {
             adsafe_trace::span("assessment.run", "run")
         } else {
@@ -787,17 +786,13 @@ impl Assessment {
 
         drop(phase_span);
         drop(run_span);
-        let events = adsafe_trace::drain_from(trace_mark);
-        let counters_after = adsafe_trace::counter_snapshot();
-        let mut trace = TraceSummary::from_events(
-            events,
-            adsafe_trace::counter_delta(&counters_before, &counters_after),
-        );
-        // Per-phase allocation delta of this run (empty unless a
-        // `CountingAlloc` is installed with profiling on — the phase
-        // spans above drove the billing tags).
-        trace.phase_mem =
-            adsafe_trace::alloc::phase_delta(&mem_before, &adsafe_trace::alloc::phase_stats());
+        // Read first, so the summary's own bookkeeping is not billed to
+        // the run. Empty unless a `CountingAlloc` is installed with
+        // profiling on; the phase spans above drove the billing tags.
+        let phase_mem = scope.phase_mem();
+        let mut trace =
+            TraceSummary::from_events(adsafe_trace::drain_from(&scope), scope.counters());
+        trace.phase_mem = phase_mem;
 
         let degraded = log.degrades_report();
         AssessmentReport {
@@ -923,8 +918,8 @@ impl Assessment {
 
     /// The per-file parse task: cache lookup, parse + facts extraction
     /// under panic containment, degradation ladder on failure. Runs on a
-    /// worker when `jobs > 1`, inline otherwise; all counters are global,
-    /// and trace spans are absorbed back into the caller's buffer.
+    /// worker when `jobs > 1`, inline otherwise; the worker's trace scope
+    /// (spans, counters, allocations) is absorbed back into the caller's.
     fn parse_one(
         &self,
         i: usize,

@@ -18,10 +18,11 @@
 //! keeps thread-local machinery (trace spans, failpoints) visible to
 //! serial callers and tests.
 //!
-//! Worker threads carry their own thread-local trace buffers; after
-//! the scope joins, each worker's drained events are re-absorbed into
-//! the calling thread's buffer via [`adsafe_trace::absorb`], so one
-//! `drain_from` on the caller still observes the whole parallel run.
+//! Worker threads carry their own thread-local trace scopes; after the
+//! scope joins, each worker hands back its events, counter increments
+//! and allocated bytes, and the calling thread absorbs them via
+//! [`adsafe_trace::absorb`], so the caller's scope still observes the
+//! whole parallel run — its events and its exact numbers.
 //!
 //! For resident services the crate also provides [`Executor`]: a
 //! long-lived bounded-queue thread pool with backpressure
@@ -41,6 +42,9 @@ use std::sync::Mutex;
 /// The result of one task: `Err` carries the panic payload of a task
 /// that unwound, exactly as `std::panic::catch_unwind` reports it.
 pub type TaskResult<R> = std::thread::Result<R>;
+
+/// A finished task: its result and the span events it recorded.
+type Done<R> = (TaskResult<R>, Vec<adsafe_trace::SpanEvent>);
 
 /// A fixed-width work-stealing pool.
 ///
@@ -77,8 +81,8 @@ impl Pool {
     /// With one worker (or one item) everything runs inline on the
     /// calling thread in input order. Otherwise `min(workers, items)`
     /// scoped threads run the tasks with work stealing, and each
-    /// worker's trace events are absorbed into the caller's buffer
-    /// after the join.
+    /// worker's trace scope (events, counters, allocations) is absorbed
+    /// into the caller's after the join.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<TaskResult<R>>
     where
         T: Send,
@@ -106,7 +110,7 @@ impl Pool {
         // worker claimed the index; results land at the same index.
         let slots: Vec<Mutex<Option<T>>> =
             items.into_iter().map(|it| Mutex::new(Some(it))).collect();
-        let results: Vec<Mutex<Option<TaskResult<R>>>> =
+        let results: Vec<Mutex<Option<Done<R>>>> =
             (0..slots.len()).map(|_| Mutex::new(None)).collect();
         // Deal tasks round-robin so heterogeneous runs of work spread
         // across workers even before any stealing happens.
@@ -116,8 +120,7 @@ impl Pool {
             deques[i % n_workers].lock().unwrap().push_back(i);
         }
 
-        let worker_events: Mutex<Vec<(usize, Vec<adsafe_trace::SpanEvent>)>> =
-            Mutex::new(Vec::new());
+        let handbacks: Mutex<Vec<(usize, adsafe_trace::Handback)>> = Mutex::new(Vec::new());
         // Workers inherit the caller's allocation-billing phase tag so
         // parallel work stays attributed to the phase that fanned out
         // (see `adsafe_trace::alloc`); worker thread-locals start at 0.
@@ -128,10 +131,10 @@ impl Pool {
                 let slots = &slots;
                 let results = &results;
                 let deques = &deques;
-                let worker_events = &worker_events;
+                let handbacks = &handbacks;
                 scope.spawn(move || {
                     adsafe_trace::alloc::set_current_phase(parent_phase);
-                    let trace_mark = adsafe_trace::mark();
+                    let trace_scope = adsafe_trace::mark();
                     let mut steals = 0u64;
                     {
                         let _span = adsafe_trace::span_with(
@@ -146,34 +149,38 @@ impl Pool {
                                 .take()
                                 .expect("each index is claimed exactly once");
                             let r = catch_unwind(AssertUnwindSafe(|| f(i, item)));
-                            *results[i].lock().unwrap() = Some(r);
+                            // Taking each task's events out of the
+                            // worker's buffer keeps that buffer's
+                            // growth, which is billed to the run, the
+                            // same however the tasks were split.
+                            let events = adsafe_trace::drain_from(&trace_scope);
+                            *results[i].lock().unwrap() = Some((r, events));
                         }
                     }
                     if steals > 0 {
                         adsafe_trace::counter("pool.steals").add(steals);
                     }
-                    let events = adsafe_trace::drain_from(trace_mark);
-                    if !events.is_empty() {
-                        worker_events.lock().unwrap().push((w, events));
-                    }
+                    handbacks.lock().unwrap().push((w, trace_scope.hand_back()));
                 });
             }
         });
 
-        // Re-home worker trace events onto the calling thread, in
-        // worker order so absorption is deterministic.
-        let mut collected = worker_events.into_inner().unwrap();
+        // Re-home worker scopes onto the calling thread, in worker
+        // order, then each task's events in input order, so absorption
+        // is deterministic.
+        let mut collected = handbacks.into_inner().unwrap();
         collected.sort_by_key(|(w, _)| *w);
-        for (_, events) in collected {
-            adsafe_trace::absorb(events);
+        for (_, handback) in collected {
+            adsafe_trace::absorb(handback);
         }
 
         results
             .into_iter()
             .map(|slot| {
-                slot.into_inner()
-                    .unwrap()
-                    .expect("every index was claimed and completed")
+                let (r, events) =
+                    slot.into_inner().unwrap().expect("every index was claimed and completed");
+                adsafe_trace::absorb(events.into());
+                r
             })
             .collect()
     }
@@ -285,10 +292,23 @@ mod tests {
         pool.map((0..16).collect::<Vec<usize>>(), |i, _| {
             let _s = adsafe_trace::span_with("pool.task", "pool", vec![("i", i.to_string())]);
         });
-        let events = adsafe_trace::drain_from(m);
+        let events = adsafe_trace::drain_from(&m);
         let tasks = events.iter().filter(|e| e.name == "pool.task").count();
         let workers = events.iter().filter(|e| e.name == "pool.worker").count();
         assert_eq!(tasks, 16);
         assert!((1..=4).contains(&workers), "workers={workers}");
+    }
+
+    #[test]
+    fn worker_counter_increments_land_in_the_callers_scope() {
+        let name = "test.pool.task_increments";
+        let m = adsafe_trace::mark();
+        Pool::new(4).map((0..16).collect::<Vec<u64>>(), |_, x| {
+            adsafe_trace::counter(name).add(x);
+        });
+        let counters = m.counters();
+        let got = counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+        assert_eq!(got, Some((0..16).sum()), "{counters:?}");
+        drop(adsafe_trace::drain_from(&m));
     }
 }

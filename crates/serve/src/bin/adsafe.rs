@@ -61,7 +61,7 @@
 //! run's spans as Chrome trace-event JSON (loadable in
 //! `chrome://tracing` / Perfetto), `--profile` prints per-phase wall
 //! times, the top-10 slowest files and rules, and an in-terminal flame
-//! summary, `-v` additionally dumps the run's counter deltas, and `-q`
+//! summary, `-v` additionally dumps the run's counters, and `-q`
 //! suppresses everything except the verdict line and fault summary.
 //! `--mem-profile` (see DESIGN.md §14) turns on the instrumented
 //! allocator and prints a per-phase allocation table — allocation

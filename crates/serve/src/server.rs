@@ -34,7 +34,6 @@ use adsafe_ledger::{Ledger, RunRecord};
 use adsafe_pool::Executor;
 use adsafe_trace::json::{write_escaped, Json};
 use adsafe_trace::{labeled, FlightRecorder, PhaseTiming, RequestRecord};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -148,26 +147,6 @@ struct Shared {
     /// daemon was started without `--rules`); shared by every `/assess`
     /// and listed by `GET /rules` after the default rules.
     rules: Arc<adsafe::rulequery::RulePack>,
-}
-
-thread_local! {
-    /// Phase timings noted by the handler running on this worker, read
-    /// back by the connection loop when it builds the request's
-    /// [`RequestRecord`]. Thread-local works because a handler runs
-    /// inline on the connection's worker thread.
-    static REQUEST_PHASES: RefCell<Vec<PhaseTiming>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Notes one phase of the request currently being handled.
-fn note_phase(name: &str, start_us: u64, dur_us: u64) {
-    REQUEST_PHASES.with(|p| {
-        p.borrow_mut().push(PhaseTiming { name: name.to_string(), start_us, dur_us });
-    });
-}
-
-/// Takes (and clears) the phases noted so far on this worker.
-fn take_phases() -> Vec<PhaseTiming> {
-    REQUEST_PHASES.with(|p| std::mem::take(&mut *p.borrow_mut()))
 }
 
 /// The short endpoint key used as the `endpoint` label on
@@ -360,7 +339,6 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     loop {
         reader.get_mut().begin_request();
         let t0 = Instant::now();
-        let trace_mark = adsafe_trace::mark();
         let req = match http::read_request(&mut reader) {
             Ok(req) => req,
             Err(ReadError::Closed) => return,
@@ -414,17 +392,11 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         // client think-time between keep-alive requests is not billed
         // to the request record or the latency series.
         let req_start_us = adsafe_trace::now_us();
-        // Process-wide allocation watermark: the delta at record time
-        // is the request's allocated-bytes bill (best-effort under
-        // concurrent handlers; 0 when no CountingAlloc is installed).
-        let alloc_before = adsafe_trace::alloc::total_allocated();
-        // Drop any phases a previous (panicked) handler left behind on
-        // this worker, then bill the executor queue wait to the
-        // connection's first request.
-        let _ = take_phases();
-        if let Some(wait) = queue_wait_us.take() {
-            note_phase("queue_wait", conn_start_us.saturating_sub(wait), wait);
-        }
+        // The request's trace scope: its phase spans (the pipeline's,
+        // handed back by `assess`, render and write) and the bytes its
+        // handler and pool workers allocate (0 when no CountingAlloc
+        // is installed).
+        let scope = adsafe_trace::mark();
         let mut panicked = false;
         let resp = {
             let _span = adsafe_trace::span_with(
@@ -465,10 +437,11 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             && !shared.stop.load(Ordering::SeqCst);
         let status = resp.status.to_string();
         adsafe_trace::counter(&labeled("serve.status", &[("code", &status)])).incr();
-        let write_start_us = adsafe_trace::now_us();
-        let wrote = http::write_response_conn(&mut writer, &resp, keep);
+        let wrote = {
+            let _write = adsafe_trace::span("phase.write", "phase");
+            http::write_response_conn(&mut writer, &resp, keep)
+        };
         let end_us = adsafe_trace::now_us();
-        note_phase("write", write_start_us, end_us.saturating_sub(write_start_us));
         adsafe_trace::histogram("serve.request_us").record(t0.elapsed().as_micros() as u64);
         // Per-endpoint×status SLO series (service time, µs).
         let endpoint = req.path.split('?').next().unwrap_or("").to_string();
@@ -480,9 +453,25 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         // Flight-record the completed request: the record is built
         // whole after the response write, so a connection that dies
         // mid-request leaves nothing behind. Phases cover queue-wait
-        // (first request), the pipeline breakdown noted by the
-        // handler, render, and the response write.
-        let mut phases = take_phases();
+        // (the executor's submit→start delta, billed to the first
+        // request) and every phase span of the request's scope. The
+        // drain also keeps this long-lived thread's buffer from
+        // growing per request; the bytes are read before it, so the
+        // record's own bookkeeping is not billed to the request.
+        let alloc_bytes = scope.phase_mem().iter().map(|p| p.bytes).sum();
+        let mut phases: Vec<PhaseTiming> = adsafe_trace::drain_from(&scope)
+            .into_iter()
+            .filter(|e| e.cat == "phase")
+            .map(|e| PhaseTiming {
+                name: e.name.strip_prefix("phase.").unwrap_or(&e.name).to_string(),
+                start_us: e.start_us,
+                dur_us: e.dur_us,
+            })
+            .collect();
+        if let Some(wait) = queue_wait_us.take() {
+            let start_us = conn_start_us.saturating_sub(wait);
+            phases.push(PhaseTiming { name: "queue_wait".into(), start_us, dur_us: wait });
+        }
         phases.sort_by_key(|p| p.start_us);
         let start_us = phases.first().map_or(req_start_us, |p| p.start_us.min(req_start_us));
         shared.recorder.record(RequestRecord {
@@ -495,12 +484,9 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             reuse: (served - 1) as u64,
             start_us,
             total_us: end_us.saturating_sub(start_us),
-            alloc_bytes: adsafe_trace::alloc::total_allocated().saturating_sub(alloc_before),
+            alloc_bytes,
             phases,
         });
-        // Handler threads are long-lived: drop this request's span
-        // events rather than letting the buffer grow per request.
-        let _ = adsafe_trace::drain_from(trace_mark);
         if wrote.is_err() {
             adsafe_trace::counter("serve.write_errors").incr();
             return;
@@ -702,21 +688,12 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
         rules: Some(Arc::clone(&shared.rules)),
         ..AssessmentOptions::default()
     });
-    let report = assessment.run();
+    let mut report = assessment.run();
     drop(armed);
-    // The pipeline drains its own span events into the report, so the
-    // connection loop never sees them — re-note the phase breakdown
-    // (parse, checks, metrics, assess) for the flight recorder from
-    // the report's raw events, which carry real start timestamps.
-    for e in &report.trace.events {
-        if e.cat == "phase" {
-            note_phase(
-                e.name.strip_prefix("phase.").unwrap_or(&e.name),
-                e.start_us,
-                e.dur_us,
-            );
-        }
-    }
+    // The run drained its span events into the report; hand them back
+    // to the request's scope, whose flight-recorder row breaks out the
+    // pipeline phases. The response needs none of them.
+    adsafe_trace::absorb(std::mem::take(&mut report.trace.events).into());
     let exit_code = crate::exit_code_for(&report);
     if let Some(l) = &ledger {
         let record = RunRecord::from_report(
@@ -750,7 +727,7 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
     }
     adsafe_trace::counter("serve.assessments").incr();
 
-    // Digest of the per-request trace: the run's counter deltas, which
+    // Digest of the per-request trace: the run's counters, which
     // distinguish cold from warm and serial from parallel requests.
     let mut digest_input = String::new();
     for (name, v) in &report.trace.counters {
@@ -761,13 +738,10 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
     }
     let digest = format!("{:016x}", adsafe::content_hash("serve.trace", &digest_input));
 
-    let render_start_us = adsafe_trace::now_us();
-    let body = render::deterministic_report_markdown(&report).into_bytes();
-    note_phase(
-        "render",
-        render_start_us,
-        adsafe_trace::now_us().saturating_sub(render_start_us),
-    );
+    let body = {
+        let _render = adsafe_trace::span("phase.render", "phase");
+        render::deterministic_report_markdown(&report).into_bytes()
+    };
     let mut resp = Response {
         status: 200,
         headers: vec![("Content-Type".into(), "text/markdown; charset=utf-8".into())],

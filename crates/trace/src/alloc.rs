@@ -13,6 +13,11 @@
 //! start, so allocations made inside `pool.map` are billed to the
 //! phase that fanned out.
 //!
+//! Each allocation is billed twice: to the shards below, the
+//! process-wide view ([`stats`], [`phase_stats`], `/metrics`), and to a
+//! thread-local per-phase table (two non-atomic adds) that trace scopes
+//! ([`crate::Mark`]) read a run's own `phase_mem` from.
+//!
 //! # Per-thread counter shards
 //!
 //! The additive counters live in a fixed table of `SHARDS`
@@ -174,6 +179,40 @@ thread_local! {
     /// This thread's shard index plus one; 0 until the first billed
     /// allocation picks one.
     static SHARD: Cell<usize> = const { Cell::new(0) };
+
+    /// This thread's `[allocs, bytes]` per phase slot, which trace
+    /// scopes read. No destructor, and no allocation to initialise.
+    static TALLY: [Cell<[u64; 2]>; MAX_PHASES] =
+        const { [const { Cell::new([0; 2]) }; MAX_PHASES] };
+}
+
+/// A copy of one thread's per-phase `[allocs, bytes]` table.
+pub(crate) type Tally = [[u64; 2]; MAX_PHASES];
+
+/// This thread's table as it stands.
+pub(crate) fn tally() -> Tally {
+    TALLY.try_with(|t| t.each_ref().map(Cell::get)).unwrap_or_default()
+}
+
+/// What this thread has billed since `before` was taken.
+pub(crate) fn tally_since(before: &Tally) -> Tally {
+    let now = tally();
+    std::array::from_fn(|s| [now[s][0] - before[s][0], now[s][1] - before[s][1]])
+}
+
+/// Adds another thread's billing (a pool worker's) to this thread's.
+pub(crate) fn absorb_tally(delta: &Tally) {
+    let _ = TALLY.try_with(|t| {
+        for (cell, [allocs, bytes]) in t.iter().zip(delta) {
+            let [a, b] = cell.get();
+            cell.set([a + allocs, b + bytes]);
+        }
+    });
+}
+
+/// A scope's table as phase rows, those with no allocations left out.
+pub(crate) fn phase_mem(delta: &Tally) -> Vec<PhaseMem> {
+    phase_rows(|slot| delta[slot]).into_iter().filter(|p| p.allocs > 0).collect()
 }
 
 /// This thread's counter shard. A thread whose thread-locals are
@@ -221,8 +260,9 @@ fn raise(peak: &AtomicU64, live: u64) {
 }
 
 /// Enables or disables allocation profiling process-wide; returns the
-/// previous state. Counts accumulate monotonically while enabled —
-/// read deltas of [`stats`]/[`phase_stats`] to scope a window.
+/// previous state. Counts accumulate monotonically while enabled; a
+/// run reads its own share through its trace scope
+/// ([`crate::Mark::phase_mem`]).
 pub fn set_profiling(on: bool) -> bool {
     PROFILING.swap(on, Ordering::Relaxed)
 }
@@ -294,8 +334,8 @@ pub fn stats() -> MemStats {
     }
 }
 
-/// Total bytes allocated so far (monotonic while profiling); the
-/// single-value read the per-request delta in `adsafe-serve` uses.
+/// Total bytes allocated process-wide so far (monotonic while
+/// profiling).
 pub fn total_allocated() -> u64 {
     sum_phases(|p| &p.bytes)
 }
@@ -317,7 +357,8 @@ pub fn reset_peak() {
     LEVEL.peak.store(live_bytes(), Ordering::Relaxed);
 }
 
-/// One phase's allocation totals, as reported by [`phase_stats`].
+/// One phase's allocation totals: process-wide from [`phase_stats`],
+/// or one run's from its trace scope ([`crate::Mark::phase_mem`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseMem {
     /// Phase name as the span stack registered it (`parse`,
@@ -327,46 +368,30 @@ pub struct PhaseMem {
     pub allocs: u64,
     /// Bytes billed to the phase.
     pub bytes: u64,
-    /// Highest global live level observed during the phase.
+    /// Highest *process-wide* live level observed while the phase was
+    /// billed, by any run: a watermark, not a per-run quantity, even in
+    /// a run's table.
     pub peak_live: u64,
 }
 
-/// Per-phase totals, untagged catch-all first, then phases in
-/// registration order. Monotonic while profiling; callers wanting a
-/// single run's bill diff two snapshots (`peak_live` maxes rather
-/// than adds, so the delta keeps the later snapshot's value).
+/// Per-phase totals across the process, untagged catch-all first, then
+/// phases in registration order. Monotonic while profiling.
 pub fn phase_stats() -> Vec<PhaseMem> {
-    let names = PHASE_NAMES.lock().expect("phase name table poisoned");
-    let mut out = Vec::with_capacity(names.len() + 1);
-    for (slot, name) in
-        std::iter::once("other").chain(names.iter().map(String::as_str)).enumerate()
-    {
-        out.push(PhaseMem {
-            name: name.to_string(),
-            allocs: sum_shards(|s| &s.phases[slot].allocs),
-            bytes: sum_shards(|s| &s.phases[slot].bytes),
-            peak_live: PHASE_PEAKS.0[slot].load(Ordering::Relaxed),
-        });
-    }
-    out
+    phase_rows(|slot| {
+        [sum_shards(|s| &s.phases[slot].allocs), sum_shards(|s| &s.phases[slot].bytes)]
+    })
 }
 
-/// The increase from `before` to `after` per phase (new phases count
-/// from zero); phases with no allocations in the window are omitted.
-/// `peak_live` is not additive — the delta carries `after`'s value.
-pub fn phase_delta(before: &[PhaseMem], after: &[PhaseMem]) -> Vec<PhaseMem> {
-    after
-        .iter()
-        .filter_map(|a| {
-            let b = before.iter().find(|b| b.name == a.name);
-            let allocs = a.allocs - b.map_or(0, |b| b.allocs);
-            let bytes = a.bytes - b.map_or(0, |b| b.bytes);
-            (allocs > 0).then(|| PhaseMem {
-                name: a.name.clone(),
-                allocs,
-                bytes,
-                peak_live: a.peak_live,
-            })
+/// One row per registered phase slot, `other` first, billed `bill(slot)`.
+fn phase_rows(bill: impl Fn(usize) -> [u64; 2]) -> Vec<PhaseMem> {
+    let names = PHASE_NAMES.lock().expect("phase name table poisoned");
+    let names = std::iter::once("other").chain(names.iter().map(String::as_str));
+    names
+        .enumerate()
+        .map(|(slot, name)| {
+            let [allocs, bytes] = bill(slot);
+            let peak_live = PHASE_PEAKS.0[slot].load(Ordering::Relaxed);
+            PhaseMem { name: name.to_string(), allocs, bytes, peak_live }
         })
         .collect()
 }
@@ -396,6 +421,10 @@ fn on_alloc(size: usize) {
         .try_with(Cell::get)
         .unwrap_or(0)
         .min(MAX_PHASES - 1);
+    let _ = TALLY.try_with(|t| {
+        let [allocs, bytes] = t[slot].get();
+        t[slot].set([allocs + 1, bytes + size]);
+    });
     let s = shard();
     s.buckets[bucket_of(size)].fetch_add(1, Ordering::Relaxed);
     s.phases[slot].allocs.fetch_add(1, Ordering::Relaxed);
@@ -522,12 +551,11 @@ mod tests {
         assert_eq!(phase_index("test.alloc.phase_a"), idx, "idempotent");
         let prev_phase = set_current_phase(idx);
         let prev = set_profiling(true);
-        let before = phase_stats();
+        let before = tally();
         on_alloc(512);
-        let after = phase_stats();
+        let d = phase_mem(&tally_since(&before));
         set_profiling(prev);
         set_current_phase(prev_phase);
-        let d = phase_delta(&before, &after);
         assert_eq!(d.len(), 1, "only the tagged phase changed: {d:?}");
         assert_eq!(d[0].name, "test.alloc.phase_a");
         assert_eq!(d[0].allocs, 1);
@@ -540,14 +568,14 @@ mod tests {
         let _l = PROFILING_LOCK.lock().unwrap();
         let prev_phase = set_current_phase(0);
         let prev = set_profiling(true);
-        let before = phase_stats();
+        let before = tally();
         on_alloc(64);
-        let after = phase_stats();
+        let d = phase_mem(&tally_since(&before));
         set_profiling(prev);
         set_current_phase(prev_phase);
-        let d = phase_delta(&before, &after);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].name, "other");
+        assert_eq!((d[0].allocs, d[0].bytes), (1, 64));
     }
 
     #[test]
@@ -601,7 +629,7 @@ mod tests {
         // The barrier releases all threads at once, so their hook calls
         // overlap instead of running one thread after another.
         let start = std::sync::Barrier::new(THREADS);
-        let thread_peaks: Vec<u64> = std::thread::scope(|scope| {
+        let (thread_peaks, thread_tallies): (Vec<u64>, Vec<Tally>) = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..THREADS)
                 .map(|t| {
                     let (start, slot) = (&start, slots[t % PHASES]);
@@ -609,6 +637,7 @@ mod tests {
                         set_current_phase(slot);
                         SHARD.with(|s| s.set(t % USED_SHARDS + 1));
                         start.wait();
+                        let before = tally();
                         let (mut live, mut peak) = (0u64, 0u64);
                         for i in 0..OPS {
                             on_alloc(size(t, i) as usize);
@@ -619,11 +648,11 @@ mod tests {
                                 live -= f;
                             }
                         }
-                        peak
+                        (peak, tally_since(&before))
                     })
                 })
                 .collect();
-            workers.into_iter().map(|w| w.join().unwrap()).collect()
+            workers.into_iter().map(|w| w.join().unwrap()).unzip()
         });
         let after = stats();
         let phases_after = phase_stats();
@@ -657,13 +686,53 @@ mod tests {
             "peak {} below a single thread's live level {max_thread_peak}",
             after.peak_live_bytes
         );
-        let d = phase_delta(&phases_before, &phases_after);
-        assert_eq!(d.len(), PHASES, "only the tagged phases changed: {d:?}");
+        let billed = |stats: &[PhaseMem], p: usize| {
+            let m = stats.iter().find(|m| m.name == name(p));
+            m.map_or((0, 0), |m| (m.allocs, m.bytes))
+        };
         for (p, &want) in phase_bytes.iter().enumerate() {
-            let got = d.iter().find(|m| m.name == name(p)).expect("phase billed");
-            assert_eq!(got.allocs, (THREADS / PHASES * OPS) as u64, "{}", got.name);
-            assert_eq!(got.bytes, want, "{}", got.name);
+            let (allocs0, bytes0) = billed(&phases_before, p);
+            let (allocs1, bytes1) = billed(&phases_after, p);
+            assert_eq!(allocs1 - allocs0, (THREADS / PHASES * OPS) as u64, "{}", name(p));
+            assert_eq!(bytes1 - bytes0, want, "{}", name(p));
         }
+        // Each thread's own table holds exactly its own share.
+        for (t, tally) in thread_tallies.iter().enumerate() {
+            let want: u64 = (0..OPS).map(|i| size(t, i)).sum();
+            assert_eq!(tally[slots[t % PHASES]], [OPS as u64, want], "thread {t}");
+            assert_eq!(tally.iter().map(|[a, _]| a).sum::<u64>(), OPS as u64, "thread {t}");
+        }
+    }
+
+    #[test]
+    fn a_threads_tally_is_its_own_and_absorbs_a_workers() {
+        let _l = PROFILING_LOCK.lock().unwrap();
+        let idx = phase_index("test.alloc.tally");
+        let prev_phase = set_current_phase(idx);
+        let prev = set_profiling(true);
+        let before = tally();
+        on_alloc(100);
+        let worker = std::thread::scope(|s| {
+            s.spawn(|| {
+                set_current_phase(idx);
+                let before = tally();
+                on_alloc(1000);
+                on_alloc(10);
+                tally_since(&before)
+            })
+            .join()
+            .unwrap()
+        });
+        let own = tally_since(&before);
+        absorb_tally(&worker);
+        let with_worker = tally_since(&before);
+        set_profiling(prev);
+        set_current_phase(prev_phase);
+        assert_eq!(own[idx], [1, 100], "another thread's allocations stay out");
+        assert_eq!(with_worker[idx], [3, 1110]);
+        let d = phase_mem(&with_worker);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!((d[0].name.as_str(), d[0].allocs, d[0].bytes), ("test.alloc.tally", 3, 1110));
     }
 
     #[test]

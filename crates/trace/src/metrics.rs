@@ -18,13 +18,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A monotonic counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+#[derive(Debug)]
+pub struct Counter {
+    pub(crate) value: AtomicU64,
+    /// The registry name, under which per-thread trace scopes
+    /// (`span.rs`) total this counter's increments. Registered
+    /// counters live as long as the process, so their names do too.
+    pub(crate) name: &'static str,
+}
 
 impl Counter {
-    /// Adds `n`.
+    /// Adds `n` to the process-wide value and to the calling thread's
+    /// trace scope, so a run reads back exactly its own increments.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
+        crate::span::tally_counter(self.name, n);
     }
 
     /// Adds 1.
@@ -32,9 +40,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value.
+    /// Current process-wide value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -273,7 +281,8 @@ pub fn counter(name: &str) -> Arc<Counter> {
     match map.get(name) {
         Some(c) => Arc::clone(c),
         None => {
-            let c = Arc::new(Counter::default());
+            let name: &'static str = Box::leak(name.into());
+            let c = Arc::new(Counter { value: AtomicU64::new(0), name });
             map.insert(name.to_string(), Arc::clone(&c));
             c
         }
@@ -307,23 +316,9 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
 }
 
 /// All counters and their current values, sorted by name.
-pub fn counter_snapshot() -> BTreeMap<String, u64> {
+fn counter_snapshot() -> BTreeMap<String, u64> {
     let map = registry().counters.lock().expect("counter registry poisoned");
     map.iter().map(|(k, v)| (k.clone(), v.get())).collect()
-}
-
-/// Counters whose name starts with `prefix`, sorted by name. Dynamic
-/// metric families — dotted (`chaos.injected.*`) or labeled
-/// (`serve.status{code="..."}`, see [`labeled`]) — are created on
-/// first touch, so consumers — the chaos harness tallying injected
-/// faults, a dashboard summing HTTP status classes — enumerate them by
-/// prefix rather than by a hardcoded list.
-pub fn counters_with_prefix(prefix: &str) -> Vec<(String, u64)> {
-    let map = registry().counters.lock().expect("counter registry poisoned");
-    map.range(prefix.to_string()..)
-        .take_while(|(k, _)| k.starts_with(prefix))
-        .map(|(k, v)| (k.clone(), v.get()))
-        .collect()
 }
 
 /// All gauges and their current levels, sorted by name.
@@ -413,23 +408,13 @@ fn group_by_base<V>(entries: BTreeMap<String, V>) -> BTreeMap<String, Vec<(Optio
 pub fn render_prometheus() -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    for (base, series) in group_by_base(counter_snapshot()) {
-        let n = prometheus_name(&base);
-        let _ = writeln!(out, "# TYPE {n} counter");
-        for (labels, v) in series {
-            match labels {
-                Some(l) => { let _ = writeln!(out, "{n}{{{l}}} {v}"); }
-                None => { let _ = writeln!(out, "{n} {v}"); }
-            }
-        }
-    }
-    for (base, series) in group_by_base(gauge_snapshot()) {
-        let n = prometheus_name(&base);
-        let _ = writeln!(out, "# TYPE {n} gauge");
-        for (labels, v) in series {
-            match labels {
-                Some(l) => { let _ = writeln!(out, "{n}{{{l}}} {v}"); }
-                None => { let _ = writeln!(out, "{n} {v}"); }
+    for (kind, snapshot) in [("counter", counter_snapshot()), ("gauge", gauge_snapshot())] {
+        for (base, series) in group_by_base(snapshot) {
+            let n = prometheus_name(&base);
+            let _ = writeln!(out, "# TYPE {n} {kind}");
+            for (labels, v) in series {
+                let labels = labels.map(|l| format!("{{{l}}}")).unwrap_or_default();
+                let _ = writeln!(out, "{n}{labels} {v}");
             }
         }
     }
@@ -468,23 +453,6 @@ fn prometheus_name(name: &str) -> String {
         out.push(if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' });
     }
     out
-}
-
-/// Per-counter increase from `before` to `after` (new counters count
-/// from zero); zero deltas are omitted. Counters are global, so in a
-/// multi-threaded process the delta attributes concurrent increments
-/// from other runs to this window — treat it as best-effort.
-pub fn counter_delta(
-    before: &BTreeMap<String, u64>,
-    after: &BTreeMap<String, u64>,
-) -> Vec<(String, u64)> {
-    after
-        .iter()
-        .filter_map(|(k, &v)| {
-            let delta = v.saturating_sub(before.get(k).copied().unwrap_or(0));
-            (delta > 0).then(|| (k.clone(), delta))
-        })
-        .collect()
 }
 
 /// Serialises the tests that write to the process-global registry, so
@@ -823,15 +791,5 @@ mod tests {
         counter(&labeled("test.metrics.tlabel", &[("code", "200")])).add(2);
         let text = render_text();
         assert!(text.contains("counter test.metrics.tlabel{code=\"200\"} 2"), "{text}");
-    }
-
-    #[test]
-    fn delta_reports_only_changes() {
-        let _r = registry_lock();
-        let before = counter_snapshot();
-        counter("test.metrics.delta").add(7);
-        let after = counter_snapshot();
-        let d = counter_delta(&before, &after);
-        assert!(d.iter().any(|(k, v)| k == "test.metrics.delta" && *v >= 7));
     }
 }

@@ -63,10 +63,10 @@ pub struct RequestRecord {
     pub start_us: u64,
     /// Total request wall time in µs (read → response written).
     pub total_us: u64,
-    /// Heap bytes allocated process-wide while the request ran (delta
-    /// of the instrumented allocator's total; 0 when memory profiling
-    /// is off). Best-effort under concurrency, like counter deltas:
-    /// overlapping requests see each other's allocations.
+    /// Heap bytes the request allocated: its handler thread and the
+    /// pool workers it fanned out to, read from the request's trace
+    /// scope, so overlapping requests never see each other's bytes
+    /// (0 when memory profiling is off).
     pub alloc_bytes: u64,
     /// Phase breakdown, ordered by start time.
     pub phases: Vec<PhaseTiming>,

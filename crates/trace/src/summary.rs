@@ -4,8 +4,8 @@
 //! Built from one run's drained [`SpanEvent`]s: per-phase wall time
 //! (spans with category `"phase"`), the slowest files (`parse.file`
 //! spans, annotated with their `path` arg), the slowest checker rules
-//! (`check.*` spans, aggregated per rule), and the run's counter
-//! deltas.
+//! (`check.*` spans, aggregated per rule), and the counter increments
+//! and allocations the run's trace scope recorded.
 
 use crate::span::SpanEvent;
 
@@ -30,13 +30,14 @@ pub struct TraceSummary {
     pub slowest_files: Vec<(String, u64)>,
     /// Top checker rules by total run time (rule id, µs), descending.
     pub slowest_rules: Vec<(String, u64)>,
-    /// Counter increments attributable to this run (best-effort in a
-    /// multi-threaded process), sorted by name.
+    /// This run's counter increments, sorted by name: read from its
+    /// trace scope ([`crate::Mark::counters`]), so exact however many
+    /// other runs share the process.
     pub counters: Vec<(String, u64)>,
-    /// Per-phase allocation totals for this run (empty unless a
+    /// This run's per-phase allocation totals, from its trace scope
+    /// ([`crate::Mark::phase_mem`]); empty unless a
     /// [`crate::alloc::CountingAlloc`] is installed and profiling was
-    /// on — the pipeline attaches the delta of
-    /// [`crate::alloc::phase_stats`] across the run).
+    /// on.
     pub phase_mem: Vec<crate::alloc::PhaseMem>,
     /// The run's raw span events.
     pub events: Vec<SpanEvent>,
@@ -46,8 +47,8 @@ pub struct TraceSummary {
 pub const TOP_N: usize = 10;
 
 impl TraceSummary {
-    /// Builds the digest from one run's drained events plus a counter
-    /// delta (see [`crate::counter_delta`]).
+    /// Builds the digest from one run's drained events plus its
+    /// counter increments (see [`crate::Mark::counters`]).
     pub fn from_events(events: Vec<SpanEvent>, counters: Vec<(String, u64)>) -> Self {
         let mut phases = Vec::new();
         let mut files: Vec<(String, u64)> = Vec::new();
@@ -91,12 +92,6 @@ impl TraceSummary {
             phase_mem: Vec::new(),
             events,
         }
-    }
-
-    /// Allocation totals of `phase` (bytes billed during this run), if
-    /// memory profiling captured it.
-    pub fn phase_mem_bytes(&self, phase: &str) -> Option<u64> {
-        self.phase_mem.iter().find(|p| p.name == phase).map(|p| p.bytes)
     }
 
     /// This run's increment of counter `name` (0 if it never moved).

@@ -30,8 +30,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-/// Counters and the metrics registry are process-global, so chaos
-/// tests serialise like the serve integration tests do.
+/// Held by every test that proxies connections: each one moves the
+/// process-wide `chaos.*` counters, which the storm test diffs exactly.
 fn serve_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -453,7 +453,6 @@ fn flight_recorder_stays_coherent_through_a_seeded_storm() {
 
 #[test]
 fn store_eviction_under_memory_pressure_never_changes_report_bytes() {
-    let _g = serve_lock();
     let corpus = corpus_dir("pressure");
     let cache_dir = temp_dir("pressure-cache");
     // A budget far below what the corpus's facts occupy resident, so

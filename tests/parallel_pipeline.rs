@@ -4,9 +4,10 @@
 //! invalidation path (content change, fingerprint change, corruption)
 //! must fall back to a correct cold analysis.
 //!
-//! Counter assertions diff the process-global metrics registry, and
-//! any assessment writes to it, so every test that assesses
-//! serialises on [`counter_lock`].
+//! Counter assertions read each report's own trace scope, so these
+//! tests run concurrently with no lock; `tests/run_isolation.rs` pins
+//! that concurrent runs report exactly their solo numbers. Only the
+//! speedup assertion needs the cores to itself (see [`cpu_lock`]).
 
 use adsafe::render::deterministic_report_markdown;
 use adsafe::trace::alloc;
@@ -16,21 +17,18 @@ use adsafe::{
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 /// Instrumented allocator for the memory-determinism test below; it
 /// counts nothing until that test flips profiling on.
 #[global_allocator]
 static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 
-/// Serialises every test that assesses: an assessment in another test
-/// thread would pollute the delta window of the tests that assert on
-/// global counter deltas.
-fn counter_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+/// Held by the tests that assess the test-scale corpus: the speedup
+/// assertion times wall clock, so the other heavy runs wait for it.
+fn cpu_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn temp_cache_dir(tag: &str) -> PathBuf {
@@ -116,7 +114,7 @@ fn assess_samples(files: usize, options: AssessmentOptions) -> AssessmentReport 
 
 #[test]
 fn reports_byte_identical_across_worker_counts() {
-    let _g = counter_lock();
+    let _g = cpu_lock();
     let spec = adsafe::corpus::ApolloSpec::test_scale();
     let corpus = adsafe::corpus::generate(&spec);
     let run = |jobs: usize| {
@@ -145,7 +143,6 @@ fn reports_byte_identical_across_worker_counts() {
 
 #[test]
 fn warm_cache_run_skips_every_file_and_renders_identically() {
-    let _g = counter_lock();
     let dir = temp_cache_dir("warm");
     let opts = || AssessmentOptions {
         cache_dir: Some(dir.clone()),
@@ -168,7 +165,6 @@ fn warm_cache_run_skips_every_file_and_renders_identically() {
 
 #[test]
 fn content_change_invalidates_only_the_changed_file() {
-    let _g = counter_lock();
     let dir = temp_cache_dir("content");
     let opts = || AssessmentOptions {
         cache_dir: Some(dir.clone()),
@@ -200,7 +196,6 @@ fn content_change_invalidates_only_the_changed_file() {
 
 #[test]
 fn fingerprint_mismatch_invalidates_the_whole_cache() {
-    let _g = counter_lock();
     let dir = temp_cache_dir("fingerprint");
     let opts = || AssessmentOptions {
         cache_dir: Some(dir.clone()),
@@ -223,7 +218,6 @@ fn fingerprint_mismatch_invalidates_the_whole_cache() {
 
 #[test]
 fn corrupt_cache_entry_recovers_via_cold_path() {
-    let _g = counter_lock();
     let dir = temp_cache_dir("corrupt");
     let opts = || AssessmentOptions {
         cache_dir: Some(dir.clone()),
@@ -266,7 +260,6 @@ fn corrupt_cache_entry_recovers_via_cold_path() {
 /// never trusted.
 #[test]
 fn reformatted_cache_entry_is_reanalysed_and_rewritten() {
-    let _g = counter_lock();
     let dir = temp_cache_dir("reformatted");
     let opts = || AssessmentOptions {
         cache_dir: Some(dir.clone()),
@@ -308,7 +301,6 @@ fn reformatted_cache_entry_is_reanalysed_and_rewritten() {
 
 #[test]
 fn unusable_cache_dir_falls_through_to_cold_analysis() {
-    let _g = counter_lock();
     // Occupy the cache path with a regular file: `create_dir_all` fails
     // even for root (which bypasses permission bits on read-only dirs).
     let path = temp_cache_dir("unusable");
@@ -337,7 +329,6 @@ fn unusable_cache_dir_falls_through_to_cold_analysis() {
 
 #[test]
 fn shared_store_makes_repeat_runs_warm() {
-    let _g = counter_lock();
     let store = std::sync::Arc::new(adsafe::MemoryFactsStore::open(None));
     let opts = || AssessmentOptions {
         store: Some(store.clone()),
@@ -358,7 +349,7 @@ fn shared_store_makes_repeat_runs_warm() {
 
 #[test]
 fn memory_profiling_never_changes_report_bytes() {
-    let _g = counter_lock();
+    let _g = cpu_lock();
     let spec = adsafe::corpus::ApolloSpec::test_scale();
     let corpus = adsafe::corpus::generate(&spec);
     let run = |jobs: usize| {
@@ -405,7 +396,7 @@ fn checks_phase_speeds_up_with_workers() {
         eprintln!("skipping speedup assertion: only {cores} core(s) available");
         return;
     }
-    let _g = counter_lock();
+    let _g = cpu_lock();
     let spec = adsafe::corpus::ApolloSpec::test_scale();
     let corpus = adsafe::corpus::generate(&spec);
     let phase_us = |r: &AssessmentReport, name: &str| {
@@ -439,7 +430,6 @@ proptest! {
     /// exactly the serial analysis — diagnostics, modules, evidence.
     #[test]
     fn any_worker_count_matches_serial(jobs in 0usize..9, files in 1usize..7) {
-        let _g = counter_lock();
         let serial = assess_samples(files, AssessmentOptions::default());
         let parallel = assess_samples(
             files,

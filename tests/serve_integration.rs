@@ -6,9 +6,14 @@
 //! plus property tests of the HTTP codec (folding, chunked bodies,
 //! size limits, parser totality, pipelined keep-alive streams).
 //!
-//! Counters and the metrics registry are process-global, so every
-//! server test serialises on [`serve_lock`].
+//! Every server test starts its own daemon, and a request's headers,
+//! ledger row and flight-recorder row come from its own trace scope,
+//! so the tests run concurrently with no lock. Assertions on the
+//! process-wide `/metrics` registry only ever ask that a counter grew.
+//! [`concurrent_requests_report_exact_numbers`] pins the isolation.
 
+use adsafe::trace::alloc::CountingAlloc;
+use adsafe::trace::json::Json;
 use adsafe_serve::http::{self, Response};
 use adsafe_serve::{ServeConfig, Server};
 use proptest::prelude::*;
@@ -16,15 +21,13 @@ use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::Barrier;
 use std::time::Duration;
 
-fn serve_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
+/// The daemon always profiles, so with the counting allocator every
+/// flight-recorder row carries the request's allocated bytes.
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);
@@ -101,9 +104,118 @@ fn metrics_counter(metrics: &str, name: &str) -> u64 {
         .map_or(0, |v| v.parse().expect("counter value"))
 }
 
+/// The corpus's ledger rows, oldest first, read as the daemon reads
+/// them; every row must parse.
+fn ledger_rows(root: &Path) -> Vec<adsafe_ledger::RunRecord> {
+    let dir = adsafe_ledger::Ledger::dir_for_cache(&root.join(".adsafe-cache"));
+    let (rows, torn) = adsafe_ledger::Ledger::open(&dir).expect("ledger opens").read_all();
+    assert!(torn.is_empty(), "torn ledger lines: {torn:?}");
+    rows
+}
+
+/// Writes a generated test-scale corpus (seed offset `seed`, without
+/// its last `drop` modules); returns its root and file count.
+fn generated_corpus(tag: &str, seed: u64, drop: usize) -> (PathBuf, u64) {
+    let root = temp_dir(tag);
+    let mut spec = adsafe::corpus::ApolloSpec::test_scale();
+    spec.seed += seed;
+    spec.modules.truncate(spec.modules.len() - drop);
+    let files = adsafe::corpus::generate(&spec);
+    for f in &files {
+        let path = root.join(&f.path);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, &f.text).unwrap();
+    }
+    (root, files.len() as u64)
+}
+
+/// `alloc_bytes` of each `/assess` flight-recorder row, by run ID.
+fn recorded_alloc_bytes(addr: SocketAddr) -> Vec<(String, u64)> {
+    request(addr, "GET", "/requests?endpoint=assess", "")
+        .body_text()
+        .lines()
+        .map(|l| Json::parse(l).expect("every access-log row parses"))
+        .map(|row| {
+            let run = row.get("run").and_then(Json::as_str).unwrap_or_default().to_string();
+            (run, row.get("alloc_bytes").and_then(Json::as_f64).expect("alloc_bytes") as u64)
+        })
+        .collect()
+}
+
+/// Overlapping requests each report their own numbers: the cache-hit
+/// header, the ledger row and the flight-recorder row of every one of
+/// 8 concurrent warm requests over two corpora are what that request
+/// alone would report.
+#[test]
+fn concurrent_requests_report_exact_numbers() {
+    let corpora = [generated_corpus("exact-a", 0, 0), generated_corpus("exact-b", 1, 3)];
+    let server = start_server(ServeConfig { handlers: 4, jobs: 1, ..ServeConfig::default() });
+    let addr = server.addr();
+    let bodies: Vec<String> = corpora.iter().map(|(root, _)| assess_body(root, "")).collect();
+    let run_id = |r: &Response| r.header("x-adsafe-run-id").expect("run ID header").to_string();
+
+    // Warm each corpus, then take its solo warm allocation bill.
+    let mut solo_alloc = [0u64; 2];
+    for (i, body) in bodies.iter().enumerate() {
+        assert_eq!(request(addr, "POST", "/assess", body).status, 200);
+        let files = corpora[i].1.to_string();
+        let warm: Vec<String> = (0..2)
+            .map(|_| {
+                let r = request(addr, "POST", "/assess", body);
+                assert_eq!(r.header("x-adsafe-cache-hits"), Some(files.as_str()));
+                run_id(&r)
+            })
+            .collect();
+        for (run, bytes) in recorded_alloc_bytes(addr) {
+            if warm.contains(&run) {
+                solo_alloc[i] = solo_alloc[i].max(bytes);
+            }
+        }
+        assert!(solo_alloc[i] > 0, "corpus {i}: the counting allocator billed the request");
+    }
+
+    for round in 0..2 {
+        let start = Barrier::new(8);
+        let responses: Vec<(usize, Response)> = std::thread::scope(|s| {
+            let clients: Vec<_> = (0..8)
+                .map(|k| {
+                    let (start, body) = (&start, &bodies[k % 2]);
+                    s.spawn(move || {
+                        start.wait();
+                        (k % 2, request(addr, "POST", "/assess", body))
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        let recorded = recorded_alloc_bytes(addr);
+        for (i, resp) in &responses {
+            let (root, files) = &corpora[*i];
+            assert_eq!(resp.status, 200, "{}", resp.body_text());
+            assert_eq!(
+                resp.header("x-adsafe-cache-hits"),
+                Some(files.to_string().as_str()),
+                "round {round}, corpus {i}: the header counts this request's hits only"
+            );
+            let run = run_id(resp);
+            let row = ledger_rows(root).into_iter().find(|r| r.run == run).expect("ledger row");
+            assert_eq!((row.cache_hits, row.cache_stores), (*files, 0), "round {round}, {run}");
+            let (_, bytes) = recorded.iter().find(|(r, _)| *r == run).expect("recorder row");
+            assert!(
+                *bytes * 4 <= solo_alloc[*i] * 5,
+                "round {round}, {run}: {bytes} bytes against a solo maximum of {}",
+                solo_alloc[*i]
+            );
+        }
+    }
+    server.stop();
+    for (root, _) in &corpora {
+        let _ = std::fs::remove_dir_all(root);
+    }
+}
+
 #[test]
 fn http_report_is_byte_identical_to_the_cli_report() {
-    let _g = serve_lock();
     let corpus = corpus_dir("cli-parity");
     let report_path = corpus.join("cli-report.md");
 
@@ -157,7 +269,6 @@ fn http_report_is_byte_identical_to_the_cli_report() {
 
 #[test]
 fn warm_second_request_does_zero_parse_work() {
-    let _g = serve_lock();
     let corpus = corpus_dir("warm");
     let server = start_server(ServeConfig::default());
     let addr = server.addr();
@@ -165,8 +276,6 @@ fn warm_second_request_does_zero_parse_work() {
     let cold = request(addr, "POST", "/assess", &assess_body(&corpus, ""));
     assert_eq!(cold.status, 200, "{}", cold.body_text());
     assert_eq!(cold.header("x-adsafe-cache-hits"), Some("0"));
-    let parsed_after_cold =
-        metrics_counter(&request(addr, "GET", "/metrics", "").body_text(), "parse.tier1.files");
 
     let warm = request(addr, "POST", "/assess", &assess_body(&corpus, ""));
     assert_eq!(warm.status, 200);
@@ -175,10 +284,10 @@ fn warm_second_request_does_zero_parse_work() {
         Some(CORPUS_FILES.to_string().as_str()),
         "every file must resolve from the resident store"
     );
-    let parsed_after_warm =
-        metrics_counter(&request(addr, "GET", "/metrics", "").body_text(), "parse.tier1.files");
+    let row = &ledger_rows(&corpus)[1];
     assert_eq!(
-        parsed_after_warm, parsed_after_cold,
+        (row.cache_hits, row.cache_stores),
+        (CORPUS_FILES, 0),
         "the warm request must do zero parse-phase work"
     );
     assert_eq!(warm.body, cold.body, "cold and warm reports must be byte-identical");
@@ -193,7 +302,6 @@ fn warm_second_request_does_zero_parse_work() {
 
 #[test]
 fn handler_panic_answers_500_and_the_daemon_survives() {
-    let _g = serve_lock();
     let corpus = corpus_dir("panic");
     let server = start_server(ServeConfig::default());
     let addr = server.addr();
@@ -241,7 +349,6 @@ fn handler_panic_answers_500_and_the_daemon_survives() {
 
 #[test]
 fn full_queue_answers_503_and_recovers_after_drain() {
-    let _g = serve_lock();
     let corpus = corpus_dir("backpressure");
     let server = start_server(ServeConfig {
         handlers: 1,
@@ -319,7 +426,6 @@ fn reaches_eof(stream: &mut TcpStream) -> bool {
 
 #[test]
 fn keep_alive_serves_many_requests_then_caps_the_connection() {
-    let _g = serve_lock();
     let server = start_server(ServeConfig { keep_alive_max: 3, ..ServeConfig::default() });
     let addr = server.addr();
     let reuses_before = {
@@ -355,7 +461,6 @@ fn keep_alive_serves_many_requests_then_caps_the_connection() {
 
 #[test]
 fn connection_close_and_http10_clients_get_one_shot_connections() {
-    let _g = serve_lock();
     let server = start_server(ServeConfig::default());
     let addr = server.addr();
 
@@ -382,7 +487,6 @@ fn connection_close_and_http10_clients_get_one_shot_connections() {
 
 #[test]
 fn idle_keep_alive_connections_expire_cleanly() {
-    let _g = serve_lock();
     let server = start_server(ServeConfig {
         idle_timeout: Duration::from_millis(200),
         ..ServeConfig::default()
@@ -410,7 +514,6 @@ fn idle_keep_alive_connections_expire_cleanly() {
 
 #[test]
 fn a_stalled_request_answers_408_and_closes() {
-    let _g = serve_lock();
     let server = start_server(ServeConfig {
         request_timeout: Duration::from_millis(300),
         ..ServeConfig::default()
@@ -435,7 +538,6 @@ fn a_stalled_request_answers_408_and_closes() {
 
 #[test]
 fn invalidate_drops_resident_facts_for_changed_paths() {
-    let _g = serve_lock();
     let corpus = corpus_dir("invalidate");
     let server = start_server(ServeConfig::default());
     let addr = server.addr();
@@ -474,7 +576,6 @@ fn invalidate_drops_resident_facts_for_changed_paths() {
 
 #[test]
 fn graceful_shutdown_flushes_the_facts_store_to_disk() {
-    let _g = serve_lock();
     let corpus = corpus_dir("flush");
     let cache_dir = temp_dir("flush-cache");
     let config = || ServeConfig { cache_dir: Some(cache_dir.clone()), ..ServeConfig::default() };
@@ -517,7 +618,6 @@ fn graceful_shutdown_flushes_the_facts_store_to_disk() {
 /// of replaying stale facts.
 #[test]
 fn invalidate_reaches_entries_promoted_from_disk() {
-    let _g = serve_lock();
     let corpus = corpus_dir("promoted");
     let cache_dir = temp_dir("promoted-cache");
     let config = || ServeConfig { cache_dir: Some(cache_dir.clone()), ..ServeConfig::default() };
@@ -551,7 +651,6 @@ fn invalidate_reaches_entries_promoted_from_disk() {
 
 #[test]
 fn healthz_and_routing_basics() {
-    let _g = serve_lock();
     let server = start_server(ServeConfig { queue_capacity: 7, ..ServeConfig::default() });
     let addr = server.addr();
 
@@ -580,7 +679,6 @@ fn healthz_and_routing_basics() {
 /// CLI and the daemon record that digest and file count.
 #[test]
 fn cli_and_daemon_record_the_lossy_text_digest() {
-    let _g = serve_lock();
     let corpus = corpus_dir("digest");
     std::fs::write(corpus.join("control/raw.cc"), b"int Raw();\n\xff\xfe\n").unwrap();
     std::os::unix::fs::symlink(corpus.join("missing"), corpus.join("control/gone.cc")).unwrap();
@@ -616,7 +714,6 @@ fn cli_and_daemon_record_the_lossy_text_digest() {
 
 #[test]
 fn every_assessment_gets_a_run_id_and_a_ledger_record() {
-    let _g = serve_lock();
     let corpus = corpus_dir("ledger");
     let server = start_server(ServeConfig::default());
     let addr = server.addr();
@@ -684,7 +781,6 @@ fn every_assessment_gets_a_run_id_and_a_ledger_record() {
 
 #[test]
 fn flight_recorder_serves_the_access_log_and_trace() {
-    let _g = serve_lock();
     let corpus = corpus_dir("telemetry");
     let server = start_server(ServeConfig::default());
     let addr = server.addr();
