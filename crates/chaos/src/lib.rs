@@ -32,7 +32,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -166,6 +166,7 @@ impl ChaosPlan {
 pub struct ChaosProxy {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    accepted: Arc<AtomicU64>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -177,19 +178,27 @@ impl ChaosProxy {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
+        let accepted = Arc::new(AtomicU64::new(0));
         let accept = {
-            let stop = Arc::clone(&stop);
+            let (stop, accepted) = (Arc::clone(&stop), Arc::clone(&accepted));
             std::thread::Builder::new()
                 .name("chaos-accept".into())
-                .spawn(move || accept_loop(&listener, upstream, &plan, &stop))
+                .spawn(move || accept_loop(&listener, upstream, &plan, &stop, &accepted))
                 .expect("spawning the chaos accept thread")
         };
-        Ok(ChaosProxy { addr, stop, accept: Some(accept) })
+        Ok(ChaosProxy { addr, stop, accepted, accept: Some(accept) })
     }
 
     /// Address test clients should connect to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Connections this proxy has accepted so far. Unlike the
+    /// process-wide `chaos.connections` counter, it is not moved by
+    /// other proxies running at the same time.
+    pub fn connections(&self) -> u64 {
+        self.accepted.load(Ordering::SeqCst)
     }
 
     /// Stops accepting and joins all connection workers.
@@ -216,14 +225,13 @@ fn accept_loop(
     upstream: SocketAddr,
     plan: &ChaosPlan,
     stop: &Arc<AtomicBool>,
+    accepted: &AtomicU64,
 ) {
-    let mut conn = 0u64;
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((client, _)) => {
-                let spec = plan.spec_for(conn);
-                conn += 1;
+                let spec = plan.spec_for(accepted.fetch_add(1, Ordering::SeqCst));
                 adsafe_trace::counter("chaos.connections").incr();
                 adsafe_trace::counter(spec.kind.counter_name()).incr();
                 let stop = Arc::clone(stop);
@@ -446,6 +454,7 @@ mod tests {
         c.read_to_end(&mut back).unwrap();
         assert_eq!(back, b"pong");
         assert_eq!(upstream.join().unwrap(), b"ping");
+        assert_eq!(proxy.connections(), 1);
         proxy.stop();
     }
 

@@ -29,15 +29,16 @@
 //! ## Parallelism and incrementality
 //!
 //! The parse and metrics phases parallelise per file / per module, and
-//! the checks phase runs one task per file — every file-local native
-//! rule over that file while its AST is still in cache — on the
-//! work-stealing [`Pool`] ([`AssessmentOptions::jobs`]; the default of
-//! 1 runs everything inline on the caller thread). Query rules run in
-//! one facts-row pass per file on the caller thread. With
-//! [`AssessmentOptions::cache_dir`] set, per-file
-//! [`FileFacts`](crate::facts::FileFacts) records are reused across
-//! runs keyed by content hash, skipping parse, file-local checks, and
-//! metrics extraction for unchanged files. Reports are byte-identical
+//! the checks phase runs one task per file on the work-stealing [`Pool`]
+//! ([`AssessmentOptions::jobs`]; the default of 1 runs everything inline
+//! on the caller thread). A fresh file's task takes its AST by value,
+//! runs every file-local native rule over it, writes the diagnostics
+//! into the file's [`FileFacts`](crate::facts::FileFacts) record and
+//! drops the AST; from there on every file, fresh or cached, is one
+//! record. Query rules run in one facts-row pass per file on the caller
+//! thread. With [`AssessmentOptions::cache_dir`] set, records are reused
+//! across runs keyed by content hash, skipping parse, file-local checks,
+//! and metrics extraction for unchanged files. Reports are byte-identical
 //! across worker counts and cache states by construction: results merge
 //! in stable file order before the canonical diagnostic sort, and every
 //! cross-file quantity is recomputed from facts on every run (see
@@ -239,12 +240,12 @@ enum ParseKind {
     Dropped,
 }
 
-/// A file that survived parsing (fresh or cached) in pipeline position.
+/// A file that survived parsing (fresh or cached) in pipeline position;
+/// after the checks round its record holds its file-local diagnostics.
 struct LoadedFile {
     file_idx: usize,
     id: FileId,
     facts: Arc<FileFacts>,
-    parsed: Option<Box<ParsedFile>>, // `Some` iff fresh
     cache_ok: bool,
 }
 
@@ -397,6 +398,7 @@ impl Assessment {
         });
 
         let mut loaded: Vec<LoadedFile> = Vec::new();
+        let mut asts: Vec<Option<Box<ParsedFile>>> = Vec::new();
         let mut estimates: Vec<(String, TokenEstimate)> = Vec::new();
         for (i, res) in outcomes.into_iter().enumerate() {
             match res {
@@ -407,7 +409,7 @@ impl Assessment {
                     if let Some(est) = o.estimate {
                         estimates.push((self.files[i].module.clone(), est));
                     }
-                    let (facts, parsed) = match o.kind {
+                    let (facts, ast) = match o.kind {
                         ParseKind::Fresh(p, facts) => (Arc::new(facts), Some(p)),
                         ParseKind::Cached(facts) => (facts, None),
                         ParseKind::Estimated | ParseKind::Dropped => continue,
@@ -416,9 +418,9 @@ impl Assessment {
                         file_idx: i,
                         id: sm.files()[i].id(),
                         facts,
-                        parsed,
                         cache_ok: o.cache_ok,
                     });
+                    asts.push(ast); // index for index with `loaded`
                 }
                 Err(payload) => {
                     // The task itself panicked outside its internal
@@ -438,14 +440,7 @@ impl Assessment {
         note_phase_overrun(&mut log, FaultPhase::Parse, deadline.start, &budgets);
         drop(phase_span);
 
-        // Facts records in stable file order — the single source for
-        // every cross-file assembly below, fresh and cached alike.
-        let records: Vec<FactsRecord<'_>> = loaded
-            .iter()
-            .map(|l| (l.id, self.files[l.file_idx].module.as_str(), &*l.facts))
-            .collect();
-
-        // Phase 2: checkers, one pool task per fresh file with per-rule
+        // Phase 2: checkers, one pool task per file with per-rule
         // isolation. Rule gates (failpoints, deadline) run on the
         // caller thread first so a gated rule is skipped wholesale.
         let phase_span = adsafe_trace::span("phase.checks", "phase");
@@ -454,8 +449,6 @@ impl Assessment {
         // `adsafe trace-compare` would flag a missing phase instead of
         // a regression.
         let native_span = adsafe_trace::span("phase.checks.native", "phase");
-        let graph = facts::call_graph(&records);
-        let globals = facts::global_names(&records);
         let checks = default_checks();
         let query_rules: Vec<&adsafe_query::CompiledRule> =
             crate::query::query_rules(self.options.rules.as_deref()).collect();
@@ -488,23 +481,19 @@ impl Assessment {
             }
         }
 
-        // One task per fresh file (cached files carry their file-local
-        // diagnostics in the facts record): every non-gated file-local
-        // rule in registry order over one file-local context, then the
-        // macro-naming pass, so the file's AST stays in cache across
-        // all of its rules. A task's diagnostics come out in the order
-        // cached entries replay them, so they are the file's cache
-        // write-back bucket as they stand.
+        // One task per file. A fresh file's task takes its AST by value,
+        // runs every non-gated file-local rule in registry order over one
+        // file-local context, then the macro-naming pass, and drops the
+        // AST, so the workers share its teardown. The diagnostics go into
+        // the file's still unshared record, in the order a cached record
+        // holds them. A cached file has no AST and nothing to run.
         let file_rules: Vec<&dyn Check> = checks
             .iter()
             .map(|c| c.as_ref())
             .filter(|c| c.scope() == CheckScope::File && !skipped.contains(c.id()))
             .collect();
-        let fresh: Vec<usize> =
-            (0..loaded.len()).filter(|&li| loaded[li].parsed.is_some()).collect();
-        let results = pool.map(fresh.clone(), |_, li| {
-            let l = &loaded[li];
-            let parsed = l.parsed.as_deref().expect("only fresh files are checked");
+        let results = pool.map(loaded.iter_mut().zip(asts).collect(), |_, (l, ast)| {
+            let Some(parsed) = ast else { return Vec::new() };
             let file = sm.file(l.id);
             let module = &self.files[l.file_idx].module;
             let entry = FileEntry { file, unit: &parsed.unit, module };
@@ -526,34 +515,52 @@ impl Assessment {
                     faults.push(check_fault(file.path().to_string(), &panic_message(&*payload)))
                 }
             }
-            (diags, faults)
+            Arc::make_mut(&mut l.facts).diags = diags;
+            faults
         });
 
+        // Every file-local diagnostic enters the run here, from its
+        // record: filtered by `skipped`, so a gated rule stays silent in
+        // every cache state, and bound to this run's `FileId` (a resident
+        // record keeps the ids of the run that built it). Write-back
+        // stores only fully-clean fresh records (tier-1 parse, no rule
+        // fault) from runs that gated no rule: an entry must replay the
+        // complete rule set, and recoverable faults must recur.
+        let write_back = if skipped.is_empty() { cache } else { None };
         let mut diagnostics: Vec<Diagnostic> = Vec::new();
-        // Cache write-back: only fully-clean fresh files (tier-1 parse,
-        // no rule fault) from a run where no rule was gated or cut — a
-        // cached entry must replay the complete file-local rule set,
-        // and recoverable faults (resync, panics) must recur on warm
-        // runs rather than being papered over.
-        let write_back = cache.is_some() && skipped.is_empty();
-        let mut buckets: Vec<(usize, Vec<Diagnostic>)> = Vec::new();
-        for (li, res) in fresh.into_iter().zip(results) {
+        for (l, res) in loaded.iter().zip(results) {
             match res {
-                Ok((diags, faults)) => {
-                    if write_back && loaded[li].cache_ok && faults.is_empty() {
-                        buckets.push((li, diags.clone()));
+                Ok(faults) => {
+                    if let Some(c) = write_back.filter(|_| l.cache_ok && faults.is_empty()) {
+                        let path = sm.file(l.id).path();
+                        c.store_shared(self.file_hash(l.file_idx), path, Arc::clone(&l.facts));
                     }
-                    diagnostics.extend(diags);
                     for f in faults {
                         log.push(f);
                     }
                 }
                 Err(payload) => {
-                    let path = sm.file(loaded[li].id).path().to_string();
+                    let path = sm.file(l.id).path().to_string();
                     log.push(check_fault(path, &panic_message(&*payload)));
                 }
             }
+            diagnostics.extend(
+                l.facts.diags.iter().filter(|d| !skipped.contains(d.check_id)).map(|d| {
+                    let mut d = d.clone();
+                    d.span.file = l.id;
+                    d
+                }),
+            );
         }
+
+        // Facts records in stable file order — the single source for
+        // every cross-file assembly below, fresh and cached alike.
+        let records: Vec<FactsRecord<'_>> = loaded
+            .iter()
+            .map(|l| (l.id, self.files[l.file_idx].module.as_str(), &*l.facts))
+            .collect();
+        let graph = facts::call_graph(&records);
+        let globals = facts::global_names(&records);
 
         // Program-scoped native rules run once, from facts, on the
         // caller thread — they need the whole program, not one file.
@@ -578,24 +585,6 @@ impl Assessment {
                 Err(payload) => log.push(check_fault(id.to_string(), &panic_message(&*payload))),
             }
         }
-
-        // Cached files replay their stored file-local diagnostics —
-        // filtered by `skipped` so a gated rule stays silent on warm
-        // runs too. This is the one place cached diagnostics enter a
-        // run, so it is where their spans are bound to this run's
-        // `FileId`: a resident record keeps the ids of the run that
-        // built it.
-        for l in &loaded {
-            if l.parsed.is_none() {
-                diagnostics.extend(
-                    l.facts.diags.iter().filter(|d| !skipped.contains(d.check_id)).map(|d| {
-                        let mut d = d.clone();
-                        d.span.file = l.id;
-                        d
-                    }),
-                );
-            }
-        }
         drop(native_span);
 
         // Query rules, evaluated from facts — fresh and cached files
@@ -606,7 +595,7 @@ impl Assessment {
         // of scoped pool threads per run made the allocator open fresh
         // arenas, raising a repeated cold run's peak RSS by ~100 MB.
         // Query diagnostics join the report and the evidence, but never
-        // the cache write-back buckets: they are recomputed every run.
+        // a facts record: they are recomputed every run.
         let query_span = adsafe_trace::span("phase.checks.query", "phase");
         let recursive = graph.recursive_functions();
         let live: Vec<&adsafe_query::CompiledRule> =
@@ -636,8 +625,8 @@ impl Assessment {
         }
         drop(query_span);
 
-        // One canonical order for the *complete* list — per-file tasks,
-        // program-scoped rules, cached replays, and query rules — so
+        // One canonical order for the *complete* list — file-local
+        // records, program-scoped rules, and query rules — so
         // repeated runs over the same corpus render byte-identical
         // reports regardless of worker count or cache state. The sort
         // is stable, and no two merge sources share a (rule, file)
@@ -646,14 +635,6 @@ impl Assessment {
         adsafe_trace::counter("checks.diagnostics").add(diagnostics.len() as u64);
         note_phase_overrun(&mut log, FaultPhase::Checks, deadline.start, &budgets);
         drop(phase_span);
-
-        if let Some(c) = cache {
-            for (li, diags) in buckets {
-                let l = &loaded[li];
-                let entry = Arc::new(FileFacts { diags, ..FileFacts::clone(&l.facts) });
-                c.store_shared(self.file_hash(l.file_idx), sm.file(l.id).path(), entry);
-            }
-        }
 
         // Phase 3: module metrics from facts, isolated per module, with
         // token-only fallback so a module never vanishes from Figure 3.
@@ -785,6 +766,9 @@ impl Assessment {
             });
 
         drop(phase_span);
+        // The run's records die inside its span: its time includes them.
+        drop((records, graph));
+        drop(loaded);
         drop(run_span);
         // Read first, so the summary's own bookkeeping is not billed to
         // the run. Empty unless a `CountingAlloc` is installed with

@@ -18,6 +18,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// File name of the ledger inside its directory.
 pub const LEDGER_FILE: &str = "runs.jsonl";
@@ -44,6 +45,9 @@ pub struct Ledger {
     dir: PathBuf,
     next_seq: AtomicU64,
     torn: Vec<TornLine>,
+    /// Held across an append's trailing-newline check and its write, so
+    /// two appends through one `Ledger` cannot both insert a separator.
+    append_lock: Mutex<()>,
 }
 
 impl Ledger {
@@ -55,7 +59,8 @@ impl Ledger {
         fs::create_dir_all(dir)?;
         let (records, torn) = read_lines(&dir.join(LEDGER_FILE));
         let next = records.iter().map(|r| r.seq).max().map_or(1, |m| m + 1);
-        Ok(Ledger { dir: dir.to_path_buf(), next_seq: AtomicU64::new(next), torn })
+        let next_seq = AtomicU64::new(next);
+        Ok(Ledger { dir: dir.to_path_buf(), next_seq, torn, append_lock: Mutex::new(()) })
     }
 
     /// The conventional ledger directory for a corpus cache directory.
@@ -91,11 +96,14 @@ impl Ledger {
     /// final line — which the reader skips by design. If the file does
     /// not currently end in a newline (a previous append was torn), a
     /// newline is inserted first so the torn garbage stays confined to
-    /// its own line instead of corrupting this record too.
+    /// its own line instead of corrupting this record too. Appends
+    /// through one `Ledger` are serialised, so concurrent handlers
+    /// cannot each insert that newline.
     pub fn append(&self, record: &RunRecord) -> std::io::Result<()> {
         use std::io::{Read as _, Seek as _, SeekFrom};
         let mut line = record.to_json_line();
         line.push('\n');
+        let _held = self.append_lock.lock().unwrap_or_else(|e| e.into_inner());
         let mut f =
             fs::OpenOptions::new().create(true).read(true).append(true).open(self.file())?;
         if f.metadata()?.len() > 0 {
@@ -284,6 +292,44 @@ mod tests {
         let (records, torn) = reopened.read_all();
         assert_eq!(records.len(), 2, "new record is intact after the tear");
         assert_eq!(torn.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_appends_leave_no_blank_line() {
+        use std::sync::{Arc, Barrier};
+        let dir = temp_dir("concurrent");
+        let ledger = Arc::new(Ledger::open(&dir).unwrap());
+        let storm = |base: u64| {
+            let start = Arc::new(Barrier::new(8));
+            let handles: Vec<_> = (0..8u64)
+                .map(|t| {
+                    let (ledger, start) = (Arc::clone(&ledger), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        for i in 0..25 {
+                            ledger.append(&record(base + t * 25 + i, "d")).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+        };
+        let blank_lines = || fs::read_to_string(ledger.file()).unwrap().matches("\n\n").count();
+        storm(1);
+        let (records, torn) = ledger.read_all();
+        assert_eq!((records.len(), torn.len(), blank_lines()), (200, 0, 0));
+        // After a tear every appender sees a missing newline at once;
+        // exactly one of them may insert it.
+        let half = record(0, "d").to_json_line();
+        let mut f = fs::OpenOptions::new().append(true).open(ledger.file()).unwrap();
+        f.write_all(&half.as_bytes()[..half.len() / 2]).unwrap();
+        drop(f);
+        storm(201);
+        let (records, torn) = ledger.read_all();
+        assert_eq!((records.len(), torn.len(), blank_lines()), (400, 1, 0));
         let _ = fs::remove_dir_all(&dir);
     }
 

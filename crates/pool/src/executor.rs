@@ -16,39 +16,25 @@
 //! and a job that panics is contained (counted in `pool.task_panics`)
 //! without taking its worker thread down. Every job is stamped at
 //! submission; the submit→start delta feeds the `pool.queue_wait`
-//! histogram (µs) and is readable from inside the job via
-//! [`take_queue_wait_us`] — the queue-depth gauge says how long the
-//! line *is*, the wait histogram says how long it *feels*.
+//! histogram (µs) and is passed to the job as its argument — the
+//! queue-depth gauge says how long the line *is*, the wait histogram
+//! says how long it *feels*.
 //!
 //! Shutdown is graceful by construction: [`Executor::shutdown`] stops
 //! admission, lets the workers drain every queued job, and joins them.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// One queued closure plus its admission timestamp.
+/// One queued closure plus its admission timestamp. The closure takes
+/// its own submit→start wait (µs), so a job can attribute its latency
+/// (e.g. a request handler splitting queue wait out of service time).
 struct Job {
-    run: Box<dyn FnOnce() + Send + 'static>,
+    run: Box<dyn FnOnce(u64) + Send + 'static>,
     submitted: Instant,
-}
-
-thread_local! {
-    /// Queue wait of the job currently running on this worker thread.
-    static QUEUE_WAIT_US: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-/// The submit→start queue wait (µs) of the job currently running on
-/// this thread, consumed on read so one job observes only its own
-/// wait. `None` off executor workers or on a second read. Lets a job
-/// attribute its own latency (e.g. a request handler splitting
-/// queue-wait out of total service time) without the executor leaking
-/// timing through its `FnOnce()` interface.
-pub fn take_queue_wait_us() -> Option<u64> {
-    QUEUE_WAIT_US.with(Cell::take)
 }
 
 struct Queue {
@@ -107,10 +93,11 @@ impl Executor {
 
     /// Enqueues `job` unless the queue is at capacity, in which case
     /// the job is handed back unrun (`Err`) and `pool.tasks_rejected`
-    /// is incremented — the caller decides how to shed the load.
+    /// is incremented — the caller decides how to shed the load. The
+    /// job is called with its submit→start queue wait in µs.
     pub fn try_submit<F>(&self, job: F) -> Result<(), F>
     where
-        F: FnOnce() + Send + 'static,
+        F: FnOnce(u64) + Send + 'static,
     {
         let mut q = self.inner.queue.lock().expect("executor queue poisoned");
         if q.shutdown || q.jobs.len() >= self.inner.capacity {
@@ -201,11 +188,9 @@ fn worker_loop(inner: &Inner) {
         let Some(job) = job else { return };
         let wait_us = job.submitted.elapsed().as_micros() as u64;
         adsafe_trace::histogram("pool.queue_wait").record(wait_us);
-        QUEUE_WAIT_US.with(|w| w.set(Some(wait_us)));
-        if catch_unwind(AssertUnwindSafe(job.run)).is_err() {
+        if catch_unwind(AssertUnwindSafe(|| (job.run)(wait_us))).is_err() {
             adsafe_trace::counter("pool.task_panics").incr();
         }
-        QUEUE_WAIT_US.with(Cell::take);
         adsafe_trace::counter("pool.tasks_completed").incr();
     }
 }
@@ -235,7 +220,7 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         {
             let done = Arc::clone(&done);
-            exec.try_submit(move || {
+            exec.try_submit(move |_| {
                 running_tx.send(()).unwrap();
                 release_rx.recv().unwrap();
                 done.fetch_add(1, Ordering::SeqCst);
@@ -247,7 +232,7 @@ mod tests {
         // Fill the queue to capacity behind the blocked worker.
         for _ in 0..2 {
             let done = Arc::clone(&done);
-            exec.try_submit(move || {
+            exec.try_submit(move |_| {
                 done.fetch_add(1, Ordering::SeqCst);
             })
             .ok()
@@ -257,7 +242,7 @@ mod tests {
         assert_eq!(adsafe_trace::gauge("pool.queue_depth").get(), 2);
         // One more is backpressure: handed back, counted as rejected.
         let d2 = Arc::clone(&done);
-        let overflow = exec.try_submit(move || {
+        let overflow = exec.try_submit(move |_| {
             d2.fetch_add(1, Ordering::SeqCst);
         });
         assert!(overflow.is_err(), "full queue must reject");
@@ -284,7 +269,7 @@ mod tests {
         for _ in 0..2 {
             let rx = Arc::clone(&release_rx);
             let tx = running_tx.clone();
-            exec.try_submit(move || {
+            exec.try_submit(move |_| {
                 tx.send(()).unwrap();
                 let _ = rx.lock().unwrap().recv();
             })
@@ -295,7 +280,7 @@ mod tests {
             running_rx.recv_timeout(Duration::from_secs(5)).expect("workers busy");
         }
         for _ in 0..8 {
-            exec.try_submit(|| {}).ok().unwrap();
+            exec.try_submit(|_| {}).ok().unwrap();
         }
         // 8 queued jobs over 2 workers: ~4s of backlog plus the base 1.
         assert_eq!(exec.retry_hint_secs(), 5);
@@ -309,9 +294,9 @@ mod tests {
         let _g = gauge_lock();
         let exec = Executor::new(1, 8);
         let done = Arc::new(AtomicUsize::new(0));
-        exec.try_submit(|| panic!("job bug")).ok().unwrap();
+        exec.try_submit(|_| panic!("job bug")).ok().unwrap();
         let d = Arc::clone(&done);
-        exec.try_submit(move || {
+        exec.try_submit(move |_| {
             d.fetch_add(1, Ordering::SeqCst);
         })
         .ok()
@@ -327,7 +312,7 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..40 {
             let d = Arc::clone(&done);
-            exec.try_submit(move || {
+            exec.try_submit(move |_| {
                 d.fetch_add(1, Ordering::SeqCst);
             })
             .ok()
@@ -346,29 +331,21 @@ mod tests {
         // Block the worker so the second job measurably waits.
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let (running_tx, running_rx) = mpsc::channel::<()>();
-        exec.try_submit(move || {
+        exec.try_submit(move |_| {
             running_tx.send(()).unwrap();
             release_rx.recv().unwrap();
         })
         .ok()
         .unwrap();
         running_rx.recv_timeout(Duration::from_secs(5)).expect("worker started");
-        let (wait_tx, wait_rx) = mpsc::channel::<(Option<u64>, Option<u64>)>();
-        exec.try_submit(move || {
-            // First read yields this job's wait; the second is spent.
-            wait_tx.send((take_queue_wait_us(), take_queue_wait_us())).unwrap();
-        })
-        .ok()
-        .unwrap();
+        let (wait_tx, wait_rx) = mpsc::channel::<u64>();
+        exec.try_submit(move |wait_us| wait_tx.send(wait_us).unwrap()).ok().unwrap();
         std::thread::sleep(Duration::from_millis(20));
         release_tx.send(()).unwrap();
-        let (first, second) = wait_rx.recv_timeout(Duration::from_secs(5)).expect("job ran");
-        let waited = first.expect("job sees its own queue wait");
+        let waited = wait_rx.recv_timeout(Duration::from_secs(5)).expect("job ran");
         assert!(waited >= 10_000, "blocked ~20ms, saw {waited}µs");
-        assert_eq!(second, None, "queue wait is consumed on read");
         exec.shutdown();
         assert!(hist.count() >= count_before + 2, "every job feeds pool.queue_wait");
-        assert_eq!(take_queue_wait_us(), None, "non-worker threads see nothing");
     }
 
     #[test]

@@ -33,7 +33,7 @@
 
 pub mod executor;
 
-pub use executor::{take_queue_wait_us, Executor};
+pub use executor::Executor;
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -126,13 +126,14 @@ impl Pool {
         // (see `adsafe_trace::alloc`); worker thread-locals start at 0.
         let parent_phase = adsafe_trace::alloc::current_phase();
         std::thread::scope(|scope| {
+            let mut spawned = Vec::with_capacity(n_workers);
             for w in 0..n_workers {
                 let f = &f;
                 let slots = &slots;
                 let results = &results;
                 let deques = &deques;
                 let handbacks = &handbacks;
-                scope.spawn(move || {
+                spawned.push(scope.spawn(move || {
                     adsafe_trace::alloc::set_current_phase(parent_phase);
                     let trace_scope = adsafe_trace::mark();
                     let mut steals = 0u64;
@@ -161,7 +162,15 @@ impl Pool {
                         adsafe_trace::counter("pool.steals").add(steals);
                     }
                     handbacks.lock().unwrap().push((w, trace_scope.hand_back()));
-                });
+                }));
+            }
+            // The scope waits only for the closures; a join also waits for
+            // the thread's exit, where the allocator hands its arena back
+            // for the next round's workers (else they open new arenas).
+            for worker in spawned {
+                if let Err(payload) = worker.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
         });
 

@@ -292,7 +292,7 @@ fn accept_loop(listener: TcpListener, exec: Executor, shared: &Arc<Shared>) -> u
                 // is dropped.
                 let reject_stream = stream.try_clone().ok();
                 let shared_job = Arc::clone(shared);
-                let job = move || handle_connection(stream, &shared_job);
+                let job = move |wait_us| handle_connection(stream, &shared_job, wait_us);
                 if exec.try_submit(job).is_err() {
                     adsafe_trace::counter("serve.rejected").incr();
                     if let Some(mut s) = reject_stream {
@@ -325,13 +325,13 @@ fn accept_loop(listener: TcpListener, exec: Executor, shared: &Arc<Shared>) -> u
 /// One connection: serve requests in a keep-alive loop — parse, route
 /// under panic containment, respond — until the client opts out, the
 /// request cap is hit, a budget trips, or a fatal error ends it.
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
+fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, queue_wait_us: u64) {
     let Ok(read_half) = stream.try_clone() else { return };
     let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed) + 1;
     let conn_start_us = adsafe_trace::now_us();
     // The submit→start delta of this connection's executor job, billed
     // to the first request as its `queue_wait` phase.
-    let mut queue_wait_us = adsafe_pool::take_queue_wait_us();
+    let mut queue_wait_us = Some(queue_wait_us);
     let deadline = DeadlineReader::new(read_half, Arc::clone(&shared.stop), shared.budget);
     let mut reader = BufReader::new(deadline);
     let mut writer = stream;

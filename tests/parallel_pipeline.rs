@@ -142,6 +142,49 @@ fn reports_byte_identical_across_worker_counts() {
 }
 
 #[test]
+fn degraded_input_reports_are_invariant_across_workers_and_cache_states() {
+    let _g = cpu_lock();
+    let corpus = adsafe::corpus::generate(&adsafe::corpus::ApolloSpec::test_scale());
+    let victim = corpus
+        .iter()
+        .find(|f| f.path.ends_with(".cc") && f.text.len() > 2_000)
+        .expect("test corpus has a mid-sized .cc file");
+    // One corrupted copy per corruption kind, each under its own path.
+    let corrupted = adsafe::corpus::faultinject::corrupt_all(11, victim);
+    let run = |jobs: usize, cache_dir: Option<PathBuf>| {
+        let mut a = Assessment::new()
+            .with_options(AssessmentOptions { jobs, cache_dir, ..AssessmentOptions::default() });
+        for f in &corpus {
+            a.add_file(&f.module, &f.path, &f.text);
+        }
+        for c in &corrupted {
+            a.add_file_bytes(&c.module, &format!("{}.{}.cc", c.path, c.kind.name()), &c.bytes);
+        }
+        a.run()
+    };
+    let files = (corpus.len() + corrupted.len()) as u64;
+    let reference = run(1, None);
+    assert!(reference.degraded && !reference.faults.is_empty());
+    let expected = deterministic_report_markdown(&reference);
+    for jobs in [1, 2] {
+        let dir = temp_cache_dir(&format!("degraded-j{jobs}"));
+        let cold = run(jobs, Some(dir.clone()));
+        let warm = run(jobs, Some(dir.clone()));
+        let uncached = run(jobs, None);
+        // Degraded files are never written back, so the warm run
+        // re-parses them and hits every other file.
+        let stored = cold.trace.counter("cache.stores");
+        assert!(stored < files, "jobs {jobs}: a degraded file was written back");
+        assert_eq!(warm.trace.counter("cache.hits"), stored, "jobs {jobs}");
+        for (state, r) in [("cold", &cold), ("warm", &warm), ("no cache", &uncached)] {
+            assert_eq!(deterministic_report_markdown(r), expected, "jobs {jobs}, {state}");
+            assert_eq!(r.faults, reference.faults, "jobs {jobs}, {state}: fault log");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn warm_cache_run_skips_every_file_and_renders_identically() {
     let dir = temp_cache_dir("warm");
     let opts = || AssessmentOptions {
