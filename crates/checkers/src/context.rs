@@ -24,7 +24,7 @@ pub struct CheckContext<'a> {
     /// All files under analysis.
     pub entries: Vec<FileEntry<'a>>,
     /// Whole-program call graph.
-    pub graph: CallGraph,
+    pub graph: CallGraph<'a>,
     /// Names of all file-scope variables across the program.
     pub global_names: HashSet<String>,
 }

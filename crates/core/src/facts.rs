@@ -26,6 +26,7 @@ use adsafe_checkers::defensive::ValidationFacts;
 use adsafe_checkers::unit_design::{FunctionUnitFacts, UnitDesignStats};
 use adsafe_checkers::{Diagnostic, Severity};
 use adsafe_lang::ast::Storage;
+use adsafe_lang::callgraph::callee_names;
 use adsafe_lang::symbols::analyze_function;
 use adsafe_lang::visit::walk_exprs;
 use adsafe_lang::{CallGraph, FileId, ParsedFile, SourceMap, Span};
@@ -143,7 +144,7 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
                 metrics: function_metrics(file, f),
                 sig_start: f.sig.span.start,
                 sig_end: f.sig.span.end,
-                callees: adsafe_lang::callgraph::callee_names(f),
+                callees: callee_names(f).into_iter().map(str::to_string).collect(),
                 idents: idents.into_iter().collect(),
                 unresolved,
                 unit: adsafe_checkers::unit_design::function_unit_facts(f),
@@ -168,40 +169,53 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
 // exactly; the invariants are pinned by tests against the originals.
 // ---------------------------------------------------------------------
 
-/// Replays the whole-program call graph from facts records.
-pub fn call_graph(records: &[FactsRecord<'_>]) -> CallGraph {
-    let defs: Vec<(String, Vec<String>)> = records
-        .iter()
-        .flat_map(|(_, _, facts)| {
-            facts
-                .functions
-                .iter()
-                .map(|f| (f.metrics.qualified_name.clone(), f.callees.clone()))
-        })
-        .collect();
-    CallGraph::from_functions(&defs)
+/// Replays the whole-program call graph from facts records. Node names
+/// borrow the records' qualified names.
+pub fn call_graph<'a>(records: &[FactsRecord<'a>]) -> CallGraph<'a> {
+    CallGraph::from_functions(records.iter().flat_map(|&(_, _, facts)| {
+        facts
+            .functions
+            .iter()
+            .map(|f| (f.metrics.qualified_name.as_str(), f.callees.iter().map(String::as_str)))
+    }))
+}
+
+/// Cross-module call edges (`Evidence::coupling_edges`) over `graph`,
+/// which [`call_graph`] built from these `records`. A qualified name
+/// that two files define counts in the module of the last one.
+pub fn coupling_edges(records: &[FactsRecord<'_>], graph: &CallGraph<'_>) -> usize {
+    let mut modules: Vec<&str> = Vec::new();
+    let mut module_of = vec![0usize; graph.len()];
+    let mut def_nodes = graph.def_nodes().iter();
+    for &(_, module, facts) in records {
+        let m = modules.iter().position(|&x| x == module).unwrap_or_else(|| {
+            modules.push(module);
+            modules.len() - 1
+        });
+        for &node in def_nodes.by_ref().take(facts.functions.len()) {
+            module_of[node] = m;
+        }
+    }
+    adsafe_metrics::coupling_edges(graph, &module_of)
 }
 
 /// All file-scope variable names across the program (unfiltered, as in
 /// `adsafe_lang::symbols::global_names`).
-pub fn global_names(records: &[FactsRecord<'_>]) -> HashSet<String> {
+pub fn global_names<'a>(records: &[FactsRecord<'a>]) -> HashSet<&'a str> {
     records
         .iter()
-        .flat_map(|(_, _, facts)| facts.globals.iter().map(|g| g.name.clone()))
+        .flat_map(|&(_, _, facts)| facts.globals.iter().map(|g| g.name.as_str()))
         .collect()
 }
 
 /// `design-global-use` diagnostics from facts — same order and content
 /// as `GlobalUseCheck::run` over the whole-program context.
-pub fn global_use_diags(
-    records: &[FactsRecord<'_>],
-    globals: &HashSet<String>,
-) -> Vec<Diagnostic> {
+pub fn global_use_diags(records: &[FactsRecord<'_>], globals: &HashSet<&str>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (id, _, facts) in records {
         for f in &facts.functions {
             for (name, start, end) in &f.unresolved {
-                if globals.contains(name) {
+                if globals.contains(name.as_str()) {
                     out.push(
                         Diagnostic::new(
                             "design-global-use",
@@ -280,10 +294,10 @@ pub fn module_metrics_from_facts(name: &str, files: &[&FileFacts]) -> ModuleMetr
 /// `adsafe_checkers::unit_design_stats` over the whole-program context,
 /// except `implicit_conversions`, which stays 0: the pipeline counts
 /// the `typing-implicit-conversion` rule's diagnostics instead, as it
-/// does for explicit casts.
-pub fn unit_stats_from_facts(records: &[FactsRecord<'_>], graph: &CallGraph) -> UnitDesignStats {
+/// does for explicit casts. `recursive` is the sorted recursive-function
+/// set ([`CallGraph::recursive_functions`]).
+pub fn unit_stats_from_facts(records: &[FactsRecord<'_>], recursive: &[String]) -> UnitDesignStats {
     let mut s = UnitDesignStats::default();
-    let recursive = graph.recursive_functions();
     for (_, _, facts) in records {
         s.opaque_regions += facts.recovery_count;
         s.global_definitions += facts
@@ -297,7 +311,7 @@ pub fn unit_stats_from_facts(records: &[FactsRecord<'_>], graph: &CallGraph) -> 
                 s.multi_exit_functions += 1;
             }
             s.goto_count += f.metrics.goto_count;
-            if recursive.contains(&f.metrics.qualified_name) {
+            if recursive.binary_search(&f.metrics.qualified_name).is_ok() {
                 s.recursive_functions += 1;
             }
             s.maybe_uninit_reads += f.unit.maybe_uninit_reads;
@@ -986,7 +1000,8 @@ mod tests {
         for n in cx.graph.names() {
             assert_eq!(g.callees(n), cx.graph.callees(n), "callees of {n}");
         }
-        assert_eq!(global_names(&recs), cx.global_names);
+        let expected: HashSet<&str> = cx.global_names.iter().map(String::as_str).collect();
+        assert_eq!(global_names(&recs), expected);
     }
 
     #[test]
@@ -995,13 +1010,14 @@ mod tests {
         let cx = set.context();
         let facts = facts_of(&set);
         let recs = records(&facts);
+        let globals = global_names(&recs);
         for check in default_checks() {
             if check.scope() != CheckScope::Program {
                 continue;
             }
             let expected = check.run(&cx);
             let got = match check.id() {
-                "design-global-use" => global_use_diags(&recs, &cx.global_names),
+                "design-global-use" => global_use_diags(&recs, &globals),
                 other => panic!("unexpected program-scoped rule {other}"),
             };
             assert_eq!(got, expected, "rule {}", check.id());
@@ -1030,7 +1046,7 @@ mod tests {
         assert_eq!(
             UnitDesignStats {
                 implicit_conversions: reference.implicit_conversions,
-                ..unit_stats_from_facts(&recs, &cx.graph)
+                ..unit_stats_from_facts(&recs, &cx.graph.recursive_functions())
             },
             reference
         );

@@ -60,7 +60,7 @@ use adsafe_lang::{CallGraph, FileId, ParsedFile, SourceMap};
 use adsafe_metrics::{module_from_estimates, token_estimate, ModuleMetrics, TokenEstimate};
 use adsafe_pool::Pool;
 use adsafe_trace::TraceSummary;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -589,22 +589,25 @@ impl Assessment {
 
         // Query rules, evaluated from facts — fresh and cached files
         // alike, no reparse — in one pass per file that builds each
-        // selector's rows once and runs every non-gated rule over them.
-        // The pass runs on the caller thread: it is cheap (≈8 ms for the
-        // bundled pack over the paper-scale corpus), and one more round
-        // of scoped pool threads per run made the allocator open fresh
-        // arenas, raising a repeated cold run's peak RSS by ~100 MB.
-        // Query diagnostics join the report and the evidence, but never
-        // a facts record: they are recomputed every run.
+        // selector's borrowed rows once and runs every non-gated rule
+        // over them. The pass runs on the caller thread: it is cheap
+        // (≈6 ms for the bundled pack over the paper-scale corpus on a
+        // 2-vCPU VM), and one more round of scoped pool threads per run
+        // made the allocator open fresh arenas, raising a repeated cold
+        // run's peak RSS by ~100 MB. Query diagnostics join the report and
+        // the evidence, but never a facts record: they are recomputed
+        // every run. The recursive set comes from the run's one Tarjan
+        // pass and also feeds the Table 8 unit statistics.
         let query_span = adsafe_trace::span("phase.checks.query", "phase");
         let recursive = graph.recursive_functions();
-        let live: Vec<&adsafe_query::CompiledRule> =
-            query_rules.into_iter().filter(|r| !skipped.contains(r.id)).collect();
-        let mut per_rule = vec![0u64; live.len()];
+        let live = crate::query::QueryPass::new(
+            query_rules.into_iter().filter(|r| !skipped.contains(r.id)).collect(),
+        );
+        let mut per_rule = vec![0u64; live.rules().len()];
         let mut steps_total = 0u64;
         for l in &loaded {
             let module = &self.files[l.file_idx].module;
-            let outcomes = crate::query::eval_file(&live, l.id, module, &l.facts, &recursive);
+            let outcomes = live.eval_file(l.id, module, &l.facts, &recursive);
             for (qi, outcome) in outcomes.into_iter().enumerate() {
                 match outcome {
                     Ok((diags, steps)) => {
@@ -614,13 +617,13 @@ impl Assessment {
                     }
                     Err(msg) => {
                         let path = sm.file(l.id).path();
-                        log.push(check_fault(format!("{} on {}", live[qi].id, path), &msg))
+                        log.push(check_fault(format!("{} on {}", live.rules()[qi].id, path), &msg))
                     }
                 }
             }
         }
         adsafe_trace::counter("query.vm.steps").add(steps_total);
-        for (rule, n) in live.iter().zip(per_rule) {
+        for (rule, n) in live.rules().iter().zip(per_rule) {
             adsafe_trace::counter(&format!("checks.rule.{}.diags", rule.id)).add(n);
         }
         drop(query_span);
@@ -709,7 +712,7 @@ impl Assessment {
         let phase_span = adsafe_trace::span("phase.assess", "phase");
         let unit = catch_unwind(AssertUnwindSafe(|| {
             failpoints::hit("pipeline::assess");
-            facts::unit_stats_from_facts(&records, &graph)
+            facts::unit_stats_from_facts(&records, &recursive)
         }))
         .unwrap_or_else(|payload| {
             log.push(Fault {
@@ -795,12 +798,18 @@ impl Assessment {
     fn assemble_evidence(
         &self,
         records: &[FactsRecord<'_>],
-        graph: &CallGraph,
+        graph: &CallGraph<'_>,
         modules: &[ModuleMetrics],
         unit: &adsafe_checkers::UnitDesignStats,
         diagnostics: &[Diagnostic],
     ) -> Evidence {
-        let count = |id: &str| diagnostics.iter().filter(|d| d.check_id == id).count();
+        // Findings per rule id, in one pass over the list `run` sorted
+        // by rule id.
+        let per_rule: Vec<(&str, usize)> = diagnostics
+            .chunk_by(|a, b| a.check_id == b.check_id)
+            .map(|group| (group[0].check_id, group.len()))
+            .collect();
+        let count = |id: &str| per_rule.iter().find(|(r, _)| *r == id).map_or(0, |&(_, n)| n);
         let misra_ids = [
             "misra-15.1-goto",
             "misra-15.5-multi-exit",
@@ -846,17 +855,7 @@ impl Assessment {
         } else {
             modules.iter().map(|m| m.cohesion).sum::<f64>() / modules.len() as f64
         };
-        let module_of: HashMap<String, String> = records
-            .iter()
-            .flat_map(|(_, module, facts)| {
-                facts
-                    .functions
-                    .iter()
-                    .map(move |f| (f.metrics.qualified_name.clone(), module.to_string()))
-            })
-            .collect();
-        let coupling_edges: usize =
-            adsafe_metrics::coupling(graph, &module_of).values().sum();
+        let coupling_edges = facts::coupling_edges(records, graph);
         let total_functions: usize = modules.iter().map(|m| m.function_count()).sum();
         let mean_interface_params = if modules.is_empty() {
             0.0

@@ -19,9 +19,10 @@ use adsafe_lang::{FileId, Span};
 use adsafe_query::{
     CompiledRule, FileRow, FunctionRow, GlobalRow, PackFault, Row, RulePack, Selector,
 };
+use adsafe_trace::Histogram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The bundled pack ([`adsafe_query::BUILTIN_PACK`]), compiled once per
 /// process. Its rules run in every assessment, after the natives and
@@ -38,22 +39,24 @@ pub fn query_rules(user: Option<&RulePack>) -> impl Iterator<Item = &CompiledRul
 }
 
 /// Builds the rows `selector` ranges over for one file, from its facts
-/// record. `recursive` is the whole-program recursive-function set
-/// (qualified names) — only consulted by the `recursive` field.
-pub fn rows_from_facts(
+/// record. The rows borrow the record's strings. `recursive` is the
+/// whole-program recursive-function set (qualified names, sorted, as
+/// [`adsafe_lang::CallGraph::recursive_functions`] returns it) — only
+/// consulted by the `recursive` field.
+pub fn rows_from_facts<'a>(
     selector: Selector,
     id: FileId,
-    module: &str,
-    facts: &FileFacts,
+    module: &'a str,
+    facts: &'a FileFacts,
     recursive: &[String],
-) -> Vec<Row> {
+) -> Vec<Row<'a>> {
     match selector {
         Selector::Function => facts
             .functions
             .iter()
             .map(|f| {
                 let m = &f.metrics;
-                FunctionRow {
+                Row::Function(FunctionRow {
                     name: &m.name,
                     qualified: &m.qualified_name,
                     module,
@@ -76,27 +79,25 @@ pub fn rows_from_facts(
                     opaque_stmts: f.unit.opaque_stmts,
                     has_named_params: f.validation.has_named_params,
                     validates: f.validation.validates,
-                    recursive: recursive.contains(&m.qualified_name),
+                    recursive: recursive.binary_search(&m.qualified_name).is_ok(),
                     span: Span::new(id, f.sig_start, f.sig_end),
-                }
-                .into_row()
+                })
             })
             .collect(),
         Selector::Global => facts
             .globals
             .iter()
             .map(|g| {
-                GlobalRow {
+                Row::Global(GlobalRow {
                     name: &g.name,
                     module,
                     is_const: g.is_const,
                     is_extern: g.is_extern,
                     span: Span::new(id, 0, 0),
-                }
-                .into_row()
+                })
             })
             .collect(),
-        Selector::File => vec![FileRow {
+        Selector::File => vec![Row::File(FileRow {
             module,
             physical: facts.loc.physical,
             nloc: facts.loc.nloc,
@@ -107,8 +108,7 @@ pub fn rows_from_facts(
             functions: facts.functions.len(),
             globals: facts.globals.len(),
             span: Span::new(id, 0, 0),
-        }
-        .into_row()],
+        })],
     }
 }
 
@@ -116,40 +116,67 @@ pub fn rows_from_facts(
 /// the message of a contained panic.
 pub type RuleOutcome = Result<(Vec<Diagnostic>, u64), String>;
 
-/// Evaluates `rules` over one file's facts, in order, building each
-/// selector's rows at most once. `recursive` is the whole-program
-/// recursive-function set; typeck keeps file-scope rules from reading
-/// it, so one pass serves both scopes. Each rule runs under its own
-/// panic containment (failpoint `pipeline::query::<id>`), `check.<id>`
-/// span and `checks.query` timing.
-pub fn eval_file(
-    rules: &[&CompiledRule],
-    id: FileId,
-    module: &str,
-    facts: &FileFacts,
-    recursive: &[String],
-) -> Vec<RuleOutcome> {
-    let mut rows: [Option<Vec<Row>>; 3] = [None, None, None];
-    rules
-        .iter()
-        .map(|rule| {
-            let _sp = adsafe_trace::span(format!("check.{}", rule.id), "checks");
-            let t0 = adsafe_trace::now_us();
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                if failpoints::armed() > 0 {
-                    failpoints::hit(&format!("pipeline::query::{}", rule.id));
-                }
-                let rows = rows[rule.selector as usize].get_or_insert_with(|| {
-                    rows_from_facts(rule.selector, id, module, facts, recursive)
-                });
-                rule.eval_rows(rows)
-            }))
-            .map_err(|payload| panic_message(&*payload));
-            adsafe_trace::histogram(&adsafe_trace::labeled("checks.query", &[("rule", rule.id)]))
-                .record(adsafe_trace::now_us().saturating_sub(t0));
-            out
-        })
-        .collect()
+/// The query rules one run evaluates, each with its
+/// `checks.query{rule=…}` timing histogram resolved once for the run
+/// rather than once per file.
+pub struct QueryPass<'r> {
+    rules: Vec<&'r CompiledRule>,
+    timings: Vec<Arc<Histogram>>,
+}
+
+impl<'r> QueryPass<'r> {
+    /// Resolves the timing histogram of every rule in `rules`.
+    pub fn new(rules: Vec<&'r CompiledRule>) -> Self {
+        let timings = rules
+            .iter()
+            .map(|r| {
+                adsafe_trace::histogram(&adsafe_trace::labeled("checks.query", &[("rule", r.id)]))
+            })
+            .collect();
+        QueryPass { rules, timings }
+    }
+
+    /// The rules, in evaluation order.
+    pub fn rules(&self) -> &[&'r CompiledRule] {
+        &self.rules
+    }
+
+    /// Evaluates every rule over one file's facts, in order, building
+    /// each selector's rows at most once. `recursive` is the sorted
+    /// whole-program recursive-function set; typeck keeps file-scope
+    /// rules from reading it, so one pass serves both scopes. Each rule
+    /// runs under its own panic containment (failpoint
+    /// `pipeline::query::<id>`), `check.<id>` span and one
+    /// `checks.query` observation.
+    pub fn eval_file(
+        &self,
+        id: FileId,
+        module: &str,
+        facts: &FileFacts,
+        recursive: &[String],
+    ) -> Vec<RuleOutcome> {
+        let mut rows: [Option<Vec<Row<'_>>>; 3] = [None, None, None];
+        self.rules
+            .iter()
+            .zip(&self.timings)
+            .map(|(rule, timing)| {
+                let _sp = adsafe_trace::span(format!("check.{}", rule.id), "checks");
+                let t0 = adsafe_trace::now_us();
+                let out = catch_unwind(AssertUnwindSafe(|| {
+                    if failpoints::armed() > 0 {
+                        failpoints::hit(&format!("pipeline::query::{}", rule.id));
+                    }
+                    let rows = rows[rule.selector as usize].get_or_insert_with(|| {
+                        rows_from_facts(rule.selector, id, module, facts, recursive)
+                    });
+                    rule.eval_rows(rows)
+                }))
+                .map_err(|payload| panic_message(&*payload));
+                timing.record(adsafe_trace::now_us().saturating_sub(t0));
+                out
+            })
+            .collect()
+    }
 }
 
 /// One rule of the assessed set, as the rule inventory lists it.
@@ -295,13 +322,11 @@ int pick(int a) { if (a > 0) { return a; } return -a; }\n";
             .collect()
     }
 
-    fn demo_rows(selector: Selector) -> Vec<Row> {
+    fn demo_rows(selector: Selector) -> Vec<Row<'static>> {
         let mut set = AnalysisSet::new();
         set.add("demo", "demo/demo.cu", SRC);
-        facts_of(&set)
-            .iter()
-            .flat_map(|(id, m, f)| rows_from_facts(selector, *id, m, f, &[]))
-            .collect()
+        let facts: &'static [_] = facts_of(&set).leak();
+        facts.iter().flat_map(|(id, m, f)| rows_from_facts(selector, *id, m, f, &[])).collect()
     }
 
     /// Assesses one file `t.cc` and returns the report.
@@ -336,28 +361,28 @@ int pick(int a) { if (a > 0) { return a; } return -a; }\n";
         let rows = demo_rows(Selector::Function);
         let pick = rows
             .iter()
-            .find(|r| r.vals[0] == Value::Str("pick".into()))
+            .find(|r| r.get(0) == Some(Value::Str("pick")))
             .expect("pick present");
-        assert_eq!(pick.vals[7], Value::Int(2), "two returns");
-        assert_eq!(pick.vals[8], Value::Bool(true), "multi-exit");
-        assert_eq!(pick.function.as_deref(), Some("pick"));
-        assert!(pick.span.start < pick.span.end, "anchored at the signature");
+        assert_eq!(pick.get(7), Some(Value::Int(2)), "two returns");
+        assert_eq!(pick.get(8), Some(Value::Bool(true)), "multi-exit");
+        assert_eq!(pick.function(), Some("pick"));
+        assert!(pick.span().start < pick.span().end, "anchored at the signature");
         let kern = rows
             .iter()
-            .find(|r| r.vals[0] == Value::Str("kern".into()))
+            .find(|r| r.get(0) == Some(Value::Str("kern")))
             .expect("kernel present");
-        assert_eq!(kern.vals[12], Value::Bool(true), "is_kernel");
-        assert_eq!(kern.vals[13], Value::Int(2), "ptr_params");
+        assert_eq!(kern.get(12), Some(Value::Bool(true)), "is_kernel");
+        assert_eq!(kern.get(13), Some(Value::Int(2)), "ptr_params");
     }
 
     #[test]
     fn global_rows_see_constness() {
         let rows = demo_rows(Selector::Global);
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].vals[0], Value::Str("kMax".into()));
-        assert_eq!(rows[0].vals[2], Value::Bool(true));
-        assert_eq!(rows[1].vals[2], Value::Bool(false));
-        assert!(rows.iter().all(|r| r.function.is_none()));
+        assert_eq!(rows[0].get(0), Some(Value::Str("kMax")));
+        assert_eq!(rows[0].get(2), Some(Value::Bool(true)));
+        assert_eq!(rows[1].get(2), Some(Value::Bool(false)));
+        assert!(rows.iter().all(|r| r.function().is_none()));
     }
 
     #[test]
@@ -369,8 +394,8 @@ int pick(int a) { if (a > 0) { return a; } return -a; }\n";
         let hot =
             rows_from_facts(Selector::Function, id, &module, &facts, &["odd".to_string()]);
         let idx = adsafe_query::schema::lookup(Selector::Function, "recursive").unwrap().0;
-        assert_eq!(cold[0].vals[idx as usize], Value::Bool(false));
-        assert_eq!(hot[0].vals[idx as usize], Value::Bool(true));
+        assert_eq!(cold[0].get(idx), Some(Value::Bool(false)));
+        assert_eq!(hot[0].get(idx), Some(Value::Bool(true)));
     }
 
     #[test]
@@ -470,8 +495,8 @@ int pick(int a) { if (a > 0) { return a; } return -a; }\n";
         let mut set = AnalysisSet::new();
         set.add("m", "m/a.cc", "int g(int x) { if (x) return 1; return 0; }\nint h() { return 7; }\n");
         let (id, module, facts) = facts_of(&set).remove(0);
-        let rules: Vec<&CompiledRule> = bundled_rules().rules.iter().collect();
-        let out = eval_file(&rules, id, &module, &facts, &["g".to_string()]);
+        let pass = QueryPass::new(bundled_rules().rules.iter().collect());
+        let out = pass.eval_file(id, &module, &facts, &["g".to_string()]);
         let diags: Vec<Vec<Diagnostic>> = out.into_iter().map(|o| o.unwrap().0).collect();
         let counts: Vec<usize> = diags.iter().map(Vec::len).collect();
         assert_eq!(counts, [1, 1, 0, 0, 0], "multi-exit and recursion fire on `g` only");

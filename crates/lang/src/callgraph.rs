@@ -1,51 +1,66 @@
 //! Name-based call graph over a set of translation units, with Tarjan SCC
 //! computation for recursion detection (ISO 26262-6 Table 8 row 10 / MISRA
 //! C:2012 rule 17.2).
+//!
+//! Nodes are indices whose names borrow from what the graph was built
+//! over (the ASTs, or cached facts records), so building a graph copies
+//! no string; edges are sorted, deduplicated index lists.
 
 use crate::ast::{ExprKind, FunctionDef, TranslationUnit};
 use crate::visit::walk_exprs;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Raw callee names of one function, in expression-walk order with
 /// duplicates preserved. This is the per-function input [`CallGraph`]
 /// resolution consumes; callers that cache per-file analysis results
 /// persist exactly this list so [`CallGraph::from_functions`] can
 /// replay graph construction without re-parsing.
-pub fn callee_names(f: &FunctionDef) -> Vec<String> {
-    let mut callees: Vec<String> = Vec::new();
+pub fn callee_names(f: &FunctionDef) -> Vec<&str> {
+    let mut callees = Vec::new();
     walk_exprs(f, |e| {
         if matches!(e.kind, ExprKind::Call { .. } | ExprKind::KernelLaunch { .. }) {
             if let Some(name) = e.callee_name() {
-                callees.push(name.to_string());
+                callees.push(name);
             }
         }
     });
     callees
 }
 
-/// A call graph: nodes are function names, edges are direct calls.
-#[derive(Debug, Default, Clone)]
-pub struct CallGraph {
-    names: Vec<String>,
-    index: HashMap<String, usize>,
-    edges: Vec<HashSet<usize>>,
-    /// Calls to functions not defined in the analysed units (externals).
-    external_calls: HashMap<String, usize>,
+/// The unqualified tail of a (possibly `::`-qualified) name.
+fn simple(name: &str) -> &str {
+    name.rsplit("::").next().unwrap_or(name)
 }
 
-impl CallGraph {
+/// A call graph: nodes are function names, edges are direct calls.
+#[derive(Debug, Default, Clone)]
+pub struct CallGraph<'a> {
+    names: Vec<&'a str>,
+    index: HashMap<&'a str, usize>,
+    /// Node of each definition, in definition order (a name defined
+    /// twice maps both definitions to its first node).
+    def_nodes: Vec<usize>,
+    /// Node `i`'s callees are `targets[offsets[i]..offsets[i + 1]]`,
+    /// sorted and deduplicated.
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
+    /// Calls to functions not defined in the analysed units (externals).
+    external_calls: HashMap<&'a str, usize>,
+}
+
+impl<'a> CallGraph<'a> {
     /// Builds a call graph over the given translation units.
     ///
     /// Resolution is by unqualified name: `ns::f` defines both `ns::f` and
     /// `f` as candidate targets, matching how a linker-less static analysis
     /// has to operate.
-    pub fn build(units: &[&TranslationUnit]) -> Self {
-        let defs: Vec<(String, Vec<String>)> = units
+    pub fn build(units: &[&'a TranslationUnit]) -> Self {
+        let defs: Vec<(&'a str, Vec<&'a str>)> = units
             .iter()
-            .flat_map(|u| u.functions())
-            .map(|f| (f.sig.qualified_name.clone(), callee_names(f)))
+            .flat_map(|&u| u.functions())
+            .map(|f| (f.sig.qualified_name.as_str(), callee_names(f)))
             .collect();
-        Self::from_functions(&defs)
+        Self::from_functions(defs.iter().map(|(name, callees)| (*name, callees.iter().copied())))
     }
 
     /// Builds a call graph from per-function `(qualified_name, raw
@@ -53,43 +68,58 @@ impl CallGraph {
     /// performs on freshly parsed units. Entries must appear in unit /
     /// definition order with callees as produced by [`callee_names`];
     /// the incremental pipeline feeds this from cached per-file facts.
-    pub fn from_functions(defs: &[(String, Vec<String>)]) -> Self {
+    /// `defs` is walked twice, so its iterator must be cheap to clone.
+    ///
+    /// [`build`]: CallGraph::build
+    pub fn from_functions<I, C>(defs: I) -> Self
+    where
+        I: IntoIterator<Item = (&'a str, C)>,
+        I::IntoIter: Clone,
+        C: IntoIterator<Item = &'a str>,
+    {
+        let defs = defs.into_iter();
         let mut g = CallGraph::default();
-        // Pass 1: nodes.
-        for (qualified_name, _) in defs {
-            g.intern(qualified_name);
+        // Pass 1: nodes, in first-definition order.
+        for (name, _) in defs.clone() {
+            let next = g.names.len();
+            let node = *g.index.entry(name).or_insert(next);
+            if node == next {
+                g.names.push(name);
+            }
+            g.def_nodes.push(node);
         }
-        let mut by_simple: HashMap<String, Vec<usize>> = HashMap::new();
-        for (i, name) in g.names.iter().enumerate() {
-            let simple = name.rsplit("::").next().unwrap_or(name).to_string();
-            by_simple.entry(simple).or_default().push(i);
-        }
-        // Pass 2: edges.
-        for (qualified_name, callees) in defs {
-            let from = g.index[qualified_name];
+        // Pass 2: the nodes each distinct callee tail resolves to. Only
+        // called tails get an entry, so most nodes cost one lookup.
+        let mut by_simple: HashMap<&'a str, Vec<usize>> = HashMap::new();
+        let mut calls: Vec<(usize, &'a str)> = Vec::new();
+        for (&from, (_, callees)) in g.def_nodes.iter().zip(defs) {
             for callee in callees {
-                let simple = callee.rsplit("::").next().unwrap_or(callee);
-                if let Some(targets) = by_simple.get(simple) {
-                    for &t in targets {
-                        g.edges[from].insert(t);
-                    }
-                } else {
-                    *g.external_calls.entry(callee.clone()).or_insert(0) += 1;
+                by_simple.entry(simple(callee)).or_default();
+                calls.push((from, callee));
+            }
+        }
+        if !by_simple.is_empty() {
+            for (i, name) in g.names.iter().enumerate() {
+                if let Some(targets) = by_simple.get_mut(simple(name)) {
+                    targets.push(i);
                 }
             }
         }
-        g
-    }
-
-    fn intern(&mut self, name: &str) -> usize {
-        if let Some(&i) = self.index.get(name) {
-            return i;
+        // Pass 3: edges, as one sorted, deduplicated pair list.
+        let mut edges: Vec<(usize, usize)> = Vec::new();
+        for (from, callee) in calls {
+            let targets = &by_simple[simple(callee)];
+            if targets.is_empty() {
+                *g.external_calls.entry(callee).or_insert(0) += 1;
+            }
+            edges.extend(targets.iter().map(|&t| (from, t)));
         }
-        let i = self.names.len();
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), i);
-        self.edges.push(HashSet::new());
-        i
+        edges.sort_unstable();
+        edges.dedup();
+        g.offsets =
+            (0..=g.names.len()).map(|i| edges.partition_point(|&(from, _)| from < i)).collect();
+        g.targets = edges.into_iter().map(|(_, t)| t).collect();
+        g
     }
 
     /// Number of function nodes.
@@ -103,128 +133,93 @@ impl CallGraph {
     }
 
     /// Function names in insertion order.
-    pub fn names(&self) -> &[String] {
+    pub fn names(&self) -> &[&'a str] {
         &self.names
     }
 
+    /// Node of each definition [`from_functions`] was given, in order.
+    ///
+    /// [`from_functions`]: CallGraph::from_functions
+    pub fn def_nodes(&self) -> &[usize] {
+        &self.def_nodes
+    }
+
+    /// Node `i`'s direct callees, as sorted node indices.
+    pub fn successors(&self, i: usize) -> &[usize] {
+        &self.targets[self.offsets[i]..self.offsets[i + 1]]
+    }
+
     /// Direct callees of `name` (qualified), if the node exists.
-    pub fn callees(&self, name: &str) -> Option<Vec<&str>> {
+    pub fn callees(&self, name: &str) -> Option<Vec<&'a str>> {
         let i = *self.index.get(name)?;
-        let mut v: Vec<&str> = self.edges[i].iter().map(|&j| self.names[j].as_str()).collect();
+        let mut v: Vec<&str> = self.successors(i).iter().map(|&j| self.names[j]).collect();
         v.sort_unstable();
         Some(v)
     }
 
-    /// Number of distinct callers of each function (fan-in), by name.
-    pub fn fan_in(&self) -> HashMap<String, usize> {
-        let mut counts: HashMap<String, usize> = self.names.iter().map(|n| (n.clone(), 0)).collect();
-        for targets in &self.edges {
-            for &t in targets {
-                *counts.get_mut(&self.names[t]).expect("interned") += 1;
-            }
-        }
-        counts
-    }
-
-    /// Number of distinct callees of each function (fan-out), by name.
-    pub fn fan_out(&self) -> HashMap<String, usize> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), self.edges[i].len()))
-            .collect()
-    }
-
     /// Calls whose target is not defined in the analysed units, with counts.
-    pub fn external_calls(&self) -> &HashMap<String, usize> {
+    pub fn external_calls(&self) -> &HashMap<&'a str, usize> {
         &self.external_calls
     }
 
     /// Names of all functions that participate in recursion: members of a
     /// non-trivial strongly connected component, or direct self-callers.
+    /// Sorted. One iterative Tarjan pass (no stack overflow on deep
+    /// graphs), with no allocation per component.
     pub fn recursive_functions(&self) -> Vec<String> {
-        let sccs = self.tarjan_sccs();
+        let n = self.len();
+        let mut order = vec![usize::MAX; n];
+        let mut lowlink = vec![0usize; n];
+        let mut on_stack = vec![false; n];
+        let mut stack: Vec<usize> = Vec::new();
+        // DFS frames: (node, position of its next edge in `targets`).
+        let mut frames: Vec<(usize, usize)> = Vec::new();
+        let mut visited = 0usize;
         let mut out = Vec::new();
-        for scc in sccs {
-            if scc.len() > 1 {
-                for i in scc {
-                    out.push(self.names[i].clone());
+        for start in 0..n {
+            // A node without callees is in no cycle, and starting a
+            // search there discovers nothing.
+            if order[start] != usize::MAX || self.successors(start).is_empty() {
+                continue;
+            }
+            frames.push((start, self.offsets[start]));
+            while let Some(&mut (v, ref mut ei)) = frames.last_mut() {
+                if order[v] == usize::MAX {
+                    order[v] = visited;
+                    lowlink[v] = visited;
+                    visited += 1;
+                    stack.push(v);
+                    on_stack[v] = true;
                 }
-            } else {
-                let i = scc[0];
-                if self.edges[i].contains(&i) {
-                    out.push(self.names[i].clone());
+                if *ei < self.offsets[v + 1] {
+                    let w = self.targets[*ei];
+                    *ei += 1;
+                    if order[w] == usize::MAX {
+                        frames.push((w, self.offsets[w]));
+                    } else if on_stack[w] {
+                        lowlink[v] = lowlink[v].min(order[w]);
+                    }
+                    continue;
+                }
+                frames.pop();
+                if let Some(&mut (parent, _)) = frames.last_mut() {
+                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
+                }
+                if lowlink[v] == order[v] {
+                    let root = stack.iter().rposition(|&w| w == v).expect("stack invariant");
+                    let scc = &stack[root..];
+                    if scc.len() > 1 || self.successors(v).binary_search(&v).is_ok() {
+                        out.extend(scc.iter().map(|&w| self.names[w].to_string()));
+                    }
+                    for &w in scc {
+                        on_stack[w] = false;
+                    }
+                    stack.truncate(root);
                 }
             }
         }
         out.sort_unstable();
         out
-    }
-
-    /// Strongly connected components (Tarjan, iterative to avoid stack
-    /// overflow on deep graphs). Each SCC is a vector of node indices.
-    fn tarjan_sccs(&self) -> Vec<Vec<usize>> {
-        let n = self.len();
-        let mut index_counter = 0usize;
-        let mut indices = vec![usize::MAX; n];
-        let mut lowlink = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut sccs: Vec<Vec<usize>> = Vec::new();
-
-        // Iterative DFS frames: (node, iterator position over sorted edges).
-        let sorted_edges: Vec<Vec<usize>> = self
-            .edges
-            .iter()
-            .map(|s| {
-                let mut v: Vec<usize> = s.iter().copied().collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
-
-        for start in 0..n {
-            if indices[start] != usize::MAX {
-                continue;
-            }
-            let mut frames: Vec<(usize, usize)> = vec![(start, 0)];
-            while let Some(&mut (v, ref mut ei)) = frames.last_mut() {
-                if *ei == 0 {
-                    indices[v] = index_counter;
-                    lowlink[v] = index_counter;
-                    index_counter += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                }
-                if *ei < sorted_edges[v].len() {
-                    let w = sorted_edges[v][*ei];
-                    *ei += 1;
-                    if indices[w] == usize::MAX {
-                        frames.push((w, 0));
-                    } else if on_stack[w] {
-                        lowlink[v] = lowlink[v].min(indices[w]);
-                    }
-                } else {
-                    frames.pop();
-                    if let Some(&mut (parent, _)) = frames.last_mut() {
-                        lowlink[parent] = lowlink[parent].min(lowlink[v]);
-                    }
-                    if lowlink[v] == indices[v] {
-                        let mut scc = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("stack invariant");
-                            on_stack[w] = false;
-                            scc.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        sccs.push(scc);
-                    }
-                }
-            }
-        }
-        sccs
     }
 }
 
@@ -234,12 +229,13 @@ mod tests {
     use crate::parser::parse_source;
     use crate::source::FileId;
 
-    fn graph(srcs: &[&str]) -> CallGraph {
-        let parsed: Vec<_> = srcs
+    fn graph(srcs: &[&str]) -> CallGraph<'static> {
+        let parsed = srcs
             .iter()
             .enumerate()
             .map(|(i, s)| parse_source(FileId(i as u32), s))
-            .collect();
+            .collect::<Vec<_>>()
+            .leak();
         let units: Vec<&TranslationUnit> = parsed.iter().map(|p| &p.unit).collect();
         CallGraph::build(&units)
     }
@@ -267,16 +263,6 @@ mod tests {
         let g = graph(&["int a() { return 1; } int b() { return a(); } int c() { return b(); }"]);
         assert!(g.recursive_functions().is_empty());
         assert_eq!(g.len(), 3);
-    }
-
-    #[test]
-    fn fan_in_out() {
-        let g = graph(&["void leaf() {} void m() { leaf(); } void n() { leaf(); m(); }"]);
-        let fi = g.fan_in();
-        let fo = g.fan_out();
-        assert_eq!(fi["leaf"], 2);
-        assert_eq!(fo["n"], 2);
-        assert_eq!(fo["leaf"], 0);
     }
 
     #[test]
@@ -326,9 +312,14 @@ mod tests {
         let defs: Vec<(String, Vec<String>)> = units
             .iter()
             .flat_map(|u| u.functions())
-            .map(|f| (f.sig.qualified_name.clone(), callee_names(f)))
+            .map(|f| {
+                let callees = callee_names(f).into_iter().map(str::to_string).collect();
+                (f.sig.qualified_name.clone(), callees)
+            })
             .collect();
-        let replayed = CallGraph::from_functions(&defs);
+        let replayed = CallGraph::from_functions(
+            defs.iter().map(|(name, callees)| (name.as_str(), callees.iter().map(String::as_str))),
+        );
         assert_eq!(built.names(), replayed.names());
         assert_eq!(built.external_calls(), replayed.external_calls());
         assert_eq!(built.recursive_functions(), replayed.recursive_functions());

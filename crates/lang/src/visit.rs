@@ -9,26 +9,26 @@ use crate::ast::*;
 /// Pre-order AST visitor. Default implementations recurse into children;
 /// override the hooks you care about and call the `walk_*` free functions
 /// to continue recursion (or don't, to prune).
-pub trait Visitor {
+pub trait Visitor<'ast> {
     /// Called for every declaration.
-    fn visit_decl(&mut self, decl: &Decl) {
+    fn visit_decl(&mut self, decl: &'ast Decl) {
         walk_decl(self, decl);
     }
     /// Called for every function definition (including methods).
-    fn visit_function(&mut self, func: &FunctionDef) {
+    fn visit_function(&mut self, func: &'ast FunctionDef) {
         walk_function(self, func);
     }
     /// Called for every statement.
-    fn visit_stmt(&mut self, stmt: &Stmt) {
+    fn visit_stmt(&mut self, stmt: &'ast Stmt) {
         walk_stmt(self, stmt);
     }
     /// Called for every expression.
-    fn visit_expr(&mut self, expr: &Expr) {
+    fn visit_expr(&mut self, expr: &'ast Expr) {
         walk_expr(self, expr);
     }
     /// Called for every variable declaration (global, local, field, param
     /// declarations are *not* included — visit the function signature).
-    fn visit_var(&mut self, var: &VarDecl) {
+    fn visit_var(&mut self, var: &'ast VarDecl) {
         if let Some(init) = &var.init {
             self.visit_expr(init);
         }
@@ -36,7 +36,7 @@ pub trait Visitor {
 }
 
 /// Recurses into the children of `decl`.
-pub fn walk_decl<V: Visitor + ?Sized>(v: &mut V, decl: &Decl) {
+pub fn walk_decl<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, decl: &'ast Decl) {
     match decl {
         Decl::Function(f) => v.visit_function(f),
         Decl::Var(var) => v.visit_var(var),
@@ -59,14 +59,14 @@ pub fn walk_decl<V: Visitor + ?Sized>(v: &mut V, decl: &Decl) {
 }
 
 /// Recurses into the body of `func`.
-pub fn walk_function<V: Visitor + ?Sized>(v: &mut V, func: &FunctionDef) {
+pub fn walk_function<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, func: &'ast FunctionDef) {
     for s in &func.body.stmts {
         v.visit_stmt(s);
     }
 }
 
 /// Recurses into the children of `stmt`.
-pub fn walk_stmt<V: Visitor + ?Sized>(v: &mut V, stmt: &Stmt) {
+pub fn walk_stmt<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, stmt: &'ast Stmt) {
     match &stmt.kind {
         StmtKind::Expr(e) => v.visit_expr(e),
         StmtKind::Decl(vars) => {
@@ -136,7 +136,7 @@ pub fn walk_stmt<V: Visitor + ?Sized>(v: &mut V, stmt: &Stmt) {
 }
 
 /// Recurses into the children of `expr`.
-pub fn walk_expr<V: Visitor + ?Sized>(v: &mut V, expr: &Expr) {
+pub fn walk_expr<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, expr: &'ast Expr) {
     match &expr.kind {
         ExprKind::Unary { expr: e, .. } => v.visit_expr(e),
         ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
@@ -198,12 +198,12 @@ pub fn walk_expr<V: Visitor + ?Sized>(v: &mut V, expr: &Expr) {
 }
 
 /// Applies `f` to every expression reachable from `func`'s body (pre-order).
-pub fn walk_exprs(func: &FunctionDef, mut f: impl FnMut(&Expr)) {
-    struct W<'a, F: FnMut(&Expr)> {
+pub fn walk_exprs<'ast>(func: &'ast FunctionDef, mut f: impl FnMut(&'ast Expr)) {
+    struct W<'a, F> {
         f: &'a mut F,
     }
-    impl<F: FnMut(&Expr)> Visitor for W<'_, F> {
-        fn visit_expr(&mut self, expr: &Expr) {
+    impl<'ast, F: FnMut(&'ast Expr)> Visitor<'ast> for W<'_, F> {
+        fn visit_expr(&mut self, expr: &'ast Expr) {
             (self.f)(expr);
             walk_expr(self, expr);
         }
@@ -213,12 +213,12 @@ pub fn walk_exprs(func: &FunctionDef, mut f: impl FnMut(&Expr)) {
 }
 
 /// Applies `f` to every statement reachable from `func`'s body (pre-order).
-pub fn walk_stmts(func: &FunctionDef, mut f: impl FnMut(&Stmt)) {
-    struct W<'a, F: FnMut(&Stmt)> {
+pub fn walk_stmts<'ast>(func: &'ast FunctionDef, mut f: impl FnMut(&'ast Stmt)) {
+    struct W<'a, F> {
         f: &'a mut F,
     }
-    impl<F: FnMut(&Stmt)> Visitor for W<'_, F> {
-        fn visit_stmt(&mut self, stmt: &Stmt) {
+    impl<'ast, F: FnMut(&'ast Stmt)> Visitor<'ast> for W<'_, F> {
+        fn visit_stmt(&mut self, stmt: &'ast Stmt) {
             (self.f)(stmt);
             walk_stmt(self, stmt);
         }
@@ -259,7 +259,7 @@ mod tests {
         struct CountTop {
             n: usize,
         }
-        impl Visitor for CountTop {
+        impl Visitor<'_> for CountTop {
             fn visit_stmt(&mut self, _s: &Stmt) {
                 self.n += 1;
                 // no recursion

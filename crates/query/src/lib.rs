@@ -45,9 +45,9 @@ pub mod vm;
 pub use ast::{RuleDecl, Selector, SeverityKw};
 pub use bytecode::Program;
 pub use parser::{parse_pack, ParseError};
-pub use rows::{FileRow, FunctionRow, GlobalRow};
+pub use rows::{FileRow, FunctionRow, GlobalRow, Row};
 pub use rule::{intern_static, CompiledRule, PackFault, RulePack, BUILTIN_PACK};
-pub use vm::{Row, Value};
+pub use vm::Value;
 
 /// Pretty-prints a pack of rule declarations in canonical form.
 pub use ast::pretty_pack;

@@ -3,13 +3,16 @@
 //!
 //! The only row builder, `rows_from_facts` in `adsafe-core`, fills the
 //! named-field structs below from cached-or-fresh `FileFacts` records,
-//! so query rules cover cached files without reparsing. Field order is
-//! fixed by `into_row`, and [`layout_matches_schema`] pins it against
-//! the schema tables.
+//! so query rules cover cached files without reparsing. A row is a
+//! borrowed view: its strings point into the facts record, and the VM
+//! reads one field at a time by schema position through the structs'
+//! `get`, so building a row copies no string and lays out no column.
+//! [`layout_matches_schema`] pins the `get` order against the schema
+//! tables.
 
 use crate::ast::Selector;
 use crate::schema::{self, Ty};
-use crate::vm::{Row, Value};
+use crate::vm::Value;
 use adsafe_lang::Span;
 
 /// One `function` row, by name. See [`crate::schema::FUNCTION_FIELDS`].
@@ -65,39 +68,36 @@ pub struct FunctionRow<'a> {
     pub span: Span,
 }
 
-impl FunctionRow<'_> {
-    /// Lays the fields out in schema order.
-    pub fn into_row(self) -> Row {
-        let function = Some(self.qualified.to_string());
-        Row {
-            vals: vec![
-                Value::Str(self.name.to_string()),
-                Value::Str(self.qualified.to_string()),
-                Value::Str(self.module.to_string()),
-                Value::Int(i64::from(self.cc)),
-                Value::Int(self.nloc as i64),
-                Value::Int(self.params as i64),
-                Value::Int(self.nesting as i64),
-                Value::Int(self.returns as i64),
-                Value::Bool(self.multi_exit),
-                Value::Int(self.gotos as i64),
-                Value::Int(self.stmts as i64),
-                Value::Bool(self.is_gpu),
-                Value::Bool(self.is_kernel),
-                Value::Int(self.ptr_params as i64),
-                Value::Int(self.alloc_calls as i64),
-                Value::Int(self.uninit_reads as i64),
-                Value::Int(self.shadowed as i64),
-                Value::Int(self.pointer_uses as i64),
-                Value::Int(self.alloc_sites as i64),
-                Value::Int(self.opaque_stmts as i64),
-                Value::Bool(self.has_named_params),
-                Value::Bool(self.validates),
-                Value::Bool(self.recursive),
-            ],
-            span: self.span,
-            function,
-        }
+impl<'a> FunctionRow<'a> {
+    /// The field at schema position `idx` ([`schema::FUNCTION_FIELDS`]).
+    pub fn get(&self, idx: u16) -> Option<Value<'a>> {
+        use Value::{Bool, Int, Str};
+        Some(match idx {
+            0 => Str(self.name),
+            1 => Str(self.qualified),
+            2 => Str(self.module),
+            3 => Int(i64::from(self.cc)),
+            4 => Int(self.nloc as i64),
+            5 => Int(self.params as i64),
+            6 => Int(self.nesting as i64),
+            7 => Int(self.returns as i64),
+            8 => Bool(self.multi_exit),
+            9 => Int(self.gotos as i64),
+            10 => Int(self.stmts as i64),
+            11 => Bool(self.is_gpu),
+            12 => Bool(self.is_kernel),
+            13 => Int(self.ptr_params as i64),
+            14 => Int(self.alloc_calls as i64),
+            15 => Int(self.uninit_reads as i64),
+            16 => Int(self.shadowed as i64),
+            17 => Int(self.pointer_uses as i64),
+            18 => Int(self.alloc_sites as i64),
+            19 => Int(self.opaque_stmts as i64),
+            20 => Bool(self.has_named_params),
+            21 => Bool(self.validates),
+            22 => Bool(self.recursive),
+            _ => return None,
+        })
     }
 }
 
@@ -116,19 +116,17 @@ pub struct GlobalRow<'a> {
     pub span: Span,
 }
 
-impl GlobalRow<'_> {
-    /// Lays the fields out in schema order.
-    pub fn into_row(self) -> Row {
-        Row {
-            vals: vec![
-                Value::Str(self.name.to_string()),
-                Value::Str(self.module.to_string()),
-                Value::Bool(self.is_const),
-                Value::Bool(self.is_extern),
-            ],
-            span: self.span,
-            function: None,
-        }
+impl<'a> GlobalRow<'a> {
+    /// The field at schema position `idx` ([`schema::GLOBAL_FIELDS`]).
+    pub fn get(&self, idx: u16) -> Option<Value<'a>> {
+        use Value::{Bool, Str};
+        Some(match idx {
+            0 => Str(self.name),
+            1 => Str(self.module),
+            2 => Bool(self.is_const),
+            3 => Bool(self.is_extern),
+            _ => return None,
+        })
     }
 }
 
@@ -157,48 +155,93 @@ pub struct FileRow<'a> {
     pub span: Span,
 }
 
-impl FileRow<'_> {
-    /// Lays the fields out in schema order.
-    pub fn into_row(self) -> Row {
-        Row {
-            vals: vec![
-                Value::Str(self.module.to_string()),
-                Value::Int(self.physical as i64),
-                Value::Int(self.nloc as i64),
-                Value::Int(self.comment as i64),
-                Value::Int(self.blank as i64),
-                Value::Int(self.directive as i64),
-                Value::Int(self.recovery as i64),
-                Value::Int(self.functions as i64),
-                Value::Int(self.globals as i64),
-            ],
-            span: self.span,
-            function: None,
+impl<'a> FileRow<'a> {
+    /// The field at schema position `idx` ([`schema::FILE_FIELDS`]).
+    pub fn get(&self, idx: u16) -> Option<Value<'a>> {
+        use Value::{Int, Str};
+        Some(match idx {
+            0 => Str(self.module),
+            1 => Int(self.physical as i64),
+            2 => Int(self.nloc as i64),
+            3 => Int(self.comment as i64),
+            4 => Int(self.blank as i64),
+            5 => Int(self.directive as i64),
+            6 => Int(self.recovery as i64),
+            7 => Int(self.functions as i64),
+            8 => Int(self.globals as i64),
+            _ => return None,
+        })
+    }
+}
+
+/// One row a query ranges over: a borrowed view of one function,
+/// global or file, plus its diagnostic anchors.
+#[derive(Debug, Clone)]
+pub enum Row<'a> {
+    /// A `function` row.
+    Function(FunctionRow<'a>),
+    /// A `global` row.
+    Global(GlobalRow<'a>),
+    /// A `file` row.
+    File(FileRow<'a>),
+}
+
+impl<'a> Row<'a> {
+    /// The field at schema position `idx` for the row's selector, or
+    /// `None` past the end of the schema.
+    pub fn get(&self, idx: u16) -> Option<Value<'a>> {
+        match self {
+            Row::Function(r) => r.get(idx),
+            Row::Global(r) => r.get(idx),
+            Row::File(r) => r.get(idx),
+        }
+    }
+
+    /// Where a diagnostic on this row points.
+    pub fn span(&self) -> Span {
+        match self {
+            Row::Function(r) => r.span,
+            Row::Global(r) => r.span,
+            Row::File(r) => r.span,
+        }
+    }
+
+    /// Qualified function name for `Diagnostic::in_function`, if any.
+    pub fn function(&self) -> Option<&'a str> {
+        match self {
+            Row::Function(r) => Some(r.qualified),
+            Row::Global(_) | Row::File(_) => None,
         }
     }
 }
 
-/// Pins row layout against the schema tables: every builder emits
-/// exactly the declared fields, in order, with the declared types.
-pub fn layout_matches_schema(selector: Selector, row: &Row) -> Result<(), String> {
+/// Pins row layout against the schema tables: `row.get` yields exactly
+/// the declared fields of `selector`, in order, with the declared types.
+pub fn layout_matches_schema(selector: Selector, row: &Row<'_>) -> Result<(), String> {
     let fields = schema::fields(selector);
-    if row.vals.len() != fields.len() {
-        return Err(format!(
-            "{} row has {} values, schema declares {}",
-            selector.keyword(),
-            row.vals.len(),
-            fields.len()
-        ));
-    }
-    for (i, ((name, ty), val)) in fields.iter().zip(&row.vals).enumerate() {
-        let actual = match val {
-            Value::Int(_) => Ty::Int,
-            Value::Bool(_) => Ty::Bool,
-            Value::Str(_) => Ty::Str,
+    for (i, (name, ty)) in fields.iter().enumerate() {
+        let actual = match row.get(i as u16) {
+            Some(Value::Int(_)) => Ty::Int,
+            Some(Value::Bool(_)) => Ty::Bool,
+            Some(Value::Str(_)) => Ty::Str,
+            None => {
+                return Err(format!(
+                    "{} row has {i} values, schema declares {}",
+                    selector.keyword(),
+                    fields.len()
+                ))
+            }
         };
         if actual != *ty {
             return Err(format!("field {i} `{name}`: schema says {ty}, row holds {actual}"));
         }
     }
-    Ok(())
+    match row.get(fields.len() as u16) {
+        Some(_) => Err(format!(
+            "{} row has more values than the {} the schema declares",
+            selector.keyword(),
+            fields.len()
+        )),
+        None => Ok(()),
+    }
 }

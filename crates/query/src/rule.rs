@@ -13,7 +13,8 @@ use crate::bytecode::Program;
 use crate::compile::compile_predicate;
 use crate::parser::parse_pack;
 use crate::typeck::{self, TemplatePart};
-use crate::vm::{self, Row};
+use crate::rows::Row;
+use crate::vm;
 use adsafe_checkers::{CheckScope, Diagnostic, Severity};
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
@@ -94,14 +95,14 @@ impl CompiledRule {
 
     /// Evaluates the rule over `rows`, returning matching diagnostics
     /// (row order) and the number of VM instructions executed.
-    pub fn eval_rows(&self, rows: &[Row]) -> (Vec<Diagnostic>, u64) {
+    pub fn eval_rows(&self, rows: &[Row<'_>]) -> (Vec<Diagnostic>, u64) {
         let mut steps = 0u64;
         let mut out = Vec::new();
         for row in rows {
             if vm::eval(&self.program, row, &mut steps) {
                 let msg = vm::render_template(&self.template, row);
-                let mut d = Diagnostic::new(self.id, self.severity, row.span, msg);
-                if let Some(f) = &row.function {
+                let mut d = Diagnostic::new(self.id, self.severity, row.span(), msg);
+                if let Some(f) = row.function() {
                     d = d.in_function(f);
                 }
                 out.push(d);

@@ -1,9 +1,9 @@
 //! The query language's type universe: the typed field schema each
 //! selector exposes, mirroring `FileFacts` in `adsafe-core`.
 //!
-//! Field order here *is* the row layout: [`crate::vm::Row`] values are
-//! indexed by position in these tables, and the row builders in
-//! [`crate::rows`] fill them in exactly this order (pinned by a test).
+//! Field order here *is* the row layout: [`crate::rows::Row::get`]
+//! reads fields by position in these tables, and the row structs in
+//! [`crate::rows`] answer in exactly this order (pinned by a test).
 //! Adding a field means extending the matching builder struct, which
 //! makes a missed site a compile error, not a silent misalignment.
 

@@ -9,67 +9,55 @@
 //! file's diagnostics.
 
 use crate::bytecode::{Op, Program};
+use crate::rows::Row;
 use crate::typeck::TemplatePart;
-use adsafe_lang::Span;
 use std::fmt::Write as _;
 
-/// One fact value in a row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Value {
+/// One fact value, as read from a row or a constant; strings borrow
+/// from the row's facts or the program's constant pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Value<'a> {
     /// Integer.
     Int(i64),
     /// Boolean.
     Bool(bool),
     /// String.
-    Str(String),
-}
-
-/// One row a query ranges over: the schema-ordered values plus the
-/// diagnostic anchors (span, enclosing function).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Row {
-    /// Values, indexed by schema position for the row's selector.
-    pub vals: Vec<Value>,
-    /// Where a diagnostic on this row points.
-    pub span: Span,
-    /// Qualified function name for `Diagnostic::in_function`, if any.
-    pub function: Option<String>,
-}
-
-/// VM register slot; strings are borrowed from the row/constant pool.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Slot<'a> {
-    Int(i64),
-    Bool(bool),
     Str(&'a str),
 }
 
+/// Register-file size served without a heap allocation; larger
+/// programs (up to the bytecode's 255 registers) get a `Vec`.
+const INLINE_REGS: usize = 16;
+
 /// Runs `p` over `row`, adding executed-instruction counts to `steps`.
 /// Returns whether the row matched.
-pub fn eval(p: &Program, row: &Row, steps: &mut u64) -> bool {
-    let mut regs: Vec<Slot<'_>> = vec![Slot::Bool(false); p.regs as usize];
+pub fn eval(p: &Program, row: &Row<'_>, steps: &mut u64) -> bool {
+    let mut inline = [Value::Bool(false); INLINE_REGS];
+    let mut spilled;
+    let regs: &mut [Value<'_>] = if p.regs as usize <= INLINE_REGS {
+        &mut inline[..p.regs as usize]
+    } else {
+        spilled = vec![Value::Bool(false); p.regs as usize];
+        &mut spilled
+    };
     let mut pc = 0usize;
     while pc < p.ops.len() {
         *steps += 1;
         match &p.ops[pc] {
             Op::Field { dst, idx } => {
-                regs[*dst as usize] = match row.vals.get(*idx as usize) {
-                    Some(Value::Int(v)) => Slot::Int(*v),
-                    Some(Value::Bool(v)) => Slot::Bool(*v),
-                    Some(Value::Str(v)) => Slot::Str(v),
-                    None => return false,
-                };
+                let Some(v) = row.get(*idx) else { return false };
+                regs[*dst as usize] = v;
             }
-            Op::ConstInt { dst, v } => regs[*dst as usize] = Slot::Int(*v),
+            Op::ConstInt { dst, v } => regs[*dst as usize] = Value::Int(*v),
             Op::ConstStr { dst, idx } => {
-                regs[*dst as usize] = Slot::Str(&p.strs[*idx as usize])
+                regs[*dst as usize] = Value::Str(&p.strs[*idx as usize])
             }
-            Op::ConstBool { dst, v } => regs[*dst as usize] = Slot::Bool(*v),
+            Op::ConstBool { dst, v } => regs[*dst as usize] = Value::Bool(*v),
             Op::Cmp { op, dst, a, b } => {
                 let ord = match (regs[*a as usize], regs[*b as usize]) {
-                    (Slot::Int(x), Slot::Int(y)) => x.cmp(&y),
-                    (Slot::Bool(x), Slot::Bool(y)) => x.cmp(&y),
-                    (Slot::Str(x), Slot::Str(y)) => x.cmp(y),
+                    (Value::Int(x), Value::Int(y)) => x.cmp(&y),
+                    (Value::Bool(x), Value::Bool(y)) => x.cmp(&y),
+                    (Value::Str(x), Value::Str(y)) => x.cmp(y),
                     _ => return false,
                 };
                 use crate::ast::CmpOp::*;
@@ -81,29 +69,29 @@ pub fn eval(p: &Program, row: &Row, steps: &mut u64) -> bool {
                     Gt => ord.is_gt(),
                     Ge => ord.is_ge(),
                 };
-                regs[*dst as usize] = Slot::Bool(v);
+                regs[*dst as usize] = Value::Bool(v);
             }
             Op::Not { dst, src } => {
-                let Slot::Bool(v) = regs[*src as usize] else { return false };
-                regs[*dst as usize] = Slot::Bool(!v);
+                let Value::Bool(v) = regs[*src as usize] else { return false };
+                regs[*dst as usize] = Value::Bool(!v);
             }
             Op::Mov { dst, src } => regs[*dst as usize] = regs[*src as usize],
             Op::JumpIfFalse { cond, to } => {
-                let Slot::Bool(v) = regs[*cond as usize] else { return false };
+                let Value::Bool(v) = regs[*cond as usize] else { return false };
                 if !v {
                     pc = *to as usize;
                     continue;
                 }
             }
             Op::JumpIfTrue { cond, to } => {
-                let Slot::Bool(v) = regs[*cond as usize] else { return false };
+                let Value::Bool(v) = regs[*cond as usize] else { return false };
                 if v {
                     pc = *to as usize;
                     continue;
                 }
             }
             Op::Ret { src } => {
-                return matches!(regs[*src as usize], Slot::Bool(true));
+                return matches!(regs[*src as usize], Value::Bool(true));
             }
         }
         pc += 1;
@@ -112,12 +100,21 @@ pub fn eval(p: &Program, row: &Row, steps: &mut u64) -> bool {
 }
 
 /// Renders a validated message template against a row.
-pub fn render_template(template: &[TemplatePart], row: &Row) -> String {
-    let mut out = String::new();
+pub fn render_template(template: &[TemplatePart], row: &Row<'_>) -> String {
+    // Literal text plus a guess per field: one allocation for most
+    // messages.
+    let guess = template
+        .iter()
+        .map(|part| match part {
+            TemplatePart::Lit(s) => s.len(),
+            TemplatePart::Field(_) => 32,
+        })
+        .sum();
+    let mut out = String::with_capacity(guess);
     for part in template {
         match part {
             TemplatePart::Lit(s) => out.push_str(s),
-            TemplatePart::Field(idx) => match row.vals.get(*idx as usize) {
+            TemplatePart::Field(idx) => match row.get(*idx) {
                 Some(Value::Int(v)) => {
                     let _ = write!(out, "{v}");
                 }
@@ -138,10 +135,10 @@ mod tests {
     use crate::compile::compile_predicate;
     use crate::parser::parse_pack;
     use crate::rows::FunctionRow;
-    use adsafe_lang::FileId;
+    use adsafe_lang::{FileId, Span};
 
-    fn sample_row(cc: u32, multi_exit: bool) -> Row {
-        FunctionRow {
+    fn sample_row(cc: u32, multi_exit: bool) -> Row<'static> {
+        Row::Function(FunctionRow {
             name: "f",
             qualified: "ns::f",
             module: "perception",
@@ -166,8 +163,7 @@ mod tests {
             validates: false,
             recursive: false,
             span: Span::new(FileId(0), 0, 4),
-        }
-        .into_row()
+        })
     }
 
     fn predicate(src: &str) -> crate::bytecode::Program {
@@ -213,6 +209,22 @@ mod tests {
         let mut steps = 0;
         eval(&p, &sample_row(5, false), &mut steps);
         assert!(steps as usize <= p.ops.len());
+    }
+
+    #[test]
+    fn wide_register_files_spill_to_the_heap() {
+        // `multi_exit == (multi_exit == (… multi_exit))`: every level
+        // keeps its left operand live while the right one evaluates.
+        let mut expr = "multi_exit".to_string();
+        for _ in 0..2 * INLINE_REGS {
+            expr = format!("multi_exit == ({expr})");
+        }
+        let p = predicate(&format!("rule \"r\" {{ function where {expr} -> warn }}"));
+        assert!(p.regs as usize > INLINE_REGS, "only {} registers", p.regs);
+        let mut steps = 0;
+        assert!(eval(&p, &sample_row(1, true), &mut steps));
+        // An even number of `==` over `false` folds back to `false`.
+        assert!(!eval(&p, &sample_row(1, false), &mut steps));
     }
 
     #[test]

@@ -432,6 +432,52 @@ fn memory_profiling_never_changes_report_bytes() {
     }
 }
 
+/// A warm resident-store run allocates in `checks.query` and `assess`
+/// in proportion to findings and files, never per function: query rows
+/// borrow their strings from the facts records, and the whole-program
+/// assemblies (recursion, coupling, per-rule counts) work on indices.
+#[test]
+fn warm_query_and_assess_allocations_do_not_scale_with_functions() {
+    let _g = cpu_lock();
+    let mut corpus = adsafe::corpus::generate(&adsafe::corpus::ApolloSpec::test_scale());
+    // Many small functions no query rule flags: one allocation per
+    // function would break the bounds below several times over.
+    corpus.push(adsafe::corpus::GeneratedFile {
+        module: "clean".into(),
+        path: "clean/clean.cc".into(),
+        text: (0..2000).map(|i| format!("int clean_{i}(int x) {{ return x + {i}; }}\n")).collect(),
+    });
+    let store = std::sync::Arc::new(adsafe::MemoryFactsStore::open(None));
+    let opts = || AssessmentOptions {
+        jobs: 1,
+        store: Some(store.clone()),
+        ..AssessmentOptions::default()
+    };
+    adsafe::assess_corpus(&corpus, opts());
+    let prev = alloc::set_profiling(true);
+    let warm = adsafe::assess_corpus(&corpus, opts());
+    alloc::set_profiling(prev);
+    let files = corpus.len() as u64;
+    assert_eq!(warm.trace.counter("cache.hits"), files, "the run must be warm");
+    let functions = warm.evidence.total_functions as u64;
+    let rules = &adsafe::query::bundled_rules().rules;
+    let query_diags: u64 = rules.iter().map(|r| warm.diagnostics_for(r.id).len() as u64).sum();
+    let allocs = |phase: &str| {
+        warm.trace.phase_mem.iter().find(|p| p.name == phase).map_or(0, |p| p.allocs)
+    };
+    let (query, assess) = (allocs("checks.query"), allocs("assess"));
+    // Two per finding (message, enclosing function), a few per (rule,
+    // file) (span name, findings list, rows), and a constant.
+    let query_bound = 2 * query_diags + 4 * rules.len() as u64 * files + 64;
+    let assess_bound = 4 * files + 256;
+    assert!(
+        2 * query_bound.max(assess_bound) < functions,
+        "the corpus must dwarf the bounds with functions ({functions})"
+    );
+    assert!(query > 0 && query <= query_bound, "checks.query: {query} allocs > {query_bound}");
+    assert!(assess > 0 && assess <= assess_bound, "assess: {assess} allocs > {assess_bound}");
+}
+
 #[test]
 fn checks_phase_speeds_up_with_workers() {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);

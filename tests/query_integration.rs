@@ -320,10 +320,10 @@ fn builtin_pack_matches_native_checkers_byte_for_byte() {
         .collect();
     let records: Vec<FactsRecord> = facts.iter().map(|(id, m, f)| (*id, *m, f)).collect();
     let recursive = facts::call_graph(&records).recursive_functions();
-    let rules: Vec<_> = pack.rules.iter().collect();
+    let pass = adsafe::query::QueryPass::new(pack.rules.iter().collect());
     let mut diags = Vec::new();
     for (id, module, f) in &records {
-        for outcome in adsafe::query::eval_file(&rules, *id, module, f, &recursive) {
+        for outcome in pass.eval_file(*id, module, f, &recursive) {
             diags.extend(outcome.expect("no rule panics").0);
         }
     }
