@@ -184,6 +184,11 @@ pub fn call_graph<'a>(records: &[FactsRecord<'a>]) -> CallGraph<'a> {
 /// which [`call_graph`] built from these `records`. A qualified name
 /// that two files define counts in the module of the last one.
 pub fn coupling_edges(records: &[FactsRecord<'_>], graph: &CallGraph<'_>) -> usize {
+    debug_assert_eq!(
+        graph.def_nodes().len(),
+        records.iter().map(|(_, _, facts)| facts.functions.len()).sum::<usize>(),
+        "graph must come from call_graph(records)"
+    );
     let mut modules: Vec<&str> = Vec::new();
     let mut module_of = vec![0usize; graph.len()];
     let mut def_nodes = graph.def_nodes().iter();
@@ -297,6 +302,7 @@ pub fn module_metrics_from_facts(name: &str, files: &[&FileFacts]) -> ModuleMetr
 /// does for explicit casts. `recursive` is the sorted recursive-function
 /// set ([`CallGraph::recursive_functions`]).
 pub fn unit_stats_from_facts(records: &[FactsRecord<'_>], recursive: &[String]) -> UnitDesignStats {
+    debug_assert!(recursive.windows(2).all(|w| w[0] < w[1]), "recursive set must be sorted");
     let mut s = UnitDesignStats::default();
     for (_, _, facts) in records {
         s.opaque_regions += facts.recovery_count;

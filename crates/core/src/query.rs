@@ -50,6 +50,7 @@ pub fn rows_from_facts<'a>(
     facts: &'a FileFacts,
     recursive: &[String],
 ) -> Vec<Row<'a>> {
+    debug_assert!(recursive.windows(2).all(|w| w[0] < w[1]), "recursive set must be sorted");
     match selector {
         Selector::Function => facts
             .functions

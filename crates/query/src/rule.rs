@@ -98,8 +98,9 @@ impl CompiledRule {
     pub fn eval_rows(&self, rows: &[Row<'_>]) -> (Vec<Diagnostic>, u64) {
         let mut steps = 0u64;
         let mut out = Vec::new();
+        let mut regs = Vec::new();
         for row in rows {
-            if vm::eval(&self.program, row, &mut steps) {
+            if vm::eval(&self.program, row, &mut regs, &mut steps) {
                 let msg = vm::render_template(&self.template, row);
                 let mut d = Diagnostic::new(self.id, self.severity, row.span(), msg);
                 if let Some(f) = row.function() {

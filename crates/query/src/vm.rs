@@ -25,21 +25,18 @@ pub enum Value<'a> {
     Str(&'a str),
 }
 
-/// Register-file size served without a heap allocation; larger
-/// programs (up to the bytecode's 255 registers) get a `Vec`.
-const INLINE_REGS: usize = 16;
-
 /// Runs `p` over `row`, adding executed-instruction counts to `steps`.
-/// Returns whether the row matched.
-pub fn eval(p: &Program, row: &Row<'_>, steps: &mut u64) -> bool {
-    let mut inline = [Value::Bool(false); INLINE_REGS];
-    let mut spilled;
-    let regs: &mut [Value<'_>] = if p.regs as usize <= INLINE_REGS {
-        &mut inline[..p.regs as usize]
-    } else {
-        spilled = vec![Value::Bool(false); p.regs as usize];
-        &mut spilled
-    };
+/// Returns whether the row matched. `regs` is the register file; it is
+/// resized to `p.regs` here, so one buffer serves every row a caller
+/// evaluates.
+pub fn eval<'a>(
+    p: &'a Program,
+    row: &Row<'a>,
+    regs: &mut Vec<Value<'a>>,
+    steps: &mut u64,
+) -> bool {
+    regs.clear();
+    regs.resize(p.regs as usize, Value::Bool(false));
     let mut pc = 0usize;
     while pc < p.ops.len() {
         *steps += 1;
@@ -101,16 +98,21 @@ pub fn eval(p: &Program, row: &Row<'_>, steps: &mut u64) -> bool {
 
 /// Renders a validated message template against a row.
 pub fn render_template(template: &[TemplatePart], row: &Row<'_>) -> String {
-    // Literal text plus a guess per field: one allocation for most
-    // messages.
-    let guess = template
+    // Literal text plus each field's rendered width (at most 20 bytes
+    // for an `i64`, 5 for a `bool`): the one allocation always fits.
+    let len = template
         .iter()
         .map(|part| match part {
             TemplatePart::Lit(s) => s.len(),
-            TemplatePart::Field(_) => 32,
+            TemplatePart::Field(idx) => match row.get(*idx) {
+                Some(Value::Int(_)) => 20,
+                Some(Value::Bool(_)) => 5,
+                Some(Value::Str(v)) => v.len(),
+                None => "<missing>".len(),
+            },
         })
         .sum();
-    let mut out = String::with_capacity(guess);
+    let mut out = String::with_capacity(len);
     for part in template {
         match part {
             TemplatePart::Lit(s) => out.push_str(s),
@@ -175,10 +177,10 @@ mod tests {
     #[test]
     fn evaluates_comparisons_and_logic() {
         let p = predicate("rule \"r\" { function where cc > 10 and multi_exit -> warn }");
-        let mut steps = 0;
-        assert!(eval(&p, &sample_row(11, true), &mut steps));
-        assert!(!eval(&p, &sample_row(11, false), &mut steps));
-        assert!(!eval(&p, &sample_row(10, true), &mut steps));
+        let (mut regs, mut steps) = (Vec::new(), 0);
+        assert!(eval(&p, &sample_row(11, true), &mut regs, &mut steps));
+        assert!(!eval(&p, &sample_row(11, false), &mut regs, &mut steps));
+        assert!(!eval(&p, &sample_row(10, true), &mut regs, &mut steps));
         assert!(steps > 0);
     }
 
@@ -187,18 +189,18 @@ mod tests {
         let p = predicate("rule \"r\" { function where multi_exit and cc > 10 -> warn }");
         let (mut fast, mut slow) = (0u64, 0u64);
         // multi_exit=false short-circuits; multi_exit=true runs the cmp.
-        assert!(!eval(&p, &sample_row(11, false), &mut fast));
-        assert!(eval(&p, &sample_row(11, true), &mut slow));
+        assert!(!eval(&p, &sample_row(11, false), &mut Vec::new(), &mut fast));
+        assert!(eval(&p, &sample_row(11, true), &mut Vec::new(), &mut slow));
         assert!(fast < slow, "short-circuit must execute fewer ops: {fast} vs {slow}");
     }
 
     #[test]
     fn module_filter_and_string_compare() {
         let p = predicate("rule \"r\" { function in module \"perception\" -> warn }");
-        let mut steps = 0;
-        assert!(eval(&p, &sample_row(1, false), &mut steps));
+        let (mut regs, mut steps) = (Vec::new(), 0);
+        assert!(eval(&p, &sample_row(1, false), &mut regs, &mut steps));
         let p = predicate("rule \"r\" { function in module \"control\" -> warn }");
-        assert!(!eval(&p, &sample_row(1, false), &mut steps));
+        assert!(!eval(&p, &sample_row(1, false), &mut regs, &mut steps));
     }
 
     #[test]
@@ -206,25 +208,9 @@ mod tests {
         let p = predicate(
             "rule \"r\" { function where cc > 1 or nloc > 1 or params > 1 or gotos > 1 -> warn }",
         );
-        let mut steps = 0;
-        eval(&p, &sample_row(5, false), &mut steps);
+        let (mut regs, mut steps) = (Vec::new(), 0);
+        eval(&p, &sample_row(5, false), &mut regs, &mut steps);
         assert!(steps as usize <= p.ops.len());
-    }
-
-    #[test]
-    fn wide_register_files_spill_to_the_heap() {
-        // `multi_exit == (multi_exit == (… multi_exit))`: every level
-        // keeps its left operand live while the right one evaluates.
-        let mut expr = "multi_exit".to_string();
-        for _ in 0..2 * INLINE_REGS {
-            expr = format!("multi_exit == ({expr})");
-        }
-        let p = predicate(&format!("rule \"r\" {{ function where {expr} -> warn }}"));
-        assert!(p.regs as usize > INLINE_REGS, "only {} registers", p.regs);
-        let mut steps = 0;
-        assert!(eval(&p, &sample_row(1, true), &mut steps));
-        // An even number of `==` over `false` folds back to `false`.
-        assert!(!eval(&p, &sample_row(1, false), &mut steps));
     }
 
     #[test]
