@@ -4,7 +4,7 @@
 
 use crate::diag::{Diagnostic, Severity};
 use crate::{Check, CheckContext};
-use adsafe_lang::ast::{BinOp, Expr, ExprKind, FunctionDef, StmtKind, UnOp};
+use adsafe_lang::ast::{Expr, ExprKind, FunctionDef, StmtKind, UnOp};
 use adsafe_lang::visit::{walk_exprs, walk_stmts};
 use std::collections::HashSet;
 
@@ -227,9 +227,6 @@ pub fn validation_ratio(cx: &CheckContext<'_>) -> f64 {
         validating as f64 / with_params as f64
     }
 }
-
-#[allow(dead_code)]
-fn _use_binop(_: BinOp) {}
 
 #[cfg(test)]
 mod tests {

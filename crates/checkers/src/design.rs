@@ -4,7 +4,7 @@
 
 use crate::diag::{Diagnostic, Severity};
 use crate::{Check, CheckContext};
-use adsafe_lang::ast::{Decl, ExprKind, Storage, StmtKind};
+use adsafe_lang::ast::{ExprKind, Storage, StmtKind};
 use adsafe_lang::symbols::analyze_function;
 use adsafe_lang::visit::walk_stmts;
 
@@ -140,28 +140,6 @@ impl Check for ExceptionDisciplineCheck {
     }
 }
 
-/// Counts non-const global definitions per module (paper: ≈900 in
-/// perception) — convenience for reports.
-pub fn global_count_by_module(cx: &CheckContext<'_>) -> Vec<(String, usize)> {
-    let mut out: Vec<(String, usize)> = Vec::new();
-    for m in cx.modules() {
-        let mut n = 0usize;
-        for e in cx.module_entries(m) {
-            n += e
-                .unit
-                .global_vars()
-                .iter()
-                .filter(|g| !g.ty.is_const && g.storage != Storage::Extern)
-                .count();
-        }
-        out.push((m.to_string(), n));
-    }
-    out
-}
-
-#[allow(dead_code)]
-fn _use(_: &Decl) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,15 +195,5 @@ mod tests {
             "void f(int x) { try { if (x < 0) throw x; } catch (int e) { } }",
         );
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn module_global_counts() {
-        let mut set = AnalysisSet::new();
-        set.add("perception", "a.cc", "int a; int b;\n");
-        set.add("planning", "b.cc", "int c;\nconst int kD = 1;\n");
-        let cx = set.context();
-        let counts = global_count_by_module(&cx);
-        assert_eq!(counts, vec![("perception".into(), 2), ("planning".into(), 1)]);
     }
 }

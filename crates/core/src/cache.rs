@@ -466,4 +466,37 @@ mod tests {
         assert!(meta.contains(&ruleset_fingerprint()));
         let _ = fs::remove_dir_all(&dir);
     }
+
+    /// A cache written by the build whose records carried an `idents`
+    /// list beside `unres`: the `adsafe-facts/3` reader would reject its
+    /// entries, but the fingerprint differs, so the directory is wiped
+    /// on open and the run rewrites the entry without the key.
+    #[test]
+    fn idents_cache_is_wiped_not_replayed() {
+        const SRC: &str = "int g;\nint f(int x) {\n  if (x) return g;\n  return 0;\n}\n";
+        const PARENT_META: &str =
+            "{\"schema\":\"adsafe-cache/1\",\"fingerprint\":\"5ac691959c63e097\"}";
+        const PARENT_ENTRY: &str = r#"{"schema":"adsafe-facts/2","recovery":0,"loc":[5,5,0,0,0],"globals":[["g",false,false]],"functions":[{"name":"f","qual":"f","cc":2,"nloc":4,"params":1,"nest":1,"returns":2,"multi":true,"goto":0,"stmts":3,"gpu":false,"sig":[7,19],"callees":[],"idents":["g","x"],"unres":[["g",38,39]],"uninit":0,"shadow":0,"ptr":0,"dyn":0,"opaque":0,"kernel":false,"kptr":0,"alloc":0,"named":true,"validates":true}],"diags":[["design-global-variable","warning",0,5,"global variable `g: int` defined",null]]}"#;
+        let dir = temp_dir("idents");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("meta.json"), PARENT_META).unwrap();
+        let entry = dir.join(format!("{:016x}.json", content_hash("m/a.cc", SRC)));
+        fs::write(&entry, PARENT_ENTRY).unwrap();
+        assert_ne!(ruleset_fingerprint(), "5ac691959c63e097");
+
+        let mut a = crate::Assessment::new().with_options(crate::AssessmentOptions {
+            cache_dir: Some(dir.clone()),
+            ..crate::AssessmentOptions::default()
+        });
+        a.add_file("m", "m/a.cc", SRC);
+        let report = a.run();
+        // A replayed entry would fail the reader as a corrupt-entry fault.
+        assert!(report.faults.is_empty(), "{:?}", report.faults);
+        assert_eq!(report.trace.counter("cache.stores"), 1);
+        let stored = fs::read_to_string(&entry).unwrap();
+        assert!(stored.starts_with(r#"{"schema":"adsafe-facts/3""#), "{stored}");
+        assert!(!stored.contains("\"idents\""), "{stored}");
+        assert!(stored.contains(r#""unres":[["g",38,39]]"#), "{stored}");
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

@@ -13,7 +13,7 @@
 //! therefore produce byte-identical reports by construction: they run
 //! the exact same assembly code over the exact same inputs.
 //!
-//! The serialised form (`adsafe-facts/2`) is hand-written JSON. It is
+//! The serialised form (`adsafe-facts/3`) is hand-written JSON. It is
 //! read back in one pass straight from the bytes, with no intermediate
 //! JSON tree, and the reader accepts only the exact shape
 //! [`FileFacts::to_json`] writes: keys in writer order, no whitespace,
@@ -28,22 +28,20 @@ use adsafe_checkers::{Diagnostic, Severity};
 use adsafe_lang::ast::Storage;
 use adsafe_lang::callgraph::callee_names;
 use adsafe_lang::symbols::analyze_function;
-use adsafe_lang::visit::walk_exprs;
 use adsafe_lang::{CallGraph, FileId, ParsedFile, SourceMap, Span};
 use adsafe_metrics::{
-    count_file, function_metrics, ComplexityHistogram, FunctionMetrics, LocCounts,
-    ModuleMetrics, TouchedGlobals,
+    count_file, function_metrics, FunctionMetrics, LocCounts, ModuleMetrics, ModuleTally,
 };
 use adsafe_trace::json::write_escaped;
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 /// Version tag of the serialised facts record. Bump on any schema
 /// change: it participates in the cache fingerprint, so old entries are
 /// invalidated wholesale instead of being misread.
-pub const FACTS_SCHEMA: &str = "adsafe-facts/2";
+pub const FACTS_SCHEMA: &str = "adsafe-facts/3";
 
 /// One file-scope variable definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,10 +66,9 @@ pub struct FunctionFacts {
     /// Callee names in walk order, duplicates kept — replays the call
     /// graph via [`CallGraph::from_functions`].
     pub callees: Vec<String>,
-    /// Distinct identifier expressions, sorted — feeds module cohesion.
-    pub idents: Vec<String>,
     /// First unresolved use per name, in source order:
-    /// `(name, span_start, span_end)` — feeds `design-global-use`.
+    /// `(name, span_start, span_end)` — feeds `design-global-use` and
+    /// module cohesion.
     pub unresolved: Vec<(String, u32, u32)>,
     /// Per-function ISO 26262-6 Table 8 contributions.
     pub unit: FunctionUnitFacts,
@@ -124,14 +121,6 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
         .functions()
         .into_iter()
         .map(|f| {
-            let mut idents: BTreeSet<String> = BTreeSet::new();
-            walk_exprs(f, |e| {
-                if let adsafe_lang::ast::ExprKind::Ident(n) = &e.kind {
-                    if !idents.contains(n.as_str()) {
-                        idents.insert(n.clone());
-                    }
-                }
-            });
             let syms = analyze_function(f);
             let mut seen = HashSet::new();
             let unresolved = syms
@@ -145,7 +134,6 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
                 sig_start: f.sig.span.start,
                 sig_end: f.sig.span.end,
                 callees: callee_names(f).into_iter().map(str::to_string).collect(),
-                idents: idents.into_iter().collect(),
                 unresolved,
                 unit: adsafe_checkers::unit_design::function_unit_facts(f),
                 is_kernel: f.sig.quals.cuda_global,
@@ -239,7 +227,7 @@ pub fn global_use_diags(records: &[FactsRecord<'_>], globals: &HashSet<&str>) ->
 
 /// Module metrics from facts — the same numbers (and the same
 /// `metrics.module` span and counter) as `adsafe_metrics::module_metrics`
-/// over the parsed files.
+/// over the parsed files, folded straight from the records.
 pub fn module_metrics_from_facts(name: &str, files: &[&FileFacts]) -> ModuleMetrics {
     let _sp = adsafe_trace::span_with(
         "metrics.module",
@@ -247,52 +235,18 @@ pub fn module_metrics_from_facts(name: &str, files: &[&FileFacts]) -> ModuleMetr
         vec![("module", name.to_string())],
     );
     adsafe_trace::counter("metrics.module.files").add(files.len() as u64);
-    let mut loc = LocCounts::default();
-    let mut functions: Vec<FunctionMetrics> = Vec::new();
-    let mut histogram = ComplexityHistogram::default();
-    let mut global_count = 0usize;
-    let mut global_index: HashMap<&str, usize> = HashMap::new();
-
+    let mut tally = ModuleTally::default();
     for facts in files {
-        loc.physical += facts.loc.physical;
-        loc.nloc += facts.loc.nloc;
-        loc.comment += facts.loc.comment;
-        loc.blank += facts.loc.blank;
-        loc.directive += facts.loc.directive;
-        for g in &facts.globals {
-            global_count += 1;
-            let next = global_index.len();
-            global_index.entry(g.name.as_str()).or_insert(next);
-        }
-        for f in &facts.functions {
-            histogram.add(f.metrics.cyclomatic);
-            functions.push(f.metrics.clone());
-        }
+        tally.file(&facts.loc, facts.globals.iter().map(|g| g.name.as_str()));
     }
-
-    let mut touched = TouchedGlobals::new(global_index.len());
     for f in files.iter().flat_map(|facts| &facts.functions) {
-        touched.push(f.idents.iter().filter_map(|n| global_index.get(n.as_str()).copied()));
+        tally.function(
+            f.metrics.cyclomatic,
+            f.metrics.param_count,
+            f.unresolved.iter().map(|(n, _, _)| n.as_str()),
+        );
     }
-    let cohesion = touched.cohesion();
-
-    let mean_params = if functions.is_empty() {
-        0.0
-    } else {
-        functions.iter().map(|f| f.param_count).sum::<usize>() as f64 / functions.len() as f64
-    };
-
-    ModuleMetrics {
-        name: name.to_string(),
-        file_count: files.len(),
-        loc,
-        functions,
-        histogram,
-        global_count,
-        mean_params,
-        cohesion,
-        absorbed_files: 0,
-    }
+    tally.finish(name)
 }
 
 /// ISO 26262-6 Table 8 statistics from facts — same numbers as
@@ -377,7 +331,7 @@ fn check_id_for(name: &str) -> Option<&'static str> {
 }
 
 impl FileFacts {
-    /// Serialises to the `adsafe-facts/2` JSON form. Diagnostic spans
+    /// Serialises to the `adsafe-facts/3` JSON form. Diagnostic spans
     /// drop their [`FileId`] — [`from_json`](Self::from_json) binds them
     /// to the loading run's file.
     pub fn to_json(&self) -> String {
@@ -501,13 +455,6 @@ fn write_function(out: &mut String, f: &FunctionFacts) {
         }
         write_escaped(out, c);
     }
-    out.push_str("],\"idents\":[");
-    for (i, n) in f.idents.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_escaped(out, n);
-    }
     out.push_str("],\"unres\":[");
     for (i, (n, s, e)) in f.unresolved.iter().enumerate() {
         if i > 0 {
@@ -570,7 +517,6 @@ fn read_function(
         sig_start,
         sig_end,
         callees: r.then(r#"],"callees":"#, |r| r.list(names, Reader::string))?,
-        idents: r.then(r#","idents":"#, |r| r.list(names, Reader::string))?,
         unresolved: r.then(r#","unres":"#, |r| {
             r.list(unres, |r| {
                 let name = r.then("[", Reader::string)?;
@@ -859,7 +805,6 @@ mod tests {
                 return Err("sig arity".to_string());
             }
             let callees = read_all(req_arr(v, "callees")?, req_str_v)?;
-            let idents = read_all(req_arr(v, "idents")?, req_str_v)?;
             let unresolved = read_all(req_arr(v, "unres")?, |u| {
                 let t = u.as_arr().ok_or("unres not an array")?;
                 if t.len() != 3 {
@@ -884,7 +829,6 @@ mod tests {
                 sig_start: as_u32(&sig[0])?,
                 sig_end: as_u32(&sig[1])?,
                 callees,
-                idents,
                 unresolved,
                 unit: FunctionUnitFacts {
                     maybe_uninit_reads: req_usize(v, "uninit")?,
@@ -1042,6 +986,27 @@ mod tests {
         assert_eq!(format!("{legacy:?}"), format!("{from_facts:?}"));
     }
 
+    /// A parameter or local that shadows a module global is not an
+    /// access to it: `f1` touches only `h` and `f2` only `g`, so they
+    /// share nothing — on the facts path and the AST reference alike.
+    #[test]
+    fn shadowing_bindings_do_not_count_toward_cohesion() {
+        let mut set = AnalysisSet::new();
+        set.add(
+            "m",
+            "m/a.cc",
+            "int g; int h;\n\
+             void f1(int g) { g = 1; h = g; }\n\
+             void f2() { int h = 0; g = h; }\n",
+        );
+        let cx = set.context();
+        let pairs: Vec<_> = cx.entries.iter().map(|e| (e.file, e.unit)).collect();
+        assert_eq!(adsafe_metrics::module_metrics("m", &pairs).cohesion, 0.0);
+        let facts = facts_of(&set);
+        let files: Vec<&FileFacts> = facts.iter().map(|(_, _, f)| f).collect();
+        assert_eq!(module_metrics_from_facts("m", &files).cohesion, 0.0);
+    }
+
     #[test]
     fn unit_stats_and_validation_match() {
         let set = corpus();
@@ -1125,7 +1090,6 @@ mod tests {
         assert_eq!(back.diags.capacity(), back.diags.len());
         for f in &back.functions {
             assert_eq!(f.callees.capacity(), f.callees.len());
-            assert_eq!(f.idents.capacity(), f.idents.len());
             assert_eq!(f.unresolved.capacity(), f.unresolved.len());
             assert_eq!(f.metrics.name.capacity(), f.metrics.name.len());
         }
@@ -1164,7 +1128,7 @@ mod tests {
             good.replacen(r#""recovery":0"#, r#""recovery":1.0"#, 1),
             good.replacen(r#""recovery":0"#, r#""recovery":00"#, 1),
             good.replacen(r#""recovery":0"#, r#""recovery":0,"recovery":0"#, 1),
-            good.replacen("adsafe-facts/2", r"adsafe-facts\/2", 1),
+            good.replacen("adsafe-facts/3", r"adsafe-facts\/3", 1),
             good.replacen(r#"{"name":"rec""#, r#"{"name":"\u0072ec""#, 1),
         ] {
             assert!(reference::from_json(&bad, *id).is_ok(), "reference rejected: {bad:.60}");

@@ -856,20 +856,20 @@ impl Assessment {
             modules.iter().map(|m| m.cohesion).sum::<f64>() / modules.len() as f64
         };
         let coupling_edges = facts::coupling_edges(records, graph);
-        let total_functions: usize = modules.iter().map(|m| m.function_count()).sum();
+        let parsed_functions: usize = modules.iter().map(|m| m.parsed_functions).sum();
         let mean_interface_params = if modules.is_empty() {
             0.0
         } else {
-            modules.iter().map(|m| m.mean_params * m.function_count() as f64).sum::<f64>()
-                / total_functions.max(1) as f64
+            modules.iter().map(|m| m.mean_params * m.parsed_functions as f64).sum::<f64>()
+                / parsed_functions.max(1) as f64
         };
 
         Evidence {
             total_loc: modules.iter().map(|m| m.loc.nloc).sum(),
-            total_functions,
-            functions_over_cc10: modules.iter().map(|m| m.functions_over(10)).sum(),
-            functions_over_cc20: modules.iter().map(|m| m.functions_over(20)).sum(),
-            functions_over_cc50: modules.iter().map(|m| m.functions_over(50)).sum(),
+            total_functions: modules.iter().map(|m| m.histogram.total).sum(),
+            functions_over_cc10: modules.iter().map(|m| m.histogram.over_10).sum(),
+            functions_over_cc20: modules.iter().map(|m| m.histogram.over_20).sum(),
+            functions_over_cc50: modules.iter().map(|m| m.histogram.over_50).sum(),
             module_locs: modules.iter().map(|m| (m.name.clone(), m.loc.nloc)).collect(),
             misra_violations,
             explicit_casts: count("typing-explicit-cast"),
@@ -1240,6 +1240,39 @@ mod tests {
         assert_eq!(m.file_count, 2);
         assert_eq!(m.absorbed_files, 1);
         assert!(m.loc.nloc >= 2);
+    }
+
+    /// A tier-3 file's estimated functions count toward the evidence's
+    /// function total and CC bands and Figure 3's bars; the interface
+    /// size stays a mean over the parsed functions.
+    #[test]
+    fn tier3_estimates_reach_function_and_cc_counts() {
+        let _g = failpoints::Armed::new(
+            "pipeline::parse_file::m/a.cc",
+            failpoints::Action::Panic("parser bug".into()),
+        );
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        // One estimated function: 1 + 12 branch tokens = CC 13.
+        let busy: String = (0..12).map(|i| format!("if (x > {i}) x--; ")).collect();
+        let mut a = Assessment::new();
+        a.add_file("m", "m/a.cc", &format!("int busy(int x) {{ {busy}return x; }}\n"));
+        a.add_file("m", "m/b.cc", "int g(int y, int z) { return y + z; }\n");
+        let r = a.run();
+        std::panic::set_hook(prev);
+        assert_eq!(r.modules[0].absorbed_files, 1);
+        let e = &r.evidence;
+        assert_eq!(
+            (e.total_functions, e.functions_over_cc10, e.functions_over_cc20, e.functions_over_cc50),
+            (2, 1, 0, 0)
+        );
+        assert_eq!(e.mean_interface_params, 2.0);
+        let fig = crate::render::fig3(&r);
+        let bar = |name: &str| fig.series.iter().find(|(n, _)| n == name).unwrap().1.clone();
+        assert_eq!(
+            (bar("functions"), bar("CC > 10"), bar("CC > 20")),
+            (vec![2.0], vec![1.0], vec![0.0])
+        );
     }
 
     #[test]

@@ -56,19 +56,19 @@ pub fn fig3(report: &AssessmentReport) -> Figure {
     );
     f.series(
         "functions",
-        report.modules.iter().map(|m| m.function_count() as f64).collect(),
+        report.modules.iter().map(|m| m.histogram.total as f64).collect(),
     );
     f.series(
         "CC > 10",
-        report.modules.iter().map(|m| m.functions_over(10) as f64).collect(),
+        report.modules.iter().map(|m| m.histogram.over_10 as f64).collect(),
     );
     f.series(
         "CC > 20",
-        report.modules.iter().map(|m| m.functions_over(20) as f64).collect(),
+        report.modules.iter().map(|m| m.histogram.over_20 as f64).collect(),
     );
     f.series(
         "CC > 50",
-        report.modules.iter().map(|m| m.functions_over(50) as f64).collect(),
+        report.modules.iter().map(|m| m.histogram.over_50 as f64).collect(),
     );
     f
 }

@@ -234,10 +234,8 @@ impl Analyzer {
                         return;
                     }
                 }
-                // Not a local: candidate global (skip obvious non-variables).
-                if !name.contains("::") || name.chars().next().is_some_and(|c| c.is_lowercase()) {
-                    self.out.unresolved.push(UnresolvedUse { name: name.clone(), span: e.span });
-                }
+                // Not a local: candidate global.
+                self.out.unresolved.push(UnresolvedUse { name: name.clone(), span: e.span });
             }
             ExprKind::Assign { op, lhs, rhs } => {
                 self.expr(rhs, false);
@@ -393,6 +391,14 @@ mod tests {
     fn unresolved_globals_listed() {
         let s = analyze("int f() { return g_counter + 1; }");
         assert!(s.unresolved.iter().any(|u| u.name == "g_counter"));
+    }
+
+    #[test]
+    fn qualified_globals_unresolved() {
+        // An out-of-class static member definition is a global named
+        // `Cls::count`; its qualified uses are global accesses.
+        let s = analyze("void f() { Cls::count++; }");
+        assert!(s.unresolved.iter().any(|u| u.name == "Cls::count"));
     }
 
     #[test]

@@ -30,5 +30,5 @@ pub use cyclomatic::{cyclomatic_complexity, ComplexityBand, ComplexityHistogram}
 pub use function::{function_metrics, FunctionMetrics};
 pub use halstead::{halstead, maintainability_index, Halstead};
 pub use loc::{count_file, count_text, span_nloc, LocCounts};
-pub use module::{coupling_edges, module_metrics, ModuleMetrics, TouchedGlobals};
+pub use module::{coupling_edges, module_metrics, ModuleMetrics, ModuleTally, TouchedGlobals};
 pub use token_estimate::{absorb_estimate, module_from_estimates, token_estimate, TokenEstimate};

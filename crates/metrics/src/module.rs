@@ -3,15 +3,16 @@
 //! (architectural design: component size, interface size, cohesion,
 //! coupling).
 
-use crate::cyclomatic::ComplexityHistogram;
-use crate::function::{function_metrics, FunctionMetrics};
+use crate::cyclomatic::{cyclomatic_complexity, ComplexityHistogram};
 use crate::loc::{count_file, LocCounts};
 use adsafe_lang::ast::TranslationUnit;
-use adsafe_lang::visit::walk_exprs;
+use adsafe_lang::symbols::analyze_function;
 use adsafe_lang::{CallGraph, SourceFile};
 use std::collections::HashMap;
 
 /// Aggregated metrics for one software module (e.g. `perception`).
+/// Functions are tallied, never stored: the histogram answers Figure 3's
+/// function count and CC bands, and `mean_params` the interface size.
 #[derive(Debug, Clone)]
 pub struct ModuleMetrics {
     /// Module name.
@@ -20,13 +21,17 @@ pub struct ModuleMetrics {
     pub file_count: usize,
     /// Line counts summed over files.
     pub loc: LocCounts,
-    /// Metrics for every function, in discovery order.
-    pub functions: Vec<FunctionMetrics>,
-    /// Complexity histogram over all functions.
+    /// Complexity tally over every function: parsed functions and the
+    /// pseudo-functions of token-only estimates alike. `total` is the
+    /// module's function count, `over_10`/`over_20`/`over_50` its
+    /// Figure 3 bands.
     pub histogram: ComplexityHistogram,
+    /// Functions that came from a parse; the weight of `mean_params`
+    /// (estimates have no parameters to count).
+    pub parsed_functions: usize,
     /// Number of file-scope variables (globals) declared in the module.
     pub global_count: usize,
-    /// Mean parameters per function (interface size proxy).
+    /// Mean parameters per parsed function (interface size proxy).
     pub mean_params: f64,
     /// LCOM-style cohesion in `[0, 1]`: 1 means every pair of functions
     /// shares at least one accessed module global; 0 means none do.
@@ -36,19 +41,78 @@ pub struct ModuleMetrics {
     pub absorbed_files: usize,
 }
 
-impl ModuleMetrics {
-    /// Total number of functions.
-    pub fn function_count(&self) -> usize {
-        self.functions.len()
+/// Folds one module's files into [`ModuleMetrics`], the single tally
+/// behind both [`module_metrics`] and the facts-record path: add every
+/// file's lines and globals first, then every function, so a function
+/// touching a global declared in a later file still shares it.
+#[derive(Debug, Default)]
+pub struct ModuleTally<'a> {
+    loc: LocCounts,
+    files: usize,
+    global_count: usize,
+    global_index: HashMap<&'a str, usize>,
+    histogram: ComplexityHistogram,
+    params: usize,
+    touched: Option<TouchedGlobals>,
+}
+
+impl<'a> ModuleTally<'a> {
+    /// Adds one file's line counts and file-scope variable names.
+    pub fn file(&mut self, loc: &LocCounts, globals: impl IntoIterator<Item = &'a str>) {
+        debug_assert!(self.touched.is_none(), "every file precedes every function");
+        self.files += 1;
+        self.loc.physical += loc.physical;
+        self.loc.nloc += loc.nloc;
+        self.loc.comment += loc.comment;
+        self.loc.blank += loc.blank;
+        self.loc.directive += loc.directive;
+        for g in globals {
+            self.global_count += 1;
+            let next = self.global_index.len();
+            self.global_index.entry(g).or_insert(next);
+        }
     }
 
-    /// Functions with complexity strictly above `threshold`.
-    pub fn functions_over(&self, threshold: u32) -> usize {
-        self.functions.iter().filter(|f| f.cyclomatic > threshold).count()
+    /// Adds one parsed function: its complexity, its parameter count,
+    /// and the names it uses without a local or parameter binding.
+    pub fn function<'n>(
+        &mut self,
+        cc: u32,
+        params: usize,
+        unresolved: impl Iterator<Item = &'n str>,
+    ) {
+        self.histogram.add(cc);
+        self.params += params;
+        let globals = self.global_index.len();
+        let index = &self.global_index;
+        self.touched
+            .get_or_insert_with(|| TouchedGlobals::new(globals))
+            .push(unresolved.filter_map(|n| index.get(n).copied()));
+    }
+
+    /// The module's metrics.
+    pub fn finish(self, name: &str) -> ModuleMetrics {
+        let parsed_functions = self.histogram.total;
+        ModuleMetrics {
+            name: name.to_string(),
+            file_count: self.files,
+            loc: self.loc,
+            histogram: self.histogram,
+            parsed_functions,
+            global_count: self.global_count,
+            mean_params: if parsed_functions == 0 {
+                0.0
+            } else {
+                self.params as f64 / parsed_functions as f64
+            },
+            cohesion: self.touched.map_or(1.0, |t| t.cohesion()),
+            absorbed_files: 0,
+        }
     }
 }
 
-/// Computes module metrics over `(file, unit)` pairs belonging to one module.
+/// Computes module metrics over `(file, unit)` pairs belonging to one
+/// module: the AST reference of the facts-record path.
 pub fn module_metrics(name: &str, files: &[(&SourceFile, &TranslationUnit)]) -> ModuleMetrics {
     let _sp = adsafe_trace::span_with(
         "metrics.module",
@@ -56,64 +120,21 @@ pub fn module_metrics(name: &str, files: &[(&SourceFile, &TranslationUnit)]) -> 
         vec![("module", name.to_string())],
     );
     adsafe_trace::counter("metrics.module.files").add(files.len() as u64);
-    let mut loc = LocCounts::default();
-    let mut functions = Vec::new();
-    let mut histogram = ComplexityHistogram::default();
-    let mut global_count = 0usize;
-    let mut global_index: HashMap<&str, usize> = HashMap::new();
-
+    let mut tally = ModuleTally::default();
     for (file, unit) in files {
-        let c = count_file(file);
-        loc.physical += c.physical;
-        loc.nloc += c.nloc;
-        loc.comment += c.comment;
-        loc.blank += c.blank;
-        loc.directive += c.directive;
-        for g in unit.global_vars() {
-            global_count += 1;
-            let next = global_index.len();
-            global_index.entry(g.name.as_str()).or_insert(next);
-        }
-        for f in unit.functions() {
-            let m = function_metrics(file, f);
-            histogram.add(m.cyclomatic);
-            functions.push(m);
-        }
+        tally.file(&count_file(file), unit.global_vars().into_iter().map(|g| g.name.as_str()));
     }
-
-    // Cohesion: for each function, the set of module globals it touches;
-    // cohesion = fraction of function pairs sharing at least one global.
-    let mut touched = TouchedGlobals::new(global_index.len());
     for (_, unit) in files {
         for f in unit.functions() {
-            let mut row = Vec::new();
-            walk_exprs(f, |e| {
-                if let adsafe_lang::ast::ExprKind::Ident(n) = &e.kind {
-                    row.extend(global_index.get(n.as_str()));
-                }
-            });
-            touched.push(row);
+            let syms = analyze_function(f);
+            tally.function(
+                cyclomatic_complexity(f),
+                f.sig.params.len(),
+                syms.unresolved.iter().map(|u| u.name.as_str()),
+            );
         }
     }
-    let cohesion = touched.cohesion();
-
-    let mean_params = if functions.is_empty() {
-        0.0
-    } else {
-        functions.iter().map(|f| f.param_count).sum::<usize>() as f64 / functions.len() as f64
-    };
-
-    ModuleMetrics {
-        name: name.to_string(),
-        file_count: files.len(),
-        loc,
-        functions,
-        histogram,
-        global_count,
-        mean_params,
-        cohesion,
-        absorbed_files: 0,
-    }
+    tally.finish(name)
 }
 
 /// Which module globals each function touches, one bitset row per
@@ -208,9 +229,9 @@ mod tests {
             ("b.cc", "int g(int x) { if (x) return 1; return 0; }\n"),
         ]);
         assert_eq!(m.file_count, 2);
-        assert_eq!(m.function_count(), 2);
-        assert_eq!(m.global_count, 1);
         assert_eq!(m.histogram.total, 2);
+        assert_eq!(m.parsed_functions, 2);
+        assert_eq!(m.global_count, 1);
         assert_eq!(m.loc.nloc, 3);
     }
 
@@ -222,8 +243,8 @@ mod tests {
             .join(" ");
         let src = format!("void busy(int x) {{ {deep} }} void calm() {{}}");
         let m = module_from(&[("a.cc", src.as_str())]);
-        assert_eq!(m.functions_over(10), 1);
-        assert_eq!(m.functions_over(20), 0);
+        assert_eq!(m.histogram.over_10, 1);
+        assert_eq!(m.histogram.over_20, 0);
     }
 
     #[test]

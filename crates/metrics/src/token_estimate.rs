@@ -110,9 +110,11 @@ pub fn token_estimate(file: FileId, text: &str) -> TokenEstimate {
 /// metrics so the file still contributes NLOC/CC evidence.
 ///
 /// The estimate is attributed as `est_functions` pseudo-functions of
-/// mean complexity (so the histogram and `functions_over` remain
-/// meaningful), and the absorbed-file counter records how much of the
-/// module's evidence came in degraded.
+/// mean complexity (at least one when any complexity was seen) in the
+/// module's histogram, so they reach the function count and the CC
+/// bands of Figure 3 and the evidence; they add no parameters, so the
+/// interface size stays a mean over parsed functions. The absorbed-file
+/// counter records how much of the module's evidence came in degraded.
 pub fn absorb_estimate(m: &mut ModuleMetrics, est: &TokenEstimate) {
     m.file_count += 1;
     m.absorbed_files += 1;
@@ -131,8 +133,8 @@ pub fn module_from_estimates(name: &str, ests: &[TokenEstimate]) -> ModuleMetric
         name: name.to_string(),
         file_count: 0,
         loc: crate::loc::LocCounts::default(),
-        functions: Vec::new(),
         histogram: ComplexityHistogram::default(),
+        parsed_functions: 0,
         global_count: 0,
         mean_params: 0.0,
         cohesion: 1.0,
@@ -201,5 +203,6 @@ mod tests {
         assert_eq!(m.absorbed_files, 1);
         assert_eq!(m.loc.nloc, 2);
         assert_eq!(m.histogram.total, 2);
+        assert_eq!(m.parsed_functions, 0);
     }
 }

@@ -158,9 +158,11 @@ impl Pool {
                             *results[i].lock().unwrap() = Some((r, events));
                         }
                     }
-                    if steals > 0 {
-                        adsafe_trace::counter("pool.steals").add(steals);
-                    }
+                    // Tallied even at 0: the first tally allocates the
+                    // worker's counter map, which a worker that lost
+                    // every task to stealing would otherwise skip, making
+                    // the run's allocations depend on the split.
+                    adsafe_trace::counter("pool.steals").add(steals);
                     handbacks.lock().unwrap().push((w, trace_scope.hand_back()));
                 }));
             }

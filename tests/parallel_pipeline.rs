@@ -432,10 +432,11 @@ fn memory_profiling_never_changes_report_bytes() {
     }
 }
 
-/// A warm resident-store run allocates in `checks.query` and `assess`
-/// in proportion to findings and files, never per function: query rows
-/// borrow their strings from the facts records, and the whole-program
-/// assemblies (recursion, coupling, per-rule counts) work on indices.
+/// A warm resident-store run allocates in `checks.query`, `assess` and
+/// `metrics` in proportion to findings, modules and files, never per
+/// function: query rows borrow their strings from the facts records,
+/// the whole-program assemblies (recursion, coupling, per-rule counts)
+/// work on indices, and module metrics tally functions in place.
 #[test]
 fn warm_query_and_assess_allocations_do_not_scale_with_functions() {
     let _g = cpu_lock();
@@ -465,17 +466,21 @@ fn warm_query_and_assess_allocations_do_not_scale_with_functions() {
     let allocs = |phase: &str| {
         warm.trace.phase_mem.iter().find(|p| p.name == phase).map_or(0, |p| p.allocs)
     };
-    let (query, assess) = (allocs("checks.query"), allocs("assess"));
+    let (query, assess, metrics) = (allocs("checks.query"), allocs("assess"), allocs("metrics"));
     // Two per finding (message, enclosing function), a few per (rule,
     // file) (span name, findings list, rows), and a constant.
     let query_bound = 2 * query_diags + 4 * rules.len() as u64 * files + 64;
     let assess_bound = 4 * files + 256;
+    // A few per module (span, record list, name, global index, cohesion
+    // rows), list growth per file, and a constant.
+    let metrics_bound = 16 * warm.modules.len() as u64 + 2 * files + 64;
     assert!(
-        2 * query_bound.max(assess_bound) < functions,
+        2 * query_bound.max(assess_bound).max(metrics_bound) < functions,
         "the corpus must dwarf the bounds with functions ({functions})"
     );
     assert!(query > 0 && query <= query_bound, "checks.query: {query} allocs > {query_bound}");
     assert!(assess > 0 && assess <= assess_bound, "assess: {assess} allocs > {assess_bound}");
+    assert!(metrics > 0 && metrics <= metrics_bound, "metrics: {metrics} allocs > {metrics_bound}");
 }
 
 #[test]

@@ -34,8 +34,11 @@ fn stress_source() -> String {
     s
 }
 
-fn corpus_sources() -> Vec<(String, String, String)> {
-    let mut out: Vec<(String, String, String)> = generate(&ApolloSpec::test_scale())
+/// `(module, path, text)` per file, in ingest order.
+type Sources = Vec<(String, String, String)>;
+
+fn corpus_sources() -> Sources {
+    let mut out: Sources = generate(&ApolloSpec::test_scale())
         .into_iter()
         .map(|f| (f.module, f.path, f.text))
         .collect();
@@ -54,7 +57,7 @@ float g() { return 0.5f + 01.5; }\n\
 /// [`corpus_sources`] plus [`EDGE_SOURCE`], clean and then under each
 /// `faultinject` corruption (invalid UTF-8 replaced lossily, as the
 /// pipeline ingests it).
-fn source_sets() -> Vec<(&'static str, Vec<(String, String, String)>)> {
+fn source_sets() -> Vec<(&'static str, Sources)> {
     let mut clean = corpus_sources();
     clean.push(("stress".into(), "stress/edge.cc".into(), EDGE_SOURCE.into()));
     let mut sets = vec![("clean", clean.clone())];

@@ -3,19 +3,26 @@
 //! built over the ASTs (names, callees, external calls, recursive set);
 //! the coupling count equals a reference computed with owned
 //! `String` module maps, both directly and in the pipeline's evidence;
-//! and every query row answers every schema field with its declared
-//! type. Runs on the examples corpus, on test-scale generated corpora at
-//! several seeds, and on a corpus per fault-injection corruption kind.
+//! every query row answers every schema field with its declared type;
+//! and module cohesion, read from each function's unresolved names,
+//! differs from the rule that counted every identifier naming a module
+//! global only where a local or parameter shadows that global. Runs on
+//! the examples corpus, on test-scale generated corpora at several
+//! seeds, and on a corpus per fault-injection corruption kind.
 
 use adsafe::checkers::AnalysisSet;
 use adsafe::corpus::faultinject::{corrupt, Corruption};
 use adsafe::corpus::{generate, ApolloSpec};
 use adsafe::facts::{self, FactsRecord, FileFacts};
-use adsafe::lang::{CallGraph, FileId, TranslationUnit};
+use adsafe::lang::ast::ExprKind;
+use adsafe::lang::symbols::analyze_function;
+use adsafe::lang::visit::walk_exprs;
+use adsafe::lang::{CallGraph, FileId, SourceFile, TranslationUnit};
+use adsafe::metrics::{module_metrics, TouchedGlobals};
 use adsafe::rulequery::schema::{self, Ty};
 use adsafe::rulequery::{Selector, Value};
 use adsafe::{Assessment, AssessmentOptions};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 
 /// `(module, path, bytes)` per file, in ingest order.
@@ -101,6 +108,54 @@ fn reference_coupling(records: &[FactsRecord<'_>], graph: &CallGraph<'_>) -> usi
     pairs.values().sum()
 }
 
+/// Checks one module's cohesion against the rule that counted every
+/// `Ident` expression naming a module global, shadowed or not. Per
+/// function, the globals read from the unresolved names must be those
+/// identifiers minus names the function binds itself; any other gap is a
+/// use `analyze_function` misses. The two cohesions may then differ only
+/// in a module where some function shadows a global.
+fn check_cohesion(label: &str, module: &str, files: &[(&SourceFile, &TranslationUnit)]) {
+    let mut index: HashMap<&str, usize> = HashMap::new();
+    for (_, unit) in files {
+        for g in unit.global_vars() {
+            let next = index.len();
+            index.entry(g.name.as_str()).or_insert(next);
+        }
+    }
+    let mut by_ident = TouchedGlobals::new(index.len());
+    let mut shadowed = false;
+    for f in files.iter().flat_map(|(_, unit)| unit.functions()) {
+        let mut idents = BTreeSet::new();
+        walk_exprs(f, |e| {
+            if let ExprKind::Ident(n) = &e.kind {
+                idents.extend(index.get_key_value(n.as_str()).map(|(k, _)| *k));
+            }
+        });
+        let syms = analyze_function(f);
+        let unresolved: BTreeSet<&str> = syms
+            .unresolved
+            .iter()
+            .filter_map(|u| index.get_key_value(u.name.as_str()).map(|(k, _)| *k))
+            .collect();
+        let name = &f.sig.qualified_name;
+        assert!(unresolved.is_subset(&idents), "{label}: {name} resolves a use it never names");
+        for gap in idents.difference(&unresolved) {
+            shadowed = true;
+            assert!(
+                syms.params.iter().chain(syms.locals.iter().map(|l| &l.name)).any(|b| b == gap),
+                "{label}: {name} uses global `{gap}` but its unresolved names miss it"
+            );
+        }
+        by_ident.push(idents.iter().map(|n| index[n]));
+    }
+    let cohesion = module_metrics(module, files).cohesion;
+    assert!(
+        shadowed || cohesion.to_bits() == by_ident.cohesion().to_bits(),
+        "{label}: {module} cohesion {cohesion} vs {} with no shadowed global",
+        by_ident.cohesion()
+    );
+}
+
 fn ty_of(v: Value<'_>) -> Ty {
     match v {
         Value::Int(_) => Ty::Int,
@@ -135,6 +190,26 @@ fn check(label: &str, corpus: &Corpus) -> usize {
     let recursive = built.recursive_functions();
     assert_eq!(replayed.recursive_functions(), recursive, "{label}: recursive set");
     assert!(recursive.windows(2).all(|w| w[0] < w[1]), "{label}: recursive set sorted");
+
+    // Cohesion: facts path against the AST reference bit for bit, and
+    // against the identifier rule up to shadowing.
+    let mut modules: Vec<&str> = records.iter().map(|(_, m, _)| *m).collect();
+    modules.dedup();
+    for module in modules {
+        let files: Vec<(&SourceFile, &TranslationUnit)> = set
+            .parsed()
+            .filter(|(_, m, _)| *m == module)
+            .map(|(id, _, p)| (set.sm.file(*id), &p.unit))
+            .collect();
+        let mine: Vec<&FileFacts> =
+            records.iter().filter(|(_, m, _)| *m == module).map(|(_, _, f)| *f).collect();
+        assert_eq!(
+            facts::module_metrics_from_facts(module, &mine).cohesion.to_bits(),
+            module_metrics(module, &files).cohesion.to_bits(),
+            "{label}: {module} cohesion"
+        );
+        check_cohesion(label, module, &files);
+    }
 
     // Coupling: index-based count against the owned-map reference, and
     // the pipeline's evidence against both.
