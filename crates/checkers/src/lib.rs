@@ -259,11 +259,12 @@ mod tests {
         set.add(
             "m",
             "t.cc",
-            "int g;\nint f(int* p) { if (*p) goto x; x: return (int)1.5; }\n",
+            "#define badMacro 1\nint g;\nint f(int* p) { if (*p) goto x; x: return (int)1.5; }\n",
         );
         let cx = set.context();
         let checks = default_checks();
         let diags = run_checks(&checks, &cx);
+        assert!(diags.iter().any(|d| d.check_id == "naming-macro"));
         assert!(diags.iter().any(|d| d.check_id == "misra-15.1-goto"));
         assert!(diags.iter().any(|d| d.check_id == "typing-explicit-cast"));
         assert!(diags.iter().any(|d| d.check_id == "design-global-variable"));

@@ -178,37 +178,28 @@ impl Check for MacroNamingCheck {
     fn iso_refs(&self) -> &'static [&'static str] {
         &["Part6.Table1.Row8"]
     }
-    fn run(&self, _cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        // Macro info lives in PpInfo, which the context does not carry per
-        // entry; checked via `check_macros` below from the pipeline.
-        Vec::new()
-    }
-}
-
-/// Checks macro names from preprocessor info (used by the pipeline, which
-/// has access to [`adsafe_lang::preprocess::PpInfo`]).
-pub fn check_macros(pp: &adsafe_lang::preprocess::PpInfo) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for m in &pp.macros {
-        // Include guards end with `_` and are fine.
-        let case = classify(&m.name);
-        if !matches!(case, NameCase::UpperSnake) && !m.name.ends_with('_') {
-            out.push(Diagnostic::new(
-                "naming-macro",
-                Severity::Info,
-                m.span,
-                format!("macro `{}` is not UPPER_SNAKE_CASE", m.name),
-            ));
+    fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
+        let mut out = Vec::new();
+        for m in cx.entries.iter().flat_map(|e| &e.unit.macros) {
+            // Include guards end with `_` and are fine.
+            let case = classify(&m.name);
+            if !matches!(case, NameCase::UpperSnake) && !m.name.ends_with('_') {
+                out.push(Diagnostic::new(
+                    self.id(),
+                    Severity::Info,
+                    m.span,
+                    format!("macro `{}` is not UPPER_SNAKE_CASE", m.name),
+                ));
+            }
         }
+        out
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::AnalysisSet;
-    use adsafe_lang::preprocess::preprocess;
 
     fn run(check: &dyn Check, src: &str) -> Vec<Diagnostic> {
         let mut set = AnalysisSet::new();
@@ -263,14 +254,9 @@ mod tests {
 
     #[test]
     fn macro_names_checked() {
-        let p = preprocess(adsafe_lang::FileId(0), "#define MAX_N 10\n#define badMacro 1\n#define GUARD_H_\n");
-        let d = check_macros(&p.info);
+        let d = run(&MacroNamingCheck, "#define MAX_N 10\n#define badMacro 1\n#define GUARD_H_\n");
         assert_eq!(d.len(), 1);
         assert!(d[0].message.contains("badMacro"));
-    }
-
-    #[test]
-    fn macro_check_trait_is_noop() {
         assert!(run(&MacroNamingCheck, "int x;").is_empty());
     }
 }

@@ -94,9 +94,9 @@ pub struct FileFacts {
     /// Per-function facts, in definition order.
     pub functions: Vec<FunctionFacts>,
     /// File-local diagnostics: every [`adsafe_checkers::CheckScope::File`]
-    /// rule's findings plus the preprocessor macro-naming pass, in
-    /// rule-registry order. Cross-file rule diagnostics are *not*
-    /// stored — they are recomputed from facts.
+    /// rule's findings, in rule-registry order, written by the file's
+    /// task before the record leaves it. Cross-file rule diagnostics are
+    /// *not* stored — they are recomputed from facts.
     pub diags: Vec<Diagnostic>,
 }
 
@@ -226,15 +226,14 @@ pub fn global_use_diags(records: &[FactsRecord<'_>], globals: &HashSet<&str>) ->
 }
 
 /// Module metrics from facts — the same numbers (and the same
-/// `metrics.module` span and counter) as `adsafe_metrics::module_metrics`
-/// over the parsed files, folded straight from the records.
+/// `metrics.module` span) as `adsafe_metrics::module_metrics` over the
+/// parsed files, folded straight from the records.
 pub fn module_metrics_from_facts(name: &str, files: &[&FileFacts]) -> ModuleMetrics {
     let _sp = adsafe_trace::span_with(
         "metrics.module",
         "metrics",
         vec![("module", name.to_string())],
     );
-    adsafe_trace::counter("metrics.module.files").add(files.len() as u64);
     let mut tally = ModuleTally::default();
     for facts in files {
         tally.file(&facts.loc, facts.globals.iter().map(|g| g.name.as_str()));
@@ -323,7 +322,6 @@ fn check_id_for(name: &str) -> Option<&'static str> {
         for c in adsafe_checkers::default_checks() {
             m.insert(c.id().to_string(), c.id());
         }
-        m.insert("naming-macro".to_string(), "naming-macro");
         m
     })
     .get(name)

@@ -49,7 +49,7 @@ pub use fault::{Fault, FaultCause, FaultLog, FaultPhase, FaultSeverity, Recovery
 pub use pipeline::{assess_corpus, Assessment, AssessmentOptions, AssessmentReport, Budgets};
 pub use adsafe_trace::TraceSummary;
 
-/// Re-export: zero-dependency work-stealing thread pool.
+/// Re-export: zero-dependency self-scheduling thread pool.
 pub use adsafe_pool as pool;
 
 /// Re-export: structured tracing & metrics registry.

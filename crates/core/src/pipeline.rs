@@ -28,21 +28,22 @@
 //!
 //! ## Parallelism and incrementality
 //!
-//! The parse and metrics phases parallelise per file / per module, and
-//! the checks phase runs one task per file on the work-stealing [`Pool`]
+//! A run has two rounds on the self-scheduling [`Pool`]
 //! ([`AssessmentOptions::jobs`]; the default of 1 runs everything inline
-//! on the caller thread). A fresh file's task takes its AST by value,
-//! runs every file-local native rule over it, writes the diagnostics
-//! into the file's [`FileFacts`](crate::facts::FileFacts) record and
-//! drops the AST; from there on every file, fresh or cached, is one
-//! record. Query rules run in one facts-row pass per file on the caller
-//! thread. With [`AssessmentOptions::cache_dir`] set, records are reused
-//! across runs keyed by content hash, skipping parse, file-local checks,
-//! and metrics extraction for unchanged files. Reports are byte-identical
-//! across worker counts and cache states by construction: results merge
-//! in stable file order before the canonical diagnostic sort, and every
-//! cross-file quantity is recomputed from facts on every run (see
-//! [`crate::facts`]).
+//! on the caller thread): one task per file, then one per module. A
+//! file's task looks up the facts cache; on a miss it parses the file,
+//! extracts its facts, runs every non-gated file-local native rule over
+//! the tree, and drops the tree, so it returns one complete
+//! [`FileFacts`](crate::facts::FileFacts) record and no AST leaves it.
+//! Rule gates (failpoints, the checks deadline) are decided once, before
+//! the file round. Program-scoped natives and query rules then run from
+//! facts on the caller thread. With [`AssessmentOptions::cache_dir`]
+//! set, records are reused across runs keyed by content hash, skipping
+//! parse, file-local checks, and metrics extraction for unchanged files.
+//! Reports are byte-identical across worker counts and cache states by
+//! construction: results merge in stable file order before the
+//! canonical diagnostic sort, and every cross-file quantity is
+//! recomputed from facts on every run (see [`crate::facts`]).
 
 use crate::cache::{content_hash, CacheLookup, FactsCache, FactsStore};
 use crate::facts::{self, FactsRecord, FileFacts};
@@ -56,7 +57,7 @@ use adsafe_checkers::{
 use adsafe_iso26262::{
     assess, observations, Asil, ComplianceReport, Evidence, GpuEvidence, Observation,
 };
-use adsafe_lang::{CallGraph, FileId, ParsedFile, SourceMap};
+use adsafe_lang::{CallGraph, FileId, SourceMap};
 use adsafe_metrics::{module_from_estimates, token_estimate, ModuleMetrics, TokenEstimate};
 use adsafe_pool::Pool;
 use adsafe_trace::TraceSummary;
@@ -134,7 +135,7 @@ pub struct AssessmentOptions {
     pub coverage: Option<adsafe_iso26262::CoverageEvidence>,
     /// Wall-clock budgets for the analysis phases.
     pub budgets: Budgets,
-    /// Worker threads for the parse/checks/metrics phases. `1` (the
+    /// Worker threads for the file and module rounds. `1` (the
     /// default) runs everything inline on the caller thread — exactly
     /// the serial pipeline; `0` means one worker per available core.
     pub jobs: usize,
@@ -216,37 +217,28 @@ struct RawFile {
     hash: OnceLock<u64>, // `content_hash(path, text)`, on first need
 }
 
-/// Per-file result of the parse phase, produced by one (possibly
+/// Per-file result of the file round, produced by one (possibly
 /// worker-side) task and merged on the caller thread in file order.
 #[derive(Default)]
-struct ParseOutcome {
-    kind: ParseKind,
-    faults: Vec<Fault>,
+struct FileOutcome {
+    /// The file's complete record, fresh or cached; `None` for a file
+    /// that fell to tier 3 (`estimate`) or was dropped.
+    facts: Option<Arc<FileFacts>>,
     estimate: Option<TokenEstimate>,
+    /// Parse-phase faults.
+    faults: Vec<Fault>,
+    /// Faults of the task's rule part, logged after the rule gates'.
+    check_faults: Vec<Fault>,
+    /// A fresh tier-1 record, fit for write-back if no rule failed.
     cache_ok: bool,
 }
 
-#[derive(Default)]
-enum ParseKind {
-    /// Parsed this run; facts extracted, diagnostics pending.
-    Fresh(Box<ParsedFile>, FileFacts),
-    /// Served from the facts cache; diagnostics included, their spans
-    /// not yet bound to this run's `FileId`.
-    Cached(Arc<FileFacts>),
-    /// Tier 3: token-only estimate (carried in `estimate`).
-    Estimated,
-    /// Tier 4: nothing recoverable.
-    #[default]
-    Dropped,
-}
-
-/// A file that survived parsing (fresh or cached) in pipeline position;
-/// after the checks round its record holds its file-local diagnostics.
+/// A file that survived parsing (fresh or cached) in pipeline position,
+/// with its file-local diagnostics in its record.
 struct LoadedFile {
     file_idx: usize,
     id: FileId,
     facts: Arc<FileFacts>,
-    cache_ok: bool,
 }
 
 /// The assessment driver. Add files, then [`Assessment::run`].
@@ -387,79 +379,27 @@ impl Assessment {
             });
         }
 
-        // Phase 1: parse, descending the ladder per file. File ids were
-        // assigned in add order (so they are identical run-to-run and
-        // across worker counts); the per-file work fans out.
+        // Phase 1: one task per file, descending the ladder. File ids
+        // were assigned in add order (so they are identical run-to-run
+        // and across worker counts); the per-file work fans out, and
+        // each task returns its file's complete record.
         let phase_span = adsafe_trace::span("phase.parse", "phase");
-        let sm = &self.sources;
-        let deadline = PhaseDeadline::new(&budgets);
-        let outcomes = pool.map((0..self.files.len()).collect(), |_, i| {
-            self.parse_one(i, &deadline, &budgets, cache)
-        });
-
-        let mut loaded: Vec<LoadedFile> = Vec::new();
-        let mut asts: Vec<Option<Box<ParsedFile>>> = Vec::new();
-        let mut estimates: Vec<(String, TokenEstimate)> = Vec::new();
-        for (i, res) in outcomes.into_iter().enumerate() {
-            match res {
-                Ok(o) => {
-                    for f in o.faults {
-                        log.push(f);
-                    }
-                    if let Some(est) = o.estimate {
-                        estimates.push((self.files[i].module.clone(), est));
-                    }
-                    let (facts, ast) = match o.kind {
-                        ParseKind::Fresh(p, facts) => (Arc::new(facts), Some(p)),
-                        ParseKind::Cached(facts) => (facts, None),
-                        ParseKind::Estimated | ParseKind::Dropped => continue,
-                    };
-                    loaded.push(LoadedFile {
-                        file_idx: i,
-                        id: sm.files()[i].id(),
-                        facts,
-                        cache_ok: o.cache_ok,
-                    });
-                    asts.push(ast); // index for index with `loaded`
-                }
-                Err(payload) => {
-                    // The task itself panicked outside its internal
-                    // containment — treat as an unrecoverable file.
-                    adsafe_trace::counter("parse.dropped.files").incr();
-                    log.push(Fault {
-                        phase: FaultPhase::Parse,
-                        path: sm.files()[i].path().to_string(),
-                        severity: FaultSeverity::Lost,
-                        cause: classify_panic(&panic_message(&*payload)),
-                        recovery: Recovery::Dropped,
-                        run_id: String::new(),
-                    });
-                }
-            }
-        }
-        note_phase_overrun(&mut log, FaultPhase::Parse, deadline.start, &budgets);
-        drop(phase_span);
-
-        // Phase 2: checkers, one pool task per file with per-rule
-        // isolation. Rule gates (failpoints, deadline) run on the
-        // caller thread first so a gated rule is skipped wholesale.
-        let phase_span = adsafe_trace::span("phase.checks", "phase");
-        // Native/query sub-phases are *always* emitted, pack or no
-        // pack: the report's phase set must not depend on options, or
-        // `adsafe trace-compare` would flag a missing phase instead of
-        // a regression.
-        let native_span = adsafe_trace::span("phase.checks.native", "phase");
+        // Rule gates (failpoints, the checks deadline) are decided once,
+        // on the caller thread, before the file round, over native and
+        // query ids alike, so a gated rule is skipped wholesale. Their
+        // faults join the log after the parse faults.
         let checks = default_checks();
         let query_rules: Vec<&adsafe_query::CompiledRule> =
             crate::query::query_rules(self.options.rules.as_deref()).collect();
-        let deadline = PhaseDeadline::new(&budgets);
+        let gate_deadline = PhaseDeadline::new(&budgets);
         let mut skipped: HashSet<&'static str> = HashSet::new();
+        let mut gate_faults: Vec<Fault> = Vec::new();
         let mut deadline_cut = false;
         let rule_ids = checks.iter().map(|c| c.id()).chain(query_rules.iter().map(|r| r.id));
         for id in rule_ids {
-            if !deadline_cut && deadline.exceeded() {
+            if !deadline_cut && gate_deadline.exceeded() {
                 deadline_cut = true;
-                log.push(Fault {
+                gate_faults.push(Fault {
                     phase: FaultPhase::Checks,
                     path: id.to_string(),
                     severity: FaultSeverity::Degraded,
@@ -476,47 +416,20 @@ impl Assessment {
                 failpoints::hit("pipeline::check");
                 failpoints::hit(&format!("pipeline::check::{id}"));
             })) {
-                log.push(check_fault(id.to_string(), &panic_message(&*payload)));
+                gate_faults.push(check_fault(id.to_string(), &panic_message(&*payload)));
                 skipped.insert(id);
             }
         }
-
-        // One task per file. A fresh file's task takes its AST by value,
-        // runs every non-gated file-local rule in registry order over one
-        // file-local context, then the macro-naming pass, and drops the
-        // AST, so the workers share its teardown. The diagnostics go into
-        // the file's still unshared record, in the order a cached record
-        // holds them. A cached file has no AST and nothing to run.
         let file_rules: Vec<&dyn Check> = checks
             .iter()
             .map(|c| c.as_ref())
             .filter(|c| c.scope() == CheckScope::File && !skipped.contains(c.id()))
             .collect();
-        let results = pool.map(loaded.iter_mut().zip(asts).collect(), |_, (l, ast)| {
-            let Some(parsed) = ast else { return Vec::new() };
-            let file = sm.file(l.id);
-            let module = &self.files[l.file_idx].module;
-            let entry = FileEntry { file, unit: &parsed.unit, module };
-            let cx = CheckContext::file_local(sm, entry);
-            let mut diags = Vec::new();
-            let mut faults = Vec::new();
-            for &check in &file_rules {
-                match run_one_check(&Failpointed { check, path: file.path() }, &cx) {
-                    Ok(d) => diags.extend(d),
-                    Err(e) => faults.push(check_fault(e.check_id.to_string(), &e.message)),
-                }
-            }
-            let _sp = adsafe_trace::span("check.naming-macro", "checks");
-            match catch_unwind(AssertUnwindSafe(|| {
-                adsafe_checkers::naming::check_macros(&parsed.pp)
-            })) {
-                Ok(d) => diags.extend(d),
-                Err(payload) => {
-                    faults.push(check_fault(file.path().to_string(), &panic_message(&*payload)))
-                }
-            }
-            Arc::make_mut(&mut l.facts).diags = diags;
-            faults
+
+        let sm = &self.sources;
+        let deadline = PhaseDeadline::new(&budgets);
+        let outcomes = pool.map((0..self.files.len()).collect(), |_, i| {
+            self.analyse_file(i, &deadline, &budgets, cache, &file_rules)
         });
 
         // Every file-local diagnostic enters the run here, from its
@@ -527,31 +440,63 @@ impl Assessment {
         // fault) from runs that gated no rule: an entry must replay the
         // complete rule set, and recoverable faults must recur.
         let write_back = if skipped.is_empty() { cache } else { None };
+        let mut loaded: Vec<LoadedFile> = Vec::new();
+        let mut estimates: Vec<(String, TokenEstimate)> = Vec::new();
+        let mut check_faults: Vec<Fault> = Vec::new();
         let mut diagnostics: Vec<Diagnostic> = Vec::new();
-        for (l, res) in loaded.iter().zip(results) {
-            match res {
-                Ok(faults) => {
-                    if let Some(c) = write_back.filter(|_| l.cache_ok && faults.is_empty()) {
-                        let path = sm.file(l.id).path();
-                        c.store_shared(self.file_hash(l.file_idx), path, Arc::clone(&l.facts));
-                    }
-                    for f in faults {
-                        log.push(f);
-                    }
-                }
+        for (i, res) in outcomes.into_iter().enumerate() {
+            let path = sm.files()[i].path();
+            let o = match res {
+                Ok(o) => o,
                 Err(payload) => {
-                    let path = sm.file(l.id).path().to_string();
-                    log.push(check_fault(path, &panic_message(&*payload)));
+                    // The task itself panicked outside its internal
+                    // containment — treat as an unrecoverable file.
+                    adsafe_trace::counter("parse.dropped.files").incr();
+                    log.push(Fault {
+                        phase: FaultPhase::Parse,
+                        path: path.to_string(),
+                        severity: FaultSeverity::Lost,
+                        cause: classify_panic(&panic_message(&*payload)),
+                        recovery: Recovery::Dropped,
+                        run_id: String::new(),
+                    });
+                    continue;
                 }
+            };
+            for f in o.faults {
+                log.push(f);
             }
-            diagnostics.extend(
-                l.facts.diags.iter().filter(|d| !skipped.contains(d.check_id)).map(|d| {
+            if let Some(est) = o.estimate {
+                estimates.push((self.files[i].module.clone(), est));
+            }
+            let Some(facts) = o.facts else { continue };
+            if let Some(c) = write_back.filter(|_| o.cache_ok && o.check_faults.is_empty()) {
+                c.store_shared(self.file_hash(i), path, Arc::clone(&facts));
+            }
+            check_faults.extend(o.check_faults);
+            let id = sm.files()[i].id();
+            diagnostics.extend(facts.diags.iter().filter(|d| !skipped.contains(d.check_id)).map(
+                |d| {
                     let mut d = d.clone();
-                    d.span.file = l.id;
+                    d.span.file = id;
                     d
-                }),
-            );
+                },
+            ));
+            loaded.push(LoadedFile { file_idx: i, id, facts });
         }
+        note_phase_overrun(&mut log, FaultPhase::Parse, deadline.start, &budgets);
+        drop(phase_span);
+        for f in gate_faults.into_iter().chain(check_faults) {
+            log.push(f);
+        }
+
+        // Phase 2: the whole-program checks. Native/query sub-phases
+        // are *always* emitted, pack or no pack: the report's phase set
+        // must not depend on options, or `adsafe trace-compare` would
+        // flag a missing phase instead of a regression.
+        let phase_span = adsafe_trace::span("phase.checks", "phase");
+        let checks_start = Instant::now();
+        let native_span = adsafe_trace::span("phase.checks.native", "phase");
 
         // Facts records in stable file order — the single source for
         // every cross-file assembly below, fresh and cached alike.
@@ -636,7 +581,7 @@ impl Assessment {
         // group, so within-group emission order is preserved exactly.
         diagnostics.sort_by_key(|d| (d.check_id, d.span.file, d.span.start));
         adsafe_trace::counter("checks.diagnostics").add(diagnostics.len() as u64);
-        note_phase_overrun(&mut log, FaultPhase::Checks, deadline.start, &budgets);
+        note_phase_overrun(&mut log, FaultPhase::Checks, checks_start, &budgets);
         drop(phase_span);
 
         // Phase 3: module metrics from facts, isolated per module, with
@@ -666,6 +611,10 @@ impl Assessment {
             }))
             .map_err(|payload| classify_panic(&panic_message(&*payload)))
         });
+        // The file tally is counted here, on the caller: a module task
+        // touches no counter, so no worker's counter storage depends on
+        // how many modules it happened to claim.
+        let mut module_files = 0u64;
         let mut modules: Vec<ModuleMetrics> = Vec::new();
         for (m, res) in module_order.iter().zip(module_results) {
             let flat = match res {
@@ -673,7 +622,10 @@ impl Assessment {
                 Err(payload) => Err(classify_panic(&panic_message(&*payload))),
             };
             match flat {
-                Ok(mm) => modules.push(mm),
+                Ok(mm) => {
+                    module_files += mm.file_count as u64;
+                    modules.push(mm);
+                }
                 Err(cause) => {
                     let ests: Vec<TokenEstimate> = loaded
                         .iter()
@@ -697,6 +649,7 @@ impl Assessment {
                 }
             }
         }
+        adsafe_trace::counter("metrics.module.files").add(module_files);
         // Absorb tier-3 files into their modules' metrics.
         for (module, est) in &estimates {
             match modules.iter_mut().find(|m| &m.name == module) {
@@ -899,23 +852,27 @@ impl Assessment {
         }
     }
 
-    /// The per-file parse task: cache lookup, parse + facts extraction
-    /// under panic containment, degradation ladder on failure. Runs on a
-    /// worker when `jobs > 1`, inline otherwise; the worker's trace scope
-    /// (spans, counters, allocations) is absorbed back into the caller's.
-    fn parse_one(
+    /// The per-file task: cache lookup; else parse + facts extraction
+    /// under panic containment, descending the degradation ladder on
+    /// failure, then every rule in `rules` (the non-gated file-local
+    /// natives, in registry order) over the tree, which dies here. Runs
+    /// on a worker when `jobs > 1`, inline otherwise; the worker's trace
+    /// scope (spans, counters, allocations) is absorbed back into the
+    /// caller's.
+    fn analyse_file(
         &self,
         i: usize,
         deadline: &PhaseDeadline,
         budgets: &Budgets,
         cache: Option<&dyn FactsStore>,
-    ) -> ParseOutcome {
+        rules: &[&dyn Check],
+    ) -> FileOutcome {
         let sm = &self.sources;
         let file = &sm.files()[i];
         let (id, path, text) = (file.id(), file.path(), file.text());
         let _file_span =
             adsafe_trace::span_with("parse.file", "parse", vec![("path", path.to_string())]);
-        let mut out = ParseOutcome::default();
+        let mut out = FileOutcome::default();
         if deadline.exceeded() {
             if deadline.trip_once() {
                 out.faults.push(Fault {
@@ -932,7 +889,6 @@ impl Assessment {
             if let Ok(est) = catch_unwind(AssertUnwindSafe(|| token_estimate(id, text))) {
                 adsafe_trace::counter("parse.tier3.files").incr();
                 out.estimate = Some(est);
-                out.kind = ParseKind::Estimated;
             }
             return out;
         }
@@ -940,12 +896,12 @@ impl Assessment {
             match c.load_at(self.file_hash(i), id, path) {
                 CacheLookup::Hit(facts) => {
                     adsafe_trace::counter("parse.cached.files").incr();
-                    out.kind = ParseKind::Cached(facts);
+                    out.facts = Some(facts);
                     return out;
                 }
                 CacheLookup::Corrupt(detail) => {
                     // Cold path from here on; the entry was evicted and a
-                    // clean one will be written back after checks.
+                    // clean one will be written back after the task.
                     out.faults.push(Fault {
                         phase: FaultPhase::Parse,
                         path: path.to_string(),
@@ -966,7 +922,7 @@ impl Assessment {
             (p, facts)
         }));
         match parsed {
-            Ok((p, facts)) => {
+            Ok((p, mut facts)) => {
                 let regions = p.unit.recovery_count;
                 if regions > 0 {
                     adsafe_trace::counter("parse.tier2.files").incr();
@@ -982,7 +938,33 @@ impl Assessment {
                     adsafe_trace::counter("parse.tier1.files").incr();
                     out.cache_ok = true;
                 }
-                out.kind = ParseKind::Fresh(Box::new(p), facts);
+                // A panic outside rule containment keeps the file's
+                // facts, costs its diagnostics, and names the file.
+                let module = &self.files[i].module;
+                let checked = catch_unwind(AssertUnwindSafe(|| {
+                    let entry = FileEntry { file, unit: &p.unit, module };
+                    let cx = CheckContext::file_local(sm, entry);
+                    let mut diags = Vec::new();
+                    let mut faults = Vec::new();
+                    for &check in rules {
+                        match run_one_check(&Failpointed { check, path }, &cx) {
+                            Ok(d) => diags.extend(d),
+                            Err(e) => faults.push(check_fault(e.check_id.to_string(), &e.message)),
+                        }
+                    }
+                    (diags, faults)
+                }));
+                drop(p);
+                match checked {
+                    Ok((diags, faults)) => {
+                        facts.diags = diags;
+                        out.check_faults = faults;
+                    }
+                    Err(payload) => out
+                        .check_faults
+                        .push(check_fault(path.to_string(), &panic_message(&*payload))),
+                }
+                out.facts = Some(Arc::new(facts));
             }
             Err(payload) => {
                 let cause = classify_panic(&panic_message(&*payload));
@@ -990,7 +972,6 @@ impl Assessment {
                     Ok(est) => {
                         adsafe_trace::counter("parse.tier3.files").incr();
                         out.estimate = Some(est);
-                        out.kind = ParseKind::Estimated;
                         out.faults.push(Fault {
                             phase: FaultPhase::Parse,
                             path: path.to_string(),

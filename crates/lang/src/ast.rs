@@ -6,9 +6,11 @@
 //! parser cannot understand are preserved as `Opaque` nodes so downstream
 //! analyses see an honest account of what was skipped.
 
+use crate::preprocess::MacroDef;
 use crate::source::Span;
 
-/// A parsed source file: top-level declarations plus preprocessor info.
+/// A parsed source file: top-level declarations plus what the
+/// preprocess and lex saw that the tree does not keep.
 #[derive(Debug, Clone)]
 pub struct TranslationUnit {
     /// File-scope declarations in source order.
@@ -19,6 +21,10 @@ pub struct TranslationUnit {
     /// while lexing: the tree normalises literal values, so the
     /// spelling MISRA 7.1 forbids is only visible in the tokens.
     pub octal_literals: Vec<OctalLiteral>,
+    /// Macro definitions, in source order, recorded by the preprocess:
+    /// directive lines are blanked before lexing, so the tree never
+    /// sees them.
+    pub macros: Vec<MacroDef>,
 }
 
 /// An integer literal spelled in octal (`052` reads as 42).

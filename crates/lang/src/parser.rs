@@ -9,18 +9,17 @@
 
 use crate::ast::*;
 use crate::lexer::{lex, octal_literals};
-use crate::preprocess::{preprocess, PpInfo};
+use crate::preprocess::preprocess;
 use crate::source::{FileId, Span};
 use crate::token::{Kw, Punct, Token, TokenKind};
 use std::collections::HashSet;
 
-/// Output of [`parse_source`]: the tree plus preprocessor info.
+/// Output of [`parse_source`].
 #[derive(Debug, Clone)]
 pub struct ParsedFile {
-    /// The syntax tree.
+    /// The syntax tree, with the macro definitions and octal literals
+    /// harvested before parsing.
     pub unit: TranslationUnit,
-    /// Preprocessor directives harvested before lexing.
-    pub pp: PpInfo,
 }
 
 /// Preprocesses, lexes, and parses `src` as the contents of `file`.
@@ -42,10 +41,11 @@ pub fn parse_source(file: FileId, src: &str) -> ParsedFile {
         Parser::new(file, &pre.text, &toks).parse_unit()
     };
     unit.octal_literals = octal_literals;
+    unit.macros = pre.info.macros;
     if unit.recovery_count > 0 {
         adsafe_trace::counter("parse.parser.resyncs").add(unit.recovery_count as u64);
     }
-    ParsedFile { unit, pp: pre.info }
+    ParsedFile { unit }
 }
 
 /// Common type names assumed known even without a typedef in scope, so the
@@ -263,11 +263,13 @@ impl<'a> Parser<'a> {
                 self.bump();
             }
         }
-        // `parse_source` fills in the octal literals from its lex.
+        // `parse_source` fills in the octal literals from its lex and
+        // the macro definitions from its preprocess.
         TranslationUnit {
             decls,
             recovery_count: self.recovery_count,
             octal_literals: Vec::new(),
+            macros: Vec::new(),
         }
     }
 

@@ -8,27 +8,16 @@
 //! * comments are blanked out (newlines preserved, so spans and line
 //!   numbers stay valid);
 //! * `\`-continuations are spliced (replaced by spaces);
-//! * every directive line is recorded in [`PpInfo`] and blanked;
+//! * every directive line is blanked;
 //! * `#if/#ifdef/#ifndef` conditionals keep their first branch, except
 //!   that `#ifdef NAME` / `#ifndef NAME` are evaluated against the macro
 //!   table accumulated so far (so include guards behave correctly);
-//! * object- and function-like macro definitions are recorded (names and
-//!   parameter lists) but never expanded.
+//! * object- and function-like macro definitions are recorded in
+//!   [`PpInfo`] (names and parameter lists) but never expanded.
 
 use crate::source::{FileId, Span};
 use crate::token::PpKind;
 use std::collections::HashMap;
-
-/// A recorded `#include`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Include {
-    /// The header path between the delimiters.
-    pub path: String,
-    /// `true` for `<...>`, `false` for `"..."`.
-    pub system: bool,
-    /// Location of the directive line.
-    pub span: Span,
-}
 
 /// A recorded macro definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,32 +39,11 @@ impl MacroDef {
     }
 }
 
-/// A recorded directive of any kind.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Directive {
-    /// Which directive this is.
-    pub kind: PpKind,
-    /// Raw text of the directive line (continuations spliced).
-    pub text: String,
-    /// Location of the directive line.
-    pub span: Span,
-}
-
 /// Everything the preprocessor pass learned about one file.
 #[derive(Debug, Clone, Default)]
 pub struct PpInfo {
-    /// All `#include`s, in order.
-    pub includes: Vec<Include>,
     /// All macro definitions, in order.
     pub macros: Vec<MacroDef>,
-    /// Every directive line, in order (includes the above).
-    pub directives: Vec<Directive>,
-    /// Number of comment regions stripped.
-    pub comment_count: usize,
-    /// Total bytes of comment text stripped.
-    pub comment_bytes: usize,
-    /// Lines suppressed by inactive conditional branches.
-    pub suppressed_lines: usize,
 }
 
 impl PpInfo {
@@ -93,64 +61,41 @@ pub struct Preprocessed {
     /// Byte-for-byte the same length as the input, so spans into it are
     /// valid spans into the original file.
     pub text: String,
-    /// Harvested directive information.
+    /// Harvested macro definitions.
     pub info: PpInfo,
 }
 
 /// Runs the preprocessor pass over `src` (registered as `file`).
 pub fn preprocess(file: FileId, src: &str) -> Preprocessed {
-    let stripped = strip_comments(src);
-    let mut info = PpInfo {
-        comment_count: stripped.count,
-        comment_bytes: stripped.bytes,
-        ..PpInfo::default()
-    };
-    let text = process_directives(file, &stripped.text, &mut info);
+    let mut info = PpInfo::default();
+    let text = process_directives(file, &strip_comments(src), &mut info);
     Preprocessed { text, info }
 }
 
-struct Stripped {
-    text: String,
-    count: usize,
-    bytes: usize,
-}
-
 /// Replaces comments with spaces, preserving newlines and total length.
-fn strip_comments(src: &str) -> Stripped {
+fn strip_comments(src: &str) -> String {
     let bytes = src.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
-    let mut count = 0usize;
-    let mut stripped_bytes = 0usize;
     while i < bytes.len() {
         let b = bytes[i];
         match b {
             b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
-                count += 1;
                 while i < bytes.len() && bytes[i] != b'\n' {
                     out.push(b' ');
-                    stripped_bytes += 1;
                     i += 1;
                 }
             }
             b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'*' => {
-                count += 1;
                 out.extend_from_slice(b"  ");
-                stripped_bytes += 2;
                 i += 2;
                 while i < bytes.len() {
                     if bytes[i] == b'*' && i + 1 < bytes.len() && bytes[i + 1] == b'/' {
                         out.extend_from_slice(b"  ");
-                        stripped_bytes += 2;
                         i += 2;
                         break;
                     }
-                    if bytes[i] == b'\n' {
-                        out.push(b'\n');
-                    } else {
-                        out.push(b' ');
-                        stripped_bytes += 1;
-                    }
+                    out.push(if bytes[i] == b'\n' { b'\n' } else { b' ' });
                     i += 1;
                 }
             }
@@ -178,11 +123,7 @@ fn strip_comments(src: &str) -> Stripped {
             }
         }
     }
-    Stripped {
-        text: String::from_utf8(out).expect("comment stripping preserves UTF-8"),
-        count,
-        bytes: stripped_bytes,
-    }
+    String::from_utf8(out).expect("comment stripping preserves UTF-8")
 }
 
 fn directive_kind(name: &str) -> PpKind {
@@ -215,7 +156,7 @@ struct CondFrame {
 }
 
 /// Blanks directive lines and inactive conditional branches; records
-/// directives into `info`. Output has the same byte length as the input.
+/// macro definitions into `info`. Output has the same byte length as the input.
 fn process_directives(file: FileId, src: &str, info: &mut PpInfo) -> String {
     let mut defined: HashMap<String, ()> = HashMap::new();
     let mut out = String::with_capacity(src.len());
@@ -292,11 +233,6 @@ fn process_directives(file: FileId, src: &str, info: &mut PpInfo) -> String {
                 PpKind::Endif => {
                     stack.pop();
                 }
-                PpKind::Include if active => {
-                    if let Some(inc) = parse_include(rest, span) {
-                        info.includes.push(inc);
-                    }
-                }
                 PpKind::Define if active => {
                     if let Some(m) = parse_define(rest, span) {
                         defined.insert(m.name.clone(), ());
@@ -308,11 +244,6 @@ fn process_directives(file: FileId, src: &str, info: &mut PpInfo) -> String {
                 }
                 _ => {}
             }
-            info.directives.push(Directive {
-                kind,
-                text: logical,
-                span,
-            });
             // Blank all physical lines of the directive.
             for l in &lines[li..li + consumed] {
                 push_blanked(&mut out, l);
@@ -320,7 +251,6 @@ fn process_directives(file: FileId, src: &str, info: &mut PpInfo) -> String {
             offset += blanked_len;
             li += consumed;
         } else if !active {
-            info.suppressed_lines += 1;
             push_blanked(&mut out, line);
             offset += line.len();
             li += 1;
@@ -346,19 +276,6 @@ fn first_word(s: &str) -> &str {
         .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
         .unwrap_or(s.len());
     &s[..end]
-}
-
-fn parse_include(rest: &str, span: Span) -> Option<Include> {
-    let rest = rest.trim();
-    if let Some(stripped) = rest.strip_prefix('<') {
-        let end = stripped.find('>')?;
-        Some(Include { path: stripped[..end].to_string(), system: true, span })
-    } else if let Some(stripped) = rest.strip_prefix('"') {
-        let end = stripped.find('"')?;
-        Some(Include { path: stripped[..end].to_string(), system: false, span })
-    } else {
-        None
-    }
 }
 
 fn parse_define(rest: &str, span: Span) -> Option<MacroDef> {
@@ -407,7 +324,6 @@ mod tests {
         assert!(!p.text.contains("trailing"));
         assert!(!p.text.contains("mid"));
         assert!(p.text.contains("int         b;"));
-        assert_eq!(p.info.comment_count, 2);
         assert_eq!(p.text.len(), "int a; // trailing\nint /*mid*/ b;\n".len());
     }
 
@@ -422,15 +338,11 @@ mod tests {
     fn comment_markers_in_strings_kept() {
         let p = pp("const char* s = \"// not a comment\";\n");
         assert!(p.text.contains("// not a comment"));
-        assert_eq!(p.info.comment_count, 0);
     }
 
     #[test]
     fn records_includes_and_defines() {
         let p = pp("#include <stdio.h>\n#include \"my.h\"\n#define N 10\n#define SQ(x) ((x)*(x))\n");
-        assert_eq!(p.info.includes.len(), 2);
-        assert!(p.info.includes[0].system);
-        assert!(!p.info.includes[1].system);
         assert_eq!(p.info.macros.len(), 2);
         assert!(!p.info.macros[0].is_function_like());
         let sq = p.info.macro_def("SQ").unwrap();
@@ -443,7 +355,6 @@ mod tests {
         let src = "#ifndef H_\n#define H_\nint x;\n#endif\n";
         let p = pp(src);
         assert!(p.text.contains("int x;"));
-        assert_eq!(p.info.suppressed_lines, 0);
     }
 
     #[test]
@@ -452,7 +363,6 @@ mod tests {
         let p = pp(src);
         assert!(!p.text.contains("dead"));
         assert!(p.text.contains("live"));
-        assert_eq!(p.info.suppressed_lines, 1);
     }
 
     #[test]

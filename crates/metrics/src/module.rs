@@ -119,7 +119,6 @@ pub fn module_metrics(name: &str, files: &[(&SourceFile, &TranslationUnit)]) -> 
         "metrics",
         vec![("module", name.to_string())],
     );
-    adsafe_trace::counter("metrics.module.files").add(files.len() as u64);
     let mut tally = ModuleTally::default();
     for (file, unit) in files {
         tally.file(&count_file(file), unit.global_vars().into_iter().map(|g| g.name.as_str()));

@@ -1,7 +1,7 @@
-//! # adsafe-pool — a zero-dependency work-stealing thread pool
+//! # adsafe-pool — a zero-dependency self-scheduling thread pool
 //!
 //! The assessment pipeline fans per-file and per-module tasks (one task
-//! per file for parsing and again for checking) out over cores with
+//! per file, then one per module) out over cores with
 //! [`Pool::map`]: every task runs under
 //! `catch_unwind` (preserving the pipeline's fault-isolation
 //! semantics), and results come back **indexed by input position**, so
@@ -9,14 +9,13 @@
 //! ran what. In the spirit of the vendored `crates/shims`, this crate
 //! is std-only — the build environment has no crates.io access.
 //!
-//! Scheduling is classic work stealing over per-worker deques: tasks
-//! are dealt round-robin, each worker drains its own deque from the
-//! front, and an idle worker steals from the *back* of a victim's
-//! deque (counted in the `pool.steals` counter). With one worker (the
-//! pipeline's library default) no threads are spawned at all: tasks
-//! run inline on the calling thread, in input order — which is what
-//! keeps thread-local machinery (trace spans, failpoints) visible to
-//! serial callers and tests.
+//! Scheduling is self-scheduling over one shared cursor: each worker
+//! claims the next unclaimed input index with an atomic `fetch_add`
+//! until the items run out, so a worker that finishes early simply
+//! claims more. With one worker (the pipeline's library default) no
+//! threads are spawned at all: tasks run inline on the calling thread,
+//! in input order — which is what keeps thread-local machinery (trace
+//! spans, failpoints) visible to serial callers and tests.
 //!
 //! Worker threads carry their own thread-local trace scopes; after the
 //! scope joins, each worker hands back its events, counter increments
@@ -35,8 +34,8 @@ pub mod executor;
 
 pub use executor::Executor;
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The result of one task: `Err` carries the panic payload of a task
@@ -46,7 +45,7 @@ pub type TaskResult<R> = std::thread::Result<R>;
 /// A finished task: its result and the span events it recorded.
 type Done<R> = (TaskResult<R>, Vec<adsafe_trace::SpanEvent>);
 
-/// A fixed-width work-stealing pool.
+/// A fixed-width self-scheduling pool.
 ///
 /// `Pool` is cheap to construct (it owns no threads); threads are
 /// spawned per [`map`](Pool::map) call via `std::thread::scope`, so
@@ -80,7 +79,7 @@ impl Pool {
     ///
     /// With one worker (or one item) everything runs inline on the
     /// calling thread in input order. Otherwise `min(workers, items)`
-    /// scoped threads run the tasks with work stealing, and each
+    /// scoped threads claim the tasks from a shared cursor, and each
     /// worker's trace scope (events, counters, allocations) is absorbed
     /// into the caller's after the join.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<TaskResult<R>>
@@ -96,10 +95,10 @@ impl Pool {
                 .map(|(i, item)| catch_unwind(AssertUnwindSafe(|| f(i, item))))
                 .collect();
         }
-        self.map_stealing(items, f)
+        self.map_parallel(items, f)
     }
 
-    fn map_stealing<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<TaskResult<R>>
+    fn map_parallel<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<TaskResult<R>>
     where
         T: Send,
         R: Send,
@@ -112,13 +111,8 @@ impl Pool {
             items.into_iter().map(|it| Mutex::new(Some(it))).collect();
         let results: Vec<Mutex<Option<Done<R>>>> =
             (0..slots.len()).map(|_| Mutex::new(None)).collect();
-        // Deal tasks round-robin so heterogeneous runs of work spread
-        // across workers even before any stealing happens.
-        let deques: Vec<Mutex<VecDeque<usize>>> =
-            (0..n_workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for i in 0..slots.len() {
-            deques[i % n_workers].lock().unwrap().push_back(i);
-        }
+        // The next unclaimed index: each worker takes one at a time.
+        let cursor = AtomicUsize::new(0);
 
         let handbacks: Mutex<Vec<(usize, adsafe_trace::Handback)>> = Mutex::new(Vec::new());
         // Workers inherit the caller's allocation-billing phase tag so
@@ -131,19 +125,22 @@ impl Pool {
                 let f = &f;
                 let slots = &slots;
                 let results = &results;
-                let deques = &deques;
+                let cursor = &cursor;
                 let handbacks = &handbacks;
                 spawned.push(scope.spawn(move || {
                     adsafe_trace::alloc::set_current_phase(parent_phase);
                     let trace_scope = adsafe_trace::mark();
-                    let mut steals = 0u64;
                     {
                         let _span = adsafe_trace::span_with(
                             "pool.worker",
                             "pool",
                             vec![("worker", w.to_string())],
                         );
-                        while let Some(i) = claim(w, deques, &mut steals) {
+                        loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= slots.len() {
+                                break;
+                            }
                             let item = slots[i]
                                 .lock()
                                 .unwrap()
@@ -158,11 +155,6 @@ impl Pool {
                             *results[i].lock().unwrap() = Some((r, events));
                         }
                     }
-                    // Tallied even at 0: the first tally allocates the
-                    // worker's counter map, which a worker that lost
-                    // every task to stealing would otherwise skip, making
-                    // the run's allocations depend on the split.
-                    adsafe_trace::counter("pool.steals").add(steals);
                     handbacks.lock().unwrap().push((w, trace_scope.hand_back()));
                 }));
             }
@@ -195,23 +187,6 @@ impl Pool {
             })
             .collect()
     }
-}
-
-/// Claims the next task index for worker `w`: own deque first (front),
-/// then steal from the back of the first non-empty victim.
-fn claim(w: usize, deques: &[Mutex<VecDeque<usize>>], steals: &mut u64) -> Option<usize> {
-    if let Some(i) = deques[w].lock().unwrap().pop_front() {
-        return Some(i);
-    }
-    let n = deques.len();
-    for off in 1..n {
-        let victim = (w + off) % n;
-        if let Some(i) = deques[victim].lock().unwrap().pop_back() {
-            *steals += 1;
-            return Some(i);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -272,7 +247,7 @@ mod tests {
         let done = AtomicUsize::new(0);
         let pool = Pool::new(4);
         pool.map((0..64).collect::<Vec<usize>>(), |_, x| {
-            // Front-load the work so late workers must steal.
+            // Front-load the work so workers finish out of step.
             if x % 8 == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }

@@ -28,8 +28,8 @@
 //! Files are grouped into modules by their top-level directory, mirroring
 //! how the paper treats Apollo's module tree.
 //!
-//! Performance flags (see DESIGN.md §8): `--jobs N` fans the parse,
-//! checks, and metrics phases out over N work-stealing workers (`0` =
+//! Performance flags (see DESIGN.md §8): `--jobs N` fans the per-file
+//! and per-module rounds out over N pool workers (`0` =
 //! one per core; default `0` for `assess`), and the incremental facts
 //! cache at `<dir>/.adsafe-cache/` — on by default, relocated with
 //! `--cache-dir PATH`, disabled with `--no-cache` (combining the two

@@ -309,6 +309,33 @@ fn native_rule_panic_in_a_file_task_costs_one_rule_on_one_file() {
 }
 
 #[test]
+fn macro_rule_panic_costs_one_rule_on_one_file() {
+    // `naming-macro` is an ordinary file-local rule: its failpoint fires
+    // inside its own containment in the file's task (jobs 1, since
+    // failpoints are thread-local), and the fault names the rule.
+    let src = "#define badMacro 1\nint cast(float v) { return (int)v; }\n";
+    let _g = failpoints::Armed::new(
+        "pipeline::check::naming-macro::m/a.cc",
+        Action::Panic("macro rule bug".into()),
+    );
+    let r = run_scenario("macro-rule-panic", AssessmentOptions::default(), |a| {
+        a.add_file("m", "m/a.cc", src);
+        a.add_file("m", "m/b.cc", src);
+    });
+    let faults: Vec<_> =
+        r.faults.iter().filter(|f| f.phase == adsafe::FaultPhase::Checks).collect();
+    assert_eq!(faults.len(), 1, "{faults:?}");
+    assert_eq!(faults[0].path, "naming-macro");
+    assert!(matches!(faults[0].cause, adsafe::FaultCause::Injected(_)), "{:?}", faults[0]);
+    // File ids follow insertion order, after `healthy/base.cc`.
+    let (a, b) = (adsafe::lang::FileId(1), adsafe::lang::FileId(2));
+    let macros = r.diagnostics_for("naming-macro");
+    assert_eq!(macros.len(), 1);
+    assert_eq!(macros[0].span.file, b);
+    assert!(r.diagnostics_for("typing-explicit-cast").iter().any(|d| d.span.file == a));
+}
+
+#[test]
 fn failpoint_metrics_panic_falls_back_to_estimates() {
     let _g = failpoints::Armed::new("pipeline::metrics::m", Action::Panic("metrics bug".into()));
     let r = run_scenario("metrics-panic", AssessmentOptions::default(), |a| {

@@ -483,8 +483,41 @@ fn warm_query_and_assess_allocations_do_not_scale_with_functions() {
     assert!(metrics > 0 && metrics <= metrics_bound, "metrics: {metrics} allocs > {metrics_bound}");
 }
 
+/// A run has one pool round over files (inside `phase.parse`) and one
+/// over modules (inside `phase.metrics`), cold and warm alike: every
+/// round spawns exactly one worker 0.
 #[test]
-fn checks_phase_speeds_up_with_workers() {
+fn cold_and_warm_runs_have_one_file_round_and_one_module_round() {
+    let dir = temp_cache_dir("rounds");
+    let opts = || AssessmentOptions {
+        jobs: 2,
+        cache_dir: Some(dir.clone()),
+        ..AssessmentOptions::default()
+    };
+    let rounds = |r: &AssessmentReport| -> Vec<String> {
+        let events = &r.trace.events;
+        events
+            .iter()
+            .filter(|e| e.name == "pool.worker" && e.args.iter().any(|(k, v)| *k == "worker" && v == "0"))
+            .map(|w| {
+                events
+                    .iter()
+                    .find(|p| p.cat == "phase" && p.start_us <= w.start_us && w.end_us() <= p.end_us())
+                    .map_or_else(|| "no phase".to_string(), |p| p.name.clone())
+            })
+            .collect()
+    };
+    let cold = assess_samples(usize::MAX, opts());
+    let warm = assess_samples(usize::MAX, opts());
+    assert_eq!(warm.trace.counter("cache.hits"), sample_files().len() as u64);
+    for (run, r) in [("cold", &cold), ("warm", &warm)] {
+        assert_eq!(rounds(r), ["phase.parse", "phase.metrics"], "{run} run");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn file_round_speeds_up_with_workers() {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     if cores < 4 {
         eprintln!("skipping speedup assertion: only {cores} core(s) available");
@@ -504,7 +537,7 @@ fn checks_phase_speeds_up_with_workers() {
                     &corpus,
                     AssessmentOptions { jobs, ..AssessmentOptions::default() },
                 );
-                phase_us(&r, "checks")
+                phase_us(&r, "parse")
             })
             .min()
             .unwrap()
@@ -513,7 +546,7 @@ fn checks_phase_speeds_up_with_workers() {
     let parallel = best(4);
     assert!(
         parallel * 2 <= serial,
-        "checks phase: jobs=4 took {parallel}µs vs jobs=1 {serial}µs (need ≥2x)"
+        "file round: jobs=4 took {parallel}µs vs jobs=1 {serial}µs (need ≥2x)"
     );
 }
 

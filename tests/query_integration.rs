@@ -48,7 +48,7 @@ fn corpus_sources() -> Sources {
 
 /// Integer literals spelled every way MISRA 7.1 cares about, in code,
 /// in a directive, and in a disabled region; the directive's macro name
-/// is one the macro-naming pass flags.
+/// is one `naming-macro` flags.
 const EDGE_SOURCE: &str = "#define fileMode 0755\n\
 int f(int x) { return x + 010 + 017u + 0 + 00 + 08 + 0x1F + 0L; }\n\
 float g() { return 0.5f + 01.5; }\n\
@@ -131,8 +131,7 @@ fn octal_rule_matches_a_second_lex() {
 
 /// The pipeline's native findings — one task per file, program-scoped
 /// rules replayed from facts — equal a rule-major reference: each
-/// native rule over the whole-program context, plus the macro-naming
-/// pass, canonically sorted. At several worker counts, on clean and
+/// native rule over the whole-program context, canonically sorted. At several worker counts, on clean and
 /// corrupted sources.
 #[test]
 fn pipeline_native_findings_equal_a_rule_major_reference() {
@@ -142,9 +141,6 @@ fn pipeline_native_findings_equal_a_rule_major_reference() {
         let set = analysis_set(&sources);
         let cx = set.context();
         let mut reference: Vec<Diagnostic> = checks.iter().flat_map(|c| c.run(&cx)).collect();
-        for (_, _, parsed) in set.parsed() {
-            reference.extend(adsafe::checkers::naming::check_macros(&parsed.pp));
-        }
         reference.sort_by_key(canonical);
         if name == "clean" {
             assert!(reference.iter().any(|d| d.check_id == "naming-macro"));

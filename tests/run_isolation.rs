@@ -55,17 +55,11 @@ fn together(corpora: &[Vec<GeneratedFile>], jobs: usize) -> Vec<AssessmentReport
     })
 }
 
-/// A report's counters, less `pool.steals`, which depends on how the
-/// scheduler interleaves the workers.
-fn counters(r: &AssessmentReport) -> Vec<(String, u64)> {
-    r.trace.counters.iter().filter(|(name, _)| name != "pool.steals").cloned().collect()
-}
-
 #[test]
 fn concurrent_assessments_report_their_solo_counters() {
     let corpora = corpora();
     for jobs in [1, 2] {
-        let alone: Vec<_> = solo(&corpora, jobs).iter().map(counters).collect();
+        let alone: Vec<_> = solo(&corpora, jobs).into_iter().map(|r| r.trace.counters).collect();
         for (i, c) in alone.iter().enumerate() {
             assert!(
                 c.iter().any(|(name, n)| name == "parse.tier1.files" && *n > 0),
@@ -75,8 +69,7 @@ fn concurrent_assessments_report_their_solo_counters() {
         for round in 0..2 {
             for (i, r) in together(&corpora, jobs).iter().enumerate() {
                 assert_eq!(
-                    counters(r),
-                    alone[i],
+                    r.trace.counters, alone[i],
                     "corpus {i}, jobs {jobs}, round {round}: counters differ from the solo run"
                 );
             }

@@ -98,9 +98,7 @@ fn pipeline_emits_phase_file_and_rule_spans() {
         .map(|e| e.name.as_str())
         .collect::<std::collections::BTreeSet<_>>()
         .len();
-    // One span name per native and bundled rule (the out-of-trait macro
-    // pass shares `check.naming-macro` with the registered rule of that
-    // id).
+    // One span name per native and bundled rule.
     assert_eq!(
         n_rules,
         adsafe::checkers::default_checks().len() + adsafe::query::bundled_rules().rules.len()
