@@ -13,7 +13,7 @@
 //! therefore produce byte-identical reports by construction: they run
 //! the exact same assembly code over the exact same inputs.
 //!
-//! The serialised form (`adsafe-facts/3`) is hand-written JSON. It is
+//! The serialised form (`adsafe-facts/4`) is hand-written JSON. It is
 //! read back in one pass straight from the bytes, with no intermediate
 //! JSON tree, and the reader accepts only the exact shape
 //! [`FileFacts::to_json`] writes: keys in writer order, no whitespace,
@@ -27,6 +27,7 @@ use adsafe_checkers::unit_design::{FunctionUnitFacts, UnitDesignStats};
 use adsafe_checkers::{Diagnostic, Severity};
 use adsafe_lang::ast::Storage;
 use adsafe_lang::callgraph::callee_names;
+use adsafe_lang::cuda::CudaApiKind;
 use adsafe_lang::symbols::analyze_function;
 use adsafe_lang::{CallGraph, FileId, ParsedFile, SourceMap, Span};
 use adsafe_metrics::{
@@ -41,7 +42,7 @@ use std::sync::OnceLock;
 /// Version tag of the serialised facts record. Bump on any schema
 /// change: it participates in the cache fingerprint, so old entries are
 /// invalidated wholesale instead of being misread.
-pub const FACTS_SCHEMA: &str = "adsafe-facts/3";
+pub const FACTS_SCHEMA: &str = "adsafe-facts/4";
 
 /// One file-scope variable definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,6 +53,12 @@ pub struct GlobalFacts {
     pub is_const: bool,
     /// Whether the storage class is `extern`.
     pub is_extern: bool,
+    /// Declarator span start (byte offset).
+    pub start: u32,
+    /// Declarator span end (byte offset).
+    pub end: u32,
+    /// The declared type as written (`TypeRef::display`).
+    pub ty: String,
 }
 
 /// Everything the cross-file assemblies need from one function.
@@ -78,6 +85,20 @@ pub struct FunctionFacts {
     pub ptr_params: usize,
     /// CUDA allocation API call sites (GPU evidence).
     pub alloc_calls: usize,
+    /// Device allocation calls outnumber frees.
+    pub unbalanced_alloc: bool,
+    /// Kernel-launch expressions (`<<<…>>>`) in the body.
+    pub launches: usize,
+    /// Whether the body calls a CUDA error query (`cudaGetLastError`, …).
+    pub error_query: bool,
+    /// A kernel's named pointer-like parameters, joined `", "`; empty
+    /// for a function that is not a kernel. Unlike `ptr_params`, an
+    /// unnamed parameter does not count.
+    pub kernel_ptr_names: String,
+    /// How many names `kernel_ptr_names` holds.
+    pub kernel_ptrs: usize,
+    /// Whether the parameter list ends in `...`.
+    pub variadic: bool,
     /// Input-validation facts (defensive-programming ratio).
     pub validation: ValidationFacts,
 }
@@ -114,6 +135,9 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
             name: g.name.clone(),
             is_const: g.ty.is_const,
             is_extern: g.storage == Storage::Extern,
+            start: g.span.start,
+            end: g.span.end,
+            ty: g.ty.display(),
         })
         .collect();
     let functions = parsed
@@ -129,6 +153,17 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
                 .filter(|u| seen.insert(u.name.clone()))
                 .map(|u| (u.name.clone(), u.span.start, u.span.end))
                 .collect();
+            let cuda = adsafe_lang::cuda::profile_function(f);
+            let named_ptrs: Vec<&str> = if f.sig.quals.cuda_global {
+                f.sig
+                    .params
+                    .iter()
+                    .filter(|p| p.ty.is_pointer_like())
+                    .filter_map(|p| p.name.as_deref())
+                    .collect()
+            } else {
+                Vec::new()
+            };
             FunctionFacts {
                 metrics: function_metrics(file, f),
                 sig_start: f.sig.span.start,
@@ -138,7 +173,13 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
                 unit: adsafe_checkers::unit_design::function_unit_facts(f),
                 is_kernel: f.sig.quals.cuda_global,
                 ptr_params: f.sig.params.iter().filter(|p| p.ty.is_pointer_like()).count(),
-                alloc_calls: adsafe_lang::cuda::profile_function(f).alloc_calls(),
+                alloc_calls: cuda.alloc_calls(),
+                unbalanced_alloc: cuda.unbalanced_alloc(),
+                launches: cuda.kernel_launches,
+                error_query: cuda.api_calls.iter().any(|c| c.kind == CudaApiKind::ErrorQuery),
+                kernel_ptr_names: named_ptrs.join(", "),
+                kernel_ptrs: named_ptrs.len(),
+                variadic: f.sig.variadic,
                 validation: adsafe_checkers::defensive::validation_facts(f),
             }
         })
@@ -329,7 +370,7 @@ fn check_id_for(name: &str) -> Option<&'static str> {
 }
 
 impl FileFacts {
-    /// Serialises to the `adsafe-facts/3` JSON form. Diagnostic spans
+    /// Serialises to the `adsafe-facts/4` JSON form. Diagnostic spans
     /// drop their [`FileId`] — [`from_json`](Self::from_json) binds them
     /// to the loading run's file.
     pub fn to_json(&self) -> String {
@@ -354,7 +395,9 @@ impl FileFacts {
             }
             out.push('[');
             write_escaped(&mut out, &g.name);
-            let _ = write!(out, ",{},{}]", g.is_const, g.is_extern);
+            let _ = write!(out, ",{},{},{},{},", g.is_const, g.is_extern, g.start, g.end);
+            write_escaped(&mut out, &g.ty);
+            out.push(']');
         }
         out.push_str("],\"functions\":[");
         for (i, f) in self.functions.iter().enumerate() {
@@ -465,7 +508,8 @@ fn write_function(out: &mut String, f: &FunctionFacts) {
     let _ = write!(
         out,
         "],\"uninit\":{},\"shadow\":{},\"ptr\":{},\"dyn\":{},\"opaque\":{},\
-         \"kernel\":{},\"kptr\":{},\"alloc\":{},\"named\":{},\"validates\":{}}}",
+         \"kernel\":{},\"kptr\":{},\"alloc\":{},\"unbal\":{},\"launch\":{},\"errq\":{},\
+         \"knamed\":{},\"knames\":",
         f.unit.maybe_uninit_reads,
         f.unit.shadowed_declarations,
         f.unit.pointer_uses,
@@ -474,6 +518,16 @@ fn write_function(out: &mut String, f: &FunctionFacts) {
         f.is_kernel,
         f.ptr_params,
         f.alloc_calls,
+        f.unbalanced_alloc,
+        f.launches,
+        f.error_query,
+        f.kernel_ptrs,
+    );
+    write_escaped(out, &f.kernel_ptr_names);
+    let _ = write!(
+        out,
+        ",\"variadic\":{},\"named\":{},\"validates\":{}}}",
+        f.variadic,
         f.validation.has_named_params,
         f.validation.validates
     );
@@ -484,7 +538,13 @@ fn read_global(r: &mut Reader<'_>) -> Result<GlobalFacts, String> {
         name: r.then("[", Reader::string)?,
         is_const: r.then(",", Reader::boolean)?,
         is_extern: r.then(",", Reader::boolean)?,
+        start: r.then(",", Reader::int)?,
+        end: r.then(",", Reader::int)?,
+        ty: r.then(",", Reader::string)?,
     };
+    if g.start > g.end {
+        return Err("inverted global span".to_string());
+    }
     r.lit("]")?;
     Ok(g)
 }
@@ -533,6 +593,12 @@ fn read_function(
         is_kernel: r.then(r#","kernel":"#, Reader::boolean)?,
         ptr_params: r.then(r#","kptr":"#, Reader::int)?,
         alloc_calls: r.then(r#","alloc":"#, Reader::int)?,
+        unbalanced_alloc: r.then(r#","unbal":"#, Reader::boolean)?,
+        launches: r.then(r#","launch":"#, Reader::int)?,
+        error_query: r.then(r#","errq":"#, Reader::boolean)?,
+        kernel_ptrs: r.then(r#","knamed":"#, Reader::int)?,
+        kernel_ptr_names: r.then(r#","knames":"#, Reader::string)?,
+        variadic: r.then(r#","variadic":"#, Reader::boolean)?,
         validation: ValidationFacts {
             has_named_params: r.then(r#","named":"#, Reader::boolean)?,
             validates: r.then(r#","validates":"#, Reader::boolean)?,
@@ -755,13 +821,20 @@ mod tests {
             };
             let globals = read_all(req_arr(&v, "globals")?, |g| {
                 let t = g.as_arr().ok_or("global not an array")?;
-                if t.len() != 3 {
+                if t.len() != 6 {
                     return Err("global arity".to_string());
+                }
+                let (start, end) = (as_u32(&t[3])?, as_u32(&t[4])?);
+                if start > end {
+                    return Err("inverted global span".to_string());
                 }
                 Ok(GlobalFacts {
                     name: req_str_v(&t[0])?,
                     is_const: as_bool(&t[1])?,
                     is_extern: as_bool(&t[2])?,
+                    start,
+                    end,
+                    ty: req_str_v(&t[5])?,
                 })
             })?;
             let functions = read_all(req_arr(&v, "functions")?, read_function)?;
@@ -838,6 +911,12 @@ mod tests {
                 is_kernel: req_bool(v, "kernel")?,
                 ptr_params: req_usize(v, "kptr")?,
                 alloc_calls: req_usize(v, "alloc")?,
+                unbalanced_alloc: req_bool(v, "unbal")?,
+                launches: req_usize(v, "launch")?,
+                error_query: req_bool(v, "errq")?,
+                kernel_ptr_names: req_str(v, "knames")?,
+                kernel_ptrs: req_usize(v, "knamed")?,
+                variadic: req_bool(v, "variadic")?,
                 validation: ValidationFacts {
                     has_named_params: req_bool(v, "named")?,
                     validates: req_bool(v, "validates")?,
@@ -1072,6 +1151,9 @@ mod tests {
             name: "tab\there \"q\" \u{1}".into(),
             is_const: false,
             is_extern: true,
+            start: 3,
+            end: 9,
+            ty: "const char\t*".into(),
         });
         for (_, f, _) in sample_entries() {
             facts.functions.extend(f.functions);
@@ -1084,12 +1166,14 @@ mod tests {
         assert_eq!(back, facts);
         assert_eq!(back.globals.capacity(), back.globals.len());
         assert_eq!(back.globals[0].name.capacity(), back.globals[0].name.len());
+        assert_eq!(back.globals[0].ty.capacity(), back.globals[0].ty.len());
         assert_eq!(back.functions.capacity(), back.functions.len());
         assert_eq!(back.diags.capacity(), back.diags.len());
         for f in &back.functions {
             assert_eq!(f.callees.capacity(), f.callees.len());
             assert_eq!(f.unresolved.capacity(), f.unresolved.len());
             assert_eq!(f.metrics.name.capacity(), f.metrics.name.len());
+            assert_eq!(f.kernel_ptr_names.capacity(), f.kernel_ptr_names.len());
         }
         for d in &back.diags {
             assert_eq!(d.message.capacity(), d.message.len());
@@ -1126,7 +1210,7 @@ mod tests {
             good.replacen(r#""recovery":0"#, r#""recovery":1.0"#, 1),
             good.replacen(r#""recovery":0"#, r#""recovery":00"#, 1),
             good.replacen(r#""recovery":0"#, r#""recovery":0,"recovery":0"#, 1),
-            good.replacen("adsafe-facts/3", r"adsafe-facts\/3", 1),
+            good.replacen("adsafe-facts/4", r"adsafe-facts\/4", 1),
             good.replacen(r#"{"name":"rec""#, r#"{"name":"\u0072ec""#, 1),
         ] {
             assert!(reference::from_json(&bad, *id).is_ok(), "reference rejected: {bad:.60}");

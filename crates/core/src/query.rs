@@ -81,6 +81,12 @@ pub fn rows_from_facts<'a>(
                     has_named_params: f.validation.has_named_params,
                     validates: f.validation.validates,
                     recursive: recursive.binary_search(&m.qualified_name).is_ok(),
+                    variadic: f.variadic,
+                    unbalanced_alloc: f.unbalanced_alloc,
+                    launches: f.launches,
+                    error_query: f.error_query,
+                    kernel_ptrs: f.kernel_ptrs,
+                    kernel_ptr_names: &f.kernel_ptr_names,
                     span: Span::new(id, f.sig_start, f.sig_end),
                 })
             })
@@ -94,7 +100,8 @@ pub fn rows_from_facts<'a>(
                     module,
                     is_const: g.is_const,
                     is_extern: g.is_extern,
-                    span: Span::new(id, 0, 0),
+                    ty: &g.ty,
+                    span: Span::new(id, g.start, g.end),
                 })
             })
             .collect(),

@@ -64,6 +64,18 @@ pub struct FunctionRow<'a> {
     pub validates: bool,
     /// Participates in a call-graph cycle.
     pub recursive: bool,
+    /// Parameter list ends in `...`.
+    pub variadic: bool,
+    /// Device allocations outnumber frees.
+    pub unbalanced_alloc: bool,
+    /// Kernel launches.
+    pub launches: usize,
+    /// Calls a CUDA error query.
+    pub error_query: bool,
+    /// A kernel's named pointer-like parameters.
+    pub kernel_ptrs: usize,
+    /// Those parameters' names, joined `", "`.
+    pub kernel_ptr_names: &'a str,
     /// Signature span (diagnostic anchor).
     pub span: Span,
 }
@@ -96,6 +108,12 @@ impl<'a> FunctionRow<'a> {
             20 => Bool(self.has_named_params),
             21 => Bool(self.validates),
             22 => Bool(self.recursive),
+            23 => Bool(self.variadic),
+            24 => Bool(self.unbalanced_alloc),
+            25 => Int(self.launches as i64),
+            26 => Bool(self.error_query),
+            27 => Int(self.kernel_ptrs as i64),
+            28 => Str(self.kernel_ptr_names),
             _ => return None,
         })
     }
@@ -112,7 +130,9 @@ pub struct GlobalRow<'a> {
     pub is_const: bool,
     /// Declared `extern`.
     pub is_extern: bool,
-    /// Diagnostic anchor (file start: facts do not keep global spans).
+    /// Declared type as written.
+    pub ty: &'a str,
+    /// Declarator span (diagnostic anchor).
     pub span: Span,
 }
 
@@ -125,6 +145,7 @@ impl<'a> GlobalRow<'a> {
             1 => Str(self.module),
             2 => Bool(self.is_const),
             3 => Bool(self.is_extern),
+            4 => Str(self.ty),
             _ => return None,
         })
     }

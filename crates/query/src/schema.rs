@@ -55,6 +55,12 @@ pub const FUNCTION_FIELDS: &[(&str, Ty)] = &[
     ("has_named_params", Ty::Bool),
     ("validates", Ty::Bool),       // a named param appears in a check
     ("recursive", Ty::Bool),       // in a call-graph cycle (program scope)
+    ("variadic", Ty::Bool),        // parameter list ends in `...`
+    ("unbalanced_alloc", Ty::Bool), // device allocations outnumber frees
+    ("launches", Ty::Int),         // kernel launches (`<<<…>>>`)
+    ("error_query", Ty::Bool),     // calls a CUDA error query
+    ("kernel_ptrs", Ty::Int),      // a kernel's named pointer-like params
+    ("kernel_ptr_names", Ty::Str), // those names, joined ", "
 ];
 
 /// Fields of `global` rows (one per file-scope variable).
@@ -63,6 +69,7 @@ pub const GLOBAL_FIELDS: &[(&str, Ty)] = &[
     ("module", Ty::Str),
     ("is_const", Ty::Bool),
     ("is_extern", Ty::Bool),
+    ("type", Ty::Str),             // declared type as written
 ];
 
 /// Fields of `file` rows (one per source file).

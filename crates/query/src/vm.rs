@@ -164,6 +164,12 @@ mod tests {
             has_named_params: true,
             validates: false,
             recursive: false,
+            variadic: false,
+            unbalanced_alloc: false,
+            launches: 0,
+            error_query: false,
+            kernel_ptrs: 0,
+            kernel_ptr_names: "",
             span: Span::new(FileId(0), 0, 4),
         })
     }

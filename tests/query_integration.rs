@@ -54,12 +54,31 @@ int f(int x) { return x + 010 + 017u + 0 + 00 + 08 + 0x1F + 0L; }\n\
 float g() { return 0.5f + 01.5; }\n\
 #if 0\nint dead = 012;\n#endif\n";
 
-/// [`corpus_sources`] plus [`EDGE_SOURCE`], clean and then under each
+/// Declarations the five rules ported from native checkers judge: a
+/// variadic function, kernels with named, unnamed and no pointer
+/// parameters, balanced and unbalanced device allocation, checked and
+/// unchecked launches, and globals of every storage kind.
+const PORTED_SOURCE: &str = "int g_count;\n\
+static float* g_buf = 0;\n\
+const int kLimit = 8;\n\
+extern int g_other;\n\
+namespace ns { unsigned long g_ticks; }\n\
+int log_msg(const char* fmt, ...) { return 0; }\n\
+__global__ void fill(float* out, const float*, int n) { out[0] = 1.0f; }\n\
+__global__ void tick(int n) { }\n\
+void leak(int n) { float* d; cudaMalloc((void**)&d, n); fill<<<1, 32>>>(d, d, n); }\n\
+void tidy(int n) {\n\
+  float* d; cudaMalloc((void**)&d, n); fill<<<1, 32>>>(d, d, n);\n\
+  cudaGetLastError(); cudaFree(d);\n\
+}\n";
+
+/// [`corpus_sources`] plus [`EDGE_SOURCE`] and [`PORTED_SOURCE`], clean and then under each
 /// `faultinject` corruption (invalid UTF-8 replaced lossily, as the
 /// pipeline ingests it).
 fn source_sets() -> Vec<(&'static str, Sources)> {
     let mut clean = corpus_sources();
     clean.push(("stress".into(), "stress/edge.cc".into(), EDGE_SOURCE.into()));
+    clean.push(("stress".into(), "stress/ported.cu".into(), PORTED_SOURCE.into()));
     let mut sets = vec![("clean", clean.clone())];
     for kind in Corruption::ALL {
         let corrupted = clean
@@ -329,6 +348,105 @@ fn builtin_pack_matches_native_checkers_byte_for_byte() {
     diags.sort_by_key(|d| (d.check_id, d.span.file, d.span.start));
     let refs: Vec<&Diagnostic> = diags.iter().collect();
     assert_native_findings(&refs, &set.sm);
+}
+
+/// The five native checkers ported to `.aq`, under `q-` ids so they
+/// load as a user pack beside the natives they replace.
+const PORTED_PACK: &str = r#"
+rule "q-variadic" {
+  desc "variadic functions shall not be defined"
+  iso t1r2
+  function where variadic
+    -> warn "function `{name}` is variadic"
+}
+rule "q-kernel-pointer" {
+  desc "CUDA kernels take raw pointers, contrary to limited-pointer-use guidance"
+  iso t8r6, t1r2
+  function where kernel_ptrs > 0
+    -> warn "kernel `{name}` takes {kernel_ptrs} raw pointer parameter(s): {kernel_ptr_names}"
+}
+rule "q-alloc-balance" {
+  desc "device allocations shall be freed (cudaMalloc/cudaFree balance)"
+  iso t8r2
+  function where unbalanced_alloc
+    -> warn "function `{name}` has {alloc_calls} device allocation(s) and fewer frees"
+}
+rule "q-launch-unchecked" {
+  desc "kernel launches shall be followed by an error check"
+  iso t1r4
+  function where launches > 0 and not error_query
+    -> warn "function `{name}` launches {launches} kernel(s) without querying errors"
+}
+rule "q-global-variable" {
+  desc "avoid global variables or justify their usage"
+  iso t1r5, t8r5
+  global where not is_const and not is_extern
+    -> warn "global variable `{name}: {type}` defined"
+}
+"#;
+
+/// `(native id, ported id)` of the five rules in [`PORTED_PACK`].
+const PORTED_IDS: [(&str, &str); 5] = [
+    ("misra-17.1-variadic", "q-variadic"),
+    ("cuda-kernel-pointer", "q-kernel-pointer"),
+    ("cuda-alloc-balance", "q-alloc-balance"),
+    ("cuda-launch-unchecked", "q-launch-unchecked"),
+    ("design-global-variable", "q-global-variable"),
+];
+
+/// Every finding of rule `id` in `report`, rendered under `as_id` with
+/// its enclosing function.
+fn rendered(report: &adsafe::AssessmentReport, sm: &SourceMap, id: &str, as_id: &'static str) -> Vec<String> {
+    report
+        .diagnostics
+        .iter()
+        .filter(|d| d.check_id == id)
+        .map(|d| {
+            let mut d = d.clone();
+            d.check_id = as_id;
+            format!("{} | fn={:?}", d.render(sm), d.function)
+        })
+        .collect()
+}
+
+/// The ported `.aq` rules report exactly what the native checkers do —
+/// rendered findings, spans and enclosing functions included — on the
+/// clean sources and under every `faultinject` corruption, serial and
+/// at one worker per core, with the natives' descriptions and ISO refs.
+#[test]
+fn ported_rules_reproduce_the_native_findings() {
+    let pack = RulePack::from_sources(
+        &[("ported.aq".into(), PORTED_PACK.into())],
+        &adsafe::query::reserved_rule_ids(),
+    );
+    assert!(pack.faults.is_empty(), "{:?}", pack.faults);
+    for ((native, _), rule) in PORTED_IDS.iter().zip(&pack.rules) {
+        let check = default_checks().into_iter().find(|c| c.id() == *native).unwrap();
+        assert_eq!((rule.desc, rule.iso), (check.description(), check.iso_refs()), "{native}");
+        assert_eq!(rule.scope, CheckScope::File, "{native}");
+    }
+    let pack = Arc::new(pack);
+    for (name, sources) in source_sets() {
+        for jobs in [1, 0] {
+            let mut a = Assessment::new().with_options(AssessmentOptions {
+                jobs,
+                rules: Some(Arc::clone(&pack)),
+                ..AssessmentOptions::default()
+            });
+            for (module, path, text) in &sources {
+                a.add_file(module, path, text);
+            }
+            let report = a.run();
+            for (native, ported) in PORTED_IDS {
+                let want = rendered(&report, a.sources(), native, native);
+                let got = rendered(&report, a.sources(), ported, native);
+                if name == "clean" {
+                    assert!(!want.is_empty(), "{native} never fires on the clean set");
+                }
+                assert_eq!(got, want, "{native} on {name} at jobs {jobs}");
+            }
+        }
+    }
 }
 
 /// A pack of `q-` prefixed clones of the bundled rules, loaded the way
