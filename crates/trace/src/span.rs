@@ -12,7 +12,6 @@
 //! scope: everything recorded on the thread since, and nothing else.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -81,12 +80,30 @@ struct ThreadTrace {
     counters: Counts,
 }
 
-/// Counter increments per name, sorted by name.
-type Counts = BTreeMap<&'static str, u64>;
+/// Counter increments per name, sorted by name. A sorted vector, not
+/// a tree: its allocations depend only on how many names it has held,
+/// never on the order they arrived in, so a phase that adds a name
+/// bills the same allocations however a pool's tasks fell to its
+/// workers (whose names are absorbed worker by worker).
+#[derive(Debug, Clone, Default)]
+struct Counts(Vec<(&'static str, u64)>);
+
+impl Counts {
+    fn add(&mut self, name: &'static str, n: u64) {
+        match self.0.binary_search_by_key(&name, |&(k, _)| k) {
+            Ok(i) => self.0[i].1 += n,
+            Err(i) => self.0.insert(i, (name, n)),
+        }
+    }
+
+    fn get(&self, name: &str) -> u64 {
+        self.0.binary_search_by_key(&name, |&(k, _)| k).map_or(0, |i| self.0[i].1)
+    }
+}
 
 impl ThreadTrace {
     fn tally(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_default() += n;
+        self.counters.add(name, n);
     }
 
     /// Buffers `ev`, or counts it in `trace.events.dropped` past the
@@ -108,7 +125,7 @@ thread_local! {
         tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
         stack: Vec::new(),
         events: Vec::new(),
-        counters: Counts::new(),
+        counters: Counts::default(),
     });
 }
 
@@ -221,16 +238,16 @@ impl Mark {
     /// Counter increments made in this scope, `(name, n)` sorted by
     /// name; counters that did not move are left out.
     pub fn counters(&self) -> Vec<(String, u64)> {
-        self.counters_since().into_iter().map(|(name, n)| (name.to_string(), n)).collect()
+        self.counters_since().0.into_iter().map(|(name, n)| (name.to_string(), n)).collect()
     }
 
     /// This scope's increments of the counters that moved.
     fn counters_since(&self) -> Counts {
         TRACE.with(|t| {
             let t = t.borrow();
-            let before = |name| self.counters.get(name).copied().unwrap_or(0);
-            let since = t.counters.iter().map(|(&name, &now)| (name, now - before(name)));
-            since.filter(|&(_, n)| n > 0).collect()
+            let since =
+                t.counters.0.iter().map(|&(name, now)| (name, now - self.counters.get(name)));
+            Counts(since.filter(|&(_, n)| n > 0).collect())
         })
     }
 
@@ -281,7 +298,7 @@ pub struct Handback {
 /// Bare span events, with no counter increments or allocations.
 impl From<Vec<SpanEvent>> for Handback {
     fn from(events: Vec<SpanEvent>) -> Self {
-        Handback { events, counters: Counts::new(), alloc: Default::default() }
+        Handback { events, counters: Counts::default(), alloc: Default::default() }
     }
 }
 
@@ -295,7 +312,7 @@ pub fn absorb(handback: Handback) {
         for ev in handback.events {
             t.push(ev);
         }
-        for (name, n) in handback.counters {
+        for (name, n) in handback.counters.0 {
             t.tally(name, n);
         }
     });
