@@ -1,11 +1,11 @@
-//! GPU/CUDA-specific rules (paper §3.1.2 Observations 3–4, §3.3
-//! Observations 11–12): the constructs that make CUDA code intrinsically
-//! at odds with ISO 26262 recommendations, and the closed-source library
-//! dependencies that hamper compliance assessment.
+//! GPU/CUDA-specific rules (paper §3.3 Observations 11–12): the
+//! closed-source library dependencies that hamper compliance
+//! assessment. The per-function CUDA rules of Observation 4 (kernel
+//! pointer parameters, unbalanced device allocation, unchecked
+//! launches) are bundled `.aq` rules over the facts records.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::{Check, CheckContext};
-use adsafe_lang::cuda::{self, CudaApiKind};
 use adsafe_lang::visit::walk_exprs;
 
 /// Known closed-source GPU libraries (paper Figure 2 taxonomy).
@@ -17,137 +17,6 @@ pub const CLOSED_SOURCE_LIBS: &[(&str, &str)] = &[
     ("cufft", "cuFFT"),
     ("cusparse", "cuSPARSE"),
 ];
-
-/// Kernels taking raw pointer parameters (Observation 4: CUDA builds on
-/// pointers as an indispensable feature).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct KernelPointerCheck;
-
-impl Check for KernelPointerCheck {
-    fn id(&self) -> &'static str {
-        "cuda-kernel-pointer"
-    }
-    fn description(&self) -> &'static str {
-        "CUDA kernels take raw pointers, contrary to limited-pointer-use guidance"
-    }
-    fn iso_refs(&self) -> &'static [&'static str] {
-        &["Part6.Table8.Row6", "Part6.Table1.Row2"]
-    }
-    fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for e in &cx.entries {
-            for k in cuda::kernels(e.unit) {
-                let ptrs: Vec<&str> = k
-                    .sig
-                    .params
-                    .iter()
-                    .filter(|p| p.ty.is_pointer_like())
-                    .filter_map(|p| p.name.as_deref())
-                    .collect();
-                if !ptrs.is_empty() {
-                    out.push(
-                        Diagnostic::new(
-                            self.id(),
-                            Severity::Warning,
-                            k.sig.span,
-                            format!(
-                                "kernel `{}` takes {} raw pointer parameter(s): {}",
-                                k.sig.name,
-                                ptrs.len(),
-                                ptrs.join(", ")
-                            ),
-                        )
-                        .in_function(&k.sig.qualified_name),
-                    );
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Device memory allocated without a matching free in the same function
-/// (the paper's Figure 4 excerpt allocates and never frees).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DeviceAllocBalanceCheck;
-
-impl Check for DeviceAllocBalanceCheck {
-    fn id(&self) -> &'static str {
-        "cuda-alloc-balance"
-    }
-    fn description(&self) -> &'static str {
-        "device allocations shall be freed (cudaMalloc/cudaFree balance)"
-    }
-    fn iso_refs(&self) -> &'static [&'static str] {
-        &["Part6.Table8.Row2"]
-    }
-    fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for (_, f) in cx.functions() {
-            let prof = cuda::profile_function(f);
-            if prof.alloc_calls() > 0 && prof.unbalanced_alloc() {
-                out.push(
-                    Diagnostic::new(
-                        self.id(),
-                        Severity::Warning,
-                        f.sig.span,
-                        format!(
-                            "function `{}` has {} device allocation(s) and fewer frees",
-                            f.sig.name,
-                            prof.alloc_calls()
-                        ),
-                    )
-                    .in_function(&f.sig.qualified_name),
-                );
-            }
-        }
-        out
-    }
-}
-
-/// Kernel launches not followed by any error query in the same function.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LaunchErrorCheck;
-
-impl Check for LaunchErrorCheck {
-    fn id(&self) -> &'static str {
-        "cuda-launch-unchecked"
-    }
-    fn description(&self) -> &'static str {
-        "kernel launches shall be followed by an error check"
-    }
-    fn iso_refs(&self) -> &'static [&'static str] {
-        &["Part6.Table1.Row4"]
-    }
-    fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for (_, f) in cx.functions() {
-            let prof = cuda::profile_function(f);
-            if prof.kernel_launches == 0 {
-                continue;
-            }
-            let has_error_query = prof
-                .api_calls
-                .iter()
-                .any(|c| matches!(c.kind, CudaApiKind::ErrorQuery));
-            if !has_error_query {
-                out.push(
-                    Diagnostic::new(
-                        self.id(),
-                        Severity::Warning,
-                        f.sig.span,
-                        format!(
-                            "function `{}` launches {} kernel(s) without querying errors",
-                            f.sig.name, prof.kernel_launches
-                        ),
-                    )
-                    .in_function(&f.sig.qualified_name),
-                );
-            }
-        }
-        out
-    }
-}
 
 /// Calls into closed-source GPU libraries (Observation 12): these cannot
 /// be assessed against ISO 26262 without vendor cooperation.
@@ -200,55 +69,6 @@ mod tests {
         let mut set = AnalysisSet::new();
         set.add("perception", "k.cu", src);
         check.run(&set.context())
-    }
-
-    #[test]
-    fn kernel_pointer_params_flagged() {
-        let d = run(
-            &KernelPointerCheck,
-            "__global__ void k(float* out, const float* in, int n) { out[0] = in[0]; }",
-        );
-        assert_eq!(d.len(), 1);
-        assert!(d[0].message.contains("2 raw pointer"));
-    }
-
-    #[test]
-    fn kernel_without_pointers_clean() {
-        let d = run(&KernelPointerCheck, "__global__ void k(int n) { }");
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    fn unbalanced_alloc_flagged() {
-        let d = run(
-            &DeviceAllocBalanceCheck,
-            "void f(float* h, int n) { float* d; cudaMalloc((void**)&d, n); \
-             cudaMemcpy(d, h, n, 0); }",
-        );
-        assert_eq!(d.len(), 1);
-    }
-
-    #[test]
-    fn balanced_alloc_clean() {
-        let d = run(
-            &DeviceAllocBalanceCheck,
-            "void f(int n) { float* d; cudaMalloc((void**)&d, n); cudaFree(d); }",
-        );
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    fn unchecked_launch_flagged() {
-        let d = run(
-            &LaunchErrorCheck,
-            "__global__ void k(float* x) {}\nvoid h(float* x) { k<<<1, 32>>>(x); }",
-        );
-        assert_eq!(d.len(), 1);
-        let ok = run(
-            &LaunchErrorCheck,
-            "__global__ void k(float* x) {}\nvoid h(float* x) { k<<<1, 32>>>(x); cudaGetLastError(); }",
-        );
-        assert!(ok.is_empty());
     }
 
     #[test]

@@ -1,51 +1,13 @@
 //! Established-design-principle checks (paper §3.1.5, Observation 7; ISO
-//! 26262-6 Table 1 row 5, Table 8 row 5): global-variable usage and
-//! exception-handling discipline.
+//! 26262-6 Table 1 row 5): global-variable use and exception-handling
+//! discipline. Global definitions (Table 8 row 5) are the bundled
+//! `design-global-variable` rule.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::{Check, CheckContext};
-use adsafe_lang::ast::{ExprKind, Storage, StmtKind};
+use adsafe_lang::ast::{ExprKind, StmtKind};
 use adsafe_lang::symbols::analyze_function;
 use adsafe_lang::visit::walk_stmts;
-
-/// Flags every file-scope (global) variable definition, excluding
-/// `const`/`constexpr` configuration constants which the standard permits.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GlobalVariableCheck;
-
-impl Check for GlobalVariableCheck {
-    fn id(&self) -> &'static str {
-        "design-global-variable"
-    }
-    fn description(&self) -> &'static str {
-        "avoid global variables or justify their usage"
-    }
-    fn iso_refs(&self) -> &'static [&'static str] {
-        &["Part6.Table1.Row5", "Part6.Table8.Row5"]
-    }
-    fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for e in &cx.entries {
-            for g in e.unit.global_vars() {
-                if g.ty.is_const {
-                    continue;
-                }
-                // `extern` declarations are uses of a definition elsewhere;
-                // count definitions only so totals are not doubled.
-                if g.storage == Storage::Extern {
-                    continue;
-                }
-                out.push(Diagnostic::new(
-                    self.id(),
-                    Severity::Warning,
-                    g.span,
-                    format!("global variable `{}: {}` defined", g.name, g.ty.display()),
-                ));
-            }
-        }
-        out
-    }
-}
 
 /// Flags uses of globals from within functions (the testability cost the
 /// paper highlights: value ranges become hard to determine).
@@ -149,24 +111,6 @@ mod tests {
         let mut set = AnalysisSet::new();
         set.add("m", "t.cc", src);
         check.run(&set.context())
-    }
-
-    #[test]
-    fn global_definition_flagged() {
-        let d = run(&GlobalVariableCheck, "int g_state;\nstatic float g_rate = 0.5f;\n");
-        assert_eq!(d.len(), 2);
-    }
-
-    #[test]
-    fn const_global_permitted() {
-        let d = run(&GlobalVariableCheck, "const int kMaxSize = 128;\n");
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    fn extern_declaration_not_double_counted() {
-        let d = run(&GlobalVariableCheck, "extern int g_other;\n");
-        assert!(d.is_empty());
     }
 
     #[test]

@@ -92,7 +92,6 @@ pub fn default_checks() -> Vec<Box<dyn Check>> {
         Box::new(misra::UnionCheck),
         Box::new(misra::SwitchDefaultCheck),
         Box::new(misra::UnreachableCodeCheck),
-        Box::new(misra::VariadicCheck),
         Box::new(misra_expr::OctalLiteralCheck),
         Box::new(misra_expr::ShortCircuitSideEffectCheck),
         Box::new(misra_expr::MultipleDeclaratorsCheck),
@@ -103,7 +102,6 @@ pub fn default_checks() -> Vec<Box<dyn Check>> {
         Box::new(defensive::PointerParamCheck),
         Box::new(defensive::UncheckedCallCheck),
         // design principles
-        Box::new(design::GlobalVariableCheck),
         Box::new(design::GlobalUseCheck),
         Box::new(design::ExceptionDisciplineCheck),
         // style & naming
@@ -115,9 +113,6 @@ pub fn default_checks() -> Vec<Box<dyn Check>> {
         Box::new(naming::VariableNamingCheck),
         Box::new(naming::MacroNamingCheck),
         // CUDA
-        Box::new(cuda_rules::KernelPointerCheck),
-        Box::new(cuda_rules::DeviceAllocBalanceCheck),
-        Box::new(cuda_rules::LaunchErrorCheck),
         Box::new(cuda_rules::ClosedSourceLibCheck),
     ]
 }
@@ -202,7 +197,7 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), before, "duplicate check ids");
-        assert!(before >= 25, "expected a substantial rule set, got {before}");
+        assert_eq!(before, 23, "rule set size");
     }
 
     #[test]
@@ -267,7 +262,6 @@ mod tests {
         assert!(diags.iter().any(|d| d.check_id == "naming-macro"));
         assert!(diags.iter().any(|d| d.check_id == "misra-15.1-goto"));
         assert!(diags.iter().any(|d| d.check_id == "typing-explicit-cast"));
-        assert!(diags.iter().any(|d| d.check_id == "design-global-variable"));
         let mut sorted = diags.clone();
         sorted.sort_by_key(|d| (d.check_id, d.span.file, d.span.start));
         assert_eq!(diags, sorted);

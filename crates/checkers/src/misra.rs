@@ -308,40 +308,6 @@ impl Check for UnreachableCodeCheck {
     }
 }
 
-/// MISRA 17.1: the features of `<stdarg.h>` shall not be used (variadic
-/// functions).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct VariadicCheck;
-
-impl Check for VariadicCheck {
-    fn id(&self) -> &'static str {
-        "misra-17.1-variadic"
-    }
-    fn description(&self) -> &'static str {
-        "variadic functions shall not be defined"
-    }
-    fn iso_refs(&self) -> &'static [&'static str] {
-        &["Part6.Table1.Row2"]
-    }
-    fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for (_, f) in cx.functions() {
-            if f.sig.variadic {
-                out.push(
-                    Diagnostic::new(
-                        self.id(),
-                        Severity::Warning,
-                        f.sig.span,
-                        format!("function `{}` is variadic", f.sig.name),
-                    )
-                    .in_function(&f.sig.qualified_name),
-                );
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,12 +378,5 @@ mod tests {
             "int f(int x) { if (x) goto out; return 0; out: return 1; }",
         );
         assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn variadic_flagged() {
-        let d = diags_for(&VariadicCheck, "int log_msg(const char* fmt, ...) { return 0; }");
-        assert_eq!(d.len(), 1);
-        assert!(diags_for(&VariadicCheck, "int f(int a) { return a; }").is_empty());
     }
 }

@@ -114,10 +114,12 @@ pub struct FileFacts {
     pub globals: Vec<GlobalFacts>,
     /// Per-function facts, in definition order.
     pub functions: Vec<FunctionFacts>,
-    /// File-local diagnostics: every [`adsafe_checkers::CheckScope::File`]
-    /// rule's findings, in rule-registry order, written by the file's
-    /// task before the record leaves it. Cross-file rule diagnostics are
-    /// *not* stored — they are recomputed from facts.
+    /// File-local diagnostics: the findings of every
+    /// [`adsafe_checkers::CheckScope::File`] native, in registry order,
+    /// then of every file-scoped bundled query rule, in pack order,
+    /// written by the file's task before the record leaves it.
+    /// Cross-file rule diagnostics and user-pack findings are *not*
+    /// stored — they are recomputed from facts.
     pub diags: Vec<Diagnostic>,
 }
 
@@ -354,16 +356,12 @@ pub fn validation_ratio_from_facts(records: &[FactsRecord<'_>]) -> f64 {
 
 /// The interned rule-id table: serialised diagnostics name their rule
 /// by string, deserialisation maps it back to the `&'static str` the
-/// live registry uses. An unknown id means the entry was written by an
-/// incompatible build → corrupt.
+/// live registry or the bundled pack uses. An unknown id means the
+/// entry was written by an incompatible build → corrupt.
 fn check_id_for(name: &str) -> Option<&'static str> {
-    static IDS: OnceLock<HashMap<String, &'static str>> = OnceLock::new();
+    static IDS: OnceLock<HashMap<&'static str, &'static str>> = OnceLock::new();
     IDS.get_or_init(|| {
-        let mut m: HashMap<String, &'static str> = HashMap::new();
-        for c in adsafe_checkers::default_checks() {
-            m.insert(c.id().to_string(), c.id());
-        }
-        m
+        crate::query::reserved_rule_ids().into_iter().map(|id| (id, id)).collect()
     })
     .get(name)
     .copied()
@@ -1107,13 +1105,21 @@ mod tests {
     }
 
     /// `set`'s records with every file-local rule's real diagnostics
-    /// attached, encoded.
+    /// attached — the natives', then the bundled file-scoped queries' —
+    /// encoded.
     fn entries_with_diags(set: &AnalysisSet) -> Vec<(FileId, FileFacts, String)> {
         let cx = set.context();
+        let queries = crate::query::QueryPass::new(
+            crate::query::bundled_rules()
+                .rules
+                .iter()
+                .filter(|r| r.scope == CheckScope::File)
+                .collect(),
+        );
         facts_of(set)
             .into_iter()
             .enumerate()
-            .map(|(i, (id, _, mut facts))| {
+            .map(|(i, (id, module, mut facts))| {
                 let entry = cx.entries[i];
                 for check in default_checks() {
                     if check.scope() == CheckScope::File {
@@ -1122,6 +1128,12 @@ mod tests {
                             .extend(check.run(&CheckContext::file_local(&set.sm, entry)));
                     }
                 }
+                let found: Vec<Diagnostic> = queries
+                    .eval_file(id, &module, &facts, &[])
+                    .into_iter()
+                    .flat_map(|outcome| outcome.expect("no rule panics").0)
+                    .collect();
+                facts.diags.extend(found);
                 let json = facts.to_json();
                 (id, facts, json)
             })

@@ -35,11 +35,16 @@
 //! extracts its facts, runs every non-gated file-local native rule over
 //! the tree, and drops the tree, so it returns one complete
 //! [`FileFacts`](crate::facts::FileFacts) record and no AST leaves it.
-//! Rule gates (failpoints, the checks deadline) are decided once, before
-//! the file round. Program-scoped natives and query rules then run from
-//! facts on the caller thread. With [`AssessmentOptions::cache_dir`]
-//! set, records are reused across runs keyed by content hash, skipping
-//! parse, file-local checks, and metrics extraction for unchanged files.
+//! After the natives, the task runs every non-gated file-scoped rule of
+//! the bundled `.aq` pack over the fresh facts record, so the record
+//! carries every built-in file-scope finding. Rule gates (failpoints,
+//! the checks deadline) are decided once, before the file round.
+//! Program-scoped natives, the bundled program-scoped rule
+//! (`misra-17.2-recursion`) and user-pack rules then run from facts on
+//! the caller thread. With [`AssessmentOptions::cache_dir`] set, records
+//! are reused across runs keyed by content hash, skipping parse,
+//! file-local checks (native and bundled), and metrics extraction for
+//! unchanged files.
 //! Reports are byte-identical across worker counts and cache states by
 //! construction: results merge in stable file order before the
 //! canonical diagnostic sort, and every cross-file quantity is
@@ -156,8 +161,9 @@ pub struct AssessmentOptions {
     /// rules feed compliance evidence like native ones do; a user pack
     /// cannot take a native or bundled id (see
     /// [`crate::query::load_rule_pack`]), so its findings join the
-    /// report without moving a verdict. No query finding enters the
-    /// facts cache.
+    /// report without moving a verdict. A user pack's findings never
+    /// enter the facts cache: they are evaluated from facts on every
+    /// run, as is the bundled program-scoped recursion rule.
     pub rules: Option<std::sync::Arc<adsafe_query::RulePack>>,
 }
 
@@ -425,11 +431,19 @@ impl Assessment {
             .map(|c| c.as_ref())
             .filter(|c| c.scope() == CheckScope::File && !skipped.contains(c.id()))
             .collect();
+        // The bundled pack's file-scoped rules run in the file task too,
+        // so their findings are cached with the record like a native's;
+        // the rest of the query rules run after the round (phase 2).
+        let (file_queries, run_queries): (Vec<_>, Vec<_>) = query_rules
+            .into_iter()
+            .filter(|r| !skipped.contains(r.id))
+            .partition(|r| r.scope == CheckScope::File && crate::query::is_bundled(r));
+        let file_queries = crate::query::QueryPass::new(file_queries);
 
         let sm = &self.sources;
         let deadline = PhaseDeadline::new(&budgets);
         let outcomes = pool.map((0..self.files.len()).collect(), |_, i| {
-            self.analyse_file(i, &deadline, &budgets, cache, &file_rules)
+            self.analyse_file(i, &deadline, &budgets, cache, &file_rules, &file_queries)
         });
 
         // Every file-local diagnostic enters the run here, from its
@@ -532,22 +546,20 @@ impl Assessment {
         }
         drop(native_span);
 
-        // Query rules, evaluated from facts — fresh and cached files
-        // alike, no reparse — in one pass per file that builds each
-        // selector's borrowed rows once and runs every non-gated rule
-        // over them. The pass runs on the caller thread: it is cheap
-        // (≈6 ms for the bundled pack over the paper-scale corpus on a
-        // 2-vCPU VM), and one more round of scoped pool threads per run
-        // made the allocator open fresh arenas, raising a repeated cold
-        // run's peak RSS by ~100 MB. Query diagnostics join the report and
-        // the evidence, but never a facts record: they are recomputed
-        // every run. The recursive set comes from the run's one Tarjan
-        // pass and also feeds the Table 8 unit statistics.
+        // The query rules the file round did not run — the bundled
+        // program-scoped rule and every user-pack rule — evaluated from
+        // facts, fresh and cached files alike, no reparse, in one pass
+        // per file that builds each selector's borrowed rows once. The
+        // pass runs on the caller thread: one more round of scoped pool
+        // threads per run made the allocator open fresh arenas, raising
+        // a repeated cold run's peak RSS by ~100 MB. These findings join
+        // the report and the evidence, but never a facts record: a user
+        // pack is not part of the cache fingerprint, and recursion needs
+        // the whole program. The recursive set comes from the run's one
+        // Tarjan pass and also feeds the Table 8 unit statistics.
         let query_span = adsafe_trace::span("phase.checks.query", "phase");
         let recursive = graph.recursive_functions();
-        let live = crate::query::QueryPass::new(
-            query_rules.into_iter().filter(|r| !skipped.contains(r.id)).collect(),
-        );
+        let live = crate::query::QueryPass::new(run_queries);
         let mut per_rule = vec![0u64; live.rules().len()];
         let mut steps_total = 0u64;
         for l in &loaded {
@@ -574,7 +586,7 @@ impl Assessment {
         drop(query_span);
 
         // One canonical order for the *complete* list — file-local
-        // records, program-scoped rules, and query rules — so
+        // records, program-scoped rules, and the remaining query rules — so
         // repeated runs over the same corpus render byte-identical
         // reports regardless of worker count or cache state. The sort
         // is stable, and no two merge sources share a (rule, file)
@@ -663,63 +675,34 @@ impl Assessment {
         // Phase 4: evidence assembly and compliance judgement, with a
         // conservative-default fallback (critical fault) if it panics.
         let phase_span = adsafe_trace::span("phase.assess", "phase");
-        let unit = catch_unwind(AssertUnwindSafe(|| {
-            failpoints::hit("pipeline::assess");
-            facts::unit_stats_from_facts(&records, &recursive)
-        }))
-        .unwrap_or_else(|payload| {
-            log.push(Fault {
-                phase: FaultPhase::Assess,
-                path: "unit-design-stats".to_string(),
-                severity: FaultSeverity::Critical,
-                cause: classify_panic(&panic_message(&*payload)),
-                recovery: Recovery::FallbackDefault,
-                run_id: String::new(),
-            });
-            adsafe_checkers::UnitDesignStats::default()
-        });
-        let evidence = catch_unwind(AssertUnwindSafe(|| {
-            self.assemble_evidence(&records, &graph, &modules, &unit, &diagnostics)
-        }))
-        .unwrap_or_else(|payload| {
-            log.push(Fault {
-                phase: FaultPhase::Assess,
-                path: "evidence".to_string(),
-                severity: FaultSeverity::Critical,
-                cause: classify_panic(&panic_message(&*payload)),
-                recovery: Recovery::FallbackDefault,
-                run_id: String::new(),
-            });
-            Evidence {
+        let unit = assess_step(
+            &mut log,
+            "unit-design-stats",
+            || {
+                failpoints::hit("pipeline::assess");
+                facts::unit_stats_from_facts(&records, &recursive)
+            },
+            adsafe_checkers::UnitDesignStats::default,
+        );
+        let evidence = assess_step(
+            &mut log,
+            "evidence",
+            || self.assemble_evidence(&records, &graph, &modules, &unit, &diagnostics),
+            || Evidence {
                 total_loc: modules.iter().map(|m| m.loc.nloc).sum(),
                 coverage: self.options.coverage,
                 ..Evidence::default()
-            }
-        });
-        let compliance = catch_unwind(AssertUnwindSafe(|| assess(&evidence, self.options.asil)))
-            .unwrap_or_else(|payload| {
-                log.push(Fault {
-                    phase: FaultPhase::Assess,
-                    path: "compliance".to_string(),
-                    severity: FaultSeverity::Critical,
-                    cause: classify_panic(&panic_message(&*payload)),
-                    recovery: Recovery::FallbackDefault,
-                    run_id: String::new(),
-                });
-                ComplianceReport { asil: self.options.asil, verdicts: Vec::new() }
-            });
-        let observations = catch_unwind(AssertUnwindSafe(|| observations(&evidence)))
-            .unwrap_or_else(|payload| {
-                log.push(Fault {
-                    phase: FaultPhase::Assess,
-                    path: "observations".to_string(),
-                    severity: FaultSeverity::Critical,
-                    cause: classify_panic(&panic_message(&*payload)),
-                    recovery: Recovery::FallbackDefault,
-                    run_id: String::new(),
-                });
-                Vec::new()
-            });
+            },
+        );
+        let asil = self.options.asil;
+        let compliance = assess_step(
+            &mut log,
+            "compliance",
+            || assess(&evidence, asil),
+            || ComplianceReport { asil, verdicts: Vec::new() },
+        );
+        let observations =
+            assess_step(&mut log, "observations", || observations(&evidence), Vec::new);
 
         drop(phase_span);
         // The run's records die inside its span: its time includes them.
@@ -855,7 +838,9 @@ impl Assessment {
     /// The per-file task: cache lookup; else parse + facts extraction
     /// under panic containment, descending the degradation ladder on
     /// failure, then every rule in `rules` (the non-gated file-local
-    /// natives, in registry order) over the tree, which dies here. Runs
+    /// natives, in registry order) over the tree, which dies here, then
+    /// every rule in `queries` (the non-gated file-scoped bundled rules,
+    /// in pack order) over the facts record. Runs
     /// on a worker when `jobs > 1`, inline otherwise; the worker's trace
     /// scope (spans, counters, allocations) is absorbed back into the
     /// caller's.
@@ -866,6 +851,7 @@ impl Assessment {
         budgets: &Budgets,
         cache: Option<&dyn FactsStore>,
         rules: &[&dyn Check],
+        queries: &crate::query::QueryPass<'_>,
     ) -> FileOutcome {
         let sm = &self.sources;
         let file = &sm.files()[i];
@@ -941,20 +927,40 @@ impl Assessment {
                 // A panic outside rule containment keeps the file's
                 // facts, costs its diagnostics, and names the file.
                 let module = &self.files[i].module;
-                let checked = catch_unwind(AssertUnwindSafe(|| {
-                    let entry = FileEntry { file, unit: &p.unit, module };
-                    let cx = CheckContext::file_local(sm, entry);
+                let record = &facts;
+                let checked = catch_unwind(AssertUnwindSafe(move || {
                     let mut diags = Vec::new();
                     let mut faults = Vec::new();
+                    let entry = FileEntry { file, unit: &p.unit, module };
+                    let cx = CheckContext::file_local(sm, entry);
                     for &check in rules {
                         match run_one_check(&Failpointed { check, path }, &cx) {
                             Ok(d) => diags.extend(d),
                             Err(e) => faults.push(check_fault(e.check_id.to_string(), &e.message)),
                         }
                     }
+                    drop(p);
+                    // File-scoped query rules read no recursive set.
+                    let mut steps = 0;
+                    let outcomes = queries.eval_file(id, module, record, &[]);
+                    for (rule, outcome) in queries.rules().iter().zip(outcomes) {
+                        match outcome {
+                            Ok((d, n)) => {
+                                steps += n;
+                                adsafe_trace::counter(&format!("checks.rule.{}.diags", rule.id))
+                                    .add(d.len() as u64);
+                                diags.extend(d);
+                            }
+                            Err(msg) => {
+                                faults.push(check_fault(format!("{} on {path}", rule.id), &msg))
+                            }
+                        }
+                    }
+                    if !queries.rules().is_empty() {
+                        adsafe_trace::counter("query.vm.steps").add(steps);
+                    }
                     (diags, faults)
                 }));
-                drop(p);
                 match checked {
                     Ok((diags, faults)) => {
                         facts.diags = diags;
@@ -1043,6 +1049,28 @@ fn classify_panic(msg: &str) -> FaultCause {
     } else {
         FaultCause::Panic(msg.to_string())
     }
+}
+
+/// Runs one assess-phase step under panic containment. A panic costs the
+/// step: it is logged as a critical fault naming `path`, and the step
+/// yields `fallback()`, a conservative default.
+fn assess_step<T>(
+    log: &mut FaultLog,
+    path: &str,
+    step: impl FnOnce() -> T,
+    fallback: impl FnOnce() -> T,
+) -> T {
+    catch_unwind(AssertUnwindSafe(step)).unwrap_or_else(|payload| {
+        log.push(Fault {
+            phase: FaultPhase::Assess,
+            path: path.to_string(),
+            severity: FaultSeverity::Critical,
+            cause: classify_panic(&panic_message(&*payload)),
+            recovery: Recovery::FallbackDefault,
+            run_id: String::new(),
+        });
+        fallback()
+    })
 }
 
 /// A rule lost to a contained panic: a degraded checks-phase fault

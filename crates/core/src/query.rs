@@ -32,6 +32,12 @@ pub fn bundled_rules() -> &'static RulePack {
     BUNDLED.get_or_init(RulePack::builtin)
 }
 
+/// Whether `rule` is one of the bundled pack's rules (not a user
+/// pack's).
+pub fn is_bundled(rule: &CompiledRule) -> bool {
+    bundled_rules().rules.iter().any(|b| std::ptr::eq(b, rule))
+}
+
 /// The query rules an assessment runs, in order: the bundled pack, then
 /// the user pack's rules.
 pub fn query_rules(user: Option<&RulePack>) -> impl Iterator<Item = &CompiledRule> {
@@ -390,6 +396,9 @@ int pick(int a) { if (a > 0) { return a; } return -a; }\n";
         assert_eq!(rows[0].get(0), Some(Value::Str("kMax")));
         assert_eq!(rows[0].get(2), Some(Value::Bool(true)));
         assert_eq!(rows[1].get(2), Some(Value::Bool(false)));
+        assert_eq!(rows[1].get(4), Some(Value::Str("int")), "declared type");
+        let decl = SRC.find("int counter").unwrap() as u32;
+        assert_eq!(rows[1].span().start, decl, "anchored at the declaration");
         assert!(rows.iter().all(|r| r.function().is_none()));
     }
 
@@ -463,6 +472,93 @@ int pick(int a) { if (a > 0) { return a; } return -a; }\n";
     }
 
     #[test]
+    fn variadic_flagged() {
+        assert_eq!(
+            findings("misra-17.1-variadic", "int log_msg(const char* fmt, ...) { return 0; }"),
+            [(Severity::Warning, "function `log_msg` is variadic".into())]
+        );
+        assert!(findings("misra-17.1-variadic", "int f(int a) { return a; }").is_empty());
+    }
+
+    #[test]
+    fn global_definition_flagged() {
+        let d = assess("int g_state;\nstatic float g_rate = 0.5f;\n");
+        let d = d.diagnostics_for("design-global-variable");
+        let got: Vec<(&str, Option<&str>)> =
+            d.iter().map(|d| (d.message.as_str(), d.function.as_deref())).collect();
+        assert_eq!(
+            got,
+            [
+                ("global variable `g_state: int` defined", None),
+                ("global variable `g_rate: float` defined", None),
+            ]
+        );
+        assert_eq!((d[0].span.start, d[0].span.end), (0, 11), "anchored at the declarator");
+    }
+
+    #[test]
+    fn const_global_permitted() {
+        assert!(findings("design-global-variable", "const int kMaxSize = 128;\n").is_empty());
+    }
+
+    #[test]
+    fn extern_declaration_not_double_counted() {
+        assert!(findings("design-global-variable", "extern int g_other;\n").is_empty());
+    }
+
+    #[test]
+    fn kernel_pointer_params_flagged() {
+        let src = "__global__ void k(float* out, const float* in, int n) { out[0] = in[0]; }";
+        assert_eq!(
+            findings("cuda-kernel-pointer", src),
+            [(Severity::Warning, "kernel `k` takes 2 raw pointer parameter(s): out, in".into())]
+        );
+        // An unnamed pointer parameter is not listed, and a host
+        // function's pointers are not a kernel's.
+        let src = "__global__ void k(float* out, int*) {}\nvoid h(float* p) {}";
+        assert_eq!(
+            findings("cuda-kernel-pointer", src),
+            [(Severity::Warning, "kernel `k` takes 1 raw pointer parameter(s): out".into())]
+        );
+    }
+
+    #[test]
+    fn kernel_without_pointers_clean() {
+        assert!(findings("cuda-kernel-pointer", "__global__ void k(int n) { }").is_empty());
+    }
+
+    #[test]
+    fn unbalanced_alloc_flagged() {
+        let src = "void f(float* h, int n) { float* d; cudaMalloc((void**)&d, n); \
+                   cudaMemcpy(d, h, n, 0); }";
+        assert_eq!(
+            findings("cuda-alloc-balance", src),
+            [(Severity::Warning, "function `f` has 1 device allocation(s) and fewer frees".into())]
+        );
+    }
+
+    #[test]
+    fn balanced_alloc_clean() {
+        let src = "void f(int n) { float* d; cudaMalloc((void**)&d, n); cudaFree(d); }";
+        assert!(findings("cuda-alloc-balance", src).is_empty());
+    }
+
+    #[test]
+    fn unchecked_launch_flagged() {
+        let src = "__global__ void k(float* x) {}\nvoid h(float* x) { k<<<1, 32>>>(x); }";
+        assert_eq!(
+            findings("cuda-launch-unchecked", src),
+            [(
+                Severity::Warning,
+                "function `h` launches 1 kernel(s) without querying errors".into()
+            )]
+        );
+        let ok = "__global__ void k(float* x) {}\n\
+                  void h(float* x) { k<<<1, 32>>>(x); cudaGetLastError(); }";
+        assert!(findings("cuda-launch-unchecked", ok).is_empty());
+    }
+
+    #[test]
     fn unreadable_pack_is_a_contained_fault() {
         let pack = load_rule_pack(&[PathBuf::from("/nonexistent/rules.aq")]);
         assert!(pack.rules.is_empty());
@@ -490,7 +586,7 @@ int pick(int a) { if (a > 0) { return a; } return -a; }\n";
         );
         let inv = rule_inventory(&user);
         let natives = default_checks().len();
-        assert_eq!(inv.len(), natives + 5 + 1);
+        assert_eq!(inv.len(), natives + bundled_rules().rules.len() + 1);
         assert!(inv[..natives].iter().all(|r| r.origin() == "native"));
         assert!(inv[natives..].iter().all(|r| r.origin() == "query"));
         assert_eq!(inv[0].id, "misra-15.1-goto");
@@ -507,7 +603,11 @@ int pick(int a) { if (a > 0) { return a; } return -a; }\n";
         let out = pass.eval_file(id, &module, &facts, &["g".to_string()]);
         let diags: Vec<Vec<Diagnostic>> = out.into_iter().map(|o| o.unwrap().0).collect();
         let counts: Vec<usize> = diags.iter().map(Vec::len).collect();
-        assert_eq!(counts, [1, 1, 0, 0, 0], "multi-exit and recursion fire on `g` only");
+        assert_eq!(
+            counts,
+            [1, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+            "multi-exit and recursion fire on `g` only"
+        );
         assert_eq!(diags[0][0].message, "function `g` has 2 return statements / early exits");
         assert_eq!(diags[0][0].function.as_deref(), Some("g"));
         assert_eq!(diags[1][0].message, "function `g` participates in recursion");

@@ -21,9 +21,11 @@
 //! program-scoped; every other rule is file-scoped. [`rule::RulePack`]
 //! loads packs with per-rule fault containment.
 //!
-//! Rules are data: the bundled pack ([`BUILTIN_PACK`]) carries five
-//! rules of the default set, and the `adsafe` pipeline evaluates it and
-//! any user pack in one facts-row pass per file.
+//! Rules are data: the bundled pack ([`BUILTIN_PACK`]) carries ten
+//! rules of the default set. The `adsafe` pipeline evaluates its
+//! file-scoped rules in each file's task, where their findings join the
+//! cached facts record, and its program-scoped rule and any user pack in
+//! one facts-row pass per file after the file round.
 //!
 //! Determinism contract: compilation is pure, evaluation is pure over
 //! the row set, rows derive from facts in file order — so query

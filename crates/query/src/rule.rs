@@ -229,6 +229,11 @@ mod tests {
                 "structure-function-length",
                 "structure-nesting-depth",
                 "structure-param-count",
+                "misra-17.1-variadic",
+                "design-global-variable",
+                "cuda-kernel-pointer",
+                "cuda-alloc-balance",
+                "cuda-launch-unchecked",
             ]
         );
         // Recursion reads the call graph; the rest are file-scoped.

@@ -197,25 +197,26 @@ void scale_bias_brook(Stream output, Stream biases, int batch, int n,\n\
     }\n\
   }\n\
 }\n";
-    use adsafe::checkers::{AnalysisSet, Check};
-    let mut set = AnalysisSet::new();
-    set.add("perception", "scale_bias_brook.c", BROOK_STYLE);
-    let cx = set.context();
-    let risky: Vec<Box<dyn Check>> = vec![
-        Box::new(adsafe::checkers::misra::DynamicMemoryCheck),
-        Box::new(adsafe::checkers::cuda_rules::KernelPointerCheck),
-        Box::new(adsafe::checkers::cuda_rules::DeviceAllocBalanceCheck),
-        Box::new(adsafe::checkers::cuda_rules::LaunchErrorCheck),
-        Box::new(adsafe::checkers::defensive::PointerParamCheck),
+    // The pointer, dynamic-memory and CUDA rules, native and bundled
+    // alike, as an assessment runs them.
+    const RISKY: [&str; 5] = [
+        "misra-21.3-dynamic-memory",
+        "cuda-kernel-pointer",
+        "cuda-alloc-balance",
+        "cuda-launch-unchecked",
+        "defensive-pointer-param",
     ];
-    let findings = adsafe::checkers::run_checks(&risky, &cx);
+    let risky_findings = |path: &str, src: &str| {
+        let mut a = adsafe::Assessment::new();
+        a.add_file("perception", path, src);
+        let report = a.run();
+        report.diagnostics.into_iter().filter(|d| RISKY.contains(&d.check_id)).collect::<Vec<_>>()
+    };
+    let findings = risky_findings("scale_bias_brook.c", BROOK_STYLE);
     assert!(findings.is_empty(), "Brook-style code must be clean: {findings:?}");
 
     // The CUDA excerpt, through the same rules, is not.
-    let mut cuda_set = AnalysisSet::new();
-    cuda_set.add("perception", "scale_bias.cu", adsafe::corpus::yolo::SCALE_BIAS_CU);
-    let cuda_cx = cuda_set.context();
-    let cuda_findings = adsafe::checkers::run_checks(&risky, &cuda_cx);
+    let cuda_findings = risky_findings("scale_bias.cu", adsafe::corpus::yolo::SCALE_BIAS_CU);
     assert!(cuda_findings.len() >= 4, "CUDA contrast: {}", cuda_findings.len());
 
     // And the Rust-native Brook stream agrees with the raw kernel.

@@ -461,7 +461,13 @@ fn warm_query_and_assess_allocations_do_not_scale_with_functions() {
     let files = corpus.len() as u64;
     assert_eq!(warm.trace.counter("cache.hits"), files, "the run must be warm");
     let functions = warm.evidence.total_functions as u64;
-    let rules = &adsafe::query::bundled_rules().rules;
+    // A warm run replays the bundled file-scoped rules' findings; only
+    // the program-scoped ones evaluate in `checks.query`.
+    let rules: Vec<_> = adsafe::query::bundled_rules()
+        .rules
+        .iter()
+        .filter(|r| r.scope == adsafe::checkers::CheckScope::Program)
+        .collect();
     let query_diags: u64 = rules.iter().map(|r| warm.diagnostics_for(r.id).len() as u64).sum();
     let allocs = |phase: &str| {
         warm.trace.phase_mem.iter().find(|p| p.name == phase).map_or(0, |p| p.allocs)
@@ -481,6 +487,65 @@ fn warm_query_and_assess_allocations_do_not_scale_with_functions() {
     assert!(query > 0 && query <= query_bound, "checks.query: {query} allocs > {query_bound}");
     assert!(assess > 0 && assess <= assess_bound, "assess: {assess} allocs > {assess_bound}");
     assert!(metrics > 0 && metrics <= metrics_bound, "metrics: {metrics} allocs > {metrics_bound}");
+}
+
+/// A warm run — from a cache directory or from a resident store —
+/// replays every bundled file-scoped rule's findings from the facts
+/// records: it emits no `check.<id>` span for one, and evaluates only
+/// the program-scoped `misra-17.2-recursion` and the user pack's rules.
+/// Its report bytes equal a cold run's, with and without a user pack,
+/// at jobs 1 and 2.
+#[test]
+fn warm_runs_evaluate_only_program_scope_and_user_pack_rules() {
+    use adsafe::checkers::CheckScope;
+    use adsafe::rulequery::RulePack;
+    use std::sync::Arc;
+    let file_scoped: Vec<&str> = adsafe::query::bundled_rules()
+        .rules
+        .iter()
+        .filter(|r| r.scope == CheckScope::File)
+        .map(|r| r.id)
+        .collect();
+    assert_eq!(file_scoped.len(), 9);
+    let team = Arc::new(RulePack::from_sources(
+        &[("team.aq".into(), "rule \"team-multi\" { function where multi_exit -> info }".into())],
+        &adsafe::query::reserved_rule_ids(),
+    ));
+    let n = sample_files().len() as u64;
+    for jobs in [1, 2] {
+        for pack in [None, Some(team.clone())] {
+            let opts =
+                || AssessmentOptions { jobs, rules: pack.clone(), ..AssessmentOptions::default() };
+            let cold = deterministic_report_markdown(&assess_samples(usize::MAX, opts()));
+            let dir = temp_cache_dir("warm-rules");
+            let store = Arc::new(adsafe::MemoryFactsStore::open(None));
+            let warm_opts = [
+                ("cache-dir", AssessmentOptions { cache_dir: Some(dir.clone()), ..opts() }),
+                ("resident", AssessmentOptions { store: Some(store), ..opts() }),
+            ];
+            for (label, warm_opts) in warm_opts {
+                let what = format!("{label} at jobs {jobs}, pack {}", pack.is_some());
+                assess_samples(usize::MAX, warm_opts.clone());
+                let warm = assess_samples(usize::MAX, warm_opts);
+                assert_eq!(warm.trace.counter("cache.hits"), n, "{what}: not warm");
+                let evaluated: std::collections::BTreeSet<&str> = warm
+                    .trace
+                    .events
+                    .iter()
+                    .filter_map(|e| e.name.strip_prefix("check."))
+                    .collect();
+                for id in &file_scoped {
+                    assert!(!evaluated.contains(id), "{what}: re-evaluated {id}");
+                }
+                assert!(evaluated.contains("misra-17.2-recursion"), "{what}: {evaluated:?}");
+                assert_eq!(evaluated.contains("team-multi"), pack.is_some(), "{what}");
+                assert!(!warm.diagnostics_for("misra-17.2-recursion").is_empty(), "{what}");
+                assert!(!warm.diagnostics_for("cuda-kernel-pointer").is_empty(), "{what}");
+                assert_eq!(deterministic_report_markdown(&warm), cold, "{what}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
 
 /// A run has one pool round over files (inside `phase.parse`) and one

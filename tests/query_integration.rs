@@ -325,6 +325,18 @@ fn builtin_pack_matches_native_checkers_byte_for_byte() {
              "statement nesting shall be limited"),
             ("structure-param-count", CheckScope::File, &["Part6.Table3.Row3"][..],
              "interfaces (parameter lists) shall be of restricted size"),
+            ("misra-17.1-variadic", CheckScope::File, &["Part6.Table1.Row2"][..],
+             "variadic functions shall not be defined"),
+            ("design-global-variable", CheckScope::File,
+             &["Part6.Table1.Row5", "Part6.Table8.Row5"][..],
+             "avoid global variables or justify their usage"),
+            ("cuda-kernel-pointer", CheckScope::File,
+             &["Part6.Table8.Row6", "Part6.Table1.Row2"][..],
+             "CUDA kernels take raw pointers, contrary to limited-pointer-use guidance"),
+            ("cuda-alloc-balance", CheckScope::File, &["Part6.Table8.Row2"][..],
+             "device allocations shall be freed (cudaMalloc/cudaFree balance)"),
+            ("cuda-launch-unchecked", CheckScope::File, &["Part6.Table1.Row4"][..],
+             "kernel launches shall be followed by an error check"),
         ]
     );
 
@@ -350,101 +362,95 @@ fn builtin_pack_matches_native_checkers_byte_for_byte() {
     assert_native_findings(&refs, &set.sm);
 }
 
-/// The five native checkers ported to `.aq`, under `q-` ids so they
-/// load as a user pack beside the natives they replace.
-const PORTED_PACK: &str = r#"
-rule "q-variadic" {
-  desc "variadic functions shall not be defined"
-  iso t1r2
-  function where variadic
-    -> warn "function `{name}` is variadic"
-}
-rule "q-kernel-pointer" {
-  desc "CUDA kernels take raw pointers, contrary to limited-pointer-use guidance"
-  iso t8r6, t1r2
-  function where kernel_ptrs > 0
-    -> warn "kernel `{name}` takes {kernel_ptrs} raw pointer parameter(s): {kernel_ptr_names}"
-}
-rule "q-alloc-balance" {
-  desc "device allocations shall be freed (cudaMalloc/cudaFree balance)"
-  iso t8r2
-  function where unbalanced_alloc
-    -> warn "function `{name}` has {alloc_calls} device allocation(s) and fewer frees"
-}
-rule "q-launch-unchecked" {
-  desc "kernel launches shall be followed by an error check"
-  iso t1r4
-  function where launches > 0 and not error_query
-    -> warn "function `{name}` launches {launches} kernel(s) without querying errors"
-}
-rule "q-global-variable" {
-  desc "avoid global variables or justify their usage"
-  iso t1r5, t8r5
-  global where not is_const and not is_extern
-    -> warn "global variable `{name}: {type}` defined"
-}
-"#;
-
-/// `(native id, ported id)` of the five rules in [`PORTED_PACK`].
-const PORTED_IDS: [(&str, &str); 5] = [
-    ("misra-17.1-variadic", "q-variadic"),
-    ("cuda-kernel-pointer", "q-kernel-pointer"),
-    ("cuda-alloc-balance", "q-alloc-balance"),
-    ("cuda-launch-unchecked", "q-launch-unchecked"),
-    ("design-global-variable", "q-global-variable"),
+/// The five bundled rules that were native checkers until their `.aq`
+/// ports were proven equal to them.
+const PORTED_IDS: [&str; 5] = [
+    "misra-17.1-variadic",
+    "cuda-kernel-pointer",
+    "cuda-alloc-balance",
+    "cuda-launch-unchecked",
+    "design-global-variable",
 ];
 
-/// Every finding of rule `id` in `report`, rendered under `as_id` with
-/// its enclosing function.
-fn rendered(report: &adsafe::AssessmentReport, sm: &SourceMap, id: &str, as_id: &'static str) -> Vec<String> {
+/// What the retired native checkers reported on each of
+/// [`source_sets`]: the finding count per rule of [`PORTED_IDS`], and an
+/// FNV-1a digest of all their findings, each rendered with its
+/// enclosing function as [`rendered`] renders it, in that rule order.
+const PORTED_FINDINGS: [(&str, [usize; 5], u64); 5] = [
+    ("clean", [1, 2, 2, 2, 82], 0x456237268a468f12),
+    ("truncate", [1, 1, 1, 1, 82], 0xfb28432305ba3ae8),
+    ("delete-braces", [1, 0, 2, 1, 137], 0xf9da05ec573badef),
+    ("byte-flips", [1, 1, 1, 3, 143], 0x09ce98dbc28cf83e),
+    ("non-utf8-noise", [1, 2, 1, 2, 80], 0x26c987304c6b6b56),
+];
+
+/// The retired natives' first finding per rule of [`PORTED_IDS`] on the
+/// clean set.
+const PORTED_FIRST: [&str; 5] = [
+    "stress/ported.cu:6:1 warning [misra-17.1-variadic] function `log_msg` is variadic \
+     | fn=Some(\"log_msg\")",
+    "perception/cuda/perception_op0.cu:4:1 warning [cuda-kernel-pointer] kernel \
+     `perception_op0_kernel` takes 2 raw pointer parameter(s): output, biases \
+     | fn=Some(\"perception_op0_kernel\")",
+    "perception/cuda/perception_op0.cu:13:1 warning [cuda-alloc-balance] function \
+     `perception_op0_gpu` has 2 device allocation(s) and fewer frees \
+     | fn=Some(\"perception_op0_gpu\")",
+    "perception/cuda/perception_op0.cu:13:1 warning [cuda-launch-unchecked] function \
+     `perception_op0_gpu` launches 1 kernel(s) without querying errors \
+     | fn=Some(\"perception_op0_gpu\")",
+    "perception/perception_00.cc:7:3 warning [design-global-variable] global variable \
+     `g_perception_state_0: int` defined | fn=None",
+];
+
+/// Every finding of rule `id` in `report`, rendered with its enclosing
+/// function.
+fn rendered(report: &adsafe::AssessmentReport, sm: &SourceMap, id: &str) -> Vec<String> {
     report
-        .diagnostics
-        .iter()
-        .filter(|d| d.check_id == id)
-        .map(|d| {
-            let mut d = d.clone();
-            d.check_id = as_id;
-            format!("{} | fn={:?}", d.render(sm), d.function)
-        })
+        .diagnostics_for(id)
+        .into_iter()
+        .map(|d| format!("{} | fn={:?}", d.render(sm), d.function))
         .collect()
 }
 
-/// The ported `.aq` rules report exactly what the native checkers do —
-/// rendered findings, spans and enclosing functions included — on the
-/// clean sources and under every `faultinject` corruption, serial and
-/// at one worker per core, with the natives' descriptions and ISO refs.
+/// FNV-1a over `lines`, each terminated by a newline.
+fn digest(lines: &[String]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in lines.iter().flat_map(|l| l.bytes().chain([b'\n'])) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// The five bundled rules ported from native checkers report exactly
+/// what the natives did — rendered findings, spans and enclosing
+/// functions included — on the clean sources and under every
+/// `faultinject` corruption, serial and at one worker per core. The
+/// snapshot was recorded from the natives after a differential run
+/// showed the `.aq` ports equal to them on these sets.
 #[test]
 fn ported_rules_reproduce_the_native_findings() {
-    let pack = RulePack::from_sources(
-        &[("ported.aq".into(), PORTED_PACK.into())],
-        &adsafe::query::reserved_rule_ids(),
-    );
-    assert!(pack.faults.is_empty(), "{:?}", pack.faults);
-    for ((native, _), rule) in PORTED_IDS.iter().zip(&pack.rules) {
-        let check = default_checks().into_iter().find(|c| c.id() == *native).unwrap();
-        assert_eq!((rule.desc, rule.iso), (check.description(), check.iso_refs()), "{native}");
-        assert_eq!(rule.scope, CheckScope::File, "{native}");
-    }
-    let pack = Arc::new(pack);
-    for (name, sources) in source_sets() {
+    let sets = source_sets();
+    assert_eq!(sets.len(), PORTED_FINDINGS.len());
+    for ((name, sources), (want_name, counts, want_digest)) in sets.into_iter().zip(PORTED_FINDINGS)
+    {
+        assert_eq!(name, want_name);
         for jobs in [1, 0] {
-            let mut a = Assessment::new().with_options(AssessmentOptions {
-                jobs,
-                rules: Some(Arc::clone(&pack)),
-                ..AssessmentOptions::default()
-            });
+            let mut a =
+                Assessment::new().with_options(AssessmentOptions { jobs, ..Default::default() });
             for (module, path, text) in &sources {
                 a.add_file(module, path, text);
             }
             let report = a.run();
-            for (native, ported) in PORTED_IDS {
-                let want = rendered(&report, a.sources(), native, native);
-                let got = rendered(&report, a.sources(), ported, native);
+            let mut all = Vec::new();
+            for (i, id) in PORTED_IDS.into_iter().enumerate() {
+                let mine = rendered(&report, a.sources(), id);
+                assert_eq!(mine.len(), counts[i], "{id} on {name} at jobs {jobs}");
                 if name == "clean" {
-                    assert!(!want.is_empty(), "{native} never fires on the clean set");
+                    assert_eq!(mine[0], PORTED_FIRST[i], "{id} at jobs {jobs}");
                 }
-                assert_eq!(got, want, "{native} on {name} at jobs {jobs}");
+                all.extend(mine);
             }
+            assert_eq!(digest(&all), want_digest, "{name} at jobs {jobs}");
         }
     }
 }
@@ -561,6 +567,9 @@ fn query_reports_are_deterministic_across_jobs_and_cache() {
     let _ = std::fs::remove_dir_all(&dir);
     let cold = run_report(4, Some(Arc::clone(&pack)), Some(dir.clone()));
     let warm = run_report(2, Some(Arc::clone(&pack)), Some(dir.clone()));
+    // The same cache replays under a run without the pack: the records
+    // hold the bundled rules' findings, never a user pack's.
+    let bare_warm = run_report(1, None, Some(dir.clone()));
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         render::deterministic_report_markdown(&cold),
@@ -571,6 +580,12 @@ fn query_reports_are_deterministic_across_jobs_and_cache() {
         render::deterministic_report_markdown(&serial),
         render::deterministic_report_markdown(&cold),
         "cache-backed run diverged from the in-memory run"
+    );
+    assert_eq!(bare_warm.trace.counter("cache.hits"), corpus_sources().len() as u64);
+    assert_eq!(
+        render::deterministic_report_markdown(&bare_warm),
+        render::deterministic_report_markdown(&run_report(1, None, None)),
+        "a pack's findings leaked into the cache"
     );
 }
 
