@@ -506,8 +506,7 @@ fn write_function(out: &mut String, f: &FunctionFacts) {
     let _ = write!(
         out,
         "],\"uninit\":{},\"shadow\":{},\"ptr\":{},\"dyn\":{},\"opaque\":{},\
-         \"kernel\":{},\"kptr\":{},\"alloc\":{},\"unbal\":{},\"launch\":{},\"errq\":{},\
-         \"knamed\":{},\"knames\":",
+         \"kernel\":{},\"kptr\":{},\"alloc\":{},\"cuda\":[{},{},{},{},",
         f.unit.maybe_uninit_reads,
         f.unit.shadowed_declarations,
         f.unit.pointer_uses,
@@ -524,7 +523,7 @@ fn write_function(out: &mut String, f: &FunctionFacts) {
     write_escaped(out, &f.kernel_ptr_names);
     let _ = write!(
         out,
-        ",\"variadic\":{},\"named\":{},\"validates\":{}}}",
+        "],\"vararg\":{},\"named\":{},\"validates\":{}}}",
         f.variadic,
         f.validation.has_named_params,
         f.validation.validates
@@ -591,12 +590,14 @@ fn read_function(
         is_kernel: r.then(r#","kernel":"#, Reader::boolean)?,
         ptr_params: r.then(r#","kptr":"#, Reader::int)?,
         alloc_calls: r.then(r#","alloc":"#, Reader::int)?,
-        unbalanced_alloc: r.then(r#","unbal":"#, Reader::boolean)?,
-        launches: r.then(r#","launch":"#, Reader::int)?,
-        error_query: r.then(r#","errq":"#, Reader::boolean)?,
-        kernel_ptrs: r.then(r#","knamed":"#, Reader::int)?,
-        kernel_ptr_names: r.then(r#","knames":"#, Reader::string)?,
-        variadic: r.then(r#","variadic":"#, Reader::boolean)?,
+        // The per-function CUDA facts ride in one array: most functions
+        // have none, and keys would cost more than the values.
+        unbalanced_alloc: r.then(r#","cuda":["#, Reader::boolean)?,
+        launches: r.then(",", Reader::int)?,
+        error_query: r.then(",", Reader::boolean)?,
+        kernel_ptrs: r.then(",", Reader::int)?,
+        kernel_ptr_names: r.then(",", Reader::string)?,
+        variadic: r.then(r#"],"vararg":"#, Reader::boolean)?,
         validation: ValidationFacts {
             has_named_params: r.then(r#","named":"#, Reader::boolean)?,
             validates: r.then(r#","validates":"#, Reader::boolean)?,
@@ -874,6 +875,10 @@ mod tests {
                 return Err("sig arity".to_string());
             }
             let callees = read_all(req_arr(v, "callees")?, req_str_v)?;
+            let cuda = req_arr(v, "cuda")?;
+            if cuda.len() != 5 {
+                return Err("cuda arity".to_string());
+            }
             let unresolved = read_all(req_arr(v, "unres")?, |u| {
                 let t = u.as_arr().ok_or("unres not an array")?;
                 if t.len() != 3 {
@@ -909,12 +914,12 @@ mod tests {
                 is_kernel: req_bool(v, "kernel")?,
                 ptr_params: req_usize(v, "kptr")?,
                 alloc_calls: req_usize(v, "alloc")?,
-                unbalanced_alloc: req_bool(v, "unbal")?,
-                launches: req_usize(v, "launch")?,
-                error_query: req_bool(v, "errq")?,
-                kernel_ptr_names: req_str(v, "knames")?,
-                kernel_ptrs: req_usize(v, "knamed")?,
-                variadic: req_bool(v, "variadic")?,
+                unbalanced_alloc: as_bool(&cuda[0])?,
+                launches: as_usize(&cuda[1])?,
+                error_query: as_bool(&cuda[2])?,
+                kernel_ptrs: as_usize(&cuda[3])?,
+                kernel_ptr_names: req_str_v(&cuda[4])?,
+                variadic: req_bool(v, "vararg")?,
                 validation: ValidationFacts {
                     has_named_params: req_bool(v, "named")?,
                     validates: req_bool(v, "validates")?,

@@ -395,13 +395,12 @@ impl Assessment {
         // query ids alike, so a gated rule is skipped wholesale. Their
         // faults join the log after the parse faults.
         let checks = default_checks();
-        let query_rules: Vec<&adsafe_query::CompiledRule> =
-            crate::query::query_rules(self.options.rules.as_deref()).collect();
         let gate_deadline = PhaseDeadline::new(&budgets);
         let mut skipped: HashSet<&'static str> = HashSet::new();
         let mut gate_faults: Vec<Fault> = Vec::new();
         let mut deadline_cut = false;
-        let rule_ids = checks.iter().map(|c| c.id()).chain(query_rules.iter().map(|r| r.id));
+        let query_rules = crate::query::query_rules(self.options.rules.as_deref());
+        let rule_ids = checks.iter().map(|c| c.id()).chain(query_rules.map(|r| r.id));
         for id in rule_ids {
             if !deadline_cut && gate_deadline.exceeded() {
                 deadline_cut = true;
@@ -434,11 +433,18 @@ impl Assessment {
         // The bundled pack's file-scoped rules run in the file task too,
         // so their findings are cached with the record like a native's;
         // the rest of the query rules run after the round (phase 2).
-        let (file_queries, run_queries): (Vec<_>, Vec<_>) = query_rules
-            .into_iter()
-            .filter(|r| !skipped.contains(r.id))
-            .partition(|r| r.scope == CheckScope::File && crate::query::is_bundled(r));
-        let file_queries = crate::query::QueryPass::new(file_queries);
+        let bundled = &crate::query::bundled_rules().rules;
+        let live = |r: &&adsafe_query::CompiledRule| !skipped.contains(r.id);
+        let file_queries = crate::query::QueryPass::new(
+            bundled.iter().filter(|r| r.scope == CheckScope::File).filter(live).collect(),
+        );
+        let user_rules = self.options.rules.iter().flat_map(|p| &p.rules);
+        let run_queries: Vec<_> = bundled
+            .iter()
+            .filter(|r| r.scope == CheckScope::Program)
+            .chain(user_rules)
+            .filter(live)
+            .collect();
 
         let sm = &self.sources;
         let deadline = PhaseDeadline::new(&budgets);

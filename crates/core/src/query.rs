@@ -32,12 +32,6 @@ pub fn bundled_rules() -> &'static RulePack {
     BUNDLED.get_or_init(RulePack::builtin)
 }
 
-/// Whether `rule` is one of the bundled pack's rules (not a user
-/// pack's).
-pub fn is_bundled(rule: &CompiledRule) -> bool {
-    bundled_rules().rules.iter().any(|b| std::ptr::eq(b, rule))
-}
-
 /// The query rules an assessment runs, in order: the bundled pack, then
 /// the user pack's rules.
 pub fn query_rules(user: Option<&RulePack>) -> impl Iterator<Item = &CompiledRule> {

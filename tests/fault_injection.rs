@@ -257,7 +257,10 @@ fn query_rule_panic_costs_one_rule_on_one_file() {
         "pipeline::query::misra-15.5-multi-exit",
         Action::Panic("query rule bug".into()),
     );
-    let r = run_scenario("query-panic", AssessmentOptions::default(), |a| {
+    let dir = std::env::temp_dir().join(format!("adsafe-query-panic-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = AssessmentOptions { cache_dir: Some(dir.clone()), ..AssessmentOptions::default() };
+    let r = run_scenario("query-panic", options, |a| {
         a.add_file("m", "m/a.cc", GATED_SRC);
         a.add_file("m", "m/b.cc", GATED_SRC);
     });
@@ -267,6 +270,13 @@ fn query_rule_panic_costs_one_rule_on_one_file() {
     // The rule survived on the other files; other rules on every file.
     assert_eq!(r.diagnostics_for("misra-15.5-multi-exit").len(), 2);
     assert_eq!(r.diagnostics_for("misra-17.2-recursion").len(), 2);
+    // The bundled rule ran in the file task, so its fault keeps that
+    // file out of the cache, as a native's does; the others are stored.
+    let entry =
+        |path: &str| dir.join(format!("{:016x}.json", adsafe::content_hash(path, GATED_SRC)));
+    assert!(entry("m/a.cc").exists() && entry("m/b.cc").exists());
+    assert_eq!(cache_entries(&dir), 2);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
