@@ -539,4 +539,47 @@ mod tests {
         }
         let _ = fs::remove_dir_all(&dir);
     }
+
+    /// A cache written by the `adsafe-facts/4` build, whose records
+    /// carried no construct sites and whose diagnostics held the native
+    /// goto and switch findings: the fingerprint differs, so the
+    /// directory is wiped on open, and the run rewrites the entry with
+    /// its sites and exactly one finding of each rule, now from the
+    /// bundled pack.
+    #[test]
+    fn facts4_cache_is_wiped_not_replayed() {
+        const SRC: &str =
+            "int f(int x) {\n  switch (x) { case 1: return 1; }\n  goto out;\nout:\n  return 0;\n}\n";
+        const PARENT_META: &str =
+            "{\"schema\":\"adsafe-cache/1\",\"fingerprint\":\"08dc5f8c2e7565c0\"}";
+        const PARENT_ENTRY: &str = r#"{"schema":"adsafe-facts/4","recovery":0,"loc":[6,6,0,0,0],"globals":[],"functions":[{"name":"f","qual":"f","cc":2,"nloc":6,"params":1,"nest":1,"returns":2,"multi":true,"goto":1,"stmts":6,"gpu":false,"sig":[0,12],"callees":[],"unres":[],"uninit":0,"shadow":0,"ptr":0,"dyn":0,"opaque":0,"kernel":false,"kptr":0,"alloc":0,"cuda":[false,0,false,0,""],"vararg":false,"named":true,"validates":true}],"diags":[["misra-15.1-goto","violation",52,61,"unconditional jump `goto out`","f"],["misra-16.4-switch-default","warning",17,49,"switch without default label","f"],["misra-15.5-multi-exit","warning",0,12,"function `f` has 2 return statements / early exits","f"]]}"#;
+        let dir = temp_dir("facts4");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("meta.json"), PARENT_META).unwrap();
+        let entry = dir.join(format!("{:016x}.json", content_hash("m/a.cc", SRC)));
+        fs::write(&entry, PARENT_ENTRY).unwrap();
+        assert_ne!(ruleset_fingerprint(), "08dc5f8c2e7565c0");
+
+        for pass in ["wiped", "warm"] {
+            let mut a = crate::Assessment::new().with_options(crate::AssessmentOptions {
+                cache_dir: Some(dir.clone()),
+                ..crate::AssessmentOptions::default()
+            });
+            a.add_file("m", "m/a.cc", SRC);
+            let report = a.run();
+            // A replayed entry would fail the reader as a corrupt-entry fault.
+            assert!(report.faults.is_empty(), "{pass}: {:?}", report.faults);
+            for id in ["misra-15.1-goto", "misra-16.4-switch-default"] {
+                assert_eq!(report.diagnostics_for(id).len(), 1, "{pass}: {id}");
+            }
+            let stored = fs::read_to_string(&entry).unwrap();
+            assert!(stored.starts_with(&format!(r#"{{"schema":"{FACTS_SCHEMA}""#)), "{stored}");
+            assert!(
+                stored.contains(r#""sites":[["switch",17,49,0,"",0],["goto",52,61,0,"out",0]]"#),
+                "{stored}"
+            );
+            assert_eq!(stored.matches("misra-15.1-goto").count(), 1, "{pass}: {stored}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

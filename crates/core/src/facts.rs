@@ -13,7 +13,7 @@
 //! therefore produce byte-identical reports by construction: they run
 //! the exact same assembly code over the exact same inputs.
 //!
-//! The serialised form (`adsafe-facts/4`) is hand-written JSON. It is
+//! The serialised form (`adsafe-facts/5`) is hand-written JSON. It is
 //! read back in one pass straight from the bytes, with no intermediate
 //! JSON tree, and the reader accepts only the exact shape
 //! [`FileFacts::to_json`] writes: keys in writer order, no whitespace,
@@ -25,10 +25,13 @@
 use adsafe_checkers::defensive::ValidationFacts;
 use adsafe_checkers::unit_design::{FunctionUnitFacts, UnitDesignStats};
 use adsafe_checkers::{Diagnostic, Severity};
-use adsafe_lang::ast::Storage;
+use adsafe_lang::ast::{
+    BinOp, Decl, Expr, ExprKind, FunctionDef, RecordKind, Stmt, StmtKind, Storage,
+};
 use adsafe_lang::callgraph::callee_names;
 use adsafe_lang::cuda::CudaApiKind;
 use adsafe_lang::symbols::analyze_function;
+use adsafe_lang::visit::{walk_expr, walk_function, walk_stmt, Visitor};
 use adsafe_lang::{CallGraph, FileId, ParsedFile, SourceMap, Span};
 use adsafe_metrics::{
     count_file, function_metrics, FunctionMetrics, LocCounts, ModuleMetrics, ModuleTally,
@@ -42,7 +45,7 @@ use std::sync::OnceLock;
 /// Version tag of the serialised facts record. Bump on any schema
 /// change: it participates in the cache fingerprint, so old entries are
 /// invalidated wholesale instead of being misread.
-pub const FACTS_SCHEMA: &str = "adsafe-facts/4";
+pub const FACTS_SCHEMA: &str = "adsafe-facts/5";
 
 /// One file-scope variable definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,6 +106,71 @@ pub struct FunctionFacts {
     pub validation: ValidationFacts,
 }
 
+/// What construct a [`SiteFacts`] records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SiteKind {
+    /// A `goto` statement; `text` is its label.
+    Goto,
+    /// A comma-operator expression.
+    Comma,
+    /// A `switch` statement; `count` is the `default` labels directly
+    /// in its body.
+    Switch,
+    /// A declaration statement in a function body with two or more
+    /// declarators; `count` is how many.
+    MultiDecl,
+    /// A file- or namespace-scope union; `text` is its name.
+    Union,
+    /// An octal integer constant; `text` is its lexeme.
+    Octal,
+}
+
+impl SiteKind {
+    const ALL: [SiteKind; 6] = [
+        SiteKind::Goto,
+        SiteKind::Comma,
+        SiteKind::Switch,
+        SiteKind::MultiDecl,
+        SiteKind::Union,
+        SiteKind::Octal,
+    ];
+
+    /// The `kind` field value a `site` query compares against.
+    pub fn name(self) -> &'static str {
+        match self {
+            SiteKind::Goto => "goto",
+            SiteKind::Comma => "comma",
+            SiteKind::Switch => "switch",
+            SiteKind::MultiDecl => "multi-decl",
+            SiteKind::Union => "union",
+            SiteKind::Octal => "octal",
+        }
+    }
+
+    fn from_name(name: &str) -> Option<SiteKind> {
+        SiteKind::ALL.into_iter().find(|k| k.name() == name)
+    }
+}
+
+/// One construct occurrence, anchored where a finding on it points.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SiteFacts {
+    /// The construct.
+    pub kind: SiteKind,
+    /// Span start (byte offset).
+    pub start: u32,
+    /// Span end (byte offset).
+    pub end: u32,
+    /// Index of the enclosing function in [`FileFacts::functions`];
+    /// `None` for unions and octal constants.
+    pub function: Option<u32>,
+    /// Goto label, union name or octal lexeme; empty otherwise.
+    pub text: String,
+    /// A switch's `default` labels or a statement's declarators; 0
+    /// otherwise.
+    pub count: usize,
+}
+
 /// The complete cacheable record for one source file.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FileFacts {
@@ -114,6 +182,8 @@ pub struct FileFacts {
     pub globals: Vec<GlobalFacts>,
     /// Per-function facts, in definition order.
     pub functions: Vec<FunctionFacts>,
+    /// Construct occurrences, in source order.
+    pub sites: Vec<SiteFacts>,
     /// File-local diagnostics: the findings of every
     /// [`adsafe_checkers::CheckScope::File`] native, in registry order,
     /// then of every file-scoped bundled query rule, in pack order,
@@ -142,11 +212,14 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
             ty: g.ty.display(),
         })
         .collect();
+    let mut sites = Vec::new();
     let functions = parsed
         .unit
         .functions()
         .into_iter()
-        .map(|f| {
+        .enumerate()
+        .map(|(i, f)| {
+            function_sites(f, i as u32, &mut sites);
             let syms = analyze_function(f);
             let mut seen = HashSet::new();
             let unresolved = syms
@@ -186,12 +259,88 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
             }
         })
         .collect();
+    union_sites(&parsed.unit.decls, &mut sites);
+    sites.extend(parsed.unit.octal_literals.iter().map(|o| SiteFacts {
+        kind: SiteKind::Octal,
+        start: o.span.start,
+        end: o.span.end,
+        function: None,
+        text: o.lexeme.clone(),
+        count: 0,
+    }));
+    sites.sort_by_key(|s| s.start);
     FileFacts {
         recovery_count: parsed.unit.recovery_count,
         loc: count_file(file),
         globals,
         functions,
+        sites,
         diags: Vec::new(),
+    }
+}
+
+/// Appends the sites in `f`'s body, in one pre-order walk over its
+/// statements and the expressions under them. `index` is `f`'s
+/// position in [`FileFacts::functions`].
+fn function_sites(f: &FunctionDef, index: u32, out: &mut Vec<SiteFacts>) {
+    struct Sites<'o> {
+        function: u32,
+        out: &'o mut Vec<SiteFacts>,
+    }
+    impl Sites<'_> {
+        fn push(&mut self, kind: SiteKind, span: Span, text: &str, count: usize) {
+            self.out.push(SiteFacts {
+                kind,
+                start: span.start,
+                end: span.end,
+                function: Some(self.function),
+                text: text.to_string(),
+                count,
+            });
+        }
+    }
+    impl<'ast> Visitor<'ast> for Sites<'_> {
+        fn visit_stmt(&mut self, s: &'ast Stmt) {
+            match &s.kind {
+                StmtKind::Goto(label) => self.push(SiteKind::Goto, s.span, label, 0),
+                StmtKind::Switch { body, .. } => {
+                    let defaults =
+                        body.stmts.iter().filter(|st| matches!(st.kind, StmtKind::Default)).count();
+                    self.push(SiteKind::Switch, s.span, "", defaults);
+                }
+                StmtKind::Decl(vars) if vars.len() > 1 => {
+                    self.push(SiteKind::MultiDecl, s.span, "", vars.len());
+                }
+                _ => {}
+            }
+            walk_stmt(self, s);
+        }
+        fn visit_expr(&mut self, e: &'ast Expr) {
+            if let ExprKind::Binary { op: BinOp::Comma, .. } = &e.kind {
+                self.push(SiteKind::Comma, e.span, "", 0);
+            }
+            walk_expr(self, e);
+        }
+    }
+    walk_function(&mut Sites { function: index, out }, f);
+}
+
+/// Appends a site for every union declared at file or namespace scope
+/// in `decls`.
+fn union_sites(decls: &[Decl], out: &mut Vec<SiteFacts>) {
+    for d in decls {
+        match d {
+            Decl::Record(r) if r.kind == RecordKind::Union => out.push(SiteFacts {
+                kind: SiteKind::Union,
+                start: r.span.start,
+                end: r.span.end,
+                function: None,
+                text: r.name.clone(),
+                count: 0,
+            }),
+            Decl::Namespace(ns) => union_sites(&ns.decls, out),
+            _ => {}
+        }
     }
 }
 
@@ -368,7 +517,7 @@ fn check_id_for(name: &str) -> Option<&'static str> {
 }
 
 impl FileFacts {
-    /// Serialises to the `adsafe-facts/4` JSON form. Diagnostic spans
+    /// Serialises to the `adsafe-facts/5` JSON form. Diagnostic spans
     /// drop their [`FileId`] — [`from_json`](Self::from_json) binds them
     /// to the loading run's file.
     pub fn to_json(&self) -> String {
@@ -403,6 +552,24 @@ impl FileFacts {
                 out.push(',');
             }
             write_function(&mut out, f);
+        }
+        out.push_str("],\"sites\":[");
+        for (i, s) in self.sites.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            write_escaped(&mut out, s.kind.name());
+            let _ = write!(out, ",{},{},", s.start, s.end);
+            match s.function {
+                Some(f) => {
+                    let _ = write!(out, "{f}");
+                }
+                None => out.push_str("null"),
+            }
+            out.push(',');
+            write_escaped(&mut out, &s.text);
+            let _ = write!(out, ",{}]", s.count);
         }
         out.push_str("],\"diags\":[");
         for (i, d) in self.diags.iter().enumerate() {
@@ -439,7 +606,7 @@ impl FileFacts {
         }
         // Fields are read in writer order: a struct expression
         // evaluates its fields in the order they are written.
-        let facts = FileFacts {
+        let mut facts = FileFacts {
             recovery_count: r.then(r#","recovery":"#, Reader::int)?,
             loc: LocCounts {
                 physical: r.then(r#","loc":["#, Reader::int)?,
@@ -455,8 +622,14 @@ impl FileFacts {
                     r.list(&mut Vec::new(), |r| read_function(r, &mut names, &mut unres))
                 })?
             },
-            diags: r.then(r#","diags":"#, |r| r.list(&mut Vec::new(), |r| read_diag(r, file)))?,
+            sites: Vec::new(),
+            diags: Vec::new(),
         };
+        let functions = facts.functions.len();
+        facts.sites =
+            r.then(r#","sites":"#, |r| r.list(&mut Vec::new(), |r| read_site(r, functions)))?;
+        facts.diags =
+            r.then(r#","diags":"#, |r| r.list(&mut Vec::new(), |r| read_diag(r, file)))?;
         r.lit("}")?;
         if r.pos != text.len() {
             return Err(format!("trailing bytes at byte {}", r.pos));
@@ -605,6 +778,29 @@ fn read_function(
     };
     r.lit("}")?;
     Ok(f)
+}
+
+/// Reads one site array; its function index must name one of the
+/// record's `functions` functions.
+fn read_site(r: &mut Reader<'_>, functions: usize) -> Result<SiteFacts, String> {
+    let kind = r.then("[", Reader::str)?;
+    let kind = SiteKind::from_name(&kind).ok_or_else(|| format!("unknown site kind `{kind}`"))?;
+    let (start, end) = r.span(",")?;
+    r.lit(",")?;
+    let function = if r.eat("null") { None } else { Some(r.int::<u32>()?) };
+    if function.is_some_and(|f| f as usize >= functions) {
+        return Err("site names no function of the record".to_string());
+    }
+    let site = SiteFacts {
+        kind,
+        start,
+        end,
+        function,
+        text: r.then(",", Reader::string)?,
+        count: r.then(",", Reader::int)?,
+    };
+    r.lit("]")?;
+    Ok(site)
 }
 
 fn read_diag(r: &mut Reader<'_>, file: FileId) -> Result<Diagnostic, String> {
@@ -837,6 +1033,25 @@ mod tests {
                 })
             })?;
             let functions = read_all(req_arr(&v, "functions")?, read_function)?;
+            let sites = read_all(req_arr(&v, "sites")?, |s| {
+                let t = s.as_arr().ok_or("site not an array")?;
+                if t.len() != 6 {
+                    return Err("site arity".to_string());
+                }
+                let kind = SiteKind::from_name(&req_str_v(&t[0])?).ok_or("unknown site kind")?;
+                let function = match &t[3] {
+                    Json::Null => None,
+                    n => Some(as_u32(n)?),
+                };
+                Ok(SiteFacts {
+                    kind,
+                    start: as_u32(&t[1])?,
+                    end: as_u32(&t[2])?,
+                    function,
+                    text: req_str_v(&t[4])?,
+                    count: as_usize(&t[5])?,
+                })
+            })?;
             let diags = read_all(req_arr(&v, "diags")?, |d| {
                 let t = d.as_arr().ok_or("diag not an array")?;
                 if t.len() != 6 {
@@ -865,6 +1080,7 @@ mod tests {
                 loc,
                 globals,
                 functions,
+                sites,
                 diags,
             })
         }
@@ -997,7 +1213,9 @@ mod tests {
     const SRC_B: &str = "const int kMax = 9;\n\
         __global__ void scale(float* d, int n) { d[0] = (float)n; }\n\
         void driver(int x) { int u; int y = u + x; { int y = 2; (void)y; } }\n\
-        void narrow(double d) { int k = d; (void)k; }\n";
+        void narrow(double d) { int k = d; (void)k; }\n\
+        union Bits { int i; float f; };\n\
+        void jump(int x) { int a = 1, b = 010; switch (x) { case 1: goto out; } a = 2, b = 3; out: return; }\n";
 
     fn corpus() -> AnalysisSet {
         let mut set = AnalysisSet::new();
@@ -1052,6 +1270,40 @@ mod tests {
             };
             assert_eq!(got, expected, "rule {}", check.id());
         }
+    }
+
+    /// Each construct occurrence is one site, in source order, with its
+    /// enclosing function, text and count; a site naming a function the
+    /// record lacks makes the record corrupt.
+    #[test]
+    fn sites_record_each_occurrence_in_source_order() {
+        let set = corpus();
+        let facts = facts_of(&set);
+        let b = &facts[1].2;
+        let got: Vec<(&str, Option<&str>, &str, usize)> = b
+            .sites
+            .iter()
+            .map(|s| {
+                let f = s.function.map(|i| b.functions[i as usize].metrics.name.as_str());
+                (s.kind.name(), f, s.text.as_str(), s.count)
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("union", None, "Bits", 0),
+                ("multi-decl", Some("jump"), "", 2),
+                ("octal", None, "010", 0),
+                ("switch", Some("jump"), "", 0),
+                ("goto", Some("jump"), "out", 0),
+                ("comma", Some("jump"), "", 0),
+            ]
+        );
+        let orphan = FileFacts {
+            sites: vec![SiteFacts { function: Some(0), ..b.sites[1].clone() }],
+            ..FileFacts::default()
+        };
+        assert!(FileFacts::from_json(&orphan.to_json(), FileId(0)).is_err());
     }
 
     #[test]
@@ -1173,6 +1425,11 @@ mod tests {
             ty: "const char\t*".into(),
         });
         for (_, f, _) in sample_entries() {
+            let base = facts.functions.len() as u32;
+            facts.sites.extend(f.sites.into_iter().map(|mut s| {
+                s.function = s.function.map(|i| i + base);
+                s
+            }));
             facts.functions.extend(f.functions);
             facts.diags.extend(f.diags.into_iter().map(|mut d| {
                 d.span.file = FileId(0);
@@ -1186,6 +1443,11 @@ mod tests {
         assert_eq!(back.globals[0].ty.capacity(), back.globals[0].ty.len());
         assert_eq!(back.functions.capacity(), back.functions.len());
         assert_eq!(back.diags.capacity(), back.diags.len());
+        assert!(!back.sites.is_empty());
+        assert_eq!(back.sites.capacity(), back.sites.len());
+        for site in &back.sites {
+            assert_eq!(site.text.capacity(), site.text.len());
+        }
         for f in &back.functions {
             assert_eq!(f.callees.capacity(), f.callees.len());
             assert_eq!(f.unresolved.capacity(), f.unresolved.len());
@@ -1227,7 +1489,7 @@ mod tests {
             good.replacen(r#""recovery":0"#, r#""recovery":1.0"#, 1),
             good.replacen(r#""recovery":0"#, r#""recovery":00"#, 1),
             good.replacen(r#""recovery":0"#, r#""recovery":0,"recovery":0"#, 1),
-            good.replacen("adsafe-facts/4", r"adsafe-facts\/4", 1),
+            good.replacen("adsafe-facts/5", r"adsafe-facts\/5", 1),
             good.replacen(r#"{"name":"rec""#, r#"{"name":"\u0072ec""#, 1),
         ] {
             assert!(reference::from_json(&bad, *id).is_ok(), "reference rejected: {bad:.60}");

@@ -17,7 +17,7 @@ use crate::fault::{
 use adsafe_checkers::{default_checks, CheckScope, Diagnostic};
 use adsafe_lang::{FileId, Span};
 use adsafe_query::{
-    CompiledRule, FileRow, FunctionRow, GlobalRow, PackFault, Row, RulePack, Selector,
+    CompiledRule, FileRow, FunctionRow, GlobalRow, PackFault, Row, RulePack, Selector, SiteRow,
 };
 use adsafe_trace::Histogram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -117,6 +117,23 @@ pub fn rows_from_facts<'a>(
             globals: facts.globals.len(),
             span: Span::new(id, 0, 0),
         })],
+        Selector::Site => facts
+            .sites
+            .iter()
+            .map(|s| {
+                Row::Site(SiteRow {
+                    kind: s.kind.name(),
+                    text: &s.text,
+                    count: s.count,
+                    module,
+                    function: s
+                        .function
+                        .and_then(|f| facts.functions.get(f as usize))
+                        .map(|f| f.metrics.qualified_name.as_str()),
+                    span: Span::new(id, s.start, s.end),
+                })
+            })
+            .collect(),
     }
 }
 
@@ -163,7 +180,7 @@ impl<'r> QueryPass<'r> {
         facts: &FileFacts,
         recursive: &[String],
     ) -> Vec<RuleOutcome> {
-        let mut rows: [Option<Vec<Row<'_>>>; 3] = [None, None, None];
+        let mut rows: [Option<Vec<Row<'_>>>; 4] = [None, None, None, None];
         self.rules
             .iter()
             .zip(&self.timings)
@@ -319,7 +336,9 @@ mod tests {
 const int kMax = 4;\n\
 int counter;\n\
 __global__ void kern(int* p, float* q) { p[0] = (int)q[0]; }\n\
-int pick(int a) { if (a > 0) { return a; } return -a; }\n";
+int pick(int a) { if (a > 0) { return a; } return -a; }\n\
+void hop(int a) { switch (a) { case 0: goto out; } out: return; }\n\
+union Raw { int i; float f; };\n";
 
     /// `(id, module, facts)` of every file in `set`, in order.
     fn facts_of(set: &AnalysisSet) -> Vec<(FileId, String, FileFacts)> {
@@ -355,7 +374,7 @@ int pick(int a) { if (a > 0) { return a; } return -a; }\n";
 
     #[test]
     fn every_selector_matches_its_schema_layout() {
-        for sel in [Selector::Function, Selector::Global, Selector::File] {
+        for sel in [Selector::Function, Selector::Global, Selector::File, Selector::Site] {
             let rows = demo_rows(sel);
             assert!(!rows.is_empty(), "{sel:?}");
             for row in &rows {
@@ -394,6 +413,25 @@ int pick(int a) { if (a > 0) { return a; } return -a; }\n";
         let decl = SRC.find("int counter").unwrap() as u32;
         assert_eq!(rows[1].span().start, decl, "anchored at the declaration");
         assert!(rows.iter().all(|r| r.function().is_none()));
+    }
+
+    #[test]
+    fn site_rows_carry_kind_text_count_and_function() {
+        let rows = demo_rows(Selector::Site);
+        let got: Vec<_> =
+            rows.iter().map(|r| (r.get(0), r.get(1), r.get(2), r.function())).collect();
+        assert_eq!(
+            got,
+            [
+                (Some(Value::Str("switch")), Some(Value::Str("")), Some(Value::Int(0)), Some("hop")),
+                (Some(Value::Str("goto")), Some(Value::Str("out")), Some(Value::Int(0)), Some("hop")),
+                (Some(Value::Str("union")), Some(Value::Str("Raw")), Some(Value::Int(0)), None),
+            ]
+        );
+        assert_eq!(rows[0].get(4), Some(Value::Str("hop")));
+        assert_eq!(rows[2].get(4), Some(Value::Str("")), "a file-scope site has no function");
+        let goto = SRC.find("goto out").unwrap() as u32;
+        assert_eq!(rows[1].span().start, goto, "anchored at the statement");
     }
 
     #[test]

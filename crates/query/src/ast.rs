@@ -19,6 +19,10 @@ pub enum Selector {
     Global,
     /// One row per source file.
     File,
+    /// One row per recorded construct occurrence (`goto`, comma
+    /// operator, `switch`, multi-declarator statement, union, octal
+    /// constant).
+    Site,
 }
 
 impl Selector {
@@ -28,6 +32,7 @@ impl Selector {
             Selector::Function => "function",
             Selector::Global => "global",
             Selector::File => "file",
+            Selector::Site => "site",
         }
     }
 }

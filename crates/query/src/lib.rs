@@ -47,7 +47,7 @@ pub mod vm;
 pub use ast::{RuleDecl, Selector, SeverityKw};
 pub use bytecode::Program;
 pub use parser::{parse_pack, ParseError};
-pub use rows::{FileRow, FunctionRow, GlobalRow, Row};
+pub use rows::{FileRow, FunctionRow, GlobalRow, Row, SiteRow};
 pub use rule::{intern_static, CompiledRule, PackFault, RulePack, BUILTIN_PACK};
 pub use vm::Value;
 

@@ -191,9 +191,13 @@ impl Parser {
                 self.bump();
                 Selector::File
             }
+            TokenKind::Ident(kw) if kw == "site" => {
+                self.bump();
+                Selector::Site
+            }
             other => {
                 return self.err(format!(
-                    "expected a selector (`function`, `global`, `file`), found {}",
+                    "expected a selector (`function`, `global`, `file`, `site`), found {}",
                     describe(&other)
                 ))
             }
@@ -390,11 +394,12 @@ impl Parser {
                 // `module` is NOT reserved in expression position: it is
                 // a schema field on every selector (`in module "x"` is
                 // only special directly after the selector keyword).
+                // Nor is `function`, a `site` field: selector keywords
+                // only open a query, never an expression.
                 if matches!(
                     name.as_str(),
                     "rule" | "desc" | "iso" | "where" | "in" | "and" | "or"
-                        | "not" | "info" | "warn" | "violation" | "function" | "global"
-                        | "file"
+                        | "not" | "info" | "warn" | "violation" | "global" | "file" | "site"
                 ) {
                     return self.err(format!("`{name}` is a keyword, not a field"));
                 }

@@ -195,8 +195,40 @@ impl<'a> FileRow<'a> {
     }
 }
 
+/// One `site` row. See [`crate::schema::SITE_FIELDS`].
+#[derive(Debug, Clone)]
+pub struct SiteRow<'a> {
+    /// Construct kind (`"goto"`, `"switch"`, …).
+    pub kind: &'a str,
+    /// Goto label, union name or octal lexeme; empty otherwise.
+    pub text: &'a str,
+    /// A switch's `default` labels or a statement's declarators.
+    pub count: usize,
+    /// Owning module.
+    pub module: &'a str,
+    /// Enclosing function's qualified name; `None` at file scope.
+    pub function: Option<&'a str>,
+    /// Occurrence span (diagnostic anchor).
+    pub span: Span,
+}
+
+impl<'a> SiteRow<'a> {
+    /// The field at schema position `idx` ([`schema::SITE_FIELDS`]).
+    pub fn get(&self, idx: u16) -> Option<Value<'a>> {
+        use Value::{Int, Str};
+        Some(match idx {
+            0 => Str(self.kind),
+            1 => Str(self.text),
+            2 => Int(self.count as i64),
+            3 => Str(self.module),
+            4 => Str(self.function.unwrap_or("")),
+            _ => return None,
+        })
+    }
+}
+
 /// One row a query ranges over: a borrowed view of one function,
-/// global or file, plus its diagnostic anchors.
+/// global, file or construct occurrence, plus its diagnostic anchors.
 #[derive(Debug, Clone)]
 pub enum Row<'a> {
     /// A `function` row.
@@ -205,6 +237,8 @@ pub enum Row<'a> {
     Global(GlobalRow<'a>),
     /// A `file` row.
     File(FileRow<'a>),
+    /// A `site` row.
+    Site(SiteRow<'a>),
 }
 
 impl<'a> Row<'a> {
@@ -215,6 +249,7 @@ impl<'a> Row<'a> {
             Row::Function(r) => r.get(idx),
             Row::Global(r) => r.get(idx),
             Row::File(r) => r.get(idx),
+            Row::Site(r) => r.get(idx),
         }
     }
 
@@ -224,6 +259,7 @@ impl<'a> Row<'a> {
             Row::Function(r) => r.span,
             Row::Global(r) => r.span,
             Row::File(r) => r.span,
+            Row::Site(r) => r.span,
         }
     }
 
@@ -231,6 +267,7 @@ impl<'a> Row<'a> {
     pub fn function(&self) -> Option<&'a str> {
         match self {
             Row::Function(r) => Some(r.qualified),
+            Row::Site(r) => r.function,
             Row::Global(_) | Row::File(_) => None,
         }
     }

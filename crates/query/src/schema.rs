@@ -85,6 +85,15 @@ pub const FILE_FIELDS: &[(&str, Ty)] = &[
     ("globals", Ty::Int),              // file-scope variables
 ];
 
+/// Fields of `site` rows (one per recorded construct occurrence).
+pub const SITE_FIELDS: &[(&str, Ty)] = &[
+    ("kind", Ty::Str),     // "goto", "comma", "switch", "multi-decl", "union", "octal"
+    ("text", Ty::Str),     // goto label, union name or octal lexeme; else ""
+    ("count", Ty::Int),    // a switch's `default` labels, a statement's declarators
+    ("module", Ty::Str),
+    ("function", Ty::Str), // enclosing function's qualified name; "" at file scope
+];
+
 /// Field names that force [`program scope`](crate::rule::CompiledRule):
 /// their values need whole-program context (the call graph), so a query
 /// reading them cannot shard per file.
@@ -96,6 +105,7 @@ pub fn fields(selector: Selector) -> &'static [(&'static str, Ty)] {
         Selector::Function => FUNCTION_FIELDS,
         Selector::Global => GLOBAL_FIELDS,
         Selector::File => FILE_FIELDS,
+        Selector::Site => SITE_FIELDS,
     }
 }
 
@@ -118,7 +128,7 @@ mod tests {
 
     #[test]
     fn lookup_resolves_every_declared_field() {
-        for sel in [Selector::Function, Selector::Global, Selector::File] {
+        for sel in [Selector::Function, Selector::Global, Selector::File, Selector::Site] {
             for (i, (name, ty)) in fields(sel).iter().enumerate() {
                 assert_eq!(lookup(sel, name), Some((i as u16, *ty)));
             }

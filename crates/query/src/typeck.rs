@@ -210,6 +210,19 @@ mod tests {
     }
 
     #[test]
+    fn site_fields_typecheck_and_function_is_a_field() {
+        let r = one(
+            "rule \"r\" { site where kind == \"switch\" and count == 0 and function != \"\" \
+             -> warn \"{kind} in {function}\" }",
+        );
+        assert!(!check(&r).unwrap().program_scope);
+        let r = one("rule \"r\" { site where name == \"x\" -> warn }");
+        let err = check(&r).unwrap_err();
+        assert!(err.contains("unknown field `name` for selector `site`"), "{err}");
+        assert!(err.contains("kind, text, count, module, function"), "{err}");
+    }
+
+    #[test]
     fn default_message_names_the_rule() {
         let r = one("rule \"my-rule\" { file -> info }");
         let c = check(&r).unwrap();

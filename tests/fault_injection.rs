@@ -196,8 +196,8 @@ fn failpoint_checker_panic_targeted_rule_keeps_other_rules() {
     assert!(!r.diagnostics_for("typing-explicit-cast").is_empty());
 }
 
-/// A recursive, multi-exit, goto-bearing file: native and bundled
-/// rules both fire on it.
+/// A recursive, multi-exit, goto-bearing file: program- and
+/// file-scoped rules both fire on it.
 const GATED_SRC: &str = "int odd(int n) { if (n == 0) return 0; return odd(n - 1); }\n\
 int jump(int x) { if (x) goto out; out: return x; }\n";
 
@@ -223,7 +223,7 @@ fn failpoint_gates_a_bundled_rule_like_a_native_one() {
     let f = r.faults.iter().find(|f| f.path == "misra-17.2-recursion").expect("gate fault");
     assert_eq!(f.phase, adsafe::FaultPhase::Checks);
     assert!(r.diagnostics_for("misra-17.2-recursion").is_empty());
-    // Other bundled and native rules still fired.
+    // Other rules still fired.
     assert_eq!(r.diagnostics_for("misra-15.5-multi-exit").len(), 1);
     assert_eq!(r.diagnostics_for("misra-15.1-goto").len(), 1);
     // A gated rule blocks cache write-back, whichever kind it is.
@@ -285,8 +285,8 @@ fn native_rule_panic_in_a_file_task_costs_one_rule_on_one_file() {
     // this thread: jobs 1 (the default).
     let src = format!("{GATED_SRC}int cast(float v) {{ return (int)v; }}\n");
     let _g = failpoints::Armed::new(
-        "pipeline::check::misra-15.1-goto::m/a.cc",
-        Action::Panic("goto rule bug".into()),
+        "pipeline::check::typing-explicit-cast::m/a.cc",
+        Action::Panic("cast rule bug".into()),
     );
     let dir = std::env::temp_dir().join(format!("adsafe-file-task-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -298,16 +298,16 @@ fn native_rule_panic_in_a_file_task_costs_one_rule_on_one_file() {
     let faults: Vec<_> =
         r.faults.iter().filter(|f| f.phase == adsafe::FaultPhase::Checks).collect();
     assert_eq!(faults.len(), 1, "{faults:?}");
-    assert_eq!(faults[0].path, "misra-15.1-goto");
+    assert_eq!(faults[0].path, "typing-explicit-cast");
     assert!(matches!(faults[0].cause, adsafe::FaultCause::Injected(_)), "{:?}", faults[0]);
     // File ids follow insertion order, after `healthy/base.cc`.
     let (a, b) = (adsafe::lang::FileId(1), adsafe::lang::FileId(2));
     // The rule survived on the other file ...
-    let gotos = r.diagnostics_for("misra-15.1-goto");
-    assert_eq!(gotos.len(), 1);
-    assert_eq!(gotos[0].span.file, b);
+    let casts = r.diagnostics_for("typing-explicit-cast");
+    assert_eq!(casts.len(), 1);
+    assert_eq!(casts[0].span.file, b);
     // ... and every other rule survived on the armed file.
-    assert!(r.diagnostics_for("typing-explicit-cast").iter().any(|d| d.span.file == a));
+    assert!(r.diagnostics_for("misra-15.1-goto").iter().any(|d| d.span.file == a));
     assert!(r.diagnostics_for("misra-15.5-multi-exit").iter().any(|d| d.span.file == a));
     // The armed file lost a rule, so it is not written back; the
     // others are.

@@ -548,6 +548,54 @@ fn warm_runs_evaluate_only_program_scope_and_user_pack_rules() {
     }
 }
 
+/// A user-pack rule over `site` rows reads occurrence facts that the
+/// cache replays, so its findings — spans and enclosing functions
+/// included — are the same cold, warm from a cache directory and warm
+/// from a resident store, at jobs 1 and 2.
+#[test]
+fn site_rules_in_a_user_pack_match_across_cache_states() {
+    use adsafe::rulequery::RulePack;
+    use std::sync::Arc;
+    let pack = Arc::new(RulePack::from_sources(
+        &[(
+            "team.aq".into(),
+            "rule \"team-bare-switch\" { site where kind == \"switch\" and count == 0 \
+             -> info \"switch in {function} lacks a default\" }"
+                .into(),
+        )],
+        &adsafe::query::reserved_rule_ids(),
+    ));
+    assert!(pack.faults.is_empty(), "{:?}", pack.faults);
+    let n = sample_files().len() as u64;
+    for jobs in [1, 2] {
+        let opts = || AssessmentOptions {
+            jobs,
+            rules: Some(pack.clone()),
+            ..AssessmentOptions::default()
+        };
+        let findings = |r: &AssessmentReport| -> Vec<adsafe::checkers::Diagnostic> {
+            r.diagnostics_for("team-bare-switch").into_iter().cloned().collect()
+        };
+        let cold = findings(&assess_samples(usize::MAX, opts()));
+        assert_eq!(cold.len(), 1, "jobs {jobs}: {cold:?}");
+        assert_eq!(cold[0].message, "switch in Step lacks a default");
+        assert_eq!(cold[0].function.as_deref(), Some("Step"));
+        let dir = temp_cache_dir("site-rules");
+        let store = std::sync::Arc::new(adsafe::MemoryFactsStore::open(None));
+        let warm_opts = [
+            ("cache-dir", AssessmentOptions { cache_dir: Some(dir.clone()), ..opts() }),
+            ("resident", AssessmentOptions { store: Some(store), ..opts() }),
+        ];
+        for (label, warm_opts) in warm_opts {
+            assess_samples(usize::MAX, warm_opts.clone());
+            let warm = assess_samples(usize::MAX, warm_opts);
+            assert_eq!(warm.trace.counter("cache.hits"), n, "{label} at jobs {jobs}: not warm");
+            assert_eq!(findings(&warm), cold, "{label} at jobs {jobs}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// A run has one pool round over files (inside `phase.parse`) and one
 /// over modules (inside `phase.metrics`), cold and warm alike: every
 /// round spawns exactly one worker 0.

@@ -72,13 +72,37 @@ void tidy(int n) {\n\
   cudaGetLastError(); cudaFree(d);\n\
 }\n";
 
-/// [`corpus_sources`] plus [`EDGE_SOURCE`] and [`PORTED_SOURCE`], clean and then under each
+/// Construct occurrences the six per-occurrence rules judge: `goto`,
+/// the comma operator (in a statement and in a `for` header), switches
+/// with a `default`, without one, and with one only in an inner block,
+/// multi-declarator statements in a body and at file scope (the latter
+/// not flagged), and unions at file and namespace scope and inside a
+/// class (the latter not flagged).
+const SITE_SOURCE: &str = "int a, b;\n\
+union Word { int i; float f; };\n\
+namespace hw { union Reg { unsigned raw; int bits; }; }\n\
+class Packet { public: union Payload { int i; float f; }; int n; };\n\
+int route(int x, int y) {\n\
+  int lo = 0, hi = 10, mid;\n\
+  for (int i = 0, j = 9; i < j; i++, j--) { lo = lo + i; }\n\
+  switch (x) { case 0: lo = 1; break; default: break; }\n\
+  switch (y) { case 1: { default: hi = 2; } break; }\n\
+  switch (x) { case 2: break; }\n\
+  lo = 1, hi = 2;\n\
+  if (x < 0) goto fail;\n\
+  return lo + hi;\n\
+fail:\n\
+  return -1;\n\
+}\n";
+
+/// [`corpus_sources`] plus [`EDGE_SOURCE`], [`PORTED_SOURCE`] and [`SITE_SOURCE`], clean and then under each
 /// `faultinject` corruption (invalid UTF-8 replaced lossily, as the
 /// pipeline ingests it).
 fn source_sets() -> Vec<(&'static str, Sources)> {
     let mut clean = corpus_sources();
     clean.push(("stress".into(), "stress/edge.cc".into(), EDGE_SOURCE.into()));
     clean.push(("stress".into(), "stress/ported.cu".into(), PORTED_SOURCE.into()));
+    clean.push(("stress".into(), "stress/sites.cc".into(), SITE_SOURCE.into()));
     let mut sets = vec![("clean", clean.clone())];
     for kind in Corruption::ALL {
         let corrupted = clean
@@ -376,12 +400,15 @@ const PORTED_IDS: [&str; 5] = [
 /// [`source_sets`]: the finding count per rule of [`PORTED_IDS`], and an
 /// FNV-1a digest of all their findings, each rendered with its
 /// enclosing function as [`rendered`] renders it, in that rule order.
+/// The `design-global-variable` findings on `stress/sites.cc` (its
+/// `int a, b;`) came from the bundled rule when that file joined the
+/// sets; without them the digests are the natives' as first recorded.
 const PORTED_FINDINGS: [(&str, [usize; 5], u64); 5] = [
-    ("clean", [1, 2, 2, 2, 82], 0x456237268a468f12),
-    ("truncate", [1, 1, 1, 1, 82], 0xfb28432305ba3ae8),
-    ("delete-braces", [1, 0, 2, 1, 137], 0xf9da05ec573badef),
-    ("byte-flips", [1, 1, 1, 3, 143], 0x09ce98dbc28cf83e),
-    ("non-utf8-noise", [1, 2, 1, 2, 80], 0x26c987304c6b6b56),
+    ("clean", [1, 2, 2, 2, 84], 0x482565823138de05),
+    ("truncate", [1, 1, 1, 1, 84], 0xc8d0560392bb1f7f),
+    ("delete-braces", [1, 0, 2, 1, 139], 0xe1b6a5728432c4f0),
+    ("byte-flips", [1, 1, 1, 3, 147], 0x5fc66669a37528c2),
+    ("non-utf8-noise", [1, 2, 1, 2, 82], 0xc2e57280fe5c1d09),
 ];
 
 /// The retired natives' first finding per rule of [`PORTED_IDS`] on the
@@ -451,6 +478,107 @@ fn ported_rules_reproduce_the_native_findings() {
                 all.extend(mine);
             }
             assert_eq!(digest(&all), want_digest, "{name} at jobs {jobs}");
+        }
+    }
+}
+
+/// The six per-occurrence natives written as `.aq` rules over `site`
+/// rows, under `q-` ids so they load as a user pack beside the natives
+/// they replace.
+const SITE_PACK: &str = r#"
+rule "q-goto" {
+  desc "goto statements (unconditional jumps) shall not be used"
+  iso t1r2, t8r9
+  site where kind == "goto"
+    -> violation "unconditional jump `goto {text}`"
+}
+rule "q-comma" {
+  desc "the comma operator should not be used"
+  iso t1r2
+  site where kind == "comma"
+    -> warn "comma operator used"
+}
+rule "q-switch-default" {
+  desc "every switch statement shall have a default label"
+  iso t1r4
+  site where kind == "switch" and count == 0
+    -> warn "switch without default label"
+}
+rule "q-union" {
+  desc "unions should not be used"
+  iso t1r3
+  site where kind == "union"
+    -> warn "union `{text}` declared"
+}
+rule "q-octal" {
+  desc "octal constants shall not be used"
+  iso t1r2
+  site where kind == "octal"
+    -> warn "octal constant `{text}`"
+}
+rule "q-one-per-stmt" {
+  desc "one declarator per declaration statement"
+  iso t1r7
+  site where kind == "multi-decl" and count > 1
+    -> info "{count} declarators in one statement"
+}
+"#;
+
+/// `(native id, ported id)` of the six rules in [`SITE_PACK`].
+const SITE_IDS: [(&str, &str); 6] = [
+    ("misra-15.1-goto", "q-goto"),
+    ("misra-12.3-comma", "q-comma"),
+    ("misra-16.4-switch-default", "q-switch-default"),
+    ("misra-19.2-union", "q-union"),
+    ("misra-7.1-octal", "q-octal"),
+    ("misra-decl-one-per-stmt", "q-one-per-stmt"),
+];
+
+/// The site-row `.aq` rules report exactly what the six native
+/// checkers do — rendered findings, spans and enclosing functions
+/// included — on the clean sources and under every `faultinject`
+/// corruption, serial and at one worker per core, with the natives'
+/// descriptions, ISO refs and file scope.
+#[test]
+fn site_rules_reproduce_the_native_findings() {
+    let pack = RulePack::from_sources(
+        &[("sites.aq".into(), SITE_PACK.into())],
+        &adsafe::query::reserved_rule_ids(),
+    );
+    assert!(pack.faults.is_empty(), "{:?}", pack.faults);
+    for ((native, _), rule) in SITE_IDS.iter().zip(&pack.rules) {
+        let check = default_checks().into_iter().find(|c| c.id() == *native).unwrap();
+        assert_eq!((rule.desc, rule.iso), (check.description(), check.iso_refs()), "{native}");
+        assert_eq!(rule.scope, CheckScope::File, "{native}");
+    }
+    let pack = Arc::new(pack);
+    for (name, sources) in source_sets() {
+        for jobs in [1, 0] {
+            let mut a = Assessment::new().with_options(AssessmentOptions {
+                jobs,
+                rules: Some(Arc::clone(&pack)),
+                ..AssessmentOptions::default()
+            });
+            for (module, path, text) in &sources {
+                a.add_file(module, path, text);
+            }
+            let report = a.run();
+            for (native, ported) in SITE_IDS {
+                let want = rendered(&report, a.sources(), native);
+                let got: Vec<String> = report
+                    .diagnostics_for(ported)
+                    .into_iter()
+                    .map(|d| {
+                        let mut d = d.clone();
+                        d.check_id = native;
+                        format!("{} | fn={:?}", d.render(a.sources()), d.function)
+                    })
+                    .collect();
+                assert_eq!(got, want, "{native} on {name} at jobs {jobs}");
+                if name == "clean" {
+                    assert!(!want.is_empty(), "{native} never fires on the clean set");
+                }
+            }
         }
     }
 }
@@ -773,7 +901,7 @@ fn gen_expr(rng: &mut Rng, sel: Selector, depth: usize) -> Expr {
 
 fn gen_rule(rng: &mut Rng, i: usize) -> RuleDecl {
     let selector =
-        [Selector::Function, Selector::Global, Selector::File][rng.below(3)];
+        [Selector::Function, Selector::Global, Selector::File, Selector::Site][rng.below(4)];
     RuleDecl {
         id: format!("gen-rule-{i}"),
         line: 0,
@@ -810,3 +938,4 @@ proptest! {
         prop_assert_eq!(again, printed);
     }
 }
+

@@ -229,7 +229,7 @@ fn check(label: &str, corpus: &Corpus) -> usize {
 
     // Rows: every field of every row has the schema's type, and nothing
     // answers past the schema's end.
-    for sel in [Selector::Function, Selector::Global, Selector::File] {
+    for sel in [Selector::Function, Selector::Global, Selector::File, Selector::Site] {
         let fields = schema::fields(sel);
         for &(id, module, f) in &records {
             let rows = adsafe::query::rows_from_facts(sel, id, module, f, &recursive);
@@ -237,6 +237,7 @@ fn check(label: &str, corpus: &Corpus) -> usize {
                 Selector::Function => f.functions.len(),
                 Selector::Global => f.globals.len(),
                 Selector::File => 1,
+                Selector::Site => f.sites.len(),
             };
             assert_eq!(rows.len(), expected, "{label}: {sel:?} rows");
             for row in &rows {
