@@ -591,6 +591,74 @@ union Raw { int i; float f; };\n";
     }
 
     #[test]
+    fn goto_flagged() {
+        let src = "void f(int x) { if (x) goto out; out: return; }";
+        assert_eq!(
+            findings("misra-15.1-goto", src),
+            [(Severity::Violation, "unconditional jump `goto out`".into())]
+        );
+        let report = assess(src);
+        assert_eq!(report.diagnostics_for("misra-15.1-goto")[0].function.as_deref(), Some("f"));
+    }
+
+    #[test]
+    fn goto_free_clean() {
+        assert!(findings("misra-15.1-goto", "void f() { return; }").is_empty());
+    }
+
+    #[test]
+    fn comma_operator_flagged() {
+        assert_eq!(
+            findings("misra-12.3-comma", "void f(int a, int b) { a = 1, b = 2; }"),
+            [(Severity::Warning, "comma operator used".into())]
+        );
+    }
+
+    #[test]
+    fn union_flagged() {
+        assert_eq!(
+            findings("misra-19.2-union", "union U { int i; float f; };"),
+            [(Severity::Warning, "union `U` declared".into())]
+        );
+        assert!(findings("misra-19.2-union", "struct S { int i; };").is_empty());
+    }
+
+    #[test]
+    fn switch_default() {
+        let with = "void f(int x) { switch (x) { case 1: break; default: break; } }";
+        let without = "void f(int x) { switch (x) { case 1: break; case 2: break; } }";
+        assert!(findings("misra-16.4-switch-default", with).is_empty());
+        assert_eq!(
+            findings("misra-16.4-switch-default", without),
+            [(Severity::Warning, "switch without default label".into())]
+        );
+    }
+
+    #[test]
+    fn octal_flagged_decimal_and_hex_clean() {
+        assert_eq!(
+            findings("misra-7.1-octal", "int a = 052; int b = 52; int c = 0x52; int z = 0;"),
+            [(Severity::Warning, "octal constant `052`".into())]
+        );
+    }
+
+    #[test]
+    fn octal_with_suffix_flagged() {
+        assert_eq!(
+            findings("misra-7.1-octal", "unsigned a = 017u;"),
+            [(Severity::Warning, "octal constant `017u`".into())]
+        );
+    }
+
+    #[test]
+    fn multiple_declarators_flagged() {
+        assert_eq!(
+            findings("misra-decl-one-per-stmt", "void f() { int a = 1, b = 2; int c = 3; }"),
+            [(Severity::Info, "2 declarators in one statement".into())]
+        );
+    }
+
+    #[test]
     fn unreadable_pack_is_a_contained_fault() {
         let pack = load_rule_pack(&[PathBuf::from("/nonexistent/rules.aq")]);
         assert!(pack.rules.is_empty());
@@ -621,7 +689,7 @@ union Raw { int i; float f; };\n";
         assert_eq!(inv.len(), natives + bundled_rules().rules.len() + 1);
         assert!(inv[..natives].iter().all(|r| r.origin() == "native"));
         assert!(inv[natives..].iter().all(|r| r.origin() == "query"));
-        assert_eq!(inv[0].id, "misra-15.1-goto");
+        assert_eq!(inv[0].id, "misra-21.3-dynamic-memory");
         assert_eq!(inv[natives].id, "misra-15.5-multi-exit");
         assert_eq!(inv.last().unwrap().id, "team-wide");
     }
@@ -637,7 +705,7 @@ union Raw { int i; float f; };\n";
         let counts: Vec<usize> = diags.iter().map(Vec::len).collect();
         assert_eq!(
             counts,
-            [1, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+            [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
             "multi-exit and recursion fire on `g` only"
         );
         assert_eq!(diags[0][0].message, "function `g` has 2 return statements / early exits");

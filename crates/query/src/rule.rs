@@ -234,6 +234,12 @@ mod tests {
                 "cuda-kernel-pointer",
                 "cuda-alloc-balance",
                 "cuda-launch-unchecked",
+                "misra-15.1-goto",
+                "misra-12.3-comma",
+                "misra-19.2-union",
+                "misra-16.4-switch-default",
+                "misra-7.1-octal",
+                "misra-decl-one-per-stmt",
             ]
         );
         // Recursion reads the call graph; the rest are file-scoped.
@@ -251,12 +257,12 @@ mod tests {
 
     #[test]
     fn duplicate_and_native_collisions_are_faults_not_errors() {
-        let src = "rule \"misra-15.1-goto\" { function -> warn }\n\
+        let src = "rule \"typing-explicit-cast\" { function -> warn }\n\
                    rule \"fresh\" { function -> warn }\n\
                    rule \"fresh\" { global -> info }\n";
         let pack = RulePack::from_sources(
             &[("pack.aq".to_string(), src.to_string())],
-            &["misra-15.1-goto"],
+            &["typing-explicit-cast"],
         );
         assert_eq!(pack.rules.len(), 1);
         assert_eq!(pack.rules[0].id, "fresh");

@@ -4,9 +4,9 @@
 //!
 //! Run with: `cargo run --example misra_check [path/to/file.cu]`
 
-use adsafe::checkers::{default_checks, run_checks, AnalysisSet};
 use adsafe::corpus::yolo::SCALE_BIAS_CU;
 use adsafe::experiments::fig4_findings;
+use adsafe::Assessment;
 
 fn main() {
     let (path, text) = match std::env::args().nth(1) {
@@ -21,16 +21,16 @@ fn main() {
     };
 
     println!("checking {path} ...\n");
-    let mut set = AnalysisSet::new();
-    set.add("input", &path, &text);
-    let cx = set.context();
-    let checks = default_checks();
-    let diags = run_checks(&checks, &cx);
+    // An assessment runs every rule of the default set: the native
+    // checkers and the bundled `.aq` rules alike.
+    let mut a = Assessment::new();
+    a.add_file("input", &path, &text);
+    let diags = a.run().diagnostics;
     if diags.is_empty() {
         println!("no findings.");
     }
     for d in &diags {
-        println!("{}", d.render(&set.sm));
+        println!("{}", d.render(a.sources()));
     }
 
     println!("\n== The paper's Observation 4, mechanically ==");

@@ -506,7 +506,7 @@ fn warm_runs_evaluate_only_program_scope_and_user_pack_rules() {
         .filter(|r| r.scope == CheckScope::File)
         .map(|r| r.id)
         .collect();
-    assert_eq!(file_scoped.len(), 9);
+    assert_eq!(file_scoped.len(), 15);
     let team = Arc::new(RulePack::from_sources(
         &[("team.aq".into(), "rule \"team-multi\" { function where multi_exit -> info }".into())],
         &adsafe::query::reserved_rule_ids(),

@@ -138,8 +138,9 @@ fn analysis_set(sources: &[(String, String, String)]) -> AnalysisSet {
     set
 }
 
-/// `misra-7.1-octal` reads the literals recorded during the parse's
-/// lex; a second preprocess + lex of every file finds the same ones.
+/// `misra-7.1-octal` reads the octal sites recorded during the parse's
+/// lex; a second preprocess + lex of every file finds the same ones as
+/// the pipeline reports.
 #[test]
 fn octal_rule_matches_a_second_lex() {
     for (name, sources) in source_sets() {
@@ -167,8 +168,13 @@ fn octal_rule_matches_a_second_lex() {
         if name == "clean" {
             assert_eq!(relexed.len(), 4, "010, 017u, 00 and 08");
         }
-        let rule = default_checks().into_iter().find(|c| c.id() == "misra-7.1-octal").unwrap();
-        assert_eq!(rule.run(&set.context()), relexed, "{name}");
+        let mut a = Assessment::new();
+        for (module, path, text) in &sources {
+            a.add_file(module, path, text);
+        }
+        let report = a.run();
+        let octal: Vec<&Diagnostic> = report.diagnostics_for("misra-7.1-octal");
+        assert_eq!(octal, relexed.iter().collect::<Vec<_>>(), "{name}");
     }
 }
 
@@ -361,6 +367,19 @@ fn builtin_pack_matches_native_checkers_byte_for_byte() {
              "device allocations shall be freed (cudaMalloc/cudaFree balance)"),
             ("cuda-launch-unchecked", CheckScope::File, &["Part6.Table1.Row4"][..],
              "kernel launches shall be followed by an error check"),
+            ("misra-15.1-goto", CheckScope::File,
+             &["Part6.Table1.Row2", "Part6.Table8.Row9"][..],
+             "goto statements (unconditional jumps) shall not be used"),
+            ("misra-12.3-comma", CheckScope::File, &["Part6.Table1.Row2"][..],
+             "the comma operator should not be used"),
+            ("misra-19.2-union", CheckScope::File, &["Part6.Table1.Row3"][..],
+             "unions should not be used"),
+            ("misra-16.4-switch-default", CheckScope::File, &["Part6.Table1.Row4"][..],
+             "every switch statement shall have a default label"),
+            ("misra-7.1-octal", CheckScope::File, &["Part6.Table1.Row2"][..],
+             "octal constants shall not be used"),
+            ("misra-decl-one-per-stmt", CheckScope::File, &["Part6.Table1.Row7"][..],
+             "one declarator per declaration statement"),
         ]
     );
 
@@ -386,14 +405,21 @@ fn builtin_pack_matches_native_checkers_byte_for_byte() {
     assert_native_findings(&refs, &set.sm);
 }
 
-/// The five bundled rules that were native checkers until their `.aq`
-/// ports were proven equal to them.
-const PORTED_IDS: [&str; 5] = [
+/// The eleven bundled rules that were native checkers until their
+/// `.aq` ports were proven equal to them: five function and global
+/// rules, then six site rules.
+const PORTED_IDS: [&str; 11] = [
     "misra-17.1-variadic",
     "cuda-kernel-pointer",
     "cuda-alloc-balance",
     "cuda-launch-unchecked",
     "design-global-variable",
+    "misra-15.1-goto",
+    "misra-12.3-comma",
+    "misra-16.4-switch-default",
+    "misra-19.2-union",
+    "misra-7.1-octal",
+    "misra-decl-one-per-stmt",
 ];
 
 /// What the retired native checkers reported on each of
@@ -402,18 +428,18 @@ const PORTED_IDS: [&str; 5] = [
 /// enclosing function as [`rendered`] renders it, in that rule order.
 /// The `design-global-variable` findings on `stress/sites.cc` (its
 /// `int a, b;`) came from the bundled rule when that file joined the
-/// sets; without them the digests are the natives' as first recorded.
-const PORTED_FINDINGS: [(&str, [usize; 5], u64); 5] = [
-    ("clean", [1, 2, 2, 2, 84], 0x482565823138de05),
-    ("truncate", [1, 1, 1, 1, 84], 0xc8d0560392bb1f7f),
-    ("delete-braces", [1, 0, 2, 1, 139], 0xe1b6a5728432c4f0),
-    ("byte-flips", [1, 1, 1, 3, 147], 0x5fc66669a37528c2),
-    ("non-utf8-noise", [1, 2, 1, 2, 82], 0xc2e57280fe5c1d09),
+/// sets, after the rule's native was retired.
+const PORTED_FINDINGS: [(&str, [usize; 11], u64); 5] = [
+    ("clean", [1, 2, 2, 2, 84, 10, 2, 108, 2, 4, 2], 0xf0d13763dedad4c8),
+    ("truncate", [1, 1, 1, 1, 84, 9, 1, 42, 2, 0, 2], 0x28e83e6b5d803279),
+    ("delete-braces", [1, 0, 2, 1, 139, 2, 41, 13, 1, 4, 0], 0x78b9cb4769f72895),
+    ("byte-flips", [1, 1, 1, 3, 147, 1, 84, 22, 0, 47, 2], 0x9e05d9e026b3190a),
+    ("non-utf8-noise", [1, 2, 1, 2, 82, 8, 2, 87, 2, 4, 2], 0xb0b790af7b55a737),
 ];
 
 /// The retired natives' first finding per rule of [`PORTED_IDS`] on the
 /// clean set.
-const PORTED_FIRST: [&str; 5] = [
+const PORTED_FIRST: [&str; 11] = [
     "stress/ported.cu:6:1 warning [misra-17.1-variadic] function `log_msg` is variadic \
      | fn=Some(\"log_msg\")",
     "perception/cuda/perception_op0.cu:4:1 warning [cuda-kernel-pointer] kernel \
@@ -427,6 +453,15 @@ const PORTED_FIRST: [&str; 5] = [
      | fn=Some(\"perception_op0_gpu\")",
     "perception/perception_00.cc:7:3 warning [design-global-variable] global variable \
      `g_perception_state_0: int` defined | fn=None",
+    "perception/perception_00.cc:87:7 violation [misra-15.1-goto] unconditional jump \
+     `goto cleanup` | fn=Some(\"apollo::perception::PerceptionFn0\")",
+    "stress/sites.cc:7:31 warning [misra-12.3-comma] comma operator used | fn=Some(\"route\")",
+    "perception/perception_00.cc:52:5 warning [misra-16.4-switch-default] switch without \
+     default label | fn=Some(\"apollo::perception::PerceptionFn0\")",
+    "stress/sites.cc:2:1 warning [misra-19.2-union] union `Word` declared | fn=None",
+    "stress/edge.cc:2:27 warning [misra-7.1-octal] octal constant `010` | fn=None",
+    "stress/sites.cc:6:1 info [misra-decl-one-per-stmt] 3 declarators in one statement \
+     | fn=Some(\"route\")",
 ];
 
 /// Every finding of rule `id` in `report`, rendered with its enclosing
@@ -448,7 +483,7 @@ fn digest(lines: &[String]) -> u64 {
     h
 }
 
-/// The five bundled rules ported from native checkers report exactly
+/// The eleven bundled rules ported from native checkers report exactly
 /// what the natives did — rendered findings, spans and enclosing
 /// functions included — on the clean sources and under every
 /// `faultinject` corruption, serial and at one worker per core. The
@@ -478,107 +513,6 @@ fn ported_rules_reproduce_the_native_findings() {
                 all.extend(mine);
             }
             assert_eq!(digest(&all), want_digest, "{name} at jobs {jobs}");
-        }
-    }
-}
-
-/// The six per-occurrence natives written as `.aq` rules over `site`
-/// rows, under `q-` ids so they load as a user pack beside the natives
-/// they replace.
-const SITE_PACK: &str = r#"
-rule "q-goto" {
-  desc "goto statements (unconditional jumps) shall not be used"
-  iso t1r2, t8r9
-  site where kind == "goto"
-    -> violation "unconditional jump `goto {text}`"
-}
-rule "q-comma" {
-  desc "the comma operator should not be used"
-  iso t1r2
-  site where kind == "comma"
-    -> warn "comma operator used"
-}
-rule "q-switch-default" {
-  desc "every switch statement shall have a default label"
-  iso t1r4
-  site where kind == "switch" and count == 0
-    -> warn "switch without default label"
-}
-rule "q-union" {
-  desc "unions should not be used"
-  iso t1r3
-  site where kind == "union"
-    -> warn "union `{text}` declared"
-}
-rule "q-octal" {
-  desc "octal constants shall not be used"
-  iso t1r2
-  site where kind == "octal"
-    -> warn "octal constant `{text}`"
-}
-rule "q-one-per-stmt" {
-  desc "one declarator per declaration statement"
-  iso t1r7
-  site where kind == "multi-decl" and count > 1
-    -> info "{count} declarators in one statement"
-}
-"#;
-
-/// `(native id, ported id)` of the six rules in [`SITE_PACK`].
-const SITE_IDS: [(&str, &str); 6] = [
-    ("misra-15.1-goto", "q-goto"),
-    ("misra-12.3-comma", "q-comma"),
-    ("misra-16.4-switch-default", "q-switch-default"),
-    ("misra-19.2-union", "q-union"),
-    ("misra-7.1-octal", "q-octal"),
-    ("misra-decl-one-per-stmt", "q-one-per-stmt"),
-];
-
-/// The site-row `.aq` rules report exactly what the six native
-/// checkers do — rendered findings, spans and enclosing functions
-/// included — on the clean sources and under every `faultinject`
-/// corruption, serial and at one worker per core, with the natives'
-/// descriptions, ISO refs and file scope.
-#[test]
-fn site_rules_reproduce_the_native_findings() {
-    let pack = RulePack::from_sources(
-        &[("sites.aq".into(), SITE_PACK.into())],
-        &adsafe::query::reserved_rule_ids(),
-    );
-    assert!(pack.faults.is_empty(), "{:?}", pack.faults);
-    for ((native, _), rule) in SITE_IDS.iter().zip(&pack.rules) {
-        let check = default_checks().into_iter().find(|c| c.id() == *native).unwrap();
-        assert_eq!((rule.desc, rule.iso), (check.description(), check.iso_refs()), "{native}");
-        assert_eq!(rule.scope, CheckScope::File, "{native}");
-    }
-    let pack = Arc::new(pack);
-    for (name, sources) in source_sets() {
-        for jobs in [1, 0] {
-            let mut a = Assessment::new().with_options(AssessmentOptions {
-                jobs,
-                rules: Some(Arc::clone(&pack)),
-                ..AssessmentOptions::default()
-            });
-            for (module, path, text) in &sources {
-                a.add_file(module, path, text);
-            }
-            let report = a.run();
-            for (native, ported) in SITE_IDS {
-                let want = rendered(&report, a.sources(), native);
-                let got: Vec<String> = report
-                    .diagnostics_for(ported)
-                    .into_iter()
-                    .map(|d| {
-                        let mut d = d.clone();
-                        d.check_id = native;
-                        format!("{} | fn={:?}", d.render(a.sources()), d.function)
-                    })
-                    .collect();
-                assert_eq!(got, want, "{native} on {name} at jobs {jobs}");
-                if name == "clean" {
-                    assert!(!want.is_empty(), "{native} never fires on the clean set");
-                }
-            }
         }
     }
 }
