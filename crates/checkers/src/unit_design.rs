@@ -47,22 +47,6 @@ impl UnitDesignStats {
             100.0 * self.multi_exit_functions as f64 / self.function_count as f64
         }
     }
-
-    /// Whether each of the ten rows is clean (no findings).
-    pub fn row_clean(&self) -> [bool; 10] {
-        [
-            self.multi_exit_functions == 0,
-            self.dynamic_alloc_sites == 0,
-            self.maybe_uninit_reads == 0,
-            self.shadowed_declarations == 0,
-            self.global_definitions == 0,
-            self.pointer_uses == 0,
-            self.implicit_conversions == 0,
-            self.opaque_regions == 0,
-            self.goto_count == 0,
-            self.recursive_functions == 0,
-        ]
-    }
 }
 
 /// The per-function slice of [`UnitDesignStats`]: everything that can
@@ -175,7 +159,7 @@ mod tests {
     fn empty_code_is_clean() {
         let s = stats("void f() {}");
         assert_eq!(s.function_count, 1);
-        assert_eq!(s.row_clean(), [true; 10]);
+        assert_eq!(s, UnitDesignStats { function_count: 1, ..UnitDesignStats::default() });
         assert_eq!(s.multi_exit_pct(), 0.0);
     }
 
@@ -201,8 +185,6 @@ mod tests {
         assert_eq!(s.dynamic_alloc_sites, 2); // new + delete
         assert!(s.pointer_uses >= 3); // param p, deref *p, local q
         assert_eq!(s.goto_count, 1);
-        assert!(!s.row_clean()[1]);
-        assert!(!s.row_clean()[8]);
     }
 
     #[test]

@@ -84,16 +84,6 @@ impl Recommendation {
             Recommendation::HighlyRecommended => "++",
         }
     }
-
-    /// Parses the standard's notation.
-    pub fn from_notation(s: &str) -> Option<Self> {
-        match s {
-            "o" => Some(Recommendation::NotRequired),
-            "+" => Some(Recommendation::Recommended),
-            "++" => Some(Recommendation::HighlyRecommended),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Recommendation {
@@ -118,18 +108,6 @@ mod tests {
     fn levels_parse_in_any_case() {
         let got: Vec<_> = ["a", "Qm", "d", "ASIL-D"].into_iter().map(Asil::from_level).collect();
         assert_eq!(got, [Some(Asil::A), Some(Asil::Qm), Some(Asil::D), None]);
-    }
-
-    #[test]
-    fn recommendation_notation_roundtrip() {
-        for r in [
-            Recommendation::NotRequired,
-            Recommendation::Recommended,
-            Recommendation::HighlyRecommended,
-        ] {
-            assert_eq!(Recommendation::from_notation(r.notation()), Some(r));
-        }
-        assert_eq!(Recommendation::from_notation("x"), None);
     }
 
     #[test]

@@ -172,19 +172,6 @@ impl TypeRef {
         self.ptr_depth > 0
     }
 
-    /// Whether the base type is one of the built-in arithmetic types.
-    pub fn is_arithmetic(&self) -> bool {
-        matches!(
-            self.name.as_str(),
-            "char" | "signed char" | "unsigned char" | "short" | "unsigned short"
-                | "int" | "unsigned" | "unsigned int" | "long" | "unsigned long"
-                | "long long" | "unsigned long long" | "float" | "double"
-                | "long double" | "bool" | "size_t" | "int8_t" | "uint8_t"
-                | "int16_t" | "uint16_t" | "int32_t" | "uint32_t" | "int64_t"
-                | "uint64_t"
-        )
-    }
-
     /// Renders the type approximately as it would appear in source.
     pub fn display(&self) -> String {
         let mut s = String::new();
@@ -517,14 +504,6 @@ pub enum CastKind {
     Functional,
 }
 
-impl CastKind {
-    /// Whether this is an *explicit* cast in the sense counted by the
-    /// paper's strong-typing analysis (all of them are).
-    pub fn is_explicit(self) -> bool {
-        true
-    }
-}
-
 /// Expression kinds.
 #[derive(Debug, Clone)]
 pub enum ExprKind {
@@ -681,7 +660,6 @@ mod tests {
         };
         assert_eq!(t.display(), "const float**");
         assert!(t.is_pointer_like());
-        assert!(t.is_arithmetic());
         let a = TypeRef { name: "int".into(), array_dims: vec![Some(4), None], ..TypeRef::default() };
         assert_eq!(a.display(), "int[4][]");
     }

@@ -32,25 +32,11 @@ pub struct MacroDef {
     pub span: Span,
 }
 
-impl MacroDef {
-    /// Whether this is a function-like macro.
-    pub fn is_function_like(&self) -> bool {
-        self.params.is_some()
-    }
-}
-
 /// Everything the preprocessor pass learned about one file.
 #[derive(Debug, Clone, Default)]
 pub struct PpInfo {
     /// All macro definitions, in order.
     pub macros: Vec<MacroDef>,
-}
-
-impl PpInfo {
-    /// Looks up a macro by name (last definition wins).
-    pub fn macro_def(&self, name: &str) -> Option<&MacroDef> {
-        self.macros.iter().rev().find(|m| m.name == name)
-    }
 }
 
 /// Result of preprocessing: cleaned text (same length as the input) plus
@@ -344,8 +330,9 @@ mod tests {
     fn records_includes_and_defines() {
         let p = pp("#include <stdio.h>\n#include \"my.h\"\n#define N 10\n#define SQ(x) ((x)*(x))\n");
         assert_eq!(p.info.macros.len(), 2);
-        assert!(!p.info.macros[0].is_function_like());
-        let sq = p.info.macro_def("SQ").unwrap();
+        assert_eq!(p.info.macros[0].params, None);
+        let sq = &p.info.macros[1];
+        assert_eq!(sq.name, "SQ");
         assert_eq!(sq.params.as_deref(), Some(&["x".to_string()][..]));
         assert_eq!(sq.body, "((x)*(x))");
     }
@@ -385,7 +372,8 @@ mod tests {
     fn continuation_lines_spliced() {
         let src = "#define LONG \\\n  value\nint a;\n";
         let p = pp(src);
-        let m = p.info.macro_def("LONG").unwrap();
+        let m = &p.info.macros[0];
+        assert_eq!(m.name, "LONG");
         assert_eq!(m.body, "value");
         assert!(p.text.contains("int a;"));
         assert_eq!(p.text.len(), src.len());

@@ -183,11 +183,6 @@ impl SourceMap {
         &self.files[id.0 as usize]
     }
 
-    /// Looks up a file by its registered path.
-    pub fn file_by_path(&self, path: &str) -> Option<&SourceFile> {
-        self.files.iter().find(|f| f.path == path)
-    }
-
     /// All registered files, in registration order.
     pub fn files(&self) -> &[SourceFile] {
         &self.files
@@ -263,16 +258,6 @@ mod tests {
         assert!(!m.is_empty());
     }
 
-    #[test]
-    fn file_by_path_lookup() {
-        let mut sm = SourceMap::new();
-        sm.add_file("x/a.c", "a");
-        sm.add_file("x/b.c", "b");
-        assert_eq!(sm.file_by_path("x/b.c").unwrap().text(), "b");
-        assert!(sm.file_by_path("x/c.c").is_none());
-        assert_eq!(sm.len(), 2);
-        assert!(!sm.is_empty());
-    }
 
     #[test]
     fn empty_file_has_one_line() {

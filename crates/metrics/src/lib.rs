@@ -2,8 +2,8 @@
 //!
 //! The measurement engine behind the paper's Figure 3 and the
 //! architectural-design rows of Tables 1–2: cyclomatic complexity (Lizard
-//! semantics), line counts, per-function structure metrics, Halstead
-//! metrics, and module-level aggregation with cohesion/coupling.
+//! semantics), line counts, per-function structure metrics, and
+//! module-level aggregation with cohesion/coupling.
 //!
 //! ```
 //! use adsafe_lang::{parse_source, SourceMap};
@@ -21,14 +21,12 @@
 
 pub mod cyclomatic;
 pub mod function;
-pub mod halstead;
 pub mod loc;
 pub mod module;
 pub mod token_estimate;
 
 pub use cyclomatic::{cyclomatic_complexity, ComplexityBand, ComplexityHistogram};
 pub use function::{function_metrics, FunctionMetrics};
-pub use halstead::{halstead, maintainability_index, Halstead};
 pub use loc::{count_file, count_text, span_nloc, LocCounts};
 pub use module::{coupling_edges, module_metrics, ModuleMetrics, ModuleTally, TouchedGlobals};
 pub use token_estimate::{absorb_estimate, module_from_estimates, token_estimate, TokenEstimate};

@@ -21,15 +21,6 @@ pub struct LocCounts {
 }
 
 impl LocCounts {
-    /// Comment density: comment lines / (comment + code lines).
-    pub fn comment_ratio(&self) -> f64 {
-        let denom = self.comment + self.nloc;
-        if denom == 0 {
-            0.0
-        } else {
-            self.comment as f64 / denom as f64
-        }
-    }
 }
 
 /// Counts lines in a source file.
@@ -107,7 +98,6 @@ int main() { // entry
         let c = count_text("// a\n// b\nint x;\n");
         assert_eq!(c.nloc, 1);
         assert_eq!(c.comment, 2);
-        assert!((c.comment_ratio() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -121,7 +111,6 @@ int main() { // entry
     fn empty_text() {
         let c = count_text("");
         assert_eq!(c.nloc, 0);
-        assert_eq!(c.comment_ratio(), 0.0);
     }
 
     #[test]
