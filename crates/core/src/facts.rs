@@ -106,57 +106,16 @@ pub struct FunctionFacts {
     pub validation: ValidationFacts,
 }
 
-/// What construct a [`SiteFacts`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SiteKind {
-    /// A `goto` statement; `text` is its label.
-    Goto,
-    /// A comma-operator expression.
-    Comma,
-    /// A `switch` statement; `count` is the `default` labels directly
-    /// in its body.
-    Switch,
-    /// A declaration statement in a function body with two or more
-    /// declarators; `count` is how many.
-    MultiDecl,
-    /// A file- or namespace-scope union; `text` is its name.
-    Union,
-    /// An octal integer constant; `text` is its lexeme.
-    Octal,
-}
-
-impl SiteKind {
-    const ALL: [SiteKind; 6] = [
-        SiteKind::Goto,
-        SiteKind::Comma,
-        SiteKind::Switch,
-        SiteKind::MultiDecl,
-        SiteKind::Union,
-        SiteKind::Octal,
-    ];
-
-    /// The `kind` field value a `site` query compares against.
-    pub fn name(self) -> &'static str {
-        match self {
-            SiteKind::Goto => "goto",
-            SiteKind::Comma => "comma",
-            SiteKind::Switch => "switch",
-            SiteKind::MultiDecl => "multi-decl",
-            SiteKind::Union => "union",
-            SiteKind::Octal => "octal",
-        }
-    }
-
-    fn from_name(name: &str) -> Option<SiteKind> {
-        SiteKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-}
+/// The `kind`s a [`SiteFacts`] can have. A `multi-decl` is a declaration
+/// statement in a function body with two or more declarators; a `union`
+/// is declared at file or namespace scope.
+pub const SITE_KINDS: [&str; 6] = ["goto", "comma", "switch", "multi-decl", "union", "octal"];
 
 /// One construct occurrence, anchored where a finding on it points.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteFacts {
-    /// The construct.
-    pub kind: SiteKind,
+    /// One of [`SITE_KINDS`].
+    pub kind: &'static str,
     /// Span start (byte offset).
     pub start: u32,
     /// Span end (byte offset).
@@ -166,9 +125,15 @@ pub struct SiteFacts {
     pub function: Option<u32>,
     /// Goto label, union name or octal lexeme; empty otherwise.
     pub text: String,
-    /// A switch's `default` labels or a statement's declarators; 0
-    /// otherwise.
+    /// A switch's `default` labels directly in its body, or a
+    /// statement's declarators; else 0.
     pub count: usize,
+}
+
+impl SiteFacts {
+    fn new(kind: &'static str, span: Span, function: Option<u32>, text: &str, count: usize) -> Self {
+        SiteFacts { kind, start: span.start, end: span.end, function, text: text.to_string(), count }
+    }
 }
 
 /// The complete cacheable record for one source file.
@@ -260,14 +225,8 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
         })
         .collect();
     union_sites(&parsed.unit.decls, &mut sites);
-    sites.extend(parsed.unit.octal_literals.iter().map(|o| SiteFacts {
-        kind: SiteKind::Octal,
-        start: o.span.start,
-        end: o.span.end,
-        function: None,
-        text: o.lexeme.clone(),
-        count: 0,
-    }));
+    let octals = &parsed.unit.octal_literals;
+    sites.extend(octals.iter().map(|o| SiteFacts::new("octal", o.span, None, &o.lexeme, 0)));
     sites.sort_by_key(|s| s.start);
     FileFacts {
         recovery_count: parsed.unit.recovery_count,
@@ -279,65 +238,42 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
     }
 }
 
-/// Appends the sites in `f`'s body, in one pre-order walk over its
-/// statements and the expressions under them. `index` is `f`'s
-/// position in [`FileFacts::functions`].
+/// Appends the sites in the body of `f`, function `index` of its file,
+/// in one pre-order walk over its statements and expressions.
 fn function_sites(f: &FunctionDef, index: u32, out: &mut Vec<SiteFacts>) {
-    struct Sites<'o> {
-        function: u32,
-        out: &'o mut Vec<SiteFacts>,
-    }
-    impl Sites<'_> {
-        fn push(&mut self, kind: SiteKind, span: Span, text: &str, count: usize) {
-            self.out.push(SiteFacts {
-                kind,
-                start: span.start,
-                end: span.end,
-                function: Some(self.function),
-                text: text.to_string(),
-                count,
-            });
-        }
-    }
+    struct Sites<'o>(Option<u32>, &'o mut Vec<SiteFacts>);
     impl<'ast> Visitor<'ast> for Sites<'_> {
         fn visit_stmt(&mut self, s: &'ast Stmt) {
-            match &s.kind {
-                StmtKind::Goto(label) => self.push(SiteKind::Goto, s.span, label, 0),
+            let (kind, text, count) = match &s.kind {
+                StmtKind::Goto(label) => ("goto", label.as_str(), 0),
                 StmtKind::Switch { body, .. } => {
-                    let defaults =
-                        body.stmts.iter().filter(|st| matches!(st.kind, StmtKind::Default)).count();
-                    self.push(SiteKind::Switch, s.span, "", defaults);
+                    let defaults = body.stmts.iter().filter(|s| matches!(s.kind, StmtKind::Default));
+                    ("switch", "", defaults.count())
                 }
-                StmtKind::Decl(vars) if vars.len() > 1 => {
-                    self.push(SiteKind::MultiDecl, s.span, "", vars.len());
-                }
-                _ => {}
-            }
+                StmtKind::Decl(vars) if vars.len() > 1 => ("multi-decl", "", vars.len()),
+                _ => return walk_stmt(self, s),
+            };
+            self.1.push(SiteFacts::new(kind, s.span, self.0, text, count));
             walk_stmt(self, s);
         }
         fn visit_expr(&mut self, e: &'ast Expr) {
-            if let ExprKind::Binary { op: BinOp::Comma, .. } = &e.kind {
-                self.push(SiteKind::Comma, e.span, "", 0);
+            if let ExprKind::Binary { op: BinOp::Comma, .. } = e.kind {
+                self.1.push(SiteFacts::new("comma", e.span, self.0, "", 0));
             }
             walk_expr(self, e);
         }
     }
-    walk_function(&mut Sites { function: index, out }, f);
+    walk_function(&mut Sites(Some(index), out), f);
 }
 
-/// Appends a site for every union declared at file or namespace scope
-/// in `decls`.
+/// Appends a site for every union declared in `decls` or, recursively,
+/// in a namespace among them.
 fn union_sites(decls: &[Decl], out: &mut Vec<SiteFacts>) {
     for d in decls {
         match d {
-            Decl::Record(r) if r.kind == RecordKind::Union => out.push(SiteFacts {
-                kind: SiteKind::Union,
-                start: r.span.start,
-                end: r.span.end,
-                function: None,
-                text: r.name.clone(),
-                count: 0,
-            }),
+            Decl::Record(r) if r.kind == RecordKind::Union => {
+                out.push(SiteFacts::new("union", r.span, None, &r.name, 0));
+            }
             Decl::Namespace(ns) => union_sites(&ns.decls, out),
             _ => {}
         }
@@ -555,19 +491,12 @@ impl FileFacts {
         }
         out.push_str("],\"sites\":[");
         for (i, s) in self.sites.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            write_escaped(&mut out, s.kind.name());
-            let _ = write!(out, ",{},{},", s.start, s.end);
-            match s.function {
-                Some(f) => {
-                    let _ = write!(out, "{f}");
-                }
-                None => out.push_str("null"),
-            }
-            out.push(',');
+            let sep = if i > 0 { "," } else { "" };
+            let _ = write!(out, "{sep}[\"{}\",{},{},", s.kind, s.start, s.end);
+            let _ = match s.function {
+                Some(f) => write!(out, "{f},"),
+                None => write!(out, "null,"),
+            };
             write_escaped(&mut out, &s.text);
             let _ = write!(out, ",{}]", s.count);
         }
@@ -606,7 +535,7 @@ impl FileFacts {
         }
         // Fields are read in writer order: a struct expression
         // evaluates its fields in the order they are written.
-        let mut facts = FileFacts {
+        let facts = FileFacts {
             recovery_count: r.then(r#","recovery":"#, Reader::int)?,
             loc: LocCounts {
                 physical: r.then(r#","loc":["#, Reader::int)?,
@@ -622,14 +551,13 @@ impl FileFacts {
                     r.list(&mut Vec::new(), |r| read_function(r, &mut names, &mut unres))
                 })?
             },
-            sites: Vec::new(),
-            diags: Vec::new(),
+            sites: r.then(r#","sites":"#, |r| r.list(&mut Vec::new(), read_site))?,
+            diags: r.then(r#","diags":"#, |r| r.list(&mut Vec::new(), |r| read_diag(r, file)))?,
         };
-        let functions = facts.functions.len();
-        facts.sites =
-            r.then(r#","sites":"#, |r| r.list(&mut Vec::new(), |r| read_site(r, functions)))?;
-        facts.diags =
-            r.then(r#","diags":"#, |r| r.list(&mut Vec::new(), |r| read_diag(r, file)))?;
+        let functions = facts.functions.len() as u32;
+        if facts.sites.iter().any(|s| s.function.is_some_and(|f| f >= functions)) {
+            return Err("a site names no function of the record".to_string());
+        }
         r.lit("}")?;
         if r.pos != text.len() {
             return Err(format!("trailing bytes at byte {}", r.pos));
@@ -780,27 +708,14 @@ fn read_function(
     Ok(f)
 }
 
-/// Reads one site array; its function index must name one of the
-/// record's `functions` functions.
-fn read_site(r: &mut Reader<'_>, functions: usize) -> Result<SiteFacts, String> {
+fn read_site(r: &mut Reader<'_>) -> Result<SiteFacts, String> {
     let kind = r.then("[", Reader::str)?;
-    let kind = SiteKind::from_name(&kind).ok_or_else(|| format!("unknown site kind `{kind}`"))?;
+    let kind = SITE_KINDS.into_iter().find(|k| *k == kind).ok_or("unknown site kind")?;
     let (start, end) = r.span(",")?;
-    r.lit(",")?;
-    let function = if r.eat("null") { None } else { Some(r.int::<u32>()?) };
-    if function.is_some_and(|f| f as usize >= functions) {
-        return Err("site names no function of the record".to_string());
-    }
-    let site = SiteFacts {
-        kind,
-        start,
-        end,
-        function,
-        text: r.then(",", Reader::string)?,
-        count: r.then(",", Reader::int)?,
-    };
+    let function = if r.eat(",null") { None } else { Some(r.then(",", Reader::int)?) };
+    let (text, count) = (r.then(",", Reader::string)?, r.then(",", Reader::int)?);
     r.lit("]")?;
-    Ok(site)
+    Ok(SiteFacts { kind, start, end, function, text, count })
 }
 
 fn read_diag(r: &mut Reader<'_>, file: FileId) -> Result<Diagnostic, String> {
@@ -1038,7 +953,8 @@ mod tests {
                 if t.len() != 6 {
                     return Err("site arity".to_string());
                 }
-                let kind = SiteKind::from_name(&req_str_v(&t[0])?).ok_or("unknown site kind")?;
+                let kind = req_str_v(&t[0])?;
+                let kind = SITE_KINDS.into_iter().find(|k| *k == kind).ok_or("unknown site kind")?;
                 let function = match &t[3] {
                     Json::Null => None,
                     n => Some(as_u32(n)?),
@@ -1285,7 +1201,7 @@ mod tests {
             .iter()
             .map(|s| {
                 let f = s.function.map(|i| b.functions[i as usize].metrics.name.as_str());
-                (s.kind.name(), f, s.text.as_str(), s.count)
+                (s.kind, f, s.text.as_str(), s.count)
             })
             .collect();
         assert_eq!(

@@ -122,7 +122,7 @@ pub fn rows_from_facts<'a>(
             .iter()
             .map(|s| {
                 Row::Site(SiteRow {
-                    kind: s.kind.name(),
+                    kind: s.kind,
                     text: &s.text,
                     count: s.count,
                     module,

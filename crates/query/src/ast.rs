@@ -19,9 +19,7 @@ pub enum Selector {
     Global,
     /// One row per source file.
     File,
-    /// One row per recorded construct occurrence (`goto`, comma
-    /// operator, `switch`, multi-declarator statement, union, octal
-    /// constant).
+    /// One row per recorded construct occurrence (`goto`, `switch`, …).
     Site,
 }
 
