@@ -131,8 +131,8 @@ pub struct SiteFacts {
 }
 
 impl SiteFacts {
-    fn new(kind: &'static str, span: Span, function: Option<u32>, text: &str, count: usize) -> Self {
-        SiteFacts { kind, start: span.start, end: span.end, function, text: text.to_string(), count }
+    fn new(kind: &'static str, at: Span, function: Option<u32>, text: &str, count: usize) -> Self {
+        SiteFacts { kind, start: at.start, end: at.end, function, text: text.to_string(), count }
     }
 }
 
@@ -247,8 +247,9 @@ fn function_sites(f: &FunctionDef, index: u32, out: &mut Vec<SiteFacts>) {
             let (kind, text, count) = match &s.kind {
                 StmtKind::Goto(label) => ("goto", label.as_str(), 0),
                 StmtKind::Switch { body, .. } => {
-                    let defaults = body.stmts.iter().filter(|s| matches!(s.kind, StmtKind::Default));
-                    ("switch", "", defaults.count())
+                    let defaults =
+                        body.stmts.iter().filter(|s| matches!(s.kind, StmtKind::Default)).count();
+                    ("switch", "", defaults)
                 }
                 StmtKind::Decl(vars) if vars.len() > 1 => ("multi-decl", "", vars.len()),
                 _ => return walk_stmt(self, s),
@@ -954,7 +955,8 @@ mod tests {
                     return Err("site arity".to_string());
                 }
                 let kind = req_str_v(&t[0])?;
-                let kind = SITE_KINDS.into_iter().find(|k| *k == kind).ok_or("unknown site kind")?;
+                let kind =
+                    SITE_KINDS.into_iter().find(|k| *k == kind).ok_or("unknown site kind")?;
                 let function = match &t[3] {
                     Json::Null => None,
                     n => Some(as_u32(n)?),

@@ -417,15 +417,16 @@ union Raw { int i; float f; };\n";
 
     #[test]
     fn site_rows_carry_kind_text_count_and_function() {
+        use Value::{Int, Str};
         let rows = demo_rows(Selector::Site);
         let got: Vec<_> =
             rows.iter().map(|r| (r.get(0), r.get(1), r.get(2), r.function())).collect();
         assert_eq!(
             got,
             [
-                (Some(Value::Str("switch")), Some(Value::Str("")), Some(Value::Int(0)), Some("hop")),
-                (Some(Value::Str("goto")), Some(Value::Str("out")), Some(Value::Int(0)), Some("hop")),
-                (Some(Value::Str("union")), Some(Value::Str("Raw")), Some(Value::Int(0)), None),
+                (Some(Str("switch")), Some(Str("")), Some(Int(0)), Some("hop")),
+                (Some(Str("goto")), Some(Str("out")), Some(Int(0)), Some("hop")),
+                (Some(Str("union")), Some(Str("Raw")), Some(Int(0)), None),
             ]
         );
         assert_eq!(rows[0].get(4), Some(Value::Str("hop")));

@@ -872,4 +872,3 @@ proptest! {
         prop_assert_eq!(again, printed);
     }
 }
-
