@@ -158,8 +158,12 @@ impl FlightRecorder {
     /// Appends a completed record, evicting the oldest when full.
     /// Assigns and returns the record's sequence number. The sequence
     /// is taken under the ring lock, so ring order and `seq` order
-    /// always agree even with concurrent recorders.
+    /// always agree even with concurrent recorders. The ring holds a
+    /// record for `cap` requests, so its phase list is stored without
+    /// spare capacity: one collected in place from a request's drained
+    /// span events keeps a buffer sized for every span.
     pub fn record(&self, mut record: RequestRecord) -> u64 {
+        record.phases.shrink_to_fit();
         let mut ring = self.ring.lock().expect("flight recorder poisoned");
         let seq = self.recorded.fetch_add(1, Ordering::Relaxed) + 1;
         record.seq = seq;
@@ -237,6 +241,16 @@ mod tests {
                 PhaseTiming { name: "write".into(), start_us: 1200, dur_us: 50 },
             ],
         }
+    }
+
+    #[test]
+    fn records_are_held_without_spare_phase_capacity() {
+        let fr = FlightRecorder::new(2);
+        let mut r = rec("/assess", 200, 1);
+        r.phases.reserve(5000);
+        fr.record(r);
+        let ring = fr.ring.lock().unwrap();
+        assert_eq!(ring[0].phases.capacity(), ring[0].phases.len());
     }
 
     #[test]
