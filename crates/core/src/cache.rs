@@ -118,6 +118,53 @@ pub fn content_hash(path: &str, text: &str) -> u64 {
     fnv1a(h, text.as_bytes())
 }
 
+/// One source file as ingest leaves it: its path, its text after lossy
+/// UTF-8 decoding (shared, so a clone copies no bytes), that text's
+/// [`content_hash`], and how many replacement characters the decode
+/// left. Only [`DecodedSource::decode`] builds one, so the hash always
+/// matches the path and text it travels with. A caller that keeps
+/// sources resident hands the same value to every
+/// [`Assessment::add_source`](crate::Assessment::add_source).
+#[derive(Debug, Clone)]
+pub struct DecodedSource {
+    pub(crate) path: String,
+    pub(crate) text: Arc<String>,
+    pub(crate) hash: u64,
+    pub(crate) replaced: usize,
+}
+
+impl DecodedSource {
+    /// Decodes `bytes` read from `path` and hashes the result. Valid
+    /// UTF-8 is taken over without a copy.
+    pub fn decode(path: &str, bytes: Vec<u8>) -> Self {
+        let (text, replaced) = decode_lossy(bytes);
+        let hash = content_hash(path, &text);
+        DecodedSource { path: path.to_string(), text: Arc::new(text), hash, replaced }
+    }
+
+    /// Whether [`decode`](Self::decode) of `bytes` under this path
+    /// would give this source: it decoded without replacement from
+    /// exactly these bytes. A re-read that passes needs no new copy
+    /// and no hash.
+    pub fn decodes_from(&self, bytes: &[u8]) -> bool {
+        self.replaced == 0 && self.text.as_bytes() == bytes
+    }
+}
+
+/// `bytes` as text, with each invalid UTF-8 sequence replaced by
+/// U+FFFD, and the number of U+FFFD in the result (0 when `bytes` was
+/// valid, which is then moved, not copied).
+pub(crate) fn decode_lossy(bytes: Vec<u8>) -> (String, usize) {
+    match String::from_utf8(bytes) {
+        Ok(text) => (text, 0),
+        Err(e) => {
+            let text = String::from_utf8_lossy(e.as_bytes()).into_owned();
+            let replaced = text.chars().filter(|&c| c == '\u{fffd}').count();
+            (text, replaced)
+        }
+    }
+}
+
 /// Fingerprint of the analysing build: the rules that run (natives and
 /// the bundled pack), crate version, facts schema. Two builds with equal
 /// fingerprints produce interchangeable facts records.
@@ -292,6 +339,20 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&d);
         d
+    }
+
+    #[test]
+    fn a_decoded_source_knows_its_own_bytes() {
+        let valid = DecodedSource::decode("m/a.cc", b"int x;\n".to_vec());
+        assert_eq!(valid.hash, content_hash("m/a.cc", "int x;\n"));
+        assert!(valid.decodes_from(b"int x;\n"));
+        assert!(!valid.decodes_from(b"int y;\n"));
+        // A lossy decode never matches: not its raw bytes (invalid), and
+        // not its replaced text either, which would decode cleanly.
+        let lossy = DecodedSource::decode("m/b.cc", b"int \xff;\n".to_vec());
+        assert_eq!(lossy.replaced, 1);
+        assert!(!lossy.decodes_from(b"int \xff;\n"));
+        assert!(!lossy.decodes_from("int \u{fffd};\n".as_bytes()));
     }
 
     #[test]

@@ -43,7 +43,9 @@ pub mod query;
 pub mod render;
 pub mod store;
 
-pub use cache::{content_hash, ruleset_fingerprint, CacheLookup, FactsCache, FactsStore};
+pub use cache::{
+    content_hash, ruleset_fingerprint, CacheLookup, DecodedSource, FactsCache, FactsStore,
+};
 pub use store::MemoryFactsStore;
 pub use fault::{Fault, FaultCause, FaultLog, FaultPhase, FaultSeverity, Recovery};
 pub use pipeline::{assess_corpus, Assessment, AssessmentOptions, AssessmentReport, Budgets};

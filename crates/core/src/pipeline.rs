@@ -21,10 +21,13 @@
 //! A report produced through any tier below 1 carries
 //! [`AssessmentReport::degraded`]` == true`.
 //!
-//! [`Assessment`] holds the one copy of the ingested text, in its
-//! [`SourceMap`] under add-order `FileId`s; `run` borrows it. A file's
-//! content hash (facts-cache key, corpus-digest input) is computed at
-//! most once, by [`Assessment::content_hashes`] or the cache lookup.
+//! [`Assessment`] holds the ingested text, in its [`SourceMap`] under
+//! add-order `FileId`s; `run` borrows it. The text is shared: a source
+//! added with [`Assessment::add_source`] keeps the buffer its caller
+//! holds resident. A file's content hash (facts-cache key,
+//! corpus-digest input) is computed at most once — at decode for a
+//! [`DecodedSource`], otherwise by [`Assessment::content_hashes`] or
+//! the cache lookup.
 //!
 //! ## Parallelism and incrementality
 //!
@@ -50,7 +53,9 @@
 //! canonical diagnostic sort, and every cross-file quantity is
 //! recomputed from facts on every run (see [`crate::facts`]).
 
-use crate::cache::{content_hash, CacheLookup, FactsCache, FactsStore};
+use crate::cache::{
+    content_hash, decode_lossy, CacheLookup, DecodedSource, FactsCache, FactsStore,
+};
 use crate::facts::{self, FactsRecord, FileFacts};
 use crate::store::MemoryFactsStore;
 use crate::fault::{
@@ -220,7 +225,7 @@ impl AssessmentReport {
 #[derive(Debug)]
 struct RawFile {
     module: String,
-    hash: OnceLock<u64>, // `content_hash(path, text)`, on first need
+    hash: OnceLock<u64>, // `content_hash(path, text)`, given or on first need
 }
 
 /// Per-file result of the file round, produced by one (possibly
@@ -271,22 +276,36 @@ impl Assessment {
 
     /// Adds one source file under a module.
     pub fn add_file(&mut self, module: &str, path: &str, text: &str) -> &mut Self {
-        self.push_file(module, path, text.to_string())
+        self.push_file(module, path, Arc::new(text.to_string()), OnceLock::new(), 0)
     }
 
-    fn push_file(&mut self, module: &str, path: &str, text: String) -> &mut Self {
-        self.sources.add_file(path, text);
-        self.files.push(RawFile { module: module.to_string(), hash: OnceLock::new() });
-        self
-    }
-
-    /// Adds one source file from raw bytes. Invalid UTF-8 is replaced
-    /// lossily and recorded as an ingest fault — the file still flows
-    /// through the full ladder rather than being rejected.
+    /// Adds one source file from raw bytes, copying valid UTF-8 once.
+    /// Invalid UTF-8 is replaced lossily and recorded as an ingest
+    /// fault — the file still flows through the full ladder rather
+    /// than being rejected.
     pub fn add_file_bytes(&mut self, module: &str, path: &str, bytes: &[u8]) -> &mut Self {
-        let text = String::from_utf8_lossy(bytes);
-        if let std::borrow::Cow::Owned(_) = text {
-            let replaced = text.chars().filter(|&c| c == '\u{fffd}').count();
+        let (text, replaced) = decode_lossy(bytes.to_vec());
+        self.push_file(module, path, Arc::new(text), OnceLock::new(), replaced)
+    }
+
+    /// Adds an already decoded and hashed source under a module. Its
+    /// text is shared, not copied, and its hash is not recomputed; a
+    /// lossy decode records the same ingest fault
+    /// [`add_file_bytes`](Self::add_file_bytes) would, on every add.
+    pub fn add_source(&mut self, module: &str, source: &DecodedSource) -> &mut Self {
+        let DecodedSource { path, text, hash, replaced } = source;
+        self.push_file(module, path, Arc::clone(text), OnceLock::from(*hash), *replaced)
+    }
+
+    fn push_file(
+        &mut self,
+        module: &str,
+        path: &str,
+        text: Arc<String>,
+        hash: OnceLock<u64>,
+        replaced: usize,
+    ) -> &mut Self {
+        if replaced > 0 {
             self.ingest_faults.push(Fault {
                 phase: FaultPhase::Ingest,
                 path: path.to_string(),
@@ -296,7 +315,9 @@ impl Assessment {
                 run_id: String::new(),
             });
         }
-        self.push_file(module, path, text.into_owned())
+        self.sources.add_shared(path, text);
+        self.files.push(RawFile { module: module.to_string(), hash });
+        self
     }
 
     /// The ingested sources in add order (a file's `FileId` is its

@@ -647,7 +647,7 @@ mod tests {
     use crate::source::FileId;
 
     fn sp() -> Span {
-        Span::dummy(FileId(0))
+        Span::new(FileId(0), 0, 0)
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! human-readable [`LineCol`] positions.
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Identifies a file registered in a [`SourceMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -34,11 +35,6 @@ impl Span {
     pub fn new(file: FileId, start: u32, end: u32) -> Self {
         debug_assert!(start <= end, "span start {start} > end {end}");
         Span { file, start, end }
-    }
-
-    /// An empty span at offset zero of `file`; useful for synthesised nodes.
-    pub fn dummy(file: FileId) -> Self {
-        Span { file, start: 0, end: 0 }
     }
 
     /// Length of the span in bytes.
@@ -81,24 +77,31 @@ impl fmt::Display for LineCol {
 }
 
 /// A single registered source file: its path, contents, and a line index.
+///
+/// The text is shared: a caller that keeps a file's text resident
+/// (the daemon's source index) registers it without copying a byte.
+/// The line index is built on first use, so a file whose facts come
+/// from a cache never scans its text for newlines.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
     id: FileId,
     path: String,
-    text: String,
+    text: Arc<String>,
     /// Byte offsets at which each line starts; `line_starts[0] == 0`.
-    line_starts: Vec<u32>,
+    line_starts: OnceLock<Vec<u32>>,
 }
 
 impl SourceFile {
-    fn new(id: FileId, path: String, text: String) -> Self {
-        let mut line_starts = vec![0u32];
-        for (i, b) in text.bytes().enumerate() {
-            if b == b'\n' {
-                line_starts.push(i as u32 + 1);
+    fn line_starts(&self) -> &[u32] {
+        self.line_starts.get_or_init(|| {
+            let mut starts = vec![0u32];
+            for (i, b) in self.text.bytes().enumerate() {
+                if b == b'\n' {
+                    starts.push(i as u32 + 1);
+                }
             }
-        }
-        SourceFile { id, path, text, line_starts }
+            starts
+        })
     }
 
     /// The file's identity within its [`SourceMap`].
@@ -118,22 +121,24 @@ impl SourceFile {
 
     /// Number of lines (a trailing newline does not add a line).
     pub fn line_count(&self) -> usize {
+        let lines = self.line_starts().len();
         if self.text.ends_with('\n') {
-            self.line_starts.len() - 1
+            lines - 1
         } else {
-            self.line_starts.len()
+            lines
         }
     }
 
     /// Resolves a byte offset to a 1-based line/column.
     pub fn line_col(&self, offset: u32) -> LineCol {
-        let line = match self.line_starts.binary_search(&offset) {
+        let starts = self.line_starts();
+        let line = match starts.binary_search(&offset) {
             Ok(l) => l,
             Err(l) => l - 1,
         };
         LineCol {
             line: line as u32 + 1,
-            col: offset - self.line_starts[line] + 1,
+            col: offset - starts[line] + 1,
         }
     }
 
@@ -141,9 +146,9 @@ impl SourceFile {
     /// Returns `None` if the line number is out of range.
     pub fn line_text(&self, line: u32) -> Option<&str> {
         let idx = line.checked_sub(1)? as usize;
-        let start = *self.line_starts.get(idx)? as usize;
-        let end = self
-            .line_starts
+        let starts = self.line_starts();
+        let start = *starts.get(idx)? as usize;
+        let end = starts
             .get(idx + 1)
             .map(|&e| e as usize)
             .unwrap_or(self.text.len());
@@ -170,8 +175,14 @@ impl SourceMap {
 
     /// Registers a file and returns its id.
     pub fn add_file(&mut self, path: impl Into<String>, text: impl Into<String>) -> FileId {
+        self.add_shared(path, Arc::new(text.into()))
+    }
+
+    /// Registers a file whose text the caller shares; no byte is copied.
+    pub fn add_shared(&mut self, path: impl Into<String>, text: Arc<String>) -> FileId {
         let id = FileId(self.files.len() as u32);
-        self.files.push(SourceFile::new(id, path.into(), text.into()));
+        let path = path.into();
+        self.files.push(SourceFile { id, path, text, line_starts: OnceLock::new() });
         id
     }
 
