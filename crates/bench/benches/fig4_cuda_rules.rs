@@ -1,7 +1,8 @@
 //! F4 — paper Figure 4: the `scale_bias_gpu` CUDA excerpt and the
 //! findings that make CUDA intrinsically at odds with ISO 26262
 //! (pointers, dynamic device memory). Prints the findings, then
-//! benchmarks the CUDA rule set on the excerpt.
+//! benchmarks the CUDA rules, the native rules and a whole assessment
+//! on the excerpt.
 
 use adsafe::checkers::{default_checks, run_checks, AnalysisSet};
 use adsafe::corpus::yolo::SCALE_BIAS_CU;
@@ -37,9 +38,19 @@ fn bench(c: &mut Criterion) {
             report.diagnostics.into_iter().filter(|d| CUDA_RULES.contains(&d.check_id)).count()
         })
     });
-    g.bench_function("all_checks_on_excerpt", |b| {
+    // The native rules alone, run over a parsed analysis set.
+    g.bench_function("native_checks_on_excerpt", |b| {
         let checks = default_checks();
         b.iter(|| run_checks(&checks, &cx))
+    });
+    // Every rule — natives and the bundled pack — as an assessment
+    // runs them, end to end from source text.
+    g.bench_function("assessment_on_excerpt", |b| {
+        b.iter(|| {
+            let mut a = Assessment::new();
+            a.add_file("perception", "scale_bias.cu", SCALE_BIAS_CU);
+            a.run().diagnostics.len()
+        })
     });
     g.finish();
 }

@@ -3,7 +3,7 @@
 //! These are the "open-source library" stand-ins of the paper's case
 //! study (§3.3.1): a naive reference GEMM, a register/cache-tiled GEMM
 //! (the CUTLASS analogue), im2col + GEMM convolution (the cuDNN/ISAAC
-//! lowering), direct convolution, the 2D/3D stencils of Figure 6, and
+//! lowering), direct convolution, the 2D stencil of Figure 6, and
 //! the pointwise layers YOLO needs (bias, leaky ReLU, maxpool, softmax).
 //!
 //! All kernels operate on row-major `f32` slices and have exhaustive
@@ -241,36 +241,6 @@ pub fn stencil2d(h: usize, w: usize, input: &[f32], output: &mut [f32], cw: f32,
     }
 }
 
-/// 7-point 3D stencil (Figure 6's 3D kernel), borders copied.
-pub fn stencil3d(
-    d: usize,
-    h: usize,
-    w: usize,
-    input: &[f32],
-    output: &mut [f32],
-    cw: f32,
-    nw: f32,
-) {
-    assert_eq!(input.len(), d * h * w);
-    assert_eq!(output.len(), d * h * w);
-    output.copy_from_slice(input);
-    for z in 1..d.saturating_sub(1) {
-        for y in 1..h.saturating_sub(1) {
-            for x in 1..w.saturating_sub(1) {
-                let at = |zz: usize, yy: usize, xx: usize| input[(zz * h + yy) * w + xx];
-                let c = at(z, y, x);
-                let nsum = at(z - 1, y, x)
-                    + at(z + 1, y, x)
-                    + at(z, y - 1, x)
-                    + at(z, y + 1, x)
-                    + at(z, y, x - 1)
-                    + at(z, y, x + 1);
-                output[(z * h + y) * w + x] = c * cw + nsum * nw;
-            }
-        }
-    }
-}
-
 /// Scales each filter's outputs by its bias factor — the paper's
 /// Figure 4 `scale_bias` kernel.
 pub fn scale_bias(output: &mut [f32], biases: &[f32], batch: usize, n: usize, size: usize) {
@@ -444,16 +414,6 @@ mod tests {
         // border copied
         assert_eq!(out[0], 0.0);
         assert_eq!(out[3], 3.0);
-    }
-
-    #[test]
-    fn stencil3d_borders_copied() {
-        let (d, h, w) = (3, 3, 3);
-        let input: Vec<f32> = (0..27).map(|i| i as f32).collect();
-        let mut out = vec![0.0; 27];
-        stencil3d(d, h, w, &input, &mut out, 1.0, 0.0);
-        // with cw=1, nw=0 the interior equals input; borders copied too.
-        assert_eq!(out, input);
     }
 
     #[test]
