@@ -95,6 +95,7 @@ use adsafe_ledger::{Ledger, RunDiff, RunRecord};
 use adsafe_serve::exit_code_for;
 use adsafe_serve::fsutil::ingest_dir;
 use adsafe_serve::{ServeConfig, Server};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -288,7 +289,10 @@ fn cmd_assess(args: &[String]) -> i32 {
     }
 
     let mut assessment = Assessment::new();
-    let ingested = ingest_dir(&root, &mut assessment);
+    let ingested = {
+        let _ingest = adsafe::trace::span("phase.ingest", "phase");
+        ingest_dir(&root, &mut assessment)
+    };
     if ingested.found == 0 {
         eprintln!("assess: no C/C++/CUDA sources under `{dir}`");
         return EXIT_IO;
@@ -306,21 +310,6 @@ fn cmd_assess(args: &[String]) -> i32 {
         return EXIT_IO;
     }
 
-    // The ledger lives under the cache directory but is independent of
-    // the facts cache: `--no-cache` still records the run.
-    let base_cache_dir = cache_dir_override
-        .clone()
-        .unwrap_or_else(|| root.join(".adsafe-cache"));
-    let ledger = use_ledger
-        .then(|| Ledger::open(&Ledger::dir_for_cache(&base_cache_dir)))
-        .and_then(|r| match r {
-            Ok(l) => Some(l),
-            Err(e) => {
-                eprintln!("assess: ledger disabled ({e})");
-                None
-            }
-        });
-
     // Query-rule packs: an explicit `--rules` path wins; otherwise any
     // `ROOT/.adsafe-rules/*.aq` packs load automatically. Pack faults
     // are Info-severity and never block the run.
@@ -332,8 +321,26 @@ fn cmd_assess(args: &[String]) -> i32 {
     if !quiet && !pack.rules.is_empty() {
         eprintln!("loaded {} query rule(s) from {} pack file(s)", pack.rules.len(), rule_paths.len());
     }
-    let (run_id, seq, digest) =
-        adsafe_serve::reserve_run(&mut assessment, ledger.as_ref(), &pack.faults);
+
+    // The ledger lives under the cache directory but is independent of
+    // the facts cache: `--no-cache` still records the run.
+    let base_cache_dir = cache_dir_override
+        .clone()
+        .unwrap_or_else(|| root.join(".adsafe-cache"));
+    let (ledger, (run_id, seq, digest)) = {
+        let _ledger = adsafe::trace::span("phase.ledger", "phase");
+        let ledger = use_ledger
+            .then(|| Ledger::open(&Ledger::dir_for_cache(&base_cache_dir)))
+            .and_then(|r| match r {
+                Ok(l) => Some(l),
+                Err(e) => {
+                    eprintln!("assess: ledger disabled ({e})");
+                    None
+                }
+            });
+        let reserved = adsafe_serve::reserve_run(&mut assessment, ledger.as_ref(), &pack.faults);
+        (ledger, reserved)
+    };
 
     let cache_dir = use_cache.then(|| base_cache_dir.clone());
     let assessment = assessment.with_options(AssessmentOptions {
@@ -351,6 +358,7 @@ fn cmd_assess(args: &[String]) -> i32 {
 
     let exit_code = exit_code_for(&report);
     if let Some(l) = &ledger {
+        let _ledger = adsafe::trace::span("phase.ledger", "phase");
         let record = RunRecord::from_report(
             &report,
             &run_id,
@@ -495,12 +503,14 @@ fn cmd_history(args: &[String]) -> i32 {
     for t in &torn {
         eprintln!("history: skipping torn line {}: {}", t.line, t.detail);
     }
-    if records.is_empty() {
-        println!("no recorded runs");
-        return EXIT_OK;
-    }
-    print!("{}", adsafe_ledger::history_table(&records, last));
-    EXIT_OK
+    listing(|out| {
+        if records.is_empty() {
+            writeln!(out, "no recorded runs")?;
+        } else {
+            write!(out, "{}", adsafe_ledger::history_table(&records, last))?;
+        }
+        Ok(EXIT_OK)
+    })
 }
 
 /// `adsafe diff [<dir>] <run-a> <run-b>`: compare two recorded runs.
@@ -560,8 +570,25 @@ fn cmd_diff(args: &[String]) -> i32 {
         }
     };
     let diff = RunDiff::between(&a, &b);
-    print!("{}", diff.render());
-    i32::from(diff.has_drift())
+    listing(|out| {
+        write!(out, "{}", diff.render())?;
+        Ok(i32::from(diff.has_drift()))
+    })
+}
+
+/// Runs a listing command's output through locked, buffered stdout.
+/// A reader that leaves early (`adsafe rules list | head -3`) ends the
+/// listing quietly with exit 0; any other write error is an I/O exit.
+fn listing(print: impl FnOnce(&mut dyn Write) -> std::io::Result<i32>) -> i32 {
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    match print(&mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => EXIT_OK,
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            EXIT_IO
+        }
+    }
 }
 
 /// Set by the SIGINT/SIGTERM handler; `cmd_serve` polls it.
@@ -1197,19 +1224,22 @@ fn cmd_rules_list(args: &[String]) -> i32 {
     let pack = load_cli_pack(rules.as_deref(), root.as_deref());
     print_pack_faults(&pack);
     let inventory = adsafe::query::rule_inventory(&pack);
-    for r in &inventory {
-        println!(
-            "{:<7} {:<8} {:<34} {:<24} {}",
-            r.origin(),
-            r.scope.name(),
-            r.id,
-            r.iso.join(","),
-            r.desc
-        );
-    }
-    let queries = inventory.iter().filter(|r| r.query.is_some()).count();
-    println!("{} native rule(s), {queries} query rule(s)", inventory.len() - queries);
-    EXIT_OK
+    listing(|out| {
+        for r in &inventory {
+            writeln!(
+                out,
+                "{:<7} {:<8} {:<34} {:<24} {}",
+                r.origin(),
+                r.scope.name(),
+                r.id,
+                r.iso.join(","),
+                r.desc
+            )?;
+        }
+        let queries = inventory.iter().filter(|r| r.query.is_some()).count();
+        writeln!(out, "{} native rule(s), {queries} query rule(s)", inventory.len() - queries)?;
+        Ok(EXIT_OK)
+    })
 }
 
 /// `adsafe rules explain <id>`: full detail for one rule. Query rules
@@ -1231,16 +1261,18 @@ fn cmd_rules_explain(args: &[String]) -> i32 {
         eprintln!("rules: no rule named `{id}` (try `adsafe rules list`)");
         return EXIT_USAGE;
     };
-    println!("rule:   {}", r.id);
-    println!("origin: {}", r.origin());
-    println!("scope:  {}", r.scope.name());
-    println!("iso:    {}", r.iso.join(", "));
-    println!("desc:   {}", r.desc);
-    if let Some(q) = r.query {
-        println!("\nsource:\n{}", q.decl);
-        println!("bytecode:\n{}", q.program);
-    }
-    EXIT_OK
+    listing(|out| {
+        writeln!(out, "rule:   {}", r.id)?;
+        writeln!(out, "origin: {}", r.origin())?;
+        writeln!(out, "scope:  {}", r.scope.name())?;
+        writeln!(out, "iso:    {}", r.iso.join(", "))?;
+        writeln!(out, "desc:   {}", r.desc)?;
+        if let Some(q) = r.query {
+            writeln!(out, "\nsource:\n{}", q.decl)?;
+            writeln!(out, "bytecode:\n{}", q.program)?;
+        }
+        Ok(EXIT_OK)
+    })
 }
 
 /// `adsafe rules check <dir>`: run the assessment pipeline over a source
@@ -1374,25 +1406,28 @@ fn cmd_gen(args: &[String]) -> i32 {
 }
 
 fn cmd_tables() -> i32 {
-    for table in [
-        adsafe::iso26262::TableId::CodingGuidelines,
-        adsafe::iso26262::TableId::ArchitecturalDesign,
-        adsafe::iso26262::TableId::UnitDesign,
-    ] {
-        println!("{} (paper Table {})", table.title(), table.paper_number());
-        for t in adsafe::iso26262::all_topics().filter(|t| t.table == table) {
-            let lv = t.levels;
-            println!(
-                "  {:2}) {:<75} {:>2} {:>2} {:>2} {:>2}",
-                t.row,
-                t.name,
-                lv[0].notation(),
-                lv[1].notation(),
-                lv[2].notation(),
-                lv[3].notation()
-            );
+    listing(|out| {
+        for table in [
+            adsafe::iso26262::TableId::CodingGuidelines,
+            adsafe::iso26262::TableId::ArchitecturalDesign,
+            adsafe::iso26262::TableId::UnitDesign,
+        ] {
+            writeln!(out, "{} (paper Table {})", table.title(), table.paper_number())?;
+            for t in adsafe::iso26262::all_topics().filter(|t| t.table == table) {
+                let lv = t.levels;
+                writeln!(
+                    out,
+                    "  {:2}) {:<75} {:>2} {:>2} {:>2} {:>2}",
+                    t.row,
+                    t.name,
+                    lv[0].notation(),
+                    lv[1].notation(),
+                    lv[2].notation(),
+                    lv[3].notation()
+                )?;
+            }
+            writeln!(out)?;
         }
-        println!();
-    }
-    EXIT_OK
+        Ok(EXIT_OK)
+    })
 }

@@ -25,7 +25,7 @@
 //! flushes the facts store's dirty entries to its disk backing.
 
 use crate::conn::{DeadlineReader, ReadBudget, Trip};
-use crate::fsutil::ingest_dir;
+use crate::fsutil::{ingest, SourceIndex};
 use crate::http::{self, ReadError, Request, Response};
 use adsafe::fault::failpoints;
 use adsafe::iso26262::Asil;
@@ -34,11 +34,11 @@ use adsafe_ledger::{Ledger, RunRecord};
 use adsafe_pool::Executor;
 use adsafe_trace::json::{write_escaped, Json};
 use adsafe_trace::{labeled, FlightRecorder, PhaseTiming, RequestRecord};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -134,9 +134,15 @@ struct Shared {
     /// process writers still interleave safely at the append level,
     /// but may race sequence allocation — a documented limitation).
     ledgers: Mutex<HashMap<PathBuf, Arc<Ledger>>>,
-    /// In-memory mirror of every run appended by this process, in
-    /// append order across all corpora — what `GET /runs` serves.
-    runs: Mutex<Vec<RunRecord>>,
+    /// One resident [`SourceIndex`] per assessed corpus root: what a
+    /// warm `/assess` reuses instead of reading and hashing the tree.
+    /// Requests on one root take turns ingesting; the lock is held for
+    /// the walk only.
+    sources: Mutex<HashMap<PathBuf, Arc<Mutex<SourceIndex>>>>,
+    /// In-memory mirror of the last [`FlightRecorder::capacity`] runs
+    /// appended by this process, in append order across all corpora —
+    /// what `GET /runs` serves. Older runs stay in each corpus ledger.
+    runs: Mutex<VecDeque<RunRecord>>,
     /// Ring of completed-request records — the `/requests` access log
     /// and `/trace/recent` trace source.
     recorder: FlightRecorder,
@@ -177,6 +183,21 @@ impl Shared {
         let ledger = Arc::new(Ledger::open(&dir).ok()?);
         map.insert(root.clone(), Arc::clone(&ledger));
         Some(ledger)
+    }
+
+    /// The resident source index of a corpus root, empty on first use.
+    fn sources_for(&self, root: &Path) -> Arc<Mutex<SourceIndex>> {
+        let mut map = self.sources.lock().unwrap_or_else(|e| e.into_inner());
+        Arc::clone(map.entry(root.to_path_buf()).or_default())
+    }
+
+    /// Mirrors an appended run for `GET /runs`, oldest out first.
+    fn remember_run(&self, record: RunRecord) {
+        let mut runs = self.runs.lock().unwrap_or_else(|e| e.into_inner());
+        if runs.len() == self.recorder.capacity() {
+            runs.pop_front();
+        }
+        runs.push_back(record);
     }
 }
 
@@ -220,7 +241,8 @@ impl Server {
             last_fault: Mutex::new(None),
             last_degraded: AtomicBool::new(false),
             ledgers: Mutex::new(HashMap::new()),
-            runs: Mutex::new(Vec::new()),
+            sources: Mutex::new(HashMap::new()),
+            runs: Mutex::new(VecDeque::new()),
             recorder: FlightRecorder::new(config.recorder_cap),
             next_conn: AtomicU64::new(0),
             rules: Arc::new(match config.rules.as_deref() {
@@ -671,15 +693,24 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
         return Response::text(400, format!("`{dir}` is not a directory\n"));
     }
     let mut assessment = Assessment::new();
-    let ingested = ingest_dir(&root, &mut assessment);
+    let ingested = {
+        let _ingest = adsafe_trace::span("phase.ingest", "phase");
+        let index = shared.sources_for(&root);
+        let mut index = index.lock().unwrap_or_else(|e| e.into_inner());
+        ingest(&root, &mut index, &mut assessment)
+    };
     if ingested.found == 0 {
+        shared.sources.lock().unwrap_or_else(|e| e.into_inner()).remove(&root);
         return Response::text(400, format!("no C/C++/CUDA sources under `{dir}`\n"));
     }
     // Pack-loading faults from startup repeat on every request that
     // uses the pack: each response's fault list stands alone.
-    let ledger = shared.ledger_for(&root);
-    let (run_id, seq, digest) =
-        crate::reserve_run(&mut assessment, ledger.as_deref(), &shared.rules.faults);
+    let (ledger, (run_id, seq, digest)) = {
+        let _ledger = adsafe_trace::span("phase.ledger", "phase");
+        let ledger = shared.ledger_for(&root);
+        let reserved = crate::reserve_run(&mut assessment, ledger.as_deref(), &shared.rules.faults);
+        (ledger, reserved)
+    };
     let assessment = assessment.with_options(AssessmentOptions {
         asil,
         jobs,
@@ -696,6 +727,7 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
     adsafe_trace::absorb(std::mem::take(&mut report.trace.events).into());
     let exit_code = crate::exit_code_for(&report);
     if let Some(l) = &ledger {
+        let _ledger = adsafe_trace::span("phase.ledger", "phase");
         let record = RunRecord::from_report(
             &report,
             &run_id,
@@ -707,7 +739,7 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
         );
         if l.append(&record).is_ok() {
             adsafe_trace::counter("ledger.appends").incr();
-            shared.runs.lock().unwrap_or_else(|e| e.into_inner()).push(record);
+            shared.remember_run(record);
         } else {
             adsafe_trace::counter("ledger.append_errors").incr();
         }
@@ -757,8 +789,10 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
     resp
 }
 
-/// `GET /runs`: summaries of every run this daemon has appended, in
-/// append order, as a JSON array.
+/// `GET /runs`: summaries of the runs this daemon appended most
+/// recently — as many as the flight recorder keeps requests
+/// (`--recorder-cap`) — oldest first, as a JSON array. Older runs stay
+/// in each corpus ledger (`adsafe history`).
 fn runs_index(shared: &Arc<Shared>) -> Response {
     use std::fmt::Write as _;
     let runs = shared.runs.lock().unwrap_or_else(|e| e.into_inner());
@@ -849,8 +883,9 @@ fn runs_one(reference: &str, shared: &Arc<Shared>) -> Response {
 }
 
 /// `POST /invalidate` body: `{"paths": ["a.cc", …]}` or
-/// `{"all": true}`. Drops resident (and backing disk) facts so the
-/// next assessment re-analyses those files from source.
+/// `{"all": true}`. Drops resident (and backing disk) facts and the
+/// resident sources of those files, so the next assessment reads and
+/// re-analyses them from source. `dropped` counts facts entries.
 fn invalidate(req: &Request, shared: &Arc<Shared>) -> Response {
     let Ok(body) = std::str::from_utf8(&req.body) else {
         return Response::text(400, "body is not UTF-8\n");
@@ -860,6 +895,7 @@ fn invalidate(req: &Request, shared: &Arc<Shared>) -> Response {
         Err(e) => return Response::text(400, format!("bad JSON body: {e}\n")),
     };
     let dropped = if matches!(json.get("all"), Some(Json::Bool(true))) {
+        shared.sources.lock().unwrap_or_else(|e| e.into_inner()).clear();
         shared.store.invalidate_all()
     } else if let Some(arr) = json.get("paths").and_then(Json::as_arr) {
         let mut paths = Vec::with_capacity(arr.len());
@@ -867,6 +903,14 @@ fn invalidate(req: &Request, shared: &Arc<Shared>) -> Response {
             match p.as_str() {
                 Some(s) => paths.push(s.to_string()),
                 None => return Response::text(400, "`paths` must be an array of strings\n"),
+            }
+        }
+        let indexes: Vec<_> =
+            shared.sources.lock().unwrap_or_else(|e| e.into_inner()).values().cloned().collect();
+        for index in indexes {
+            let mut index = index.lock().unwrap_or_else(|e| e.into_inner());
+            for p in &paths {
+                index.forget(Path::new(p));
             }
         }
         shared.store.invalidate_paths(&paths)

@@ -779,6 +779,65 @@ fn every_assessment_gets_a_run_id_and_a_ledger_record() {
     let _ = std::fs::remove_dir_all(&corpus);
 }
 
+/// `GET /runs` mirrors only the last `recorder_cap` runs; older ones
+/// stay in the corpus ledger.
+#[test]
+fn runs_mirror_keeps_the_recorder_window() {
+    let corpus = corpus_dir("runs-ring");
+    let server = start_server(ServeConfig { recorder_cap: 2, ..ServeConfig::default() });
+    let addr = server.addr();
+    let ids: Vec<String> = (0..3)
+        .map(|_| {
+            let resp = request(addr, "POST", "/assess", &assess_body(&corpus, ""));
+            assert_eq!(resp.status, 200);
+            resp.header("x-adsafe-run-id").expect("run ID header").to_string()
+        })
+        .collect();
+    let listing = Json::parse(&request(addr, "GET", "/runs", "").body_text()).unwrap();
+    let listed: Vec<&str> = listing
+        .as_arr()
+        .expect("a JSON array")
+        .iter()
+        .map(|r| r.get("run").and_then(Json::as_str).expect("run field"))
+        .collect();
+    assert_eq!(listed, [ids[1].as_str(), ids[2].as_str()]);
+    assert_eq!(request(addr, "GET", &format!("/runs/{}", ids[0]), "").status, 404);
+    assert_eq!(request(addr, "GET", &format!("/runs/{}", ids[2]), "").status, 200);
+    assert_eq!(ledger_rows(&corpus).len(), 3, "the ledger keeps every run");
+    server.stop();
+    let _ = std::fs::remove_dir_all(&corpus);
+}
+
+/// A listing whose reader goes away (`adsafe rules list | head -1`)
+/// ends quietly with exit 0 instead of a "Broken pipe" panic.
+#[test]
+fn listing_commands_survive_a_closed_stdout() {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+    let spawn = || {
+        Command::new(env!("CARGO_BIN_EXE_adsafe"))
+            .args(["rules", "list"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("running the adsafe CLI")
+    };
+    // Closed after one line, and closed before the first write.
+    let mut child = spawn();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    assert!(first.contains("native"), "{first}");
+    let after_one_line = child.wait_with_output().unwrap();
+    let mut child = spawn();
+    drop(child.stdout.take());
+    let before_any = child.wait_with_output().unwrap();
+    for out in [after_one_line, before_any] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+    }
+}
+
 #[test]
 fn flight_recorder_serves_the_access_log_and_trace() {
     let corpus = corpus_dir("telemetry");
@@ -831,7 +890,8 @@ fn flight_recorder_serves_the_access_log_and_trace() {
     assert_eq!(field(reused, "status") as u16, 200);
     let resolved = request(addr, "GET", &format!("/runs/{run_id}"), "");
     assert_eq!(resolved.status, 200, "/requests run IDs resolve in the run ledger");
-    // Assess rows break the pipeline phases out; parse/render among them.
+    // Assess rows break the pipeline phases out; parse/render among
+    // them, and the front door's ingest (before parse) and ledger.
     let phases: Vec<String> = reused
         .get("phases")
         .and_then(|p| p.as_arr())
@@ -839,9 +899,11 @@ fn flight_recorder_serves_the_access_log_and_trace() {
         .iter()
         .filter_map(|p| p.get("name").and_then(|n| n.as_str()).map(str::to_string))
         .collect();
-    for want in ["parse", "render", "write"] {
+    for want in ["ingest", "ledger", "parse", "render", "write"] {
         assert!(phases.iter().any(|p| p == want), "phase {want} in {phases:?}");
     }
+    let at = |name: &str| phases.iter().position(|p| p == name).unwrap();
+    assert!(at("ingest") < at("parse"), "ingest comes before parse: {phases:?}");
 
     // Filters: by status, by endpoint, last-N; bad values answer 400.
     let only_404 = request(addr, "GET", "/requests?status=404", "");
