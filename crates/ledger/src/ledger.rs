@@ -11,13 +11,20 @@
 //! other unparseable line is *skipped and reported*, never a panic and
 //! never cause to refuse subsequent appends — the ledger keeps
 //! accepting history even when one line is lost.
+//!
+//! Opening reads only the tail: the next sequence number comes from
+//! the last [`TAIL_LINES`] lines within the last [`TAIL_BYTES`] of the
+//! file, and only the final line is checked for a tear, so a run's
+//! ledger cost does not grow with history. [`Ledger::read_all`] (and
+//! with it `resolve`, `adsafe history` and `adsafe diff`) still scans
+//! every line and reports every torn one.
 
 use crate::record::RunRecord;
 use adsafe::content_hash;
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// File name of the ledger inside its directory.
@@ -28,6 +35,21 @@ pub const LEDGER_FILE: &str = "runs.jsonl";
 /// wipe (which removes only `*.json` in the cache root) never touches
 /// run history.
 pub const LEDGER_SUBDIR: &str = "ledger";
+
+/// How many trailing lines [`Ledger::open`] scans for the highest
+/// sequence number. Appends through one `Ledger` are serialised, but
+/// reservations can reach the file out of order (concurrent handlers,
+/// a crash between reserve and append); the window only has to cover
+/// the reservations in flight at once.
+pub const TAIL_LINES: usize = 64;
+
+/// The most bytes [`Ledger::open`] reads from the end of `runs.jsonl`
+/// (64 records of about 4 KiB). When the last [`TAIL_LINES`] lines do
+/// not fit, the whole lines that do are scanned.
+pub const TAIL_BYTES: u64 = 256 * 1024;
+
+/// The writer's line prefix up to the run ID, which precedes `seq`.
+const LINE_PREFIX: &[u8] = b"{\"schema\":\"adsafe-ledger/1\",\"run\":\"";
 
 /// A note about one skipped (torn or garbage) ledger line.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,23 +66,39 @@ pub struct TornLine {
 pub struct Ledger {
     dir: PathBuf,
     next_seq: AtomicU64,
-    torn: Vec<TornLine>,
+    torn: Option<TornLine>,
+    /// Whether [`report_torn_lines`](Self::report_torn_lines) has
+    /// handed out `torn`.
+    torn_reported: AtomicBool,
     /// Held across an append's trailing-newline check and its write, so
     /// two appends through one `Ledger` cannot both insert a separator.
     append_lock: Mutex<()>,
 }
 
 impl Ledger {
-    /// Opens (creating if needed) the ledger in `dir`. Existing lines
-    /// are scanned once to find the highest sequence number; torn lines
-    /// are collected into [`torn_lines`](Self::torn_lines) for the
-    /// caller to surface as Info faults.
+    /// Opens (creating if needed) the ledger in `dir`, reading at most
+    /// [`TAIL_BYTES`] from the end of the file whatever its length. The
+    /// next sequence number is one past the highest `seq` of the last
+    /// [`TAIL_LINES`] lines. Only the final line is checked for a tear
+    /// (a crash tears only the last append; the next append moves that
+    /// line mid-file after it was reported once): if it does not parse
+    /// it is collected into [`torn_lines`](Self::torn_lines), under its
+    /// absolute line number, for the caller to surface as an Info fault.
     pub fn open(dir: &Path) -> std::io::Result<Ledger> {
         fs::create_dir_all(dir)?;
-        let (records, torn) = read_lines(&dir.join(LEDGER_FILE));
-        let next = records.iter().map(|r| r.seq).max().map_or(1, |m| m + 1);
-        let next_seq = AtomicU64::new(next);
-        Ok(Ledger { dir: dir.to_path_buf(), next_seq, torn, append_lock: Mutex::new(()) })
+        let (last_seq, torn) = match fs::File::open(dir.join(LEDGER_FILE)) {
+            Ok(mut f) => scan_tail(&mut f)?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (None, None),
+            Err(e) => return Err(e),
+        };
+        let next_seq = AtomicU64::new(last_seq.map_or(1, |m| m + 1));
+        Ok(Ledger {
+            dir: dir.to_path_buf(),
+            next_seq,
+            torn,
+            torn_reported: AtomicBool::new(false),
+            append_lock: Mutex::new(()),
+        })
     }
 
     /// The conventional ledger directory for a corpus cache directory.
@@ -78,9 +116,23 @@ impl Ledger {
         self.dir.join(LEDGER_FILE)
     }
 
-    /// Lines that were skipped while opening, if any.
+    /// The torn final line found while opening, if any. Torn lines
+    /// earlier in the file are reported by [`read_all`](Self::read_all).
     pub fn torn_lines(&self) -> &[TornLine] {
-        &self.torn
+        self.torn.as_slice()
+    }
+
+    /// [`torn_lines`](Self::torn_lines) for the first caller only. The
+    /// run that reports a tear appends after it, which moves the tear
+    /// mid-file where the next `open` no longer sees it; a daemon that
+    /// keeps this `Ledger` open reports it once as well, not on every
+    /// request.
+    pub fn report_torn_lines(&self) -> &[TornLine] {
+        if self.torn_reported.swap(true, Ordering::SeqCst) {
+            &[]
+        } else {
+            self.torn.as_slice()
+        }
     }
 
     /// Mints the next run ID: `r{seq:06}-{salt:08x}`, where the salt is
@@ -100,7 +152,6 @@ impl Ledger {
     /// through one `Ledger` are serialised, so concurrent handlers
     /// cannot each insert that newline.
     pub fn append(&self, record: &RunRecord) -> std::io::Result<()> {
-        use std::io::{Read as _, Seek as _, SeekFrom};
         let mut line = record.to_json_line();
         line.push('\n');
         let _held = self.append_lock.lock().unwrap_or_else(|e| e.into_inner());
@@ -162,22 +213,103 @@ pub fn corpus_digest(file_hashes: &[u64]) -> String {
     format!("{acc:016x}")
 }
 
+/// The full scan behind [`Ledger::read_all`]: every line is parsed,
+/// and every one that does not parse is reported.
 fn read_lines(path: &Path) -> (Vec<RunRecord>, Vec<TornLine>) {
-    let Ok(text) = fs::read_to_string(path) else {
+    let Ok(bytes) = fs::read(path) else {
         return (Vec::new(), Vec::new());
     };
     let mut records = Vec::new();
     let mut torn = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
+    for (i, line) in bytes.split(|&b| b == b'\n').enumerate() {
+        if is_blank(line) {
             continue;
         }
-        match RunRecord::from_json(line) {
+        match parse_line(line) {
             Ok(r) => records.push(r),
             Err(detail) => torn.push(TornLine { line: i + 1, detail }),
         }
     }
     (records, torn)
+}
+
+fn is_blank(line: &[u8]) -> bool {
+    line.iter().all(u8::is_ascii_whitespace)
+}
+
+/// Parses one line (without its `\n`) into a record.
+fn parse_line(line: &[u8]) -> Result<RunRecord, String> {
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    let text = std::str::from_utf8(line).map_err(|e| format!("invalid UTF-8: {e}"))?;
+    RunRecord::from_json(text)
+}
+
+/// A line's `seq` without parsing the record: the writer puts it right
+/// after the run ID. A line in another layout is parsed in full; one
+/// that does not parse has no sequence number.
+fn seq_of(line: &[u8]) -> Option<u64> {
+    let fast = line.strip_prefix(LINE_PREFIX).and_then(|rest| {
+        let at = rest.windows(8).position(|w| w == b"\",\"seq\":")?;
+        let digits = &rest[at + 8..];
+        let end = digits.iter().position(|b| !b.is_ascii_digit())?;
+        if end == 0 || digits[end] != b',' {
+            return None;
+        }
+        std::str::from_utf8(&digits[..end]).ok()?.parse().ok()
+    });
+    fast.or_else(|| parse_line(line).ok().map(|r| r.seq))
+}
+
+/// Reads the last [`TAIL_BYTES`] of the ledger and returns the highest
+/// `seq` over its last [`TAIL_LINES`] whole lines, with the final line
+/// validated in full: a final line that does not parse is returned as
+/// torn (numbered from the start of the file) and lends no `seq`.
+fn scan_tail(f: &mut fs::File) -> std::io::Result<(Option<u64>, Option<TornLine>)> {
+    let len = f.metadata()?.len();
+    let mut start = len.saturating_sub(TAIL_BYTES);
+    let mut window = read_range(f, start, len)?;
+    if start > 0 && !window.contains(&b'\n') {
+        // The final line alone outgrows the window: read the whole file.
+        start = 0;
+        window = read_range(f, 0, len)?;
+    }
+    // A window that starts mid-file starts mid-line: drop that piece.
+    let skip = if start == 0 {
+        0
+    } else {
+        window.iter().position(|&b| b == b'\n').map_or(window.len(), |i| i + 1)
+    };
+    let lines: Vec<&[u8]> = window[skip..].split(|&b| b == b'\n').collect();
+    let mut tail = lines.iter().enumerate().rev().filter(|(_, line)| !is_blank(line));
+    let Some((final_index, final_line)) = tail.next() else {
+        return Ok((None, None));
+    };
+    let mut last_seq = tail.take(TAIL_LINES - 1).filter_map(|(_, line)| seq_of(line)).max();
+    let torn = match parse_line(final_line) {
+        Ok(r) => {
+            last_seq = last_seq.max(Some(r.seq));
+            None
+        }
+        Err(detail) => {
+            // Each line before the final one in the window ends in a newline.
+            let before = count_newlines(f, start + skip as u64)?;
+            Some(TornLine { line: before + final_index + 1, detail })
+        }
+    };
+    Ok((last_seq, torn))
+}
+
+fn read_range(f: &mut fs::File, start: u64, end: u64) -> std::io::Result<Vec<u8>> {
+    f.seek(SeekFrom::Start(start))?;
+    let mut bytes = Vec::with_capacity((end - start) as usize);
+    f.take(end - start).read_to_end(&mut bytes)?;
+    Ok(bytes)
+}
+
+/// Newlines in the first `end` bytes of the file: the line number a
+/// torn final line keeps. Read only when there is a tear to report.
+fn count_newlines(f: &mut fs::File, end: u64) -> std::io::Result<usize> {
+    Ok(read_range(f, 0, end)?.iter().filter(|&&b| b == b'\n').count())
 }
 
 #[cfg(test)]
@@ -330,6 +462,105 @@ mod tests {
         storm(201);
         let (records, torn) = ledger.read_all();
         assert_eq!((records.len(), torn.len(), blank_lines()), (400, 1, 0));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Writes `records` as a ledger file in one go.
+    fn write_ledger(dir: &Path, records: impl IntoIterator<Item = RunRecord>) -> PathBuf {
+        fs::create_dir_all(dir).unwrap();
+        let mut text = String::new();
+        for r in records {
+            text.push_str(&r.to_json_line());
+            text.push('\n');
+        }
+        let file = dir.join(LEDGER_FILE);
+        fs::write(&file, text).unwrap();
+        file
+    }
+
+    #[test]
+    fn long_ledger_reopens_one_past_the_highest_seq() {
+        let dir = temp_dir("long");
+        let file = write_ledger(&dir, (1..=2000).map(|s| record(s, "d")));
+        assert!(fs::metadata(&file).unwrap().len() > 2 * TAIL_BYTES, "longer than the window");
+        let ledger = Ledger::open(&dir).unwrap();
+        assert!(ledger.torn_lines().is_empty());
+        assert_eq!(ledger.reserve("d").1, 2001);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn out_of_order_appends_reuse_no_sequence_number() {
+        let dir = temp_dir("reverse");
+        write_ledger(&dir, (1..=100).map(|s| record(s, "d")));
+        let ledger = Ledger::open(&dir).unwrap();
+        let reserved: Vec<u64> = (0..8).map(|_| ledger.reserve("d").1).collect();
+        assert_eq!(reserved, (101..=108).collect::<Vec<_>>());
+        for &seq in reserved.iter().rev() {
+            ledger.append(&record(seq, "d")).unwrap();
+        }
+        let reopened = Ledger::open(&dir).unwrap();
+        let next = reopened.reserve("d").1;
+        assert!(reserved.iter().all(|&s| s < next), "{next} reuses one of {reserved:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn garbage_before_the_window_is_left_to_read_all() {
+        let dir = temp_dir("garbage");
+        let file = write_ledger(&dir, (1..=1000).map(|s| record(s, "d")));
+        assert!(fs::metadata(&file).unwrap().len() > TAIL_BYTES, "longer than the window");
+        let mut text = fs::read_to_string(&file).unwrap();
+        text.insert_str(0, "not json\n{\"schema\":\"adsafe-ledger/1\",\"run\":\"r0\n");
+        fs::write(&file, text).unwrap();
+        let ledger = Ledger::open(&dir).unwrap();
+        assert!(ledger.torn_lines().is_empty(), "{:?}", ledger.torn_lines());
+        assert_eq!(ledger.reserve("d").1, 1001);
+        let (records, torn) = ledger.read_all();
+        assert_eq!(records.len(), 1000);
+        assert_eq!(torn.iter().map(|t| t.line).collect::<Vec<_>>(), [1, 2]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_final_line_keeps_its_line_number_past_the_window() {
+        let dir = temp_dir("torn-long");
+        let file = write_ledger(&dir, (1..=2000).map(|s| record(s, "d")));
+        let half = record(2001, "d").to_json_line();
+        let mut f = fs::OpenOptions::new().append(true).open(&file).unwrap();
+        f.write_all(&half.as_bytes()[..half.len() / 2]).unwrap();
+        drop(f);
+        let ledger = Ledger::open(&dir).unwrap();
+        assert_eq!(ledger.torn_lines().len(), 1);
+        assert_eq!(ledger.torn_lines()[0].line, 2001);
+        assert_eq!(ledger.report_torn_lines(), ledger.torn_lines());
+        assert!(ledger.report_torn_lines().is_empty(), "reported once");
+        assert_eq!(ledger.reserve("d").1, 2001, "the torn line lends no seq");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn seq_is_read_from_the_prefix_or_a_full_parse() {
+        let line = record(42, "d").to_json_line();
+        assert_eq!(seq_of(line.as_bytes()), Some(42));
+        // Another layout of the same record falls back to a full parse.
+        let spaced = line.replacen("\"seq\":42", "\"seq\": 42", 1);
+        assert_eq!(seq_of(spaced.as_bytes()), Some(42));
+        assert_eq!(seq_of(&line.as_bytes()[..30]), None);
+        assert_eq!(seq_of(b"garbage"), None);
+    }
+
+    #[test]
+    fn final_line_longer_than_the_window_is_still_checked() {
+        let dir = temp_dir("huge-line");
+        let file = write_ledger(&dir, (1..=3).map(|s| record(s, "d")));
+        let mut f = fs::OpenOptions::new().append(true).open(&file).unwrap();
+        f.write_all(&vec![b'x'; TAIL_BYTES as usize + 10]).unwrap();
+        drop(f);
+        let ledger = Ledger::open(&dir).unwrap();
+        assert_eq!(ledger.torn_lines().len(), 1);
+        assert_eq!(ledger.torn_lines()[0].line, 4);
+        assert_eq!(ledger.reserve("d").1, 4);
         let _ = fs::remove_dir_all(&dir);
     }
 

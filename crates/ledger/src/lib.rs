@@ -26,5 +26,7 @@ pub mod ledger;
 pub mod record;
 
 pub use diff::{history_table, MetricChange, ObservationFlip, RunDiff, VerdictFlip};
-pub use ledger::{corpus_digest, run_id, Ledger, TornLine, LEDGER_FILE, LEDGER_SUBDIR};
+pub use ledger::{
+    corpus_digest, run_id, Ledger, TornLine, LEDGER_FILE, LEDGER_SUBDIR, TAIL_BYTES,
+};
 pub use record::{degradation_tier, RunRecord, VerdictRow, LEDGER_SCHEMA};

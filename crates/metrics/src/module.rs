@@ -136,58 +136,113 @@ pub fn module_metrics(name: &str, files: &[(&SourceFile, &TranslationUnit)]) -> 
     tally.finish(name)
 }
 
-/// Which module globals each function touches, one bitset row per
+/// Which module globals each function touches, one sparse row per
 /// function over the module's indexed global names — the input of
 /// LCOM-style pairwise cohesion. Functions that touch no global share
-/// nothing with any other, so they are counted but get no row.
+/// nothing with any other, so they are counted but get no row. Memory
+/// is linear in the (function, global) incidences, here and in
+/// [`cohesion`](Self::cohesion).
 #[derive(Debug, Clone)]
 pub struct TouchedGlobals {
-    words: usize,
+    globals: usize,
     functions: usize,
-    rows: Vec<u64>,
+    /// Each row's global indices, row after row.
+    incidences: Vec<usize>,
+    /// Row `r` is `incidences[row_offsets[r]..row_offsets[r + 1]]`.
+    row_offsets: Vec<usize>,
 }
 
 impl TouchedGlobals {
     /// An empty set of rows over a module with `globals` distinct
     /// global names, indexed `0..globals`.
     pub fn new(globals: usize) -> Self {
-        TouchedGlobals { words: globals.div_ceil(64), functions: 0, rows: Vec::new() }
+        TouchedGlobals { globals, functions: 0, incidences: Vec::new(), row_offsets: vec![0] }
     }
 
     /// Adds one function touching the globals at `indices` (each below
     /// the `globals` given to [`new`](Self::new); repeats are fine).
     pub fn push(&mut self, indices: impl IntoIterator<Item = usize>) {
         self.functions += 1;
-        let mut indices = indices.into_iter().peekable();
-        if indices.peek().is_none() {
-            return;
-        }
-        let start = self.rows.len();
-        self.rows.resize(start + self.words, 0);
-        for i in indices {
-            self.rows[start + i / 64] |= 1 << (i % 64);
+        let start = self.incidences.len();
+        self.incidences.extend(indices);
+        if self.incidences.len() > start {
+            self.row_offsets.push(self.incidences.len());
         }
     }
 
     /// The fraction of function pairs sharing at least one accessed
     /// global (1.0 when there are fewer than two functions). Pairs are
     /// counted over every function, empty rows included.
+    ///
+    /// No pair is tested: each row's partners are the union of the
+    /// posting sets (the rows touching each global) of its globals, so
+    /// summing every union's size less the row itself counts each
+    /// sharing pair twice. A global touched by more than 1/64 of the
+    /// rows keeps its postings as a bitset over rows, the rest as index
+    /// lists, so postings stay linear in the incidences: at most
+    /// `64 * incidences / rows` globals are dense, with `rows / 64`
+    /// words each.
     pub fn cohesion(&self) -> f64 {
         let n = self.functions;
         if n < 2 {
             return 1.0;
         }
-        let mut share = 0usize;
-        if self.words > 0 {
-            let rows: Vec<&[u64]> = self.rows.chunks_exact(self.words).collect();
-            for (i, a) in rows.iter().enumerate() {
-                share += rows[i + 1..]
-                    .iter()
-                    .filter(|b| a.iter().zip(b.iter()).any(|(x, y)| x & y != 0))
-                    .count();
+        let rows = self.row_offsets.len() - 1;
+        let row = |r: usize| &self.incidences[self.row_offsets[r]..self.row_offsets[r + 1]];
+        // Posting lists by global, rows in ascending order.
+        let mut posting_offsets = vec![0usize; self.globals + 1];
+        for &g in &self.incidences {
+            posting_offsets[g + 1] += 1;
+        }
+        for g in 0..self.globals {
+            posting_offsets[g + 1] += posting_offsets[g];
+        }
+        let mut fill = posting_offsets.clone();
+        let mut postings = vec![0usize; self.incidences.len()];
+        for r in 0..rows {
+            for &g in row(r) {
+                postings[fill[g]] = r;
+                fill[g] += 1;
             }
         }
-        share as f64 / (n * (n - 1) / 2) as f64
+        let posting = |g: usize| &postings[posting_offsets[g]..posting_offsets[g + 1]];
+        // Bitsets for the dense globals only.
+        let words = rows.div_ceil(64);
+        let mut dense_bits = Vec::new();
+        let dense_slot: Vec<Option<usize>> = (0..self.globals)
+            .map(|g| {
+                (posting(g).len() * 64 > rows).then(|| {
+                    let start = dense_bits.len();
+                    dense_bits.resize(start + words, 0u64);
+                    for &r in posting(g) {
+                        dense_bits[start + r / 64] |= 1 << (r % 64);
+                    }
+                    start
+                })
+            })
+            .collect();
+        let mut union = vec![0u64; words];
+        let mut twice_shared = 0usize;
+        for r in 0..rows {
+            for &g in row(r) {
+                match dense_slot[g] {
+                    Some(start) => {
+                        for (u, b) in union.iter_mut().zip(&dense_bits[start..]) {
+                            *u |= b;
+                        }
+                    }
+                    None => {
+                        for &other in posting(g) {
+                            union[other / 64] |= 1 << (other % 64);
+                        }
+                    }
+                }
+            }
+            let size: usize = union.iter().map(|w| w.count_ones() as usize).sum();
+            twice_shared += size - 1;
+            union.fill(0);
+        }
+        (twice_shared / 2) as f64 / (n * (n - 1) / 2) as f64
     }
 }
 
@@ -262,25 +317,33 @@ mod tests {
         assert_eq!(m2.cohesion, 0.0);
     }
 
-    /// The definition, pair by pair: the reference the bitset kernel
-    /// must reproduce bit for bit.
-    fn naive_cohesion(sets: &[Vec<usize>]) -> f64 {
-        let sets: Vec<std::collections::HashSet<usize>> =
-            sets.iter().map(|s| s.iter().copied().collect()).collect();
+    /// The definition, pair by pair over dense bitset rows: the loop
+    /// the posting-set kernel replaced, kept as its reference.
+    fn pair_loop_cohesion(globals: usize, sets: &[Vec<usize>]) -> f64 {
         let n = sets.len();
         if n < 2 {
             return 1.0;
         }
-        let (mut share, mut pairs) = (0usize, 0usize);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                pairs += 1;
-                if !sets[i].is_disjoint(&sets[j]) {
-                    share += 1;
+        let words = globals.div_ceil(64);
+        let rows: Vec<Vec<u64>> = sets
+            .iter()
+            .filter(|s| !s.is_empty())
+            .map(|s| {
+                let mut row = vec![0u64; words];
+                for &i in s {
+                    row[i / 64] |= 1 << (i % 64);
                 }
-            }
+                row
+            })
+            .collect();
+        let mut share = 0usize;
+        for (i, a) in rows.iter().enumerate() {
+            share += rows[i + 1..]
+                .iter()
+                .filter(|b| a.iter().zip(b.iter()).any(|(x, y)| x & y != 0))
+                .count();
         }
-        share as f64 / pairs as f64
+        share as f64 / (n * (n - 1) / 2) as f64
     }
 
     fn kernel_cohesion(globals: usize, sets: &[Vec<usize>]) -> f64 {
@@ -299,8 +362,40 @@ mod tests {
         assert_eq!(kernel_cohesion(2, &[vec![], vec![0], vec![0, 0]]), 1.0 / 3.0);
         // Globals past the first word share only within their word.
         let wide = [vec![130], vec![2, 130], vec![66], vec![]];
-        assert_eq!(kernel_cohesion(131, &wide), naive_cohesion(&wide));
+        assert_eq!(kernel_cohesion(131, &wide), pair_loop_cohesion(131, &wide));
         assert_eq!(kernel_cohesion(131, &wide), 1.0 / 6.0);
+        // One global every row touches: every pair shares, across words.
+        let everyone: Vec<Vec<usize>> = (0..130).map(|i| vec![0, 1 + i % 70]).collect();
+        assert_eq!(kernel_cohesion(71, &everyone), 1.0);
+        // Many identical rows beside rows with no global.
+        let mut twins = vec![vec![5, 9]; 100];
+        twins.extend(vec![vec![]; 30]);
+        assert_eq!(kernel_cohesion(10, &twins).to_bits(), pair_loop_cohesion(10, &twins).to_bits());
+    }
+
+    /// Rows with a dense global (touched by every row at `dense == 3`,
+    /// every other row at 2, every fourth at 1), `copies` repeats of
+    /// one row, and empty rows, over enough rows and globals to cross
+    /// word boundaries both ways.
+    fn structured_rows(
+        globals: usize,
+        raw: &[Vec<usize>],
+        dense: (u8, usize),
+        copies: (usize, usize),
+    ) -> Vec<Vec<usize>> {
+        let mut sets: Vec<Vec<usize>> =
+            raw.iter().map(|s| s.iter().map(|i| i % globals).collect()).collect();
+        if let Some(row) = sets.get(copies.0 % sets.len().max(1)).cloned() {
+            sets.extend(std::iter::repeat_n(row, copies.1));
+        }
+        let (share, pick) = dense;
+        if share > 0 {
+            let every = 1 << (3 - share);
+            for s in sets.iter_mut().step_by(every) {
+                s.push(pick % globals);
+            }
+        }
+        sets
     }
 
     proptest! {
@@ -308,14 +403,15 @@ mod tests {
 
         #[test]
         fn cohesion_kernel_matches_the_pairwise_definition(
-            globals in 1usize..200,
-            raw in vec(vec(0usize..1000, 0..4), 0..30),
+            globals in 1usize..300,
+            raw in vec(vec(0usize..1000, 0..5), 0..150),
+            dense in (0u8..4, 0usize..1000),
+            copies in (0usize..1000, 0usize..100),
         ) {
-            let sets: Vec<Vec<usize>> =
-                raw.iter().map(|s| s.iter().map(|i| i % globals).collect()).collect();
+            let sets = structured_rows(globals, &raw, dense, copies);
             prop_assert_eq!(
                 kernel_cohesion(globals, &sets).to_bits(),
-                naive_cohesion(&sets).to_bits()
+                pair_loop_cohesion(globals, &sets).to_bits()
             );
         }
     }

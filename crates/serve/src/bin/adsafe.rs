@@ -60,9 +60,11 @@
 //! Observability flags (see DESIGN.md §7): `--trace-out` writes the
 //! run's spans as Chrome trace-event JSON (loadable in
 //! `chrome://tracing` / Perfetto), `--profile` prints per-phase wall
-//! times, the top-10 slowest files and rules, and an in-terminal flame
-//! summary, `-v` additionally dumps the run's counters, and `-q`
-//! suppresses everything except the verdict line and fault summary.
+//! times, the top-10 slowest files and rules, an in-terminal flame
+//! summary and, last, the share of the process's wall time from `main`
+//! entry to exit that no phase claims, `-v` additionally dumps the
+//! run's counters, and `-q` suppresses everything except the verdict
+//! line and fault summary.
 //! `--mem-profile` (see DESIGN.md §14) turns on the instrumented
 //! allocator and prints a per-phase allocation table — allocation
 //! count, bytes allocated, peak live bytes during the phase, and bytes
@@ -105,6 +107,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 #[global_allocator]
 static ALLOC: adsafe::trace::alloc::CountingAlloc = adsafe::trace::alloc::CountingAlloc;
 
+/// When `main` was entered, µs since the trace epoch: the start of the
+/// wall time `--profile` splits into phases and the unclaimed rest.
+static MAIN_ENTRY_US: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+
 const EXIT_OK: i32 = adsafe_serve::exit::OK;
 const EXIT_BLOCKING: i32 = adsafe_serve::exit::BLOCKING;
 const EXIT_USAGE: i32 = adsafe_serve::exit::USAGE;
@@ -113,6 +119,7 @@ const EXIT_DEGRADED: i32 = adsafe_serve::exit::DEGRADED;
 const EXIT_DEGRADED_BLOCKING: i32 = adsafe_serve::exit::DEGRADED_BLOCKING;
 
 fn main() {
+    MAIN_ENTRY_US.get_or_init(adsafe::trace::now_us);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
         Some("assess") => cmd_assess(&args[1..]),
@@ -288,6 +295,8 @@ fn cmd_assess(args: &[String]) -> i32 {
         return EXIT_USAGE;
     }
 
+    // The CLI's own phases (ingest, ledger), outside the run's scope.
+    let cli_scope = adsafe::trace::mark();
     let mut assessment = Assessment::new();
     let ingested = {
         let _ingest = adsafe::trace::span("phase.ingest", "phase");
@@ -433,7 +442,42 @@ fn cmd_assess(args: &[String]) -> i32 {
             }
         }
     }
+    if profile {
+        let cli_phases = adsafe::trace::drain_from(&cli_scope);
+        let claimed = claimed_us(report.trace.events.iter().chain(&cli_phases));
+        // Freeing the run is part of the wall time, claimed by no phase.
+        drop((report, assessment, ledger));
+        print_unclaimed(claimed);
+    }
     exit_code
+}
+
+/// Wall time covered by at least one `phase` span, nested or
+/// overlapping phases counted once.
+fn claimed_us<'a>(events: impl Iterator<Item = &'a adsafe::trace::SpanEvent>) -> u64 {
+    let mut spans: Vec<(u64, u64)> =
+        events.filter(|e| e.cat == "phase").map(|e| (e.start_us, e.end_us())).collect();
+    spans.sort_unstable();
+    let (mut claimed, mut reach) = (0, 0);
+    for (start, end) in spans {
+        claimed += end.saturating_sub(start.max(reach));
+        reach = reach.max(end);
+    }
+    claimed
+}
+
+/// The last `--profile` line: the share of the wall time from `main`
+/// entry until now that no phase claims.
+fn print_unclaimed(claimed_us: u64) {
+    let entry = MAIN_ENTRY_US.get().copied().unwrap_or(0);
+    let wall = adsafe::trace::now_us().saturating_sub(entry).max(1);
+    let unclaimed = wall.saturating_sub(claimed_us);
+    println!(
+        "unclaimed share {:.3} ({:.1} ms of {:.1} ms from main entry to exit in no phase)",
+        unclaimed as f64 / wall as f64,
+        unclaimed as f64 / 1000.0,
+        wall as f64 / 1000.0
+    );
 }
 
 /// Opens the ledger for `history`/`diff` without writing to it:

@@ -54,7 +54,8 @@ pub use server::{Server, ServeConfig, ServeStats};
 
 /// The step `adsafe assess` and `POST /assess` share between ingest and
 /// run: records the pack's load faults, then one Info (non-degrading)
-/// fault per torn ledger line, on `assessment`, and reserves the run ID
+/// fault per torn ledger line not yet reported through this `ledger`,
+/// on `assessment`, and reserves the run ID
 /// from the corpus digest of its content hashes. Returns `(run_id, seq,
 /// digest)`; `("", 0, "")` without a ledger.
 pub fn reserve_run(
@@ -66,7 +67,7 @@ pub fn reserve_run(
         assessment.add_fault(adsafe::query::pack_fault(pf));
     }
     let Some(ledger) = ledger else { return (String::new(), 0, String::new()) };
-    for torn in ledger.torn_lines() {
+    for torn in ledger.report_torn_lines() {
         assessment.add_fault(adsafe::Fault {
             phase: adsafe::FaultPhase::Ingest,
             path: ledger.file().display().to_string(),

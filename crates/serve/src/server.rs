@@ -420,13 +420,14 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, queue_wait_us: u64
         // is installed).
         let scope = adsafe_trace::mark();
         let mut panicked = false;
+        let mut spent: Spent = None;
         let resp = {
             let _span = adsafe_trace::span_with(
                 "serve.request",
                 "serve",
                 vec![("method", req.method.clone()), ("path", req.path.clone())],
             );
-            match catch_unwind(AssertUnwindSafe(|| route(&req, shared))) {
+            match catch_unwind(AssertUnwindSafe(|| route(&req, shared, &mut spent))) {
                 Ok(resp) => resp,
                 Err(payload) => {
                     // The serving layer broke — not the pipeline, which
@@ -509,6 +510,9 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, queue_wait_us: u64
             alloc_bytes,
             phases,
         });
+        // The handler's leftovers die after the row is recorded: the
+        // client already has its response, and no phase waits on them.
+        drop(spent);
         if wrote.is_err() {
             adsafe_trace::counter("serve.write_errors").incr();
             return;
@@ -519,10 +523,16 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, queue_wait_us: u64
     }
 }
 
-fn route(req: &Request, shared: &Arc<Shared>) -> Response {
+/// What a handler hands back beside its response for the connection
+/// loop to drop once the response is written and the request recorded:
+/// freeing a finished run's report and sources takes milliseconds that
+/// belong to no phase of the request.
+type Spent = Option<Box<dyn std::any::Any>>;
+
+fn route(req: &Request, shared: &Arc<Shared>, spent: &mut Spent) -> Response {
     let path = req.path.split('?').next().unwrap_or("");
     match (req.method.as_str(), path) {
-        ("POST", "/assess") => assess(req, shared),
+        ("POST", "/assess") => assess(req, shared, spent),
         ("POST", "/invalidate") => invalidate(req, shared),
         ("GET", "/metrics") => metrics(req),
         ("GET", "/healthz") => healthz(shared),
@@ -637,7 +647,9 @@ fn query_param<'a>(path: &'a str, name: &str) -> Option<&'a str> {
 /// "failpoints": [{"site": "...", "action": "panic"|"delay", "ms": 50}]}`.
 /// Only `dir` is required. The response body is the deterministic
 /// report markdown; outcome metadata rides in `X-Adsafe-*` headers.
-fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
+/// The run's report and assessment go to `spent`, dropped after the
+/// write.
+fn assess(req: &Request, shared: &Arc<Shared>, spent: &mut Spent) -> Response {
     let Ok(body) = std::str::from_utf8(&req.body) else {
         return Response::text(400, "body is not UTF-8\n");
     };
@@ -786,6 +798,7 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
     if !run_id.is_empty() {
         resp = resp.with_header("X-Adsafe-Run-Id", run_id);
     }
+    *spent = Some(Box::new((report, assessment)));
     resp
 }
 

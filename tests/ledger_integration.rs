@@ -214,6 +214,44 @@ fn torn_final_line_is_skipped_and_reported_as_info_fault() {
     assert_eq!(torn_after.len(), 1, "the torn line stays skipped, nothing else is lost");
 }
 
+/// A long history costs `open` only its tail: a 2,000-run ledger of
+/// real records reopens one past its highest sequence number, and a
+/// torn final line keeps its absolute line number; `read_all` still
+/// sees every line.
+#[test]
+fn long_ledger_reopens_from_its_tail() {
+    use adsafe_ledger::{run_id, TAIL_BYTES};
+    use std::io::Write as _;
+    let dir = temp_dir("long");
+    let first = record_run(&Ledger::open(&dir).unwrap(), &BASE_CORPUS);
+    let mut text = String::new();
+    for seq in 1..=2000 {
+        let copy = RunRecord { run: run_id(seq, &first.corpus_digest), seq, ..first.clone() };
+        text.push_str(&copy.to_json_line());
+        text.push('\n');
+    }
+    assert!(text.len() as u64 > 4 * TAIL_BYTES, "history outgrows the window");
+    std::fs::write(dir.join(LEDGER_FILE), &text).unwrap();
+
+    let reopened = Ledger::open(&dir).unwrap();
+    assert!(reopened.torn_lines().is_empty());
+    assert_eq!(reopened.reserve(&first.corpus_digest).1, 2001);
+
+    let mut f =
+        std::fs::OpenOptions::new().append(true).open(dir.join(LEDGER_FILE)).unwrap();
+    f.write_all(b"{\"schema\":\"adsafe-ledger/1\",\"run\":\"r002001-").unwrap();
+    drop(f);
+    let torn_open = Ledger::open(&dir).unwrap();
+    assert_eq!(torn_open.torn_lines().len(), 1);
+    assert_eq!(torn_open.torn_lines()[0].line, 2001, "the tear keeps its line number");
+    let next = record_run(&torn_open, &BASE_CORPUS);
+    assert_eq!(next.seq, 2001, "the torn line lends no sequence number");
+    assert_eq!(torn_open.resolve("2001").unwrap(), next);
+    let (records, torn) = torn_open.read_all();
+    assert_eq!((records.len(), torn.len(), torn[0].line), (2001, 1, 2001));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

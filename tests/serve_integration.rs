@@ -958,6 +958,120 @@ fn flight_recorder_serves_the_access_log_and_trace() {
     let _ = std::fs::remove_dir_all(&corpus);
 }
 
+/// A torn final ledger line costs one Info fault on the next run only.
+/// The daemon keeps its `Ledger` open across requests, so it must not
+/// repeat the fault once its own append has moved the tear mid-file,
+/// where a fresh open (the CLI's next run) no longer sees it.
+#[test]
+fn torn_ledger_line_is_reported_once() {
+    let corpus = corpus_dir("torn-once");
+    let dir = adsafe_ledger::Ledger::dir_for_cache(&corpus.join(".adsafe-cache"));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(adsafe_ledger::LEDGER_FILE), "{\"schema\":\"adsafe-ledger/1\",\"run")
+        .unwrap();
+    let server = start_server(ServeConfig::default());
+    let bodies: Vec<String> = (0..2)
+        .map(|_| request(server.addr(), "POST", "/assess", &assess_body(&corpus, "")).body_text())
+        .collect();
+    server.stop();
+    assert!(bodies[0].contains("torn ledger line"), "{}", bodies[0]);
+    assert!(!bodies[1].contains("torn ledger line"), "{}", bodies[1]);
+    let (rows, torn) = adsafe_ledger::Ledger::open(&dir).unwrap().read_all();
+    assert_eq!((rows.len(), torn.len()), (2, 1), "history still lists the tear");
+    let _ = std::fs::remove_dir_all(&corpus);
+}
+
+/// `assess --profile` ends with the share of the process's wall time,
+/// from `main` entry to exit, that no phase claims. Only its range is
+/// pinned: the share itself depends on how busy the machine is.
+#[test]
+fn profile_prints_the_unclaimed_share() {
+    let corpus = corpus_dir("profile-share");
+    let assess = |extra: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_adsafe"))
+            .args(["assess", &corpus.display().to_string(), "--no-cache", "--no-ledger", "-q"])
+            .args(extra)
+            .output()
+            .expect("running the adsafe CLI");
+        String::from_utf8(out.stdout).expect("UTF-8 stdout")
+    };
+    let profiled = assess(&["--profile"]);
+    let last = profiled.lines().last().unwrap_or_default();
+    let share: f64 = last
+        .strip_prefix("unclaimed share ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("last --profile line is the unclaimed share:\n{profiled}"));
+    assert!((0.0..=1.0).contains(&share), "{last}");
+    assert!(!assess(&[]).contains("unclaimed share"), "printed only under --profile");
+    let _ = std::fs::remove_dir_all(&corpus);
+}
+
+/// Share of a flight-recorder row's `total_us` that its phases claim:
+/// the union of the phase intervals (nested phases count once), within
+/// the row's own span.
+fn phase_coverage(row: &Json) -> f64 {
+    let num = |v: &Json, k: &str| v.get(k).and_then(Json::as_f64).expect(k) as u64;
+    let (start, total) = (num(row, "start_us"), num(row, "total_us"));
+    let mut spans: Vec<(u64, u64)> = row
+        .get("phases")
+        .and_then(Json::as_arr)
+        .expect("phases array")
+        .iter()
+        .map(|p| {
+            let from = num(p, "start_us").max(start);
+            (from, (from + num(p, "dur_us")).min(start + total))
+        })
+        .collect();
+    spans.sort_unstable();
+    let (mut claimed, mut reach) = (0, start);
+    for (from, to) in spans {
+        claimed += to.saturating_sub(from.max(reach));
+        reach = reach.max(to);
+    }
+    claimed as f64 / total.max(1) as f64
+}
+
+/// Every millisecond of a warm request belongs to a named phase: over
+/// five warm keep-alive requests, the median row's phases claim at
+/// least 95% of its `total_us`. Freeing the finished run happens after
+/// the row is recorded, so it is no longer an unclaimed gap between
+/// `render` and `write`.
+#[test]
+fn warm_request_rows_are_claimed_by_phases() {
+    // A fifth of paper scale: large enough that a warm request's fixed
+    // per-request steps outside any phase weigh little against it.
+    let corpus = temp_dir("coverage");
+    let full = adsafe::corpus::ApolloSpec::paper_scale();
+    let spec = adsafe::corpus::ApolloSpec {
+        modules: full.modules.iter().map(|m| m.scaled(0.2)).collect(),
+        seed: full.seed,
+    };
+    for f in adsafe::corpus::generate(&spec) {
+        let path = corpus.join(&f.path);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, &f.text).unwrap();
+    }
+    let server = start_server(ServeConfig::default());
+    let addr = server.addr();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let wire = http::encode_request("POST", "/assess", &[], assess_body(&corpus, "").as_bytes());
+    for _ in 0..6 {
+        assert_eq!(round_trip(&mut stream, &wire).status, 200);
+    }
+    drop(stream);
+    let log = request(addr, "GET", "/requests?endpoint=assess", "").body_text();
+    let rows: Vec<Json> = log.lines().map(|l| Json::parse(l).expect("row parses")).collect();
+    assert_eq!(rows.len(), 6, "{log}");
+    let mut warm: Vec<f64> = rows[1..].iter().map(phase_coverage).collect();
+    warm.sort_by(f64::total_cmp);
+    assert!(warm.iter().all(|c| (0.0..=1.0).contains(c)), "{warm:?}");
+    assert!(warm[2] >= 0.95, "median warm coverage {:.3} of {warm:?}", warm[2]);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&corpus);
+}
+
 // ---------------------------------------------------------------------
 // HTTP codec properties: the parser must accept everything the encoder
 // produces and never panic on anything else.
