@@ -1,6 +1,7 @@
 //! Diagnostics emitted by checks.
 
 use adsafe_lang::{SourceMap, Span};
+use std::collections::HashMap;
 use std::fmt;
 
 /// How serious a finding is with respect to ISO 26262 adherence.
@@ -69,6 +70,58 @@ impl Diagnostic {
     }
 }
 
+/// Sorts `diags` into the canonical report order — by rule id, then
+/// file, then start offset — stably, as
+/// `sort_by_key(|d| (d.check_id, d.span.file, d.span.start))` would. The
+/// rule ids are ranked once, so the sort compares packed integers
+/// instead of strings; the findings then move into place by swaps, so
+/// the only scratch is one 16-byte key per finding.
+pub fn sort_canonical(diags: &mut [Diagnostic]) {
+    let mut ids: Vec<&'static str> = Vec::new();
+    let mut slots: HashMap<&'static str, u64> = HashMap::new();
+    let mut last: Option<(&'static str, u64)> = None;
+    // (id slot, file) and (start, index): the index breaks ties, so the
+    // unstable sort keeps equal keys in emission order.
+    let mut keys: Vec<(u64, u64)> = Vec::with_capacity(diags.len());
+    for (i, d) in diags.iter().enumerate() {
+        // Findings of one rule arrive in runs: compare by address first.
+        let slot = match last {
+            Some((prev, slot)) if std::ptr::eq(prev, d.check_id) => slot,
+            _ => *slots.entry(d.check_id).or_insert_with(|| {
+                ids.push(d.check_id);
+                ids.len() as u64 - 1
+            }),
+        };
+        last = Some((d.check_id, slot));
+        keys.push((slot << 32 | u64::from(d.span.file.0), u64::from(d.span.start) << 32 | i as u64));
+    }
+    let mut by_id: Vec<usize> = (0..ids.len()).collect();
+    by_id.sort_unstable_by_key(|&s| ids[s]);
+    let mut rank = vec![0u64; ids.len()];
+    for (r, &s) in by_id.iter().enumerate() {
+        rank[s] = r as u64;
+    }
+    for key in &mut keys {
+        key.0 = rank[(key.0 >> 32) as usize] << 32 | (key.0 & 0xffff_ffff);
+    }
+    keys.sort_unstable();
+    // Position `k` takes the finding at `keys[k]`'s index: follow each
+    // cycle of the permutation, marking finished positions.
+    const DONE: u64 = u64::MAX;
+    for i in 0..keys.len() {
+        let mut at = i;
+        while keys[at].1 != DONE {
+            let from = (keys[at].1 & 0xffff_ffff) as usize;
+            keys[at].1 = DONE;
+            if from == i {
+                break;
+            }
+            diags.swap(at, from);
+            at = from;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,6 +149,34 @@ mod tests {
         assert!(r.contains("misra-15.1-goto"));
         assert!(r.contains("violation"));
         assert_eq!(d.function.as_deref(), Some("f"));
+    }
+
+    #[test]
+    fn canonical_sort_is_the_stable_key_sort() {
+        // Equal ids at distinct addresses, equal keys with distinct
+        // messages, and ids whose order differs from first appearance.
+        let ids: [&'static str; 4] =
+            ["b-rule", "a-rule", String::from("b-rule").leak(), "a-rule-2"];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for len in [0, 1, 2, 7, 64, 500] {
+            let mut diags: Vec<Diagnostic> = (0..len)
+                .map(|i| {
+                    let at = next(5) as u32;
+                    let span = Span::new(FileId(next(3) as u32), at, at + 1);
+                    Diagnostic::new(ids[next(4) as usize], Severity::Info, span, format!("m{i}"))
+                })
+                .collect();
+            let mut reference = diags.clone();
+            reference.sort_by_key(|d| (d.check_id, d.span.file, d.span.start));
+            sort_canonical(&mut diags);
+            assert_eq!(diags, reference, "len {len}");
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod typing;
 pub mod unit_design;
 
 pub use context::{AnalysisSet, CheckContext, FileEntry};
-pub use diag::{Diagnostic, Severity};
+pub use diag::{sort_canonical, Diagnostic, Severity};
 pub use unit_design::{unit_design_stats, UnitDesignStats};
 
 /// How much of the program a rule needs to see.
@@ -132,7 +132,7 @@ pub fn run_checks(checks: &[Box<dyn Check>], cx: &CheckContext<'_>) -> Vec<Diagn
     for c in checks.iter().filter(|c| c.scope() == CheckScope::Program) {
         out.extend(c.run(cx));
     }
-    out.sort_by_key(|d| (d.check_id, d.span.file, d.span.start));
+    sort_canonical(&mut out);
     out
 }
 

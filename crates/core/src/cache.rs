@@ -142,6 +142,11 @@ impl DecodedSource {
         DecodedSource { path: path.to_string(), text: Arc::new(text), hash, replaced }
     }
 
+    /// Length of the decoded text in bytes.
+    pub fn text_len(&self) -> usize {
+        self.text.len()
+    }
+
     /// Whether [`decode`](Self::decode) of `bytes` under this path
     /// would give this source: it decoded without replacement from
     /// exactly these bytes. A re-read that passes needs no new copy

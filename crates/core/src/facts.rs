@@ -7,11 +7,13 @@
 //! decoded record a resident store holds) and skips the parse entirely.
 //! Everything cross-file — the call graph, global-use diagnostics,
 //! query-rule rows, module metrics, the ISO 26262-6 Table 8 unit
-//! statistics, the validation ratio, GPU evidence — is *always*
-//! recomputed from facts records, for fresh and cached files alike,
-//! through the `*_from_facts` functions below. Fresh and warm runs
-//! therefore produce byte-identical reports by construction: they run
-//! the exact same assembly code over the exact same inputs.
+//! statistics, the validation ratio, GPU evidence — is derived from
+//! facts records, for fresh and cached files alike, through the
+//! `*_from_facts` functions below: by the run itself, or by an earlier
+//! run over the same files whose results a resident store memoised
+//! ([`crate::store`]). Fresh and warm runs therefore produce
+//! byte-identical reports by construction: the exact same assembly code
+//! runs over the exact same inputs.
 //!
 //! The serialised form (`adsafe-facts/5`) is hand-written JSON. It is
 //! read back in one pass straight from the bytes, with no intermediate
@@ -154,7 +156,9 @@ pub struct FileFacts {
     /// then of every file-scoped bundled query rule, in pack order,
     /// written by the file's task before the record leaves it.
     /// Cross-file rule diagnostics and user-pack findings are *not*
-    /// stored — they are recomputed from facts.
+    /// part of the record (nor of its cache entry): a run derives them
+    /// from facts, or replays what a resident store memoised beside the
+    /// record.
     pub diags: Vec<Diagnostic>,
 }
 

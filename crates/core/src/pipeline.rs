@@ -38,31 +38,49 @@
 //! extracts its facts, runs every non-gated file-local native rule over
 //! the tree, and drops the tree, so it returns one complete
 //! [`FileFacts`](crate::facts::FileFacts) record and no AST leaves it.
-//! After the natives, the task runs every non-gated file-scoped rule of
-//! the bundled `.aq` pack over the fresh facts record, so the record
-//! carries every built-in file-scope finding. Rule gates (failpoints,
-//! the checks deadline) are decided once, before the file round.
-//! Program-scoped natives, the bundled program-scoped rule
-//! (`misra-17.2-recursion`) and user-pack rules then run from facts on
+//! After the natives, the task runs every non-gated file-scoped query
+//! rule over the fresh facts record: the bundled `.aq` pack's, whose
+//! findings the record carries with every other built-in file-scope
+//! finding, then the user pack's, whose findings travel beside it. A
+//! record served from cache gets only the user pack's file-scoped
+//! rules. Rule gates (failpoints, the checks deadline) are decided
+//! once, before the file round. Program-scoped natives
+//! (`design-global-use`) and program-scoped query rules (the bundled
+//! `misra-17.2-recursion`, any the user pack has) then run from facts on
 //! the caller thread. With [`AssessmentOptions::cache_dir`] set, records
 //! are reused across runs keyed by content hash, skipping parse,
 //! file-local checks (native and bundled), and metrics extraction for
 //! unchanged files.
-//! Reports are byte-identical across worker counts and cache states by
-//! construction: results merge in stable file order before the
-//! canonical diagnostic sort, and every cross-file quantity is
-//! recomputed from facts on every run (see [`crate::facts`]).
+//!
+//! A resident [`MemoryFactsStore`] ([`AssessmentOptions::store`]) also
+//! memoises what is derived from the records, so a warm run re-derives
+//! only what changed: a record's user-pack findings (keyed by pack
+//! fingerprint and module), and the whole-program results — the
+//! cross-file findings, module metrics, unit statistics and the other
+//! cross-file evidence inputs — in one slot per file set, reused when
+//! every file's content hash and the pack match. Memos serve only runs
+//! that gate no rule, arm no failpoint and set no deadline, and the
+//! program slot only clean input (no tier-2/3 file, no ingest fault).
+//! Every `phase.*` span opens either way.
+//!
+//! Reports are byte-identical across worker counts, cache and memo
+//! states by construction: results merge in stable file order before
+//! the canonical diagnostic sort, and every cross-file quantity is
+//! derived from facts by the same code, in this run or in the run that
+//! memoised it over the same files (see [`crate::facts`]).
 
 use crate::cache::{
     content_hash, decode_lossy, CacheLookup, DecodedSource, FactsCache, FactsStore,
 };
 use crate::facts::{self, FactsRecord, FileFacts};
-use crate::store::MemoryFactsStore;
 use crate::fault::{
     failpoints, panic_message, Fault, FaultCause, FaultLog, FaultPhase, FaultSeverity, Recovery,
 };
+use crate::query::QueryPass;
+use crate::store::{CrossFile, MemoryFactsStore, ProgramMemo};
 use adsafe_checkers::{
     default_checks, run_one_check, Check, CheckContext, CheckScope, Diagnostic, FileEntry,
+    UnitDesignStats,
 };
 use adsafe_iso26262::{
     assess, observations, Asil, ComplianceReport, Evidence, GpuEvidence, Observation,
@@ -167,8 +185,10 @@ pub struct AssessmentOptions {
     /// cannot take a native or bundled id (see
     /// [`crate::query::load_rule_pack`]), so its findings join the
     /// report without moving a verdict. A user pack's findings never
-    /// enter the facts cache: they are evaluated from facts on every
-    /// run, as is the bundled program-scoped recursion rule.
+    /// enter the facts cache: a run with a cache directory evaluates
+    /// them from facts every time, as it does the program-scoped rules;
+    /// a resident [`store`](Self::store) memoises them beside its
+    /// records and in its program slot.
     pub rules: Option<std::sync::Arc<adsafe_query::RulePack>>,
 }
 
@@ -242,6 +262,51 @@ struct FileOutcome {
     check_faults: Vec<Fault>,
     /// A fresh tier-1 record, fit for write-back if no rule failed.
     cache_ok: bool,
+    /// The user pack's file-scoped findings on the record (`None` when
+    /// the pack has no file-scoped rule or the record has none).
+    user: Option<Arc<Vec<Diagnostic>>>,
+    /// Whether `user` was evaluated here (not replayed from a memo).
+    user_fresh: bool,
+    /// Faults of the user pack's file-scoped rules.
+    user_faults: Vec<Fault>,
+}
+
+/// The rules a file task runs, decided once per run.
+struct FileRules<'a> {
+    /// The non-gated file-local natives, in registry order.
+    natives: Vec<&'a dyn Check>,
+    /// The non-gated file-scoped query rules: the bundled pack's, then
+    /// the user pack's.
+    queries: QueryPass<'a>,
+    /// How many of `queries` are bundled: their findings go in the
+    /// record.
+    bundled: usize,
+    /// The user pack's part of `queries`, for a record served from
+    /// cache.
+    user: QueryPass<'a>,
+    /// The resident store and the user pack's fingerprint, when the run
+    /// may use the store's memos.
+    memo: Option<(&'a MemoryFactsStore, u64)>,
+}
+
+/// A run's whole-program results: replayed from the resident store's
+/// program slot, or derived from the run's facts records.
+enum Program<'a> {
+    Memo(Arc<ProgramMemo>),
+    Fresh(Box<FreshProgram<'a>>),
+}
+
+/// The inputs and findings of a whole-program pass over facts.
+struct FreshProgram<'a> {
+    /// Facts records in stable file order — the single source for every
+    /// cross-file assembly, fresh and cached alike.
+    records: Vec<FactsRecord<'a>>,
+    graph: CallGraph<'a>,
+    /// The sorted recursive-function set, from the graph's one Tarjan
+    /// pass.
+    recursive: Vec<String>,
+    /// Program-scoped findings, in emission order.
+    diags: Vec<Diagnostic>,
 }
 
 /// A file that survived parsing (fresh or cached) in pipeline position,
@@ -446,40 +511,53 @@ impl Assessment {
                 skipped.insert(id);
             }
         }
-        let file_rules: Vec<&dyn Check> = checks
+        let natives: Vec<&dyn Check> = checks
             .iter()
             .map(|c| c.as_ref())
             .filter(|c| c.scope() == CheckScope::File && !skipped.contains(c.id()))
             .collect();
-        // The bundled pack's file-scoped rules run in the file task too,
-        // so their findings are cached with the record like a native's;
-        // the rest of the query rules run after the round (phase 2).
-        let bundled = &crate::query::bundled_rules().rules;
-        let live = |r: &&adsafe_query::CompiledRule| !skipped.contains(r.id);
-        let file_queries = crate::query::QueryPass::new(
-            bundled.iter().filter(|r| r.scope == CheckScope::File).filter(live).collect(),
-        );
-        let user_rules = self.options.rules.iter().flat_map(|p| &p.rules);
-        let run_queries: Vec<_> = bundled
-            .iter()
-            .filter(|r| r.scope == CheckScope::Program)
-            .chain(user_rules)
-            .filter(live)
-            .collect();
+        // The file-scoped query rules run in the file task too: the
+        // bundled pack's findings are cached with the record like a
+        // native's, the user pack's are memoised beside it by a resident
+        // store. The program-scoped rules run after the round (phase 2).
+        let user = self.options.rules.as_deref();
+        let (file_queries, run_queries): (Vec<_>, Vec<_>) = crate::query::query_rules(user)
+            .filter(|r| !skipped.contains(r.id))
+            .partition(|r| r.scope == CheckScope::File);
+        let bundled = crate::query::query_rules(None)
+            .filter(|r| r.scope == CheckScope::File && !skipped.contains(r.id))
+            .count();
+        // The store's memos serve only runs that gate no rule, arm no
+        // failpoint and set no deadline: their results are then a
+        // function of the files and the pack alone.
+        let memo = self.options.store.as_deref().filter(|_| {
+            skipped.is_empty() && failpoints::armed() == 0 && budgets.phase_deadline.is_none()
+        });
+        let pack = memo.map_or(0, |_| crate::query::pack_fingerprint(user));
+        let queries = QueryPass::new(file_queries);
+        let rules = FileRules {
+            natives,
+            user: queries.tail(bundled),
+            queries,
+            bundled,
+            memo: memo.map(|s| (s, pack)),
+        };
 
         let sm = &self.sources;
         let deadline = PhaseDeadline::new(&budgets);
         let outcomes = pool.map((0..self.files.len()).collect(), |_, i| {
-            self.analyse_file(i, &deadline, &budgets, cache, &file_rules, &file_queries)
+            self.analyse_file(i, &deadline, &budgets, cache, &rules)
         });
 
         // Every file-local diagnostic enters the run here, from its
-        // record: filtered by `skipped`, so a gated rule stays silent in
-        // every cache state, and bound to this run's `FileId` (a resident
-        // record keeps the ids of the run that built it). Write-back
-        // stores only fully-clean fresh records (tier-1 parse, no rule
-        // fault) from runs that gated no rule: an entry must replay the
-        // complete rule set, and recoverable faults must recur.
+        // record and its user-pack findings: filtered by `skipped`, so a
+        // gated rule stays silent in every cache state, and bound to this
+        // run's `FileId` (a resident record or memo keeps the ids of the
+        // run that built it). Write-back stores only fully-clean fresh
+        // records (tier-1 parse, no rule fault) from runs that gated no
+        // rule: an entry must replay the complete rule set, and
+        // recoverable faults must recur. A memo is kept on the same
+        // terms.
         let write_back = if skipped.is_empty() { cache } else { None };
         let mut loaded: Vec<LoadedFile> = Vec::new();
         let mut estimates: Vec<(String, TokenEstimate)> = Vec::new();
@@ -514,15 +592,23 @@ impl Assessment {
             if let Some(c) = write_back.filter(|_| o.cache_ok && o.check_faults.is_empty()) {
                 c.store_shared(self.file_hash(i), path, Arc::clone(&facts));
             }
-            check_faults.extend(o.check_faults);
+            if let (Some((store, pack)), Some(user)) = (rules.memo, &o.user) {
+                if o.user_fresh && o.user_faults.is_empty() {
+                    store.store_file_memo(self.file_hash(i), pack, &self.files[i].module, user.clone());
+                }
+            }
+            check_faults.extend(o.check_faults.into_iter().chain(o.user_faults));
             let id = sm.files()[i].id();
-            diagnostics.extend(facts.diags.iter().filter(|d| !skipped.contains(d.check_id)).map(
-                |d| {
-                    let mut d = d.clone();
-                    d.span.file = id;
-                    d
-                },
-            ));
+            let user = o.user.as_deref().map_or(&[][..], Vec::as_slice);
+            diagnostics.extend(
+                facts.diags.iter().chain(user).filter(|d| !skipped.contains(d.check_id)).map(
+                    |d| {
+                        let mut d = d.clone();
+                        d.span.file = id;
+                        d
+                    },
+                ),
+            );
             loaded.push(LoadedFile { file_idx: i, id, facts });
         }
         note_phase_overrun(&mut log, FaultPhase::Parse, deadline.start, &budgets);
@@ -531,84 +617,60 @@ impl Assessment {
             log.push(f);
         }
 
+        // The program slot serves clean input only: every file parsed at
+        // tier 1 or served from cache, and no ingest fault. A run that
+        // derives its results keeps them there if no fault joins the log
+        // from here to the end of the program pass.
+        let clean = self.ingest_faults.is_empty()
+            && loaded.len() == self.files.len()
+            && loaded.iter().all(|l| l.facts.recovery_count == 0);
+        let slot = memo.filter(|_| clean).map(|s| {
+            let (set, digest) = self.program_keys();
+            (s, set, digest)
+        });
+        let faults_before = log.len();
+
         // Phase 2: the whole-program checks. Native/query sub-phases
-        // are *always* emitted, pack or no pack: the report's phase set
-        // must not depend on options, or `adsafe trace-compare` would
-        // flag a missing phase instead of a regression.
+        // are *always* emitted, pack or no pack, memo or none: the
+        // report's phase set must not depend on options or store state,
+        // or `adsafe trace-compare` would flag a missing phase instead of
+        // a regression.
         let phase_span = adsafe_trace::span("phase.checks", "phase");
         let checks_start = Instant::now();
         let native_span = adsafe_trace::span("phase.checks.native", "phase");
-
-        // Facts records in stable file order — the single source for
-        // every cross-file assembly below, fresh and cached alike.
-        let records: Vec<FactsRecord<'_>> = loaded
-            .iter()
-            .map(|l| (l.id, self.files[l.file_idx].module.as_str(), &*l.facts))
-            .collect();
-        let graph = facts::call_graph(&records);
-        let globals = facts::global_names(&records);
-
-        // Program-scoped native rules run once, from facts, on the
-        // caller thread — they need the whole program, not one file.
-        // The set is pinned by a test in adsafe-checkers; a future
-        // program-scoped rule must be given a facts replay here.
-        for c in &checks {
-            if c.scope() != CheckScope::Program || skipped.contains(c.id()) {
-                continue;
+        let memo_hit = slot.and_then(|(s, set, digest)| s.program_memo(set, digest, pack));
+        let mut program = match memo_hit {
+            Some(m) => {
+                diagnostics.extend(m.diags.iter().cloned());
+                Program::Memo(m)
             }
-            let id = c.id();
-            let _sp = adsafe_trace::span(format!("check.{id}"), "checks");
-            let result = catch_unwind(AssertUnwindSafe(|| match id {
-                "design-global-use" => facts::global_use_diags(&records, &globals),
-                _ => Vec::new(),
-            }));
-            match result {
-                Ok(diags) => {
-                    adsafe_trace::counter(&format!("checks.rule.{id}.diags"))
-                        .add(diags.len() as u64);
-                    diagnostics.extend(diags);
-                }
-                Err(payload) => log.push(check_fault(id.to_string(), &panic_message(&*payload))),
+            None => {
+                let records: Vec<FactsRecord<'_>> = loaded
+                    .iter()
+                    .map(|l| (l.id, self.files[l.file_idx].module.as_str(), &*l.facts))
+                    .collect();
+                let graph = facts::call_graph(&records);
+                let mut p = FreshProgram { records, graph, recursive: Vec::new(), diags: Vec::new() };
+                p.native_rules(&checks, &skipped, &mut log);
+                Program::Fresh(Box::new(p))
             }
-        }
+        };
         drop(native_span);
 
-        // The query rules the file round did not run — the bundled
-        // program-scoped rule and every user-pack rule — evaluated from
-        // facts, fresh and cached files alike, no reparse, in one pass
-        // per file that builds each selector's borrowed rows once. The
-        // pass runs on the caller thread: one more round of scoped pool
-        // threads per run made the allocator open fresh arenas, raising
-        // a repeated cold run's peak RSS by ~100 MB. These findings join
-        // the report and the evidence, but never a facts record: a user
-        // pack is not part of the cache fingerprint, and recursion needs
-        // the whole program. The recursive set comes from the run's one
-        // Tarjan pass and also feeds the Table 8 unit statistics.
+        // The query rules the file round did not run — the program-scoped
+        // ones, bundled and user — evaluated from facts, fresh and cached
+        // files alike, no reparse. These findings join the report and the
+        // evidence, but never a facts record: they need the whole
+        // program.
         let query_span = adsafe_trace::span("phase.checks.query", "phase");
-        let recursive = graph.recursive_functions();
-        let live = crate::query::QueryPass::new(run_queries);
-        let mut per_rule = vec![0u64; live.rules().len()];
-        let mut steps_total = 0u64;
-        for l in &loaded {
-            let module = &self.files[l.file_idx].module;
-            let outcomes = live.eval_file(l.id, module, &l.facts, &recursive);
-            for (qi, outcome) in outcomes.into_iter().enumerate() {
-                match outcome {
-                    Ok((diags, steps)) => {
-                        steps_total += steps;
-                        per_rule[qi] += diags.len() as u64;
-                        diagnostics.extend(diags);
-                    }
-                    Err(msg) => {
-                        let path = sm.file(l.id).path();
-                        log.push(check_fault(format!("{} on {}", live.rules()[qi].id, path), &msg))
-                    }
-                }
+        if let Program::Fresh(p) = &mut program {
+            p.query_rules(run_queries, &loaded, &self.files, sm, &mut log);
+            // A run that keeps its findings in a slot replays a copy.
+            if slot.is_some() {
+                diagnostics.extend(p.diags.iter().cloned());
+            } else {
+                diagnostics.append(&mut p.diags);
             }
-        }
-        adsafe_trace::counter("query.vm.steps").add(steps_total);
-        for (rule, n) in live.rules().iter().zip(per_rule) {
-            adsafe_trace::counter(&format!("checks.rule.{}.diags", rule.id)).add(n);
         }
         drop(query_span);
 
@@ -618,7 +680,7 @@ impl Assessment {
         // reports regardless of worker count or cache state. The sort
         // is stable, and no two merge sources share a (rule, file)
         // group, so within-group emission order is preserved exactly.
-        diagnostics.sort_by_key(|d| (d.check_id, d.span.file, d.span.start));
+        adsafe_checkers::sort_canonical(&mut diagnostics);
         adsafe_trace::counter("checks.diagnostics").add(diagnostics.len() as u64);
         note_phase_overrun(&mut log, FaultPhase::Checks, checks_start, &budgets);
         drop(phase_span);
@@ -627,9 +689,228 @@ impl Assessment {
         // token-only fallback so a module never vanishes from Figure 3.
         let phase_span = adsafe_trace::span("phase.metrics", "phase");
         let deadline = PhaseDeadline::new(&budgets);
+        let mut modules = match &program {
+            Program::Memo(m) => {
+                let files = m.modules.iter().map(|m| m.file_count as u64).sum();
+                adsafe_trace::counter("metrics.module.files").add(files);
+                m.modules.clone()
+            }
+            Program::Fresh(_) => self.module_round(&pool, &loaded, &deadline, &budgets, &mut log),
+        };
+        // Absorb tier-3 files into their modules' metrics.
+        for (module, est) in &estimates {
+            match modules.iter_mut().find(|m| &m.name == module) {
+                Some(m) => adsafe_metrics::absorb_estimate(m, est),
+                None => modules.push(module_from_estimates(module, &[*est])),
+            }
+        }
+        note_phase_overrun(&mut log, FaultPhase::Metrics, deadline.start, &budgets);
+        drop(phase_span);
+
+        // Phase 4: evidence assembly and compliance judgement, with a
+        // conservative-default fallback (critical fault) if it panics.
+        let phase_span = adsafe_trace::span("phase.assess", "phase");
+        let unit = assess_step(
+            &mut log,
+            "unit-design-stats",
+            || {
+                failpoints::hit("pipeline::assess");
+                match &program {
+                    Program::Memo(m) => m.unit.clone(),
+                    Program::Fresh(p) => facts::unit_stats_from_facts(&p.records, &p.recursive),
+                }
+            },
+            UnitDesignStats::default,
+        );
+        let mut cross = None;
+        let evidence = assess_step(
+            &mut log,
+            "evidence",
+            || {
+                let c = match &program {
+                    Program::Memo(m) => m.cross.clone(),
+                    Program::Fresh(p) => cross_file(&p.records, &p.graph),
+                };
+                let evidence = self.assemble_evidence(&modules, &unit, &c, &diagnostics);
+                cross = Some(c);
+                evidence
+            },
+            || Evidence {
+                total_loc: modules.iter().map(|m| m.loc.nloc).sum(),
+                coverage: self.options.coverage,
+                ..Evidence::default()
+            },
+        );
+        let asil = self.options.asil;
+        let compliance = assess_step(
+            &mut log,
+            "compliance",
+            || assess(&evidence, asil),
+            || ComplianceReport { asil, verdicts: Vec::new() },
+        );
+        let observations =
+            assess_step(&mut log, "observations", || observations(&evidence), Vec::new);
+
+        // A fault-free pass keeps its results for the next run over the
+        // same files.
+        if let (Program::Fresh(p), Some((store, set, digest)), Some(cross)) = (program, slot, cross)
+        {
+            if log.len() == faults_before {
+                let memo =
+                    ProgramMemo { diags: p.diags, modules: modules.clone(), unit: unit.clone(), cross };
+                store.store_program_memo(set, digest, pack, memo);
+            }
+        }
+        // The run's records, graph and cache handles die inside its
+        // last phase: its time includes them.
+        drop(loaded);
+        drop(disk_cache);
+        drop(phase_span);
+        drop(run_span);
+        // Read first, so the summary's own bookkeeping is not billed to
+        // the run. Empty unless a `CountingAlloc` is installed with
+        // profiling on; the phase spans above drove the billing tags.
+        let phase_mem = scope.phase_mem();
+        let mut trace =
+            TraceSummary::from_events(adsafe_trace::drain_from(&scope), scope.counters());
+        trace.phase_mem = phase_mem;
+
+        let degraded = log.degrades_report();
+        AssessmentReport {
+            evidence,
+            compliance,
+            observations,
+            modules,
+            diagnostics,
+            faults: log,
+            degraded,
+            trace,
+            run_id: self.options.run_id.clone(),
+        }
+    }
+
+    fn assemble_evidence(
+        &self,
+        modules: &[ModuleMetrics],
+        unit: &UnitDesignStats,
+        cross: &CrossFile,
+        diagnostics: &[Diagnostic],
+    ) -> Evidence {
+        // Findings per rule id, in one pass over the list `run` sorted
+        // by rule id.
+        let per_rule: Vec<(&str, usize)> = diagnostics
+            .chunk_by(|a, b| a.check_id == b.check_id)
+            .map(|group| (group[0].check_id, group.len()))
+            .collect();
+        let count = |id: &str| per_rule.iter().find(|(r, _)| *r == id).map_or(0, |&(_, n)| n);
+        let misra_ids = [
+            "misra-15.1-goto",
+            "misra-15.5-multi-exit",
+            "misra-17.2-recursion",
+            "misra-21.3-dynamic-memory",
+            "misra-12.3-comma",
+            "misra-19.2-union",
+            "misra-16.4-switch-default",
+            "misra-2.1-unreachable",
+            "misra-17.1-variadic",
+            "misra-7.1-octal",
+            "misra-13.5-side-effect",
+            "misra-decl-one-per-stmt",
+        ];
+        let misra_violations: usize = misra_ids.iter().map(|id| count(id)).sum();
+        let style_findings = count("style-line")
+            + count("style-indent")
+            + count("style-brace")
+            + count("style-include-guard");
+        let naming_findings =
+            count("naming-type") + count("naming-variable") + count("naming-macro");
+
+        let gpu = GpuEvidence {
+            closed_source_calls: count("cuda-closed-source-lib"),
+            language_subset_available: false,
+            coverage_tool_available: false,
+            ..cross.gpu.clone()
+        };
+
+        // Architecture metrics.
+        let mean_cohesion = if modules.is_empty() {
+            1.0
+        } else {
+            modules.iter().map(|m| m.cohesion).sum::<f64>() / modules.len() as f64
+        };
+        let parsed_functions: usize = modules.iter().map(|m| m.parsed_functions).sum();
+        let mean_interface_params = if modules.is_empty() {
+            0.0
+        } else {
+            modules.iter().map(|m| m.mean_params * m.parsed_functions as f64).sum::<f64>()
+                / parsed_functions.max(1) as f64
+        };
+
+        Evidence {
+            total_loc: modules.iter().map(|m| m.loc.nloc).sum(),
+            total_functions: modules.iter().map(|m| m.histogram.total).sum(),
+            functions_over_cc10: modules.iter().map(|m| m.histogram.over_10).sum(),
+            functions_over_cc20: modules.iter().map(|m| m.histogram.over_20).sum(),
+            functions_over_cc50: modules.iter().map(|m| m.histogram.over_50).sum(),
+            module_locs: modules.iter().map(|m| (m.name.clone(), m.loc.nloc)).collect(),
+            misra_violations,
+            explicit_casts: count("typing-explicit-cast"),
+            implicit_conversions: count("typing-implicit-conversion"),
+            validation_ratio: cross.validation_ratio,
+            unchecked_calls: count("defensive-unchecked-return"),
+            global_definitions: unit.global_definitions,
+            style_findings,
+            naming_findings,
+            mean_cohesion,
+            coupling_edges: cross.coupling_edges,
+            mean_interface_params,
+            hierarchical_structure: true,
+            has_scheduling_policy: self.options.has_scheduling_policy,
+            uses_interrupts: false,
+            multi_exit_pct: unit.multi_exit_pct(),
+            dynamic_alloc_sites: unit.dynamic_alloc_sites,
+            maybe_uninit_reads: unit.maybe_uninit_reads,
+            shadowed_declarations: unit.shadowed_declarations,
+            pointer_uses: unit.pointer_uses,
+            opaque_regions: unit.opaque_regions,
+            global_access_functions: count("design-global-use"),
+            goto_count: unit.goto_count,
+            recursive_functions: unit.recursive_functions,
+            gpu,
+            coverage: self.options.coverage,
+        }
+    }
+
+    /// Keys of this run's program slot: its file set (the ordered paths
+    /// and modules), and the set's digest with every file's content
+    /// hash.
+    fn program_keys(&self) -> (u64, u64) {
+        use std::hash::{Hash, Hasher};
+        let mut set = std::hash::DefaultHasher::new();
+        for (file, raw) in self.sources.files().iter().zip(&self.files) {
+            (file.path(), &raw.module).hash(&mut set);
+        }
+        let mut digest = set.clone();
+        self.content_hashes().hash(&mut digest);
+        (set.finish(), digest.finish())
+    }
+
+    /// Phase 3's pool round: one task per module, folding its facts
+    /// records under panic containment, with token-only fallback for a
+    /// module whose task fails or misses the deadline. Counts
+    /// `metrics.module.files` over the folded modules.
+    fn module_round(
+        &self,
+        pool: &Pool,
+        loaded: &[LoadedFile],
+        deadline: &PhaseDeadline,
+        budgets: &Budgets,
+        log: &mut FaultLog,
+    ) -> Vec<ModuleMetrics> {
+        let sm = &self.sources;
         let mut seen = HashSet::new();
         let mut module_order: Vec<&str> = Vec::new();
-        for l in &loaded {
+        for l in loaded {
             let m = self.files[l.file_idx].module.as_str();
             if seen.insert(m) {
                 module_order.push(m);
@@ -689,196 +970,46 @@ impl Assessment {
             }
         }
         adsafe_trace::counter("metrics.module.files").add(module_files);
-        // Absorb tier-3 files into their modules' metrics.
-        for (module, est) in &estimates {
-            match modules.iter_mut().find(|m| &m.name == module) {
-                Some(m) => adsafe_metrics::absorb_estimate(m, est),
-                None => modules.push(module_from_estimates(module, &[*est])),
-            }
-        }
-        note_phase_overrun(&mut log, FaultPhase::Metrics, deadline.start, &budgets);
-        drop(phase_span);
-
-        // Phase 4: evidence assembly and compliance judgement, with a
-        // conservative-default fallback (critical fault) if it panics.
-        let phase_span = adsafe_trace::span("phase.assess", "phase");
-        let unit = assess_step(
-            &mut log,
-            "unit-design-stats",
-            || {
-                failpoints::hit("pipeline::assess");
-                facts::unit_stats_from_facts(&records, &recursive)
-            },
-            adsafe_checkers::UnitDesignStats::default,
-        );
-        let evidence = assess_step(
-            &mut log,
-            "evidence",
-            || self.assemble_evidence(&records, &graph, &modules, &unit, &diagnostics),
-            || Evidence {
-                total_loc: modules.iter().map(|m| m.loc.nloc).sum(),
-                coverage: self.options.coverage,
-                ..Evidence::default()
-            },
-        );
-        let asil = self.options.asil;
-        let compliance = assess_step(
-            &mut log,
-            "compliance",
-            || assess(&evidence, asil),
-            || ComplianceReport { asil, verdicts: Vec::new() },
-        );
-        let observations =
-            assess_step(&mut log, "observations", || observations(&evidence), Vec::new);
-
-        drop(phase_span);
-        // The run's records die inside its span: its time includes them.
-        drop((records, graph));
-        drop(loaded);
-        drop(run_span);
-        // Read first, so the summary's own bookkeeping is not billed to
-        // the run. Empty unless a `CountingAlloc` is installed with
-        // profiling on; the phase spans above drove the billing tags.
-        let phase_mem = scope.phase_mem();
-        let mut trace =
-            TraceSummary::from_events(adsafe_trace::drain_from(&scope), scope.counters());
-        trace.phase_mem = phase_mem;
-
-        let degraded = log.degrades_report();
-        AssessmentReport {
-            evidence,
-            compliance,
-            observations,
-            modules,
-            diagnostics,
-            faults: log,
-            degraded,
-            trace,
-            run_id: self.options.run_id.clone(),
-        }
+        modules
     }
 
-    fn assemble_evidence(
-        &self,
-        records: &[FactsRecord<'_>],
-        graph: &CallGraph<'_>,
-        modules: &[ModuleMetrics],
-        unit: &adsafe_checkers::UnitDesignStats,
-        diagnostics: &[Diagnostic],
-    ) -> Evidence {
-        // Findings per rule id, in one pass over the list `run` sorted
-        // by rule id.
-        let per_rule: Vec<(&str, usize)> = diagnostics
-            .chunk_by(|a, b| a.check_id == b.check_id)
-            .map(|group| (group[0].check_id, group.len()))
-            .collect();
-        let count = |id: &str| per_rule.iter().find(|(r, _)| *r == id).map_or(0, |&(_, n)| n);
-        let misra_ids = [
-            "misra-15.1-goto",
-            "misra-15.5-multi-exit",
-            "misra-17.2-recursion",
-            "misra-21.3-dynamic-memory",
-            "misra-12.3-comma",
-            "misra-19.2-union",
-            "misra-16.4-switch-default",
-            "misra-2.1-unreachable",
-            "misra-17.1-variadic",
-            "misra-7.1-octal",
-            "misra-13.5-side-effect",
-            "misra-decl-one-per-stmt",
-        ];
-        let misra_violations: usize = misra_ids.iter().map(|id| count(id)).sum();
-        let style_findings = count("style-line")
-            + count("style-indent")
-            + count("style-brace")
-            + count("style-include-guard");
-        let naming_findings =
-            count("naming-type") + count("naming-variable") + count("naming-macro");
-
-        // GPU evidence from the per-function facts.
-        let mut gpu = GpuEvidence {
-            language_subset_available: false,
-            coverage_tool_available: false,
-            ..GpuEvidence::default()
-        };
-        for (_, _, facts) in records {
-            for f in &facts.functions {
-                if f.is_kernel {
-                    gpu.kernel_count += 1;
-                    gpu.kernel_pointer_params += f.ptr_params;
-                }
-                gpu.device_alloc_sites += f.alloc_calls;
+    /// The user pack's file-scoped findings on a record served from
+    /// cache: the resident memo's when it holds them, else evaluated
+    /// here.
+    fn user_findings(&self, out: &mut FileOutcome, i: usize, facts: &FileFacts, rules: &FileRules) {
+        if rules.user.rules().is_empty() {
+            return;
+        }
+        let module = &self.files[i].module;
+        if let Some((store, pack)) = rules.memo {
+            if let Some(diags) = store.file_memo(self.file_hash(i), pack, module) {
+                out.user = Some(diags);
+                return;
             }
         }
-        gpu.closed_source_calls = count("cuda-closed-source-lib");
-
-        // Architecture metrics.
-        let mean_cohesion = if modules.is_empty() {
-            1.0
-        } else {
-            modules.iter().map(|m| m.cohesion).sum::<f64>() / modules.len() as f64
-        };
-        let coupling_edges = facts::coupling_edges(records, graph);
-        let parsed_functions: usize = modules.iter().map(|m| m.parsed_functions).sum();
-        let mean_interface_params = if modules.is_empty() {
-            0.0
-        } else {
-            modules.iter().map(|m| m.mean_params * m.parsed_functions as f64).sum::<f64>()
-                / parsed_functions.max(1) as f64
-        };
-
-        Evidence {
-            total_loc: modules.iter().map(|m| m.loc.nloc).sum(),
-            total_functions: modules.iter().map(|m| m.histogram.total).sum(),
-            functions_over_cc10: modules.iter().map(|m| m.histogram.over_10).sum(),
-            functions_over_cc20: modules.iter().map(|m| m.histogram.over_20).sum(),
-            functions_over_cc50: modules.iter().map(|m| m.histogram.over_50).sum(),
-            module_locs: modules.iter().map(|m| (m.name.clone(), m.loc.nloc)).collect(),
-            misra_violations,
-            explicit_casts: count("typing-explicit-cast"),
-            implicit_conversions: count("typing-implicit-conversion"),
-            validation_ratio: facts::validation_ratio_from_facts(records),
-            unchecked_calls: count("defensive-unchecked-return"),
-            global_definitions: unit.global_definitions,
-            style_findings,
-            naming_findings,
-            mean_cohesion,
-            coupling_edges,
-            mean_interface_params,
-            hierarchical_structure: true,
-            has_scheduling_policy: self.options.has_scheduling_policy,
-            uses_interrupts: false,
-            multi_exit_pct: unit.multi_exit_pct(),
-            dynamic_alloc_sites: unit.dynamic_alloc_sites,
-            maybe_uninit_reads: unit.maybe_uninit_reads,
-            shadowed_declarations: unit.shadowed_declarations,
-            pointer_uses: unit.pointer_uses,
-            opaque_regions: unit.opaque_regions,
-            global_access_functions: count("design-global-use"),
-            goto_count: unit.goto_count,
-            recursive_functions: unit.recursive_functions,
-            gpu,
-            coverage: self.options.coverage,
-        }
+        let file = &self.sources.files()[i];
+        let outcomes = file_queries(&rules.user, file.id(), module, facts, file.path());
+        let (diags, faults) = split_outcomes(outcomes);
+        out.user = Some(Arc::new(diags));
+        out.user_fresh = true;
+        out.user_faults = faults;
     }
 
     /// The per-file task: cache lookup; else parse + facts extraction
     /// under panic containment, descending the degradation ladder on
-    /// failure, then every rule in `rules` (the non-gated file-local
-    /// natives, in registry order) over the tree, which dies here, then
-    /// every rule in `queries` (the non-gated file-scoped bundled rules,
-    /// in pack order) over the facts record. Runs
-    /// on a worker when `jobs > 1`, inline otherwise; the worker's trace
-    /// scope (spans, counters, allocations) is absorbed back into the
-    /// caller's.
+    /// failure, then every native of `rules` over the tree, which dies
+    /// here, then every query rule of `rules` over the facts record.
+    /// A record served from cache gets only the user pack's rules, or
+    /// their memoised findings. Runs on a worker when `jobs > 1`, inline
+    /// otherwise; the worker's trace scope (spans, counters,
+    /// allocations) is absorbed back into the caller's.
     fn analyse_file(
         &self,
         i: usize,
         deadline: &PhaseDeadline,
         budgets: &Budgets,
         cache: Option<&dyn FactsStore>,
-        rules: &[&dyn Check],
-        queries: &crate::query::QueryPass<'_>,
+        rules: &FileRules,
     ) -> FileOutcome {
         let sm = &self.sources;
         let file = &sm.files()[i];
@@ -909,6 +1040,7 @@ impl Assessment {
             match c.load_at(self.file_hash(i), id, path) {
                 CacheLookup::Hit(facts) => {
                     adsafe_trace::counter("parse.cached.files").incr();
+                    self.user_findings(&mut out, i, &facts, rules);
                     out.facts = Some(facts);
                     return out;
                 }
@@ -960,38 +1092,32 @@ impl Assessment {
                     let mut faults = Vec::new();
                     let entry = FileEntry { file, unit: &p.unit, module };
                     let cx = CheckContext::file_local(sm, entry);
-                    for &check in rules {
+                    for &check in &rules.natives {
                         match run_one_check(&Failpointed { check, path }, &cx) {
                             Ok(d) => diags.extend(d),
                             Err(e) => faults.push(check_fault(e.check_id.to_string(), &e.message)),
                         }
                     }
                     drop(p);
-                    // File-scoped query rules read no recursive set.
-                    let mut steps = 0;
-                    let outcomes = queries.eval_file(id, module, record, &[]);
-                    for (rule, outcome) in queries.rules().iter().zip(outcomes) {
-                        match outcome {
-                            Ok((d, n)) => {
-                                steps += n;
-                                adsafe_trace::counter(&format!("checks.rule.{}.diags", rule.id))
-                                    .add(d.len() as u64);
-                                diags.extend(d);
-                            }
-                            Err(msg) => {
-                                faults.push(check_fault(format!("{} on {path}", rule.id), &msg))
-                            }
-                        }
-                    }
-                    if !queries.rules().is_empty() {
-                        adsafe_trace::counter("query.vm.steps").add(steps);
-                    }
-                    (diags, faults)
+                    let mut outcomes = file_queries(&rules.queries, id, module, record, path);
+                    let user = split_outcomes(outcomes.split_off(rules.bundled));
+                    let (found, failed) = split_outcomes(outcomes);
+                    diags.extend(found);
+                    faults.extend(failed);
+                    (diags, faults, user)
                 }));
                 match checked {
-                    Ok((diags, faults)) => {
+                    Ok((diags, faults, (user, user_faults))) => {
                         facts.diags = diags;
                         out.check_faults = faults;
+                        if !rules.user.rules().is_empty() {
+                            if rules.memo.is_some() {
+                                adsafe_trace::counter("store.memo.file.misses").incr();
+                            }
+                            out.user = Some(Arc::new(user));
+                            out.user_fresh = true;
+                            out.user_faults = user_faults;
+                        }
                     }
                     Err(payload) => out
                         .check_faults
@@ -1110,6 +1236,143 @@ fn check_fault(path: String, msg: &str) -> Fault {
         cause: classify_panic(msg),
         recovery: Recovery::SkippedItem,
         run_id: String::new(),
+    }
+}
+
+/// Runs the file-scoped query rules of `pass` over one file's record:
+/// each rule's findings, in pass order, or its contained failure as a
+/// fault naming the rule and `path`. Counts `checks.rule.<id>.diags`
+/// and `query.vm.steps`. File-scoped rules read no recursive set.
+fn file_queries(
+    pass: &QueryPass<'_>,
+    id: FileId,
+    module: &str,
+    facts: &FileFacts,
+    path: &str,
+) -> Vec<Result<Vec<Diagnostic>, Fault>> {
+    if pass.rules().is_empty() {
+        return Vec::new();
+    }
+    let mut steps = 0;
+    let outcomes = pass.eval_file(id, module, facts, &[]);
+    let out = pass
+        .rules()
+        .iter()
+        .zip(outcomes)
+        .map(|(rule, outcome)| match outcome {
+            Ok((d, n)) => {
+                steps += n;
+                adsafe_trace::counter(&format!("checks.rule.{}.diags", rule.id))
+                    .add(d.len() as u64);
+                Ok(d)
+            }
+            Err(msg) => Err(check_fault(format!("{} on {path}", rule.id), &msg)),
+        })
+        .collect();
+    adsafe_trace::counter("query.vm.steps").add(steps);
+    out
+}
+
+/// The findings and the faults of [`file_queries`] outcomes, in order.
+fn split_outcomes(outcomes: Vec<Result<Vec<Diagnostic>, Fault>>) -> (Vec<Diagnostic>, Vec<Fault>) {
+    let mut diags = Vec::new();
+    let mut faults = Vec::new();
+    for outcome in outcomes {
+        match outcome {
+            Ok(d) => diags.extend(d),
+            Err(f) => faults.push(f),
+        }
+    }
+    (diags, faults)
+}
+
+/// The cross-file evidence inputs over `graph`, which
+/// [`facts::call_graph`] built from these `records`.
+fn cross_file(records: &[FactsRecord<'_>], graph: &CallGraph<'_>) -> CrossFile {
+    let mut gpu = GpuEvidence::default();
+    for (_, _, facts) in records {
+        for f in &facts.functions {
+            if f.is_kernel {
+                gpu.kernel_count += 1;
+                gpu.kernel_pointer_params += f.ptr_params;
+            }
+            gpu.device_alloc_sites += f.alloc_calls;
+        }
+    }
+    CrossFile {
+        coupling_edges: facts::coupling_edges(records, graph),
+        validation_ratio: facts::validation_ratio_from_facts(records),
+        gpu,
+    }
+}
+
+impl FreshProgram<'_> {
+    /// Program-scoped native rules, once, from facts, on the caller
+    /// thread — they need the whole program, not one file. The set is
+    /// pinned by a test in adsafe-checkers; a future program-scoped
+    /// rule must be given a facts replay here.
+    fn native_rules(&mut self, checks: &[Box<dyn Check>], skipped: &HashSet<&str>, log: &mut FaultLog) {
+        let globals = facts::global_names(&self.records);
+        for c in checks {
+            if c.scope() != CheckScope::Program || skipped.contains(c.id()) {
+                continue;
+            }
+            let id = c.id();
+            let _sp = adsafe_trace::span(format!("check.{id}"), "checks");
+            let result = catch_unwind(AssertUnwindSafe(|| match id {
+                "design-global-use" => facts::global_use_diags(&self.records, &globals),
+                _ => Vec::new(),
+            }));
+            match result {
+                Ok(diags) => {
+                    adsafe_trace::counter(&format!("checks.rule.{id}.diags"))
+                        .add(diags.len() as u64);
+                    self.diags.extend(diags);
+                }
+                Err(payload) => log.push(check_fault(id.to_string(), &panic_message(&*payload))),
+            }
+        }
+    }
+
+    /// The program-scoped query rules `rules`, in one pass per file that
+    /// builds each selector's borrowed rows once, with the recursive set
+    /// from the graph's one Tarjan pass (which also feeds the Table 8
+    /// unit statistics). The pass runs on the caller thread: one more
+    /// round of scoped pool threads per run made the allocator open
+    /// fresh arenas, raising a repeated cold run's peak RSS by ~100 MB.
+    fn query_rules(
+        &mut self,
+        rules: Vec<&adsafe_query::CompiledRule>,
+        loaded: &[LoadedFile],
+        files: &[RawFile],
+        sm: &SourceMap,
+        log: &mut FaultLog,
+    ) {
+        self.recursive = self.graph.recursive_functions();
+        let live = QueryPass::new(rules);
+        let mut per_rule = vec![0u64; live.rules().len()];
+        let mut steps_total = 0u64;
+        for l in loaded {
+            let module = &files[l.file_idx].module;
+            let outcomes = live.eval_file(l.id, module, &l.facts, &self.recursive);
+            for (qi, outcome) in outcomes.into_iter().enumerate() {
+                match outcome {
+                    Ok((diags, steps)) => {
+                        steps_total += steps;
+                        per_rule[qi] += diags.len() as u64;
+                        self.diags.extend(diags);
+                    }
+                    Err(msg) => {
+                        let path = sm.file(l.id).path();
+                        log.push(check_fault(format!("{} on {}", live.rules()[qi].id, path), &msg))
+                    }
+                }
+            }
+        }
+        adsafe_trace::counter("query.vm.steps").add(steps_total);
+        for (rule, n) in live.rules().iter().zip(per_rule) {
+            adsafe_trace::counter(&format!("checks.rule.{}.diags", rule.id)).add(n);
+        }
     }
 }
 

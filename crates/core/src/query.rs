@@ -38,6 +38,18 @@ pub fn query_rules(user: Option<&RulePack>) -> impl Iterator<Item = &CompiledRul
     bundled_rules().rules.iter().chain(user.into_iter().flat_map(|p| &p.rules))
 }
 
+/// Fingerprint of a user pack's rules, for the resident store's memos:
+/// equal for packs that compile the same declarations in the same
+/// order. Stable within a process only (memos never leave it).
+pub(crate) fn pack_fingerprint(pack: Option<&RulePack>) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::hash::DefaultHasher::new();
+    for rule in pack.into_iter().flat_map(|p| &p.rules) {
+        format!("{:?}", rule.decl).hash(&mut h);
+    }
+    h.finish()
+}
+
 /// Builds the rows `selector` ranges over for one file, from its facts
 /// record. The rows borrow the record's strings. `recursive` is the
 /// whole-program recursive-function set (qualified names, sorted, as
@@ -164,6 +176,11 @@ impl<'r> QueryPass<'r> {
     /// The rules, in evaluation order.
     pub fn rules(&self) -> &[&'r CompiledRule] {
         &self.rules
+    }
+
+    /// The pass over this pass's rules from position `from` on.
+    pub fn tail(&self, from: usize) -> QueryPass<'r> {
+        QueryPass { rules: self.rules[from..].to_vec(), timings: self.timings[from..].to_vec() }
     }
 
     /// Evaluates every rule over one file's facts, in order, building

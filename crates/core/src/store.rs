@@ -48,15 +48,38 @@
 //! which the daemon surfaces through `/healthz`, *not* the assessment
 //! report: report bytes must stay a function of the assessed code
 //! alone, never of how much other traffic the store has absorbed.
+//!
+//! ## Derived-result memos
+//!
+//! Next to the facts, the store keeps two results derived from them, so
+//! a warm run re-derives only what changed:
+//!
+//! - **Per file**, an entry carries the user pack's file-scoped findings
+//!   on its record, keyed by (pack fingerprint, module). A run replays
+//!   them like the record's own `diags`.
+//! - **Per file set** (the ordered paths and modules of a run), one
+//!   slot holds the whole-program results: the cross-file findings,
+//!   module metrics, unit statistics and the other evidence inputs that
+//!   need every file. A run reuses the slot when its (path, module,
+//!   content hash) digest and pack fingerprint match.
+//!
+//! Memos are not responses: every run still replays, sorts, judges and
+//! renders. Their bytes count toward the budget (program slots go
+//! first under pressure; a file memo goes with its entry), and
+//! invalidation drops them with the facts. Lookups count
+//! `store.memo.{file,program}.{hits,misses}`.
 
 use crate::cache::{CacheLookup, FactsCache, FactsStore};
 use crate::facts::FileFacts;
 use crate::fault::{Fault, FaultCause, FaultPhase, FaultSeverity, Recovery};
+use adsafe_checkers::{Diagnostic, UnitDesignStats};
+use adsafe_iso26262::GpuEvidence;
 use adsafe_lang::FileId;
+use adsafe_metrics::ModuleMetrics;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// One resident entry: the decoded facts, their encoded JSON length
 /// (the entry's size for byte accounting), whether it still needs
@@ -70,6 +93,68 @@ struct Entry {
     size: u64,
     dirty: bool,
     last_use: AtomicU64,
+    memo: Option<FileMemo>,
+}
+
+/// The user pack's file-scoped findings on one entry's record.
+#[derive(Debug)]
+struct FileMemo {
+    pack: u64,
+    module: String,
+    diags: Arc<Vec<Diagnostic>>,
+    size: u64,
+}
+
+/// The whole-program results of one run, as a program slot keeps them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ProgramMemo {
+    /// `design-global-use` and program-scoped query findings, with the
+    /// `FileId`s of the run that built them (a slot is only reused for
+    /// the same ordered files, so they hold).
+    pub diags: Vec<Diagnostic>,
+    /// Module metrics, in module order.
+    pub modules: Vec<ModuleMetrics>,
+    /// ISO 26262-6 Table 8 statistics.
+    pub unit: UnitDesignStats,
+    /// The other cross-file evidence inputs.
+    pub cross: CrossFile,
+}
+
+/// Evidence inputs that need every file: cross-module call edges, the
+/// validation ratio and the per-function GPU sums.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CrossFile {
+    pub coupling_edges: usize,
+    pub validation_ratio: f64,
+    /// Kernel count, kernel pointer parameters and device allocation
+    /// sites; the other fields stay default.
+    pub gpu: GpuEvidence,
+}
+
+/// One file set's program slot.
+#[derive(Debug)]
+struct ProgramSlot {
+    digest: u64,
+    pack: u64,
+    memo: Arc<ProgramMemo>,
+    size: u64,
+    last_use: u64,
+}
+
+/// Heap estimate of a findings list: each record plus its strings.
+fn diags_size(diags: &[Diagnostic]) -> u64 {
+    let text: usize =
+        diags.iter().map(|d| d.message.len() + d.function.as_ref().map_or(0, String::len)).sum();
+    (std::mem::size_of_val(diags) + text) as u64
+}
+
+impl ProgramMemo {
+    fn size(&self) -> u64 {
+        let modules: usize = self.modules.iter().map(|m| m.name.len()).sum();
+        diags_size(&self.diags)
+            + (self.modules.len() * std::mem::size_of::<ModuleMetrics>() + modules) as u64
+            + std::mem::size_of::<ProgramMemo>() as u64
+    }
 }
 
 /// A thread-safe facts store resident in process memory, with optional
@@ -78,12 +163,18 @@ struct Entry {
 #[derive(Debug)]
 pub struct MemoryFactsStore {
     entries: RwLock<HashMap<u64, Entry>>,
+    /// Program slots by file-set key. Locked after `entries` whenever
+    /// both are held.
+    programs: Mutex<HashMap<u64, ProgramSlot>>,
     disk: Option<FactsCache>,
-    /// Total encoded-JSON bytes resident, maintained incrementally
-    /// (always mutated under the `entries` write lock, so it tracks the
-    /// map exactly). Backs the `store.facts.bytes` gauge and
-    /// `/healthz`, making resident growth visible before it hurts.
+    /// Total bytes resident — entries' encoded-JSON lengths plus memo
+    /// estimates — maintained incrementally (always mutated under the
+    /// `entries` write lock, so it tracks the maps exactly). Backs
+    /// `/healthz` and the budget, making resident growth visible before
+    /// it hurts.
     bytes: AtomicU64,
+    /// The memos' share of `bytes` (the `store.memo.bytes` gauge).
+    memo_bytes: AtomicU64,
     /// Byte budget; `0` means unbounded. Crossing it evicts LRU
     /// entries until `bytes <= budget`.
     budget: u64,
@@ -112,8 +203,10 @@ impl MemoryFactsStore {
     pub fn open_budgeted(dir: Option<&Path>, budget: u64) -> MemoryFactsStore {
         MemoryFactsStore {
             entries: RwLock::new(HashMap::new()),
+            programs: Mutex::new(HashMap::new()),
             disk: dir.map(FactsCache::open),
             bytes: AtomicU64::new(0),
+            memo_bytes: AtomicU64::new(0),
             budget,
             clock: AtomicU64::new(0),
             evicted_entries: AtomicU64::new(0),
@@ -131,18 +224,19 @@ impl MemoryFactsStore {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Evicts least-recently-used entries until resident bytes are
-    /// within budget, never evicting `keep` (the entry whose insertion
-    /// triggered the sweep — evicting it would thrash the very request
-    /// being served). Dirty victims are demoted to the disk backing
-    /// (best effort) so warm-start data survives the pressure. Callers
-    /// hold the `entries` write lock.
+    /// Evicts until resident bytes are within budget: program slots
+    /// first, least recently used first, then entries the same way,
+    /// never evicting `keep` (the entry whose insertion triggered the
+    /// sweep — evicting it would thrash the very request being served).
+    /// Dirty victims are demoted to the disk backing (best effort) so
+    /// warm-start data survives the pressure. Callers hold the `entries`
+    /// write lock.
     fn enforce_budget(&self, map: &mut HashMap<u64, Entry>, keep: u64) {
-        if self.budget == 0 {
+        if self.budget == 0 || self.bytes.load(Ordering::Relaxed) <= self.budget {
             return;
         }
+        let mut released = self.shed_programs(None);
         let mut evicted = 0u64;
-        let mut released = 0u64;
         while self.bytes.load(Ordering::Relaxed) > self.budget && map.len() > 1 {
             let victim = map
                 .iter()
@@ -156,16 +250,56 @@ impl MemoryFactsStore {
                     let _ = d.store_raw(h, &e.facts.to_json());
                 }
             }
-            released += e.size;
-            self.bytes.fetch_sub(e.size, Ordering::Relaxed);
+            released += self.release(&e);
             evicted += 1;
         }
         if evicted > 0 {
             self.evicted_entries.fetch_add(evicted, Ordering::Relaxed);
-            self.evicted_bytes.fetch_add(released, Ordering::Relaxed);
             adsafe_trace::counter("store.evictions").add(evicted);
+        }
+        if released > 0 {
+            self.evicted_bytes.fetch_add(released, Ordering::Relaxed);
             adsafe_trace::counter("store.evicted_bytes").add(released);
         }
+    }
+
+    /// Evicts program slots other than `keep`, least recently used
+    /// first, while resident bytes exceed the budget; returns the bytes
+    /// released.
+    fn shed_programs(&self, keep: Option<u64>) -> u64 {
+        let mut programs = self.programs.lock().expect("facts store poisoned");
+        let mut released = 0;
+        while self.bytes.load(Ordering::Relaxed) > self.budget {
+            let victim = programs
+                .iter()
+                .filter(|(k, _)| Some(**k) != keep)
+                .min_by_key(|(_, slot)| slot.last_use)
+                .map(|(k, _)| *k);
+            let Some(slot) = victim.and_then(|k| programs.remove(&k)) else { break };
+            self.uncharge(slot.size, slot.size);
+            released += slot.size;
+        }
+        released
+    }
+
+    /// Uncharges an entry that left the map, memo included; returns its
+    /// bytes.
+    fn release(&self, e: &Entry) -> u64 {
+        let memo = e.memo.as_ref().map_or(0, |m| m.size);
+        self.uncharge(e.size + memo, memo);
+        e.size + memo
+    }
+
+    /// Takes `bytes` off the total, `memo` of them off the memos' share.
+    fn uncharge(&self, bytes: u64, memo: u64) {
+        self.bytes.fetch_sub(bytes, Ordering::Relaxed);
+        self.memo_bytes.fetch_sub(memo, Ordering::Relaxed);
+    }
+
+    /// Adds `bytes` to the total, `memo` of them to the memos' share.
+    fn charge(&self, bytes: u64, memo: u64) {
+        self.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.memo_bytes.fetch_add(memo, Ordering::Relaxed);
     }
 
     /// Drains the eviction tally accumulated since the last call into
@@ -195,18 +329,25 @@ impl MemoryFactsStore {
         self.entries.read().expect("facts store poisoned").len()
     }
 
-    /// Total size of the resident entries: the sum of their encoded
-    /// JSON lengths, each measured once at insert.
+    /// Total resident size: the entries' encoded JSON lengths, each
+    /// measured once at insert, plus the memos' heap estimates.
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
     }
 
+    /// The memos' share of [`bytes`](Self::bytes).
+    pub fn memo_bytes(&self) -> u64 {
+        self.memo_bytes.load(Ordering::Relaxed)
+    }
+
     /// Re-points the size gauges at the current entry count and byte
-    /// total. Callers hold the write lock, so the pair is coherent.
+    /// totals. Callers hold the write lock, so the set is coherent.
     fn set_gauges(&self, entries: usize) {
+        let memo = self.memo_bytes.load(Ordering::Relaxed);
         adsafe_trace::gauge("store.entries").set(entries as u64);
         adsafe_trace::gauge("store.facts.entries").set(entries as u64);
-        adsafe_trace::gauge("store.facts.bytes").set(self.bytes.load(Ordering::Relaxed));
+        adsafe_trace::gauge("store.facts.bytes").set(self.bytes.load(Ordering::Relaxed) - memo);
+        adsafe_trace::gauge("store.memo.bytes").set(memo);
     }
 
     /// Inserts `facts` for `hash` (displacing any previous entry),
@@ -221,13 +362,107 @@ impl MemoryFactsStore {
             size,
             dirty,
             last_use: AtomicU64::new(self.tick()),
+            memo: None,
         };
         if let Some(old) = map.insert(hash, entry) {
-            self.bytes.fetch_sub(old.size, Ordering::Relaxed);
+            self.release(&old);
         }
-        self.bytes.fetch_add(size, Ordering::Relaxed);
+        self.charge(size, 0);
         self.enforce_budget(&mut map, hash);
         self.set_gauges(map.len());
+    }
+
+    /// The user-pack findings memoised on the entry for `hash`, if they
+    /// were made by the pack `pack` under `module`.
+    pub(crate) fn file_memo(
+        &self,
+        hash: u64,
+        pack: u64,
+        module: &str,
+    ) -> Option<Arc<Vec<Diagnostic>>> {
+        let map = self.entries.read().expect("facts store poisoned");
+        let hit = map
+            .get(&hash)
+            .and_then(|e| e.memo.as_ref())
+            .filter(|m| m.pack == pack && m.module == module)
+            .map(|m| Arc::clone(&m.diags));
+        let outcome = if hit.is_some() { "hits" } else { "misses" };
+        adsafe_trace::counter(&format!("store.memo.file.{outcome}")).incr();
+        hit
+    }
+
+    /// Memoises `diags`, the findings of the pack `pack` under `module`,
+    /// on the entry for `hash`, displacing any earlier memo; a no-op
+    /// when no entry is resident.
+    pub(crate) fn store_file_memo(
+        &self,
+        hash: u64,
+        pack: u64,
+        module: &str,
+        diags: Arc<Vec<Diagnostic>>,
+    ) {
+        let size = diags_size(&diags) + module.len() as u64;
+        let mut map = self.entries.write().expect("facts store poisoned");
+        let Some(e) = map.get_mut(&hash) else { return };
+        let memo = FileMemo { pack, module: module.to_string(), diags, size };
+        if let Some(old) = e.memo.replace(memo) {
+            self.uncharge(old.size, old.size);
+        }
+        self.charge(size, size);
+        self.enforce_budget(&mut map, hash);
+        self.set_gauges(map.len());
+    }
+
+    /// The program slot of the file set `set`, if it was made from the
+    /// same files (`digest`) by the pack `pack`.
+    pub(crate) fn program_memo(&self, set: u64, digest: u64, pack: u64) -> Option<Arc<ProgramMemo>> {
+        let mut programs = self.programs.lock().expect("facts store poisoned");
+        let hit = programs.get_mut(&set).filter(|s| s.digest == digest && s.pack == pack).map(|s| {
+            s.last_use = self.tick();
+            Arc::clone(&s.memo)
+        });
+        let outcome = if hit.is_some() { "hits" } else { "misses" };
+        adsafe_trace::counter(&format!("store.memo.program.{outcome}")).incr();
+        hit
+    }
+
+    /// Keeps `memo` as the program slot of the file set `set`, made
+    /// from the files `digest` by the pack `pack`, displacing the set's
+    /// earlier slot. Under budget pressure a slot displaces only other
+    /// slots, never facts; one that still does not fit is not kept.
+    pub(crate) fn store_program_memo(&self, set: u64, digest: u64, pack: u64, memo: ProgramMemo) {
+        let size = memo.size();
+        let map = self.entries.write().expect("facts store poisoned");
+        let slot = ProgramSlot { digest, pack, memo: Arc::new(memo), size, last_use: self.tick() };
+        {
+            let mut programs = self.programs.lock().expect("facts store poisoned");
+            if let Some(old) = programs.insert(set, slot) {
+                self.uncharge(old.size, old.size);
+            }
+        }
+        self.charge(size, size);
+        if self.budget > 0 {
+            let released = self.shed_programs(Some(set));
+            if self.bytes.load(Ordering::Relaxed) > self.budget {
+                let mut programs = self.programs.lock().expect("facts store poisoned");
+                if programs.remove(&set).is_some() {
+                    self.uncharge(size, size);
+                }
+            }
+            if released > 0 {
+                self.evicted_bytes.fetch_add(released, Ordering::Relaxed);
+                adsafe_trace::counter("store.evicted_bytes").add(released);
+            }
+        }
+        self.set_gauges(map.len());
+    }
+
+    /// Drops every program slot. Callers hold the `entries` write lock.
+    fn drop_programs(&self) {
+        let mut programs = self.programs.lock().expect("facts store poisoned");
+        for (_, slot) in programs.drain() {
+            self.uncharge(slot.size, slot.size);
+        }
     }
 
     /// Whether no entries are resident.
@@ -236,7 +471,8 @@ impl MemoryFactsStore {
     }
 
     /// Drops the resident (and backing disk) entries for every path in
-    /// `paths`; returns how many resident entries were dropped.
+    /// `paths`, with their memos, and every program slot; returns how
+    /// many resident entries were dropped.
     pub fn invalidate_paths(&self, paths: &[String]) -> usize {
         let mut map = self.entries.write().expect("facts store poisoned");
         let victims: Vec<u64> = map
@@ -244,9 +480,10 @@ impl MemoryFactsStore {
             .filter(|(_, e)| paths.contains(&e.path))
             .map(|(h, _)| *h)
             .collect();
+        self.drop_programs();
         for h in &victims {
             if let Some(e) = map.remove(h) {
-                self.bytes.fetch_sub(e.size, Ordering::Relaxed);
+                self.release(&e);
             }
             if let Some(d) = &self.disk {
                 d.evict(*h);
@@ -257,17 +494,20 @@ impl MemoryFactsStore {
         victims.len()
     }
 
-    /// Drops every resident entry and evicts each one's backing disk
-    /// entry; returns how many resident entries were dropped.
+    /// Drops every resident entry and memo and evicts each entry's
+    /// backing disk entry; returns how many resident entries were
+    /// dropped.
     pub fn invalidate_all(&self) -> usize {
         let mut map = self.entries.write().expect("facts store poisoned");
         let n = map.len();
+        self.drop_programs();
         for (h, _) in map.drain() {
             if let Some(d) = &self.disk {
                 d.evict(h);
             }
         }
         self.bytes.store(0, Ordering::Relaxed);
+        self.memo_bytes.store(0, Ordering::Relaxed);
         adsafe_trace::counter("store.invalidated").add(n as u64);
         self.set_gauges(0);
         n
@@ -508,6 +748,90 @@ mod tests {
         // Evicting the only entry would thrash the request being
         // served; the budget is enforced as soon as a second arrives.
         assert!(matches!(store.load(h, FileId(0)), CacheLookup::Hit(_)));
+    }
+
+    fn finding(message: &str) -> Diagnostic {
+        let span = adsafe_lang::Span::new(FileId(0), 0, 1);
+        Diagnostic::new("team-rule", adsafe_checkers::Severity::Info, span, message)
+    }
+
+    #[test]
+    fn file_memos_key_by_pack_and_module_and_go_with_their_entry() {
+        let store = MemoryFactsStore::open(None);
+        let h = content_hash("m/a.cc", "text");
+        let diags = Arc::new(vec![finding("one")]);
+        store.store_file_memo(h, 1, "m", Arc::clone(&diags));
+        assert_eq!(store.memo_bytes(), 0, "no entry, no memo");
+        store.store_entry(h, "m/a.cc", &FileFacts::default());
+        let facts_bytes = store.bytes();
+        store.store_file_memo(h, 1, "m", Arc::clone(&diags));
+        assert!(store.memo_bytes() > 0);
+        assert_eq!(store.bytes(), facts_bytes + store.memo_bytes());
+        assert!(Arc::ptr_eq(&store.file_memo(h, 1, "m").expect("hit"), &diags));
+        assert!(store.file_memo(h, 2, "m").is_none(), "another pack");
+        assert!(store.file_memo(h, 1, "n").is_none(), "another module");
+        // A memo for another pack displaces the first.
+        store.store_file_memo(h, 2, "m", Arc::new(vec![finding("two"), finding("three")]));
+        assert!(store.file_memo(h, 1, "m").is_none());
+        assert_eq!(store.file_memo(h, 2, "m").expect("hit").len(), 2);
+        assert_eq!(store.invalidate_paths(&["m/a.cc".to_string()]), 1);
+        assert_eq!((store.bytes(), store.memo_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn program_slots_key_by_file_set_and_drop_on_invalidation() {
+        let store = MemoryFactsStore::open(None);
+        let memo = ProgramMemo { diags: vec![finding("g")], ..ProgramMemo::default() };
+        store.store_program_memo(7, 70, 1, memo.clone());
+        store.store_program_memo(8, 80, 1, memo.clone());
+        assert_eq!(store.bytes(), store.memo_bytes());
+        assert_eq!(store.program_memo(7, 70, 1).expect("hit").diags, memo.diags);
+        assert!(store.program_memo(7, 71, 1).is_none(), "another digest");
+        assert!(store.program_memo(7, 70, 2).is_none(), "another pack");
+        assert!(store.program_memo(8, 80, 1).is_some(), "each file set keeps its slot");
+        // A new digest replaces the set's slot and its bytes.
+        let before = store.memo_bytes();
+        store.store_program_memo(7, 71, 1, memo.clone());
+        assert_eq!(store.memo_bytes(), before);
+        assert!(store.program_memo(7, 70, 1).is_none());
+        assert_eq!(store.invalidate_paths(&[]), 0);
+        assert!(store.program_memo(7, 71, 1).is_none(), "invalidation drops every slot");
+        assert_eq!(store.memo_bytes(), 0);
+    }
+
+    #[test]
+    fn budget_pressure_sheds_program_slots_before_facts() {
+        let facts = FileFacts { recovery_count: 9, ..FileFacts::default() };
+        let entry_len = facts.to_json().len() as u64;
+        let memo = ProgramMemo { diags: vec![finding("g")], ..ProgramMemo::default() };
+        let slot_len = memo.size();
+        let store = MemoryFactsStore::open_budgeted(None, 2 * entry_len + slot_len);
+        let (ha, hb, hc) = (
+            content_hash("m/a.cc", "a"),
+            content_hash("m/b.cc", "b"),
+            content_hash("m/c.cc", "c"),
+        );
+        store.store_entry(ha, "m/a.cc", &facts);
+        store.store_entry(hb, "m/b.cc", &facts);
+        store.store_program_memo(1, 10, 0, memo.clone());
+        assert!(store.program_memo(1, 10, 0).is_some(), "fits exactly");
+        // A second slot displaces the older one, never facts.
+        store.store_program_memo(2, 20, 0, memo.clone());
+        assert!(store.program_memo(1, 10, 0).is_none());
+        assert!(store.program_memo(2, 20, 0).is_some());
+        assert!(store.bytes() <= store.budget());
+        assert_eq!(store.len(), 2);
+        // A slot that does not fit even alone is not kept.
+        let big = ProgramMemo { diags: vec![finding(&"x".repeat(4096))], ..ProgramMemo::default() };
+        store.store_program_memo(3, 30, 0, big);
+        assert!(store.program_memo(3, 30, 0).is_none());
+        assert_eq!(store.len(), 2);
+        // New facts shed the slots before any entry.
+        store.store_program_memo(2, 20, 0, memo.clone());
+        store.store_entry(hc, "m/c.cc", &facts);
+        assert!(store.program_memo(2, 20, 0).is_none());
+        assert_eq!(store.memo_bytes(), 0);
+        assert_eq!(store.len(), 3, "{} bytes of {}", store.bytes(), store.budget());
     }
 
     #[test]

@@ -127,11 +127,6 @@ impl CoverageHarness {
             })
             .collect()
     }
-
-    /// The source map (for diagnostics).
-    pub fn source_map(&self) -> &SourceMap {
-        &self.sm
-    }
 }
 
 impl Default for CoverageHarness {

@@ -84,21 +84,11 @@ impl ThreadCtx {
         (self.block_idx.y * self.block_dim.y + self.thread_idx.y) as usize
     }
 
-    /// `blockIdx.z * blockDim.z + threadIdx.z`.
-    pub fn global_z(&self) -> usize {
-        (self.block_idx.z * self.block_dim.z + self.thread_idx.z) as usize
-    }
-
     /// Flat thread id within the block.
     pub fn thread_rank(&self) -> usize {
         (self.thread_idx.z * self.block_dim.y * self.block_dim.x
             + self.thread_idx.y * self.block_dim.x
             + self.thread_idx.x) as usize
-    }
-
-    /// Threads per block.
-    pub fn block_size(&self) -> usize {
-        self.block_dim.count() as usize
     }
 }
 
@@ -139,6 +129,5 @@ mod tests {
         assert_eq!(ctx.global_x(), 2 * 16 + 3);
         assert_eq!(ctx.global_y(), 8 + 4);
         assert_eq!(ctx.thread_rank(), 4 * 16 + 3);
-        assert_eq!(ctx.block_size(), 128);
     }
 }

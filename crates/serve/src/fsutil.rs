@@ -146,13 +146,24 @@ pub struct SourceIndex {
     /// that finds the same bytes keeps that source and allocates
     /// nothing.
     scratch: Vec<u8>,
+    /// Total text bytes of the resident sources.
+    bytes: u64,
 }
 
 impl SourceIndex {
     /// Drops the resident source of `path`, so the next ingest reads
     /// it. Returns whether one was resident.
     pub fn forget(&mut self, path: &Path) -> bool {
-        self.entries.remove(path).is_some()
+        let gone = self.entries.remove(path);
+        if let Some(r) = &gone {
+            self.bytes -= r.source.text_len() as u64;
+        }
+        gone.is_some()
+    }
+
+    /// Total text bytes of the resident sources.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
     }
 }
 
@@ -194,6 +205,7 @@ pub fn ingest(root: &Path, index: &mut SourceIndex, assessment: &mut Assessment)
         assessment.add_source(&module_of(root, &f), &resident.source);
         index.entries.insert(f, resident);
     }
+    index.bytes = index.entries.values().map(|r| r.source.text_len() as u64).sum();
     adsafe_trace::counter("ingest.files_read").add(ingested.files_read as u64);
     adsafe_trace::counter("ingest.bytes_read").add(ingested.bytes_read);
     ingested

@@ -185,6 +185,13 @@ impl Shared {
         Some(ledger)
     }
 
+    /// Total text bytes of the resident sources, over every root.
+    fn resident_bytes(&self) -> u64 {
+        let indexes: Vec<_> =
+            self.sources.lock().unwrap_or_else(|e| e.into_inner()).values().cloned().collect();
+        indexes.iter().map(|i| i.lock().unwrap_or_else(|e| e.into_inner()).bytes()).sum()
+    }
+
     /// The resident source index of a corpus root, empty on first use.
     fn sources_for(&self, root: &Path) -> Arc<Mutex<SourceIndex>> {
         let mut map = self.sources.lock().unwrap_or_else(|e| e.into_inner());
@@ -534,7 +541,7 @@ fn route(req: &Request, shared: &Arc<Shared>, spent: &mut Spent) -> Response {
     match (req.method.as_str(), path) {
         ("POST", "/assess") => assess(req, shared, spent),
         ("POST", "/invalidate") => invalidate(req, shared),
-        ("GET", "/metrics") => metrics(req),
+        ("GET", "/metrics") => metrics(req, shared),
         ("GET", "/healthz") => healthz(shared),
         ("GET", "/requests") => requests_log(req, shared),
         ("GET", "/trace/recent") => trace_recent(shared),
@@ -559,10 +566,13 @@ fn route(req: &Request, shared: &Arc<Shared>, spent: &mut Spent) -> Response {
 
 /// `GET /metrics[?format=prometheus]`: the stable adsafe text dump by
 /// default; the Prometheus exposition format on request.
-fn metrics(req: &Request) -> Response {
+fn metrics(req: &Request, shared: &Arc<Shared>) -> Response {
     // Refresh the allocator gauges (mem.live_bytes, mem.peak_bytes,
-    // mem.phase{phase=…}) so both exposition formats see current data.
+    // mem.phase{phase=…}) and the resident source bytes so both
+    // exposition formats see current data. The store keeps its own
+    // gauges current.
     adsafe_trace::alloc::publish_metrics();
+    adsafe_trace::gauge("ingest.resident_bytes").set(shared.resident_bytes());
     match query_param(&req.path, "format") {
         Some("prometheus") => Response {
             status: 200,
@@ -949,6 +959,8 @@ fn healthz(shared: &Arc<Shared>) -> Response {
     out.push_str(&format!(",\"store_entries\":{}", shared.store.len()));
     out.push_str(&format!(",\"store_bytes\":{}", shared.store.bytes()));
     out.push_str(&format!(",\"store_budget\":{}", shared.store.budget()));
+    out.push_str(&format!(",\"store_memo_bytes\":{}", shared.store.memo_bytes()));
+    out.push_str(&format!(",\"ingest_resident_bytes\":{}", shared.resident_bytes()));
     out.push_str(&format!(
         ",\"store_evictions\":{}",
         adsafe_trace::counter("store.evictions").get()

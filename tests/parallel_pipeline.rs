@@ -432,11 +432,14 @@ fn memory_profiling_never_changes_report_bytes() {
     }
 }
 
-/// A warm resident-store run allocates in `checks.query`, `assess` and
-/// `metrics` in proportion to findings, modules and files, never per
-/// function: query rows borrow their strings from the facts records,
-/// the whole-program assemblies (recursion, coupling, per-rule counts)
-/// work on indices, and module metrics tally functions in place.
+/// A warm run that derives its whole-program results (from a cache
+/// directory) allocates in `checks.query`, `assess` and `metrics` in
+/// proportion to findings, modules and files, never per function: query
+/// rows borrow their strings from the facts records, the whole-program
+/// assemblies (recursion, coupling, per-rule counts) work on indices,
+/// and module metrics tally functions in place. A warm resident-store
+/// run replays those results from its program slot, within the same
+/// bounds.
 #[test]
 fn warm_query_and_assess_allocations_do_not_scale_with_functions() {
     let _g = cpu_lock();
@@ -448,18 +451,22 @@ fn warm_query_and_assess_allocations_do_not_scale_with_functions() {
         path: "clean/clean.cc".into(),
         text: (0..2000).map(|i| format!("int clean_{i}(int x) {{ return x + {i}; }}\n")).collect(),
     });
+    let dir = temp_cache_dir("warm-allocs");
     let store = std::sync::Arc::new(adsafe::MemoryFactsStore::open(None));
-    let opts = || AssessmentOptions {
-        jobs: 1,
-        store: Some(store.clone()),
-        ..AssessmentOptions::default()
+    let derive = AssessmentOptions { jobs: 1, cache_dir: Some(dir.clone()), ..AssessmentOptions::default() };
+    let replay = AssessmentOptions { jobs: 1, store: Some(store), ..AssessmentOptions::default() };
+    let warm_run = |opts: &AssessmentOptions| {
+        adsafe::assess_corpus(&corpus, opts.clone());
+        let prev = alloc::set_profiling(true);
+        let warm = adsafe::assess_corpus(&corpus, opts.clone());
+        alloc::set_profiling(prev);
+        warm
     };
-    adsafe::assess_corpus(&corpus, opts());
-    let prev = alloc::set_profiling(true);
-    let warm = adsafe::assess_corpus(&corpus, opts());
-    alloc::set_profiling(prev);
+    let (warm, replayed) = (warm_run(&derive), warm_run(&replay));
+    let _ = std::fs::remove_dir_all(&dir);
     let files = corpus.len() as u64;
     assert_eq!(warm.trace.counter("cache.hits"), files, "the run must be warm");
+    assert_eq!(replayed.trace.counter("store.memo.program.hits"), 1, "the slot must serve");
     let functions = warm.evidence.total_functions as u64;
     // A warm run replays the bundled file-scoped rules' findings; only
     // the program-scoped ones evaluate in `checks.query`.
@@ -487,14 +494,23 @@ fn warm_query_and_assess_allocations_do_not_scale_with_functions() {
     assert!(query > 0 && query <= query_bound, "checks.query: {query} allocs > {query_bound}");
     assert!(assess > 0 && assess <= assess_bound, "assess: {assess} allocs > {assess_bound}");
     assert!(metrics > 0 && metrics <= metrics_bound, "metrics: {metrics} allocs > {metrics_bound}");
+    let replayed_allocs = |phase: &str| {
+        replayed.trace.phase_mem.iter().find(|p| p.name == phase).map_or(0, |p| p.allocs)
+    };
+    for (phase, bound) in [("checks.query", query_bound), ("assess", assess_bound), ("metrics", metrics_bound)] {
+        let n = replayed_allocs(phase);
+        assert!(n <= bound, "replayed {phase}: {n} allocs > {bound}");
+    }
 }
 
 /// A warm run — from a cache directory or from a resident store —
 /// replays every bundled file-scoped rule's findings from the facts
-/// records: it emits no `check.<id>` span for one, and evaluates only
-/// the program-scoped `misra-17.2-recursion` and the user pack's rules.
-/// Its report bytes equal a cold run's, with and without a user pack,
-/// at jobs 1 and 2.
+/// records: it emits no `check.<id>` span for one. From a cache
+/// directory it evaluates only the program-scoped `misra-17.2-recursion`
+/// and the user pack's rules; a resident store also replays those, from
+/// its file memos and program slot, and evaluates no rule at all. Its
+/// report bytes equal a cold run's, with and without a user pack, at
+/// jobs 1 and 2.
 #[test]
 fn warm_runs_evaluate_only_program_scope_and_user_pack_rules() {
     use adsafe::checkers::CheckScope;
@@ -537,8 +553,13 @@ fn warm_runs_evaluate_only_program_scope_and_user_pack_rules() {
                 for id in &file_scoped {
                     assert!(!evaluated.contains(id), "{what}: re-evaluated {id}");
                 }
-                assert!(evaluated.contains("misra-17.2-recursion"), "{what}: {evaluated:?}");
-                assert_eq!(evaluated.contains("team-multi"), pack.is_some(), "{what}");
+                if label == "resident" {
+                    assert!(evaluated.is_empty(), "{what}: {evaluated:?}");
+                    assert_eq!(warm.trace.counter("store.memo.program.hits"), 1, "{what}");
+                } else {
+                    assert!(evaluated.contains("misra-17.2-recursion"), "{what}: {evaluated:?}");
+                    assert_eq!(evaluated.contains("team-multi"), pack.is_some(), "{what}");
+                }
                 assert!(!warm.diagnostics_for("misra-17.2-recursion").is_empty(), "{what}");
                 assert!(!warm.diagnostics_for("cuda-kernel-pointer").is_empty(), "{what}");
                 assert_eq!(deterministic_report_markdown(&warm), cold, "{what}");

@@ -771,9 +771,17 @@ fn every_assessment_gets_a_run_id_and_a_ledger_record() {
     assert!(text.contains("# TYPE adsafe_serve_assessments counter"), "{text}");
     assert_eq!(request(addr, "GET", "/metrics?format=xml", "").status, 400);
 
-    // /healthz surfaces the facts-store gauges.
+    // /healthz surfaces the facts-store gauges, the memos' share and
+    // the resident sources' text; /metrics carries the last two as
+    // gauges.
     let health = request(addr, "GET", "/healthz", "").body_text();
     assert!(health.contains("\"store_bytes\":"), "{health}");
+    assert!(health.contains("\"store_memo_bytes\":"), "{health}");
+    assert!(!health.contains("\"ingest_resident_bytes\":0"), "{health}");
+    let metrics = request(addr, "GET", "/metrics", "").body_text();
+    for gauge in ["gauge store.memo.bytes ", "gauge ingest.resident_bytes "] {
+        assert!(metrics.lines().any(|l| l.starts_with(gauge)), "{gauge}in\n{metrics}");
+    }
 
     server.stop();
     let _ = std::fs::remove_dir_all(&corpus);
