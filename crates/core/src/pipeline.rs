@@ -263,7 +263,7 @@ struct FileOutcome {
     /// A fresh tier-1 record, fit for write-back if no rule failed.
     cache_ok: bool,
     /// The user pack's file-scoped findings on the record (`None` when
-    /// the pack has no file-scoped rule or the record has none).
+    /// the pack has no file-scoped rule or the file has no record).
     user: Option<Arc<Vec<Diagnostic>>>,
     /// Whether `user` was evaluated here (not replayed from a memo).
     user_fresh: bool,
