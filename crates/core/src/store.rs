@@ -175,8 +175,8 @@ pub struct MemoryFactsStore {
     bytes: AtomicU64,
     /// The memos' share of `bytes` (the `store.memo.bytes` gauge).
     memo_bytes: AtomicU64,
-    /// Byte budget; `0` means unbounded. Crossing it evicts LRU
-    /// entries until `bytes <= budget`.
+    /// Byte budget; `0` means unbounded. Crossing it evicts program
+    /// slots, then LRU entries, until `bytes <= budget`.
     budget: u64,
     /// Logical clock stamping entry use; monotonic per store.
     clock: AtomicU64,
@@ -197,9 +197,10 @@ impl MemoryFactsStore {
     }
 
     /// [`open`](Self::open) with an LRU byte budget: whenever resident
-    /// bytes (entries' encoded JSON lengths) exceed `budget`,
-    /// least-recently-used entries are evicted (dirty ones demoted to
-    /// disk first) until the store is back under. `0` means unbounded.
+    /// bytes (entries' encoded JSON lengths and memo estimates) exceed
+    /// `budget`, program slots and then least-recently-used entries are
+    /// evicted (dirty ones demoted to disk first) until the store is
+    /// back under. `0` means unbounded.
     pub fn open_budgeted(dir: Option<&Path>, budget: u64) -> MemoryFactsStore {
         MemoryFactsStore {
             entries: RwLock::new(HashMap::new()),
