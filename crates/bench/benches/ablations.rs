@@ -140,5 +140,11 @@ fn bench_instrumentation(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_tuning, bench_emulator, bench_mcdc_variants, bench_instrumentation);
+criterion_group!(
+    benches,
+    bench_tuning,
+    bench_emulator,
+    bench_mcdc_variants,
+    bench_instrumentation
+);
 criterion_main!(benches);

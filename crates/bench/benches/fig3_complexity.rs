@@ -25,8 +25,11 @@ fn bench(c: &mut Criterion) {
         report.evidence.functions_over_cc10
     );
 
-    let perception: Vec<_> =
-        files.iter().filter(|f| f.module == "perception").cloned().collect();
+    let perception: Vec<_> = files
+        .iter()
+        .filter(|f| f.module == "perception")
+        .cloned()
+        .collect();
     let mut g = c.benchmark_group("fig3");
     g.sample_size(10);
     g.bench_function("parse_and_cc_perception", |b| {

@@ -35,7 +35,11 @@ fn bench(c: &mut Criterion) {
             let mut a = Assessment::new();
             a.add_file("perception", "scale_bias.cu", SCALE_BIAS_CU);
             let report = a.run();
-            report.diagnostics.into_iter().filter(|d| CUDA_RULES.contains(&d.check_id)).count()
+            report
+                .diagnostics
+                .into_iter()
+                .filter(|d| CUDA_RULES.contains(&d.check_id))
+                .count()
         })
     });
     // The native rules alone, run over a parsed analysis set.

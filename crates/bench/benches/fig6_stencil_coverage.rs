@@ -12,7 +12,9 @@ fn bench(c: &mut Criterion) {
     println!("{}", fig.to_ascii(40));
 
     let mut g = c.benchmark_group("fig6");
-    g.bench_function("cuda_to_cpu_translation", |b| b.iter(|| cuda_to_cpu(STENCIL_CU)));
+    g.bench_function("cuda_to_cpu_translation", |b| {
+        b.iter(|| cuda_to_cpu(STENCIL_CU))
+    });
 
     let translated = cuda_to_cpu(STENCIL_CU);
     let mut h = CoverageHarness::new();
@@ -30,7 +32,11 @@ fn bench(c: &mut Criterion) {
     );
     h.link();
     g.bench_function("instrumented_2d_stencil_16x16", |b| {
-        let t = vec![TestCase::new("2d", "run2d", vec![Value::Int(16), Value::Int(16)])];
+        let t = vec![TestCase::new(
+            "2d",
+            "run2d",
+            vec![Value::Int(16), Value::Int(16)],
+        )];
         b.iter(|| h.run(&t))
     });
     g.finish();

@@ -35,7 +35,14 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig8_conv_measured");
     g.sample_size(10);
     let shape = kernels::ConvShape {
-        batch: 1, in_c: 8, in_h: 32, in_w: 32, out_c: 16, ksize: 3, stride: 1, pad: 1,
+        batch: 1,
+        in_c: 8,
+        in_h: 32,
+        in_w: 32,
+        out_c: 16,
+        ksize: 3,
+        stride: 1,
+        pad: 1,
     };
     let input: Vec<f32> = (0..shape.input_len()).map(|i| (i % 9) as f32).collect();
     let weights: Vec<f32> = (0..shape.weight_len()).map(|i| (i % 5) as f32).collect();

@@ -69,7 +69,10 @@ fn main() {
     );
 
     let mut sm = SourceMap::new();
-    let ids: Vec<_> = files.iter().map(|f| sm.add_file(&f.path, &f.text)).collect();
+    let ids: Vec<_> = files
+        .iter()
+        .map(|f| sm.add_file(&f.path, &f.text))
+        .collect();
 
     let mut best: Option<Pass> = None;
     for run in 0..RUNS {
@@ -86,8 +89,11 @@ fn main() {
 
         let b1 = alloc::total_allocated();
         let t1 = Instant::now();
-        let parsed: Vec<_> =
-            files.iter().zip(&ids).map(|(f, &id)| parse_source(id, &f.text)).collect();
+        let parsed: Vec<_> = files
+            .iter()
+            .zip(&ids)
+            .map(|(f, &id)| parse_source(id, &f.text))
+            .collect();
         let parse_ms = t1.elapsed().as_secs_f64() * 1000.0;
         let parse_bytes = alloc::total_allocated().saturating_sub(b1);
 
@@ -121,13 +127,22 @@ fn main() {
             pass.total_bytes() as f64 / loc as f64,
             pass.peak_live / (1024 * 1024),
         );
-        if best.as_ref().is_none_or(|prev| pass.total_ms() < prev.total_ms()) {
+        if best
+            .as_ref()
+            .is_none_or(|prev| pass.total_ms() < prev.total_ms())
+        {
             best = Some(pass);
         }
     }
     let best = best.expect("RUNS > 0");
 
-    let loc_per_s = |ms: f64| if ms > 0.0 { loc as f64 / (ms / 1000.0) } else { 0.0 };
+    let loc_per_s = |ms: f64| {
+        if ms > 0.0 {
+            loc as f64 / (ms / 1000.0)
+        } else {
+            0.0
+        }
+    };
     let bytes_per_loc = best.total_bytes() as f64 / loc.max(1) as f64;
     let json = format!(
         "{{\n  \"schema\": \"adsafe-bench-frontend/1\",\n  \

@@ -15,9 +15,17 @@ fn bench(c: &mut Criterion) {
         }
     };
     let files = generate(&spec);
-    let blob: String = files.iter().map(|f| f.text.as_str()).collect::<Vec<_>>().join("\n");
+    let blob: String = files
+        .iter()
+        .map(|f| f.text.as_str())
+        .collect::<Vec<_>>()
+        .join("\n");
     let bytes = blob.len() as u64;
-    println!("parser throughput corpus: {} bytes, {} files", bytes, files.len());
+    println!(
+        "parser throughput corpus: {} bytes, {} files",
+        bytes,
+        files.len()
+    );
 
     let mut g = c.benchmark_group("frontend");
     g.sample_size(10);

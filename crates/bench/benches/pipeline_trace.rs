@@ -27,7 +27,10 @@ fn main() {
 
     let spec = ApolloSpec::test_scale();
     let files = generate(&spec);
-    eprintln!("pipeline_trace: assessing {} generated files x{RUNS} ...", files.len());
+    eprintln!(
+        "pipeline_trace: assessing {} generated files x{RUNS} ...",
+        files.len()
+    );
 
     let mut best: Option<BenchBaseline> = None;
     for run in 0..RUNS {

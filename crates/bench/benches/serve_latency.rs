@@ -34,7 +34,9 @@ const WARM_RUNS: usize = 5;
 fn post_assess(addr: SocketAddr, body: &str) -> http::Response {
     loop {
         let mut stream = TcpStream::connect(addr).expect("connect to bench server");
-        stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
         stream
             .write_all(&http::encode_request(
                 "POST",
@@ -59,7 +61,9 @@ fn post_assess(addr: SocketAddr, body: &str) -> http::Response {
 /// the request cap).
 fn keepalive_session(addr: SocketAddr, body: &str, n: usize) -> Vec<f64> {
     let mut stream = TcpStream::connect(addr).expect("connect to bench server");
-    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
     let wire = http::encode_request("POST", "/assess", &[], body.as_bytes());
     let mut out = Vec::with_capacity(n);
@@ -67,7 +71,12 @@ fn keepalive_session(addr: SocketAddr, body: &str, n: usize) -> Vec<f64> {
         let t0 = Instant::now();
         stream.write_all(&wire).expect("send assess request");
         let resp = http::read_response(&mut reader).expect("read assess response");
-        assert_eq!(resp.status, 200, "keep-alive request {i}: {}", resp.body_text());
+        assert_eq!(
+            resp.status,
+            200,
+            "keep-alive request {i}: {}",
+            resp.body_text()
+        );
         out.push(t0.elapsed().as_secs_f64() * 1000.0);
         assert_eq!(
             resp.header("connection"),
@@ -82,11 +91,20 @@ fn keepalive_session(addr: SocketAddr, body: &str, n: usize) -> Vec<f64> {
 /// saturation probe must *count* rejections, not wait them out.
 fn probe(addr: SocketAddr, body: &str) -> u16 {
     let mut stream = TcpStream::connect(addr).expect("connect to saturation server");
-    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
     stream
-        .write_all(&http::encode_request("POST", "/assess", &[], body.as_bytes()))
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    stream
+        .write_all(&http::encode_request(
+            "POST",
+            "/assess",
+            &[],
+            body.as_bytes(),
+        ))
         .expect("send probe");
-    http::read_response(&mut BufReader::new(stream)).expect("read probe response").status
+    http::read_response(&mut BufReader::new(stream))
+        .expect("read probe response")
+        .status
 }
 
 fn quantiles(latencies: &mut [f64]) -> (f64, f64) {
@@ -120,7 +138,10 @@ fn concurrent_latencies(addr: SocketAddr, body: &str, keepalive: bool) -> (f64, 
                 })
             })
             .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("client thread")).collect()
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("client thread"))
+            .collect()
     });
     quantiles(&mut latencies)
 }
@@ -133,7 +154,8 @@ fn main() {
     let gate_path = format!("{}_gate.json", out_path.trim_end_matches(".json"));
 
     // Materialise the corpus: the daemon ingests from a directory.
-    let corpus_root = std::env::temp_dir().join(format!("adsafe-bench-serve-{}", std::process::id()));
+    let corpus_root =
+        std::env::temp_dir().join(format!("adsafe-bench-serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&corpus_root);
     let files = generate(&ApolloSpec::test_scale());
     for f in &files {
@@ -142,7 +164,11 @@ fn main() {
             .expect("create corpus dirs");
         std::fs::write(path, &f.text).expect("write corpus file");
     }
-    eprintln!("serve_latency: corpus of {} files at {}", files.len(), corpus_root.display());
+    eprintln!(
+        "serve_latency: corpus of {} files at {}",
+        files.len(),
+        corpus_root.display()
+    );
 
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -161,7 +187,11 @@ fn main() {
     let t0 = Instant::now();
     let cold = post_assess(addr, &body);
     let cold_ms = t0.elapsed().as_secs_f64() * 1000.0;
-    assert_eq!(cold.header("x-adsafe-cache-hits"), Some("0"), "first request must be cold");
+    assert_eq!(
+        cold.header("x-adsafe-cache-hits"),
+        Some("0"),
+        "first request must be cold"
+    );
 
     // Warm, fresh connection per request: pays connect + teardown.
     let mut warm_close_ms = f64::MAX;
@@ -174,7 +204,10 @@ fn main() {
             Some(files.len().to_string().as_str()),
             "repeat requests must be fully warm"
         );
-        assert_eq!(warm.body, cold.body, "cold and warm reports must be byte-identical");
+        assert_eq!(
+            warm.body, cold.body,
+            "cold and warm reports must be byte-identical"
+        );
     }
 
     // Warm, keep-alive: the same requests down one connection.
@@ -208,7 +241,10 @@ fn main() {
             let handles: Vec<_> = (0..burst)
                 .map(|_| scope.spawn(|| u32::from(probe(sat_addr, &body) == 503)))
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("probe thread") as usize).sum()
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("probe thread") as usize)
+                .sum()
         });
         if rejected > 0 {
             saturation_clients = burst;

@@ -33,8 +33,11 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut out = Vec::new();
             for m in cx.modules() {
-                let files: Vec<_> =
-                    cx.module_entries(m).into_iter().map(|e| (e.file, e.unit)).collect();
+                let files: Vec<_> = cx
+                    .module_entries(m)
+                    .into_iter()
+                    .map(|e| (e.file, e.unit))
+                    .collect();
                 out.push(module_metrics(m, &files));
             }
             out

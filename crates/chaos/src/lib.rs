@@ -117,14 +117,18 @@ impl ChaosPlan {
     /// A seeded plan: each connection draws its fault from an RNG
     /// keyed on `(seed, index)`, so plans replay exactly.
     pub fn new(seed: u64) -> ChaosPlan {
-        ChaosPlan { mode: Mode::Seeded(seed) }
+        ChaosPlan {
+            mode: Mode::Seeded(seed),
+        }
     }
 
     /// A plan that assigns `kind` to every connection — for targeted
     /// scenarios ("tear every chunked body mid-frame") and for the
     /// crate's own tests.
     pub fn fixed(kind: FaultKind) -> ChaosPlan {
-        ChaosPlan { mode: Mode::Fixed(kind) }
+        ChaosPlan {
+            mode: Mode::Fixed(kind),
+        }
     }
 
     /// The fault for connection `conn` (accept order, 0-based).
@@ -134,8 +138,9 @@ impl ChaosPlan {
             Mode::Seeded(seed) => {
                 // Golden-ratio multiply decorrelates consecutive
                 // indices before they key the per-connection RNG.
-                let mut rng =
-                    SmallRng::seed_from_u64(seed ^ (conn.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let mut rng = SmallRng::seed_from_u64(
+                    seed ^ (conn.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                );
                 match rng.gen_range(0..8u32) {
                     // Clean is over-weighted: most traffic should
                     // survive so invariants get checked on both paths.
@@ -144,14 +149,20 @@ impl ChaosPlan {
                         chunk: rng.gen_range(1..8usize),
                         delay_ms: rng.gen_range(0..3u64),
                     },
-                    4 => FaultKind::AbortAfter { bytes: rng.gen_range(1..200usize) },
+                    4 => FaultKind::AbortAfter {
+                        bytes: rng.gen_range(1..200usize),
+                    },
                     5 => {
                         let n = rng.gen_range(1..64usize);
                         let bytes = (0..n).map(|_| rng.gen::<u8>()).collect();
                         FaultKind::SoupPrefix { bytes }
                     }
-                    6 => FaultKind::ResetAfter { bytes: rng.gen_range(0..120usize) },
-                    _ => FaultKind::SlowDrip { delay_ms: rng.gen_range(5..25u64) },
+                    6 => FaultKind::ResetAfter {
+                        bytes: rng.gen_range(0..120usize),
+                    },
+                    _ => FaultKind::SlowDrip {
+                        delay_ms: rng.gen_range(5..25u64),
+                    },
                 }
             }
         };
@@ -186,7 +197,12 @@ impl ChaosProxy {
                 .spawn(move || accept_loop(&listener, upstream, &plan, &stop, &accepted))
                 .expect("spawning the chaos accept thread")
         };
-        Ok(ChaosProxy { addr, stop, accepted, accept: Some(accept) })
+        Ok(ChaosProxy {
+            addr,
+            stop,
+            accepted,
+            accept: Some(accept),
+        })
     }
 
     /// Address test clients should connect to.
@@ -343,7 +359,14 @@ fn apply_fault(client: &TcpStream, server: &TcpStream, spec: &FaultSpec, stop: &
             let _ = server.shutdown(Shutdown::Write);
         }
         FaultKind::PartialWrites { chunk, delay_ms } => {
-            forward(client, server, None, *chunk, Duration::from_millis(*delay_ms), stop);
+            forward(
+                client,
+                server,
+                None,
+                *chunk,
+                Duration::from_millis(*delay_ms),
+                stop,
+            );
             let _ = server.shutdown(Shutdown::Write);
         }
         FaultKind::AbortAfter { bytes } => {
@@ -367,7 +390,14 @@ fn apply_fault(client: &TcpStream, server: &TcpStream, spec: &FaultSpec, stop: &
             let _ = server.shutdown(Shutdown::Both);
         }
         FaultKind::SlowDrip { delay_ms } => {
-            forward(client, server, None, 1, Duration::from_millis(*delay_ms), stop);
+            forward(
+                client,
+                server,
+                None,
+                1,
+                Duration::from_millis(*delay_ms),
+                stop,
+            );
             let _ = server.shutdown(Shutdown::Write);
         }
     }
@@ -394,7 +424,10 @@ fn arm_reset(sock: &TcpStream) {
     }
     const SOL_SOCKET: i32 = 1;
     const SO_LINGER: i32 = 13;
-    let linger = Linger { l_onoff: 1, l_linger: 0 };
+    let linger = Linger {
+        l_onoff: 1,
+        l_linger: 0,
+    };
     unsafe {
         setsockopt(
             sock.as_raw_fd(),
@@ -425,7 +458,10 @@ mod tests {
         // The full fault space gets exercised within a small window.
         let names: std::collections::BTreeSet<&str> =
             specs(&a).iter().map(|s| s.kind.counter_name()).collect();
-        assert!(names.len() >= 5, "seed 17 covers most fault kinds: {names:?}");
+        assert!(
+            names.len() >= 5,
+            "seed 17 covers most fault kinds: {names:?}"
+        );
     }
 
     /// A one-connection upstream that records what it received and
@@ -475,9 +511,11 @@ mod tests {
     fn soup_prefix_arrives_before_the_payload() {
         let (addr, upstream) = upstream_once();
         let soup = vec![0xde, 0xad, 0xbe, 0xef];
-        let proxy =
-            ChaosProxy::start(addr, ChaosPlan::fixed(FaultKind::SoupPrefix { bytes: soup }))
-                .unwrap();
+        let proxy = ChaosProxy::start(
+            addr,
+            ChaosPlan::fixed(FaultKind::SoupPrefix { bytes: soup }),
+        )
+        .unwrap();
         let mut c = TcpStream::connect(proxy.addr()).unwrap();
         c.write_all(b"GET").unwrap();
         c.shutdown(Shutdown::Write).unwrap();

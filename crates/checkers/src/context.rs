@@ -35,7 +35,12 @@ impl<'a> CheckContext<'a> {
         let units: Vec<&TranslationUnit> = entries.iter().map(|e| e.unit).collect();
         let graph = CallGraph::build(&units);
         let global_names = adsafe_lang::symbols::global_names(&units);
-        CheckContext { sm, entries, graph, global_names }
+        CheckContext {
+            sm,
+            entries,
+            graph,
+            global_names,
+        }
     }
 
     /// A context over a single file, with no cross-file state (empty
@@ -65,7 +70,11 @@ impl<'a> CheckContext<'a> {
 
     /// Entries belonging to a given module.
     pub fn module_entries(&self, module: &str) -> Vec<FileEntry<'a>> {
-        self.entries.iter().copied().filter(|e| e.module == module).collect()
+        self.entries
+            .iter()
+            .copied()
+            .filter(|e| e.module == module)
+            .collect()
     }
 
     /// Distinct module names, in first-seen order.
@@ -89,7 +98,11 @@ pub struct AnalysisSet {
     pub sm: SourceMap,
     // Module names are interned: one shared `Arc<str>` per module
     // instead of one `String` clone per file in the hot add loop.
-    parsed: Vec<(adsafe_lang::FileId, std::sync::Arc<str>, adsafe_lang::ParsedFile)>,
+    parsed: Vec<(
+        adsafe_lang::FileId,
+        std::sync::Arc<str>,
+        adsafe_lang::ParsedFile,
+    )>,
 }
 
 impl AnalysisSet {
@@ -102,7 +115,8 @@ impl AnalysisSet {
     pub fn add(&mut self, module: &str, path: &str, text: &str) {
         let id = self.sm.add_file(path, text);
         let parsed = adsafe_lang::parse_source(id, self.sm.file(id).text());
-        self.parsed.push((id, adsafe_lang::intern::intern(module), parsed));
+        self.parsed
+            .push((id, adsafe_lang::intern::intern(module), parsed));
     }
 
     /// Adds a file whose parse the caller performed itself (for example
@@ -113,7 +127,8 @@ impl AnalysisSet {
         id: adsafe_lang::FileId,
         parsed: adsafe_lang::ParsedFile,
     ) {
-        self.parsed.push((id, adsafe_lang::intern::intern(module), parsed));
+        self.parsed
+            .push((id, adsafe_lang::intern::intern(module), parsed));
     }
 
     /// Builds the check context over everything added so far.
@@ -131,7 +146,9 @@ impl AnalysisSet {
     }
 
     /// Access to the parsed files (id, module, parse result).
-    pub fn parsed(&self) -> impl Iterator<Item = (&adsafe_lang::FileId, &str, &adsafe_lang::ParsedFile)> {
+    pub fn parsed(
+        &self,
+    ) -> impl Iterator<Item = (&adsafe_lang::FileId, &str, &adsafe_lang::ParsedFile)> {
         self.parsed.iter().map(|(id, m, p)| (id, &**m, p))
     }
 }
@@ -143,7 +160,11 @@ mod tests {
     #[test]
     fn context_builds_graph_and_globals() {
         let mut set = AnalysisSet::new();
-        set.add("perception", "a.cc", "int g_count;\nvoid detect() { track(); }");
+        set.add(
+            "perception",
+            "a.cc",
+            "int g_count;\nvoid detect() { track(); }",
+        );
         set.add("perception", "b.cc", "void track() {}");
         let cx = set.context();
         assert_eq!(cx.entries.len(), 2);

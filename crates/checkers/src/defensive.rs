@@ -10,9 +10,18 @@ use std::collections::HashSet;
 
 /// Calls whose return value encodes an error and must be checked.
 pub const MUST_CHECK_FNS: &[&str] = &[
-    "malloc", "calloc", "realloc", "fopen", "fread", "fwrite",
-    "cudaMalloc", "cudaMemcpy", "cudaFree", "cudaDeviceSynchronize",
-    "cudaGetLastError", "cudaStreamCreate",
+    "malloc",
+    "calloc",
+    "realloc",
+    "fopen",
+    "fread",
+    "fwrite",
+    "cudaMalloc",
+    "cudaMemcpy",
+    "cudaFree",
+    "cudaDeviceSynchronize",
+    "cudaGetLastError",
+    "cudaStreamCreate",
 ];
 
 /// Pointer parameters must be null-checked before being dereferenced.
@@ -38,7 +47,10 @@ fn condition_tested_names(f: &FunctionDef) -> HashSet<String> {
         if let ExprKind::Call { callee, args } = &e.kind {
             if let ExprKind::Ident(n) = &callee.kind {
                 let n = n.rsplit("::").next().unwrap_or(n);
-                if matches!(n, "assert" | "CHECK" | "CHECK_NOTNULL" | "DCHECK" | "ACHECK") {
+                if matches!(
+                    n,
+                    "assert" | "CHECK" | "CHECK_NOTNULL" | "DCHECK" | "ACHECK"
+                ) {
                     for a in args {
                         collect_idents(a, &mut names);
                     }
@@ -91,9 +103,14 @@ fn dereferenced_params(f: &FunctionDef) -> Vec<(String, adsafe_lang::Span)> {
     let mut seen = HashSet::new();
     walk_exprs(f, |e| {
         let target = match &e.kind {
-            ExprKind::Unary { op: UnOp::Deref, expr } => Some(expr),
+            ExprKind::Unary {
+                op: UnOp::Deref,
+                expr,
+            } => Some(expr),
             ExprKind::Index { base, .. } => Some(base),
-            ExprKind::Member { base, arrow: true, .. } => Some(base),
+            ExprKind::Member {
+                base, arrow: true, ..
+            } => Some(base),
             _ => None,
         };
         if let Some(t) = target {
@@ -195,7 +212,12 @@ pub struct ValidationFacts {
 
 /// Measures [`ValidationFacts`] for one function.
 pub fn validation_facts(f: &FunctionDef) -> ValidationFacts {
-    let names: Vec<&str> = f.sig.params.iter().filter_map(|p| p.name.as_deref()).collect();
+    let names: Vec<&str> = f
+        .sig
+        .params
+        .iter()
+        .filter_map(|p| p.name.as_deref())
+        .collect();
     if names.is_empty() {
         return ValidationFacts::default();
     }

@@ -49,7 +49,13 @@ impl Diagnostic {
         span: Span,
         message: impl Into<String>,
     ) -> Self {
-        Diagnostic { check_id, severity, span, message: message.into(), function: None }
+        Diagnostic {
+            check_id,
+            severity,
+            span,
+            message: message.into(),
+            function: None,
+        }
     }
 
     /// Attaches the enclosing function name.
@@ -93,7 +99,10 @@ pub fn sort_canonical(diags: &mut [Diagnostic]) {
             }),
         };
         last = Some((d.check_id, slot));
-        keys.push((slot << 32 | u64::from(d.span.file.0), u64::from(d.span.start) << 32 | i as u64));
+        keys.push((
+            slot << 32 | u64::from(d.span.file.0),
+            u64::from(d.span.start) << 32 | i as u64,
+        ));
     }
     let mut by_id: Vec<usize> = (0..ids.len()).collect();
     by_id.sort_unstable_by_key(|&s| ids[s]);
@@ -155,8 +164,12 @@ mod tests {
     fn canonical_sort_is_the_stable_key_sort() {
         // Equal ids at distinct addresses, equal keys with distinct
         // messages, and ids whose order differs from first appearance.
-        let ids: [&'static str; 4] =
-            ["b-rule", "a-rule", String::from("b-rule").leak(), "a-rule-2"];
+        let ids: [&'static str; 4] = [
+            "b-rule",
+            "a-rule",
+            String::from("b-rule").leak(),
+            "a-rule-2",
+        ];
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut next = |n: u64| {
             state ^= state << 13;

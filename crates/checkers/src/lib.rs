@@ -157,14 +157,14 @@ pub fn run_one_check(
     cx: &CheckContext<'_>,
 ) -> Result<Vec<Diagnostic>, CheckFailure> {
     let _sp = adsafe_trace::span(format!("check.{}", check.id()), "checks");
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check.run(cx)))
-        .map_err(|payload| CheckFailure {
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check.run(cx))).map_err(
+        |payload| CheckFailure {
             check_id: check.id(),
             message: payload_message(&*payload),
-        });
+        },
+    );
     if let Ok(diags) = &result {
-        adsafe_trace::counter(&format!("checks.rule.{}.diags", check.id()))
-            .add(diags.len() as u64);
+        adsafe_trace::counter(&format!("checks.rule.{}.diags", check.id())).add(diags.len() as u64);
     }
     result
 }
@@ -254,7 +254,9 @@ mod tests {
         let checks = default_checks();
         let diags = run_checks(&checks, &cx);
         assert!(diags.iter().any(|d| d.check_id == "naming-macro"));
-        assert!(diags.iter().any(|d| d.check_id == "misra-21.3-dynamic-memory"));
+        assert!(diags
+            .iter()
+            .any(|d| d.check_id == "misra-21.3-dynamic-memory"));
         assert!(diags.iter().any(|d| d.check_id == "typing-explicit-cast"));
         let mut sorted = diags.clone();
         sorted.sort_by_key(|d| (d.check_id, d.span.file, d.span.start));
@@ -269,14 +271,23 @@ mod tests {
             "a.cc",
             "int g;\nint f(int* p) { if (*p) goto x; g = 2; x: return (int)1.5; }\n",
         );
-        set.add("m", "b.cc", "extern int g;\nvoid h(float* q) { g = 3; *q = 1.0f; }\n");
+        set.add(
+            "m",
+            "b.cc",
+            "extern int g;\nvoid h(float* q) { g = 3; *q = 1.0f; }\n",
+        );
         set.add("n", "c.cu", "__global__ void k(float* x) { x[0] = 010; }\n");
         let cx = set.context();
         let checks = default_checks();
         let mut reference: Vec<Diagnostic> = checks.iter().flat_map(|c| c.run(&cx)).collect();
         reference.sort_by_key(|d| (d.check_id, d.span.file, d.span.start));
         let got = run_checks(&checks, &cx);
-        assert!(got.iter().filter(|d| d.check_id == "design-global-use").count() >= 2);
+        assert!(
+            got.iter()
+                .filter(|d| d.check_id == "design-global-use")
+                .count()
+                >= 2
+        );
         assert_eq!(got, reference);
     }
 

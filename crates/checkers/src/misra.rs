@@ -13,9 +13,18 @@ use adsafe_lang::visit::{walk_exprs, walk_stmts};
 /// Function names that are dynamic-memory API (MISRA C:2012 rule 21.3
 /// bans the stdlib ones; the CUDA ones are their device-side analogues).
 pub const DYNAMIC_MEMORY_FNS: &[&str] = &[
-    "malloc", "calloc", "realloc", "free", "aligned_alloc", "strdup",
-    "cudaMalloc", "cudaMallocManaged", "cudaMallocHost", "cudaMallocPitch",
-    "cudaFree", "cudaFreeHost",
+    "malloc",
+    "calloc",
+    "realloc",
+    "free",
+    "aligned_alloc",
+    "strdup",
+    "cudaMalloc",
+    "cudaMallocManaged",
+    "cudaMallocHost",
+    "cudaMallocPitch",
+    "cudaFree",
+    "cudaFreeHost",
 ];
 
 /// MISRA 21.3 / ISO 26262-6 Table 8 row 2: no dynamic memory after init.

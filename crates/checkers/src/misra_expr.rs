@@ -17,9 +17,11 @@ fn has_side_effect(e: &Expr) -> bool {
         ),
         ExprKind::Call { .. } | ExprKind::KernelLaunch { .. } => true, // conservatively
         ExprKind::Binary { lhs, rhs, .. } => has_side_effect(lhs) || has_side_effect(rhs),
-        ExprKind::Ternary { cond, then_expr, else_expr } => {
-            has_side_effect(cond) || has_side_effect(then_expr) || has_side_effect(else_expr)
-        }
+        ExprKind::Ternary {
+            cond,
+            then_expr,
+            else_expr,
+        } => has_side_effect(cond) || has_side_effect(then_expr) || has_side_effect(else_expr),
         ExprKind::Cast { expr, .. } => has_side_effect(expr),
         ExprKind::Index { base, index } => has_side_effect(base) || has_side_effect(index),
         ExprKind::Member { base, .. } => has_side_effect(base),

@@ -82,34 +82,38 @@ impl Check for TypeNamingCheck {
         fn scan(decls: &[Decl], id: &'static str, out: &mut Vec<Diagnostic>) {
             for d in decls {
                 match d {
-                    Decl::Record(r) if !r.name.is_empty()
-                        && classify(&r.name) != NameCase::UpperCamel => {
-                            out.push(Diagnostic::new(
-                                id,
-                                Severity::Warning,
-                                r.span,
-                                format!("type `{}` is not UpperCamelCase", r.name),
-                            ));
-                        }
-                    Decl::Enum(e) if !e.name.is_empty()
-                        && classify(&e.name) != NameCase::UpperCamel => {
-                            out.push(Diagnostic::new(
-                                id,
-                                Severity::Warning,
-                                e.span,
-                                format!("enum `{}` is not UpperCamelCase", e.name),
-                            ));
-                        }
-                    Decl::Typedef(t) if !t.name.is_empty()
+                    Decl::Record(r)
+                        if !r.name.is_empty() && classify(&r.name) != NameCase::UpperCamel =>
+                    {
+                        out.push(Diagnostic::new(
+                            id,
+                            Severity::Warning,
+                            r.span,
+                            format!("type `{}` is not UpperCamelCase", r.name),
+                        ));
+                    }
+                    Decl::Enum(e)
+                        if !e.name.is_empty() && classify(&e.name) != NameCase::UpperCamel =>
+                    {
+                        out.push(Diagnostic::new(
+                            id,
+                            Severity::Warning,
+                            e.span,
+                            format!("enum `{}` is not UpperCamelCase", e.name),
+                        ));
+                    }
+                    Decl::Typedef(t)
+                        if !t.name.is_empty()
                         // C-style `*_t` typedefs are conventional and allowed.
-                        && classify(&t.name) != NameCase::UpperCamel && !t.name.ends_with("_t") => {
-                            out.push(Diagnostic::new(
-                                id,
-                                Severity::Info,
-                                t.span,
-                                format!("alias `{}` is not UpperCamelCase", t.name),
-                            ));
-                        }
+                        && classify(&t.name) != NameCase::UpperCamel && !t.name.ends_with("_t") =>
+                    {
+                        out.push(Diagnostic::new(
+                            id,
+                            Severity::Info,
+                            t.span,
+                            format!("alias `{}` is not UpperCamelCase", t.name),
+                        ));
+                    }
                     Decl::Namespace(ns) => scan(&ns.decls, id, out),
                     _ => {}
                 }
@@ -254,7 +258,10 @@ mod tests {
 
     #[test]
     fn macro_names_checked() {
-        let d = run(&MacroNamingCheck, "#define MAX_N 10\n#define badMacro 1\n#define GUARD_H_\n");
+        let d = run(
+            &MacroNamingCheck,
+            "#define MAX_N 10\n#define badMacro 1\n#define GUARD_H_\n",
+        );
         assert_eq!(d.len(), 1);
         assert!(d[0].message.contains("badMacro"));
         assert!(run(&MacroNamingCheck, "int x;").is_empty());

@@ -144,7 +144,8 @@ impl Check for BraceStyleCheck {
                     ));
                 }
                 if !t.is_empty() && !t.starts_with("//") {
-                    prev_nonblank_code = !t.ends_with('{') && !t.ends_with('}') && !t.ends_with(';');
+                    prev_nonblank_code =
+                        !t.ends_with('{') && !t.ends_with('}') && !t.ends_with(';');
                 }
                 offset += line.len() as u32 + 1;
             }

@@ -65,8 +65,8 @@ fn numeric_rank(ty: &TypeRef) -> Option<u8> {
         "char" | "signed char" | "unsigned char" | "int8_t" | "uint8_t" => 2,
         "short" | "unsigned short" | "int16_t" | "uint16_t" => 3,
         "int" | "unsigned" | "unsigned int" | "int32_t" | "uint32_t" => 4,
-        "long" | "unsigned long" | "long long" | "unsigned long long" | "int64_t"
-        | "uint64_t" | "size_t" => 5,
+        "long" | "unsigned long" | "long long" | "unsigned long long" | "int64_t" | "uint64_t"
+        | "size_t" => 5,
         "float" => 6,
         "double" | "long double" => 7,
         _ => return None,
@@ -128,8 +128,11 @@ impl Check for ImplicitConversionCheck {
                 }
             });
             walk_exprs(f, |e| {
-                if let ExprKind::Assign { op: adsafe_lang::ast::AssignOp::Assign, lhs, rhs } =
-                    &e.kind
+                if let ExprKind::Assign {
+                    op: adsafe_lang::ast::AssignOp::Assign,
+                    lhs,
+                    rhs,
+                } = &e.kind
                 {
                     if let ExprKind::Ident(name) = &lhs.kind {
                         if let Some(target_ty) = local_types.get(name) {
@@ -259,7 +262,10 @@ mod tests {
 
     #[test]
     fn comparison_yields_bool_rank() {
-        let d = diags(&ImplicitConversionCheck, "void f(double a, double b) { bool x = a > b; }");
+        let d = diags(
+            &ImplicitConversionCheck,
+            "void f(double a, double b) { bool x = a > b; }",
+        );
         assert!(d.is_empty());
     }
 }

@@ -6,7 +6,7 @@
 //! numbers for any code base.
 
 use crate::{Check, CheckContext};
-use adsafe_lang::ast::{ExprKind, Storage, StmtKind};
+use adsafe_lang::ast::{ExprKind, StmtKind, Storage};
 use adsafe_lang::symbols::analyze_function;
 use adsafe_lang::visit::{walk_exprs, walk_stmts};
 
@@ -77,9 +77,17 @@ pub fn function_unit_facts(f: &adsafe_lang::ast::FunctionDef) -> FunctionUnitFac
     u.maybe_uninit_reads = syms.maybe_uninit_reads.len();
     u.shadowed_declarations = syms.shadow_count;
 
-    u.pointer_uses += f.sig.params.iter().filter(|p| p.ty.is_pointer_like()).count();
+    u.pointer_uses += f
+        .sig
+        .params
+        .iter()
+        .filter(|p| p.ty.is_pointer_like())
+        .count();
     walk_exprs(f, |x| match &x.kind {
-        ExprKind::Unary { op: adsafe_lang::ast::UnOp::Deref, .. }
+        ExprKind::Unary {
+            op: adsafe_lang::ast::UnOp::Deref,
+            ..
+        }
         | ExprKind::Member { arrow: true, .. } => u.pointer_uses += 1,
         ExprKind::New { .. } | ExprKind::Delete { .. } => u.dynamic_alloc_sites += 1,
         ExprKind::Call { .. } => {
@@ -159,7 +167,13 @@ mod tests {
     fn empty_code_is_clean() {
         let s = stats("void f() {}");
         assert_eq!(s.function_count, 1);
-        assert_eq!(s, UnitDesignStats { function_count: 1, ..UnitDesignStats::default() });
+        assert_eq!(
+            s,
+            UnitDesignStats {
+                function_count: 1,
+                ..UnitDesignStats::default()
+            }
+        );
         assert_eq!(s.multi_exit_pct(), 0.0);
     }
 

@@ -139,7 +139,12 @@ impl DecodedSource {
     pub fn decode(path: &str, bytes: Vec<u8>) -> Self {
         let (text, replaced) = decode_lossy(bytes);
         let hash = content_hash(path, &text);
-        DecodedSource { path: path.to_string(), text: Arc::new(text), hash, replaced }
+        DecodedSource {
+            path: path.to_string(),
+            text: Arc::new(text),
+            hash,
+            replaced,
+        }
     }
 
     /// Length of the decoded text in bytes.
@@ -235,7 +240,10 @@ impl FactsCache {
                 };
             }
         }
-        FactsCache { dir: dir.to_path_buf(), disabled: None }
+        FactsCache {
+            dir: dir.to_path_buf(),
+            disabled: None,
+        }
     }
 
     fn entry_path(&self, hash: u64) -> PathBuf {
@@ -299,7 +307,9 @@ impl FactsCache {
         if self.disabled.is_some() {
             return false;
         }
-        let tmp = self.dir.join(format!(".tmp-{}-{hash:016x}", std::process::id()));
+        let tmp = self
+            .dir
+            .join(format!(".tmp-{}-{hash:016x}", std::process::id()));
         if fs::write(&tmp, json).is_ok() && fs::rename(&tmp, self.entry_path(hash)).is_ok() {
             true
         } else {
@@ -372,17 +382,17 @@ mod tests {
     fn store_then_load_round_trips() {
         let dir = temp_dir("roundtrip");
         let cache = FactsCache::open(&dir);
-        let facts = FileFacts { recovery_count: 2, ..FileFacts::default() };
+        let facts = FileFacts {
+            recovery_count: 2,
+            ..FileFacts::default()
+        };
         let h = content_hash("m/a.cc", "text");
         cache.store(h, &facts);
         match cache.load(h, FileId(0)) {
             CacheLookup::Hit(f) => assert_eq!(*f, facts),
             other => panic!("expected hit, got {other:?}"),
         }
-        assert!(matches!(
-            cache.load(h ^ 1, FileId(0)),
-            CacheLookup::Miss
-        ));
+        assert!(matches!(cache.load(h ^ 1, FileId(0)), CacheLookup::Miss));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -451,7 +461,10 @@ mod tests {
     fn store_raw_round_trips_and_evicts() {
         let dir = temp_dir("raw");
         let cache = FactsCache::open(&dir);
-        let facts = FileFacts { recovery_count: 1, ..FileFacts::default() };
+        let facts = FileFacts {
+            recovery_count: 1,
+            ..FileFacts::default()
+        };
         let h = content_hash("m/raw.cc", "text");
         assert!(cache.store_raw(h, &facts.to_json()));
         match cache.load(h, FileId(0)) {
@@ -485,7 +498,10 @@ mod tests {
 
     #[test]
     fn fingerprint_covers_the_bundled_rule_text() {
-        assert_eq!(fingerprint_with(adsafe_query::BUILTIN_PACK), ruleset_fingerprint());
+        assert_eq!(
+            fingerprint_with(adsafe_query::BUILTIN_PACK),
+            ruleset_fingerprint()
+        );
         let retuned = adsafe_query::BUILTIN_PACK.replace("nloc > 100", "nloc > 120");
         assert_ne!(retuned, adsafe_query::BUILTIN_PACK);
         assert_ne!(fingerprint_with(&retuned), ruleset_fingerprint());
@@ -527,7 +543,11 @@ mod tests {
             assert_eq!(multi[0].function.as_deref(), Some("f"));
             // The rewritten entry holds the bundled rule's own finding.
             let stored = fs::read_to_string(&entry).unwrap();
-            assert_eq!(stored.matches("misra-15.5-multi-exit").count(), 1, "{pass}: {stored}");
+            assert_eq!(
+                stored.matches("misra-15.5-multi-exit").count(),
+                1,
+                "{pass}: {stored}"
+            );
         }
         let meta = fs::read_to_string(dir.join("meta.json")).unwrap();
         assert!(meta.contains(&ruleset_fingerprint()));
@@ -561,7 +581,10 @@ mod tests {
         assert!(report.faults.is_empty(), "{:?}", report.faults);
         assert_eq!(report.trace.counter("cache.stores"), 1);
         let stored = fs::read_to_string(&entry).unwrap();
-        assert!(stored.starts_with(&format!(r#"{{"schema":"{FACTS_SCHEMA}""#)), "{stored}");
+        assert!(
+            stored.starts_with(&format!(r#"{{"schema":"{FACTS_SCHEMA}""#)),
+            "{stored}"
+        );
         assert!(!stored.contains("\"idents\""), "{stored}");
         assert!(stored.contains(r#""unres":[["g",38,39]]"#), "{stored}");
         let _ = fs::remove_dir_all(&dir);
@@ -596,12 +619,29 @@ mod tests {
             assert!(report.faults.is_empty(), "{pass}: {:?}", report.faults);
             let globals = report.diagnostics_for("design-global-variable");
             assert_eq!(globals.len(), 1, "{pass}: {globals:?}");
-            assert_eq!((globals[0].span.start, globals[0].span.end), (0, 5), "{pass}");
-            assert_eq!(globals[0].message, "global variable `g: int` defined", "{pass}");
+            assert_eq!(
+                (globals[0].span.start, globals[0].span.end),
+                (0, 5),
+                "{pass}"
+            );
+            assert_eq!(
+                globals[0].message, "global variable `g: int` defined",
+                "{pass}"
+            );
             let stored = fs::read_to_string(&entry).unwrap();
-            assert!(stored.starts_with(&format!(r#"{{"schema":"{FACTS_SCHEMA}""#)), "{stored}");
-            assert!(stored.contains(r#""globals":[["g",false,false,0,5,"int"]]"#), "{stored}");
-            assert_eq!(stored.matches("design-global-variable").count(), 1, "{pass}: {stored}");
+            assert!(
+                stored.starts_with(&format!(r#"{{"schema":"{FACTS_SCHEMA}""#)),
+                "{stored}"
+            );
+            assert!(
+                stored.contains(r#""globals":[["g",false,false,0,5,"int"]]"#),
+                "{stored}"
+            );
+            assert_eq!(
+                stored.matches("design-global-variable").count(),
+                1,
+                "{pass}: {stored}"
+            );
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -639,12 +679,19 @@ mod tests {
                 assert_eq!(report.diagnostics_for(id).len(), 1, "{pass}: {id}");
             }
             let stored = fs::read_to_string(&entry).unwrap();
-            assert!(stored.starts_with(&format!(r#"{{"schema":"{FACTS_SCHEMA}""#)), "{stored}");
+            assert!(
+                stored.starts_with(&format!(r#"{{"schema":"{FACTS_SCHEMA}""#)),
+                "{stored}"
+            );
             assert!(
                 stored.contains(r#""sites":[["switch",17,49,0,"",0],["goto",52,61,0,"out",0]]"#),
                 "{stored}"
             );
-            assert_eq!(stored.matches("misra-15.1-goto").count(), 1, "{pass}: {stored}");
+            assert_eq!(
+                stored.matches("misra-15.1-goto").count(),
+                1,
+                "{pass}: {stored}"
+            );
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -17,10 +17,7 @@ pub fn fig5_yolo_coverage() -> (Figure, CoverageEvidence) {
         .iter()
         .filter(|c| YOLO_FILES.iter().any(|(p, _)| *p == c.label))
         .collect();
-    let mut f = Figure::new(
-        "Figure 5",
-        "Coverage achieved for object detection (YOLO)",
-    );
+    let mut f = Figure::new("Figure 5", "Coverage achieved for object detection (YOLO)");
     let labels: Vec<&str> = measured.iter().map(|c| c.label.as_str()).collect();
     f.labels(&labels);
     f.series(
@@ -78,7 +75,11 @@ pub fn fig6_stencil_coverage() -> Figure {
     h.add_file("stencil_driver.c", STENCIL_DRIVER);
     h.link();
     let tests = vec![
-        TestCase::new("2D stencil 8x8", "run_stencil2d", vec![Value::Int(8), Value::Int(8)]),
+        TestCase::new(
+            "2D stencil 8x8",
+            "run_stencil2d",
+            vec![Value::Int(8), Value::Int(8)],
+        ),
         TestCase::new(
             "3D stencil 4x4x4",
             "run_stencil3d",
@@ -188,7 +189,11 @@ pub fn mcdc_masking_ablation() -> (usize, usize, usize) {
     let mut total = 0;
     for records in log.decision_records.values() {
         // Number of conditions = longest recorded vector.
-        let n = records.iter().map(|r| r.conditions.len()).max().unwrap_or(0);
+        let n = records
+            .iter()
+            .map(|r| r.conditions.len())
+            .max()
+            .unwrap_or(0);
         total += n;
         masking += covered_conditions(records, n);
         strict += covered_conditions_strict(records, n);
@@ -200,7 +205,11 @@ pub fn mcdc_masking_ablation() -> (usize, usize, usize) {
 /// CUDA excerpt, rendered as diagnostics.
 pub fn fig4_findings() -> Vec<String> {
     let mut a = crate::pipeline::Assessment::new();
-    a.add_file("perception", "scale_bias.cu", adsafe_corpus::yolo::SCALE_BIAS_CU);
+    a.add_file(
+        "perception",
+        "scale_bias.cu",
+        adsafe_corpus::yolo::SCALE_BIAS_CU,
+    );
     let r = a.run();
     let mut out: Vec<String> = r
         .diagnostics
@@ -272,7 +281,10 @@ mod tests {
         assert!(strict <= masking, "strict {strict} > masking {masking}");
         assert!(masking <= total);
         // Short-circuit code makes the difference material.
-        assert!(masking > strict, "expected masking to credit more conditions");
+        assert!(
+            masking > strict,
+            "expected masking to credit more conditions"
+        );
     }
 
     #[test]

@@ -134,7 +134,14 @@ pub struct SiteFacts {
 
 impl SiteFacts {
     fn new(kind: &'static str, at: Span, function: Option<u32>, text: &str, count: usize) -> Self {
-        SiteFacts { kind, start: at.start, end: at.end, function, text: text.to_string(), count }
+        SiteFacts {
+            kind,
+            start: at.start,
+            end: at.end,
+            function,
+            text: text.to_string(),
+            count,
+        }
     }
 }
 
@@ -216,11 +223,19 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
                 unresolved,
                 unit: adsafe_checkers::unit_design::function_unit_facts(f),
                 is_kernel: f.sig.quals.cuda_global,
-                ptr_params: f.sig.params.iter().filter(|p| p.ty.is_pointer_like()).count(),
+                ptr_params: f
+                    .sig
+                    .params
+                    .iter()
+                    .filter(|p| p.ty.is_pointer_like())
+                    .count(),
                 alloc_calls: cuda.alloc_calls(),
                 unbalanced_alloc: cuda.unbalanced_alloc(),
                 launches: cuda.kernel_launches,
-                error_query: cuda.api_calls.iter().any(|c| c.kind == CudaApiKind::ErrorQuery),
+                error_query: cuda
+                    .api_calls
+                    .iter()
+                    .any(|c| c.kind == CudaApiKind::ErrorQuery),
                 kernel_ptr_names: named_ptrs.join(", "),
                 kernel_ptrs: named_ptrs.len(),
                 variadic: f.sig.variadic,
@@ -230,7 +245,11 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
         .collect();
     union_sites(&parsed.unit.decls, &mut sites);
     let octals = &parsed.unit.octal_literals;
-    sites.extend(octals.iter().map(|o| SiteFacts::new("octal", o.span, None, &o.lexeme, 0)));
+    sites.extend(
+        octals
+            .iter()
+            .map(|o| SiteFacts::new("octal", o.span, None, &o.lexeme, 0)),
+    );
     sites.sort_by_key(|s| s.start);
     FileFacts {
         recovery_count: parsed.unit.recovery_count,
@@ -251,18 +270,25 @@ fn function_sites(f: &FunctionDef, index: u32, out: &mut Vec<SiteFacts>) {
             let (kind, text, count) = match &s.kind {
                 StmtKind::Goto(label) => ("goto", label.as_str(), 0),
                 StmtKind::Switch { body, .. } => {
-                    let defaults =
-                        body.stmts.iter().filter(|s| matches!(s.kind, StmtKind::Default)).count();
+                    let defaults = body
+                        .stmts
+                        .iter()
+                        .filter(|s| matches!(s.kind, StmtKind::Default))
+                        .count();
                     ("switch", "", defaults)
                 }
                 StmtKind::Decl(vars) if vars.len() > 1 => ("multi-decl", "", vars.len()),
                 _ => return walk_stmt(self, s),
             };
-            self.1.push(SiteFacts::new(kind, s.span, self.0, text, count));
+            self.1
+                .push(SiteFacts::new(kind, s.span, self.0, text, count));
             walk_stmt(self, s);
         }
         fn visit_expr(&mut self, e: &'ast Expr) {
-            if let ExprKind::Binary { op: BinOp::Comma, .. } = e.kind {
+            if let ExprKind::Binary {
+                op: BinOp::Comma, ..
+            } = e.kind
+            {
                 self.1.push(SiteFacts::new("comma", e.span, self.0, "", 0));
             }
             walk_expr(self, e);
@@ -294,10 +320,12 @@ fn union_sites(decls: &[Decl], out: &mut Vec<SiteFacts>) {
 /// borrow the records' qualified names.
 pub fn call_graph<'a>(records: &[FactsRecord<'a>]) -> CallGraph<'a> {
     CallGraph::from_functions(records.iter().flat_map(|&(_, _, facts)| {
-        facts
-            .functions
-            .iter()
-            .map(|f| (f.metrics.qualified_name.as_str(), f.callees.iter().map(String::as_str)))
+        facts.functions.iter().map(|f| {
+            (
+                f.metrics.qualified_name.as_str(),
+                f.callees.iter().map(String::as_str),
+            )
+        })
     }))
 }
 
@@ -307,17 +335,23 @@ pub fn call_graph<'a>(records: &[FactsRecord<'a>]) -> CallGraph<'a> {
 pub fn coupling_edges(records: &[FactsRecord<'_>], graph: &CallGraph<'_>) -> usize {
     debug_assert_eq!(
         graph.def_nodes().len(),
-        records.iter().map(|(_, _, facts)| facts.functions.len()).sum::<usize>(),
+        records
+            .iter()
+            .map(|(_, _, facts)| facts.functions.len())
+            .sum::<usize>(),
         "graph must come from call_graph(records)"
     );
     let mut modules: Vec<&str> = Vec::new();
     let mut module_of = vec![0usize; graph.len()];
     let mut def_nodes = graph.def_nodes().iter();
     for &(_, module, facts) in records {
-        let m = modules.iter().position(|&x| x == module).unwrap_or_else(|| {
-            modules.push(module);
-            modules.len() - 1
-        });
+        let m = modules
+            .iter()
+            .position(|&x| x == module)
+            .unwrap_or_else(|| {
+                modules.push(module);
+                modules.len() - 1
+            });
         for &node in def_nodes.by_ref().take(facts.functions.len()) {
             module_of[node] = m;
         }
@@ -388,7 +422,10 @@ pub fn module_metrics_from_facts(name: &str, files: &[&FileFacts]) -> ModuleMetr
 /// does for explicit casts. `recursive` is the sorted recursive-function
 /// set ([`CallGraph::recursive_functions`]).
 pub fn unit_stats_from_facts(records: &[FactsRecord<'_>], recursive: &[String]) -> UnitDesignStats {
-    debug_assert!(recursive.windows(2).all(|w| w[0] < w[1]), "recursive set must be sorted");
+    debug_assert!(
+        recursive.windows(2).all(|w| w[0] < w[1]),
+        "recursive set must be sorted"
+    );
     let mut s = UnitDesignStats::default();
     for (_, _, facts) in records {
         s.opaque_regions += facts.recovery_count;
@@ -451,7 +488,10 @@ pub fn validation_ratio_from_facts(records: &[FactsRecord<'_>]) -> f64 {
 fn check_id_for(name: &str) -> Option<&'static str> {
     static IDS: OnceLock<HashMap<&'static str, &'static str>> = OnceLock::new();
     IDS.get_or_init(|| {
-        crate::query::reserved_rule_ids().into_iter().map(|id| (id, id)).collect()
+        crate::query::reserved_rule_ids()
+            .into_iter()
+            .map(|id| (id, id))
+            .collect()
     })
     .get(name)
     .copied()
@@ -483,7 +523,11 @@ impl FileFacts {
             }
             out.push('[');
             write_escaped(&mut out, &g.name);
-            let _ = write!(out, ",{},{},{},{},", g.is_const, g.is_extern, g.start, g.end);
+            let _ = write!(
+                out,
+                ",{},{},{},{},",
+                g.is_const, g.is_extern, g.start, g.end
+            );
             write_escaped(&mut out, &g.ty);
             out.push(']');
         }
@@ -553,14 +597,22 @@ impl FileFacts {
             functions: {
                 let (mut names, mut unres) = (Vec::new(), Vec::new());
                 r.then(r#","functions":"#, |r| {
-                    r.list(&mut Vec::new(), |r| read_function(r, &mut names, &mut unres))
+                    r.list(&mut Vec::new(), |r| {
+                        read_function(r, &mut names, &mut unres)
+                    })
                 })?
             },
             sites: r.then(r#","sites":"#, |r| r.list(&mut Vec::new(), read_site))?,
-            diags: r.then(r#","diags":"#, |r| r.list(&mut Vec::new(), |r| read_diag(r, file)))?,
+            diags: r.then(r#","diags":"#, |r| {
+                r.list(&mut Vec::new(), |r| read_diag(r, file))
+            })?,
         };
         let functions = facts.functions.len() as u32;
-        if facts.sites.iter().any(|s| s.function.is_some_and(|f| f >= functions)) {
+        if facts
+            .sites
+            .iter()
+            .any(|s| s.function.is_some_and(|f| f >= functions))
+        {
             return Err("a site names no function of the record".to_string());
         }
         r.lit("}")?;
@@ -630,9 +682,7 @@ fn write_function(out: &mut String, f: &FunctionFacts) {
     let _ = write!(
         out,
         "],\"vararg\":{},\"named\":{},\"validates\":{}}}",
-        f.variadic,
-        f.validation.has_named_params,
-        f.validation.validates
+        f.variadic, f.validation.has_named_params, f.validation.validates
     );
 }
 
@@ -715,12 +765,26 @@ fn read_function(
 
 fn read_site(r: &mut Reader<'_>) -> Result<SiteFacts, String> {
     let kind = r.then("[", Reader::str)?;
-    let kind = SITE_KINDS.into_iter().find(|k| *k == kind).ok_or("unknown site kind")?;
+    let kind = SITE_KINDS
+        .into_iter()
+        .find(|k| *k == kind)
+        .ok_or("unknown site kind")?;
     let (start, end) = r.span(",")?;
-    let function = if r.eat(",null") { None } else { Some(r.then(",", Reader::int)?) };
+    let function = if r.eat(",null") {
+        None
+    } else {
+        Some(r.then(",", Reader::int)?)
+    };
     let (text, count) = (r.then(",", Reader::string)?, r.then(",", Reader::int)?);
     r.lit("]")?;
-    Ok(SiteFacts { kind, start, end, function, text, count })
+    Ok(SiteFacts {
+        kind,
+        start,
+        end,
+        function,
+        text,
+        count,
+    })
 }
 
 fn read_diag(r: &mut Reader<'_>, file: FileId) -> Result<Diagnostic, String> {
@@ -736,9 +800,19 @@ fn read_diag(r: &mut Reader<'_>, file: FileId) -> Result<Diagnostic, String> {
     let span = Span::new(file, start, end);
     let message = r.then(",", Reader::string)?;
     r.lit(",")?;
-    let function = if r.eat("null") { None } else { Some(r.string()?) };
+    let function = if r.eat("null") {
+        None
+    } else {
+        Some(r.string()?)
+    };
     r.lit("]")?;
-    Ok(Diagnostic { check_id, severity, span, message, function })
+    Ok(Diagnostic {
+        check_id,
+        severity,
+        span,
+        message,
+        function,
+    })
 }
 
 /// A cursor over one serialised record. It accepts only the bytes the
@@ -835,7 +909,9 @@ impl<'a> Reader<'a> {
         }
         self.pos += digits;
         text.bytes()
-            .try_fold(0u64, |n, d| n.checked_mul(10)?.checked_add(u64::from(d - b'0')))
+            .try_fold(0u64, |n, d| {
+                n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+            })
             .and_then(|n| T::try_from(n).ok())
             .ok_or_else(|| format!("integer out of range at byte {start}"))
     }
@@ -860,8 +936,8 @@ impl<'a> Reader<'a> {
                 Some(b'"') => break,
                 Some(b'\\') => {
                     out.push_str(&self.src[run..i]);
-                    let (c, len) = unescape(&b[i..])
-                        .ok_or_else(|| format!("bad escape at byte {i}"))?;
+                    let (c, len) =
+                        unescape(&b[i..]).ok_or_else(|| format!("bad escape at byte {i}"))?;
                     out.push(c);
                     i += len;
                     run = i;
@@ -959,8 +1035,10 @@ mod tests {
                     return Err("site arity".to_string());
                 }
                 let kind = req_str_v(&t[0])?;
-                let kind =
-                    SITE_KINDS.into_iter().find(|k| *k == kind).ok_or("unknown site kind")?;
+                let kind = SITE_KINDS
+                    .into_iter()
+                    .find(|k| *k == kind)
+                    .ok_or("unknown site kind")?;
                 let function = match &t[3] {
                     Json::Null => None,
                     n => Some(as_u32(n)?),
@@ -980,8 +1058,8 @@ mod tests {
                     return Err("diag arity".to_string());
                 }
                 let id_name = req_str_v(&t[0])?;
-                let check_id =
-                    check_id_for(&id_name).ok_or_else(|| format!("unknown check id `{id_name}`"))?;
+                let check_id = check_id_for(&id_name)
+                    .ok_or_else(|| format!("unknown check id `{id_name}`"))?;
                 let severity = match t[1].as_str() {
                     Some("info") => Severity::Info,
                     Some("warning") => Severity::Warning,
@@ -1077,7 +1155,9 @@ mod tests {
         }
 
         fn req_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
-            v.get(key).and_then(Json::as_arr).ok_or_else(|| format!("missing array `{key}`"))
+            v.get(key)
+                .and_then(Json::as_arr)
+                .ok_or_else(|| format!("missing array `{key}`"))
         }
 
         fn req_str(v: &Json, key: &str) -> Result<String, String> {
@@ -1088,7 +1168,9 @@ mod tests {
         }
 
         fn req_str_v(v: &Json) -> Result<String, String> {
-            v.as_str().map(str::to_string).ok_or_else(|| "expected string".to_string())
+            v.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| "expected string".to_string())
         }
 
         fn req_usize(v: &Json, key: &str) -> Result<usize, String> {
@@ -1098,7 +1180,9 @@ mod tests {
         }
 
         fn req_u32(v: &Json, key: &str) -> Result<u32, String> {
-            v.get(key).ok_or_else(|| format!("missing number `{key}`")).and_then(as_u32)
+            v.get(key)
+                .ok_or_else(|| format!("missing number `{key}`"))
+                .and_then(as_u32)
         }
 
         fn req_bool(v: &Json, key: &str) -> Result<bool, String> {
@@ -1155,7 +1239,10 @@ mod tests {
     }
 
     fn records(facts: &[(FileId, String, FileFacts)]) -> Vec<FactsRecord<'_>> {
-        facts.iter().map(|(id, m, f)| (*id, m.as_str(), f)).collect()
+        facts
+            .iter()
+            .map(|(id, m, f)| (*id, m.as_str(), f))
+            .collect()
     }
 
     #[test]
@@ -1206,7 +1293,9 @@ mod tests {
             .sites
             .iter()
             .map(|s| {
-                let f = s.function.map(|i| b.functions[i as usize].metrics.name.as_str());
+                let f = s
+                    .function
+                    .map(|i| b.functions[i as usize].metrics.name.as_str());
                 (s.kind, f, s.text.as_str(), s.count)
             })
             .collect();
@@ -1222,7 +1311,10 @@ mod tests {
             ]
         );
         let orphan = FileFacts {
-            sites: vec![SiteFacts { function: Some(0), ..b.sites[1].clone() }],
+            sites: vec![SiteFacts {
+                function: Some(0),
+                ..b.sites[1].clone()
+            }],
             ..FileFacts::default()
         };
         assert!(FileFacts::from_json(&orphan.to_json(), FileId(0)).is_err());
@@ -1397,7 +1489,10 @@ mod tests {
             &good.replace(r#""recovery":0"#, r#""recovery":99999999999999999999"#),
             &good.replace(r#""sig":["#, r#""sig":[4294967296"#),
         ] {
-            assert!(FileFacts::from_json(bad, *id).is_err(), "accepted: {bad:.40}");
+            assert!(
+                FileFacts::from_json(bad, *id).is_err(),
+                "accepted: {bad:.40}"
+            );
         }
         // Shapes the tree decoder accepted but the writer never produces:
         // each is now a corrupt entry, re-analysed instead of trusted.
@@ -1407,15 +1502,24 @@ mod tests {
             format!("{head} {body}"),
             good.replace(',', ", "),
             format!("{good}\n"),
-            format!(r#"{},"recovery":0}}"#, unclosed.replacen(r#","recovery":0"#, "", 1)),
+            format!(
+                r#"{},"recovery":0}}"#,
+                unclosed.replacen(r#","recovery":0"#, "", 1)
+            ),
             good.replacen(r#""recovery":0"#, r#""recovery":1.0"#, 1),
             good.replacen(r#""recovery":0"#, r#""recovery":00"#, 1),
             good.replacen(r#""recovery":0"#, r#""recovery":0,"recovery":0"#, 1),
             good.replacen("adsafe-facts/5", r"adsafe-facts\/5", 1),
             good.replacen(r#"{"name":"rec""#, r#"{"name":"\u0072ec""#, 1),
         ] {
-            assert!(reference::from_json(&bad, *id).is_ok(), "reference rejected: {bad:.60}");
-            assert!(FileFacts::from_json(&bad, *id).is_err(), "accepted: {bad:.60}");
+            assert!(
+                reference::from_json(&bad, *id).is_ok(),
+                "reference rejected: {bad:.60}"
+            );
+            assert!(
+                FileFacts::from_json(&bad, *id).is_err(),
+                "accepted: {bad:.60}"
+            );
         }
         // Unknown rule id → corrupt, not a bogus static str.
         let mut with_diag = facts.clone();
@@ -1432,8 +1536,8 @@ mod tests {
     /// Asserts the cursor decoder and the tree reference decode `entry`
     /// to equal records, and that the record re-encodes to `entry`.
     fn assert_decoders_agree(entry: &str) {
-        let new = FileFacts::from_json(entry, FileId(3))
-            .unwrap_or_else(|e| panic!("{e}: {entry:.80}"));
+        let new =
+            FileFacts::from_json(entry, FileId(3)).unwrap_or_else(|e| panic!("{e}: {entry:.80}"));
         assert_eq!(reference::from_json(entry, FileId(3)).as_ref(), Ok(&new));
         assert_eq!(new.to_json(), entry);
     }
@@ -1441,8 +1545,8 @@ mod tests {
     /// The entries an assessment writes to its disk cache for the files
     /// `add` registers.
     fn cache_entries(tag: &str, add: impl FnOnce(&mut crate::Assessment)) -> Vec<String> {
-        let dir = std::env::temp_dir()
-            .join(format!("adsafe-facts-entries-{}-{tag}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("adsafe-facts-entries-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut a = crate::Assessment::new().with_options(crate::AssessmentOptions {
             cache_dir: Some(dir.clone()),
@@ -1524,7 +1628,9 @@ mod tests {
         }
         let mut bytes = entry.as_bytes().to_vec();
         bytes[at] = byte;
-        let Ok(mutated) = String::from_utf8(bytes) else { return Ok(()) };
+        let Ok(mutated) = String::from_utf8(bytes) else {
+            return Ok(());
+        };
         if let Ok(new) = FileFacts::from_json(&mutated, FileId(0)) {
             if reference::from_json(&mutated, FileId(0)).as_ref() != Ok(&new) {
                 return Err(format!("byte {at} := {byte:#04x}: reference disagrees"));

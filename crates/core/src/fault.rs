@@ -167,8 +167,14 @@ impl fmt::Display for FaultCause {
             FaultCause::DeadlineExceeded { budget_ms } => {
                 write!(f, "phase deadline of {budget_ms} ms exceeded")
             }
-            FaultCause::DeadlineOverrun { budget_ms, actual_ms } => {
-                write!(f, "phase took {actual_ms} ms against a budget of {budget_ms} ms")
+            FaultCause::DeadlineOverrun {
+                budget_ms,
+                actual_ms,
+            } => {
+                write!(
+                    f,
+                    "phase took {actual_ms} ms against a budget of {budget_ms} ms"
+                )
             }
             FaultCause::BudgetExhausted { budget } => {
                 write!(f, "execution budget of {budget} exhausted")
@@ -191,7 +197,10 @@ impl fmt::Display for FaultCause {
                 }
             }
             FaultCause::StoreEvicted { entries, bytes } => {
-                write!(f, "facts store evicted {entries} entr(ies) ({bytes} bytes) at its byte budget")
+                write!(
+                    f,
+                    "facts store evicted {entries} entr(ies) ({bytes} bytes) at its byte budget"
+                )
             }
         }
     }
@@ -352,7 +361,9 @@ impl FaultLog {
 
     /// Whether any fault cost evidence (severity ≥ degraded).
     pub fn degrades_report(&self) -> bool {
-        self.faults.iter().any(|f| f.severity >= FaultSeverity::Degraded)
+        self.faults
+            .iter()
+            .any(|f| f.severity >= FaultSeverity::Degraded)
     }
 }
 
@@ -452,7 +463,9 @@ pub mod failpoints {
         /// Arms `name` with `action`, returning the guard.
         pub fn new(name: &str, action: Action) -> Self {
             arm(name, action);
-            Armed { name: name.to_string() }
+            Armed {
+                name: name.to_string(),
+            }
         }
     }
 

@@ -43,13 +43,13 @@ pub mod query;
 pub mod render;
 pub mod store;
 
+pub use adsafe_trace::TraceSummary;
 pub use cache::{
     content_hash, ruleset_fingerprint, CacheLookup, DecodedSource, FactsCache, FactsStore,
 };
-pub use store::MemoryFactsStore;
 pub use fault::{Fault, FaultCause, FaultLog, FaultPhase, FaultSeverity, Recovery};
 pub use pipeline::{assess_corpus, Assessment, AssessmentOptions, AssessmentReport, Budgets};
-pub use adsafe_trace::TraceSummary;
+pub use store::MemoryFactsStore;
 
 /// Re-export: zero-dependency self-scheduling thread pool.
 pub use adsafe_pool as pool;
@@ -57,23 +57,23 @@ pub use adsafe_pool as pool;
 /// Re-export: structured tracing & metrics registry.
 pub use adsafe_trace as trace;
 
-/// Re-export: language front-end.
-pub use adsafe_lang as lang;
-/// Re-export: software metrics.
-pub use adsafe_metrics as metrics;
 /// Re-export: rule engine.
 pub use adsafe_checkers as checkers;
-/// Re-export: typed rule-query language and VM.
-pub use adsafe_query as rulequery;
-/// Re-export: standard model & compliance engine.
-pub use adsafe_iso26262 as iso26262;
+/// Re-export: corpora.
+pub use adsafe_corpus as corpus;
 /// Re-export: structural coverage.
 pub use adsafe_coverage as coverage;
 /// Re-export: GPU emulation & kernels.
 pub use adsafe_gpu as gpu;
+/// Re-export: standard model & compliance engine.
+pub use adsafe_iso26262 as iso26262;
+/// Re-export: language front-end.
+pub use adsafe_lang as lang;
+/// Re-export: software metrics.
+pub use adsafe_metrics as metrics;
 /// Re-export: performance models.
 pub use adsafe_perfmodel as perfmodel;
-/// Re-export: corpora.
-pub use adsafe_corpus as corpus;
+/// Re-export: typed rule-query language and VM.
+pub use adsafe_query as rulequery;
 /// Re-export: tables & figures.
 pub use adsafe_report as report;

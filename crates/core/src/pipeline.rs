@@ -237,7 +237,10 @@ pub struct AssessmentReport {
 impl AssessmentReport {
     /// Diagnostics of one check.
     pub fn diagnostics_for(&self, check_id: &str) -> Vec<&Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.check_id == check_id).collect()
+        self.diagnostics
+            .iter()
+            .filter(|d| d.check_id == check_id)
+            .collect()
     }
 }
 
@@ -358,8 +361,19 @@ impl Assessment {
     /// lossy decode records the same ingest fault
     /// [`add_file_bytes`](Self::add_file_bytes) would, on every add.
     pub fn add_source(&mut self, module: &str, source: &DecodedSource) -> &mut Self {
-        let DecodedSource { path, text, hash, replaced } = source;
-        self.push_file(module, path, Arc::clone(text), OnceLock::from(*hash), *replaced)
+        let DecodedSource {
+            path,
+            text,
+            hash,
+            replaced,
+        } = source;
+        self.push_file(
+            module,
+            path,
+            Arc::clone(text),
+            OnceLock::from(*hash),
+            *replaced,
+        )
     }
 
     fn push_file(
@@ -381,7 +395,10 @@ impl Assessment {
             });
         }
         self.sources.add_shared(path, text);
-        self.files.push(RawFile { module: module.to_string(), hash });
+        self.files.push(RawFile {
+            module: module.to_string(),
+            hash,
+        });
         self
     }
 
@@ -486,7 +503,10 @@ impl Assessment {
         let mut gate_faults: Vec<Fault> = Vec::new();
         let mut deadline_cut = false;
         let query_rules = crate::query::query_rules(self.options.rules.as_deref());
-        let rule_ids = checks.iter().map(|c| c.id()).chain(query_rules.map(|r| r.id));
+        let rule_ids = checks
+            .iter()
+            .map(|c| c.id())
+            .chain(query_rules.map(|r| r.id));
         for id in rule_ids {
             if !deadline_cut && gate_deadline.exceeded() {
                 deadline_cut = true;
@@ -494,7 +514,9 @@ impl Assessment {
                     phase: FaultPhase::Checks,
                     path: id.to_string(),
                     severity: FaultSeverity::Degraded,
-                    cause: FaultCause::DeadlineExceeded { budget_ms: budgets.budget_ms() },
+                    cause: FaultCause::DeadlineExceeded {
+                        budget_ms: budgets.budget_ms(),
+                    },
                     recovery: Recovery::SkippedItem,
                     run_id: String::new(),
                 });
@@ -594,22 +616,34 @@ impl Assessment {
             }
             if let (Some((store, pack)), Some(user)) = (rules.memo, &o.user) {
                 if o.user_fresh && o.user_faults.is_empty() {
-                    store.store_file_memo(self.file_hash(i), pack, &self.files[i].module, user.clone());
+                    store.store_file_memo(
+                        self.file_hash(i),
+                        pack,
+                        &self.files[i].module,
+                        user.clone(),
+                    );
                 }
             }
             check_faults.extend(o.check_faults.into_iter().chain(o.user_faults));
             let id = sm.files()[i].id();
             let user = o.user.as_deref().map_or(&[][..], Vec::as_slice);
             diagnostics.extend(
-                facts.diags.iter().chain(user).filter(|d| !skipped.contains(d.check_id)).map(
-                    |d| {
+                facts
+                    .diags
+                    .iter()
+                    .chain(user)
+                    .filter(|d| !skipped.contains(d.check_id))
+                    .map(|d| {
                         let mut d = d.clone();
                         d.span.file = id;
                         d
-                    },
-                ),
+                    }),
             );
-            loaded.push(LoadedFile { file_idx: i, id, facts });
+            loaded.push(LoadedFile {
+                file_idx: i,
+                id,
+                facts,
+            });
         }
         note_phase_overrun(&mut log, FaultPhase::Parse, deadline.start, &budgets);
         drop(phase_span);
@@ -650,7 +684,12 @@ impl Assessment {
                     .map(|l| (l.id, self.files[l.file_idx].module.as_str(), &*l.facts))
                     .collect();
                 let graph = facts::call_graph(&records);
-                let mut p = FreshProgram { records, graph, recursive: Vec::new(), diags: Vec::new() };
+                let mut p = FreshProgram {
+                    records,
+                    graph,
+                    recursive: Vec::new(),
+                    diags: Vec::new(),
+                };
                 p.native_rules(&checks, &skipped, &mut log);
                 Program::Fresh(Box::new(p))
             }
@@ -746,18 +785,29 @@ impl Assessment {
             &mut log,
             "compliance",
             || assess(&evidence, asil),
-            || ComplianceReport { asil, verdicts: Vec::new() },
+            || ComplianceReport {
+                asil,
+                verdicts: Vec::new(),
+            },
         );
-        let observations =
-            assess_step(&mut log, "observations", || observations(&evidence), Vec::new);
+        let observations = assess_step(
+            &mut log,
+            "observations",
+            || observations(&evidence),
+            Vec::new,
+        );
 
         // A fault-free pass keeps its results for the next run over the
         // same files.
         if let (Program::Fresh(p), Some((store, set, digest)), Some(cross)) = (program, slot, cross)
         {
             if log.len() == faults_before {
-                let memo =
-                    ProgramMemo { diags: p.diags, modules: modules.clone(), unit: unit.clone(), cross };
+                let memo = ProgramMemo {
+                    diags: p.diags,
+                    modules: modules.clone(),
+                    unit: unit.clone(),
+                    cross,
+                };
                 store.store_program_memo(set, digest, pack, memo);
             }
         }
@@ -802,7 +852,12 @@ impl Assessment {
             .chunk_by(|a, b| a.check_id == b.check_id)
             .map(|group| (group[0].check_id, group.len()))
             .collect();
-        let count = |id: &str| per_rule.iter().find(|(r, _)| *r == id).map_or(0, |&(_, n)| n);
+        let count = |id: &str| {
+            per_rule
+                .iter()
+                .find(|(r, _)| *r == id)
+                .map_or(0, |&(_, n)| n)
+        };
         let misra_ids = [
             "misra-15.1-goto",
             "misra-15.5-multi-exit",
@@ -842,7 +897,10 @@ impl Assessment {
         let mean_interface_params = if modules.is_empty() {
             0.0
         } else {
-            modules.iter().map(|m| m.mean_params * m.parsed_functions as f64).sum::<f64>()
+            modules
+                .iter()
+                .map(|m| m.mean_params * m.parsed_functions as f64)
+                .sum::<f64>()
                 / parsed_functions.max(1) as f64
         };
 
@@ -852,7 +910,10 @@ impl Assessment {
             functions_over_cc10: modules.iter().map(|m| m.histogram.over_10).sum(),
             functions_over_cc20: modules.iter().map(|m| m.histogram.over_20).sum(),
             functions_over_cc50: modules.iter().map(|m| m.histogram.over_50).sum(),
-            module_locs: modules.iter().map(|m| (m.name.clone(), m.loc.nloc)).collect(),
+            module_locs: modules
+                .iter()
+                .map(|m| (m.name.clone(), m.loc.nloc))
+                .collect(),
             misra_violations,
             explicit_casts: count("typing-explicit-cast"),
             implicit_conversions: count("typing-implicit-conversion"),
@@ -918,7 +979,9 @@ impl Assessment {
         }
         let module_results = pool.map(module_order.clone(), |_, m| {
             if deadline.exceeded() {
-                return Err(FaultCause::DeadlineExceeded { budget_ms: budgets.budget_ms() });
+                return Err(FaultCause::DeadlineExceeded {
+                    budget_ms: budgets.budget_ms(),
+                });
             }
             catch_unwind(AssertUnwindSafe(|| {
                 failpoints::hit(&format!("pipeline::metrics::{m}"));
@@ -1023,7 +1086,9 @@ impl Assessment {
                     phase: FaultPhase::Parse,
                     path: path.to_string(),
                     severity: FaultSeverity::Degraded,
-                    cause: FaultCause::DeadlineExceeded { budget_ms: budgets.budget_ms() },
+                    cause: FaultCause::DeadlineExceeded {
+                        budget_ms: budgets.budget_ms(),
+                    },
                     recovery: Recovery::TokenMetrics,
                     run_id: String::new(),
                 });
@@ -1090,7 +1155,11 @@ impl Assessment {
                 let checked = catch_unwind(AssertUnwindSafe(move || {
                     let mut diags = Vec::new();
                     let mut faults = Vec::new();
-                    let entry = FileEntry { file, unit: &p.unit, module };
+                    let entry = FileEntry {
+                        file,
+                        unit: &p.unit,
+                        module,
+                    };
                     let cx = CheckContext::file_local(sm, entry);
                     for &check in &rules.natives {
                         match run_one_check(&Failpointed { check, path }, &cx) {
@@ -1176,7 +1245,9 @@ fn note_phase_overrun(
     phase_start: Instant,
     budgets: &Budgets,
 ) {
-    let Some(deadline) = budgets.phase_deadline else { return };
+    let Some(deadline) = budgets.phase_deadline else {
+        return;
+    };
     let elapsed = phase_start.elapsed();
     if elapsed <= deadline {
         return;
@@ -1189,7 +1260,10 @@ fn note_phase_overrun(
         phase,
         path: format!("{}-phase-budget", phase.name()),
         severity: FaultSeverity::Timeout,
-        cause: FaultCause::DeadlineOverrun { budget_ms, actual_ms },
+        cause: FaultCause::DeadlineOverrun {
+            budget_ms,
+            actual_ms,
+        },
         recovery: Recovery::Noted,
         run_id: String::new(),
     });
@@ -1311,7 +1385,12 @@ impl FreshProgram<'_> {
     /// thread — they need the whole program, not one file. The set is
     /// pinned by a test in adsafe-checkers; a future program-scoped
     /// rule must be given a facts replay here.
-    fn native_rules(&mut self, checks: &[Box<dyn Check>], skipped: &HashSet<&str>, log: &mut FaultLog) {
+    fn native_rules(
+        &mut self,
+        checks: &[Box<dyn Check>],
+        skipped: &HashSet<&str>,
+        log: &mut FaultLog,
+    ) {
         let globals = facts::global_names(&self.records);
         for c in checks {
             if c.scope() != CheckScope::Program || skipped.contains(c.id()) {
@@ -1364,7 +1443,10 @@ impl FreshProgram<'_> {
                     }
                     Err(msg) => {
                         let path = sm.file(l.id).path();
-                        log.push(check_fault(format!("{} on {}", live.rules()[qi].id, path), &msg))
+                        log.push(check_fault(
+                            format!("{} on {}", live.rules()[qi].id, path),
+                            &msg,
+                        ))
                     }
                 }
             }
@@ -1395,7 +1477,11 @@ impl Check for Failpointed<'_> {
         self.check.iso_refs()
     }
     fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        failpoints::hit(&format!("pipeline::check::{}::{}", self.check.id(), self.path));
+        failpoints::hit(&format!(
+            "pipeline::check::{}::{}",
+            self.check.id(),
+            self.path
+        ));
         self.check.run(cx)
     }
 }
@@ -1555,19 +1641,35 @@ mod tests {
         // One estimated function: 1 + 12 branch tokens = CC 13.
         let busy: String = (0..12).map(|i| format!("if (x > {i}) x--; ")).collect();
         let mut a = Assessment::new();
-        a.add_file("m", "m/a.cc", &format!("int busy(int x) {{ {busy}return x; }}\n"));
+        a.add_file(
+            "m",
+            "m/a.cc",
+            &format!("int busy(int x) {{ {busy}return x; }}\n"),
+        );
         a.add_file("m", "m/b.cc", "int g(int y, int z) { return y + z; }\n");
         let r = a.run();
         std::panic::set_hook(prev);
         assert_eq!(r.modules[0].absorbed_files, 1);
         let e = &r.evidence;
         assert_eq!(
-            (e.total_functions, e.functions_over_cc10, e.functions_over_cc20, e.functions_over_cc50),
+            (
+                e.total_functions,
+                e.functions_over_cc10,
+                e.functions_over_cc20,
+                e.functions_over_cc50
+            ),
             (2, 1, 0, 0)
         );
         assert_eq!(e.mean_interface_params, 2.0);
         let fig = crate::render::fig3(&r);
-        let bar = |name: &str| fig.series.iter().find(|(n, _)| n == name).unwrap().1.clone();
+        let bar = |name: &str| {
+            fig.series
+                .iter()
+                .find(|(n, _)| n == name)
+                .unwrap()
+                .1
+                .clone()
+        };
         assert_eq!(
             (bar("functions"), bar("CC > 10"), bar("CC > 20")),
             (vec![2.0], vec![1.0], vec![0.0])
@@ -1577,16 +1679,30 @@ mod tests {
     #[test]
     fn non_utf8_input_is_ingestible() {
         let mut a = Assessment::new();
-        a.add_file_bytes("m", "weird.cc", b"int f() { return 1; }\n\xff\xfe\x00junk\n");
+        a.add_file_bytes(
+            "m",
+            "weird.cc",
+            b"int f() { return 1; }\n\xff\xfe\x00junk\n",
+        );
         // U+FFFD on a disabled line keeps its three bytes: tier 1 parse.
-        a.add_file_bytes("m", "pp.cc", b"#if 0\n\xff\n#endif\nint g() { return 2; }\n");
+        a.add_file_bytes(
+            "m",
+            "pp.cc",
+            b"#if 0\n\xff\n#endif\nint g() { return 2; }\n",
+        );
         let r = a.run();
         assert!(r.degraded);
         assert!(r.faults.iter().any(|f| {
             f.phase == FaultPhase::Ingest && matches!(f.cause, FaultCause::NonUtf8 { .. })
         }));
-        assert!(r.faults.iter().all(|f| f.path != "pp.cc" || f.phase == FaultPhase::Ingest));
-        assert_eq!((r.modules[0].file_count, r.modules[0].absorbed_files), (2, 0));
+        assert!(r
+            .faults
+            .iter()
+            .all(|f| f.path != "pp.cc" || f.phase == FaultPhase::Ingest));
+        assert_eq!(
+            (r.modules[0].file_count, r.modules[0].absorbed_files),
+            (2, 0)
+        );
     }
 
     #[test]
@@ -1596,7 +1712,9 @@ mod tests {
             failpoints::Action::Delay(Duration::from_millis(25)),
         );
         let mut a = Assessment::new().with_options(AssessmentOptions {
-            budgets: Budgets { phase_deadline: Some(Duration::from_millis(10)) },
+            budgets: Budgets {
+                phase_deadline: Some(Duration::from_millis(10)),
+            },
             ..AssessmentOptions::default()
         });
         for i in 0..4 {

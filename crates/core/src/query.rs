@@ -35,7 +35,10 @@ pub fn bundled_rules() -> &'static RulePack {
 /// The query rules an assessment runs, in order: the bundled pack, then
 /// the user pack's rules.
 pub fn query_rules(user: Option<&RulePack>) -> impl Iterator<Item = &CompiledRule> {
-    bundled_rules().rules.iter().chain(user.into_iter().flat_map(|p| &p.rules))
+    bundled_rules()
+        .rules
+        .iter()
+        .chain(user.into_iter().flat_map(|p| &p.rules))
 }
 
 /// Fingerprint of a user pack's rules, for the resident store's memos:
@@ -62,7 +65,10 @@ pub fn rows_from_facts<'a>(
     facts: &'a FileFacts,
     recursive: &[String],
 ) -> Vec<Row<'a>> {
-    debug_assert!(recursive.windows(2).all(|w| w[0] < w[1]), "recursive set must be sorted");
+    debug_assert!(
+        recursive.windows(2).all(|w| w[0] < w[1]),
+        "recursive set must be sorted"
+    );
     match selector {
         Selector::Function => facts
             .functions
@@ -180,7 +186,10 @@ impl<'r> QueryPass<'r> {
 
     /// The pass over this pass's rules from position `from` on.
     pub fn tail(&self, from: usize) -> QueryPass<'r> {
-        QueryPass { rules: self.rules[from..].to_vec(), timings: self.timings[from..].to_vec() }
+        QueryPass {
+            rules: self.rules[from..].to_vec(),
+            timings: self.timings[from..].to_vec(),
+        }
     }
 
     /// Evaluates every rule over one file's facts, in order, building
@@ -299,7 +308,9 @@ pub fn resolve_rules_arg(path: &Path) -> Vec<PathBuf> {
 /// pack.
 pub fn reserved_rule_ids() -> Vec<&'static str> {
     let natives = default_checks().into_iter().map(|c| c.id());
-    natives.chain(bundled_rules().rules.iter().map(|r| r.id)).collect()
+    natives
+        .chain(bundled_rules().rules.iter().map(|r| r.id))
+        .collect()
 }
 
 /// Loads a user rule pack from explicit paths. Unreadable files become
@@ -334,7 +345,10 @@ pub fn pack_fault(pf: &PackFault) -> Fault {
         phase: FaultPhase::Checks,
         path: pf.file.clone(),
         severity: FaultSeverity::Info,
-        cause: FaultCause::RulePackInvalid { line: pf.line, detail: pf.detail.clone() },
+        cause: FaultCause::RulePackInvalid {
+            line: pf.line,
+            detail: pf.detail.clone(),
+        },
         recovery: Recovery::Noted,
         run_id: String::new(),
     }
@@ -370,7 +384,10 @@ union Raw { int i; float f; };\n";
         let mut set = AnalysisSet::new();
         set.add("demo", "demo/demo.cu", SRC);
         let facts: &'static [_] = facts_of(&set).leak();
-        facts.iter().flat_map(|(id, m, f)| rows_from_facts(selector, *id, m, f, &[])).collect()
+        facts
+            .iter()
+            .flat_map(|(id, m, f)| rows_from_facts(selector, *id, m, f, &[]))
+            .collect()
     }
 
     /// Assesses one file `t.cc` and returns the report.
@@ -391,7 +408,12 @@ union Raw { int i; float f; };\n";
 
     #[test]
     fn every_selector_matches_its_schema_layout() {
-        for sel in [Selector::Function, Selector::Global, Selector::File, Selector::Site] {
+        for sel in [
+            Selector::Function,
+            Selector::Global,
+            Selector::File,
+            Selector::Site,
+        ] {
             let rows = demo_rows(sel);
             assert!(!rows.is_empty(), "{sel:?}");
             for row in &rows {
@@ -410,7 +432,10 @@ union Raw { int i; float f; };\n";
         assert_eq!(pick.get(7), Some(Value::Int(2)), "two returns");
         assert_eq!(pick.get(8), Some(Value::Bool(true)), "multi-exit");
         assert_eq!(pick.function(), Some("pick"));
-        assert!(pick.span().start < pick.span().end, "anchored at the signature");
+        assert!(
+            pick.span().start < pick.span().end,
+            "anchored at the signature"
+        );
         let kern = rows
             .iter()
             .find(|r| r.get(0) == Some(Value::Str("kern")))
@@ -436,18 +461,34 @@ union Raw { int i; float f; };\n";
     fn site_rows_carry_kind_text_count_and_function() {
         use Value::{Int, Str};
         let rows = demo_rows(Selector::Site);
-        let got: Vec<_> =
-            rows.iter().map(|r| (r.get(0), r.get(1), r.get(2), r.function())).collect();
+        let got: Vec<_> = rows
+            .iter()
+            .map(|r| (r.get(0), r.get(1), r.get(2), r.function()))
+            .collect();
         assert_eq!(
             got,
             [
-                (Some(Str("switch")), Some(Str("")), Some(Int(0)), Some("hop")),
-                (Some(Str("goto")), Some(Str("out")), Some(Int(0)), Some("hop")),
+                (
+                    Some(Str("switch")),
+                    Some(Str("")),
+                    Some(Int(0)),
+                    Some("hop")
+                ),
+                (
+                    Some(Str("goto")),
+                    Some(Str("out")),
+                    Some(Int(0)),
+                    Some("hop")
+                ),
                 (Some(Str("union")), Some(Str("Raw")), Some(Int(0)), None),
             ]
         );
         assert_eq!(rows[0].get(4), Some(Value::Str("hop")));
-        assert_eq!(rows[2].get(4), Some(Value::Str("")), "a file-scope site has no function");
+        assert_eq!(
+            rows[2].get(4),
+            Some(Value::Str("")),
+            "a file-scope site has no function"
+        );
         let goto = SRC.find("goto out").unwrap() as u32;
         assert_eq!(rows[1].span().start, goto, "anchored at the statement");
     }
@@ -455,12 +496,23 @@ union Raw { int i; float f; };\n";
     #[test]
     fn recursive_set_feeds_the_recursive_field() {
         let mut set = AnalysisSet::new();
-        set.add("m", "m/a.cc", "int odd(int n) { if (n == 0) return 0; return odd(n - 1); }\n");
+        set.add(
+            "m",
+            "m/a.cc",
+            "int odd(int n) { if (n == 0) return 0; return odd(n - 1); }\n",
+        );
         let (id, module, facts) = facts_of(&set).remove(0);
         let cold = rows_from_facts(Selector::Function, id, &module, &facts, &[]);
-        let hot =
-            rows_from_facts(Selector::Function, id, &module, &facts, &["odd".to_string()]);
-        let idx = adsafe_query::schema::lookup(Selector::Function, "recursive").unwrap().0;
+        let hot = rows_from_facts(
+            Selector::Function,
+            id,
+            &module,
+            &facts,
+            &["odd".to_string()],
+        );
+        let idx = adsafe_query::schema::lookup(Selector::Function, "recursive")
+            .unwrap()
+            .0;
         assert_eq!(cold[0].get(idx), Some(Value::Bool(false)));
         assert_eq!(hot[0].get(idx), Some(Value::Bool(true)));
     }
@@ -468,8 +520,14 @@ union Raw { int i; float f; };\n";
     #[test]
     fn multi_exit_flagged() {
         assert_eq!(
-            findings("misra-15.5-multi-exit", "int f(int x) { if (x) return 1; return 0; }"),
-            [(Severity::Warning, "function `f` has 2 return statements / early exits".into())]
+            findings(
+                "misra-15.5-multi-exit",
+                "int f(int x) { if (x) return 1; return 0; }"
+            ),
+            [(
+                Severity::Warning,
+                "function `f` has 2 return statements / early exits".into()
+            )]
         );
         assert!(findings("misra-15.5-multi-exit", "int f(int x) { return x; }").is_empty());
     }
@@ -479,7 +537,10 @@ union Raw { int i; float f; };\n";
         let src = "int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }";
         assert_eq!(
             findings("misra-17.2-recursion", src),
-            [(Severity::Violation, "function `fib` participates in recursion".into())]
+            [(
+                Severity::Violation,
+                "function `fib` participates in recursion".into()
+            )]
         );
     }
 
@@ -489,7 +550,10 @@ union Raw { int i; float f; };\n";
         let src = format!("int f(int x) {{\n{body}  return x;\n}}\n");
         assert_eq!(
             findings("structure-function-length", &src),
-            [(Severity::Warning, "function `f` is 123 lines (limit 100)".into())]
+            [(
+                Severity::Warning,
+                "function `f` is 123 lines (limit 100)".into()
+            )]
         );
     }
 
@@ -503,7 +567,10 @@ union Raw { int i; float f; };\n";
         let src = "void f(int x) { if (x) { if (x) { if (x) { if (x) { if (x) { if (x) { x++; } } } } } } }";
         assert_eq!(
             findings("structure-nesting-depth", src),
-            [(Severity::Warning, "function `f` nests 6 levels deep (limit 5)".into())]
+            [(
+                Severity::Warning,
+                "function `f` nests 6 levels deep (limit 5)".into()
+            )]
         );
         let ok = "void f(int x) { if (x) { if (x) { x++; } } }";
         assert!(findings("structure-nesting-depth", ok).is_empty());
@@ -516,7 +583,10 @@ union Raw { int i; float f; };\n";
                 "structure-param-count",
                 "int f(int a, int b, int c, int d, int e, int g, int h) { return a; }",
             ),
-            [(Severity::Info, "function `f` takes 7 parameters (limit 6)".into())]
+            [(
+                Severity::Info,
+                "function `f` takes 7 parameters (limit 6)".into()
+            )]
         );
         assert!(findings("structure-param-count", "int f(int a, int b) { return a; }").is_empty());
     }
@@ -524,7 +594,10 @@ union Raw { int i; float f; };\n";
     #[test]
     fn variadic_flagged() {
         assert_eq!(
-            findings("misra-17.1-variadic", "int log_msg(const char* fmt, ...) { return 0; }"),
+            findings(
+                "misra-17.1-variadic",
+                "int log_msg(const char* fmt, ...) { return 0; }"
+            ),
             [(Severity::Warning, "function `log_msg` is variadic".into())]
         );
         assert!(findings("misra-17.1-variadic", "int f(int a) { return a; }").is_empty());
@@ -534,8 +607,10 @@ union Raw { int i; float f; };\n";
     fn global_definition_flagged() {
         let d = assess("int g_state;\nstatic float g_rate = 0.5f;\n");
         let d = d.diagnostics_for("design-global-variable");
-        let got: Vec<(&str, Option<&str>)> =
-            d.iter().map(|d| (d.message.as_str(), d.function.as_deref())).collect();
+        let got: Vec<(&str, Option<&str>)> = d
+            .iter()
+            .map(|d| (d.message.as_str(), d.function.as_deref()))
+            .collect();
         assert_eq!(
             got,
             [
@@ -543,7 +618,11 @@ union Raw { int i; float f; };\n";
                 ("global variable `g_rate: float` defined", None),
             ]
         );
-        assert_eq!((d[0].span.start, d[0].span.end), (0, 11), "anchored at the declarator");
+        assert_eq!(
+            (d[0].span.start, d[0].span.end),
+            (0, 11),
+            "anchored at the declarator"
+        );
     }
 
     #[test]
@@ -561,14 +640,20 @@ union Raw { int i; float f; };\n";
         let src = "__global__ void k(float* out, const float* in, int n) { out[0] = in[0]; }";
         assert_eq!(
             findings("cuda-kernel-pointer", src),
-            [(Severity::Warning, "kernel `k` takes 2 raw pointer parameter(s): out, in".into())]
+            [(
+                Severity::Warning,
+                "kernel `k` takes 2 raw pointer parameter(s): out, in".into()
+            )]
         );
         // An unnamed pointer parameter is not listed, and a host
         // function's pointers are not a kernel's.
         let src = "__global__ void k(float* out, int*) {}\nvoid h(float* p) {}";
         assert_eq!(
             findings("cuda-kernel-pointer", src),
-            [(Severity::Warning, "kernel `k` takes 1 raw pointer parameter(s): out".into())]
+            [(
+                Severity::Warning,
+                "kernel `k` takes 1 raw pointer parameter(s): out".into()
+            )]
         );
     }
 
@@ -583,7 +668,10 @@ union Raw { int i; float f; };\n";
                    cudaMemcpy(d, h, n, 0); }";
         assert_eq!(
             findings("cuda-alloc-balance", src),
-            [(Severity::Warning, "function `f` has 1 device allocation(s) and fewer frees".into())]
+            [(
+                Severity::Warning,
+                "function `f` has 1 device allocation(s) and fewer frees".into()
+            )]
         );
     }
 
@@ -616,7 +704,12 @@ union Raw { int i; float f; };\n";
             [(Severity::Violation, "unconditional jump `goto out`".into())]
         );
         let report = assess(src);
-        assert_eq!(report.diagnostics_for("misra-15.1-goto")[0].function.as_deref(), Some("f"));
+        assert_eq!(
+            report.diagnostics_for("misra-15.1-goto")[0]
+                .function
+                .as_deref(),
+            Some("f")
+        );
     }
 
     #[test]
@@ -655,7 +748,10 @@ union Raw { int i; float f; };\n";
     #[test]
     fn octal_flagged_decimal_and_hex_clean() {
         assert_eq!(
-            findings("misra-7.1-octal", "int a = 052; int b = 52; int c = 0x52; int z = 0;"),
+            findings(
+                "misra-7.1-octal",
+                "int a = 052; int b = 52; int c = 0x52; int z = 0;"
+            ),
             [(Severity::Warning, "octal constant `052`".into())]
         );
     }
@@ -671,7 +767,10 @@ union Raw { int i; float f; };\n";
     #[test]
     fn multiple_declarators_flagged() {
         assert_eq!(
-            findings("misra-decl-one-per-stmt", "void f() { int a = 1, b = 2; int c = 3; }"),
+            findings(
+                "misra-decl-one-per-stmt",
+                "void f() { int a = 1, b = 2; int c = 3; }"
+            ),
             [(Severity::Info, "2 declarators in one statement".into())]
         );
     }
@@ -692,14 +791,23 @@ union Raw { int i; float f; };\n";
     fn native_ids_are_reserved() {
         let reserved = reserved_rule_ids();
         assert!(reserved.contains(&"misra-15.1-goto"));
-        assert!(reserved.contains(&"misra-15.5-multi-exit"), "bundled ids too");
-        assert_eq!(reserved.len(), default_checks().len() + bundled_rules().rules.len());
+        assert!(
+            reserved.contains(&"misra-15.5-multi-exit"),
+            "bundled ids too"
+        );
+        assert_eq!(
+            reserved.len(),
+            default_checks().len() + bundled_rules().rules.len()
+        );
     }
 
     #[test]
     fn inventory_lists_natives_then_bundled_then_user() {
         let user = RulePack::from_sources(
-            &[("u.aq".into(), "rule \"team-wide\" { function where params > 3 -> info }".into())],
+            &[(
+                "u.aq".into(),
+                "rule \"team-wide\" { function where params > 3 -> info }".into(),
+            )],
             &reserved_rule_ids(),
         );
         let inv = rule_inventory(&user);
@@ -715,7 +823,11 @@ union Raw { int i; float f; };\n";
     #[test]
     fn eval_file_returns_one_outcome_per_rule() {
         let mut set = AnalysisSet::new();
-        set.add("m", "m/a.cc", "int g(int x) { if (x) return 1; return 0; }\nint h() { return 7; }\n");
+        set.add(
+            "m",
+            "m/a.cc",
+            "int g(int x) { if (x) return 1; return 0; }\nint h() { return 7; }\n",
+        );
         let (id, module, facts) = facts_of(&set).remove(0);
         let pass = QueryPass::new(bundled_rules().rules.iter().collect());
         let out = pass.eval_file(id, &module, &facts, &["g".to_string()]);
@@ -726,8 +838,14 @@ union Raw { int i; float f; };\n";
             [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
             "multi-exit and recursion fire on `g` only"
         );
-        assert_eq!(diags[0][0].message, "function `g` has 2 return statements / early exits");
+        assert_eq!(
+            diags[0][0].message,
+            "function `g` has 2 return statements / early exits"
+        );
         assert_eq!(diags[0][0].function.as_deref(), Some("g"));
-        assert_eq!(diags[1][0].message, "function `g` participates in recursion");
+        assert_eq!(
+            diags[1][0].message,
+            "function `g` participates in recursion"
+        );
     }
 }

@@ -8,7 +8,9 @@ use adsafe_report::{Figure, Table};
 pub fn compliance_table(report: &AssessmentReport, table: TableId) -> Table {
     let mut t = Table::new(
         table.title(),
-        &["#", "Topic", "A", "B", "C", "D", "Status", "Effort", "Evidence"],
+        &[
+            "#", "Topic", "A", "B", "C", "D", "Status", "Effort", "Evidence",
+        ],
     );
     for v in report.compliance.table(table) {
         let lv = v.topic.levels;
@@ -56,19 +58,35 @@ pub fn fig3(report: &AssessmentReport) -> Figure {
     );
     f.series(
         "functions",
-        report.modules.iter().map(|m| m.histogram.total as f64).collect(),
+        report
+            .modules
+            .iter()
+            .map(|m| m.histogram.total as f64)
+            .collect(),
     );
     f.series(
         "CC > 10",
-        report.modules.iter().map(|m| m.histogram.over_10 as f64).collect(),
+        report
+            .modules
+            .iter()
+            .map(|m| m.histogram.over_10 as f64)
+            .collect(),
     );
     f.series(
         "CC > 20",
-        report.modules.iter().map(|m| m.histogram.over_20 as f64).collect(),
+        report
+            .modules
+            .iter()
+            .map(|m| m.histogram.over_20 as f64)
+            .collect(),
     );
     f.series(
         "CC > 50",
-        report.modules.iter().map(|m| m.histogram.over_50 as f64).collect(),
+        report
+            .modules
+            .iter()
+            .map(|m| m.histogram.over_50 as f64)
+            .collect(),
     );
     f
 }
@@ -89,8 +107,7 @@ pub fn observations_text(report: &AssessmentReport) -> String {
 pub fn coverage_table(report: &AssessmentReport) -> Option<Table> {
     let cov = report.evidence.coverage.as_ref()?;
     let gpu = report.evidence.gpu.kernel_count > 0;
-    let verdicts =
-        adsafe_iso26262::judge_coverage(cov, report.compliance.asil, gpu);
+    let verdicts = adsafe_iso26262::judge_coverage(cov, report.compliance.asil, gpu);
     let mut t = Table::new(
         "Structural coverage vs ISO 26262-6 / IEC 61508 (100% reference)",
         &["Metric", "Required", "Measured", "Status", "Effort"],
@@ -178,9 +195,16 @@ pub fn trace_summary(report: &AssessmentReport) -> String {
     if !report.run_id.is_empty() {
         out.push_str(&format!("- run: {}\n", report.run_id));
     }
-    out.push_str(&format!("- total wall time: {:.1} ms\n", t.total_us as f64 / 1000.0));
+    out.push_str(&format!(
+        "- total wall time: {:.1} ms\n",
+        t.total_us as f64 / 1000.0
+    ));
     for p in &t.phases {
-        out.push_str(&format!("- phase {}: {:.1} ms\n", p.name, p.wall_us as f64 / 1000.0));
+        out.push_str(&format!(
+            "- phase {}: {:.1} ms\n",
+            p.name,
+            p.wall_us as f64 / 1000.0
+        ));
     }
     if !t.slowest_files.is_empty() {
         out.push_str("\n### Slowest files\n\n| File | Time (ms) |\n|---|---|\n");
@@ -211,7 +235,10 @@ pub fn fault_summary(report: &AssessmentReport) -> String {
              lower tiers of the degradation ladder or lost.\n\n",
         );
     }
-    let worst = report.faults.worst().expect("non-empty log has a worst severity");
+    let worst = report
+        .faults
+        .worst()
+        .expect("non-empty log has a worst severity");
     out.push_str(&format!(
         "- faults contained: {}\n- worst severity: {}\n",
         report.faults.len(),

@@ -143,8 +143,10 @@ struct ProgramSlot {
 
 /// Heap estimate of a findings list: each record plus its strings.
 fn diags_size(diags: &[Diagnostic]) -> u64 {
-    let text: usize =
-        diags.iter().map(|d| d.message.len() + d.function.as_ref().map_or(0, String::len)).sum();
+    let text: usize = diags
+        .iter()
+        .map(|d| d.message.len() + d.function.as_ref().map_or(0, String::len))
+        .sum();
     (std::mem::size_of_val(diags) + text) as u64
 }
 
@@ -276,7 +278,9 @@ impl MemoryFactsStore {
                 .filter(|(k, _)| Some(**k) != keep)
                 .min_by_key(|(_, slot)| slot.last_use)
                 .map(|(k, _)| *k);
-            let Some(slot) = victim.and_then(|k| programs.remove(&k)) else { break };
+            let Some(slot) = victim.and_then(|k| programs.remove(&k)) else {
+                break;
+            };
             self.uncharge(slot.size, slot.size);
             released += slot.size;
         }
@@ -319,7 +323,10 @@ impl MemoryFactsStore {
             phase: FaultPhase::Ingest,
             path: "facts-store".to_string(),
             severity: FaultSeverity::Info,
-            cause: FaultCause::StoreEvicted { entries: entries as usize, bytes },
+            cause: FaultCause::StoreEvicted {
+                entries: entries as usize,
+                bytes,
+            },
             recovery: Recovery::Noted,
             run_id: String::new(),
         })
@@ -405,7 +412,12 @@ impl MemoryFactsStore {
         let size = diags_size(&diags) + module.len() as u64;
         let mut map = self.entries.write().expect("facts store poisoned");
         let Some(e) = map.get_mut(&hash) else { return };
-        let memo = FileMemo { pack, module: module.to_string(), diags, size };
+        let memo = FileMemo {
+            pack,
+            module: module.to_string(),
+            diags,
+            size,
+        };
         if let Some(old) = e.memo.replace(memo) {
             self.uncharge(old.size, old.size);
         }
@@ -416,12 +428,20 @@ impl MemoryFactsStore {
 
     /// The program slot of the file set `set`, if it was made from the
     /// same files (`digest`) by the pack `pack`.
-    pub(crate) fn program_memo(&self, set: u64, digest: u64, pack: u64) -> Option<Arc<ProgramMemo>> {
+    pub(crate) fn program_memo(
+        &self,
+        set: u64,
+        digest: u64,
+        pack: u64,
+    ) -> Option<Arc<ProgramMemo>> {
         let mut programs = self.programs.lock().expect("facts store poisoned");
-        let hit = programs.get_mut(&set).filter(|s| s.digest == digest && s.pack == pack).map(|s| {
-            s.last_use = self.tick();
-            Arc::clone(&s.memo)
-        });
+        let hit = programs
+            .get_mut(&set)
+            .filter(|s| s.digest == digest && s.pack == pack)
+            .map(|s| {
+                s.last_use = self.tick();
+                Arc::clone(&s.memo)
+            });
         let outcome = if hit.is_some() { "hits" } else { "misses" };
         adsafe_trace::counter(&format!("store.memo.program.{outcome}")).incr();
         hit
@@ -434,7 +454,13 @@ impl MemoryFactsStore {
     pub(crate) fn store_program_memo(&self, set: u64, digest: u64, pack: u64, memo: ProgramMemo) {
         let size = memo.size();
         let map = self.entries.write().expect("facts store poisoned");
-        let slot = ProgramSlot { digest, pack, memo: Arc::new(memo), size, last_use: self.tick() };
+        let slot = ProgramSlot {
+            digest,
+            pack,
+            memo: Arc::new(memo),
+            size,
+            last_use: self.tick(),
+        };
         {
             let mut programs = self.programs.lock().expect("facts store poisoned");
             if let Some(old) = programs.insert(set, slot) {
@@ -601,7 +627,10 @@ mod tests {
     #[test]
     fn memory_round_trip_and_invalidate() {
         let store = MemoryFactsStore::open(None);
-        let facts = FileFacts { recovery_count: 3, ..FileFacts::default() };
+        let facts = FileFacts {
+            recovery_count: 3,
+            ..FileFacts::default()
+        };
         let h = content_hash("m/a.cc", "text");
         store.store_entry(h, "m/a.cc", &facts);
         assert_eq!(store.len(), 1);
@@ -620,7 +649,14 @@ mod tests {
     fn resident_hits_share_one_record() {
         let store = MemoryFactsStore::open(None);
         let h = content_hash("m/a.cc", "text");
-        store.store_entry(h, "m/a.cc", &FileFacts { recovery_count: 1, ..FileFacts::default() });
+        store.store_entry(
+            h,
+            "m/a.cc",
+            &FileFacts {
+                recovery_count: 1,
+                ..FileFacts::default()
+            },
+        );
         let load = |file| match store.load(h, file) {
             CacheLookup::Hit(f) => f,
             other => panic!("expected hit, got {other:?}"),
@@ -630,15 +666,24 @@ mod tests {
         assert!(Arc::ptr_eq(&load(FileId(0)), &load(FileId(5))));
         let shared = Arc::new(FileFacts::default());
         store.store_shared(h, "m/a.cc", Arc::clone(&shared));
-        assert!(Arc::ptr_eq(&load(FileId(1)), &shared), "a shared store keeps the caller's Arc");
+        assert!(
+            Arc::ptr_eq(&load(FileId(1)), &shared),
+            "a shared store keeps the caller's Arc"
+        );
     }
 
     #[test]
     fn byte_accounting_tracks_inserts_and_drops() {
         let store = MemoryFactsStore::open(None);
         assert_eq!(store.bytes(), 0);
-        let a = FileFacts { recovery_count: 1, ..FileFacts::default() };
-        let b = FileFacts { recovery_count: 22, ..FileFacts::default() };
+        let a = FileFacts {
+            recovery_count: 1,
+            ..FileFacts::default()
+        };
+        let b = FileFacts {
+            recovery_count: 22,
+            ..FileFacts::default()
+        };
         let h = content_hash("m/a.cc", "x");
         store.store_entry(h, "m/a.cc", &a);
         assert_eq!(store.bytes(), a.to_json().len() as u64);
@@ -647,7 +692,10 @@ mod tests {
         assert_eq!(store.bytes(), b.to_json().len() as u64);
         let h2 = content_hash("m/b.cc", "y");
         store.store_entry(h2, "m/b.cc", &a);
-        assert_eq!(store.bytes(), (a.to_json().len() + b.to_json().len()) as u64);
+        assert_eq!(
+            store.bytes(),
+            (a.to_json().len() + b.to_json().len()) as u64
+        );
         store.invalidate_paths(&["m/a.cc".to_string()]);
         assert_eq!(store.bytes(), a.to_json().len() as u64);
         store.invalidate_all();
@@ -663,14 +711,20 @@ mod tests {
             let store = MemoryFactsStore::open(Some(&dir));
             store.store_entry(h, "m/b.cc", &facts);
             // Lazy write-back: nothing on disk until flush.
-            assert!(matches!(FactsCache::open(&dir).load(h, FileId(0)), CacheLookup::Miss));
+            assert!(matches!(
+                FactsCache::open(&dir).load(h, FileId(0)),
+                CacheLookup::Miss
+            ));
             assert_eq!(store.flush(), 1);
             assert_eq!(store.flush(), 0, "clean entries are not rewritten");
         }
         // A fresh store (fresh process) promotes the disk entry, under
         // the path it was looked up by.
         let store2 = MemoryFactsStore::open(Some(&dir));
-        assert!(matches!(store2.load_at(h, FileId(2), "m/b.cc"), CacheLookup::Hit(_)));
+        assert!(matches!(
+            store2.load_at(h, FileId(2), "m/b.cc"),
+            CacheLookup::Hit(_)
+        ));
         assert_eq!(store2.len(), 1, "disk hit was promoted into memory");
         assert_eq!(store2.invalidate_paths(&["m/b.cc".to_string()]), 1);
         assert!(
@@ -697,7 +751,10 @@ mod tests {
 
     #[test]
     fn byte_budget_evicts_least_recently_used_first() {
-        let facts = FileFacts { recovery_count: 9, ..FileFacts::default() };
+        let facts = FileFacts {
+            recovery_count: 9,
+            ..FileFacts::default()
+        };
         let entry_len = facts.to_json().len() as u64;
         // Room for exactly two entries.
         let store = MemoryFactsStore::open_budgeted(None, 2 * entry_len);
@@ -709,25 +766,49 @@ mod tests {
         store.store_entry(ha, "m/a.cc", &facts);
         store.store_entry(hb, "m/b.cc", &facts);
         assert_eq!(store.bytes(), 2 * entry_len);
-        assert!(store.take_eviction_fault().is_none(), "within budget: no eviction");
+        assert!(
+            store.take_eviction_fault().is_none(),
+            "within budget: no eviction"
+        );
         // Touch `a` so `b` is the LRU entry when `c` forces a sweep.
         assert!(matches!(store.load(ha, FileId(0)), CacheLookup::Hit(_)));
         store.store_entry(hc, "m/c.cc", &facts);
-        assert!(store.bytes() <= store.budget(), "sweep must restore the watermark");
-        assert!(matches!(store.load(hb, FileId(0)), CacheLookup::Miss), "LRU entry evicted");
-        assert!(matches!(store.load(ha, FileId(0)), CacheLookup::Hit(_)), "recently used survives");
-        assert!(matches!(store.load(hc, FileId(0)), CacheLookup::Hit(_)), "newest never evicted");
+        assert!(
+            store.bytes() <= store.budget(),
+            "sweep must restore the watermark"
+        );
+        assert!(
+            matches!(store.load(hb, FileId(0)), CacheLookup::Miss),
+            "LRU entry evicted"
+        );
+        assert!(
+            matches!(store.load(ha, FileId(0)), CacheLookup::Hit(_)),
+            "recently used survives"
+        );
+        assert!(
+            matches!(store.load(hc, FileId(0)), CacheLookup::Hit(_)),
+            "newest never evicted"
+        );
         let fault = store.take_eviction_fault().expect("eviction recorded");
         assert_eq!(fault.severity, FaultSeverity::Info);
         assert_eq!(fault.recovery, Recovery::Noted);
-        assert!(matches!(fault.cause, FaultCause::StoreEvicted { entries: 1, .. }));
-        assert!(store.take_eviction_fault().is_none(), "tally drains on take");
+        assert!(matches!(
+            fault.cause,
+            FaultCause::StoreEvicted { entries: 1, .. }
+        ));
+        assert!(
+            store.take_eviction_fault().is_none(),
+            "tally drains on take"
+        );
     }
 
     #[test]
     fn evicted_dirty_entries_demote_to_the_disk_backing() {
         let dir = temp_dir("demote");
-        let facts = FileFacts { recovery_count: 4, ..FileFacts::default() };
+        let facts = FileFacts {
+            recovery_count: 4,
+            ..FileFacts::default()
+        };
         let entry_len = facts.to_json().len() as u64;
         let store = MemoryFactsStore::open_budgeted(Some(&dir), entry_len);
         let (ha, hb) = (content_hash("m/a.cc", "a"), content_hash("m/b.cc", "b"));
@@ -742,7 +823,10 @@ mod tests {
 
     #[test]
     fn a_single_oversized_entry_is_kept() {
-        let facts = FileFacts { recovery_count: 7, ..FileFacts::default() };
+        let facts = FileFacts {
+            recovery_count: 7,
+            ..FileFacts::default()
+        };
         let store = MemoryFactsStore::open_budgeted(None, 1);
         let h = content_hash("m/big.cc", "x");
         store.store_entry(h, "m/big.cc", &facts);
@@ -768,7 +852,10 @@ mod tests {
         store.store_file_memo(h, 1, "m", Arc::clone(&diags));
         assert!(store.memo_bytes() > 0);
         assert_eq!(store.bytes(), facts_bytes + store.memo_bytes());
-        assert!(Arc::ptr_eq(&store.file_memo(h, 1, "m").expect("hit"), &diags));
+        assert!(Arc::ptr_eq(
+            &store.file_memo(h, 1, "m").expect("hit"),
+            &diags
+        ));
         assert!(store.file_memo(h, 2, "m").is_none(), "another pack");
         assert!(store.file_memo(h, 1, "n").is_none(), "another module");
         // A memo for another pack displaces the first.
@@ -782,29 +869,44 @@ mod tests {
     #[test]
     fn program_slots_key_by_file_set_and_drop_on_invalidation() {
         let store = MemoryFactsStore::open(None);
-        let memo = ProgramMemo { diags: vec![finding("g")], ..ProgramMemo::default() };
+        let memo = ProgramMemo {
+            diags: vec![finding("g")],
+            ..ProgramMemo::default()
+        };
         store.store_program_memo(7, 70, 1, memo.clone());
         store.store_program_memo(8, 80, 1, memo.clone());
         assert_eq!(store.bytes(), store.memo_bytes());
         assert_eq!(store.program_memo(7, 70, 1).expect("hit").diags, memo.diags);
         assert!(store.program_memo(7, 71, 1).is_none(), "another digest");
         assert!(store.program_memo(7, 70, 2).is_none(), "another pack");
-        assert!(store.program_memo(8, 80, 1).is_some(), "each file set keeps its slot");
+        assert!(
+            store.program_memo(8, 80, 1).is_some(),
+            "each file set keeps its slot"
+        );
         // A new digest replaces the set's slot and its bytes.
         let before = store.memo_bytes();
         store.store_program_memo(7, 71, 1, memo.clone());
         assert_eq!(store.memo_bytes(), before);
         assert!(store.program_memo(7, 70, 1).is_none());
         assert_eq!(store.invalidate_paths(&[]), 0);
-        assert!(store.program_memo(7, 71, 1).is_none(), "invalidation drops every slot");
+        assert!(
+            store.program_memo(7, 71, 1).is_none(),
+            "invalidation drops every slot"
+        );
         assert_eq!(store.memo_bytes(), 0);
     }
 
     #[test]
     fn budget_pressure_sheds_program_slots_before_facts() {
-        let facts = FileFacts { recovery_count: 9, ..FileFacts::default() };
+        let facts = FileFacts {
+            recovery_count: 9,
+            ..FileFacts::default()
+        };
         let entry_len = facts.to_json().len() as u64;
-        let memo = ProgramMemo { diags: vec![finding("g")], ..ProgramMemo::default() };
+        let memo = ProgramMemo {
+            diags: vec![finding("g")],
+            ..ProgramMemo::default()
+        };
         let slot_len = memo.size();
         let store = MemoryFactsStore::open_budgeted(None, 2 * entry_len + slot_len);
         let (ha, hb, hc) = (
@@ -823,7 +925,10 @@ mod tests {
         assert!(store.bytes() <= store.budget());
         assert_eq!(store.len(), 2);
         // A slot that does not fit even alone is not kept.
-        let big = ProgramMemo { diags: vec![finding(&"x".repeat(4096))], ..ProgramMemo::default() };
+        let big = ProgramMemo {
+            diags: vec![finding(&"x".repeat(4096))],
+            ..ProgramMemo::default()
+        };
         store.store_program_memo(3, 30, 0, big);
         assert!(store.program_memo(3, 30, 0).is_none());
         assert_eq!(store.len(), 2);
@@ -832,7 +937,13 @@ mod tests {
         store.store_entry(hc, "m/c.cc", &facts);
         assert!(store.program_memo(2, 20, 0).is_none());
         assert_eq!(store.memo_bytes(), 0);
-        assert_eq!(store.len(), 3, "{} bytes of {}", store.bytes(), store.budget());
+        assert_eq!(
+            store.len(),
+            3,
+            "{} bytes of {}",
+            store.bytes(),
+            store.budget()
+        );
     }
 
     #[test]

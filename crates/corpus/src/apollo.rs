@@ -256,7 +256,10 @@ fn generate_module(m: &ModuleSpec, seed: u64, upstream: Option<&str>) -> Vec<Gen
     let mut global_idx = 0usize;
     for f in 0..m.files {
         let mut w = CodeWriter::new();
-        w.line(&format!("// Module {} — generated Apollo-scale corpus file {f}.", m.name));
+        w.line(&format!(
+            "// Module {} — generated Apollo-scale corpus file {f}.",
+            m.name
+        ));
         w.line("#include <cmath>");
         w.line("#include <cstdint>");
         w.line("");
@@ -280,7 +283,10 @@ fn generate_module(m: &ModuleSpec, seed: u64, upstream: Option<&str>) -> Vec<Gen
             if let Some(up) = upstream {
                 let up_fn = format!("{}Fn0", camel(up));
                 w.line(&format!("int {up_fn}(int count, float scale);"));
-                w.open(&format!("int {}Bridge(int count, float scale) {{", camel(&m.name)));
+                w.open(&format!(
+                    "int {}Bridge(int count, float scale) {{",
+                    camel(&m.name)
+                ));
                 w.line(&format!("return {up_fn}(count, scale) + 1;"));
                 w.close("}");
                 w.line("");
@@ -358,11 +364,18 @@ mod tests {
     #[test]
     fn paper_scale_totals() {
         let spec = ApolloSpec::paper_scale();
-        assert_eq!(spec.total_over_10(), 554, "Figure 3: 554 functions over CC 10");
+        assert_eq!(
+            spec.total_over_10(),
+            554,
+            "Figure 3: 554 functions over CC 10"
+        );
         let total_loc: usize = spec.modules.iter().map(|m| m.loc).sum();
         assert!(total_loc >= 220_000, "paper: >220k LOC, spec {total_loc}");
         let total_casts: usize = spec.modules.iter().map(|m| m.casts).sum();
-        assert!(total_casts > 1_400, "paper: >1,400 casts, spec {total_casts}");
+        assert!(
+            total_casts > 1_400,
+            "paper: >1,400 casts, spec {total_casts}"
+        );
         let perception = &spec.modules[0];
         assert_eq!(perception.globals, 900, "paper: ≈900 globals in perception");
         assert!((perception.multi_exit_frac - 0.41).abs() < 1e-9);

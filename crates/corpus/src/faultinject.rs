@@ -76,7 +76,11 @@ pub fn corrupt(seed: u64, kind: Corruption, path: &str, text: &str) -> Vec<u8> {
                         }
                     }
                 }
-                let pool = if !in_paren.is_empty() { in_paren } else { in_brace };
+                let pool = if !in_paren.is_empty() {
+                    in_paren
+                } else {
+                    in_brace
+                };
                 let cut = if pool.is_empty() {
                     rng.gen_range(1..bytes.len())
                 } else {
@@ -94,8 +98,11 @@ pub fn corrupt(seed: u64, kind: Corruption, path: &str, text: &str) -> Vec<u8> {
                 .filter(|(_, &b)| b == b'{' || b == b'}')
                 .map(|(i, _)| i)
                 .collect();
-            let mut doomed: Vec<usize> =
-                brace_positions.iter().copied().filter(|_| rng.gen_range(0..10u32) < 6).collect();
+            let mut doomed: Vec<usize> = brace_positions
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_range(0..10u32) < 6)
+                .collect();
             if doomed.is_empty() {
                 if let Some(&first) = brace_positions.first() {
                     doomed.push(first);

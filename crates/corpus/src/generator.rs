@@ -216,7 +216,9 @@ pub fn gen_recursive_pair(w: &mut CodeWriter, base: &str) {
 pub fn gen_cuda_kernel(w: &mut CodeWriter, name: &str) {
     // Signatures are wrapped to keep every line within the style guide's
     // 80-column limit (Apollo itself is style-clean — paper Obs. 8).
-    w.line(&format!("__global__ void {name}_kernel(float* output, float* biases,"));
+    w.line(&format!(
+        "__global__ void {name}_kernel(float* output, float* biases,"
+    ));
     w.open("                              int n, int size) {");
     w.line("int offset = blockIdx.x * blockDim.x + threadIdx.x;");
     w.line("int filter = blockIdx.y;");
@@ -225,7 +227,9 @@ pub fn gen_cuda_kernel(w: &mut CodeWriter, name: &str) {
     w.close("}");
     w.close("}");
     w.line("");
-    w.line(&format!("void {name}_gpu(float* output, float* biases, int batch,"));
+    w.line(&format!(
+        "void {name}_gpu(float* output, float* biases, int batch,"
+    ));
     w.open("              int n, int size) {");
     w.line("float* d_output;");
     w.line("float* d_biases;");
@@ -234,7 +238,9 @@ pub fn gen_cuda_kernel(w: &mut CodeWriter, name: &str) {
     w.line("cudaMemcpy(d_output, output, batch * n * size * 4,");
     w.line("          cudaMemcpyHostToDevice);");
     w.line("cudaMemcpy(d_biases, biases, n * 4, cudaMemcpyHostToDevice);");
-    w.line(&format!("{name}_kernel<<<n, 256>>>(d_output, d_biases, n, size);"));
+    w.line(&format!(
+        "{name}_kernel<<<n, 256>>>(d_output, d_biases, n, size);"
+    ));
     w.line("cublasSgemm(0, d_output, d_biases, n, size);");
     w.line("cudaMemcpy(output, d_output, batch * n * size * 4,");
     w.line("          cudaMemcpyDeviceToHost);");
@@ -365,7 +371,11 @@ mod tests {
         let mut w = CodeWriter::new();
         gen_filler(&mut w, "Pad", 20, false);
         let src = w.finish();
-        assert!((19..=23).contains(&src.lines().count()), "{}", src.lines().count());
+        assert!(
+            (19..=23).contains(&src.lines().count()),
+            "{}",
+            src.lines().count()
+        );
         let m = parse_and_first_metrics(&src);
         assert_eq!(m.cyclomatic, 1);
         assert!(!m.multi_exit);

@@ -66,8 +66,7 @@ pub fn cuda_to_cpu(src: &str) -> Translated {
             .collect();
         let name = &f.sig.name;
         // Kernel as a plain function with explicit geometry parameters.
-        let mut sig_params: Vec<String> =
-            params.iter().map(|(t, n)| format!("{t} {n}")).collect();
+        let mut sig_params: Vec<String> = params.iter().map(|(t, n)| format!("{t} {n}")).collect();
         for d in DIMS {
             for a in &AXES[..2] {
                 sig_params.push(format!("int {d}_{a}"));
@@ -78,8 +77,7 @@ pub fn cuda_to_cpu(src: &str) -> Translated {
         out.push_str("\n\n");
         // Driver looping the launch geometry.
         let driver = format!("{name}_cpu");
-        let mut drv_params: Vec<String> =
-            params.iter().map(|(t, n)| format!("{t} {n}")).collect();
+        let mut drv_params: Vec<String> = params.iter().map(|(t, n)| format!("{t} {n}")).collect();
         drv_params.push("int grid_x".into());
         drv_params.push("int grid_y".into());
         drv_params.push("int block_x".into());
@@ -91,18 +89,26 @@ pub fn cuda_to_cpu(src: &str) -> Translated {
         out.push_str("                for (int ty = 0; ty < block_y; ty++) {\n");
         let mut args: Vec<String> = params.iter().map(|(_, n)| n.clone()).collect();
         args.extend(
-            ["bx", "by", "tx", "ty", "block_x", "block_y", "grid_x", "grid_y"]
-                .iter()
-                .map(|s| s.to_string()),
+            [
+                "bx", "by", "tx", "ty", "block_x", "block_y", "grid_x", "grid_y",
+            ]
+            .iter()
+            .map(|s| s.to_string()),
         );
         out.push_str(&format!(
             "                    {name}({});\n",
             args.join(", ")
         ));
         out.push_str("                }\n            }\n        }\n    }\n}\n\n");
-        kernels.push(TranslatedKernel { name: name.clone(), driver });
+        kernels.push(TranslatedKernel {
+            name: name.clone(),
+            driver,
+        });
     }
-    Translated { source: out, kernels }
+    Translated {
+        source: out,
+        kernels,
+    }
 }
 
 fn rewrite_builtins(body: &str) -> String {

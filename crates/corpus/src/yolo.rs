@@ -14,12 +14,18 @@ use adsafe_coverage::{CoverageHarness, TestCase, Value};
 
 /// One source file of the YOLO-mini corpus: `(file name, text)`.
 pub const YOLO_FILES: [(&str, &str); 10] = [
-    ("activations.c", include_str!("../assets/yolo/activations.c")),
+    (
+        "activations.c",
+        include_str!("../assets/yolo/activations.c"),
+    ),
     ("blas.c", include_str!("../assets/yolo/blas.c")),
     ("gemm.c", include_str!("../assets/yolo/gemm.c")),
     ("im2col.c", include_str!("../assets/yolo/im2col.c")),
     ("col2im.c", include_str!("../assets/yolo/col2im.c")),
-    ("convolutional.c", include_str!("../assets/yolo/convolutional.c")),
+    (
+        "convolutional.c",
+        include_str!("../assets/yolo/convolutional.c"),
+    ),
     ("maxpool.c", include_str!("../assets/yolo/maxpool.c")),
     ("box.c", include_str!("../assets/yolo/box.c")),
     ("region.c", include_str!("../assets/yolo/region.c")),
@@ -108,11 +114,7 @@ pub fn real_scenarios() -> Vec<TestCase> {
         "box_iou_pair",
         vec![],
     ));
-    tests.push(TestCase::new(
-        "col2im smoke",
-        "col2im_smoke",
-        vec![],
-    ));
+    tests.push(TestCase::new("col2im smoke", "col2im_smoke", vec![]));
     tests
 }
 
@@ -155,7 +157,10 @@ mod tests {
         for (path, text) in YOLO_FILES.iter().chain(YOLO_SUPPORT_FILES.iter()) {
             let parsed = parse_source(FileId(0), text);
             assert_eq!(parsed.unit.recovery_count, 0, "{path} has opaque regions");
-            assert!(!parsed.unit.functions().is_empty(), "{path} has no functions");
+            assert!(
+                !parsed.unit.functions().is_empty(),
+                "{path} has no functions"
+            );
         }
     }
 
@@ -164,7 +169,12 @@ mod tests {
         let h = harness_with_drivers();
         let (_, outcomes) = h.measure(&real_scenarios());
         for o in &outcomes {
-            assert!(o.result.is_ok(), "scenario `{}` failed: {:?}", o.name, o.result);
+            assert!(
+                o.result.is_ok(),
+                "scenario `{}` failed: {:?}",
+                o.name,
+                o.result
+            );
         }
     }
 
@@ -196,7 +206,10 @@ mod tests {
         // stmt > branch > MC/DC, with MC/DC clearly lowest.
         assert!(stmt_avg < 100.0, "stmt avg = {stmt_avg}");
         assert!((60.0..=95.0).contains(&stmt_avg), "stmt avg = {stmt_avg}");
-        assert!((50.0..=90.0).contains(&branch_avg), "branch avg = {branch_avg}");
+        assert!(
+            (50.0..=90.0).contains(&branch_avg),
+            "branch avg = {branch_avg}"
+        );
         assert!((30.0..=80.0).contains(&mcdc_avg), "mcdc avg = {mcdc_avg}");
         assert!(stmt_avg > branch_avg, "{stmt_avg} vs {branch_avg}");
         assert!(branch_avg > mcdc_avg, "{branch_avg} vs {mcdc_avg}");

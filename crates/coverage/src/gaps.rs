@@ -58,9 +58,9 @@ impl Gap {
                 if *needed { "true" } else { "false" }
             ),
             Gap::CaseLabel { .. } => format!("{loc}: case label never taken: `{snippet}`"),
-            Gap::Condition { index, .. } => format!(
-                "{loc}: condition #{index} `{snippet}` not shown independent (MC/DC)"
-            ),
+            Gap::Condition { index, .. } => {
+                format!("{loc}: condition #{index} `{snippet}` not shown independent (MC/DC)")
+            }
         }
     }
 }
@@ -74,17 +74,35 @@ pub fn function_gaps(probes: &FunctionProbes, log: &CoverageLog) -> Vec<Gap> {
         }
     }
     for (decision, leaves) in &probes.decisions {
-        let (t, f) = log.branch_hits.get(decision).copied().unwrap_or((false, false));
+        let (t, f) = log
+            .branch_hits
+            .get(decision)
+            .copied()
+            .unwrap_or((false, false));
         if !t {
-            out.push(Gap::Branch { span: *decision, needed: true });
+            out.push(Gap::Branch {
+                span: *decision,
+                needed: true,
+            });
         }
         if !f {
-            out.push(Gap::Branch { span: *decision, needed: false });
+            out.push(Gap::Branch {
+                span: *decision,
+                needed: false,
+            });
         }
-        let records = log.decision_records.get(decision).map(Vec::as_slice).unwrap_or(&[]);
+        let records = log
+            .decision_records
+            .get(decision)
+            .map(Vec::as_slice)
+            .unwrap_or(&[]);
         for (i, leaf) in leaves.iter().enumerate() {
             if !condition_covered(records, i) {
-                out.push(Gap::Condition { decision: *decision, condition: *leaf, index: i });
+                out.push(Gap::Condition {
+                    decision: *decision,
+                    condition: *leaf,
+                    index: i,
+                });
             }
         }
     }
@@ -142,7 +160,11 @@ pub fn suggest_mcdc_pair(
         let mut b = a.clone();
         b[condition] = false;
         if eval(&a) != eval(&b) {
-            return Some(McdcSuggestion { condition, vector_a: a, vector_b: b });
+            return Some(McdcSuggestion {
+                condition,
+                vector_a: a,
+                vector_b: b,
+            });
         }
     }
     None
@@ -196,8 +218,7 @@ mod tests {
         (function_gaps(&probes, &it.log), sm)
     }
 
-    const SRC: &str =
-        "int f(int a, int b) { if (a > 0 && b > 0) { return 1; } return 0; }";
+    const SRC: &str = "int f(int a, int b) { if (a > 0 && b > 0) { return 1; } return 0; }";
 
     #[test]
     fn uncalled_function_has_all_gaps() {
@@ -214,9 +235,14 @@ mod tests {
         let s = summarize_gaps(&gaps);
         assert_eq!(s.statements, 1); // `return 0`
         assert_eq!(s.branches, 1); // false edge
-        assert!(gaps.iter().any(|g| matches!(g, Gap::Branch { needed: false, .. })));
+        assert!(gaps
+            .iter()
+            .any(|g| matches!(g, Gap::Branch { needed: false, .. })));
         let rendered: Vec<String> = gaps.iter().map(|g| g.render(&sm)).collect();
-        assert!(rendered.iter().any(|r| r.contains("never evaluated false")), "{rendered:?}");
+        assert!(
+            rendered.iter().any(|r| r.contains("never evaluated false")),
+            "{rendered:?}"
+        );
     }
 
     #[test]

@@ -22,7 +22,11 @@ pub struct TestCase {
 impl TestCase {
     /// Creates a test case.
     pub fn new(name: impl Into<String>, entry: impl Into<String>, args: Vec<Value>) -> Self {
-        TestCase { name: name.into(), entry: entry.into(), args }
+        TestCase {
+            name: name.into(),
+            entry: entry.into(),
+            args,
+        }
     }
 }
 
@@ -85,7 +89,10 @@ impl CoverageHarness {
             let mut interp = Interp::new(&self.program).with_limits(self.limits);
             let result = interp.call(&t.entry, t.args.clone());
             log.merge(&interp.log);
-            outcomes.push(TestOutcome { name: t.name.clone(), result });
+            outcomes.push(TestOutcome {
+                name: t.name.clone(),
+                result,
+            });
         }
         (log, outcomes)
     }
@@ -181,9 +188,14 @@ mod tests {
     #[test]
     fn multiple_tests_accumulate() {
         let mut h = CoverageHarness::new();
-        h.add_file("a.c", "int sign(int x) { if (x > 0) return 1; if (x < 0) return -1; return 0; }");
+        h.add_file(
+            "a.c",
+            "int sign(int x) { if (x > 0) return 1; if (x < 0) return -1; return 0; }",
+        );
         h.link();
-        let partial = h.measure(&[TestCase::new("pos", "sign", vec![Value::Int(1)])]).0;
+        let partial = h
+            .measure(&[TestCase::new("pos", "sign", vec![Value::Int(1)])])
+            .0;
         assert!(partial[0].branch_pct(true) < 100.0);
         let full = h
             .measure(&[

@@ -72,7 +72,9 @@ pub struct Program {
 
 impl fmt::Debug for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Program").field("functions", &self.functions.len()).finish()
+        f.debug_struct("Program")
+            .field("functions", &self.functions.len())
+            .finish()
     }
 }
 
@@ -98,7 +100,11 @@ impl Program {
 
     /// Number of distinct function definitions.
     pub fn len(&self) -> usize {
-        self.functions.values().map(|f| &f.sig.qualified_name).collect::<std::collections::HashSet<_>>().len()
+        self.functions
+            .values()
+            .map(|f| &f.sig.qualified_name)
+            .collect::<std::collections::HashSet<_>>()
+            .len()
     }
 
     /// Whether the program has no functions.
@@ -122,7 +128,10 @@ pub struct Limits {
 
 impl Default for Limits {
     fn default() -> Self {
-        Limits { max_steps: 200_000_000, max_depth: 96 }
+        Limits {
+            max_steps: 200_000_000,
+            max_depth: 96,
+        }
     }
 }
 
@@ -140,7 +149,14 @@ pub struct Interp<'p> {
 impl<'p> Interp<'p> {
     /// Creates an interpreter over `program` with default limits.
     pub fn new(program: &'p Program) -> Self {
-        Interp { program, log: CoverageLog::default(), limits: Limits::default(), steps: 0, depth: 0, rng_state: 0x5DEECE66D }
+        Interp {
+            program,
+            log: CoverageLog::default(),
+            limits: Limits::default(),
+            steps: 0,
+            depth: 0,
+            rng_state: 0x5DEECE66D,
+        }
     }
 
     /// Overrides execution limits.
@@ -204,7 +220,9 @@ impl<'p> Interp<'p> {
         let mut result = Value::Void;
         let flow = self.exec_block_stmts(&func.body.stmts, &mut env);
         self.depth -= 1;
-        if let Flow::Return(v) = flow? { result = v }
+        if let Flow::Return(v) = flow? {
+            result = v
+        }
         Ok(result)
     }
 
@@ -253,7 +271,11 @@ impl<'p> Interp<'p> {
                 Ok(Flow::Normal)
             }
             StmtKind::Block(b) => self.exec_block_stmts(&b.stmts, env),
-            StmtKind::If { cond, then_branch, else_branch } => {
+            StmtKind::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
                 let c = self.eval_decision(cond, env)?;
                 if c {
                     self.exec_stmt(then_branch, env)
@@ -289,7 +311,12 @@ impl<'p> Interp<'p> {
                 }
                 Ok(Flow::Normal)
             }
-            StmtKind::For { init, cond, step, body } => {
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            } => {
                 env.push();
                 if let Some(i) = init {
                     self.exec_stmt(i, env)?;
@@ -413,7 +440,10 @@ impl<'p> Interp<'p> {
         let conditions = leaves.iter().map(|s| outcomes.get(s).copied()).collect();
         self.log.hit_decision(
             cond.span,
-            DecisionRecord { conditions, outcome: result },
+            DecisionRecord {
+                conditions,
+                outcome: result,
+            },
         );
         Ok(result)
     }
@@ -426,23 +456,32 @@ impl<'p> Interp<'p> {
     ) -> IResult<bool> {
         self.tick()?;
         match &e.kind {
-            ExprKind::Binary { op: BinOp::LogAnd, lhs, rhs } => {
+            ExprKind::Binary {
+                op: BinOp::LogAnd,
+                lhs,
+                rhs,
+            } => {
                 let l = self.eval_bool_recording(lhs, env, outcomes)?;
                 if !l {
                     return Ok(false);
                 }
                 self.eval_bool_recording(rhs, env, outcomes)
             }
-            ExprKind::Binary { op: BinOp::LogOr, lhs, rhs } => {
+            ExprKind::Binary {
+                op: BinOp::LogOr,
+                lhs,
+                rhs,
+            } => {
                 let l = self.eval_bool_recording(lhs, env, outcomes)?;
                 if l {
                     return Ok(true);
                 }
                 self.eval_bool_recording(rhs, env, outcomes)
             }
-            ExprKind::Unary { op: UnOp::Not, expr } => {
-                Ok(!self.eval_bool_recording(expr, env, outcomes)?)
-            }
+            ExprKind::Unary {
+                op: UnOp::Not,
+                expr,
+            } => Ok(!self.eval_bool_recording(expr, env, outcomes)?),
             _ => {
                 let v = self.eval(e, env)?.truthy();
                 outcomes.insert(e.span, v);
@@ -503,13 +542,22 @@ impl<'p> Interp<'p> {
                 self.assign(lhs, new.clone(), env)?;
                 Ok(new)
             }
-            ExprKind::Ternary { cond, then_expr, else_expr } => {
+            ExprKind::Ternary {
+                cond,
+                then_expr,
+                else_expr,
+            } => {
                 let leaves = condition_leaves(cond);
                 let mut outcomes = HashMap::new();
                 let c = self.eval_bool_recording(cond, env, &mut outcomes)?;
                 let conditions = leaves.iter().map(|s| outcomes.get(s).copied()).collect();
-                self.log
-                    .hit_decision(cond.span, DecisionRecord { conditions, outcome: c });
+                self.log.hit_decision(
+                    cond.span,
+                    DecisionRecord {
+                        conditions,
+                        outcome: c,
+                    },
+                );
                 if c {
                     self.eval(then_expr, env)
                 } else {
@@ -554,8 +602,8 @@ impl<'p> Interp<'p> {
                 Ok(match ty.name.as_str() {
                     _ if ty.is_pointer_like() => v,
                     "float" | "double" => Value::Float(v.as_f64()),
-                    "int" | "long" | "short" | "char" | "unsigned" | "unsigned int"
-                    | "size_t" | "bool" => Value::Int(v.as_i64()),
+                    "int" | "long" | "short" | "char" | "unsigned" | "unsigned int" | "size_t"
+                    | "bool" => Value::Int(v.as_i64()),
                     _ => v,
                 })
             }
@@ -584,9 +632,7 @@ impl<'p> Interp<'p> {
                 Ok(Value::Void)
             }
             ExprKind::Member { .. } => Err(InterpError::Unsupported("struct member".into())),
-            ExprKind::KernelLaunch { .. } => {
-                Err(InterpError::Unsupported("kernel launch".into()))
-            }
+            ExprKind::KernelLaunch { .. } => Err(InterpError::Unsupported("kernel launch".into())),
             ExprKind::Throw(_) => Err(InterpError::Unsupported("throw".into())),
             ExprKind::This => Err(InterpError::Unsupported("this".into())),
             ExprKind::Opaque => Err(InterpError::Unsupported("opaque expression".into())),
@@ -642,12 +688,14 @@ impl<'p> Interp<'p> {
             }
             UnOp::PreInc | UnOp::PostInc | UnOp::PreDec | UnOp::PostDec => {
                 let old = self.eval(expr, env)?;
-                let delta = if matches!(op, UnOp::PreInc | UnOp::PostInc) { 1 } else { -1 };
+                let delta = if matches!(op, UnOp::PreInc | UnOp::PostInc) {
+                    1
+                } else {
+                    -1
+                };
                 let new = match &old {
                     Value::Float(f) => Value::Float(f + delta as f64),
-                    Value::Ptr(b, off) => {
-                        Value::Ptr(b.clone(), (*off as i64 + delta) as usize)
-                    }
+                    Value::Ptr(b, off) => Value::Ptr(b.clone(), (*off as i64 + delta) as usize),
                     other => Value::Int(other.as_i64() + delta),
                 };
                 self.assign(expr, new.clone(), env)?;
@@ -757,7 +805,10 @@ impl<'p> Interp<'p> {
                 buf.borrow_mut()[idx] = v;
                 Ok(())
             }
-            ExprKind::Unary { op: UnOp::Deref, expr } => {
+            ExprKind::Unary {
+                op: UnOp::Deref,
+                expr,
+            } => {
                 let p = self.eval(expr, env)?;
                 let (buf, off) = p
                     .as_ptr()
@@ -820,14 +871,17 @@ impl<'p> Interp<'p> {
                     let mut b = buf.borrow_mut();
                     let end = (off + n).min(b.len());
                     for slot in &mut b[off..end] {
-                        *slot = if fill == 0 { Value::Float(0.0) } else { Value::Int(fill) };
+                        *slot = if fill == 0 {
+                            Value::Float(0.0)
+                        } else {
+                            Value::Int(fill)
+                        };
                     }
                 }
                 args.into_iter().next().unwrap_or(Value::Void)
             }
             "memcpy" => {
-                if let (Some((dst, doff)), Some((src, soff))) =
-                    (args[0].as_ptr(), args[1].as_ptr())
+                if let (Some((dst, doff)), Some((src, soff))) = (args[0].as_ptr(), args[1].as_ptr())
                 {
                     let n = (args.get(2).map(|v| v.as_i64()).unwrap_or(0) / 4) as usize;
                     let src_vals: Vec<Value> = {
@@ -863,7 +917,9 @@ struct Env {
 
 impl Env {
     fn new() -> Self {
-        Env { scopes: vec![HashMap::new()] }
+        Env {
+            scopes: vec![HashMap::new()],
+        }
     }
     fn push(&mut self) {
         self.scopes.push(HashMap::new());
@@ -908,7 +964,11 @@ mod tests {
 
     #[test]
     fn arithmetic_and_return() {
-        let (v, _) = run("int f(int a, int b) { return a * b + 2; }", "f", vec![Value::Int(3), Value::Int(4)]);
+        let (v, _) = run(
+            "int f(int a, int b) { return a * b + 2; }",
+            "f",
+            vec![Value::Int(3), Value::Int(4)],
+        );
         assert_eq!(v.as_i64(), 14);
     }
 
@@ -988,9 +1048,15 @@ mod tests {
 
     #[test]
     fn step_limit_detected() {
-        let parsed = parse_source(FileId(0), "int f() { int x = 0; while (1) { x++; } return x; }");
+        let parsed = parse_source(
+            FileId(0),
+            "int f() { int x = 0; while (1) { x++; } return x; }",
+        );
         let prog = Program::from_units(&[&parsed.unit]);
-        let mut it = Interp::new(&prog).with_limits(Limits { max_steps: 10_000, max_depth: 16 });
+        let mut it = Interp::new(&prog).with_limits(Limits {
+            max_steps: 10_000,
+            max_depth: 16,
+        });
         let err = it.call("f", vec![]).unwrap_err();
         assert_eq!(err, InterpError::StepLimit);
     }
@@ -1034,7 +1100,11 @@ mod tests {
 
     #[test]
     fn math_builtins() {
-        let (v, _) = run("float f(float x) { return sqrtf(x) + fabs(-2.0f); }", "f", vec![Value::Float(9.0)]);
+        let (v, _) = run(
+            "float f(float x) { return sqrtf(x) + fabs(-2.0f); }",
+            "f",
+            vec![Value::Float(9.0)],
+        );
         assert_eq!(v.as_f64(), 5.0);
     }
 
@@ -1050,7 +1120,11 @@ mod tests {
 
     #[test]
     fn ternary_evaluates_and_records() {
-        let (v, log) = run("int f(int a) { return a > 2 ? 10 : 20; }", "f", vec![Value::Int(5)]);
+        let (v, log) = run(
+            "int f(int a) { return a > 2 ? 10 : 20; }",
+            "f",
+            vec![Value::Int(5)],
+        );
         assert_eq!(v.as_i64(), 10);
         assert_eq!(log.branch_hits.len(), 1);
     }

@@ -31,7 +31,7 @@ pub mod probes;
 pub mod report;
 pub mod value;
 
-pub use gaps::{function_gaps, summarize_gaps, suggest_mcdc_pair, Gap, GapSummary, McdcSuggestion};
+pub use gaps::{function_gaps, suggest_mcdc_pair, summarize_gaps, Gap, GapSummary, McdcSuggestion};
 pub use harness::{CoverageHarness, TestCase, TestOutcome};
 pub use interp::{Interp, InterpError, Limits, Program};
 pub use probes::{enumerate_probes, CoverageLog, FunctionProbes};

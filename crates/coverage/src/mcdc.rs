@@ -86,7 +86,9 @@ pub fn condition_covered_strict(records: &[DecisionRecord], i: usize) -> bool {
 
 /// Strict-variant counterpart of [`covered_conditions`].
 pub fn covered_conditions_strict(records: &[DecisionRecord], n: usize) -> usize {
-    (0..n).filter(|&i| condition_covered_strict(records, i)).count()
+    (0..n)
+        .filter(|&i| condition_covered_strict(records, i))
+        .count()
 }
 
 #[cfg(test)]
@@ -94,7 +96,10 @@ mod tests {
     use super::*;
 
     fn rec(conds: &[Option<bool>], outcome: bool) -> DecisionRecord {
-        DecisionRecord { conditions: conds.to_vec(), outcome }
+        DecisionRecord {
+            conditions: conds.to_vec(),
+            outcome,
+        }
     }
 
     #[test]
@@ -113,7 +118,10 @@ mod tests {
             rec(&[Some(false), None], false), // b masked
             rec(&[Some(true), Some(false)], false),
         ];
-        assert!(condition_covered(&records, 0), "a independent via rows 1,2 (b masked)");
+        assert!(
+            condition_covered(&records, 0),
+            "a independent via rows 1,2 (b masked)"
+        );
         assert!(condition_covered(&records, 1), "b independent via rows 1,3");
         assert_eq!(covered_conditions(&records, 2), 2);
     }
@@ -190,8 +198,14 @@ mod tests {
     fn strict_never_exceeds_masking() {
         // For a sampled set of record tables, strict ⊆ masking.
         let tables = [
-            vec![rec(&[Some(true), Some(false)], false), rec(&[Some(false), None], false)],
-            vec![rec(&[Some(true), Some(true)], true), rec(&[Some(false), None], false)],
+            vec![
+                rec(&[Some(true), Some(false)], false),
+                rec(&[Some(false), None], false),
+            ],
+            vec![
+                rec(&[Some(true), Some(true)], true),
+                rec(&[Some(false), None], false),
+            ],
             vec![
                 rec(&[Some(true), Some(false)], false),
                 rec(&[Some(true), Some(true)], true),

@@ -4,7 +4,7 @@
 //! report can divide *hit* by *total*.
 
 use adsafe_lang::ast::{BinOp, Expr, ExprKind, FunctionDef, Stmt, StmtKind, UnOp};
-use adsafe_lang::visit::{walk_stmts};
+use adsafe_lang::visit::walk_stmts;
 use adsafe_lang::Span;
 use std::collections::HashMap;
 
@@ -43,11 +43,18 @@ pub fn condition_leaves(e: &Expr) -> Vec<Span> {
     let mut out = Vec::new();
     fn rec(e: &Expr, out: &mut Vec<Span>) {
         match &e.kind {
-            ExprKind::Binary { op: BinOp::LogAnd | BinOp::LogOr, lhs, rhs } => {
+            ExprKind::Binary {
+                op: BinOp::LogAnd | BinOp::LogOr,
+                lhs,
+                rhs,
+            } => {
                 rec(lhs, out);
                 rec(rhs, out);
             }
-            ExprKind::Unary { op: UnOp::Not, expr } => rec(expr, out),
+            ExprKind::Unary {
+                op: UnOp::Not,
+                expr,
+            } => rec(expr, out),
             _ => out.push(e.span),
         }
     }
@@ -70,7 +77,10 @@ fn is_executable(s: &Stmt) -> bool {
 
 /// Enumerates the probes of one function.
 pub fn enumerate_probes(func: &FunctionDef) -> FunctionProbes {
-    let mut p = FunctionProbes { name: func.sig.qualified_name.clone(), ..Default::default() };
+    let mut p = FunctionProbes {
+        name: func.sig.qualified_name.clone(),
+        ..Default::default()
+    };
     walk_stmts(func, |s| {
         if is_executable(s) {
             p.statements.push(s.span);
@@ -215,7 +225,9 @@ mod tests {
 
     #[test]
     fn switch_cases_are_edges() {
-        let p = probes("void f(int x) { switch (x) { case 1: break; case 2: break; default: break; } }");
+        let p = probes(
+            "void f(int x) { switch (x) { case 1: break; case 2: break; default: break; } }",
+        );
         assert_eq!(p.case_labels.len(), 3);
         assert_eq!(p.branch_edges(), 3);
     }
@@ -238,10 +250,22 @@ mod tests {
         let s = Span::new(FileId(0), 0, 1);
         let d = Span::new(FileId(0), 2, 3);
         a.hit_stmt(s);
-        a.hit_decision(d, DecisionRecord { conditions: vec![Some(true)], outcome: true });
+        a.hit_decision(
+            d,
+            DecisionRecord {
+                conditions: vec![Some(true)],
+                outcome: true,
+            },
+        );
         let mut b = CoverageLog::default();
         b.hit_stmt(s);
-        b.hit_decision(d, DecisionRecord { conditions: vec![Some(false)], outcome: false });
+        b.hit_decision(
+            d,
+            DecisionRecord {
+                conditions: vec![Some(false)],
+                outcome: false,
+            },
+        );
         a.merge(&b);
         assert_eq!(a.stmt_hits[&s], 2);
         assert_eq!(a.branch_hits[&d], (true, true));

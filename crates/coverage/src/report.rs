@@ -154,7 +154,10 @@ mod tests {
             .iter()
             .map(|f| function_coverage(&enumerate_probes(f), &it.log))
             .collect();
-        AggregateCoverage { label: "t.c".into(), functions }
+        AggregateCoverage {
+            label: "t.c".into(),
+            functions,
+        }
     }
 
     const ABS: &str = "int iabs(int x) { if (x < 0) { return -x; } return x; }";
@@ -171,10 +174,13 @@ mod tests {
 
     #[test]
     fn two_sided_test_gives_full_coverage() {
-        let agg = coverage_of(ABS, &[
-            ("iabs", vec![Value::Int(5)]),
-            ("iabs", vec![Value::Int(-5)]),
-        ]);
+        let agg = coverage_of(
+            ABS,
+            &[
+                ("iabs", vec![Value::Int(5)]),
+                ("iabs", vec![Value::Int(-5)]),
+            ],
+        );
         let f = &agg.functions[0];
         assert_eq!(f.statement_pct(), 100.0);
         assert_eq!(f.branch_pct(), 100.0);

@@ -34,7 +34,11 @@ pub struct GemmTuner {
 impl GemmTuner {
     /// Creates a tuner.
     pub fn new(mode: TuneMode) -> Self {
-        GemmTuner { mode, cache: HashMap::new(), cache_floats: 256 * 1024 }
+        GemmTuner {
+            mode,
+            cache: HashMap::new(),
+            cache_floats: 256 * 1024,
+        }
     }
 
     /// Tile chosen for a shape, tuning on first use.

@@ -37,7 +37,11 @@ impl Stream {
     /// Panics if `len == 0` — streams have static non-zero extents.
     pub fn new(len: usize) -> Self {
         assert!(len > 0, "streams have non-zero static size");
-        Stream { data: vec![0.0; len], width: len, height: 1 }
+        Stream {
+            data: vec![0.0; len],
+            width: len,
+            height: 1,
+        }
     }
 
     /// A 2-D stream of `height × width` zeros.
@@ -46,7 +50,11 @@ impl Stream {
     /// Panics if either extent is zero.
     pub fn new2d(height: usize, width: usize) -> Self {
         assert!(width > 0 && height > 0, "streams have non-zero static size");
-        Stream { data: vec![0.0; width * height], width, height }
+        Stream {
+            data: vec![0.0; width * height],
+            width,
+            height,
+        }
     }
 
     /// Builds a stream from existing data (the only ingress point —
@@ -56,7 +64,11 @@ impl Stream {
     /// Panics if `data` is empty.
     pub fn from_slice(data: &[f32]) -> Self {
         assert!(!data.is_empty(), "streams have non-zero static size");
-        Stream { data: data.to_vec(), width: data.len(), height: 1 }
+        Stream {
+            data: data.to_vec(),
+            width: data.len(),
+            height: 1,
+        }
     }
 
     /// Reshapes into 2-D.
@@ -64,7 +76,11 @@ impl Stream {
     /// # Panics
     /// Panics if `height * width` differs from the stream length.
     pub fn reshape(mut self, height: usize, width: usize) -> Self {
-        assert_eq!(height * width, self.data.len(), "reshape must preserve length");
+        assert_eq!(
+            height * width,
+            self.data.len(),
+            "reshape must preserve length"
+        );
         self.width = width;
         self.height = height;
         self
@@ -95,7 +111,10 @@ impl Stream {
     /// # Panics
     /// Panics on out-of-range coordinates — fail-fast rather than UB.
     pub fn at(&self, y: usize, x: usize) -> f32 {
-        assert!(y < self.height && x < self.width, "stream access out of range");
+        assert!(
+            y < self.height && x < self.width,
+            "stream access out of range"
+        );
         self.data[y * self.width + x]
     }
 

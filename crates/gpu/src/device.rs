@@ -57,7 +57,10 @@ impl DeviceContext {
             s.live_bytes += bytes;
             s.peak_bytes = s.peak_bytes.max(s.live_bytes);
         }
-        DeviceBuffer { data: vec![0.0; len], stats: self.stats.clone() }
+        DeviceBuffer {
+            data: vec![0.0; len],
+            stats: self.stats.clone(),
+        }
     }
 
     /// Allocates and fills from host data (`cudaMalloc` + `cudaMemcpy`).

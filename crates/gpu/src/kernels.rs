@@ -34,15 +34,7 @@ pub fn gemm_naive(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f
 /// # Panics
 /// Panics if slice lengths do not match the given dimensions or `tile`
 /// is zero.
-pub fn gemm_tiled(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    tile: usize,
-) {
+pub fn gemm_tiled(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32], tile: usize) {
     assert!(tile > 0, "tile must be positive");
     assert_eq!(a.len(), m * k, "A shape");
     assert_eq!(b.len(), k * n, "B shape");
@@ -148,12 +140,18 @@ pub fn conv2d_direct(shape: &ConvShape, input: &[f32], weights: &[f32], output: 
                             for kx in 0..shape.ksize {
                                 let iy = oy * shape.stride + ky;
                                 let ix = ox * shape.stride + kx;
-                                let (iy, ix) = (iy as isize - shape.pad as isize, ix as isize - shape.pad as isize);
-                                if iy < 0 || ix < 0 || iy >= shape.in_h as isize || ix >= shape.in_w as isize {
+                                let (iy, ix) = (
+                                    iy as isize - shape.pad as isize,
+                                    ix as isize - shape.pad as isize,
+                                );
+                                if iy < 0
+                                    || ix < 0
+                                    || iy >= shape.in_h as isize
+                                    || ix >= shape.in_w as isize
+                                {
                                     continue;
                                 }
-                                let iv = input[((b * shape.in_c + ic) * shape.in_h
-                                    + iy as usize)
+                                let iv = input[((b * shape.in_c + ic) * shape.in_h + iy as usize)
                                     * shape.in_w
                                     + ix as usize];
                                 let wv = weights[((oc * shape.in_c + ic) * shape.ksize + ky)
@@ -184,12 +182,12 @@ pub fn im2col(shape: &ConvShape, image: &[f32], cols: &mut [f32]) {
             for ox in 0..ow {
                 let iy = (oy * shape.stride + ky) as isize - shape.pad as isize;
                 let ix = (ox * shape.stride + kx) as isize - shape.pad as isize;
-                let v = if iy < 0 || ix < 0 || iy >= shape.in_h as isize || ix >= shape.in_w as isize
-                {
-                    0.0
-                } else {
-                    image[(ic * shape.in_h + iy as usize) * shape.in_w + ix as usize]
-                };
+                let v =
+                    if iy < 0 || ix < 0 || iy >= shape.in_h as isize || ix >= shape.in_w as isize {
+                        0.0
+                    } else {
+                        image[(ic * shape.in_h + iy as usize) * shape.in_w + ix as usize]
+                    };
                 cols[r * (oh * ow) + oy * ow + ox] = v;
             }
         }
@@ -363,7 +361,16 @@ mod tests {
     }
 
     fn small_shape() -> ConvShape {
-        ConvShape { batch: 2, in_c: 3, in_h: 8, in_w: 8, out_c: 4, ksize: 3, stride: 1, pad: 1 }
+        ConvShape {
+            batch: 2,
+            in_c: 3,
+            in_h: 8,
+            in_w: 8,
+            out_c: 4,
+            ksize: 3,
+            stride: 1,
+            pad: 1,
+        }
     }
 
     #[test]
@@ -372,7 +379,11 @@ mod tests {
         assert_eq!(s.out_h(), 8);
         assert_eq!(s.out_w(), 8);
         assert!(s.flops() > 0);
-        let s2 = ConvShape { stride: 2, pad: 0, ..s };
+        let s2 = ConvShape {
+            stride: 2,
+            pad: 0,
+            ..s
+        };
         assert_eq!(s2.out_h(), 3);
     }
 
@@ -393,7 +404,16 @@ mod tests {
 
     #[test]
     fn strided_unpadded_conv_matches() {
-        let s = ConvShape { batch: 1, in_c: 2, in_h: 9, in_w: 7, out_c: 3, ksize: 3, stride: 2, pad: 0 };
+        let s = ConvShape {
+            batch: 1,
+            in_c: 2,
+            in_h: 9,
+            in_w: 7,
+            out_c: 3,
+            ksize: 3,
+            stride: 2,
+            pad: 0,
+        };
         let input = seq(s.input_len());
         let weights = seq(s.weight_len());
         let mut direct = vec![0.0; s.output_len()];

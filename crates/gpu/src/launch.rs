@@ -27,7 +27,12 @@ where
     adsafe_trace::counter("gpu.launch.threads").add(grid.count() * block.count());
     for b in grid.iter() {
         for t in block.iter() {
-            let ctx = ThreadCtx { block_idx: b, thread_idx: t, block_dim: block, grid_dim: grid };
+            let ctx = ThreadCtx {
+                block_idx: b,
+                thread_idx: t,
+                block_dim: block,
+                grid_dim: grid,
+            };
             kernel(&ctx);
         }
     }
@@ -66,8 +71,12 @@ pub fn launch_phased<S, MS, F>(
         loop {
             let mut any_continue = false;
             for t in block.iter() {
-                let ctx =
-                    ThreadCtx { block_idx: b, thread_idx: t, block_dim: block, grid_dim: grid };
+                let ctx = ThreadCtx {
+                    block_idx: b,
+                    thread_idx: t,
+                    block_dim: block,
+                    grid_dim: grid,
+                };
                 if kernel(&ctx, &mut shared, phase) == Phase::Continue {
                     any_continue = true;
                 }
@@ -119,7 +128,12 @@ impl std::fmt::Display for LaunchFault {
                 f,
                 "barrier deadlock: block {block:?} still at the barrier after {budget} phases"
             ),
-            LaunchFault::BarrierDivergence { block, phase, continuing, exited } => write!(
+            LaunchFault::BarrierDivergence {
+                block,
+                phase,
+                continuing,
+                exited,
+            } => write!(
                 f,
                 "barrier divergence: block {block:?} phase {phase}: \
                  {continuing} thread(s) at the barrier, {exited} exited"
@@ -172,8 +186,12 @@ where
             let mut continuing = 0u64;
             let mut exited = 0u64;
             for t in block.iter() {
-                let ctx =
-                    ThreadCtx { block_idx: b, thread_idx: t, block_dim: block, grid_dim: grid };
+                let ctx = ThreadCtx {
+                    block_idx: b,
+                    thread_idx: t,
+                    block_dim: block,
+                    grid_dim: grid,
+                };
                 match kernel(&ctx, &mut shared, phase as usize) {
                     Phase::Continue => continuing += 1,
                     Phase::Done => exited += 1,
@@ -196,7 +214,10 @@ where
             }
             phase += 1;
             if phase >= max_phases {
-                return Err(LaunchFault::BarrierDeadlock { block: b, budget: max_phases });
+                return Err(LaunchFault::BarrierDeadlock {
+                    block: b,
+                    budget: max_phases,
+                });
             }
         }
     }
@@ -389,7 +410,12 @@ mod tests {
         )
         .expect_err("divergent kernel must fault");
         match fault {
-            LaunchFault::BarrierDivergence { phase, continuing, exited, .. } => {
+            LaunchFault::BarrierDivergence {
+                phase,
+                continuing,
+                exited,
+                ..
+            } => {
                 assert_eq!(phase, 0);
                 assert_eq!(continuing, 3);
                 assert_eq!(exited, 1);
@@ -403,6 +429,12 @@ mod tests {
         let mut tr = LaunchTracker::new();
         tr.launch(2u32, 32u32, |_| {});
         tr.launch(1u32, 8u32, |_| {});
-        assert_eq!(tr.stats(), LaunchStats { launches: 2, threads: 72 });
+        assert_eq!(
+            tr.stats(),
+            LaunchStats {
+                launches: 2,
+                threads: 72
+            }
+        );
     }
 }

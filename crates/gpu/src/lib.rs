@@ -39,7 +39,6 @@ pub use device::{DeviceBuffer, DeviceContext, DeviceStats};
 pub use dim::{Dim3, ThreadCtx};
 pub use kernels::ConvShape;
 pub use launch::{
-    launch, launch_phased, launch_phased_budgeted, LaunchFault, LaunchTracker, Phase,
-    PhasedStats,
+    launch, launch_phased, launch_phased_budgeted, LaunchFault, LaunchTracker, Phase, PhasedStats,
 };
 pub use yolo::{synthetic_frame, Backend, Detection, YoloNet};

@@ -100,10 +100,18 @@ impl YoloNet {
                 stride: 1,
                 pad: 1,
             };
-            let weights =
-                (0..shape.weight_len()).map(|i| det_weight(seed + l as u64, i)).collect();
-            let biases = (0..filters).map(|i| det_weight(seed ^ (0xbead + l as u64), i)).collect();
-            layers.push(ConvLayer { shape, weights, biases, pool: true });
+            let weights = (0..shape.weight_len())
+                .map(|i| det_weight(seed + l as u64, i))
+                .collect();
+            let biases = (0..filters)
+                .map(|i| det_weight(seed ^ (0xbead + l as u64), i))
+                .collect();
+            layers.push(ConvLayer {
+                shape,
+                weights,
+                biases,
+                pool: true,
+            });
             c = filters;
             hw /= 2;
             filters = (filters * 2).min(64);
@@ -119,10 +127,24 @@ impl YoloNet {
             stride: 1,
             pad: 0,
         };
-        let weights = (0..head.weight_len()).map(|i| det_weight(seed ^ 0xdead, i)).collect();
-        let biases = (0..classes + 1).map(|i| det_weight(seed ^ 0xfeed, i)).collect();
-        layers.push(ConvLayer { shape: head, weights, biases, pool: false });
-        YoloNet { layers, input_c, input_hw, classes }
+        let weights = (0..head.weight_len())
+            .map(|i| det_weight(seed ^ 0xdead, i))
+            .collect();
+        let biases = (0..classes + 1)
+            .map(|i| det_weight(seed ^ 0xfeed, i))
+            .collect();
+        layers.push(ConvLayer {
+            shape: head,
+            weights,
+            biases,
+            pool: false,
+        });
+        YoloNet {
+            layers,
+            input_c,
+            input_hw,
+            classes,
+        }
     }
 
     /// Total multiply-accumulate FLOPs of one inference.
@@ -160,11 +182,8 @@ impl YoloNet {
                 Backend::Naive => conv2d_im2col(s, &cur, &layer.weights, &mut out, 0),
                 Backend::Tiled => conv2d_im2col(s, &cur, &layer.weights, &mut out, 32),
                 Backend::Autotuned => {
-                    let tile = tuner.tile_for(
-                        s.out_c,
-                        s.out_h() * s.out_w(),
-                        s.in_c * s.ksize * s.ksize,
-                    );
+                    let tile =
+                        tuner.tile_for(s.out_c, s.out_h() * s.out_w(), s.in_c * s.ksize * s.ksize);
                     conv2d_im2col(s, &cur, &layer.weights, &mut out, tile);
                 }
             }
@@ -201,10 +220,19 @@ impl YoloNet {
                         best_c = cl;
                     }
                 }
-                out.push(Detection { x, y, class: best_c, score: obj });
+                out.push(Detection {
+                    x,
+                    y,
+                    class: best_c,
+                    score: obj,
+                });
             }
         }
-        out.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
+        out.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
         out
     }
 }
@@ -285,7 +313,10 @@ mod tests {
         let a = YoloNet::tiny(3, 32, 2, 4, 1);
         let b = YoloNet::tiny(3, 32, 2, 4, 2);
         let img = synthetic_frame(3, 32, 16, 16, 7);
-        assert_ne!(a.forward(&img, Backend::Naive), b.forward(&img, Backend::Naive));
+        assert_ne!(
+            a.forward(&img, Backend::Naive),
+            b.forward(&img, Backend::Naive)
+        );
     }
 
     #[test]

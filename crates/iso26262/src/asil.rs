@@ -106,7 +106,10 @@ mod tests {
 
     #[test]
     fn levels_parse_in_any_case() {
-        let got: Vec<_> = ["a", "Qm", "d", "ASIL-D"].into_iter().map(Asil::from_level).collect();
+        let got: Vec<_> = ["a", "Qm", "d", "ASIL-D"]
+            .into_iter()
+            .map(Asil::from_level)
+            .collect();
         assert_eq!(got, [Some(Asil::A), Some(Asil::Qm), Some(Asil::D), None]);
     }
 

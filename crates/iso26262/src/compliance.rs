@@ -77,8 +77,7 @@ impl TopicVerdict {
     /// Whether this row blocks certification at the assessed ASIL: a
     /// highly-recommended technique that is not (at least partially) met.
     pub fn is_blocking(&self) -> bool {
-        self.required == Recommendation::HighlyRecommended
-            && self.status == Status::NonCompliant
+        self.required == Recommendation::HighlyRecommended && self.status == Status::NonCompliant
     }
 }
 
@@ -94,7 +93,10 @@ pub struct ComplianceReport {
 impl ComplianceReport {
     /// Verdicts of one table.
     pub fn table(&self, table: crate::tables::TableId) -> Vec<&TopicVerdict> {
-        self.verdicts.iter().filter(|v| v.topic.table == table).collect()
+        self.verdicts
+            .iter()
+            .filter(|v| v.topic.table == table)
+            .collect()
     }
 
     /// Number of blocking rows (highly recommended + non-compliant).
@@ -112,7 +114,10 @@ impl ComplianceReport {
         if applicable.is_empty() {
             return 1.0;
         }
-        applicable.iter().filter(|v| v.status == Status::Compliant).count() as f64
+        applicable
+            .iter()
+            .filter(|v| v.status == Status::Compliant)
+            .count() as f64
             / applicable.len() as f64
     }
 }
@@ -148,7 +153,13 @@ fn verdict(
     effort: Effort,
     evidence: String,
 ) -> TopicVerdict {
-    TopicVerdict { topic, required: topic.at(asil), status, effort, evidence }
+    TopicVerdict {
+        topic,
+        required: topic.at(asil),
+        status,
+        effort,
+        evidence,
+    }
 }
 
 fn judge_coding(t: &'static Topic, e: &Evidence, asil: Asil) -> TopicVerdict {
@@ -244,7 +255,10 @@ fn judge_coding(t: &'static Topic, e: &Evidence, asil: Asil) -> TopicVerdict {
                 asil,
                 status,
                 effort,
-                format!("{} non-const global variables defined", e.global_definitions),
+                format!(
+                    "{} non-const global variables defined",
+                    e.global_definitions
+                ),
             )
         }
         6 => verdict(
@@ -262,7 +276,13 @@ fn judge_coding(t: &'static Topic, e: &Evidence, asil: Asil) -> TopicVerdict {
             } else {
                 (Status::NonCompliant, Effort::Moderate)
             };
-            verdict(t, asil, status, effort, format!("{} style findings", e.style_findings))
+            verdict(
+                t,
+                asil,
+                status,
+                effort,
+                format!("{} style findings", e.style_findings),
+            )
         }
         _ => {
             let (status, effort) = if e.naming_findings == 0 {
@@ -272,7 +292,13 @@ fn judge_coding(t: &'static Topic, e: &Evidence, asil: Asil) -> TopicVerdict {
             } else {
                 (Status::NonCompliant, Effort::Moderate)
             };
-            verdict(t, asil, status, effort, format!("{} naming findings", e.naming_findings))
+            verdict(
+                t,
+                asil,
+                status,
+                effort,
+                format!("{} naming findings", e.naming_findings),
+            )
         }
     }
 }
@@ -331,7 +357,10 @@ fn judge_architecture(t: &'static Topic, e: &Evidence, asil: Asil) -> TopicVerdi
                 asil,
                 status,
                 effort,
-                format!("mean interface size {:.1} parameters", e.mean_interface_params),
+                format!(
+                    "mean interface size {:.1} parameters",
+                    e.mean_interface_params
+                ),
             )
         }
         4 => {
@@ -342,7 +371,13 @@ fn judge_architecture(t: &'static Topic, e: &Evidence, asil: Asil) -> TopicVerdi
             } else {
                 (Status::NonCompliant, Effort::Significant)
             };
-            verdict(t, asil, status, effort, format!("mean cohesion {:.2}", e.mean_cohesion))
+            verdict(
+                t,
+                asil,
+                status,
+                effort,
+                format!("mean cohesion {:.2}", e.mean_cohesion),
+            )
         }
         5 => {
             let budget = e.module_count().saturating_mul(8).max(1);
@@ -358,7 +393,10 @@ fn judge_architecture(t: &'static Topic, e: &Evidence, asil: Asil) -> TopicVerdi
                 asil,
                 status,
                 effort,
-                format!("{} cross-module call edges (budget {budget})", e.coupling_edges),
+                format!(
+                    "{} cross-module call edges (budget {budget})",
+                    e.coupling_edges
+                ),
             )
         }
         6 => {
@@ -367,7 +405,13 @@ fn judge_architecture(t: &'static Topic, e: &Evidence, asil: Asil) -> TopicVerdi
             } else {
                 (Status::NonCompliant, Effort::Moderate)
             };
-            verdict(t, asil, status, effort, "scheduling properties supplied by integrator".into())
+            verdict(
+                t,
+                asil,
+                status,
+                effort,
+                "scheduling properties supplied by integrator".into(),
+            )
         }
         _ => {
             let (status, effort) = if e.uses_interrupts {
@@ -380,8 +424,12 @@ fn judge_architecture(t: &'static Topic, e: &Evidence, asil: Asil) -> TopicVerdi
                 asil,
                 status,
                 effort,
-                if e.uses_interrupts { "direct interrupt use found" } else { "no direct interrupt use" }
-                    .into(),
+                if e.uses_interrupts {
+                    "direct interrupt use found"
+                } else {
+                    "no direct interrupt use"
+                }
+                .into(),
             )
         }
     }
@@ -409,24 +457,37 @@ fn judge_unit(t: &'static Topic, e: &Evidence, asil: Asil) -> TopicVerdict {
                 asil,
                 status,
                 effort,
-                format!("{:.0}% of functions have multiple exit points", e.multi_exit_pct),
+                format!(
+                    "{:.0}% of functions have multiple exit points",
+                    e.multi_exit_pct
+                ),
             )
         }
         2 => {
             // GPU dynamic allocation is intrinsic to CUDA → research-class.
-            let effort = if e.gpu.device_alloc_sites > 0 { Effort::Research } else { Effort::Moderate };
+            let effort = if e.gpu.device_alloc_sites > 0 {
+                Effort::Research
+            } else {
+                Effort::Moderate
+            };
             let (status, effort2, ev) =
                 zero_based(e.dynamic_alloc_sites, "dynamic allocation sites", effort);
             verdict(t, asil, status, effort2, ev)
         }
         3 => {
-            let (s, ef, ev) =
-                zero_based(e.maybe_uninit_reads, "possibly-uninitialised reads", Effort::Moderate);
+            let (s, ef, ev) = zero_based(
+                e.maybe_uninit_reads,
+                "possibly-uninitialised reads",
+                Effort::Moderate,
+            );
             verdict(t, asil, s, ef, ev)
         }
         4 => {
-            let (s, ef, ev) =
-                zero_based(e.shadowed_declarations, "shadowed declarations", Effort::Moderate);
+            let (s, ef, ev) = zero_based(
+                e.shadowed_declarations,
+                "shadowed declarations",
+                Effort::Moderate,
+            );
             verdict(t, asil, s, ef, ev)
         }
         5 => {
@@ -437,7 +498,13 @@ fn judge_unit(t: &'static Topic, e: &Evidence, asil: Asil) -> TopicVerdict {
             } else {
                 (Status::NonCompliant, Effort::Moderate)
             };
-            verdict(t, asil, status, effort, format!("{} global variables", e.global_definitions))
+            verdict(
+                t,
+                asil,
+                status,
+                effort,
+                format!("{} global variables", e.global_definitions),
+            )
         }
         6 => {
             let per_fn = if e.total_functions == 0 {
@@ -445,7 +512,11 @@ fn judge_unit(t: &'static Topic, e: &Evidence, asil: Asil) -> TopicVerdict {
             } else {
                 e.pointer_uses as f64 / e.total_functions as f64
             };
-            let effort = if e.gpu.kernel_pointer_params > 0 { Effort::Research } else { Effort::Moderate };
+            let effort = if e.gpu.kernel_pointer_params > 0 {
+                Effort::Research
+            } else {
+                Effort::Moderate
+            };
             let (status, effort) = if e.pointer_uses == 0 {
                 (Status::Compliant, Effort::None)
             } else if per_fn <= 1.0 {
@@ -495,8 +566,11 @@ fn judge_unit(t: &'static Topic, e: &Evidence, asil: Asil) -> TopicVerdict {
             verdict(t, asil, s, ef, ev)
         }
         _ => {
-            let (s, ef, ev) =
-                zero_based(e.recursive_functions, "recursive functions", Effort::Moderate);
+            let (s, ef, ev) = zero_based(
+                e.recursive_functions,
+                "recursive functions",
+                Effort::Moderate,
+            );
             verdict(t, asil, s, ef, ev)
         }
     }
@@ -526,7 +600,11 @@ mod tests {
         let r = assess(&clean_evidence(), Asil::D);
         assert_eq!(r.verdicts.len(), 25);
         assert_eq!(r.blocking_count(), 0);
-        assert!(r.compliance_ratio() > 0.99, "ratio = {}", r.compliance_ratio());
+        assert!(
+            r.compliance_ratio() > 0.99,
+            "ratio = {}",
+            r.compliance_ratio()
+        );
     }
 
     #[test]
@@ -594,7 +672,7 @@ mod tests {
         assert_eq!(t1[5].status, Status::NotApplicable); // graphical
         assert_eq!(t1[6].status, Status::Compliant); // style (Obs 8)
         assert_eq!(t1[7].status, Status::Compliant); // naming (Obs 9)
-        // Table 2: size non-compliant (60k module), Obs 13.
+                                                     // Table 2: size non-compliant (60k module), Obs 13.
         let t2 = r.table(TableId::ArchitecturalDesign);
         assert_eq!(t2[1].status, Status::NonCompliant);
         // Table 3: all ten rows fail at least partially (Obs 14).

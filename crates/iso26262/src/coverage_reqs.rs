@@ -25,8 +25,11 @@ pub enum CoverageMetric {
 
 impl CoverageMetric {
     /// All metrics in table order.
-    pub const ALL: [CoverageMetric; 3] =
-        [CoverageMetric::Statement, CoverageMetric::Branch, CoverageMetric::Mcdc];
+    pub const ALL: [CoverageMetric; 3] = [
+        CoverageMetric::Statement,
+        CoverageMetric::Branch,
+        CoverageMetric::Mcdc,
+    ];
 
     /// Display name.
     pub fn name(self) -> &'static str {
@@ -81,11 +84,7 @@ pub const TARGET_PCT: f64 = 100.0;
 
 /// Judges measured coverage at `asil`. `gpu_code` marks that the subject
 /// includes GPU kernels, where coverage *tooling* itself is the gap.
-pub fn judge_coverage(
-    cov: &CoverageEvidence,
-    asil: Asil,
-    gpu_code: bool,
-) -> Vec<CoverageVerdict> {
+pub fn judge_coverage(cov: &CoverageEvidence, asil: Asil, gpu_code: bool) -> Vec<CoverageVerdict> {
     CoverageMetric::ALL
         .iter()
         .map(|&metric| {
@@ -120,7 +119,11 @@ mod tests {
     use super::*;
 
     fn paper_fig5() -> CoverageEvidence {
-        CoverageEvidence { statement_pct: 83.0, branch_pct: 75.0, mcdc_pct: 61.0 }
+        CoverageEvidence {
+            statement_pct: 83.0,
+            branch_pct: 75.0,
+            mcdc_pct: 61.0,
+        }
     }
 
     #[test]
@@ -139,7 +142,10 @@ mod tests {
             CoverageMetric::Mcdc.recommendation(Asil::D),
             Recommendation::HighlyRecommended
         );
-        assert_eq!(CoverageMetric::Mcdc.recommendation(Asil::B), Recommendation::Recommended);
+        assert_eq!(
+            CoverageMetric::Mcdc.recommendation(Asil::B),
+            Recommendation::Recommended
+        );
         assert_eq!(
             CoverageMetric::Mcdc.recommendation(Asil::Qm),
             Recommendation::NotRequired
@@ -164,7 +170,11 @@ mod tests {
 
     #[test]
     fn full_coverage_is_compliant() {
-        let full = CoverageEvidence { statement_pct: 100.0, branch_pct: 100.0, mcdc_pct: 100.0 };
+        let full = CoverageEvidence {
+            statement_pct: 100.0,
+            branch_pct: 100.0,
+            mcdc_pct: 100.0,
+        };
         let v = judge_coverage(&full, Asil::D, true);
         assert!(v.iter().all(|x| x.status == Status::Compliant));
         assert!(v.iter().all(|x| x.effort == Effort::None));
@@ -172,7 +182,11 @@ mod tests {
 
     #[test]
     fn near_target_is_partial() {
-        let near = CoverageEvidence { statement_pct: 95.0, branch_pct: 92.0, mcdc_pct: 90.0 };
+        let near = CoverageEvidence {
+            statement_pct: 95.0,
+            branch_pct: 92.0,
+            mcdc_pct: 90.0,
+        };
         let v = judge_coverage(&near, Asil::C, false);
         assert!(v.iter().all(|x| x.status == Status::PartiallyCompliant));
     }

@@ -139,7 +139,11 @@ mod tests {
     fn largest_module() {
         let mut e = Evidence::default();
         assert_eq!(e.largest_module_loc(), 0);
-        e.module_locs = vec![("a".into(), 5_000), ("b".into(), 60_000), ("c".into(), 20_000)];
+        e.module_locs = vec![
+            ("a".into(), 5_000),
+            ("b".into(), 60_000),
+            ("c".into(), 20_000),
+        ];
         assert_eq!(e.largest_module_loc(), 60_000);
         assert_eq!(e.module_count(), 3);
     }

@@ -20,7 +20,11 @@ pub struct Observation {
 pub fn observations(e: &Evidence) -> Vec<Observation> {
     let mut out = Vec::with_capacity(14);
     let mut push = |number: u8, holds: bool, text: String| {
-        out.push(Observation { number, holds, text });
+        out.push(Observation {
+            number,
+            holds,
+            text,
+        });
     };
 
     push(
@@ -97,7 +101,10 @@ pub fn observations(e: &Evidence) -> Vec<Observation> {
              C++ style checks."
                 .to_string()
         } else {
-            format!("Style guide adherence is incomplete: {} findings.", e.style_findings)
+            format!(
+                "Style guide adherence is incomplete: {} findings.",
+                e.style_findings
+            )
         },
     );
     push(
@@ -196,7 +203,10 @@ mod tests {
 
     #[test]
     fn clean_code_observations_mostly_do_not_hold() {
-        let e = Evidence { validation_ratio: 1.0, ..Evidence::default() };
+        let e = Evidence {
+            validation_ratio: 1.0,
+            ..Evidence::default()
+        };
         let obs = observations(&e);
         assert!(!obs[0].holds); // no complexity problem
         assert!(!obs[1].holds); // no MISRA findings

@@ -81,39 +81,164 @@ use Recommendation::{HighlyRecommended as HR, NotRequired as O, Recommended as R
 
 /// Paper Table 1 — ISO 26262-6 Table 1: modeling and coding guidelines.
 pub const CODING_GUIDELINES: [Topic; 8] = [
-    Topic { table: TableId::CodingGuidelines, row: 1, name: "Enforcement of low complexity", levels: [HR, HR, HR, HR] },
-    Topic { table: TableId::CodingGuidelines, row: 2, name: "Use language subsets", levels: [HR, HR, HR, HR] },
-    Topic { table: TableId::CodingGuidelines, row: 3, name: "Enforcement of strong typing", levels: [HR, HR, HR, HR] },
-    Topic { table: TableId::CodingGuidelines, row: 4, name: "Use defensive implementation techniques", levels: [O, R, HR, HR] },
-    Topic { table: TableId::CodingGuidelines, row: 5, name: "Use established design principles", levels: [R, R, R, HR] },
-    Topic { table: TableId::CodingGuidelines, row: 6, name: "Use unambiguous graphical representation", levels: [R, HR, HR, HR] },
-    Topic { table: TableId::CodingGuidelines, row: 7, name: "Use style guides", levels: [R, HR, HR, HR] },
-    Topic { table: TableId::CodingGuidelines, row: 8, name: "Use naming conventions", levels: [HR, HR, HR, HR] },
+    Topic {
+        table: TableId::CodingGuidelines,
+        row: 1,
+        name: "Enforcement of low complexity",
+        levels: [HR, HR, HR, HR],
+    },
+    Topic {
+        table: TableId::CodingGuidelines,
+        row: 2,
+        name: "Use language subsets",
+        levels: [HR, HR, HR, HR],
+    },
+    Topic {
+        table: TableId::CodingGuidelines,
+        row: 3,
+        name: "Enforcement of strong typing",
+        levels: [HR, HR, HR, HR],
+    },
+    Topic {
+        table: TableId::CodingGuidelines,
+        row: 4,
+        name: "Use defensive implementation techniques",
+        levels: [O, R, HR, HR],
+    },
+    Topic {
+        table: TableId::CodingGuidelines,
+        row: 5,
+        name: "Use established design principles",
+        levels: [R, R, R, HR],
+    },
+    Topic {
+        table: TableId::CodingGuidelines,
+        row: 6,
+        name: "Use unambiguous graphical representation",
+        levels: [R, HR, HR, HR],
+    },
+    Topic {
+        table: TableId::CodingGuidelines,
+        row: 7,
+        name: "Use style guides",
+        levels: [R, HR, HR, HR],
+    },
+    Topic {
+        table: TableId::CodingGuidelines,
+        row: 8,
+        name: "Use naming conventions",
+        levels: [HR, HR, HR, HR],
+    },
 ];
 
 /// Paper Table 2 — ISO 26262-6 Table 3: architectural design principles.
 pub const ARCHITECTURAL_DESIGN: [Topic; 7] = [
-    Topic { table: TableId::ArchitecturalDesign, row: 1, name: "Hierarchical structure of SW components", levels: [HR, HR, HR, HR] },
-    Topic { table: TableId::ArchitecturalDesign, row: 2, name: "Restricted size of software components", levels: [HR, HR, HR, HR] },
-    Topic { table: TableId::ArchitecturalDesign, row: 3, name: "Restricted size of interfaces", levels: [R, R, R, R] },
-    Topic { table: TableId::ArchitecturalDesign, row: 4, name: "High cohesion in each software component", levels: [R, HR, HR, HR] },
-    Topic { table: TableId::ArchitecturalDesign, row: 5, name: "Restricted coupling between SW components", levels: [R, HR, HR, HR] },
-    Topic { table: TableId::ArchitecturalDesign, row: 6, name: "Appropriate scheduling properties", levels: [HR, HR, HR, HR] },
-    Topic { table: TableId::ArchitecturalDesign, row: 7, name: "Restricted use of interrupts", levels: [R, R, R, HR] },
+    Topic {
+        table: TableId::ArchitecturalDesign,
+        row: 1,
+        name: "Hierarchical structure of SW components",
+        levels: [HR, HR, HR, HR],
+    },
+    Topic {
+        table: TableId::ArchitecturalDesign,
+        row: 2,
+        name: "Restricted size of software components",
+        levels: [HR, HR, HR, HR],
+    },
+    Topic {
+        table: TableId::ArchitecturalDesign,
+        row: 3,
+        name: "Restricted size of interfaces",
+        levels: [R, R, R, R],
+    },
+    Topic {
+        table: TableId::ArchitecturalDesign,
+        row: 4,
+        name: "High cohesion in each software component",
+        levels: [R, HR, HR, HR],
+    },
+    Topic {
+        table: TableId::ArchitecturalDesign,
+        row: 5,
+        name: "Restricted coupling between SW components",
+        levels: [R, HR, HR, HR],
+    },
+    Topic {
+        table: TableId::ArchitecturalDesign,
+        row: 6,
+        name: "Appropriate scheduling properties",
+        levels: [HR, HR, HR, HR],
+    },
+    Topic {
+        table: TableId::ArchitecturalDesign,
+        row: 7,
+        name: "Restricted use of interrupts",
+        levels: [R, R, R, HR],
+    },
 ];
 
 /// Paper Table 3 — ISO 26262-6 Table 8: unit design & implementation.
 pub const UNIT_DESIGN: [Topic; 10] = [
-    Topic { table: TableId::UnitDesign, row: 1, name: "One entry and one exit point in functions", levels: [HR, HR, HR, HR] },
-    Topic { table: TableId::UnitDesign, row: 2, name: "No dynamic objects or variables, or else online test during their creation", levels: [R, HR, HR, HR] },
-    Topic { table: TableId::UnitDesign, row: 3, name: "Initialization of variables", levels: [HR, HR, HR, HR] },
-    Topic { table: TableId::UnitDesign, row: 4, name: "No multiple use of variable names", levels: [R, HR, HR, HR] },
-    Topic { table: TableId::UnitDesign, row: 5, name: "Avoid global variables or justify usage", levels: [R, R, HR, HR] },
-    Topic { table: TableId::UnitDesign, row: 6, name: "Limited use of pointers", levels: [O, R, R, HR] },
-    Topic { table: TableId::UnitDesign, row: 7, name: "No implicit type conversions", levels: [R, HR, HR, HR] },
-    Topic { table: TableId::UnitDesign, row: 8, name: "No hidden data flow or control flow", levels: [R, HR, HR, HR] },
-    Topic { table: TableId::UnitDesign, row: 9, name: "No unconditional jumps", levels: [HR, HR, HR, HR] },
-    Topic { table: TableId::UnitDesign, row: 10, name: "No recursions", levels: [R, R, HR, HR] },
+    Topic {
+        table: TableId::UnitDesign,
+        row: 1,
+        name: "One entry and one exit point in functions",
+        levels: [HR, HR, HR, HR],
+    },
+    Topic {
+        table: TableId::UnitDesign,
+        row: 2,
+        name: "No dynamic objects or variables, or else online test during their creation",
+        levels: [R, HR, HR, HR],
+    },
+    Topic {
+        table: TableId::UnitDesign,
+        row: 3,
+        name: "Initialization of variables",
+        levels: [HR, HR, HR, HR],
+    },
+    Topic {
+        table: TableId::UnitDesign,
+        row: 4,
+        name: "No multiple use of variable names",
+        levels: [R, HR, HR, HR],
+    },
+    Topic {
+        table: TableId::UnitDesign,
+        row: 5,
+        name: "Avoid global variables or justify usage",
+        levels: [R, R, HR, HR],
+    },
+    Topic {
+        table: TableId::UnitDesign,
+        row: 6,
+        name: "Limited use of pointers",
+        levels: [O, R, R, HR],
+    },
+    Topic {
+        table: TableId::UnitDesign,
+        row: 7,
+        name: "No implicit type conversions",
+        levels: [R, HR, HR, HR],
+    },
+    Topic {
+        table: TableId::UnitDesign,
+        row: 8,
+        name: "No hidden data flow or control flow",
+        levels: [R, HR, HR, HR],
+    },
+    Topic {
+        table: TableId::UnitDesign,
+        row: 9,
+        name: "No unconditional jumps",
+        levels: [HR, HR, HR, HR],
+    },
+    Topic {
+        table: TableId::UnitDesign,
+        row: 10,
+        name: "No recursions",
+        levels: [R, R, HR, HR],
+    },
 ];
 
 /// Looks up a topic by its reference string (`"Part6.Table8.Row9"`).
@@ -145,7 +270,12 @@ mod tests {
     fn asil_d_everything_in_table1_highly_recommended_except_row_none() {
         // Paper: "all elements are highly recommended for ASIL D".
         for t in &CODING_GUIDELINES {
-            assert_eq!(t.at(Asil::D), Recommendation::HighlyRecommended, "{}", t.name);
+            assert_eq!(
+                t.at(Asil::D),
+                Recommendation::HighlyRecommended,
+                "{}",
+                t.name
+            );
         }
     }
 

@@ -164,7 +164,10 @@ pub struct TypeRef {
 impl TypeRef {
     /// Shorthand constructor for a plain named type.
     pub fn named(name: impl Into<String>) -> Self {
-        TypeRef { name: name.into(), ..TypeRef::default() }
+        TypeRef {
+            name: name.into(),
+            ..TypeRef::default()
+        }
     }
 
     /// Whether the type involves any pointer indirection or array decay.
@@ -454,17 +457,40 @@ pub struct Expr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum UnOp {
-    Neg, Plus, Not, BitNot, Deref, AddrOf, PreInc, PreDec, PostInc, PostDec,
+    Neg,
+    Plus,
+    Not,
+    BitNot,
+    Deref,
+    AddrOf,
+    PreInc,
+    PreDec,
+    PostInc,
+    PostDec,
 }
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum BinOp {
-    Add, Sub, Mul, Div, Rem,
-    Shl, Shr, BitAnd, BitOr, BitXor,
-    LogAnd, LogOr,
-    Lt, Gt, Le, Ge, Eq, Ne,
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Rem,
+    Shl,
+    Shr,
+    BitAnd,
+    BitOr,
+    BitXor,
+    LogAnd,
+    LogOr,
+    Lt,
+    Gt,
+    Le,
+    Ge,
+    Eq,
+    Ne,
     Comma,
 }
 
@@ -476,7 +502,10 @@ impl BinOp {
 
     /// Whether the operator yields a boolean result.
     pub fn is_comparison(self) -> bool {
-        matches!(self, BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge | BinOp::Eq | BinOp::Ne)
+        matches!(
+            self,
+            BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge | BinOp::Eq | BinOp::Ne
+        )
     }
 }
 
@@ -484,7 +513,17 @@ impl BinOp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum AssignOp {
-    Assign, Add, Sub, Mul, Div, Rem, Shl, Shr, And, Or, Xor,
+    Assign,
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Rem,
+    Shl,
+    Shr,
+    And,
+    Or,
+    Xor,
 }
 
 /// The kind of cast used in a cast expression.
@@ -660,7 +699,11 @@ mod tests {
         };
         assert_eq!(t.display(), "const float**");
         assert!(t.is_pointer_like());
-        let a = TypeRef { name: "int".into(), array_dims: vec![Some(4), None], ..TypeRef::default() };
+        let a = TypeRef {
+            name: "int".into(),
+            array_dims: vec![Some(4), None],
+            ..TypeRef::default()
+        };
         assert_eq!(a.display(), "int[4][]");
     }
 
@@ -668,13 +711,19 @@ mod tests {
     fn callee_name_extraction() {
         let call = Expr {
             kind: ExprKind::Call {
-                callee: Box::new(Expr { kind: ExprKind::Ident("cudaMalloc".into()), span: sp() }),
+                callee: Box::new(Expr {
+                    kind: ExprKind::Ident("cudaMalloc".into()),
+                    span: sp(),
+                }),
                 args: vec![],
             },
             span: sp(),
         };
         assert_eq!(call.callee_name(), Some("cudaMalloc"));
-        let lit = Expr { kind: ExprKind::IntLit(3), span: sp() };
+        let lit = Expr {
+            kind: ExprKind::IntLit(3),
+            span: sp(),
+        };
         assert_eq!(lit.callee_name(), None);
     }
 

@@ -18,7 +18,10 @@ use std::collections::HashMap;
 pub fn callee_names(f: &FunctionDef) -> Vec<&str> {
     let mut callees = Vec::new();
     walk_exprs(f, |e| {
-        if matches!(e.kind, ExprKind::Call { .. } | ExprKind::KernelLaunch { .. }) {
+        if matches!(
+            e.kind,
+            ExprKind::Call { .. } | ExprKind::KernelLaunch { .. }
+        ) {
             if let Some(name) = e.callee_name() {
                 callees.push(name);
             }
@@ -60,7 +63,10 @@ impl<'a> CallGraph<'a> {
             .flat_map(|&u| u.functions())
             .map(|f| (f.sig.qualified_name.as_str(), callee_names(f)))
             .collect();
-        Self::from_functions(defs.iter().map(|(name, callees)| (*name, callees.iter().copied())))
+        Self::from_functions(
+            defs.iter()
+                .map(|(name, callees)| (*name, callees.iter().copied())),
+        )
     }
 
     /// Builds a call graph from per-function `(qualified_name, raw
@@ -116,8 +122,9 @@ impl<'a> CallGraph<'a> {
         }
         edges.sort_unstable();
         edges.dedup();
-        g.offsets =
-            (0..=g.names.len()).map(|i| edges.partition_point(|&(from, _)| from < i)).collect();
+        g.offsets = (0..=g.names.len())
+            .map(|i| edges.partition_point(|&(from, _)| from < i))
+            .collect();
         g.targets = edges.into_iter().map(|(_, t)| t).collect();
         g
     }
@@ -206,7 +213,10 @@ impl<'a> CallGraph<'a> {
                     lowlink[parent] = lowlink[parent].min(lowlink[v]);
                 }
                 if lowlink[v] == order[v] {
-                    let root = stack.iter().rposition(|&w| w == v).expect("stack invariant");
+                    let root = stack
+                        .iter()
+                        .rposition(|&w| w == v)
+                        .expect("stack invariant");
                     let scc = &stack[root..];
                     if scc.len() > 1 || self.successors(v).binary_search(&v).is_ok() {
                         out.extend(scc.iter().map(|&w| self.names[w].to_string()));
@@ -267,10 +277,7 @@ mod tests {
 
     #[test]
     fn cross_unit_edges() {
-        let g = graph(&[
-            "void detect() { track(); }",
-            "void track() { detect(); }",
-        ]);
+        let g = graph(&["void detect() { track(); }", "void track() { detect(); }"]);
         let rec = g.recursive_functions();
         assert_eq!(rec.len(), 2);
     }
@@ -290,9 +297,7 @@ mod tests {
 
     #[test]
     fn kernel_launch_creates_edge() {
-        let g = graph(&[
-            "__global__ void k(float* x) {}\nvoid h(float* x) { k<<<1, 32>>>(x); }",
-        ]);
+        let g = graph(&["__global__ void k(float* x) {}\nvoid h(float* x) { k<<<1, 32>>>(x); }"]);
         assert_eq!(g.callees("h").unwrap(), vec!["k"]);
     }
 
@@ -318,7 +323,8 @@ mod tests {
             })
             .collect();
         let replayed = CallGraph::from_functions(
-            defs.iter().map(|(name, callees)| (name.as_str(), callees.iter().map(String::as_str))),
+            defs.iter()
+                .map(|(name, callees)| (name.as_str(), callees.iter().map(String::as_str))),
         );
         assert_eq!(built.names(), replayed.names());
         assert_eq!(built.external_calls(), replayed.external_calls());

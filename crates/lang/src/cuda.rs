@@ -34,16 +34,27 @@ pub fn classify_api(name: &str) -> Option<CudaApiKind> {
         "cudaMalloc" | "cudaMallocManaged" | "cudaMallocHost" | "cudaMallocPitch"
         | "cudaMalloc3D" | "cuMemAlloc" => CudaApiKind::Alloc,
         "cudaFree" | "cudaFreeHost" | "cuMemFree" => CudaApiKind::Free,
-        "cudaMemcpy" | "cudaMemcpyAsync" | "cudaMemcpy2D" | "cudaMemset"
-        | "cudaMemsetAsync" => CudaApiKind::Transfer,
-        "cudaDeviceSynchronize" | "cudaStreamSynchronize" | "cudaThreadSynchronize"
-        | "__syncthreads" | "__syncwarp" => CudaApiKind::Sync,
+        "cudaMemcpy" | "cudaMemcpyAsync" | "cudaMemcpy2D" | "cudaMemset" | "cudaMemsetAsync" => {
+            CudaApiKind::Transfer
+        }
+        "cudaDeviceSynchronize"
+        | "cudaStreamSynchronize"
+        | "cudaThreadSynchronize"
+        | "__syncthreads"
+        | "__syncwarp" => CudaApiKind::Sync,
         "cudaGetLastError" | "cudaPeekAtLastError" | "cudaGetErrorString" => {
             CudaApiKind::ErrorQuery
         }
-        "cudaStreamCreate" | "cudaStreamDestroy" | "cudaEventCreate"
-        | "cudaEventDestroy" | "cudaEventRecord" | "cudaEventElapsedTime" => CudaApiKind::Stream,
-        _ if name.starts_with("cuda") || name.starts_with("cuDNN") || name.starts_with("cublas") => {
+        "cudaStreamCreate"
+        | "cudaStreamDestroy"
+        | "cudaEventCreate"
+        | "cudaEventDestroy"
+        | "cudaEventRecord"
+        | "cudaEventElapsedTime" => CudaApiKind::Stream,
+        _ if name.starts_with("cuda")
+            || name.starts_with("cuDNN")
+            || name.starts_with("cublas") =>
+        {
             CudaApiKind::Other
         }
         _ => return None,
@@ -78,12 +89,19 @@ pub struct CudaProfile {
 impl CudaProfile {
     /// Number of device-allocation calls (`cudaMalloc` family).
     pub fn alloc_calls(&self) -> usize {
-        self.api_calls.iter().filter(|c| c.kind == CudaApiKind::Alloc).count()
+        self.api_calls
+            .iter()
+            .filter(|c| c.kind == CudaApiKind::Alloc)
+            .count()
     }
 
     /// Whether allocation calls outnumber free calls (leak smell).
     pub fn unbalanced_alloc(&self) -> bool {
-        let frees = self.api_calls.iter().filter(|c| c.kind == CudaApiKind::Free).count();
+        let frees = self
+            .api_calls
+            .iter()
+            .filter(|c| c.kind == CudaApiKind::Free)
+            .count();
         self.alloc_calls() > frees
     }
 }
@@ -91,21 +109,33 @@ impl CudaProfile {
 /// Profiles a single function's CUDA usage.
 pub fn profile_function(func: &FunctionDef) -> CudaProfile {
     let mut p = CudaProfile {
-        pointer_params: func.sig.params.iter().filter(|pa| pa.ty.is_pointer_like()).count(),
+        pointer_params: func
+            .sig
+            .params
+            .iter()
+            .filter(|pa| pa.ty.is_pointer_like())
+            .count(),
         ..CudaProfile::default()
     };
     walk_exprs(func, |e| match &e.kind {
         ExprKind::Call { .. } => {
             if let Some(name) = e.callee_name() {
                 if let Some(kind) = classify_api(name) {
-                    p.api_calls.push(CudaApiCall { name: name.to_string(), kind, span: e.span });
+                    p.api_calls.push(CudaApiCall {
+                        name: name.to_string(),
+                        kind,
+                        span: e.span,
+                    });
                 }
             }
         }
         ExprKind::KernelLaunch { .. } => {
             p.kernel_launches += 1;
         }
-        ExprKind::Unary { op: crate::ast::UnOp::Deref, .. } => {
+        ExprKind::Unary {
+            op: crate::ast::UnOp::Deref,
+            ..
+        } => {
             p.uses_raw_pointers = true;
         }
         ExprKind::Index { .. } => {
@@ -118,12 +148,18 @@ pub fn profile_function(func: &FunctionDef) -> CudaProfile {
 
 /// All CUDA kernels (`__global__`) in a unit.
 pub fn kernels(unit: &TranslationUnit) -> Vec<&FunctionDef> {
-    unit.functions().into_iter().filter(|f| f.sig.quals.cuda_global).collect()
+    unit.functions()
+        .into_iter()
+        .filter(|f| f.sig.quals.cuda_global)
+        .collect()
 }
 
 /// All device-side functions (`__global__` or `__device__`) in a unit.
 pub fn gpu_functions(unit: &TranslationUnit) -> Vec<&FunctionDef> {
-    unit.functions().into_iter().filter(|f| f.sig.quals.is_gpu()).collect()
+    unit.functions()
+        .into_iter()
+        .filter(|f| f.sig.quals.is_gpu())
+        .collect()
 }
 
 /// Whether a unit contains any CUDA construct at all (kernels, launches,

@@ -12,7 +12,12 @@ use crate::token::{Kw, Punct, Token, TokenKind};
 /// Lexes `text` (belonging to `file`) into a token vector terminated by a
 /// single [`TokenKind::Eof`] token.
 pub fn lex(file: FileId, text: &str) -> Vec<Token> {
-    Lexer { file, text: text.as_bytes(), pos: 0 }.run()
+    Lexer {
+        file,
+        text: text.as_bytes(),
+        pos: 0,
+    }
+    .run()
 }
 
 /// The integer literals among `toks` (lexed from `text`) spelled in
@@ -27,7 +32,10 @@ pub(crate) fn octal_literals(text: &str, toks: &[Token]) -> Vec<OctalLiteral> {
             let octal = digits.len() > 1
                 && digits.starts_with('0')
                 && digits.bytes().all(|b| b.is_ascii_digit());
-            octal.then(|| OctalLiteral { span: t.span, lexeme: lexeme.to_string() })
+            octal.then(|| OctalLiteral {
+                span: t.span,
+                lexeme: lexeme.to_string(),
+            })
         })
         .collect()
 }
@@ -271,15 +279,24 @@ mod tests {
 
     #[test]
     fn lexes_numbers() {
-        assert_eq!(kinds("0x1F 0b101 123u 45ull")[..4], [IntLit, IntLit, IntLit, IntLit]);
-        assert_eq!(kinds("1.5 2e10 3.0f .5")[..4], [FloatLit, FloatLit, FloatLit, FloatLit]);
+        assert_eq!(
+            kinds("0x1F 0b101 123u 45ull")[..4],
+            [IntLit, IntLit, IntLit, IntLit]
+        );
+        assert_eq!(
+            kinds("1.5 2e10 3.0f .5")[..4],
+            [FloatLit, FloatLit, FloatLit, FloatLit]
+        );
         // `e` without exponent digits is not a float marker.
         assert_eq!(kinds("5")[0], IntLit);
     }
 
     #[test]
     fn lexes_strings_and_chars() {
-        assert_eq!(kinds(r#""hello \"x\"" 'c' L"wide""#)[..3], [StrLit, CharLit, StrLit]);
+        assert_eq!(
+            kinds(r#""hello \"x\"" 'c' L"wide""#)[..3],
+            [StrLit, CharLit, StrLit]
+        );
     }
 
     #[test]
@@ -307,7 +324,10 @@ mod tests {
     #[test]
     fn cuda_keywords() {
         assert_eq!(kinds("__global__ void k()")[0], Keyword(Kw::CudaGlobal));
-        assert_eq!(kinds("__shared__ float s[256];")[0], Keyword(Kw::CudaShared));
+        assert_eq!(
+            kinds("__shared__ float s[256];")[0],
+            Keyword(Kw::CudaShared)
+        );
     }
 
     #[test]

@@ -51,11 +51,33 @@ pub fn parse_source(file: FileId, src: &str) -> ParsedFile {
 /// Common type names assumed known even without a typedef in scope, so the
 /// declaration/expression heuristic behaves on real-world code.
 const WELL_KNOWN_TYPES: &[&str] = &[
-    "size_t", "ssize_t", "ptrdiff_t", "intptr_t", "uintptr_t",
-    "int8_t", "uint8_t", "int16_t", "uint16_t", "int32_t", "uint32_t",
-    "int64_t", "uint64_t", "FILE", "string", "wchar_t",
-    "cudaError_t", "cudaStream_t", "cudaEvent_t", "dim3", "float2",
-    "float3", "float4", "int2", "int3", "int4", "uchar4",
+    "size_t",
+    "ssize_t",
+    "ptrdiff_t",
+    "intptr_t",
+    "uintptr_t",
+    "int8_t",
+    "uint8_t",
+    "int16_t",
+    "uint16_t",
+    "int32_t",
+    "uint32_t",
+    "int64_t",
+    "uint64_t",
+    "FILE",
+    "string",
+    "wchar_t",
+    "cudaError_t",
+    "cudaStream_t",
+    "cudaEvent_t",
+    "dim3",
+    "float2",
+    "float3",
+    "float4",
+    "int2",
+    "int3",
+    "int4",
+    "uchar4",
 ];
 
 struct Parser<'a> {
@@ -130,7 +152,11 @@ impl<'a> Parser<'a> {
     }
 
     fn span_from(&self, start: Span) -> Span {
-        let prev = if self.pos > 0 { self.toks[self.pos - 1].span } else { start };
+        let prev = if self.pos > 0 {
+            self.toks[self.pos - 1].span
+        } else {
+            start
+        };
         if prev.end >= start.start {
             Span::new(self.file, start.start, prev.end.max(start.start))
         } else {
@@ -156,8 +182,13 @@ impl<'a> Parser<'a> {
                             || k.is_cuda_qualifier()
                             || matches!(
                                 k,
-                                Kw::Namespace | Kw::Static | Kw::Extern | Kw::Typedef
-                                    | Kw::Template | Kw::Using | Kw::Inline
+                                Kw::Namespace
+                                    | Kw::Static
+                                    | Kw::Extern
+                                    | Kw::Typedef
+                                    | Kw::Template
+                                    | Kw::Using
+                                    | Kw::Inline
                             )
                     }
                     _ => false,
@@ -202,7 +233,11 @@ impl<'a> Parser<'a> {
             }
             match self.peek().kind {
                 TokenKind::Punct(Punct::Lt) | TokenKind::Punct(Punct::TripleLt) => {
-                    depth += if self.peek().is_punct(Punct::TripleLt) { 3 } else { 1 };
+                    depth += if self.peek().is_punct(Punct::TripleLt) {
+                        3
+                    } else {
+                        1
+                    };
                     self.bump();
                 }
                 TokenKind::Punct(Punct::Shl) => {
@@ -285,8 +320,8 @@ impl<'a> Parser<'a> {
                     | TokenKind::Keyword(Kw::Enum)
             );
             if is_record && self.toks[i + 1].kind == TokenKind::Ident {
-                let name =
-                    &self.src[self.toks[i + 1].span.start as usize..self.toks[i + 1].span.end as usize];
+                let name = &self.src
+                    [self.toks[i + 1].span.start as usize..self.toks[i + 1].span.end as usize];
                 self.type_names.insert(name.to_string());
             }
             if t.kind == TokenKind::Keyword(Kw::Typedef) {
@@ -300,17 +335,21 @@ impl<'a> Parser<'a> {
                     j += 1;
                 }
                 if let Some(k) = last_ident {
-                    let name = &self.src[self.toks[k].span.start as usize..self.toks[k].span.end as usize];
+                    let name =
+                        &self.src[self.toks[k].span.start as usize..self.toks[k].span.end as usize];
                     self.type_names.insert(name.to_string());
                 }
             }
             // `using Alias = ...;`
             if t.kind == TokenKind::Keyword(Kw::Using)
                 && self.toks[i + 1].kind == TokenKind::Ident
-                && self.toks.get(i + 2).is_some_and(|t| t.is_punct(Punct::Assign))
+                && self
+                    .toks
+                    .get(i + 2)
+                    .is_some_and(|t| t.is_punct(Punct::Assign))
             {
-                let name =
-                    &self.src[self.toks[i + 1].span.start as usize..self.toks[i + 1].span.end as usize];
+                let name = &self.src
+                    [self.toks[i + 1].span.start as usize..self.toks[i + 1].span.end as usize];
                 self.type_names.insert(name.to_string());
             }
             i += 1;
@@ -335,9 +374,7 @@ impl<'a> Parser<'a> {
                 }
                 self.parse_decl()
             }
-            TokenKind::Keyword(Kw::Extern)
-                if self.peek_at(1).kind == TokenKind::StrLit =>
-            {
+            TokenKind::Keyword(Kw::Extern) if self.peek_at(1).kind == TokenKind::StrLit => {
                 self.bump(); // extern
                 self.bump(); // "C"
                 if self.eat_punct(Punct::LBrace) {
@@ -453,7 +490,7 @@ impl<'a> Parser<'a> {
     fn parse_using(&mut self) -> Option<Decl> {
         let start = self.span_here();
         self.bump(); // using
-        // `using Alias = Type;`
+                     // `using Alias = Type;`
         if self.peek().kind == TokenKind::Ident && self.peek_at(1).is_punct(Punct::Assign) {
             let name_tok = self.bump();
             let name = self.text(&name_tok).to_string();
@@ -588,7 +625,15 @@ impl<'a> Parser<'a> {
         self.eat_punct(Punct::RBrace);
         self.eat_punct(Punct::Semi);
         let span = self.span_from(start);
-        Some(RecordDecl { kind, name, fields, methods, method_decls, bases, span })
+        Some(RecordDecl {
+            kind,
+            name,
+            fields,
+            methods,
+            method_decls,
+            bases,
+            span,
+        })
     }
 
     fn at_ctor_or_dtor(&self, class_name: &str) -> bool {
@@ -783,7 +828,12 @@ impl<'a> Parser<'a> {
         self.eat_punct(Punct::RBrace);
         self.eat_punct(Punct::Semi);
         let span = self.span_from(start);
-        Some(EnumDecl { name, scoped, enumerators, span })
+        Some(EnumDecl {
+            name,
+            scoped,
+            enumerators,
+            span,
+        })
     }
 
     fn parse_fn_quals(&mut self) -> FnQuals {
@@ -832,7 +882,11 @@ impl<'a> Parser<'a> {
     fn parse_var_or_function(&mut self) -> Option<Decl> {
         let start = self.span_here();
         let quals = self.parse_fn_quals();
-        let mut storage = if quals.is_static { Storage::Static } else { Storage::None };
+        let mut storage = if quals.is_static {
+            Storage::Static
+        } else {
+            Storage::None
+        };
         let mut cuda_space = CudaSpace::None;
         // storage / CUDA space keywords interleaved with type.
         loop {
@@ -970,7 +1024,9 @@ impl<'a> Parser<'a> {
     fn paren_is_initializer(&self) -> bool {
         let t1 = self.peek_at(1);
         match t1.kind {
-            TokenKind::IntLit | TokenKind::FloatLit | TokenKind::StrLit | TokenKind::CharLit => true,
+            TokenKind::IntLit | TokenKind::FloatLit | TokenKind::StrLit | TokenKind::CharLit => {
+                true
+            }
             TokenKind::Punct(Punct::RParen) => false, // `()` → function
             TokenKind::Ident => {
                 let name = self.text(t1);
@@ -1057,10 +1113,7 @@ impl<'a> Parser<'a> {
                     let t = self.bump();
                     parts.push(self.text(&t).to_string());
                     // Multi-word builtins keep absorbing.
-                    if !matches!(
-                        k,
-                        Kw::Unsigned | Kw::Signed | Kw::Long | Kw::Short
-                    ) {
+                    if !matches!(k, Kw::Unsigned | Kw::Signed | Kw::Long | Kw::Short) {
                         break;
                     }
                 }
@@ -1291,7 +1344,11 @@ impl<'a> Parser<'a> {
             if self.eat_punct(Punct::Assign) {
                 let _ = self.parse_assign_expr();
             }
-            params.push(Param { name, ty, span: self.span_from(start) });
+            params.push(Param {
+                name,
+                ty,
+                span: self.span_from(start),
+            });
             if self.eat_punct(Punct::Comma) {
                 continue;
             }
@@ -1335,7 +1392,10 @@ impl<'a> Parser<'a> {
             }
         }
         self.eat_punct(Punct::RBrace);
-        Some(Block { stmts, span: self.span_from(start) })
+        Some(Block {
+            stmts,
+            span: self.span_from(start),
+        })
     }
 
     fn parse_stmt(&mut self) -> Stmt {
@@ -1445,7 +1505,10 @@ impl<'a> Parser<'a> {
                 }
             }
         };
-        Stmt { kind, span: self.span_from(start) }
+        Stmt {
+            kind,
+            span: self.span_from(start),
+        }
     }
 
     fn starts_decl_stmt(&self) -> bool {
@@ -1592,7 +1655,11 @@ impl<'a> Parser<'a> {
         } else {
             None
         };
-        StmtKind::If { cond, then_branch, else_branch }
+        StmtKind::If {
+            cond,
+            then_branch,
+            else_branch,
+        }
     }
 
     fn parse_while(&mut self) -> StmtKind {
@@ -1615,15 +1682,26 @@ impl<'a> Parser<'a> {
         self.bump(); // for
         if !self.eat_punct(Punct::LParen) {
             let body = Box::new(self.parse_stmt());
-            return StmtKind::For { init: None, cond: None, step: None, body };
+            return StmtKind::For {
+                init: None,
+                cond: None,
+                step: None,
+                body,
+            };
         }
         let init = if self.eat_punct(Punct::Semi) {
             None
         } else if self.starts_decl_stmt() {
             match self.parse_decl_stmt() {
                 Some(vars) => {
-                    let span = vars.first().map(|v| v.span).unwrap_or_else(|| self.span_here());
-                    Some(Box::new(Stmt { kind: StmtKind::Decl(vars), span }))
+                    let span = vars
+                        .first()
+                        .map(|v| v.span)
+                        .unwrap_or_else(|| self.span_here());
+                    Some(Box::new(Stmt {
+                        kind: StmtKind::Decl(vars),
+                        span,
+                    }))
                 }
                 None => None,
             }
@@ -1631,7 +1709,10 @@ impl<'a> Parser<'a> {
             let e = self.parse_expr();
             let span = e.span;
             self.eat_punct(Punct::Semi);
-            Some(Box::new(Stmt { kind: StmtKind::Expr(e), span }))
+            Some(Box::new(Stmt {
+                kind: StmtKind::Expr(e),
+                span,
+            }))
         };
         let cond = if self.peek().is_punct(Punct::Semi) {
             None
@@ -1646,7 +1727,12 @@ impl<'a> Parser<'a> {
         };
         self.eat_punct(Punct::RParen);
         let body = Box::new(self.parse_stmt());
-        StmtKind::For { init, cond, step, body }
+        StmtKind::For {
+            init,
+            cond,
+            step,
+            body,
+        }
     }
 
     fn parse_switch(&mut self) -> StmtKind {
@@ -1656,7 +1742,10 @@ impl<'a> Parser<'a> {
             Some(b) => b,
             None => {
                 let sp = self.recover();
-                Block { stmts: vec![], span: sp }
+                Block {
+                    stmts: vec![],
+                    span: sp,
+                }
             }
         };
         StmtKind::Switch { cond, body }
@@ -1668,7 +1757,10 @@ impl<'a> Parser<'a> {
             Some(b) => b,
             None => {
                 let sp = self.recover();
-                return StmtKind::Block(Block { stmts: vec![], span: sp });
+                return StmtKind::Block(Block {
+                    stmts: vec![],
+                    span: sp,
+                });
             }
         };
         let mut catches = Vec::new();
@@ -1685,7 +1777,10 @@ impl<'a> Parser<'a> {
                 Some(b) => b,
                 None => {
                     let sp = self.recover();
-                    Block { stmts: vec![], span: sp }
+                    Block {
+                        stmts: vec![],
+                        span: sp,
+                    }
                 }
             };
             catches.push((param, handler));
@@ -1696,7 +1791,10 @@ impl<'a> Parser<'a> {
     // ---- expressions ------------------------------------------------------
 
     fn opaque_expr(&self) -> Expr {
-        Expr { kind: ExprKind::Opaque, span: self.span_here() }
+        Expr {
+            kind: ExprKind::Opaque,
+            span: self.span_here(),
+        }
     }
 
     fn parse_expr(&mut self) -> Expr {
@@ -1738,7 +1836,11 @@ impl<'a> Parser<'a> {
             let rhs = self.parse_assign_expr();
             let span = lhs.span.merge(rhs.span);
             Expr {
-                kind: ExprKind::Assign { op, lhs: Box::new(lhs), rhs: Box::new(rhs) },
+                kind: ExprKind::Assign {
+                    op,
+                    lhs: Box::new(lhs),
+                    rhs: Box::new(rhs),
+                },
                 span,
             }
         } else {
@@ -1802,7 +1904,11 @@ impl<'a> Parser<'a> {
             let rhs = self.parse_binary_expr(prec + 1);
             let span = lhs.span.merge(rhs.span);
             lhs = Expr {
-                kind: ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) },
+                kind: ExprKind::Binary {
+                    op,
+                    lhs: Box::new(lhs),
+                    rhs: Box::new(rhs),
+                },
                 span,
             };
         }
@@ -1826,7 +1932,13 @@ impl<'a> Parser<'a> {
             self.bump();
             let expr = self.parse_unary_expr();
             let span = start.merge(expr.span);
-            return Expr { kind: ExprKind::Unary { op, expr: Box::new(expr) }, span };
+            return Expr {
+                kind: ExprKind::Unary {
+                    op,
+                    expr: Box::new(expr),
+                },
+                span,
+            };
         }
         match self.peek().kind {
             TokenKind::Keyword(Kw::Sizeof) => {
@@ -1849,7 +1961,10 @@ impl<'a> Parser<'a> {
                     self.parse_unary_expr()
                 };
                 let span = self.span_from(start);
-                Expr { kind: ExprKind::SizeOf(Box::new(inner)), span }
+                Expr {
+                    kind: ExprKind::SizeOf(Box::new(inner)),
+                    span,
+                }
             }
             TokenKind::Keyword(Kw::New) => {
                 self.bump();
@@ -1877,7 +1992,10 @@ impl<'a> Parser<'a> {
                     args = self.parse_call_args().unwrap_or_default();
                 }
                 let span = self.span_from(start);
-                Expr { kind: ExprKind::New { ty, args, array }, span }
+                Expr {
+                    kind: ExprKind::New { ty, args, array },
+                    span,
+                }
             }
             TokenKind::Keyword(Kw::Delete) => {
                 self.bump();
@@ -1889,7 +2007,13 @@ impl<'a> Parser<'a> {
                 };
                 let e = self.parse_unary_expr();
                 let span = self.span_from(start);
-                Expr { kind: ExprKind::Delete { expr: Box::new(e), array }, span }
+                Expr {
+                    kind: ExprKind::Delete {
+                        expr: Box::new(e),
+                        array,
+                    },
+                    span,
+                }
             }
             TokenKind::Keyword(Kw::Throw) => {
                 self.bump();
@@ -1900,7 +2024,10 @@ impl<'a> Parser<'a> {
                     Some(Box::new(self.parse_assign_expr()))
                 };
                 let span = self.span_from(start);
-                Expr { kind: ExprKind::Throw(e), span }
+                Expr {
+                    kind: ExprKind::Throw(e),
+                    span,
+                }
             }
             TokenKind::Keyword(Kw::StaticCast)
             | TokenKind::Keyword(Kw::ReinterpretCast)
@@ -1933,7 +2060,11 @@ impl<'a> Parser<'a> {
                 };
                 let span = self.span_from(start);
                 self.parse_postfix(Expr {
-                    kind: ExprKind::Cast { kind, ty, expr: Box::new(expr) },
+                    kind: ExprKind::Cast {
+                        kind,
+                        ty,
+                        expr: Box::new(expr),
+                    },
                     span,
                 })
             }
@@ -1944,7 +2075,14 @@ impl<'a> Parser<'a> {
                 self.eat_punct(Punct::RParen);
                 let expr = self.parse_unary_expr();
                 let span = self.span_from(start);
-                Expr { kind: ExprKind::Cast { kind: CastKind::CStyle, ty, expr: Box::new(expr) }, span }
+                Expr {
+                    kind: ExprKind::Cast {
+                        kind: CastKind::CStyle,
+                        ty,
+                        expr: Box::new(expr),
+                    },
+                    span,
+                }
             }
             _ => {
                 let e = self.parse_primary();
@@ -2022,7 +2160,10 @@ impl<'a> Parser<'a> {
                 let t = self.bump();
                 let txt = self.text(&t);
                 let v = parse_int_literal(txt);
-                Expr { kind: ExprKind::IntLit(v), span: t.span }
+                Expr {
+                    kind: ExprKind::IntLit(v),
+                    span: t.span,
+                }
             }
             TokenKind::FloatLit => {
                 let t = self.bump();
@@ -2031,39 +2172,63 @@ impl<'a> Parser<'a> {
                     .trim_end_matches(['f', 'F', 'l', 'L'])
                     .to_string();
                 let v = txt.parse::<f64>().unwrap_or(0.0);
-                Expr { kind: ExprKind::FloatLit(v), span: t.span }
+                Expr {
+                    kind: ExprKind::FloatLit(v),
+                    span: t.span,
+                }
             }
             TokenKind::StrLit => {
                 let t = self.bump();
-                Expr { kind: ExprKind::StrLit(self.text(&t).to_string()), span: t.span }
+                Expr {
+                    kind: ExprKind::StrLit(self.text(&t).to_string()),
+                    span: t.span,
+                }
             }
             TokenKind::CharLit => {
                 let t = self.bump();
                 let inner = self.text(&t);
                 let c = decode_char_literal(inner);
-                Expr { kind: ExprKind::CharLit(c), span: t.span }
+                Expr {
+                    kind: ExprKind::CharLit(c),
+                    span: t.span,
+                }
             }
             TokenKind::Keyword(Kw::True) => {
                 let t = self.bump();
-                Expr { kind: ExprKind::BoolLit(true), span: t.span }
+                Expr {
+                    kind: ExprKind::BoolLit(true),
+                    span: t.span,
+                }
             }
             TokenKind::Keyword(Kw::False) => {
                 let t = self.bump();
-                Expr { kind: ExprKind::BoolLit(false), span: t.span }
+                Expr {
+                    kind: ExprKind::BoolLit(false),
+                    span: t.span,
+                }
             }
             TokenKind::Keyword(Kw::Nullptr) => {
                 let t = self.bump();
-                Expr { kind: ExprKind::Null, span: t.span }
+                Expr {
+                    kind: ExprKind::Null,
+                    span: t.span,
+                }
             }
             TokenKind::Keyword(Kw::This) => {
                 let t = self.bump();
-                Expr { kind: ExprKind::This, span: t.span }
+                Expr {
+                    kind: ExprKind::This,
+                    span: t.span,
+                }
             }
             TokenKind::Punct(Punct::LParen) => {
                 self.bump();
                 let e = self.parse_expr();
                 self.eat_punct(Punct::RParen);
-                Expr { kind: e.kind, span: self.span_from(start) }
+                Expr {
+                    kind: e.kind,
+                    span: self.span_from(start),
+                }
             }
             TokenKind::Punct(Punct::LBrace) => self.parse_init_list(),
             TokenKind::Ident => {
@@ -2078,14 +2243,23 @@ impl<'a> Parser<'a> {
                     name.push_str(self.text(&t));
                 }
                 if name == "NULL" {
-                    return Expr { kind: ExprKind::Null, span: self.span_from(start) };
+                    return Expr {
+                        kind: ExprKind::Null,
+                        span: self.span_from(start),
+                    };
                 }
-                Expr { kind: ExprKind::Ident(name), span: self.span_from(start) }
+                Expr {
+                    kind: ExprKind::Ident(name),
+                    span: self.span_from(start),
+                }
             }
             _ => {
                 // Unknown token in expression position.
                 self.bump();
-                Expr { kind: ExprKind::Opaque, span: self.span_from(start) }
+                Expr {
+                    kind: ExprKind::Opaque,
+                    span: self.span_from(start),
+                }
             }
         }
     }
@@ -2101,7 +2275,10 @@ impl<'a> Parser<'a> {
             }
         }
         self.eat_punct(Punct::RBrace);
-        Expr { kind: ExprKind::InitList(items), span: self.span_from(start) }
+        Expr {
+            kind: ExprKind::InitList(items),
+            span: self.span_from(start),
+        }
     }
 
     fn parse_call_args(&mut self) -> Option<Vec<Expr>> {
@@ -2133,7 +2310,10 @@ impl<'a> Parser<'a> {
                     let args = self.parse_call_args().unwrap_or_default();
                     let span = self.span_from(e.span);
                     e = Expr {
-                        kind: ExprKind::Call { callee: Box::new(e), args },
+                        kind: ExprKind::Call {
+                            callee: Box::new(e),
+                            args,
+                        },
                         span,
                     };
                 }
@@ -2154,7 +2334,11 @@ impl<'a> Parser<'a> {
                     };
                     let span = self.span_from(e.span);
                     e = Expr {
-                        kind: ExprKind::KernelLaunch { callee: Box::new(e), config, args },
+                        kind: ExprKind::KernelLaunch {
+                            callee: Box::new(e),
+                            config,
+                            args,
+                        },
                         span,
                     };
                 }
@@ -2164,7 +2348,10 @@ impl<'a> Parser<'a> {
                     self.eat_punct(Punct::RBracket);
                     let span = self.span_from(e.span);
                     e = Expr {
-                        kind: ExprKind::Index { base: Box::new(e), index: Box::new(idx) },
+                        kind: ExprKind::Index {
+                            base: Box::new(e),
+                            index: Box::new(idx),
+                        },
                         span,
                     };
                 }
@@ -2179,7 +2366,11 @@ impl<'a> Parser<'a> {
                     };
                     let span = self.span_from(e.span);
                     e = Expr {
-                        kind: ExprKind::Member { base: Box::new(e), field, arrow },
+                        kind: ExprKind::Member {
+                            base: Box::new(e),
+                            field,
+                            arrow,
+                        },
                         span,
                     };
                 }
@@ -2187,7 +2378,10 @@ impl<'a> Parser<'a> {
                     self.bump();
                     let span = self.span_from(e.span);
                     e = Expr {
-                        kind: ExprKind::Unary { op: UnOp::PostInc, expr: Box::new(e) },
+                        kind: ExprKind::Unary {
+                            op: UnOp::PostInc,
+                            expr: Box::new(e),
+                        },
                         span,
                     };
                 }
@@ -2195,7 +2389,10 @@ impl<'a> Parser<'a> {
                     self.bump();
                     let span = self.span_from(e.span);
                     e = Expr {
-                        kind: ExprKind::Unary { op: UnOp::PostDec, expr: Box::new(e) },
+                        kind: ExprKind::Unary {
+                            op: UnOp::PostDec,
+                            expr: Box::new(e),
+                        },
                         span,
                     };
                 }
@@ -2310,7 +2507,11 @@ mod tests {
             StmtKind::Expr(e) => matches!(e.kind, ExprKind::KernelLaunch { .. }),
             _ => false,
         };
-        assert!(launched, "kernel launch not recognised: {:?}", host.body.stmts[0]);
+        assert!(
+            launched,
+            "kernel launch not recognised: {:?}",
+            host.body.stmts[0]
+        );
     }
 
     #[test]
@@ -2324,7 +2525,11 @@ mod tests {
         for s in &f.body.stmts {
             if let StmtKind::Decl(vars) = &s.kind {
                 for v in vars {
-                    if let Some(Expr { kind: ExprKind::Cast { .. }, .. }) = &v.init {
+                    if let Some(Expr {
+                        kind: ExprKind::Cast { .. },
+                        ..
+                    }) = &v.init
+                    {
                         casts += 1;
                     }
                 }
@@ -2475,7 +2680,8 @@ mod tests {
 
     #[test]
     fn parses_do_while_inside_for() {
-        let u = parse("void f(int n) { for (int i = 0; i < n; i++) { do { n--; } while (n > i); } }");
+        let u =
+            parse("void f(int n) { for (int i = 0; i < n; i++) { do { n--; } while (n > i); } }");
         assert_eq!(u.functions().len(), 1);
         assert_eq!(u.recovery_count, 0);
     }
@@ -2490,7 +2696,9 @@ mod tests {
 
     #[test]
     fn parses_array_parameters_and_locals() {
-        let u = parse("float sum3(float v[3]) { float acc[4]; acc[0] = v[0] + v[1] + v[2]; return acc[0]; }");
+        let u = parse(
+            "float sum3(float v[3]) { float acc[4]; acc[0] = v[0] + v[1] + v[2]; return acc[0]; }",
+        );
         let f = &u.functions()[0];
         assert_eq!(f.sig.params[0].ty.array_dims, vec![Some(3)]);
         assert_eq!(u.recovery_count, 0);
@@ -2542,7 +2750,11 @@ mod tests {
         // Chain depth 3: else branches nest.
         let mut depth = 0;
         let mut cur = &f.body.stmts[0];
-        while let StmtKind::If { else_branch: Some(e), .. } = &cur.kind {
+        while let StmtKind::If {
+            else_branch: Some(e),
+            ..
+        } = &cur.kind
+        {
             depth += 1;
             cur = e;
         }
@@ -2556,6 +2768,9 @@ mod tests {
         assert_eq!(parse_int_literal("0b101"), 5);
         assert_eq!(parse_int_literal("052"), 42);
         assert_eq!(parse_int_literal("42u"), 42);
-        assert_eq!(parse_int_literal("123456789012345678901234567890"), i64::MAX);
+        assert_eq!(
+            parse_int_literal("123456789012345678901234567890"),
+            i64::MAX
+        );
     }
 }

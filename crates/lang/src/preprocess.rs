@@ -172,11 +172,7 @@ fn process_directives(file: FileId, src: &str, info: &mut PpInfo) -> String {
             for l in &lines[li..li + consumed] {
                 blanked_len += l.len();
             }
-            let span = Span::new(
-                file,
-                line_start as u32,
-                (line_start + blanked_len) as u32,
-            );
+            let span = Span::new(file, line_start as u32, (line_start + blanked_len) as u32);
             let body = logical.trim_start().trim_start_matches('#').trim_start();
             let name: String = body
                 .chars()
@@ -328,7 +324,8 @@ mod tests {
 
     #[test]
     fn records_includes_and_defines() {
-        let p = pp("#include <stdio.h>\n#include \"my.h\"\n#define N 10\n#define SQ(x) ((x)*(x))\n");
+        let p =
+            pp("#include <stdio.h>\n#include \"my.h\"\n#define N 10\n#define SQ(x) ((x)*(x))\n");
         assert_eq!(p.info.macros.len(), 2);
         assert_eq!(p.info.macros[0].params, None);
         let sq = &p.info.macros[1];

@@ -58,7 +58,11 @@ impl Printer {
             Decl::Record(r) => self.record(r),
             Decl::Enum(e) => {
                 let kw = if e.scoped { "enum class" } else { "enum" };
-                self.line(&format!("{kw} {} {{ {} }};", e.name, e.enumerators.join(", ")));
+                self.line(&format!(
+                    "{kw} {} {{ {} }};",
+                    e.name,
+                    e.enumerators.join(", ")
+                ));
             }
             Decl::Typedef(t) => {
                 self.line(&format!("typedef {} {};", t.ty.display(), t.name));
@@ -230,7 +234,11 @@ impl Printer {
                 self.indent -= 1;
                 self.line("}");
             }
-            StmtKind::If { cond, then_branch, else_branch } => {
+            StmtKind::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
                 let c = self.expr_str(cond);
                 self.line(&format!("if ({c}) {{"));
                 self.indent += 1;
@@ -263,7 +271,12 @@ impl Printer {
                 let c = self.expr_str(cond);
                 self.line(&format!("}} while ({c});"));
             }
-            StmtKind::For { init, cond, step, body } => {
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            } => {
                 let i = match init {
                     Some(s) => self.stmt_inline(s),
                     None => String::new(),
@@ -432,7 +445,11 @@ impl Printer {
                 };
                 format!("{l} {sym} {r}")
             }
-            ExprKind::Ternary { cond, then_expr, else_expr } => {
+            ExprKind::Ternary {
+                cond,
+                then_expr,
+                else_expr,
+            } => {
                 let c = self.expr_str(cond);
                 let t = self.expr_str(then_expr);
                 let f = self.expr_str(else_expr);
@@ -443,7 +460,11 @@ impl Printer {
                 let a: Vec<String> = args.iter().map(|x| self.expr_str(x)).collect();
                 format!("{c}({})", a.join(", "))
             }
-            ExprKind::KernelLaunch { callee, config, args } => {
+            ExprKind::KernelLaunch {
+                callee,
+                config,
+                args,
+            } => {
                 let c = self.expr_str(callee);
                 let cfg: Vec<String> = config.iter().map(|x| self.expr_str(x)).collect();
                 let a: Vec<String> = args.iter().map(|x| self.expr_str(x)).collect();

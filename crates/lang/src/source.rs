@@ -182,7 +182,12 @@ impl SourceMap {
     pub fn add_shared(&mut self, path: impl Into<String>, text: Arc<String>) -> FileId {
         let id = FileId(self.files.len() as u32);
         let path = path.into();
-        self.files.push(SourceFile { id, path, text, line_starts: OnceLock::new() });
+        self.files.push(SourceFile {
+            id,
+            path,
+            text,
+            line_starts: OnceLock::new(),
+        });
         id
     }
 
@@ -268,7 +273,6 @@ mod tests {
         assert_eq!(m.len(), 11);
         assert!(!m.is_empty());
     }
-
 
     #[test]
     fn empty_file_has_one_line() {

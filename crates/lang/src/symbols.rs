@@ -123,7 +123,12 @@ impl Analyzer {
         self.scopes
             .last_mut()
             .expect("scope stack never empty")
-            .insert(var.name.clone(), VarState { initialized: var.init.is_some() });
+            .insert(
+                var.name.clone(),
+                VarState {
+                    initialized: var.init.is_some(),
+                },
+            );
     }
 
     fn push(&mut self) {
@@ -153,7 +158,11 @@ impl Analyzer {
                 }
             }
             StmtKind::Block(b) => self.block(b),
-            StmtKind::If { cond, then_branch, else_branch } => {
+            StmtKind::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
                 self.expr(cond, false);
                 self.push();
                 self.stmt(then_branch);
@@ -176,7 +185,12 @@ impl Analyzer {
                 self.pop();
                 self.expr(cond, false);
             }
-            StmtKind::For { init, cond, step, body } => {
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            } => {
                 self.push();
                 if let Some(i) = init {
                     self.stmt(i);
@@ -235,7 +249,10 @@ impl Analyzer {
                     }
                 }
                 // Not a local: candidate global.
-                self.out.unresolved.push(UnresolvedUse { name: name.clone(), span: e.span });
+                self.out.unresolved.push(UnresolvedUse {
+                    name: name.clone(),
+                    span: e.span,
+                });
             }
             ExprKind::Assign { op, lhs, rhs } => {
                 self.expr(rhs, false);
@@ -264,7 +281,11 @@ impl Analyzer {
                 self.expr(lhs, false);
                 self.expr(rhs, false);
             }
-            ExprKind::Ternary { cond, then_expr, else_expr } => {
+            ExprKind::Ternary {
+                cond,
+                then_expr,
+                else_expr,
+            } => {
                 self.expr(cond, false);
                 self.expr(then_expr, false);
                 self.expr(else_expr, false);
@@ -279,7 +300,11 @@ impl Analyzer {
                     self.expr(a, false);
                 }
             }
-            ExprKind::KernelLaunch { callee, config, args } => {
+            ExprKind::KernelLaunch {
+                callee,
+                config,
+                args,
+            } => {
                 if !matches!(callee.kind, ExprKind::Ident(_)) {
                     self.expr(callee, false);
                 }

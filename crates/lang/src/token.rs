@@ -9,18 +9,82 @@ use std::fmt;
 #[allow(missing_docs)] // variants mirror the spelling of the keyword
 pub enum Kw {
     // C
-    Auto, Break, Case, Char, Const, Continue, Default, Do, Double, Else,
-    Enum, Extern, Float, For, Goto, If, Inline, Int, Long, Register,
-    Restrict, Return, Short, Signed, Sizeof, Static, Struct, Switch,
-    Typedef, Union, Unsigned, Void, Volatile, While,
+    Auto,
+    Break,
+    Case,
+    Char,
+    Const,
+    Continue,
+    Default,
+    Do,
+    Double,
+    Else,
+    Enum,
+    Extern,
+    Float,
+    For,
+    Goto,
+    If,
+    Inline,
+    Int,
+    Long,
+    Register,
+    Restrict,
+    Return,
+    Short,
+    Signed,
+    Sizeof,
+    Static,
+    Struct,
+    Switch,
+    Typedef,
+    Union,
+    Unsigned,
+    Void,
+    Volatile,
+    While,
     // C++
-    Bool, Catch, Class, ConstCast, Constexpr, Delete, DynamicCast, Explicit,
-    False, Friend, Namespace, New, Noexcept, Nullptr, Operator, Override,
-    Private, Protected, Public, ReinterpretCast, StaticCast, Template, This,
-    Throw, True, Try, Typename, Using, Virtual, Final,
+    Bool,
+    Catch,
+    Class,
+    ConstCast,
+    Constexpr,
+    Delete,
+    DynamicCast,
+    Explicit,
+    False,
+    Friend,
+    Namespace,
+    New,
+    Noexcept,
+    Nullptr,
+    Operator,
+    Override,
+    Private,
+    Protected,
+    Public,
+    ReinterpretCast,
+    StaticCast,
+    Template,
+    This,
+    Throw,
+    True,
+    Try,
+    Typename,
+    Using,
+    Virtual,
+    Final,
     // CUDA execution-space / memory-space qualifiers
-    CudaGlobal, CudaDevice, CudaHost, CudaShared, CudaConstant,
-    CudaRestrict, CudaForceInline, CudaNoInline, CudaManaged, CudaLaunchBounds,
+    CudaGlobal,
+    CudaDevice,
+    CudaHost,
+    CudaShared,
+    CudaConstant,
+    CudaRestrict,
+    CudaForceInline,
+    CudaNoInline,
+    CudaManaged,
+    CudaLaunchBounds,
 }
 
 impl Kw {
@@ -29,32 +93,79 @@ impl Kw {
     pub fn from_str(s: &str) -> Option<Kw> {
         use Kw::*;
         Some(match s {
-            "auto" => Auto, "break" => Break, "case" => Case, "char" => Char,
-            "const" => Const, "continue" => Continue, "default" => Default,
-            "do" => Do, "double" => Double, "else" => Else, "enum" => Enum,
-            "extern" => Extern, "float" => Float, "for" => For, "goto" => Goto,
-            "if" => If, "inline" => Inline, "int" => Int, "register" => Register,
-            "restrict" => Restrict, "return" => Return, "short" => Short,
-            "signed" => Signed, "sizeof" => Sizeof, "static" => Static,
-            "struct" => Struct, "switch" => Switch, "typedef" => Typedef,
-            "union" => Union, "unsigned" => Unsigned, "void" => Void,
-            "volatile" => Volatile, "while" => While,
-            "bool" => Bool, "catch" => Catch, "class" => Class,
-            "const_cast" => ConstCast, "constexpr" => Constexpr,
-            "delete" => Delete, "dynamic_cast" => DynamicCast,
-            "explicit" => Explicit, "false" => False, "friend" => Friend,
-            "namespace" => Namespace, "new" => New, "noexcept" => Noexcept,
-            "nullptr" => Nullptr, "operator" => Operator, "override" => Override,
-            "private" => Private, "protected" => Protected, "public" => Public,
-            "reinterpret_cast" => ReinterpretCast, "static_cast" => StaticCast,
-            "template" => Template, "this" => This, "throw" => Throw,
-            "true" => True, "try" => Try, "typename" => Typename,
-            "using" => Using, "virtual" => Virtual, "final" => Final,
-            "__global__" => CudaGlobal, "__device__" => CudaDevice,
-            "__host__" => CudaHost, "__shared__" => CudaShared,
-            "__constant__" => CudaConstant, "__restrict__" => CudaRestrict,
-            "__forceinline__" => CudaForceInline, "__noinline__" => CudaNoInline,
-            "__managed__" => CudaManaged, "__launch_bounds__" => CudaLaunchBounds,
+            "auto" => Auto,
+            "break" => Break,
+            "case" => Case,
+            "char" => Char,
+            "const" => Const,
+            "continue" => Continue,
+            "default" => Default,
+            "do" => Do,
+            "double" => Double,
+            "else" => Else,
+            "enum" => Enum,
+            "extern" => Extern,
+            "float" => Float,
+            "for" => For,
+            "goto" => Goto,
+            "if" => If,
+            "inline" => Inline,
+            "int" => Int,
+            "register" => Register,
+            "restrict" => Restrict,
+            "return" => Return,
+            "short" => Short,
+            "signed" => Signed,
+            "sizeof" => Sizeof,
+            "static" => Static,
+            "struct" => Struct,
+            "switch" => Switch,
+            "typedef" => Typedef,
+            "union" => Union,
+            "unsigned" => Unsigned,
+            "void" => Void,
+            "volatile" => Volatile,
+            "while" => While,
+            "bool" => Bool,
+            "catch" => Catch,
+            "class" => Class,
+            "const_cast" => ConstCast,
+            "constexpr" => Constexpr,
+            "delete" => Delete,
+            "dynamic_cast" => DynamicCast,
+            "explicit" => Explicit,
+            "false" => False,
+            "friend" => Friend,
+            "namespace" => Namespace,
+            "new" => New,
+            "noexcept" => Noexcept,
+            "nullptr" => Nullptr,
+            "operator" => Operator,
+            "override" => Override,
+            "private" => Private,
+            "protected" => Protected,
+            "public" => Public,
+            "reinterpret_cast" => ReinterpretCast,
+            "static_cast" => StaticCast,
+            "template" => Template,
+            "this" => This,
+            "throw" => Throw,
+            "true" => True,
+            "try" => Try,
+            "typename" => Typename,
+            "using" => Using,
+            "virtual" => Virtual,
+            "final" => Final,
+            "__global__" => CudaGlobal,
+            "__device__" => CudaDevice,
+            "__host__" => CudaHost,
+            "__shared__" => CudaShared,
+            "__constant__" => CudaConstant,
+            "__restrict__" => CudaRestrict,
+            "__forceinline__" => CudaForceInline,
+            "__noinline__" => CudaNoInline,
+            "__managed__" => CudaManaged,
+            "__launch_bounds__" => CudaLaunchBounds,
             _ => return None,
         })
     }
@@ -64,9 +175,22 @@ impl Kw {
         use Kw::*;
         matches!(
             self,
-            Void | Char | Short | Int | Long | Float | Double | Signed
-                | Unsigned | Bool | Struct | Union | Enum | Const | Volatile
-                | Auto | Typename
+            Void | Char
+                | Short
+                | Int
+                | Long
+                | Float
+                | Double
+                | Signed
+                | Unsigned
+                | Bool
+                | Struct
+                | Union
+                | Enum
+                | Const
+                | Volatile
+                | Auto
+                | Typename
         )
     }
 
@@ -75,8 +199,15 @@ impl Kw {
         use Kw::*;
         matches!(
             self,
-            CudaGlobal | CudaDevice | CudaHost | CudaShared | CudaConstant
-                | CudaRestrict | CudaForceInline | CudaNoInline | CudaManaged
+            CudaGlobal
+                | CudaDevice
+                | CudaHost
+                | CudaShared
+                | CudaConstant
+                | CudaRestrict
+                | CudaForceInline
+                | CudaNoInline
+                | CudaManaged
                 | CudaLaunchBounds
         )
     }
@@ -86,18 +217,58 @@ impl Kw {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // variants named after the symbol they represent
 pub enum Punct {
-    LParen, RParen, LBrace, RBrace, LBracket, RBracket,
-    Semi, Comma, Dot, Arrow, DotStar, ArrowStar, Ellipsis,
-    Plus, Minus, Star, Slash, Percent,
-    PlusPlus, MinusMinus,
-    Amp, Pipe, Caret, Tilde, Bang,
-    AmpAmp, PipePipe,
-    Lt, Gt, Le, Ge, EqEq, Ne,
-    Shl, Shr,
-    TripleLt, TripleGt, // CUDA kernel-launch delimiters <<< >>>
-    Assign, PlusAssign, MinusAssign, StarAssign, SlashAssign, PercentAssign,
-    AmpAssign, PipeAssign, CaretAssign, ShlAssign, ShrAssign,
-    Question, Colon, ColonColon, At,
+    LParen,
+    RParen,
+    LBrace,
+    RBrace,
+    LBracket,
+    RBracket,
+    Semi,
+    Comma,
+    Dot,
+    Arrow,
+    DotStar,
+    ArrowStar,
+    Ellipsis,
+    Plus,
+    Minus,
+    Star,
+    Slash,
+    Percent,
+    PlusPlus,
+    MinusMinus,
+    Amp,
+    Pipe,
+    Caret,
+    Tilde,
+    Bang,
+    AmpAmp,
+    PipePipe,
+    Lt,
+    Gt,
+    Le,
+    Ge,
+    EqEq,
+    Ne,
+    Shl,
+    Shr,
+    TripleLt,
+    TripleGt, // CUDA kernel-launch delimiters <<< >>>
+    Assign,
+    PlusAssign,
+    MinusAssign,
+    StarAssign,
+    SlashAssign,
+    PercentAssign,
+    AmpAssign,
+    PipeAssign,
+    CaretAssign,
+    ShlAssign,
+    ShrAssign,
+    Question,
+    Colon,
+    ColonColon,
+    At,
 }
 
 impl Punct {
@@ -105,21 +276,58 @@ impl Punct {
     pub fn as_str(self) -> &'static str {
         use Punct::*;
         match self {
-            LParen => "(", RParen => ")", LBrace => "{", RBrace => "}",
-            LBracket => "[", RBracket => "]", Semi => ";", Comma => ",",
-            Dot => ".", Arrow => "->", DotStar => ".*", ArrowStar => "->*",
+            LParen => "(",
+            RParen => ")",
+            LBrace => "{",
+            RBrace => "}",
+            LBracket => "[",
+            RBracket => "]",
+            Semi => ";",
+            Comma => ",",
+            Dot => ".",
+            Arrow => "->",
+            DotStar => ".*",
+            ArrowStar => "->*",
             Ellipsis => "...",
-            Plus => "+", Minus => "-", Star => "*", Slash => "/", Percent => "%",
-            PlusPlus => "++", MinusMinus => "--",
-            Amp => "&", Pipe => "|", Caret => "^", Tilde => "~", Bang => "!",
-            AmpAmp => "&&", PipePipe => "||",
-            Lt => "<", Gt => ">", Le => "<=", Ge => ">=", EqEq => "==", Ne => "!=",
-            Shl => "<<", Shr => ">>", TripleLt => "<<<", TripleGt => ">>>",
-            Assign => "=", PlusAssign => "+=", MinusAssign => "-=",
-            StarAssign => "*=", SlashAssign => "/=", PercentAssign => "%=",
-            AmpAssign => "&=", PipeAssign => "|=", CaretAssign => "^=",
-            ShlAssign => "<<=", ShrAssign => ">>=",
-            Question => "?", Colon => ":", ColonColon => "::", At => "@",
+            Plus => "+",
+            Minus => "-",
+            Star => "*",
+            Slash => "/",
+            Percent => "%",
+            PlusPlus => "++",
+            MinusMinus => "--",
+            Amp => "&",
+            Pipe => "|",
+            Caret => "^",
+            Tilde => "~",
+            Bang => "!",
+            AmpAmp => "&&",
+            PipePipe => "||",
+            Lt => "<",
+            Gt => ">",
+            Le => "<=",
+            Ge => ">=",
+            EqEq => "==",
+            Ne => "!=",
+            Shl => "<<",
+            Shr => ">>",
+            TripleLt => "<<<",
+            TripleGt => ">>>",
+            Assign => "=",
+            PlusAssign => "+=",
+            MinusAssign => "-=",
+            StarAssign => "*=",
+            SlashAssign => "/=",
+            PercentAssign => "%=",
+            AmpAssign => "&=",
+            PipeAssign => "|=",
+            CaretAssign => "^=",
+            ShlAssign => "<<=",
+            ShrAssign => ">>=",
+            Question => "?",
+            Colon => ":",
+            ColonColon => "::",
+            At => "@",
         }
     }
 }
@@ -128,8 +336,20 @@ impl Punct {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum PpKind {
-    Include, Define, Undef, If, Ifdef, Ifndef, Elif, Else, Endif, Pragma,
-    Error, Warning, Line, Other,
+    Include,
+    Define,
+    Undef,
+    If,
+    Ifdef,
+    Ifndef,
+    Elif,
+    Else,
+    Endif,
+    Pragma,
+    Error,
+    Warning,
+    Line,
+    Other,
 }
 
 /// The kind of a lexed token.

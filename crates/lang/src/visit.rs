@@ -53,7 +53,10 @@ pub fn walk_decl<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, decl: &'ast Decl) {
                 v.visit_decl(d);
             }
         }
-        Decl::Prototype(_) | Decl::Enum(_) | Decl::Typedef(_) | Decl::Using(..)
+        Decl::Prototype(_)
+        | Decl::Enum(_)
+        | Decl::Typedef(_)
+        | Decl::Using(..)
         | Decl::Opaque(_) => {}
     }
 }
@@ -79,7 +82,11 @@ pub fn walk_stmt<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, stmt: &'ast Stmt) {
                 v.visit_stmt(s);
             }
         }
-        StmtKind::If { cond, then_branch, else_branch } => {
+        StmtKind::If {
+            cond,
+            then_branch,
+            else_branch,
+        } => {
             v.visit_expr(cond);
             v.visit_stmt(then_branch);
             if let Some(e) = else_branch {
@@ -94,7 +101,12 @@ pub fn walk_stmt<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, stmt: &'ast Stmt) {
             v.visit_stmt(body);
             v.visit_expr(cond);
         }
-        StmtKind::For { init, cond, step, body } => {
+        StmtKind::For {
+            init,
+            cond,
+            step,
+            body,
+        } => {
             if let Some(i) = init {
                 v.visit_stmt(i);
             }
@@ -143,7 +155,11 @@ pub fn walk_expr<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, expr: &'ast Expr) {
             v.visit_expr(lhs);
             v.visit_expr(rhs);
         }
-        ExprKind::Ternary { cond, then_expr, else_expr } => {
+        ExprKind::Ternary {
+            cond,
+            then_expr,
+            else_expr,
+        } => {
             v.visit_expr(cond);
             v.visit_expr(then_expr);
             v.visit_expr(else_expr);
@@ -154,7 +170,11 @@ pub fn walk_expr<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, expr: &'ast Expr) {
                 v.visit_expr(a);
             }
         }
-        ExprKind::KernelLaunch { callee, config, args } => {
+        ExprKind::KernelLaunch {
+            callee,
+            config,
+            args,
+        } => {
             v.visit_expr(callee);
             for c in config {
                 v.visit_expr(c);

@@ -114,7 +114,10 @@ impl RunDiff {
                 continue;
             };
             if holds_a != holds_b {
-                observation_flips.push(ObservationFlip { number: *num, holds_now: *holds_b });
+                observation_flips.push(ObservationFlip {
+                    number: *num,
+                    holds_now: *holds_b,
+                });
             }
         }
         let mut metric_changes = Vec::new();
@@ -181,7 +184,11 @@ impl RunDiff {
                 let _ = writeln!(
                     out,
                     "- [{}] {} ({}): {} → {} ({dir}{gate})",
-                    f.key, f.topic, dir_arrow(f.regressed), f.from, f.to
+                    f.key,
+                    f.topic,
+                    dir_arrow(f.regressed),
+                    f.from,
+                    f.to
                 );
             }
             for f in &self.observation_flips {
@@ -193,8 +200,11 @@ impl RunDiff {
                 let _ = writeln!(out, "- observation {} {verb} ({dir})", f.number);
             }
         }
-        let crossings: Vec<&MetricChange> =
-            self.metric_changes.iter().filter(|m| m.crossed_threshold).collect();
+        let crossings: Vec<&MetricChange> = self
+            .metric_changes
+            .iter()
+            .filter(|m| m.crossed_threshold)
+            .collect();
         if !crossings.is_empty() {
             out.push_str("\nISO-threshold crossings:\n");
             for m in crossings {
@@ -221,7 +231,11 @@ fn dir_arrow(regressed: bool) -> &'static str {
 
 fn phase_baseline(r: &RunRecord) -> BenchBaseline {
     BenchBaseline {
-        phases: r.phases.iter().map(|(n, us)| (n.clone(), *us as f64 / 1000.0)).collect(),
+        phases: r
+            .phases
+            .iter()
+            .map(|(n, us)| (n.clone(), *us as f64 / 1000.0))
+            .collect(),
         total_ms: r.total_us as f64 / 1000.0,
         counters: Vec::new(),
     }
@@ -233,7 +247,11 @@ fn phase_baseline(r: &RunRecord) -> BenchBaseline {
 pub fn history_table(records: &[RunRecord], last: usize) -> String {
     let mut out = String::new();
     out.push_str("run               seq  exit  degraded  files  blocking  drift vs prev\n");
-    let start = if last > 0 && records.len() > last { records.len() - last } else { 0 };
+    let start = if last > 0 && records.len() > last {
+        records.len() - last
+    } else {
+        0
+    };
     for i in start..records.len() {
         let r = &records[i];
         let drift = if i == 0 {
@@ -243,7 +261,11 @@ pub fn history_table(records: &[RunRecord], last: usize) -> String {
             if !d.has_drift() {
                 "none".to_string()
             } else {
-                let dir = if d.has_regression() { "regressed" } else { "improved" };
+                let dir = if d.has_regression() {
+                    "regressed"
+                } else {
+                    "improved"
+                };
                 format!(
                     "{}v/{}o {dir}",
                     d.verdict_flips.len(),
@@ -331,9 +353,19 @@ mod tests {
         let f = &d.verdict_flips[0];
         assert_eq!(f.key, "t1r1");
         assert!(f.regressed && f.blocking);
-        assert_eq!(d.observation_flips, vec![ObservationFlip { number: 1, holds_now: true }]);
+        assert_eq!(
+            d.observation_flips,
+            vec![ObservationFlip {
+                number: 1,
+                holds_now: true
+            }]
+        );
         // goto_count 0 → 3 crossed the presence threshold.
-        let m = d.metric_changes.iter().find(|m| m.name == "goto_count").unwrap();
+        let m = d
+            .metric_changes
+            .iter()
+            .find(|m| m.name == "goto_count")
+            .unwrap();
         assert!(m.crossed_threshold);
         let text = d.render();
         assert!(text.contains("REGRESSED"), "{text}");
@@ -362,8 +394,11 @@ mod tests {
 
     #[test]
     fn history_table_shows_deltas() {
-        let runs =
-            vec![run(1, "partial", false), run(2, "partial", false), run(3, "non-compliant", true)];
+        let runs = vec![
+            run(1, "partial", false),
+            run(2, "partial", false),
+            run(3, "non-compliant", true),
+        ];
         let t = history_table(&runs, 0);
         assert_eq!(t.lines().count(), 4, "{t}");
         assert!(t.lines().nth(1).unwrap().contains('-'), "{t}");

@@ -155,8 +155,11 @@ impl Ledger {
         let mut line = record.to_json_line();
         line.push('\n');
         let _held = self.append_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let mut f =
-            fs::OpenOptions::new().create(true).read(true).append(true).open(self.file())?;
+        let mut f = fs::OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(self.file())?;
         if f.metadata()?.len() > 0 {
             let mut last = [0u8; 1];
             f.seek(SeekFrom::End(-1))?;
@@ -183,12 +186,19 @@ impl Ledger {
                 return Ok(r.clone());
             }
         }
-        let matches: Vec<&RunRecord> =
-            records.iter().filter(|r| r.run.starts_with(reference)).collect();
+        let matches: Vec<&RunRecord> = records
+            .iter()
+            .filter(|r| r.run.starts_with(reference))
+            .collect();
         match matches.len() {
             1 => Ok(matches[0].clone()),
-            0 => Err(format!("no run matches `{reference}` in {}", self.file().display())),
-            n => Err(format!("`{reference}` is ambiguous ({n} runs match); use more digits")),
+            0 => Err(format!(
+                "no run matches `{reference}` in {}",
+                self.file().display()
+            )),
+            n => Err(format!(
+                "`{reference}` is ambiguous ({n} runs match); use more digits"
+            )),
         }
     }
 }
@@ -227,7 +237,10 @@ fn read_lines(path: &Path) -> (Vec<RunRecord>, Vec<TornLine>) {
         }
         match parse_line(line) {
             Ok(r) => records.push(r),
-            Err(detail) => torn.push(TornLine { line: i + 1, detail }),
+            Err(detail) => torn.push(TornLine {
+                line: i + 1,
+                detail,
+            }),
         }
     }
     (records, torn)
@@ -277,14 +290,24 @@ fn scan_tail(f: &mut fs::File) -> std::io::Result<(Option<u64>, Option<TornLine>
     let skip = if start == 0 {
         0
     } else {
-        window.iter().position(|&b| b == b'\n').map_or(window.len(), |i| i + 1)
+        window
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(window.len(), |i| i + 1)
     };
     let lines: Vec<&[u8]> = window[skip..].split(|&b| b == b'\n').collect();
-    let mut tail = lines.iter().enumerate().rev().filter(|(_, line)| !is_blank(line));
+    let mut tail = lines
+        .iter()
+        .enumerate()
+        .rev()
+        .filter(|(_, line)| !is_blank(line));
     let Some((final_index, final_line)) = tail.next() else {
         return Ok((None, None));
     };
-    let mut last_seq = tail.take(TAIL_LINES - 1).filter_map(|(_, line)| seq_of(line)).max();
+    let mut last_seq = tail
+        .take(TAIL_LINES - 1)
+        .filter_map(|(_, line)| seq_of(line))
+        .max();
     let torn = match parse_line(final_line) {
         Ok(r) => {
             last_seq = last_seq.max(Some(r.seq));
@@ -293,7 +316,10 @@ fn scan_tail(f: &mut fs::File) -> std::io::Result<(Option<u64>, Option<TornLine>
         Err(detail) => {
             // Each line before the final one in the window ends in a newline.
             let before = count_newlines(f, start + skip as u64)?;
-            Some(TornLine { line: before + final_index + 1, detail })
+            Some(TornLine {
+                line: before + final_index + 1,
+                detail,
+            })
         }
     };
     Ok((last_seq, torn))
@@ -309,7 +335,10 @@ fn read_range(f: &mut fs::File, start: u64, end: u64) -> std::io::Result<Vec<u8>
 /// Newlines in the first `end` bytes of the file: the line number a
 /// torn final line keeps. Read only when there is a tear to report.
 fn count_newlines(f: &mut fs::File, end: u64) -> std::io::Result<usize> {
-    Ok(read_range(f, 0, end)?.iter().filter(|&&b| b == b'\n').count())
+    Ok(read_range(f, 0, end)?
+        .iter()
+        .filter(|&&b| b == b'\n')
+        .count())
 }
 
 #[cfg(test)]
@@ -321,8 +350,10 @@ mod tests {
         use std::sync::atomic::AtomicU32;
         static N: AtomicU32 = AtomicU32::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
-        let d = std::env::temp_dir()
-            .join(format!("adsafe-ledger-test-{}-{tag}-{n}", std::process::id()));
+        let d = std::env::temp_dir().join(format!(
+            "adsafe-ledger-test-{}-{tag}-{n}",
+            std::process::id()
+        ));
         let _ = fs::remove_dir_all(&d);
         d
     }
@@ -405,7 +436,10 @@ mod tests {
         ledger.append(&record(1, "d")).unwrap();
         // Simulate a crash mid-append: half a record, no newline.
         let half = record(2, "d").to_json_line();
-        let mut f = fs::OpenOptions::new().append(true).open(ledger.file()).unwrap();
+        let mut f = fs::OpenOptions::new()
+            .append(true)
+            .open(ledger.file())
+            .unwrap();
         f.write_all(&half.as_bytes()[..half.len() / 2]).unwrap();
         drop(f);
         let reopened = Ledger::open(&dir).unwrap();
@@ -449,14 +483,22 @@ mod tests {
                 h.join().unwrap();
             }
         };
-        let blank_lines = || fs::read_to_string(ledger.file()).unwrap().matches("\n\n").count();
+        let blank_lines = || {
+            fs::read_to_string(ledger.file())
+                .unwrap()
+                .matches("\n\n")
+                .count()
+        };
         storm(1);
         let (records, torn) = ledger.read_all();
         assert_eq!((records.len(), torn.len(), blank_lines()), (200, 0, 0));
         // After a tear every appender sees a missing newline at once;
         // exactly one of them may insert it.
         let half = record(0, "d").to_json_line();
-        let mut f = fs::OpenOptions::new().append(true).open(ledger.file()).unwrap();
+        let mut f = fs::OpenOptions::new()
+            .append(true)
+            .open(ledger.file())
+            .unwrap();
         f.write_all(&half.as_bytes()[..half.len() / 2]).unwrap();
         drop(f);
         storm(201);
@@ -482,7 +524,10 @@ mod tests {
     fn long_ledger_reopens_one_past_the_highest_seq() {
         let dir = temp_dir("long");
         let file = write_ledger(&dir, (1..=2000).map(|s| record(s, "d")));
-        assert!(fs::metadata(&file).unwrap().len() > 2 * TAIL_BYTES, "longer than the window");
+        assert!(
+            fs::metadata(&file).unwrap().len() > 2 * TAIL_BYTES,
+            "longer than the window"
+        );
         let ledger = Ledger::open(&dir).unwrap();
         assert!(ledger.torn_lines().is_empty());
         assert_eq!(ledger.reserve("d").1, 2001);
@@ -501,7 +546,10 @@ mod tests {
         }
         let reopened = Ledger::open(&dir).unwrap();
         let next = reopened.reserve("d").1;
-        assert!(reserved.iter().all(|&s| s < next), "{next} reuses one of {reserved:?}");
+        assert!(
+            reserved.iter().all(|&s| s < next),
+            "{next} reuses one of {reserved:?}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -509,9 +557,15 @@ mod tests {
     fn garbage_before_the_window_is_left_to_read_all() {
         let dir = temp_dir("garbage");
         let file = write_ledger(&dir, (1..=1000).map(|s| record(s, "d")));
-        assert!(fs::metadata(&file).unwrap().len() > TAIL_BYTES, "longer than the window");
+        assert!(
+            fs::metadata(&file).unwrap().len() > TAIL_BYTES,
+            "longer than the window"
+        );
         let mut text = fs::read_to_string(&file).unwrap();
-        text.insert_str(0, "not json\n{\"schema\":\"adsafe-ledger/1\",\"run\":\"r0\n");
+        text.insert_str(
+            0,
+            "not json\n{\"schema\":\"adsafe-ledger/1\",\"run\":\"r0\n",
+        );
         fs::write(&file, text).unwrap();
         let ledger = Ledger::open(&dir).unwrap();
         assert!(ledger.torn_lines().is_empty(), "{:?}", ledger.torn_lines());

@@ -26,7 +26,5 @@ pub mod ledger;
 pub mod record;
 
 pub use diff::{history_table, MetricChange, ObservationFlip, RunDiff, VerdictFlip};
-pub use ledger::{
-    corpus_digest, run_id, Ledger, TornLine, LEDGER_FILE, LEDGER_SUBDIR, TAIL_BYTES,
-};
+pub use ledger::{corpus_digest, run_id, Ledger, TornLine, LEDGER_FILE, LEDGER_SUBDIR, TAIL_BYTES};
 pub use record::{degradation_tier, RunRecord, VerdictRow, LEDGER_SCHEMA};

@@ -110,16 +110,40 @@ impl RunRecord {
     ) -> RunRecord {
         let e = &report.evidence;
         let mut metrics = vec![
-            ("blocking_count".to_string(), report.compliance.blocking_count() as f64),
-            ("compliance_ratio".to_string(), report.compliance.compliance_ratio()),
-            ("dynamic_alloc_sites".to_string(), e.dynamic_alloc_sites as f64),
-            ("functions_over_cc10".to_string(), e.functions_over_cc10 as f64),
-            ("functions_over_cc20".to_string(), e.functions_over_cc20 as f64),
-            ("functions_over_cc50".to_string(), e.functions_over_cc50 as f64),
-            ("global_definitions".to_string(), e.global_definitions as f64),
+            (
+                "blocking_count".to_string(),
+                report.compliance.blocking_count() as f64,
+            ),
+            (
+                "compliance_ratio".to_string(),
+                report.compliance.compliance_ratio(),
+            ),
+            (
+                "dynamic_alloc_sites".to_string(),
+                e.dynamic_alloc_sites as f64,
+            ),
+            (
+                "functions_over_cc10".to_string(),
+                e.functions_over_cc10 as f64,
+            ),
+            (
+                "functions_over_cc20".to_string(),
+                e.functions_over_cc20 as f64,
+            ),
+            (
+                "functions_over_cc50".to_string(),
+                e.functions_over_cc50 as f64,
+            ),
+            (
+                "global_definitions".to_string(),
+                e.global_definitions as f64,
+            ),
             ("goto_count".to_string(), e.goto_count as f64),
             ("misra_violations".to_string(), e.misra_violations as f64),
-            ("recursive_functions".to_string(), e.recursive_functions as f64),
+            (
+                "recursive_functions".to_string(),
+                e.recursive_functions as f64,
+            ),
             ("total_functions".to_string(), e.total_functions as f64),
             ("total_loc".to_string(), e.total_loc as f64),
             ("validation_ratio".to_string(), e.validation_ratio),
@@ -165,7 +189,11 @@ impl RunRecord {
                     blocking: v.is_blocking(),
                 })
                 .collect(),
-            observations: report.observations.iter().map(|o| (o.number, o.holds)).collect(),
+            observations: report
+                .observations
+                .iter()
+                .map(|o| (o.number, o.holds))
+                .collect(),
             metrics,
         }
     }
@@ -177,7 +205,10 @@ impl RunRecord {
 
     /// The named metric's value, if recorded.
     pub fn metric(&self, name: &str) -> Option<f64> {
-        self.metrics.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+        self.metrics
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
     }
 
     /// Serialises the record as one JSON line (no trailing newline).
@@ -264,7 +295,9 @@ impl RunRecord {
         let doc = Json::parse(line)?;
         let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
         if schema != LEDGER_SCHEMA {
-            return Err(format!("unsupported ledger schema `{schema}` (want `{LEDGER_SCHEMA}`)"));
+            return Err(format!(
+                "unsupported ledger schema `{schema}` (want `{LEDGER_SCHEMA}`)"
+            ));
         }
         let s = |k: &str| -> Result<String, String> {
             doc.get(k)
@@ -273,7 +306,9 @@ impl RunRecord {
                 .ok_or_else(|| format!("missing string field `{k}`"))
         };
         let n = |k: &str| -> Result<f64, String> {
-            doc.get(k).and_then(Json::as_f64).ok_or_else(|| format!("missing number field `{k}`"))
+            doc.get(k)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("missing number field `{k}`"))
         };
         let b = |k: &str| -> Result<bool, String> {
             match doc.get(k) {
@@ -297,9 +332,14 @@ impl RunRecord {
             .ok_or("missing array field `verdicts`")?
         {
             verdicts.push(VerdictRow {
-                table: v.get("table").and_then(Json::as_f64).ok_or("verdict missing `table`")?
-                    as u8,
-                row: v.get("row").and_then(Json::as_f64).ok_or("verdict missing `row`")? as u8,
+                table: v
+                    .get("table")
+                    .and_then(Json::as_f64)
+                    .ok_or("verdict missing `table`")? as u8,
+                row: v
+                    .get("row")
+                    .and_then(Json::as_f64)
+                    .ok_or("verdict missing `row`")? as u8,
                 topic: v
                     .get("topic")
                     .and_then(Json::as_str)
@@ -441,7 +481,14 @@ mod tests {
 
     #[test]
     fn parse_is_total_on_garbage() {
-        for bad in ["", "{", "null", "{\"schema\":\"other/1\"}", "[1,2]", "{\"schema\":\"adsafe-ledger/1\"}"] {
+        for bad in [
+            "",
+            "{",
+            "null",
+            "{\"schema\":\"other/1\"}",
+            "[1,2]",
+            "{\"schema\":\"adsafe-ledger/1\"}",
+        ] {
             assert!(RunRecord::from_json(bad).is_err(), "{bad:?} must not parse");
         }
         // A truncated real line is an error, never a panic.

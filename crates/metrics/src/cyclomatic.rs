@@ -175,7 +175,10 @@ mod tests {
 
     #[test]
     fn logical_operators_count() {
-        assert_eq!(cc_of("int f(int a, int b, int c) { if (a && b || c) return 1; return 0; }"), 4);
+        assert_eq!(
+            cc_of("int f(int a, int b, int c) { if (a && b || c) return 1; return 0; }"),
+            4
+        );
     }
 
     #[test]

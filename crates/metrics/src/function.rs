@@ -55,11 +55,7 @@ pub fn function_metrics(file: &SourceFile, func: &FunctionDef) -> FunctionMetric
             _ => {}
         }
     });
-    let ends_with_return = func
-        .body
-        .stmts
-        .last()
-        .is_some_and(stmt_is_return_like);
+    let ends_with_return = func.body.stmts.last().is_some_and(stmt_is_return_like);
     let multi_exit = return_count > 1 || (return_count == 1 && !ends_with_return);
     FunctionMetrics {
         name: func.sig.name.clone(),
@@ -97,7 +93,11 @@ fn max_nesting(stmts: &[Stmt], depth: usize) -> usize {
 fn stmt_nesting(s: &Stmt, depth: usize) -> usize {
     match &s.kind {
         StmtKind::Block(b) => max_nesting(&b.stmts, depth),
-        StmtKind::If { then_branch, else_branch, .. } => {
+        StmtKind::If {
+            then_branch,
+            else_branch,
+            ..
+        } => {
             let mut m = stmt_nesting(then_branch, depth + 1);
             if let Some(e) = else_branch {
                 m = m.max(stmt_nesting(e, depth + 1));

@@ -20,19 +20,23 @@ pub struct LocCounts {
     pub directive: usize,
 }
 
-impl LocCounts {
-}
+impl LocCounts {}
 
 /// Counts lines in a source file.
 pub fn count_file(file: &SourceFile) -> LocCounts {
     let pre = preprocess(file.id(), file.text());
-    let mut c = LocCounts { physical: file.line_count(), ..LocCounts::default() };
+    let mut c = LocCounts {
+        physical: file.line_count(),
+        ..LocCounts::default()
+    };
     let clean_lines: Vec<&str> = pre.text.split('\n').collect();
     for (i, (_, raw)) in file.lines().enumerate() {
         let clean = clean_lines.get(i).copied().unwrap_or("");
         let raw_trim = raw.trim();
         let clean_trim = clean.trim();
-        let had_comment = raw.contains("//") || raw.contains("/*") || raw.contains("*/")
+        let had_comment = raw.contains("//")
+            || raw.contains("/*")
+            || raw.contains("*/")
             || (raw_trim.starts_with('*') && clean_trim.is_empty() && !raw_trim.is_empty());
         if raw_trim.is_empty() {
             c.blank += 1;

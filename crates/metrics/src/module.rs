@@ -121,7 +121,10 @@ pub fn module_metrics(name: &str, files: &[(&SourceFile, &TranslationUnit)]) -> 
     );
     let mut tally = ModuleTally::default();
     for (file, unit) in files {
-        tally.file(&count_file(file), unit.global_vars().into_iter().map(|g| g.name.as_str()));
+        tally.file(
+            &count_file(file),
+            unit.global_vars().into_iter().map(|g| g.name.as_str()),
+        );
     }
     for (_, unit) in files {
         for f in unit.functions() {
@@ -156,7 +159,12 @@ impl TouchedGlobals {
     /// An empty set of rows over a module with `globals` distinct
     /// global names, indexed `0..globals`.
     pub fn new(globals: usize) -> Self {
-        TouchedGlobals { globals, functions: 0, incidences: Vec::new(), row_offsets: vec![0] }
+        TouchedGlobals {
+            globals,
+            functions: 0,
+            incidences: Vec::new(),
+            row_offsets: vec![0],
+        }
     }
 
     /// Adds one function touching the globals at `indices` (each below
@@ -251,7 +259,13 @@ impl TouchedGlobals {
 /// index that is equal exactly for nodes of the same module.
 pub fn coupling_edges(graph: &CallGraph<'_>, module_of: &[usize]) -> usize {
     (0..graph.len())
-        .map(|i| graph.successors(i).iter().filter(|&&j| module_of[i] != module_of[j]).count())
+        .map(|i| {
+            graph
+                .successors(i)
+                .iter()
+                .filter(|&&j| module_of[i] != module_of[j])
+                .count()
+        })
         .sum()
 }
 
@@ -271,8 +285,10 @@ mod tests {
                 (id, parse_source(id, text))
             })
             .collect();
-        let pairs: Vec<(&SourceFile, &TranslationUnit)> =
-            parsed.iter().map(|(id, p)| (sm.file(*id), &p.unit)).collect();
+        let pairs: Vec<(&SourceFile, &TranslationUnit)> = parsed
+            .iter()
+            .map(|(id, p)| (sm.file(*id), &p.unit))
+            .collect();
         module_metrics("test", &pairs)
     }
 
@@ -359,7 +375,10 @@ mod tests {
         assert_eq!(kernel_cohesion(0, &[]), 1.0);
         assert_eq!(kernel_cohesion(3, &[vec![1]]), 1.0);
         assert_eq!(kernel_cohesion(0, &[vec![], vec![]]), 0.0);
-        assert_eq!(kernel_cohesion(2, &[vec![], vec![0], vec![0, 0]]), 1.0 / 3.0);
+        assert_eq!(
+            kernel_cohesion(2, &[vec![], vec![0], vec![0, 0]]),
+            1.0 / 3.0
+        );
         // Globals past the first word share only within their word.
         let wide = [vec![130], vec![2, 130], vec![66], vec![]];
         assert_eq!(kernel_cohesion(131, &wide), pair_loop_cohesion(131, &wide));
@@ -370,7 +389,10 @@ mod tests {
         // Many identical rows beside rows with no global.
         let mut twins = vec![vec![5, 9]; 100];
         twins.extend(vec![vec![]; 30]);
-        assert_eq!(kernel_cohesion(10, &twins).to_bits(), pair_loop_cohesion(10, &twins).to_bits());
+        assert_eq!(
+            kernel_cohesion(10, &twins).to_bits(),
+            pair_loop_cohesion(10, &twins).to_bits()
+        );
     }
 
     /// Rows with a dense global (touched by every row at `dense == 3`,
@@ -383,8 +405,10 @@ mod tests {
         dense: (u8, usize),
         copies: (usize, usize),
     ) -> Vec<Vec<usize>> {
-        let mut sets: Vec<Vec<usize>> =
-            raw.iter().map(|s| s.iter().map(|i| i % globals).collect()).collect();
+        let mut sets: Vec<Vec<usize>> = raw
+            .iter()
+            .map(|s| s.iter().map(|i| i % globals).collect())
+            .collect();
         if let Some(row) = sets.get(copies.0 % sets.len().max(1)).cloned() {
             sets.extend(std::iter::repeat_n(row, copies.1));
         }

@@ -65,7 +65,11 @@ pub fn token_estimate(file: FileId, text: &str) -> TokenEstimate {
     };
 
     let mut est = TokenEstimate {
-        physical: if text.is_empty() { 0 } else { text.lines().count() },
+        physical: if text.is_empty() {
+            0
+        } else {
+            text.lines().count()
+        },
         ..TokenEstimate::default()
     };
 
@@ -121,7 +125,10 @@ pub fn absorb_estimate(m: &mut ModuleMetrics, est: &TokenEstimate) {
     m.loc.physical += est.physical;
     m.loc.nloc += est.nloc;
     let per_fn = est.mean_cyclomatic();
-    for _ in 0..est.est_functions.max(if est.est_cyclomatic > 0 { 1 } else { 0 }) {
+    for _ in 0..est
+        .est_functions
+        .max(if est.est_cyclomatic > 0 { 1 } else { 0 })
+    {
         m.histogram.add(per_fn);
     }
 }

@@ -54,7 +54,10 @@ mod tests {
     #[test]
     fn cpu_wins_tiny_gpu_wins_large() {
         let sweep = gemm_crossover_sweep(4, 4096);
-        assert!(!sweep.first().unwrap().gpu_wins(), "launch overhead dominates at 4x4");
+        assert!(
+            !sweep.first().unwrap().gpu_wins(),
+            "launch overhead dominates at 4x4"
+        );
         assert!(sweep.last().unwrap().gpu_wins(), "GPU must win at 4096");
     }
 

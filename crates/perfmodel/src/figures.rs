@@ -37,7 +37,10 @@ pub fn fig7_detection_times() -> Vec<Point> {
                     }
                 })
                 .sum();
-            Point { label: name.to_string(), value: total_s * 1e3 }
+            Point {
+                label: name.to_string(),
+                value: total_s * 1e3,
+            }
         })
         .collect()
 }
@@ -68,11 +71,17 @@ pub fn fig8a_cutlass_vs_cublas() -> Vec<Point> {
 pub fn fig8b_isaac_vs_cudnn() -> Vec<Point> {
     conv_suites()
         .into_iter()
-        .map(|ConvWorkload { name, gemm, irregular }| Point {
-            label: name,
-            value: Library::CuDnn.conv_time_s(&gemm, irregular)
-                / Library::Isaac.conv_time_s(&gemm, irregular),
-        })
+        .map(
+            |ConvWorkload {
+                 name,
+                 gemm,
+                 irregular,
+             }| Point {
+                label: name,
+                value: Library::CuDnn.conv_time_s(&gemm, irregular)
+                    / Library::Isaac.conv_time_s(&gemm, irregular),
+            },
+        )
         .collect()
 }
 
@@ -90,7 +99,11 @@ pub struct SeriesSummary {
 /// Summarises a series (empty series → all 1.0).
 pub fn summarize(points: &[Point]) -> SeriesSummary {
     if points.is_empty() {
-        return SeriesSummary { geomean: 1.0, min: 1.0, max: 1.0 };
+        return SeriesSummary {
+            geomean: 1.0,
+            min: 1.0,
+            max: 1.0,
+        };
     }
     let log_sum: f64 = points.iter().map(|p| p.value.max(1e-12).ln()).sum();
     SeriesSummary {
@@ -121,7 +134,10 @@ mod tests {
         let atlas = get("ATLAS");
         let openblas = get("OpenBLAS");
         // Open GPU libraries competitive with closed ones (within ~35%).
-        assert!(cutlass / cublas < 1.35, "CUTLASS {cutlass} vs cuBLAS {cublas}");
+        assert!(
+            cutlass / cublas < 1.35,
+            "CUTLASS {cutlass} vs cuBLAS {cublas}"
+        );
         assert!(isaac / cudnn < 1.35, "ISAAC {isaac} vs cuDNN {cudnn}");
         // CPU BLAS about two orders of magnitude slower.
         assert!(atlas / cublas > 30.0, "ATLAS {atlas}");
@@ -147,7 +163,11 @@ mod tests {
         assert!(wins >= 2, "ISAAC should win somewhere, wins = {wins}");
         assert!(wins < pts.len(), "cuDNN should win somewhere");
         let s = summarize(&pts);
-        assert!((0.85..=1.15).contains(&s.geomean), "geomean = {}", s.geomean);
+        assert!(
+            (0.85..=1.15).contains(&s.geomean),
+            "geomean = {}",
+            s.geomean
+        );
     }
 
     #[test]

@@ -88,7 +88,10 @@ impl Library {
 
     /// Whether the library ships source (Observation 12 hinges on this).
     pub fn is_open_source(&self) -> bool {
-        matches!(self, Library::Cutlass | Library::Isaac | Library::Atlas | Library::OpenBlas)
+        matches!(
+            self,
+            Library::Cutlass | Library::Isaac | Library::Atlas | Library::OpenBlas
+        )
     }
 
     /// The device this library runs on.
@@ -158,7 +161,11 @@ impl Library {
     /// Modeled convolution time in seconds for the given lowered GEMM.
     pub fn conv_time_s(&self, gemm: &GemmShape, irregular: bool) -> f64 {
         let dev = self.device();
-        dev.time_s(gemm.flops(), gemm.bytes(), self.conv_efficiency(gemm, irregular))
+        dev.time_s(
+            gemm.flops(),
+            gemm.bytes(),
+            self.conv_efficiency(gemm, irregular),
+        )
     }
 }
 
@@ -191,11 +198,46 @@ mod tests {
     fn isaac_competitive_with_cudnn_fig8b() {
         let mut wins = 0;
         let shapes = [
-            (GemmShape { m: 64, n: 12544, k: 576 }, false),
-            (GemmShape { m: 256, n: 784, k: 2304 }, false),
-            (GemmShape { m: 32, n: 100_000, k: 128 }, true),
-            (GemmShape { m: 512, n: 196, k: 4608 }, true),
-            (GemmShape { m: 16, n: 50_000, k: 64 }, true),
+            (
+                GemmShape {
+                    m: 64,
+                    n: 12544,
+                    k: 576,
+                },
+                false,
+            ),
+            (
+                GemmShape {
+                    m: 256,
+                    n: 784,
+                    k: 2304,
+                },
+                false,
+            ),
+            (
+                GemmShape {
+                    m: 32,
+                    n: 100_000,
+                    k: 128,
+                },
+                true,
+            ),
+            (
+                GemmShape {
+                    m: 512,
+                    n: 196,
+                    k: 4608,
+                },
+                true,
+            ),
+            (
+                GemmShape {
+                    m: 16,
+                    n: 50_000,
+                    k: 64,
+                },
+                true,
+            ),
         ];
         for (g, irregular) in &shapes {
             let rel = Library::CuDnn.conv_time_s(g, *irregular)
@@ -211,7 +253,11 @@ mod tests {
 
     #[test]
     fn cpu_is_orders_of_magnitude_slower_fig7() {
-        let shape = GemmShape { m: 256, n: 12544, k: 1152 }; // a YOLO layer
+        let shape = GemmShape {
+            m: 256,
+            n: 12544,
+            k: 1152,
+        }; // a YOLO layer
         let gpu = Library::CuBlas.gemm_time_s(&shape);
         let cpu = Library::OpenBlas.gemm_time_s(&shape);
         let ratio = cpu / gpu;

@@ -35,7 +35,11 @@ pub fn yolo_layers() -> Vec<ConvWorkload> {
         .enumerate()
         .map(|(i, &(oc, hw, ic, k))| ConvWorkload {
             name: format!("yolo/conv{}", i + 1),
-            gemm: GemmShape { m: oc, n: hw * hw, k: ic * k * k },
+            gemm: GemmShape {
+                m: oc,
+                n: hw * hw,
+                k: ic * k * k,
+            },
             irregular: k == 1 || oc % 32 != 0,
         })
         .collect()
@@ -53,12 +57,36 @@ pub fn gemm_sweep() -> Vec<GemmShape> {
 /// where input-aware tuning matters), also part of Figure 8a's sweep.
 pub fn gemm_dnn_shapes() -> Vec<GemmShape> {
     vec![
-        GemmShape { m: 64, n: 173_056, k: 27 },
-        GemmShape { m: 512, n: 676, k: 4608 },
-        GemmShape { m: 1024, n: 169, k: 9216 },
-        GemmShape { m: 35, n: 8457, k: 4096 },
-        GemmShape { m: 3072, n: 128, k: 1024 },
-        GemmShape { m: 5124, n: 9124, k: 2048 },
+        GemmShape {
+            m: 64,
+            n: 173_056,
+            k: 27,
+        },
+        GemmShape {
+            m: 512,
+            n: 676,
+            k: 4608,
+        },
+        GemmShape {
+            m: 1024,
+            n: 169,
+            k: 9216,
+        },
+        GemmShape {
+            m: 35,
+            n: 8457,
+            k: 4096,
+        },
+        GemmShape {
+            m: 3072,
+            n: 128,
+            k: 1024,
+        },
+        GemmShape {
+            m: 5124,
+            n: 9124,
+            k: 2048,
+        },
     ]
 }
 
@@ -66,7 +94,11 @@ pub fn gemm_dnn_shapes() -> Vec<GemmShape> {
 pub fn conv_suites() -> Vec<ConvWorkload> {
     let mut out = Vec::new();
     let mut add = |name: &str, m: usize, n: usize, k: usize, irregular: bool| {
-        out.push(ConvWorkload { name: name.to_string(), gemm: GemmShape { m, n, k }, irregular });
+        out.push(ConvWorkload {
+            name: name.to_string(),
+            gemm: GemmShape { m, n, k },
+            irregular,
+        });
     };
     // vision
     add("vision/vgg-conv1", 64, 50_176, 27, false);
@@ -94,7 +126,14 @@ mod tests {
         let layers = yolo_layers();
         assert_eq!(layers.len(), 9);
         // First layer: 32 filters over 3×3×3 patches of a 416×416 map.
-        assert_eq!(layers[0].gemm, GemmShape { m: 32, n: 416 * 416, k: 27 });
+        assert_eq!(
+            layers[0].gemm,
+            GemmShape {
+                m: 32,
+                n: 416 * 416,
+                k: 27
+            }
+        );
         // Head is 1×1 conv → k = in_c.
         assert_eq!(layers[8].gemm.k, 1024);
         assert!(layers[3].irregular, "1x1 conv counts as irregular");
@@ -116,7 +155,10 @@ mod tests {
         let suites = conv_suites();
         assert!(suites.len() >= 10);
         for prefix in ["vision/", "speech/", "ocr/", "sci/"] {
-            assert!(suites.iter().any(|w| w.name.starts_with(prefix)), "missing {prefix}");
+            assert!(
+                suites.iter().any(|w| w.name.starts_with(prefix)),
+                "missing {prefix}"
+            );
         }
         assert!(suites.iter().any(|w| w.irregular));
         assert!(suites.iter().any(|w| !w.irregular));

@@ -75,7 +75,10 @@ impl Executor {
         };
         let capacity = capacity.max(1);
         let inner = Arc::new(Inner {
-            queue: Mutex::new(Queue { jobs: VecDeque::new(), shutdown: false }),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
             ready: Condvar::new(),
             capacity,
         });
@@ -88,7 +91,10 @@ impl Executor {
                     .expect("spawn executor worker")
             })
             .collect();
-        Executor { inner, workers: handles }
+        Executor {
+            inner,
+            workers: handles,
+        }
     }
 
     /// Enqueues `job` unless the queue is at capacity, in which case
@@ -105,7 +111,10 @@ impl Executor {
             adsafe_trace::counter("pool.tasks_rejected").incr();
             return Err(job);
         }
-        q.jobs.push_back(Job { run: Box::new(job), submitted: Instant::now() });
+        q.jobs.push_back(Job {
+            run: Box::new(job),
+            submitted: Instant::now(),
+        });
         adsafe_trace::gauge("pool.queue_depth").set(q.jobs.len() as u64);
         drop(q);
         self.inner.ready.notify_one();
@@ -114,7 +123,12 @@ impl Executor {
 
     /// Jobs currently waiting (not counting jobs being run).
     pub fn queue_depth(&self) -> usize {
-        self.inner.queue.lock().expect("executor queue poisoned").jobs.len()
+        self.inner
+            .queue
+            .lock()
+            .expect("executor queue poisoned")
+            .jobs
+            .len()
     }
 
     /// A load-shedding hint for rejected callers: roughly how many
@@ -228,7 +242,9 @@ mod tests {
             .ok()
             .expect("first job admitted");
         }
-        running_rx.recv_timeout(Duration::from_secs(5)).expect("worker started");
+        running_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("worker started");
         // Fill the queue to capacity behind the blocked worker.
         for _ in 0..2 {
             let done = Arc::clone(&done);
@@ -261,7 +277,11 @@ mod tests {
     fn retry_hint_scales_with_backlog_per_worker() {
         let _g = gauge_lock();
         let exec = Executor::new(2, 64);
-        assert_eq!(exec.retry_hint_secs(), 1, "an empty queue drains immediately");
+        assert_eq!(
+            exec.retry_hint_secs(),
+            1,
+            "an empty queue drains immediately"
+        );
         // Block both workers, then queue a backlog.
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let release_rx = Arc::new(Mutex::new(release_rx));
@@ -277,7 +297,9 @@ mod tests {
             .unwrap();
         }
         for _ in 0..2 {
-            running_rx.recv_timeout(Duration::from_secs(5)).expect("workers busy");
+            running_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("workers busy");
         }
         for _ in 0..8 {
             exec.try_submit(|_| {}).ok().unwrap();
@@ -337,15 +359,24 @@ mod tests {
         })
         .ok()
         .unwrap();
-        running_rx.recv_timeout(Duration::from_secs(5)).expect("worker started");
+        running_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("worker started");
         let (wait_tx, wait_rx) = mpsc::channel::<u64>();
-        exec.try_submit(move |wait_us| wait_tx.send(wait_us).unwrap()).ok().unwrap();
+        exec.try_submit(move |wait_us| wait_tx.send(wait_us).unwrap())
+            .ok()
+            .unwrap();
         std::thread::sleep(Duration::from_millis(20));
         release_tx.send(()).unwrap();
-        let waited = wait_rx.recv_timeout(Duration::from_secs(5)).expect("job ran");
+        let waited = wait_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("job ran");
         assert!(waited >= 10_000, "blocked ~20ms, saw {waited}µs");
         exec.shutdown();
-        assert!(hist.count() >= count_before + 2, "every job feeds pool.queue_wait");
+        assert!(
+            hist.count() >= count_before + 2,
+            "every job feeds pool.queue_wait"
+        );
     }
 
     #[test]

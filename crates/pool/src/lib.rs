@@ -183,8 +183,10 @@ impl Pool {
         results
             .into_iter()
             .map(|slot| {
-                let (r, events) =
-                    slot.into_inner().unwrap().expect("every index was claimed and completed");
+                let (r, events) = slot
+                    .into_inner()
+                    .unwrap()
+                    .expect("every index was claimed and completed");
                 adsafe_trace::absorb(events.into());
                 r
             })

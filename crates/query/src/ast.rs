@@ -216,7 +216,11 @@ impl fmt::Display for RuleDecl {
 
 /// Pretty-prints a whole pack, one blank line between rules.
 pub fn pretty_pack(rules: &[RuleDecl]) -> String {
-    rules.iter().map(|r| r.to_string()).collect::<Vec<_>>().join("\n")
+    rules
+        .iter()
+        .map(|r| r.to_string())
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 #[cfg(test)]

@@ -115,7 +115,12 @@ impl Compiler {
             Expr::Cmp(op, a, b) => {
                 let ra = self.expr(a)?;
                 let rb = self.expr(b)?;
-                self.prog.ops.push(Op::Cmp { op: *op, dst: ra, a: ra, b: rb });
+                self.prog.ops.push(Op::Cmp {
+                    op: *op,
+                    dst: ra,
+                    a: ra,
+                    b: rb,
+                });
                 self.free(rb);
                 Ok(ra)
             }
@@ -171,7 +176,10 @@ mod tests {
     #[test]
     fn trivial_rule_is_const_true_ret() {
         let p = program("rule \"r\" { function -> info }");
-        assert_eq!(p.ops, vec![Op::ConstBool { dst: 0, v: true }, Op::Ret { src: 0 }]);
+        assert_eq!(
+            p.ops,
+            vec![Op::ConstBool { dst: 0, v: true }, Op::Ret { src: 0 }]
+        );
         assert_eq!(p.regs, 1);
     }
 
@@ -211,9 +219,8 @@ mod tests {
 
     #[test]
     fn string_constants_dedupe() {
-        let p = program(
-            "rule \"r\" { function where name == \"x\" or qualified == \"x\" -> warn }",
-        );
+        let p =
+            program("rule \"r\" { function where name == \"x\" or qualified == \"x\" -> warn }");
         assert_eq!(p.strs.len(), 1);
     }
 

@@ -74,51 +74,87 @@ pub fn lex(src: &str) -> Vec<Token> {
                 }
             }
             b'{' => {
-                out.push(Token { kind: TokenKind::LBrace, line });
+                out.push(Token {
+                    kind: TokenKind::LBrace,
+                    line,
+                });
                 i += 1;
             }
             b'}' => {
-                out.push(Token { kind: TokenKind::RBrace, line });
+                out.push(Token {
+                    kind: TokenKind::RBrace,
+                    line,
+                });
                 i += 1;
             }
             b'(' => {
-                out.push(Token { kind: TokenKind::LParen, line });
+                out.push(Token {
+                    kind: TokenKind::LParen,
+                    line,
+                });
                 i += 1;
             }
             b')' => {
-                out.push(Token { kind: TokenKind::RParen, line });
+                out.push(Token {
+                    kind: TokenKind::RParen,
+                    line,
+                });
                 i += 1;
             }
             b',' => {
-                out.push(Token { kind: TokenKind::Comma, line });
+                out.push(Token {
+                    kind: TokenKind::Comma,
+                    line,
+                });
                 i += 1;
             }
             b'=' if bytes.get(i + 1) == Some(&b'=') => {
-                out.push(Token { kind: TokenKind::EqEq, line });
+                out.push(Token {
+                    kind: TokenKind::EqEq,
+                    line,
+                });
                 i += 2;
             }
             b'!' if bytes.get(i + 1) == Some(&b'=') => {
-                out.push(Token { kind: TokenKind::Ne, line });
+                out.push(Token {
+                    kind: TokenKind::Ne,
+                    line,
+                });
                 i += 2;
             }
             b'<' if bytes.get(i + 1) == Some(&b'=') => {
-                out.push(Token { kind: TokenKind::Le, line });
+                out.push(Token {
+                    kind: TokenKind::Le,
+                    line,
+                });
                 i += 2;
             }
             b'>' if bytes.get(i + 1) == Some(&b'=') => {
-                out.push(Token { kind: TokenKind::Ge, line });
+                out.push(Token {
+                    kind: TokenKind::Ge,
+                    line,
+                });
                 i += 2;
             }
             b'<' => {
-                out.push(Token { kind: TokenKind::Lt, line });
+                out.push(Token {
+                    kind: TokenKind::Lt,
+                    line,
+                });
                 i += 1;
             }
             b'>' => {
-                out.push(Token { kind: TokenKind::Gt, line });
+                out.push(Token {
+                    kind: TokenKind::Gt,
+                    line,
+                });
                 i += 1;
             }
             b'-' if bytes.get(i + 1) == Some(&b'>') => {
-                out.push(Token { kind: TokenKind::Arrow, line });
+                out.push(Token {
+                    kind: TokenKind::Arrow,
+                    line,
+                });
                 i += 2;
             }
             b'-' if bytes.get(i + 1).is_some_and(|b| b.is_ascii_digit()) => {
@@ -139,9 +175,7 @@ pub fn lex(src: &str) -> Vec<Token> {
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
                 out.push(Token {
@@ -165,7 +199,10 @@ pub fn lex(src: &str) -> Vec<Token> {
             }
         }
     }
-    out.push(Token { kind: TokenKind::Eof, line });
+    out.push(Token {
+        kind: TokenKind::Eof,
+        line,
+    });
     out
 }
 
@@ -246,7 +283,11 @@ fn lex_string(src: &str, open: usize) -> (TokenKind, usize, u32) {
             }
         }
     }
-    (TokenKind::Error("unterminated string literal".to_string()), i, 0)
+    (
+        TokenKind::Error("unterminated string literal".to_string()),
+        i,
+        0,
+    )
 }
 
 /// Escapes `text` for re-emission as a `.aq` string literal.
@@ -285,7 +326,12 @@ mod tests {
 
     #[test]
     fn string_escapes_round_trip() {
-        for text in ["plain", "with \"quotes\"", "tab\tand\nnewline", "back\\slash"] {
+        for text in [
+            "plain",
+            "with \"quotes\"",
+            "tab\tand\nnewline",
+            "back\\slash",
+        ] {
             let lit = escape_string(text);
             let toks = lex(&lit);
             assert_eq!(toks[0].kind, TokenKind::Str(text.to_string()), "{lit}");

@@ -95,7 +95,10 @@ impl Parser {
     }
 
     fn err<T>(&self, detail: impl Into<String>) -> PResult<T> {
-        Err(ParseError { line: self.line(), detail: detail.into() })
+        Err(ParseError {
+            line: self.line(),
+            detail: detail.into(),
+        })
     }
 
     fn expect(&mut self, want: &TokenKind, what: &str) -> PResult<()> {
@@ -309,7 +312,10 @@ impl Parser {
                     ))
                 }
             }
-            other => self.err(format!("expected an ISO reference, found {}", describe(&other))),
+            other => self.err(format!(
+                "expected an ISO reference, found {}",
+                describe(&other)
+            )),
         }
     }
 
@@ -398,15 +404,30 @@ impl Parser {
                 // only open a query, never an expression.
                 if matches!(
                     name.as_str(),
-                    "rule" | "desc" | "iso" | "where" | "in" | "and" | "or"
-                        | "not" | "info" | "warn" | "violation" | "global" | "file" | "site"
+                    "rule"
+                        | "desc"
+                        | "iso"
+                        | "where"
+                        | "in"
+                        | "and"
+                        | "or"
+                        | "not"
+                        | "info"
+                        | "warn"
+                        | "violation"
+                        | "global"
+                        | "file"
+                        | "site"
                 ) {
                     return self.err(format!("`{name}` is a keyword, not a field"));
                 }
                 self.bump();
                 Ok(Expr::Field(name))
             }
-            other => self.err(format!("expected an expression, found {}", describe(&other))),
+            other => self.err(format!(
+                "expected an expression, found {}",
+                describe(&other)
+            )),
         }
     }
 }
@@ -478,7 +499,11 @@ rule "apollo-complexity" {
         assert!(errs.is_empty(), "{errs:?}");
         assert_eq!(
             rules[0].iso,
-            vec!["Part6.Table1.Row1", "Part6.Table8.Row1", "Part6.Table9.Row9"]
+            vec![
+                "Part6.Table1.Row1",
+                "Part6.Table8.Row1",
+                "Part6.Table9.Row9"
+            ]
         );
     }
 
@@ -487,7 +512,10 @@ rule "apollo-complexity" {
         let (rules, _) = parse_pack(GOOD);
         let printed = pretty_pack(&rules);
         let (reparsed, errs) = parse_pack(&printed);
-        assert!(errs.is_empty(), "pretty output must re-parse: {printed}\n{errs:?}");
+        assert!(
+            errs.is_empty(),
+            "pretty output must re-parse: {printed}\n{errs:?}"
+        );
         // `line` is positional metadata, not part of the rule's meaning.
         let strip = |mut rs: Vec<RuleDecl>| {
             for r in &mut rs {

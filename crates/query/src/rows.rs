@@ -291,7 +291,9 @@ pub fn layout_matches_schema(selector: Selector, row: &Row<'_>) -> Result<(), St
             }
         };
         if actual != *ty {
-            return Err(format!("field {i} `{name}`: schema says {ty}, row holds {actual}"));
+            return Err(format!(
+                "field {i} `{name}`: schema says {ty}, row holds {actual}"
+            ));
         }
     }
     match row.get(fields.len() as u16) {

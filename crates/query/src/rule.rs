@@ -12,8 +12,8 @@ use crate::ast::{RuleDecl, Selector, SeverityKw};
 use crate::bytecode::Program;
 use crate::compile::compile_predicate;
 use crate::parser::parse_pack;
-use crate::typeck::{self, TemplatePart};
 use crate::rows::Row;
+use crate::typeck::{self, TemplatePart};
 use crate::vm;
 use adsafe_checkers::{CheckScope, Diagnostic, Severity};
 use std::collections::HashSet;
@@ -25,7 +25,10 @@ use std::sync::{Mutex, OnceLock};
 /// leak each distinct id/description at most once.
 pub fn intern_static(s: &str) -> &'static str {
     static POOL: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let mut pool = POOL.get_or_init(|| Mutex::new(HashSet::new())).lock().unwrap();
+    let mut pool = POOL
+        .get_or_init(|| Mutex::new(HashSet::new()))
+        .lock()
+        .unwrap();
     if let Some(&existing) = pool.get(s) {
         return existing;
     }
@@ -74,8 +77,11 @@ impl CompiledRule {
             SeverityKw::Warn => Severity::Warning,
             SeverityKw::Violation => Severity::Violation,
         };
-        let scope =
-            if checked.program_scope { CheckScope::Program } else { CheckScope::File };
+        let scope = if checked.program_scope {
+            CheckScope::Program
+        } else {
+            CheckScope::File
+        };
         let desc = match &decl.desc {
             Some(d) => intern_static(d),
             None => intern_static(&format!("query rule `{}`", decl.id)),
@@ -145,8 +151,7 @@ impl RulePack {
     /// can never shadow a default rule or double-count a query rule.
     pub fn from_sources(sources: &[(String, String)], reserved: &[&str]) -> Self {
         let mut pack = RulePack::empty();
-        let mut taken: HashSet<String> =
-            reserved.iter().map(|s| s.to_string()).collect();
+        let mut taken: HashSet<String> = reserved.iter().map(|s| s.to_string()).collect();
         for (label, text) in sources {
             let (decls, errors) = parse_pack(text);
             for e in errors {
@@ -193,11 +198,13 @@ impl RulePack {
     /// Loaded with no reserved ids — its ids are the ones reserved
     /// against user packs.
     pub fn builtin() -> Self {
-        let pack = RulePack::from_sources(
-            &[("<builtin>".to_string(), BUILTIN_PACK.to_string())],
-            &[],
+        let pack =
+            RulePack::from_sources(&[("<builtin>".to_string(), BUILTIN_PACK.to_string())], &[]);
+        debug_assert!(
+            pack.faults.is_empty(),
+            "bundled pack must load clean: {:?}",
+            pack.faults
         );
-        debug_assert!(pack.faults.is_empty(), "bundled pack must load clean: {:?}", pack.faults);
         pack
     }
 }
@@ -267,7 +274,9 @@ mod tests {
         assert_eq!(pack.rules.len(), 1);
         assert_eq!(pack.rules[0].id, "fresh");
         assert_eq!(pack.faults.len(), 2);
-        assert!(pack.faults[0].detail.contains("collides with a built-in rule"));
+        assert!(pack.faults[0]
+            .detail
+            .contains("collides with a built-in rule"));
         assert!(pack.faults[1].detail.contains("duplicate rule id"));
         assert_eq!(pack.faults[1].line, 3);
     }

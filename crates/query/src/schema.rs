@@ -32,35 +32,35 @@ impl std::fmt::Display for Ty {
 
 /// Fields of `function` rows (one per function definition).
 pub const FUNCTION_FIELDS: &[(&str, Ty)] = &[
-    ("name", Ty::Str),             // unqualified name
-    ("qualified", Ty::Str),        // namespace/class-qualified name
-    ("module", Ty::Str),           // owning software module
-    ("cc", Ty::Int),               // cyclomatic complexity
-    ("nloc", Ty::Int),             // non-blank lines in the definition
-    ("params", Ty::Int),           // parameter count
-    ("nesting", Ty::Int),          // max statement nesting depth
-    ("returns", Ty::Int),          // `return` statement count
-    ("multi_exit", Ty::Bool),      // >1 return or an early return
-    ("gotos", Ty::Int),            // `goto` count
-    ("stmts", Ty::Int),            // statement count
-    ("is_gpu", Ty::Bool),          // any CUDA qualifier
-    ("is_kernel", Ty::Bool),       // `__global__` kernel
-    ("ptr_params", Ty::Int),       // pointer-like parameters
-    ("alloc_calls", Ty::Int),      // device allocation calls
-    ("uninit_reads", Ty::Int),     // possibly-uninitialised local reads
-    ("shadowed", Ty::Int),         // declarations shadowing outer bindings
-    ("pointer_uses", Ty::Int),     // pointer operations in the body
-    ("alloc_sites", Ty::Int),      // dynamic (de)allocation sites
-    ("opaque_stmts", Ty::Int),     // statements the parser resynced over
+    ("name", Ty::Str),         // unqualified name
+    ("qualified", Ty::Str),    // namespace/class-qualified name
+    ("module", Ty::Str),       // owning software module
+    ("cc", Ty::Int),           // cyclomatic complexity
+    ("nloc", Ty::Int),         // non-blank lines in the definition
+    ("params", Ty::Int),       // parameter count
+    ("nesting", Ty::Int),      // max statement nesting depth
+    ("returns", Ty::Int),      // `return` statement count
+    ("multi_exit", Ty::Bool),  // >1 return or an early return
+    ("gotos", Ty::Int),        // `goto` count
+    ("stmts", Ty::Int),        // statement count
+    ("is_gpu", Ty::Bool),      // any CUDA qualifier
+    ("is_kernel", Ty::Bool),   // `__global__` kernel
+    ("ptr_params", Ty::Int),   // pointer-like parameters
+    ("alloc_calls", Ty::Int),  // device allocation calls
+    ("uninit_reads", Ty::Int), // possibly-uninitialised local reads
+    ("shadowed", Ty::Int),     // declarations shadowing outer bindings
+    ("pointer_uses", Ty::Int), // pointer operations in the body
+    ("alloc_sites", Ty::Int),  // dynamic (de)allocation sites
+    ("opaque_stmts", Ty::Int), // statements the parser resynced over
     ("has_named_params", Ty::Bool),
-    ("validates", Ty::Bool),       // a named param appears in a check
-    ("recursive", Ty::Bool),       // in a call-graph cycle (program scope)
-    ("variadic", Ty::Bool),        // parameter list ends in `...`
+    ("validates", Ty::Bool),        // a named param appears in a check
+    ("recursive", Ty::Bool),        // in a call-graph cycle (program scope)
+    ("variadic", Ty::Bool),         // parameter list ends in `...`
     ("unbalanced_alloc", Ty::Bool), // device allocations outnumber frees
-    ("launches", Ty::Int),         // kernel launches (`<<<…>>>`)
-    ("error_query", Ty::Bool),     // calls a CUDA error query
-    ("kernel_ptrs", Ty::Int),      // a kernel's named pointer-like params
-    ("kernel_ptr_names", Ty::Str), // those names, joined ", "
+    ("launches", Ty::Int),          // kernel launches (`<<<…>>>`)
+    ("error_query", Ty::Bool),      // calls a CUDA error query
+    ("kernel_ptrs", Ty::Int),       // a kernel's named pointer-like params
+    ("kernel_ptr_names", Ty::Str),  // those names, joined ", "
 ];
 
 /// Fields of `global` rows (one per file-scope variable).
@@ -69,20 +69,20 @@ pub const GLOBAL_FIELDS: &[(&str, Ty)] = &[
     ("module", Ty::Str),
     ("is_const", Ty::Bool),
     ("is_extern", Ty::Bool),
-    ("type", Ty::Str),             // declared type as written
+    ("type", Ty::Str), // declared type as written
 ];
 
 /// Fields of `file` rows (one per source file).
 pub const FILE_FIELDS: &[(&str, Ty)] = &[
     ("module", Ty::Str),
-    ("physical", Ty::Int),             // physical lines
-    ("nloc", Ty::Int),                 // code lines
-    ("comment", Ty::Int),              // comment lines
-    ("blank", Ty::Int),                // blank lines
-    ("directive", Ty::Int),            // preprocessor directive lines
-    ("recovery", Ty::Int),             // parser resync regions
-    ("functions", Ty::Int),            // function definitions
-    ("globals", Ty::Int),              // file-scope variables
+    ("physical", Ty::Int),  // physical lines
+    ("nloc", Ty::Int),      // code lines
+    ("comment", Ty::Int),   // comment lines
+    ("blank", Ty::Int),     // blank lines
+    ("directive", Ty::Int), // preprocessor directive lines
+    ("recovery", Ty::Int),  // parser resync regions
+    ("functions", Ty::Int), // function definitions
+    ("globals", Ty::Int),   // file-scope variables
 ];
 
 /// Fields of `site` rows (one per recorded construct occurrence).
@@ -119,7 +119,11 @@ pub fn lookup(selector: Selector, name: &str) -> Option<(u16, Ty)> {
 
 /// All field names for `selector`, for error messages.
 pub fn field_names(selector: Selector) -> String {
-    fields(selector).iter().map(|(n, _)| *n).collect::<Vec<_>>().join(", ")
+    fields(selector)
+        .iter()
+        .map(|(n, _)| *n)
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 #[cfg(test)]
@@ -128,7 +132,12 @@ mod tests {
 
     #[test]
     fn lookup_resolves_every_declared_field() {
-        for sel in [Selector::Function, Selector::Global, Selector::File, Selector::Site] {
+        for sel in [
+            Selector::Function,
+            Selector::Global,
+            Selector::File,
+            Selector::Site,
+        ] {
             for (i, (name, ty)) in fields(sel).iter().enumerate() {
                 assert_eq!(lookup(sel, name), Some((i as u16, *ty)));
             }

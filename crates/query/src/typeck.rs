@@ -47,9 +47,15 @@ pub fn check(rule: &RuleDecl) -> Result<CheckedRule, String> {
     }
     let template = match &rule.message {
         Some(msg) => parse_template(sel, msg, &mut program_scope)?,
-        None => vec![TemplatePart::Lit(format!("query rule `{}` matched", rule.id))],
+        None => vec![TemplatePart::Lit(format!(
+            "query rule `{}` matched",
+            rule.id
+        ))],
     };
-    Ok(CheckedRule { program_scope, template })
+    Ok(CheckedRule {
+        program_scope,
+        template,
+    })
 }
 
 fn type_of(sel: Selector, e: &Expr, program_scope: &mut bool) -> Result<Ty, String> {
@@ -79,7 +85,11 @@ fn type_of(sel: Selector, e: &Expr, program_scope: &mut bool) -> Result<Ty, Stri
             Ok(Ty::Bool)
         }
         Expr::And(a, b) | Expr::Or(a, b) => {
-            let word = if matches!(e, Expr::And(..)) { "and" } else { "or" };
+            let word = if matches!(e, Expr::And(..)) {
+                "and"
+            } else {
+                "or"
+            };
             for side in [a, b] {
                 let ty = type_of(sel, side, program_scope)?;
                 if ty != Ty::Bool {
@@ -132,9 +142,7 @@ fn parse_template(
                     match chars.next() {
                         Some('}') => break,
                         Some(c) if c.is_ascii_alphanumeric() || c == '_' => name.push(c),
-                        Some(c) => {
-                            return Err(format!("invalid character `{c}` in `{{{name}`"))
-                        }
+                        Some(c) => return Err(format!("invalid character `{c}` in `{{{name}`")),
                         None => return Err(format!("unclosed placeholder `{{{name}`")),
                     }
                 }
@@ -176,7 +184,9 @@ mod tests {
 
     #[test]
     fn accepts_typed_comparisons_and_derives_scope() {
-        let r = one("rule \"r\" { function where cc > 10 and name != \"main\" -> warn \"{name}: {cc}\" }");
+        let r = one(
+            "rule \"r\" { function where cc > 10 and name != \"main\" -> warn \"{name}: {cc}\" }",
+        );
         let c = check(&r).unwrap();
         assert!(!c.program_scope);
         let r = one("rule \"r\" { function where recursive -> violation }");
@@ -186,7 +196,9 @@ mod tests {
     #[test]
     fn rejects_type_errors_with_field_inventory() {
         let r = one("rule \"r\" { function where cc > \"ten\" -> warn }");
-        assert!(check(&r).unwrap_err().contains("cannot compare int with str"));
+        assert!(check(&r)
+            .unwrap_err()
+            .contains("cannot compare int with str"));
         let r = one("rule \"r\" { function where bogus -> warn }");
         let err = check(&r).unwrap_err();
         assert!(err.contains("unknown field `bogus`"), "{err}");
@@ -218,7 +230,10 @@ mod tests {
         assert!(!check(&r).unwrap().program_scope);
         let r = one("rule \"r\" { site where name == \"x\" -> warn }");
         let err = check(&r).unwrap_err();
-        assert!(err.contains("unknown field `name` for selector `site`"), "{err}");
+        assert!(
+            err.contains("unknown field `name` for selector `site`"),
+            "{err}"
+        );
         assert!(err.contains("kind, text, count, module, function"), "{err}");
     }
 
@@ -226,6 +241,9 @@ mod tests {
     fn default_message_names_the_rule() {
         let r = one("rule \"my-rule\" { file -> info }");
         let c = check(&r).unwrap();
-        assert_eq!(c.template, vec![TemplatePart::Lit("query rule `my-rule` matched".into())]);
+        assert_eq!(
+            c.template,
+            vec![TemplatePart::Lit("query rule `my-rule` matched".into())]
+        );
     }
 }

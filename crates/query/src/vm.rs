@@ -29,12 +29,7 @@ pub enum Value<'a> {
 /// Returns whether the row matched. `regs` is the register file; it is
 /// resized to `p.regs` here, so one buffer serves every row a caller
 /// evaluates.
-pub fn eval<'a>(
-    p: &'a Program,
-    row: &Row<'a>,
-    regs: &mut Vec<Value<'a>>,
-    steps: &mut u64,
-) -> bool {
+pub fn eval<'a>(p: &'a Program, row: &Row<'a>, regs: &mut Vec<Value<'a>>, steps: &mut u64) -> bool {
     regs.clear();
     regs.resize(p.regs as usize, Value::Bool(false));
     let mut pc = 0usize;
@@ -46,9 +41,7 @@ pub fn eval<'a>(
                 regs[*dst as usize] = v;
             }
             Op::ConstInt { dst, v } => regs[*dst as usize] = Value::Int(*v),
-            Op::ConstStr { dst, idx } => {
-                regs[*dst as usize] = Value::Str(&p.strs[*idx as usize])
-            }
+            Op::ConstStr { dst, idx } => regs[*dst as usize] = Value::Str(&p.strs[*idx as usize]),
             Op::ConstBool { dst, v } => regs[*dst as usize] = Value::Bool(*v),
             Op::Cmp { op, dst, a, b } => {
                 let ord = match (regs[*a as usize], regs[*b as usize]) {
@@ -69,19 +62,25 @@ pub fn eval<'a>(
                 regs[*dst as usize] = Value::Bool(v);
             }
             Op::Not { dst, src } => {
-                let Value::Bool(v) = regs[*src as usize] else { return false };
+                let Value::Bool(v) = regs[*src as usize] else {
+                    return false;
+                };
                 regs[*dst as usize] = Value::Bool(!v);
             }
             Op::Mov { dst, src } => regs[*dst as usize] = regs[*src as usize],
             Op::JumpIfFalse { cond, to } => {
-                let Value::Bool(v) = regs[*cond as usize] else { return false };
+                let Value::Bool(v) = regs[*cond as usize] else {
+                    return false;
+                };
                 if !v {
                     pc = *to as usize;
                     continue;
                 }
             }
             Op::JumpIfTrue { cond, to } => {
-                let Value::Bool(v) = regs[*cond as usize] else { return false };
+                let Value::Bool(v) = regs[*cond as usize] else {
+                    return false;
+                };
                 if v {
                     pc = *to as usize;
                     continue;
@@ -195,9 +194,17 @@ mod tests {
         let p = predicate("rule \"r\" { function where multi_exit and cc > 10 -> warn }");
         let (mut fast, mut slow) = (0u64, 0u64);
         // multi_exit=false short-circuits; multi_exit=true runs the cmp.
-        assert!(!eval(&p, &sample_row(11, false), &mut Vec::new(), &mut fast));
+        assert!(!eval(
+            &p,
+            &sample_row(11, false),
+            &mut Vec::new(),
+            &mut fast
+        ));
         assert!(eval(&p, &sample_row(11, true), &mut Vec::new(), &mut slow));
-        assert!(fast < slow, "short-circuit must execute fewer ops: {fast} vs {slow}");
+        assert!(
+            fast < slow,
+            "short-circuit must execute fewer ops: {fast} vs {slow}"
+        );
     }
 
     #[test]
@@ -221,9 +228,8 @@ mod tests {
 
     #[test]
     fn template_renders_every_value_kind() {
-        let (rules, _) = parse_pack(
-            "rule \"r\" { function -> warn \"{name} cc={cc} gpu={is_gpu} {{raw}}\" }",
-        );
+        let (rules, _) =
+            parse_pack("rule \"r\" { function -> warn \"{name} cc={cc} gpu={is_gpu} {{raw}}\" }");
         let checked = crate::typeck::check(&rules[0]).unwrap();
         let msg = render_template(&checked.template, &sample_row(7, false));
         assert_eq!(msg, "f cc=7 gpu=false {raw}");

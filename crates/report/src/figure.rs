@@ -17,7 +17,11 @@ pub struct Figure {
 impl Figure {
     /// Creates an empty figure.
     pub fn new(id: impl Into<String>, caption: impl Into<String>) -> Self {
-        Figure { id: id.into(), caption: caption.into(), ..Figure::default() }
+        Figure {
+            id: id.into(),
+            caption: caption.into(),
+            ..Figure::default()
+        }
     }
 
     /// Sets the x labels.
@@ -31,7 +35,11 @@ impl Figure {
     /// # Panics
     /// Panics if `values.len()` differs from the label count.
     pub fn series(&mut self, name: impl Into<String>, values: Vec<f64>) -> &mut Self {
-        assert_eq!(values.len(), self.labels.len(), "series length != label count");
+        assert_eq!(
+            values.len(),
+            self.labels.len(),
+            "series length != label count"
+        );
         self.series.push((name.into(), values));
         self
     }
@@ -45,7 +53,12 @@ impl Figure {
             .fold(f64::MIN, f64::max)
             .max(1e-12);
         let mut out = format!("{}: {}\n", self.id, self.caption);
-        let label_w = self.labels.iter().map(|l| l.chars().count()).max().unwrap_or(0);
+        let label_w = self
+            .labels
+            .iter()
+            .map(|l| l.chars().count())
+            .max()
+            .unwrap_or(0);
         for (si, (name, values)) in self.series.iter().enumerate() {
             out.push_str(&format!("  series: {name}\n"));
             let mark = ["#", "*", "=", "@", "+", "~"][si % 6];

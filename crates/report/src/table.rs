@@ -76,7 +76,11 @@ impl Table {
             out.push_str(&format!("{}\n", self.title));
         }
         out.push_str(&format!("{}\n{}\n{}\n", fmt_row(&self.headers), sep, {
-            self.rows.iter().map(|r| fmt_row(r)).collect::<Vec<_>>().join("\n")
+            self.rows
+                .iter()
+                .map(|r| fmt_row(r))
+                .collect::<Vec<_>>()
+                .join("\n")
         }));
         out
     }
@@ -90,7 +94,11 @@ impl Table {
         out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
         out.push_str(&format!(
             "|{}|\n",
-            self.headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
+            self.headers
+                .iter()
+                .map(|_| "---")
+                .collect::<Vec<_>>()
+                .join("|")
         ));
         for r in &self.rows {
             out.push_str(&format!("| {} |\n", r.join(" | ")));
@@ -108,7 +116,14 @@ impl Table {
             }
         };
         let mut out = String::new();
-        out.push_str(&self.headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(","));
+        out.push_str(
+            &self
+                .headers
+                .iter()
+                .map(|h| esc(h))
+                .collect::<Vec<_>>()
+                .join(","),
+        );
         out.push('\n');
         for r in &self.rows {
             out.push_str(&r.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));

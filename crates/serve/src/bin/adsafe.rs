@@ -173,11 +173,7 @@ fn print_fault_summary(report: &adsafe::AssessmentReport) {
         .into_iter()
         .map(|(phase, n)| format!("{} {}", phase.name(), n))
         .collect();
-    let worst = report
-        .faults
-        .worst()
-        .map(|s| s.name())
-        .unwrap_or("none");
+    let worst = report.faults.worst().map(|s| s.name()).unwrap_or("none");
     println!(
         "DEGRADED: {} fault(s) contained ({}); worst severity: {}",
         report.faults.len(),
@@ -307,7 +303,10 @@ fn cmd_assess(args: &[String]) -> i32 {
         return EXIT_IO;
     }
     if !quiet {
-        eprintln!("assessing {} files under {dir} at {asil} ...", ingested.found);
+        eprintln!(
+            "assessing {} files under {dir} at {asil} ...",
+            ingested.found
+        );
     }
     // Non-UTF-8 content is the pipeline's problem (it records an ingest
     // fault and degrades), not a reason to skip; unreadable files are.
@@ -315,7 +314,10 @@ fn cmd_assess(args: &[String]) -> i32 {
         eprintln!("  skipping unreadable {}: {e}", f.display());
     }
     if assessment.sources().is_empty() {
-        eprintln!("assess: none of the {} sources could be read", ingested.found);
+        eprintln!(
+            "assess: none of the {} sources could be read",
+            ingested.found
+        );
         return EXIT_IO;
     }
 
@@ -328,7 +330,11 @@ fn cmd_assess(args: &[String]) -> i32 {
     };
     let pack = adsafe::query::load_rule_pack(&rule_paths);
     if !quiet && !pack.rules.is_empty() {
-        eprintln!("loaded {} query rule(s) from {} pack file(s)", pack.rules.len(), rule_paths.len());
+        eprintln!(
+            "loaded {} query rule(s) from {} pack file(s)",
+            pack.rules.len(),
+            rule_paths.len()
+        );
     }
 
     // The ledger lives under the cache directory but is independent of
@@ -455,8 +461,10 @@ fn cmd_assess(args: &[String]) -> i32 {
 /// Wall time covered by at least one `phase` span, nested or
 /// overlapping phases counted once.
 fn claimed_us<'a>(events: impl Iterator<Item = &'a adsafe::trace::SpanEvent>) -> u64 {
-    let mut spans: Vec<(u64, u64)> =
-        events.filter(|e| e.cat == "phase").map(|e| (e.start_us, e.end_us())).collect();
+    let mut spans: Vec<(u64, u64)> = events
+        .filter(|e| e.cat == "phase")
+        .map(|e| (e.start_us, e.end_us()))
+        .collect();
     spans.sort_unstable();
     let (mut claimed, mut reach) = (0, 0);
     for (start, end) in spans {
@@ -588,14 +596,20 @@ fn cmd_diff(args: &[String]) -> i32 {
     // `<dir>` is optional: three positionals mean the first is the
     // corpus root, two mean the current directory.
     let (dir, ref_a, ref_b) = match positional.len() {
-        2 => (PathBuf::from("."), positional[0].clone(), positional[1].clone()),
+        2 => (
+            PathBuf::from("."),
+            positional[0].clone(),
+            positional[1].clone(),
+        ),
         3 if Path::new(&positional[0]).is_dir() => (
             PathBuf::from(&positional[0]),
             positional[1].clone(),
             positional[2].clone(),
         ),
         _ => {
-            eprintln!("diff: need [<dir>] <run-a> <run-b> (sequence number, run ID, or unique prefix)");
+            eprintln!(
+                "diff: need [<dir>] <run-a> <run-b> (sequence number, run ID, or unique prefix)"
+            );
             return EXIT_USAGE;
         }
     };
@@ -730,9 +744,7 @@ fn cmd_serve(args: &[String]) -> i32 {
                 match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
                     Some(n) => config.keep_alive_max = n,
                     None => {
-                        eprintln!(
-                            "serve: --keep-alive-max needs a request count (0 = unlimited)"
-                        );
+                        eprintln!("serve: --keep-alive-max needs a request count (0 = unlimited)");
                         return EXIT_USAGE;
                     }
                 }
@@ -896,8 +908,7 @@ fn cmd_top(args: &[String]) -> i32 {
         }
         i += 1;
     }
-    match adsafe_serve::top::run_top(&addr, std::time::Duration::from_millis(interval_ms), count)
-    {
+    match adsafe_serve::top::run_top(&addr, std::time::Duration::from_millis(interval_ms), count) {
         Ok(()) => EXIT_OK,
         Err(e) => {
             eprintln!("top: {e}");
@@ -1021,7 +1032,11 @@ fn print_profile(report: &adsafe::AssessmentReport) {
     let t = &report.trace;
     println!("\nprofile ({:.1} ms total):", t.total_us as f64 / 1000.0);
     for p in &t.phases {
-        println!("  phase {:<8} {:>9.2} ms", p.name, p.wall_us as f64 / 1000.0);
+        println!(
+            "  phase {:<8} {:>9.2} ms",
+            p.name,
+            p.wall_us as f64 / 1000.0
+        );
     }
     if !t.slowest_files.is_empty() {
         println!("slowest files:");
@@ -1099,8 +1114,8 @@ fn cmd_trace_compare(args: &[String]) -> i32 {
         return EXIT_USAGE;
     };
     let read = |p: &str| -> Result<adsafe::trace::bench::BenchBaseline, (i32, String)> {
-        let text = std::fs::read_to_string(p)
-            .map_err(|e| (EXIT_IO, format!("cannot read {p}: {e}")))?;
+        let text =
+            std::fs::read_to_string(p).map_err(|e| (EXIT_IO, format!("cannot read {p}: {e}")))?;
         adsafe::trace::bench::BenchBaseline::parse(&text)
             .map_err(|e| (EXIT_USAGE, format!("cannot parse {p}: {e}")))
     };
@@ -1175,7 +1190,9 @@ fn cmd_check(args: &[String]) -> i32 {
 fn load_cli_pack(rules: Option<&Path>, root: Option<&Path>) -> adsafe::rulequery::RulePack {
     let paths = match rules {
         Some(p) => adsafe::query::resolve_rules_arg(p),
-        None => root.map(adsafe::query::discover_rule_paths).unwrap_or_default(),
+        None => root
+            .map(adsafe::query::discover_rule_paths)
+            .unwrap_or_default(),
     };
     adsafe::query::load_rule_pack(&paths)
 }
@@ -1253,14 +1270,20 @@ fn parse_rules_flags(args: &[String]) -> Result<RulesFlags, i32> {
         }
         i += 1;
     }
-    Ok(RulesFlags { rules, only, positional })
+    Ok(RulesFlags {
+        rules,
+        only,
+        positional,
+    })
 }
 
 /// `adsafe rules list`: one stable line per rule — origin, scope, id,
 /// ISO references, description — in inventory order: natives, then the
 /// bundled pack, then user packs.
 fn cmd_rules_list(args: &[String]) -> i32 {
-    let RulesFlags { rules, positional, .. } = match parse_rules_flags(args) {
+    let RulesFlags {
+        rules, positional, ..
+    } = match parse_rules_flags(args) {
         Ok(v) => v,
         Err(code) => return code,
     };
@@ -1281,7 +1304,11 @@ fn cmd_rules_list(args: &[String]) -> i32 {
             )?;
         }
         let queries = inventory.iter().filter(|r| r.query.is_some()).count();
-        writeln!(out, "{} native rule(s), {queries} query rule(s)", inventory.len() - queries)?;
+        writeln!(
+            out,
+            "{} native rule(s), {queries} query rule(s)",
+            inventory.len() - queries
+        )?;
         Ok(EXIT_OK)
     })
 }
@@ -1290,7 +1317,9 @@ fn cmd_rules_list(args: &[String]) -> i32 {
 /// additionally print the canonical source form and the compiled
 /// bytecode disassembly.
 fn cmd_rules_explain(args: &[String]) -> i32 {
-    let RulesFlags { rules, positional, .. } = match parse_rules_flags(args) {
+    let RulesFlags {
+        rules, positional, ..
+    } = match parse_rules_flags(args) {
         Ok(v) => v,
         Err(code) => return code,
     };
@@ -1324,7 +1353,11 @@ fn cmd_rules_explain(args: &[String]) -> i32 {
 /// its rendered diagnostics (only rule `--only ID`'s when given) in the
 /// canonical deterministic order. No cache, no ledger.
 fn cmd_rules_check(args: &[String]) -> i32 {
-    let RulesFlags { rules, only, positional } = match parse_rules_flags(args) {
+    let RulesFlags {
+        rules,
+        only,
+        positional,
+    } = match parse_rules_flags(args) {
         Ok(v) => v,
         Err(code) => return code,
     };
@@ -1417,7 +1450,11 @@ fn cmd_gen(args: &[String]) -> i32 {
     };
     let base = adsafe::corpus::ApolloSpec::paper_scale();
     let base_loc: usize = base.modules.iter().map(|m| m.loc).sum();
-    let factor = if loc == 0 { 1.0 } else { loc as f64 / base_loc as f64 };
+    let factor = if loc == 0 {
+        1.0
+    } else {
+        loc as f64 / base_loc as f64
+    };
     let spec = adsafe::corpus::ApolloSpec {
         modules: base.modules.iter().map(|m| m.scaled(factor)).collect(),
         seed: seed.unwrap_or(base.seed),
@@ -1456,7 +1493,12 @@ fn cmd_tables() -> i32 {
             adsafe::iso26262::TableId::ArchitecturalDesign,
             adsafe::iso26262::TableId::UnitDesign,
         ] {
-            writeln!(out, "{} (paper Table {})", table.title(), table.paper_number())?;
+            writeln!(
+                out,
+                "{} (paper Table {})",
+                table.title(),
+                table.paper_number()
+            )?;
             for t in adsafe::iso26262::all_topics().filter(|t| t.table == table) {
                 let lv = t.levels;
                 writeln!(

@@ -132,9 +132,11 @@ impl DeadlineReader {
                     return Err(Trip::Deadline);
                 }
                 if self.budget.min_byte_rate > 0 && elapsed > SLOW_LORIS_GRACE {
-                    let required =
-                        self.budget.min_byte_rate.saturating_mul(elapsed.as_millis() as u64)
-                            / 1000;
+                    let required = self
+                        .budget
+                        .min_byte_rate
+                        .saturating_mul(elapsed.as_millis() as u64)
+                        / 1000;
                     if self.bytes < required {
                         return Err(Trip::SlowLoris);
                     }

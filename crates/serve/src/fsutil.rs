@@ -27,8 +27,13 @@ pub const SOURCE_EXTENSIONS: [&str; 8] = ["c", "cc", "cpp", "cxx", "cu", "h", "h
 /// sorted directory order — the stable enumeration both determinism
 /// gates (CLI vs HTTP byte-identity) rely on. Symlinks are followed.
 pub fn collect_sources(root: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(root) else { return };
-    let mut entries: Vec<_> = entries.flatten().map(|e| (e.path(), e.file_type())).collect();
+    let Ok(entries) = std::fs::read_dir(root) else {
+        return;
+    };
+    let mut entries: Vec<_> = entries
+        .flatten()
+        .map(|e| (e.path(), e.file_type()))
+        .collect();
     entries.sort_by(|a, b| a.0.cmp(&b.0));
     for (path, kind) in entries {
         // The entry's own type costs no stat; only a symlink needs one
@@ -106,7 +111,13 @@ impl FileStamp {
     #[cfg(not(unix))]
     fn of(meta: &std::fs::Metadata) -> FileStamp {
         let mtime_ns = meta.modified().map_or(i64::MAX, epoch_ns);
-        FileStamp { len: meta.len(), mtime_ns, ctime_ns: mtime_ns, ino: 0, dev: 0 }
+        FileStamp {
+            len: meta.len(),
+            mtime_ns,
+            ctime_ns: mtime_ns,
+            ino: 0,
+            dev: 0,
+        }
     }
 
     /// Whether a file that stats as `now` may reuse a source recorded
@@ -180,8 +191,12 @@ pub fn ingest(root: &Path, index: &mut SourceIndex, assessment: &mut Assessment)
     let scan_ns = epoch_ns(SystemTime::now());
     let mut files = Vec::new();
     collect_sources(root, &mut files);
-    let mut ingested =
-        Ingested { found: files.len(), unreadable: Vec::new(), files_read: 0, bytes_read: 0 };
+    let mut ingested = Ingested {
+        found: files.len(),
+        unreadable: Vec::new(),
+        files_read: 0,
+        bytes_read: 0,
+    };
     let mut previous = std::mem::take(&mut index.entries);
     for f in files {
         let prior = previous.remove(&f);
@@ -205,7 +220,11 @@ pub fn ingest(root: &Path, index: &mut SourceIndex, assessment: &mut Assessment)
         assessment.add_source(&module_of(root, &f), &resident.source);
         index.entries.insert(f, resident);
     }
-    index.bytes = index.entries.values().map(|r| r.source.text_len() as u64).sum();
+    index.bytes = index
+        .entries
+        .values()
+        .map(|r| r.source.text_len() as u64)
+        .sum();
     adsafe_trace::counter("ingest.files_read").add(ingested.files_read as u64);
     adsafe_trace::counter("ingest.bytes_read").add(ingested.bytes_read);
     ingested
@@ -229,7 +248,14 @@ fn read_source(
             scratch.clear();
             file.read_to_end(scratch)?;
             let same = prior.source.decodes_from(scratch);
-            (if same { prior.source } else { decode(scratch.to_vec()) }, scratch.len())
+            (
+                if same {
+                    prior.source
+                } else {
+                    decode(scratch.to_vec())
+                },
+                scratch.len(),
+            )
         }
         None => {
             let mut bytes = Vec::with_capacity(stamp.len as usize);
@@ -238,7 +264,14 @@ fn read_source(
             (decode(bytes), read)
         }
     };
-    Ok((Resident { stamp, scan_ns, source }, read as u64))
+    Ok((
+        Resident {
+            stamp,
+            scan_ns,
+            source,
+        },
+        read as u64,
+    ))
 }
 
 /// [`ingest`] with a fresh index: reads every source. The CLI's path.
@@ -265,7 +298,10 @@ mod tests {
     #[test]
     fn module_is_the_top_level_directory() {
         let root = Path::new("/corpus");
-        assert_eq!(module_of(root, Path::new("/corpus/perception/a.cc")), "perception");
+        assert_eq!(
+            module_of(root, Path::new("/corpus/perception/a.cc")),
+            "perception"
+        );
         assert_eq!(module_of(root, Path::new("/corpus/top.cc")), "root");
         assert_eq!(module_of(Path::new("/x"), Path::new("/y/a.cc")), "root");
     }
@@ -276,7 +312,13 @@ mod tests {
 
     /// A stamp whose file last changed at `changed_ns`.
     fn stamp(changed_ns: i64) -> FileStamp {
-        FileStamp { len: 120, mtime_ns: changed_ns, ctime_ns: changed_ns, ino: 7, dev: 3 }
+        FileStamp {
+            len: 120,
+            mtime_ns: changed_ns,
+            ctime_ns: changed_ns,
+            ino: 7,
+            dev: 3,
+        }
     }
 
     #[test]
@@ -291,13 +333,25 @@ mod tests {
     fn a_change_inside_the_margin_of_the_recording_scan_is_racy() {
         // The file may have been written again in the same timestamp
         // tick after it was read: an equal stat proves nothing.
-        for changed in [SCAN - RACY_MARGIN.as_nanos() as i64, SCAN - SEC, SCAN, SCAN + SEC] {
+        for changed in [
+            SCAN - RACY_MARGIN.as_nanos() as i64,
+            SCAN - SEC,
+            SCAN,
+            SCAN + SEC,
+        ] {
             let racy = stamp(changed);
-            assert!(!racy.still_proves(SCAN, &racy), "changed at scan{:+} ns", changed - SCAN);
+            assert!(
+                !racy.still_proves(SCAN, &racy),
+                "changed at scan{:+} ns",
+                changed - SCAN
+            );
         }
         // ctime alone counts: an mtime set back into the past does not
         // make a fresh write old.
-        let set_back = FileStamp { mtime_ns: SCAN - 60 * SEC, ..stamp(SCAN - SEC) };
+        let set_back = FileStamp {
+            mtime_ns: SCAN - 60 * SEC,
+            ..stamp(SCAN - SEC)
+        };
         assert!(!set_back.still_proves(SCAN, &set_back));
     }
 
@@ -306,8 +360,14 @@ mod tests {
         let old = stamp(SCAN - 60 * SEC);
         let moved = [
             FileStamp { len: 121, ..old },
-            FileStamp { mtime_ns: old.mtime_ns + 1, ..old },
-            FileStamp { ctime_ns: old.ctime_ns + 1, ..old },
+            FileStamp {
+                mtime_ns: old.mtime_ns + 1,
+                ..old
+            },
+            FileStamp {
+                ctime_ns: old.ctime_ns + 1,
+                ..old
+            },
             FileStamp { ino: 8, ..old },
             FileStamp { dev: 4, ..old },
         ];
@@ -318,8 +378,7 @@ mod tests {
 
     #[test]
     fn ingest_reads_each_source_once_and_tracks_the_tree() {
-        let root = std::env::temp_dir()
-            .join(format!("adsafe-fsutil-index-{}", std::process::id()));
+        let root = std::env::temp_dir().join(format!("adsafe-fsutil-index-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(root.join("m")).unwrap();
         std::fs::write(root.join("m/a.cc"), "int a;\n").unwrap();

@@ -56,7 +56,10 @@ pub struct Request {
 impl Request {
     /// First value of the (lower-cased) header `name`, if present.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+        self.headers
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
     }
 
     /// Whether the client expects this connection to persist after the
@@ -153,7 +156,9 @@ fn read_line(r: &mut impl BufRead, cap: usize, budget: &mut usize) -> Result<Str
             });
         }
         if line.len() >= cap {
-            return Err(ReadError::Parse(ParseError::TooLarge("line exceeds limit".into())));
+            return Err(ReadError::Parse(ParseError::TooLarge(
+                "line exceeds limit".into(),
+            )));
         }
         line.push(byte[0]);
     }
@@ -229,9 +234,17 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Request, ReadError> {
 }
 
 fn read_body(r: &mut impl BufRead, headers: &[(String, String)]) -> Result<Vec<u8>, ReadError> {
-    let find = |name: &str| headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str());
-    let chunked = find("transfer-encoding")
-        .is_some_and(|v| v.to_ascii_lowercase().split(',').any(|t| t.trim() == "chunked"));
+    let find = |name: &str| {
+        headers
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
+    };
+    let chunked = find("transfer-encoding").is_some_and(|v| {
+        v.to_ascii_lowercase()
+            .split(',')
+            .any(|t| t.trim() == "chunked")
+    });
     if chunked {
         // Transfer-Encoding wins over Content-Length (RFC 9112 §6.3).
         return read_chunked_body(r);
@@ -249,7 +262,9 @@ fn read_body(r: &mut impl BufRead, headers: &[(String, String)]) -> Result<Vec<u
             }
             let mut body = vec![0u8; n];
             r.read_exact(&mut body).map_err(|_| {
-                ReadError::Parse(ParseError::BadRequest("body shorter than Content-Length".into()))
+                ReadError::Parse(ParseError::BadRequest(
+                    "body shorter than Content-Length".into(),
+                ))
             })?;
             Ok(body)
         }
@@ -264,7 +279,9 @@ fn read_chunked_body(r: &mut impl BufRead) -> Result<Vec<u8>, ReadError> {
         // Chunk extensions (`;name=value`) are tolerated and ignored.
         let size_hex = size_line.split(';').next().unwrap_or("").trim();
         let size = usize::from_str_radix(size_hex, 16).map_err(|_| {
-            ReadError::Parse(ParseError::BadRequest(format!("bad chunk size `{size_line}`")))
+            ReadError::Parse(ParseError::BadRequest(format!(
+                "bad chunk size `{size_line}`"
+            )))
         })?;
         if size == 0 {
             // Trailer section: discard fields until the blank line.
@@ -384,7 +401,11 @@ pub fn write_response_conn(
         head.push_str("\r\n");
     }
     head.push_str(&format!("Content-Length: {}\r\n", resp.body.len()));
-    head.push_str(if keep_alive { "Connection: keep-alive\r\n\r\n" } else { "Connection: close\r\n\r\n" });
+    head.push_str(if keep_alive {
+        "Connection: keep-alive\r\n\r\n"
+    } else {
+        "Connection: close\r\n\r\n"
+    });
     w.write_all(head.as_bytes())?;
     w.write_all(&resp.body)?;
     w.flush()
@@ -392,12 +413,7 @@ pub fn write_response_conn(
 
 /// Encodes a request for the wire — the daemon's tests and bench are
 /// its own HTTP clients.
-pub fn encode_request(
-    method: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: &[u8],
-) -> Vec<u8> {
+pub fn encode_request(method: &str, path: &str, headers: &[(&str, &str)], body: &[u8]) -> Vec<u8> {
     let mut out = format!("{method} {path} HTTP/1.1\r\n").into_bytes();
     for (name, value) in headers {
         out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
@@ -440,7 +456,11 @@ pub fn read_response(r: &mut impl BufRead) -> Result<Response, ReadError> {
         .unwrap_or(0);
     let mut body = vec![0u8; length];
     r.read_exact(&mut body)?;
-    Ok(Response { status, headers, body })
+    Ok(Response {
+        status,
+        headers,
+        body,
+    })
 }
 
 #[cfg(test)]
@@ -454,8 +474,8 @@ mod tests {
 
     #[test]
     fn parses_a_simple_post() {
-        let req = parse(b"POST /assess HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd")
-            .unwrap();
+        let req =
+            parse(b"POST /assess HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd").unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/assess");
         assert_eq!(req.header("host"), Some("x"));
@@ -481,8 +501,10 @@ mod tests {
 
     #[test]
     fn rejects_oversized_declared_bodies() {
-        let head =
-            format!("POST /assess HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
+        let head = format!(
+            "POST /assess HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
         match parse(head.as_bytes()) {
             Err(ReadError::Parse(e)) => assert_eq!(e.status(), 413),
             other => panic!("expected 413, got {other:?}"),
@@ -528,7 +550,10 @@ mod tests {
         let cases: &[(&[u8], bool)] = &[
             (b"GET / HTTP/1.1\r\n\r\n", true),
             (b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n", false),
-            (b"GET / HTTP/1.1\r\nConnection: keep-alive, Upgrade\r\n\r\n", true),
+            (
+                b"GET / HTTP/1.1\r\nConnection: keep-alive, Upgrade\r\n\r\n",
+                true,
+            ),
             (b"GET / HTTP/1.1\r\nConnection: CLOSE\r\n\r\n", false),
             (b"GET / HTTP/1.0\r\n\r\n", false),
             (b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", true),
@@ -536,7 +561,12 @@ mod tests {
         ];
         for (raw, expect) in cases {
             let req = parse(raw).unwrap();
-            assert_eq!(req.wants_keep_alive(), *expect, "{:?}", String::from_utf8_lossy(raw));
+            assert_eq!(
+                req.wants_keep_alive(),
+                *expect,
+                "{:?}",
+                String::from_utf8_lossy(raw)
+            );
         }
     }
 
@@ -549,7 +579,9 @@ mod tests {
         assert!(keep.contains("Connection: keep-alive\r\n"), "{keep}");
         let mut close = Vec::new();
         write_response_conn(&mut close, &resp, false).unwrap();
-        assert!(String::from_utf8(close).unwrap().contains("Connection: close\r\n"));
+        assert!(String::from_utf8(close)
+            .unwrap()
+            .contains("Connection: close\r\n"));
     }
 
     #[test]

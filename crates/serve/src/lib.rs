@@ -50,7 +50,7 @@ pub mod loadgen;
 pub mod server;
 pub mod top;
 
-pub use server::{Server, ServeConfig, ServeStats};
+pub use server::{ServeConfig, ServeStats, Server};
 
 /// The step `adsafe assess` and `POST /assess` share between ingest and
 /// run: records the pack's load faults, then one Info (non-degrading)
@@ -66,7 +66,9 @@ pub fn reserve_run(
     for pf in pack_faults {
         assessment.add_fault(adsafe::query::pack_fault(pf));
     }
-    let Some(ledger) = ledger else { return (String::new(), 0, String::new()) };
+    let Some(ledger) = ledger else {
+        return (String::new(), 0, String::new());
+    };
     for torn in ledger.report_torn_lines() {
         assessment.add_fault(adsafe::Fault {
             phase: adsafe::FaultPhase::Ingest,

@@ -116,7 +116,9 @@ fn client_session(
     let mut failures = 0u32;
     while remaining > 0 {
         if failures > 50 {
-            return Err(format!("client gave up after {failures} connection failures"));
+            return Err(format!(
+                "client gave up after {failures} connection failures"
+            ));
         }
         let Ok(mut stream) = TcpStream::connect(addr) else {
             failures += 1;
@@ -156,7 +158,11 @@ fn client_session(
                 break;
             }
             if resp.status != 200 {
-                return Err(format!("unexpected status {}: {}", resp.status, resp.body_text()));
+                return Err(format!(
+                    "unexpected status {}: {}",
+                    resp.status,
+                    resp.body_text()
+                ));
             }
             failures = 0;
             hist.record(t0.elapsed().as_micros() as u64);
@@ -220,7 +226,11 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadReport, String> {
     };
     let addr = match &cfg.addr {
         Some(a) => a.clone(),
-        None => own_server.as_ref().expect("started above").addr().to_string(),
+        None => own_server
+            .as_ref()
+            .expect("started above")
+            .addr()
+            .to_string(),
     };
 
     // Warm: the first assessment parses the corpus; every measured
@@ -242,7 +252,11 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadReport, String> {
             .collect();
         handles
             .into_iter()
-            .filter_map(|h| h.join().unwrap_or_else(|_| Err("client panicked".into())).err())
+            .filter_map(|h| {
+                h.join()
+                    .unwrap_or_else(|_| Err("client panicked".into()))
+                    .err()
+            })
             .collect()
     });
     if let Some(e) = errors.first() {
@@ -321,7 +335,10 @@ mod tests {
         };
         let json = report.to_json();
         let doc = adsafe_trace::json::Json::parse(&json).expect("report is valid JSON");
-        assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some("adsafe-bench-load/1"));
+        assert_eq!(
+            doc.get("schema").and_then(|v| v.as_str()),
+            Some("adsafe-bench-load/1")
+        );
         assert_eq!(doc.get("completed").and_then(|v| v.as_f64()), Some(100.0));
         let p50 = doc.get("p50_ms").and_then(|v| v.as_f64()).unwrap();
         let p999 = doc.get("p999_ms").and_then(|v| v.as_f64()).unwrap();
@@ -335,9 +352,16 @@ mod tests {
 
     #[test]
     fn rejects_bad_config() {
-        let cfg = LoadgenConfig { corpus: PathBuf::from("/no/such/dir"), ..Default::default() };
+        let cfg = LoadgenConfig {
+            corpus: PathBuf::from("/no/such/dir"),
+            ..Default::default()
+        };
         assert!(run_loadgen(&cfg).is_err());
-        let cfg = LoadgenConfig { corpus: std::env::temp_dir(), clients: 0, ..Default::default() };
+        let cfg = LoadgenConfig {
+            corpus: std::env::temp_dir(),
+            clients: 0,
+            ..Default::default()
+        };
         assert!(run_loadgen(&cfg).is_err());
     }
 }

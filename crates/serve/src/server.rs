@@ -187,9 +187,17 @@ impl Shared {
 
     /// Total text bytes of the resident sources, over every root.
     fn resident_bytes(&self) -> u64 {
-        let indexes: Vec<_> =
-            self.sources.lock().unwrap_or_else(|e| e.into_inner()).values().cloned().collect();
-        indexes.iter().map(|i| i.lock().unwrap_or_else(|e| e.into_inner()).bytes()).sum()
+        let indexes: Vec<_> = self
+            .sources
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .values()
+            .cloned()
+            .collect();
+        indexes
+            .iter()
+            .map(|i| i.lock().unwrap_or_else(|e| e.into_inner()).bytes())
+            .sum()
     }
 
     /// The resident source index of a corpus root, empty on first use.
@@ -265,7 +273,11 @@ impl Server {
                 .spawn(move || accept_loop(listener, exec, &shared))
                 .expect("spawning the accept thread")
         };
-        Ok(Server { addr, shared, accept: Some(accept) })
+        Ok(Server {
+            addr,
+            shared,
+            accept: Some(accept),
+        })
     }
 
     /// The bound address (with the OS-assigned port when the config
@@ -355,7 +367,9 @@ fn accept_loop(listener: TcpListener, exec: Executor, shared: &Arc<Shared>) -> u
 /// under panic containment, respond — until the client opts out, the
 /// request cap is hit, a budget trips, or a fatal error ends it.
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, queue_wait_us: u64) {
-    let Ok(read_half) = stream.try_clone() else { return };
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
     let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed) + 1;
     let conn_start_us = adsafe_trace::now_us();
     // The submit→start delta of this connection's executor job, billed
@@ -382,18 +396,14 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, queue_wait_us: u64
                     }
                     Some(Trip::Deadline) => {
                         adsafe_trace::counter("serve.request_timeouts").incr();
-                        let resp = Response::text(
-                            408,
-                            "request did not complete within the deadline\n",
-                        );
+                        let resp =
+                            Response::text(408, "request did not complete within the deadline\n");
                         let _ = http::write_response(&mut writer, &resp);
                     }
                     Some(Trip::SlowLoris) => {
                         adsafe_trace::counter("serve.slowloris_drops").incr();
-                        let resp = Response::text(
-                            408,
-                            "request bytes arrived below the minimum rate\n",
-                        );
+                        let resp =
+                            Response::text(408, "request bytes arrived below the minimum rate\n");
                         let _ = http::write_response(&mut writer, &resp);
                     }
                     None => {
@@ -500,13 +510,22 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, queue_wait_us: u64
             .collect();
         if let Some(wait) = queue_wait_us.take() {
             let start_us = conn_start_us.saturating_sub(wait);
-            phases.push(PhaseTiming { name: "queue_wait".into(), start_us, dur_us: wait });
+            phases.push(PhaseTiming {
+                name: "queue_wait".into(),
+                start_us,
+                dur_us: wait,
+            });
         }
         phases.sort_by_key(|p| p.start_us);
-        let start_us = phases.first().map_or(req_start_us, |p| p.start_us.min(req_start_us));
+        let start_us = phases
+            .first()
+            .map_or(req_start_us, |p| p.start_us.min(req_start_us));
         shared.recorder.record(RequestRecord {
             seq: 0,
-            run_id: resp.header("X-Adsafe-Run-Id").unwrap_or_default().to_string(),
+            run_id: resp
+                .header("X-Adsafe-Run-Id")
+                .unwrap_or_default()
+                .to_string(),
             method: req.method.clone(),
             endpoint,
             status: resp.status,
@@ -547,14 +566,16 @@ fn route(req: &Request, shared: &Arc<Shared>, spent: &mut Spent) -> Response {
         ("GET", "/trace/recent") => trace_recent(shared),
         ("GET", "/runs") => runs_index(shared),
         ("GET", "/rules") => rules_listing(shared),
-        ("GET", p) if p.starts_with("/runs/") => {
-            runs_one(p.trim_start_matches("/runs/"), shared)
-        }
+        ("GET", p) if p.starts_with("/runs/") => runs_one(p.trim_start_matches("/runs/"), shared),
         (_, "/assess") | (_, "/invalidate") => {
             Response::text(405, "method not allowed\n").with_header("Allow", "POST")
         }
-        (_, "/metrics") | (_, "/healthz") | (_, "/runs") | (_, "/requests")
-        | (_, "/rules") | (_, "/trace/recent") => {
+        (_, "/metrics")
+        | (_, "/healthz")
+        | (_, "/runs")
+        | (_, "/requests")
+        | (_, "/rules")
+        | (_, "/trace/recent") => {
             Response::text(405, "method not allowed\n").with_header("Allow", "GET")
         }
         (_, p) if p.starts_with("/runs/") => {
@@ -582,9 +603,10 @@ fn metrics(req: &Request, shared: &Arc<Shared>) -> Response {
             )],
             body: adsafe_trace::render_prometheus().into_bytes(),
         },
-        Some(other) => {
-            Response::text(400, format!("unknown metrics format `{other}` (try prometheus)\n"))
-        }
+        Some(other) => Response::text(
+            400,
+            format!("unknown metrics format `{other}` (try prometheus)\n"),
+        ),
         None => Response::text(200, adsafe_trace::render_text()),
     }
 }
@@ -615,9 +637,7 @@ fn requests_log(req: &Request, shared: &Arc<Shared>) -> Response {
         .snapshot()
         .into_iter()
         .filter(|r| status.is_none_or(|s| r.status == s))
-        .filter(|r| {
-            endpoint.is_none_or(|e| r.endpoint == e || endpoint_key(&r.endpoint) == e)
-        })
+        .filter(|r| endpoint.is_none_or(|e| r.endpoint == e || endpoint_key(&r.endpoint) == e))
         .collect();
     if let Some(n) = last {
         if rows.len() > n {
@@ -722,7 +742,11 @@ fn assess(req: &Request, shared: &Arc<Shared>, spent: &mut Spent) -> Response {
         ingest(&root, &mut index, &mut assessment)
     };
     if ingested.found == 0 {
-        shared.sources.lock().unwrap_or_else(|e| e.into_inner()).remove(&root);
+        shared
+            .sources
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(&root);
         return Response::text(400, format!("no C/C++/CUDA sources under `{dir}`\n"));
     }
     // Pack-loading faults from startup repeat on every request that
@@ -772,10 +796,11 @@ fn assess(req: &Request, shared: &Arc<Shared>, spent: &mut Spent) -> Response {
     // counter), never in the report — whose bytes must stay identical
     // to the CLI's regardless of cache pressure.
     if let Some(evicted) = shared.store.take_eviction_fault() {
-        *shared.last_fault.lock().unwrap_or_else(|e| e.into_inner()) =
-            Some(evicted.to_string());
+        *shared.last_fault.lock().unwrap_or_else(|e| e.into_inner()) = Some(evicted.to_string());
     }
-    shared.last_degraded.store(report.degraded, Ordering::SeqCst);
+    shared
+        .last_degraded
+        .store(report.degraded, Ordering::SeqCst);
     if let Some(worst) = report.faults.iter().map(|f| f.to_string()).last() {
         *shared.last_fault.lock().unwrap_or_else(|e| e.into_inner()) = Some(worst);
     }
@@ -790,7 +815,10 @@ fn assess(req: &Request, shared: &Arc<Shared>, spent: &mut Spent) -> Response {
         digest_input.push_str(&v.to_string());
         digest_input.push('\n');
     }
-    let digest = format!("{:016x}", adsafe::content_hash("serve.trace", &digest_input));
+    let digest = format!(
+        "{:016x}",
+        adsafe::content_hash("serve.trace", &digest_input)
+    );
 
     let body = {
         let _render = adsafe_trace::span("phase.render", "phase");
@@ -803,7 +831,10 @@ fn assess(req: &Request, shared: &Arc<Shared>, spent: &mut Spent) -> Response {
     }
     .with_header("X-Adsafe-Exit-Code", exit_code.to_string())
     .with_header("X-Adsafe-Degraded", report.degraded.to_string())
-    .with_header("X-Adsafe-Cache-Hits", report.trace.counter("cache.hits").to_string())
+    .with_header(
+        "X-Adsafe-Cache-Hits",
+        report.trace.counter("cache.hits").to_string(),
+    )
     .with_header("X-Adsafe-Trace-Digest", digest);
     if !run_id.is_empty() {
         resp = resp.with_header("X-Adsafe-Run-Id", run_id);
@@ -849,7 +880,10 @@ fn runs_index(shared: &Arc<Shared>) -> Response {
 fn rules_listing(shared: &Arc<Shared>) -> Response {
     use std::fmt::Write as _;
     let mut out = String::from("{\"rules\":[");
-    for (i, r) in adsafe::query::rule_inventory(&shared.rules).iter().enumerate() {
+    for (i, r) in adsafe::query::rule_inventory(&shared.rules)
+        .iter()
+        .enumerate()
+    {
         if i > 0 {
             out.push(',');
         }
@@ -900,7 +934,10 @@ fn runs_one(reference: &str, shared: &Arc<Shared>) -> Response {
         [] => Response::text(404, format!("no run matches `{reference}`\n")),
         many => Response::text(
             409,
-            format!("`{reference}` is ambiguous ({} runs match); use more digits\n", many.len()),
+            format!(
+                "`{reference}` is ambiguous ({} runs match); use more digits\n",
+                many.len()
+            ),
         ),
     }
 }
@@ -918,7 +955,11 @@ fn invalidate(req: &Request, shared: &Arc<Shared>) -> Response {
         Err(e) => return Response::text(400, format!("bad JSON body: {e}\n")),
     };
     let dropped = if matches!(json.get("all"), Some(Json::Bool(true))) {
-        shared.sources.lock().unwrap_or_else(|e| e.into_inner()).clear();
+        shared
+            .sources
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
         shared.store.invalidate_all()
     } else if let Some(arr) = json.get("paths").and_then(Json::as_arr) {
         let mut paths = Vec::with_capacity(arr.len());
@@ -928,8 +969,13 @@ fn invalidate(req: &Request, shared: &Arc<Shared>) -> Response {
                 None => return Response::text(400, "`paths` must be an array of strings\n"),
             }
         }
-        let indexes: Vec<_> =
-            shared.sources.lock().unwrap_or_else(|e| e.into_inner()).values().cloned().collect();
+        let indexes: Vec<_> = shared
+            .sources
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .values()
+            .cloned()
+            .collect();
         for index in indexes {
             let mut index = index.lock().unwrap_or_else(|e| e.into_inner());
             for p in &paths {
@@ -946,11 +992,22 @@ fn invalidate(req: &Request, shared: &Arc<Shared>) -> Response {
 /// `GET /healthz`: readiness plus the degradation state of the most
 /// recent assessment.
 fn healthz(shared: &Arc<Shared>) -> Response {
-    let status = if shared.stop.load(Ordering::SeqCst) { "draining" } else { "ok" };
-    let last_fault = shared.last_fault.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    let status = if shared.stop.load(Ordering::SeqCst) {
+        "draining"
+    } else {
+        "ok"
+    };
+    let last_fault = shared
+        .last_fault
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .clone();
     let mut out = String::from("{");
     out.push_str(&format!("\"status\":\"{status}\""));
-    out.push_str(&format!(",\"requests\":{}", shared.requests.load(Ordering::SeqCst)));
+    out.push_str(&format!(
+        ",\"requests\":{}",
+        shared.requests.load(Ordering::SeqCst)
+    ));
     out.push_str(&format!(
         ",\"queue_depth\":{}",
         adsafe_trace::gauge("pool.queue_depth").get()
@@ -959,8 +1016,14 @@ fn healthz(shared: &Arc<Shared>) -> Response {
     out.push_str(&format!(",\"store_entries\":{}", shared.store.len()));
     out.push_str(&format!(",\"store_bytes\":{}", shared.store.bytes()));
     out.push_str(&format!(",\"store_budget\":{}", shared.store.budget()));
-    out.push_str(&format!(",\"store_memo_bytes\":{}", shared.store.memo_bytes()));
-    out.push_str(&format!(",\"ingest_resident_bytes\":{}", shared.resident_bytes()));
+    out.push_str(&format!(
+        ",\"store_memo_bytes\":{}",
+        shared.store.memo_bytes()
+    ));
+    out.push_str(&format!(
+        ",\"ingest_resident_bytes\":{}",
+        shared.resident_bytes()
+    ));
     out.push_str(&format!(
         ",\"store_evictions\":{}",
         adsafe_trace::counter("store.evictions").get()
@@ -968,9 +1031,18 @@ fn healthz(shared: &Arc<Shared>) -> Response {
     out.push_str(&format!(",\"keep_alive_max\":{}", shared.keep_alive_max));
     out.push_str(&format!(",\"recorder_len\":{}", shared.recorder.len()));
     out.push_str(&format!(",\"recorder_cap\":{}", shared.recorder.capacity()));
-    out.push_str(&format!(",\"recorder_evicted\":{}", shared.recorder.evicted()));
-    out.push_str(&format!(",\"mem_live\":{}", adsafe_trace::alloc::live_bytes()));
-    out.push_str(&format!(",\"mem_peak\":{}", adsafe_trace::alloc::peak_live_bytes()));
+    out.push_str(&format!(
+        ",\"recorder_evicted\":{}",
+        shared.recorder.evicted()
+    ));
+    out.push_str(&format!(
+        ",\"mem_live\":{}",
+        adsafe_trace::alloc::live_bytes()
+    ));
+    out.push_str(&format!(
+        ",\"mem_peak\":{}",
+        adsafe_trace::alloc::peak_live_bytes()
+    ));
     out.push_str(&format!(
         ",\"last_degraded\":{}",
         shared.last_degraded.load(Ordering::SeqCst)

@@ -64,7 +64,9 @@ pub fn parse_metrics_text(text: &str) -> MetricsSnapshot {
         } else if let Some(rest) = line.strip_prefix("hist ") {
             // `hist <name> count C sum S p50 A p99 B p999 D` — split at
             // the ` count ` marker so a labeled name survives intact.
-            let Some((name, nums)) = rest.split_once(" count ") else { continue };
+            let Some((name, nums)) = rest.split_once(" count ") else {
+                continue;
+            };
             let fields: Vec<&str> = nums.split_whitespace().collect();
             let num = |key: &str| -> Option<u64> {
                 fields
@@ -78,8 +80,17 @@ pub fn parse_metrics_text(text: &str) -> MetricsSnapshot {
             else {
                 continue;
             };
-            let Some(count) = fields.first().and_then(|v| v.parse().ok()) else { continue };
-            snap.hists.push(HistLine { name: name.to_string(), count, sum, p50, p99, p999 });
+            let Some(count) = fields.first().and_then(|v| v.parse().ok()) else {
+                continue;
+            };
+            snap.hists.push(HistLine {
+                name: name.to_string(),
+                count,
+                sum,
+                p50,
+                p99,
+                p999,
+            });
         }
     }
     snap
@@ -90,7 +101,9 @@ pub fn parse_metrics_text(text: &str) -> MetricsSnapshot {
 /// `("serve.latency", [("endpoint","assess"), ("status","200")])`.
 /// Escapes are left as-is (the dashboard's labels never contain them).
 pub fn split_labels(key: &str) -> (&str, Vec<(String, String)>) {
-    let Some((base, rest)) = key.split_once('{') else { return (key, Vec::new()) };
+    let Some((base, rest)) = key.split_once('{') else {
+        return (key, Vec::new());
+    };
     let inner = rest.trim_end_matches('}');
     let mut labels = Vec::new();
     for pair in inner.split(',') {
@@ -134,9 +147,16 @@ pub fn render_dashboard(
     use std::fmt::Write as _;
     let mut out = String::with_capacity(2048);
     let counter = |name: &str| cur.counters.get(name).copied().unwrap_or(0);
-    let health_num =
-        |key: &str| health.get(key).and_then(Json::as_f64).map_or(0, |v| v as u64);
-    let status = health.get("status").and_then(Json::as_str).unwrap_or("unreachable");
+    let health_num = |key: &str| {
+        health
+            .get(key)
+            .and_then(Json::as_f64)
+            .map_or(0, |v| v as u64)
+    };
+    let status = health
+        .get("status")
+        .and_then(Json::as_str)
+        .unwrap_or("unreachable");
     let requests = counter("serve.requests");
     let rate = prev
         .filter(|(_, secs)| *secs > 0.0)
@@ -145,7 +165,10 @@ pub fn render_dashboard(
             requests.saturating_sub(before) as f64 / secs
         })
         .map_or(String::new(), |r| format!("  ({r:.1}/s)"));
-    let _ = writeln!(out, "adsafe top — {addr}   status {status}   requests {requests}{rate}");
+    let _ = writeln!(
+        out,
+        "adsafe top — {addr}   status {status}   requests {requests}{rate}"
+    );
     let _ = writeln!(
         out,
         "queue {}/{}   keep-alive reuses {}   recorder {}/{} (evicted {})",
@@ -171,7 +194,12 @@ pub fn render_dashboard(
     let mem_live = cur.gauges.get("mem.live_bytes").copied().unwrap_or(0);
     let mem_peak = cur.gauges.get("mem.peak_bytes").copied().unwrap_or(0);
     if mem_live > 0 || mem_peak > 0 {
-        let _ = writeln!(out, "mem live {}   peak {}", fmt_bytes(mem_live), fmt_bytes(mem_peak));
+        let _ = writeln!(
+            out,
+            "mem live {}   peak {}",
+            fmt_bytes(mem_live),
+            fmt_bytes(mem_peak)
+        );
         let phases: Vec<String> = cur
             .gauges
             .iter()
@@ -275,7 +303,12 @@ pub fn fetch(addr: &str, path: &str) -> Result<String, String> {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .map_err(|e| format!("socket setup: {e}"))?;
     stream
-        .write_all(&http::encode_request("GET", path, &[("Connection", "close")], b""))
+        .write_all(&http::encode_request(
+            "GET",
+            path,
+            &[("Connection", "close")],
+            b"",
+        ))
         .map_err(|e| format!("cannot send GET {path}: {e}"))?;
     let resp = http::read_response(&mut BufReader::new(stream))
         .map_err(|e| format!("bad response for GET {path}: {e:?}"))?;
@@ -296,13 +329,12 @@ pub fn run_top(addr: &str, interval: Duration, iterations: u64) -> Result<(), St
     let mut prev: Option<MetricsSnapshot> = None;
     let mut frame: u64 = 0;
     loop {
-        let fetched = fetch(addr, "/metrics")
-            .and_then(|m| fetch(addr, "/healthz").map(|h| (m, h)));
+        let fetched = fetch(addr, "/metrics").and_then(|m| fetch(addr, "/healthz").map(|h| (m, h)));
         match fetched {
             Ok((metrics_text, health_text)) => {
                 let cur = parse_metrics_text(&metrics_text);
-                let health = Json::parse(&health_text)
-                    .map_err(|e| format!("bad /healthz JSON: {e}"))?;
+                let health =
+                    Json::parse(&health_text).map_err(|e| format!("bad /healthz JSON: {e}"))?;
                 let dash = render_dashboard(
                     addr,
                     &cur,
@@ -357,7 +389,10 @@ hist serve.request_us count 40 sum 280000 p50 6600 p99 12500 p999 13000
         assert_eq!(snap.gauges["pool.queue_depth"], 3);
         assert_eq!(snap.hists.len(), 3);
         let lat = &snap.hists[1];
-        assert_eq!(lat.name, "serve.latency{endpoint=\"assess\",status=\"200\"}");
+        assert_eq!(
+            lat.name,
+            "serve.latency{endpoint=\"assess\",status=\"200\"}"
+        );
         assert_eq!((lat.count, lat.p50, lat.p999), (38, 6500, 12800));
     }
 
@@ -393,7 +428,10 @@ hist serve.request_us count 40 sum 280000 p50 6600 p99 12500 p999 13000
         assert!(dash.contains("recorder 40/256"), "{dash}");
         assert!(dash.contains("mem live 10.0MiB   peak 45.0MiB"), "{dash}");
         // Gauge keys sort alphabetically, so checks precedes parse.
-        assert!(dash.contains("mem by phase: checks=2.0MiB  parse=30.0MiB"), "{dash}");
+        assert!(
+            dash.contains("mem by phase: checks=2.0MiB  parse=30.0MiB"),
+            "{dash}"
+        );
         assert!(dash.contains("status codes: 200=38  503=2"), "{dash}");
         assert!(dash.contains("assess"), "{dash}");
         assert!(dash.contains("6.5ms"), "{dash}");
@@ -408,7 +446,13 @@ hist serve.request_us count 40 sum 280000 p50 6600 p99 12500 p999 13000
         let health = Json::parse("{\"status\":\"ok\"}").unwrap();
         let dash = render_dashboard("x", &empty, None, &health);
         assert!(dash.contains("requests 0"), "{dash}");
-        assert!(!dash.contains("endpoint"), "no SLO table without latency series");
-        assert!(!dash.contains("mem live"), "no memory panel without allocator gauges");
+        assert!(
+            !dash.contains("endpoint"),
+            "no SLO table without latency series"
+        );
+        assert!(
+            !dash.contains("mem live"),
+            "no memory panel without allocator gauges"
+        );
     }
 }

@@ -33,7 +33,11 @@ impl Default for Criterion {
 impl Criterion {
     /// Opens a named group of benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { name: name.into(), sample_size: self.sample_size, _parent: self }
+        BenchmarkGroup {
+            name: name.into(),
+            sample_size: self.sample_size,
+            _parent: self,
+        }
     }
 
     /// Runs a single benchmark outside a group.
@@ -64,7 +68,9 @@ pub struct BenchmarkId {
 impl BenchmarkId {
     /// `name/parameter` identifier.
     pub fn new(name: impl fmt::Display, parameter: impl fmt::Display) -> Self {
-        BenchmarkId { name: format!("{name}/{parameter}") }
+        BenchmarkId {
+            name: format!("{name}/{parameter}"),
+        }
     }
 }
 
@@ -120,17 +126,14 @@ impl BenchmarkGroup<'_> {
     }
 
     /// Runs one parameterised benchmark in the group.
-    pub fn bench_with_input<I, F>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
+    pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
     where
         I: ?Sized,
         F: FnMut(&mut Bencher, &I),
     {
-        run_one(&self.name, &id.to_string(), self.sample_size, |b| f(b, input));
+        run_one(&self.name, &id.to_string(), self.sample_size, |b| {
+            f(b, input)
+        });
         self
     }
 
@@ -139,14 +142,24 @@ impl BenchmarkGroup<'_> {
 }
 
 fn run_one<F: FnMut(&mut Bencher)>(group: &str, id: &str, samples: usize, mut f: F) {
-    let mut b = Bencher { iters: 1, elapsed: Duration::ZERO };
+    let mut b = Bencher {
+        iters: 1,
+        elapsed: Duration::ZERO,
+    };
     // Warm-up pass (also lets closures do one-off allocation).
     f(&mut b);
     b.iters = samples as u64;
     b.elapsed = Duration::ZERO;
     f(&mut b);
-    let per_iter = b.elapsed.checked_div(b.iters as u32).unwrap_or(Duration::ZERO);
-    let label = if group.is_empty() { id.to_string() } else { format!("{group}/{id}") };
+    let per_iter = b
+        .elapsed
+        .checked_div(b.iters as u32)
+        .unwrap_or(Duration::ZERO);
+    let label = if group.is_empty() {
+        id.to_string()
+    } else {
+        format!("{group}/{id}")
+    };
     println!("{label}: {per_iter:?}/iter over {samples} iters");
 }
 

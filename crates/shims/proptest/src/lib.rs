@@ -89,7 +89,9 @@ pub mod test_runner {
                 z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
                 z ^ (z >> 31)
             };
-            TestRng { s: [next(), next(), next(), next()] }
+            TestRng {
+                s: [next(), next(), next(), next()],
+            }
         }
 
         /// Next raw 64-bit output.
@@ -205,10 +207,12 @@ impl_strategy_tuple! {
 impl Strategy for &str {
     type Value = String;
     fn generate(&self, rng: &mut TestRng) -> String {
-        let (class, lo, hi) = parse_pattern(self)
-            .unwrap_or_else(|| panic!("unsupported string pattern `{self}`"));
+        let (class, lo, hi) =
+            parse_pattern(self).unwrap_or_else(|| panic!("unsupported string pattern `{self}`"));
         let len = lo + rng.below((hi - lo + 1) as u64) as usize;
-        (0..len).map(|_| class[rng.below(class.len() as u64) as usize]).collect()
+        (0..len)
+            .map(|_| class[rng.below(class.len() as u64) as usize])
+            .collect()
     }
 }
 
@@ -321,8 +325,8 @@ pub mod collection {
 /// Everything a test module needs.
 pub mod prelude {
     pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
-        Just, ProptestConfig, Strategy, TestCaseError, Union,
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest, Just,
+        ProptestConfig, Strategy, TestCaseError, Union,
     };
 }
 
@@ -418,7 +422,9 @@ macro_rules! prop_assert_ne {
         if __l == __r {
             return ::std::result::Result::Err($crate::TestCaseError::fail(format!(
                 "assertion failed: {} != {} (both {:?})",
-                stringify!($lhs), stringify!($rhs), __l,
+                stringify!($lhs),
+                stringify!($rhs),
+                __l,
             )));
         }
     }};

@@ -191,7 +191,9 @@ pub(crate) type Tally = [[u64; 2]; MAX_PHASES];
 
 /// This thread's table as it stands.
 pub(crate) fn tally() -> Tally {
-    TALLY.try_with(|t| t.each_ref().map(Cell::get)).unwrap_or_default()
+    TALLY
+        .try_with(|t| t.each_ref().map(Cell::get))
+        .unwrap_or_default()
 }
 
 /// What this thread has billed since `before` was taken.
@@ -212,7 +214,10 @@ pub(crate) fn absorb_tally(delta: &Tally) {
 
 /// A scope's table as phase rows, those with no allocations left out.
 pub(crate) fn phase_mem(delta: &Tally) -> Vec<PhaseMem> {
-    phase_rows(|slot| delta[slot]).into_iter().filter(|p| p.allocs > 0).collect()
+    phase_rows(|slot| delta[slot])
+        .into_iter()
+        .filter(|p| p.allocs > 0)
+        .collect()
 }
 
 /// This thread's counter shard. A thread whose thread-locals are
@@ -378,7 +383,10 @@ pub struct PhaseMem {
 /// phases in registration order. Monotonic while profiling.
 pub fn phase_stats() -> Vec<PhaseMem> {
     phase_rows(|slot| {
-        [sum_shards(|s| &s.phases[slot].allocs), sum_shards(|s| &s.phases[slot].bytes)]
+        [
+            sum_shards(|s| &s.phases[slot].allocs),
+            sum_shards(|s| &s.phases[slot].bytes),
+        ]
     })
 }
 
@@ -391,7 +399,12 @@ fn phase_rows(bill: impl Fn(usize) -> [u64; 2]) -> Vec<PhaseMem> {
         .map(|(slot, name)| {
             let [allocs, bytes] = bill(slot);
             let peak_live = PHASE_PEAKS.0[slot].load(Ordering::Relaxed);
-            PhaseMem { name: name.to_string(), allocs, bytes, peak_live }
+            PhaseMem {
+                name: name.to_string(),
+                allocs,
+                bytes,
+                peak_live,
+            }
         })
         .collect()
 }
@@ -693,14 +706,23 @@ mod tests {
         for (p, &want) in phase_bytes.iter().enumerate() {
             let (allocs0, bytes0) = billed(&phases_before, p);
             let (allocs1, bytes1) = billed(&phases_after, p);
-            assert_eq!(allocs1 - allocs0, (THREADS / PHASES * OPS) as u64, "{}", name(p));
+            assert_eq!(
+                allocs1 - allocs0,
+                (THREADS / PHASES * OPS) as u64,
+                "{}",
+                name(p)
+            );
             assert_eq!(bytes1 - bytes0, want, "{}", name(p));
         }
         // Each thread's own table holds exactly its own share.
         for (t, tally) in thread_tallies.iter().enumerate() {
             let want: u64 = (0..OPS).map(|i| size(t, i)).sum();
             assert_eq!(tally[slots[t % PHASES]], [OPS as u64, want], "thread {t}");
-            assert_eq!(tally.iter().map(|[a, _]| a).sum::<u64>(), OPS as u64, "thread {t}");
+            assert_eq!(
+                tally.iter().map(|[a, _]| a).sum::<u64>(),
+                OPS as u64,
+                "thread {t}"
+            );
         }
     }
 
@@ -732,14 +754,21 @@ mod tests {
         assert_eq!(with_worker[idx], [3, 1110]);
         let d = phase_mem(&with_worker);
         assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!((d[0].name.as_str(), d[0].allocs, d[0].bytes), ("test.alloc.tally", 3, 1110));
+        assert_eq!(
+            (d[0].name.as_str(), d[0].allocs, d[0].bytes),
+            ("test.alloc.tally", 3, 1110)
+        );
     }
 
     #[test]
     fn set_current_phase_returns_previous_and_rejects_out_of_range() {
         let prev = set_current_phase(3);
         assert_eq!(set_current_phase(MAX_PHASES + 7), 3);
-        assert_eq!(current_phase(), 0, "out-of-range tags fall back to untagged");
+        assert_eq!(
+            current_phase(),
+            0,
+            "out-of-range tags fall back to untagged"
+        );
         set_current_phase(prev);
     }
 }

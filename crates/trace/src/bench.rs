@@ -92,7 +92,9 @@ impl BenchBaseline {
         let doc = Json::parse(text)?;
         let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
         if schema != SCHEMA {
-            return Err(format!("unsupported baseline schema `{schema}` (want `{SCHEMA}`)"));
+            return Err(format!(
+                "unsupported baseline schema `{schema}` (want `{SCHEMA}`)"
+            ));
         }
         let total_ms = doc
             .get("total_ms")
@@ -118,7 +120,11 @@ impl BenchBaseline {
                     .collect()
             })
             .unwrap_or_default();
-        Ok(BenchBaseline { phases, total_ms, counters })
+        Ok(BenchBaseline {
+            phases,
+            total_ms,
+            counters,
+        })
     }
 
     /// Phases present in exactly one of `self` (the baseline) and
@@ -157,9 +163,7 @@ impl BenchBaseline {
     pub fn regressions(&self, current: &Self, factor: f64) -> Vec<Regression> {
         let mut out = Vec::new();
         for (name, cur_ms) in &current.phases {
-            let Some((_, base_ms)) =
-                self.phases.iter().find(|(n, _)| n == name)
-            else {
+            let Some((_, base_ms)) = self.phases.iter().find(|(n, _)| n == name) else {
                 continue;
             };
             let bar = base_ms.max(NOISE_FLOOR_MS) * factor;
@@ -199,8 +203,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_wrong_schema() {
-        assert!(BenchBaseline::parse(r#"{"schema":"other/9","total_ms":1,"phases":{}}"#)
-            .is_err());
+        assert!(BenchBaseline::parse(r#"{"schema":"other/9","total_ms":1,"phases":{}}"#).is_err());
     }
 
     #[test]
@@ -250,7 +253,10 @@ mod tests {
     fn from_summary_converts_units() {
         let s = TraceSummary {
             total_us: 1500,
-            phases: vec![PhaseTime { name: "parse".into(), wall_us: 1000 }],
+            phases: vec![PhaseTime {
+                name: "parse".into(),
+                wall_us: 1000,
+            }],
             ..TraceSummary::default()
         };
         let b = BenchBaseline::from_summary(&s);

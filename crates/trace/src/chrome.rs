@@ -125,8 +125,7 @@ mod tests {
         assert!(validate("{}").is_err());
         assert!(validate(r#"{"traceEvents":[{"ph":"X"}]}"#).is_err());
         assert!(
-            validate(r#"{"traceEvents":[{"name":"a","ph":"X","ts":0,"pid":1,"tid":1}]}"#)
-                .is_err(),
+            validate(r#"{"traceEvents":[{"name":"a","ph":"X","ts":0,"pid":1,"tid":1}]}"#).is_err(),
             "X event without dur must be rejected"
         );
     }

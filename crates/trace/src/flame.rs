@@ -42,8 +42,7 @@ fn aggregate(events: &[SpanEvent]) -> Vec<Node> {
                     break;
                 }
             }
-            let mut path =
-                stack.last().map(|(_, p)| p.clone()).unwrap_or_default();
+            let mut path = stack.last().map(|(_, p)| p.clone()).unwrap_or_default();
             path.push(e.name.clone());
             let node = nodes.entry(path.clone()).or_insert_with(|| Node {
                 path: path.clone(),
@@ -78,7 +77,11 @@ pub fn flame_summary_with_mem(
     mem: &[PhaseMem],
 ) -> String {
     let nodes = aggregate(events);
-    let total_us: u64 = nodes.iter().filter(|n| n.path.len() == 1).map(|n| n.total_us).sum();
+    let total_us: u64 = nodes
+        .iter()
+        .filter(|n| n.path.len() == 1)
+        .map(|n| n.total_us)
+        .sum();
     let mut out = String::new();
     out.push_str(&format!(
         "flame summary — {:.1} ms total, {} span(s)\n",
@@ -222,11 +225,20 @@ mod tests {
         let parse_line = s.lines().find(|l| l.contains("phase.parse")).unwrap();
         assert!(parse_line.contains("Σ3.0 MiB alloc"), "{s}");
         let checks_line = s.lines().find(|l| l.contains("phase.checks")).unwrap();
-        assert!(!checks_line.contains("alloc"), "unprofiled phases stay clean: {s}");
+        assert!(
+            !checks_line.contains("alloc"),
+            "unprofiled phases stay clean: {s}"
+        );
         let file_line = s.lines().find(|l| l.contains("parse.file")).unwrap();
-        assert!(!file_line.contains("alloc"), "non-phase frames stay clean: {s}");
+        assert!(
+            !file_line.contains("alloc"),
+            "non-phase frames stay clean: {s}"
+        );
         // No memory data → byte-identical to the plain renderer.
-        assert_eq!(flame_summary_with_mem(&events, 10, &[]), flame_summary(&events, 10));
+        assert_eq!(
+            flame_summary_with_mem(&events, 10, &[]),
+            flame_summary(&events, 10)
+        );
     }
 
     #[test]

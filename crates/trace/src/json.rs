@@ -208,9 +208,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
+                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
                         let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
                         let cp = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                         // Surrogate pairs are not needed for our formats;
@@ -228,9 +226,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
 
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    while *pos < b.len()
-        && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
@@ -248,7 +244,10 @@ mod tests {
         let v = Json::parse(r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\ny"}, "d": null, "e": true}"#)
             .unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_f64(), Some(-300.0));
+        assert_eq!(
+            v.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
+            Some(-300.0)
+        );
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
         assert_eq!(v.get("d"), Some(&Json::Null));
         assert_eq!(v.get("e"), Some(&Json::Bool(true)));

@@ -67,7 +67,10 @@ impl Gauge {
         let mut cur = self.0.load(Ordering::Relaxed);
         loop {
             let next = cur.saturating_sub(n);
-            match self.0.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+            match self
+                .0
+                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
+            {
                 Ok(_) => return,
                 Err(seen) => cur = seen,
             }
@@ -158,7 +161,11 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// Mean of recorded values (0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 { 0.0 } else { self.sum as f64 / self.count as f64 }
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
     }
 
     /// Upper bound of the bucket holding the `q`-quantile (`q` in 0..=1).
@@ -215,8 +222,11 @@ impl HistogramSnapshot {
                 let lo = 1u64 << (b - 1);
                 // The last bucket also absorbs values of bit length
                 // > 63, so its honest upper bound is u64::MAX.
-                let hi =
-                    if b >= BUCKETS - 1 { u64::MAX } else { (1u64 << b) - 1 };
+                let hi = if b >= BUCKETS - 1 {
+                    u64::MAX
+                } else {
+                    (1u64 << b) - 1
+                };
                 // Rank of the target within this bucket, in (0, 1].
                 // Saturate: the top bucket's width rounds up to 2⁶³
                 // in f64, which would overflow a plain add.
@@ -277,12 +287,18 @@ fn registry() -> &'static Registry {
 /// The counter named `name`, creating it on first use. Hold the handle
 /// on hot paths rather than re-looking it up per increment.
 pub fn counter(name: &str) -> Arc<Counter> {
-    let mut map = registry().counters.lock().expect("counter registry poisoned");
+    let mut map = registry()
+        .counters
+        .lock()
+        .expect("counter registry poisoned");
     match map.get(name) {
         Some(c) => Arc::clone(c),
         None => {
             let name: &'static str = Box::leak(name.into());
-            let c = Arc::new(Counter { value: AtomicU64::new(0), name });
+            let c = Arc::new(Counter {
+                value: AtomicU64::new(0),
+                name,
+            });
             map.insert(name.to_string(), Arc::clone(&c));
             c
         }
@@ -304,7 +320,10 @@ pub fn gauge(name: &str) -> Arc<Gauge> {
 
 /// The histogram named `name`, creating it on first use.
 pub fn histogram(name: &str) -> Arc<Histogram> {
-    let mut map = registry().histograms.lock().expect("histogram registry poisoned");
+    let mut map = registry()
+        .histograms
+        .lock()
+        .expect("histogram registry poisoned");
     match map.get(name) {
         Some(h) => Arc::clone(h),
         None => {
@@ -317,7 +336,10 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
 
 /// All counters and their current values, sorted by name.
 fn counter_snapshot() -> BTreeMap<String, u64> {
-    let map = registry().counters.lock().expect("counter registry poisoned");
+    let map = registry()
+        .counters
+        .lock()
+        .expect("counter registry poisoned");
     map.iter().map(|(k, v)| (k.clone(), v.get())).collect()
 }
 
@@ -329,7 +351,10 @@ pub fn gauge_snapshot() -> BTreeMap<String, u64> {
 
 /// All histograms' snapshots, sorted by name.
 pub fn histogram_snapshot() -> BTreeMap<String, HistogramSnapshot> {
-    let map = registry().histograms.lock().expect("histogram registry poisoned");
+    let map = registry()
+        .histograms
+        .lock()
+        .expect("histogram registry poisoned");
     map.iter().map(|(k, v)| (k.clone(), v.snapshot())).collect()
 }
 
@@ -388,7 +413,10 @@ fn group_by_base<V>(entries: BTreeMap<String, V>) -> BTreeMap<String, Vec<(Optio
     let mut grouped: BTreeMap<String, Vec<(Option<String>, V)>> = BTreeMap::new();
     for (key, v) in entries {
         let (base, labels) = split_key(&key);
-        grouped.entry(base.to_string()).or_default().push((labels.map(str::to_string), v));
+        grouped
+            .entry(base.to_string())
+            .or_default()
+            .push((labels.map(str::to_string), v));
     }
     grouped
 }
@@ -424,8 +452,14 @@ pub fn render_prometheus() -> String {
         for (labels, h) in series {
             // A labeled series prefixes its labels ahead of `le`:
             // `name_bucket{endpoint="assess",le="1023"}`.
-            let pre = labels.as_deref().map(|l| format!("{l},")).unwrap_or_default();
-            let suffix = labels.as_deref().map(|l| format!("{{{l}}}")).unwrap_or_default();
+            let pre = labels
+                .as_deref()
+                .map(|l| format!("{l},"))
+                .unwrap_or_default();
+            let suffix = labels
+                .as_deref()
+                .map(|l| format!("{{{l}}}"))
+                .unwrap_or_default();
             let mut cumulative = 0u64;
             for (b, &count) in h.buckets.iter().enumerate() {
                 if count == 0 {
@@ -450,7 +484,11 @@ fn prometheus_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 7);
     out.push_str("adsafe_");
     for c in name.chars() {
-        out.push(if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' });
+        out.push(if c.is_ascii_alphanumeric() || c == '_' {
+            c
+        } else {
+            '_'
+        });
     }
     out
 }
@@ -550,7 +588,11 @@ mod tests {
         assert!(a.starts_with("# adsafe-metrics/1\n"), "{a}");
         assert!(a.contains("counter test.metrics.render_c 2"), "{a}");
         assert!(a.contains("gauge test.metrics.render_g 7"), "{a}");
-        assert!(a.lines().any(|l| l.starts_with("hist test.metrics.render_h count ")), "{a}");
+        assert!(
+            a.lines()
+                .any(|l| l.starts_with("hist test.metrics.render_h count ")),
+            "{a}"
+        );
     }
 
     #[test]
@@ -566,18 +608,45 @@ mod tests {
         let text = render_prometheus();
         assert_eq!(text, render_prometheus(), "stable across renders");
         // Dots and dashes both map to underscores, with the adsafe_ prefix.
-        assert!(text.contains("# TYPE adsafe_test_metrics_prom_c counter"), "{text}");
+        assert!(
+            text.contains("# TYPE adsafe_test_metrics_prom_c counter"),
+            "{text}"
+        );
         assert!(text.contains("adsafe_test_metrics_prom_c 4"), "{text}");
-        assert!(text.contains("# TYPE adsafe_test_metrics_prom_g gauge"), "{text}");
+        assert!(
+            text.contains("# TYPE adsafe_test_metrics_prom_g gauge"),
+            "{text}"
+        );
         assert!(text.contains("adsafe_test_metrics_prom_g 9"), "{text}");
         // Histogram: cumulative buckets at bit-length bounds.
-        assert!(text.contains("# TYPE adsafe_test_metrics_prom_h histogram"), "{text}");
-        assert!(text.contains("adsafe_test_metrics_prom_h_bucket{le=\"0\"} 1"), "{text}");
-        assert!(text.contains("adsafe_test_metrics_prom_h_bucket{le=\"3\"} 3"), "{text}");
-        assert!(text.contains("adsafe_test_metrics_prom_h_bucket{le=\"1023\"} 4"), "{text}");
-        assert!(text.contains("adsafe_test_metrics_prom_h_bucket{le=\"+Inf\"} 4"), "{text}");
-        assert!(text.contains("adsafe_test_metrics_prom_h_sum 1006"), "{text}");
-        assert!(text.contains("adsafe_test_metrics_prom_h_count 4"), "{text}");
+        assert!(
+            text.contains("# TYPE adsafe_test_metrics_prom_h histogram"),
+            "{text}"
+        );
+        assert!(
+            text.contains("adsafe_test_metrics_prom_h_bucket{le=\"0\"} 1"),
+            "{text}"
+        );
+        assert!(
+            text.contains("adsafe_test_metrics_prom_h_bucket{le=\"3\"} 3"),
+            "{text}"
+        );
+        assert!(
+            text.contains("adsafe_test_metrics_prom_h_bucket{le=\"1023\"} 4"),
+            "{text}"
+        );
+        assert!(
+            text.contains("adsafe_test_metrics_prom_h_bucket{le=\"+Inf\"} 4"),
+            "{text}"
+        );
+        assert!(
+            text.contains("adsafe_test_metrics_prom_h_sum 1006"),
+            "{text}"
+        );
+        assert!(
+            text.contains("adsafe_test_metrics_prom_h_count 4"),
+            "{text}"
+        );
         // Cumulative monotonicity across every histogram in the dump.
         let mut last: Option<(String, u64)> = None;
         for line in text.lines().filter(|l| l.contains("_bucket{")) {
@@ -740,7 +809,10 @@ mod tests {
     fn labeled_keys_are_canonical_and_escaped() {
         let _r = registry_lock();
         assert_eq!(
-            labeled("serve.latency", &[("status", "200"), ("endpoint", "assess")]),
+            labeled(
+                "serve.latency",
+                &[("status", "200"), ("endpoint", "assess")]
+            ),
             "serve.latency{endpoint=\"assess\",status=\"200\"}",
             "labels sort by key"
         );
@@ -766,12 +838,19 @@ mod tests {
         h.record(900);
         let text = render_prometheus();
         assert_eq!(
-            text.matches("# TYPE adsafe_test_metrics_plabel counter").count(),
+            text.matches("# TYPE adsafe_test_metrics_plabel counter")
+                .count(),
             1,
             "one TYPE line for the family: {text}"
         );
-        assert!(text.contains("adsafe_test_metrics_plabel{endpoint=\"assess\"} 3"), "{text}");
-        assert!(text.contains("adsafe_test_metrics_plabel{endpoint=\"healthz\"} 1"), "{text}");
+        assert!(
+            text.contains("adsafe_test_metrics_plabel{endpoint=\"assess\"} 3"),
+            "{text}"
+        );
+        assert!(
+            text.contains("adsafe_test_metrics_plabel{endpoint=\"healthz\"} 1"),
+            "{text}"
+        );
         // Histogram series carry their labels ahead of `le`.
         assert!(
             text.contains("adsafe_test_metrics_plabelh_bucket{endpoint=\"assess\",le=\"127\"} 1"),
@@ -781,8 +860,14 @@ mod tests {
             text.contains("adsafe_test_metrics_plabelh_bucket{endpoint=\"assess\",le=\"+Inf\"} 2"),
             "{text}"
         );
-        assert!(text.contains("adsafe_test_metrics_plabelh_sum{endpoint=\"assess\"} 1000"), "{text}");
-        assert!(text.contains("adsafe_test_metrics_plabelh_count{endpoint=\"assess\"} 2"), "{text}");
+        assert!(
+            text.contains("adsafe_test_metrics_plabelh_sum{endpoint=\"assess\"} 1000"),
+            "{text}"
+        );
+        assert!(
+            text.contains("adsafe_test_metrics_plabelh_count{endpoint=\"assess\"} 2"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -790,6 +875,9 @@ mod tests {
         let _r = registry_lock();
         counter(&labeled("test.metrics.tlabel", &[("code", "200")])).add(2);
         let text = render_text();
-        assert!(text.contains("counter test.metrics.tlabel{code=\"200\"} 2"), "{text}");
+        assert!(
+            text.contains("counter test.metrics.tlabel{code=\"200\"} 2"),
+            "{text}"
+        );
     }
 }

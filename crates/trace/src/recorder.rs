@@ -95,7 +95,11 @@ impl RequestRecord {
             }
             out.push_str("{\"name\":");
             write_escaped(&mut out, &p.name);
-            let _ = write!(out, ",\"start_us\":{},\"dur_us\":{}}}", p.start_us, p.dur_us);
+            let _ = write!(
+                out,
+                ",\"start_us\":{},\"dur_us\":{}}}",
+                p.start_us, p.dur_us
+            );
         }
         out.push_str("]}");
         out
@@ -213,8 +217,11 @@ impl FlightRecorder {
     /// The output loads in `chrome://tracing` and passes
     /// [`chrome::validate`].
     pub fn to_chrome_json(&self) -> String {
-        let events: Vec<SpanEvent> =
-            self.snapshot().iter().flat_map(RequestRecord::to_span_events).collect();
+        let events: Vec<SpanEvent> = self
+            .snapshot()
+            .iter()
+            .flat_map(RequestRecord::to_span_events)
+            .collect();
         chrome::to_chrome_json(&events)
     }
 }
@@ -227,7 +234,11 @@ mod tests {
     fn rec(endpoint: &str, status: u16, conn: u64) -> RequestRecord {
         RequestRecord {
             seq: 0,
-            run_id: if endpoint == "/assess" { "r000001-00c0ffee".into() } else { String::new() },
+            run_id: if endpoint == "/assess" {
+                "r000001-00c0ffee".into()
+            } else {
+                String::new()
+            },
             method: "GET".into(),
             endpoint: endpoint.into(),
             status,
@@ -237,8 +248,16 @@ mod tests {
             total_us: 250,
             alloc_bytes: 65536,
             phases: vec![
-                PhaseTiming { name: "queue_wait".into(), start_us: 1000, dur_us: 40 },
-                PhaseTiming { name: "write".into(), start_us: 1200, dur_us: 50 },
+                PhaseTiming {
+                    name: "queue_wait".into(),
+                    start_us: 1000,
+                    dur_us: 40,
+                },
+                PhaseTiming {
+                    name: "write".into(),
+                    start_us: 1200,
+                    dur_us: 50,
+                },
             ],
         }
     }
@@ -266,7 +285,10 @@ mod tests {
         let snap = fr.snapshot();
         let seqs: Vec<u64> = snap.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, [3, 4, 5, 6], "oldest records evicted first");
-        assert_eq!(snap[0].conn_id, 2, "records keep their payload through the ring");
+        assert_eq!(
+            snap[0].conn_id, 2,
+            "records keep their payload through the ring"
+        );
     }
 
     #[test]
@@ -287,15 +309,24 @@ mod tests {
         assert!(!line.contains('\n'), "JSONL rows are single lines: {line}");
         let doc = Json::parse(&line).expect("row parses");
         assert_eq!(doc.get("seq").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(doc.get("run").and_then(Json::as_str), Some("r000001-00c0ffee"));
+        assert_eq!(
+            doc.get("run").and_then(Json::as_str),
+            Some("r000001-00c0ffee")
+        );
         assert_eq!(doc.get("endpoint").and_then(Json::as_str), Some("/assess"));
         assert_eq!(doc.get("status").and_then(Json::as_f64), Some(200.0));
         assert_eq!(doc.get("conn").and_then(Json::as_f64), Some(7.0));
         assert_eq!(doc.get("reuse").and_then(Json::as_f64), Some(2.0));
         assert_eq!(doc.get("alloc_bytes").and_then(Json::as_f64), Some(65536.0));
-        let phases = doc.get("phases").and_then(Json::as_arr).expect("phases array");
+        let phases = doc
+            .get("phases")
+            .and_then(Json::as_arr)
+            .expect("phases array");
         assert_eq!(phases.len(), 2);
-        assert_eq!(phases[0].get("name").and_then(Json::as_str), Some("queue_wait"));
+        assert_eq!(
+            phases[0].get("name").and_then(Json::as_str),
+            Some("queue_wait")
+        );
         assert_eq!(phases[1].get("dur_us").and_then(Json::as_f64), Some(50.0));
     }
 
@@ -309,13 +340,25 @@ mod tests {
         assert_eq!(chrome::validate(&text).expect("validator-clean"), 6);
         let doc = Json::parse(&text).unwrap();
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        assert_eq!(events[0].get("name").and_then(Json::as_str), Some("GET /assess"));
         assert_eq!(
-            events[0].get("args").and_then(|a| a.get("run")).and_then(Json::as_str),
+            events[0].get("name").and_then(Json::as_str),
+            Some("GET /assess")
+        );
+        assert_eq!(
+            events[0]
+                .get("args")
+                .and_then(|a| a.get("run"))
+                .and_then(Json::as_str),
             Some("r000001-00c0ffee")
         );
-        assert_eq!(events[1].get("name").and_then(Json::as_str), Some("queue_wait"));
-        assert_eq!(events[1].get("cat").and_then(Json::as_str), Some("serve.phase"));
+        assert_eq!(
+            events[1].get("name").and_then(Json::as_str),
+            Some("queue_wait")
+        );
+        assert_eq!(
+            events[1].get("cat").and_then(Json::as_str),
+            Some("serve.phase")
+        );
         // Connections map onto tid tracks.
         assert_eq!(events[0].get("tid").and_then(Json::as_f64), Some(1.0));
         assert_eq!(events[3].get("tid").and_then(Json::as_f64), Some(2.0));

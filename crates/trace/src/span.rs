@@ -97,7 +97,9 @@ impl Counts {
     }
 
     fn get(&self, name: &str) -> u64 {
-        self.0.binary_search_by_key(&name, |&(k, _)| k).map_or(0, |i| self.0[i].1)
+        self.0
+            .binary_search_by_key(&name, |&(k, _)| k)
+            .map_or(0, |i| self.0[i].1)
     }
 }
 
@@ -173,7 +175,13 @@ pub fn span_with(
     });
     let token = TRACE.with(|t| {
         let mut t = t.borrow_mut();
-        t.stack.push(OpenSpan { name, cat, start_us, args, prev_phase });
+        t.stack.push(OpenSpan {
+            name,
+            cat,
+            start_us,
+            args,
+            prev_phase,
+        });
         t.stack.len()
     });
     SpanGuard { token }
@@ -231,22 +239,34 @@ pub fn mark() -> Mark {
         let t = t.borrow();
         (t.events.len(), t.counters.clone())
     });
-    Mark { events, counters, alloc: crate::alloc::tally(), _thread: PhantomData }
+    Mark {
+        events,
+        counters,
+        alloc: crate::alloc::tally(),
+        _thread: PhantomData,
+    }
 }
 
 impl Mark {
     /// Counter increments made in this scope, `(name, n)` sorted by
     /// name; counters that did not move are left out.
     pub fn counters(&self) -> Vec<(String, u64)> {
-        self.counters_since().0.into_iter().map(|(name, n)| (name.to_string(), n)).collect()
+        self.counters_since()
+            .0
+            .into_iter()
+            .map(|(name, n)| (name.to_string(), n))
+            .collect()
     }
 
     /// This scope's increments of the counters that moved.
     fn counters_since(&self) -> Counts {
         TRACE.with(|t| {
             let t = t.borrow();
-            let since =
-                t.counters.0.iter().map(|&(name, now)| (name, now - self.counters.get(name)));
+            let since = t
+                .counters
+                .0
+                .iter()
+                .map(|&(name, now)| (name, now - self.counters.get(name)));
             Counts(since.filter(|&(_, n)| n > 0).collect())
         })
     }
@@ -263,7 +283,11 @@ impl Mark {
     pub fn hand_back(self) -> Handback {
         // Read first, so the handback's own bookkeeping is not billed.
         let alloc = crate::alloc::tally_since(&self.alloc);
-        Handback { events: drain_from(&self), counters: self.counters_since(), alloc }
+        Handback {
+            events: drain_from(&self),
+            counters: self.counters_since(),
+            alloc,
+        }
     }
 }
 
@@ -298,7 +322,11 @@ pub struct Handback {
 /// Bare span events, with no counter increments or allocations.
 impl From<Vec<SpanEvent>> for Handback {
     fn from(events: Vec<SpanEvent>) -> Self {
-        Handback { events, counters: Counts::default(), alloc: Default::default() }
+        Handback {
+            events,
+            counters: Counts::default(),
+            alloc: Default::default(),
+        }
     }
 }
 
@@ -421,9 +449,17 @@ mod tests {
                 let _r = span("file.x", "parse");
                 assert_eq!(crate::alloc::current_phase(), native_idx);
             }
-            assert_eq!(crate::alloc::current_phase(), parse_idx, "inner close restores");
+            assert_eq!(
+                crate::alloc::current_phase(),
+                parse_idx,
+                "inner close restores"
+            );
         }
-        assert_eq!(crate::alloc::current_phase(), outside, "outer close restores");
+        assert_eq!(
+            crate::alloc::current_phase(),
+            outside,
+            "outer close restores"
+        );
         drain_from(&m);
     }
 
@@ -437,7 +473,11 @@ mod tests {
             panic!("checker bug");
         });
         assert!(r.is_err());
-        assert_eq!(crate::alloc::current_phase(), outside, "unwinding left a stale tag");
+        assert_eq!(
+            crate::alloc::current_phase(),
+            outside,
+            "unwinding left a stale tag"
+        );
         drain_from(&m);
     }
 
@@ -500,11 +540,18 @@ mod tests {
         let inner_events = drain_from(&inner);
         assert_eq!(inner_events.len(), 1);
         assert_eq!(inner_events[0].name, "inner");
-        assert_eq!(outer.counters(), inner.counters(), "numbers count in both scopes");
+        assert_eq!(
+            outer.counters(),
+            inner.counters(),
+            "numbers count in both scopes"
+        );
         absorb(inner_events.into());
         let all: Vec<String> = drain_from(&outer).into_iter().map(|e| e.name).collect();
         assert_eq!(all, ["before", "inner"]);
-        assert!(drain_from(&mark()).is_empty(), "the drains left the buffer empty");
+        assert!(
+            drain_from(&mark()).is_empty(),
+            "the drains left the buffer empty"
+        );
     }
 
     #[test]

@@ -59,7 +59,10 @@ impl TraceSummary {
                 let name = e.name.strip_prefix("phase.").unwrap_or(&e.name).to_string();
                 match phases.iter_mut().find(|p: &&mut PhaseTime| p.name == name) {
                     Some(p) => p.wall_us += e.dur_us,
-                    None => phases.push(PhaseTime { name, wall_us: e.dur_us }),
+                    None => phases.push(PhaseTime {
+                        name,
+                        wall_us: e.dur_us,
+                    }),
                 }
             } else if e.name == "assessment.run" {
                 total_us = total_us.max(e.dur_us);
@@ -96,12 +99,18 @@ impl TraceSummary {
 
     /// This run's increment of counter `name` (0 if it never moved).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+        self.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v)
     }
 
     /// Wall time of `phase` in milliseconds, if that phase ran.
     pub fn phase_ms(&self, phase: &str) -> Option<f64> {
-        self.phases.iter().find(|p| p.name == phase).map(|p| p.wall_us as f64 / 1000.0)
+        self.phases
+            .iter()
+            .find(|p| p.name == phase)
+            .map(|p| p.wall_us as f64 / 1000.0)
     }
 
     /// The run's events as a Chrome trace-event JSON document.

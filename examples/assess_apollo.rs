@@ -34,7 +34,10 @@ fn main() {
     let (_, coverage) = adsafe::experiments::fig5_yolo_coverage();
 
     eprintln!("running assessment (parse + metrics + 30 checks) ...");
-    let options = AssessmentOptions { coverage: Some(coverage), ..AssessmentOptions::default() };
+    let options = AssessmentOptions {
+        coverage: Some(coverage),
+        ..AssessmentOptions::default()
+    };
     let report = assess_corpus(&files, options);
 
     println!("{}", render::table1(&report).to_ascii());

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example coverage_gaps`
 
 use adsafe::corpus::yolo::{harness_with_drivers, real_scenarios, YOLO_FILES};
-use adsafe::coverage::{summarize_gaps, suggest_mcdc_pair};
+use adsafe::coverage::{suggest_mcdc_pair, summarize_gaps};
 
 fn main() {
     let h = harness_with_drivers();

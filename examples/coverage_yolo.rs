@@ -7,7 +7,10 @@ use adsafe::corpus::yolo::{harness_with_drivers, real_scenarios};
 use adsafe::experiments::fig5_yolo_coverage;
 
 fn main() {
-    println!("running {} real-scenario tests over the YOLO-mini corpus ...", real_scenarios().len());
+    println!(
+        "running {} real-scenario tests over the YOLO-mini corpus ...",
+        real_scenarios().len()
+    );
     let h = harness_with_drivers();
     let (_, outcomes) = h.measure(&real_scenarios());
     for o in &outcomes {

@@ -28,7 +28,10 @@ fn main() {
         &a.labels
             .iter()
             .zip(&a.series[0].1)
-            .map(|(l, v)| adsafe::perfmodel::Point { label: l.clone(), value: *v })
+            .map(|(l, v)| adsafe::perfmodel::Point {
+                label: l.clone(),
+                value: *v,
+            })
             .collect::<Vec<_>>(),
     );
     println!(
@@ -42,7 +45,10 @@ fn main() {
         &b.labels
             .iter()
             .zip(&b.series[0].1)
-            .map(|(l, v)| adsafe::perfmodel::Point { label: l.clone(), value: *v })
+            .map(|(l, v)| adsafe::perfmodel::Point {
+                label: l.clone(),
+                value: *v,
+            })
             .collect::<Vec<_>>(),
     );
     let wins = b.series[0].1.iter().filter(|v| **v > 1.0).count();

@@ -17,7 +17,10 @@ fn main() {
             });
             (p, text)
         }
-        None => ("scale_bias.cu (paper Figure 4)".to_string(), SCALE_BIAS_CU.to_string()),
+        None => (
+            "scale_bias.cu (paper Figure 4)".to_string(),
+            SCALE_BIAS_CU.to_string(),
+        ),
     };
 
     println!("checking {path} ...\n");

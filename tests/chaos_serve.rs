@@ -38,7 +38,10 @@ use std::time::Duration;
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);
     let n = N.fetch_add(1, Ordering::Relaxed);
-    let d = std::env::temp_dir().join(format!("adsafe-chaos-test-{}-{tag}-{n}", std::process::id()));
+    let d = std::env::temp_dir().join(format!(
+        "adsafe-chaos-test-{}-{tag}-{n}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d
@@ -98,14 +101,19 @@ fn cli_golden_report(corpus: &Path) -> String {
     assert!(out.status.code().is_some(), "CLI must exit normally");
     let full = std::fs::read_to_string(&report_path).expect("CLI report written");
     let _ = std::fs::remove_file(&report_path);
-    full.split("\n## Trace summary").next().expect("deterministic prefix").to_string()
+    full.split("\n## Trace summary")
+        .next()
+        .expect("deterministic prefix")
+        .to_string()
 }
 
 /// One round-trip on a fresh, un-proxied connection (for golden checks
 /// and metrics reads that must not themselves be chaos-afflicted).
 fn direct(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
     stream
         .write_all(&http::encode_request(method, path, &[], body.as_bytes()))
         .expect("send request");
@@ -144,8 +152,12 @@ fn drive_connection(
     requests: &[Vec<u8>],
     golden: &str,
 ) -> usize {
-    let Ok(mut stream) = TcpStream::connect(proxy_addr) else { return 0 };
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let Ok(mut stream) = TcpStream::connect(proxy_addr) else {
+        return 0;
+    };
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut well_formed = 0;
     for wire in requests {
@@ -159,7 +171,9 @@ fn drive_connection(
                     resp.status, 500,
                     "{scenario}: socket chaos must never surface as a handler panic"
                 );
-                if resp.status == 200 && resp.header("content-type") == Some("text/markdown; charset=utf-8") {
+                if resp.status == 200
+                    && resp.header("content-type") == Some("text/markdown; charset=utf-8")
+                {
                     assert_eq!(
                         resp.body_text(),
                         golden,
@@ -191,8 +205,7 @@ fn scripts(corpus: &Path) -> Vec<Vec<Vec<u8>>> {
     let assess = http::encode_request("POST", "/assess", &[], body.as_bytes());
     let health = http::encode_request("GET", "/healthz", &[], b"");
     let metrics = http::encode_request("GET", "/metrics", &[], b"");
-    let mut chunked =
-        b"POST /assess HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+    let mut chunked = b"POST /assess HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
     for piece in body.as_bytes().chunks(7) {
         chunked.extend_from_slice(format!("{:x}\r\n", piece.len()).as_bytes());
         chunked.extend_from_slice(piece);
@@ -210,8 +223,11 @@ fn scripts(corpus: &Path) -> Vec<Vec<Vec<u8>>> {
 fn twenty_seeded_storms_leave_the_daemon_sound() {
     let corpus = corpus_dir("storm");
     let golden = cli_golden_report(&corpus);
-    let server = Server::start(ServeConfig { addr: "127.0.0.1:0".into(), ..chaos_config() })
-        .expect("bind");
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        ..chaos_config()
+    })
+    .expect("bind");
     let addr = server.addr();
     let panics_before = {
         let m = direct(addr, "GET", "/metrics", "").body_text();
@@ -239,10 +255,17 @@ fn twenty_seeded_storms_leave_the_daemon_sound() {
     // Invariant 3: the injected faults are visible in /metrics, right
     // next to the server-side counters they provoked.
     let metrics = direct(addr, "GET", "/metrics", "").body_text();
-    assert_eq!(proxied, 20 * scripts.len() as u64, "every proxied connection is counted");
-    for fault in
-        ["chaos.fault.clean", "chaos.fault.abort", "chaos.fault.soup", "chaos.fault.reset"]
-    {
+    assert_eq!(
+        proxied,
+        20 * scripts.len() as u64,
+        "every proxied connection is counted"
+    );
+    for fault in [
+        "chaos.fault.clean",
+        "chaos.fault.abort",
+        "chaos.fault.soup",
+        "chaos.fault.reset",
+    ] {
         assert!(
             metrics_counter(&metrics, fault) > 0,
             "20 seeds x 3 connections must exercise {fault}:\n{metrics}"
@@ -256,9 +279,18 @@ fn twenty_seeded_storms_leave_the_daemon_sound() {
         panics_before,
         "socket chaos must never reach a handler panic"
     );
-    let after = direct(addr, "POST", "/assess", &format!("{{\"dir\":\"{}\"}}", corpus.display()));
+    let after = direct(
+        addr,
+        "POST",
+        "/assess",
+        &format!("{{\"dir\":\"{}\"}}", corpus.display()),
+    );
     assert_eq!(after.status, 200);
-    assert_eq!(after.body_text(), golden, "the daemon is unharmed after 20 storms");
+    assert_eq!(
+        after.body_text(),
+        golden,
+        "the daemon is unharmed after 20 storms"
+    );
     let health = direct(addr, "GET", "/healthz", "").body_text();
     assert!(health.contains("\"status\":\"ok\""), "{health}");
 
@@ -270,21 +302,26 @@ fn twenty_seeded_storms_leave_the_daemon_sound() {
 fn torn_chunked_frames_never_reach_the_pipeline() {
     let corpus = corpus_dir("torn-chunk");
     let golden = cli_golden_report(&corpus);
-    let server = Server::start(ServeConfig { addr: "127.0.0.1:0".into(), ..chaos_config() })
-        .expect("bind");
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        ..chaos_config()
+    })
+    .expect("bind");
     let addr = server.addr();
 
     // Tear the chunked request at offsets that land mid-head, on the
     // chunk-size line, and inside chunk data.
     let chunked = &scripts(&corpus)[2][0];
-    let head_len =
-        b"POST /assess HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".len();
-    for cut in [5, head_len - 2, head_len + 1, head_len + 4, chunked.len() - 3] {
-        let proxy = ChaosProxy::start(
-            addr,
-            ChaosPlan::fixed(FaultKind::AbortAfter { bytes: cut }),
-        )
-        .expect("proxy");
+    let head_len = b"POST /assess HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".len();
+    for cut in [
+        5,
+        head_len - 2,
+        head_len + 1,
+        head_len + 4,
+        chunked.len() - 3,
+    ] {
+        let proxy = ChaosProxy::start(addr, ChaosPlan::fixed(FaultKind::AbortAfter { bytes: cut }))
+            .expect("proxy");
         drive_connection(
             proxy.addr(),
             &format!("chunked tear at byte {cut}"),
@@ -296,7 +333,12 @@ fn torn_chunked_frames_never_reach_the_pipeline() {
 
     // The tear surfaced as a 4xx/close, never as a served assessment
     // of a truncated body: the daemon still produces golden bytes.
-    let after = direct(addr, "POST", "/assess", &format!("{{\"dir\":\"{}\"}}", corpus.display()));
+    let after = direct(
+        addr,
+        "POST",
+        "/assess",
+        &format!("{{\"dir\":\"{}\"}}", corpus.display()),
+    );
     assert_eq!((after.status, after.body_text()), (200, golden));
     server.stop();
     let _ = std::fs::remove_dir_all(&corpus);
@@ -306,8 +348,11 @@ fn torn_chunked_frames_never_reach_the_pipeline() {
 fn reset_storms_and_slow_drips_are_contained() {
     let corpus = corpus_dir("reset");
     let golden = cli_golden_report(&corpus);
-    let server = Server::start(ServeConfig { addr: "127.0.0.1:0".into(), ..chaos_config() })
-        .expect("bind");
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        ..chaos_config()
+    })
+    .expect("bind");
     let addr = server.addr();
     let drops_before = {
         let m = direct(addr, "GET", "/metrics", "").body_text();
@@ -319,18 +364,25 @@ fn reset_storms_and_slow_drips_are_contained() {
     for bytes in [0usize, 3, 10, 26, 200] {
         let proxy = ChaosProxy::start(addr, ChaosPlan::fixed(FaultKind::ResetAfter { bytes }))
             .expect("proxy");
-        drive_connection(proxy.addr(), &format!("reset after {bytes}"), std::slice::from_ref(&health), &golden);
+        drive_connection(
+            proxy.addr(),
+            &format!("reset after {bytes}"),
+            std::slice::from_ref(&health),
+            &golden,
+        );
         proxy.stop();
     }
 
     // A slow-drip client dies to the byte-rate floor (2 B/s against a
     // 256 B/s minimum), not by pinning a worker forever.
-    let proxy = ChaosProxy::start(
-        addr,
-        ChaosPlan::fixed(FaultKind::SlowDrip { delay_ms: 40 }),
-    )
-    .expect("proxy");
-    drive_connection(proxy.addr(), "slow drip", std::slice::from_ref(&health), &golden);
+    let proxy = ChaosProxy::start(addr, ChaosPlan::fixed(FaultKind::SlowDrip { delay_ms: 40 }))
+        .expect("proxy");
+    drive_connection(
+        proxy.addr(),
+        "slow drip",
+        std::slice::from_ref(&health),
+        &golden,
+    );
     proxy.stop();
     let m = direct(addr, "GET", "/metrics", "").body_text();
     assert!(
@@ -339,7 +391,12 @@ fn reset_storms_and_slow_drips_are_contained() {
         "the drip must die to a read budget, not run to completion:\n{m}"
     );
 
-    let after = direct(addr, "POST", "/assess", &format!("{{\"dir\":\"{}\"}}", corpus.display()));
+    let after = direct(
+        addr,
+        "POST",
+        "/assess",
+        &format!("{{\"dir\":\"{}\"}}", corpus.display()),
+    );
     assert_eq!((after.status, after.body_text()), (200, golden));
     server.stop();
     let _ = std::fs::remove_dir_all(&corpus);
@@ -387,12 +444,18 @@ fn flight_recorder_stays_coherent_through_a_seeded_storm() {
                 .unwrap_or_else(|e| panic!("half-written access-log row: {e}\n{l}"))
         })
         .collect();
-    assert!(!rows.is_empty() && rows.len() <= cap, "ring holds at most {cap}: {}", rows.len());
+    assert!(
+        !rows.is_empty() && rows.len() <= cap,
+        "ring holds at most {cap}: {}",
+        rows.len()
+    );
     let seq = |row: &adsafe::trace::json::Json| {
         row.get("seq").and_then(|v| v.as_f64()).expect("seq field") as u64
     };
     for row in &rows {
-        for k in ["run", "method", "endpoint", "status", "conn", "reuse", "total_us"] {
+        for k in [
+            "run", "method", "endpoint", "status", "conn", "reuse", "total_us",
+        ] {
             assert!(row.get(k).is_some(), "row missing {k}");
         }
     }
@@ -416,7 +479,10 @@ fn flight_recorder_stays_coherent_through_a_seeded_storm() {
             .and_then(|s| s.parse().ok())
             .unwrap_or_else(|| panic!("healthz reports {name}: {health}"))
     };
-    assert!(health.contains(&format!("\"recorder_cap\":{cap}")), "{health}");
+    assert!(
+        health.contains(&format!("\"recorder_cap\":{cap}")),
+        "{health}"
+    );
     assert!(
         field("recorder_evicted") >= last_seq.saturating_sub(cap as u64),
         "evicted tally accounts for everything pushed out of the ring: \
@@ -431,7 +497,12 @@ fn flight_recorder_stays_coherent_through_a_seeded_storm() {
         .expect("post-storm /trace/recent passes the Chrome validator");
 
     // And the daemon is unharmed: golden bytes on a clean connection.
-    let after = direct(addr, "POST", "/assess", &format!("{{\"dir\":\"{}\"}}", corpus.display()));
+    let after = direct(
+        addr,
+        "POST",
+        "/assess",
+        &format!("{{\"dir\":\"{}\"}}", corpus.display()),
+    );
     assert_eq!((after.status, after.body_text()), (200, golden));
     server.stop();
     let _ = std::fs::remove_dir_all(&corpus);
@@ -492,13 +563,19 @@ fn store_eviction_under_memory_pressure_never_changes_report_bytes() {
 
     let metrics = direct(addr, "GET", "/metrics", "").body_text();
     let evictions = metrics_counter(&metrics, "store.evictions") - evictions_before;
-    assert!(evictions > 0, "the budget must have forced evictions:\n{metrics}");
+    assert!(
+        evictions > 0,
+        "the budget must have forced evictions:\n{metrics}"
+    );
     assert!(metrics_counter(&metrics, "store.evicted_bytes") > 0);
 
     // /healthz surfaces the pressure: bytes within budget, the budget
     // itself, and the eviction tally.
     let health = direct(addr, "GET", "/healthz", "").body_text();
-    assert!(health.contains(&format!("\"store_budget\":{budget}")), "{health}");
+    assert!(
+        health.contains(&format!("\"store_budget\":{budget}")),
+        "{health}"
+    );
     let store_bytes: u64 = health
         .split("\"store_bytes\":")
         .nth(1)

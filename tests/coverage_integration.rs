@@ -13,7 +13,10 @@ fn fig5_matches_paper_shape_and_order() {
     // Paper averages 83/75/61: same ordering, all incomplete.
     assert!(avg.statement_pct > avg.branch_pct, "{avg:?}");
     assert!(avg.branch_pct > avg.mcdc_pct, "{avg:?}");
-    assert!(avg.statement_pct < 100.0 && avg.statement_pct > 60.0, "{avg:?}");
+    assert!(
+        avg.statement_pct < 100.0 && avg.statement_pct > 60.0,
+        "{avg:?}"
+    );
     assert!((50.0..100.0).contains(&avg.branch_pct), "{avg:?}");
     assert!((30.0..90.0).contains(&avg.mcdc_pct), "{avg:?}");
     // Per-file minima well below the average (paper: 19/37/10).
@@ -41,7 +44,10 @@ fn fig6_stencils_run_and_stay_incomplete() {
     for (name, values) in &fig.series {
         for (label, v) in fig.labels.iter().zip(values) {
             assert!(*v >= 45.0, "{label} {name} executed most code, got {v}");
-            assert!(*v < 100.0, "{label} {name} must miss the halo path, got {v}");
+            assert!(
+                *v < 100.0,
+                "{label} {name} must miss the halo path, got {v}"
+            );
         }
     }
 }
@@ -99,7 +105,9 @@ fn scenario_failures_do_not_poison_the_run() {
     tests.push(TestCase::new("bogus entry", "no_such_function", vec![]));
     let (cov, outcomes) = h.measure(&tests);
     assert!(outcomes.last().unwrap().result.is_err());
-    assert!(outcomes[..outcomes.len() - 1].iter().all(|o| o.result.is_ok()));
+    assert!(outcomes[..outcomes.len() - 1]
+        .iter()
+        .all(|o| o.result.is_ok()));
     assert!(!cov.is_empty());
 }
 
@@ -134,8 +142,10 @@ fn tight_loop_terminates_with_step_limit_fault() {
     let id = sm.add_file("spin.c", src);
     let parsed = parse_source(id, sm.file(id).text());
     let program = Program::from_units(&[&parsed.unit]);
-    let mut interp = Interp::new(&program)
-        .with_limits(Limits { max_steps: 10_000, max_depth: 96 });
+    let mut interp = Interp::new(&program).with_limits(Limits {
+        max_steps: 10_000,
+        max_depth: 96,
+    });
     let err = interp
         .call("spin", vec![adsafe::coverage::Value::Int(1)])
         .expect_err("tight loop must hit the step budget");
@@ -152,8 +162,10 @@ fn deep_recursion_terminates_with_stack_overflow_fault() {
     let id = sm.add_file("dive.c", src);
     let parsed = parse_source(id, sm.file(id).text());
     let program = Program::from_units(&[&parsed.unit]);
-    let mut interp = Interp::new(&program)
-        .with_limits(Limits { max_steps: 10_000_000, max_depth: 64 });
+    let mut interp = Interp::new(&program).with_limits(Limits {
+        max_steps: 10_000_000,
+        max_depth: 64,
+    });
     let err = interp
         .call("dive", vec![adsafe::coverage::Value::Int(0)])
         .expect_err("unbounded recursion must hit the depth budget");
@@ -172,8 +184,12 @@ fn bounded_recursion_within_budget_succeeds() {
     let id = sm.add_file("fact.c", src);
     let parsed = parse_source(id, sm.file(id).text());
     let program = Program::from_units(&[&parsed.unit]);
-    let mut interp = Interp::new(&program)
-        .with_limits(Limits { max_steps: 10_000, max_depth: 64 });
-    let v = interp.call("fact", vec![Value::Int(10)]).expect("bounded recursion passes");
+    let mut interp = Interp::new(&program).with_limits(Limits {
+        max_steps: 10_000,
+        max_depth: 64,
+    });
+    let v = interp
+        .call("fact", vec![Value::Int(10)])
+        .expect("bounded recursion passes");
     assert_eq!(v.as_i64(), 3_628_800);
 }

@@ -27,8 +27,9 @@ fn quiet_panics() {
     static QUIET: Once = Once::new();
     QUIET.call_once(|| {
         std::panic::set_hook(Box::new(|info| {
-            let from_harness =
-                info.location().is_some_and(|l| l.file().ends_with("fault_injection.rs"));
+            let from_harness = info
+                .location()
+                .is_some_and(|l| l.file().ends_with("fault_injection.rs"));
             if from_harness {
                 eprintln!("{info}");
             }
@@ -58,7 +59,11 @@ fn contained_run(
     quiet_panics();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut a = Assessment::new().with_options(options);
-        a.add_file("healthy", "healthy/base.cc", "int Base(int x) { return x + 1; }\n");
+        a.add_file(
+            "healthy",
+            "healthy/base.cc",
+            "int Base(int x) { return x + 1; }\n",
+        );
         build(&mut a);
         let report = a.run();
         let rendered = full_report_markdown(&report);
@@ -83,7 +88,10 @@ fn run_scenario(
         !report.faults.is_empty(),
         "scenario `{name}`: fault log is empty"
     );
-    assert!(report.degraded, "scenario `{name}`: report not marked degraded");
+    assert!(
+        report.degraded,
+        "scenario `{name}`: report not marked degraded"
+    );
     assert!(
         rendered.contains("## Fault log"),
         "scenario `{name}`: rendered report lacks the fault section"
@@ -116,10 +124,9 @@ fn corruption_scenarios_degrade_but_never_escape() {
             for attempt in 0..12u64 {
                 let seed = base_seed + 1000 * attempt;
                 let bytes = corrupt(seed, kind, &v.path, &v.text);
-                let (report, rendered) =
-                    contained_run(&name, AssessmentOptions::default(), |a| {
-                        a.add_file_bytes(&v.module, &v.path, &bytes);
-                    });
+                let (report, rendered) = contained_run(&name, AssessmentOptions::default(), |a| {
+                    a.add_file_bytes(&v.module, &v.path, &bytes);
+                });
                 if report.degraded && report.faults.iter().any(|f| f.path == v.path) {
                     assert!(
                         rendered.contains("## Fault log"),
@@ -129,9 +136,8 @@ fn corruption_scenarios_degrade_but_never_escape() {
                     break;
                 }
             }
-            let report = degraded_report.unwrap_or_else(|| {
-                panic!("scenario `{name}`: no seed in the chain cost evidence")
-            });
+            let report = degraded_report
+                .unwrap_or_else(|| panic!("scenario `{name}`: no seed in the chain cost evidence"));
             assert!(report.modules.iter().any(|m| m.name == "healthy"));
             scenarios += 1;
         }
@@ -160,11 +166,19 @@ fn failpoint_parse_panic_targeted_file() {
     let r = run_scenario("parse-panic-targeted", AssessmentOptions::default(), |a| {
         a.add_file(&v.module, &v.path, &v.text);
     });
-    let f = r.faults.iter().find(|f| f.path == v.path).expect("targeted fault");
+    let f = r
+        .faults
+        .iter()
+        .find(|f| f.path == v.path)
+        .expect("targeted fault");
     assert_eq!(f.recovery, adsafe::Recovery::TokenMetrics);
     // Tier 3 kept the file contributing: its module exists with
     // absorbed (token-estimated) evidence.
-    let m = r.modules.iter().find(|m| m.name == v.module).expect("module survives");
+    let m = r
+        .modules
+        .iter()
+        .find(|m| m.name == v.module)
+        .expect("module survives");
     assert_eq!(m.absorbed_files, 1);
     assert!(m.loc.nloc > 0);
 }
@@ -173,9 +187,16 @@ fn failpoint_parse_panic_targeted_file() {
 fn failpoint_checker_panic_generic() {
     let _g = failpoints::Armed::new("pipeline::check", Action::Panic("rule bug".into()));
     let r = run_scenario("check-panic-any", AssessmentOptions::default(), |a| {
-        a.add_file("m", "m/a.cc", "int g;\nint f() { goto x; x: return (int)1.5; }\n");
+        a.add_file(
+            "m",
+            "m/a.cc",
+            "int g;\nint f() { goto x; x: return (int)1.5; }\n",
+        );
     });
-    assert!(r.faults.iter().any(|f| f.phase == adsafe::FaultPhase::Checks));
+    assert!(r
+        .faults
+        .iter()
+        .any(|f| f.phase == adsafe::FaultPhase::Checks));
     // Only one rule was lost; the rest still produced diagnostics.
     assert!(!r.diagnostics.is_empty());
 }
@@ -187,7 +208,11 @@ fn failpoint_checker_panic_targeted_rule_keeps_other_rules() {
         Action::Panic("goto rule bug".into()),
     );
     let r = run_scenario("check-panic-targeted", AssessmentOptions::default(), |a| {
-        a.add_file("m", "m/a.cc", "int g;\nint f() { goto x; x: return (int)1.5; }\n");
+        a.add_file(
+            "m",
+            "m/a.cc",
+            "int g;\nint f() { goto x; x: return (int)1.5; }\n",
+        );
     });
     // The armed rule produced no diagnostics but was logged.
     assert!(r.diagnostics_for("misra-15.1-goto").is_empty());
@@ -204,7 +229,11 @@ int jump(int x) { if (x) goto out; out: return x; }\n";
 /// Cache entries (everything but `meta.json`) under `dir`.
 fn cache_entries(dir: &std::path::Path) -> usize {
     std::fs::read_dir(dir)
-        .map(|d| d.flatten().filter(|e| e.file_name() != "meta.json" && e.path().is_file()).count())
+        .map(|d| {
+            d.flatten()
+                .filter(|e| e.file_name() != "meta.json" && e.path().is_file())
+                .count()
+        })
         .unwrap_or(0)
 }
 
@@ -216,11 +245,18 @@ fn failpoint_gates_a_bundled_rule_like_a_native_one() {
     );
     let dir = std::env::temp_dir().join(format!("adsafe-gate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let options = AssessmentOptions { cache_dir: Some(dir.clone()), ..AssessmentOptions::default() };
+    let options = AssessmentOptions {
+        cache_dir: Some(dir.clone()),
+        ..AssessmentOptions::default()
+    };
     let r = run_scenario("bundled-gate", options, |a| {
         a.add_file("m", "m/a.cc", GATED_SRC);
     });
-    let f = r.faults.iter().find(|f| f.path == "misra-17.2-recursion").expect("gate fault");
+    let f = r
+        .faults
+        .iter()
+        .find(|f| f.path == "misra-17.2-recursion")
+        .expect("gate fault");
     assert_eq!(f.phase, adsafe::FaultPhase::Checks);
     assert!(r.diagnostics_for("misra-17.2-recursion").is_empty());
     // Other rules still fired.
@@ -237,16 +273,25 @@ fn checks_deadline_cuts_bundled_rules_like_natives() {
     // part-way through the natives; the bundled rules gate after them.
     let _g = failpoints::Armed::new("pipeline::check", Action::Delay(Duration::from_millis(3)));
     let options = AssessmentOptions {
-        budgets: Budgets { phase_deadline: Some(Duration::from_millis(20)) },
+        budgets: Budgets {
+            phase_deadline: Some(Duration::from_millis(20)),
+        },
         ..AssessmentOptions::default()
     };
     let r = run_scenario("checks-deadline", options, |a| {
         a.add_file("m", "m/a.cc", GATED_SRC);
     });
-    assert!(r.faults.iter().any(|f| f.phase == adsafe::FaultPhase::Checks
-        && matches!(f.cause, adsafe::FaultCause::DeadlineExceeded { .. })));
+    assert!(r
+        .faults
+        .iter()
+        .any(|f| f.phase == adsafe::FaultPhase::Checks
+            && matches!(f.cause, adsafe::FaultCause::DeadlineExceeded { .. })));
     for rule in &adsafe::query::bundled_rules().rules {
-        assert!(r.diagnostics_for(rule.id).is_empty(), "{} ran past the cut", rule.id);
+        assert!(
+            r.diagnostics_for(rule.id).is_empty(),
+            "{} ran past the cut",
+            rule.id
+        );
     }
 }
 
@@ -259,12 +304,19 @@ fn query_rule_panic_costs_one_rule_on_one_file() {
     );
     let dir = std::env::temp_dir().join(format!("adsafe-query-panic-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let options = AssessmentOptions { cache_dir: Some(dir.clone()), ..AssessmentOptions::default() };
+    let options = AssessmentOptions {
+        cache_dir: Some(dir.clone()),
+        ..AssessmentOptions::default()
+    };
     let r = run_scenario("query-panic", options, |a| {
         a.add_file("m", "m/a.cc", GATED_SRC);
         a.add_file("m", "m/b.cc", GATED_SRC);
     });
-    let f = r.faults.iter().find(|f| f.phase == adsafe::FaultPhase::Checks).expect("fault");
+    let f = r
+        .faults
+        .iter()
+        .find(|f| f.phase == adsafe::FaultPhase::Checks)
+        .expect("fault");
     assert_eq!(f.path, "misra-15.5-multi-exit on healthy/base.cc");
     assert!(matches!(f.cause, adsafe::FaultCause::Injected(_)));
     // The rule survived on the other files; other rules on every file.
@@ -272,8 +324,12 @@ fn query_rule_panic_costs_one_rule_on_one_file() {
     assert_eq!(r.diagnostics_for("misra-17.2-recursion").len(), 2);
     // The bundled rule ran in the file task, so its fault keeps that
     // file out of the cache, as a native's does; the others are stored.
-    let entry =
-        |path: &str| dir.join(format!("{:016x}.json", adsafe::content_hash(path, GATED_SRC)));
+    let entry = |path: &str| {
+        dir.join(format!(
+            "{:016x}.json",
+            adsafe::content_hash(path, GATED_SRC)
+        ))
+    };
     assert!(entry("m/a.cc").exists() && entry("m/b.cc").exists());
     assert_eq!(cache_entries(&dir), 2);
     let _ = std::fs::remove_dir_all(&dir);
@@ -290,16 +346,26 @@ fn native_rule_panic_in_a_file_task_costs_one_rule_on_one_file() {
     );
     let dir = std::env::temp_dir().join(format!("adsafe-file-task-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let options = AssessmentOptions { cache_dir: Some(dir.clone()), ..AssessmentOptions::default() };
+    let options = AssessmentOptions {
+        cache_dir: Some(dir.clone()),
+        ..AssessmentOptions::default()
+    };
     let r = run_scenario("file-task-panic", options, |a| {
         a.add_file("m", "m/a.cc", &src);
         a.add_file("m", "m/b.cc", &src);
     });
-    let faults: Vec<_> =
-        r.faults.iter().filter(|f| f.phase == adsafe::FaultPhase::Checks).collect();
+    let faults: Vec<_> = r
+        .faults
+        .iter()
+        .filter(|f| f.phase == adsafe::FaultPhase::Checks)
+        .collect();
     assert_eq!(faults.len(), 1, "{faults:?}");
     assert_eq!(faults[0].path, "typing-explicit-cast");
-    assert!(matches!(faults[0].cause, adsafe::FaultCause::Injected(_)), "{:?}", faults[0]);
+    assert!(
+        matches!(faults[0].cause, adsafe::FaultCause::Injected(_)),
+        "{:?}",
+        faults[0]
+    );
     // File ids follow insertion order, after `healthy/base.cc`.
     let (a, b) = (adsafe::lang::FileId(1), adsafe::lang::FileId(2));
     // The rule survived on the other file ...
@@ -307,8 +373,14 @@ fn native_rule_panic_in_a_file_task_costs_one_rule_on_one_file() {
     assert_eq!(casts.len(), 1);
     assert_eq!(casts[0].span.file, b);
     // ... and every other rule survived on the armed file.
-    assert!(r.diagnostics_for("misra-15.1-goto").iter().any(|d| d.span.file == a));
-    assert!(r.diagnostics_for("misra-15.5-multi-exit").iter().any(|d| d.span.file == a));
+    assert!(r
+        .diagnostics_for("misra-15.1-goto")
+        .iter()
+        .any(|d| d.span.file == a));
+    assert!(r
+        .diagnostics_for("misra-15.5-multi-exit")
+        .iter()
+        .any(|d| d.span.file == a));
     // The armed file lost a rule, so it is not written back; the
     // others are.
     let entry = |path: &str| dir.join(format!("{:016x}.json", adsafe::content_hash(path, &src)));
@@ -332,17 +404,27 @@ fn macro_rule_panic_costs_one_rule_on_one_file() {
         a.add_file("m", "m/a.cc", src);
         a.add_file("m", "m/b.cc", src);
     });
-    let faults: Vec<_> =
-        r.faults.iter().filter(|f| f.phase == adsafe::FaultPhase::Checks).collect();
+    let faults: Vec<_> = r
+        .faults
+        .iter()
+        .filter(|f| f.phase == adsafe::FaultPhase::Checks)
+        .collect();
     assert_eq!(faults.len(), 1, "{faults:?}");
     assert_eq!(faults[0].path, "naming-macro");
-    assert!(matches!(faults[0].cause, adsafe::FaultCause::Injected(_)), "{:?}", faults[0]);
+    assert!(
+        matches!(faults[0].cause, adsafe::FaultCause::Injected(_)),
+        "{:?}",
+        faults[0]
+    );
     // File ids follow insertion order, after `healthy/base.cc`.
     let (a, b) = (adsafe::lang::FileId(1), adsafe::lang::FileId(2));
     let macros = r.diagnostics_for("naming-macro");
     assert_eq!(macros.len(), 1);
     assert_eq!(macros[0].span.file, b);
-    assert!(r.diagnostics_for("typing-explicit-cast").iter().any(|d| d.span.file == a));
+    assert!(r
+        .diagnostics_for("typing-explicit-cast")
+        .iter()
+        .any(|d| d.span.file == a));
 }
 
 #[test]
@@ -351,11 +433,18 @@ fn failpoint_metrics_panic_falls_back_to_estimates() {
     let r = run_scenario("metrics-panic", AssessmentOptions::default(), |a| {
         a.add_file("m", "m/a.cc", "int f() { if (f()) return 1; return 0; }\n");
     });
-    let m = r.modules.iter().find(|m| m.name == "m").expect("module present");
+    let m = r
+        .modules
+        .iter()
+        .find(|m| m.name == "m")
+        .expect("module present");
     // Whole module fell to token estimation, but kept its NLOC.
     assert_eq!(m.absorbed_files, m.file_count);
     assert!(m.loc.nloc > 0);
-    assert!(r.faults.iter().any(|f| f.phase == adsafe::FaultPhase::Metrics));
+    assert!(r
+        .faults
+        .iter()
+        .any(|f| f.phase == adsafe::FaultPhase::Metrics));
 }
 
 #[test]
@@ -365,7 +454,10 @@ fn failpoint_assess_panic_yields_conservative_defaults() {
         a.add_file("m", "m/a.cc", "int f() { return 1; }\n");
     });
     assert_eq!(r.faults.worst(), Some(adsafe::FaultSeverity::Critical));
-    assert!(r.faults.iter().any(|f| f.phase == adsafe::FaultPhase::Assess));
+    assert!(r
+        .faults
+        .iter()
+        .any(|f| f.phase == adsafe::FaultPhase::Assess));
 }
 
 #[test]
@@ -375,7 +467,9 @@ fn failpoint_delay_trips_parse_deadline() {
         Action::Delay(Duration::from_millis(30)),
     );
     let options = AssessmentOptions {
-        budgets: Budgets { phase_deadline: Some(Duration::from_millis(10)) },
+        budgets: Budgets {
+            phase_deadline: Some(Duration::from_millis(10)),
+        },
         ..AssessmentOptions::default()
     };
     let r = run_scenario("parse-deadline", options, |a| {
@@ -388,7 +482,11 @@ fn failpoint_delay_trips_parse_deadline() {
         .iter()
         .any(|f| matches!(f.cause, adsafe::FaultCause::DeadlineExceeded { .. })));
     // Files past the deadline still contributed through tier 3.
-    let m = r.modules.iter().find(|m| m.name == "m").expect("module present");
+    let m = r
+        .modules
+        .iter()
+        .find(|m| m.name == "m")
+        .expect("module present");
     assert_eq!(m.file_count, 3);
     assert!(m.absorbed_files >= 1);
 }
@@ -407,8 +505,14 @@ fn failpoint_combined_parse_and_check_faults_accumulate() {
     let r = run_scenario("combined", AssessmentOptions::default(), |a| {
         a.add_file(&v.module, &v.path, &v.text);
     });
-    assert!(r.faults.iter().any(|f| f.phase == adsafe::FaultPhase::Parse));
-    assert!(r.faults.iter().any(|f| f.phase == adsafe::FaultPhase::Checks));
+    assert!(r
+        .faults
+        .iter()
+        .any(|f| f.phase == adsafe::FaultPhase::Parse));
+    assert!(r
+        .faults
+        .iter()
+        .any(|f| f.phase == adsafe::FaultPhase::Checks));
     assert!(r.faults.len() >= 2);
     assert_eq!(
         r.faults.counts_by_phase().len(),
@@ -428,5 +532,8 @@ fn all_corruptions_at_once_still_produce_a_report() {
         }
     });
     assert!(r.faults.len() >= 2);
-    assert!(r.evidence.total_loc > 0, "degraded evidence still carries NLOC");
+    assert!(
+        r.evidence.total_loc > 0,
+        "degraded evidence still carries NLOC"
+    );
 }

@@ -51,7 +51,11 @@ fn phased_tiled_gemm_matches_native() {
     launch_phased(
         Dim3::xy((n / T) as u32, (m / T) as u32),
         Dim3::xy(T as u32, T as u32),
-        || Shared { a_tile: [0.0; T * T], b_tile: [0.0; T * T], acc: [0.0; T * T] },
+        || Shared {
+            a_tile: [0.0; T * T],
+            b_tile: [0.0; T * T],
+            acc: [0.0; T * T],
+        },
         |ctx, s: &mut Shared, phase| {
             let tx = ctx.thread_idx.x as usize;
             let ty = ctx.thread_idx.y as usize;
@@ -133,17 +137,28 @@ fn tuner_prefers_larger_tiles_for_larger_problems() {
 fn perf_model_crossover_structure() {
     // Figure 7/8 structure: GPU >> CPU; open ≈ closed on GPU; the
     // ISAAC advantage concentrates on irregular shapes.
-    let regular = GemmShape { m: 256, n: 4096, k: 1152 };
-    let irregular = GemmShape { m: 16, n: 60_000, k: 64 };
+    let regular = GemmShape {
+        m: 256,
+        n: 4096,
+        k: 1152,
+    };
+    let irregular = GemmShape {
+        m: 16,
+        n: 60_000,
+        k: 64,
+    };
     let cpu_gpu = Library::OpenBlas.gemm_time_s(&regular) / Library::CuBlas.gemm_time_s(&regular);
     assert!(cpu_gpu > 20.0, "CPU/GPU = {cpu_gpu}");
     let open_closed =
         Library::Cutlass.gemm_time_s(&regular) / Library::CuBlas.gemm_time_s(&regular);
-    assert!((0.8..1.4).contains(&open_closed), "open/closed = {open_closed}");
-    let isaac_reg = Library::CuDnn.conv_time_s(&regular, false)
-        / Library::Isaac.conv_time_s(&regular, false);
-    let isaac_irr = Library::CuDnn.conv_time_s(&irregular, true)
-        / Library::Isaac.conv_time_s(&irregular, true);
+    assert!(
+        (0.8..1.4).contains(&open_closed),
+        "open/closed = {open_closed}"
+    );
+    let isaac_reg =
+        Library::CuDnn.conv_time_s(&regular, false) / Library::Isaac.conv_time_s(&regular, false);
+    let isaac_irr =
+        Library::CuDnn.conv_time_s(&irregular, true) / Library::Isaac.conv_time_s(&irregular, true);
     assert!(
         isaac_irr > isaac_reg,
         "input-aware tuning must pay off more on irregular shapes: {isaac_irr} vs {isaac_reg}"
@@ -210,14 +225,25 @@ void scale_bias_brook(Stream output, Stream biases, int batch, int n,\n\
         let mut a = adsafe::Assessment::new();
         a.add_file("perception", path, src);
         let report = a.run();
-        report.diagnostics.into_iter().filter(|d| RISKY.contains(&d.check_id)).collect::<Vec<_>>()
+        report
+            .diagnostics
+            .into_iter()
+            .filter(|d| RISKY.contains(&d.check_id))
+            .collect::<Vec<_>>()
     };
     let findings = risky_findings("scale_bias_brook.c", BROOK_STYLE);
-    assert!(findings.is_empty(), "Brook-style code must be clean: {findings:?}");
+    assert!(
+        findings.is_empty(),
+        "Brook-style code must be clean: {findings:?}"
+    );
 
     // The CUDA excerpt, through the same rules, is not.
     let cuda_findings = risky_findings("scale_bias.cu", adsafe::corpus::yolo::SCALE_BIAS_CU);
-    assert!(cuda_findings.len() >= 4, "CUDA contrast: {}", cuda_findings.len());
+    assert!(
+        cuda_findings.len() >= 4,
+        "CUDA contrast: {}",
+        cuda_findings.len()
+    );
 
     // And the Rust-native Brook stream agrees with the raw kernel.
     let data: Vec<f32> = (0..24).map(|i| i as f32).collect();
@@ -253,7 +279,11 @@ fn kernel_missing_barrier_faults_within_budget() {
                 Phase::Continue
             } else {
                 shared[tid] = phase as f32;
-                if phase >= 1 { Phase::Done } else { Phase::Continue }
+                if phase >= 1 {
+                    Phase::Done
+                } else {
+                    Phase::Continue
+                }
             }
         },
     )
@@ -262,7 +292,12 @@ fn kernel_missing_barrier_faults_within_budget() {
         // Threads 0,2,3 exit at phase 1 while thread 1 continues: the
         // emulator reports the barrier divergence at that phase — well
         // inside the budget.
-        LaunchFault::BarrierDivergence { phase, continuing, exited, .. } => {
+        LaunchFault::BarrierDivergence {
+            phase,
+            continuing,
+            exited,
+            ..
+        } => {
             assert!(phase < budget);
             assert_eq!(continuing, 1);
             assert_eq!(exited, 3);
@@ -276,5 +311,8 @@ fn uniform_spin_reports_deadlock_at_budget() {
     use adsafe::gpu::{launch_phased_budgeted, LaunchFault};
     let fault = launch_phased_budgeted(2u32, 8u32, 32, || 0u32, |_, _, _| Phase::Continue)
         .expect_err("uniformly spinning block must be declared deadlocked");
-    assert!(matches!(fault, LaunchFault::BarrierDeadlock { budget: 32, .. }));
+    assert!(matches!(
+        fault,
+        LaunchFault::BarrierDeadlock { budget: 32, .. }
+    ));
 }

@@ -4,7 +4,9 @@
 //! Info fault), and the history/diff golden flow over three synthetic
 //! runs — two identical, one with a deliberately flipped verdict.
 
-use adsafe::{Assessment, AssessmentOptions, Fault, FaultCause, FaultPhase, FaultSeverity, Recovery};
+use adsafe::{
+    Assessment, AssessmentOptions, Fault, FaultCause, FaultPhase, FaultSeverity, Recovery,
+};
 use adsafe_ledger::{
     corpus_digest, history_table, Ledger, RunDiff, RunRecord, VerdictRow, LEDGER_FILE,
 };
@@ -15,8 +17,10 @@ use std::sync::atomic::{AtomicU32, Ordering};
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);
     let n = N.fetch_add(1, Ordering::Relaxed);
-    let d = std::env::temp_dir()
-        .join(format!("adsafe-ledger-test-{}-{tag}-{n}", std::process::id()));
+    let d = std::env::temp_dir().join(format!(
+        "adsafe-ledger-test-{}-{tag}-{n}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d
@@ -78,7 +82,10 @@ fn record_run(ledger: &Ledger, sources: &[(&str, &str, &str)]) -> RunRecord {
     }
     let digest = corpus_digest(&assessment.content_hashes());
     let (run, seq) = ledger.reserve(&digest);
-    let options = AssessmentOptions { run_id: run.clone(), ..AssessmentOptions::default() };
+    let options = AssessmentOptions {
+        run_id: run.clone(),
+        ..AssessmentOptions::default()
+    };
     let report = assessment.with_options(options).run();
     let record = RunRecord::from_report(
         &report,
@@ -116,7 +123,11 @@ fn identical_runs_differ_only_in_identity_and_timing() {
     assert_eq!(a, b_normalised);
 
     let diff = RunDiff::between(&a, &b);
-    assert!(!diff.has_drift(), "identical corpora must not drift:\n{}", diff.render());
+    assert!(
+        !diff.has_drift(),
+        "identical corpora must not drift:\n{}",
+        diff.render()
+    );
     assert!(diff.same_corpus && diff.same_ruleset);
 
     // And the ledger file reads both records back verbatim.
@@ -136,8 +147,15 @@ fn flipped_verdict_is_drift_and_shows_in_history() {
     assert!(!clean.has_drift());
 
     let drifted = RunDiff::between(&r2, &r3);
-    assert!(!drifted.same_corpus, "mutation must change the corpus digest");
-    assert!(drifted.has_drift(), "shadowing must flip a verdict:\n{}", drifted.render());
+    assert!(
+        !drifted.same_corpus,
+        "mutation must change the corpus digest"
+    );
+    assert!(
+        drifted.has_drift(),
+        "shadowing must flip a verdict:\n{}",
+        drifted.render()
+    );
     assert!(drifted.has_regression());
     let flip = drifted
         .verdict_flips
@@ -147,16 +165,28 @@ fn flipped_verdict_is_drift_and_shows_in_history() {
     assert_eq!(flip.from, "compliant");
     assert!(flip.regressed);
     let rendered = drifted.render();
-    assert!(rendered.contains("t8r4") && rendered.contains("REGRESSED"), "{rendered}");
+    assert!(
+        rendered.contains("t8r4") && rendered.contains("REGRESSED"),
+        "{rendered}"
+    );
 
     // History: three rows, drift column flags only the last one.
     let (records, _) = ledger.read_all();
     let table = history_table(&records, usize::MAX);
     let lines: Vec<&str> = table.lines().collect();
     assert_eq!(lines.len(), 4, "header + 3 runs:\n{table}");
-    assert!(lines[1].ends_with("-"), "first run has no predecessor:\n{table}");
-    assert!(lines[2].ends_with("none"), "identical rerun shows no drift:\n{table}");
-    assert!(lines[3].contains("regressed"), "mutated run is flagged:\n{table}");
+    assert!(
+        lines[1].ends_with("-"),
+        "first run has no predecessor:\n{table}"
+    );
+    assert!(
+        lines[2].ends_with("none"),
+        "identical rerun shows no drift:\n{table}"
+    );
+    assert!(
+        lines[3].contains("regressed"),
+        "mutated run is flagged:\n{table}"
+    );
     // `--last 2` keeps the header plus the two most recent rows.
     assert_eq!(history_table(&records, 2).lines().count(), 3);
 }
@@ -169,15 +199,22 @@ fn torn_final_line_is_skipped_and_reported_as_info_fault() {
 
     // A crash mid-append leaves a truncated line with no newline.
     use std::io::Write as _;
-    let mut f =
-        std::fs::OpenOptions::new().append(true).open(dir.join(LEDGER_FILE)).unwrap();
-    f.write_all(b"{\"schema\":\"adsafe-ledger/1\",\"run\":\"r0000").unwrap();
+    let mut f = std::fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join(LEDGER_FILE))
+        .unwrap();
+    f.write_all(b"{\"schema\":\"adsafe-ledger/1\",\"run\":\"r0000")
+        .unwrap();
     drop(f);
 
     let reopened = Ledger::open(&dir).unwrap();
     assert_eq!(reopened.torn_lines().len(), 1, "the torn tail is detected");
     let (records, torn) = reopened.read_all();
-    assert_eq!(records, vec![first.clone()], "intact records survive the tear");
+    assert_eq!(
+        records,
+        vec![first.clone()],
+        "intact records survive the tear"
+    );
     assert_eq!(torn.len(), 1);
 
     // The tear surfaces as an Info fault that does not degrade the
@@ -198,7 +235,10 @@ fn torn_final_line_is_skipped_and_reported_as_info_fault() {
         assessment.add_file_bytes(module, path, text.as_bytes());
     }
     let report = assessment.run();
-    assert!(!report.degraded, "an Info-severity tear must not cost evidence");
+    assert!(
+        !report.degraded,
+        "an Info-severity tear must not cost evidence"
+    );
     assert!(
         report
             .faults
@@ -211,7 +251,11 @@ fn torn_final_line_is_skipped_and_reported_as_info_fault() {
     let next = record_run(&reopened, &BASE_CORPUS);
     let (after, torn_after) = reopened.read_all();
     assert_eq!(after, vec![first, next]);
-    assert_eq!(torn_after.len(), 1, "the torn line stays skipped, nothing else is lost");
+    assert_eq!(
+        torn_after.len(),
+        1,
+        "the torn line stays skipped, nothing else is lost"
+    );
 }
 
 /// A long history costs `open` only its tail: a 2,000-run ledger of
@@ -226,24 +270,38 @@ fn long_ledger_reopens_from_its_tail() {
     let first = record_run(&Ledger::open(&dir).unwrap(), &BASE_CORPUS);
     let mut text = String::new();
     for seq in 1..=2000 {
-        let copy = RunRecord { run: run_id(seq, &first.corpus_digest), seq, ..first.clone() };
+        let copy = RunRecord {
+            run: run_id(seq, &first.corpus_digest),
+            seq,
+            ..first.clone()
+        };
         text.push_str(&copy.to_json_line());
         text.push('\n');
     }
-    assert!(text.len() as u64 > 4 * TAIL_BYTES, "history outgrows the window");
+    assert!(
+        text.len() as u64 > 4 * TAIL_BYTES,
+        "history outgrows the window"
+    );
     std::fs::write(dir.join(LEDGER_FILE), &text).unwrap();
 
     let reopened = Ledger::open(&dir).unwrap();
     assert!(reopened.torn_lines().is_empty());
     assert_eq!(reopened.reserve(&first.corpus_digest).1, 2001);
 
-    let mut f =
-        std::fs::OpenOptions::new().append(true).open(dir.join(LEDGER_FILE)).unwrap();
-    f.write_all(b"{\"schema\":\"adsafe-ledger/1\",\"run\":\"r002001-").unwrap();
+    let mut f = std::fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join(LEDGER_FILE))
+        .unwrap();
+    f.write_all(b"{\"schema\":\"adsafe-ledger/1\",\"run\":\"r002001-")
+        .unwrap();
     drop(f);
     let torn_open = Ledger::open(&dir).unwrap();
     assert_eq!(torn_open.torn_lines().len(), 1);
-    assert_eq!(torn_open.torn_lines()[0].line, 2001, "the tear keeps its line number");
+    assert_eq!(
+        torn_open.torn_lines()[0].line,
+        2001,
+        "the tear keeps its line number"
+    );
     let next = record_run(&torn_open, &BASE_CORPUS);
     assert_eq!(next.seq, 2001, "the torn line lends no sequence number");
     assert_eq!(torn_open.resolve("2001").unwrap(), next);

@@ -11,9 +11,7 @@
 
 use adsafe::render::deterministic_report_markdown;
 use adsafe::trace::alloc;
-use adsafe::{
-    Assessment, AssessmentOptions, AssessmentReport, FaultCause, FaultSeverity,
-};
+use adsafe::{Assessment, AssessmentOptions, AssessmentReport, FaultCause, FaultSeverity};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -120,7 +118,10 @@ fn reports_byte_identical_across_worker_counts() {
     let run = |jobs: usize| {
         adsafe::assess_corpus(
             &corpus,
-            AssessmentOptions { jobs, ..AssessmentOptions::default() },
+            AssessmentOptions {
+                jobs,
+                ..AssessmentOptions::default()
+            },
         )
     };
     let serial = run(1);
@@ -132,7 +133,10 @@ fn reports_byte_identical_across_worker_counts() {
             baseline,
             "report differs at jobs={jobs}"
         );
-        assert_eq!(r.diagnostics, serial.diagnostics, "diagnostics differ at jobs={jobs}");
+        assert_eq!(
+            r.diagnostics, serial.diagnostics,
+            "diagnostics differ at jobs={jobs}"
+        );
         assert_eq!(
             format!("{:?}", r.modules),
             format!("{:?}", serial.modules),
@@ -152,13 +156,20 @@ fn degraded_input_reports_are_invariant_across_workers_and_cache_states() {
     // One corrupted copy per corruption kind, each under its own path.
     let corrupted = adsafe::corpus::faultinject::corrupt_all(11, victim);
     let run = |jobs: usize, cache_dir: Option<PathBuf>| {
-        let mut a = Assessment::new()
-            .with_options(AssessmentOptions { jobs, cache_dir, ..AssessmentOptions::default() });
+        let mut a = Assessment::new().with_options(AssessmentOptions {
+            jobs,
+            cache_dir,
+            ..AssessmentOptions::default()
+        });
         for f in &corpus {
             a.add_file(&f.module, &f.path, &f.text);
         }
         for c in &corrupted {
-            a.add_file_bytes(&c.module, &format!("{}.{}.cc", c.path, c.kind.name()), &c.bytes);
+            a.add_file_bytes(
+                &c.module,
+                &format!("{}.{}.cc", c.path, c.kind.name()),
+                &c.bytes,
+            );
         }
         a.run()
     };
@@ -174,11 +185,21 @@ fn degraded_input_reports_are_invariant_across_workers_and_cache_states() {
         // Degraded files are never written back, so the warm run
         // re-parses them and hits every other file.
         let stored = cold.trace.counter("cache.stores");
-        assert!(stored < files, "jobs {jobs}: a degraded file was written back");
+        assert!(
+            stored < files,
+            "jobs {jobs}: a degraded file was written back"
+        );
         assert_eq!(warm.trace.counter("cache.hits"), stored, "jobs {jobs}");
         for (state, r) in [("cold", &cold), ("warm", &warm), ("no cache", &uncached)] {
-            assert_eq!(deterministic_report_markdown(r), expected, "jobs {jobs}, {state}");
-            assert_eq!(r.faults, reference.faults, "jobs {jobs}, {state}: fault log");
+            assert_eq!(
+                deterministic_report_markdown(r),
+                expected,
+                "jobs {jobs}, {state}"
+            );
+            assert_eq!(
+                r.faults, reference.faults,
+                "jobs {jobs}, {state}: fault log"
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -196,9 +217,17 @@ fn warm_cache_run_skips_every_file_and_renders_identically() {
     assert_eq!(cold.trace.counter("cache.misses"), n);
     assert_eq!(cold.trace.counter("cache.stores"), n);
     let warm = assess_samples(usize::MAX, opts());
-    assert_eq!(warm.trace.counter("cache.hits"), n, "warm run must hit every file");
+    assert_eq!(
+        warm.trace.counter("cache.hits"),
+        n,
+        "warm run must hit every file"
+    );
     assert_eq!(warm.trace.counter("parse.cached.files"), n);
-    assert_eq!(warm.trace.counter("parse.tier1.files"), 0, "warm run must not re-parse");
+    assert_eq!(
+        warm.trace.counter("parse.tier1.files"),
+        0,
+        "warm run must not re-parse"
+    );
     assert_eq!(
         deterministic_report_markdown(&warm),
         deterministic_report_markdown(&cold)
@@ -227,7 +256,11 @@ fn content_change_invalidates_only_the_changed_file() {
     let r = a.run();
     assert_eq!(r.trace.counter("cache.hits"), n - 1);
     assert_eq!(r.trace.counter("cache.misses"), 1);
-    assert_eq!(r.trace.counter("parse.tier1.files"), 1, "only the changed file re-parses");
+    assert_eq!(
+        r.trace.counter("parse.tier1.files"),
+        1,
+        "only the changed file re-parses"
+    );
     // The new global shows up in the evidence even though every other
     // file came from the cache.
     assert_eq!(
@@ -253,9 +286,17 @@ fn fingerprint_mismatch_invalidates_the_whole_cache() {
     )
     .unwrap();
     let r = assess_samples(usize::MAX, opts());
-    assert_eq!(r.trace.counter("cache.hits"), 0, "stale fingerprint must not serve entries");
+    assert_eq!(
+        r.trace.counter("cache.hits"),
+        0,
+        "stale fingerprint must not serve entries"
+    );
     assert_eq!(r.trace.counter("cache.misses"), n);
-    assert_eq!(r.trace.counter("cache.stores"), n, "wiped cache is repopulated");
+    assert_eq!(
+        r.trace.counter("cache.stores"),
+        n,
+        "wiped cache is repopulated"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -285,7 +326,10 @@ fn corrupt_cache_entry_recovers_via_cold_path() {
         .find(|f| matches!(f.cause, FaultCause::CacheCorrupt { .. }))
         .expect("corrupt entry must be logged");
     assert_eq!(fault.severity, FaultSeverity::Info);
-    assert!(!r.degraded, "a corrupt cache entry must not degrade the report");
+    assert!(
+        !r.degraded,
+        "a corrupt cache entry must not degrade the report"
+    );
     assert_eq!(
         r.diagnostics, cold.diagnostics,
         "cold-path recovery must reproduce the cold analysis"
@@ -293,7 +337,10 @@ fn corrupt_cache_entry_recovers_via_cold_path() {
     // The bad entry was evicted and rewritten: next run is fully warm.
     let warm = assess_samples(usize::MAX, opts());
     assert_eq!(warm.trace.counter("cache.corrupt"), 0);
-    assert_eq!(warm.trace.counter("cache.hits"), sample_files().len() as u64);
+    assert_eq!(
+        warm.trace.counter("cache.hits"),
+        sample_files().len() as u64
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -322,7 +369,10 @@ fn reformatted_cache_entry_is_reanalysed_and_rewritten() {
     assert_eq!(r.trace.counter("cache.corrupt"), 1);
     assert_eq!(r.faults.len(), 1, "{:?}", r.faults);
     let fault = r.faults.iter().next().expect("one fault");
-    assert!(matches!(fault.cause, FaultCause::CacheCorrupt { .. }), "{fault:?}");
+    assert!(
+        matches!(fault.cause, FaultCause::CacheCorrupt { .. }),
+        "{fault:?}"
+    );
     assert_eq!(fault.severity, FaultSeverity::Info);
     assert!(!r.degraded);
     // Same report as the cold run, plus the one logged fault.
@@ -334,11 +384,21 @@ fn reformatted_cache_entry_is_reanalysed_and_rewritten() {
             adsafe::render::fault_summary(&r)
         )
     );
-    assert_eq!(std::fs::read_to_string(&entry).unwrap(), text, "entry rewritten clean");
+    assert_eq!(
+        std::fs::read_to_string(&entry).unwrap(),
+        text,
+        "entry rewritten clean"
+    );
     let warm = assess_samples(usize::MAX, opts());
     assert_eq!(warm.trace.counter("cache.corrupt"), 0);
-    assert_eq!(warm.trace.counter("cache.hits"), sample_files().len() as u64);
-    assert_eq!(deterministic_report_markdown(&warm), deterministic_report_markdown(&cold));
+    assert_eq!(
+        warm.trace.counter("cache.hits"),
+        sample_files().len() as u64
+    );
+    assert_eq!(
+        deterministic_report_markdown(&warm),
+        deterministic_report_markdown(&cold)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -351,7 +411,10 @@ fn unusable_cache_dir_falls_through_to_cold_analysis() {
     let baseline = assess_samples(usize::MAX, AssessmentOptions::default());
     let r = assess_samples(
         usize::MAX,
-        AssessmentOptions { cache_dir: Some(path.clone()), ..AssessmentOptions::default() },
+        AssessmentOptions {
+            cache_dir: Some(path.clone()),
+            ..AssessmentOptions::default()
+        },
     );
     assert_eq!(r.trace.counter("cache.disabled"), 1);
     let fault = r
@@ -360,13 +423,19 @@ fn unusable_cache_dir_falls_through_to_cold_analysis() {
         .find(|f| matches!(f.cause, FaultCause::CacheCorrupt { .. }))
         .expect("unusable cache dir must be logged as a fault");
     assert_eq!(fault.severity, FaultSeverity::Info);
-    assert!(!r.degraded, "a lost accelerator must not degrade the report");
+    assert!(
+        !r.degraded,
+        "a lost accelerator must not degrade the report"
+    );
     // Same analysis as a cache-less run; only the fault log differs.
     assert_eq!(
         r.diagnostics, baseline.diagnostics,
         "cold fall-through must reproduce the cache-less analysis"
     );
-    assert_eq!(format!("{:?}", r.modules), format!("{:?}", baseline.modules));
+    assert_eq!(
+        format!("{:?}", r.modules),
+        format!("{:?}", baseline.modules)
+    );
     let _ = std::fs::remove_file(&path);
 }
 
@@ -382,8 +451,16 @@ fn shared_store_makes_repeat_runs_warm() {
     assert_eq!(cold.trace.counter("cache.misses"), n);
     assert_eq!(cold.trace.counter("cache.stores"), n);
     let warm = assess_samples(usize::MAX, opts());
-    assert_eq!(warm.trace.counter("cache.hits"), n, "resident store must serve every file");
-    assert_eq!(warm.trace.counter("parse.tier1.files"), 0, "warm run must not re-parse");
+    assert_eq!(
+        warm.trace.counter("cache.hits"),
+        n,
+        "resident store must serve every file"
+    );
+    assert_eq!(
+        warm.trace.counter("parse.tier1.files"),
+        0,
+        "warm run must not re-parse"
+    );
     assert_eq!(
         deterministic_report_markdown(&warm),
         deterministic_report_markdown(&cold)
@@ -398,7 +475,10 @@ fn memory_profiling_never_changes_report_bytes() {
     let run = |jobs: usize| {
         adsafe::assess_corpus(
             &corpus,
-            AssessmentOptions { jobs, ..AssessmentOptions::default() },
+            AssessmentOptions {
+                jobs,
+                ..AssessmentOptions::default()
+            },
         )
     };
     alloc::set_profiling(false);
@@ -413,7 +493,10 @@ fn memory_profiling_never_changes_report_bytes() {
         alloc::set_profiling(prev);
         if profiling {
             assert!(
-                r.trace.phase_mem.iter().any(|p| p.name == "parse" && p.bytes > 0),
+                r.trace
+                    .phase_mem
+                    .iter()
+                    .any(|p| p.name == "parse" && p.bytes > 0),
                 "profiling on must bill parse-phase allocations, got {:?}",
                 r.trace.phase_mem
             );
@@ -449,12 +532,22 @@ fn warm_query_and_assess_allocations_do_not_scale_with_functions() {
     corpus.push(adsafe::corpus::GeneratedFile {
         module: "clean".into(),
         path: "clean/clean.cc".into(),
-        text: (0..2000).map(|i| format!("int clean_{i}(int x) {{ return x + {i}; }}\n")).collect(),
+        text: (0..2000)
+            .map(|i| format!("int clean_{i}(int x) {{ return x + {i}; }}\n"))
+            .collect(),
     });
     let dir = temp_cache_dir("warm-allocs");
     let store = std::sync::Arc::new(adsafe::MemoryFactsStore::open(None));
-    let derive = AssessmentOptions { jobs: 1, cache_dir: Some(dir.clone()), ..AssessmentOptions::default() };
-    let replay = AssessmentOptions { jobs: 1, store: Some(store), ..AssessmentOptions::default() };
+    let derive = AssessmentOptions {
+        jobs: 1,
+        cache_dir: Some(dir.clone()),
+        ..AssessmentOptions::default()
+    };
+    let replay = AssessmentOptions {
+        jobs: 1,
+        store: Some(store),
+        ..AssessmentOptions::default()
+    };
     let warm_run = |opts: &AssessmentOptions| {
         adsafe::assess_corpus(&corpus, opts.clone());
         let prev = alloc::set_profiling(true);
@@ -465,8 +558,16 @@ fn warm_query_and_assess_allocations_do_not_scale_with_functions() {
     let (warm, replayed) = (warm_run(&derive), warm_run(&replay));
     let _ = std::fs::remove_dir_all(&dir);
     let files = corpus.len() as u64;
-    assert_eq!(warm.trace.counter("cache.hits"), files, "the run must be warm");
-    assert_eq!(replayed.trace.counter("store.memo.program.hits"), 1, "the slot must serve");
+    assert_eq!(
+        warm.trace.counter("cache.hits"),
+        files,
+        "the run must be warm"
+    );
+    assert_eq!(
+        replayed.trace.counter("store.memo.program.hits"),
+        1,
+        "the slot must serve"
+    );
     let functions = warm.evidence.total_functions as u64;
     // A warm run replays the bundled file-scoped rules' findings; only
     // the program-scoped ones evaluate in `checks.query`.
@@ -475,9 +576,16 @@ fn warm_query_and_assess_allocations_do_not_scale_with_functions() {
         .iter()
         .filter(|r| r.scope == adsafe::checkers::CheckScope::Program)
         .collect();
-    let query_diags: u64 = rules.iter().map(|r| warm.diagnostics_for(r.id).len() as u64).sum();
+    let query_diags: u64 = rules
+        .iter()
+        .map(|r| warm.diagnostics_for(r.id).len() as u64)
+        .sum();
     let allocs = |phase: &str| {
-        warm.trace.phase_mem.iter().find(|p| p.name == phase).map_or(0, |p| p.allocs)
+        warm.trace
+            .phase_mem
+            .iter()
+            .find(|p| p.name == phase)
+            .map_or(0, |p| p.allocs)
     };
     let (query, assess, metrics) = (allocs("checks.query"), allocs("assess"), allocs("metrics"));
     // Two per finding (message, enclosing function), a few per (rule,
@@ -491,13 +599,31 @@ fn warm_query_and_assess_allocations_do_not_scale_with_functions() {
         2 * query_bound.max(assess_bound).max(metrics_bound) < functions,
         "the corpus must dwarf the bounds with functions ({functions})"
     );
-    assert!(query > 0 && query <= query_bound, "checks.query: {query} allocs > {query_bound}");
-    assert!(assess > 0 && assess <= assess_bound, "assess: {assess} allocs > {assess_bound}");
-    assert!(metrics > 0 && metrics <= metrics_bound, "metrics: {metrics} allocs > {metrics_bound}");
+    assert!(
+        query > 0 && query <= query_bound,
+        "checks.query: {query} allocs > {query_bound}"
+    );
+    assert!(
+        assess > 0 && assess <= assess_bound,
+        "assess: {assess} allocs > {assess_bound}"
+    );
+    assert!(
+        metrics > 0 && metrics <= metrics_bound,
+        "metrics: {metrics} allocs > {metrics_bound}"
+    );
     let replayed_allocs = |phase: &str| {
-        replayed.trace.phase_mem.iter().find(|p| p.name == phase).map_or(0, |p| p.allocs)
+        replayed
+            .trace
+            .phase_mem
+            .iter()
+            .find(|p| p.name == phase)
+            .map_or(0, |p| p.allocs)
     };
-    for (phase, bound) in [("checks.query", query_bound), ("assess", assess_bound), ("metrics", metrics_bound)] {
+    for (phase, bound) in [
+        ("checks.query", query_bound),
+        ("assess", assess_bound),
+        ("metrics", metrics_bound),
+    ] {
         let n = replayed_allocs(phase);
         assert!(n <= bound, "replayed {phase}: {n} allocs > {bound}");
     }
@@ -524,20 +650,38 @@ fn warm_runs_evaluate_only_program_scope_and_user_pack_rules() {
         .collect();
     assert_eq!(file_scoped.len(), 15);
     let team = Arc::new(RulePack::from_sources(
-        &[("team.aq".into(), "rule \"team-multi\" { function where multi_exit -> info }".into())],
+        &[(
+            "team.aq".into(),
+            "rule \"team-multi\" { function where multi_exit -> info }".into(),
+        )],
         &adsafe::query::reserved_rule_ids(),
     ));
     let n = sample_files().len() as u64;
     for jobs in [1, 2] {
         for pack in [None, Some(team.clone())] {
-            let opts =
-                || AssessmentOptions { jobs, rules: pack.clone(), ..AssessmentOptions::default() };
+            let opts = || AssessmentOptions {
+                jobs,
+                rules: pack.clone(),
+                ..AssessmentOptions::default()
+            };
             let cold = deterministic_report_markdown(&assess_samples(usize::MAX, opts()));
             let dir = temp_cache_dir("warm-rules");
             let store = Arc::new(adsafe::MemoryFactsStore::open(None));
             let warm_opts = [
-                ("cache-dir", AssessmentOptions { cache_dir: Some(dir.clone()), ..opts() }),
-                ("resident", AssessmentOptions { store: Some(store), ..opts() }),
+                (
+                    "cache-dir",
+                    AssessmentOptions {
+                        cache_dir: Some(dir.clone()),
+                        ..opts()
+                    },
+                ),
+                (
+                    "resident",
+                    AssessmentOptions {
+                        store: Some(store),
+                        ..opts()
+                    },
+                ),
             ];
             for (label, warm_opts) in warm_opts {
                 let what = format!("{label} at jobs {jobs}, pack {}", pack.is_some());
@@ -557,11 +701,20 @@ fn warm_runs_evaluate_only_program_scope_and_user_pack_rules() {
                     assert!(evaluated.is_empty(), "{what}: {evaluated:?}");
                     assert_eq!(warm.trace.counter("store.memo.program.hits"), 1, "{what}");
                 } else {
-                    assert!(evaluated.contains("misra-17.2-recursion"), "{what}: {evaluated:?}");
+                    assert!(
+                        evaluated.contains("misra-17.2-recursion"),
+                        "{what}: {evaluated:?}"
+                    );
                     assert_eq!(evaluated.contains("team-multi"), pack.is_some(), "{what}");
                 }
-                assert!(!warm.diagnostics_for("misra-17.2-recursion").is_empty(), "{what}");
-                assert!(!warm.diagnostics_for("cuda-kernel-pointer").is_empty(), "{what}");
+                assert!(
+                    !warm.diagnostics_for("misra-17.2-recursion").is_empty(),
+                    "{what}"
+                );
+                assert!(
+                    !warm.diagnostics_for("cuda-kernel-pointer").is_empty(),
+                    "{what}"
+                );
                 assert_eq!(deterministic_report_markdown(&warm), cold, "{what}");
             }
             let _ = std::fs::remove_dir_all(&dir);
@@ -595,7 +748,10 @@ fn site_rules_in_a_user_pack_match_across_cache_states() {
             ..AssessmentOptions::default()
         };
         let findings = |r: &AssessmentReport| -> Vec<adsafe::checkers::Diagnostic> {
-            r.diagnostics_for("team-bare-switch").into_iter().cloned().collect()
+            r.diagnostics_for("team-bare-switch")
+                .into_iter()
+                .cloned()
+                .collect()
         };
         let cold = findings(&assess_samples(usize::MAX, opts()));
         assert_eq!(cold.len(), 1, "jobs {jobs}: {cold:?}");
@@ -604,13 +760,29 @@ fn site_rules_in_a_user_pack_match_across_cache_states() {
         let dir = temp_cache_dir("site-rules");
         let store = std::sync::Arc::new(adsafe::MemoryFactsStore::open(None));
         let warm_opts = [
-            ("cache-dir", AssessmentOptions { cache_dir: Some(dir.clone()), ..opts() }),
-            ("resident", AssessmentOptions { store: Some(store), ..opts() }),
+            (
+                "cache-dir",
+                AssessmentOptions {
+                    cache_dir: Some(dir.clone()),
+                    ..opts()
+                },
+            ),
+            (
+                "resident",
+                AssessmentOptions {
+                    store: Some(store),
+                    ..opts()
+                },
+            ),
         ];
         for (label, warm_opts) in warm_opts {
             assess_samples(usize::MAX, warm_opts.clone());
             let warm = assess_samples(usize::MAX, warm_opts);
-            assert_eq!(warm.trace.counter("cache.hits"), n, "{label} at jobs {jobs}: not warm");
+            assert_eq!(
+                warm.trace.counter("cache.hits"),
+                n,
+                "{label} at jobs {jobs}: not warm"
+            );
             assert_eq!(findings(&warm), cold, "{label} at jobs {jobs}");
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -632,18 +804,25 @@ fn cold_and_warm_runs_have_one_file_round_and_one_module_round() {
         let events = &r.trace.events;
         events
             .iter()
-            .filter(|e| e.name == "pool.worker" && e.args.iter().any(|(k, v)| *k == "worker" && v == "0"))
+            .filter(|e| {
+                e.name == "pool.worker" && e.args.iter().any(|(k, v)| *k == "worker" && v == "0")
+            })
             .map(|w| {
                 events
                     .iter()
-                    .find(|p| p.cat == "phase" && p.start_us <= w.start_us && w.end_us() <= p.end_us())
+                    .find(|p| {
+                        p.cat == "phase" && p.start_us <= w.start_us && w.end_us() <= p.end_us()
+                    })
                     .map_or_else(|| "no phase".to_string(), |p| p.name.clone())
             })
             .collect()
     };
     let cold = assess_samples(usize::MAX, opts());
     let warm = assess_samples(usize::MAX, opts());
-    assert_eq!(warm.trace.counter("cache.hits"), sample_files().len() as u64);
+    assert_eq!(
+        warm.trace.counter("cache.hits"),
+        sample_files().len() as u64
+    );
     for (run, r) in [("cold", &cold), ("warm", &warm)] {
         assert_eq!(rounds(r), ["phase.parse", "phase.metrics"], "{run} run");
     }
@@ -652,7 +831,9 @@ fn cold_and_warm_runs_have_one_file_round_and_one_module_round() {
 
 #[test]
 fn file_round_speeds_up_with_workers() {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     if cores < 4 {
         eprintln!("skipping speedup assertion: only {cores} core(s) available");
         return;
@@ -661,7 +842,11 @@ fn file_round_speeds_up_with_workers() {
     let spec = adsafe::corpus::ApolloSpec::test_scale();
     let corpus = adsafe::corpus::generate(&spec);
     let phase_us = |r: &AssessmentReport, name: &str| {
-        r.trace.phases.iter().find(|p| p.name == name).map_or(0, |p| p.wall_us)
+        r.trace
+            .phases
+            .iter()
+            .find(|p| p.name == name)
+            .map_or(0, |p| p.wall_us)
     };
     // Best-of-3 per configuration to shave scheduler noise.
     let best = |jobs: usize| {
@@ -669,7 +854,10 @@ fn file_round_speeds_up_with_workers() {
             .map(|_| {
                 let r = adsafe::assess_corpus(
                     &corpus,
-                    AssessmentOptions { jobs, ..AssessmentOptions::default() },
+                    AssessmentOptions {
+                        jobs,
+                        ..AssessmentOptions::default()
+                    },
                 );
                 phase_us(&r, "parse")
             })

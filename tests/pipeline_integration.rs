@@ -28,14 +28,42 @@ fn full_assessment_reproduces_paper_verdicts() {
     let t1 = report.compliance.table(TableId::CodingGuidelines);
     assert_eq!(t1[0].status, Status::NonCompliant, "Obs 1: high complexity");
     assert_eq!(t1[0].effort, Effort::Significant);
-    assert_eq!(t1[1].status, Status::NonCompliant, "Obs 2/3: no language subset");
-    assert_eq!(t1[1].effort, Effort::Research, "GPU subset gap is research-class");
+    assert_eq!(
+        t1[1].status,
+        Status::NonCompliant,
+        "Obs 2/3: no language subset"
+    );
+    assert_eq!(
+        t1[1].effort,
+        Effort::Research,
+        "GPU subset gap is research-class"
+    );
     assert_eq!(t1[2].status, Status::NonCompliant, "Obs 5: weak typing");
-    assert_eq!(t1[3].status, Status::NonCompliant, "Obs 6: no defensive programming");
-    assert_eq!(t1[4].status, Status::NonCompliant, "Obs 7: global variables");
-    assert_eq!(t1[5].status, Status::NotApplicable, "graphical representation");
-    assert_eq!(t1[6].status, Status::Compliant, "Obs 8: style guides followed");
-    assert_eq!(t1[7].status, Status::Compliant, "Obs 9: naming conventions followed");
+    assert_eq!(
+        t1[3].status,
+        Status::NonCompliant,
+        "Obs 6: no defensive programming"
+    );
+    assert_eq!(
+        t1[4].status,
+        Status::NonCompliant,
+        "Obs 7: global variables"
+    );
+    assert_eq!(
+        t1[5].status,
+        Status::NotApplicable,
+        "graphical representation"
+    );
+    assert_eq!(
+        t1[6].status,
+        Status::Compliant,
+        "Obs 8: style guides followed"
+    );
+    assert_eq!(
+        t1[7].status,
+        Status::Compliant,
+        "Obs 9: naming conventions followed"
+    );
 
     // Table 2: at test scale modules fit the size limit; Obs 13 is
     // exercised at paper scale by the iso26262 unit tests and the
@@ -73,7 +101,10 @@ fn observations_match_the_paper() {
     // coverage run and 13 requires full-scale module sizes (both covered
     // by their own experiments/tests).
     for n in [1u8, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 14] {
-        assert!(holds.contains(&n), "observation {n} should hold; got {holds:?}");
+        assert!(
+            holds.contains(&n),
+            "observation {n} should hold; got {holds:?}"
+        );
     }
 }
 
@@ -107,7 +138,10 @@ fn calibration_statistics_match_spec() {
     // GPU: kernels only in perception, all with pointer params.
     let expected_kernels: usize = s.modules.iter().map(|m| m.cuda_kernels).sum();
     assert_eq!(report.evidence.gpu.kernel_count, expected_kernels);
-    assert_eq!(report.evidence.gpu.kernel_pointer_params, 2 * expected_kernels);
+    assert_eq!(
+        report.evidence.gpu.kernel_pointer_params,
+        2 * expected_kernels
+    );
     assert!(report.evidence.gpu.device_alloc_sites >= 2 * expected_kernels);
     assert!(report.evidence.gpu.closed_source_calls >= expected_kernels);
 }
@@ -127,8 +161,15 @@ fn figure3_renders_all_modules() {
         loc.iter().cloned().fold(f64::MIN, f64::max),
         "perception is the largest module"
     );
-    let tables = [render::table1(&report), render::table2(&report), render::table3(&report)];
-    assert_eq!(tables[0].rows.len() + tables[1].rows.len() + tables[2].rows.len(), 25);
+    let tables = [
+        render::table1(&report),
+        render::table2(&report),
+        render::table3(&report),
+    ];
+    assert_eq!(
+        tables[0].rows.len() + tables[1].rows.len() + tables[2].rows.len(),
+        25
+    );
 }
 
 #[test]
@@ -137,7 +178,10 @@ fn asil_scaling_relaxes_low_levels() {
     let d = assess_corpus(&files, AssessmentOptions::default());
     let a = assess_corpus(
         &files,
-        AssessmentOptions { asil: adsafe::iso26262::Asil::A, ..AssessmentOptions::default() },
+        AssessmentOptions {
+            asil: adsafe::iso26262::Asil::A,
+            ..AssessmentOptions::default()
+        },
     );
     assert!(a.compliance.blocking_count() < d.compliance.blocking_count());
     // Pointer row is `o` at ASIL-A.
@@ -150,5 +194,8 @@ fn cross_module_coupling_measured() {
     let files = generate(&spec());
     let report = assess_corpus(&files, AssessmentOptions::default());
     // Every module after perception bridges into it: 8 edges.
-    assert_eq!(report.evidence.coupling_edges, 8, "one bridge edge per downstream module");
+    assert_eq!(
+        report.evidence.coupling_edges, 8,
+        "one bridge edge per downstream module"
+    );
 }

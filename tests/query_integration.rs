@@ -101,15 +101,27 @@ fail:\n\
 fn source_sets() -> Vec<(&'static str, Sources)> {
     let mut clean = corpus_sources();
     clean.push(("stress".into(), "stress/edge.cc".into(), EDGE_SOURCE.into()));
-    clean.push(("stress".into(), "stress/ported.cu".into(), PORTED_SOURCE.into()));
-    clean.push(("stress".into(), "stress/sites.cc".into(), SITE_SOURCE.into()));
+    clean.push((
+        "stress".into(),
+        "stress/ported.cu".into(),
+        PORTED_SOURCE.into(),
+    ));
+    clean.push((
+        "stress".into(),
+        "stress/sites.cc".into(),
+        SITE_SOURCE.into(),
+    ));
     let mut sets = vec![("clean", clean.clone())];
     for kind in Corruption::ALL {
         let corrupted = clean
             .iter()
             .map(|(module, path, text)| {
                 let bytes = corrupt(7, kind, path, text);
-                (module.clone(), path.clone(), String::from_utf8_lossy(&bytes).into_owned())
+                (
+                    module.clone(),
+                    path.clone(),
+                    String::from_utf8_lossy(&bytes).into_owned(),
+                )
             })
             .collect();
         sets.push((kind.name(), corrupted));
@@ -195,8 +207,10 @@ fn pipeline_native_findings_equal_a_rule_major_reference() {
             assert!(reference.iter().any(|d| d.check_id == "naming-macro"));
         }
         for jobs in [1, 2, 4] {
-            let mut a =
-                Assessment::new().with_options(AssessmentOptions { jobs, ..Default::default() });
+            let mut a = Assessment::new().with_options(AssessmentOptions {
+                jobs,
+                ..Default::default()
+            });
             for (module, path, text) in &sources {
                 a.add_file(module, path, text);
             }
@@ -239,8 +253,11 @@ fn resident_replay_rebinds_file_ids() {
         }
         a.run()
     };
-    let first: (String, String, String) =
-        ("aaa".into(), "aaa/first.cc".into(), "int First(int x) { return x; }\n".into());
+    let first: (String, String, String) = (
+        "aaa".into(),
+        "aaa/first.cc".into(),
+        "int First(int x) { return x; }\n".into(),
+    );
     let mut sets = vec![("clean", corpus_sources())];
     for kind in Corruption::ALL {
         let mut sources = corpus_sources();
@@ -251,14 +268,17 @@ fn resident_replay_rebinds_file_ids() {
         sets.push((kind.name(), sources));
     }
     for (name, sources) in sets {
-        let shifted: Vec<_> =
-            std::iter::once(first.clone()).chain(sources.iter().cloned()).collect();
+        let shifted: Vec<_> = std::iter::once(first.clone())
+            .chain(sources.iter().cloned())
+            .collect();
         for jobs in [1, 0] {
             let cold = run(&shifted, jobs, None, None);
             let cold_bytes = render::deterministic_report_markdown(&cold);
 
-            let dir = std::env::temp_dir()
-                .join(format!("adsafe-rebind-{}-{name}-{jobs}", std::process::id()));
+            let dir = std::env::temp_dir().join(format!(
+                "adsafe-rebind-{}-{name}-{jobs}",
+                std::process::id()
+            ));
             let _ = std::fs::remove_dir_all(&dir);
             run(&sources, jobs, Some(dir.clone()), None);
             let disk = run(&shifted, jobs, Some(dir.clone()), None);
@@ -269,7 +289,10 @@ fn resident_replay_rebinds_file_ids() {
             let resident = run(&shifted, jobs, None, Some(&store));
             // Only this test in the binary uses a resident store, so the
             // global counter delta is this run's.
-            assert!(resident.trace.counter("store.memory_hits") > 0, "{name} at jobs {jobs}: no resident replay");
+            assert!(
+                resident.trace.counter("store.memory_hits") > 0,
+                "{name} at jobs {jobs}: no resident replay"
+            );
 
             for (label, warm) in [("disk", &disk), ("resident", &resident)] {
                 assert!(
@@ -328,7 +351,10 @@ fn assert_native_findings(diags: &[&Diagnostic], sm: &SourceMap) {
     for (id, count, first) in NATIVE_FINDINGS {
         let mine: Vec<&&Diagnostic> = diags.iter().filter(|d| d.check_id == id).collect();
         assert_eq!(mine.len(), count, "{id}");
-        assert_eq!(format!("{} | fn={:?}", mine[0].render(sm), mine[0].function), first);
+        assert_eq!(
+            format!("{} | fn={:?}", mine[0].render(sm), mine[0].function),
+            first
+        );
     }
 }
 
@@ -339,47 +365,115 @@ fn assert_native_findings(diags: &[&Diagnostic], sm: &SourceMap) {
 #[test]
 fn builtin_pack_matches_native_checkers_byte_for_byte() {
     let pack = RulePack::builtin();
-    assert!(pack.faults.is_empty(), "bundled pack must load clean: {:?}", pack.faults);
-    let meta: Vec<(&str, CheckScope, &[&str], &str)> =
-        pack.rules.iter().map(|r| (r.id, r.scope, r.iso, r.desc)).collect();
+    assert!(
+        pack.faults.is_empty(),
+        "bundled pack must load clean: {:?}",
+        pack.faults
+    );
+    let meta: Vec<(&str, CheckScope, &[&str], &str)> = pack
+        .rules
+        .iter()
+        .map(|r| (r.id, r.scope, r.iso, r.desc))
+        .collect();
     assert_eq!(
         meta,
         [
-            ("misra-15.5-multi-exit", CheckScope::File, &["Part6.Table8.Row1"][..],
-             "functions shall have a single point of exit at the end"),
-            ("misra-17.2-recursion", CheckScope::Program, &["Part6.Table8.Row10"][..],
-             "no direct or indirect recursion"),
-            ("structure-function-length", CheckScope::File, &["Part6.Table3.Row2"][..],
-             "functions shall be of restricted size"),
-            ("structure-nesting-depth", CheckScope::File, &["Part6.Table1.Row1"][..],
-             "statement nesting shall be limited"),
-            ("structure-param-count", CheckScope::File, &["Part6.Table3.Row3"][..],
-             "interfaces (parameter lists) shall be of restricted size"),
-            ("misra-17.1-variadic", CheckScope::File, &["Part6.Table1.Row2"][..],
-             "variadic functions shall not be defined"),
-            ("design-global-variable", CheckScope::File,
-             &["Part6.Table1.Row5", "Part6.Table8.Row5"][..],
-             "avoid global variables or justify their usage"),
-            ("cuda-kernel-pointer", CheckScope::File,
-             &["Part6.Table8.Row6", "Part6.Table1.Row2"][..],
-             "CUDA kernels take raw pointers, contrary to limited-pointer-use guidance"),
-            ("cuda-alloc-balance", CheckScope::File, &["Part6.Table8.Row2"][..],
-             "device allocations shall be freed (cudaMalloc/cudaFree balance)"),
-            ("cuda-launch-unchecked", CheckScope::File, &["Part6.Table1.Row4"][..],
-             "kernel launches shall be followed by an error check"),
-            ("misra-15.1-goto", CheckScope::File,
-             &["Part6.Table1.Row2", "Part6.Table8.Row9"][..],
-             "goto statements (unconditional jumps) shall not be used"),
-            ("misra-12.3-comma", CheckScope::File, &["Part6.Table1.Row2"][..],
-             "the comma operator should not be used"),
-            ("misra-19.2-union", CheckScope::File, &["Part6.Table1.Row3"][..],
-             "unions should not be used"),
-            ("misra-16.4-switch-default", CheckScope::File, &["Part6.Table1.Row4"][..],
-             "every switch statement shall have a default label"),
-            ("misra-7.1-octal", CheckScope::File, &["Part6.Table1.Row2"][..],
-             "octal constants shall not be used"),
-            ("misra-decl-one-per-stmt", CheckScope::File, &["Part6.Table1.Row7"][..],
-             "one declarator per declaration statement"),
+            (
+                "misra-15.5-multi-exit",
+                CheckScope::File,
+                &["Part6.Table8.Row1"][..],
+                "functions shall have a single point of exit at the end"
+            ),
+            (
+                "misra-17.2-recursion",
+                CheckScope::Program,
+                &["Part6.Table8.Row10"][..],
+                "no direct or indirect recursion"
+            ),
+            (
+                "structure-function-length",
+                CheckScope::File,
+                &["Part6.Table3.Row2"][..],
+                "functions shall be of restricted size"
+            ),
+            (
+                "structure-nesting-depth",
+                CheckScope::File,
+                &["Part6.Table1.Row1"][..],
+                "statement nesting shall be limited"
+            ),
+            (
+                "structure-param-count",
+                CheckScope::File,
+                &["Part6.Table3.Row3"][..],
+                "interfaces (parameter lists) shall be of restricted size"
+            ),
+            (
+                "misra-17.1-variadic",
+                CheckScope::File,
+                &["Part6.Table1.Row2"][..],
+                "variadic functions shall not be defined"
+            ),
+            (
+                "design-global-variable",
+                CheckScope::File,
+                &["Part6.Table1.Row5", "Part6.Table8.Row5"][..],
+                "avoid global variables or justify their usage"
+            ),
+            (
+                "cuda-kernel-pointer",
+                CheckScope::File,
+                &["Part6.Table8.Row6", "Part6.Table1.Row2"][..],
+                "CUDA kernels take raw pointers, contrary to limited-pointer-use guidance"
+            ),
+            (
+                "cuda-alloc-balance",
+                CheckScope::File,
+                &["Part6.Table8.Row2"][..],
+                "device allocations shall be freed (cudaMalloc/cudaFree balance)"
+            ),
+            (
+                "cuda-launch-unchecked",
+                CheckScope::File,
+                &["Part6.Table1.Row4"][..],
+                "kernel launches shall be followed by an error check"
+            ),
+            (
+                "misra-15.1-goto",
+                CheckScope::File,
+                &["Part6.Table1.Row2", "Part6.Table8.Row9"][..],
+                "goto statements (unconditional jumps) shall not be used"
+            ),
+            (
+                "misra-12.3-comma",
+                CheckScope::File,
+                &["Part6.Table1.Row2"][..],
+                "the comma operator should not be used"
+            ),
+            (
+                "misra-19.2-union",
+                CheckScope::File,
+                &["Part6.Table1.Row3"][..],
+                "unions should not be used"
+            ),
+            (
+                "misra-16.4-switch-default",
+                CheckScope::File,
+                &["Part6.Table1.Row4"][..],
+                "every switch statement shall have a default label"
+            ),
+            (
+                "misra-7.1-octal",
+                CheckScope::File,
+                &["Part6.Table1.Row2"][..],
+                "octal constants shall not be used"
+            ),
+            (
+                "misra-decl-one-per-stmt",
+                CheckScope::File,
+                &["Part6.Table1.Row7"][..],
+                "one declarator per declaration statement"
+            ),
         ]
     );
 
@@ -430,11 +524,31 @@ const PORTED_IDS: [&str; 11] = [
 /// `int a, b;`) came from the bundled rule when that file joined the
 /// sets, after the rule's native was retired.
 const PORTED_FINDINGS: [(&str, [usize; 11], u64); 5] = [
-    ("clean", [1, 2, 2, 2, 84, 10, 2, 108, 2, 4, 2], 0xf0d13763dedad4c8),
-    ("truncate", [1, 1, 1, 1, 84, 9, 1, 42, 2, 0, 2], 0x28e83e6b5d803279),
-    ("delete-braces", [1, 0, 2, 1, 139, 2, 41, 13, 1, 4, 0], 0x78b9cb4769f72895),
-    ("byte-flips", [1, 1, 1, 3, 147, 1, 84, 22, 0, 47, 2], 0x9e05d9e026b3190a),
-    ("non-utf8-noise", [1, 2, 1, 2, 82, 8, 2, 87, 2, 4, 2], 0xb0b790af7b55a737),
+    (
+        "clean",
+        [1, 2, 2, 2, 84, 10, 2, 108, 2, 4, 2],
+        0xf0d13763dedad4c8,
+    ),
+    (
+        "truncate",
+        [1, 1, 1, 1, 84, 9, 1, 42, 2, 0, 2],
+        0x28e83e6b5d803279,
+    ),
+    (
+        "delete-braces",
+        [1, 0, 2, 1, 139, 2, 41, 13, 1, 4, 0],
+        0x78b9cb4769f72895,
+    ),
+    (
+        "byte-flips",
+        [1, 1, 1, 3, 147, 1, 84, 22, 0, 47, 2],
+        0x9e05d9e026b3190a,
+    ),
+    (
+        "non-utf8-noise",
+        [1, 2, 1, 2, 82, 8, 2, 87, 2, 4, 2],
+        0xb0b790af7b55a737,
+    ),
 ];
 
 /// The retired natives' first finding per rule of [`PORTED_IDS`] on the
@@ -497,8 +611,10 @@ fn ported_rules_reproduce_the_native_findings() {
     {
         assert_eq!(name, want_name);
         for jobs in [1, 0] {
-            let mut a =
-                Assessment::new().with_options(AssessmentOptions { jobs, ..Default::default() });
+            let mut a = Assessment::new().with_options(AssessmentOptions {
+                jobs,
+                ..Default::default()
+            });
             for (module, path, text) in &sources {
                 a.add_file(module, path, text);
             }
@@ -643,7 +759,10 @@ fn query_reports_are_deterministic_across_jobs_and_cache() {
         render::deterministic_report_markdown(&cold),
         "cache-backed run diverged from the in-memory run"
     );
-    assert_eq!(bare_warm.trace.counter("cache.hits"), corpus_sources().len() as u64);
+    assert_eq!(
+        bare_warm.trace.counter("cache.hits"),
+        corpus_sources().len() as u64
+    );
     assert_eq!(
         render::deterministic_report_markdown(&bare_warm),
         render::deterministic_report_markdown(&run_report(1, None, None)),
@@ -706,7 +825,10 @@ rule \"q-also-good\" { function where params > 6 -> info \"params {params}\" }\n
     let report = a.run();
     assert!(!report.degraded, "an invalid pack must not degrade the run");
     assert!(report.diagnostics.iter().any(|d| d.check_id == "q-good"));
-    assert!(report.faults.iter().any(|f| f.to_string().contains("rule pack invalid at line 2")));
+    assert!(report
+        .faults
+        .iter()
+        .any(|f| f.to_string().contains("rule pack invalid at line 2")));
 }
 
 /// Duplicate ids and collisions with reserved ids — native and bundled
@@ -725,8 +847,18 @@ rule \"q-dup\" { function where is_kernel -> info }\n";
     assert_eq!(pack.rules.len(), 1);
     assert_eq!(pack.rules[0].id, "q-dup");
     assert_eq!(pack.faults.len(), 3);
-    assert!(pack.faults[0].detail.contains("collides with a built-in rule"), "native id");
-    assert!(pack.faults[1].detail.contains("collides with a built-in rule"), "bundled id");
+    assert!(
+        pack.faults[0]
+            .detail
+            .contains("collides with a built-in rule"),
+        "native id"
+    );
+    assert!(
+        pack.faults[1]
+            .detail
+            .contains("collides with a built-in rule"),
+        "bundled id"
+    );
     assert!(pack.faults[2].detail.contains("duplicate rule id"));
 }
 
@@ -737,8 +869,11 @@ fn recursive_predicate_lowers_to_program_scope() {
     let pack = mirror_pack();
     let by_id: Vec<(&str, CheckScope)> = pack.rules.iter().map(|r| (r.id, r.scope)).collect();
     for (id, scope) in by_id {
-        let expected =
-            if id == "q-recursion" { CheckScope::Program } else { CheckScope::File };
+        let expected = if id == "q-recursion" {
+            CheckScope::Program
+        } else {
+            CheckScope::File
+        };
         assert_eq!(scope, expected, "{id}");
     }
 }
@@ -809,12 +944,22 @@ fn gen_expr(rng: &mut Rng, sel: Selector, depth: usize) -> Expr {
         2 => Expr::Bool(rng.below(2) == 0),
         _ => Expr::Field(field(rng)),
     };
-    let choice = if depth == 0 { rng.below(2) } else { rng.below(5) };
+    let choice = if depth == 0 {
+        rng.below(2)
+    } else {
+        rng.below(5)
+    };
     match choice {
         0 => Expr::Field(field(rng)),
         1 => {
-            const OPS: [CmpOp; 6] =
-                [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+            const OPS: [CmpOp; 6] = [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ];
             Expr::Cmp(
                 OPS[rng.below(OPS.len())],
                 Box::new(primary(rng)),
@@ -834,8 +979,12 @@ fn gen_expr(rng: &mut Rng, sel: Selector, depth: usize) -> Expr {
 }
 
 fn gen_rule(rng: &mut Rng, i: usize) -> RuleDecl {
-    let selector =
-        [Selector::Function, Selector::Global, Selector::File, Selector::Site][rng.below(4)];
+    let selector = [
+        Selector::Function,
+        Selector::Global,
+        Selector::File,
+        Selector::Site,
+    ][rng.below(4)];
     RuleDecl {
         id: format!("gen-rule-{i}"),
         line: 0,

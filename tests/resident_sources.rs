@@ -20,7 +20,9 @@ use std::time::{Duration, SystemTime};
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
     stream
         .write_all(&http::encode_request(method, path, &[], body.as_bytes()))
         .expect("send request");
@@ -70,14 +72,20 @@ impl Daemon {
     /// One `/assess`: checks the body against a fresh assessment and
     /// returns (files read, bytes read, cache hits, body).
     fn assess(&self) -> (u64, u64, u64, String) {
-        let (files0, bytes0) =
-            (counter(self.addr, "ingest.files_read"), counter(self.addr, "ingest.bytes_read"));
+        let (files0, bytes0) = (
+            counter(self.addr, "ingest.files_read"),
+            counter(self.addr, "ingest.bytes_read"),
+        );
         let body = format!("{{\"dir\":\"{}\"}}", self.root.display());
         let resp = request(self.addr, "POST", "/assess", &body);
         assert_eq!(resp.status, 200, "{}", resp.body_text());
         let hits = resp.header("x-adsafe-cache-hits").unwrap().parse().unwrap();
         let text = resp.body_text();
-        assert_eq!(text, fresh_report(&self.root), "report equals a fresh assessment");
+        assert_eq!(
+            text,
+            fresh_report(&self.root),
+            "report equals a fresh assessment"
+        );
         let files = counter(self.addr, "ingest.files_read") - files0;
         let bytes = counter(self.addr, "ingest.bytes_read") - bytes0;
         (files, bytes, hits, text)
@@ -89,9 +97,15 @@ fn a_warm_request_reads_only_what_changed() {
     let root = std::env::temp_dir().join(format!("adsafe-resident-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let sources: [(&str, &[u8]); 5] = [
-        ("control/pid.cc", b"static int s_calls;\nint Step(int err) {\n  return err;\n}\n"),
+        (
+            "control/pid.cc",
+            b"static int s_calls;\nint Step(int err) {\n  return err;\n}\n",
+        ),
         ("control/pid.h", b"int Step(int err);\n"),
-        ("perception/track.cc", b"int Update(int d) {\n  if (d < 0) return -1;\n  return d;\n}\n"),
+        (
+            "perception/track.cc",
+            b"int Update(int d) {\n  if (d < 0) return -1;\n  return d;\n}\n",
+        ),
         ("perception/old.cc", b"int Old() { return 1; }\n"),
         ("perception/raw.cc", b"int Raw();\n\xff\xfe\n"),
     ];
@@ -101,9 +115,16 @@ fn a_warm_request_reads_only_what_changed() {
         std::fs::write(path, text).unwrap();
     }
     let total: u64 = sources.iter().map(|(_, t)| t.len() as u64).sum();
-    let config = ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() };
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        ..ServeConfig::default()
+    };
     let server = Server::start(config).expect("bind 127.0.0.1:0");
-    let d = Daemon { addr: server.addr(), root: root.clone(), files: sources.len() as u64 };
+    let d = Daemon {
+        addr: server.addr(),
+        root: root.clone(),
+        files: sources.len() as u64,
+    };
     let pid = root.join("control/pid.cc");
     let track = root.join("perception/track.cc");
     let raw = root.join("perception/raw.cc");
@@ -115,7 +136,11 @@ fn a_warm_request_reads_only_what_changed() {
     assert_eq!((files, bytes, hits), (d.files, total, 0));
     assert!(cold.contains("invalid UTF-8"), "{cold}");
     let (files, bytes, hits, warm) = d.assess();
-    assert_eq!((files, bytes, hits), (0, 0, d.files), "an unchanged tree reads nothing");
+    assert_eq!(
+        (files, bytes, hits),
+        (0, 0, d.files),
+        "an unchanged tree reads nothing"
+    );
     assert_eq!(warm, cold);
 
     // A touch moves the stat but not the content: one read, all hits.
@@ -144,14 +169,20 @@ fn a_warm_request_reads_only_what_changed() {
     // its change, the file is racily clean, so the next scan that
     // starts a margin later reads it once more; after that, nothing.
     let before = std::fs::read(&track).unwrap();
-    let after = String::from_utf8(before.clone()).unwrap().replace("return -1;", "return -2;");
+    let after = String::from_utf8(before.clone())
+        .unwrap()
+        .replace("return -1;", "return -2;");
     assert_eq!(after.len(), before.len());
     std::fs::write(&track, &after).unwrap();
     let (files, bytes, hits, _) = d.assess();
     assert_eq!((files, bytes, hits), (1, len(&track), d.files - 1));
     settle();
     let (files, bytes, hits, _) = d.assess();
-    assert_eq!((files, bytes, hits), (1, len(&track), d.files), "racily clean: read again");
+    assert_eq!(
+        (files, bytes, hits),
+        (1, len(&track), d.files),
+        "racily clean: read again"
+    );
     assert_eq!(d.assess().0, 0);
 
     // A deleted file leaves the report; a new file is read and joins it.
@@ -165,13 +196,23 @@ fn a_warm_request_reads_only_what_changed() {
     // /invalidate drops the resident source with the facts: the path is
     // read and analysed again. The lossy file's fault survives it.
     let body = format!("{{\"paths\":[\"{}\"]}}", raw.display());
-    assert_eq!(request(d.addr, "POST", "/invalidate", &body).body_text(), "{\"dropped\":1}");
+    assert_eq!(
+        request(d.addr, "POST", "/invalidate", &body).body_text(),
+        "{\"dropped\":1}"
+    );
     let (files, bytes, hits, last) = d.assess();
     assert_eq!((files, bytes, hits), (1, len(&raw), d.files - 1));
     assert!(last.contains("invalid UTF-8"), "{last}");
-    assert_eq!(request(d.addr, "POST", "/invalidate", "{\"all\":true}").status, 200);
+    assert_eq!(
+        request(d.addr, "POST", "/invalidate", "{\"all\":true}").status,
+        200
+    );
     let (files, _, hits, _) = d.assess();
-    assert_eq!((files, hits), (d.files, 0), "invalidating all reads the whole tree");
+    assert_eq!(
+        (files, hits),
+        (d.files, 0),
+        "invalidating all reads the whole tree"
+    );
 
     server.stop();
     let _ = std::fs::remove_dir_all(&root);

@@ -26,7 +26,13 @@ fn corpora() -> Vec<Vec<GeneratedFile>> {
 }
 
 fn assess(corpus: &[GeneratedFile], jobs: usize) -> AssessmentReport {
-    adsafe::assess_corpus(corpus, AssessmentOptions { jobs, ..AssessmentOptions::default() })
+    adsafe::assess_corpus(
+        corpus,
+        AssessmentOptions {
+            jobs,
+            ..AssessmentOptions::default()
+        },
+    )
 }
 
 /// Each corpus assessed on a fresh thread, one after another.
@@ -59,10 +65,14 @@ fn together(corpora: &[Vec<GeneratedFile>], jobs: usize) -> Vec<AssessmentReport
 fn concurrent_assessments_report_their_solo_counters() {
     let corpora = corpora();
     for jobs in [1, 2] {
-        let alone: Vec<_> = solo(&corpora, jobs).into_iter().map(|r| r.trace.counters).collect();
+        let alone: Vec<_> = solo(&corpora, jobs)
+            .into_iter()
+            .map(|r| r.trace.counters)
+            .collect();
         for (i, c) in alone.iter().enumerate() {
             assert!(
-                c.iter().any(|(name, n)| name == "parse.tier1.files" && *n > 0),
+                c.iter()
+                    .any(|(name, n)| name == "parse.tier1.files" && *n > 0),
                 "corpus {i} parses something: {c:?}"
             );
         }
@@ -90,14 +100,27 @@ fn concurrent_assessments_report_their_solo_allocations() {
         let concurrent = together(&corpora, jobs);
         for (i, (a, c)) in alone.iter().zip(&concurrent).enumerate() {
             let names = |r: &AssessmentReport| {
-                r.trace.phase_mem.iter().map(|p| p.name.clone()).collect::<Vec<_>>()
+                r.trace
+                    .phase_mem
+                    .iter()
+                    .map(|p| p.name.clone())
+                    .collect::<Vec<_>>()
             };
-            assert_eq!(names(c), names(a), "corpus {i}, jobs {jobs}: phase rows differ");
-            assert!(names(a).iter().any(|n| n == "parse"), "corpus {i}: {:?}", names(a));
+            assert_eq!(
+                names(c),
+                names(a),
+                "corpus {i}, jobs {jobs}: phase rows differ"
+            );
+            assert!(
+                names(a).iter().any(|n| n == "parse"),
+                "corpus {i}: {:?}",
+                names(a)
+            );
             for (sp, cp) in a.trace.phase_mem.iter().zip(&c.trace.phase_mem) {
-                for (what, solo, got) in
-                    [("allocs", sp.allocs, cp.allocs), ("bytes", sp.bytes, cp.bytes)]
-                {
+                for (what, solo, got) in [
+                    ("allocs", sp.allocs, cp.allocs),
+                    ("bytes", sp.bytes, cp.bytes),
+                ] {
                     assert!(
                         solo.abs_diff(got) * 100 <= solo,
                         "corpus {i}, jobs {jobs}, phase {}: {what} {got} vs solo {solo}",

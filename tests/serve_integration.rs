@@ -32,7 +32,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);
     let n = N.fetch_add(1, Ordering::Relaxed);
-    let d = std::env::temp_dir().join(format!("adsafe-serve-test-{}-{tag}-{n}", std::process::id()));
+    let d = std::env::temp_dir().join(format!(
+        "adsafe-serve-test-{}-{tag}-{n}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d
@@ -74,13 +77,19 @@ fn corpus_dir(tag: &str) -> PathBuf {
 const CORPUS_FILES: u64 = 3;
 
 fn start_server(config: ServeConfig) -> Server {
-    Server::start(ServeConfig { addr: "127.0.0.1:0".into(), ..config }).expect("bind 127.0.0.1:0")
+    Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        ..config
+    })
+    .expect("bind 127.0.0.1:0")
 }
 
 /// One round-trip request over a fresh connection.
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
     stream
         .write_all(&http::encode_request(method, path, &[], body.as_bytes()))
         .expect("send request");
@@ -108,7 +117,9 @@ fn metrics_counter(metrics: &str, name: &str) -> u64 {
 /// them; every row must parse.
 fn ledger_rows(root: &Path) -> Vec<adsafe_ledger::RunRecord> {
     let dir = adsafe_ledger::Ledger::dir_for_cache(&root.join(".adsafe-cache"));
-    let (rows, torn) = adsafe_ledger::Ledger::open(&dir).expect("ledger opens").read_all();
+    let (rows, torn) = adsafe_ledger::Ledger::open(&dir)
+        .expect("ledger opens")
+        .read_all();
     assert!(torn.is_empty(), "torn ledger lines: {torn:?}");
     rows
 }
@@ -136,8 +147,17 @@ fn recorded_alloc_bytes(addr: SocketAddr) -> Vec<(String, u64)> {
         .lines()
         .map(|l| Json::parse(l).expect("every access-log row parses"))
         .map(|row| {
-            let run = row.get("run").and_then(Json::as_str).unwrap_or_default().to_string();
-            (run, row.get("alloc_bytes").and_then(Json::as_f64).expect("alloc_bytes") as u64)
+            let run = row
+                .get("run")
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_string();
+            (
+                run,
+                row.get("alloc_bytes")
+                    .and_then(Json::as_f64)
+                    .expect("alloc_bytes") as u64,
+            )
         })
         .collect()
 }
@@ -148,11 +168,25 @@ fn recorded_alloc_bytes(addr: SocketAddr) -> Vec<(String, u64)> {
 /// alone would report.
 #[test]
 fn concurrent_requests_report_exact_numbers() {
-    let corpora = [generated_corpus("exact-a", 0, 0), generated_corpus("exact-b", 1, 3)];
-    let server = start_server(ServeConfig { handlers: 4, jobs: 1, ..ServeConfig::default() });
+    let corpora = [
+        generated_corpus("exact-a", 0, 0),
+        generated_corpus("exact-b", 1, 3),
+    ];
+    let server = start_server(ServeConfig {
+        handlers: 4,
+        jobs: 1,
+        ..ServeConfig::default()
+    });
     let addr = server.addr();
-    let bodies: Vec<String> = corpora.iter().map(|(root, _)| assess_body(root, "")).collect();
-    let run_id = |r: &Response| r.header("x-adsafe-run-id").expect("run ID header").to_string();
+    let bodies: Vec<String> = corpora
+        .iter()
+        .map(|(root, _)| assess_body(root, ""))
+        .collect();
+    let run_id = |r: &Response| {
+        r.header("x-adsafe-run-id")
+            .expect("run ID header")
+            .to_string()
+    };
 
     // Warm each corpus, then take its solo warm allocation bill.
     let mut solo_alloc = [0u64; 2];
@@ -171,7 +205,10 @@ fn concurrent_requests_report_exact_numbers() {
                 solo_alloc[i] = solo_alloc[i].max(bytes);
             }
         }
-        assert!(solo_alloc[i] > 0, "corpus {i}: the counting allocator billed the request");
+        assert!(
+            solo_alloc[i] > 0,
+            "corpus {i}: the counting allocator billed the request"
+        );
     }
 
     for round in 0..2 {
@@ -198,9 +235,19 @@ fn concurrent_requests_report_exact_numbers() {
                 "round {round}, corpus {i}: the header counts this request's hits only"
             );
             let run = run_id(resp);
-            let row = ledger_rows(root).into_iter().find(|r| r.run == run).expect("ledger row");
-            assert_eq!((row.cache_hits, row.cache_stores), (*files, 0), "round {round}, {run}");
-            let (_, bytes) = recorded.iter().find(|(r, _)| *r == run).expect("recorder row");
+            let row = ledger_rows(root)
+                .into_iter()
+                .find(|r| r.run == run)
+                .expect("ledger row");
+            assert_eq!(
+                (row.cache_hits, row.cache_stores),
+                (*files, 0),
+                "round {round}, {run}"
+            );
+            let (_, bytes) = recorded
+                .iter()
+                .find(|(r, _)| *r == run)
+                .expect("recorder row");
             assert!(
                 *bytes * 4 <= solo_alloc[*i] * 5,
                 "round {round}, {run}: {bytes} bytes against a solo maximum of {}",
@@ -261,7 +308,9 @@ fn http_report_is_byte_identical_to_the_cli_report() {
             "daemon and CLI must agree on the exit-code contract"
         );
         assert_eq!(resp.header("x-adsafe-degraded"), Some("false"));
-        assert!(resp.header("x-adsafe-trace-digest").is_some_and(|d| d.len() == 16));
+        assert!(resp
+            .header("x-adsafe-trace-digest")
+            .is_some_and(|d| d.len() == 16));
     }
     server.stop();
     let _ = std::fs::remove_dir_all(&corpus);
@@ -290,7 +339,10 @@ fn warm_second_request_does_zero_parse_work() {
         (CORPUS_FILES, 0),
         "the warm request must do zero parse-phase work"
     );
-    assert_eq!(warm.body, cold.body, "cold and warm reports must be byte-identical");
+    assert_eq!(
+        warm.body, cold.body,
+        "cold and warm reports must be byte-identical"
+    );
     assert_ne!(
         warm.header("x-adsafe-trace-digest"),
         cold.header("x-adsafe-trace-digest"),
@@ -312,7 +364,10 @@ fn handler_panic_answers_500_and_the_daemon_survives() {
         addr,
         "POST",
         "/assess",
-        &assess_body(&corpus, ",\"failpoints\":[{\"site\":\"serve.request\",\"action\":\"panic\"}]"),
+        &assess_body(
+            &corpus,
+            ",\"failpoints\":[{\"site\":\"serve.request\",\"action\":\"panic\"}]",
+        ),
     );
     assert_eq!(broken.status, 500);
     let text = broken.body_text();
@@ -341,7 +396,10 @@ fn handler_panic_answers_500_and_the_daemon_survives() {
             ",\"jobs\":1,\"failpoints\":[{\"site\":\"pipeline::check\",\"action\":\"panic\"}]",
         ),
     );
-    assert_eq!(degraded.status, 200, "contained checker faults are not server errors");
+    assert_eq!(
+        degraded.status, 200,
+        "contained checker faults are not server errors"
+    );
     assert_eq!(degraded.header("x-adsafe-degraded"), Some("true"));
     server.stop();
     let _ = std::fs::remove_dir_all(&corpus);
@@ -365,13 +423,25 @@ fn full_queue_answers_503_and_recovers_after_drain() {
     // c1 occupies the single worker for ~900ms.
     let mut c1 = TcpStream::connect(addr).unwrap();
     c1.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    c1.write_all(&http::encode_request("POST", "/assess", &[], slow_body.as_bytes())).unwrap();
+    c1.write_all(&http::encode_request(
+        "POST",
+        "/assess",
+        &[],
+        slow_body.as_bytes(),
+    ))
+    .unwrap();
     std::thread::sleep(Duration::from_millis(200)); // worker picked c1 up
 
     // c2 fills the queue (capacity 1).
     let mut c2 = TcpStream::connect(addr).unwrap();
     c2.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    c2.write_all(&http::encode_request("POST", "/assess", &[], plain_body.as_bytes())).unwrap();
+    c2.write_all(&http::encode_request(
+        "POST",
+        "/assess",
+        &[],
+        plain_body.as_bytes(),
+    ))
+    .unwrap();
     std::thread::sleep(Duration::from_millis(100)); // accept loop queued c2
 
     // c3 overflows → 503 with a queue-depth-derived Retry-After,
@@ -383,7 +453,10 @@ fn full_queue_answers_503_and_recovers_after_drain() {
         .expect("503 carries Retry-After")
         .parse()
         .expect("Retry-After is integral seconds");
-    assert!((1..=30).contains(&retry), "hint stays within the clamp: {retry}");
+    assert!(
+        (1..=30).contains(&retry),
+        "hint stays within the clamp: {retry}"
+    );
     let body = rejected.body_text();
     assert!(body.contains("\"queue_depth\":"), "{body}");
     assert!(
@@ -426,7 +499,10 @@ fn reaches_eof(stream: &mut TcpStream) -> bool {
 
 #[test]
 fn keep_alive_serves_many_requests_then_caps_the_connection() {
-    let server = start_server(ServeConfig { keep_alive_max: 3, ..ServeConfig::default() });
+    let server = start_server(ServeConfig {
+        keep_alive_max: 3,
+        ..ServeConfig::default()
+    });
     let addr = server.addr();
     let reuses_before = {
         let m = request(addr, "GET", "/metrics", "").body_text();
@@ -434,7 +510,9 @@ fn keep_alive_serves_many_requests_then_caps_the_connection() {
     };
 
     let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
     let wire = http::encode_request("GET", "/healthz", &[], b"");
     for n in 1..=3 {
         let resp = round_trip(&mut stream, &wire);
@@ -498,11 +576,19 @@ fn idle_keep_alive_connections_expire_cleanly() {
     };
 
     let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let resp = round_trip(&mut stream, &http::encode_request("GET", "/healthz", &[], b""));
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let resp = round_trip(
+        &mut stream,
+        &http::encode_request("GET", "/healthz", &[], b""),
+    );
     assert_eq!(resp.header("connection"), Some("keep-alive"));
     // Then say nothing: the server closes without writing anything.
-    assert!(reaches_eof(&mut stream), "idle expiry is a clean close, not an error response");
+    assert!(
+        reaches_eof(&mut stream),
+        "idle expiry is a clean close, not an error response"
+    );
 
     let idle_after = {
         let m = request(addr, "GET", "/metrics", "").body_text();
@@ -521,7 +607,9 @@ fn a_stalled_request_answers_408_and_closes() {
     let addr = server.addr();
 
     let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
     // Half a request line, then silence: the request started (so this
     // is not idle expiry) but can never complete.
     stream.write_all(b"POST /assess HTT").unwrap();
@@ -578,7 +666,10 @@ fn invalidate_drops_resident_facts_for_changed_paths() {
 fn graceful_shutdown_flushes_the_facts_store_to_disk() {
     let corpus = corpus_dir("flush");
     let cache_dir = temp_dir("flush-cache");
-    let config = || ServeConfig { cache_dir: Some(cache_dir.clone()), ..ServeConfig::default() };
+    let config = || ServeConfig {
+        cache_dir: Some(cache_dir.clone()),
+        ..ServeConfig::default()
+    };
 
     let server = start_server(config());
     let addr = server.addr();
@@ -592,10 +683,17 @@ fn graceful_shutdown_flushes_the_facts_store_to_disk() {
             .filter(|e| e.file_name() != "meta.json")
             .count() as u64
     };
-    assert_eq!(entries_on_disk(), 0, "requests must not pay disk-write latency");
+    assert_eq!(
+        entries_on_disk(),
+        0,
+        "requests must not pay disk-write latency"
+    );
     let stats = server.stop();
     assert_eq!(stats.requests, 1);
-    assert_eq!(stats.flushed_entries as u64, CORPUS_FILES, "drain flushes every dirty entry");
+    assert_eq!(
+        stats.flushed_entries as u64, CORPUS_FILES,
+        "drain flushes every dirty entry"
+    );
     assert_eq!(entries_on_disk(), CORPUS_FILES);
 
     // A fresh daemon (fresh process, same disk cache) starts warm.
@@ -620,15 +718,24 @@ fn graceful_shutdown_flushes_the_facts_store_to_disk() {
 fn invalidate_reaches_entries_promoted_from_disk() {
     let corpus = corpus_dir("promoted");
     let cache_dir = temp_dir("promoted-cache");
-    let config = || ServeConfig { cache_dir: Some(cache_dir.clone()), ..ServeConfig::default() };
+    let config = || ServeConfig {
+        cache_dir: Some(cache_dir.clone()),
+        ..ServeConfig::default()
+    };
     let server = start_server(config());
-    assert_eq!(request(server.addr(), "POST", "/assess", &assess_body(&corpus, "")).status, 200);
+    assert_eq!(
+        request(server.addr(), "POST", "/assess", &assess_body(&corpus, "")).status,
+        200
+    );
     assert_eq!(server.stop().flushed_entries as u64, CORPUS_FILES);
 
     let server = start_server(config());
     let addr = server.addr();
     let promoted = request(addr, "POST", "/assess", &assess_body(&corpus, ""));
-    assert_eq!(promoted.header("x-adsafe-cache-hits"), Some(CORPUS_FILES.to_string().as_str()));
+    assert_eq!(
+        promoted.header("x-adsafe-cache-hits"),
+        Some(CORPUS_FILES.to_string().as_str())
+    );
     let changed = corpus.join("control/pid.cc");
     let resp = request(
         addr,
@@ -651,7 +758,10 @@ fn invalidate_reaches_entries_promoted_from_disk() {
 
 #[test]
 fn healthz_and_routing_basics() {
-    let server = start_server(ServeConfig { queue_capacity: 7, ..ServeConfig::default() });
+    let server = start_server(ServeConfig {
+        queue_capacity: 7,
+        ..ServeConfig::default()
+    });
     let addr = server.addr();
 
     let health = request(addr, "GET", "/healthz", "");
@@ -691,16 +801,29 @@ fn cli_and_daemon_record_the_lossy_text_digest() {
         .collect();
     let mut assessment = adsafe::Assessment::new();
     let ingested = adsafe_serve::fsutil::ingest_dir(&corpus, &mut assessment);
-    assert_eq!((ingested.found, ingested.unreadable.len(), formula.len()), (5, 1, 4));
+    assert_eq!(
+        (ingested.found, ingested.unreadable.len(), formula.len()),
+        (5, 1, 4)
+    );
     assert_eq!(assessment.content_hashes(), formula);
 
     let cli = std::process::Command::new(env!("CARGO_BIN_EXE_adsafe"))
-        .args(["assess", &corpus.display().to_string(), "--jobs", "1", "--no-cache", "-q"])
+        .args([
+            "assess",
+            &corpus.display().to_string(),
+            "--jobs",
+            "1",
+            "--no-cache",
+            "-q",
+        ])
         .output()
         .expect("running the adsafe CLI");
     assert!(String::from_utf8_lossy(&cli.stderr).contains("skipping unreadable"));
     let server = start_server(ServeConfig::default());
-    assert_eq!(request(server.addr(), "POST", "/assess", &assess_body(&corpus, "")).status, 200);
+    assert_eq!(
+        request(server.addr(), "POST", "/assess", &assess_body(&corpus, "")).status,
+        200
+    );
     server.stop();
     let ledger = std::fs::read_to_string(corpus.join(".adsafe-cache/ledger/runs.jsonl")).unwrap();
     let rows: Vec<(String, u64)> = ledger
@@ -721,8 +844,14 @@ fn every_assessment_gets_a_run_id_and_a_ledger_record() {
     let first = request(addr, "POST", "/assess", &assess_body(&corpus, ""));
     let second = request(addr, "POST", "/assess", &assess_body(&corpus, ""));
     assert_eq!((first.status, second.status), (200, 200));
-    let id1 = first.header("x-adsafe-run-id").expect("run ID header").to_string();
-    let id2 = second.header("x-adsafe-run-id").expect("run ID header").to_string();
+    let id1 = first
+        .header("x-adsafe-run-id")
+        .expect("run ID header")
+        .to_string();
+    let id2 = second
+        .header("x-adsafe-run-id")
+        .expect("run ID header")
+        .to_string();
     assert_ne!(id1, id2, "every run gets a fresh ID");
     // Run IDs never leak into the deterministic report body.
     assert!(!first.body_text().contains(&id1));
@@ -732,7 +861,10 @@ fn every_assessment_gets_a_run_id_and_a_ledger_record() {
     let index = request(addr, "GET", "/runs", "");
     assert_eq!(index.status, 200);
     let listing = index.body_text();
-    assert!(listing.contains(&id1) && listing.contains(&id2), "{listing}");
+    assert!(
+        listing.contains(&id1) && listing.contains(&id2),
+        "{listing}"
+    );
 
     let fetch = |id: &str| {
         let one = request(addr, "GET", &format!("/runs/{id}"), "");
@@ -742,7 +874,10 @@ fn every_assessment_gets_a_run_id_and_a_ledger_record() {
     let (r1, r2) = (fetch(&id1), fetch(&id2));
     assert_eq!(r1.corpus_digest, r2.corpus_digest);
     assert!(!adsafe_ledger::RunDiff::between(&r1, &r2).has_drift());
-    assert_eq!(request(addr, "GET", "/runs/r999999-00000000", "").status, 404);
+    assert_eq!(
+        request(addr, "GET", "/runs/r999999-00000000", "").status,
+        404
+    );
 
     // A corpus mutation that flips a verdict is visible as drift
     // between the served records.
@@ -758,8 +893,15 @@ fn every_assessment_gets_a_run_id_and_a_ledger_record() {
     assert_eq!(third.status, 200);
     let r3 = fetch(third.header("x-adsafe-run-id").expect("run ID header"));
     let drift = adsafe_ledger::RunDiff::between(&r2, &r3);
-    assert!(drift.has_drift(), "shadowing must flip a verdict:\n{}", drift.render());
-    assert!(drift.verdict_flips.iter().any(|f| f.key == "t8r4" && f.regressed));
+    assert!(
+        drift.has_drift(),
+        "shadowing must flip a verdict:\n{}",
+        drift.render()
+    );
+    assert!(drift
+        .verdict_flips
+        .iter()
+        .any(|f| f.key == "t8r4" && f.regressed));
 
     // The Prometheus exposition serves the same registry.
     let prom = request(addr, "GET", "/metrics?format=prometheus", "");
@@ -768,7 +910,10 @@ fn every_assessment_gets_a_run_id_and_a_ledger_record() {
         .header("content-type")
         .is_some_and(|t| t.starts_with("text/plain; version=0.0.4")));
     let text = prom.body_text();
-    assert!(text.contains("# TYPE adsafe_serve_assessments counter"), "{text}");
+    assert!(
+        text.contains("# TYPE adsafe_serve_assessments counter"),
+        "{text}"
+    );
     assert_eq!(request(addr, "GET", "/metrics?format=xml", "").status, 400);
 
     // /healthz surfaces the facts-store gauges, the memos' share and
@@ -780,7 +925,10 @@ fn every_assessment_gets_a_run_id_and_a_ledger_record() {
     assert!(!health.contains("\"ingest_resident_bytes\":0"), "{health}");
     let metrics = request(addr, "GET", "/metrics", "").body_text();
     for gauge in ["gauge store.memo.bytes ", "gauge ingest.resident_bytes "] {
-        assert!(metrics.lines().any(|l| l.starts_with(gauge)), "{gauge}in\n{metrics}");
+        assert!(
+            metrics.lines().any(|l| l.starts_with(gauge)),
+            "{gauge}in\n{metrics}"
+        );
     }
 
     server.stop();
@@ -792,13 +940,18 @@ fn every_assessment_gets_a_run_id_and_a_ledger_record() {
 #[test]
 fn runs_mirror_keeps_the_recorder_window() {
     let corpus = corpus_dir("runs-ring");
-    let server = start_server(ServeConfig { recorder_cap: 2, ..ServeConfig::default() });
+    let server = start_server(ServeConfig {
+        recorder_cap: 2,
+        ..ServeConfig::default()
+    });
     let addr = server.addr();
     let ids: Vec<String> = (0..3)
         .map(|_| {
             let resp = request(addr, "POST", "/assess", &assess_body(&corpus, ""));
             assert_eq!(resp.status, 200);
-            resp.header("x-adsafe-run-id").expect("run ID header").to_string()
+            resp.header("x-adsafe-run-id")
+                .expect("run ID header")
+                .to_string()
         })
         .collect();
     let listing = Json::parse(&request(addr, "GET", "/runs", "").body_text()).unwrap();
@@ -809,8 +962,14 @@ fn runs_mirror_keeps_the_recorder_window() {
         .map(|r| r.get("run").and_then(Json::as_str).expect("run field"))
         .collect();
     assert_eq!(listed, [ids[1].as_str(), ids[2].as_str()]);
-    assert_eq!(request(addr, "GET", &format!("/runs/{}", ids[0]), "").status, 404);
-    assert_eq!(request(addr, "GET", &format!("/runs/{}", ids[2]), "").status, 200);
+    assert_eq!(
+        request(addr, "GET", &format!("/runs/{}", ids[0]), "").status,
+        404
+    );
+    assert_eq!(
+        request(addr, "GET", &format!("/runs/{}", ids[2]), "").status,
+        200
+    );
     assert_eq!(ledger_rows(&corpus).len(), 3, "the ledger keeps every run");
     server.stop();
     let _ = std::fs::remove_dir_all(&corpus);
@@ -833,7 +992,9 @@ fn listing_commands_survive_a_closed_stdout() {
     // Closed after one line, and closed before the first write.
     let mut child = spawn();
     let mut first = String::new();
-    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
     assert!(first.contains("native"), "{first}");
     let after_one_line = child.wait_with_output().unwrap();
     let mut child = spawn();
@@ -855,12 +1016,17 @@ fn flight_recorder_serves_the_access_log_and_trace() {
     // Traffic mix: two assessments over one keep-alive connection (the
     // second row must show reuse > 0), plus a 404 and a healthz.
     let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
     let wire = http::encode_request("POST", "/assess", &[], assess_body(&corpus, "").as_bytes());
     let first = round_trip(&mut stream, &wire);
     let second = round_trip(&mut stream, &wire);
     assert_eq!((first.status, second.status), (200, 200));
-    let run_id = second.header("x-adsafe-run-id").expect("run ID header").to_string();
+    let run_id = second
+        .header("x-adsafe-run-id")
+        .expect("run ID header")
+        .to_string();
     drop(stream);
     assert_eq!(request(addr, "GET", "/nope", "").status, 404);
     assert_eq!(request(addr, "GET", "/healthz", "").status, 200);
@@ -874,9 +1040,15 @@ fn flight_recorder_serves_the_access_log_and_trace() {
         .lines()
         .map(|l| adsafe::trace::json::Json::parse(l).expect("every access-log row parses"))
         .collect();
-    assert!(rows.len() >= 4, "assess x2 + 404 + healthz: {} rows", rows.len());
+    assert!(
+        rows.len() >= 4,
+        "assess x2 + 404 + healthz: {} rows",
+        rows.len()
+    );
     let field = |row: &adsafe::trace::json::Json, k: &str| {
-        row.get(k).and_then(|v| v.as_f64()).unwrap_or_else(|| panic!("row field {k}"))
+        row.get(k)
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("row field {k}"))
     };
     let mut prev_seq = 0.0;
     for row in &rows {
@@ -884,7 +1056,9 @@ fn flight_recorder_serves_the_access_log_and_trace() {
         assert!(seq > prev_seq, "seq strictly increases oldest-first");
         prev_seq = seq;
         assert!(field(row, "total_us") >= 0.0);
-        row.get("endpoint").and_then(|v| v.as_str()).expect("endpoint field");
+        row.get("endpoint")
+            .and_then(|v| v.as_str())
+            .expect("endpoint field");
     }
     // The keep-alive assess row carries its reuse index and run ID —
     // and that run ID resolves in the ledger (`adsafe history` parity).
@@ -897,7 +1071,10 @@ fn flight_recorder_serves_the_access_log_and_trace() {
         .expect("second keep-alive assess row records reuse > 0");
     assert_eq!(field(reused, "status") as u16, 200);
     let resolved = request(addr, "GET", &format!("/runs/{run_id}"), "");
-    assert_eq!(resolved.status, 200, "/requests run IDs resolve in the run ledger");
+    assert_eq!(
+        resolved.status, 200,
+        "/requests run IDs resolve in the run ledger"
+    );
     // Assess rows break the pipeline phases out; parse/render among
     // them, and the front door's ingest (before parse) and ledger.
     let phases: Vec<String> = reused
@@ -908,10 +1085,16 @@ fn flight_recorder_serves_the_access_log_and_trace() {
         .filter_map(|p| p.get("name").and_then(|n| n.as_str()).map(str::to_string))
         .collect();
     for want in ["ingest", "ledger", "parse", "render", "write"] {
-        assert!(phases.iter().any(|p| p == want), "phase {want} in {phases:?}");
+        assert!(
+            phases.iter().any(|p| p == want),
+            "phase {want} in {phases:?}"
+        );
     }
     let at = |name: &str| phases.iter().position(|p| p == name).unwrap();
-    assert!(at("ingest") < at("parse"), "ingest comes before parse: {phases:?}");
+    assert!(
+        at("ingest") < at("parse"),
+        "ingest comes before parse: {phases:?}"
+    );
 
     // Filters: by status, by endpoint, last-N; bad values answer 400.
     let only_404 = request(addr, "GET", "/requests?status=404", "");
@@ -924,7 +1107,10 @@ fn flight_recorder_serves_the_access_log_and_trace() {
     assert!(only_assess.body_text().lines().count() >= 2);
     let last_one = request(addr, "GET", "/requests?last=1", "");
     assert_eq!(last_one.body_text().lines().count(), 1);
-    assert_eq!(request(addr, "GET", "/requests?status=banana", "").status, 400);
+    assert_eq!(
+        request(addr, "GET", "/requests?status=banana", "").status,
+        400
+    );
     assert_eq!(request(addr, "GET", "/requests?last=x", "").status, 400);
 
     // /trace/recent: the same ring as Chrome trace-event JSON, valid
@@ -932,7 +1118,10 @@ fn flight_recorder_serves_the_access_log_and_trace() {
     let trace = request(addr, "GET", "/trace/recent", "");
     assert_eq!(trace.status, 200);
     adsafe::trace::chrome::validate(&trace.body_text()).expect("Chrome trace validates");
-    assert!(trace.body_text().contains("\"POST /assess\""), "parent events name the request");
+    assert!(
+        trace.body_text().contains("\"POST /assess\""),
+        "parent events name the request"
+    );
 
     // Per-endpoint SLO histograms: labeled series in both formats.
     let metrics = request(addr, "GET", "/metrics", "").body_text();
@@ -942,8 +1131,10 @@ fn flight_recorder_serves_the_access_log_and_trace() {
         .expect("labeled assess latency histogram");
     assert!(slo.contains(" p999 "), "text format reports p999: {slo}");
     assert!(
-        metrics.lines().any(|l| l.starts_with("hist pool.queue_wait count ")
-            && !l.starts_with("hist pool.queue_wait count 0 ")),
+        metrics
+            .lines()
+            .any(|l| l.starts_with("hist pool.queue_wait count ")
+                && !l.starts_with("hist pool.queue_wait count 0 ")),
         "queue-wait histogram is populated: {metrics}"
     );
     let prom = request(addr, "GET", "/metrics?format=prometheus", "").body_text();
@@ -975,8 +1166,11 @@ fn torn_ledger_line_is_reported_once() {
     let corpus = corpus_dir("torn-once");
     let dir = adsafe_ledger::Ledger::dir_for_cache(&corpus.join(".adsafe-cache"));
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join(adsafe_ledger::LEDGER_FILE), "{\"schema\":\"adsafe-ledger/1\",\"run")
-        .unwrap();
+    std::fs::write(
+        dir.join(adsafe_ledger::LEDGER_FILE),
+        "{\"schema\":\"adsafe-ledger/1\",\"run",
+    )
+    .unwrap();
     let server = start_server(ServeConfig::default());
     let bodies: Vec<String> = (0..2)
         .map(|_| request(server.addr(), "POST", "/assess", &assess_body(&corpus, "")).body_text())
@@ -985,7 +1179,11 @@ fn torn_ledger_line_is_reported_once() {
     assert!(bodies[0].contains("torn ledger line"), "{}", bodies[0]);
     assert!(!bodies[1].contains("torn ledger line"), "{}", bodies[1]);
     let (rows, torn) = adsafe_ledger::Ledger::open(&dir).unwrap().read_all();
-    assert_eq!((rows.len(), torn.len()), (2, 1), "history still lists the tear");
+    assert_eq!(
+        (rows.len(), torn.len()),
+        (2, 1),
+        "history still lists the tear"
+    );
     let _ = std::fs::remove_dir_all(&corpus);
 }
 
@@ -997,7 +1195,13 @@ fn profile_prints_the_unclaimed_share() {
     let corpus = corpus_dir("profile-share");
     let assess = |extra: &[&str]| {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_adsafe"))
-            .args(["assess", &corpus.display().to_string(), "--no-cache", "--no-ledger", "-q"])
+            .args([
+                "assess",
+                &corpus.display().to_string(),
+                "--no-cache",
+                "--no-ledger",
+                "-q",
+            ])
             .args(extra)
             .output()
             .expect("running the adsafe CLI");
@@ -1011,7 +1215,10 @@ fn profile_prints_the_unclaimed_share() {
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| panic!("last --profile line is the unclaimed share:\n{profiled}"));
     assert!((0.0..=1.0).contains(&share), "{last}");
-    assert!(!assess(&[]).contains("unclaimed share"), "printed only under --profile");
+    assert!(
+        !assess(&[]).contains("unclaimed share"),
+        "printed only under --profile"
+    );
     let _ = std::fs::remove_dir_all(&corpus);
 }
 
@@ -1063,19 +1270,28 @@ fn warm_request_rows_are_claimed_by_phases() {
     let server = start_server(ServeConfig::default());
     let addr = server.addr();
     let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
     let wire = http::encode_request("POST", "/assess", &[], assess_body(&corpus, "").as_bytes());
     for _ in 0..6 {
         assert_eq!(round_trip(&mut stream, &wire).status, 200);
     }
     drop(stream);
     let log = request(addr, "GET", "/requests?endpoint=assess", "").body_text();
-    let rows: Vec<Json> = log.lines().map(|l| Json::parse(l).expect("row parses")).collect();
+    let rows: Vec<Json> = log
+        .lines()
+        .map(|l| Json::parse(l).expect("row parses"))
+        .collect();
     assert_eq!(rows.len(), 6, "{log}");
     let mut warm: Vec<f64> = rows[1..].iter().map(phase_coverage).collect();
     warm.sort_by(f64::total_cmp);
     assert!(warm.iter().all(|c| (0.0..=1.0).contains(c)), "{warm:?}");
-    assert!(warm[2] >= 0.95, "median warm coverage {:.3} of {warm:?}", warm[2]);
+    assert!(
+        warm[2] >= 0.95,
+        "median warm coverage {:.3} of {warm:?}",
+        warm[2]
+    );
     server.stop();
     let _ = std::fs::remove_dir_all(&corpus);
 }

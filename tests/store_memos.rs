@@ -49,11 +49,13 @@ fn pack(rules: &str) -> Arc<RulePack> {
 /// A pack with file-scoped rules over every selector and a
 /// program-scoped rule.
 fn pack_a() -> Arc<RulePack> {
-    pack("rule \"team-multi\" { function where multi_exit -> info \"{name} in {module}\" }\n\
+    pack(
+        "rule \"team-multi\" { function where multi_exit -> info \"{name} in {module}\" }\n\
           rule \"team-globals\" { global where not is_const -> warn }\n\
           rule \"team-switch\" { site where kind == \"switch\" and count == 0 -> info }\n\
           rule \"team-files\" { file where nloc > 50 -> info }\n\
-          rule \"team-recursive\" { function where recursive -> violation }\n")
+          rule \"team-recursive\" { function where recursive -> violation }\n",
+    )
 }
 
 fn pack_b() -> Arc<RulePack> {
@@ -76,15 +78,28 @@ fn resident_matches_cold(
     jobs: usize,
     what: &str,
 ) -> AssessmentReport {
-    let opts = AssessmentOptions { jobs, rules: Some(rules.clone()), ..AssessmentOptions::default() };
+    let opts = AssessmentOptions {
+        jobs,
+        rules: Some(rules.clone()),
+        ..AssessmentOptions::default()
+    };
     let cold = run(files, opts.clone());
-    let resident = run(files, AssessmentOptions { store: Some(store.clone()), ..opts });
+    let resident = run(
+        files,
+        AssessmentOptions {
+            store: Some(store.clone()),
+            ..opts
+        },
+    );
     assert_eq!(
         deterministic_report_markdown(&resident),
         deterministic_report_markdown(&cold),
         "{what}: report bytes at jobs {jobs}"
     );
-    assert_eq!(resident.diagnostics, cold.diagnostics, "{what}: diagnostics at jobs {jobs}");
+    assert_eq!(
+        resident.diagnostics, cold.diagnostics,
+        "{what}: diagnostics at jobs {jobs}"
+    );
     resident
 }
 
@@ -109,7 +124,9 @@ fn memo_runs_match_fresh_cold_runs() {
         assert_eq!(counter(&r, "store.memo.file.hits"), n, "unchanged");
 
         // An edit that adds a global use and a recursive function.
-        files[0].2.push_str("int g_edit;\nint Spin(int k) { g_edit = k; return k ? Spin(k - 1) : 0; }\n");
+        files[0]
+            .2
+            .push_str("int g_edit;\nint Spin(int k) { g_edit = k; return k ? Spin(k - 1) : 0; }\n");
         let r = check(&files, &a, "one-file edit");
         assert_eq!(counter(&r, "store.memo.program.misses"), 1, "one-file edit");
         check(&files, &a, "after the edit");
@@ -119,13 +136,21 @@ fn memo_runs_match_fresh_cold_runs() {
         check(&files, &a, "rename");
 
         let gone = files.remove(2);
-        files.push((gone.0.clone(), format!("{}/added.cc", gone.0), format!("// added\n{}", gone.2)));
+        files.push((
+            gone.0.clone(),
+            format!("{}/added.cc", gone.0),
+            format!("// added\n{}", gone.2),
+        ));
         check(&files, &a, "delete+add");
 
         let path = files[3].1.clone();
         assert_eq!(store.invalidate_paths(&[path]), 1);
         let r = check(&files, &a, "invalidate one path");
-        assert_eq!(counter(&r, "store.memo.program.misses"), 1, "invalidation drops the slot");
+        assert_eq!(
+            counter(&r, "store.memo.program.misses"),
+            1,
+            "invalidation drops the slot"
+        );
         store.invalidate_all();
         assert_eq!(store.memo_bytes(), 0, "invalidate-all drops every memo");
         check(&files, &a, "invalidate all");
@@ -136,13 +161,23 @@ fn memo_runs_match_fresh_cold_runs() {
         }
 
         // The same files under another module mapping, then back.
-        let flat: Vec<File> =
-            files.iter().map(|(_, p, t)| ("flat".to_string(), p.clone(), t.clone())).collect();
+        let flat: Vec<File> = files
+            .iter()
+            .map(|(_, p, t)| ("flat".to_string(), p.clone(), t.clone()))
+            .collect();
         check(&flat, &b, "flat mapping");
         let r = check(&flat, &b, "flat mapping, unchanged");
-        assert_eq!(counter(&r, "store.memo.program.hits"), 1, "flat mapping, unchanged");
+        assert_eq!(
+            counter(&r, "store.memo.program.hits"),
+            1,
+            "flat mapping, unchanged"
+        );
         let r = check(&files, &b, "module mapping restored");
-        assert_eq!(counter(&r, "store.memo.program.hits"), 1, "each file set keeps its slot");
+        assert_eq!(
+            counter(&r, "store.memo.program.hits"),
+            1,
+            "each file set keeps its slot"
+        );
     }
 }
 
@@ -161,7 +196,11 @@ fn counters_pin_what_a_warm_run_rederives() {
     let mut files = corpus();
     let n = files.len() as u64;
     let evaluated = |r: &AssessmentReport, id: &str| {
-        r.trace.events.iter().filter(|e| e.name == format!("check.{id}")).count()
+        r.trace
+            .events
+            .iter()
+            .filter(|e| e.name == format!("check.{id}"))
+            .count()
     };
 
     let cold = run(&files, opts());
@@ -173,20 +212,43 @@ fn counters_pin_what_a_warm_run_rederives() {
     assert_eq!(counter(&warm, "store.memo.file.hits"), n);
     assert_eq!(counter(&warm, "store.memo.file.misses"), 0);
     assert_eq!(counter(&warm, "store.memo.program.hits"), 1);
-    for id in ["team-multi", "team-recursive", "misra-17.2-recursion", "design-global-use"] {
-        assert_eq!(evaluated(&warm, id), 0, "{id} re-evaluated on an unchanged run");
+    for id in [
+        "team-multi",
+        "team-recursive",
+        "misra-17.2-recursion",
+        "design-global-use",
+    ] {
+        assert_eq!(
+            evaluated(&warm, id),
+            0,
+            "{id} re-evaluated on an unchanged run"
+        );
     }
     assert!(!warm.diagnostics_for("team-recursive").is_empty());
-    assert!(warm.trace.events.iter().any(|e| e.name == "phase.checks.query"));
+    assert!(warm
+        .trace
+        .events
+        .iter()
+        .any(|e| e.name == "phase.checks.query"));
 
-    files[4].2.push_str("int Extra(int x) { if (x) return 1; return 0; }\n");
+    files[4]
+        .2
+        .push_str("int Extra(int x) { if (x) return 1; return 0; }\n");
     let edit = run(&files, opts());
     assert_eq!(counter(&edit, "cache.misses"), 1);
     assert_eq!(counter(&edit, "store.memo.file.misses"), 1);
     assert_eq!(counter(&edit, "store.memo.file.hits"), n - 1);
-    assert_eq!(evaluated(&edit, "team-multi"), 1, "file rules on exactly the changed file");
+    assert_eq!(
+        evaluated(&edit, "team-multi"),
+        1,
+        "file rules on exactly the changed file"
+    );
     assert_eq!(counter(&edit, "store.memo.program.misses"), 1);
-    assert_eq!(evaluated(&edit, "team-recursive"), n as usize, "the program pass re-derives");
+    assert_eq!(
+        evaluated(&edit, "team-recursive"),
+        n as usize,
+        "the program pass re-derives"
+    );
     assert!(store.memo_bytes() > 0 && store.memo_bytes() < store.bytes());
 }
 
@@ -205,13 +267,19 @@ fn unsafe_runs_bypass_the_memos() {
     let files = corpus();
     run(&files, opts());
     let bypassed = |r: &AssessmentReport, what: &str| {
-        for name in ["store.memo.file.hits", "store.memo.program.hits", "store.memo.program.misses"] {
+        for name in [
+            "store.memo.file.hits",
+            "store.memo.program.hits",
+            "store.memo.program.misses",
+        ] {
             assert_eq!(counter(r, name), 0, "{what}: {name}");
         }
     };
 
     let deadline = AssessmentOptions {
-        budgets: adsafe::Budgets { phase_deadline: Some(Duration::from_secs(600)) },
+        budgets: adsafe::Budgets {
+            phase_deadline: Some(Duration::from_secs(600)),
+        },
         ..opts()
     };
     let r = run(&files, deadline);
@@ -231,11 +299,27 @@ fn unsafe_runs_bypass_the_memos() {
     assert!(r.diagnostics_for("misra-15.1-goto").is_empty());
 
     let mut degraded = files.clone();
-    degraded.push(("m".into(), "m/bad.cc".into(), "int ; ] ) } = 5 +;\nint h() { return 2; }\n".into()));
-    let cold = run(&degraded, AssessmentOptions { store: None, ..opts() });
+    degraded.push((
+        "m".into(),
+        "m/bad.cc".into(),
+        "int ; ] ) } = 5 +;\nint h() { return 2; }\n".into(),
+    ));
+    let cold = run(
+        &degraded,
+        AssessmentOptions {
+            store: None,
+            ..opts()
+        },
+    );
     let r = run(&degraded, opts());
-    assert_eq!(counter(&r, "store.memo.program.hits") + counter(&r, "store.memo.program.misses"), 0);
-    assert_eq!(deterministic_report_markdown(&r), deterministic_report_markdown(&cold));
+    assert_eq!(
+        counter(&r, "store.memo.program.hits") + counter(&r, "store.memo.program.misses"),
+        0
+    );
+    assert_eq!(
+        deterministic_report_markdown(&r),
+        deterministic_report_markdown(&cold)
+    );
 
     // The store still serves a clean run afterwards.
     let r = run(&files, opts());

@@ -30,7 +30,11 @@ fn small_assessment() -> Assessment {
            return (int)(*state * 1.5f);\n\
          }\n",
     );
-    a.add_file("control", "control/pid.cc", "int Clamp(int v) { if (v > 100) return 100; return v; }\n");
+    a.add_file(
+        "control",
+        "control/pid.cc",
+        "int Clamp(int v) { if (v > 100) return 100; return v; }\n",
+    );
     a
 }
 
@@ -74,22 +78,32 @@ fn pipeline_emits_phase_file_and_rule_spans() {
     let phase_names: Vec<&str> = t.phases.iter().map(|p| p.name.as_str()).collect();
     assert_eq!(
         phase_names,
-        ["parse", "checks.native", "checks.query", "checks", "metrics", "assess"]
+        [
+            "parse",
+            "checks.native",
+            "checks.query",
+            "checks",
+            "metrics",
+            "assess"
+        ]
     );
     assert!(t.total_us > 0);
     // The checks.* sub-phases nest inside checks: only the top-level
     // phases partition the run, so only they may be summed against it.
-    let top_level: u64 =
-        t.phases.iter().filter(|p| !p.name.contains('.')).map(|p| p.wall_us).sum();
+    let top_level: u64 = t
+        .phases
+        .iter()
+        .filter(|p| !p.name.contains('.'))
+        .map(|p| p.wall_us)
+        .sum();
     assert!(t.total_us >= top_level, "run span shorter than its phases");
     assert_eq!(t.slowest_files.len(), 2);
-    assert!(t.slowest_files.iter().any(|(p, _)| p == "perception/track.cc"));
-    // Every registered checker ran under its own span.
-    let rule_spans: Vec<&str> = t
-        .slowest_rules
+    assert!(t
+        .slowest_files
         .iter()
-        .map(|(r, _)| r.as_str())
-        .collect();
+        .any(|(p, _)| p == "perception/track.cc"));
+    // Every registered checker ran under its own span.
+    let rule_spans: Vec<&str> = t.slowest_rules.iter().map(|(r, _)| r.as_str()).collect();
     assert!(!rule_spans.is_empty());
     let n_rules = t
         .events
@@ -119,11 +133,22 @@ fn trace_stays_well_formed_when_a_checker_panics() {
     let r = small_assessment().run();
     std::panic::set_hook(prev);
     assert!(r.faults.iter().any(|f| f.path == "misra-15.1-goto"));
-    assert_eq!(adsafe::trace::span::open_depth(), 0, "panic leaked open spans");
+    assert_eq!(
+        adsafe::trace::span::open_depth(),
+        0,
+        "panic leaked open spans"
+    );
     let phase_names: Vec<&str> = r.trace.phases.iter().map(|p| p.name.as_str()).collect();
     assert_eq!(
         phase_names,
-        ["parse", "checks.native", "checks.query", "checks", "metrics", "assess"]
+        [
+            "parse",
+            "checks.native",
+            "checks.query",
+            "checks",
+            "metrics",
+            "assess"
+        ]
     );
     assert_well_formed(&r.trace.events);
 }
@@ -169,7 +194,9 @@ fn phase_overrun_is_noted_with_magnitude() {
         Action::Delay(Duration::from_millis(30)),
     );
     let mut a = Assessment::new().with_options(AssessmentOptions {
-        budgets: Budgets { phase_deadline: Some(Duration::from_millis(5)) },
+        budgets: Budgets {
+            phase_deadline: Some(Duration::from_millis(5)),
+        },
         ..AssessmentOptions::default()
     });
     a.add_file("m", "slow.cc", "int f() { return 1; }\n");
@@ -180,7 +207,11 @@ fn phase_overrun_is_noted_with_magnitude() {
         .find(|f| f.severity == FaultSeverity::Timeout)
         .expect("overrun noted as a Timeout fault");
     assert_eq!(fault.recovery, Recovery::Noted);
-    let FaultCause::DeadlineOverrun { budget_ms, actual_ms } = fault.cause else {
+    let FaultCause::DeadlineOverrun {
+        budget_ms,
+        actual_ms,
+    } = fault.cause
+    else {
         panic!("wrong cause: {:?}", fault.cause);
     };
     assert_eq!(budget_ms, 5);
@@ -204,7 +235,10 @@ fn fault_summary_is_byte_identical_across_runs() {
     let r2 = build().run();
     assert!(r1.degraded);
     assert_eq!(render::fault_summary(&r1), render::fault_summary(&r2));
-    assert_eq!(r1.diagnostics, r2.diagnostics, "diagnostic order is canonical");
+    assert_eq!(
+        r1.diagnostics, r2.diagnostics,
+        "diagnostic order is canonical"
+    );
     // The phase counts come out in phase order, not discovery order.
     let s = render::fault_summary(&r1);
     let ingest = s.find("- ingest:").expect("ingest count");

@@ -32,8 +32,11 @@ type Corpus = Vec<(String, String, Vec<u8>)>;
 /// directory like the CLI's ingest.
 fn examples_corpus() -> Corpus {
     fn walk(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
-        let mut entries: Vec<_> =
-            std::fs::read_dir(dir).unwrap().flatten().map(|e| e.path()).collect();
+        let mut entries: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .collect();
         entries.sort();
         for path in entries {
             if path.is_dir() {
@@ -53,33 +56,48 @@ fn examples_corpus() -> Corpus {
         .into_iter()
         .map(|p| {
             let rel = p.strip_prefix(&root).unwrap();
-            let module = rel.components().next().unwrap().as_os_str().to_string_lossy();
-            (module.into_owned(), rel.display().to_string(), std::fs::read(&p).unwrap())
+            let module = rel
+                .components()
+                .next()
+                .unwrap()
+                .as_os_str()
+                .to_string_lossy();
+            (
+                module.into_owned(),
+                rel.display().to_string(),
+                std::fs::read(&p).unwrap(),
+            )
         })
         .collect()
 }
 
 fn generated(seed: u64) -> Corpus {
-    generate(&ApolloSpec { seed, ..ApolloSpec::test_scale() })
-        .into_iter()
-        .map(|f| (f.module, f.path, f.text.into_bytes()))
-        .collect()
+    generate(&ApolloSpec {
+        seed,
+        ..ApolloSpec::test_scale()
+    })
+    .into_iter()
+    .map(|f| (f.module, f.path, f.text.into_bytes()))
+    .collect()
 }
 
 /// The seed-1 corpus with every third file corrupted by `kind`.
 fn corrupted(kind: Corruption) -> Corpus {
-    generate(&ApolloSpec { seed: 1, ..ApolloSpec::test_scale() })
-        .into_iter()
-        .enumerate()
-        .map(|(i, f)| {
-            let bytes = if i % 3 == 0 {
-                corrupt(7, kind, &f.path, &f.text)
-            } else {
-                f.text.into_bytes()
-            };
-            (f.module, f.path, bytes)
-        })
-        .collect()
+    generate(&ApolloSpec {
+        seed: 1,
+        ..ApolloSpec::test_scale()
+    })
+    .into_iter()
+    .enumerate()
+    .map(|(i, f)| {
+        let bytes = if i % 3 == 0 {
+            corrupt(7, kind, &f.path, &f.text)
+        } else {
+            f.text.into_bytes()
+        };
+        (f.module, f.path, bytes)
+    })
+    .collect()
 }
 
 /// Reference coupling: an owned `qualified name → module` map where the
@@ -138,11 +156,17 @@ fn check_cohesion(label: &str, module: &str, files: &[(&SourceFile, &Translation
             .filter_map(|u| index.get_key_value(u.name.as_str()).map(|(k, _)| *k))
             .collect();
         let name = &f.sig.qualified_name;
-        assert!(unresolved.is_subset(&idents), "{label}: {name} resolves a use it never names");
+        assert!(
+            unresolved.is_subset(&idents),
+            "{label}: {name} resolves a use it never names"
+        );
         for gap in idents.difference(&unresolved) {
             shadowed = true;
             assert!(
-                syms.params.iter().chain(syms.locals.iter().map(|l| &l.name)).any(|b| b == gap),
+                syms.params
+                    .iter()
+                    .chain(syms.locals.iter().map(|l| &l.name))
+                    .any(|b| b == gap),
                 "{label}: {name} uses global `{gap}` but its unresolved names miss it"
             );
         }
@@ -184,12 +208,27 @@ fn check(label: &str, corpus: &Corpus) -> usize {
     assert!(!built.is_empty(), "{label}: no functions");
     assert_eq!(replayed.names(), built.names(), "{label}: node names");
     for name in built.names() {
-        assert_eq!(replayed.callees(name), built.callees(name), "{label}: callees of {name}");
+        assert_eq!(
+            replayed.callees(name),
+            built.callees(name),
+            "{label}: callees of {name}"
+        );
     }
-    assert_eq!(replayed.external_calls(), built.external_calls(), "{label}: external calls");
+    assert_eq!(
+        replayed.external_calls(),
+        built.external_calls(),
+        "{label}: external calls"
+    );
     let recursive = built.recursive_functions();
-    assert_eq!(replayed.recursive_functions(), recursive, "{label}: recursive set");
-    assert!(recursive.windows(2).all(|w| w[0] < w[1]), "{label}: recursive set sorted");
+    assert_eq!(
+        replayed.recursive_functions(),
+        recursive,
+        "{label}: recursive set"
+    );
+    assert!(
+        recursive.windows(2).all(|w| w[0] < w[1]),
+        "{label}: recursive set sorted"
+    );
 
     // Cohesion: facts path against the AST reference bit for bit, and
     // against the identifier rule up to shadowing.
@@ -201,10 +240,15 @@ fn check(label: &str, corpus: &Corpus) -> usize {
             .filter(|(_, m, _)| *m == module)
             .map(|(id, _, p)| (set.sm.file(*id), &p.unit))
             .collect();
-        let mine: Vec<&FileFacts> =
-            records.iter().filter(|(_, m, _)| *m == module).map(|(_, _, f)| *f).collect();
+        let mine: Vec<&FileFacts> = records
+            .iter()
+            .filter(|(_, m, _)| *m == module)
+            .map(|(_, _, f)| *f)
+            .collect();
         assert_eq!(
-            facts::module_metrics_from_facts(module, &mine).cohesion.to_bits(),
+            facts::module_metrics_from_facts(module, &mine)
+                .cohesion
+                .to_bits(),
             module_metrics(module, &files).cohesion.to_bits(),
             "{label}: {module} cohesion"
         );
@@ -214,7 +258,11 @@ fn check(label: &str, corpus: &Corpus) -> usize {
     // Coupling: index-based count against the owned-map reference, and
     // the pipeline's evidence against both.
     let reference = reference_coupling(&records, &built);
-    assert_eq!(facts::coupling_edges(&records, &replayed), reference, "{label}: coupling");
+    assert_eq!(
+        facts::coupling_edges(&records, &replayed),
+        reference,
+        "{label}: coupling"
+    );
     let mut a = Assessment::new().with_options(AssessmentOptions {
         jobs: 1,
         cache_dir: None,
@@ -224,12 +272,24 @@ fn check(label: &str, corpus: &Corpus) -> usize {
         a.add_file_bytes(module, path, bytes);
     }
     let report = a.run();
-    assert_eq!(report.evidence.coupling_edges, reference, "{label}: evidence coupling");
-    assert_eq!(report.evidence.recursive_functions, recursive.len(), "{label}: Table 8 row 10");
+    assert_eq!(
+        report.evidence.coupling_edges, reference,
+        "{label}: evidence coupling"
+    );
+    assert_eq!(
+        report.evidence.recursive_functions,
+        recursive.len(),
+        "{label}: Table 8 row 10"
+    );
 
     // Rows: every field of every row has the schema's type, and nothing
     // answers past the schema's end.
-    for sel in [Selector::Function, Selector::Global, Selector::File, Selector::Site] {
+    for sel in [
+        Selector::Function,
+        Selector::Global,
+        Selector::File,
+        Selector::Site,
+    ] {
         let fields = schema::fields(sel);
         for &(id, module, f) in &records {
             let rows = adsafe::query::rows_from_facts(sel, id, module, f, &recursive);
@@ -242,10 +302,16 @@ fn check(label: &str, corpus: &Corpus) -> usize {
             assert_eq!(rows.len(), expected, "{label}: {sel:?} rows");
             for row in &rows {
                 for (i, (name, ty)) in fields.iter().enumerate() {
-                    let v = row.get(i as u16).unwrap_or_else(|| panic!("{label}: {name} missing"));
+                    let v = row
+                        .get(i as u16)
+                        .unwrap_or_else(|| panic!("{label}: {name} missing"));
                     assert_eq!(ty_of(v), *ty, "{label}: {sel:?} field {name}");
                 }
-                assert_eq!(row.get(fields.len() as u16), None, "{label}: {sel:?} past the end");
+                assert_eq!(
+                    row.get(fields.len() as u16),
+                    None,
+                    "{label}: {sel:?} past the end"
+                );
             }
             if sel == Selector::Function {
                 let idx = schema::lookup(sel, "recursive").unwrap().0;
@@ -274,7 +340,10 @@ fn examples_corpus_assemblies_match_the_references() {
 fn generated_corpora_assemblies_match_the_references() {
     for seed in [1, 2, 3, 5, 8, 0x26262] {
         let coupling = check(&format!("seed {seed}"), &generated(seed));
-        assert!(coupling > 0, "seed {seed}: the generator's hub module must couple");
+        assert!(
+            coupling > 0,
+            "seed {seed}: the generator's hub module must couple"
+        );
     }
 }
 
