@@ -29,7 +29,7 @@ pub const MUST_CHECK_FNS: &[&str] = &[
 pub struct PointerParamCheck;
 
 /// Names mentioned in any condition expression within the function.
-fn condition_tested_names(f: &FunctionDef) -> HashSet<String> {
+pub fn condition_tested_names(f: &FunctionDef) -> HashSet<String> {
     let mut names = HashSet::new();
     let record = |e: &Expr, names: &mut HashSet<String>| {
         collect_idents(e, names);
@@ -210,8 +210,9 @@ pub struct ValidationFacts {
     pub validates: bool,
 }
 
-/// Measures [`ValidationFacts`] for one function.
-pub fn validation_facts(f: &FunctionDef) -> ValidationFacts {
+/// Measures [`ValidationFacts`] for one function, given its
+/// [`condition_tested_names`].
+pub fn validation_facts(f: &FunctionDef, tested: &HashSet<String>) -> ValidationFacts {
     let names: Vec<&str> = f
         .sig
         .params
@@ -221,7 +222,6 @@ pub fn validation_facts(f: &FunctionDef) -> ValidationFacts {
     if names.is_empty() {
         return ValidationFacts::default();
     }
-    let tested = condition_tested_names(f);
     ValidationFacts {
         has_named_params: true,
         validates: names.iter().any(|n| tested.contains(*n)),
@@ -234,7 +234,7 @@ pub fn validation_ratio(cx: &CheckContext<'_>) -> f64 {
     let mut with_params = 0usize;
     let mut validating = 0usize;
     for (_, f) in cx.functions() {
-        let v = validation_facts(f);
+        let v = validation_facts(f, &condition_tested_names(f));
         if !v.has_named_params {
             continue;
         }

@@ -15,7 +15,7 @@
 //! byte-identical reports by construction: the exact same assembly code
 //! runs over the exact same inputs.
 //!
-//! The serialised form (`adsafe-facts/5`) is hand-written JSON. It is
+//! The serialised form (`adsafe-facts/6`) is hand-written JSON. It is
 //! read back in one pass straight from the bytes, with no intermediate
 //! JSON tree, and the reader accepts only the exact shape
 //! [`FileFacts::to_json`] writes: keys in writer order, no whitespace,
@@ -24,11 +24,13 @@
 //! entry as corrupt and falls back to the cold path with a
 //! [`crate::FaultCause::CacheCorrupt`] fault.
 
-use adsafe_checkers::defensive::ValidationFacts;
+use adsafe_checkers::defensive::{
+    condition_tested_names, validation_facts, ValidationFacts, MUST_CHECK_FNS,
+};
 use adsafe_checkers::unit_design::{FunctionUnitFacts, UnitDesignStats};
 use adsafe_checkers::{Diagnostic, Severity};
 use adsafe_lang::ast::{
-    BinOp, Decl, Expr, ExprKind, FunctionDef, RecordKind, Stmt, StmtKind, Storage,
+    BinOp, Decl, Expr, ExprKind, FunctionDef, RecordKind, Stmt, StmtKind, Storage, UnOp,
 };
 use adsafe_lang::callgraph::callee_names;
 use adsafe_lang::cuda::CudaApiKind;
@@ -47,7 +49,7 @@ use std::sync::OnceLock;
 /// Version tag of the serialised facts record. Bump on any schema
 /// change: it participates in the cache fingerprint, so old entries are
 /// invalidated wholesale instead of being misread.
-pub const FACTS_SCHEMA: &str = "adsafe-facts/5";
+pub const FACTS_SCHEMA: &str = "adsafe-facts/6";
 
 /// One file-scope variable definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,8 +112,26 @@ pub struct FunctionFacts {
 
 /// The `kind`s a [`SiteFacts`] can have. A `multi-decl` is a declaration
 /// statement in a function body with two or more declarators; a `union`
-/// is declared at file or namespace scope.
-pub const SITE_KINDS: [&str; 6] = ["goto", "comma", "switch", "multi-decl", "union", "octal"];
+/// is declared at file or namespace scope. An `unreachable` site is the
+/// first statement of a block that follows an unconditional jump; a
+/// `short-circuit` site is a right operand of `&&` or `||` with side
+/// effects; a `discarded-call` is an expression statement calling one of
+/// [`MUST_CHECK_FNS`]; an `unvalidated-deref` is the first dereference
+/// of a named pointer parameter that no condition tests. Every `throw`
+/// is a site.
+pub const SITE_KINDS: [&str; 11] = [
+    "goto",
+    "comma",
+    "switch",
+    "multi-decl",
+    "union",
+    "octal",
+    "unreachable",
+    "short-circuit",
+    "throw",
+    "discarded-call",
+    "unvalidated-deref",
+];
 
 /// One construct occurrence, anchored where a finding on it points.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,10 +145,12 @@ pub struct SiteFacts {
     /// Index of the enclosing function in [`FileFacts::functions`];
     /// `None` for unions and octal constants.
     pub function: Option<u32>,
-    /// Goto label, union name or octal lexeme; empty otherwise.
+    /// Goto label, union name, octal lexeme, discarded callee or
+    /// dereferenced parameter; empty otherwise.
     pub text: String,
-    /// A switch's `default` labels directly in its body, or a
-    /// statement's declarators; else 0.
+    /// A switch's `default` labels directly in its body, a statement's
+    /// declarators, or for a `throw` the `try` statements in the file's
+    /// functions; else 0.
     pub count: usize,
 }
 
@@ -189,13 +211,15 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
         })
         .collect();
     let mut sites = Vec::new();
+    let mut tries = 0;
     let functions = parsed
         .unit
         .functions()
         .into_iter()
         .enumerate()
         .map(|(i, f)| {
-            function_sites(f, i as u32, &mut sites);
+            let tested = condition_tested_names(f);
+            tries += function_sites(f, i as u32, &tested, &mut sites);
             let syms = analyze_function(f);
             let mut seen = HashSet::new();
             let unresolved = syms
@@ -239,10 +263,13 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
                 kernel_ptr_names: named_ptrs.join(", "),
                 kernel_ptrs: named_ptrs.len(),
                 variadic: f.sig.variadic,
-                validation: adsafe_checkers::defensive::validation_facts(f),
+                validation: validation_facts(f, &tested),
             }
         })
         .collect();
+    for s in sites.iter_mut().filter(|s| s.kind == "throw") {
+        s.count = tries;
+    }
     union_sites(&parsed.unit.decls, &mut sites);
     let octals = &parsed.unit.octal_literals;
     sites.extend(
@@ -262,39 +289,152 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
 }
 
 /// Appends the sites in the body of `f`, function `index` of its file,
-/// in one pre-order walk over its statements and expressions.
-fn function_sites(f: &FunctionDef, index: u32, out: &mut Vec<SiteFacts>) {
-    struct Sites<'o>(Option<u32>, &'o mut Vec<SiteFacts>);
-    impl<'ast> Visitor<'ast> for Sites<'_> {
+/// in one pre-order walk over its statements and expressions, and
+/// returns how many `try` statements the body holds. `tested` holds the
+/// names the function's conditions test.
+fn function_sites(
+    f: &FunctionDef,
+    index: u32,
+    tested: &HashSet<String>,
+    out: &mut Vec<SiteFacts>,
+) -> usize {
+    struct Sites<'a, 'o> {
+        function: Option<u32>,
+        out: &'o mut Vec<SiteFacts>,
+        /// Named pointer parameters no condition tests and no site
+        /// dereferences yet.
+        untested: HashSet<&'a str>,
+        tries: usize,
+    }
+    impl Sites<'_, '_> {
+        fn push(&mut self, kind: &'static str, at: Span, text: &str, count: usize) {
+            self.out
+                .push(SiteFacts::new(kind, at, self.function, text, count));
+        }
+        /// Records the first statement of `stmts` that follows an
+        /// unconditional jump with no jump target in between. A label
+        /// is a target; so are `case` and `default` in a `nested` block,
+        /// but not at the top of a function body.
+        fn unreachable(&mut self, stmts: &[Stmt], nested: bool) {
+            let mut after_jump = false;
+            for st in stmts {
+                let target = match st.kind {
+                    StmtKind::Label(..) => true,
+                    StmtKind::Case(_) | StmtKind::Default => nested,
+                    _ => false,
+                };
+                if after_jump && !target {
+                    return self.push("unreachable", st.span, "", 0);
+                }
+                after_jump = matches!(
+                    st.kind,
+                    StmtKind::Return(_) | StmtKind::Break | StmtKind::Continue | StmtKind::Goto(_)
+                );
+            }
+        }
+    }
+    impl<'ast> Visitor<'ast> for Sites<'_, '_> {
         fn visit_stmt(&mut self, s: &'ast Stmt) {
-            let (kind, text, count) = match &s.kind {
-                StmtKind::Goto(label) => ("goto", label.as_str(), 0),
+            match &s.kind {
+                StmtKind::Goto(label) => self.push("goto", s.span, label, 0),
                 StmtKind::Switch { body, .. } => {
                     let defaults = body
                         .stmts
                         .iter()
                         .filter(|s| matches!(s.kind, StmtKind::Default))
                         .count();
-                    ("switch", "", defaults)
+                    self.push("switch", s.span, "", defaults);
                 }
-                StmtKind::Decl(vars) if vars.len() > 1 => ("multi-decl", "", vars.len()),
-                _ => return walk_stmt(self, s),
-            };
-            self.1
-                .push(SiteFacts::new(kind, s.span, self.0, text, count));
+                StmtKind::Decl(vars) if vars.len() > 1 => {
+                    self.push("multi-decl", s.span, "", vars.len());
+                }
+                StmtKind::Block(b) => self.unreachable(&b.stmts, true),
+                StmtKind::Expr(e) if matches!(e.kind, ExprKind::Call { .. }) => {
+                    if let Some(name) = e.callee_name().filter(|n| MUST_CHECK_FNS.contains(n)) {
+                        self.push("discarded-call", e.span, name, 0);
+                    }
+                }
+                StmtKind::Try { .. } => self.tries += 1,
+                _ => {}
+            }
             walk_stmt(self, s);
         }
         fn visit_expr(&mut self, e: &'ast Expr) {
-            if let ExprKind::Binary {
-                op: BinOp::Comma, ..
-            } = e.kind
-            {
-                self.1.push(SiteFacts::new("comma", e.span, self.0, "", 0));
+            match &e.kind {
+                ExprKind::Binary {
+                    op: BinOp::Comma, ..
+                } => self.push("comma", e.span, "", 0),
+                ExprKind::Binary {
+                    op: BinOp::LogAnd | BinOp::LogOr,
+                    rhs,
+                    ..
+                } if has_side_effect(rhs) => self.push("short-circuit", rhs.span, "", 0),
+                ExprKind::Throw(_) => self.push("throw", e.span, "", 0),
+                ExprKind::Unary {
+                    op: UnOp::Deref,
+                    expr: target,
+                }
+                | ExprKind::Index { base: target, .. }
+                | ExprKind::Member {
+                    base: target,
+                    arrow: true,
+                    ..
+                } => {
+                    if let ExprKind::Ident(n) = &target.kind {
+                        if self.untested.remove(n.as_str()) {
+                            self.push("unvalidated-deref", e.span, n, 0);
+                        }
+                    }
+                }
+                _ => {}
             }
             walk_expr(self, e);
         }
     }
-    walk_function(&mut Sites(Some(index), out), f);
+    let untested = f
+        .sig
+        .params
+        .iter()
+        .filter(|p| p.ty.is_pointer_like())
+        .filter_map(|p| p.name.as_deref())
+        .filter(|n| !tested.contains(*n))
+        .collect();
+    let mut sites = Sites {
+        function: Some(index),
+        out,
+        untested,
+        tries: 0,
+    };
+    sites.unreachable(&f.body.stmts, false);
+    walk_function(&mut sites, f);
+    sites.tries
+}
+
+/// Whether evaluating `e` may have a side effect: an assignment,
+/// increment, decrement, allocation or call (conservatively) anywhere in
+/// it.
+fn has_side_effect(e: &Expr) -> bool {
+    match &e.kind {
+        ExprKind::Assign { .. }
+        | ExprKind::New { .. }
+        | ExprKind::Delete { .. }
+        | ExprKind::Call { .. }
+        | ExprKind::KernelLaunch { .. } => true,
+        ExprKind::Unary { op, .. } => matches!(
+            op,
+            UnOp::PreInc | UnOp::PreDec | UnOp::PostInc | UnOp::PostDec
+        ),
+        ExprKind::Binary { lhs, rhs, .. } => has_side_effect(lhs) || has_side_effect(rhs),
+        ExprKind::Ternary {
+            cond,
+            then_expr,
+            else_expr,
+        } => has_side_effect(cond) || has_side_effect(then_expr) || has_side_effect(else_expr),
+        ExprKind::Cast { expr, .. } => has_side_effect(expr),
+        ExprKind::Index { base, index } => has_side_effect(base) || has_side_effect(index),
+        ExprKind::Member { base, .. } => has_side_effect(base),
+        _ => false,
+    }
 }
 
 /// Appends a site for every union declared in `decls` or, recursively,
@@ -498,7 +638,7 @@ fn check_id_for(name: &str) -> Option<&'static str> {
 }
 
 impl FileFacts {
-    /// Serialises to the `adsafe-facts/5` JSON form. Diagnostic spans
+    /// Serialises to the `adsafe-facts/6` JSON form. Diagnostic spans
     /// drop their [`FileId`] — [`from_json`](Self::from_json) binds them
     /// to the loading run's file.
     pub fn to_json(&self) -> String {
@@ -1221,7 +1361,8 @@ mod tests {
         void driver(int x) { int u; int y = u + x; { int y = 2; (void)y; } }\n\
         void narrow(double d) { int k = d; (void)k; }\n\
         union Bits { int i; float f; };\n\
-        void jump(int x) { int a = 1, b = 010; switch (x) { case 1: goto out; } a = 2, b = 3; out: return; }\n";
+        void jump(int x) { int a = 1, b = 010; switch (x) { case 1: goto out; } a = 2, b = 3; out: return; }\n\
+        int guard(int* p, int n) { if (n && n++) throw n; cudaFree(p); return *p; n = 0; }\n";
 
     fn corpus() -> AnalysisSet {
         let mut set = AnalysisSet::new();
@@ -1302,12 +1443,18 @@ mod tests {
         assert_eq!(
             got,
             [
+                ("unvalidated-deref", Some("scale"), "d", 0),
                 ("union", None, "Bits", 0),
                 ("multi-decl", Some("jump"), "", 2),
                 ("octal", None, "010", 0),
                 ("switch", Some("jump"), "", 0),
                 ("goto", Some("jump"), "out", 0),
                 ("comma", Some("jump"), "", 0),
+                ("short-circuit", Some("guard"), "", 0),
+                ("throw", Some("guard"), "", 0),
+                ("discarded-call", Some("guard"), "cudaFree", 0),
+                ("unvalidated-deref", Some("guard"), "p", 0),
+                ("unreachable", Some("guard"), "", 0),
             ]
         );
         let orphan = FileFacts {
@@ -1509,7 +1656,7 @@ mod tests {
             good.replacen(r#""recovery":0"#, r#""recovery":1.0"#, 1),
             good.replacen(r#""recovery":0"#, r#""recovery":00"#, 1),
             good.replacen(r#""recovery":0"#, r#""recovery":0,"recovery":0"#, 1),
-            good.replacen("adsafe-facts/5", r"adsafe-facts\/5", 1),
+            good.replacen("adsafe-facts/6", r"adsafe-facts\/6", 1),
             good.replacen(r#"{"name":"rec""#, r#"{"name":"\u0072ec""#, 1),
         ] {
             assert!(

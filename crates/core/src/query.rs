@@ -469,6 +469,18 @@ union Raw { int i; float f; };\n";
             got,
             [
                 (
+                    Some(Str("unvalidated-deref")),
+                    Some(Str("p")),
+                    Some(Int(0)),
+                    Some("kern")
+                ),
+                (
+                    Some(Str("unvalidated-deref")),
+                    Some(Str("q")),
+                    Some(Int(0)),
+                    Some("kern")
+                ),
+                (
                     Some(Str("switch")),
                     Some(Str("")),
                     Some(Int(0)),
@@ -483,14 +495,14 @@ union Raw { int i; float f; };\n";
                 (Some(Str("union")), Some(Str("Raw")), Some(Int(0)), None),
             ]
         );
-        assert_eq!(rows[0].get(4), Some(Value::Str("hop")));
+        assert_eq!(rows[2].get(4), Some(Value::Str("hop")));
         assert_eq!(
-            rows[2].get(4),
+            rows[4].get(4),
             Some(Value::Str("")),
             "a file-scope site has no function"
         );
         let goto = SRC.find("goto out").unwrap() as u32;
-        assert_eq!(rows[1].span().start, goto, "anchored at the statement");
+        assert_eq!(rows[3].span().start, goto, "anchored at the statement");
     }
 
     #[test]

@@ -72,12 +72,18 @@ void tidy(int n) {\n\
   cudaGetLastError(); cudaFree(d);\n\
 }\n";
 
-/// Construct occurrences the six per-occurrence rules judge: `goto`,
-/// the comma operator (in a statement and in a `for` header), switches
-/// with a `default`, without one, and with one only in an inner block,
+/// Construct occurrences the site rules judge: `goto`, the comma
+/// operator (in a statement and in a `for` header), switches with a
+/// `default`, without one, and with one only in an inner block,
 /// multi-declarator statements in a body and at file scope (the latter
 /// not flagged), and unions at file and namespace scope and inside a
-/// class (the latter not flagged).
+/// class (the latter not flagged). `tail` adds code after a `return`,
+/// `break` or `goto` in nested blocks and at the top level, with a
+/// label, `case` or `default` making what follows reachable again;
+/// side effects in the right operand of `&&` and `||`, directly and
+/// nested in a ternary, cast or index; a `throw` in a file with no
+/// `try`; must-check calls discarded and used; and pointer parameters
+/// dereferenced through `*p`, `p[i]` and `p->m`, tested and untested.
 const SITE_SOURCE: &str = "int a, b;\n\
 union Word { int i; float f; };\n\
 namespace hw { union Reg { unsigned raw; int bits; }; }\n\
@@ -93,9 +99,43 @@ int route(int x, int y) {\n\
   return lo + hi;\n\
 fail:\n\
   return -1;\n\
+}\n\
+int step();\n\
+int tail(int x, int* p, int* q, int* r, int* s, int* t, int* u, Packet* pk, Packet* pv) {\n\
+  if (!q) return 0;\n\
+  assert(s);\n\
+  if (x > 0) { return 1; x = 2; }\n\
+  while (x) { x--; break; x++; }\n\
+  if (x) { goto done; x = 4; }\n\
+  if (x) { goto next; next: x = 5; }\n\
+  switch (x) { case 5: { x = 1; break; case 6: x = 2; break; default: x = 3; } }\n\
+  switch (x) { case 7: { x = 1; break; x = 2; } }\n\
+  if (x && x++) x = 6;\n\
+  if (x || step()) x = 7;\n\
+  if (x && (x > 1 ? x-- : 0)) x = 8;\n\
+  if (x || (int)step()) x = 9;\n\
+  if (x && t[x++]) x = 10;\n\
+  if (x++ && x > 1) x = 11;\n\
+  cudaMalloc(&p, 4);\n\
+  fopen(\"log\", \"r\");\n\
+  if (cudaMalloc(&p, 4) != 0) return -1;\n\
+  int st = cudaGetLastError();\n\
+  x = *p + q[0] + s[0] + *u + r[1] + r[2] + pk->n;\n\
+  if (pv) x = pv->n;\n\
+  if (x < 0) throw x;\n\
+done:\n\
+  x = x + 1;\n\
+  return x;\n\
+  x = 12;\n\
 }\n";
 
-/// [`corpus_sources`] plus [`EDGE_SOURCE`], [`PORTED_SOURCE`] and [`SITE_SOURCE`], clean and then under each
+/// A `throw` in a file whose `try` is in another function: no finding.
+const GUARDED_SOURCE: &str = "int step();\n\
+void guard() { try { step(); } catch (int e) { } }\n\
+void raise(int x) { if (x < 0) throw x; }\n";
+
+/// [`corpus_sources`] plus [`EDGE_SOURCE`], [`PORTED_SOURCE`],
+/// [`SITE_SOURCE`] and [`GUARDED_SOURCE`], clean and then under each
 /// `faultinject` corruption (invalid UTF-8 replaced lossily, as the
 /// pipeline ingests it).
 fn source_sets() -> Vec<(&'static str, Sources)> {
@@ -110,6 +150,11 @@ fn source_sets() -> Vec<(&'static str, Sources)> {
         "stress".into(),
         "stress/sites.cc".into(),
         SITE_SOURCE.into(),
+    ));
+    clean.push((
+        "stress".into(),
+        "stress/guarded.cc".into(),
+        GUARDED_SOURCE.into(),
     ));
     let mut sets = vec![("clean", clean.clone())];
     for kind in Corruption::ALL {
@@ -499,10 +544,10 @@ fn builtin_pack_matches_native_checkers_byte_for_byte() {
     assert_native_findings(&refs, &set.sm);
 }
 
-/// The eleven bundled rules that were native checkers until their
+/// The sixteen bundled rules that were native checkers until their
 /// `.aq` ports were proven equal to them: five function and global
-/// rules, then six site rules.
-const PORTED_IDS: [&str; 11] = [
+/// rules, then eleven site rules.
+const PORTED_IDS: [&str; 16] = [
     "misra-17.1-variadic",
     "cuda-kernel-pointer",
     "cuda-alloc-balance",
@@ -514,46 +559,52 @@ const PORTED_IDS: [&str; 11] = [
     "misra-19.2-union",
     "misra-7.1-octal",
     "misra-decl-one-per-stmt",
+    "misra-2.1-unreachable",
+    "misra-13.5-side-effect",
+    "design-exception-discipline",
+    "defensive-unchecked-return",
+    "defensive-pointer-param",
 ];
 
 /// What the retired native checkers reported on each of
 /// [`source_sets`]: the finding count per rule of [`PORTED_IDS`], and an
 /// FNV-1a digest of all their findings, each rendered with its
 /// enclosing function as [`rendered`] renders it, in that rule order.
-/// The `design-global-variable` findings on `stress/sites.cc` (its
-/// `int a, b;`) came from the bundled rule when that file joined the
-/// sets, after the rule's native was retired.
-const PORTED_FINDINGS: [(&str, [usize; 11], u64); 5] = [
+/// The first eleven rules' findings on `stress/sites.cc` (and the
+/// `design-global-variable` ones from its `int a, b;`) came from the
+/// bundled rules when the file grew, after those rules' natives were
+/// retired; the last five rules' came from their natives.
+const PORTED_FINDINGS: [(&str, [usize; 16], u64); 5] = [
     (
         "clean",
-        [1, 2, 2, 2, 84, 10, 2, 108, 2, 4, 2],
-        0xf0d13763dedad4c8,
+        [1, 2, 3, 2, 84, 12, 2, 110, 2, 4, 2, 5, 5, 1, 11, 6],
+        0x265a9a03747cb1de,
     ),
     (
         "truncate",
-        [1, 1, 1, 1, 84, 9, 1, 42, 2, 0, 2],
-        0x28e83e6b5d803279,
+        [1, 1, 2, 1, 84, 12, 2, 45, 2, 0, 2, 4, 5, 0, 6, 5],
+        0x9fc0f053c3535bf9,
     ),
     (
         "delete-braces",
-        [1, 0, 2, 1, 139, 2, 41, 13, 1, 4, 0],
-        0x78b9cb4769f72895,
+        [1, 0, 2, 1, 139, 2, 41, 13, 1, 4, 0, 30, 0, 0, 9, 0],
+        0xf1917e9db765ca84,
     ),
     (
         "byte-flips",
-        [1, 1, 1, 3, 147, 1, 84, 22, 0, 47, 2],
-        0x9e05d9e026b3190a,
+        [1, 1, 1, 3, 146, 0, 81, 22, 2, 47, 3, 10, 0, 0, 5, 0],
+        0xddb658256cae40a7,
     ),
     (
         "non-utf8-noise",
-        [1, 2, 1, 2, 82, 8, 2, 87, 2, 4, 2],
-        0xb0b790af7b55a737,
+        [1, 2, 2, 2, 83, 10, 2, 89, 2, 4, 2, 6, 5, 1, 9, 4],
+        0x733da31f45d5bcea,
     ),
 ];
 
 /// The retired natives' first finding per rule of [`PORTED_IDS`] on the
 /// clean set.
-const PORTED_FIRST: [&str; 11] = [
+const PORTED_FIRST: [&str; 16] = [
     "stress/ported.cu:6:1 warning [misra-17.1-variadic] function `log_msg` is variadic \
      | fn=Some(\"log_msg\")",
     "perception/cuda/perception_op0.cu:4:1 warning [cuda-kernel-pointer] kernel \
@@ -576,6 +627,16 @@ const PORTED_FIRST: [&str; 11] = [
     "stress/edge.cc:2:27 warning [misra-7.1-octal] octal constant `010` | fn=None",
     "stress/sites.cc:6:1 info [misra-decl-one-per-stmt] 3 declarators in one statement \
      | fn=Some(\"route\")",
+    "stress/sites.cc:21:24 warning [misra-2.1-unreachable] statement is unreachable \
+     | fn=Some(\"tail\")",
+    "stress/sites.cc:27:10 warning [misra-13.5-side-effect] right operand of a short-circuit \
+     operator has side effects | fn=Some(\"tail\")",
+    "stress/sites.cc:39:12 warning [design-exception-discipline] throw with no try/catch in \
+     this unit | fn=Some(\"tail\")",
+    "perception/cuda/perception_op0.cu:17:3 warning [defensive-unchecked-return] return value \
+     of `cudaMalloc` is discarded | fn=Some(\"perception_op0_gpu\")",
+    "perception/cuda/perception_op0.cu:9:5 warning [defensive-pointer-param] pointer parameter \
+     `output` dereferenced without validation | fn=Some(\"perception_op0_kernel\")",
 ];
 
 /// Every finding of rule `id` in `report`, rendered with its enclosing
@@ -597,7 +658,7 @@ fn digest(lines: &[String]) -> u64 {
     h
 }
 
-/// The eleven bundled rules ported from native checkers report exactly
+/// The sixteen bundled rules ported from native checkers report exactly
 /// what the natives did — rendered findings, spans and enclosing
 /// functions included — on the clean sources and under every
 /// `faultinject` corruption, serial and at one worker per core. The
@@ -629,6 +690,109 @@ fn ported_rules_reproduce_the_native_findings() {
                 all.extend(mine);
             }
             assert_eq!(digest(&all), want_digest, "{name} at jobs {jobs}");
+        }
+    }
+}
+
+/// Five per-occurrence natives written as `.aq` rules over `site`
+/// rows, under `q-` ids so they load as a user pack beside the natives
+/// they replace.
+const SITE_PACK: &str = r#"
+rule "q-unreachable" {
+  desc "no unreachable code"
+  iso t1r1
+  site where kind == "unreachable"
+    -> warn "statement is unreachable"
+}
+rule "q-side-effect" {
+  desc "no side effects in the RHS of && / ||"
+  iso t8r8
+  site where kind == "short-circuit"
+    -> warn "right operand of a short-circuit operator has side effects"
+}
+rule "q-exception-discipline" {
+  desc "exceptions shall be caught; throw without try/catch risks terminate"
+  iso t1r5
+  site where kind == "throw" and count == 0
+    -> warn "throw with no try/catch in this unit"
+}
+rule "q-unchecked-return" {
+  desc "callers shall handle all return values of called functions"
+  iso t1r4
+  site where kind == "discarded-call"
+    -> warn "return value of `{text}` is discarded"
+}
+rule "q-pointer-param" {
+  desc "pointer parameters shall be validated before dereference"
+  iso t1r4
+  site where kind == "unvalidated-deref"
+    -> warn "pointer parameter `{text}` dereferenced without validation"
+}
+"#;
+
+/// `(native id, ported id)` of the five rules in [`SITE_PACK`].
+const SITE_IDS: [(&str, &str); 5] = [
+    ("misra-2.1-unreachable", "q-unreachable"),
+    ("misra-13.5-side-effect", "q-side-effect"),
+    ("design-exception-discipline", "q-exception-discipline"),
+    ("defensive-unchecked-return", "q-unchecked-return"),
+    ("defensive-pointer-param", "q-pointer-param"),
+];
+
+/// The site-row `.aq` rules report exactly what the five native
+/// checkers do — rendered findings, spans, enclosing functions and
+/// order included — on the clean sources and under every `faultinject`
+/// corruption, serial and at one worker per core, with the natives'
+/// descriptions, ISO refs and file scope.
+#[test]
+fn site_rules_reproduce_the_native_findings() {
+    let pack = RulePack::from_sources(
+        &[("sites.aq".into(), SITE_PACK.into())],
+        &adsafe::query::reserved_rule_ids(),
+    );
+    assert!(pack.faults.is_empty(), "{:?}", pack.faults);
+    for ((native, _), rule) in SITE_IDS.iter().zip(&pack.rules) {
+        let check = default_checks()
+            .into_iter()
+            .find(|c| c.id() == *native)
+            .unwrap();
+        assert_eq!(
+            (rule.desc, rule.iso),
+            (check.description(), check.iso_refs()),
+            "{native}"
+        );
+        assert_eq!(rule.scope, CheckScope::File, "{native}");
+    }
+    let pack = Arc::new(pack);
+    for (name, sources) in source_sets() {
+        for jobs in [1, 0] {
+            let mut a = Assessment::new().with_options(AssessmentOptions {
+                jobs,
+                rules: Some(Arc::clone(&pack)),
+                ..AssessmentOptions::default()
+            });
+            for (module, path, text) in &sources {
+                a.add_file(module, path, text);
+            }
+            let report = a.run();
+            for (native, ported) in SITE_IDS {
+                let want = report.diagnostics_for(native);
+                let got: Vec<Diagnostic> = report
+                    .diagnostics_for(ported)
+                    .into_iter()
+                    .map(|d| Diagnostic {
+                        check_id: native,
+                        ..d.clone()
+                    })
+                    .collect();
+                assert!(
+                    got.iter().eq(want.iter().copied()),
+                    "{native} on {name} at jobs {jobs}:\n{got:#?}\n{want:#?}"
+                );
+                if name == "clean" {
+                    assert!(!want.is_empty(), "{native} never fires on the clean set");
+                }
+            }
         }
     }
 }
