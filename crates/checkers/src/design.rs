@@ -1,13 +1,11 @@
 //! Established-design-principle checks (paper §3.1.5, Observation 7; ISO
-//! 26262-6 Table 1 row 5): global-variable use and exception-handling
-//! discipline. Global definitions (Table 8 row 5) are the bundled
-//! `design-global-variable` rule.
+//! 26262-6 Table 1 row 5): global-variable use. Global definitions
+//! (Table 8 row 5) and exception-handling discipline are the bundled
+//! `design-global-variable` and `design-exception-discipline` rules.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::{Check, CheckContext};
-use adsafe_lang::ast::{ExprKind, StmtKind};
 use adsafe_lang::symbols::analyze_function;
-use adsafe_lang::visit::walk_stmts;
 
 /// Flags uses of globals from within functions (the testability cost the
 /// paper highlights: value ranges become hard to determine).
@@ -50,58 +48,6 @@ impl Check for GlobalUseCheck {
     }
 }
 
-/// Exception-handling discipline: `throw` without any enclosing or
-/// sibling `try` in the same translation unit is a latent `terminate()`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ExceptionDisciplineCheck;
-
-impl Check for ExceptionDisciplineCheck {
-    fn id(&self) -> &'static str {
-        "design-exception-discipline"
-    }
-    fn description(&self) -> &'static str {
-        "exceptions shall be caught; throw without try/catch risks terminate"
-    }
-    fn iso_refs(&self) -> &'static [&'static str] {
-        &["Part6.Table1.Row5"]
-    }
-    fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for e in &cx.entries {
-            let mut unit_has_try = false;
-            for f in e.unit.functions() {
-                walk_stmts(f, |s| {
-                    if matches!(s.kind, StmtKind::Try { .. }) {
-                        unit_has_try = true;
-                    }
-                });
-            }
-            for f in e.unit.functions() {
-                let mut throws = Vec::new();
-                adsafe_lang::visit::walk_exprs(f, |x| {
-                    if matches!(x.kind, ExprKind::Throw(_)) {
-                        throws.push(x.span);
-                    }
-                });
-                if !unit_has_try {
-                    for span in throws {
-                        out.push(
-                            Diagnostic::new(
-                                self.id(),
-                                Severity::Warning,
-                                span,
-                                "throw with no try/catch in this unit",
-                            )
-                            .in_function(&f.sig.qualified_name),
-                        );
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,23 +67,5 @@ mod tests {
         );
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].function.as_deref(), Some("f"));
-    }
-
-    #[test]
-    fn throw_without_try_flagged() {
-        let d = run(
-            &ExceptionDisciplineCheck,
-            "void f(int x) { if (x < 0) throw x; }",
-        );
-        assert_eq!(d.len(), 1);
-    }
-
-    #[test]
-    fn throw_with_try_clean() {
-        let d = run(
-            &ExceptionDisciplineCheck,
-            "void f(int x) { try { if (x < 0) throw x; } catch (int e) { } }",
-        );
-        assert!(d.is_empty());
     }
 }

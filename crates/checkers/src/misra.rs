@@ -1,14 +1,16 @@
 //! MISRA C:2012-inspired language-subset rules (paper §3.1.2,
 //! Observation 2). Rule ids follow the MISRA numbering of the closest
 //! corresponding guideline; these are the representative structural rules
-//! that a full 143-rule MISRA checker would automate the same way. The
-//! per-occurrence ones (`goto`, the comma operator, unions, `switch`
-//! without `default`) are bundled `.aq` rules over `site` rows.
+//! that a full 143-rule MISRA checker would automate the same way. Only
+//! dynamic memory (rule 21.3) is native: the per-occurrence ones (`goto`,
+//! the comma operator, unions, `switch` without `default`, octal
+//! constants, unreachable code, side effects after `&&`/`||`) are
+//! bundled `.aq` rules over `site` rows.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::{Check, CheckContext};
-use adsafe_lang::ast::{ExprKind, StmtKind};
-use adsafe_lang::visit::{walk_exprs, walk_stmts};
+use adsafe_lang::ast::ExprKind;
+use adsafe_lang::visit::walk_exprs;
 
 /// Function names that are dynamic-memory API (MISRA C:2012 rule 21.3
 /// bans the stdlib ones; the CUDA ones are their device-side analogues).
@@ -91,91 +93,6 @@ impl Check for DynamicMemoryCheck {
     }
 }
 
-/// MISRA 2.1: a project shall not contain unreachable code. Detects
-/// statements directly following an unconditional `return`/`break`/
-/// `continue`/`goto` within the same block (ignoring labels, which are
-/// jump targets).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct UnreachableCodeCheck;
-
-impl Check for UnreachableCodeCheck {
-    fn id(&self) -> &'static str {
-        "misra-2.1-unreachable"
-    }
-    fn description(&self) -> &'static str {
-        "no unreachable code"
-    }
-    fn iso_refs(&self) -> &'static [&'static str] {
-        &["Part6.Table1.Row1"]
-    }
-    fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for (_, f) in cx.functions() {
-            walk_stmts(f, |s| {
-                let stmts: &[adsafe_lang::ast::Stmt] = match &s.kind {
-                    StmtKind::Block(b) => &b.stmts,
-                    _ => return,
-                };
-                let mut terminated = false;
-                for st in stmts {
-                    if terminated {
-                        // A label (or case/default) is reachable by jump.
-                        if matches!(
-                            st.kind,
-                            StmtKind::Label(..) | StmtKind::Case(_) | StmtKind::Default
-                        ) {
-                            terminated = false;
-                            continue;
-                        }
-                        out.push(
-                            Diagnostic::new(
-                                self.id(),
-                                Severity::Warning,
-                                st.span,
-                                "statement is unreachable",
-                            )
-                            .in_function(&f.sig.qualified_name),
-                        );
-                        break; // one finding per block is enough
-                    }
-                    terminated = matches!(
-                        st.kind,
-                        StmtKind::Return(_)
-                            | StmtKind::Break
-                            | StmtKind::Continue
-                            | StmtKind::Goto(_)
-                    );
-                }
-            });
-            // Also the function body itself.
-            let mut terminated = false;
-            for st in &f.body.stmts {
-                if terminated {
-                    if matches!(st.kind, StmtKind::Label(..)) {
-                        terminated = false;
-                        continue;
-                    }
-                    out.push(
-                        Diagnostic::new(
-                            self.id(),
-                            Severity::Warning,
-                            st.span,
-                            "statement is unreachable",
-                        )
-                        .in_function(&f.sig.qualified_name),
-                    );
-                    break;
-                }
-                terminated = matches!(
-                    st.kind,
-                    StmtKind::Return(_) | StmtKind::Break | StmtKind::Continue | StmtKind::Goto(_)
-                );
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,20 +114,5 @@ mod tests {
         );
         // malloc, new[], cudaMalloc, free, delete[]
         assert_eq!(d.len(), 5);
-    }
-
-    #[test]
-    fn unreachable_after_return() {
-        let d = diags_for(&UnreachableCodeCheck, "int f() { return 1; int dead = 2; }");
-        assert_eq!(d.len(), 1);
-    }
-
-    #[test]
-    fn label_after_return_is_reachable() {
-        let d = diags_for(
-            &UnreachableCodeCheck,
-            "int f(int x) { if (x) goto out; return 0; out: return 1; }",
-        );
-        assert!(d.is_empty(), "{d:?}");
     }
 }

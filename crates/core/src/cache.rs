@@ -695,4 +695,55 @@ mod tests {
         }
         let _ = fs::remove_dir_all(&dir);
     }
+
+    /// A cache written by the `adsafe-facts/5` build, whose record
+    /// carried none of the five newer site kinds and whose diagnostics
+    /// held the native `defensive-unchecked-return` finding: the
+    /// fingerprint differs, so the directory is wiped on open, and the
+    /// run rewrites the entry with its `discarded-call` site and exactly
+    /// one finding of the rule, now from the bundled pack.
+    #[test]
+    fn facts5_cache_is_wiped_not_replayed() {
+        const SRC: &str = "void f(void* p, int n) {\n  cudaMalloc(&p, n);\n}\n";
+        const PARENT_META: &str =
+            "{\"schema\":\"adsafe-cache/1\",\"fingerprint\":\"32a5eb444bcef02e\"}";
+        const PARENT_ENTRY: &str = r#"{"schema":"adsafe-facts/5","recovery":0,"loc":[3,3,0,0,0],"globals":[],"functions":[{"name":"f","qual":"f","cc":1,"nloc":3,"params":2,"nest":0,"returns":0,"multi":false,"goto":0,"stmts":1,"gpu":false,"sig":[0,22],"callees":["cudaMalloc"],"unres":[],"uninit":0,"shadow":0,"ptr":1,"dyn":1,"opaque":0,"kernel":false,"kptr":1,"alloc":1,"cuda":[true,0,false,0,""],"vararg":false,"named":true,"validates":false}],"sites":[],"diags":[["misra-21.3-dynamic-memory","violation",27,44,"dynamic memory API `cudaMalloc` used","f"],["defensive-unchecked-return","warning",27,44,"return value of `cudaMalloc` is discarded","f"],["cuda-alloc-balance","warning",0,22,"function `f` has 1 device allocation(s) and fewer frees","f"]]}"#;
+        let dir = temp_dir("facts5");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("meta.json"), PARENT_META).unwrap();
+        let entry = dir.join(format!("{:016x}.json", content_hash("m/a.cc", SRC)));
+        fs::write(&entry, PARENT_ENTRY).unwrap();
+        assert_ne!(ruleset_fingerprint(), "32a5eb444bcef02e");
+
+        for pass in ["wiped", "warm"] {
+            let mut a = crate::Assessment::new().with_options(crate::AssessmentOptions {
+                cache_dir: Some(dir.clone()),
+                ..crate::AssessmentOptions::default()
+            });
+            a.add_file("m", "m/a.cc", SRC);
+            let report = a.run();
+            assert!(report.faults.is_empty(), "{pass}: {:?}", report.faults);
+            let found = report.diagnostics_for("defensive-unchecked-return");
+            assert_eq!(found.len(), 1, "{pass}");
+            assert_eq!(
+                found[0].message,
+                "return value of `cudaMalloc` is discarded"
+            );
+            let stored = fs::read_to_string(&entry).unwrap();
+            assert!(
+                stored.starts_with(&format!(r#"{{"schema":"{FACTS_SCHEMA}""#)),
+                "{stored}"
+            );
+            assert!(
+                stored.contains(r#""sites":[["discarded-call",27,44,0,"cudaMalloc",0]]"#),
+                "{stored}"
+            );
+            assert_eq!(
+                stored.matches("defensive-unchecked-return").count(),
+                1,
+                "{pass}: {stored}"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

@@ -788,6 +788,132 @@ union Raw { int i; float f; };\n";
     }
 
     #[test]
+    fn unreachable_after_return() {
+        assert_eq!(
+            findings(
+                "misra-2.1-unreachable",
+                "int f() { return 1; int dead = 2; }"
+            ),
+            [(Severity::Warning, "statement is unreachable".into())]
+        );
+    }
+
+    #[test]
+    fn label_after_return_is_reachable() {
+        let src = "int f(int x) { if (x) goto out; return 0; out: return 1; }";
+        assert!(findings("misra-2.1-unreachable", src).is_empty());
+    }
+
+    #[test]
+    fn side_effect_in_rhs_flagged() {
+        let src = "int f(int a, int b) { if (a > 0 && b++ > 0) { return b; } return 0; }";
+        assert_eq!(
+            findings("misra-13.5-side-effect", src),
+            [(
+                Severity::Warning,
+                "right operand of a short-circuit operator has side effects".into()
+            )]
+        );
+    }
+
+    #[test]
+    fn call_in_rhs_flagged_conservatively() {
+        let src = "int ready();\nint f(int a) { return a > 0 || ready(); }";
+        assert_eq!(findings("misra-13.5-side-effect", src).len(), 1);
+    }
+
+    #[test]
+    fn pure_rhs_clean() {
+        let src = "int f(int a, int b) { return a > 0 && b < 10; }";
+        assert!(findings("misra-13.5-side-effect", src).is_empty());
+    }
+
+    #[test]
+    fn lhs_side_effect_not_flagged_by_this_rule() {
+        // 13.5 targets the RHS; the LHS always evaluates.
+        let src = "int f(int a, int b) { return a++ > 0 && b < 10; }";
+        assert!(findings("misra-13.5-side-effect", src).is_empty());
+    }
+
+    #[test]
+    fn throw_without_try_flagged() {
+        assert_eq!(
+            findings(
+                "design-exception-discipline",
+                "void f(int x) { if (x < 0) throw x; }"
+            ),
+            [(
+                Severity::Warning,
+                "throw with no try/catch in this unit".into()
+            )]
+        );
+    }
+
+    #[test]
+    fn throw_with_try_clean() {
+        let src = "void f(int x) { try { if (x < 0) throw x; } catch (int e) { } }";
+        assert!(findings("design-exception-discipline", src).is_empty());
+    }
+
+    #[test]
+    fn unchecked_deref_flagged() {
+        assert_eq!(
+            findings(
+                "defensive-pointer-param",
+                "float head(float* p) { return p[0]; }"
+            ),
+            [(
+                Severity::Warning,
+                "pointer parameter `p` dereferenced without validation".into()
+            )]
+        );
+    }
+
+    #[test]
+    fn null_checked_deref_clean() {
+        let src = "float head(float* p) { if (p == 0) return 0.0f; return p[0]; }";
+        assert!(findings("defensive-pointer-param", src).is_empty());
+    }
+
+    #[test]
+    fn assert_counts_as_validation() {
+        let src = "float head(float* p) { assert(p); return *p; }";
+        assert!(findings("defensive-pointer-param", src).is_empty());
+    }
+
+    #[test]
+    fn arrow_deref_flagged() {
+        let src = "struct Obj { int id; };\nint get_id(Obj* o) { return o->id; }";
+        assert_eq!(findings("defensive-pointer-param", src).len(), 1);
+    }
+
+    #[test]
+    fn non_pointer_params_ignored() {
+        let src = "int f(int a) { return a + 1; }";
+        assert!(findings("defensive-pointer-param", src).is_empty());
+    }
+
+    #[test]
+    fn discarded_cuda_status_flagged() {
+        assert_eq!(
+            findings(
+                "defensive-unchecked-return",
+                "void f(void* p, int n) { cudaMalloc(&p, n); }"
+            ),
+            [(
+                Severity::Warning,
+                "return value of `cudaMalloc` is discarded".into()
+            )]
+        );
+    }
+
+    #[test]
+    fn checked_status_clean() {
+        let src = "int f(void* p, int n) { if (cudaMalloc(&p, n) != 0) return -1; return 0; }";
+        assert!(findings("defensive-unchecked-return", src).is_empty());
+    }
+
+    #[test]
     fn unreadable_pack_is_a_contained_fault() {
         let pack = load_rule_pack(&[PathBuf::from("/nonexistent/rules.aq")]);
         assert!(pack.rules.is_empty());
@@ -847,7 +973,7 @@ union Raw { int i; float f; };\n";
         let counts: Vec<usize> = diags.iter().map(Vec::len).collect();
         assert_eq!(
             counts,
-            [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
             "multi-exit and recursion fire on `g` only"
         );
         assert_eq!(

@@ -247,6 +247,11 @@ mod tests {
                 "misra-16.4-switch-default",
                 "misra-7.1-octal",
                 "misra-decl-one-per-stmt",
+                "misra-2.1-unreachable",
+                "misra-13.5-side-effect",
+                "design-exception-discipline",
+                "defensive-unchecked-return",
+                "defensive-pointer-param",
             ]
         );
         // Recursion reads the call graph; the rest are file-scoped.

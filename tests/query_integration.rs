@@ -519,6 +519,36 @@ fn builtin_pack_matches_native_checkers_byte_for_byte() {
                 &["Part6.Table1.Row7"][..],
                 "one declarator per declaration statement"
             ),
+            (
+                "misra-2.1-unreachable",
+                CheckScope::File,
+                &["Part6.Table1.Row1"][..],
+                "no unreachable code"
+            ),
+            (
+                "misra-13.5-side-effect",
+                CheckScope::File,
+                &["Part6.Table8.Row8"][..],
+                "no side effects in the RHS of && / ||"
+            ),
+            (
+                "design-exception-discipline",
+                CheckScope::File,
+                &["Part6.Table1.Row5"][..],
+                "exceptions shall be caught; throw without try/catch risks terminate"
+            ),
+            (
+                "defensive-unchecked-return",
+                CheckScope::File,
+                &["Part6.Table1.Row4"][..],
+                "callers shall handle all return values of called functions"
+            ),
+            (
+                "defensive-pointer-param",
+                CheckScope::File,
+                &["Part6.Table1.Row4"][..],
+                "pointer parameters shall be validated before dereference"
+            ),
         ]
     );
 
@@ -690,109 +720,6 @@ fn ported_rules_reproduce_the_native_findings() {
                 all.extend(mine);
             }
             assert_eq!(digest(&all), want_digest, "{name} at jobs {jobs}");
-        }
-    }
-}
-
-/// Five per-occurrence natives written as `.aq` rules over `site`
-/// rows, under `q-` ids so they load as a user pack beside the natives
-/// they replace.
-const SITE_PACK: &str = r#"
-rule "q-unreachable" {
-  desc "no unreachable code"
-  iso t1r1
-  site where kind == "unreachable"
-    -> warn "statement is unreachable"
-}
-rule "q-side-effect" {
-  desc "no side effects in the RHS of && / ||"
-  iso t8r8
-  site where kind == "short-circuit"
-    -> warn "right operand of a short-circuit operator has side effects"
-}
-rule "q-exception-discipline" {
-  desc "exceptions shall be caught; throw without try/catch risks terminate"
-  iso t1r5
-  site where kind == "throw" and count == 0
-    -> warn "throw with no try/catch in this unit"
-}
-rule "q-unchecked-return" {
-  desc "callers shall handle all return values of called functions"
-  iso t1r4
-  site where kind == "discarded-call"
-    -> warn "return value of `{text}` is discarded"
-}
-rule "q-pointer-param" {
-  desc "pointer parameters shall be validated before dereference"
-  iso t1r4
-  site where kind == "unvalidated-deref"
-    -> warn "pointer parameter `{text}` dereferenced without validation"
-}
-"#;
-
-/// `(native id, ported id)` of the five rules in [`SITE_PACK`].
-const SITE_IDS: [(&str, &str); 5] = [
-    ("misra-2.1-unreachable", "q-unreachable"),
-    ("misra-13.5-side-effect", "q-side-effect"),
-    ("design-exception-discipline", "q-exception-discipline"),
-    ("defensive-unchecked-return", "q-unchecked-return"),
-    ("defensive-pointer-param", "q-pointer-param"),
-];
-
-/// The site-row `.aq` rules report exactly what the five native
-/// checkers do — rendered findings, spans, enclosing functions and
-/// order included — on the clean sources and under every `faultinject`
-/// corruption, serial and at one worker per core, with the natives'
-/// descriptions, ISO refs and file scope.
-#[test]
-fn site_rules_reproduce_the_native_findings() {
-    let pack = RulePack::from_sources(
-        &[("sites.aq".into(), SITE_PACK.into())],
-        &adsafe::query::reserved_rule_ids(),
-    );
-    assert!(pack.faults.is_empty(), "{:?}", pack.faults);
-    for ((native, _), rule) in SITE_IDS.iter().zip(&pack.rules) {
-        let check = default_checks()
-            .into_iter()
-            .find(|c| c.id() == *native)
-            .unwrap();
-        assert_eq!(
-            (rule.desc, rule.iso),
-            (check.description(), check.iso_refs()),
-            "{native}"
-        );
-        assert_eq!(rule.scope, CheckScope::File, "{native}");
-    }
-    let pack = Arc::new(pack);
-    for (name, sources) in source_sets() {
-        for jobs in [1, 0] {
-            let mut a = Assessment::new().with_options(AssessmentOptions {
-                jobs,
-                rules: Some(Arc::clone(&pack)),
-                ..AssessmentOptions::default()
-            });
-            for (module, path, text) in &sources {
-                a.add_file(module, path, text);
-            }
-            let report = a.run();
-            for (native, ported) in SITE_IDS {
-                let want = report.diagnostics_for(native);
-                let got: Vec<Diagnostic> = report
-                    .diagnostics_for(ported)
-                    .into_iter()
-                    .map(|d| Diagnostic {
-                        check_id: native,
-                        ..d.clone()
-                    })
-                    .collect();
-                assert!(
-                    got.iter().eq(want.iter().copied()),
-                    "{native} on {name} at jobs {jobs}:\n{got:#?}\n{want:#?}"
-                );
-                if name == "clean" {
-                    assert!(!want.is_empty(), "{native} never fires on the clean set");
-                }
-            }
         }
     }
 }
