@@ -16,13 +16,6 @@ pub fn print_unit(unit: &TranslationUnit) -> String {
     p.out
 }
 
-/// Renders one function definition.
-pub fn print_function(f: &FunctionDef) -> String {
-    let mut p = Printer::default();
-    p.function(f);
-    p.out
-}
-
 /// Renders one expression.
 pub fn print_expr(e: &Expr) -> String {
     let mut p = Printer::default();

@@ -863,9 +863,10 @@ fn cmd_serve(args: &[String]) -> i32 {
 /// `adsafe top`: a refreshing terminal dashboard over a live daemon's
 /// `/metrics` + `/healthz` — queue depth, keep-alive reuse, flight
 /// recorder fill, store pressure, status mix, chaos fault counters,
-/// and the per-endpoint p50/p99/p999 SLO table.
+/// and the per-endpoint p50/p99/p999 SLO table. Without `--addr` it
+/// polls the address `adsafe serve` binds by default.
 fn cmd_top(args: &[String]) -> i32 {
-    let mut addr = "127.0.0.1:7878".to_string();
+    let mut addr = ServeConfig::default().addr;
     let mut interval_ms: u64 = 2000;
     let mut count: u64 = 0;
     let mut i = 0;
