@@ -21,7 +21,7 @@
 //! program-scoped; every other rule is file-scoped. [`rule::RulePack`]
 //! loads packs with per-rule fault containment.
 //!
-//! Rules are data: the bundled pack ([`BUILTIN_PACK`]) carries sixteen
+//! Rules are data: the bundled pack ([`BUILTIN_PACK`]) carries twenty-one
 //! rules of the default set. The `adsafe` pipeline evaluates its
 //! file-scoped rules in each file's task, where their findings join the
 //! cached facts record, and its program-scoped rule and any user pack in

@@ -200,9 +200,11 @@ impl<'a> FileRow<'a> {
 pub struct SiteRow<'a> {
     /// Construct kind (`"goto"`, `"switch"`, …).
     pub kind: &'a str,
-    /// Goto label, union name or octal lexeme; empty otherwise.
+    /// Goto label, union name, octal lexeme, discarded callee or
+    /// dereferenced parameter; empty otherwise.
     pub text: &'a str,
-    /// A switch's `default` labels or a statement's declarators.
+    /// A switch's `default` labels, a statement's declarators, or for a
+    /// `throw` the `try` statements in the file's functions.
     pub count: usize,
     /// Owning module.
     pub module: &'a str,

@@ -87,9 +87,9 @@ pub const FILE_FIELDS: &[(&str, Ty)] = &[
 
 /// Fields of `site` rows (one per recorded construct occurrence).
 pub const SITE_FIELDS: &[(&str, Ty)] = &[
-    ("kind", Ty::Str),  // "goto", "comma", "switch", "multi-decl", "union", "octal"
-    ("text", Ty::Str),  // goto label, union name or octal lexeme; else ""
-    ("count", Ty::Int), // a switch's `default` labels, a statement's declarators
+    ("kind", Ty::Str),  // one of the facts' SITE_KINDS ("goto", "throw", …)
+    ("text", Ty::Str),  // goto label, union name, octal lexeme, callee or parameter; else ""
+    ("count", Ty::Int), // a switch's `default` labels, declarators, the file's `try`s
     ("module", Ty::Str),
     ("function", Ty::Str), // enclosing function's qualified name; "" at file scope
 ];
