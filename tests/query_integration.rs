@@ -600,10 +600,11 @@ const PORTED_IDS: [&str; 16] = [
 /// [`source_sets`]: the finding count per rule of [`PORTED_IDS`], and an
 /// FNV-1a digest of all their findings, each rendered with its
 /// enclosing function as [`rendered`] renders it, in that rule order.
-/// The first eleven rules' findings on `stress/sites.cc` (and the
-/// `design-global-variable` ones from its `int a, b;`) came from the
-/// bundled rules when the file grew, after those rules' natives were
-/// retired; the last five rules' came from their natives.
+/// The first eleven rules' findings on `stress/sites.cc` and
+/// `stress/guarded.cc` (the `design-global-variable` ones from
+/// `int a, b;` included) came from the bundled rules when those files
+/// joined or grew, after the rules' natives were retired; the last five
+/// rules' came from their natives.
 const PORTED_FINDINGS: [(&str, [usize; 16], u64); 5] = [
     (
         "clean",
