@@ -735,7 +735,9 @@ mod tests {
                 "{stored}"
             );
             assert!(
-                stored.contains(r#""sites":[["discarded-call",27,44,0,"cudaMalloc",0]]"#),
+                stored.contains(
+                    r#""sites":[["discarded-call",27,44,0,"cudaMalloc",0],["memory-api",27,44,0,"cudaMalloc",0]]"#
+                ),
                 "{stored}"
             );
             assert_eq!(
@@ -743,6 +745,73 @@ mod tests {
                 1,
                 "{pass}: {stored}"
             );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A cache written by the `adsafe-facts/6` build, whose record
+    /// carried no dynamic-memory or cast site and whose diagnostics held
+    /// the native `misra-21.3-dynamic-memory` and `typing-explicit-cast`
+    /// findings: the fingerprint differs, so the directory is wiped on
+    /// open, and the run rewrites the entry with its `memory-api` and
+    /// `c-style-cast` sites and the same findings, now from the bundled
+    /// pack.
+    #[test]
+    fn facts6_cache_is_wiped_not_replayed() {
+        const SRC: &str = "int f(double d) {\n  free(malloc(4));\n  return (int)d;\n}\n";
+        const PARENT_META: &str =
+            "{\"schema\":\"adsafe-cache/1\",\"fingerprint\":\"50f1e366ffde9b9f\"}";
+        const PARENT_ENTRY: &str = r#"{"schema":"adsafe-facts/6","recovery":0,"loc":[4,4,0,0,0],"globals":[],"functions":[{"name":"f","qual":"f","cc":1,"nloc":4,"params":1,"nest":0,"returns":1,"multi":false,"goto":0,"stmts":2,"gpu":false,"sig":[0,15],"callees":["free","malloc"],"unres":[],"uninit":0,"shadow":0,"ptr":0,"dyn":2,"opaque":0,"kernel":false,"kptr":0,"alloc":0,"cuda":[false,0,false,0,""],"vararg":false,"named":true,"validates":false}],"sites":[],"diags":[["misra-21.3-dynamic-memory","violation",20,35,"dynamic memory API `free` used","f"],["misra-21.3-dynamic-memory","violation",25,34,"dynamic memory API `malloc` used","f"],["typing-explicit-cast","warning",46,52,"C-style cast to `int`","f"]]}"#;
+        let dir = temp_dir("facts6");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("meta.json"), PARENT_META).unwrap();
+        let entry = dir.join(format!("{:016x}.json", content_hash("m/a.cc", SRC)));
+        fs::write(&entry, PARENT_ENTRY).unwrap();
+        assert_ne!(ruleset_fingerprint(), "50f1e366ffde9b9f");
+
+        for pass in ["wiped", "warm"] {
+            let mut a = crate::Assessment::new().with_options(crate::AssessmentOptions {
+                cache_dir: Some(dir.clone()),
+                ..crate::AssessmentOptions::default()
+            });
+            a.add_file("m", "m/a.cc", SRC);
+            let report = a.run();
+            assert!(report.faults.is_empty(), "{pass}: {:?}", report.faults);
+            let messages = |id| -> Vec<String> {
+                report
+                    .diagnostics_for(id)
+                    .into_iter()
+                    .map(|d| d.message.clone())
+                    .collect()
+            };
+            assert_eq!(
+                messages("misra-21.3-dynamic-memory"),
+                [
+                    "dynamic memory API `free` used",
+                    "dynamic memory API `malloc` used"
+                ],
+                "{pass}"
+            );
+            assert_eq!(
+                messages("typing-explicit-cast"),
+                ["C-style cast to `int`"],
+                "{pass}"
+            );
+            let stored = fs::read_to_string(&entry).unwrap();
+            assert!(
+                stored.starts_with(&format!(r#"{{"schema":"{FACTS_SCHEMA}""#)),
+                "{stored}"
+            );
+            assert!(
+                stored.contains(
+                    r#""sites":[["memory-api",20,35,0,"free",0],["memory-api",25,34,0,"malloc",0],["c-style-cast",46,52,0,"int",0]]"#
+                ),
+                "{stored}"
+            );
+            for id in ["misra-21.3-dynamic-memory", "typing-explicit-cast"] {
+                let want = if id == "typing-explicit-cast" { 1 } else { 2 };
+                assert_eq!(stored.matches(id).count(), want, "{pass}: {stored}");
+            }
         }
         let _ = fs::remove_dir_all(&dir);
     }

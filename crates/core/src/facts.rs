@@ -15,7 +15,7 @@
 //! byte-identical reports by construction: the exact same assembly code
 //! runs over the exact same inputs.
 //!
-//! The serialised form (`adsafe-facts/6`) is hand-written JSON. It is
+//! The serialised form (`adsafe-facts/7`) is hand-written JSON. It is
 //! read back in one pass straight from the bytes, with no intermediate
 //! JSON tree, and the reader accepts only the exact shape
 //! [`FileFacts::to_json`] writes: keys in writer order, no whitespace,
@@ -27,10 +27,12 @@
 use adsafe_checkers::defensive::{
     condition_tested_names, validation_facts, ValidationFacts, MUST_CHECK_FNS,
 };
+use adsafe_checkers::misra::DYNAMIC_MEMORY_FNS;
+use adsafe_checkers::naming::{classify, NameCase};
 use adsafe_checkers::unit_design::{FunctionUnitFacts, UnitDesignStats};
 use adsafe_checkers::{Diagnostic, Severity};
 use adsafe_lang::ast::{
-    BinOp, Decl, Expr, ExprKind, FunctionDef, RecordKind, Stmt, StmtKind, Storage, UnOp,
+    BinOp, CastKind, Decl, Expr, ExprKind, FunctionDef, RecordKind, Stmt, StmtKind, Storage, UnOp,
 };
 use adsafe_lang::callgraph::callee_names;
 use adsafe_lang::cuda::CudaApiKind;
@@ -49,7 +51,7 @@ use std::sync::OnceLock;
 /// Version tag of the serialised facts record. Bump on any schema
 /// change: it participates in the cache fingerprint, so old entries are
 /// invalidated wholesale instead of being misread.
-pub const FACTS_SCHEMA: &str = "adsafe-facts/6";
+pub const FACTS_SCHEMA: &str = "adsafe-facts/7";
 
 /// One file-scope variable definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,8 +120,12 @@ pub struct FunctionFacts {
 /// effects; a `discarded-call` is an expression statement calling one of
 /// [`MUST_CHECK_FNS`]; an `unvalidated-deref` is the first dereference
 /// of a named pointer parameter that no condition tests. Every `throw`
-/// is a site.
-pub const SITE_KINDS: [&str; 11] = [
+/// is a site, and so is every call to one of [`DYNAMIC_MEMORY_FNS`]
+/// (`memory-api`), every `new`, `new[]`, `delete` and `delete[]`, and
+/// every explicit cast, one kind per cast syntax. A `misnamed-*` site is
+/// a type, enum, alias or macro whose name breaks the naming convention
+/// [`classify`] judges.
+pub const SITE_KINDS: [&str; 26] = [
     "goto",
     "comma",
     "switch",
@@ -131,6 +137,21 @@ pub const SITE_KINDS: [&str; 11] = [
     "throw",
     "discarded-call",
     "unvalidated-deref",
+    "memory-api",
+    "new",
+    "new[]",
+    "delete",
+    "delete[]",
+    "c-style-cast",
+    "static_cast",
+    "reinterpret_cast",
+    "const_cast",
+    "dynamic_cast",
+    "functional-cast",
+    "misnamed-type",
+    "misnamed-enum",
+    "misnamed-alias",
+    "misnamed-macro",
 ];
 
 /// One construct occurrence, anchored where a finding on it points.
@@ -143,10 +164,12 @@ pub struct SiteFacts {
     /// Span end (byte offset).
     pub end: u32,
     /// Index of the enclosing function in [`FileFacts::functions`];
-    /// `None` for unions and octal constants.
+    /// `None` at file scope (unions, octal constants, misnamed
+    /// declarations and macros).
     pub function: Option<u32>,
-    /// Goto label, union name, octal lexeme, discarded callee or
-    /// dereferenced parameter; empty otherwise.
+    /// Goto label, union name, octal lexeme, discarded or dynamic-memory
+    /// callee, dereferenced parameter, allocated type, cast target type
+    /// or misnamed name; empty otherwise.
     pub text: String,
     /// A switch's `default` labels directly in its body, a statement's
     /// declarators, or for a `throw` the `try` statements in the file's
@@ -270,12 +293,21 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
     for s in sites.iter_mut().filter(|s| s.kind == "throw") {
         s.count = tries;
     }
-    union_sites(&parsed.unit.decls, &mut sites);
+    decl_sites(&parsed.unit.decls, &mut sites);
     let octals = &parsed.unit.octal_literals;
     sites.extend(
         octals
             .iter()
             .map(|o| SiteFacts::new("octal", o.span, None, &o.lexeme, 0)),
+    );
+    // Macros are UPPER_SNAKE_CASE; an include guard ends in `_`.
+    sites.extend(
+        parsed
+            .unit
+            .macros
+            .iter()
+            .filter(|m| classify(&m.name) != NameCase::UpperSnake && !m.name.ends_with('_'))
+            .map(|m| SiteFacts::new("misnamed-macro", m.span, None, &m.name, 0)),
     );
     sites.sort_by_key(|s| s.start);
     FileFacts {
@@ -370,6 +402,29 @@ fn function_sites(
                     ..
                 } if has_side_effect(rhs) => self.push("short-circuit", rhs.span, "", 0),
                 ExprKind::Throw(_) => self.push("throw", e.span, "", 0),
+                ExprKind::Call { .. } => {
+                    if let Some(name) = e.callee_name().filter(|n| DYNAMIC_MEMORY_FNS.contains(n)) {
+                        self.push("memory-api", e.span, name, 0);
+                    }
+                }
+                ExprKind::New { ty, array, .. } => {
+                    let kind = if array.is_some() { "new[]" } else { "new" };
+                    self.push(kind, e.span, &ty.name, 0);
+                }
+                ExprKind::Delete { array, .. } => {
+                    self.push(if *array { "delete[]" } else { "delete" }, e.span, "", 0);
+                }
+                ExprKind::Cast { kind, ty, .. } => {
+                    let kind = match kind {
+                        CastKind::CStyle => "c-style-cast",
+                        CastKind::Static => "static_cast",
+                        CastKind::Reinterpret => "reinterpret_cast",
+                        CastKind::Const => "const_cast",
+                        CastKind::Dynamic => "dynamic_cast",
+                        CastKind::Functional => "functional-cast",
+                    };
+                    self.push(kind, e.span, &ty.display(), 0);
+                }
                 ExprKind::Unary {
                     op: UnOp::Deref,
                     expr: target,
@@ -438,14 +493,28 @@ fn has_side_effect(e: &Expr) -> bool {
 }
 
 /// Appends a site for every union declared in `decls` or, recursively,
-/// in a namespace among them.
-fn union_sites(decls: &[Decl], out: &mut Vec<SiteFacts>) {
+/// in a namespace among them, and for every named record, enum and
+/// alias there that is not UpperCamelCase (a C-style `*_t` alias is
+/// conventional).
+fn decl_sites(decls: &[Decl], out: &mut Vec<SiteFacts>) {
+    let misnamed = |name: &str| !name.is_empty() && classify(name) != NameCase::UpperCamel;
     for d in decls {
         match d {
-            Decl::Record(r) if r.kind == RecordKind::Union => {
-                out.push(SiteFacts::new("union", r.span, None, &r.name, 0));
+            Decl::Record(r) => {
+                if r.kind == RecordKind::Union {
+                    out.push(SiteFacts::new("union", r.span, None, &r.name, 0));
+                }
+                if misnamed(&r.name) {
+                    out.push(SiteFacts::new("misnamed-type", r.span, None, &r.name, 0));
+                }
             }
-            Decl::Namespace(ns) => union_sites(&ns.decls, out),
+            Decl::Enum(e) if misnamed(&e.name) => {
+                out.push(SiteFacts::new("misnamed-enum", e.span, None, &e.name, 0));
+            }
+            Decl::Typedef(t) if misnamed(&t.name) && !t.name.ends_with("_t") => {
+                out.push(SiteFacts::new("misnamed-alias", t.span, None, &t.name, 0));
+            }
+            Decl::Namespace(ns) => decl_sites(&ns.decls, out),
             _ => {}
         }
     }
@@ -1362,7 +1431,10 @@ mod tests {
         void narrow(double d) { int k = d; (void)k; }\n\
         union Bits { int i; float f; };\n\
         void jump(int x) { int a = 1, b = 010; switch (x) { case 1: goto out; } a = 2, b = 3; out: return; }\n\
-        int guard(int* p, int n) { if (n && n++) throw n; cudaFree(p); return *p; n = 0; }\n";
+        int guard(int* p, int n) { if (n && n++) throw n; cudaFree(p); return *p; n = 0; }\n\
+        #define badMacro 1\n\
+        struct raw_buf { int n; }; typedef int count_t; typedef raw_buf buf_alias;\n\
+        void mem() { int* p = new int[2]; delete[] p; p = static_cast<int*>(malloc(4)); }\n";
 
     fn corpus() -> AnalysisSet {
         let mut set = AnalysisSet::new();
@@ -1444,6 +1516,9 @@ mod tests {
             got,
             [
                 ("unvalidated-deref", Some("scale"), "d", 0),
+                ("c-style-cast", Some("scale"), "float", 0),
+                ("c-style-cast", Some("driver"), "void", 0),
+                ("c-style-cast", Some("narrow"), "void", 0),
                 ("union", None, "Bits", 0),
                 ("multi-decl", Some("jump"), "", 2),
                 ("octal", None, "010", 0),
@@ -1453,8 +1528,16 @@ mod tests {
                 ("short-circuit", Some("guard"), "", 0),
                 ("throw", Some("guard"), "", 0),
                 ("discarded-call", Some("guard"), "cudaFree", 0),
+                ("memory-api", Some("guard"), "cudaFree", 0),
                 ("unvalidated-deref", Some("guard"), "p", 0),
                 ("unreachable", Some("guard"), "", 0),
+                ("misnamed-macro", None, "badMacro", 0),
+                ("misnamed-type", None, "raw_buf", 0),
+                ("misnamed-alias", None, "buf_alias", 0),
+                ("new[]", Some("mem"), "int", 0),
+                ("delete[]", Some("mem"), "", 0),
+                ("static_cast", Some("mem"), "int*", 0),
+                ("memory-api", Some("mem"), "malloc", 0),
             ]
         );
         let orphan = FileFacts {
@@ -1656,7 +1739,7 @@ mod tests {
             good.replacen(r#""recovery":0"#, r#""recovery":1.0"#, 1),
             good.replacen(r#""recovery":0"#, r#""recovery":00"#, 1),
             good.replacen(r#""recovery":0"#, r#""recovery":0,"recovery":0"#, 1),
-            good.replacen("adsafe-facts/6", r"adsafe-facts\/6", 1),
+            good.replacen("adsafe-facts/7", r"adsafe-facts\/7", 1),
             good.replacen(r#"{"name":"rec""#, r#"{"name":"\u0072ec""#, 1),
         ] {
             assert!(

@@ -475,6 +475,12 @@ union Raw { int i; float f; };\n";
                     Some("kern")
                 ),
                 (
+                    Some(Str("c-style-cast")),
+                    Some(Str("int")),
+                    Some(Int(0)),
+                    Some("kern")
+                ),
+                (
                     Some(Str("unvalidated-deref")),
                     Some(Str("q")),
                     Some(Int(0)),
@@ -495,14 +501,14 @@ union Raw { int i; float f; };\n";
                 (Some(Str("union")), Some(Str("Raw")), Some(Int(0)), None),
             ]
         );
-        assert_eq!(rows[2].get(4), Some(Value::Str("hop")));
+        assert_eq!(rows[3].get(4), Some(Value::Str("hop")));
         assert_eq!(
-            rows[4].get(4),
+            rows[5].get(4),
             Some(Value::Str("")),
             "a file-scope site has no function"
         );
         let goto = SRC.find("goto out").unwrap() as u32;
-        assert_eq!(rows[3].span().start, goto, "anchored at the statement");
+        assert_eq!(rows[4].span().start, goto, "anchored at the statement");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! The pretty-printer is part of the language contract: for every AST
 //! the parser can produce, `parse(pretty(ast))` yields an identical
 //! AST (pinned by a proptest). It prints the canonical clause order —
-//! `desc`, `iso`, then `selector [in module] [where] -> severity
-//! [message]` — regardless of the order the source used.
+//! `desc`, `iso`, then one `selector [in module] [where] -> severity
+//! [message]` line per arm — regardless of the order the source used.
 
 use crate::lexer::escape_string;
 use std::fmt;
@@ -164,6 +164,40 @@ impl fmt::Display for Expr {
     }
 }
 
+/// One arm of a rule: `selector [in module] [where] -> severity
+/// [message]`. A row yields at most one finding, from the first arm
+/// whose predicate matches it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Arm {
+    /// Row selector (every arm of a rule names the same one).
+    pub selector: Selector,
+    /// `in module "<name>"` filter, if present.
+    pub module: Option<String>,
+    /// `where` predicate, if present (absent means every row matches).
+    pub where_expr: Option<Expr>,
+    /// Arrow severity.
+    pub severity: SeverityKw,
+    /// Message template, if present.
+    pub message: Option<String>,
+}
+
+impl fmt::Display for Arm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.selector.keyword())?;
+        if let Some(m) = &self.module {
+            write!(f, " in module {}", escape_string(m))?;
+        }
+        if let Some(e) = &self.where_expr {
+            write!(f, " where {e}")?;
+        }
+        write!(f, " -> {}", self.severity.keyword())?;
+        if let Some(msg) = &self.message {
+            write!(f, " {}", escape_string(msg))?;
+        }
+        Ok(())
+    }
+}
+
 /// One parsed `rule "<id>" { ... }` declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleDecl {
@@ -176,16 +210,8 @@ pub struct RuleDecl {
     /// Normalised ISO refs (`t4r1` → `Part6.Table4.Row1`), in source
     /// order, from the `iso` clause and/or the arrow `iso(...)` form.
     pub iso: Vec<String>,
-    /// Row selector.
-    pub selector: Selector,
-    /// `in module "<name>"` filter, if present.
-    pub module: Option<String>,
-    /// `where` predicate, if present (absent means every row matches).
-    pub where_expr: Option<Expr>,
-    /// Arrow severity.
-    pub severity: SeverityKw,
-    /// Message template, if present.
-    pub message: Option<String>,
+    /// The query's arms, in source order; at least one.
+    pub arms: Vec<Arm>,
 }
 
 impl fmt::Display for RuleDecl {
@@ -198,18 +224,9 @@ impl fmt::Display for RuleDecl {
             let refs: Vec<String> = self.iso.iter().map(|r| escape_string(r)).collect();
             writeln!(f, "  iso {}", refs.join(", "))?;
         }
-        write!(f, "  {}", self.selector.keyword())?;
-        if let Some(m) = &self.module {
-            write!(f, " in module {}", escape_string(m))?;
+        for arm in &self.arms {
+            writeln!(f, "  {arm}")?;
         }
-        if let Some(e) = &self.where_expr {
-            write!(f, " where {e}")?;
-        }
-        write!(f, " -> {}", self.severity.keyword())?;
-        if let Some(msg) = &self.message {
-            write!(f, " {}", escape_string(msg))?;
-        }
-        writeln!(f)?;
         writeln!(f, "}}")
     }
 }

@@ -7,29 +7,29 @@
 //! operand's register. The `in module "x"` filter lowers to a prefixed
 //! `module == "x"` conjunct so it costs nothing when it short-circuits.
 
-use crate::ast::{CmpOp, Expr, RuleDecl, Selector};
+use crate::ast::{Arm, CmpOp, Expr, Selector};
 use crate::bytecode::{Op, Program};
 use crate::schema;
 
-/// Compiles the rule's predicate (`in module` filter plus `where`
+/// Compiles one arm's predicate (`in module` filter plus `where`
 /// expression) to a [`Program`]. The caller has already typechecked.
-pub fn compile_predicate(rule: &RuleDecl) -> Result<Program, String> {
+pub fn compile_predicate(arm: &Arm) -> Result<Program, String> {
     let mut c = Compiler {
         prog: Program::default(),
-        sel: rule.selector,
+        sel: arm.selector,
         next_reg: 0,
         high_water: 0,
     };
     // Fuse the module filter and the where clause into one expression
     // so both compile through the same short-circuit path.
-    let module_test = rule.module.as_ref().map(|m| {
+    let module_test = arm.module.as_ref().map(|m| {
         Expr::Cmp(
             CmpOp::Eq,
             Box::new(Expr::Field("module".to_string())),
             Box::new(Expr::Str(m.clone())),
         )
     });
-    let predicate = match (module_test, rule.where_expr.clone()) {
+    let predicate = match (module_test, arm.where_expr.clone()) {
         (Some(m), Some(w)) => Some(Expr::And(Box::new(m), Box::new(w))),
         (Some(m), None) => Some(m),
         (None, Some(w)) => Some(w),
@@ -170,7 +170,7 @@ mod tests {
     fn program(src: &str) -> Program {
         let (rules, errs) = parse_pack(src);
         assert!(errs.is_empty(), "{errs:?}");
-        compile_predicate(&rules[0]).unwrap()
+        compile_predicate(&rules[0].arms[0]).unwrap()
     }
 
     #[test]

@@ -44,11 +44,11 @@ pub mod schema;
 pub mod typeck;
 pub mod vm;
 
-pub use ast::{RuleDecl, Selector, SeverityKw};
+pub use ast::{Arm, RuleDecl, Selector, SeverityKw};
 pub use bytecode::Program;
 pub use parser::{parse_pack, ParseError};
 pub use rows::{FileRow, FunctionRow, GlobalRow, Row, SiteRow};
-pub use rule::{intern_static, CompiledRule, PackFault, RulePack, BUILTIN_PACK};
+pub use rule::{intern_static, CompiledArm, CompiledRule, PackFault, RulePack, BUILTIN_PACK};
 pub use vm::Value;
 
 /// Pretty-prints a pack of rule declarations in canonical form.

@@ -7,7 +7,7 @@
 //! one bad rule never takes down the rest of the pack. An empty or
 //! comment-only pack is simply zero rules and zero errors.
 
-use crate::ast::{CmpOp, Expr, RuleDecl, Selector, SeverityKw};
+use crate::ast::{Arm, CmpOp, Expr, RuleDecl, Selector, SeverityKw};
 use crate::lexer::{lex, Token, TokenKind};
 
 /// One parse failure, anchored to a source line.
@@ -181,22 +181,29 @@ impl Parser {
             }
         }
 
+        // One or more arms; a selector keyword after an arm opens the
+        // next one.
+        let mut arms = vec![self.arm(&mut iso)?];
+        while matches!(self.peek(), TokenKind::Ident(kw) if selector_of(kw).is_some()) {
+            arms.push(self.arm(&mut iso)?);
+        }
+        self.expect(&TokenKind::RBrace, "`}` closing the rule")?;
+        Ok(RuleDecl {
+            id,
+            line,
+            desc,
+            iso,
+            arms,
+        })
+    }
+
+    /// One arm: `selector [in module] [where] -> severity [iso(...)]
+    /// [message]`. Arrow-form ISO refs join the rule's `iso`.
+    fn arm(&mut self, iso: &mut Vec<String>) -> PResult<Arm> {
         let selector = match self.peek().clone() {
-            TokenKind::Ident(kw) if kw == "function" => {
+            TokenKind::Ident(kw) if selector_of(&kw).is_some() => {
                 self.bump();
-                Selector::Function
-            }
-            TokenKind::Ident(kw) if kw == "global" => {
-                self.bump();
-                Selector::Global
-            }
-            TokenKind::Ident(kw) if kw == "file" => {
-                self.bump();
-                Selector::File
-            }
-            TokenKind::Ident(kw) if kw == "site" => {
-                self.bump();
-                Selector::Site
+                selector_of(&kw).expect("checked above")
             }
             other => {
                 return self.err(format!(
@@ -279,13 +286,7 @@ impl Parser {
                 _ => break,
             }
         }
-
-        self.expect(&TokenKind::RBrace, "`}` closing the rule")?;
-        Ok(RuleDecl {
-            id,
-            line,
-            desc,
-            iso,
+        Ok(Arm {
             selector,
             module,
             where_expr,
@@ -432,6 +433,17 @@ impl Parser {
     }
 }
 
+/// The selector a keyword names, if it names one.
+fn selector_of(kw: &str) -> Option<Selector> {
+    Some(match kw {
+        "function" => Selector::Function,
+        "global" => Selector::Global,
+        "file" => Selector::File,
+        "site" => Selector::Site,
+        _ => return None,
+    })
+}
+
 /// `t8r10` → `Part6.Table8.Row10`.
 fn expand_iso_shorthand(short: &str) -> Option<String> {
     let rest = short.strip_prefix('t')?;
@@ -464,9 +476,10 @@ rule "apollo-complexity" {
         let r = &rules[0];
         assert_eq!(r.id, "apollo-complexity");
         assert_eq!(r.iso, vec!["Part6.Table4.Row1".to_string()]);
-        assert_eq!(r.module.as_deref(), Some("perception"));
-        assert_eq!(r.severity, SeverityKw::Warn);
-        assert!(r.where_expr.is_some());
+        assert_eq!(r.arms.len(), 1);
+        assert_eq!(r.arms[0].module.as_deref(), Some("perception"));
+        assert_eq!(r.arms[0].severity, SeverityKw::Warn);
+        assert!(r.arms[0].where_expr.is_some());
     }
 
     #[test]
@@ -531,6 +544,28 @@ rule "apollo-complexity" {
         let a = parse_pack("rule \"r\" { function in module \"m\" where cc > 1 -> info }").0;
         let b = parse_pack("rule \"r\" { function where cc > 1 in module \"m\" -> info }").0;
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn arms_parse_in_order_and_pretty_print_one_per_line() {
+        let src = "rule \"r\" {\n  site where kind == \"a\" -> violation \"A {text}\"\n  \
+                   site where kind == \"b\" -> warn iso(t1r3)\n  site -> info\n}";
+        let (rules, errs) = parse_pack(src);
+        assert!(errs.is_empty(), "{errs:?}");
+        let arms = &rules[0].arms;
+        assert_eq!(arms.len(), 3);
+        let sev: Vec<SeverityKw> = arms.iter().map(|a| a.severity).collect();
+        assert_eq!(
+            sev,
+            [SeverityKw::Violation, SeverityKw::Warn, SeverityKw::Info]
+        );
+        assert_eq!(rules[0].iso, vec!["Part6.Table1.Row3".to_string()]);
+        assert_eq!(
+            rules[0].to_string(),
+            "rule \"r\" {\n  iso \"Part6.Table1.Row3\"\n  \
+             site where kind == \"a\" -> violation \"A {text}\"\n  \
+             site where kind == \"b\" -> warn\n  site -> info\n}\n"
+        );
     }
 
     #[test]

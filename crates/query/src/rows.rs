@@ -200,8 +200,9 @@ impl<'a> FileRow<'a> {
 pub struct SiteRow<'a> {
     /// Construct kind (`"goto"`, `"switch"`, …).
     pub kind: &'a str,
-    /// Goto label, union name, octal lexeme, discarded callee or
-    /// dereferenced parameter; empty otherwise.
+    /// Goto label, union name, octal lexeme, discarded or dynamic-memory
+    /// callee, dereferenced parameter, allocated type, cast target type
+    /// or misnamed name; empty otherwise.
     pub text: &'a str,
     /// A switch's `default` labels, a statement's declarators, or for a
     /// `throw` the `try` statements in the file's functions.

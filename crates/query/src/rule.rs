@@ -1,8 +1,8 @@
 //! Compiled rules and rule packs.
 //!
 //! A [`CompiledRule`] is a fully lowered query: interned `'static` id
-//! (`Diagnostic` demands a `&'static str` check id), severity, ISO refs, bytecode predicate, and message
-//! template. [`RulePack::from_sources`] turns `.aq` source files into
+//! (`Diagnostic` demands a `&'static str` check id), ISO refs, and per
+//! arm a bytecode predicate, severity and message template. [`RulePack::from_sources`] turns `.aq` source files into
 //! rules with *containment* semantics: every malformed rule, type
 //! error, or duplicate id becomes a [`PackFault`] naming file and
 //! line, and loading proceeds with the remaining rules — a bad pack
@@ -44,6 +44,17 @@ fn intern_refs(refs: &[String]) -> &'static [&'static str] {
     Box::leak(v.into_boxed_slice())
 }
 
+/// One compiled arm: its predicate, severity and message template.
+#[derive(Debug, Clone)]
+pub struct CompiledArm {
+    /// Compiled predicate.
+    pub program: Program,
+    /// Diagnostic severity.
+    pub severity: Severity,
+    /// Message template.
+    pub template: Vec<TemplatePart>,
+}
+
 /// A fully compiled query rule.
 #[derive(Debug, Clone)]
 pub struct CompiledRule {
@@ -53,16 +64,13 @@ pub struct CompiledRule {
     pub desc: &'static str,
     /// ISO 26262-6 table rows evidenced.
     pub iso: &'static [&'static str],
-    /// Row selector.
+    /// Row selector, shared by every arm.
     pub selector: Selector,
     /// File or whole-program evaluation.
     pub scope: CheckScope,
-    /// Diagnostic severity.
-    pub severity: Severity,
-    /// Compiled predicate.
-    pub program: Program,
-    /// Message template.
-    pub template: Vec<TemplatePart>,
+    /// The arms, in source order: a row's finding comes from the first
+    /// whose predicate matches.
+    pub arms: Vec<CompiledArm>,
     /// The declaration (kept for `rules explain` pretty-printing).
     pub decl: RuleDecl,
 }
@@ -71,12 +79,22 @@ impl CompiledRule {
     /// Compiles one typechecked declaration.
     pub fn compile(decl: &RuleDecl) -> Result<CompiledRule, String> {
         let checked = typeck::check(decl)?;
-        let program = compile_predicate(decl)?;
-        let severity = match decl.severity {
-            SeverityKw::Info => Severity::Info,
-            SeverityKw::Warn => Severity::Warning,
-            SeverityKw::Violation => Severity::Violation,
-        };
+        let arms = decl
+            .arms
+            .iter()
+            .zip(checked.templates)
+            .map(|(arm, template)| {
+                Ok(CompiledArm {
+                    program: compile_predicate(arm)?,
+                    severity: match arm.severity {
+                        SeverityKw::Info => Severity::Info,
+                        SeverityKw::Warn => Severity::Warning,
+                        SeverityKw::Violation => Severity::Violation,
+                    },
+                    template,
+                })
+            })
+            .collect::<Result<_, String>>()?;
         let scope = if checked.program_scope {
             CheckScope::Program
         } else {
@@ -90,25 +108,28 @@ impl CompiledRule {
             id: intern_static(&decl.id),
             desc,
             iso: intern_refs(&decl.iso),
-            selector: decl.selector,
+            selector: decl.arms[0].selector,
             scope,
-            severity,
-            program,
-            template: checked.template,
+            arms,
             decl: decl.clone(),
         })
     }
 
     /// Evaluates the rule over `rows`, returning matching diagnostics
-    /// (row order) and the number of VM instructions executed.
+    /// (row order, at most one per row) and the number of VM
+    /// instructions executed.
     pub fn eval_rows(&self, rows: &[Row<'_>]) -> (Vec<Diagnostic>, u64) {
         let mut steps = 0u64;
         let mut out = Vec::new();
         let mut regs = Vec::new();
         for row in rows {
-            if vm::eval(&self.program, row, &mut regs, &mut steps) {
-                let msg = vm::render_template(&self.template, row);
-                let mut d = Diagnostic::new(self.id, self.severity, row.span(), msg);
+            let matched = self
+                .arms
+                .iter()
+                .find(|arm| vm::eval(&arm.program, row, &mut regs, &mut steps));
+            if let Some(arm) = matched {
+                let msg = vm::render_template(&arm.template, row);
+                let mut d = Diagnostic::new(self.id, arm.severity, row.span(), msg);
                 if let Some(f) = row.function() {
                     d = d.in_function(f);
                 }
@@ -284,6 +305,68 @@ mod tests {
             .contains("collides with a built-in rule"));
         assert!(pack.faults[1].detail.contains("duplicate rule id"));
         assert_eq!(pack.faults[1].line, 3);
+    }
+
+    #[test]
+    fn first_matching_arm_wins_and_a_row_yields_one_finding() {
+        use crate::rows::SiteRow;
+        use adsafe_lang::{FileId, Span};
+        let src = "rule \"casts\" {\n\
+                   site where kind == \"const_cast\" -> violation \"{kind} to `{text}`\"\n\
+                   site where text == \"int\" -> warn \"to int\"\n\
+                   site -> info \"other {kind}\"\n}\n";
+        let pack = RulePack::from_sources(&[("p.aq".to_string(), src.to_string())], &[]);
+        assert!(pack.faults.is_empty(), "{:?}", pack.faults);
+        let rule = &pack.rules[0];
+        assert_eq!((rule.selector, rule.arms.len()), (Selector::Site, 3));
+        let row = |kind, text| {
+            Row::Site(SiteRow {
+                kind,
+                text,
+                count: 0,
+                module: "m",
+                function: None,
+                span: Span::new(FileId(0), 0, 1),
+            })
+        };
+        let rows = [
+            row("const_cast", "int"),
+            row("static_cast", "int"),
+            row("static_cast", "long"),
+        ];
+        let (diags, _) = rule.eval_rows(&rows);
+        let got: Vec<(Severity, &str)> = diags
+            .iter()
+            .map(|d| (d.severity, d.message.as_str()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (Severity::Violation, "const_cast to `int`"),
+                (Severity::Warning, "to int"),
+                (Severity::Info, "other static_cast"),
+            ]
+        );
+    }
+
+    #[test]
+    fn malformed_arms_are_faults_naming_the_rule_line() {
+        let src = "rule \"good-a\" { function -> info }\n\
+                   rule \"mixed\" { site where kind == \"a\" -> warn\n\
+                   function where cc > 1 -> info }\n\
+                   rule \"shadowed\" { site -> warn site where kind == \"a\" -> info }\n\
+                   rule \"good-b\" { global -> warn }\n";
+        let pack = RulePack::from_sources(&[("p.aq".to_string(), src.to_string())], &[]);
+        let ids: Vec<&str> = pack.rules.iter().map(|r| r.id).collect();
+        assert_eq!(ids, ["good-a", "good-b"]);
+        let faults: Vec<(&str, u32)> = pack
+            .faults
+            .iter()
+            .map(|f| (f.file.as_str(), f.line))
+            .collect();
+        assert_eq!(faults, [("p.aq", 2), ("p.aq", 4)]);
+        assert!(pack.faults[0].detail.contains("share one selector"));
+        assert!(pack.faults[1].detail.contains("only the last arm"));
     }
 
     #[test]

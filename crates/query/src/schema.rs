@@ -88,7 +88,7 @@ pub const FILE_FIELDS: &[(&str, Ty)] = &[
 /// Fields of `site` rows (one per recorded construct occurrence).
 pub const SITE_FIELDS: &[(&str, Ty)] = &[
     ("kind", Ty::Str),  // one of the facts' SITE_KINDS ("goto", "throw", …)
-    ("text", Ty::Str),  // goto label, union name, octal lexeme, callee or parameter; else ""
+    ("text", Ty::Str),  // label, name, lexeme, callee, parameter or type; else ""
     ("count", Ty::Int), // a switch's `default` labels, declarators, the file's `try`s
     ("module", Ty::Str),
     ("function", Ty::Str), // enclosing function's qualified name; "" at file scope

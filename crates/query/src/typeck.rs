@@ -8,9 +8,11 @@
 //! - `and`/`or`/`not` operands and the whole `where` expression are
 //!   boolean;
 //! - message-template placeholders (`{field}`) name schema fields;
+//! - every arm of a rule names the same selector, and only the last arm
+//!   may omit `where` (an earlier one would shadow every later arm);
 //! - the rule's evaluation scope is derived: referencing a field in
-//!   [`schema::PROGRAM_SCOPE_FIELDS`] (e.g. `recursive`) promotes the
-//!   rule from per-file to whole-program evaluation.
+//!   [`schema::PROGRAM_SCOPE_FIELDS`] (e.g. `recursive`) in any arm
+//!   promotes the rule from per-file to whole-program evaluation.
 
 use crate::ast::{CmpOp, Expr, RuleDecl, Selector};
 use crate::schema::{self, Ty};
@@ -28,33 +30,61 @@ pub enum TemplatePart {
 /// is not already in the AST.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckedRule {
-    /// True if the rule needs whole-program context.
+    /// True if any arm needs whole-program context.
     pub program_scope: bool,
-    /// The validated message template.
-    pub template: Vec<TemplatePart>,
+    /// The validated message template of each arm, in arm order.
+    pub templates: Vec<Vec<TemplatePart>>,
 }
 
 /// Typechecks `rule`. Errors are plain strings; callers prefix the
 /// rule id and source line.
 pub fn check(rule: &RuleDecl) -> Result<CheckedRule, String> {
-    let sel = rule.selector;
     let mut program_scope = false;
-    if let Some(e) = &rule.where_expr {
-        let ty = type_of(sel, e, &mut program_scope)?;
-        if ty != Ty::Bool {
-            return Err(format!("`where` must be a boolean expression, found {ty}"));
-        }
-    }
-    let template = match &rule.message {
-        Some(msg) => parse_template(sel, msg, &mut program_scope)?,
-        None => vec![TemplatePart::Lit(format!(
-            "query rule `{}` matched",
-            rule.id
-        ))],
+    let mut templates = Vec::with_capacity(rule.arms.len());
+    let Some(first) = rule.arms.first() else {
+        return Err("a rule needs at least one arm".to_string());
     };
+    for (i, arm) in rule.arms.iter().enumerate() {
+        // Arms are numbered in errors only when there are several.
+        let at = if rule.arms.len() > 1 {
+            format!("arm {}: ", i + 1)
+        } else {
+            String::new()
+        };
+        let sel = arm.selector;
+        if sel != first.selector {
+            return Err(format!(
+                "{at}selects `{}` rows, arm 1 `{}` rows (all arms of a rule share one selector)",
+                sel.keyword(),
+                first.selector.keyword()
+            ));
+        }
+        if arm.where_expr.is_none() && i + 1 < rule.arms.len() {
+            return Err(format!(
+                "{at}has no `where`, so it shadows every later arm (only the last arm may omit it)"
+            ));
+        }
+        if let Some(e) = &arm.where_expr {
+            let ty = type_of(sel, e, &mut program_scope).map_err(|e| format!("{at}{e}"))?;
+            if ty != Ty::Bool {
+                return Err(format!(
+                    "{at}`where` must be a boolean expression, found {ty}"
+                ));
+            }
+        }
+        templates.push(match &arm.message {
+            Some(msg) => {
+                parse_template(sel, msg, &mut program_scope).map_err(|e| format!("{at}{e}"))?
+            }
+            None => vec![TemplatePart::Lit(format!(
+                "query rule `{}` matched",
+                rule.id
+            ))],
+        });
+    }
     Ok(CheckedRule {
         program_scope,
-        template,
+        templates,
     })
 }
 
@@ -213,8 +243,11 @@ mod tests {
     fn template_placeholders_typecheck_and_escape() {
         let r = one("rule \"r\" { function -> warn \"{{literal}} {name} has {returns}\" }");
         let c = check(&r).unwrap();
-        assert_eq!(c.template.len(), 4, "{:?}", c.template);
-        assert_eq!(c.template[0], TemplatePart::Lit("{literal} ".to_string()));
+        assert_eq!(c.templates[0].len(), 4, "{:?}", c.templates);
+        assert_eq!(
+            c.templates[0][0],
+            TemplatePart::Lit("{literal} ".to_string())
+        );
         let r = one("rule \"r\" { function -> warn \"{nope}\" }");
         assert!(check(&r).unwrap_err().contains("placeholder"));
         let r = one("rule \"r\" { function -> warn \"{name\" }");
@@ -242,8 +275,34 @@ mod tests {
         let r = one("rule \"my-rule\" { file -> info }");
         let c = check(&r).unwrap();
         assert_eq!(
-            c.template,
-            vec![TemplatePart::Lit("query rule `my-rule` matched".into())]
+            c.templates,
+            vec![vec![TemplatePart::Lit(
+                "query rule `my-rule` matched".into()
+            )]]
         );
+    }
+
+    #[test]
+    fn arms_share_a_selector_and_only_the_last_may_omit_where() {
+        let r = one("rule \"r\" { site where kind == \"a\" -> warn function -> info }");
+        let err = check(&r).unwrap_err();
+        assert!(err.starts_with("arm 2: selects `function` rows"), "{err}");
+        let r = one("rule \"r\" { site -> warn site where kind == \"a\" -> info }");
+        let err = check(&r).unwrap_err();
+        assert!(err.starts_with("arm 1: has no `where`"), "{err}");
+        let r = one("rule \"r\" { site where kind == \"a\" -> warn site -> info \"{text}\" }");
+        assert_eq!(check(&r).unwrap().templates.len(), 2);
+        let r =
+            one("rule \"r\" { function where cc > 1 -> warn function where count > 1 -> info }");
+        assert!(check(&r)
+            .unwrap_err()
+            .starts_with("arm 2: unknown field `count`"));
+    }
+
+    #[test]
+    fn any_arm_reading_program_facts_scopes_the_rule() {
+        let r =
+            one("rule \"r\" { function where cc > 10 -> warn function where recursive -> info }");
+        assert!(check(&r).unwrap().program_scope);
     }
 }

@@ -176,7 +176,7 @@ mod tests {
     fn predicate(src: &str) -> crate::bytecode::Program {
         let (rules, errs) = parse_pack(src);
         assert!(errs.is_empty(), "{errs:?}");
-        compile_predicate(&rules[0]).unwrap()
+        compile_predicate(&rules[0].arms[0]).unwrap()
     }
 
     #[test]
@@ -231,7 +231,7 @@ mod tests {
         let (rules, _) =
             parse_pack("rule \"r\" { function -> warn \"{name} cc={cc} gpu={is_gpu} {{raw}}\" }");
         let checked = crate::typeck::check(&rules[0]).unwrap();
-        let msg = render_template(&checked.template, &sample_row(7, false));
+        let msg = render_template(&checked.templates[0], &sample_row(7, false));
         assert_eq!(msg, "f cc=7 gpu=false {raw}");
     }
 }

@@ -1316,7 +1316,7 @@ fn cmd_rules_list(args: &[String]) -> i32 {
 
 /// `adsafe rules explain <id>`: full detail for one rule. Query rules
 /// additionally print the canonical source form and the compiled
-/// bytecode disassembly.
+/// bytecode disassembly, arm by arm when the rule has several.
 fn cmd_rules_explain(args: &[String]) -> i32 {
     let RulesFlags {
         rules, positional, ..
@@ -1343,7 +1343,13 @@ fn cmd_rules_explain(args: &[String]) -> i32 {
         writeln!(out, "desc:   {}", r.desc)?;
         if let Some(q) = r.query {
             writeln!(out, "\nsource:\n{}", q.decl)?;
-            writeln!(out, "bytecode:\n{}", q.program)?;
+            if let [arm] = &q.arms[..] {
+                writeln!(out, "bytecode:\n{}", arm.program)?;
+            } else {
+                for (i, (arm, src)) in q.arms.iter().zip(&q.decl.arms).enumerate() {
+                    writeln!(out, "arm {}: {src}\nbytecode:\n{}", i + 1, arm.program)?;
+                }
+            }
         }
         Ok(EXIT_OK)
     })

@@ -13,7 +13,7 @@ use adsafe::corpus::{corrupt, generate, ApolloSpec, Corruption};
 use adsafe::facts::{self, FactsRecord};
 use adsafe::lang::SourceMap;
 use adsafe::rulequery::ast::{CmpOp, Expr};
-use adsafe::rulequery::{parse_pack, pretty_pack, RuleDecl, RulePack, Selector, SeverityKw};
+use adsafe::rulequery::{parse_pack, pretty_pack, Arm, RuleDecl, RulePack, Selector, SeverityKw};
 use adsafe::{render, Assessment, AssessmentOptions, MemoryFactsStore};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -129,13 +129,47 @@ done:\n\
   x = 12;\n\
 }\n";
 
+/// Every message form of the dynamic-memory, cast and naming rules:
+/// `malloc`, `calloc` and `free`, `new`, `new[]`, `delete` and
+/// `delete[]`, every named cast and a C-style one, records, enums and
+/// aliases named both ways (a `*_t` alias included) at file and
+/// namespace scope, and macros in `UPPER_SNAKE`, lower case and an
+/// include guard's trailing `_`. `int(d)` is a functional cast the
+/// frontend parses as a call, so no rule sees it.
+const FORMS_SOURCE: &str = "#define MAX_LEN 8\n\
+#define maxLen 8\n\
+#define FORMS_H_\n\
+struct packet_t { int n; };\n\
+struct Packet { int n; };\n\
+enum class drive_mode { kIdle };\n\
+enum class DriveMode { kRun };\n\
+typedef unsigned int frame_id_t;\n\
+typedef int frame_count;\n\
+typedef int FrameCount;\n\
+namespace ns { struct inner_type { int x; }; enum Mode { kOn }; }\n\
+int forms(double d, const int* cp, Packet* b) {\n\
+  int* p = (int*)malloc(4 * sizeof(int));\n\
+  int* q = new int;\n\
+  int* r = new int[4];\n\
+  float* f = static_cast<float*>(calloc(2, 4));\n\
+  long l = reinterpret_cast<long>(p);\n\
+  int* w = const_cast<int*>(cp);\n\
+  Packet* pk = dynamic_cast<Packet*>(b);\n\
+  int k = int(d);\n\
+  free(p);\n\
+  delete q;\n\
+  delete[] r;\n\
+  return k + (int)l;\n\
+}\n";
+
 /// A `throw` in a file whose `try` is in another function: no finding.
 const GUARDED_SOURCE: &str = "int step();\n\
 void guard() { try { step(); } catch (int e) { } }\n\
 void raise(int x) { if (x < 0) throw x; }\n";
 
 /// [`corpus_sources`] plus [`EDGE_SOURCE`], [`PORTED_SOURCE`],
-/// [`SITE_SOURCE`] and [`GUARDED_SOURCE`], clean and then under each
+/// [`SITE_SOURCE`], [`GUARDED_SOURCE`] and [`FORMS_SOURCE`], clean and
+/// then under each
 /// `faultinject` corruption (invalid UTF-8 replaced lossily, as the
 /// pipeline ingests it).
 fn source_sets() -> Vec<(&'static str, Sources)> {
@@ -155,6 +189,11 @@ fn source_sets() -> Vec<(&'static str, Sources)> {
         "stress".into(),
         "stress/guarded.cc".into(),
         GUARDED_SOURCE.into(),
+    ));
+    clean.push((
+        "stress".into(),
+        "stress/forms.cc".into(),
+        FORMS_SOURCE.into(),
     ));
     let mut sets = vec![("clean", clean.clone())];
     for kind in Corruption::ALL {
@@ -604,7 +643,10 @@ const PORTED_IDS: [&str; 16] = [
 /// `stress/guarded.cc` (the `design-global-variable` ones from
 /// `int a, b;` included) came from the bundled rules when those files
 /// joined or grew, after the rules' natives were retired; the last five
-/// rules' came from their natives.
+/// rules' came from their natives. The one `design-global-variable`
+/// finding each that `stress/forms.cc` adds under `byte-flips` and
+/// `non-utf8-noise` (a declaration the parser's recovery turns global)
+/// came from the bundled rule when that file joined.
 const PORTED_FINDINGS: [(&str, [usize; 16], u64); 5] = [
     (
         "clean",
@@ -623,13 +665,13 @@ const PORTED_FINDINGS: [(&str, [usize; 16], u64); 5] = [
     ),
     (
         "byte-flips",
-        [1, 1, 1, 3, 146, 0, 81, 22, 2, 47, 3, 10, 0, 0, 5, 0],
-        0xddb658256cae40a7,
+        [1, 1, 1, 3, 147, 0, 81, 22, 2, 47, 3, 10, 0, 0, 5, 0],
+        0x1e5b94be3ca2af58,
     ),
     (
         "non-utf8-noise",
-        [1, 2, 2, 2, 83, 10, 2, 89, 2, 4, 2, 6, 5, 1, 9, 4],
-        0x733da31f45d5bcea,
+        [1, 2, 2, 2, 84, 10, 2, 89, 2, 4, 2, 6, 5, 1, 9, 4],
+        0x76e844ca3cc1a2bd,
     ),
 ];
 
@@ -721,6 +763,115 @@ fn ported_rules_reproduce_the_native_findings() {
                 all.extend(mine);
             }
             assert_eq!(digest(&all), want_digest, "{name} at jobs {jobs}");
+        }
+    }
+}
+
+/// Four natives with several message forms written as multi-arm `.aq`
+/// rules over `site` rows, under `q-` ids so they load as a user pack
+/// beside the natives they replace.
+const FORMS_PACK: &str = r#"
+rule "q-dynamic-memory" {
+  desc "no dynamic objects or variables (malloc/new/cudaMalloc)"
+  iso t8r2, t8r6
+  site where kind == "memory-api" -> violation "dynamic memory API `{text}` used"
+  site where kind == "new" or kind == "new[]" -> violation "dynamic allocation `{kind} {text}`"
+  site where kind == "delete" or kind == "delete[]" -> violation "dynamic deallocation `{kind}`"
+}
+rule "q-explicit-cast" {
+  desc "explicit type casts weaken strong typing and require review"
+  iso t1r3
+  site where kind == "reinterpret_cast" or kind == "const_cast" -> violation "{kind} to `{text}`"
+  site where kind == "static_cast" or kind == "dynamic_cast" -> warn "{kind} to `{text}`"
+  site where kind == "c-style-cast" -> warn "C-style cast to `{text}`"
+  site where kind == "functional-cast" -> warn "functional cast to `{text}`"
+}
+rule "q-naming-type" {
+  desc "type names shall be UpperCamelCase"
+  iso t1r8
+  site where kind == "misnamed-type" -> warn "type `{text}` is not UpperCamelCase"
+  site where kind == "misnamed-enum" -> warn "enum `{text}` is not UpperCamelCase"
+  site where kind == "misnamed-alias" -> info "alias `{text}` is not UpperCamelCase"
+}
+rule "q-naming-macro" {
+  desc "macros shall be UPPER_SNAKE_CASE"
+  iso t1r8
+  site where kind == "misnamed-macro" -> info "macro `{text}` is not UPPER_SNAKE_CASE"
+}
+"#;
+
+/// `(native id, ported id)` of the four rules in [`FORMS_PACK`].
+const FORMS_IDS: [(&str, &str); 4] = [
+    ("misra-21.3-dynamic-memory", "q-dynamic-memory"),
+    ("typing-explicit-cast", "q-explicit-cast"),
+    ("naming-type", "q-naming-type"),
+    ("naming-macro", "q-naming-macro"),
+];
+
+/// The multi-arm `.aq` rules report exactly what the four native
+/// checkers do — rendered findings, severities, spans, enclosing
+/// functions and order included — on the clean sources and under every
+/// `faultinject` corruption, serial and at one worker per core, with the
+/// natives' descriptions, ISO refs and file scope. Prints each native's
+/// finding count per set and its snapshot digest.
+#[test]
+fn multi_arm_rules_reproduce_the_native_findings() {
+    let pack = RulePack::from_sources(
+        &[("forms.aq".into(), FORMS_PACK.into())],
+        &adsafe::query::reserved_rule_ids(),
+    );
+    assert!(pack.faults.is_empty(), "{:?}", pack.faults);
+    for ((native, _), rule) in FORMS_IDS.iter().zip(&pack.rules) {
+        let check = default_checks()
+            .into_iter()
+            .find(|c| c.id() == *native)
+            .unwrap();
+        assert_eq!(
+            (rule.desc, rule.iso),
+            (check.description(), check.iso_refs()),
+            "{native}"
+        );
+        assert_eq!(rule.scope, CheckScope::File, "{native}");
+    }
+    let pack = Arc::new(pack);
+    for (name, sources) in source_sets() {
+        for jobs in [1, 0] {
+            let mut a = Assessment::new().with_options(AssessmentOptions {
+                jobs,
+                rules: Some(Arc::clone(&pack)),
+                ..AssessmentOptions::default()
+            });
+            for (module, path, text) in &sources {
+                a.add_file(module, path, text);
+            }
+            let report = a.run();
+            let mut all = Vec::new();
+            let mut counts = Vec::new();
+            for (native, ported) in FORMS_IDS {
+                let want = report.diagnostics_for(native);
+                let got: Vec<Diagnostic> = report
+                    .diagnostics_for(ported)
+                    .into_iter()
+                    .map(|d| Diagnostic {
+                        check_id: native,
+                        ..d.clone()
+                    })
+                    .collect();
+                assert!(
+                    got.iter().eq(want.iter().copied()),
+                    "{native} on {name} at jobs {jobs}:\n{got:#?}\n{want:#?}"
+                );
+                if name == "clean" {
+                    assert!(!want.is_empty(), "{native} never fires on the clean set");
+                }
+                let mine = rendered(&report, a.sources(), native);
+                if name == "clean" {
+                    eprintln!("first {native}: {}", mine[0]);
+                }
+                counts.push(mine.len());
+                all.extend(mine);
+            }
+            eprintln!("{name} jobs {jobs}: {counts:?} {:#018x}", digest(&all));
         }
     }
 }
@@ -923,6 +1074,54 @@ rule \"q-also-good\" { function where params > 6 -> info \"params {params}\" }\n
         .any(|f| f.to_string().contains("rule pack invalid at line 2")));
 }
 
+/// A rule whose arms name different selectors, or whose `where`-less
+/// arm is not the last, is skipped with a fault naming file and line;
+/// the pack's other rules, a multi-arm one included, still run.
+#[test]
+fn malformed_arms_degrade_to_surviving_rules() {
+    let src = "\
+rule \"q-mixed\" {\n  site where kind == \"goto\" -> warn\n  function where cc > 3 -> info\n}\n\
+rule \"q-shadowed\" {\n  function -> warn\n  function where cc > 3 -> info\n}\n\
+rule \"q-arms\" {\n  function where cc > 10 -> warn \"cc {cc}\"\n  \
+function where multi_exit -> info \"exits {returns}\"\n}\n";
+    let pack = RulePack::from_sources(&[("team.aq".into(), src.into())], &[]);
+    let ids: Vec<&str> = pack.rules.iter().map(|r| r.id).collect();
+    assert_eq!(ids, ["q-arms"]);
+    let at: Vec<(&str, u32)> = pack
+        .faults
+        .iter()
+        .map(|f| (f.file.as_str(), f.line))
+        .collect();
+    assert_eq!(at, [("team.aq", 1), ("team.aq", 5)]);
+
+    let faults: Vec<_> = pack.faults.iter().map(adsafe::query::pack_fault).collect();
+    let mut a = Assessment::new().with_options(AssessmentOptions {
+        rules: Some(Arc::new(pack)),
+        ..AssessmentOptions::default()
+    });
+    for f in faults {
+        a.add_fault(f);
+    }
+    for (module, path, text) in corpus_sources() {
+        a.add_file(&module, &path, &text);
+    }
+    let report = a.run();
+    assert!(!report.degraded, "an invalid pack must not degrade the run");
+    let found = report.diagnostics_for("q-arms");
+    assert!(found.iter().any(|d| d.message.starts_with("cc ")));
+    assert!(found.iter().any(|d| d.message.starts_with("exits ")));
+    for line in [1, 5] {
+        let needle = format!("rule pack invalid at line {line}");
+        assert!(
+            report
+                .faults
+                .iter()
+                .any(|f| f.to_string().contains(&needle)),
+            "{needle}"
+        );
+    }
+}
+
 /// Duplicate ids and collisions with reserved ids — native and bundled
 /// alike — are skipped with distinct fault messages.
 #[test]
@@ -1070,6 +1269,8 @@ fn gen_expr(rng: &mut Rng, sel: Selector, depth: usize) -> Expr {
     }
 }
 
+/// A rule of one to three arms over one selector; every arm but the
+/// last carries a `where`, as the typechecker demands.
 fn gen_rule(rng: &mut Rng, i: usize) -> RuleDecl {
     let selector = [
         Selector::Function,
@@ -1077,6 +1278,7 @@ fn gen_rule(rng: &mut Rng, i: usize) -> RuleDecl {
         Selector::File,
         Selector::Site,
     ][rng.below(4)];
+    let n = 1 + rng.below(3);
     RuleDecl {
         id: format!("gen-rule-{i}"),
         line: 0,
@@ -1084,11 +1286,15 @@ fn gen_rule(rng: &mut Rng, i: usize) -> RuleDecl {
         iso: (0..rng.below(3))
             .map(|_| format!("Part6.Table{}.Row{}", 1 + rng.below(8), 1 + rng.below(10)))
             .collect(),
-        selector,
-        module: (rng.below(3) == 0).then(|| format!("mod{}", rng.below(4))),
-        where_expr: (rng.below(4) != 0).then(|| gen_expr(rng, selector, 2)),
-        severity: [SeverityKw::Info, SeverityKw::Warn, SeverityKw::Violation][rng.below(3)],
-        message: (rng.below(2) == 0).then(|| format!("finding {{{}}} #{i}", "name")),
+        arms: (0..n)
+            .map(|a| Arm {
+                selector,
+                module: (rng.below(3) == 0).then(|| format!("mod{}", rng.below(4))),
+                where_expr: (a + 1 < n || rng.below(4) != 0).then(|| gen_expr(rng, selector, 2)),
+                severity: [SeverityKw::Info, SeverityKw::Warn, SeverityKw::Violation][rng.below(3)],
+                message: (rng.below(2) == 0).then(|| format!("finding {{{}}} #{i}", "name")),
+            })
+            .collect(),
     }
 }
 
