@@ -10,13 +10,13 @@
 //! use adsafe_checkers::{AnalysisSet, default_checks};
 //!
 //! let mut set = AnalysisSet::new();
-//! set.add("demo", "demo.cc", "int f(float x) { return (int)x; }");
+//! set.add("demo", "demo.cc", "int f(float x) { int n = x; return n; }");
 //! let cx = set.context();
 //! let diags: Vec<_> = default_checks()
 //!     .iter()
 //!     .flat_map(|c| c.run(&cx))
 //!     .collect();
-//! assert!(diags.iter().any(|d| d.check_id == "typing-explicit-cast"));
+//! assert!(diags.iter().any(|d| d.check_id == "typing-implicit-conversion"));
 //! ```
 
 #![warn(missing_docs)]
@@ -67,7 +67,7 @@ impl CheckScope {
 /// `"Part6.Table8.Row9"`), which is how the compliance engine in
 /// `adsafe-iso26262` aggregates findings into verdicts.
 pub trait Check: Send + Sync {
-    /// Stable rule identifier, e.g. `"typing-explicit-cast"`.
+    /// Stable rule identifier, e.g. `"typing-implicit-conversion"`.
     fn id(&self) -> &'static str;
     /// One-line description of what the rule requires.
     fn description(&self) -> &'static str;
@@ -84,10 +84,7 @@ pub trait Check: Send + Sync {
 /// The full default rule set, in a stable order.
 pub fn default_checks() -> Vec<Box<dyn Check>> {
     vec![
-        // MISRA-style language subset
-        Box::new(misra::DynamicMemoryCheck),
         // strong typing
-        Box::new(typing::ExplicitCastCheck),
         Box::new(typing::ImplicitConversionCheck),
         // design principles
         Box::new(design::GlobalUseCheck),
@@ -96,9 +93,7 @@ pub fn default_checks() -> Vec<Box<dyn Check>> {
         Box::new(style::IndentationCheck),
         Box::new(style::BraceStyleCheck),
         Box::new(style::IncludeGuardCheck),
-        Box::new(naming::TypeNamingCheck),
         Box::new(naming::VariableNamingCheck),
-        Box::new(naming::MacroNamingCheck),
         // CUDA
         Box::new(cuda_rules::ClosedSourceLibCheck),
     ]
@@ -184,7 +179,7 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), before, "duplicate check ids");
-        assert_eq!(before, 12, "rule set size");
+        assert_eq!(before, 8, "rule set size");
     }
 
     #[test]
@@ -241,16 +236,16 @@ mod tests {
         set.add(
             "m",
             "t.cc",
-            "#define badMacro 1\nint g;\nint f(int* p) { if (*p) goto x; x: free(p); return (int)1.5; }\n",
+            "int g;\nint f(int* p) { int Bad = 1.5; g = 2; if (*p) goto x; x: free(p); return (int)1.5; }\n",
         );
         let cx = set.context();
         let checks = default_checks();
         let diags = run_checks(&checks, &cx);
-        assert!(diags.iter().any(|d| d.check_id == "naming-macro"));
+        assert!(diags.iter().any(|d| d.check_id == "naming-variable"));
         assert!(diags
             .iter()
-            .any(|d| d.check_id == "misra-21.3-dynamic-memory"));
-        assert!(diags.iter().any(|d| d.check_id == "typing-explicit-cast"));
+            .any(|d| d.check_id == "typing-implicit-conversion"));
+        assert!(diags.iter().any(|d| d.check_id == "design-global-use"));
         let mut sorted = diags.clone();
         sorted.sort_by_key(|d| (d.check_id, d.span.file, d.span.start));
         assert_eq!(diags, sorted);

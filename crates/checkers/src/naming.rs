@@ -4,11 +4,13 @@
 //! `lower_snake` for C-linkage utilities), variables `lower_snake`,
 //! member fields `lower_snake_` with trailing underscore, constants
 //! `kUpperCamel`, enumerators `kUpperCamel` or `UPPER_SNAKE`, macros
-//! `UPPER_SNAKE`.
+//! `UPPER_SNAKE`. Variable naming is checked here; type and macro naming
+//! are the bundled `naming-type` and `naming-macro` rules over the
+//! `misnamed-*` sites the facts walk records with [`classify`].
 
 use crate::diag::{Diagnostic, Severity};
 use crate::{Check, CheckContext};
-use adsafe_lang::ast::{Decl, StmtKind};
+use adsafe_lang::ast::StmtKind;
 use adsafe_lang::visit::walk_stmts;
 
 /// Case classes a name can fall into.
@@ -63,69 +65,6 @@ pub fn classify(name: &str) -> NameCase {
     NameCase::Other
 }
 
-/// Type, class, struct, enum, and alias names must be `UpperCamelCase`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct TypeNamingCheck;
-
-impl Check for TypeNamingCheck {
-    fn id(&self) -> &'static str {
-        "naming-type"
-    }
-    fn description(&self) -> &'static str {
-        "type names shall be UpperCamelCase"
-    }
-    fn iso_refs(&self) -> &'static [&'static str] {
-        &["Part6.Table1.Row8"]
-    }
-    fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        fn scan(decls: &[Decl], id: &'static str, out: &mut Vec<Diagnostic>) {
-            for d in decls {
-                match d {
-                    Decl::Record(r)
-                        if !r.name.is_empty() && classify(&r.name) != NameCase::UpperCamel =>
-                    {
-                        out.push(Diagnostic::new(
-                            id,
-                            Severity::Warning,
-                            r.span,
-                            format!("type `{}` is not UpperCamelCase", r.name),
-                        ));
-                    }
-                    Decl::Enum(e)
-                        if !e.name.is_empty() && classify(&e.name) != NameCase::UpperCamel =>
-                    {
-                        out.push(Diagnostic::new(
-                            id,
-                            Severity::Warning,
-                            e.span,
-                            format!("enum `{}` is not UpperCamelCase", e.name),
-                        ));
-                    }
-                    Decl::Typedef(t)
-                        if !t.name.is_empty()
-                        // C-style `*_t` typedefs are conventional and allowed.
-                        && classify(&t.name) != NameCase::UpperCamel && !t.name.ends_with("_t") =>
-                    {
-                        out.push(Diagnostic::new(
-                            id,
-                            Severity::Info,
-                            t.span,
-                            format!("alias `{}` is not UpperCamelCase", t.name),
-                        ));
-                    }
-                    Decl::Namespace(ns) => scan(&ns.decls, id, out),
-                    _ => {}
-                }
-            }
-        }
-        for e in &cx.entries {
-            scan(&e.unit.decls, self.id(), &mut out);
-        }
-        out
-    }
-}
-
 /// Local variables and parameters must be `lower_snake_case`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct VariableNamingCheck;
@@ -168,38 +107,6 @@ impl Check for VariableNamingCheck {
     }
 }
 
-/// Macro names must be `UPPER_SNAKE_CASE`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MacroNamingCheck;
-
-impl Check for MacroNamingCheck {
-    fn id(&self) -> &'static str {
-        "naming-macro"
-    }
-    fn description(&self) -> &'static str {
-        "macros shall be UPPER_SNAKE_CASE"
-    }
-    fn iso_refs(&self) -> &'static [&'static str] {
-        &["Part6.Table1.Row8"]
-    }
-    fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for m in cx.entries.iter().flat_map(|e| &e.unit.macros) {
-            // Include guards end with `_` and are fine.
-            let case = classify(&m.name);
-            if !matches!(case, NameCase::UpperSnake) && !m.name.ends_with('_') {
-                out.push(Diagnostic::new(
-                    self.id(),
-                    Severity::Info,
-                    m.span,
-                    format!("macro `{}` is not UPPER_SNAKE_CASE", m.name),
-                ));
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,26 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn bad_type_name_flagged() {
-        let d = run(&TypeNamingCheck, "struct object_tracker { int x; };");
-        assert_eq!(d.len(), 1);
-        let ok = run(&TypeNamingCheck, "struct ObjectTracker { int x; };");
-        assert!(ok.is_empty());
-    }
-
-    #[test]
-    fn c_style_typedef_allowed() {
-        let d = run(&TypeNamingCheck, "typedef unsigned int frame_id_t;");
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    fn enum_name_checked() {
-        let d = run(&TypeNamingCheck, "enum class drive_mode { kIdle };");
-        assert_eq!(d.len(), 1);
-    }
-
-    #[test]
     fn bad_variable_flagged() {
         let d = run(&VariableNamingCheck, "void f() { int FrameCount = 0; }");
         assert_eq!(d.len(), 1);
@@ -254,16 +141,5 @@ mod tests {
     fn k_constant_allowed_for_const() {
         let ok = run(&VariableNamingCheck, "void f() { const int kLimit = 9; }");
         assert!(ok.is_empty(), "{ok:?}");
-    }
-
-    #[test]
-    fn macro_names_checked() {
-        let d = run(
-            &MacroNamingCheck,
-            "#define MAX_N 10\n#define badMacro 1\n#define GUARD_H_\n",
-        );
-        assert_eq!(d.len(), 1);
-        assert!(d[0].message.contains("badMacro"));
-        assert!(run(&MacroNamingCheck, "int x;").is_empty());
     }
 }

@@ -1,58 +1,12 @@
 //! Strong-typing analysis (paper §3.1.3, Observation 5; ISO 26262-6
-//! Table 1 row 3 and Table 8 row 7): explicit-cast census and a
-//! heuristic implicit-narrowing detector.
+//! Table 8 row 7): a heuristic implicit-narrowing detector. The
+//! explicit-cast census (Table 1 row 3) is the bundled
+//! `typing-explicit-cast` rule over cast `site` rows.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::{Check, CheckContext};
-use adsafe_lang::ast::{CastKind, ExprKind, StmtKind, TypeRef};
+use adsafe_lang::ast::{ExprKind, StmtKind, TypeRef};
 use adsafe_lang::visit::{walk_exprs, walk_stmts};
-
-/// Counts every explicit cast (C-style and C++ named casts).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ExplicitCastCheck;
-
-impl Check for ExplicitCastCheck {
-    fn id(&self) -> &'static str {
-        "typing-explicit-cast"
-    }
-    fn description(&self) -> &'static str {
-        "explicit type casts weaken strong typing and require review"
-    }
-    fn iso_refs(&self) -> &'static [&'static str] {
-        &["Part6.Table1.Row3"]
-    }
-    fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for (_, f) in cx.functions() {
-            walk_exprs(f, |e| {
-                if let ExprKind::Cast { kind, ty, .. } = &e.kind {
-                    let label = match kind {
-                        CastKind::CStyle => "C-style cast",
-                        CastKind::Static => "static_cast",
-                        CastKind::Reinterpret => "reinterpret_cast",
-                        CastKind::Const => "const_cast",
-                        CastKind::Dynamic => "dynamic_cast",
-                        CastKind::Functional => "functional cast",
-                    };
-                    let sev = match kind {
-                        CastKind::Reinterpret | CastKind::Const => Severity::Violation,
-                        _ => Severity::Warning,
-                    };
-                    out.push(
-                        Diagnostic::new(
-                            self.id(),
-                            sev,
-                            e.span,
-                            format!("{label} to `{}`", ty.display()),
-                        )
-                        .in_function(&f.sig.qualified_name),
-                    );
-                }
-            });
-        }
-        out
-    }
-}
 
 /// Rank of an arithmetic type for narrowing detection; `None` when the
 /// type is not a recognised arithmetic type.
@@ -205,20 +159,6 @@ mod tests {
         let mut set = AnalysisSet::new();
         set.add("m", "t.cc", src);
         check.run(&set.context())
-    }
-
-    #[test]
-    fn counts_all_cast_kinds() {
-        let src = "void f(double d) { int a = (int)d; long b = static_cast<long>(d); \
-                   void* p = reinterpret_cast<void*>(&a); }";
-        let d = diags(&ExplicitCastCheck, src);
-        assert_eq!(d.len(), 3);
-        assert!(d.iter().any(|x| x.severity == Severity::Violation)); // reinterpret
-    }
-
-    #[test]
-    fn no_casts_clean() {
-        assert!(diags(&ExplicitCastCheck, "int f(int a) { return a + 1; }").is_empty());
     }
 
     #[test]

@@ -610,6 +610,97 @@ union Raw { int i; float f; };\n";
     }
 
     #[test]
+    fn dynamic_memory_flagged() {
+        let src = "void f(int n) { float* a = (float*)malloc(n * 4); float* b = new float[n]; \
+                   cudaMalloc((void**)&a, n); free(a); delete[] b; int* c = new int; delete c; }";
+        let v = Severity::Violation;
+        assert_eq!(
+            findings("misra-21.3-dynamic-memory", src),
+            [
+                (v, "dynamic memory API `malloc` used".into()),
+                (v, "dynamic allocation `new[] float`".into()),
+                (v, "dynamic memory API `cudaMalloc` used".into()),
+                (v, "dynamic memory API `free` used".into()),
+                (v, "dynamic deallocation `delete[]`".into()),
+                (v, "dynamic allocation `new int`".into()),
+                (v, "dynamic deallocation `delete`".into()),
+            ]
+        );
+    }
+
+    #[test]
+    fn counts_all_cast_kinds() {
+        let src = "void f(double d, const int* cp, B* b) { int a = (int)d; \
+                   long l = static_cast<long>(d); void* p = reinterpret_cast<void*>(&a); \
+                   int* w = const_cast<int*>(cp); D* x = dynamic_cast<D*>(b); }";
+        assert_eq!(
+            findings("typing-explicit-cast", src),
+            [
+                (Severity::Warning, "C-style cast to `int`".into()),
+                (Severity::Warning, "static_cast to `long`".into()),
+                (Severity::Violation, "reinterpret_cast to `void*`".into()),
+                (Severity::Violation, "const_cast to `int*`".into()),
+                (Severity::Warning, "dynamic_cast to `D*`".into()),
+            ]
+        );
+    }
+
+    #[test]
+    fn no_casts_clean() {
+        assert!(findings("typing-explicit-cast", "int f(int a) { return a + 1; }").is_empty());
+    }
+
+    #[test]
+    fn bad_type_name_flagged() {
+        assert_eq!(
+            findings("naming-type", "struct object_tracker { int x; };"),
+            [(
+                Severity::Warning,
+                "type `object_tracker` is not UpperCamelCase".into()
+            )]
+        );
+        assert!(findings("naming-type", "struct ObjectTracker { int x; };").is_empty());
+    }
+
+    #[test]
+    fn c_style_typedef_allowed() {
+        assert!(findings("naming-type", "typedef unsigned int frame_id_t;").is_empty());
+        assert_eq!(
+            findings("naming-type", "typedef unsigned int frame_id;"),
+            [(
+                Severity::Info,
+                "alias `frame_id` is not UpperCamelCase".into()
+            )]
+        );
+    }
+
+    #[test]
+    fn enum_name_checked() {
+        assert_eq!(
+            findings("naming-type", "enum class drive_mode { kIdle };"),
+            [(
+                Severity::Warning,
+                "enum `drive_mode` is not UpperCamelCase".into()
+            )]
+        );
+    }
+
+    #[test]
+    fn macro_names_checked() {
+        assert_eq!(
+            findings(
+                "naming-macro",
+                "#define MAX_N 10\n#define badMacro 1\n#define GUARD_H_\n"
+            ),
+            [(
+                Severity::Info,
+                "macro `badMacro` is not UPPER_SNAKE_CASE".into()
+            )]
+        );
+        assert!(findings("naming-macro", "int x;").is_empty());
+    }
+
+    #[test]
     fn variadic_flagged() {
         assert_eq!(
             findings(
@@ -959,7 +1050,7 @@ union Raw { int i; float f; };\n";
         assert_eq!(inv.len(), natives + bundled_rules().rules.len() + 1);
         assert!(inv[..natives].iter().all(|r| r.origin() == "native"));
         assert!(inv[natives..].iter().all(|r| r.origin() == "query"));
-        assert_eq!(inv[0].id, "misra-21.3-dynamic-memory");
+        assert_eq!(inv[0].id, "typing-implicit-conversion");
         assert_eq!(inv[natives].id, "misra-15.5-multi-exit");
         assert_eq!(inv.last().unwrap().id, "team-wide");
     }
@@ -979,7 +1070,7 @@ union Raw { int i; float f; };\n";
         let counts: Vec<usize> = diags.iter().map(Vec::len).collect();
         assert_eq!(
             counts,
-            [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
             "multi-exit and recursion fire on `g` only"
         );
         assert_eq!(

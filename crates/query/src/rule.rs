@@ -273,6 +273,10 @@ mod tests {
                 "design-exception-discipline",
                 "defensive-unchecked-return",
                 "defensive-pointer-param",
+                "misra-21.3-dynamic-memory",
+                "typing-explicit-cast",
+                "naming-type",
+                "naming-macro",
             ]
         );
         // Recursion reads the call graph; the rest are file-scoped.

@@ -339,10 +339,10 @@ fn query_rule_panic_costs_one_rule_on_one_file() {
 fn native_rule_panic_in_a_file_task_costs_one_rule_on_one_file() {
     // Failpoints are thread-local, so the per-file tasks must run on
     // this thread: jobs 1 (the default).
-    let src = format!("{GATED_SRC}int cast(float v) {{ return (int)v; }}\n");
+    let src = format!("{GATED_SRC}int narrow(float v) {{ int n = v; return n; }}\n");
     let _g = failpoints::Armed::new(
-        "pipeline::check::typing-explicit-cast::m/a.cc",
-        Action::Panic("cast rule bug".into()),
+        "pipeline::check::typing-implicit-conversion::m/a.cc",
+        Action::Panic("narrowing rule bug".into()),
     );
     let dir = std::env::temp_dir().join(format!("adsafe-file-task-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -360,7 +360,7 @@ fn native_rule_panic_in_a_file_task_costs_one_rule_on_one_file() {
         .filter(|f| f.phase == adsafe::FaultPhase::Checks)
         .collect();
     assert_eq!(faults.len(), 1, "{faults:?}");
-    assert_eq!(faults[0].path, "typing-explicit-cast");
+    assert_eq!(faults[0].path, "typing-implicit-conversion");
     assert!(
         matches!(faults[0].cause, adsafe::FaultCause::Injected(_)),
         "{:?}",
@@ -369,7 +369,7 @@ fn native_rule_panic_in_a_file_task_costs_one_rule_on_one_file() {
     // File ids follow insertion order, after `healthy/base.cc`.
     let (a, b) = (adsafe::lang::FileId(1), adsafe::lang::FileId(2));
     // The rule survived on the other file ...
-    let casts = r.diagnostics_for("typing-explicit-cast");
+    let casts = r.diagnostics_for("typing-implicit-conversion");
     assert_eq!(casts.len(), 1);
     assert_eq!(casts[0].span.file, b);
     // ... and every other rule survived on the armed file.
@@ -392,12 +392,13 @@ fn native_rule_panic_in_a_file_task_costs_one_rule_on_one_file() {
 
 #[test]
 fn macro_rule_panic_costs_one_rule_on_one_file() {
-    // `naming-macro` is an ordinary file-local rule: its failpoint fires
-    // inside its own containment in the file's task (jobs 1, since
-    // failpoints are thread-local), and the fault names the rule.
+    // `naming-macro` is a bundled file-scoped rule: its failpoint fires
+    // once, inside its own containment in the first file's task (jobs
+    // 1, since failpoints are thread-local), and the fault names the
+    // rule and the file.
     let src = "#define badMacro 1\nint cast(float v) { return (int)v; }\n";
     let _g = failpoints::Armed::new(
-        "pipeline::check::naming-macro::m/a.cc",
+        "pipeline::query::naming-macro",
         Action::Panic("macro rule bug".into()),
     );
     let r = run_scenario("macro-rule-panic", AssessmentOptions::default(), |a| {
@@ -410,7 +411,7 @@ fn macro_rule_panic_costs_one_rule_on_one_file() {
         .filter(|f| f.phase == adsafe::FaultPhase::Checks)
         .collect();
     assert_eq!(faults.len(), 1, "{faults:?}");
-    assert_eq!(faults[0].path, "naming-macro");
+    assert_eq!(faults[0].path, "naming-macro on healthy/base.cc");
     assert!(
         matches!(faults[0].cause, adsafe::FaultCause::Injected(_)),
         "{:?}",
@@ -419,8 +420,8 @@ fn macro_rule_panic_costs_one_rule_on_one_file() {
     // File ids follow insertion order, after `healthy/base.cc`.
     let (a, b) = (adsafe::lang::FileId(1), adsafe::lang::FileId(2));
     let macros = r.diagnostics_for("naming-macro");
-    assert_eq!(macros.len(), 1);
-    assert_eq!(macros[0].span.file, b);
+    let files: Vec<_> = macros.iter().map(|d| d.span.file).collect();
+    assert_eq!(files, [a, b]);
     assert!(r
         .diagnostics_for("typing-explicit-cast")
         .iter()

@@ -648,7 +648,7 @@ fn warm_runs_evaluate_only_program_scope_and_user_pack_rules() {
         .filter(|r| r.scope == CheckScope::File)
         .map(|r| r.id)
         .collect();
-    assert_eq!(file_scoped.len(), 20);
+    assert_eq!(file_scoped.len(), 24);
     let team = Arc::new(RulePack::from_sources(
         &[(
             "team.aq".into(),

@@ -288,7 +288,9 @@ fn pipeline_native_findings_equal_a_rule_major_reference() {
         let mut reference: Vec<Diagnostic> = checks.iter().flat_map(|c| c.run(&cx)).collect();
         reference.sort_by_key(canonical);
         if name == "clean" {
-            assert!(reference.iter().any(|d| d.check_id == "naming-macro"));
+            assert!(reference
+                .iter()
+                .any(|d| d.check_id == "typing-implicit-conversion"));
         }
         for jobs in [1, 2, 4] {
             let mut a = Assessment::new().with_options(AssessmentOptions {
@@ -588,6 +590,30 @@ fn builtin_pack_matches_native_checkers_byte_for_byte() {
                 &["Part6.Table1.Row4"][..],
                 "pointer parameters shall be validated before dereference"
             ),
+            (
+                "misra-21.3-dynamic-memory",
+                CheckScope::File,
+                &["Part6.Table8.Row2", "Part6.Table8.Row6"][..],
+                "no dynamic objects or variables (malloc/new/cudaMalloc)"
+            ),
+            (
+                "typing-explicit-cast",
+                CheckScope::File,
+                &["Part6.Table1.Row3"][..],
+                "explicit type casts weaken strong typing and require review"
+            ),
+            (
+                "naming-type",
+                CheckScope::File,
+                &["Part6.Table1.Row8"][..],
+                "type names shall be UpperCamelCase"
+            ),
+            (
+                "naming-macro",
+                CheckScope::File,
+                &["Part6.Table1.Row8"][..],
+                "macros shall be UPPER_SNAKE_CASE"
+            ),
         ]
     );
 
@@ -613,10 +639,10 @@ fn builtin_pack_matches_native_checkers_byte_for_byte() {
     assert_native_findings(&refs, &set.sm);
 }
 
-/// The sixteen bundled rules that were native checkers until their
+/// The twenty bundled rules that were native checkers until their
 /// `.aq` ports were proven equal to them: five function and global
-/// rules, then eleven site rules.
-const PORTED_IDS: [&str; 16] = [
+/// rules, eleven site rules, then four multi-arm site rules.
+const PORTED_IDS: [&str; 20] = [
     "misra-17.1-variadic",
     "cuda-kernel-pointer",
     "cuda-alloc-balance",
@@ -633,6 +659,10 @@ const PORTED_IDS: [&str; 16] = [
     "design-exception-discipline",
     "defensive-unchecked-return",
     "defensive-pointer-param",
+    "misra-21.3-dynamic-memory",
+    "typing-explicit-cast",
+    "naming-type",
+    "naming-macro",
 ];
 
 /// What the retired native checkers reported on each of
@@ -643,41 +673,52 @@ const PORTED_IDS: [&str; 16] = [
 /// `stress/guarded.cc` (the `design-global-variable` ones from
 /// `int a, b;` included) came from the bundled rules when those files
 /// joined or grew, after the rules' natives were retired; the last five
-/// rules' came from their natives. The one `design-global-variable`
+/// rules' came from their natives, and so did the last four rules',
+/// `stress/forms.cc` included. The one `design-global-variable`
 /// finding each that `stress/forms.cc` adds under `byte-flips` and
 /// `non-utf8-noise` (a declaration the parser's recovery turns global)
 /// came from the bundled rule when that file joined.
-const PORTED_FINDINGS: [(&str, [usize; 16], u64); 5] = [
+const PORTED_FINDINGS: [(&str, [usize; 20], u64); 5] = [
     (
         "clean",
-        [1, 2, 3, 2, 84, 12, 2, 110, 2, 4, 2, 5, 5, 1, 11, 6],
-        0x265a9a03747cb1de,
+        [
+            1, 2, 3, 2, 84, 12, 2, 110, 2, 4, 2, 5, 5, 1, 11, 6, 14, 86, 4, 2,
+        ],
+        0xeda3f70ded793cce,
     ),
     (
         "truncate",
-        [1, 1, 2, 1, 84, 12, 2, 45, 2, 0, 2, 4, 5, 0, 6, 5],
-        0x9fc0f053c3535bf9,
+        [
+            1, 1, 2, 1, 84, 12, 2, 45, 2, 0, 2, 4, 5, 0, 6, 5, 5, 72, 4, 2,
+        ],
+        0x3fc004291bd115a0,
     ),
     (
         "delete-braces",
-        [1, 0, 2, 1, 139, 2, 41, 13, 1, 4, 0, 30, 0, 0, 9, 0],
-        0xf1917e9db765ca84,
+        [
+            1, 0, 2, 1, 139, 2, 41, 13, 1, 4, 0, 30, 0, 0, 9, 0, 5, 10, 1, 2,
+        ],
+        0xfa22d91a4472fb98,
     ),
     (
         "byte-flips",
-        [1, 1, 1, 3, 147, 0, 81, 22, 2, 47, 3, 10, 0, 0, 5, 0],
-        0x1e5b94be3ca2af58,
+        [
+            1, 1, 1, 3, 147, 0, 81, 22, 2, 47, 3, 10, 0, 0, 5, 0, 6, 11, 4, 1,
+        ],
+        0x3f019b5631ef5cf7,
     ),
     (
         "non-utf8-noise",
-        [1, 2, 2, 2, 84, 10, 2, 89, 2, 4, 2, 6, 5, 1, 9, 4],
-        0x76e844ca3cc1a2bd,
+        [
+            1, 2, 2, 2, 84, 10, 2, 89, 2, 4, 2, 6, 5, 1, 9, 4, 13, 67, 4, 1,
+        ],
+        0x6793acc1dba50d83,
     ),
 ];
 
 /// The retired natives' first finding per rule of [`PORTED_IDS`] on the
 /// clean set.
-const PORTED_FIRST: [&str; 16] = [
+const PORTED_FIRST: [&str; 20] = [
     "stress/ported.cu:6:1 warning [misra-17.1-variadic] function `log_msg` is variadic \
      | fn=Some(\"log_msg\")",
     "perception/cuda/perception_op0.cu:4:1 warning [cuda-kernel-pointer] kernel \
@@ -710,6 +751,12 @@ const PORTED_FIRST: [&str; 16] = [
      of `cudaMalloc` is discarded | fn=Some(\"perception_op0_gpu\")",
     "perception/cuda/perception_op0.cu:9:5 warning [defensive-pointer-param] pointer parameter \
      `output` dereferenced without validation | fn=Some(\"perception_op0_kernel\")",
+    "perception/cuda/perception_op0.cu:17:3 violation [misra-21.3-dynamic-memory] dynamic memory \
+     API `cudaMalloc` used | fn=Some(\"perception_op0_gpu\")",
+    "perception/perception_00.cc:81:12 warning [typing-explicit-cast] C-style cast to `int` \
+     | fn=Some(\"apollo::perception::PerceptionFn0\")",
+    "stress/forms.cc:4:1 warning [naming-type] type `packet_t` is not UpperCamelCase | fn=None",
+    "stress/edge.cc:1:1 info [naming-macro] macro `fileMode` is not UPPER_SNAKE_CASE | fn=None",
 ];
 
 /// Every finding of rule `id` in `report`, rendered with its enclosing
@@ -731,7 +778,7 @@ fn digest(lines: &[String]) -> u64 {
     h
 }
 
-/// The sixteen bundled rules ported from native checkers report exactly
+/// The twenty bundled rules ported from native checkers report exactly
 /// what the natives did — rendered findings, spans and enclosing
 /// functions included — on the clean sources and under every
 /// `faultinject` corruption, serial and at one worker per core. The
@@ -763,115 +810,6 @@ fn ported_rules_reproduce_the_native_findings() {
                 all.extend(mine);
             }
             assert_eq!(digest(&all), want_digest, "{name} at jobs {jobs}");
-        }
-    }
-}
-
-/// Four natives with several message forms written as multi-arm `.aq`
-/// rules over `site` rows, under `q-` ids so they load as a user pack
-/// beside the natives they replace.
-const FORMS_PACK: &str = r#"
-rule "q-dynamic-memory" {
-  desc "no dynamic objects or variables (malloc/new/cudaMalloc)"
-  iso t8r2, t8r6
-  site where kind == "memory-api" -> violation "dynamic memory API `{text}` used"
-  site where kind == "new" or kind == "new[]" -> violation "dynamic allocation `{kind} {text}`"
-  site where kind == "delete" or kind == "delete[]" -> violation "dynamic deallocation `{kind}`"
-}
-rule "q-explicit-cast" {
-  desc "explicit type casts weaken strong typing and require review"
-  iso t1r3
-  site where kind == "reinterpret_cast" or kind == "const_cast" -> violation "{kind} to `{text}`"
-  site where kind == "static_cast" or kind == "dynamic_cast" -> warn "{kind} to `{text}`"
-  site where kind == "c-style-cast" -> warn "C-style cast to `{text}`"
-  site where kind == "functional-cast" -> warn "functional cast to `{text}`"
-}
-rule "q-naming-type" {
-  desc "type names shall be UpperCamelCase"
-  iso t1r8
-  site where kind == "misnamed-type" -> warn "type `{text}` is not UpperCamelCase"
-  site where kind == "misnamed-enum" -> warn "enum `{text}` is not UpperCamelCase"
-  site where kind == "misnamed-alias" -> info "alias `{text}` is not UpperCamelCase"
-}
-rule "q-naming-macro" {
-  desc "macros shall be UPPER_SNAKE_CASE"
-  iso t1r8
-  site where kind == "misnamed-macro" -> info "macro `{text}` is not UPPER_SNAKE_CASE"
-}
-"#;
-
-/// `(native id, ported id)` of the four rules in [`FORMS_PACK`].
-const FORMS_IDS: [(&str, &str); 4] = [
-    ("misra-21.3-dynamic-memory", "q-dynamic-memory"),
-    ("typing-explicit-cast", "q-explicit-cast"),
-    ("naming-type", "q-naming-type"),
-    ("naming-macro", "q-naming-macro"),
-];
-
-/// The multi-arm `.aq` rules report exactly what the four native
-/// checkers do — rendered findings, severities, spans, enclosing
-/// functions and order included — on the clean sources and under every
-/// `faultinject` corruption, serial and at one worker per core, with the
-/// natives' descriptions, ISO refs and file scope. Prints each native's
-/// finding count per set and its snapshot digest.
-#[test]
-fn multi_arm_rules_reproduce_the_native_findings() {
-    let pack = RulePack::from_sources(
-        &[("forms.aq".into(), FORMS_PACK.into())],
-        &adsafe::query::reserved_rule_ids(),
-    );
-    assert!(pack.faults.is_empty(), "{:?}", pack.faults);
-    for ((native, _), rule) in FORMS_IDS.iter().zip(&pack.rules) {
-        let check = default_checks()
-            .into_iter()
-            .find(|c| c.id() == *native)
-            .unwrap();
-        assert_eq!(
-            (rule.desc, rule.iso),
-            (check.description(), check.iso_refs()),
-            "{native}"
-        );
-        assert_eq!(rule.scope, CheckScope::File, "{native}");
-    }
-    let pack = Arc::new(pack);
-    for (name, sources) in source_sets() {
-        for jobs in [1, 0] {
-            let mut a = Assessment::new().with_options(AssessmentOptions {
-                jobs,
-                rules: Some(Arc::clone(&pack)),
-                ..AssessmentOptions::default()
-            });
-            for (module, path, text) in &sources {
-                a.add_file(module, path, text);
-            }
-            let report = a.run();
-            let mut all = Vec::new();
-            let mut counts = Vec::new();
-            for (native, ported) in FORMS_IDS {
-                let want = report.diagnostics_for(native);
-                let got: Vec<Diagnostic> = report
-                    .diagnostics_for(ported)
-                    .into_iter()
-                    .map(|d| Diagnostic {
-                        check_id: native,
-                        ..d.clone()
-                    })
-                    .collect();
-                assert!(
-                    got.iter().eq(want.iter().copied()),
-                    "{native} on {name} at jobs {jobs}:\n{got:#?}\n{want:#?}"
-                );
-                if name == "clean" {
-                    assert!(!want.is_empty(), "{native} never fires on the clean set");
-                }
-                let mine = rendered(&report, a.sources(), native);
-                if name == "clean" {
-                    eprintln!("first {native}: {}", mine[0]);
-                }
-                counts.push(mine.len());
-                all.extend(mine);
-            }
-            eprintln!("{name} jobs {jobs}: {counts:?} {:#018x}", digest(&all));
         }
     }
 }
