@@ -193,12 +193,14 @@ impl<'r> QueryPass<'r> {
     }
 
     /// Evaluates every rule over one file's facts, in order, building
-    /// each selector's rows at most once. `recursive` is the sorted
-    /// whole-program recursive-function set; typeck keeps file-scope
-    /// rules from reading it, so one pass serves both scopes. Each rule
-    /// runs under its own panic containment (failpoint
+    /// each selector's rows at most once, under a `query.rows` span of
+    /// their own: no rule's time includes a row build. `recursive` is
+    /// the sorted whole-program recursive-function set; typeck keeps
+    /// file-scope rules from reading it, so one pass serves both scopes.
+    /// Each rule runs under its own panic containment (failpoint
     /// `pipeline::query::<id>`), `check.<id>` span and one
-    /// `checks.query` observation.
+    /// `checks.query` observation; a panic while building rows is a
+    /// fault of the rule that needed them.
     pub fn eval_file(
         &self,
         id: FileId,
@@ -211,15 +213,23 @@ impl<'r> QueryPass<'r> {
             .iter()
             .zip(&self.timings)
             .map(|(rule, timing)| {
+                let slot = &mut rows[rule.selector as usize];
+                if slot.is_none() {
+                    let _sp = adsafe_trace::span("query.rows", "checks");
+                    *slot = Some(
+                        catch_unwind(AssertUnwindSafe(|| {
+                            rows_from_facts(rule.selector, id, module, facts, recursive)
+                        }))
+                        .map_err(|payload| panic_message(&*payload))?,
+                    );
+                }
+                let rows = slot.as_deref().unwrap_or_default();
                 let _sp = adsafe_trace::span(format!("check.{}", rule.id), "checks");
                 let t0 = adsafe_trace::now_us();
                 let out = catch_unwind(AssertUnwindSafe(|| {
                     if failpoints::armed() > 0 {
                         failpoints::hit(&format!("pipeline::query::{}", rule.id));
                     }
-                    let rows = rows[rule.selector as usize].get_or_insert_with(|| {
-                        rows_from_facts(rule.selector, id, module, facts, recursive)
-                    });
                     rule.eval_rows(rows)
                 }))
                 .map_err(|payload| panic_message(&*payload));

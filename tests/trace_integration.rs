@@ -122,6 +122,29 @@ fn pipeline_emits_phase_file_and_rule_spans() {
     assert!(t.counter("parse.tier1.files") >= 2);
 }
 
+/// A file's query rows are built under their own `query.rows` span,
+/// never inside a rule's `check.*` span: the first rule of each
+/// selector is not billed the build.
+#[test]
+fn no_rule_span_encloses_a_row_build() {
+    let r = small_assessment().run();
+    let events = &r.trace.events;
+    let rows: Vec<&SpanEvent> = events.iter().filter(|e| e.name == "query.rows").collect();
+    assert!(!rows.is_empty(), "row builds are traced");
+    for build in rows {
+        // A span deeper than a check span it lies within runs inside it.
+        let enclosing = events.iter().find(|c| {
+            c.name.starts_with("check.")
+                && c.tid == build.tid
+                && c.depth < build.depth
+                && c.start_us <= build.start_us
+                && build.end_us() <= c.end_us()
+        });
+        assert!(enclosing.is_none(), "{enclosing:?} encloses {build:?}");
+    }
+    assert_well_formed(events);
+}
+
 #[test]
 fn trace_stays_well_formed_when_a_checker_panics() {
     let _g = failpoints::Armed::new(
