@@ -40,7 +40,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`Server::start`].
@@ -104,6 +104,11 @@ impl Default for ServeConfig {
     }
 }
 
+/// How long `/requests` and `/metrics` wait for responses already
+/// written to be recorded (normally microseconds; the bound covers a
+/// handler that died in between).
+const SETTLE_WAIT: Duration = Duration::from_secs(1);
+
 /// What the daemon did over its lifetime, returned by [`Server::stop`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeStats {
@@ -146,6 +151,12 @@ struct Shared {
     /// Ring of completed-request records — the `/requests` access log
     /// and `/trace/recent` trace source.
     recorder: FlightRecorder,
+    /// Responses written so far (a failed write counts) ...
+    written: AtomicU64,
+    /// ... and how many of those have their flight-recorder row and
+    /// latency samples recorded; `settled` wakes whoever waits on it.
+    recorded: Mutex<u64>,
+    settled: Condvar,
     /// Connection ID allocator (1-based; doubles as the Chrome trace
     /// `tid` track in `/trace/recent`).
     next_conn: AtomicU64,
@@ -206,6 +217,26 @@ impl Shared {
         Arc::clone(map.entry(root.to_path_buf()).or_default())
     }
 
+    /// Waits, at most [`SETTLE_WAIT`], until every response already
+    /// written has its row and latency samples recorded, so a client
+    /// that reads `/requests` or `/metrics` right after a response sees
+    /// it counted.
+    fn await_recorded(&self) {
+        let written = self.written.load(Ordering::SeqCst);
+        let deadline = Instant::now() + SETTLE_WAIT;
+        let mut recorded = self.recorded.lock().unwrap_or_else(|e| e.into_inner());
+        while *recorded < written {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            recorded = match self.settled.wait_timeout(recorded, left) {
+                Ok((guard, _)) => guard,
+                Err(e) => e.into_inner().0,
+            };
+        }
+    }
+
     /// Mirrors an appended run for `GET /runs`, oldest out first.
     fn remember_run(&self, record: RunRecord) {
         let mut runs = self.runs.lock().unwrap_or_else(|e| e.into_inner());
@@ -259,6 +290,9 @@ impl Server {
             sources: Mutex::new(HashMap::new()),
             runs: Mutex::new(VecDeque::new()),
             recorder: FlightRecorder::new(config.recorder_cap),
+            written: AtomicU64::new(0),
+            recorded: Mutex::new(0),
+            settled: Condvar::new(),
             next_conn: AtomicU64::new(0),
             rules: Arc::new(match config.rules.as_deref() {
                 Some(p) => adsafe::query::load_rule_pack(&adsafe::query::resolve_rules_arg(p)),
@@ -481,6 +515,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, queue_wait_us: u64
             let _write = adsafe_trace::span("phase.write", "phase");
             http::write_response_conn(&mut writer, &resp, keep)
         };
+        shared.written.fetch_add(1, Ordering::SeqCst);
         let end_us = adsafe_trace::now_us();
         adsafe_trace::histogram("serve.request_us").record(t0.elapsed().as_micros() as u64);
         // Per-endpoint×status SLO series (service time, µs).
@@ -536,6 +571,8 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, queue_wait_us: u64
             alloc_bytes,
             phases,
         });
+        *shared.recorded.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+        shared.settled.notify_all();
         // The handler's leftovers die after the row is recorded: the
         // client already has its response, and no phase waits on them.
         drop(spent);
@@ -588,6 +625,7 @@ fn route(req: &Request, shared: &Arc<Shared>, spent: &mut Spent) -> Response {
 /// `GET /metrics[?format=prometheus]`: the stable adsafe text dump by
 /// default; the Prometheus exposition format on request.
 fn metrics(req: &Request, shared: &Arc<Shared>) -> Response {
+    shared.await_recorded();
     // Refresh the allocator gauges (mem.live_bytes, mem.peak_bytes,
     // mem.phase{phase=…}) and the resident source bytes so both
     // exposition formats see current data. The store keeps its own
@@ -617,6 +655,7 @@ fn metrics(req: &Request, shared: &Arc<Shared>) -> Response {
 /// path (`/assess`); `last` truncates to the most recent N rows after
 /// filtering.
 fn requests_log(req: &Request, shared: &Arc<Shared>) -> Response {
+    shared.await_recorded();
     let status: Option<u16> = match query_param(&req.path, "status") {
         Some(s) => match s.parse() {
             Ok(v) => Some(v),
