@@ -21,8 +21,11 @@
 //! program-scoped; every other rule is file-scoped. [`rule::RulePack`]
 //! loads packs with per-rule fault containment.
 //!
-//! Rules are data: the bundled pack ([`BUILTIN_PACK`]) carries twenty-one
-//! rules of the default set. The `adsafe` pipeline evaluates its
+//! Rules are data: the bundled pack ([`BUILTIN_PACK`]) carries twenty-five
+//! rules of the default set. A rule has one or more arms, each a
+//! `selector [in module] [where] -> severity "message"` clause over one
+//! shared selector; a row's finding comes from the first arm that
+//! matches it. The `adsafe` pipeline evaluates its
 //! file-scoped rules in each file's task, where their findings join the
 //! cached facts record, and its program-scoped rule and any user pack in
 //! one facts-row pass per file after the file round.
