@@ -110,6 +110,21 @@ impl Parser {
         }
     }
 
+    /// The selector the next token names, if it names one.
+    fn selector(&self) -> Option<Selector> {
+        match self.peek() {
+            TokenKind::Ident(kw) => [
+                Selector::Function,
+                Selector::Global,
+                Selector::File,
+                Selector::Site,
+            ]
+            .into_iter()
+            .find(|s| s.keyword() == kw),
+            _ => None,
+        }
+    }
+
     fn expect_string(&mut self, what: &str) -> PResult<String> {
         match self.peek().clone() {
             TokenKind::Str(s) => {
@@ -184,7 +199,7 @@ impl Parser {
         // One or more arms; a selector keyword after an arm opens the
         // next one.
         let mut arms = vec![self.arm(&mut iso)?];
-        while matches!(self.peek(), TokenKind::Ident(kw) if selector_of(kw).is_some()) {
+        while self.selector().is_some() {
             arms.push(self.arm(&mut iso)?);
         }
         self.expect(&TokenKind::RBrace, "`}` closing the rule")?;
@@ -200,18 +215,13 @@ impl Parser {
     /// One arm: `selector [in module] [where] -> severity [iso(...)]
     /// [message]`. Arrow-form ISO refs join the rule's `iso`.
     fn arm(&mut self, iso: &mut Vec<String>) -> PResult<Arm> {
-        let selector = match self.peek().clone() {
-            TokenKind::Ident(kw) if selector_of(&kw).is_some() => {
-                self.bump();
-                selector_of(&kw).expect("checked above")
-            }
-            other => {
-                return self.err(format!(
-                    "expected a selector (`function`, `global`, `file`, `site`), found {}",
-                    describe(&other)
-                ))
-            }
+        let Some(selector) = self.selector() else {
+            return self.err(format!(
+                "expected a selector (`function`, `global`, `file`, `site`), found {}",
+                describe(self.peek())
+            ));
         };
+        self.bump();
 
         // `in module "x"` and `where <expr>` in either order, each once.
         let mut module = None;
@@ -431,17 +441,6 @@ impl Parser {
             )),
         }
     }
-}
-
-/// The selector a keyword names, if it names one.
-fn selector_of(kw: &str) -> Option<Selector> {
-    Some(match kw {
-        "function" => Selector::Function,
-        "global" => Selector::Global,
-        "file" => Selector::File,
-        "site" => Selector::Site,
-        _ => return None,
-    })
 }
 
 /// `t8r10` → `Part6.Table8.Row10`.

@@ -2,8 +2,9 @@
 //!
 //! A [`CompiledRule`] is a fully lowered query: interned `'static` id
 //! (`Diagnostic` demands a `&'static str` check id), ISO refs, and per
-//! arm a bytecode predicate, severity and message template. [`RulePack::from_sources`] turns `.aq` source files into
-//! rules with *containment* semantics: every malformed rule, type
+//! arm a bytecode predicate, severity and message template.
+//! [`RulePack::from_sources`] turns `.aq` source files into rules with
+//! *containment* semantics: every malformed rule, type
 //! error, or duplicate id becomes a [`PackFault`] naming file and
 //! line, and loading proceeds with the remaining rules — a bad pack
 //! degrades to a smaller pack, never to a failed run.

@@ -37,55 +37,60 @@ pub struct CheckedRule {
 }
 
 /// Typechecks `rule`. Errors are plain strings; callers prefix the
-/// rule id and source line.
+/// rule id and source line. A rule of several arms names the failing
+/// one.
 pub fn check(rule: &RuleDecl) -> Result<CheckedRule, String> {
-    let mut program_scope = false;
-    let mut templates = Vec::with_capacity(rule.arms.len());
-    let Some(first) = rule.arms.first() else {
+    if rule.arms.is_empty() {
         return Err("a rule needs at least one arm".to_string());
-    };
-    for (i, arm) in rule.arms.iter().enumerate() {
-        // Arms are numbered in errors only when there are several.
-        let at = if rule.arms.len() > 1 {
-            format!("arm {}: ", i + 1)
-        } else {
-            String::new()
-        };
-        let sel = arm.selector;
-        if sel != first.selector {
-            return Err(format!(
-                "{at}selects `{}` rows, arm 1 `{}` rows (all arms of a rule share one selector)",
-                sel.keyword(),
-                first.selector.keyword()
-            ));
-        }
-        if arm.where_expr.is_none() && i + 1 < rule.arms.len() {
-            return Err(format!(
-                "{at}has no `where`, so it shadows every later arm (only the last arm may omit it)"
-            ));
-        }
-        if let Some(e) = &arm.where_expr {
-            let ty = type_of(sel, e, &mut program_scope).map_err(|e| format!("{at}{e}"))?;
-            if ty != Ty::Bool {
-                return Err(format!(
-                    "{at}`where` must be a boolean expression, found {ty}"
-                ));
-            }
-        }
-        templates.push(match &arm.message {
-            Some(msg) => {
-                parse_template(sel, msg, &mut program_scope).map_err(|e| format!("{at}{e}"))?
-            }
-            None => vec![TemplatePart::Lit(format!(
-                "query rule `{}` matched",
-                rule.id
-            ))],
-        });
     }
+    let mut program_scope = false;
+    let templates = (0..rule.arms.len())
+        .map(|i| {
+            check_arm(rule, i, &mut program_scope).map_err(|e| match rule.arms.len() {
+                1 => e,
+                _ => format!("arm {}: {e}", i + 1),
+            })
+        })
+        .collect::<Result<_, _>>()?;
     Ok(CheckedRule {
         program_scope,
         templates,
     })
+}
+
+/// Typechecks arm `i` of `rule`, returning its message template.
+fn check_arm(
+    rule: &RuleDecl,
+    i: usize,
+    program_scope: &mut bool,
+) -> Result<Vec<TemplatePart>, String> {
+    let (arm, sel) = (&rule.arms[i], rule.arms[0].selector);
+    if arm.selector != sel {
+        return Err(format!(
+            "selects `{}` rows, arm 1 `{}` rows (all arms of a rule share one selector)",
+            arm.selector.keyword(),
+            sel.keyword()
+        ));
+    }
+    if arm.where_expr.is_none() && i + 1 < rule.arms.len() {
+        return Err(
+            "has no `where`, so it shadows every later arm (only the last arm may omit it)"
+                .to_string(),
+        );
+    }
+    if let Some(e) = &arm.where_expr {
+        let ty = type_of(sel, e, program_scope)?;
+        if ty != Ty::Bool {
+            return Err(format!("`where` must be a boolean expression, found {ty}"));
+        }
+    }
+    match &arm.message {
+        Some(msg) => parse_template(sel, msg, program_scope),
+        None => Ok(vec![TemplatePart::Lit(format!(
+            "query rule `{}` matched",
+            rule.id
+        ))]),
+    }
 }
 
 fn type_of(sel: Selector, e: &Expr, program_scope: &mut bool) -> Result<Ty, String> {
