@@ -355,26 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_arms_are_faults_naming_the_rule_line() {
-        let src = "rule \"good-a\" { function -> info }\n\
-                   rule \"mixed\" { site where kind == \"a\" -> warn\n\
-                   function where cc > 1 -> info }\n\
-                   rule \"shadowed\" { site -> warn site where kind == \"a\" -> info }\n\
-                   rule \"good-b\" { global -> warn }\n";
-        let pack = RulePack::from_sources(&[("p.aq".to_string(), src.to_string())], &[]);
-        let ids: Vec<&str> = pack.rules.iter().map(|r| r.id).collect();
-        assert_eq!(ids, ["good-a", "good-b"]);
-        let faults: Vec<(&str, u32)> = pack
-            .faults
-            .iter()
-            .map(|f| (f.file.as_str(), f.line))
-            .collect();
-        assert_eq!(faults, [("p.aq", 2), ("p.aq", 4)]);
-        assert!(pack.faults[0].detail.contains("share one selector"));
-        assert!(pack.faults[1].detail.contains("only the last arm"));
-    }
-
-    #[test]
     fn type_errors_are_contained_per_rule() {
         let src = "rule \"bad-type\" { function where name > 3 -> warn }\n\
                    rule \"good\" { function where cc > 3 -> warn }\n";
