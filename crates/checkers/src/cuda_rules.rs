@@ -8,15 +8,31 @@ use crate::diag::{Diagnostic, Severity};
 use crate::{Check, CheckContext};
 use adsafe_lang::visit::walk_exprs;
 
-/// Known closed-source GPU libraries (paper Figure 2 taxonomy).
-pub const CLOSED_SOURCE_LIBS: &[(&str, &str)] = &[
-    ("cudnn", "cuDNN"),
-    ("cublas", "cuBLAS"),
-    ("nvinfer", "TensorRT"),
-    ("tensorrt", "TensorRT"),
-    ("cufft", "cuFFT"),
-    ("cusparse", "cuSPARSE"),
+/// Known closed-source GPU libraries (paper Figure 2 taxonomy): a
+/// callee-name prefix, the library, and the `site` kind a call to it
+/// is recorded as.
+pub const CLOSED_SOURCE_LIBS: &[(&str, &str, &str)] = &[
+    ("cudnn", "cuDNN", "cudnn-call"),
+    ("cublas", "cuBLAS", "cublas-call"),
+    ("nvinfer", "TensorRT", "tensorrt-call"),
+    ("tensorrt", "TensorRT", "tensorrt-call"),
+    ("cufft", "cuFFT", "cufft-call"),
+    ("cusparse", "cuSPARSE", "cusparse-call"),
 ];
+
+/// The site kind of a call to `callee` when it is a closed-source
+/// library API: the first entry of [`CLOSED_SOURCE_LIBS`] whose prefix
+/// starts the name, compared case-insensitively.
+pub fn closed_source_call(callee: &str) -> Option<&'static str> {
+    CLOSED_SOURCE_LIBS
+        .iter()
+        .find(|(prefix, ..)| {
+            callee
+                .get(..prefix.len())
+                .is_some_and(|head| head.eq_ignore_ascii_case(prefix))
+        })
+        .map(|&(.., kind)| kind)
+}
 
 /// Calls into closed-source GPU libraries (Observation 12): these cannot
 /// be assessed against ISO 26262 without vendor cooperation.
@@ -39,7 +55,7 @@ impl Check for ClosedSourceLibCheck {
             walk_exprs(f, |e| {
                 if let Some(name) = e.callee_name() {
                     let lower = name.to_ascii_lowercase();
-                    for (prefix, lib) in CLOSED_SOURCE_LIBS {
+                    for (prefix, lib, _) in CLOSED_SOURCE_LIBS {
                         if lower.starts_with(prefix) {
                             out.push(
                                 Diagnostic::new(

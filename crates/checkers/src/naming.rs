@@ -65,6 +65,13 @@ pub fn classify(name: &str) -> NameCase {
     NameCase::Other
 }
 
+/// Whether a local variable named `name` breaks the convention: locals
+/// are `lower_snake_case`, and a `const` one may be a `kConstant`.
+pub fn misnamed_variable(name: &str, is_const: bool) -> bool {
+    let case = classify(name);
+    !(case == NameCase::LowerSnake || (is_const && case == NameCase::KConstant))
+}
+
 /// Local variables and parameters must be `lower_snake_case`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct VariableNamingCheck;

@@ -154,6 +154,15 @@ impl Check for BraceStyleCheck {
     }
 }
 
+/// Whether the file at `path` is a header (`.h`, `.hpp`, `.cuh`) whose
+/// `text` has neither `#pragma once` nor an `#ifndef`/`#define` guard.
+pub fn lacks_include_guard(path: &str, text: &str) -> bool {
+    let header = path.ends_with(".h") || path.ends_with(".hpp") || path.ends_with(".cuh");
+    header
+        && !(text.contains("#pragma once")
+            || (text.contains("#ifndef") && text.contains("#define")))
+}
+
 /// Header files must have an include guard or `#pragma once`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IncludeGuardCheck;

@@ -5,8 +5,10 @@
 
 use crate::diag::{Diagnostic, Severity};
 use crate::{Check, CheckContext};
-use adsafe_lang::ast::{ExprKind, StmtKind, TypeRef};
+use adsafe_lang::ast::{AssignOp, Expr, ExprKind, FunctionDef, StmtKind, TypeRef};
 use adsafe_lang::visit::{walk_exprs, walk_stmts};
+use adsafe_lang::Span;
+use std::collections::HashMap;
 
 /// Rank of an arithmetic type for narrowing detection; `None` when the
 /// type is not a recognised arithmetic type.
@@ -146,6 +148,108 @@ fn expr_rank(
         ExprKind::Binary { .. } => Some(1), // comparisons yield bool
         ExprKind::Cast { ty, .. } => numeric_rank(ty),
         ExprKind::Unary { expr, .. } => expr_rank(expr, locals),
+        _ => None,
+    }
+}
+
+/// One implicit narrowing in a function body.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Narrowing {
+    /// An assignment (`true`) or a declaration's initialiser (`false`).
+    pub assignment: bool,
+    /// The declarator, or the whole assignment expression.
+    pub span: Span,
+    /// The target as `name: type`, its type as declared.
+    pub target: String,
+}
+
+/// Every implicit narrowing in `f`: local declarations whose
+/// initialiser, and plain assignments to a local or parameter whose
+/// right-hand side, has a visibly wider arithmetic type (a float literal
+/// into an int, a wider local into a narrower one). Initialisations come
+/// first, in statement order, then assignments, in expression order. An
+/// initialiser sees the declarations before it, its own included; an
+/// assignment sees each name's last declaration in the body.
+pub fn narrowings(f: &FunctionDef) -> Vec<Narrowing> {
+    let mut out = Vec::new();
+    let mut locals: HashMap<&str, &TypeRef> = f
+        .sig
+        .params
+        .iter()
+        .filter_map(|p| Some((p.name.as_deref()?, &p.ty)))
+        .collect();
+    walk_stmts(f, |s| {
+        if let StmtKind::Decl(vars) = &s.kind {
+            for v in vars {
+                locals.insert(&v.name, &v.ty);
+                let Some((init, target)) = v.init.as_ref().zip(numeric_rank(&v.ty)) else {
+                    continue;
+                };
+                if rank(init, &locals).is_some_and(|source| source > target) {
+                    out.push(Narrowing {
+                        assignment: false,
+                        span: v.span,
+                        target: format!("{}: {}", v.name, v.ty.display()),
+                    });
+                }
+            }
+        }
+    });
+    walk_exprs(f, |e| {
+        let ExprKind::Assign {
+            op: AssignOp::Assign,
+            lhs,
+            rhs,
+        } = &e.kind
+        else {
+            return;
+        };
+        let ExprKind::Ident(name) = &lhs.kind else {
+            return;
+        };
+        let Some(ty) = locals.get(name.as_str()) else {
+            return;
+        };
+        if let (Some(target), Some(source)) = (numeric_rank(ty), rank(rhs, &locals)) {
+            if source > target {
+                out.push(Narrowing {
+                    assignment: true,
+                    span: e.span,
+                    target: format!("{name}: {}", ty.display()),
+                });
+            }
+        }
+    });
+    out
+}
+
+/// Best-effort rank of an expression's type, its names looked up in
+/// `locals`.
+fn rank(e: &Expr, locals: &HashMap<&str, &TypeRef>) -> Option<u8> {
+    match &e.kind {
+        // Integer literals rank by the smallest type that holds the value,
+        // so idiomatic `short s = 0;` does not count as narrowing.
+        ExprKind::IntLit(v) => Some(match v.unsigned_abs() {
+            0..=127 => 2,
+            128..=32_767 => 3,
+            32_768..=2_147_483_647 => 4,
+            _ => 5,
+        }),
+        // The AST does not retain the `f` suffix; rank literals as
+        // `float` so idiomatic `float x = 0.5f;` is not flagged. The
+        // interesting narrowings (float→int, double variable→float)
+        // involve a typed operand and are still detected.
+        ExprKind::FloatLit(_) => Some(6),
+        ExprKind::BoolLit(_) => Some(1),
+        ExprKind::Ident(n) => locals.get(n.as_str()).and_then(|t| numeric_rank(t)),
+        ExprKind::Binary { op, lhs, rhs } if !op.is_comparison() && !op.is_logical() => {
+            let l = rank(lhs, locals)?;
+            let r = rank(rhs, locals)?;
+            Some(l.max(r))
+        }
+        ExprKind::Binary { .. } => Some(1), // comparisons yield bool
+        ExprKind::Cast { ty, .. } => numeric_rank(ty),
+        ExprKind::Unary { expr, .. } => rank(expr, locals),
         _ => None,
     }
 }

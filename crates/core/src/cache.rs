@@ -815,4 +815,71 @@ mod tests {
         }
         let _ = fs::remove_dir_all(&dir);
     }
+
+    /// A cache written by the `adsafe-facts/7` build, whose record
+    /// carried no closed-source call, narrowing, misnamed-variable or
+    /// unguarded-header site and whose diagnostics held the native
+    /// findings of those four rules: the fingerprint differs, so the
+    /// directory is wiped on open, and the run rewrites the entry with
+    /// the four sites and the same findings, now from the bundled pack.
+    #[test]
+    fn facts7_cache_is_wiped_not_replayed() {
+        const SRC: &str =
+            "int f(double d) {\n  int Bad = d;\n  cublasCreate(0);\n  return Bad;\n}\n";
+        const PARENT_META: &str =
+            "{\"schema\":\"adsafe-cache/1\",\"fingerprint\":\"fd3b9c2a35c49472\"}";
+        const PARENT_ENTRY: &str = r#"{"schema":"adsafe-facts/7","recovery":0,"loc":[5,5,0,0,0],"globals":[],"functions":[{"name":"f","qual":"f","cc":1,"nloc":5,"params":1,"nest":0,"returns":1,"multi":false,"goto":0,"stmts":3,"gpu":false,"sig":[0,15],"callees":["cublasCreate"],"unres":[],"uninit":0,"shadow":0,"ptr":0,"dyn":0,"opaque":0,"kernel":false,"kptr":0,"alloc":0,"cuda":[false,0,false,0,""],"vararg":false,"named":true,"validates":false}],"sites":[],"diags":[["typing-implicit-conversion","warning",20,31,"implicit narrowing initialisation of `Bad: int`","f"],["style-include-guard","warning",0,0,"header `./m/a.h` lacks an include guard",null],["naming-variable","info",20,31,"variable `Bad` is not lower_snake_case","f"],["cuda-closed-source-lib","info",35,50,"call to closed-source cuBLAS API `cublasCreate`","f"]]}"#;
+        const FINDINGS: [(&str, &str); 4] = [
+            (
+                "cuda-closed-source-lib",
+                "call to closed-source cuBLAS API `cublasCreate`",
+            ),
+            ("naming-variable", "variable `Bad` is not lower_snake_case"),
+            (
+                "style-include-guard",
+                "header `./m/a.h` lacks an include guard",
+            ),
+            (
+                "typing-implicit-conversion",
+                "implicit narrowing initialisation of `Bad: int`",
+            ),
+        ];
+        let dir = temp_dir("facts7");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("meta.json"), PARENT_META).unwrap();
+        let entry = dir.join(format!("{:016x}.json", content_hash("./m/a.h", SRC)));
+        fs::write(&entry, PARENT_ENTRY).unwrap();
+        assert_ne!(ruleset_fingerprint(), "fd3b9c2a35c49472");
+
+        for pass in ["wiped", "warm"] {
+            let mut a = crate::Assessment::new().with_options(crate::AssessmentOptions {
+                cache_dir: Some(dir.clone()),
+                ..crate::AssessmentOptions::default()
+            });
+            a.add_file("m", "./m/a.h", SRC);
+            let report = a.run();
+            assert!(report.faults.is_empty(), "{pass}: {:?}", report.faults);
+            let found: Vec<(&str, &str)> = report
+                .diagnostics
+                .iter()
+                .map(|d| (d.check_id, d.message.as_str()))
+                .collect();
+            assert_eq!(found, FINDINGS, "{pass}");
+            let stored = fs::read_to_string(&entry).unwrap();
+            assert!(
+                stored.starts_with(&format!(r#"{{"schema":"{FACTS_SCHEMA}""#)),
+                "{stored}"
+            );
+            assert!(
+                stored.contains(
+                    r#""sites":[["unguarded-header",0,0,null,"./m/a.h",0],["misnamed-variable",20,31,0,"Bad",0],["narrowing-init",20,31,0,"Bad: int",0],["cublas-call",35,50,0,"cublasCreate",0]]"#
+                ),
+                "{stored}"
+            );
+            for (id, _) in FINDINGS {
+                assert_eq!(stored.matches(id).count(), 1, "{pass}: {stored}");
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

@@ -15,7 +15,7 @@
 //! byte-identical reports by construction: the exact same assembly code
 //! runs over the exact same inputs.
 //!
-//! The serialised form (`adsafe-facts/7`) is hand-written JSON. It is
+//! The serialised form (`adsafe-facts/8`) is hand-written JSON. It is
 //! read back in one pass straight from the bytes, with no intermediate
 //! JSON tree, and the reader accepts only the exact shape
 //! [`FileFacts::to_json`] writes: keys in writer order, no whitespace,
@@ -24,11 +24,14 @@
 //! entry as corrupt and falls back to the cold path with a
 //! [`crate::FaultCause::CacheCorrupt`] fault.
 
+use adsafe_checkers::cuda_rules::closed_source_call;
 use adsafe_checkers::defensive::{
     condition_tested_names, validation_facts, ValidationFacts, MUST_CHECK_FNS,
 };
 use adsafe_checkers::misra::DYNAMIC_MEMORY_FNS;
-use adsafe_checkers::naming::{classify, NameCase};
+use adsafe_checkers::naming::{classify, misnamed_variable, NameCase};
+use adsafe_checkers::style::lacks_include_guard;
+use adsafe_checkers::typing::narrowings;
 use adsafe_checkers::unit_design::{FunctionUnitFacts, UnitDesignStats};
 use adsafe_checkers::{Diagnostic, Severity};
 use adsafe_lang::ast::{
@@ -51,7 +54,7 @@ use std::sync::OnceLock;
 /// Version tag of the serialised facts record. Bump on any schema
 /// change: it participates in the cache fingerprint, so old entries are
 /// invalidated wholesale instead of being misread.
-pub const FACTS_SCHEMA: &str = "adsafe-facts/7";
+pub const FACTS_SCHEMA: &str = "adsafe-facts/8";
 
 /// One file-scope variable definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,9 +126,13 @@ pub struct FunctionFacts {
 /// is a site, and so is every call to one of [`DYNAMIC_MEMORY_FNS`]
 /// (`memory-api`), every `new`, `new[]`, `delete` and `delete[]`, and
 /// every explicit cast, one kind per cast syntax. A `misnamed-*` site is
-/// a type, enum, alias or macro whose name breaks the naming convention
-/// [`classify`] judges.
-pub const SITE_KINDS: [&str; 26] = [
+/// a type, enum, alias, macro or local variable whose name breaks the
+/// naming convention [`classify`] judges. A call to a closed-source GPU
+/// library is a `<library>-call` site, as [`closed_source_call`] names
+/// it; a `narrowing-init` or `narrowing-assign` is one of the implicit
+/// [`narrowings`] in a body; an `unguarded-header` site stands for a
+/// header with no include guard.
+pub const SITE_KINDS: [&str; 35] = [
     "goto",
     "comma",
     "switch",
@@ -152,6 +159,15 @@ pub const SITE_KINDS: [&str; 26] = [
     "misnamed-enum",
     "misnamed-alias",
     "misnamed-macro",
+    "misnamed-variable",
+    "cudnn-call",
+    "cublas-call",
+    "tensorrt-call",
+    "cufft-call",
+    "cusparse-call",
+    "narrowing-init",
+    "narrowing-assign",
+    "unguarded-header",
 ];
 
 /// One construct occurrence, anchored where a finding on it points.
@@ -165,11 +181,12 @@ pub struct SiteFacts {
     pub end: u32,
     /// Index of the enclosing function in [`FileFacts::functions`];
     /// `None` at file scope (unions, octal constants, misnamed
-    /// declarations and macros).
+    /// declarations and macros, unguarded headers).
     pub function: Option<u32>,
-    /// Goto label, union name, octal lexeme, discarded or dynamic-memory
-    /// callee, dereferenced parameter, allocated type, cast target type
-    /// or misnamed name; empty otherwise.
+    /// Goto label, union name, octal lexeme, discarded, dynamic-memory
+    /// or closed-source callee, dereferenced parameter, allocated type,
+    /// cast target type, misnamed name, narrowed `name: type` or the
+    /// unguarded header's path; empty otherwise.
     pub text: String,
     /// A switch's `default` labels directly in its body, a statement's
     /// declarators, or for a `throw` the `try` statements in the file's
@@ -309,6 +326,10 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
             .filter(|m| classify(&m.name) != NameCase::UpperSnake && !m.name.ends_with('_'))
             .map(|m| SiteFacts::new("misnamed-macro", m.span, None, &m.name, 0)),
     );
+    if lacks_include_guard(file.path(), file.text()) {
+        let at = Span::new(id, 0, 0);
+        sites.push(SiteFacts::new("unguarded-header", at, None, file.path(), 0));
+    }
     sites.sort_by_key(|s| s.start);
     FileFacts {
         recovery_count: parsed.unit.recovery_count,
@@ -321,8 +342,8 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
 }
 
 /// Appends the sites in the body of `f`, function `index` of its file,
-/// in one pre-order walk over its statements and expressions, and
-/// returns how many `try` statements the body holds. `tested` holds the
+/// in one pre-order walk over its statements and expressions (then its
+/// implicit [`narrowings`]), and returns how many `try` statements the body holds. `tested` holds the
 /// names the function's conditions test.
 fn function_sites(
     f: &FunctionDef,
@@ -377,8 +398,16 @@ fn function_sites(
                         .count();
                     self.push("switch", s.span, "", defaults);
                 }
-                StmtKind::Decl(vars) if vars.len() > 1 => {
-                    self.push("multi-decl", s.span, "", vars.len());
+                StmtKind::Decl(vars) => {
+                    if vars.len() > 1 {
+                        self.push("multi-decl", s.span, "", vars.len());
+                    }
+                    for v in vars
+                        .iter()
+                        .filter(|v| misnamed_variable(&v.name, v.ty.is_const))
+                    {
+                        self.push("misnamed-variable", v.span, &v.name, 0);
+                    }
                 }
                 StmtKind::Block(b) => self.unreachable(&b.stmts, true),
                 StmtKind::Expr(e) if matches!(e.kind, ExprKind::Call { .. }) => {
@@ -392,6 +421,11 @@ fn function_sites(
             walk_stmt(self, s);
         }
         fn visit_expr(&mut self, e: &'ast Expr) {
+            if let Some(name) = e.callee_name() {
+                if let Some(kind) = closed_source_call(name) {
+                    self.push(kind, e.span, name, 0);
+                }
+            }
             match &e.kind {
                 ExprKind::Binary {
                     op: BinOp::Comma, ..
@@ -462,6 +496,14 @@ fn function_sites(
     };
     sites.unreachable(&f.body.stmts, false);
     walk_function(&mut sites, f);
+    for n in narrowings(f) {
+        let kind = if n.assignment {
+            "narrowing-assign"
+        } else {
+            "narrowing-init"
+        };
+        sites.push(kind, n.span, &n.target, 0);
+    }
     sites.tries
 }
 
@@ -1434,7 +1476,8 @@ mod tests {
         int guard(int* p, int n) { if (n && n++) throw n; cudaFree(p); return *p; n = 0; }\n\
         #define badMacro 1\n\
         struct raw_buf { int n; }; typedef int count_t; typedef raw_buf buf_alias;\n\
-        void mem() { int* p = new int[2]; delete[] p; p = static_cast<int*>(malloc(4)); }\n";
+        void mem() { int* p = new int[2]; delete[] p; p = static_cast<int*>(malloc(4)); }\n\
+        void lib() { int Scale = 2; cublasSscal(Scale); }\n";
 
     fn corpus() -> AnalysisSet {
         let mut set = AnalysisSet::new();
@@ -1518,6 +1561,7 @@ mod tests {
                 ("unvalidated-deref", Some("scale"), "d", 0),
                 ("c-style-cast", Some("scale"), "float", 0),
                 ("c-style-cast", Some("driver"), "void", 0),
+                ("narrowing-init", Some("narrow"), "k: int", 0),
                 ("c-style-cast", Some("narrow"), "void", 0),
                 ("union", None, "Bits", 0),
                 ("multi-decl", Some("jump"), "", 2),
@@ -1538,6 +1582,8 @@ mod tests {
                 ("delete[]", Some("mem"), "", 0),
                 ("static_cast", Some("mem"), "int*", 0),
                 ("memory-api", Some("mem"), "malloc", 0),
+                ("misnamed-variable", Some("lib"), "Scale", 0),
+                ("cublas-call", Some("lib"), "cublasSscal", 0),
             ]
         );
         let orphan = FileFacts {
@@ -1739,7 +1785,7 @@ mod tests {
             good.replacen(r#""recovery":0"#, r#""recovery":1.0"#, 1),
             good.replacen(r#""recovery":0"#, r#""recovery":00"#, 1),
             good.replacen(r#""recovery":0"#, r#""recovery":0,"recovery":0"#, 1),
-            good.replacen("adsafe-facts/7", r"adsafe-facts\/7", 1),
+            good.replacen("adsafe-facts/8", r"adsafe-facts\/8", 1),
             good.replacen(r#"{"name":"rec""#, r#"{"name":"\u0072ec""#, 1),
         ] {
             assert!(

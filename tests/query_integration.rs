@@ -162,14 +162,50 @@ int forms(double d, const int* cp, Packet* b) {\n\
   return k + (int)l;\n\
 }\n";
 
+/// Closed-source library calls of every library, through a plain call,
+/// a member call and a kernel launch, with a lookalike that is not one;
+/// implicit narrowings by initialisation and by assignment, beside a
+/// widening, a comparison and a redeclared name that an assignment
+/// resolves against its last declaration; and locals named both ways,
+/// a `kConstant` among them, `const` and not.
+const LIBS_SOURCE: &str = "int infer(float* x, double d, int n, Engine& eng) {\n\
+  int k = d;\n\
+  short s = 0;\n\
+  s = d;\n\
+  float f = 0.5;\n\
+  f = d + 1;\n\
+  double w = n;\n\
+  bool b = d > 1.0;\n\
+  int late = 0;\n\
+  late = wide;\n\
+  double wide = 2.0;\n\
+  int v = 0;\n\
+  { double v = 1.0; w = v; }\n\
+  v = 2.5;\n\
+  int FrameCount = 0;\n\
+  int frame_total = 1;\n\
+  const int kLimit = 4;\n\
+  int kBad = 1;\n\
+  cublasSgemm(0); cudnnConvolutionForward(0); nvinferCreate(0);\n\
+  TensorRTBuild(0); cufftExecC2C(0); CUSPARSE_create(0); my_gemm(0);\n\
+  cublas_gemm_kernel<<<1, 32>>>(x, n);\n\
+  eng.cudnnDestroy(0);\n\
+  int err = cudaGetLastError();\n\
+  return k + s + err;\n\
+}\n";
+
+/// A header with no include guard.
+const HEADER_SOURCE: &str = "int api_version();\n";
+
 /// A `throw` in a file whose `try` is in another function: no finding.
 const GUARDED_SOURCE: &str = "int step();\n\
 void guard() { try { step(); } catch (int e) { } }\n\
 void raise(int x) { if (x < 0) throw x; }\n";
 
 /// [`corpus_sources`] plus [`EDGE_SOURCE`], [`PORTED_SOURCE`],
-/// [`SITE_SOURCE`], [`GUARDED_SOURCE`] and [`FORMS_SOURCE`], clean and
-/// then under each
+/// [`SITE_SOURCE`], [`GUARDED_SOURCE`], [`FORMS_SOURCE`],
+/// [`LIBS_SOURCE`] and three headers — unguarded, guarded and
+/// `#pragma once` — clean and then under each
 /// `faultinject` corruption (invalid UTF-8 replaced lossily, as the
 /// pipeline ingests it).
 fn source_sets() -> Vec<(&'static str, Sources)> {
@@ -195,6 +231,17 @@ fn source_sets() -> Vec<(&'static str, Sources)> {
         "stress/forms.cc".into(),
         FORMS_SOURCE.into(),
     ));
+    clean.push(("stress".into(), "stress/libs.cu".into(), LIBS_SOURCE.into()));
+    for (path, text) in [
+        ("stress/api.h", HEADER_SOURCE.to_string()),
+        (
+            "stress/guarded.hpp",
+            format!("#ifndef GUARDED_HPP_\n#define GUARDED_HPP_\n{HEADER_SOURCE}#endif\n"),
+        ),
+        ("stress/once.cuh", format!("#pragma once\n{HEADER_SOURCE}")),
+    ] {
+        clean.push(("stress".into(), path.into(), text));
+    }
     let mut sets = vec![("clean", clean.clone())];
     for kind in Corruption::ALL {
         let corrupted = clean
@@ -639,10 +686,11 @@ fn builtin_pack_matches_native_checkers_byte_for_byte() {
     assert_native_findings(&refs, &set.sm);
 }
 
-/// The twenty bundled rules that were native checkers until their
+/// The twenty-four bundled rules that were native checkers until their
 /// `.aq` ports were proven equal to them: five function and global
-/// rules, eleven site rules, then four multi-arm site rules.
-const PORTED_IDS: [&str; 20] = [
+/// rules, eleven site rules, four multi-arm site rules, then four site
+/// rules over one body or one file.
+const PORTED_IDS: [&str; 24] = [
     "misra-17.1-variadic",
     "cuda-kernel-pointer",
     "cuda-alloc-balance",
@@ -663,6 +711,10 @@ const PORTED_IDS: [&str; 20] = [
     "typing-explicit-cast",
     "naming-type",
     "naming-macro",
+    "cuda-closed-source-lib",
+    "typing-implicit-conversion",
+    "naming-variable",
+    "style-include-guard",
 ];
 
 /// What the retired native checkers reported on each of
@@ -677,48 +729,51 @@ const PORTED_IDS: [&str; 20] = [
 /// `stress/forms.cc` included. The one `design-global-variable`
 /// finding each that `stress/forms.cc` adds under `byte-flips` and
 /// `non-utf8-noise` (a declaration the parser's recovery turns global)
-/// came from the bundled rule when that file joined.
-const PORTED_FINDINGS: [(&str, [usize; 20], u64); 5] = [
+/// came from the bundled rule when that file joined, and so did the
+/// twelve, fourteen and four such findings `stress/libs.cu` adds under
+/// `delete-braces`, `byte-flips` and `non-utf8-noise`. The last four
+/// rules' findings came from their natives, on every file.
+const PORTED_FINDINGS: [(&str, [usize; 24], u64); 5] = [
     (
         "clean",
         [
-            1, 2, 3, 2, 84, 12, 2, 110, 2, 4, 2, 5, 5, 1, 11, 6, 14, 86, 4, 2,
+            1, 2, 3, 2, 84, 12, 2, 110, 2, 4, 2, 5, 5, 1, 11, 6, 14, 86, 4, 2, 9, 32, 2, 1,
         ],
-        0xeda3f70ded793cce,
+        0xce191e7da91ffeb4,
     ),
     (
         "truncate",
         [
-            1, 1, 2, 1, 84, 12, 2, 45, 2, 0, 2, 4, 5, 0, 6, 5, 5, 72, 4, 2,
+            1, 1, 2, 1, 84, 12, 2, 45, 2, 0, 2, 4, 5, 0, 6, 5, 5, 72, 4, 2, 1, 24, 0, 1,
         ],
-        0x3fc004291bd115a0,
+        0x19d7213993440532,
     ),
     (
         "delete-braces",
         [
-            1, 0, 2, 1, 139, 2, 41, 13, 1, 4, 0, 30, 0, 0, 9, 0, 5, 10, 1, 2,
+            1, 0, 2, 1, 151, 2, 41, 13, 1, 4, 0, 30, 0, 0, 9, 0, 5, 10, 1, 2, 1, 2, 43, 1,
         ],
-        0xfa22d91a4472fb98,
+        0xbb9f9dea3c04d9cc,
     ),
     (
         "byte-flips",
         [
-            1, 1, 1, 3, 147, 0, 81, 22, 2, 47, 3, 10, 0, 0, 5, 0, 6, 11, 4, 1,
+            1, 1, 1, 3, 161, 0, 81, 22, 2, 47, 3, 10, 0, 0, 5, 0, 6, 11, 4, 1, 1, 1, 74, 3,
         ],
-        0x3f019b5631ef5cf7,
+        0x607c5e3452077b0b,
     ),
     (
         "non-utf8-noise",
         [
-            1, 2, 2, 2, 84, 10, 2, 89, 2, 4, 2, 6, 5, 1, 9, 4, 13, 67, 4, 1,
+            1, 2, 2, 2, 88, 10, 2, 89, 2, 4, 2, 6, 5, 1, 9, 4, 13, 67, 4, 1, 8, 24, 2, 3,
         ],
-        0x6793acc1dba50d83,
+        0x177a0e11a05e5fd4,
     ),
 ];
 
 /// The retired natives' first finding per rule of [`PORTED_IDS`] on the
 /// clean set.
-const PORTED_FIRST: [&str; 20] = [
+const PORTED_FIRST: [&str; 24] = [
     "stress/ported.cu:6:1 warning [misra-17.1-variadic] function `log_msg` is variadic \
      | fn=Some(\"log_msg\")",
     "perception/cuda/perception_op0.cu:4:1 warning [cuda-kernel-pointer] kernel \
@@ -757,6 +812,14 @@ const PORTED_FIRST: [&str; 20] = [
      | fn=Some(\"apollo::perception::PerceptionFn0\")",
     "stress/forms.cc:4:1 warning [naming-type] type `packet_t` is not UpperCamelCase | fn=None",
     "stress/edge.cc:1:1 info [naming-macro] macro `fileMode` is not UPPER_SNAKE_CASE | fn=None",
+    "perception/cuda/perception_op0.cu:23:3 info [cuda-closed-source-lib] call to closed-source \
+     cuBLAS API `cublasSgemm` | fn=Some(\"perception_op0_gpu\")",
+    "perception/perception_00.cc:84:5 warning [typing-implicit-conversion] implicit narrowing \
+     initialisation of `approx: int` | fn=Some(\"apollo::perception::PerceptionFn0\")",
+    "stress/libs.cu:15:1 info [naming-variable] variable `FrameCount` is not lower_snake_case \
+     | fn=Some(\"infer\")",
+    "stress/api.h:1:1 warning [style-include-guard] header `stress/api.h` lacks an include guard \
+     | fn=None",
 ];
 
 /// Every finding of rule `id` in `report`, rendered with its enclosing
@@ -778,7 +841,7 @@ fn digest(lines: &[String]) -> u64 {
     h
 }
 
-/// The twenty bundled rules ported from native checkers report exactly
+/// The twenty-four bundled rules ported from native checkers report exactly
 /// what the natives did — rendered findings, spans and enclosing
 /// functions included — on the clean sources and under every
 /// `faultinject` corruption, serial and at one worker per core. The
@@ -810,6 +873,113 @@ fn ported_rules_reproduce_the_native_findings() {
                 all.extend(mine);
             }
             assert_eq!(digest(&all), want_digest, "{name} at jobs {jobs}");
+        }
+    }
+}
+
+/// The four natives that read one function body or one file, written
+/// as multi-arm `.aq` rules over `site` rows, under `q-` ids so they
+/// load as a user pack beside the natives they replace.
+const SITE_PACK: &str = r#"
+rule "q-closed-source-lib" {
+  desc "closed-source GPU libraries hamper ISO 26262 compliance assessment"
+  iso t1r2
+  site where kind == "cudnn-call" -> info "call to closed-source cuDNN API `{text}`"
+  site where kind == "cublas-call" -> info "call to closed-source cuBLAS API `{text}`"
+  site where kind == "tensorrt-call" -> info "call to closed-source TensorRT API `{text}`"
+  site where kind == "cufft-call" -> info "call to closed-source cuFFT API `{text}`"
+  site where kind == "cusparse-call" -> info "call to closed-source cuSPARSE API `{text}`"
+}
+rule "q-implicit-conversion" {
+  desc "no implicit narrowing type conversions"
+  iso t8r7
+  site where kind == "narrowing-init" -> warn "implicit narrowing initialisation of `{text}`"
+  site where kind == "narrowing-assign" -> warn "implicit narrowing assignment to `{text}`"
+}
+rule "q-naming-variable" {
+  desc "variables shall be lower_snake_case"
+  iso t1r8
+  site where kind == "misnamed-variable" -> info "variable `{text}` is not lower_snake_case"
+}
+rule "q-include-guard" {
+  desc "headers shall have include guards"
+  iso t1r7
+  site where kind == "unguarded-header" -> warn "header `{text}` lacks an include guard"
+}
+"#;
+
+/// `(native id, ported id)` of the four rules in [`SITE_PACK`].
+const SITE_IDS: [(&str, &str); 4] = [
+    ("cuda-closed-source-lib", "q-closed-source-lib"),
+    ("typing-implicit-conversion", "q-implicit-conversion"),
+    ("naming-variable", "q-naming-variable"),
+    ("style-include-guard", "q-include-guard"),
+];
+
+/// The `.aq` rules of [`SITE_PACK`] report exactly what the four native
+/// checkers do — rendered findings, severities, spans, enclosing
+/// functions and order included — on the clean sources and under every
+/// `faultinject` corruption, serial and at one worker per core, with the
+/// natives' descriptions, ISO refs and file scope. Prints each native's
+/// finding count per set and its snapshot digest.
+#[test]
+fn site_rules_reproduce_the_native_findings() {
+    let pack = RulePack::from_sources(
+        &[("sites.aq".into(), SITE_PACK.into())],
+        &adsafe::query::reserved_rule_ids(),
+    );
+    assert!(pack.faults.is_empty(), "{:?}", pack.faults);
+    for ((native, _), rule) in SITE_IDS.iter().zip(&pack.rules) {
+        let check = default_checks()
+            .into_iter()
+            .find(|c| c.id() == *native)
+            .unwrap();
+        assert_eq!(
+            (rule.desc, rule.iso),
+            (check.description(), check.iso_refs()),
+            "{native}"
+        );
+        assert_eq!(rule.scope, CheckScope::File, "{native}");
+    }
+    let pack = Arc::new(pack);
+    for (name, sources) in source_sets() {
+        for jobs in [1, 0] {
+            let mut a = Assessment::new().with_options(AssessmentOptions {
+                jobs,
+                rules: Some(Arc::clone(&pack)),
+                ..AssessmentOptions::default()
+            });
+            for (module, path, text) in &sources {
+                a.add_file(module, path, text);
+            }
+            let report = a.run();
+            let mut all = Vec::new();
+            let mut counts = Vec::new();
+            for (native, ported) in SITE_IDS {
+                let want = report.diagnostics_for(native);
+                let got: Vec<Diagnostic> = report
+                    .diagnostics_for(ported)
+                    .into_iter()
+                    .map(|d| Diagnostic {
+                        check_id: native,
+                        ..d.clone()
+                    })
+                    .collect();
+                assert!(
+                    got.iter().eq(want.iter().copied()),
+                    "{native} on {name} at jobs {jobs}:\n{got:#?}\n{want:#?}"
+                );
+                if name == "clean" {
+                    assert!(!want.is_empty(), "{native} never fires on the clean set");
+                }
+                let mine = rendered(&report, a.sources(), native);
+                if name == "clean" {
+                    eprintln!("first {native}: {}", mine[0]);
+                }
+                counts.push(mine.len());
+                all.extend(mine);
+            }
+            eprintln!("{name} jobs {jobs}: {counts:?} {:#018x}", digest(&all));
         }
     }
 }
