@@ -4,14 +4,10 @@
 //! `lower_snake` for C-linkage utilities), variables `lower_snake`,
 //! member fields `lower_snake_` with trailing underscore, constants
 //! `kUpperCamel`, enumerators `kUpperCamel` or `UPPER_SNAKE`, macros
-//! `UPPER_SNAKE`. Variable naming is checked here; type and macro naming
-//! are the bundled `naming-type` and `naming-macro` rules over the
-//! `misnamed-*` sites the facts walk records with [`classify`].
-
-use crate::diag::{Diagnostic, Severity};
-use crate::{Check, CheckContext};
-use adsafe_lang::ast::StmtKind;
-use adsafe_lang::visit::walk_stmts;
+//! `UPPER_SNAKE`. Type, macro and variable naming are the bundled
+//! `naming-type`, `naming-macro` and `naming-variable` rules over the
+//! `misnamed-*` sites the facts walk records with [`classify`] and
+//! [`misnamed_variable`].
 
 /// Case classes a name can fall into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,58 +68,9 @@ pub fn misnamed_variable(name: &str, is_const: bool) -> bool {
     !(case == NameCase::LowerSnake || (is_const && case == NameCase::KConstant))
 }
 
-/// Local variables and parameters must be `lower_snake_case`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct VariableNamingCheck;
-
-impl Check for VariableNamingCheck {
-    fn id(&self) -> &'static str {
-        "naming-variable"
-    }
-    fn description(&self) -> &'static str {
-        "variables shall be lower_snake_case"
-    }
-    fn iso_refs(&self) -> &'static [&'static str] {
-        &["Part6.Table1.Row8"]
-    }
-    fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for (_, f) in cx.functions() {
-            walk_stmts(f, |s| {
-                if let StmtKind::Decl(vars) = &s.kind {
-                    for v in vars {
-                        let case = classify(&v.name);
-                        let ok = matches!(case, NameCase::LowerSnake)
-                            || (v.ty.is_const && matches!(case, NameCase::KConstant));
-                        if !ok {
-                            out.push(
-                                Diagnostic::new(
-                                    self.id(),
-                                    Severity::Info,
-                                    v.span,
-                                    format!("variable `{}` is not lower_snake_case", v.name),
-                                )
-                                .in_function(&f.sig.qualified_name),
-                            );
-                        }
-                    }
-                }
-            });
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::AnalysisSet;
-
-    fn run(check: &dyn Check, src: &str) -> Vec<Diagnostic> {
-        let mut set = AnalysisSet::new();
-        set.add("m", "t.cc", src);
-        check.run(&set.context())
-    }
 
     #[test]
     fn classify_cases() {
@@ -138,15 +85,13 @@ mod tests {
 
     #[test]
     fn bad_variable_flagged() {
-        let d = run(&VariableNamingCheck, "void f() { int FrameCount = 0; }");
-        assert_eq!(d.len(), 1);
-        let ok = run(&VariableNamingCheck, "void f() { int frame_count = 0; }");
-        assert!(ok.is_empty());
+        assert!(misnamed_variable("FrameCount", false));
+        assert!(!misnamed_variable("frame_count", false));
     }
 
     #[test]
     fn k_constant_allowed_for_const() {
-        let ok = run(&VariableNamingCheck, "void f() { const int kLimit = 9; }");
-        assert!(ok.is_empty(), "{ok:?}");
+        assert!(!misnamed_variable("kLimit", true));
+        assert!(misnamed_variable("kLimit", false));
     }
 }

@@ -1,7 +1,8 @@
 //! Style-guide checks (paper §3.1.7, Observation 8; ISO 26262-6 Table 1
 //! row 7). The rules mirror the Google C++ style guide subset that
-//! `cpplint` automates: line length, whitespace discipline, brace
-//! placement, and header include guards.
+//! `cpplint` automates: line length, whitespace discipline and brace
+//! placement, and the header include-guard policy behind the bundled
+//! `style-include-guard` rule's `unguarded-header` sites.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::{Check, CheckContext};
@@ -163,43 +164,6 @@ pub fn lacks_include_guard(path: &str, text: &str) -> bool {
             || (text.contains("#ifndef") && text.contains("#define")))
 }
 
-/// Header files must have an include guard or `#pragma once`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IncludeGuardCheck;
-
-impl Check for IncludeGuardCheck {
-    fn id(&self) -> &'static str {
-        "style-include-guard"
-    }
-    fn description(&self) -> &'static str {
-        "headers shall have include guards"
-    }
-    fn iso_refs(&self) -> &'static [&'static str] {
-        &["Part6.Table1.Row7"]
-    }
-    fn run(&self, cx: &CheckContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for e in &cx.entries {
-            let path = e.file.path();
-            if !(path.ends_with(".h") || path.ends_with(".hpp") || path.ends_with(".cuh")) {
-                continue;
-            }
-            let text = e.file.text();
-            let guarded = text.contains("#pragma once")
-                || (text.contains("#ifndef") && text.contains("#define"));
-            if !guarded {
-                out.push(Diagnostic::new(
-                    self.id(),
-                    Severity::Warning,
-                    Span::new(e.file.id(), 0, 0),
-                    format!("header `{path}` lacks an include guard"),
-                ));
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,17 +219,16 @@ mod tests {
 
     #[test]
     fn include_guard_required_for_headers_only() {
-        let bad = run_on(&IncludeGuardCheck, "a.h", "int f();\n");
-        assert_eq!(bad.len(), 1);
-        let good = run_on(
-            &IncludeGuardCheck,
+        assert!(lacks_include_guard("a.h", "int f();\n"));
+        assert!(!lacks_include_guard(
             "a.h",
-            "#ifndef A_H_\n#define A_H_\nint f();\n#endif\n",
-        );
-        assert!(good.is_empty());
-        let pragma = run_on(&IncludeGuardCheck, "a.h", "#pragma once\nint f();\n");
-        assert!(pragma.is_empty());
-        let source = run_on(&IncludeGuardCheck, "a.cc", "int f() { return 0; }\n");
-        assert!(source.is_empty());
+            "#ifndef A_H_\n#define A_H_\nint f();\n#endif\n"
+        ));
+        assert!(!lacks_include_guard("a.hpp", "#pragma once\nint f();\n"));
+        assert!(lacks_include_guard(
+            "a.cuh",
+            "#ifndef A_CUH_\nint f();\n#endif\n"
+        ));
+        assert!(!lacks_include_guard("a.cc", "int f() { return 0; }\n"));
     }
 }

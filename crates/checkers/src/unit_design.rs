@@ -5,7 +5,7 @@
 //! perception module" — [`UnitDesignStats`] produces exactly those
 //! numbers for any code base.
 
-use crate::{Check, CheckContext};
+use crate::CheckContext;
 use adsafe_lang::ast::{ExprKind, StmtKind, Storage};
 use adsafe_lang::symbols::analyze_function;
 use adsafe_lang::visit::{walk_exprs, walk_stmts};
@@ -128,8 +128,10 @@ pub fn unit_design_stats(cx: &CheckContext<'_>) -> UnitDesignStats {
             .count();
     }
 
-    let implicit = crate::typing::ImplicitConversionCheck.run(cx);
-    s.implicit_conversions = implicit.len();
+    s.implicit_conversions = cx
+        .functions()
+        .map(|(_, f)| crate::typing::narrowings(f).len())
+        .sum();
 
     for (entry, f) in cx.functions() {
         s.function_count += 1;

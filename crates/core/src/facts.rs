@@ -1235,7 +1235,7 @@ fn unescape(b: &[u8]) -> Option<(char, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adsafe_checkers::{default_checks, AnalysisSet, Check, CheckContext, CheckScope};
+    use adsafe_checkers::{default_checks, AnalysisSet, CheckContext, CheckScope};
 
     /// The tree decoder [`FileFacts::from_json`] replaced, kept as the
     /// differential reference: it parses a generic [`Json`] tree, then
@@ -1643,9 +1643,13 @@ mod tests {
             },
             reference
         );
-        // The pipeline counts the rule's own findings instead.
-        let findings = adsafe_checkers::typing::ImplicitConversionCheck.run(&cx);
-        assert_eq!((reference.implicit_conversions, findings.len()), (1, 1));
+        // The pipeline counts the rule's findings, one per narrowing site.
+        let narrowings = recs
+            .iter()
+            .flat_map(|(_, _, f)| &f.sites)
+            .filter(|s| s.kind.starts_with("narrowing-"))
+            .count();
+        assert_eq!((reference.implicit_conversions, narrowings), (1, 1));
         let legacy = adsafe_checkers::defensive::validation_ratio(&cx);
         let got = validation_ratio_from_facts(&recs);
         assert!((legacy - got).abs() < 1e-15, "{legacy} vs {got}");

@@ -1060,7 +1060,7 @@ union Raw { int i; float f; };\n";
         assert_eq!(inv.len(), natives + bundled_rules().rules.len() + 1);
         assert!(inv[..natives].iter().all(|r| r.origin() == "native"));
         assert!(inv[natives..].iter().all(|r| r.origin() == "query"));
-        assert_eq!(inv[0].id, "typing-implicit-conversion");
+        assert_eq!(inv[0].id, "design-global-use");
         assert_eq!(inv[natives].id, "misra-15.5-multi-exit");
         assert_eq!(inv.last().unwrap().id, "team-wide");
     }
@@ -1080,7 +1080,10 @@ union Raw { int i; float f; };\n";
         let counts: Vec<usize> = diags.iter().map(Vec::len).collect();
         assert_eq!(
             counts,
-            [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [
+                1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                0
+            ],
             "multi-exit and recursion fire on `g` only"
         );
         assert_eq!(

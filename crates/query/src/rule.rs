@@ -278,6 +278,10 @@ mod tests {
                 "typing-explicit-cast",
                 "naming-type",
                 "naming-macro",
+                "cuda-closed-source-lib",
+                "typing-implicit-conversion",
+                "naming-variable",
+                "style-include-guard",
             ]
         );
         // Recursion reads the call graph; the rest are file-scoped.

@@ -270,8 +270,9 @@ fn failpoint_gates_a_bundled_rule_like_a_native_one() {
 #[test]
 fn checks_deadline_cuts_bundled_rules_like_natives() {
     // Every rule gate sleeps, so the checks phase overruns its budget
-    // part-way through the natives; the bundled rules gate after them.
-    let _g = failpoints::Armed::new("pipeline::check", Action::Delay(Duration::from_millis(3)));
+    // part-way through the four natives (8 ms each against 20 ms); the
+    // bundled rules gate after them.
+    let _g = failpoints::Armed::new("pipeline::check", Action::Delay(Duration::from_millis(8)));
     let options = AssessmentOptions {
         budgets: Budgets {
             phase_deadline: Some(Duration::from_millis(20)),
@@ -339,10 +340,10 @@ fn query_rule_panic_costs_one_rule_on_one_file() {
 fn native_rule_panic_in_a_file_task_costs_one_rule_on_one_file() {
     // Failpoints are thread-local, so the per-file tasks must run on
     // this thread: jobs 1 (the default).
-    let src = format!("{GATED_SRC}int narrow(float v) {{ int n = v; return n; }}\n");
+    let src = format!("{GATED_SRC}int tabbed(float v) {{\treturn 0; }}\n");
     let _g = failpoints::Armed::new(
-        "pipeline::check::typing-implicit-conversion::m/a.cc",
-        Action::Panic("narrowing rule bug".into()),
+        "pipeline::check::style-line::m/a.cc",
+        Action::Panic("line rule bug".into()),
     );
     let dir = std::env::temp_dir().join(format!("adsafe-file-task-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -360,7 +361,7 @@ fn native_rule_panic_in_a_file_task_costs_one_rule_on_one_file() {
         .filter(|f| f.phase == adsafe::FaultPhase::Checks)
         .collect();
     assert_eq!(faults.len(), 1, "{faults:?}");
-    assert_eq!(faults[0].path, "typing-implicit-conversion");
+    assert_eq!(faults[0].path, "style-line");
     assert!(
         matches!(faults[0].cause, adsafe::FaultCause::Injected(_)),
         "{:?}",
@@ -369,9 +370,9 @@ fn native_rule_panic_in_a_file_task_costs_one_rule_on_one_file() {
     // File ids follow insertion order, after `healthy/base.cc`.
     let (a, b) = (adsafe::lang::FileId(1), adsafe::lang::FileId(2));
     // The rule survived on the other file ...
-    let casts = r.diagnostics_for("typing-implicit-conversion");
-    assert_eq!(casts.len(), 1);
-    assert_eq!(casts[0].span.file, b);
+    let tabs = r.diagnostics_for("style-line");
+    assert_eq!(tabs.len(), 1);
+    assert_eq!(tabs[0].span.file, b);
     // ... and every other rule survived on the armed file.
     assert!(r
         .diagnostics_for("misra-15.1-goto")
