@@ -365,10 +365,23 @@ fn function_sites(
                 .push(SiteFacts::new(kind, at, self.function, text, count));
         }
         /// Records the first statement of `stmts` that follows an
-        /// unconditional jump with no jump target in between. A label
-        /// is a target; so are `case` and `default` in a `nested` block,
-        /// but not at the top of a function body.
+        /// unconditional jump, labelled or not, with no jump target in
+        /// between. A label is a target; so are `case` and `default` in
+        /// a `nested` block or a `switch` body, but not at the top of a
+        /// function body.
         fn unreachable(&mut self, stmts: &[Stmt], nested: bool) {
+            fn is_jump(st: &Stmt) -> bool {
+                match &st.kind {
+                    StmtKind::Label(_, inner) => is_jump(inner),
+                    kind => matches!(
+                        kind,
+                        StmtKind::Return(_)
+                            | StmtKind::Break
+                            | StmtKind::Continue
+                            | StmtKind::Goto(_)
+                    ),
+                }
+            }
             let mut after_jump = false;
             for st in stmts {
                 let target = match st.kind {
@@ -379,10 +392,7 @@ fn function_sites(
                 if after_jump && !target {
                     return self.push("unreachable", st.span, "", 0);
                 }
-                after_jump = matches!(
-                    st.kind,
-                    StmtKind::Return(_) | StmtKind::Break | StmtKind::Continue | StmtKind::Goto(_)
-                );
+                after_jump = is_jump(st);
             }
         }
     }
@@ -397,6 +407,7 @@ fn function_sites(
                         .filter(|s| matches!(s.kind, StmtKind::Default))
                         .count();
                     self.push("switch", s.span, "", defaults);
+                    self.unreachable(&body.stmts, true);
                 }
                 StmtKind::Decl(vars) => {
                     if vars.len() > 1 {

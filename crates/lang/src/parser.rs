@@ -2068,6 +2068,37 @@ impl<'a> Parser<'a> {
                     span,
                 })
             }
+            // A functional cast `T(e)` whose `T` is a builtin arithmetic
+            // type keyword. `Foo(x)` stays a call: without a symbol table
+            // it is ambiguous.
+            TokenKind::Keyword(
+                Kw::Char
+                | Kw::Short
+                | Kw::Int
+                | Kw::Long
+                | Kw::Float
+                | Kw::Double
+                | Kw::Signed
+                | Kw::Unsigned
+                | Kw::Bool,
+            ) if self.peek_at(1).is_punct(Punct::LParen)
+                && !self.peek_at(2).is_punct(Punct::RParen) =>
+            {
+                let t = self.bump();
+                let ty = TypeRef::named(self.text(&t));
+                self.bump(); // (
+                let expr = self.parse_expr();
+                self.eat_punct(Punct::RParen);
+                let span = self.span_from(start);
+                self.parse_postfix(Expr {
+                    kind: ExprKind::Cast {
+                        kind: CastKind::Functional,
+                        ty,
+                        expr: Box::new(expr),
+                    },
+                    span,
+                })
+            }
             TokenKind::Punct(Punct::LParen) if self.paren_is_cast() => {
                 self.bump(); // (
                 let ty = self.parse_type().unwrap_or_default();
@@ -2536,6 +2567,30 @@ mod tests {
             }
         }
         assert_eq!(casts, 3);
+    }
+
+    #[test]
+    fn keyword_type_calls_are_functional_casts() {
+        let u = parse("void f(double d) { int k = int(d) + 1; int n = Wrap(d); int z = int(); }");
+        let f = &u.functions()[0];
+        let init = |i: usize| match &f.body.stmts[i].kind {
+            StmtKind::Decl(vars) => vars[0].init.clone().expect("initialised"),
+            other => panic!("not a declaration: {other:?}"),
+        };
+        let ExprKind::Binary { lhs, .. } = init(0).kind else {
+            panic!("not a sum")
+        };
+        assert!(
+            matches!(
+                &lhs.kind,
+                ExprKind::Cast { kind: CastKind::Functional, ty, .. } if ty.name == "int"
+            ),
+            "{lhs:?}"
+        );
+        // `Wrap(d)` may be a call or a cast; without a symbol table it
+        // stays a call, and so does the value-initialising `int()`.
+        assert!(matches!(init(1).kind, ExprKind::Call { .. }));
+        assert!(matches!(init(2).kind, ExprKind::Call { .. }));
     }
 
     #[test]

@@ -475,9 +475,8 @@ impl Printer {
             ExprKind::Cast { kind, ty, expr } => {
                 let inner = self.expr_str(expr);
                 match kind {
-                    CastKind::CStyle | CastKind::Functional => {
-                        format!("({})({inner})", ty.display())
-                    }
+                    CastKind::CStyle => format!("({})({inner})", ty.display()),
+                    CastKind::Functional => format!("{}({inner})", ty.display()),
                     CastKind::Static => format!("static_cast<{}>({inner})", ty.display()),
                     CastKind::Reinterpret => {
                         format!("reinterpret_cast<{}>({inner})", ty.display())
@@ -620,9 +619,10 @@ mod tests {
     fn casts_and_new_delete_print() {
         let (_, b, printed) = roundtrip(
             "void f(double d, int n) { int i = (int)d; long l = static_cast<long>(d); \
-             float* buf = new float[n]; delete[] buf; }",
+             float* buf = new float[n]; delete[] buf; int k = int(d + 1); }",
         );
         assert!(printed.contains("(int)(d)"), "{printed}");
+        assert!(printed.contains("int((d + 1))"), "{printed}");
         assert!(printed.contains("static_cast<long>"), "{printed}");
         assert!(printed.contains("new float["), "{printed}");
         assert!(printed.contains("delete[]"), "{printed}");

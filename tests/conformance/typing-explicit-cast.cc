@@ -16,11 +16,12 @@ long casts(double d, const int* cp, Base* b) {
   return c + s + r;
 }
 
-// A functional cast, `int(d)`, is a cast too, but the frontend parses
-// it as a call, so no finding anchors here.
+// A functional cast, `int(d)`, is a cast too. `Wrap(d)` could be
+// one, but without a symbol table it is a call.
 int functional(double d) {
-  int k = int(d);
-  return k;
+  int k = int(d);  // expect: typing-explicit-cast
+  int w = Wrap(d);
+  return k + w;
 }
 
 // Compliant: no conversion is spelled out.
