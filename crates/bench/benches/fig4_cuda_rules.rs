@@ -21,9 +21,8 @@ fn bench(c: &mut Criterion) {
     set.add("perception", "scale_bias.cu", SCALE_BIAS_CU);
     let cx = set.context();
     let mut g = c.benchmark_group("fig4");
-    // The CUDA rules are native (closed-source calls) and bundled
-    // `.aq` rules (the rest), so they are timed as an assessment runs
-    // them, filtered to their ids.
+    // The CUDA rules are bundled `.aq` rules, so they are timed as an
+    // assessment runs them, filtered to their ids.
     const CUDA_RULES: [&str; 4] = [
         "cuda-kernel-pointer",
         "cuda-alloc-balance",

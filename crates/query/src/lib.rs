@@ -21,7 +21,7 @@
 //! program-scoped; every other rule is file-scoped. [`rule::RulePack`]
 //! loads packs with per-rule fault containment.
 //!
-//! Rules are data: the bundled pack ([`BUILTIN_PACK`]) carries twenty-five
+//! Rules are data: the bundled pack ([`BUILTIN_PACK`]) carries twenty-nine
 //! rules of the default set. A rule has one or more arms, each a
 //! `selector [in module] [where] -> severity "message"` clause over one
 //! shared selector; a row's finding comes from the first arm that
