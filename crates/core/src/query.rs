@@ -711,65 +711,6 @@ union Raw { int i; float f; };\n";
     }
 
     #[test]
-    fn closed_source_arms_name_each_library() {
-        let src = "void f(float* x) { cudnnCreate(0); CUBLAS_init(0); nvinferBuild(0); \
-                   tensorrtRun(0); cufftPlan(0); cusparseMv(0); my_gemm(0); k_cufft<<<1, 1>>>(x); }";
-        let found: Vec<String> = findings("cuda-closed-source-lib", src)
-            .into_iter()
-            .map(|(sev, msg)| {
-                assert_eq!(sev, Severity::Info);
-                msg
-            })
-            .collect();
-        assert_eq!(
-            found,
-            [
-                "call to closed-source cuDNN API `cudnnCreate`",
-                "call to closed-source cuBLAS API `CUBLAS_init`",
-                "call to closed-source TensorRT API `nvinferBuild`",
-                "call to closed-source TensorRT API `tensorrtRun`",
-                "call to closed-source cuFFT API `cufftPlan`",
-                "call to closed-source cuSPARSE API `cusparseMv`",
-            ]
-        );
-    }
-
-    #[test]
-    fn implicit_narrowing_arms() {
-        let w = Severity::Warning;
-        assert_eq!(
-            findings(
-                "typing-implicit-conversion",
-                "void f(double d) { int x = d; short s = 0; s = d; double ok = x; }"
-            ),
-            [
-                (w, "implicit narrowing initialisation of `x: int`".into()),
-                (w, "implicit narrowing assignment to `s: short`".into()),
-            ]
-        );
-    }
-
-    #[test]
-    fn variable_naming_flags_locals_only() {
-        assert_eq!(
-            findings(
-                "naming-variable",
-                "int Global;\nvoid f(int Param) { int FrameCount = 0; const int kOk = 1; int kBad = 2; }"
-            ),
-            [
-                (
-                    Severity::Info,
-                    "variable `FrameCount` is not lower_snake_case".into()
-                ),
-                (
-                    Severity::Info,
-                    "variable `kBad` is not lower_snake_case".into()
-                ),
-            ]
-        );
-    }
-
-    #[test]
     fn include_guard_flags_unguarded_headers_only() {
         let mut a = Assessment::new();
         a.add_file("m", "m/bare.h", "int f();\n");

@@ -18,3 +18,7 @@ int named(int n) {
   const int kMaxFrames = 8;
   return frame_count + kMaxFrames;
 }
+
+// Out of scope: a global and a parameter are not local variables.
+int FrameBudget = 0;
+int scaled(int FrameScale) { return FrameScale * FrameBudget; }
