@@ -343,8 +343,8 @@ pub fn extract_facts(sm: &SourceMap, id: FileId, parsed: &ParsedFile) -> FileFac
 
 /// Appends the sites in the body of `f`, function `index` of its file,
 /// in one pre-order walk over its statements and expressions (then its
-/// implicit [`narrowings`]), and returns how many `try` statements the body holds. `tested` holds the
-/// names the function's conditions test.
+/// implicit [`narrowings`]), and returns how many `try` statements the
+/// body holds. `tested` holds the names the function's conditions test.
 fn function_sites(
     f: &FunctionDef,
     index: u32,
